@@ -146,7 +146,9 @@ def run_transport_comparison(sequence: list, reference: dict,
             elapsed = time.perf_counter() - start
             _assert_exact(results, reference, transport)
             endpoints = sharded.snapshot()["metrics"]["endpoints"]
-            rtt = endpoints.get(f"transport.{transport}", {})
+            # TCP shards ride the multiplexed bridge, metered as "async"
+            kind = "async" if transport == "tcp" else transport
+            rtt = endpoints.get(f"transport.{kind}", {})
             configs.append({
                 "transport": transport,
                 "shards": 2,

@@ -79,7 +79,7 @@ from .platform.topology import (
     view_quality,
 )
 # Service-layer exports are lazy (PEP 562): `import repro` must not pay
-# for http.server / concurrent.futures unless the service is actually used.
+# for asyncio / concurrent.futures unless the service is actually used.
 _SERVICE_EXPORTS = frozenset({
     "Broker",
     "BrokerResult",

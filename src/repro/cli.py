@@ -323,11 +323,6 @@ def _build_broker(args):
                 "--shard-timeout applies to process/TCP shards only; "
                 "use --shard-mode process (or --shard host:port)"
             )
-        if getattr(args, "async_transport", False) and not addresses:
-            raise SystemExit(
-                "--async-transport multiplexes remote shard connections; "
-                "it needs at least one --shard host:port"
-            )
         replication = getattr(args, "replication_factor", 1)
         return ShardedBroker(
             shards=shards,
@@ -337,15 +332,9 @@ def _build_broker(args):
             ttl=ttl,
             shard_addresses=addresses,
             request_timeout=timeout if timeout > 0 else None,
-            async_transport=bool(getattr(args, "async_transport", False)),
             replication_factor=max(1, replication),
             near_cache_size=getattr(args, "near_cache_size", 64),
             hot_threshold=getattr(args, "hot_threshold", 8),
-        )
-    if getattr(args, "async_transport", False):
-        raise SystemExit(
-            "--async-transport applies to remote shards only; add "
-            "--shard host:port"
         )
     if getattr(args, "replication_factor", 1) > 1:
         raise SystemExit(
@@ -371,7 +360,9 @@ def _build_broker(args):
 
 
 def cmd_serve(args) -> int:
-    from .service.api import ServiceServer, serve_stdio
+    import asyncio
+
+    from .service.api import AsyncServiceServer, serve_stdio
     from .service.tracing import TraceStore
 
     broker = _build_broker(args)
@@ -392,8 +383,6 @@ def cmd_serve(args) -> int:
         layout = f"{shards} local {mode} shards x {args.cache_size} entries"
         if addresses:
             layout += f" + {len(addresses)} remote " + " ".join(addresses)
-            if getattr(args, "async_transport", False):
-                layout += " (multiplexed)"
         if mode == "thread":  # --workers is per-shard, thread only
             layout += f", {args.workers} workers/shard"
         if getattr(args, "replication_factor", 1) > 1:
@@ -403,40 +392,21 @@ def cmd_serve(args) -> int:
             layout += f", near-cache {near}"
     else:
         layout = f"cache {args.cache_size} entries, {args.workers} workers"
-    if args.async_http:
-        import asyncio
+    server = AsyncServiceServer(
+        (args.host, args.port), broker=broker, trace_store=store,
+        tracing=not args.no_tracing)
 
-        from .service.api import AsyncServiceServer
+    async def _amain() -> None:
+        await server.start()
+        print(f"repro service listening on "
+              f"http://{args.host}:{server.port} ({layout})", flush=True)
+        await server.serve_forever()
 
-        aserver = AsyncServiceServer(
-            (args.host, args.port), broker=broker, trace_store=store,
-            tracing=not args.no_tracing)
-
-        async def _amain() -> None:
-            await aserver.start()
-            print(f"repro service listening on "
-                  f"http://{args.host}:{aserver.port} ({layout}, "
-                  f"async http)", flush=True)
-            await aserver.serve_forever()
-
-        try:
-            asyncio.run(_amain())
-        except KeyboardInterrupt:
-            pass
-        finally:
-            broker.close()
-        return 0
-    server = ServiceServer((args.host, args.port), broker=broker,
-                           verbose=args.verbose, trace_store=store,
-                           tracing=not args.no_tracing)
-    print(f"repro service listening on http://{args.host}:{server.port} "
-          f"({layout})")
     try:
-        server.serve_forever()
+        asyncio.run(_amain())
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
         broker.close()
     return 0
 
@@ -446,64 +416,40 @@ def cmd_shard_serve(args) -> int:
 
     Point any ``python -m repro serve`` at it with ``--shard host:port``
     to place it on that broker's hash ring; several brokers may share
-    one shard (the engine lock serialises their ops).
-
-    With ``--async`` the shard runs the asyncio server instead: one
-    event loop multiplexes id-tagged requests from many brokers over
-    however many connections arrive, solves run on a bounded thread
-    pool (``--solve-workers``), pings are answered on the loop even
-    while the pool is saturated, and ``--op-deadline`` answers
-    overdue ops with a typed ``ShardTimeoutError`` reply.
+    one shard.  One event loop multiplexes id-tagged requests from many
+    brokers over however many connections arrive, solves run on a
+    bounded thread pool (``--solve-workers``), pings are answered on
+    the loop even while the pool is saturated, and ``--op-deadline``
+    answers overdue ops with a typed ``ShardTimeoutError`` reply.
     """
+    import asyncio
+
+    from .service.transport import AsyncShardServer
+
     ttl = args.ttl if args.ttl and args.ttl > 0 else None
-    if args.use_async:
-        import asyncio
-
-        from .service.transport import AsyncShardServer
-
-        deadline = args.op_deadline if args.op_deadline > 0 else None
-        aserver = AsyncShardServer(
-            (args.host, args.port),
-            cache_size=args.cache_size,
-            ttl=ttl,
-            incremental=not args.no_incremental,
-            solve_workers=args.solve_workers,
-            op_deadline=deadline,
-        )
-
-        async def _amain() -> None:
-            await aserver.start()
-            print(f"repro shard listening on {aserver.address} "
-                  f"(async, {aserver.solve_workers} solve workers, "
-                  f"op deadline "
-                  f"{'none' if deadline is None else f'{deadline}s'}, "
-                  f"cache {args.cache_size} entries, warm path "
-                  f"{'off' if args.no_incremental else 'on'})", flush=True)
-            await aserver.serve_forever()
-
-        try:
-            asyncio.run(_amain())
-        except KeyboardInterrupt:
-            pass
-        return 0
-    from .service.transport import ShardServer
-
-    server = ShardServer(
+    deadline = args.op_deadline if args.op_deadline > 0 else None
+    server = AsyncShardServer(
         (args.host, args.port),
         cache_size=args.cache_size,
         ttl=ttl,
         incremental=not args.no_incremental,
+        solve_workers=args.solve_workers,
+        op_deadline=deadline,
     )
-    print(f"repro shard listening on {server.address} "
-          f"(cache {args.cache_size} entries, warm path "
-          f"{'off' if args.no_incremental else 'on'})", flush=True)
+
+    async def _amain() -> None:
+        await server.start()
+        print(f"repro shard listening on {server.address} "
+              f"({server.solve_workers} solve workers, op deadline "
+              f"{'none' if deadline is None else f'{deadline}s'}, "
+              f"cache {args.cache_size} entries, warm path "
+              f"{'off' if args.no_incremental else 'on'})", flush=True)
+        await server.serve_forever()
+
     try:
-        server.serve_forever()
+        asyncio.run(_amain())
     except KeyboardInterrupt:
         pass
-    finally:
-        server.shutdown()
-        server.server_close()
     return 0
 
 
@@ -674,14 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "ejected and rejoin automatically)")
     p.add_argument("--shard-timeout", type=float, default=0,
                    help="per-request shard transport timeout in seconds "
-                        "(0 = wait indefinitely); on expiry the request "
-                        "fails over to the next live shard (with "
-                        "--async-transport the shard enforces it "
-                        "server-side and answers promptly)")
-    p.add_argument("--async-transport", action="store_true",
-                   help="multiplex each remote --shard connection: many "
-                        "in-flight id-tagged requests share one socket "
-                        "(requires async or id-echoing shard-serve peers)")
+                        "(0 = wait indefinitely); a local shard that "
+                        "misses it is restarted and the request fails "
+                        "over, a remote shard enforces it server-side "
+                        "and answers promptly")
     p.add_argument("--replication-factor", type=int, default=1,
                    help="replica count for HOT fingerprints: reads "
                         "rotate over the key's first R live ring "
@@ -696,10 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hot-threshold", type=int, default=8,
                    help="lookup count at which a fingerprint counts as "
                         "hot (replicated + near-cached)")
-    p.add_argument("--async-http", action="store_true",
-                   help="serve HTTP on one asyncio event loop (idle "
-                        "keep-alive clients cost no threads; broker "
-                        "dispatch runs on a bounded executor)")
     p.add_argument("--slow-trace", type=float, default=0.25,
                    help="traces at least this slow (seconds) are always "
                         "kept in the slow-trace ring")
@@ -707,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="recent traces retained for GET /traces")
     p.add_argument("--no-tracing", action="store_true",
                    help="disable request tracing and the trace store")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("shard-serve",
@@ -720,19 +657,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cache TTL in seconds (0 = no expiry)")
     p.add_argument("--no-incremental", action="store_true",
                    help="disable the warm re-solve path for this shard")
-    p.add_argument("--async", dest="use_async", action="store_true",
-                   help="run the asyncio shard server: id-tagged frames "
-                        "are multiplexed per connection, pings answered "
-                        "on the loop, solves on a bounded thread pool")
     p.add_argument("--solve-workers", type=int, default=2,
-                   help="async server only: threads in the bounded solve "
-                        "executor (the engine lock still serialises "
-                        "engine entry; the pool bounds queueing)")
+                   help="threads in the bounded solve executor (the "
+                        "engine lock still serialises engine entry; the "
+                        "pool bounds queueing)")
     p.add_argument("--op-deadline", type=float, default=0,
-                   help="async server only: default per-op server-side "
-                        "deadline in seconds (0 = none); overdue ops are "
-                        "answered with a typed ShardTimeoutError reply "
-                        "while the connection keeps serving other ids")
+                   help="default per-op server-side deadline in seconds "
+                        "(0 = none); overdue ops are answered with a "
+                        "typed ShardTimeoutError reply while the "
+                        "connection keeps serving other ids")
     p.set_defaults(func=cmd_shard_serve)
 
     p = sub.add_parser("submit", help="submit one solve request")

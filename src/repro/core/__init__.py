@@ -1,9 +1,6 @@
 """The paper's primary contribution: steady-state LPs for every problem in
 sections 3-5 plus the activity/invariant machinery they share."""
 
-import warnings as _warnings
-from collections.abc import Mapping as _Mapping
-
 from .activities import SteadyStateError, SteadyStateSolution
 from .master_slave import (
     bandwidth_centric_rates,
@@ -64,49 +61,7 @@ from .steiner import (
     shortest_path_tree,
 )
 
-# ----------------------------------------------------------------------
-# DEPRECATED: the bare solver routing table of PR 1.  Problem routing now
-# lives in the typed, capability-declaring registry of ``repro.problems``
-# (one spec class + one ``@register``-ed solver makes a problem servable
-# end-to-end); this mapping is kept as a read-only shim built from that
-# registry so downstream imports keep working.  It is populated lazily to
-# avoid a circular import (``repro.problems`` imports the core solvers).
-# ----------------------------------------------------------------------
-class _DeprecatedSolverTable(_Mapping):
-    """Read-only view of ``repro.problems.registry.legacy_entry_points()``."""
-
-    _warned = False
-
-    def _table(self):
-        from ..problems import legacy_entry_points
-
-        if not _DeprecatedSolverTable._warned:
-            _DeprecatedSolverTable._warned = True
-            _warnings.warn(
-                "repro.core.SOLVER_ENTRY_POINTS is deprecated; use the "
-                "solver registry in repro.problems instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return legacy_entry_points()
-
-    def __getitem__(self, key):
-        return self._table()[key]
-
-    def __iter__(self):
-        return iter(self._table())
-
-    def __len__(self):
-        return len(self._table())
-
-    def __repr__(self):
-        return f"SOLVER_ENTRY_POINTS({self._table()!r})"
-
-
-SOLVER_ENTRY_POINTS = _DeprecatedSolverTable()
-
 __all__ = [
-    "SOLVER_ENTRY_POINTS",
     "SteadyStateError",
     "SteadyStateSolution",
     "bandwidth_centric_rates",

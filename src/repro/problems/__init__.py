@@ -44,7 +44,6 @@ from .registry import (
     SolverEntry,
     WarmModel,
     describe,
-    legacy_entry_points,
     reconstructable_problems,
     register,
     registered_problems,
@@ -75,7 +74,6 @@ __all__ = [
     "dag_from_dict",
     "dag_to_dict",
     "describe",
-    "legacy_entry_points",
     "reconstructable_problems",
     "register",
     "registered_problems",

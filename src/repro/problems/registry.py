@@ -185,7 +185,7 @@ def spec_from_request_fields(
     dag: Any = None,
     options: Optional[Dict[str, Any]] = None,
 ) -> ProblemSpec:
-    """Typed spec from the flat request fields of the legacy schema."""
+    """Typed spec from the flat :class:`SolveRequest` keyword fields."""
     return resolve(problem).spec_type.from_request_fields(
         platform, source=source, targets=targets, dag=dag, options=options
     )
@@ -201,13 +201,6 @@ def spec_from_wire(platform: Platform, payload: Any) -> ProblemSpec:
     if not problem:
         raise SpecError("spec envelope needs a 'problem'")
     return resolve(str(problem)).spec_type.from_wire(platform, payload)
-
-
-def legacy_entry_points() -> Dict[str, Callable[..., Any]]:
-    """The deprecated ``SOLVER_ENTRY_POINTS`` table, built from the registry."""
-    return {
-        name: entry.entry_point for name, entry in sorted(_REGISTRY.items())
-    }
 
 
 def describe() -> Dict[str, Any]:

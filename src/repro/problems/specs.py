@@ -10,9 +10,9 @@ distinguished node, its commodity set, its structural options), with
   :class:`SpecError`, never a downstream ``KeyError``/``TypeError``;
 * an exact JSON wire codec (:meth:`ProblemSpec.to_wire` /
   :meth:`ProblemSpec.from_wire`) with explicit versioning;
-* a lossless mapping to and from the service's flat request fields
-  (``source``/``targets``/``dag``/``options``), so the legacy wire schema
-  keeps working.
+* a lossless mapping to and from the flat keyword fields of
+  :class:`~repro.service.broker.SolveRequest`
+  (``source``/``targets``/``dag``/``options``).
 
 Specs are *data only*.  How a spec is solved — and which capabilities the
 solver declares — lives in :mod:`repro.problems.registry` and the built-in
@@ -38,7 +38,7 @@ class SpecError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# task-graph wire codec (shared by DagSpec and the legacy request schema)
+# task-graph wire codec
 # ----------------------------------------------------------------------
 def dag_from_dict(data: Any) -> TaskGraph:
     """Decode the wire form of a task graph; raise :class:`SpecError`."""
@@ -201,7 +201,7 @@ class ProblemSpec:
         }
 
     # ------------------------------------------------------------------
-    # flat request fields (the legacy wire schema / SolveRequest shape)
+    # flat request fields (the SolveRequest constructor's shape)
     # ------------------------------------------------------------------
     @classmethod
     def from_request_fields(

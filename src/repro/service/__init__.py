@@ -25,10 +25,9 @@ long-running scheduling service that amortises solves across requests:
 * :mod:`~repro.service.transport` + :mod:`~repro.service.wire` — the
   shard wire protocol: framed-JSON transports with per-request timeouts
   (local pipe workers, remote TCP shards via ``python -m repro
-  shard-serve``), the asyncio stack on the same frames —
-  :class:`AsyncTcpTransport` multiplexes many in-flight id-tagged
-  requests over one connection, :class:`AsyncShardServer`
-  (``shard-serve --async``) answers pings on the loop, enforces
+  shard-serve``) — :class:`AsyncTcpTransport` multiplexes many
+  in-flight id-tagged requests over one connection,
+  :class:`AsyncShardServer` answers pings on the loop, enforces
   server-side op deadlines and coalesces cross-broker solves by
   fingerprint — and the exact JSON result codec they reply with;
 * :mod:`~repro.service.sharding` — :class:`ShardedBroker`: consistent-
@@ -83,7 +82,6 @@ from .broker import Broker, BrokerResult, SolveEngine, SolveRequest
 from .incremental import IncrementalSolver, WarmSolveStats
 from .api import (
     AsyncServiceServer,
-    ServiceServer,
     handle_request,
     request_from_dict,
     request_to_dict,
@@ -103,12 +101,9 @@ from .transport import (
     AsyncShardServer,
     AsyncTcpTransport,
     PipeTransport,
-    ShardServer,
-    TcpTransport,
     Transport,
     TransportError,
     TransportTimeout,
-    connect,
     connect_async,
     encode_frame,
     parse_shard_address,
@@ -160,12 +155,9 @@ __all__ = [
     "TransportError",
     "TransportTimeout",
     "PipeTransport",
-    "TcpTransport",
-    "ShardServer",
     "AsyncTcpTransport",
     "AsyncBridgeTransport",
     "AsyncShardServer",
-    "connect",
     "connect_async",
     "encode_frame",
     "read_frame_async",
@@ -177,7 +169,6 @@ __all__ = [
     "solution_from_wire",
     "IncrementalSolver",
     "WarmSolveStats",
-    "ServiceServer",
     "AsyncServiceServer",
     "handle_request",
     "request_from_dict",

@@ -21,12 +21,9 @@ canonical form — field names come straight from the registered
      "options": {"backend": "exact"},    # execution options
      "include_schedule": false}
 
-The flat legacy fields of PR 1 are still accepted (``"problem"`` +
-``"source"``/``"master"``/``"targets"``/``"dag"``/``"options"`` at the
-top level of the request); both forms decode into the same typed spec::
-
-    {"problem": "master-slave", "platform": {...}, "source": "P1",
-     "options": {"backend": "exact"}, "include_schedule": false}
+The envelope is the only request form: problem fields at the top level
+of a request, beside or instead of ``"spec"``, are refused with a typed
+error.
 
 Responses always carry ``"ok"``; solve responses add the fingerprint,
 cache/warm flags, latency, the throughput and a problem-shaped
@@ -37,15 +34,14 @@ registered problem with its spec fields and declared capabilities.
 Transport is pluggable: :func:`handle_request` is a pure
 dict-in/dict-out function, and the HTTP routing on top of it is a pair
 of pure functions (:func:`route_get`, :func:`route_post`) returning
-``(status, content-type, body)`` triples.  Two servers share them:
-:class:`ServiceServer` (threaded stdlib HTTP server, one thread per
-connection) and :class:`AsyncServiceServer` (asyncio HTTP/1.1
-keep-alive server — idle connections are parked coroutines, so
-thousands of keep-alive clients cost no threads; the blocking broker
-dispatch runs on a bounded executor).  Both serve ``POST /api`` and
-``GET /metrics`` / ``/cache`` / ``/healthz`` for
-``python -m repro serve``, and the same :func:`handle_request` drives
-the ``--stdio`` JSON-lines mode used in tests and pipelines.
+``(status, content-type, body)`` triples.
+:class:`AsyncServiceServer` puts them on the network: an asyncio
+HTTP/1.1 keep-alive server — idle connections are parked coroutines, so
+thousands of keep-alive clients cost no threads, and the blocking
+broker dispatch runs on a bounded executor.  It serves ``POST /api``
+and ``GET /metrics`` / ``/cache`` / ``/healthz`` for
+``python -m repro serve``; the same :func:`handle_request` drives the
+``--stdio`` JSON-lines mode used in tests and pipelines.
 """
 
 from __future__ import annotations
@@ -53,9 +49,7 @@ from __future__ import annotations
 import asyncio
 import copy
 import json
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -71,13 +65,13 @@ from ..platform.serialization import (
 )
 from ..problems import (
     SpecError,
-    dag_from_dict,
     describe as registry_describe,
     spec_from_wire,
 )
 from .broker import Broker, BrokerError, BrokerResult, SolveRequest
 from .metrics import render_prometheus
 from .tracing import EVENTS, TraceStore, start_trace
+from .transport import MAX_FRAME_BYTES, LoopServer
 
 
 # ----------------------------------------------------------------------
@@ -86,57 +80,42 @@ from .tracing import EVENTS, TraceStore, start_trace
 def request_from_dict(data: Dict[str, Any]) -> SolveRequest:
     """Decode a solve request envelope into a :class:`SolveRequest`.
 
-    Accepts both wire forms: the versioned typed ``"spec"`` envelope (the
-    canonical encoding, also what :func:`request_to_dict` emits) and the
-    flat legacy fields of PR 1.
+    The versioned typed ``"spec"`` envelope (what :func:`request_to_dict`
+    emits) is the only accepted form.
     """
     if "platform" not in data:
         raise BrokerError("solve request needs a 'platform'")
+    if "spec" not in data:
+        raise BrokerError("solve request needs a 'spec'")
     platform = platform_from_dict(data["platform"])
-    if "spec" in data:
-        payload = data["spec"]
-        if isinstance(payload, dict) and "problem" in data \
-                and data["problem"] != payload.get("problem"):
-            raise BrokerError(
-                f"request names problem {data['problem']!r} but its spec "
-                f"envelope says {payload.get('problem')!r}"
-            )
-        # problem fields live INSIDE the spec envelope; silently ignoring
-        # flat legacy fields (or solver options) alongside it would let a
-        # half-migrated client solve a different problem than it asked for
-        stray = {"source", "master", "targets", "dag"} & set(data)
-        if stray:
-            raise BrokerError(
-                f"request mixes a 'spec' envelope with legacy field(s) "
-                f"{sorted(stray)}; put them in the spec"
-            )
-        options = dict(data.get("options", {}))
-        backend = str(options.pop("backend", "exact"))
-        if options:
-            raise BrokerError(
-                f"with a 'spec' envelope, 'options' may only carry "
-                f"'backend'; move {sorted(options)} into the spec"
-            )
-        spec = spec_from_wire(platform, payload)
-        return SolveRequest.from_spec(
-            spec,
-            include_schedule=bool(data.get("include_schedule", False)),
-            backend=backend,
+    payload = data["spec"]
+    if isinstance(payload, dict) and "problem" in data \
+            and data["problem"] != payload.get("problem"):
+        raise BrokerError(
+            f"request names problem {data['problem']!r} but its spec "
+            f"envelope says {payload.get('problem')!r}"
         )
-    if "problem" not in data:
-        raise BrokerError("solve request needs a 'problem' or a 'spec'")
-    dag = None
-    if data.get("dag") is not None:
-        dag = dag_from_dict(data["dag"])
-    return SolveRequest(
-        problem=str(data["problem"]),
-        platform=platform,
-        source=data.get("source"),
-        master=data.get("master"),
-        targets=data.get("targets", ()),  # SolveRequest rejects bare strings
-        dag=dag,
-        options=dict(data.get("options", {})),
+    # problem fields live INSIDE the spec envelope; silently ignoring
+    # flat legacy fields (or solver options) alongside it would let a
+    # half-migrated client solve a different problem than it asked for
+    stray = {"source", "master", "targets", "dag"} & set(data)
+    if stray:
+        raise BrokerError(
+            f"request mixes a 'spec' envelope with legacy field(s) "
+            f"{sorted(stray)}; put them in the spec"
+        )
+    options = dict(data.get("options", {}))
+    backend = str(options.pop("backend", "exact"))
+    if options:
+        raise BrokerError(
+            f"with a 'spec' envelope, 'options' may only carry "
+            f"'backend'; move {sorted(options)} into the spec"
+        )
+    spec = spec_from_wire(platform, payload)
+    return SolveRequest.from_spec(
+        spec,
         include_schedule=bool(data.get("include_schedule", False)),
+        backend=backend,
     )
 
 
@@ -168,8 +147,8 @@ def request_to_dict(request: SolveRequest) -> Dict[str, Any]:
     """Encode a :class:`SolveRequest` (inverse of :func:`request_from_dict`).
 
     Emits the canonical versioned spec envelope; the platform travels as
-    a sibling key so platform-level ops (``invalidate``) and the two
-    request forms share one platform encoding.  The returned dict is
+    a sibling key so platform-level ops (``invalidate``) and solve
+    requests share one platform encoding.  The returned dict is
     fully private to the caller — mutate anything, nested values
     included, without affecting later encodings of the same request.
     """
@@ -414,7 +393,7 @@ def handle_request(broker: Broker, data: Dict[str, Any],
 
 
 # ----------------------------------------------------------------------
-# HTTP routing — pure functions shared by both servers
+# HTTP routing — pure functions, no sockets
 # ----------------------------------------------------------------------
 _JSON_TYPE = "application/json"
 _PROMETHEUS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -490,88 +469,25 @@ def route_post(broker: Broker, path: str, body: bytes,
 
 
 # ----------------------------------------------------------------------
-# HTTP transport — threaded
+# HTTP transport
 # ----------------------------------------------------------------------
-class _Handler(BaseHTTPRequestHandler):
-    server: "ServiceServer"  # type: ignore[assignment]
+class _RefusedRequest(Exception):
+    """A request whose head alone earns an error reply; the server
+    answers ``status`` without reading the body, then closes."""
 
-    def _send(self, response: HttpResponse) -> None:
-        status, content_type, blob = response
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(blob)))
-        self.end_headers()
-        self.wfile.write(blob)
-
-    def do_GET(self) -> None:  # noqa: N802 — stdlib naming
-        parsed = urlparse(self.path)
-        self._send(route_get(self.server.broker, parsed.path,
-                             parse_qs(parsed.query),
-                             trace_store=self.server.trace_store))
-
-    def do_POST(self) -> None:  # noqa: N802 — stdlib naming
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = self.rfile.read(length)
-        except ValueError as exc:
-            self._send(_json_reply(_error_response(exc, status=400),
-                                   status=400))
-            return
-        self._send(route_post(self.server.broker, self.path, body,
-                              trace_store=self.server.trace_store))
-
-    def log_message(self, fmt: str, *args) -> None:  # quiet by default
-        if self.server.verbose:
-            super().log_message(fmt, *args)
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
-class ServiceServer(ThreadingHTTPServer):
-    """Threaded HTTP front-end over a :class:`Broker`.
-
-    >>> server = ServiceServer(("127.0.0.1", 0), broker=Broker())
-    >>> server.port  # doctest: +SKIP
-    43521
-    """
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address=("127.0.0.1", 8585),
-        broker: Optional[Broker] = None,
-        verbose: bool = False,
-        trace_store: Optional[TraceStore] = None,
-        tracing: bool = True,
-    ) -> None:
-        self.broker = broker if broker is not None else Broker()
-        self.verbose = verbose
-        # every request is traced into the bounded store by default
-        # (slow ones protected from eviction); ``tracing=False`` turns
-        # the subsystem off entirely for this server
-        self.trace_store = (
-            trace_store if trace_store is not None
-            else (TraceStore() if tracing else None)
-        )
-        super().__init__(address, _Handler)
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-
-# ----------------------------------------------------------------------
-# HTTP transport — asyncio
-# ----------------------------------------------------------------------
-class AsyncServiceServer:
+class AsyncServiceServer(LoopServer):
     """asyncio HTTP/1.1 keep-alive front-end over a :class:`Broker`.
 
-    The threaded :class:`ServiceServer` spends one thread per open
-    connection, so a thousand idle keep-alive clients cost a thousand
-    parked threads.  Here every connection is a coroutine: parsing and
-    framing happen on one event loop, and only the blocking broker
-    dispatch (:func:`route_get` / :func:`route_post`) is handed to a
-    bounded executor (``http_workers`` threads).  Idle connections cost
-    nothing; the executor bounds concurrent *dispatch*, not clients.
+    Every connection is a coroutine: parsing and framing happen on one
+    event loop, and only the blocking broker dispatch (:func:`route_get`
+    / :func:`route_post`) is handed to a bounded executor
+    (``http_workers`` threads).  Idle connections cost nothing; the
+    executor bounds concurrent *dispatch*, not clients.
 
     In-flight dispatch is published on the broker's metrics as the
     ``http_inflight`` / ``http_inflight_max`` gauges (merged into
@@ -593,80 +509,11 @@ class AsyncServiceServer:
             else (TraceStore() if tracing else None)
         )
         self.http_workers = max(1, int(http_workers))
-        self._requested_address = address
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.http_workers, thread_name_prefix="repro-http")
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._thread: Optional[threading.Thread] = None
+        super().__init__(address, ThreadPoolExecutor(
+            max_workers=self.http_workers, thread_name_prefix="repro-http"))
         # loop-confined gauge state (event loop only, no locks)
         self._inflight = 0
         self._max_inflight = 0
-
-    # ------------------------------------------------------------------
-    # lifecycle (mirrors AsyncShardServer)
-    # ------------------------------------------------------------------
-    async def start(self) -> "AsyncServiceServer":
-        """Bind the listener on the running loop."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._serve_connection,
-            self._requested_address[0],
-            self._requested_address[1],
-        )
-        return self
-
-    async def serve_forever(self) -> None:
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    @property
-    def host(self) -> str:
-        assert self._server is not None
-        return self._server.sockets[0].getsockname()[0]
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None
-        return self._server.sockets[0].getsockname()[1]
-
-    def start_in_thread(self) -> "AsyncServiceServer":
-        """Run the server on a dedicated daemon loop thread (tests,
-        embedding); returns once the port is bound."""
-        started = threading.Event()
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(loop)
-            loop.run_until_complete(self.start())
-            started.set()
-            try:
-                loop.run_forever()
-            finally:
-                loop.run_until_complete(self._shutdown_on_loop())
-                loop.close()
-
-        self._thread = threading.Thread(
-            target=_run, name="repro-http-serve", daemon=True)
-        self._thread.start()
-        if not started.wait(timeout=10):  # pragma: no cover — bind hang
-            raise RuntimeError("async HTTP server failed to start")
-        return self
-
-    async def _shutdown_on_loop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-
-    def shutdown(self) -> None:
-        """Stop a :meth:`start_in_thread` server (thread-safe)."""
-        if self._loop is not None and not self._loop.is_closed():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
-        self._executor.shutdown(wait=False)
 
     # ------------------------------------------------------------------
     # the per-connection coroutine
@@ -675,7 +522,16 @@ class AsyncServiceServer:
                                 writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _RefusedRequest as refusal:
+                    await self._write_response(
+                        writer,
+                        _json_reply({"ok": False, "error": str(refusal),
+                                     "status": refusal.status},
+                                    status=refusal.status),
+                        close=True)
+                    return
                 if request is None:
                     return
                 method, target, version, headers, body = request
@@ -718,7 +574,8 @@ class AsyncServiceServer:
 
         Malformed heads are answered by returning ``None`` (drop the
         connection) — a client that cannot frame HTTP cannot be sent a
-        response it will parse either.
+        response it will parse either.  A well-framed head announcing a
+        body the server will not read raises :class:`_RefusedRequest`.
         """
         try:
             head = await reader.readuntil(b"\r\n\r\n")
@@ -737,10 +594,20 @@ class AsyncServiceServer:
                 key, _, value = line.partition(":")
                 headers[key.strip().lower()] = value.strip()
         body = b""
+        announced = headers.get("content-length", "0")
         try:
-            length = int(headers.get("content-length", "0"))
+            length = int(announced)
         except ValueError:
-            return None
+            length = -1
+        if length < 0:
+            raise _RefusedRequest(
+                400, f"Content-Length {announced!r} is not a byte count")
+        if length > MAX_FRAME_BYTES:
+            # one bound for everything a peer can make us buffer: an
+            # HTTP body may be as large as a shard frame and no larger
+            raise _RefusedRequest(
+                413, f"body of {length} bytes exceeds the "
+                     f"{MAX_FRAME_BYTES}-byte limit")
         if length:
             try:
                 body = await reader.readexactly(length)
@@ -770,7 +637,8 @@ class AsyncServiceServer:
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 422: "Unprocessable Entity",
+    405: "Method Not Allowed", 413: "Payload Too Large",
+    422: "Unprocessable Entity",
     500: "Internal Server Error",
 }
 

@@ -35,9 +35,10 @@ Three shard placements, mixable on one hash ring:
 ``tcp`` (remote) shards
     ``python -m repro shard-serve --port N`` on any host, placed on the
     ring via ``shard_addresses=["host:port", ...]`` (CLI: repeated
-    ``--shard host:port``).  Same protocol as the pipe shards over a
-    :class:`~repro.service.transport.TcpTransport`.  A remote shard
-    that fails or times out is **ejected** from the ring — its keys
+    ``--shard host:port``).  Same protocol as the pipe shards, many
+    requests in flight per connection, over an
+    :class:`~repro.service.transport.AsyncBridgeTransport`.  A remote
+    shard that fails or times out is **ejected** from the ring — its keys
     fail over to the clockwise-next live shard, moving only that
     shard's slice of the keyspace — and a background health probe
     re-admits it when its host returns (after clearing its cache, so
@@ -50,7 +51,7 @@ every failure is counted — ``shard_failures`` / ``shard_timeouts`` /
 ``shard_restarts`` / ``failovers`` / ``rejoins`` all surface under
 ``shard_health`` in :meth:`ShardedBroker.snapshot` (and therefore in
 ``/metrics``), alongside per-backend transport round-trip latency
-(``transport.pipe`` / ``transport.tcp`` endpoint timers).
+(``transport.pipe`` / ``transport.async`` endpoint timers).
 
 :meth:`ShardedBroker.invalidate_platform` fans out to every shard and
 **tolerates outages**: an unreachable shard is ejected and counted, not
@@ -87,7 +88,6 @@ from .tracing import activate, current_span, graft_remote, log_event, span
 from .transport import (
     TransportError,
     TransportTimeout,
-    connect,
     connect_async,
     spawn_pipe_shard,
 )
@@ -391,14 +391,6 @@ class _LocalShard(_TransportShard):
         self.transport.close(stop_timeout=timeout)
 
 
-class _RemoteShard(_TransportShard):
-    """A TCP shard on another host; we supervise membership, not life."""
-
-    def __init__(self, index: int, address: str,
-                 connect_timeout: float = 5.0) -> None:
-        super().__init__(index, connect(address, connect_timeout))
-
-
 #: dispatch-queue width for a multiplexed shard: how many of one
 #: shard's requests this broker keeps in flight on the shared
 #: connection at once (the shard server bounds actual engine work with
@@ -407,7 +399,8 @@ ASYNC_SHARD_WIDTH = 8
 
 
 class _AsyncRemoteShard(_TransportShard):
-    """A TCP shard reached over the multiplexed async bridge.
+    """A TCP shard on another host, reached over the multiplexed async
+    bridge; we supervise membership, not life.
 
     Calls do **not** serialise on the shard lock: the bridge transport
     is thread-safe and demultiplexes replies by request id, so many of
@@ -554,10 +547,14 @@ class ShardedBroker:
         appended to the ring after the local shards.
     request_timeout:
         Per-request transport timeout in seconds (``None`` — the
-        default — waits indefinitely, like the unsharded broker).  On
-        expiry the shard's channel is abandoned, the shard is
-        restarted (local) or ejected (remote) and the request fails
-        over; pick a budget above the worst-case cold solve.
+        default — waits indefinitely, like the unsharded broker).  A
+        local pipe shard that misses it is restarted and the request
+        fails over.  A remote shard receives the budget as a
+        server-side deadline: it answers a miss itself, promptly, and
+        stays on the ring instead of being ejected for being busy;
+        only a shard that does not answer at all (the budget plus a
+        grace) is ejected.  Pick a budget above the worst-case cold
+        solve.
     health_interval:
         Seconds between background health probes.  ``None`` picks the
         default: 5 s when remote shards are present (they cannot rejoin
@@ -565,16 +562,9 @@ class ShardedBroker:
         explicitly.  Local-shard restart and remote ejection also
         happen reactively on request failures, prober or not.
     async_transport:
-        Reach remote shards over the multiplexed async transport
-        (:class:`~repro.service.transport.AsyncBridgeTransport`): many
-        requests in flight per connection, request-id demultiplexing,
-        and — when ``request_timeout`` is set — server-side deadlines
-        (the shard answers a deadline miss itself, promptly, and stays
-        on the ring instead of being ejected for being busy).  Requires
-        ``shard_addresses``; local pipe shards are unaffected.  Solving
-        against an async ``shard-serve --async`` server with the
-        default sync transport also works (the wire is compatible) but
-        serialises per connection.
+        Selects nothing: remote shards always ride the multiplexed
+        :class:`~repro.service.transport.AsyncBridgeTransport`, and
+        ``False`` raises :class:`ValueError`.
     replication_factor:
         Replica count for **hot** fingerprints.  With ``R >= 2`` a
         fingerprint whose heat (lookup count in the broker's
@@ -615,19 +605,19 @@ class ShardedBroker:
         shard_addresses: Optional[List[str]] = None,
         request_timeout: Optional[float] = None,
         health_interval: Optional[float] = None,
-        async_transport: bool = False,
+        # kept only for bench/layers.py's ShardedBroker(async_transport=True)
+        async_transport: bool = True,
         replication_factor: int = 1,
         near_cache_size: int = 64,
         hot_threshold: int = 8,
         heat_capacity: int = 512,
     ) -> None:
         addresses = list(shard_addresses or [])
-        if async_transport and not addresses:
+        if not async_transport:
             raise ValueError(
-                "async_transport multiplexes remote shard connections; "
-                "it requires shard_addresses"
+                "remote shards always use the multiplexed async "
+                "transport; async_transport=False selects nothing"
             )
-        self.async_transport = bool(async_transport)
         if shard_mode is None:
             shard_mode = "process" if addresses else "thread"
         if shard_mode not in ("thread", "process"):
@@ -709,13 +699,11 @@ class ShardedBroker:
         else:
             ctx = (multiprocessing.get_context(mp_start_method)
                    if mp_start_method else multiprocessing.get_context())
-            remote_cls = (_AsyncRemoteShard if self.async_transport
-                          else _RemoteShard)
             self._transport_shards = [
                 _LocalShard(index, ctx, cache_size, ttl, incremental)
                 for index in range(local_count)
             ] + [
-                remote_cls(local_count + offset, address)
+                _AsyncRemoteShard(local_count + offset, address)
                 for offset, address in enumerate(addresses)
             ]
         if health_interval is None:
@@ -1606,7 +1594,7 @@ class ShardedBroker:
         if shard.dead:
             return  # local respawn failed: permanent until close
         if shard.ejected:
-            # rejoin probe; TcpTransport reconnects lazily, so a ping
+            # rejoin probe; the transport redials lazily, so a ping
             # answered means the host is back.  Clear before re-admitting:
             # invalidations fanned out during the outage skipped this
             # shard, so whatever it still caches may be stale.

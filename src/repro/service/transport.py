@@ -1,4 +1,4 @@
-"""Shard transport layer: one protocol, pluggable backends.
+"""Shard transport layer: one framed-JSON protocol, one asyncio TCP stack.
 
 A shard is a :class:`~repro.service.broker.SolveEngine` somewhere else —
 behind a pipe to a local worker process, or behind a TCP socket to
@@ -6,67 +6,63 @@ another host.  This module owns everything "somewhere else" implies, so
 :mod:`repro.service.sharding` can treat every shard identically:
 
 * **the message schema** — JSON-safe request dicts (``op`` +
-  spec-wire-codec payloads, exactly what the PR 3 pipe protocol already
-  spoke) and JSON-safe replies (results via the exact codec of
-  :mod:`repro.service.wire`, so no pickle ever crosses a host
-  boundary);
+  spec-wire-codec payloads) and JSON-safe replies (results via the
+  exact codec of :mod:`repro.service.wire`, so no pickle ever crosses a
+  host boundary), framed on a socket as a 4-byte length prefix + UTF-8
+  JSON (:func:`encode_frame` / :func:`read_frame_async`);
 * **the shared op handler** — :func:`handle_shard_message` dispatches
-  ``solve`` / ``solve_many`` / ``invalidate`` / ``snapshot`` /
+  ``solve`` / ``solve_many`` / ``put`` / ``invalidate`` / ``snapshot`` /
   ``clear`` / ``ping`` against an engine, identically for the pipe
   worker and the TCP server (one protocol implementation, two hosts);
-* **the transports** — :class:`PipeTransport` (a local worker process
-  behind a duplex pipe) and :class:`TcpTransport` (length-prefixed JSON
-  frames over a socket), both satisfying the :class:`Transport`
-  interface: ``request`` / ``request_many`` / ``ping`` / ``close``
-  with **per-request timeouts**;
-* **the standalone shard server** — :class:`ShardServer`, a threaded
-  TCP listener hosting one engine, run as ``python -m repro
-  shard-serve --port N`` so a :class:`~repro.service.sharding.
-  ShardedBroker` on another host can place it on its hash ring via
-  ``--shard host:port``.
+* **the pipe backend** — :class:`PipeTransport`, a local worker process
+  behind a duplex pipe: strictly one request in, one reply out;
+* **the TCP backend** — :class:`AsyncTcpTransport`, an asyncio client
+  that multiplexes many in-flight requests over one connection, and
+  :class:`AsyncBridgeTransport`, the sync :class:`Transport` facade
+  (``asyncio.run_coroutine_threadsafe`` onto a shared background loop)
+  through which the thread-pooled
+  :class:`~repro.service.sharding.ShardedBroker` rides it;
+* **the standalone shard server** — :class:`AsyncShardServer`, one
+  event loop hosting one engine, run as ``python -m repro shard-serve
+  --port N`` so a broker on another host can place it on its hash ring
+  via ``--shard host:port``.
 
-Failure semantics are uniform: a dead peer raises
-:class:`TransportError`, an expired per-request timeout raises
-:class:`TransportTimeout`, and both leave the transport **closed** —
-after a timeout the connection has an unread reply in flight, so
-reusing it would pair that stale reply with the next request.  The
+**Multiplexing.**  Frames may carry a client-chosen ``id`` field; a
+host always echoes ``id`` back on the reply (see
+:func:`handle_shard_message`):
+
+* a message **with** ``id`` may be answered out of order — the client
+  pairs replies to requests by id (a future per id, one background read
+  loop demultiplexing replies), so many requests are in flight on one
+  connection at once;
+* a message **without** ``id`` is answered strictly in the order
+  received.  Our own client always tags its frames; this branch serves
+  peers outside the program that pipeline plain frames.
+
+The server executes ops on a bounded thread pool (the simplex is
+CPU-bound and exact — it stays off the loop), answers pings on the loop
+itself so a busy shard never looks dead to a health probe, enforces a
+server-side per-op deadline with a prompt ``ShardTimeoutError`` reply
+instead of letting clients guess, and keys in-flight solves by
+fingerprint so brokers sharing a hot shard coalesce onto one engine run.
+
+**Failure semantics.**  A dead peer raises :class:`TransportError` and
+an expired per-request timeout raises :class:`TransportTimeout`.  What
+a timeout does to the channel differs by backend, because only one of
+them can tell replies apart.  A pipe has an unread reply in flight
+after a timeout, and reusing it would pair that stale reply with the
+next request, so a :class:`PipeTransport` is left **closed**.  A TCP
+timeout abandons *only its own id* (the read loop drops the late reply)
+and the connection keeps serving every other in-flight request; only a
+broken channel fails all of them, and the next request redials — which
+is what lets an ejected remote shard rejoin once its host returns.  The
 sharding layer reacts by restarting local workers or ejecting remote
 shards from the ring; the transport's only job is to fail loudly and
-atomically.  (:class:`TcpTransport` reconnects lazily on the next
-request, which is what lets an ejected remote shard rejoin once its
-host returns.)
+atomically.
 
-The shape follows the ``comm/`` layer of Dask ``distributed`` (see the
-related file set): an abstract message-oriented channel, concrete
-in-process and socket backends, and explicit closed-channel errors.
-
-**Multiplexing (the asyncio stack).**  The sync transports are strictly
-one-in-one-out per connection; the async stack lifts that.  Frames may
-carry a client-chosen ``id`` field; a host always echoes ``id`` back on
-the reply (see :func:`handle_shard_message`), which is the *entire*
-wire change — no version bump, and old peers interoperate both ways:
-
-* a message **without** ``id`` is answered strictly in the order
-  received (what a sync :class:`TcpTransport` pipelining
-  ``request_many`` depends on);
-* a message **with** ``id`` may be answered out of order — the client
-  pairs replies to requests by id, so many requests can be in flight
-  on one connection at once.
-
-:class:`AsyncTcpTransport` implements the client side (a future per id,
-one background read loop demultiplexing replies); a per-request
-deadline abandons only its own id — the channel keeps serving every
-other in-flight request, instead of the sync transports' close-on-
-timeout rule.  :class:`AsyncShardServer` implements the host side: ops
-execute on a bounded thread pool (the simplex is CPU-bound and exact —
-it stays off the loop), pings are answered on the loop itself so a busy
-shard never looks dead to a health probe, a server-side per-op deadline
-answers ``ShardTimeoutError`` promptly instead of letting clients
-guess, and in-flight solves are keyed by fingerprint so brokers sharing
-a hot shard coalesce onto one engine run.  :class:`AsyncBridgeTransport`
-is the sync facade (``asyncio.run_coroutine_threadsafe`` onto a shared
-background loop) that lets :class:`~repro.service.sharding.
-ShardedBroker` ride the multiplexed wire unchanged.
+The shape follows the ``comm/`` layer of Dask ``distributed``: an
+abstract message-oriented channel, concrete in-process and socket
+backends, and explicit closed-channel errors.
 """
 
 from __future__ import annotations
@@ -75,7 +71,6 @@ import asyncio
 import itertools
 import json
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -111,11 +106,7 @@ _HEADER = struct.Struct(">I")
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
-    """One message as its wire bytes (length prefix + UTF-8 JSON).
-
-    Shared by the sync socket path and the asyncio writers — one
-    encoder, so the two stacks cannot drift.
-    """
+    """One message as its wire bytes (length prefix + UTF-8 JSON)."""
     blob = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(blob) > MAX_FRAME_BYTES:
         raise TransportError(
@@ -123,23 +114,6 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
             f"{MAX_FRAME_BYTES}-byte limit"
         )
     return _HEADER.pack(len(blob)) + blob
-
-
-def write_frame(sock: socket.socket, message: Dict[str, Any]) -> None:
-    """Serialise one message onto a socket (length-prefixed JSON)."""
-    sock.sendall(encode_frame(message))
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            raise TransportError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 def _check_frame_length(length: int) -> int:
@@ -166,24 +140,12 @@ def _decode_frame_body(blob: bytes) -> Dict[str, Any]:
     return message
 
 
-def read_frame(sock: socket.socket) -> Dict[str, Any]:
-    """Read one length-prefixed JSON message from a socket.
-
-    Raises :class:`TransportError` on a closed/odd peer and lets
-    ``TimeoutError`` (the socket timeout) propagate to the caller, which
-    knows whether a timeout is fatal.
-    """
-    (length,) = _HEADER.unpack(_recv_exact(sock, _HEADER.size))
-    _check_frame_length(length)
-    return _decode_frame_body(_recv_exact(sock, length))
-
-
 async def read_frame_async(reader: "asyncio.StreamReader") -> Dict[str, Any]:
-    """Asyncio twin of :func:`read_frame` over a ``StreamReader``.
+    """Read one length-prefixed JSON message from a ``StreamReader``.
 
-    Same framing, same typed failures: a peer that hangs up mid-frame,
-    announces an absurd length or ships undecodable bytes raises
-    :class:`TransportError` — never a hang, never a silent partial read.
+    A peer that hangs up mid-frame, announces an absurd length or ships
+    undecodable bytes raises :class:`TransportError` — never a hang,
+    never a silent partial read.
     """
     try:
         header = await reader.readexactly(_HEADER.size)
@@ -223,13 +185,14 @@ def parse_shard_address(address: str) -> Tuple[str, int]:
 class Transport:
     """A message channel to one shard engine: strict request → reply.
 
-    Implementations are *not* internally locked — the sharding layer
-    serialises use per shard (one request in flight per shard is the
-    design: cross-shard parallelism is the scaling axis).  All methods
-    may raise :class:`TransportError` / :class:`TransportTimeout`;
-    after either, the transport is closed and :attr:`closed` is true
-    (a :class:`TcpTransport` transparently reconnects on the next
-    request; a :class:`PipeTransport` does not — its worker is gone).
+    A :class:`PipeTransport` is *not* internally locked — the sharding
+    layer serialises its use (one request in flight per pipe shard);
+    an :class:`AsyncBridgeTransport` is thread-safe and carries many.
+    All methods may raise :class:`TransportError` /
+    :class:`TransportTimeout`.  After a :class:`TransportError` the
+    transport is closed and :attr:`closed` is true (the bridge redials
+    on the next request; a pipe does not — its worker is gone); the
+    module docstring says what a timeout does to each backend.
     """
 
     #: short label used in metrics endpoint names ("transport.<kind>")
@@ -272,12 +235,6 @@ class Transport:
 
     def close(self) -> None:
         raise NotImplementedError
-
-
-def connect(address: str, connect_timeout: float = 5.0) -> "TcpTransport":
-    """A :class:`TcpTransport` for ``host:port`` / ``tcp://host:port``."""
-    host, port = parse_shard_address(address)
-    return TcpTransport(host, port, connect_timeout=connect_timeout)
 
 
 # ----------------------------------------------------------------------
@@ -394,98 +351,6 @@ def spawn_pipe_shard(ctx, cache_size: int, ttl: Optional[float],
 
 
 # ----------------------------------------------------------------------
-# TCP transport: framed JSON to a shard server on any host
-# ----------------------------------------------------------------------
-class TcpTransport(Transport):
-    """Length-prefixed JSON frames to a :class:`ShardServer`.
-
-    Connects lazily and *re*connects after any failure, so an ejected
-    remote shard rejoins the ring the moment its host is back: the
-    health probe's next :meth:`ping` simply dials again.
-    """
-
-    kind = "tcp"
-
-    def __init__(self, host: str, port: int,
-                 connect_timeout: float = 5.0) -> None:
-        self.host = host
-        self.port = port
-        self.connect_timeout = connect_timeout
-        self._sock: Optional[socket.socket] = None
-
-    @property
-    def address(self) -> str:
-        return f"tcp://{self.host}:{self.port}"
-
-    @property
-    def closed(self) -> bool:
-        return self._sock is None
-
-    def _connected(self) -> socket.socket:
-        if self._sock is None:
-            try:
-                sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.connect_timeout
-                )
-            except OSError as exc:
-                raise TransportError(
-                    f"cannot connect to shard {self.address}: {exc}"
-                ) from exc
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock = sock
-        return self._sock
-
-    def _drop(self) -> None:
-        sock, self._sock = self._sock, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def request(self, message: Dict[str, Any],
-                timeout: Optional[float] = None) -> Dict[str, Any]:
-        sock = self._connected()
-        sock.settimeout(timeout)
-        try:
-            write_frame(sock, message)
-            return read_frame(sock)
-        except TimeoutError as exc:  # socket.timeout is an alias
-            self._drop()
-            raise TransportTimeout(
-                f"shard {self.address} sent no reply within {timeout}s"
-            ) from exc
-        except (TransportError, OSError) as exc:
-            self._drop()
-            raise TransportError(
-                f"shard {self.address} connection failed: {exc}"
-            ) from exc
-
-    def request_many(self, messages: List[Dict[str, Any]],
-                     timeout: Optional[float] = None,
-                     ) -> List[Dict[str, Any]]:
-        sock = self._connected()
-        sock.settimeout(timeout)
-        try:
-            for message in messages:
-                write_frame(sock, message)
-            return [read_frame(sock) for _ in messages]
-        except TimeoutError as exc:
-            self._drop()
-            raise TransportTimeout(
-                f"shard {self.address} sent no reply within {timeout}s"
-            ) from exc
-        except (TransportError, OSError) as exc:
-            self._drop()
-            raise TransportError(
-                f"shard {self.address} connection failed: {exc}"
-            ) from exc
-
-    def close(self) -> None:
-        self._drop()
-
-
-# ----------------------------------------------------------------------
 # the shard op handler — one protocol implementation for every host
 # ----------------------------------------------------------------------
 def handle_shard_message(engine: SolveEngine,
@@ -500,9 +365,9 @@ def handle_shard_message(engine: SolveEngine,
     connection), so each host intercepts it before dispatching.
 
     A message carrying an ``id`` gets it echoed on the reply — every
-    host (pipe worker, threaded TCP server, async server) does this
-    uniformly, which is what lets :class:`AsyncTcpTransport` pair
-    out-of-order replies to requests.
+    host (pipe worker, TCP server) does this uniformly, which is what
+    lets :class:`AsyncTcpTransport` pair out-of-order replies to
+    requests.
     """
     reply = _handle_shard_op(engine, msg)
     if "id" in msg:
@@ -656,97 +521,7 @@ def _shard_worker_main(conn, cache_size: int, ttl: Optional[float],
 
 
 # ----------------------------------------------------------------------
-# the standalone TCP shard server (python -m repro shard-serve)
-# ----------------------------------------------------------------------
-class _ShardConnection(socketserver.BaseRequestHandler):
-    server: "ShardServer"  # type: ignore[assignment]
-
-    def handle(self) -> None:
-        sock = self.request
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        while True:
-            try:
-                msg = read_frame(sock)
-            except (TransportError, OSError):
-                return  # client went away / spoke garbage: drop it
-            if msg.get("op") == "stop":
-                # stopping a *server* is the operator's call (signal /
-                # shutdown()), not any client's: acknowledge and drop
-                # only this connection
-                try:
-                    write_frame(sock, {"ok": True, "closing": True})
-                except (TransportError, OSError):
-                    pass
-                return
-            if msg.get("op") == "ping":
-                # answered OUTSIDE the engine lock: a health probe asks
-                # "is the host alive", and queueing it behind another
-                # broker's long solve would make busy look dead (the
-                # prober would eject a healthy shared shard)
-                reply = handle_shard_message(self.server.engine, msg)
-            else:
-                # one op at a time across all connections: the engine's
-                # warm models are not reentrant, and serial execution
-                # gives every client the same strict solve → invalidate
-                # ordering the pipe workers have
-                with self.server.engine_lock:
-                    reply = handle_shard_message(self.server.engine, msg)
-            try:
-                write_frame(sock, reply)
-            except (TransportError, OSError):
-                return
-
-
-class ShardServer(socketserver.ThreadingTCPServer):
-    """A standalone TCP shard: one :class:`SolveEngine` behind framed
-    JSON, placed on a broker's hash ring via ``--shard host:port``.
-
-    >>> server = ShardServer(("127.0.0.1", 0))
-    >>> server.port  # doctest: +SKIP
-    43521
-
-    Run ``serve_forever()`` (the ``python -m repro shard-serve`` entry
-    point does) and point any number of brokers at it; each connection
-    gets its own handler thread, and the engine lock serialises ops so
-    concurrent brokers interleave at message granularity.
-    """
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(
-        self,
-        address=("127.0.0.1", 0),
-        cache_size: int = 256,
-        ttl: Optional[float] = None,
-        incremental: bool = True,
-        engine: Optional[SolveEngine] = None,
-    ) -> None:
-        # the engine is shared by every connection thread; connections
-        # serialise solves on engine_lock (see _ShardConnection — the
-        # cross-class use is beyond the lock checker's own-class model)
-        self.engine = engine if engine is not None else SolveEngine(
-            cache=SolutionCache(max_size=cache_size, ttl=ttl),
-            incremental=IncrementalSolver() if incremental else None,
-        )
-        self.engine_lock = threading.Lock()
-        super().__init__(address, _ShardConnection)
-
-    @property
-    def host(self) -> str:
-        return self.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def address(self) -> str:
-        return f"tcp://{self.host}:{self.port}"
-
-
-# ----------------------------------------------------------------------
-# the asyncio stack: multiplexed client, sync bridge, async shard server
+# TCP: multiplexed asyncio client, its sync bridge, the shard server
 # ----------------------------------------------------------------------
 class AsyncTcpTransport:
     """Multiplexing asyncio client for the shard protocol.
@@ -757,12 +532,14 @@ class AsyncTcpTransport:
     to its waiter.  All state is loop-confined — every coroutine here
     runs on one event loop, so no locks guard ``_pending``.
 
-    Timeout semantics deliberately differ from the sync transports: a
+    Timeout semantics deliberately differ from the pipe's: a
     per-request timeout abandons *only its own id* (the read loop drops
     the late reply if it ever lands) and the connection keeps serving
     every other in-flight request.  Only a broken channel (peer died,
-    read loop failed) fails the map wholesale — and like
-    :class:`TcpTransport`, the next request redials.
+    read loop failed) fails the map wholesale — and the next request
+    redials, so an ejected remote shard rejoins the ring the moment its
+    host is back: the health probe's next :meth:`ping` simply dials
+    again.
     """
 
     kind = "async"
@@ -943,7 +720,7 @@ class AsyncBridgeTransport(Transport):
     :class:`~repro.service.sharding.ShardedBroker` works unchanged —
     but because the underlying channel demultiplexes by request id,
     *concurrent* callers genuinely share one connection instead of
-    serialising on it.  Unlike the raw sync transports this class is
+    serialising on it.  Unlike a :class:`PipeTransport` this class is
     thread-safe by construction: all channel state lives on the loop.
     """
 
@@ -995,78 +772,30 @@ def connect_async(address: str,
 
 
 # ----------------------------------------------------------------------
-# the async shard server (python -m repro shard-serve --async)
+# the listener lifecycle both servers (shard and HTTP) share
 # ----------------------------------------------------------------------
-class AsyncShardServer:
-    """One event loop from socket to shard engine.
+class LoopServer:
+    """The listener lifecycle of an asyncio TCP server, shared by
+    :class:`AsyncShardServer` and the HTTP front end.
 
-    The asyncio counterpart of :class:`ShardServer`.  Every connection
-    is a coroutine on one loop; engine work runs on a bounded thread
-    pool (``solve_workers``) because the exact simplex is CPU-bound —
-    the loop itself only frames, routes, and answers.  What that buys
-    over the threaded server:
-
-    * **pings on the loop** — a health probe is answered immediately
-      even while every executor thread is busy, so a *busy* shard never
-      looks *dead* to a prober (the PR 5 busy-shard ping-miss leftover);
-    * **server-side deadlines** — an op carrying ``deadline`` (or the
-      server-wide ``op_deadline`` default) that cannot finish in time is
-      answered promptly with a ``ShardTimeoutError``-typed reply; the
-      connection keeps serving its other in-flight ids, and an
-      abandoned solve still completes on its thread and warms the cache;
-    * **cross-broker coalescing** — in-flight solves are keyed by
-      fingerprint, so several brokers hammering one hot shard await the
-      same engine run (counted in ``shard_coalesced``, traced as
-      ``coalesce.remote`` spans on follower replies);
-    * **old peers keep working** — frames without an ``id`` are
-      answered strictly in order (the sync :class:`TcpTransport`
-      contract); only id-tagged frames are answered out of order.
-
-    All mutable coordination state (the in-flight map, the counters) is
-    loop-confined: it is only ever touched from the event loop, which is
-    the async replacement for the threaded server's ``engine_lock`` —
-    the engine itself is still guarded by a real lock *inside* the
-    executor jobs, never on the loop.
+    Bind on a loop the caller runs (:meth:`start`, then
+    :meth:`serve_forever`), or on a dedicated daemon loop thread
+    (:meth:`start_in_thread`, then :meth:`shutdown`).  Subclasses
+    supply the per-connection coroutine ``_serve_connection``.
     """
 
-    def __init__(
-        self,
-        address=("127.0.0.1", 0),
-        cache_size: int = 256,
-        ttl: Optional[float] = None,
-        incremental: bool = True,
-        engine: Optional[SolveEngine] = None,
-        solve_workers: int = 2,
-        op_deadline: Optional[float] = None,
-    ) -> None:
-        self.engine = engine if engine is not None else SolveEngine(
-            cache=SolutionCache(max_size=cache_size, ttl=ttl),
-            incremental=IncrementalSolver() if incremental else None,
-        )
-        self.solve_workers = max(1, int(solve_workers))
-        self.op_deadline = op_deadline
+    def __init__(self, address, executor: ThreadPoolExecutor) -> None:
         self._requested_address = address
-        # the engine is single-threaded by contract; executor jobs take
-        # this lock, so the pool bounds *queueing*, not engine reentry
-        self._engine_lock = threading.Lock()
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.solve_workers,
-            thread_name_prefix="repro-ashard",
-        )
+        self._executor = executor
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._thread: Optional[threading.Thread] = None
-        # ---- loop-confined state (event loop only, no locks) ----
-        self._inflight_solves: Dict[str, asyncio.Future] = {}
-        self.shard_coalesced = 0
-        self.inflight_ops = 0
-        self.max_inflight = 0
-        self.queue_depth = 0
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> "AsyncShardServer":
+    async def _serve_connection(self, reader: asyncio.StreamReader,
+                                writer: asyncio.StreamWriter) -> None:
+        raise NotImplementedError
+
+    async def start(self):
         """Bind the listener on the running loop."""
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
@@ -1091,11 +820,7 @@ class AsyncShardServer:
         assert self._server is not None
         return self._server.sockets[0].getsockname()[1]
 
-    @property
-    def address(self) -> str:
-        return f"tcp://{self.host}:{self.port}"
-
-    def start_in_thread(self) -> "AsyncShardServer":
+    def start_in_thread(self):
         """Run the server on a dedicated daemon loop thread (tests,
         embedding); returns once the port is bound."""
         started = threading.Event()
@@ -1112,16 +837,24 @@ class AsyncShardServer:
                 loop.close()
 
         self._thread = threading.Thread(
-            target=_run, name="repro-ashard-serve", daemon=True)
+            target=_run, name=f"repro-{type(self).__name__}", daemon=True)
         self._thread.start()
         if not started.wait(timeout=10):  # pragma: no cover — bind hang
-            raise TransportError("async shard server failed to start")
+            raise RuntimeError(f"{type(self).__name__} failed to start")
         return self
 
     async def _shutdown_on_loop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        assert self._server is not None
+        self._server.close()
+        # the loop is ours alone: whatever else runs on it is a handler
+        # parked on a connection its client still holds open — cancel
+        # those so their ``finally`` blocks run before the loop closes
+        handlers = [task for task in asyncio.all_tasks()
+                    if task is not asyncio.current_task()]
+        for task in handlers:
+            task.cancel()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        await self._server.wait_closed()
 
     def shutdown(self) -> None:
         """Stop a :meth:`start_in_thread` server (thread-safe)."""
@@ -1131,6 +864,80 @@ class AsyncShardServer:
             self._thread.join(timeout=10)
             self._thread = None
         self._executor.shutdown(wait=False)
+
+
+# ----------------------------------------------------------------------
+# the standalone shard server (python -m repro shard-serve)
+# ----------------------------------------------------------------------
+class AsyncShardServer(LoopServer):
+    """A standalone TCP shard: one event loop from socket to engine.
+
+    One :class:`SolveEngine` behind framed JSON, placed on a broker's
+    hash ring via ``--shard host:port``; any number of brokers may
+    share it.  Every connection is a coroutine on one loop; engine work
+    runs on a bounded thread pool (``solve_workers``) because the exact
+    simplex is CPU-bound — the loop itself only frames, routes, and
+    answers:
+
+    * **pings on the loop** — a health probe is answered immediately
+      even while every executor thread is busy, so a *busy* shard never
+      looks *dead* to a prober (which would eject a healthy shared
+      shard);
+    * **server-side deadlines** — an op carrying ``deadline`` (or the
+      server-wide ``op_deadline`` default) that cannot finish in time is
+      answered promptly with a ``ShardTimeoutError``-typed reply; the
+      connection keeps serving its other in-flight ids, and an
+      abandoned solve still completes on its thread and warms the cache;
+    * **cross-broker coalescing** — in-flight solves are keyed by
+      fingerprint, so several brokers hammering one hot shard await the
+      same engine run (counted in ``shard_coalesced``, traced as
+      ``coalesce.remote`` spans on follower replies);
+    * **plain pipelining peers keep working** — frames without an
+      ``id`` are answered strictly in order, one op at a time on their
+      connection; only id-tagged frames are answered out of order.
+
+    All mutable coordination state (the in-flight map, the counters) is
+    loop-confined: it is only ever touched from the event loop.  The
+    engine's warm models are not reentrant, so the engine itself is
+    guarded by a real lock *inside* the executor jobs, never on the
+    loop — ops from all connections run one at a time, which gives
+    every client the same strict solve → invalidate ordering the pipe
+    workers have.
+    """
+
+    def __init__(
+        self,
+        address=("127.0.0.1", 0),
+        cache_size: int = 256,
+        ttl: Optional[float] = None,
+        incremental: bool = True,
+        engine: Optional[SolveEngine] = None,
+        solve_workers: int = 2,
+        op_deadline: Optional[float] = None,
+    ) -> None:
+        self.engine = engine if engine is not None else SolveEngine(
+            cache=SolutionCache(max_size=cache_size, ttl=ttl),
+            incremental=IncrementalSolver() if incremental else None,
+        )
+        self.solve_workers = max(1, int(solve_workers))
+        self.op_deadline = op_deadline
+        # the engine is single-threaded by contract; executor jobs take
+        # this lock, so the pool bounds *queueing*, not engine reentry
+        self._engine_lock = threading.Lock()
+        super().__init__(address, ThreadPoolExecutor(
+            max_workers=self.solve_workers,
+            thread_name_prefix="repro-ashard",
+        ))
+        # ---- loop-confined state (event loop only, no locks) ----
+        self._inflight_solves: Dict[str, asyncio.Future] = {}
+        self.shard_coalesced = 0
+        self.inflight_ops = 0
+        self.max_inflight = 0
+        self.queue_depth = 0
+
+    @property
+    def address(self) -> str:
+        return f"tcp://{self.host}:{self.port}"
 
     # ------------------------------------------------------------------
     # the per-connection coroutine
@@ -1150,8 +957,9 @@ class AsyncShardServer:
                     return  # client went away / spoke garbage: drop it
                 op = msg.get("op")
                 if op == "stop":
-                    # the operator stops a server; a client only drops
-                    # its own connection (same rule as ShardServer)
+                    # stopping a *server* is the operator's call (a
+                    # signal / shutdown()), not any client's: acknowledge
+                    # and drop only this connection
                     await self._send(writer, write_lock,
                                      self._echo(msg, {"ok": True,
                                                       "closing": True}))
@@ -1169,8 +977,9 @@ class AsyncShardServer:
                     tasks.add(task)
                     task.add_done_callback(tasks.discard)
                 else:
-                    # legacy sync peer: replies strictly in order, one
-                    # op at a time on this connection
+                    # id-less frame (a peer outside the program):
+                    # replies strictly in order, one op at a time on
+                    # this connection
                     await self._serve_op(msg, writer, write_lock)
         finally:
             for task in tasks:
@@ -1343,8 +1152,8 @@ class AsyncShardServer:
 
     def _snapshot_with_async(self) -> Dict[str, Any]:
         self._publish_gauges()
-        # include_keys for the same reason the sync snapshot op does:
-        # merged snapshots deduplicate hot-key-replicated entries
+        # include_keys for the same reason the shared op handler's
+        # snapshot does: merged snapshots deduplicate replicated entries
         snap = self.engine.snapshot(include_keys=True)
         snap["async"] = {
             "solve_workers": self.solve_workers,

@@ -1,8 +1,8 @@
-"""The async multiplexed service core: frame-codec fuzzing against both
-decoders, request-id multiplexing on one TCP connection, per-request and
-server-side deadline semantics, cross-broker coalescing at the shard,
-sync-peer interop, the asyncio HTTP front end, and contextvar span
-propagation into tasks."""
+"""The async multiplexed service core: frame-codec fuzzing, request-id
+multiplexing on one TCP connection, per-request and server-side deadline
+semantics, cross-broker coalescing at the shard, id-less peer interop,
+the asyncio HTTP front end, and contextvar span propagation into
+tasks."""
 
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from repro.service import (
     read_frame_async,
     request_to_dict,
 )
-from repro.service.transport import MAX_FRAME_BYTES, read_frame
+from repro.service.transport import MAX_FRAME_BYTES
 from repro.service.wire import result_from_wire
 
 
@@ -65,19 +65,8 @@ def _reference(requests):
         return [broker.solve(r) for r in requests]
 
 
-def _read_sync(payload: bytes):
-    """Run the sync decoder against raw bytes via a socketpair."""
-    left, right = socket.socketpair()
-    try:
-        left.sendall(payload)
-        left.close()
-        return read_frame(right)
-    finally:
-        right.close()
-
-
 def _read_async(payload: bytes):
-    """Run the async decoder against raw bytes via a fed StreamReader."""
+    """Run the decoder against raw bytes via a fed StreamReader."""
     async def go():
         reader = asyncio.StreamReader()
         reader.feed_data(payload)
@@ -94,15 +83,13 @@ _MESSAGES = st.dictionaries(
 
 
 # ----------------------------------------------------------------------
-# frame codec fuzz: the two decoders agree, and garbage is typed
+# frame codec fuzz: frames round-trip, and garbage is typed
 # ----------------------------------------------------------------------
 class TestFrameCodecFuzz:
     @given(message=_MESSAGES)
     @settings(max_examples=40, deadline=None)
-    def test_roundtrip_both_decoders(self, message):
-        payload = encode_frame(message)
-        assert _read_sync(payload) == message
-        assert _read_async(payload) == message
+    def test_roundtrip(self, message):
+        assert _read_async(encode_frame(message)) == message
 
     @given(message=_MESSAGES, data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -110,16 +97,12 @@ class TestFrameCodecFuzz:
         payload = encode_frame(message)
         cut = data.draw(st.integers(0, len(payload) - 1))
         with pytest.raises(TransportError):
-            _read_sync(payload[:cut])
-        with pytest.raises(TransportError):
             _read_async(payload[:cut])
 
     @given(excess=st.integers(1, 2**31 - 1 - MAX_FRAME_BYTES))
     @settings(max_examples=20, deadline=None)
     def test_oversized_length_rejected_before_reading_body(self, excess):
         header = struct.pack(">I", MAX_FRAME_BYTES + excess)
-        with pytest.raises(TransportError, match="limit"):
-            _read_sync(header)
         with pytest.raises(TransportError, match="limit"):
             _read_async(header)
 
@@ -134,8 +117,6 @@ class TestFrameCodecFuzz:
             return  # accidentally valid — covered by the roundtrip test
         payload = struct.pack(">I", len(blob)) + blob
         with pytest.raises(TransportError):
-            _read_sync(payload)
-        with pytest.raises(TransportError):
             _read_async(payload)
 
     @given(value=st.one_of(st.integers(), st.text(max_size=8),
@@ -144,8 +125,6 @@ class TestFrameCodecFuzz:
     def test_non_object_json_rejected(self, value):
         blob = json.dumps(value).encode("utf-8")
         payload = struct.pack(">I", len(blob)) + blob
-        with pytest.raises(TransportError, match="expected an"):
-            _read_sync(payload)
         with pytest.raises(TransportError, match="expected an"):
             _read_async(payload)
 
@@ -246,19 +225,26 @@ class TestMultiplexedConnection:
             assert result.throughput == ref.throughput
 
     def test_sync_peer_without_ids_served_strictly_in_order(self):
-        """Old peers interoperate: the sync TcpTransport pipelines
-        id-less frames and relies on in-order replies."""
-        from repro.service import TcpTransport
-
+        """A plain blocking-socket peer pipelines id-less frames and
+        relies on in-order replies."""
         requests = _distinct_requests(3)
         reference = _reference(requests)
         server = AsyncShardServer(solve_workers=2).start_in_thread()
         try:
-            transport = TcpTransport(server.host, server.port)
-            assert transport.ping(timeout=2.0)
-            replies = transport.request_many(
-                [_solve_msg(r) for r in requests], timeout=60)
-            transport.close()
+            with socket.create_connection((server.host, server.port),
+                                          timeout=60) as sock:
+                stream = sock.makefile("rb")
+
+                def read_reply():
+                    (length,) = struct.unpack(">I", stream.read(4))
+                    return json.loads(stream.read(length))
+
+                sock.sendall(encode_frame({"op": "ping"}))
+                assert read_reply() == {"ok": True, "pong": True}
+                # all three go out before the first reply is read
+                sock.sendall(b"".join(encode_frame(_solve_msg(r))
+                                      for r in requests))
+                replies = [read_reply() for _ in requests]
             for reply, req, ref in zip(replies, requests, reference):
                 assert reply["ok"]
                 result = result_from_wire(reply["result"])
@@ -280,7 +266,6 @@ class TestServerSideDeadlines:
         broker = ShardedBroker(shards=0,
                                shard_addresses=[f"{server.host}:"
                                                 f"{server.port}"],
-                               async_transport=True,
                                request_timeout=0.4)
         try:
             # saturate the single solve worker from a separate channel
@@ -324,10 +309,8 @@ class TestCrossBrokerCoalescing:
         server = AsyncShardServer(solve_workers=1).start_in_thread()
         address = f"{server.host}:{server.port}"
         blocker = connect_async(address)
-        b1 = ShardedBroker(shards=0, shard_addresses=[address],
-                           async_transport=True)
-        b2 = ShardedBroker(shards=0, shard_addresses=[address],
-                           async_transport=True)
+        b1 = ShardedBroker(shards=0, shard_addresses=[address])
+        b2 = ShardedBroker(shards=0, shard_addresses=[address])
         try:
             # park the solve worker so both brokers' requests are
             # provably concurrent at the shard
@@ -392,8 +375,7 @@ class TestAsyncTransportSharded:
         server = AsyncShardServer(solve_workers=2).start_in_thread()
         broker = ShardedBroker(shards=0,
                                shard_addresses=[f"{server.host}:"
-                                                f"{server.port}"],
-                               async_transport=True)
+                                                f"{server.port}"])
         try:
             out = broker.solve_batch(requests)
             for got, ref in zip(out, reference):
@@ -406,6 +388,10 @@ class TestAsyncTransportSharded:
         finally:
             broker.close()
             server.shutdown()
+
+    def test_the_sync_transport_cannot_be_asked_for(self):
+        with pytest.raises(ValueError, match="async_transport=False"):
+            ShardedBroker(shards=2, async_transport=False)
 
 
 # ----------------------------------------------------------------------
@@ -485,6 +471,34 @@ class TestAsyncHttp:
             sock.close()
             server.shutdown()
             broker.close()
+
+    @pytest.mark.parametrize("announced, status", [
+        (b"-5", 400), (b"five", 400), (b"99999999999", 413)])
+    def test_bad_content_length_is_refused_without_reading(
+            self, announced, status, capfd):
+        broker = Broker(executor="sync")
+        server = AsyncServiceServer(broker=broker).start_in_thread()
+        try:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          5) as sock:
+                got, headers, body = self._exchange(
+                    sock, b"POST /api HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + announced + b"\r\n\r\n")
+                assert got == status
+                assert json.loads(body)["status"] == status
+                assert headers["Connection"] == "close"
+                assert sock.recv(1) == b""  # and the server hung up
+            # no traceback from the connection task, and the next
+            # connection is served normally
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          5) as sock:
+                got, _, _ = self._exchange(
+                    sock, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert got == 200
+        finally:
+            server.shutdown()
+            broker.close()
+        assert capfd.readouterr().err == ""
 
     def test_malformed_head_drops_connection(self):
         broker = Broker(executor="sync")

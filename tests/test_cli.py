@@ -145,3 +145,20 @@ class TestFiguresAndExport:
               "--args", "5", "--seed", "7"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestRemovedNetworkFlags:
+    """One network stack: the flags that chose a twin are gone, not
+    ignored — passing one is an argparse error before anything starts."""
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--stdio", "--async-http"],
+        ["serve", "--stdio", "--async-transport"],
+        ["serve", "--stdio", "--verbose"],
+        ["shard-serve", "--async"],
+    ])
+    def test_flag_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -26,7 +26,6 @@ from repro.problems import (
     ScatterSpec,
     SpecError,
     describe,
-    legacy_entry_points,
     reconstructable_problems,
     registered_problems,
     resolve,
@@ -80,16 +79,6 @@ class TestRegistry:
         }
         for problem in ALL_PROBLEMS:
             assert resolve(problem).capabilities.lp_structure
-
-    def test_legacy_shim_is_built_from_the_registry(self):
-        from repro.core import SOLVER_ENTRY_POINTS
-        from repro.core.master_slave import solve_master_slave
-        from repro.core.scatter import solve_gather as sg
-
-        assert set(SOLVER_ENTRY_POINTS) == set(registered_problems())
-        assert SOLVER_ENTRY_POINTS["master-slave"] is solve_master_slave
-        assert SOLVER_ENTRY_POINTS["gather"] is sg
-        assert legacy_entry_points() == dict(SOLVER_ENTRY_POINTS)
 
     def test_every_problem_servable_end_to_end(self):
         # mirror of the CI consistency step (python -m repro problems --check)
@@ -266,15 +255,13 @@ class TestSpecEnvelope:
             ).throughput
 
     def test_envelope_and_legacy_fields_share_fingerprints(self):
-        g = platform_to_dict(_star2())
-        legacy = request_from_dict({
-            "problem": "scatter", "platform": g, "source": "M",
-            "targets": ["W1", "W2"],
-        })
+        # the flat fields survive as SolveRequest's keyword arguments
+        legacy = SolveRequest(problem="scatter", platform=_star2(),
+                              source="M", targets=("W1", "W2"))
         typed = request_from_dict({
             "spec": {"problem": "scatter", "source": "M",
                      "targets": ["W1", "W2"]},
-            "platform": g,
+            "platform": platform_to_dict(_star2()),
         })
         assert legacy.fingerprint() == typed.fingerprint()
 

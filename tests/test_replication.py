@@ -445,10 +445,16 @@ def _free_port() -> int:
 
 
 def _run_shard_server(port: int) -> None:  # pragma: no cover — child
-    from repro.service import ShardServer
+    import asyncio
 
-    server = ShardServer(("127.0.0.1", port))
-    server.serve_forever()
+    from repro.service import AsyncShardServer
+
+    async def serve() -> None:
+        server = AsyncShardServer(("127.0.0.1", port))
+        await server.start()
+        await server.serve_forever()
+
+    asyncio.run(serve())
 
 
 def _start_shard_process(port: int) -> multiprocessing.Process:

@@ -20,8 +20,8 @@ from repro.platform.serialization import platform_to_dict
 from repro.service import (
     Broker,
     IncrementalSolver,
+    AsyncServiceServer,
     MetricsRegistry,
-    ServiceServer,
     SolutionCache,
     SolveRequest,
     handle_request,
@@ -126,9 +126,9 @@ class TestFingerprint:
         # same guard on the wire path
         with Broker(executor="sync") as broker:
             resp = handle_request(broker, {"op": "solve", "request": {
-                "problem": "scatter",
-                "platform": platform_to_dict(fig1),
-                "source": "P1", "targets": "P5"}})
+                "spec": {"problem": "scatter", "source": "P1",
+                         "targets": "P5"},
+                "platform": platform_to_dict(fig1)}})
             assert not resp["ok"] and "bare" in resp["error"]
 
     def test_dag_folded_into_fingerprint(self):
@@ -687,9 +687,8 @@ def _fig1_envelope(**extra):
     return {
         "op": "solve",
         "request": {
-            "problem": "master-slave",
+            "spec": {"problem": "master-slave", "master": "P1"},
             "platform": platform_to_dict(generators.paper_figure1()),
-            "master": "P1",
             **extra,
         },
     }
@@ -728,7 +727,7 @@ class TestApi:
     def test_error_is_a_response_not_an_exception(self):
         with Broker(executor="sync") as broker:
             out = handle_request(broker, {"op": "solve", "request": {
-                "problem": "master-slave"}})
+                "spec": {"problem": "master-slave", "master": "P1"}}})
             assert not out["ok"] and "platform" in out["error"]
             out = handle_request(broker, {"op": "wat"})
             assert not out["ok"] and "unknown op" in out["error"]
@@ -760,14 +759,13 @@ class TestApi:
 
     def test_batch_op_isolates_bad_requests(self):
         # one bad member must not discard the good members' results
-        bad = {"problem": "nope",
-               "platform": platform_to_dict(generators.star(2)),
-               "master": "M"}
+        bad = {"spec": {"problem": "nope", "master": "M"},
+               "platform": platform_to_dict(generators.star(2))}
         with Broker(executor="sync") as broker:
             out = handle_request(broker, {
                 "op": "batch",
                 "requests": [_fig1_envelope()["request"], bad,
-                             {"problem": "missing-platform"}],
+                             {"spec": {"problem": "missing-platform"}}],
             })
             assert out["ok"] and len(out["results"]) == 3
             assert out["results"][0]["ok"]
@@ -782,28 +780,28 @@ class TestApi:
         fig2 = platform_to_dict(generators.paper_figure2_multicast())
         with Broker(executor="sync") as broker:
             out = handle_request(broker, {"op": "solve", "request": {
-                "problem": "multicast", "platform": fig2,
-                "source": "P0", "targets": ["P5", "P6"]}})
+                "spec": {"problem": "multicast", "source": "P0",
+                         "targets": ["P5", "P6"]},
+                "platform": fig2}})
             assert out["ok"], out
             payload = out["solution"]
             assert Fraction(payload["sum_lp"]) <= Fraction(payload["max_lp"])
             assert payload["max_lp_achievable"] is False  # section 4.3
             out = handle_request(broker, {"op": "solve", "request": {
-                "problem": "broadcast",
-                "platform": platform_to_dict(generators.chain(3)),
-                "source": "N0"}})
+                "spec": {"problem": "broadcast", "source": "N0"},
+                "platform": platform_to_dict(generators.chain(3))}})
             assert out["ok"], out
             assert out["solution"]["optimal"] is True
 
     def test_dag_request_over_the_wire(self):
         with Broker(executor="sync") as broker:
             out = handle_request(broker, {"op": "solve", "request": {
-                "problem": "dag",
+                "spec": {"problem": "dag", "master": "M",
+                         "dag": {"types": {"a": "1", "b": "2"},
+                                 "files": [{"producer": "a",
+                                            "consumer": "b",
+                                            "size": "1"}]}},
                 "platform": platform_to_dict(generators.star(2)),
-                "master": "M",
-                "dag": {"types": {"a": "1", "b": "2"},
-                        "files": [{"producer": "a", "consumer": "b",
-                                   "size": "1"}]},
             }})
             assert out["ok"], out
             assert Fraction(out["throughput"]) > 0
@@ -815,17 +813,26 @@ class TestErrorStatusMapping:
     def test_invalid_spec_is_422(self):
         with Broker(executor="sync") as broker:
             out = handle_request(broker, {"op": "solve", "request": {
-                "problem": "nope",
-                "platform": platform_to_dict(generators.star(2)),
-                "master": "M"}})
+                "spec": {"problem": "nope", "master": "M"},
+                "platform": platform_to_dict(generators.star(2))}})
             assert not out["ok"]
             assert out["status"] == 422 and out["type"] == "SpecError"
+
+    def test_flat_request_without_a_spec_is_422(self):
+        # the PR-1 schema (problem fields beside the platform) is gone
+        with Broker(executor="sync") as broker:
+            out = handle_request(broker, {"op": "solve", "request": {
+                "problem": "master-slave", "master": "M",
+                "platform": platform_to_dict(generators.star(2))}})
+            assert not out["ok"] and out["status"] == 422
+            assert out["type"] == "SpecError"
+            assert "needs a 'spec'" in out["error"]
 
     def test_undecodable_platform_is_400(self):
         with Broker(executor="sync") as broker:
             out = handle_request(broker, {"op": "solve", "request": {
-                "problem": "master-slave", "platform": {"nodes": 12},
-                "master": "M"}})
+                "spec": {"problem": "master-slave", "master": "M"},
+                "platform": {"nodes": 12}}})
             assert not out["ok"] and out["status"] == 400
             assert out["type"] == "PlatformError"
             out = handle_request(broker, {
@@ -855,9 +862,8 @@ class TestErrorStatusMapping:
             assert "solver exploded" in out["error"]
 
     def test_batch_isolates_statuses(self, monkeypatch):
-        bad_spec = {"problem": "nope",
-                    "platform": platform_to_dict(generators.star(2)),
-                    "master": "M"}
+        bad_spec = {"spec": {"problem": "nope", "master": "M"},
+                    "platform": platform_to_dict(generators.star(2))}
         with Broker(executor="sync", incremental=False) as broker:
             out = handle_request(broker, {"op": "batch", "requests": [
                 _fig1_envelope()["request"], bad_spec]})
@@ -871,9 +877,8 @@ class TestErrorStatusMapping:
 
         monkeypatch.setattr(broker_mod, "execute_request", boom)
         broker = Broker(workers=2, incremental=False)
-        server = ServiceServer(("127.0.0.1", 0), broker=broker)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncServiceServer(("127.0.0.1", 0),
+                                    broker=broker).start_in_thread()
         url = f"http://127.0.0.1:{server.port}/api"
 
         def post(payload: bytes) -> int:
@@ -891,9 +896,8 @@ class TestErrorStatusMapping:
         try:
             assert post(b"{not json") == 400
             bad_spec = {"op": "solve", "request": {
-                "problem": "nope",
-                "platform": platform_to_dict(generators.star(2)),
-                "master": "M"}}
+                "spec": {"problem": "nope", "master": "M"},
+                "platform": platform_to_dict(generators.star(2))}}
             assert post(json.dumps(bad_spec).encode()) == 422
             assert post(json.dumps(_fig1_envelope()).encode()) == 500
         finally:
@@ -904,9 +908,8 @@ class TestErrorStatusMapping:
 class TestHttpServer:
     def test_end_to_end(self):
         broker = Broker(workers=2)
-        server = ServiceServer(("127.0.0.1", 0), broker=broker)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncServiceServer(("127.0.0.1", 0),
+                                    broker=broker).start_in_thread()
         url = f"http://127.0.0.1:{server.port}"
         try:
             with urllib.request.urlopen(url + "/healthz", timeout=10) as resp:

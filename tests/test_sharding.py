@@ -353,9 +353,8 @@ class TestSolveMany:
 class TestShardedApi:
     def _envelope(self):
         return {"op": "solve", "request": {
-            "problem": "master-slave",
-            "platform": platform_to_dict(generators.paper_figure1()),
-            "master": "P1"}}
+            "spec": {"problem": "master-slave", "master": "P1"},
+            "platform": platform_to_dict(generators.paper_figure1())}}
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_handle_request_ops(self, mode):
@@ -374,9 +373,8 @@ class TestShardedApi:
                 "platform": platform_to_dict(generators.paper_figure1())})
             assert inv["invalidated"] == 1
             bad = handle_request(sharded, {"op": "solve", "request": {
-                "problem": "nope",
-                "platform": platform_to_dict(generators.star(2)),
-                "master": "M"}})
+                "spec": {"problem": "nope", "master": "M"},
+                "platform": platform_to_dict(generators.star(2))}})
             assert not bad["ok"] and bad["status"] == 422
 
 
@@ -721,10 +719,16 @@ def _free_port() -> int:
 
 
 def _run_shard_server(port: int) -> None:  # pragma: no cover — child
-    from repro.service import ShardServer
+    import asyncio
 
-    server = ShardServer(("127.0.0.1", port))
-    server.serve_forever()
+    from repro.service import AsyncShardServer
+
+    async def serve() -> None:
+        server = AsyncShardServer(("127.0.0.1", port))
+        await server.start()
+        await server.serve_forever()
+
+    asyncio.run(serve())
 
 
 def _start_shard_process(port: int) -> multiprocessing.Process:
@@ -765,7 +769,7 @@ class TestRemoteTcpShards:
                 assert all(r.cached for r in again)
                 kinds = {h["kind"] for h in
                          sharded.shard_health()["shards"]}
-                assert kinds == {"pipe", "tcp"}
+                assert kinds == {"pipe", "async"}
         finally:
             server.kill()
             server.join()
@@ -920,14 +924,12 @@ class TestSharedShardServerHealth:
         still answer health pings — busy is not dead."""
         import threading
 
-        from repro.service import ShardServer, connect
+        from repro.service import AsyncShardServer, connect_async
 
-        server = ShardServer(("127.0.0.1", 0))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        server = AsyncShardServer(("127.0.0.1", 0)).start_in_thread()
         try:
-            busy = connect(server.address)
-            prober = connect(server.address)
+            busy = connect_async(server.address)
+            prober = connect_async(server.address)
 
             def hold_the_engine_lock():
                 try:
@@ -946,4 +948,3 @@ class TestSharedShardServerHealth:
             prober.close()
         finally:
             server.shutdown()
-            server.server_close()

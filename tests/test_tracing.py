@@ -11,10 +11,10 @@ import pytest
 
 from repro.platform import generators
 from repro.service import (
+    AsyncShardServer,
     Broker,
     EventLog,
     ShardedBroker,
-    ShardServer,
     SolveRequest,
     Trace,
     TraceStore,
@@ -121,24 +121,24 @@ class TestGraftRemote:
         wire = remote.span_wire()
 
         with start_trace("caller") as tr:
-            with span("transport.tcp") as sp:
+            with span("transport.async") as sp:
                 sp.duration_seconds = 0.010
                 n = graft_remote(sp, wire, round_trip_seconds=0.010)
         assert n == 2
         d = tr.as_dict()
         by_name = {s["name"]: s for s in d["spans"]}
-        assert by_name["shard.solve"]["parent"] == by_name["transport.tcp"]["id"]
+        assert by_name["shard.solve"]["parent"] == by_name["transport.async"]["id"]
         assert by_name["simplex.solve"]["parent"] == by_name["shard.solve"]["id"]
         assert by_name["shard.solve"]["annotations"]["remote"] is True
         # Rebase: the remote root starts at or after the transport span.
         assert (by_name["shard.solve"]["start_seconds"]
-                >= by_name["transport.tcp"]["start_seconds"])
+                >= by_name["transport.async"]["start_seconds"])
         # Grafted ids must not collide with local ones.
         assert len({s["id"] for s in d["spans"]}) == len(d["spans"])
 
     def test_graft_empty_wire_is_noop(self):
         with start_trace("caller") as tr:
-            with span("transport.tcp") as sp:
+            with span("transport.async") as sp:
                 assert graft_remote(sp, [], 0.001) == 0
         assert len(tr.as_dict()["spans"]) == 2
 
@@ -316,12 +316,9 @@ class TestTraceApi:
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def shard_server():
-    server = ShardServer(("127.0.0.1", 0))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = AsyncShardServer(("127.0.0.1", 0)).start_in_thread()
     yield server
     server.shutdown()
-    server.server_close()
 
 
 class TestEndToEnd:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import multiprocessing
 import socket
-import threading
-import time
 from fractions import Fraction
 
 import pytest
@@ -14,22 +13,20 @@ import pytest
 from repro.core.dag import TaskGraph
 from repro.platform import generators
 from repro.service import (
+    AsyncShardServer,
     Broker,
-    ShardServer,
     SolveRequest,
     TransportError,
     TransportTimeout,
-    connect,
+    connect_async,
+    encode_frame,
     parse_shard_address,
+    read_frame_async,
     result_from_wire,
     result_to_wire,
 )
 from repro.service.api import _request_wire
-from repro.service.transport import (
-    read_frame,
-    spawn_pipe_shard,
-    write_frame,
-)
+from repro.service.transport import spawn_pipe_shard
 from repro.service.wire import WireCodecError, solution_to_wire
 
 
@@ -116,35 +113,41 @@ class TestResultWireCodec:
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+def _read_frame_from(sock: socket.socket):
+    """Decode one frame from a connected socket with the one decoder."""
+    async def go():
+        reader, writer = await asyncio.open_connection(sock=sock)
+        try:
+            return await read_frame_async(reader)
+        finally:
+            writer.close()
+    return asyncio.run(go())
+
+
 class TestFraming:
     def test_roundtrip_over_a_socketpair(self):
         a, b = socket.socketpair()
         try:
             message = {"op": "solve", "payload": ["ünïcode", 1, None]}
-            write_frame(a, message)
-            assert read_frame(b) == message
+            a.sendall(encode_frame(message))
+            assert _read_frame_from(b) == message
         finally:
             a.close()
-            b.close()
 
     def test_garbage_peer_is_a_transport_error(self):
         a, b = socket.socketpair()
         try:
             a.sendall(b"\xff\xff\xff\xff garbage")
             with pytest.raises(TransportError, match="frame"):
-                read_frame(b)
+                _read_frame_from(b)
         finally:
             a.close()
-            b.close()
 
     def test_closed_peer_is_a_transport_error(self):
         a, b = socket.socketpair()
         a.close()
-        try:
-            with pytest.raises(TransportError, match="closed"):
-                read_frame(b)
-        finally:
-            b.close()
+        with pytest.raises(TransportError, match="closed"):
+            _read_frame_from(b)
 
     def test_non_object_frame_rejected(self):
         a, b = socket.socketpair()
@@ -152,10 +155,9 @@ class TestFraming:
             blob = json.dumps([1, 2, 3]).encode()
             a.sendall(len(blob).to_bytes(4, "big") + blob)
             with pytest.raises(TransportError, match="object"):
-                read_frame(b)
+                _read_frame_from(b)
         finally:
             a.close()
-            b.close()
 
 
 class TestAddressParsing:
@@ -233,21 +235,18 @@ class TestPipeTransport:
 
 
 # ----------------------------------------------------------------------
-# TCP transport + the standalone shard server
+# TCP transport (the sync bridge the ring rides) + the shard server
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def shard_server():
-    server = ShardServer(("127.0.0.1", 0))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = AsyncShardServer(("127.0.0.1", 0)).start_in_thread()
     yield server
     server.shutdown()
-    server.server_close()
 
 
 class TestTcpTransport:
     def test_solve_is_exact_and_cache_stays_hot(self, shard_server):
-        transport = connect(f"127.0.0.1:{shard_server.port}")
+        transport = connect_async(f"127.0.0.1:{shard_server.port}")
         try:
             req = SolveRequest(problem="master-slave",
                                platform=generators.paper_figure1(),
@@ -262,7 +261,7 @@ class TestTcpTransport:
             transport.close()
 
     def test_ping_and_unknown_op(self, shard_server):
-        transport = connect(shard_server.address)
+        transport = connect_async(shard_server.address)
         try:
             assert transport.ping(timeout=5.0)
             reply = transport.request({"op": "quantum"})
@@ -270,17 +269,35 @@ class TestTcpTransport:
         finally:
             transport.close()
 
-    def test_timeout_drops_the_connection_then_reconnects(self,
-                                                          shard_server):
-        transport = connect(shard_server.address)
+    def test_timeout_abandons_only_its_own_request(self, shard_server):
+        transport = connect_async(shard_server.address)
         try:
             with pytest.raises(TransportTimeout):
-                transport.request({"op": "sleep", "seconds": 5.0},
+                transport.request({"op": "sleep", "seconds": 1.0},
                                   timeout=0.2)
+            # the late reply is dropped by id, so the connection is not
+            # poisoned: it stays open and keeps serving
+            assert not transport.closed
+            assert transport.ping(timeout=10.0)
+        finally:
+            transport.close()
+
+    def test_redials_after_the_server_returns(self):
+        first = AsyncShardServer(("127.0.0.1", 0)).start_in_thread()
+        port = first.port
+        transport = connect_async(f"127.0.0.1:{port}")
+        try:
+            assert transport.ping(timeout=5.0)
+            first.shutdown()
+            assert not transport.ping(timeout=1.0)
             assert transport.closed
             # lazy reconnect: the next request dials again — this is what
             # lets an ejected remote shard rejoin without a new handle
-            assert transport.ping(timeout=10.0)
+            second = AsyncShardServer(("127.0.0.1", port)).start_in_thread()
+            try:
+                assert transport.ping(timeout=10.0)
+            finally:
+                second.shutdown()
         finally:
             transport.close()
 
@@ -289,12 +306,12 @@ class TestTcpTransport:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
         sock.close()  # nothing listens here any more
-        transport = connect(f"127.0.0.1:{port}", connect_timeout=0.5)
+        transport = connect_async(f"127.0.0.1:{port}", connect_timeout=0.5)
         with pytest.raises(TransportError, match="connect"):
             transport.request({"op": "ping"})
 
     def test_request_many_pipelines_one_connection(self, shard_server):
-        transport = connect(shard_server.address)
+        transport = connect_async(shard_server.address)
         try:
             requests = _mixed_requests()[:4]
             replies = transport.request_many([
@@ -311,8 +328,8 @@ class TestTcpTransport:
             transport.close()
 
     def test_two_clients_share_one_engine(self, shard_server):
-        first = connect(shard_server.address)
-        second = connect(shard_server.address)
+        first = connect_async(shard_server.address)
+        second = connect_async(shard_server.address)
         try:
             req = SolveRequest(problem="master-slave",
                                platform=generators.star(3), master="M")
@@ -327,12 +344,12 @@ class TestTcpTransport:
             second.close()
 
     def test_stop_op_only_drops_the_connection(self, shard_server):
-        transport = connect(shard_server.address)
+        transport = connect_async(shard_server.address)
         reply = transport.request({"op": "stop"})
         assert reply["ok"]
         transport.close()
         # the server survives a client's stop: the operator owns its life
-        probe = connect(shard_server.address)
+        probe = connect_async(shard_server.address)
         try:
             assert probe.ping(timeout=5.0)
         finally:
