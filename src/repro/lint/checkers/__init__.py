@@ -1,5 +1,13 @@
 """Built-in checkers; importing this package registers them all."""
 
-from . import asyncio_rules, drift, exactness, locks, tracing  # noqa: F401
+from . import (  # noqa: F401
+    asyncio_rules,
+    drift,
+    exactness,
+    heavy_import,
+    locks,
+    tracing,
+)
 
-__all__ = ["asyncio_rules", "drift", "exactness", "locks", "tracing"]
+__all__ = ["asyncio_rules", "drift", "exactness", "heavy_import", "locks",
+           "tracing"]

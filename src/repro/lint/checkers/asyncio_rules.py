@@ -34,25 +34,18 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Set
 
-from ..engine import Checker, Finding, ModuleInfo, register_checker
+from ..engine import (
+    Checker,
+    Finding,
+    ModuleInfo,
+    iter_own_scope,
+    register_checker,
+)
 
 _SCOPE_DIRS = ("repro/service/",)
 _SOCKET_METHODS = frozenset(
     {"recv", "recv_into", "recvfrom", "accept", "sendall"})
 _TRANSPORT_METHODS = frozenset({"request", "request_many", "ping"})
-
-
-def _iter_async_body(fn: ast.AsyncFunctionDef) -> Iterator[ast.AST]:
-    """Walk ``fn``'s body without crossing into nested functions —
-    a nested sync ``def`` runs on an executor thread, not the loop."""
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _terminal_name(expr: ast.AST) -> str:
@@ -86,10 +79,10 @@ class AsyncioChecker(Checker):
             if not isinstance(outer, ast.AsyncFunctionDef):
                 continue
             awaited: Set[int] = set()
-            for node in _iter_async_body(outer):
+            for node in iter_own_scope(outer):
                 if isinstance(node, ast.Await):
                     awaited.add(id(node.value))
-            for node in _iter_async_body(outer):
+            for node in iter_own_scope(outer):
                 yield from self._check_node(module, outer, node, awaited)
 
     def _check_node(self, module: ModuleInfo, outer: ast.AsyncFunctionDef,

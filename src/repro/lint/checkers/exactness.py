@@ -38,10 +38,16 @@ EXACT_DIRS = (
 EXEMPT_FILES = ("repro/lp/scipy_backend.py",)
 
 
-def _in_exact_path(display_path: str) -> bool:
+def is_float_file(display_path: str) -> bool:
+    """True for the declared float files, which no float rule checks."""
     q = "/" + display_path
-    if any(q.endswith("/" + f) for f in EXEMPT_FILES):
+    return any(q.endswith("/" + f) for f in EXEMPT_FILES)
+
+
+def _in_exact_path(display_path: str) -> bool:
+    if is_float_file(display_path):
         return False
+    q = "/" + display_path
     if any(q.endswith("/" + f) for f in EXACT_FILES):
         return True
     return any("/" + d in q for d in EXACT_DIRS)

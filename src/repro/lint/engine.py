@@ -155,6 +155,20 @@ def _next_code_line(source: str, line: int) -> int:
     return line + 1
 
 
+def iter_own_scope(scope: ast.AST) -> Iterator[ast.AST]:
+    """Walk ``scope`` without crossing into nested functions: what a
+    module runs when it is imported, what a coroutine runs on the loop
+    (a nested ``def`` or ``lambda`` runs later, somewhere else)."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def _first_code_line(tree: ast.Module) -> int:
     """Line of the first statement past the module docstring."""
     body = tree.body

@@ -1,8 +1,12 @@
-"""Linear-programming substrate: modelling layer + exact and float backends.
+"""Linear-programming substrate: modelling layer + the exact backend.
 
 The exact backend (:mod:`repro.lp.simplex`) produces rational optima, which
-the paper's period construction requires; the scipy backend
-(:mod:`repro.lp.scipy_backend`) provides fast cross-checks.
+the paper's period construction requires, and is all this package imports.
+The float backend (:mod:`repro.lp.scipy_backend`, HiGHS cross-checks) is
+opt-in: ``LinearProgram.solve(backend="scipy")`` imports it, and with it
+numpy and scipy, on first use, so a process that serves only exact
+answers never loads the float stack (``repro lint``'s ``heavy-import``
+rule keeps it that way).
 """
 
 from .factor import BasisFactor, SingularBasisError, SparseLU
@@ -18,7 +22,6 @@ from .model import (
     lp_sum,
 )
 from .simplex import DEFAULT_ENGINE, SimplexInstance, solve_exact
-from .scipy_backend import solve_scipy
 
 __all__ = [
     "BasisFactor",
@@ -36,5 +39,4 @@ __all__ = [
     "Variable",
     "lp_sum",
     "solve_exact",
-    "solve_scipy",
 ]

@@ -379,8 +379,13 @@ class LinearProgram:
 
             return solve_exact(self, **kwargs)
         if backend == "scipy":
-            from .scipy_backend import solve_scipy
-
+            try:
+                from .scipy_backend import solve_scipy
+            except ImportError as exc:
+                raise LPError(
+                    "backend 'scipy' needs numpy and scipy installed "
+                    "(pip install repro[float])"
+                ) from exc
             return solve_scipy(self, **kwargs)
         raise LPError(f"unknown backend {backend!r}")
 

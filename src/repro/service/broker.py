@@ -44,7 +44,7 @@ from ..problems import (
 from .cache import CacheEntry, HeatSketch, SolutionCache
 from .fingerprint import request_fingerprint
 from .incremental import IncrementalSolver
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, process_snapshot
 from .tracing import activate, current_span, span
 
 #: Malformed request (unknown problem kind, missing fields, ...).  The
@@ -425,6 +425,7 @@ class SolveEngine:
         out: Dict[str, Any] = {
             "cache": cache,
             "metrics": self.metrics.snapshot(),
+            "process": process_snapshot(),
         }
         if self.heat is not None:
             out["heat"] = self.heat.snapshot()

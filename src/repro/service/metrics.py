@@ -13,6 +13,9 @@ tail latency, and a window is both exact over its span and cheap.
 
 from __future__ import annotations
 
+import os
+import resource
+import sys
 import threading
 import time
 from collections import deque
@@ -168,6 +171,43 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
+def process_snapshot() -> Dict[str, Any]:
+    """Footprint of the calling process, as every snapshot reports it.
+
+    ``max_rss_bytes`` is the kernel's resident-set high-water mark
+    (``ru_maxrss``: kilobytes on Linux, bytes on macOS; Linux carries
+    it across ``exec``, so a process started by a larger one reports at
+    least what its parent held resident at that moment);
+    ``float_backend_loaded`` tells whether some request has asked for
+    ``"backend": "scipy"`` yet, which is when numpy and scipy arrive.
+    ``pid`` lets a merged view count thread shards, which share their
+    broker's process, once.
+    """
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {
+        "pid": os.getpid(),
+        "max_rss_bytes": peak if sys.platform == "darwin" else peak * 1024,
+        "float_backend_loaded": sys.modules.get("scipy") is not None,
+    }
+
+
+def distinct_processes(snapshot: Dict[str, Any]) -> list:
+    """``(shard label, process dict)`` per distinct process in a broker
+    or sharded-broker snapshot: the front end first, then every shard
+    that lives in a process of its own."""
+    found = []
+    seen = set()
+    candidates = [("front", snapshot.get("process"))] + [
+        (str(s.get("shard")), s.get("process"))
+        for s in snapshot.get("per_shard", [])
+    ]
+    for label, process in candidates:
+        if process is not None and process["pid"] not in seen:
+            seen.add(process["pid"])
+            found.append((label, process))
+    return found
+
+
 def _merge_endpoint_dicts(dicts: list) -> Dict[str, Any]:
     count = sum(d["count"] for d in dicts)
     errors = sum(d["errors"] for d in dicts)
@@ -416,6 +456,18 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
              "Sparse-LU fill ratio: accumulated L+U nonzeros over basis "
              "nonzeros (1.0 = no fill-in).",
              [({}, incremental.get("lu_fill_nnz", 0) / basis_nnz)])
+
+    processes = distinct_processes(snapshot)
+    emit("repro_process_max_rss_bytes", "gauge",
+         "Resident-set high-water mark of each process of the deployment "
+         "(thread shards share the front end's).",
+         [({"shard": label}, process["max_rss_bytes"])
+          for label, process in processes])
+    emit("repro_float_backend_loaded", "gauge",
+         "1 once a request with backend=scipy made the process import "
+         "numpy and scipy, 0 while it serves from the exact stack only.",
+         [({"shard": label}, int(process["float_backend_loaded"]))
+          for label, process in processes])
 
     traces = snapshot.get("traces", {})
     emit("repro_traces_captured_total", "counter",

@@ -83,7 +83,12 @@ from ..platform.graph import Platform
 from ..platform.serialization import platform_to_dict
 from .broker import Broker, BrokerError, BrokerResult, SolveRequest
 from .cache import HeatSketch, SolutionCache
-from .metrics import MetricsRegistry, merge_snapshots
+from .metrics import (
+    MetricsRegistry,
+    distinct_processes,
+    merge_snapshots,
+    process_snapshot,
+)
 from .tracing import activate, current_span, graft_remote, log_event, span
 from .transport import (
     TransportError,
@@ -1498,6 +1503,7 @@ class ShardedBroker:
                 "cache_size": s["cache"]["size"],
                 "hits": s["cache"]["hits"],
                 "misses": s["cache"]["misses"],
+                "process": s["process"],
                 # the full warm-path breakdown of this shard (hot
                 # models, evictions, basis restarts, pivots, ...)
                 **({"incremental": s["incremental"]}
@@ -1521,8 +1527,18 @@ class ShardedBroker:
             "cache": _merge_cache_snapshots([s["cache"] for s in present]),
             "metrics": merged_metrics,
             "shard_health": self.shard_health(),
+            "process": process_snapshot(),
             "per_shard": per_shard,
             "replication": self._replication_snapshot(per_shard),
+        }
+        # the deployment's footprint: thread shards live in this process
+        # and count once, pipe and TCP shards each add their own
+        processes = [p for _label, p in distinct_processes(out)]
+        out["processes"] = {
+            "count": len(processes),
+            "max_rss_bytes": sum(p["max_rss_bytes"] for p in processes),
+            "float_backend_loaded": sum(
+                p["float_backend_loaded"] for p in processes),
         }
         incremental = [s["incremental"] for s in present
                        if "incremental" in s]

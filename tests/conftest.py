@@ -2,9 +2,38 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.platform import generators as gen
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a script in a new interpreter and return the JSON it printed
+    last.  What a process has imported can only be asserted where no
+    other test has imported anything: this process holds numpy and scipy
+    from the first cross-check test on."""
+
+    def run(script: str):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    return run
 
 
 @pytest.fixture

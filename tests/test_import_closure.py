@@ -1,0 +1,103 @@
+"""The import-closure contract: a serving process loads the exact stack
+only.
+
+The service answers ``Fraction``s from the standard library; numpy,
+scipy and networkx belong to the opt-in float backend, the cross-check
+tests and ``Platform.to_networkx``.  Each test runs in a fresh
+interpreter (``fresh_python``) and asserts module *names*, never times.
+"""
+
+from __future__ import annotations
+
+HEAVY = ("networkx", "numpy", "scipy")
+
+_ROLES = """
+import json, os, sys
+from fractions import Fraction
+
+import repro, repro.cli, repro.problems
+import repro.service.api, repro.service.sharding, repro.service.transport
+from repro.platform import generators
+from repro.service import Broker, ShardedBroker, SolveRequest
+
+repro.cli.build_parser()
+request = SolveRequest(problem="master-slave", master="P1",
+                       platform=generators.paper_figure1())
+with Broker(executor="sync") as broker:
+    sync = broker.solve(request).throughput
+# a spawn worker starts from a fresh import, as a restarted shard does
+with ShardedBroker(shards=1, shard_mode="process",
+                   mp_start_method="spawn") as sharded:
+    piped = sharded.solve(request).throughput
+    worker = sharded.snapshot()["per_shard"][0]["process"]
+print(json.dumps({
+    "exact": sync == piped == Fraction(2),
+    "heavy": sorted({name.split(".")[0] for name, module
+                     in sys.modules.items() if module is not None}
+                    & set(%r)),
+    "first_party": sum(name.split(".")[0] == "repro"
+                       for name in sys.modules),
+    "pid": os.getpid(),
+    "worker": worker,
+}))
+""" % (HEAVY,)
+
+_NO_FLOAT_STACK = """
+import contextlib, io, json, sys
+
+for name in %r:
+    sys.modules[name] = None  # any import of it now raises ImportError
+
+from repro.cli import main
+from repro.lp import LinearProgram, LPError
+from repro.platform import generators
+from repro.platform.serialization import platform_to_dict
+from repro.service import Broker
+from repro.service.api import handle_request
+
+log = io.StringIO()
+with contextlib.redirect_stdout(log):
+    check = main(["problems", "--check"])
+
+lp = LinearProgram()
+x = lp.variable("x", lo=0, hi=1)
+lp.maximize(x)
+try:
+    lp.solve(backend="scipy")
+    typed = None
+except LPError as exc:
+    typed = str(exc)
+
+with Broker(executor="sync") as broker:
+    served = handle_request(broker, {"op": "solve", "request": {
+        "spec": {"problem": "master-slave", "master": "P1"},
+        "platform": platform_to_dict(generators.paper_figure1()),
+        "options": {"backend": "scipy"}}})
+print(json.dumps({"check": check, "log": log.getvalue(), "typed": typed,
+                  "exact": str(lp.solve().objective), "served": served}))
+""" % (HEAVY,)
+
+
+def test_every_process_role_loads_the_exact_stack_only(fresh_python):
+    out = fresh_python(_ROLES)
+    assert out["exact"]
+    assert out["heavy"] == []
+    assert out["first_party"] > 50  # the closure really was imported
+    # the pipe-shard worker is another process and says so itself; its
+    # import closure is a subset of this one's, so scipy stands for all
+    assert out["worker"]["pid"] != out["pid"]
+    assert out["worker"]["float_backend_loaded"] is False
+
+
+def test_the_exact_service_works_without_the_float_stack(fresh_python):
+    out = fresh_python(_NO_FLOAT_STACK)
+    assert out["check"] == 0, out["log"]
+    assert "registry check OK" in out["log"]
+    assert out["exact"] == "1"
+    # asking for the float backend is a typed refusal, not a traceback
+    # from inside an import (and a 500 like any other LPError)
+    assert out["typed"] == ("backend 'scipy' needs numpy and scipy "
+                            "installed (pip install repro[float])")
+    assert out["served"]["ok"] is False
+    assert out["served"]["type"] == "LPError"
+    assert out["served"]["error"] == out["typed"]

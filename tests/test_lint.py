@@ -1,5 +1,5 @@
 """The ``repro lint`` framework: registry, pragmas, baselines, reporters,
-the five rules against their fixture corpus, the repo-wide green gate,
+the six rules against their fixture corpus, the repo-wide green gate,
 and regression tests for the real findings this gate surfaced and fixed.
 """
 
@@ -29,11 +29,15 @@ from repro.lint.cli import main as lint_main
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
-RULES = ("asyncio", "drift", "exactness", "locks", "tracing")
+RULES = ("asyncio", "drift", "exactness", "heavy-import", "locks", "tracing")
 
 
 def lint_file(path, **kwargs):
     return run_lint([str(path)], root=str(REPO), **kwargs)
+
+
+def fixture(rule, verdict):
+    return FIXTURES / f"{rule.replace('-', '_')}_{verdict}.py"
 
 
 # ----------------------------------------------------------------------
@@ -254,17 +258,17 @@ class TestReporters:
 
 
 # ----------------------------------------------------------------------
-# the five rules against their fixture corpus
+# the six rules against their fixture corpus
 # ----------------------------------------------------------------------
 class TestFixtureCorpus:
     @pytest.mark.parametrize("rule", RULES)
     def test_ok_fixture_is_clean(self, rule):
-        report = lint_file(FIXTURES / f"{rule}_ok.py")
+        report = lint_file(fixture(rule, "ok"))
         assert report.ok, report.render_text()
 
     @pytest.mark.parametrize("rule", RULES)
     def test_bad_fixture_fails_with_its_rule(self, rule):
-        report = lint_file(FIXTURES / f"{rule}_bad.py")
+        report = lint_file(fixture(rule, "bad"))
         assert not report.ok
         assert {f.rule for f in report.findings} == {rule}
 
@@ -405,6 +409,35 @@ class TestFixtureCorpus:
         report = lint_file(FIXTURES / "asyncio_ok.py")
         assert report.ok
         assert [f.rule for f in report.suppressed] == ["asyncio"]
+
+    def test_heavy_import_catches_every_import_time_shape(self):
+        report = lint_file(FIXTURES / "heavy_import_bad.py")
+        found = {(f.line, f.message.split(" at module scope")[0])
+                 for f in report.findings}
+        assert found == {
+            (6, "import of numpy"),
+            (7, "import of scipy.optimize"),
+            (9, "import of scipy_backend"),  # the float file, relatively
+            (12, "import of networkx"),  # inside try: still import time
+            (18, "import of scipy.sparse"),  # class body
+        }
+
+    def test_heavy_import_scope_is_the_package_minus_the_float_files(
+            self, tmp_path):
+        # no pragma needed under src/repro/; the declared float backend
+        # (exactness.EXEMPT_FILES) is the one file allowed to import
+        # numpy at the top, and tests/ may import what they like
+        package = tmp_path / "src" / "repro" / "lp"
+        package.mkdir(parents=True)
+        (tmp_path / "tests").mkdir()
+        for path in (package / "__init__.py", package / "scipy_backend.py",
+                     tmp_path / "tests" / "test_x.py"):
+            path.write_text("import numpy as np\n")
+        (package / "model.py").write_text(
+            "def solve():\n    from .scipy_backend import solve_scipy\n")
+        report = run_lint([str(tmp_path)], root=str(tmp_path))
+        assert [(f.rule, f.path) for f in report.findings] == [
+            ("heavy-import", "src/repro/lp/__init__.py")]
 
 
 # ----------------------------------------------------------------------

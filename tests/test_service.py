@@ -807,6 +807,68 @@ class TestApi:
             assert Fraction(out["throughput"]) > 0
 
 
+_FIRST_SCIPY_REQUEST = """
+import json
+from repro.platform import generators
+from repro.platform.serialization import platform_to_dict
+from repro.service import Broker
+from repro.service.api import handle_request, route_get
+
+def solve(broker, **options):
+    return handle_request(broker, {"op": "solve", "request": {
+        "spec": {"problem": "master-slave", "master": "P1"},
+        "platform": platform_to_dict(generators.paper_figure1()),
+        "options": options}})
+
+def metrics(broker):
+    _, _, body = route_get(broker, "/metrics", {})
+    _, _, text = route_get(broker, "/metrics", {"format": ["prometheus"]})
+    lines = [line for line in text.decode().splitlines()
+             if line.startswith(("repro_float", "repro_process"))]
+    return {"process": json.loads(body)["process"], "lines": lines}
+
+with Broker(executor="sync") as broker:
+    exact_before = solve(broker)
+    before = metrics(broker)
+    floated = solve(broker, backend="scipy")
+    after = metrics(broker)
+with Broker(executor="sync") as broker:  # an empty cache: solved again
+    exact_after = solve(broker)
+print(json.dumps({
+    "before": before, "after": after, "floated": floated,
+    "exact": [[r["ok"], r["cached"], r["throughput"], r["solution"]]
+              for r in (exact_before, exact_after)]}))
+"""
+
+
+class TestProcessFootprint:
+    """``process`` in every snapshot: what the process holds resident
+    and whether a request has made it load the float backend yet."""
+
+    def test_float_backend_arrives_with_the_first_scipy_request(
+            self, fresh_python):
+        out = fresh_python(_FIRST_SCIPY_REQUEST)
+        before, after = out["before"], out["after"]
+        assert before["process"]["float_backend_loaded"] is False
+        assert after["process"]["float_backend_loaded"] is True
+        assert after["process"]["pid"] == before["process"]["pid"]
+        # Linux carries the high-water mark across exec, so under a
+        # large pytest process the ~55 MB of numpy + scipy may not show
+        assert (after["process"]["max_rss_bytes"]
+                >= before["process"]["max_rss_bytes"] > 0)
+        assert 'repro_float_backend_loaded{shard="front"} 0' in before["lines"]
+        assert 'repro_float_backend_loaded{shard="front"} 1' in after["lines"]
+        (rss_line,) = [line for line in after["lines"] if line.startswith(
+            'repro_process_max_rss_bytes{shard="front"} ')]
+        # scraped after the JSON view, and a high-water mark only rises
+        assert int(rss_line.split()[-1]) >= after["process"]["max_rss_bytes"]
+        assert out["floated"]["ok"]
+        # loading the float stack changes no exact answer
+        first, again = out["exact"]
+        assert first == again
+        assert first[:3] == [True, False, "2"]
+
+
 class TestErrorStatusMapping:
     """Client errors (400/422) vs server bugs (500), with "type" preserved."""
 

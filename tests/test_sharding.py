@@ -27,6 +27,7 @@ from repro.service import (
     merge_snapshots,
 )
 from repro.service.broker import BrokerError
+from repro.service.metrics import render_prometheus
 
 
 def _mixed_requests():
@@ -148,6 +149,19 @@ class TestShardedBrokerThread:
             assert len(occupied) >= 2  # the mix spreads across shards
             json.dumps(snap)  # JSON-safe end to end
 
+    def test_thread_shards_share_the_front_ends_process(self):
+        with ShardedBroker(shards=4, shard_mode="thread") as sharded:
+            snap = sharded.snapshot()
+        assert {s["process"]["pid"] for s in snap["per_shard"]} == {
+            snap["process"]["pid"]}
+        # four shards, one process: its resident set counts once
+        assert snap["processes"]["count"] == 1
+        assert (snap["processes"]["max_rss_bytes"]
+                == snap["process"]["max_rss_bytes"])
+        text = render_prometheus(snap)
+        assert text.count("\nrepro_process_max_rss_bytes{") == 1
+        assert 'repro_process_max_rss_bytes{shard="front"} ' in text
+
     def test_invalidate_fans_out_to_every_shard(self):
         fig1 = generators.paper_figure1()
         variants = [
@@ -204,6 +218,28 @@ class TestShardedBrokerProcess:
             # second pass is served from the workers' own caches
             again = sharded.solve_batch(requests)
             assert all(r.cached for r in again)
+
+    def test_snapshot_sums_the_footprint_over_every_process(self):
+        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+            snap = sharded.snapshot()
+        front, workers = snap["process"], [
+            s["process"] for s in snap["per_shard"]]
+        assert len({front["pid"], *(w["pid"] for w in workers)}) == 3
+        assert snap["processes"] == {
+            "count": 3,
+            "max_rss_bytes": (front["max_rss_bytes"]
+                              + sum(w["max_rss_bytes"] for w in workers)),
+            "float_backend_loaded": sum(
+                p["float_backend_loaded"] for p in (front, *workers)),
+        }
+        text = render_prometheus(snap)
+        for label, process in (("front", front), ("0", workers[0]),
+                               ("1", workers[1])):
+            assert (f'repro_process_max_rss_bytes{{shard="{label}"}} '
+                    f'{process["max_rss_bytes"]}\n') in text
+            assert (f'repro_float_backend_loaded{{shard="{label}"}} '
+                    f'{int(process["float_backend_loaded"])}\n') in text
+        json.dumps(snap)
 
     def test_worker_state_stays_hot_across_calls(self):
         g = generators.star(4, master_w=2, worker_w=[1, 2, 3, 4],
@@ -822,6 +858,8 @@ class TestRemoteTcpShards:
                 flags = [p.get("unreachable", False)
                          for p in snap["per_shard"]]
                 assert flags.count(True) == 1
+                # ... and sums the footprint over what still answers
+                assert snap["processes"]["count"] == 2
                 # invalidation fan-out tolerates the dead shard too
                 fig1 = generators.paper_figure1()
                 assert sharded.invalidate_platform(fig1) >= 1
