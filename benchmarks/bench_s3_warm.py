@@ -8,7 +8,7 @@ a wider heterogeneous star:
   pivot phase restarted from the retained optimal basis (latency and
   pivots), asserted ``Fraction``-identical to the cold solve of every
   mutated platform and *strictly cheaper in pivots* in aggregate;
-* ``solve_many`` batching on process shards — one pipe round-trip per
+* ``solve_many`` batching on local shards — one round-trip per
   shard per batch instead of one per request, asserted exact against the
   unsharded broker and strictly fewer IPC round-trips.
 
@@ -191,14 +191,14 @@ def bench_solve_many(smoke: bool) -> dict:
     with Broker(executor="sync") as ref_broker:
         reference = [ref_broker.solve(r).throughput for r in sequence]
 
-    with ShardedBroker(shards=shards, shard_mode="process") as broker:
+    with ShardedBroker(shards=shards) as broker:
         start = time.perf_counter()
         unbatched = [broker.solve(r) for r in sequence]
         unbatched_elapsed = time.perf_counter() - start
         unbatched_ipc = broker.ipc_round_trips
     assert [r.throughput for r in unbatched] == reference
 
-    with ShardedBroker(shards=shards, shard_mode="process") as broker:
+    with ShardedBroker(shards=shards) as broker:
         start = time.perf_counter()
         batched = []
         for lo in range(0, n_requests, batch_size):

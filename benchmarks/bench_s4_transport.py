@@ -1,20 +1,20 @@
-"""S4 — shard transport: TCP vs pipe vs thread, batching, failover.
+"""S4 — shard transport: local vs TCP shards, batching, failover.
 
 The multi-host question: what does putting a shard behind a TCP socket
 cost, and what does the supervision layer buy?  Three measurements over
-one mixed workload (the bench_s1 request pool):
+one mixed workload (the bench_s1 request pool), the broker near-cache
+switched off so that every request crosses the transport:
 
-* **transport comparison** — the same 2-shard ring as ``thread`` shards
-  (in-process), ``pipe`` shards (local worker processes) and ``tcp``
-  shards (real ``shard-serve`` subprocesses), measuring sustained
-  req/s on a hit-heavy steady state plus the per-backend round-trip
-  latency from the broker's own ``transport.*`` metrics.  Every result
-  is asserted ``Fraction``-identical to an unsharded reference broker.
+* **placement comparison** — the same 2-shard ring as ``local`` shards
+  (worker processes on a socketpair) and ``tcp`` shards (real
+  ``shard-serve`` subprocesses): sustained req/s on a hit-heavy steady
+  state at 1 and at 8 requests in flight, plus the round-trip latency
+  from the broker's own ``transport.async`` metric.  Every result is
+  asserted ``Fraction``-identical to an unsharded reference broker.
 
 * **batched dispatch over TCP** — ``solve_batch`` ships each shard its
   whole sub-batch as ONE ``solve_many`` frame; compared with per-item
-  ``solve`` round-trips (the network analogue of the PR 4 pipe-batching
-  win).  Reported as round-trips per request and batched vs unbatched
+  ``solve`` round-trips.  Reported as round-trips per request and batched vs unbatched
   throughput.
 
 * **kill-a-shard failover** — a 2-TCP-shard ring loses one server to
@@ -24,7 +24,7 @@ one mixed workload (the bench_s1 request pool):
   number of requests answered after the kill.  No lost requests is an
   assertion, not an observation.
 
-Asserted shape: all three transports exact; TCP batching strictly fewer
+Asserted shape: both placements exact; TCP batching strictly fewer
 round-trips than per-item dispatch; failover completes the stream.
 Emits ``BENCH_transport.json`` at the repo root.  Run standalone::
 
@@ -43,6 +43,7 @@ import socket
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.service import Broker, ShardedBroker, SolutionCache
@@ -120,45 +121,54 @@ def _assert_exact(results, reference, label: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# 1) transport comparison
+# 1) placement comparison
 # ----------------------------------------------------------------------
-def _sharded_for(transport: str, servers: list) -> ShardedBroker:
-    if transport == "thread":
-        return ShardedBroker(shards=2, shard_mode="thread", workers=1)
-    if transport == "pipe":
-        return ShardedBroker(shards=2, shard_mode="process")
+def _sharded_for(placement: str, servers: list) -> ShardedBroker:
+    if placement == "local":
+        return ShardedBroker(shards=2, near_cache_size=0)
     return ShardedBroker(
         shards=0,
         shard_addresses=[f"127.0.0.1:{port}" for _proc, port in servers],
         health_interval=0,
+        near_cache_size=0,
     )
+
+
+def _timed_pass(sharded: ShardedBroker, sequence: list, reference: dict,
+                in_flight: int, label: str) -> float:
+    """Requests per second over one pass of the (all-hit) sequence."""
+    start = time.perf_counter()
+    if in_flight == 1:
+        results = [sharded.solve(request) for request in sequence]
+    else:
+        with ThreadPoolExecutor(max_workers=in_flight) as callers:
+            results = list(callers.map(sharded.solve, sequence))
+    elapsed = time.perf_counter() - start
+    _assert_exact(results, reference, label)
+    return len(sequence) / elapsed
 
 
 def run_transport_comparison(sequence: list, reference: dict,
                              servers: list) -> list:
     configs = []
-    for transport in ("thread", "pipe", "tcp"):
-        with _sharded_for(transport, servers) as sharded:
+    for placement in ("local", "tcp"):
+        with _sharded_for(placement, servers) as sharded:
             for request in sequence:  # untimed priming pass
                 sharded.solve(request)
-            start = time.perf_counter()
-            results = [sharded.solve(request) for request in sequence]
-            elapsed = time.perf_counter() - start
-            _assert_exact(results, reference, transport)
+            rps_1 = _timed_pass(sharded, sequence, reference, 1, placement)
             endpoints = sharded.snapshot()["metrics"]["endpoints"]
-            # TCP shards ride the multiplexed bridge, metered as "async"
-            kind = "async" if transport == "tcp" else transport
-            rtt = endpoints.get(f"transport.{kind}", {})
+            rtt = endpoints.get("transport.async", {})
+            rps_8 = _timed_pass(sharded, sequence, reference, 8, placement)
             configs.append({
-                "transport": transport,
+                "transport": placement,
                 "shards": 2,
                 "requests": len(sequence),
-                "elapsed_seconds": elapsed,
-                "requests_per_second": len(sequence) / elapsed,
+                "requests_per_second": rps_1,
+                "requests_per_second_8_in_flight": rps_8,
                 "round_trip_p50_ms": (rtt.get("p50_seconds") or 0) * 1e3,
                 "round_trip_p99_ms": (rtt.get("p99_seconds") or 0) * 1e3,
             })
-        if transport == "tcp":
+        if placement == "tcp":
             # the TCP run warmed the servers' caches; restart them so the
             # following sections start from a clean slate
             for index, (process, port) in enumerate(servers):
@@ -174,7 +184,7 @@ def run_tcp_batching(sequence: list, reference: dict, servers: list,
                      batch_size: int) -> dict:
     addresses = [f"127.0.0.1:{port}" for _proc, port in servers]
     with ShardedBroker(shards=0, shard_addresses=addresses,
-                       health_interval=0) as sharded:
+                       health_interval=0, near_cache_size=0) as sharded:
         for request in sequence:
             sharded.solve(request)  # prime
         before = sharded.ipc_round_trips
@@ -216,7 +226,7 @@ def run_tcp_batching(sequence: list, reference: dict, servers: list,
 def run_failover(sequence: list, reference: dict, servers: list) -> dict:
     addresses = [f"127.0.0.1:{port}" for _proc, port in servers]
     with ShardedBroker(shards=0, shard_addresses=addresses,
-                       health_interval=0) as sharded:
+                       health_interval=0, near_cache_size=0) as sharded:
         completed = []
         kill_at = len(sequence) // 3
         killed_pid = None
@@ -267,11 +277,6 @@ def run(smoke: bool = False) -> dict:
         for process, _port in servers:
             stop(process)
 
-    thread_rps = next(c["requests_per_second"] for c in configs
-                      if c["transport"] == "thread")
-    for config in configs:
-        config["rps_vs_thread"] = (config["requests_per_second"]
-                                   / thread_rps)
     return {
         "benchmark": "S4 shard transport",
         "quick": smoke,
@@ -280,7 +285,7 @@ def run(smoke: bool = False) -> dict:
         "tcp_batching": batching,
         "failover": failover,
         "exactness": "all results Fraction-identical to unsharded broker "
-                     "on every transport, including after the kill",
+                     "on both placements, including after the kill",
     }
 
 

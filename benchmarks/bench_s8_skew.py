@@ -43,13 +43,42 @@ import argparse
 import json
 import random
 import time
+from fractions import Fraction
 from pathlib import Path
 
-from repro.service import Broker, ShardedBroker, SolutionCache
+from repro.service import Broker, ShardedBroker, SolutionCache, SolveRequest
 
-from bench_s2_sharding import build_corpus
+from bench_s1_service import _zipf_request_pool
 
 ZIPF_EXPONENT = 1.2  # a scorching head: rank 1 draws ~20% of traffic
+
+
+def _variant(request: SolveRequest, index: int) -> SolveRequest:
+    """A weight-scaled (topology-preserving) variant with a fresh
+    fingerprint; ``index`` makes each variant's scaling distinct."""
+    compute = Fraction(index + 2, index + 3)
+    comm = Fraction(index + 3, index + 4)
+    return SolveRequest(
+        problem=request.problem,
+        platform=request.platform.scale(compute=compute, comm=comm),
+        source=request.source,
+        targets=request.targets,
+        dag=request.dag,
+        options=request.option_dict(),
+    )
+
+
+def build_corpus(size: int) -> list:
+    """The bench_s1 Zipf pool as the hot head + weight variants as the
+    long tail (cheap LP families only, so cold cost stays comparable)."""
+    corpus = list(_zipf_request_pool())
+    bases = [r for r in corpus
+             if r.problem == "master-slave" and len(r.platform.nodes()) <= 8]
+    index = 0
+    while len(corpus) < size:
+        corpus.append(_variant(bases[index % len(bases)], index))
+        index += 1
+    return corpus[:size]
 
 
 def zipf_sequence(corpus: list, n_requests: int, seed: int = 8) -> list:
@@ -86,8 +115,7 @@ def run_config(
     hot_threshold: int,
     heat_capacity: int,
 ) -> dict:
-    with ShardedBroker(shards=shards, shard_mode="thread",
-                       cache_size=cache_size, workers=1,
+    with ShardedBroker(shards=shards, cache_size=cache_size,
                        replication_factor=replication,
                        near_cache_size=near_cache,
                        hot_threshold=hot_threshold,

@@ -303,31 +303,15 @@ def _build_broker(args):
             # fail loudly: the flag would be silently dropped, and
             # "--shards 4 --executor process" reads like process shards
             raise SystemExit(
-                "--executor applies to the unsharded broker only; with "
-                "--shards use --shard-mode thread|process instead"
-            )
-        mode = args.shard_mode or ("process" if addresses else "thread")
-        if addresses and mode == "thread":
-            raise SystemExit(
-                "--shard host:port requires process shards; drop "
-                "--shard-mode thread (local shards run as pipe workers "
-                "beside the remote ones)"
+                "--executor applies to the unsharded broker only; "
+                "every shard is a process of its own"
             )
         from .service.sharding import ShardedBroker
 
         timeout = getattr(args, "shard_timeout", 0) or 0
-        if timeout > 0 and mode == "thread":
-            # fail loudly: thread shards solve in-process, nothing to
-            # time out — the flag would be silently dropped
-            raise SystemExit(
-                "--shard-timeout applies to process/TCP shards only; "
-                "use --shard-mode process (or --shard host:port)"
-            )
         replication = getattr(args, "replication_factor", 1)
         return ShardedBroker(
             shards=shards,
-            shard_mode=mode,
-            workers=args.workers,
             cache_size=args.cache_size,
             ttl=ttl,
             shard_addresses=addresses,
@@ -351,17 +335,33 @@ def _build_broker(args):
         raise SystemExit("--shards 0 needs at least one --shard host:port")
     if getattr(args, "shard_timeout", 0):
         raise SystemExit(
-            "--shard-timeout applies to the sharded broker's transport "
-            "shards only; the unsharded broker solves in-process"
+            "--shard-timeout applies to the sharded broker only; the "
+            "unsharded broker solves in-process"
         )
     cache = SolutionCache(max_size=args.cache_size, ttl=ttl)
     return Broker(cache=cache, workers=args.workers,
                   executor=getattr(args, "executor", None) or "thread")
 
 
-def cmd_serve(args) -> int:
+def _run_until_stopped(amain) -> None:
+    """Run a server coroutine until Ctrl-C or SIGTERM; either unwinds
+    it, so the caller's ``finally`` (closing brokers, stopping shard
+    workers) runs under ``kill`` as it does at a terminal."""
     import asyncio
+    import signal
 
+    async def _main() -> None:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
+        await amain()
+
+    try:
+        asyncio.run(_main())
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        pass
+
+
+def cmd_serve(args) -> int:
     from .service.api import AsyncServiceServer, serve_stdio
     from .service.tracing import TraceStore
 
@@ -379,12 +379,9 @@ def cmd_serve(args) -> int:
     shards = getattr(args, "shards", 1)
     addresses = list(getattr(args, "shard", None) or [])
     if shards > 1 or addresses:
-        mode = getattr(broker, "shard_mode", "thread")
-        layout = f"{shards} local {mode} shards x {args.cache_size} entries"
+        layout = f"{shards} local shards x {args.cache_size} entries"
         if addresses:
             layout += f" + {len(addresses)} remote " + " ".join(addresses)
-        if mode == "thread":  # --workers is per-shard, thread only
-            layout += f", {args.workers} workers/shard"
         if getattr(args, "replication_factor", 1) > 1:
             layout += f", hot-key R={args.replication_factor}"
         near = getattr(args, "near_cache_size", 64)
@@ -403,9 +400,7 @@ def cmd_serve(args) -> int:
         await server.serve_forever()
 
     try:
-        asyncio.run(_amain())
-    except KeyboardInterrupt:
-        pass
+        _run_until_stopped(_amain)
     finally:
         broker.close()
     return 0
@@ -422,8 +417,6 @@ def cmd_shard_serve(args) -> int:
     the loop even while the pool is saturated, and ``--op-deadline``
     answers overdue ops with a typed ``ShardTimeoutError`` reply.
     """
-    import asyncio
-
     from .service.transport import AsyncShardServer
 
     ttl = args.ttl if args.ttl and args.ttl > 0 else None
@@ -446,10 +439,7 @@ def cmd_shard_serve(args) -> int:
               f"{'off' if args.no_incremental else 'on'})", flush=True)
         await server.serve_forever()
 
-    try:
-        asyncio.run(_amain())
-    except KeyboardInterrupt:
-        pass
+    _run_until_stopped(_amain)
     return 0
 
 
@@ -598,32 +588,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-size", type=int, default=256)
     p.add_argument("--ttl", type=float, default=0,
                    help="cache TTL in seconds (0 = no expiry)")
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=4,
+                   help="worker-pool width of the unsharded broker")
     p.add_argument("--executor", choices=["thread", "process", "sync"],
                    default=None,
                    help="worker-pool kind (default thread; unsharded "
                         "broker only — rejected alongside --shards)")
     p.add_argument("--shards", type=int, default=1,
-                   help="independent local broker shards routed by "
-                        "consistent hash of the request fingerprint "
-                        "(1 = unsharded; --cache-size is per shard; 0 is "
-                        "allowed when --shard supplies the whole ring)")
-    p.add_argument("--shard-mode", choices=["thread", "process"],
-                   default=None,
-                   help="local shard placement: in-process brokers "
-                        "(thread, the default) or long-lived worker "
-                        "processes dispatched over the wire codec "
-                        "(process; implied by --shard)")
+                   help="local shards — worker processes, each on a "
+                        "private socketpair — routed by consistent hash "
+                        "of the request fingerprint (1 = unsharded; "
+                        "--cache-size is per shard; 0 is allowed when "
+                        "--shard supplies the whole ring)")
     p.add_argument("--shard", action="append", metavar="HOST:PORT",
                    help="remote shard-serve address to place on the hash "
                         "ring (repeatable; unreachable shards are "
                         "ejected and rejoin automatically)")
     p.add_argument("--shard-timeout", type=float, default=0,
-                   help="per-request shard transport timeout in seconds "
-                        "(0 = wait indefinitely); a local shard that "
-                        "misses it is restarted and the request fails "
-                        "over, a remote shard enforces it server-side "
-                        "and answers promptly")
+                   help="per-request shard budget in seconds (0 = wait "
+                        "indefinitely); the shard enforces it itself and "
+                        "answers a miss promptly, and only a shard that "
+                        "does not answer at all is restarted (local) or "
+                        "ejected (remote)")
     p.add_argument("--replication-factor", type=int, default=1,
                    help="replica count for HOT fingerprints: reads "
                         "rotate over the key's first R live ring "

@@ -10,10 +10,9 @@ convention is mechanical, so it is machine-checked:
 * no raw socket calls (``recv``/``recv_into``/``recvfrom``/``accept``/
   ``sendall``, ``socket.create_connection``) — stream readers/writers
   only;
-* no un-awaited ``.request(...)`` / ``.request_many(...)`` /
-  ``.ping(...)`` — calling a *sync* ``Transport`` from a coroutine
-  blocks the loop on network I/O (the bridge exists for the opposite
-  direction);
+* no un-awaited ``.request(...)`` / ``.ping(...)`` — calling the
+  *sync* bridge transport from a coroutine blocks the loop on network
+  I/O (the bridge exists for the opposite direction);
 * no ``.result()`` — a ``concurrent.futures`` wait parks the loop;
   hand the future to ``asyncio.wrap_future`` or await the executor;
 * no sync ``with <...lock...>:`` — an engine/state lock held across a
@@ -45,7 +44,7 @@ from ..engine import (
 _SCOPE_DIRS = ("repro/service/",)
 _SOCKET_METHODS = frozenset(
     {"recv", "recv_into", "recvfrom", "accept", "sendall"})
-_TRANSPORT_METHODS = frozenset({"request", "request_many", "ping"})
+_TRANSPORT_METHODS = frozenset({"request", "ping"})
 
 
 def _terminal_name(expr: ast.AST) -> str:

@@ -23,16 +23,16 @@ long-running scheduling service that amortises solves across requests:
 * :mod:`~repro.service.metrics` — per-endpoint latency / throughput
   counters exposed through the API;
 * :mod:`~repro.service.transport` + :mod:`~repro.service.wire` — the
-  shard wire protocol: framed-JSON transports with per-request timeouts
-  (local pipe workers, remote TCP shards via ``python -m repro
-  shard-serve``) — :class:`AsyncTcpTransport` multiplexes many
-  in-flight id-tagged requests over one connection,
+  shard wire protocol, one client and one server for every shard:
+  :class:`AsyncTcpTransport` multiplexes many in-flight id-tagged
+  requests over one connection (a TCP dial to ``python -m repro
+  shard-serve``, or a local worker's socketpair),
   :class:`AsyncShardServer` answers pings on the loop, enforces
   server-side op deadlines and coalesces cross-broker solves by
   fingerprint — and the exact JSON result codec they reply with;
 * :mod:`~repro.service.sharding` — :class:`ShardedBroker`: consistent-
-  hash routing over mixed thread / pipe / TCP shards with health
-  supervision (auto-restart, ring ejection/rejoin, failover);
+  hash routing over local worker processes and remote TCP shards with
+  health supervision (auto-restart, ring ejection/rejoin, failover);
 * :mod:`~repro.service.tracing` — request-scoped span trees threaded
   through every layer above (broker, ring, transports, simplex), a
   bounded slow-trace store behind ``GET /traces`` / ``GET /trace/<id>``,
@@ -100,8 +100,6 @@ from .transport import (
     AsyncBridgeTransport,
     AsyncShardServer,
     AsyncTcpTransport,
-    PipeTransport,
-    Transport,
     TransportError,
     TransportTimeout,
     connect_async,
@@ -151,10 +149,8 @@ __all__ = [
     "ShardError",
     "ShardTimeoutError",
     "ShardUnavailableError",
-    "Transport",
     "TransportError",
     "TransportTimeout",
-    "PipeTransport",
     "AsyncTcpTransport",
     "AsyncBridgeTransport",
     "AsyncShardServer",

@@ -123,9 +123,9 @@ def _request_wire(request: SolveRequest) -> Dict[str, Any]:
     """The memoized wire encoding of a request — INTERNAL and read-only.
 
     Memoized on the (frozen) request so re-dispatching the same request
-    object never re-encodes the platform; this is what keeps the
-    process-shard dispatch of :mod:`repro.service.sharding` cheap (its
-    only per-call cost is the pipe's pickle of this dict).  Callers must
+    object never re-encodes the platform; this is what keeps the shard
+    dispatch of :mod:`repro.service.sharding` cheap (its only per-call
+    cost is framing this dict).  Callers must
     never mutate the returned structure — hand external callers
     :func:`request_to_dict` instead.
     """

@@ -256,8 +256,7 @@ class SolveEngine:
     models — and nothing else: no pools, no futures, no coalescing.
     :class:`Broker` wraps one engine with a worker pool and in-flight
     coalescing; :class:`~repro.service.sharding.ShardedBroker` runs N of
-    them side by side, and its process-shard workers host a bare engine
-    behind a pipe.
+    them side by side, each a bare engine behind a shard server.
 
     ``cold_executor``, when given, is called for every cold solve instead
     of the in-process :func:`execute_request` (the process-pool broker

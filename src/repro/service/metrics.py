@@ -180,8 +180,8 @@ def process_snapshot() -> Dict[str, Any]:
     least what its parent held resident at that moment);
     ``float_backend_loaded`` tells whether some request has asked for
     ``"backend": "scipy"`` yet, which is when numpy and scipy arrive.
-    ``pid`` lets a merged view count thread shards, which share their
-    broker's process, once.
+    ``pid`` lets a merged view count a process that holds several ring
+    slots once.
     """
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
@@ -459,8 +459,7 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
 
     processes = distinct_processes(snapshot)
     emit("repro_process_max_rss_bytes", "gauge",
-         "Resident-set high-water mark of each process of the deployment "
-         "(thread shards share the front end's).",
+         "Resident-set high-water mark of each process of the deployment.",
          [({"shard": label}, process["max_rss_bytes"])
           for label, process in processes])
     emit("repro_float_backend_loaded", "gauge",

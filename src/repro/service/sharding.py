@@ -13,33 +13,31 @@ requests always land on the same shard, so sharding never duplicates
 cache entries and per-request results are exactly the single-broker
 results — ``Fraction``-exact.
 
-Three shard placements, mixable on one hash ring:
+Every shard is an :class:`~repro.service.transport.AsyncShardServer`
+reached through the multiplexed id-tagged client
+(:class:`~repro.service.transport.AsyncBridgeTransport`): requests
+travel as the spec wire codec, replies as the exact JSON result codec of
+:mod:`repro.service.wire`, many requests are in flight per connection,
+the shard enforces ``request_timeout`` as a server-side deadline,
+answers pings ahead of queued solves and coalesces identical in-flight
+solves.  Two placements share that one path and mix on one hash ring;
+they differ only in who owns the shard's life:
 
-``thread`` shards
-    Full in-process :class:`~repro.service.broker.Broker`\\ s (worker
-    pool + in-flight coalescing).  Zero serialization; all shards share
-    the GIL, so this mode scales cache/model *capacity*, not CPU.
+local shards (``shards=N``)
+    Worker **processes** this broker spawns, each serving the far end
+    of a private ``socket.socketpair()`` — no listener, no port.  A
+    worker keeps its cache and warm LP models hot across calls, and is
+    **supervised**: one that dies or stops answering is restarted (a
+    fresh process on a fresh socketpair, empty cache) and the request
+    is retried — first on the fresh worker, then on the next ring
+    shard.  Workers exit when the broker closes, and on their own if it
+    dies.
 
-``process`` (pipe) shards
-    Long-lived local worker **processes**, each hosting a bare
-    :class:`~repro.service.broker.SolveEngine` behind a
-    :class:`~repro.service.transport.PipeTransport`.  Requests travel
-    as the spec wire codec, replies as the exact JSON result codec of
-    :mod:`repro.service.wire`; the worker keeps its cache and warm LP
-    models hot across calls.  One IPC round-trip per request, CPU
-    scaling across cores, and **supervision**: a worker that dies or
-    times out is restarted automatically (once per failure) and the
-    request is retried — first on the fresh worker, then on the next
-    ring shard.
-
-``tcp`` (remote) shards
-    ``python -m repro shard-serve --port N`` on any host, placed on the
-    ring via ``shard_addresses=["host:port", ...]`` (CLI: repeated
-    ``--shard host:port``).  Same protocol as the pipe shards, many
-    requests in flight per connection, over an
-    :class:`~repro.service.transport.AsyncBridgeTransport`.  A remote
-    shard that fails or times out is **ejected** from the ring — its keys
-    fail over to the clockwise-next live shard, moving only that
+remote shards (``shard_addresses=["host:port", ...]``)
+    ``python -m repro shard-serve --port N`` on any host (CLI: repeated
+    ``--shard host:port``), possibly shared by several brokers.  One
+    that fails or stops answering is **ejected** from the ring — its
+    keys fail over to the clockwise-next live shard, moving only that
     shard's slice of the keyspace — and a background health probe
     re-admits it when its host returns (after clearing its cache, so
     invalidations it missed during the outage can never resurface).
@@ -50,8 +48,8 @@ shard id; per-request timeouts raise :class:`ShardTimeoutError`; and
 every failure is counted — ``shard_failures`` / ``shard_timeouts`` /
 ``shard_restarts`` / ``failovers`` / ``rejoins`` all surface under
 ``shard_health`` in :meth:`ShardedBroker.snapshot` (and therefore in
-``/metrics``), alongside per-backend transport round-trip latency
-(``transport.pipe`` / ``transport.async`` endpoint timers).
+``/metrics``), alongside transport round-trip latency (the
+``transport.async`` endpoint timer).
 
 :meth:`ShardedBroker.invalidate_platform` fans out to every shard and
 **tolerates outages**: an unreachable shard is ejected and counted, not
@@ -71,6 +69,7 @@ failover cheap and rejoin cheap again.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import multiprocessing
 import threading
@@ -81,7 +80,7 @@ from typing import Any, Dict, Iterable, List, Optional, Set
 
 from ..platform.graph import Platform
 from ..platform.serialization import platform_to_dict
-from .broker import Broker, BrokerError, BrokerResult, SolveRequest
+from .broker import BrokerError, BrokerResult, SolveRequest
 from .cache import HeatSketch, SolutionCache
 from .metrics import (
     MetricsRegistry,
@@ -94,7 +93,8 @@ from .transport import (
     TransportError,
     TransportTimeout,
     connect_async,
-    spawn_pipe_shard,
+    parse_shard_address,
+    spawn_local_shard,
 )
 from .wire import result_from_wire
 
@@ -261,40 +261,50 @@ class HashRing:
 
 
 # ----------------------------------------------------------------------
-# shard handles: one transport + one dispatch queue per shard
+# the shard handle: one transport + one dispatch queue per shard
 # ----------------------------------------------------------------------
-class _TransportShard:
-    """Parent-side handle: a transport, a call lock and a single-thread
-    dispatch queue.
+#: dispatch-queue width: how many of one shard's requests this broker
+#: keeps in flight on the shared connection at once (the shard server
+#: bounds actual engine work with its own solve executor, so this only
+#: caps wire-level concurrency)
+ASYNC_SHARD_WIDTH = 8
 
-    The lock serialises transport use (one request in flight per shard —
-    cross-shard parallelism is the scaling axis, and it also gives each
-    shard a strict solve → invalidate ordering, which keeps fan-out
-    invalidation race-free from the parent's point of view).  The
-    per-shard **own** executor is what prevents head-of-line blocking: a
-    burst of requests hashing to one busy shard queues on *that shard's*
-    thread and can never starve dispatch to idle shards or the
-    introspection fan-outs, which a shared pool would allow.
 
-    ``epoch`` increments on every worker swap (local restart); a caller
-    that saw a failure on epoch *e* only triggers recovery if the shard
-    is still on epoch *e*, so concurrent failures cause one restart, not
-    a stampede.
+class _Shard:
+    """Parent-side handle: a multiplexed transport, a dispatch queue
+    and the supervision counters of one shard.
+
+    ``process`` is the worker a **local** shard owns (spawned here,
+    replaced by :meth:`restart`); it is ``None`` for a **remote** shard,
+    whose life belongs to its operator — we supervise only its ring
+    membership (``ejected``).  Nothing else differs between the two.
+
+    Calls do not serialise on the lock: the transport is thread-safe
+    and pairs replies to requests by id, so many of this broker's
+    threads keep requests in flight on one connection.  The lock guards
+    the counters, the worker swap and the prober's rejoin handshake.
+    The per-shard **own** executor is what prevents head-of-line
+    blocking: a burst of requests hashing to one busy shard queues on
+    *that shard's* threads and can never starve dispatch to idle shards
+    or the introspection fan-outs, which a shared pool would allow.
+
+    ``epoch`` increments on every worker swap; a caller that saw a
+    failure on epoch *e* only triggers recovery if the shard is still
+    on epoch *e*, so concurrent failures cause one restart, not a
+    stampede.
     """
 
-    restartable = False
-    #: True when the transport multiplexes many in-flight requests on
-    #: one connection (calls then bypass the serialising lock and the
-    #: dispatch queue gets real width)
-    muxed = False
-
-    def __init__(self, index: int, transport,
-                 queue_width: int = 1) -> None:
+    def __init__(self, index: int, address: Optional[str] = None,
+                 spawn=None) -> None:
         self.index = index
-        self.transport = transport
+        self._spawn = spawn
+        if spawn is not None:
+            self.process, self.transport = spawn()
+        else:
+            self.process, self.transport = None, connect_async(address)
         self.lock = threading.Lock()
         self.executor = ThreadPoolExecutor(
-            max_workers=max(1, queue_width),
+            max_workers=ASYNC_SHARD_WIDTH,
             thread_name_prefix=f"repro-shard-{index}",
         )
         # transport round-trips (one request+reply pair)
@@ -313,31 +323,66 @@ class _TransportShard:
     def active(self) -> bool:
         return not (self.ejected or self.dead)
 
+    @property
+    def address(self) -> str:
+        if self.process is not None:
+            return f"local://pid={self.process.pid}"
+        return self.transport.address
+
     def call(self, msg: Dict[str, Any],
              timeout: Optional[float] = None) -> Dict[str, Any]:
-        """One locked round-trip; worker-side errors become exceptions."""
+        """One round-trip; worker-side errors become exceptions."""
         with self.lock:
             self.calls += 1
-            reply = self.transport.request(msg, timeout=timeout)
+            transport = self.transport
+        # the round-trip happens OUTSIDE the lock — that is the whole
+        # point of the multiplexed transport
+        reply = transport.request(msg, timeout=timeout)
         if not reply.get("ok"):
             raise _raise_worker_error(reply, shard=self.index)
         return reply
 
+    def _reap(self, grace: float) -> None:
+        """Close the channel and make sure the worker is gone."""
+        self.transport.close()  # EOF: a healthy worker exits on it
+        self.process.join(timeout=grace)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=grace)
+            if self.process.is_alive():  # pragma: no cover — last resort
+                self.process.kill()
+                self.process.join(timeout=grace)
+
     def restart(self, expected_epoch: int) -> bool:
-        """Swap in a fresh worker; returns whether the shard is usable.
-        Base shards (remote) cannot restart."""
-        raise NotImplementedError
+        """Swap in a fresh worker on a fresh socketpair (local shards
+        only); returns whether the shard is usable."""
+        with self.lock:
+            if self.epoch != expected_epoch:
+                return not self.dead  # another thread already recovered
+            try:
+                # the worker is dead or wedged: no grace worth giving
+                self._reap(grace=0.2)
+            except Exception:  # noqa: BLE001 — already beyond saving
+                pass
+            try:
+                self.process, self.transport = self._spawn()
+            except Exception:  # noqa: BLE001 — respawn failed: shard dead
+                self.dead = True
+                return False
+            self.epoch += 1
+            self.restarts += 1
+            return True
 
     def health(self) -> Dict[str, Any]:
         return {
             "shard": self.index,
             "kind": self.transport.kind,
-            "address": self.transport.address,
+            "address": self.address,
             "active": self.active,
             "ejected": self.ejected,
             "dead": self.dead,
             # GIL-atomic int reads; taking self.lock here would block
-            # the health probe behind an in-flight solve
+            # the health probe behind a worker swap
             "calls": self.calls,  # repro-lint: allow(locks)
             "failures": self.failures,
             "timeouts": self.timeouts,
@@ -346,91 +391,16 @@ class _TransportShard:
 
     def stop(self, timeout: float = 5.0) -> None:
         self.executor.shutdown(wait=True)  # drain queued dispatches first
-        self.transport.close()
-
-
-class _LocalShard(_TransportShard):
-    """A pipe shard: worker process spawned (and respawned) by us."""
-
-    restartable = True
-
-    def __init__(self, index: int, ctx, cache_size: int,
-                 ttl: Optional[float], incremental: bool) -> None:
-        self._ctx = ctx
-        self._cache_size = cache_size
-        self._ttl = ttl
-        self._incremental = incremental
-        super().__init__(
-            index, spawn_pipe_shard(ctx, cache_size, ttl, incremental)
-        )
-
-    @property
-    def process(self):
-        return self.transport.process
-
-    def restart(self, expected_epoch: int) -> bool:
-        with self.lock:
-            if self.epoch != expected_epoch:
-                return not self.dead  # another thread already recovered
-            old = self.transport
-            try:
-                # the worker is dead or wedged: skip the stop handshake's
-                # grace and terminate straight away
-                old.close(stop_timeout=0.2)
-            except Exception:  # noqa: BLE001 — already beyond saving
-                pass
-            try:
-                self.transport = spawn_pipe_shard(
-                    self._ctx, self._cache_size, self._ttl,
-                    self._incremental,
-                )
-            except Exception:  # noqa: BLE001 — respawn failed: shard dead
-                self.dead = True
-                return False
-            self.epoch += 1
-            self.restarts += 1
-            return True
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self.executor.shutdown(wait=True)
-        self.transport.close(stop_timeout=timeout)
-
-
-#: dispatch-queue width for a multiplexed shard: how many of one
-#: shard's requests this broker keeps in flight on the shared
-#: connection at once (the shard server bounds actual engine work with
-#: its own solve executor, so this only caps wire-level concurrency)
-ASYNC_SHARD_WIDTH = 8
-
-
-class _AsyncRemoteShard(_TransportShard):
-    """A TCP shard on another host, reached over the multiplexed async
-    bridge; we supervise membership, not life.
-
-    Calls do **not** serialise on the shard lock: the bridge transport
-    is thread-safe and demultiplexes replies by request id, so many of
-    this broker's threads keep requests in flight on one connection
-    concurrently.  The lock still guards the counters and the health
-    prober's rejoin handshake.
-    """
-
-    muxed = True
-
-    def __init__(self, index: int, address: str,
-                 connect_timeout: float = 5.0) -> None:
-        super().__init__(index, connect_async(address, connect_timeout),
-                         queue_width=ASYNC_SHARD_WIDTH)
-
-    def call(self, msg: Dict[str, Any],
-             timeout: Optional[float] = None) -> Dict[str, Any]:
-        with self.lock:
-            self.calls += 1
-        # the round-trip happens OUTSIDE the lock — that is the whole
-        # point of the multiplexed transport
-        reply = self.transport.request(msg, timeout=timeout)
-        if not reply.get("ok"):
-            raise _raise_worker_error(reply, shard=self.index)
-        return reply
+        if self.process is None:
+            self.transport.close()
+            return
+        try:
+            # closing our end is an EOF only once no sibling worker
+            # holds a forked copy of it; the handshake does not wait
+            self.transport.request({"op": "stop"}, timeout=timeout)
+        except TransportError:
+            pass
+        self._reap(grace=timeout)
 
 
 # ----------------------------------------------------------------------
@@ -504,10 +474,10 @@ class _HotContext:
     replicas: Optional[List[int]] = None
     #: the replica chosen to serve this request (rotation over replicas)
     target: Optional[int] = None
-    #: shard id -> that replica's cache generation at solve start; in
-    #: transport mode a monotone lower bound learned from shard replies
-    #: (an entry may be absent when nothing was learned yet — the put is
-    #: then skipped shard-side and the reply seeds the bound)
+    #: shard id -> that replica's cache generation at solve start: a
+    #: monotone lower bound learned from shard replies (``None`` when
+    #: nothing was learned yet — the put is then skipped shard-side and
+    #: the reply seeds the bound)
     generations: Dict[int, Optional[int]] = field(default_factory=dict)
     near_generation: Optional[int] = None
 
@@ -523,17 +493,9 @@ class ShardedBroker:
     Parameters
     ----------
     shards:
-        Number of **local** shards (>= 1 without remote addresses; may
-        be 0 when ``shard_addresses`` supplies the whole ring).
-    shard_mode:
-        ``"thread"`` — in-process :class:`Broker` per shard (coalescing
-        kept, zero serialization, shared GIL); ``"process"`` — one
-        long-lived pipe worker per local shard, wire-codec dispatch.
-        Defaults to ``"thread"``, or ``"process"`` when remote
-        addresses are given (remote shards require the transport path,
-        so local shards beside them run as pipe workers).
-    workers:
-        Thread-pool width *per shard* (thread mode only).
+        Number of **local** shards — worker processes this broker
+        spawns, supervises and stops (>= 1 without remote addresses;
+        may be 0 when ``shard_addresses`` supplies the whole ring).
     cache_size / ttl:
         Per-shard :class:`SolutionCache` budget for local shards; the
         aggregate capacity is ``shards * cache_size`` plus whatever the
@@ -544,7 +506,7 @@ class ShardedBroker:
     replicas:
         Virtual ring points per shard (routing smoothness).
     mp_start_method:
-        Override the multiprocessing start method for local pipe shards
+        Override the multiprocessing start method for local shards
         (``"fork"``/``"spawn"``/``"forkserver"``; default: platform
         default).
     shard_addresses:
@@ -553,13 +515,12 @@ class ShardedBroker:
     request_timeout:
         Per-request transport timeout in seconds (``None`` — the
         default — waits indefinitely, like the unsharded broker).  A
-        local pipe shard that misses it is restarted and the request
-        fails over.  A remote shard receives the budget as a
-        server-side deadline: it answers a miss itself, promptly, and
-        stays on the ring instead of being ejected for being busy;
-        only a shard that does not answer at all (the budget plus a
-        grace) is ejected.  Pick a budget above the worst-case cold
-        solve.
+        shard receives the budget as a server-side deadline: it
+        answers a miss itself, promptly, and stays on the ring with its
+        cache warm instead of being punished for being busy; only a
+        shard that does not answer at all (the budget plus a grace) is
+        restarted (local) or ejected (remote).  Pick a budget above the
+        worst-case cold solve.
     health_interval:
         Seconds between background health probes.  ``None`` picks the
         default: 5 s when remote shards are present (they cannot rejoin
@@ -567,7 +528,7 @@ class ShardedBroker:
         explicitly.  Local-shard restart and remote ejection also
         happen reactively on request failures, prober or not.
     async_transport:
-        Selects nothing: remote shards always ride the multiplexed
+        Selects nothing: every shard rides the multiplexed
         :class:`~repro.service.transport.AsyncBridgeTransport`, and
         ``False`` raises :class:`ValueError`.
     replication_factor:
@@ -600,8 +561,6 @@ class ShardedBroker:
     def __init__(
         self,
         shards: int = 2,
-        shard_mode: Optional[str] = None,
-        workers: int = 2,
         cache_size: int = 256,
         ttl: Optional[float] = None,
         incremental: bool = True,
@@ -620,31 +579,14 @@ class ShardedBroker:
         addresses = list(shard_addresses or [])
         if not async_transport:
             raise ValueError(
-                "remote shards always use the multiplexed async "
-                "transport; async_transport=False selects nothing"
+                "shards always use the multiplexed async transport; "
+                "async_transport=False selects nothing"
             )
-        if shard_mode is None:
-            shard_mode = "process" if addresses else "thread"
-        if shard_mode not in ("thread", "process"):
-            raise ValueError("shard_mode must be 'thread' or 'process'")
-        if addresses and shard_mode == "thread":
-            raise ValueError(
-                "remote shard addresses require shard_mode='process' "
-                "(local shards run as pipe workers beside them)"
-            )
-        if shard_mode == "thread" and request_timeout:
-            # fail loudly: thread shards solve in-process with no channel
-            # to time out, so the flag would silently buy no protection
-            raise ValueError(
-                "request_timeout applies to transport shards only; "
-                "thread-mode shards solve in-process and cannot be "
-                "timed out"
-            )
+        for address in addresses:
+            parse_shard_address(address)  # refuse before spawning anything
         local_count = int(shards)
         if local_count < 0:
             raise ValueError("shards must be >= 0")
-        self.shard_mode = shard_mode
-        self.workers = max(1, int(workers))
         self.ring = HashRing(local_count + len(addresses),
                              replicas=replicas)
         self.metrics = MetricsRegistry()  # front-door ops + transport RTT
@@ -689,35 +631,28 @@ class ShardedBroker:
         self._known_gens: Dict[int, int] = {}  # guarded-by: _rep_lock
         # in-flight replica put dispatches (drained by flush_replication)
         self._put_futures: Set[Future] = set()  # guarded-by: _rep_lock
-        self._thread_shards: List[Broker] = []
-        self._transport_shards: List[_TransportShard] = []
-        if shard_mode == "thread":
-            self._thread_shards = [
-                Broker(
-                    cache=SolutionCache(max_size=cache_size, ttl=ttl),
-                    workers=self.workers,
-                    executor="thread",
-                    incremental=incremental,
-                )
-                for _ in range(self.ring.shards)
-            ]
-        else:
-            ctx = (multiprocessing.get_context(mp_start_method)
-                   if mp_start_method else multiprocessing.get_context())
-            self._transport_shards = [
-                _LocalShard(index, ctx, cache_size, ttl, incremental)
-                for index in range(local_count)
-            ] + [
-                _AsyncRemoteShard(local_count + offset, address)
-                for offset, address in enumerate(addresses)
-            ]
+        ctx = (multiprocessing.get_context(mp_start_method)
+               if mp_start_method else multiprocessing.get_context())
+        spawn = functools.partial(spawn_local_shard, ctx, cache_size, ttl,
+                                  incremental)
+        self._shards: List[_Shard] = []
+        try:
+            for index in range(local_count):
+                self._shards.append(_Shard(index, spawn=spawn))
+            for address in addresses:
+                self._shards.append(_Shard(len(self._shards),
+                                           address=address))
+        except BaseException:
+            for shard in self._shards:  # stop whatever did start
+                shard.stop()
+            raise
         if health_interval is None:
             health_interval = 5.0 if addresses else 0.0
         self.health_interval = (health_interval
                                 if health_interval > 0 else None)
         self._stop_event = threading.Event()
         self._health_thread: Optional[threading.Thread] = None
-        if self._transport_shards and self.health_interval:
+        if self.health_interval:
             self._health_thread = threading.Thread(
                 target=self._health_loop,
                 name="repro-shard-health",
@@ -737,9 +672,9 @@ class ShardedBroker:
 
     @property
     def ipc_round_trips(self) -> int:
-        """Total transport round-trips across all pipe/TCP shards (0 in
-        thread mode) — what ``solve_many`` batching is measured by."""
-        return sum(shard.calls for shard in self._transport_shards)
+        """Total transport round-trips across all shards — what
+        ``solve_many`` batching is measured by."""
+        return sum(shard.calls for shard in self._shards)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -751,9 +686,7 @@ class ShardedBroker:
         self._stop_event.set()
         if self._health_thread is not None:
             self._health_thread.join(timeout=10.0)
-        for broker in self._thread_shards:
-            broker.close()
-        for shard in self._transport_shards:
+        for shard in self._shards:
             shard.stop()
 
     def __enter__(self) -> "ShardedBroker":
@@ -765,7 +698,7 @@ class ShardedBroker:
     # ------------------------------------------------------------------
     # transport dispatch: metered calls, recovery, ring failover
     # ------------------------------------------------------------------
-    def _shard_call(self, shard: _TransportShard,
+    def _shard_call(self, shard: _Shard,
                     msg: Dict[str, Any]) -> Dict[str, Any]:
         """One metered call; transport failures trigger recovery and
         re-raise as typed :class:`ShardUnavailableError`\\ s."""
@@ -779,16 +712,15 @@ class ShardedBroker:
             # deterministically "time out" a healthy shard and wipe its
             # warm state
             timeout *= max(1, len(msg.get("items", ())))
-        if timeout is not None and shard.muxed:
-            # multiplexed shard: ship the budget as a server-side
-            # deadline and wait a little longer client-side, so the
-            # *shard* answers the deadline miss (promptly, channel
-            # intact) rather than this end guessing and abandoning a
-            # healthy connection
+        if timeout is not None:
+            # ship the budget as a server-side deadline and wait a
+            # little longer client-side, so the *shard* answers the
+            # deadline miss (promptly, channel intact) rather than this
+            # end guessing and abandoning a healthy connection
             msg = {**msg, "deadline": timeout}
             timeout = timeout + max(1.0, timeout * 0.5)
         with span(endpoint, shard=shard.index,
-                  address=shard.transport.address,
+                  address=shard.address,
                   op=msg.get("op")) as sp:
             start = time.perf_counter()
             try:
@@ -803,7 +735,7 @@ class ShardedBroker:
                     shard.timeouts += 1
                 log_event("shard.deadline", shard=shard.index,
                           kind=shard.transport.kind,
-                          address=shard.transport.address,
+                          address=shard.address,
                           op=msg.get("op"))
                 raise
             except TransportTimeout as exc:
@@ -811,7 +743,7 @@ class ShardedBroker:
                                      error=True)
                 self._note_transport_failure(shard, epoch, timeout=True)
                 raise ShardTimeoutError(
-                    f"shard {shard.index} ({shard.transport.address}): "
+                    f"shard {shard.index} ({shard.address}): "
                     f"{exc}",
                     shard=shard.index,
                 ) from exc
@@ -820,7 +752,7 @@ class ShardedBroker:
                                      error=True)
                 self._note_transport_failure(shard, epoch)
                 raise ShardUnavailableError(
-                    f"shard {shard.index} ({shard.transport.address}): "
+                    f"shard {shard.index} ({shard.address}): "
                     f"{exc}",
                     shard=shard.index,
                 ) from exc
@@ -842,7 +774,7 @@ class ShardedBroker:
                         graft_remote(sp, item_trace.get("spans", []), rtt)
             return reply
 
-    def _note_transport_failure(self, shard: _TransportShard, epoch: int,
+    def _note_transport_failure(self, shard: _Shard, epoch: int,
                                 timeout: bool = False) -> None:
         """Count one failure and recover the shard: local shards get one
         automatic restart, remote shards are ejected until the health
@@ -853,17 +785,17 @@ class ShardedBroker:
                 shard.timeouts += 1
         log_event("shard.timeout" if timeout else "shard.failure",
                   shard=shard.index, kind=shard.transport.kind,
-                  address=shard.transport.address)
-        if shard.restartable:
+                  address=shard.address)
+        if shard.process is not None:
             usable = shard.restart(epoch)  # marks dead if respawn fails
             log_event("shard.restart", shard=shard.index, usable=usable)
         else:
             shard.ejected = True
             log_event("shard.eject", shard=shard.index,
-                      address=shard.transport.address)
+                      address=shard.address)
 
     def _inactive_ids(self) -> set:
-        return {s.index for s in self._transport_shards if not s.active}
+        return {s.index for s in self._shards if not s.active}
 
     # ------------------------------------------------------------------
     # hot-key machinery: heat, near-cache, replica fan-out
@@ -931,17 +863,11 @@ class ShardedBroker:
             if len(replica_ids) > 1:
                 ctx.replicas = replica_ids
                 ctx.target = replica_ids[count % len(replica_ids)]
-                if self._thread_shards:
+                with self._rep_lock:
                     ctx.generations = {
-                        sid: self._thread_shards[sid].cache.generation
+                        sid: self._known_gens.get(sid)
                         for sid in replica_ids
                     }
-                else:
-                    with self._rep_lock:
-                        ctx.generations = {
-                            sid: self._known_gens.get(sid)
-                            for sid in replica_ids
-                        }
         if self._near_cache is not None:
             ctx.near_generation = self._near_cache.generation
         return ctx
@@ -954,17 +880,17 @@ class ShardedBroker:
 
     def _propagate(self, request: SolveRequest, fp: str,
                    result: BrokerResult, ctx: Optional[_HotContext],
-                   wire_result: Optional[Dict[str, Any]] = None,
+                   wire_result: Dict[str, Any],
                    entry_sink: Optional[
                        Dict[int, List[Dict[str, Any]]]] = None) -> None:
         """Fan a hot solution out: near-cache admission plus writes to
         the replicas that missed it, each put guarded by the generation
         captured at solve start (:class:`_HotContext`).
 
-        ``entry_sink`` (transport mode) collects the put entries instead
-        of dispatching them, so a batch fans all its hot keys to a shard
-        in ONE round-trip — the ``solve_many`` batching discipline
-        applied to replication.
+        ``entry_sink`` collects the put entries instead of dispatching
+        them, so a batch fans all its hot keys to a shard in ONE
+        round-trip — the ``solve_many`` batching discipline applied to
+        replication.
         """
         if ctx is None:
             return
@@ -975,33 +901,6 @@ class ShardedBroker:
                      generation=ctx.near_generation)
         if not ctx.replicas:
             return
-        if self._thread_shards:
-            with span("ring.replicate", fingerprint=fp[:12],
-                      replicas=len(ctx.replicas)):
-                for sid in ctx.replicas:
-                    if sid == ctx.target:
-                        continue
-                    gen = ctx.generations.get(sid)
-                    if gen is None:
-                        # no captured generation — an unguarded put could
-                        # land stale, so it must not happen
-                        with self._rep_lock:
-                            self.replica_put_rejects += 1
-                        continue
-                    cache = self._thread_shards[sid].cache
-                    if cache.peek(fp) is not None:
-                        continue
-                    stored = cache.put(fp, result.solution, request.platform,
-                                       schedule=result.schedule,
-                                       generation=gen)
-                    with self._rep_lock:
-                        if stored is not None:
-                            self.replicated_puts += 1
-                        else:
-                            self.replica_put_rejects += 1
-            return
-        if wire_result is None:
-            return  # failover re-dispatch path: nothing to fan out
         entries_by_shard: Dict[int, List[Dict[str, Any]]] = (
             {} if entry_sink is None else entry_sink
         )
@@ -1025,7 +924,7 @@ class ShardedBroker:
         went to the caller), drainable via :meth:`flush_replication`."""
         parent = current_span()
         for sid, entries in entries_by_shard.items():
-            shard = self._transport_shards[sid]
+            shard = self._shards[sid]
             if not shard.active:
                 with self._rep_lock:
                     self.replica_put_rejects += len(entries)
@@ -1040,7 +939,7 @@ class ShardedBroker:
         with self._rep_lock:
             self._put_futures.discard(fut)
 
-    def _run_put(self, shard: _TransportShard,
+    def _run_put(self, shard: _Shard,
                  entries: List[Dict[str, Any]], parent) -> None:
         with activate(parent):
             with span("ring.replicate", shard=shard.index,
@@ -1093,7 +992,7 @@ class ShardedBroker:
                     raise first_error or ShardError(
                         "no shards available (all ejected or dead)"
                     )
-            shard = self._transport_shards[shard_id]
+            shard = self._shards[shard_id]
             retried_fresh_worker = False
             while True:
                 try:
@@ -1107,7 +1006,7 @@ class ShardedBroker:
                         raise
                     if first_error is None:
                         first_error = exc
-                    if (shard.restartable and shard.active
+                    if (shard.process is not None and shard.active
                             and not retried_fresh_worker):
                         # the failure handler just swapped in a fresh
                         # worker — the request gets one try on it
@@ -1141,29 +1040,17 @@ class ShardedBroker:
         near = self._near_lookup(request, fp)
         if near is not None:
             return near
-        ctx = self._hot_context(fp, count)
-        if self._thread_shards:
-            if ctx is not None and ctx.replicas:
-                shard_id = ctx.target
-            else:
-                shard_id = self.ring.route(fp)
-            self._count_replica_read(ctx)
-            with span("shard.solve", shard=shard_id, mode="thread"):
-                result = self._thread_shards[shard_id].solve(request)
-            self._propagate(request, fp, result, ctx)
-            return result
-        return self._transport_solve(request, fp, ctx)
+        return self._transport_solve(request, fp,
+                                     self._hot_context(fp, count))
 
     def submit(self, request: SolveRequest) -> "Future[BrokerResult]":
         """Asynchronous solve on the owning shard.
 
-        Thread mode keeps the shard broker's in-flight coalescing:
-        identical concurrent requests always route to the same shard, so
-        they still share one LP (a hot key's rotation step changes the
-        target only every ``len(replicas)`` lookups, and the replicas
-        serve repeats from their own caches).  Transport mode serialises
-        per shard (the channel), so a duplicate behind an in-flight twin
-        resolves as a cache hit instead.
+        Identical concurrent requests route to the same shard and share
+        its connection, so the shard coalesces them onto one engine run
+        (a hot key's rotation step changes the target only every
+        ``len(replicas)`` lookups, and the replicas serve repeats from
+        their own caches).
         """
         fp = request.fingerprint()
         count = self._record_heat(fp)
@@ -1173,37 +1060,12 @@ class ShardedBroker:
             done.set_result(near)
             return done
         ctx = self._hot_context(fp, count)
-        if self._thread_shards:
-            if ctx is not None and ctx.replicas:
-                shard_id = ctx.target
-            else:
-                shard_id = self.ring.route(fp)
-            self._count_replica_read(ctx)
-            fut = self._thread_shards[shard_id].submit(request)
-            if ctx is not None:
-                fut.add_done_callback(
-                    lambda f: self._propagate_future(request, fp, ctx, f))
-            return fut
-        shard = self._transport_shards[self._queue_shard_id(fp, ctx)]
+        shard = self._shards[self._queue_shard_id(fp, ctx)]
         # the caller's span must follow the request onto the shard's
         # dispatch thread (where the transport span is opened)
         parent = current_span()
         return shard.executor.submit(self._dispatch_solve, request, fp,
                                      parent, ctx)
-
-    def _propagate_future(self, request: SolveRequest, fp: str,
-                          ctx: _HotContext,
-                          fut: "Future[BrokerResult]") -> None:
-        """Fan out a hot async solve once it lands (runs on the shard's
-        worker thread; put failures must never surface to the waiter)."""
-        try:
-            result = fut.result()
-        except Exception:  # noqa: BLE001 — the solve failed; caller sees it
-            return
-        try:
-            self._propagate(request, fp, result, ctx)
-        except Exception:  # noqa: BLE001 — replication is best-effort
-            pass
 
     def _dispatch_solve(self, request: SolveRequest, fp: str, parent,
                         ctx: Optional[_HotContext] = None) -> BrokerResult:
@@ -1247,10 +1109,10 @@ class ShardedBroker:
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
         """Fan a mixed batch out across shards; order preserved.
 
-        Transport shards receive ONE ``solve_many`` message per shard
-        (the whole sub-batch crosses in a single round-trip instead of
-        one per request — the IPC/network cost that dominates hit-heavy
-        workloads); thread shards keep the in-process submit path.  A
+        Each shard receives ONE ``solve_many`` message (the whole
+        sub-batch crosses in a single round-trip instead of one per
+        request — the IPC/network cost that dominates hit-heavy
+        workloads).  A
         sub-batch whose shard dies mid-call fails over: its requests are
         re-dispatched individually through the ring, so a killed shard
         loses no requests.  As with
@@ -1259,12 +1121,9 @@ class ShardedBroker:
         error isolation submit individually.
         """
         with self.metrics.timer("solve.batch"):
-            if self._thread_shards:
-                futures = [self.submit(request) for request in requests]
-                return [fut.result() for fut in futures]
             return self._transport_solve_batch(requests)
 
-    def _dispatch_call(self, shard: _TransportShard, msg: Dict[str, Any],
+    def _dispatch_call(self, shard: _Shard, msg: Dict[str, Any],
                        parent) -> Dict[str, Any]:
         with activate(parent):
             return self._shard_call(shard, msg)
@@ -1301,9 +1160,9 @@ class ShardedBroker:
         # one solve_many per shard, dispatched through the shard's own
         # queue (ordered with its other work), all shards in parallel
         futures = {
-            shard_id: self._transport_shards[shard_id].executor.submit(
+            shard_id: self._shards[shard_id].executor.submit(
                 self._dispatch_call,
-                self._transport_shards[shard_id],
+                self._shards[shard_id],
                 {
                     "op": "solve_many",
                     "items": [
@@ -1379,9 +1238,6 @@ class ShardedBroker:
         """
         if self._near_cache is not None:
             self._near_cache.invalidate_platform(platform)
-        if self._thread_shards:
-            return sum(broker.invalidate_platform(platform)
-                       for broker in self._thread_shards)
         encoded = platform_to_dict(platform)
         return sum(
             reply["removed"]
@@ -1401,29 +1257,25 @@ class ShardedBroker:
         """
         if self._near_cache is not None:
             self._near_cache.clear()
-        if self._thread_shards:
-            return sum(broker.cache.clear()
-                       for broker in self._thread_shards)
         return sum(reply["cleared"]
                    for _shard, reply in self._fanout({"op": "clear"})
                    if reply is not None)
 
     def _fanout(self, msg: Dict[str, Any]):
-        """Send one op to every *live* transport shard concurrently,
-        ahead of each shard's queued solves.
+        """Send one op to every *live* shard concurrently, ahead of
+        each shard's queued solves.
 
-        Transient threads contend on the shard locks directly rather
-        than joining the per-shard dispatch queues, so a metrics scrape
-        or an invalidation waits for (roughly) one in-flight call per
-        shard — not for a deep solve backlog to drain — and the shards
-        are visited in parallel, so the total wait is the slowest
-        shard's, not the sum.  Returns ``(shard, reply-or-None)`` pairs
+        Transient threads call the shards directly rather than joining
+        the per-shard dispatch queues, so a metrics scrape or an
+        invalidation does not wait for a deep solve backlog to drain —
+        and the shards are visited in parallel, so the total wait is
+        the slowest shard's, not the sum.  Returns ``(shard, reply-or-None)`` pairs
         in shard-id order; ``None`` marks a shard that failed at the
         transport level mid-fan-out (recovery already ran — it was
         restarted or ejected).  Worker-*reported* errors still raise:
         the shard is alive, the request itself is at fault.
         """
-        shards = [s for s in self._transport_shards if s.active]
+        shards = [s for s in self._shards if s.active]
         if not shards:
             return []
         with ThreadPoolExecutor(
@@ -1444,15 +1296,11 @@ class ShardedBroker:
     def shard_snapshots(self) -> List[Optional[Dict[str, Any]]]:
         """Per-shard engine snapshots (``cache`` / ``metrics`` /
         ``incremental``), in shard-id order; ``None`` for shards that
-        are ejected, dead, or failed mid-scrape (transport shards are
-        queried concurrently — see :meth:`_fanout`)."""
-        if self._thread_shards:
-            # keys ride along so merged snapshots can deduplicate
-            # replicated entries (transport shards do the same server-side)
-            return [broker.engine.snapshot(include_keys=True)
-                    for broker in self._thread_shards]
+        are ejected, dead, or failed mid-scrape (the shards are queried
+        concurrently — see :meth:`_fanout`).  Cache key lists ride along
+        so merged snapshots can deduplicate replicated entries."""
         snaps: List[Optional[Dict[str, Any]]] = (
-            [None] * len(self._transport_shards)
+            [None] * len(self._shards)
         )
         for shard, reply in self._fanout({"op": "snapshot"}):
             if reply is not None:
@@ -1464,15 +1312,15 @@ class ShardedBroker:
         with self._health_lock:
             out: Dict[str, Any] = {
                 "shard_failures": sum(s.failures
-                                      for s in self._transport_shards),
+                                      for s in self._shards),
                 "shard_timeouts": sum(s.timeouts
-                                      for s in self._transport_shards),
+                                      for s in self._shards),
                 "shard_restarts": sum(s.restarts
-                                      for s in self._transport_shards),
+                                      for s in self._shards),
                 "failovers": self.failovers,
                 "rejoins": self.rejoins,
             }
-        out["shards"] = [s.health() for s in self._transport_shards]
+        out["shards"] = [s.health() for s in self._shards]
         return out
 
     def snapshot(self) -> Dict[str, Any]:
@@ -1482,7 +1330,6 @@ class ShardedBroker:
         per-shard breakdown (unreachable shards flagged, not omitted)."""
         shard_snaps = self.shard_snapshots()
         present = [s for s in shard_snaps if s is not None]
-        coalesced = sum(b.coalesced for b in self._thread_shards)
         # the front-door registry's uptime is the service's routing age;
         # remote shards start/restart/rejoin at their own times, so their
         # uptimes must not dilate the derived requests/sec
@@ -1493,7 +1340,7 @@ class ShardedBroker:
         per_shard = []
         for idx, s in enumerate(shard_snaps):
             if s is None:
-                shard = self._transport_shards[idx]
+                shard = self._shards[idx]
                 per_shard.append({"shard": idx, "unreachable": True,
                                   **shard.health()})
                 continue
@@ -1513,11 +1360,8 @@ class ShardedBroker:
                 **({"async": s["async"]} if "async" in s else {}),
             })
         out: Dict[str, Any] = {
-            "executor": f"sharded-{self.shard_mode}",
+            "executor": "sharded",
             "shards": self.shards,
-            "shard_mode": self.shard_mode,
-            "workers": self.workers,
-            "coalesced": coalesced,
             # solves coalesced ON the shards across all their brokers
             # (this broker's view is whatever its shards report)
             "shard_coalesced": sum(
@@ -1531,8 +1375,8 @@ class ShardedBroker:
             "per_shard": per_shard,
             "replication": self._replication_snapshot(per_shard),
         }
-        # the deployment's footprint: thread shards live in this process
-        # and count once, pipe and TCP shards each add their own
+        # the deployment's footprint: this process plus one per shard
+        # (a shard server shared by several ring slots counts once)
         processes = [p for _label, p in distinct_processes(out)]
         out["processes"] = {
             "count": len(processes),
@@ -1598,7 +1442,7 @@ class ShardedBroker:
     # ------------------------------------------------------------------
     def _health_loop(self) -> None:
         while not self._stop_event.wait(self.health_interval):
-            for shard in self._transport_shards:
+            for shard in self._shards:
                 if self._closed:
                     return
                 try:
@@ -1606,7 +1450,7 @@ class ShardedBroker:
                 except Exception:  # noqa: BLE001 — the prober must live
                     pass
 
-    def _health_check(self, shard: _TransportShard) -> None:
+    def _health_check(self, shard: _Shard) -> None:
         if shard.dead:
             return  # local respawn failed: permanent until close
         if shard.ejected:
@@ -1626,16 +1470,11 @@ class ShardedBroker:
             with self._health_lock:
                 self.rejoins += 1
             log_event("shard.rejoin", shard=shard.index,
-                      address=shard.transport.address)
+                      address=shard.address)
             return
-        # a busy shard holds its lock mid-request: that is proof of life,
-        # and probing through the same channel would interleave frames
-        if not shard.lock.acquire(blocking=False):
-            return
-        try:
-            epoch = shard.epoch
-            alive = shard.transport.ping(timeout=_PING_TIMEOUT)
-        finally:
-            shard.lock.release()
-        if not alive:
+        with shard.lock:  # a consistent pair across a worker swap
+            epoch, transport = shard.epoch, shard.transport
+        # pings are answered on the shard's loop, ahead of queued solves:
+        # a busy shard still answers, only a dead or wedged one does not
+        if not transport.ping(timeout=_PING_TIMEOUT):
             self._note_transport_failure(shard, epoch)

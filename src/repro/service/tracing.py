@@ -6,7 +6,7 @@ tree of :class:`Span`\\ s — each with a monotonic start offset, a
 duration and typed annotations — threaded through the broker (cache
 lookup, warm-vs-cold decision, coalescing leader/follower links), the
 consistent-hash ring (shard chosen, failover hops), the shard
-transports (pipe / TCP round-trips) and the exact simplex (phase
+transport (socketpair / TCP round-trips) and the exact simplex (phase
 timings, pivot counts).  The design goals, in order:
 
 1. **Zero cost when off.**  :func:`span` consults one

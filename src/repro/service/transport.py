@@ -1,35 +1,33 @@
-"""Shard transport layer: one framed-JSON protocol, one asyncio TCP stack.
+"""Shard transport layer: one framed-JSON protocol, one asyncio stack.
 
 A shard is a :class:`~repro.service.broker.SolveEngine` somewhere else —
-behind a pipe to a local worker process, or behind a TCP socket to
-another host.  This module owns everything "somewhere else" implies, so
-:mod:`repro.service.sharding` can treat every shard identically:
+in a local worker process, or on another host.  This module owns
+everything "somewhere else" implies, so :mod:`repro.service.sharding`
+treats every shard identically:
 
 * **the message schema** — JSON-safe request dicts (``op`` +
   spec-wire-codec payloads) and JSON-safe replies (results via the
   exact codec of :mod:`repro.service.wire`, so no pickle ever crosses a
-  host boundary), framed on a socket as a 4-byte length prefix + UTF-8
-  JSON (:func:`encode_frame` / :func:`read_frame_async`);
-* **the shared op handler** — :func:`handle_shard_message` dispatches
-  ``solve`` / ``solve_many`` / ``put`` / ``invalidate`` / ``snapshot`` /
-  ``clear`` / ``ping`` against an engine, identically for the pipe
-  worker and the TCP server (one protocol implementation, two hosts);
-* **the pipe backend** — :class:`PipeTransport`, a local worker process
-  behind a duplex pipe: strictly one request in, one reply out;
-* **the TCP backend** — :class:`AsyncTcpTransport`, an asyncio client
-  that multiplexes many in-flight requests over one connection, and
-  :class:`AsyncBridgeTransport`, the sync :class:`Transport` facade
+  process or host boundary), framed on a socket as a 4-byte length
+  prefix + UTF-8 JSON (:func:`encode_frame` / :func:`read_frame_async`);
+* **the op handler** — :func:`handle_shard_message` runs ``solve`` /
+  ``put`` / ``invalidate`` / ``clear`` against an engine;
+* **the client** — :class:`AsyncTcpTransport`, an asyncio client that
+  multiplexes many in-flight requests over one connection (dialled to
+  ``host:port``, or adopted from a socketpair), and
+  :class:`AsyncBridgeTransport`, the sync facade
   (``asyncio.run_coroutine_threadsafe`` onto a shared background loop)
   through which the thread-pooled
   :class:`~repro.service.sharding.ShardedBroker` rides it;
-* **the standalone shard server** — :class:`AsyncShardServer`, one
-  event loop hosting one engine, run as ``python -m repro shard-serve
-  --port N`` so a broker on another host can place it on its hash ring
-  via ``--shard host:port``.
+* **the server** — :class:`AsyncShardServer`, one event loop hosting
+  one engine.  Run as ``python -m repro shard-serve --port N`` it
+  listens, so a broker on another host can place it on its hash ring
+  via ``--shard host:port``; started by :func:`spawn_local_shard` it is
+  a child process serving exactly one inherited socketpair end — the
+  same server, reachable only by its parent.
 
-**Multiplexing.**  Frames may carry a client-chosen ``id`` field; a
-host always echoes ``id`` back on the reply (see
-:func:`handle_shard_message`):
+**Multiplexing.**  Frames may carry a client-chosen ``id`` field, which
+the server echoes on the reply:
 
 * a message **with** ``id`` may be answered out of order — the client
   pairs replies to requests by id (a future per id, one background read
@@ -47,22 +45,20 @@ instead of letting clients guess, and keys in-flight solves by
 fingerprint so brokers sharing a hot shard coalesce onto one engine run.
 
 **Failure semantics.**  A dead peer raises :class:`TransportError` and
-an expired per-request timeout raises :class:`TransportTimeout`.  What
-a timeout does to the channel differs by backend, because only one of
-them can tell replies apart.  A pipe has an unread reply in flight
-after a timeout, and reusing it would pair that stale reply with the
-next request, so a :class:`PipeTransport` is left **closed**.  A TCP
+an expired per-request timeout raises :class:`TransportTimeout`.  A
 timeout abandons *only its own id* (the read loop drops the late reply)
 and the connection keeps serving every other in-flight request; only a
-broken channel fails all of them, and the next request redials — which
-is what lets an ejected remote shard rejoin once its host returns.  The
-sharding layer reacts by restarting local workers or ejecting remote
-shards from the ring; the transport's only job is to fail loudly and
-atomically.
+broken channel fails all of them.  The next request on a dialled
+transport redials — which is what lets an ejected remote shard rejoin
+once its host returns; an adopted socketpair has nothing to redial, and
+stays broken until the sharding layer replaces worker and transport
+together.  The sharding layer reacts by restarting local workers or
+ejecting remote shards from the ring; the transport's only job is to
+fail loudly and atomically.
 
-The shape follows the ``comm/`` layer of Dask ``distributed``: an
-abstract message-oriented channel, concrete in-process and socket
-backends, and explicit closed-channel errors.
+The shape follows the ``comm/`` layer of Dask ``distributed``: one
+message-oriented channel, every peer a client of it, and explicit
+closed-channel errors.
 """
 
 from __future__ import annotations
@@ -70,12 +66,14 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import os
+import signal
 import socket
 import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..platform.serialization import platform_from_dict
 from .broker import SolveEngine
@@ -90,8 +88,8 @@ class TransportError(RuntimeError):
 
 
 class TransportTimeout(TransportError):
-    """No reply within the per-request timeout; the transport is closed
-    (an unread reply may still arrive — reuse would desynchronise)."""
+    """No reply within the per-request timeout; only that request is
+    abandoned (its late reply is dropped by id)."""
 
 
 # ----------------------------------------------------------------------
@@ -180,203 +178,20 @@ def parse_shard_address(address: str) -> Tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# the transport interface
-# ----------------------------------------------------------------------
-class Transport:
-    """A message channel to one shard engine: strict request → reply.
-
-    A :class:`PipeTransport` is *not* internally locked — the sharding
-    layer serialises its use (one request in flight per pipe shard);
-    an :class:`AsyncBridgeTransport` is thread-safe and carries many.
-    All methods may raise :class:`TransportError` /
-    :class:`TransportTimeout`.  After a :class:`TransportError` the
-    transport is closed and :attr:`closed` is true (the bridge redials
-    on the next request; a pipe does not — its worker is gone); the
-    module docstring says what a timeout does to each backend.
-    """
-
-    #: short label used in metrics endpoint names ("transport.<kind>")
-    kind = "abstract"
-
-    @property
-    def address(self) -> str:
-        """Where this transport leads (logging/metrics only)."""
-        raise NotImplementedError
-
-    @property
-    def closed(self) -> bool:
-        raise NotImplementedError
-
-    def request(self, message: Dict[str, Any],
-                timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Send one message, wait for its reply (``timeout`` seconds)."""
-        raise NotImplementedError
-
-    def request_many(self, messages: List[Dict[str, Any]],
-                     timeout: Optional[float] = None,
-                     ) -> List[Dict[str, Any]]:
-        """Pipeline several messages; replies in message order.
-
-        ``timeout`` bounds the wait for *each* reply, not the total.
-        The default implementation loops :meth:`request`; backends
-        override it to ship all messages before the first reply is
-        read (one latency, not N — what batched shard dispatch rides).
-        """
-        return [self.request(message, timeout=timeout)
-                for message in messages]
-
-    def ping(self, timeout: float = 1.0) -> bool:
-        """Health probe; never raises."""
-        try:
-            reply = self.request({"op": "ping"}, timeout=timeout)
-        except TransportError:
-            return False
-        return bool(reply.get("ok"))
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# pipe transport: a local worker process behind a duplex pipe
-# ----------------------------------------------------------------------
-class PipeTransport(Transport):
-    """A long-lived local worker process reached over a duplex pipe.
-
-    The pipe carries the same JSON-safe message dicts as TCP (the
-    pickling a ``multiprocessing`` pipe applies to a plain dict is an
-    implementation detail, not a schema).  Timeouts use
-    ``Connection.poll`` — the fix for the wedged-broker hazard: a hung
-    worker used to hold the parent's blocking ``recv`` (and with it the
-    shard's call lock) forever.
-    """
-
-    kind = "pipe"
-
-    def __init__(self, conn, process) -> None:
-        self._conn = conn
-        self.process = process
-        self._closed = False
-
-    @property
-    def address(self) -> str:
-        return f"pipe://pid={self.process.pid}"
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _death_notice(self, exc: BaseException) -> TransportError:
-        self._closed = True
-        return TransportError(
-            f"shard worker pid={self.process.pid} died "
-            f"(exitcode={self.process.exitcode}): {exc}"
-        )
-
-    def request(self, message: Dict[str, Any],
-                timeout: Optional[float] = None) -> Dict[str, Any]:
-        if self._closed:
-            raise TransportError("pipe transport is closed")
-        try:
-            self._conn.send(message)
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            raise self._death_notice(exc) from exc
-        return self._read_reply(timeout)
-
-    def request_many(self, messages: List[Dict[str, Any]],
-                     timeout: Optional[float] = None,
-                     ) -> List[Dict[str, Any]]:
-        if self._closed:
-            raise TransportError("pipe transport is closed")
-        try:
-            for message in messages:
-                self._conn.send(message)
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            raise self._death_notice(exc) from exc
-        return [self._read_reply(timeout) for _ in messages]
-
-    def _read_reply(self, timeout: Optional[float]) -> Dict[str, Any]:
-        if timeout is not None:
-            try:
-                ready = self._conn.poll(timeout)
-            except (OSError, EOFError) as exc:
-                raise self._death_notice(exc) from exc
-            if not ready:
-                self._closed = True  # a late reply would desynchronise
-                raise TransportTimeout(
-                    f"shard worker pid={self.process.pid} sent no reply "
-                    f"within {timeout}s"
-                )
-        try:
-            reply = self._conn.recv()
-        except (EOFError, OSError) as exc:
-            raise self._death_notice(exc) from exc
-        return reply
-
-    def close(self, stop_timeout: float = 5.0) -> None:
-        """Stop the worker: handshake when healthy, terminate otherwise."""
-        if not self._closed:
-            self._closed = True
-            try:
-                self._conn.send({"op": "stop"})
-                if self._conn.poll(stop_timeout):
-                    self._conn.recv()
-            except (EOFError, OSError, ValueError, BrokenPipeError):
-                pass
-        self.process.join(timeout=stop_timeout)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=stop_timeout)
-            if self.process.is_alive():  # pragma: no cover — last resort
-                self.process.kill()
-                self.process.join(timeout=stop_timeout)
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-def spawn_pipe_shard(ctx, cache_size: int, ttl: Optional[float],
-                     incremental: bool) -> PipeTransport:
-    """Start one local shard worker and return its transport."""
-    parent, child = ctx.Pipe(duplex=True)
-    process = ctx.Process(
-        target=_shard_worker_main,
-        args=(child, cache_size, ttl, incremental),
-        daemon=True,
-    )
-    process.start()
-    child.close()
-    return PipeTransport(parent, process)
-
-
-# ----------------------------------------------------------------------
-# the shard op handler — one protocol implementation for every host
+# the shard op handler — what an engine does with one message
 # ----------------------------------------------------------------------
 def handle_shard_message(engine: SolveEngine,
                          msg: Dict[str, Any]) -> Dict[str, Any]:
-    """Dispatch one shard-protocol message against an engine.
+    """Run one ``solve`` / ``put`` / ``invalidate`` / ``clear`` /
+    ``sleep`` message against an engine.
 
     Always returns a JSON-safe reply dict; failures are reported as
     ``{"ok": False, "error": ..., "type": ...}`` replies carrying the
-    original exception class, never by raising (a worker must survive
-    any request).  ``stop`` is *not* handled here — its meaning is
-    host-specific (a pipe worker exits, a TCP server only drops the
-    connection), so each host intercepts it before dispatching.
-
-    A message carrying an ``id`` gets it echoed on the reply — every
-    host (pipe worker, TCP server) does this uniformly, which is what
-    lets :class:`AsyncTcpTransport` pair out-of-order replies to
-    requests.
+    original exception class, never by raising (a shard must survive
+    any request).  ``ping``, ``stop``, ``snapshot`` and the
+    ``solve_many`` loop belong to the connection, not the engine:
+    :class:`AsyncShardServer` answers those itself, and echoes ``id``.
     """
-    reply = _handle_shard_op(engine, msg)
-    if "id" in msg:
-        reply["id"] = msg["id"]
-    return reply
-
-
-def _handle_shard_op(engine: SolveEngine,
-                     msg: Dict[str, Any]) -> Dict[str, Any]:
     reply = _shard_op_reply(engine, msg)
     if reply.get("ok") and "gen" not in reply:
         # every successful reply reports the shard's cache generation:
@@ -396,8 +211,6 @@ def _shard_op_reply(engine: SolveEngine,
 
     op = msg.get("op")
     try:
-        if op == "ping":
-            return {"ok": True, "pong": True}
         if op == "solve":
             request = request_from_dict(msg["request"])
             if msg.get("trace"):
@@ -413,31 +226,6 @@ def _shard_op_reply(engine: SolveEngine,
                                   "spans": tr.span_wire()}}
             result = engine.run(request, msg["fp"])
             return {"ok": True, "result": result_to_wire(result)}
-        if op == "solve_many":
-            # one round-trip for a whole shard batch; per-item error
-            # isolation mirrors the JSON API's batch op (one failing
-            # request must not discard its siblings' results)
-            replies = []
-            for item in msg["items"]:
-                try:
-                    request = request_from_dict(item["request"])
-                    if item.get("trace"):
-                        with start_trace("shard.solve") as tr:
-                            result = engine.run(request, item["fp"])
-                        replies.append({
-                            "ok": True,
-                            "result": result_to_wire(result),
-                            "trace": {"trace_id": tr.trace_id,
-                                      "spans": tr.span_wire()},
-                        })
-                        continue
-                    result = engine.run(request, item["fp"])
-                    replies.append({"ok": True,
-                                    "result": result_to_wire(result)})
-                except Exception as exc:  # noqa: BLE001 — reply carries it
-                    replies.append({"ok": False, "error": str(exc),
-                                    "type": type(exc).__name__})
-            return {"ok": True, "results": replies}
         if op == "put":
             # replicated hot-key writes, batched (one round-trip per
             # replica shard per batch).  Every entry must carry the
@@ -471,19 +259,15 @@ def _shard_op_reply(engine: SolveEngine,
             platform = platform_from_dict(msg["platform"])
             return {"ok": True,
                     "removed": engine.invalidate_platform(platform)}
-        if op == "snapshot":
-            # keys ride along so the sharding layer's merged snapshots
-            # can deduplicate hot-key-replicated entries
-            return {"ok": True, "snapshot": engine.snapshot(include_keys=True)}
         if op == "clear":
             return {"ok": True, "cleared": engine.cache.clear()}
         if op == "sleep":
             # a test/benchmark aid: simulates a hung or overloaded
             # worker so timeout and failover paths can be exercised
             # deterministically.  Capped: the shard protocol is
-            # unauthenticated, and on a TCP shard this op holds the
-            # engine lock — an unbounded sleep would let any client
-            # wedge a shared shard indefinitely
+            # unauthenticated, and this op holds the engine lock — an
+            # unbounded sleep would let any client wedge a shared shard
+            # indefinitely
             seconds = min(float(msg.get("seconds", 0.0)), MAX_SLEEP_SECONDS)
             time.sleep(seconds)
             return {"ok": True, "slept": seconds}
@@ -494,61 +278,51 @@ def _shard_op_reply(engine: SolveEngine,
                 "type": type(exc).__name__}
 
 
-def _shard_worker_main(conn, cache_size: int, ttl: Optional[float],
-                       incremental: bool) -> None:
-    """Long-lived pipe-shard worker: one engine, one pipe.
-
-    The engine (cache + metrics + warm models) lives for the worker's
-    whole life — that persistence is the point: re-spawning per request
-    would throw the hot state away.
-    """
-    engine = SolveEngine(
-        cache=SolutionCache(max_size=cache_size, ttl=ttl),
-        incremental=IncrementalSolver() if incremental else None,
-    )
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):  # parent went away
-            return
-        if msg.get("op") == "stop":
-            try:
-                conn.send({"ok": True})
-            except (OSError, BrokenPipeError):  # pragma: no cover
-                pass
-            return
-        conn.send(handle_shard_message(engine, msg))
-
-
 # ----------------------------------------------------------------------
-# TCP: multiplexed asyncio client, its sync bridge, the shard server
+# the multiplexed asyncio client, its sync bridge, the shard server
 # ----------------------------------------------------------------------
+def _no_delay(writer: "asyncio.StreamWriter") -> None:
+    """Frames are small and latency-bound: never wait to coalesce them
+    (a socketpair has no Nagle to switch off)."""
+    sock = writer.get_extra_info("socket")
+    if sock is not None and sock.family != socket.AF_UNIX:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 class AsyncTcpTransport:
     """Multiplexing asyncio client for the shard protocol.
 
-    One TCP connection carries many in-flight requests: each request is
+    One connection carries many in-flight requests: each request is
     tagged with a fresh ``id``, registered in a future-per-id dispatch
     map, and a single background read loop pairs every reply frame back
     to its waiter.  All state is loop-confined — every coroutine here
     runs on one event loop, so no locks guard ``_pending``.
 
-    Timeout semantics deliberately differ from the pipe's: a
-    per-request timeout abandons *only its own id* (the read loop drops
-    the late reply if it ever lands) and the connection keeps serving
-    every other in-flight request.  Only a broken channel (peer died,
-    read loop failed) fails the map wholesale — and the next request
-    redials, so an ejected remote shard rejoins the ring the moment its
-    host is back: the health probe's next :meth:`ping` simply dials
-    again.
+    A per-request timeout abandons *only its own id* (the read loop
+    drops the late reply if it ever lands) and the connection keeps
+    serving every other in-flight request.  Only a broken channel (peer
+    died, read loop failed) fails the map wholesale — and the next
+    request redials, so an ejected remote shard rejoins the ring the
+    moment its host is back: the health probe's next :meth:`ping`
+    simply dials again.
+
+    ``sock`` is an already-connected stream socket to use instead of
+    dialling ``host:port`` — a local worker's end of a socketpair.
+    There is nothing to redial behind it: once that channel breaks,
+    every request raises :class:`TransportError` (the sharding layer
+    replaces the worker, the socketpair and this transport together).
     """
 
     kind = "async"
 
-    def __init__(self, host: str, port: int,
-                 connect_timeout: float = 5.0) -> None:
+    def __init__(self, host: Optional[str], port: Optional[int],
+                 connect_timeout: float = 5.0,
+                 sock: Optional[socket.socket] = None) -> None:
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
+        self._local = sock is not None
+        self._sock = sock  # adopted by the first request
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._read_task: Optional[asyncio.Task] = None
@@ -559,6 +333,8 @@ class AsyncTcpTransport:
 
     @property
     def address(self) -> str:
+        if self._local:
+            return "local://socketpair"
         return f"tcp://{self.host}:{self.port}"
 
     @property
@@ -570,17 +346,20 @@ class AsyncTcpTransport:
             if self._writer is not None:
                 return
             try:
+                if not self._local:
+                    opening = asyncio.open_connection(self.host, self.port)
+                elif self._sock is not None:
+                    opening = asyncio.open_connection(sock=self._sock)
+                    self._sock = None
+                else:
+                    raise OSError("the worker hung up")
                 reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
-                    self.connect_timeout,
-                )
+                    opening, self.connect_timeout)
             except (OSError, asyncio.TimeoutError) as exc:
                 raise TransportError(
                     f"cannot connect to shard {self.address}: {exc}"
                 ) from exc
-            sock = writer.get_extra_info("socket")
-            if sock is not None:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            _no_delay(writer)
             self._reader, self._writer = reader, writer
             self._read_task = asyncio.ensure_future(self._read_loop(reader))
 
@@ -630,6 +409,10 @@ class AsyncTcpTransport:
                 await self._writer.drain()
         except (ConnectionError, OSError, AssertionError) as exc:
             self._pending.pop(rid, None)
+            if fut.done():
+                # the read loop saw the break first and failed this
+                # future; nobody awaits it, so take its exception here
+                fut.exception()
             self._channel_broke(TransportError(
                 f"shard {self.address} connection failed: {exc}"))
             raise TransportError(
@@ -646,22 +429,6 @@ class AsyncTcpTransport:
                 f"within {timeout}s (other in-flight requests unaffected)"
             ) from exc
 
-    async def request_many(self, messages: List[Dict[str, Any]],
-                           timeout: Optional[float] = None,
-                           ) -> List[Dict[str, Any]]:
-        """All messages in flight at once; replies in message order."""
-        results = await asyncio.gather(
-            # repro-lint: allow(asyncio) — coroutines handed to gather,
-            # which awaits them; nothing runs before the await
-            *(self.request(message, timeout=timeout)
-              for message in messages),
-            return_exceptions=True,
-        )
-        for item in results:
-            if isinstance(item, BaseException):
-                raise item
-        return list(results)
-
     async def ping(self, timeout: float = 1.0) -> bool:
         """Health probe; never raises."""
         try:
@@ -674,6 +441,9 @@ class AsyncTcpTransport:
         task = self._read_task
         self._channel_broke(TransportError(
             f"transport to shard {self.address} closed"))
+        if self._sock is not None:  # never adopted: no writer owns it
+            self._sock.close()
+            self._sock = None
         if task is not None:
             task.cancel()
             try:
@@ -712,25 +482,28 @@ def bridge_event_loop() -> asyncio.AbstractEventLoop:
     return loop
 
 
-class AsyncBridgeTransport(Transport):
-    """Sync :class:`Transport` facade over :class:`AsyncTcpTransport`.
+class AsyncBridgeTransport:
+    """Sync facade over :class:`AsyncTcpTransport` — what
+    :class:`~repro.service.sharding.ShardedBroker` holds per shard.
 
     Calls are submitted to the shared background loop with
-    ``asyncio.run_coroutine_threadsafe`` and awaited synchronously, so
-    :class:`~repro.service.sharding.ShardedBroker` works unchanged —
-    but because the underlying channel demultiplexes by request id,
+    ``asyncio.run_coroutine_threadsafe`` and awaited synchronously.
+    Because the underlying channel demultiplexes by request id,
     *concurrent* callers genuinely share one connection instead of
-    serialising on it.  Unlike a :class:`PipeTransport` this class is
-    thread-safe by construction: all channel state lives on the loop.
+    serialising on it, and the class is thread-safe by construction:
+    all channel state lives on the loop.  Every method may raise
+    :class:`TransportError` / :class:`TransportTimeout`; ``sock`` is
+    :class:`AsyncTcpTransport`'s.
     """
 
     kind = "async"
 
-    def __init__(self, host: str, port: int,
-                 connect_timeout: float = 5.0) -> None:
+    def __init__(self, host: Optional[str], port: Optional[int],
+                 connect_timeout: float = 5.0,
+                 sock: Optional[socket.socket] = None) -> None:
         self._loop = bridge_event_loop()
         self._transport = AsyncTcpTransport(
-            host, port, connect_timeout=connect_timeout)
+            host, port, connect_timeout=connect_timeout, sock=sock)
 
     @property
     def address(self) -> str:
@@ -746,12 +519,6 @@ class AsyncBridgeTransport(Transport):
     def request(self, message: Dict[str, Any],
                 timeout: Optional[float] = None) -> Dict[str, Any]:
         return self._run(self._transport.request(message, timeout=timeout))
-
-    def request_many(self, messages: List[Dict[str, Any]],
-                     timeout: Optional[float] = None,
-                     ) -> List[Dict[str, Any]]:
-        return self._run(
-            self._transport.request_many(messages, timeout=timeout))
 
     def ping(self, timeout: float = 1.0) -> bool:
         try:
@@ -870,14 +637,16 @@ class LoopServer:
 # the standalone shard server (python -m repro shard-serve)
 # ----------------------------------------------------------------------
 class AsyncShardServer(LoopServer):
-    """A standalone TCP shard: one event loop from socket to engine.
+    """A shard: one event loop from socket to engine.
 
-    One :class:`SolveEngine` behind framed JSON, placed on a broker's
-    hash ring via ``--shard host:port``; any number of brokers may
-    share it.  Every connection is a coroutine on one loop; engine work
-    runs on a bounded thread pool (``solve_workers``) because the exact
-    simplex is CPU-bound — the loop itself only frames, routes, and
-    answers:
+    One :class:`SolveEngine` behind framed JSON.  Listening on TCP
+    (:meth:`start`, ``shard-serve``) it is placed on a broker's hash
+    ring via ``--shard host:port`` and any number of brokers may share
+    it; serving one inherited socket (:meth:`serve_connected`) it is a
+    broker's private local worker.  Every connection is a coroutine on
+    one loop; engine work runs on a bounded thread pool
+    (``solve_workers``) because the exact simplex is CPU-bound — the
+    loop itself only frames, routes, and answers:
 
     * **pings on the loop** — a health probe is answered immediately
       even while every executor thread is busy, so a *busy* shard never
@@ -901,8 +670,7 @@ class AsyncShardServer(LoopServer):
     engine's warm models are not reentrant, so the engine itself is
     guarded by a real lock *inside* the executor jobs, never on the
     loop — ops from all connections run one at a time, which gives
-    every client the same strict solve → invalidate ordering the pipe
-    workers have.
+    every client one strict solve → invalidate ordering.
     """
 
     def __init__(
@@ -939,14 +707,20 @@ class AsyncShardServer(LoopServer):
     def address(self) -> str:
         return f"tcp://{self.host}:{self.port}"
 
+    async def serve_connected(self, sock: socket.socket) -> None:
+        """Serve one already-connected socket until its peer hangs up
+        or says ``stop`` — no listener, no port: the shard is reachable
+        only by whoever holds the other end."""
+        self._loop = asyncio.get_running_loop()
+        reader, writer = await asyncio.open_connection(sock=sock)
+        await self._serve_connection(reader, writer)
+
     # ------------------------------------------------------------------
     # the per-connection coroutine
     # ------------------------------------------------------------------
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        _no_delay(writer)
         write_lock = asyncio.Lock()
         tasks: set = set()
         try:
@@ -1043,7 +817,8 @@ class AsyncShardServer(LoopServer):
                 replies.append(await self._solve_one(
                     item.get("fp"), item.get("request"),
                     bool(item.get("trace")), deadline))
-            return {"ok": True, "results": replies}
+            return {"ok": True, "results": replies,
+                    "gen": self.engine.cache.generation}
         if op == "snapshot":
             # served on the loop: reads loop-confined counters plus the
             # engine's own (briefly) locked snapshot — microseconds, and
@@ -1117,12 +892,11 @@ class AsyncShardServer(LoopServer):
         msg = {"op": "solve", "fp": fp, "request": request_wire}
         if trace:
             msg["trace"] = True
-        with self._engine_lock:
-            return _handle_shard_op(self.engine, msg)
+        return self._locked_message(msg)
 
     def _locked_message(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         with self._engine_lock:
-            return _handle_shard_op(self.engine, msg)
+            return handle_shard_message(self.engine, msg)
 
     def _follower_trace(self, fp: str, waited: float,
                         leader_trace: Optional[Dict[str, Any]],
@@ -1163,3 +937,62 @@ class AsyncShardServer(LoopServer):
             "shard_coalesced": self.shard_coalesced,
         }
         return snap
+
+
+# ----------------------------------------------------------------------
+# local shards: the same server in a child process, on a socketpair
+# ----------------------------------------------------------------------
+def _local_shard_main(sock: socket.socket, parent_end: socket.socket,
+                      cache_size: int, ttl: Optional[float],
+                      incremental: bool) -> None:
+    """A local shard worker: one engine serving one inherited socket.
+
+    The engine (cache + metrics + warm models) lives for the worker's
+    whole life, and that life is the socket's: EOF — the parent closed
+    its end, or died — is the order to exit.
+    """
+    # first thing: a forked child holds a copy of the parent's end, and
+    # while any copy is open the parent's death is no EOF on ours
+    parent_end.close()
+    # a forked child also inherits the parent's signal plumbing — an
+    # asyncio handler only wakes a loop this process does not run
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # Ctrl-C reaches the whole process group; the parent stops us
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    server = AsyncShardServer(cache_size=cache_size, ttl=ttl,
+                              incremental=incremental)
+    asyncio.run(server.serve_connected(sock))
+    # nobody is left to answer: a solve still on an executor thread
+    # must not keep the process alive behind a parent that is gone
+    os._exit(0)
+
+
+# A forked worker inherits every descriptor open in the parent,
+# other shards' parent-side ends included, and a worker sees EOF only
+# once *every* copy of its peer end is closed.  Creating the pair and
+# forking under one lock means a worker can only hold ends older than
+# itself, so after the parent dies the youngest worker always sees EOF,
+# exits, and releases the next — no two workers keep each other alive.
+_spawn_lock = threading.Lock()
+
+
+def spawn_local_shard(ctx, cache_size: int, ttl: Optional[float],
+                      incremental: bool):
+    """Start one local shard worker on a private socketpair; returns
+    ``(process, transport)``."""
+    with _spawn_lock:
+        parent_end, child_end = socket.socketpair()
+        process = ctx.Process(
+            target=_local_shard_main,
+            args=(child_end, parent_end, cache_size, ttl, incremental),
+            daemon=True,
+        )
+        try:
+            process.start()
+        except BaseException:
+            parent_end.close()
+            raise
+        finally:
+            child_end.close()
+    return process, AsyncBridgeTransport(None, None, sock=parent_end)

@@ -8,8 +8,8 @@ pickled :class:`~repro.service.broker.BrokerResult` objects, which a
 TCP shard on another host cannot do (and should not: pickle across
 machines couples the hosts' code versions and trusts the peer).  This
 module closes the gap with an exact, versioned JSON encoding of a
-broker result, so every transport backend — pipe or TCP — speaks one
-schema.
+broker result, so every shard — a local worker or another host —
+speaks one schema.
 
 Exactness is the contract: rationals travel as the ``"p/q"`` strings of
 :mod:`repro.platform.serialization`, so a result decoded from the wire

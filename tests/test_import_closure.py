@@ -26,8 +26,7 @@ request = SolveRequest(problem="master-slave", master="P1",
 with Broker(executor="sync") as broker:
     sync = broker.solve(request).throughput
 # a spawn worker starts from a fresh import, as a restarted shard does
-with ShardedBroker(shards=1, shard_mode="process",
-                   mp_start_method="spawn") as sharded:
+with ShardedBroker(shards=1, mp_start_method="spawn") as sharded:
     piped = sharded.solve(request).throughput
     worker = sharded.snapshot()["per_shard"][0]["process"]
 print(json.dumps({
@@ -83,7 +82,7 @@ def test_every_process_role_loads_the_exact_stack_only(fresh_python):
     assert out["exact"]
     assert out["heavy"] == []
     assert out["first_party"] > 50  # the closure really was imported
-    # the pipe-shard worker is another process and says so itself; its
+    # the shard worker is another process and says so itself; its
     # import closure is a subset of this one's, so scipy stands for all
     assert out["worker"]["pid"] != out["pid"]
     assert out["worker"]["float_backend_loaded"] is False

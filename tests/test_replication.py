@@ -1,5 +1,5 @@
 """Hot-key replication + broker near-cache: heat sketch semantics, the
-replica fan-out across thread/process/TCP shard modes, generation-checked
+replica fan-out across local and TCP shards, generation-checked
 staleness impossibility, and deduplicated aggregate cache accounting."""
 
 from __future__ import annotations
@@ -15,17 +15,19 @@ import pytest
 from repro.platform import generators
 from repro.platform.serialization import platform_to_dict
 from repro.service import (
-    Broker,
+    AsyncShardServer,
     HeatSketch,
     ShardedBroker,
     SolutionCache,
     SolveRequest,
+    connect_async,
 )
 from repro.service import broker as broker_mod
 from repro.service.broker import SolveEngine
 from repro.service.metrics import render_prometheus
 from repro.service.sharding import _merge_cache_snapshots
 from repro.service.transport import handle_shard_message
+from repro.service.api import request_to_dict
 from repro.service.wire import result_to_wire
 
 from test_sharding import _mixed_requests, _reference_results
@@ -126,13 +128,20 @@ class TestHeatSketch:
 
 
 # ----------------------------------------------------------------------
-# thread shards: near-cache + replica rotation
+# local shards: near-cache + replica rotation
 # ----------------------------------------------------------------------
+def _holders(sharded, fp):
+    """The shards whose caches hold the fingerprint, as the ``snapshot``
+    op's key lists report them."""
+    return [sid for sid, snap in enumerate(sharded.shard_snapshots())
+            if fp in snap["cache"]["keys"]]
+
+
 class TestThreadModeHotPath:
     def test_near_cache_serves_the_hot_head_exactly(self):
         req = _hot_request()
         reference = _reference_results([req])[0]
-        with ShardedBroker(shards=4, shard_mode="thread",
+        with ShardedBroker(shards=4,
                            replication_factor=2, near_cache_size=8,
                            hot_threshold=2) as sharded:
             results = [sharded.solve(req) for _ in range(6)]
@@ -150,16 +159,18 @@ class TestThreadModeHotPath:
     def test_replication_copies_hot_key_to_both_replicas(self):
         req = _hot_request()
         fp = req.fingerprint()
-        with ShardedBroker(shards=4, shard_mode="thread",
+        with ShardedBroker(shards=4,
                            replication_factor=2, near_cache_size=0,
                            hot_threshold=1) as sharded:
             replicas = sharded.ring.successors(fp, 2)
+            # every shard answers once, so the broker knows each one's
+            # generation and its first replica write is guarded, not
+            # skipped
+            sharded.shard_snapshots()
             for _ in range(4):
                 sharded.solve(req)
-            holders = [sid for sid, broker in
-                       enumerate(sharded._thread_shards)
-                       if broker.cache.peek(fp) is not None]
-            assert sorted(holders) == sorted(replicas)
+            sharded.flush_replication(timeout=10)
+            assert sorted(_holders(sharded, fp)) == sorted(replicas)
             rep = sharded.snapshot()["replication"]
             assert rep["replicated_puts"] >= 1
             # rotation actually lands reads off the primary
@@ -168,7 +179,7 @@ class TestThreadModeHotPath:
     def test_replica_rotation_spreads_requests(self):
         req = _hot_request()
         fp = req.fingerprint()
-        with ShardedBroker(shards=4, shard_mode="thread",
+        with ShardedBroker(shards=4,
                            replication_factor=2, near_cache_size=0,
                            hot_threshold=1) as sharded:
             for _ in range(8):
@@ -181,7 +192,7 @@ class TestThreadModeHotPath:
     def test_cold_keys_keep_single_owner_routing(self):
         requests = _mixed_requests()
         reference = _reference_results(requests)
-        with ShardedBroker(shards=4, shard_mode="thread",
+        with ShardedBroker(shards=4,
                            replication_factor=2, near_cache_size=8,
                            hot_threshold=50) as sharded:
             out = [sharded.solve(r) for r in requests]
@@ -198,20 +209,21 @@ class TestThreadModeHotPath:
     def test_submit_path_replicates_too(self):
         req = _hot_request()
         fp = req.fingerprint()
-        with ShardedBroker(shards=4, shard_mode="thread",
+        with ShardedBroker(shards=4,
                            replication_factor=2, near_cache_size=0,
                            hot_threshold=1) as sharded:
+            sharded.shard_snapshots()  # learn every generation first
             for _ in range(4):
                 sharded.submit(req).result(10)
+            sharded.flush_replication(timeout=10)
             replicas = sharded.ring.successors(fp, 2)
-            assert _wait_until(lambda: all(
-                sharded._thread_shards[sid].cache.peek(fp) is not None
-                for sid in replicas))
+            assert sorted(_holders(sharded, fp)) == sorted(replicas)
+            assert sharded.replicated_puts >= 1
 
     def test_invalidate_platform_flushes_near_cache(self):
         req = _hot_request()
         fp = req.fingerprint()
-        with ShardedBroker(shards=2, shard_mode="thread",
+        with ShardedBroker(shards=2,
                            replication_factor=1, near_cache_size=8,
                            hot_threshold=1) as sharded:
             for _ in range(3):
@@ -232,11 +244,13 @@ class TestThreadModeHotPath:
 # ----------------------------------------------------------------------
 # staleness impossibility: invalidation racing the replicated fan-out
 # ----------------------------------------------------------------------
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the slow solver reaches the workers by fork")
 class TestReplicatedStalenessRace:
     def test_racing_invalidation_leaves_no_stale_entry_anywhere(
             self, monkeypatch):
-        release = threading.Event()
-        started = threading.Event()
+        release = multiprocessing.Event()
+        started = multiprocessing.Event()
         real = broker_mod.execute_request
 
         def slow(request):
@@ -244,30 +258,46 @@ class TestReplicatedStalenessRace:
             assert release.wait(10)
             return real(request)
 
+        # patched before the workers fork, so every worker solves slowly
         monkeypatch.setattr(broker_mod, "execute_request", slow)
         platform = generators.chain(3)
-        with ShardedBroker(shards=2, shard_mode="thread", workers=2,
+        with ShardedBroker(shards=2,
                            incremental=False, replication_factor=2,
                            near_cache_size=8,
                            hot_threshold=1) as sharded:
             req = SolveRequest(problem="broadcast", platform=platform,
                                source="N0")
             fp = req.fingerprint()
+            sharded.shard_snapshots()  # learn both shards' generations
+            serving = sharded.ring.successors(fp, 2)[1]  # lookup one's turn
+            replica = 1 - serving
+            before = sharded._known_gens[replica]
             fut = sharded.submit(req)  # hot from lookup one
             assert started.wait(10)  # generations captured, solve running
-            assert sharded.invalidate_platform(platform) == 0
+            # the serving shard runs one op at a time, so its share of the
+            # invalidation queues behind the solve; the near-cache and the
+            # replica are invalidated now, mid-solve
+            removed: list = []
+            racing = threading.Thread(
+                target=lambda: removed.append(
+                    sharded.invalidate_platform(platform)),
+                daemon=True)
+            racing.start()
+            assert _wait_until(
+                lambda: sharded._known_gens[replica] > before)
             release.set()
             result = fut.result(10)  # the caller still gets its answer
             assert result.throughput == Fraction(1)
-            # every late write must have been refused: serving shard
-            # (engine generation check), the replica fan-out, and the
-            # near-cache admission
+            racing.join(timeout=10)
+            assert removed == [1]  # the serving shard's fresh entry
+            sharded.flush_replication(timeout=10)
+            # every late write must have been refused: the replica
+            # fan-out and the near-cache admission
             assert _wait_until(
                 lambda: sharded.snapshot()["replication"]
                 ["near_cache"]["stale_rejects"] >= 1)
             assert _wait_until(lambda: sharded.replica_put_rejects >= 1)
-            for broker in sharded._thread_shards:
-                assert broker.cache.peek(fp) is None
+            assert _holders(sharded, fp) == []
             assert sharded._near_cache.peek(fp) is None
             merged = sharded.snapshot()["cache"]
             assert merged["size"] == 0
@@ -328,32 +358,46 @@ class TestShardPutOp:
         assert engine.cache.peek(fp) is None
         assert engine.cache.stats.stale_puts == 1
 
-    def test_every_reply_carries_the_generation(self):
-        engine, req, fp, _ = self._engine_with_result()
-        for msg in ({"op": "ping"},
+    @pytest.fixture()
+    def served(self):
+        """The same engine behind a real shard server and its client:
+        ``snapshot`` and ``solve_many`` belong to the connection."""
+        engine, req, fp, result = self._engine_with_result()
+        server = AsyncShardServer(engine=engine).start_in_thread()
+        transport = connect_async(server.address)
+        yield engine, req, fp, transport
+        transport.close()
+        server.shutdown()
+
+    def test_every_reply_carries_the_generation(self, served):
+        engine, req, fp, transport = served
+        wire = request_to_dict(req)
+        for msg in ({"op": "solve", "fp": fp, "request": wire},
+                    {"op": "solve_many",
+                     "items": [{"fp": fp, "request": wire}]},
                     {"op": "clear"},
                     {"op": "snapshot"},
                     {"op": "invalidate",
                      "platform": platform_to_dict(req.platform)}):
-            reply = handle_shard_message(engine, dict(msg))
+            reply = transport.request(dict(msg))
             assert reply["ok"]
             assert reply["gen"] == engine.cache.generation
 
-    def test_snapshot_op_ships_keys_for_dedup(self):
-        engine, req, fp, _ = self._engine_with_result()
+    def test_snapshot_op_ships_keys_for_dedup(self, served):
+        engine, req, fp, transport = served
         engine.run(req, fp)
-        reply = handle_shard_message(engine, {"op": "snapshot"})
+        reply = transport.request({"op": "snapshot"})
         assert reply["snapshot"]["cache"]["keys"] == [fp]
 
 
 # ----------------------------------------------------------------------
-# transport modes: process (pipe) and TCP shards
+# fan-out over the wire: generation bounds, batched puts, TCP shards
 # ----------------------------------------------------------------------
 class TestProcessModeReplication:
     def test_hot_keys_replicate_and_results_stay_exact(self):
         requests = _mixed_requests()
         reference = _reference_results(requests)
-        with ShardedBroker(shards=2, shard_mode="process",
+        with ShardedBroker(shards=2,
                            replication_factor=2, near_cache_size=16,
                            hot_threshold=2) as sharded:
             for _ in range(3):
@@ -375,7 +419,7 @@ class TestProcessModeReplication:
                            platform=generators.chain(5), source="N0")
         fp = req.fingerprint()
         reference = _reference_results([req])[0]
-        with ShardedBroker(shards=2, shard_mode="process",
+        with ShardedBroker(shards=2,
                            replication_factor=2, near_cache_size=0,
                            hot_threshold=2) as sharded:
             # seed the generation bounds: every shard replies at least
@@ -400,7 +444,7 @@ class TestProcessModeReplication:
     def test_stale_generation_bound_never_lands_a_replica_put(self):
         req = _hot_request()
         fp = req.fingerprint()
-        with ShardedBroker(shards=2, shard_mode="process",
+        with ShardedBroker(shards=2,
                            replication_factor=2, near_cache_size=0,
                            hot_threshold=1) as sharded:
             sharded.solve(req)          # heat + seed generation bounds
@@ -519,7 +563,7 @@ class TestAggregateDedup:
 
     def test_aggregate_cache_view_reports_unique_size(self):
         req = _hot_request()
-        with ShardedBroker(shards=4, shard_mode="thread",
+        with ShardedBroker(shards=4,
                            replication_factor=2, near_cache_size=0,
                            hot_threshold=1) as sharded:
             for _ in range(4):
@@ -530,7 +574,7 @@ class TestAggregateDedup:
 
     def test_prometheus_exposes_replication_metrics(self):
         req = _hot_request()
-        with ShardedBroker(shards=2, shard_mode="thread",
+        with ShardedBroker(shards=2,
                            replication_factor=2, near_cache_size=8,
                            hot_threshold=1) as sharded:
             for _ in range(5):

@@ -1,13 +1,20 @@
-"""Sharded-broker tests: routing, aggregation, invalidation, process mode,
-remote TCP shards, health/failover."""
+"""Sharded-broker tests: routing, aggregation, invalidation, local worker
+shards, remote TCP shards, supervision (restart, eject/rejoin, failover)."""
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import signal
 import socket
+import subprocess
+import sys
+import threading
 import time
+import urllib.request
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -97,24 +104,24 @@ class TestHashRing:
         with pytest.raises(ValueError):
             HashRing(0)
         with pytest.raises(ValueError):
-            ShardedBroker(shards=2, shard_mode="quantum")
+            ShardedBroker(shards=-1)
 
 
 # ----------------------------------------------------------------------
-# thread shards
+# a ring of local shards: routing, aggregation, fan-out
 # ----------------------------------------------------------------------
 class TestShardedBrokerThread:
     def test_results_exactly_match_single_broker(self):
         requests = _mixed_requests()
         reference = _reference_results(requests)
-        with ShardedBroker(shards=4, shard_mode="thread") as sharded:
+        with ShardedBroker(shards=4) as sharded:
             out = sharded.solve_batch(requests)
             for ref, got in zip(reference, out):
                 assert got.fingerprint == ref.fingerprint
                 assert got.throughput == ref.throughput  # Fraction-exact
 
     def test_identical_requests_route_to_one_shard(self):
-        with ShardedBroker(shards=4, shard_mode="thread") as sharded:
+        with ShardedBroker(shards=4) as sharded:
             req = SolveRequest(problem="master-slave",
                                platform=generators.paper_figure1(),
                                master="P1")
@@ -132,11 +139,11 @@ class TestShardedBrokerThread:
 
     def test_snapshot_aggregates_across_shards(self):
         requests = _mixed_requests()
-        with ShardedBroker(shards=4, shard_mode="thread") as sharded:
+        with ShardedBroker(shards=4) as sharded:
             sharded.solve_batch(requests)
             sharded.solve_batch(requests)  # second pass: all hits
             snap = sharded.snapshot()
-            assert snap["shards"] == 4 and snap["shard_mode"] == "thread"
+            assert snap["shards"] == 4 and snap["executor"] == "sharded"
             assert snap["cache"]["misses"] == len(requests)
             assert snap["cache"]["hits"] == len(requests)
             assert (snap["metrics"]["total_requests"]
@@ -149,19 +156,6 @@ class TestShardedBrokerThread:
             assert len(occupied) >= 2  # the mix spreads across shards
             json.dumps(snap)  # JSON-safe end to end
 
-    def test_thread_shards_share_the_front_ends_process(self):
-        with ShardedBroker(shards=4, shard_mode="thread") as sharded:
-            snap = sharded.snapshot()
-        assert {s["process"]["pid"] for s in snap["per_shard"]} == {
-            snap["process"]["pid"]}
-        # four shards, one process: its resident set counts once
-        assert snap["processes"]["count"] == 1
-        assert (snap["processes"]["max_rss_bytes"]
-                == snap["process"]["max_rss_bytes"])
-        text = render_prometheus(snap)
-        assert text.count("\nrepro_process_max_rss_bytes{") == 1
-        assert 'repro_process_max_rss_bytes{shard="front"} ' in text
-
     def test_invalidate_fans_out_to_every_shard(self):
         fig1 = generators.paper_figure1()
         variants = [
@@ -172,7 +166,7 @@ class TestShardedBrokerThread:
             SolveRequest(problem="multiport", platform=fig1, master="P1",
                          options={"ports": 2}),
         ]
-        with ShardedBroker(shards=4, shard_mode="thread") as sharded:
+        with ShardedBroker(shards=4) as sharded:
             sharded.solve_batch(variants)
             shards_used = {sharded.shard_for(r.fingerprint())
                            for r in variants}
@@ -181,10 +175,9 @@ class TestShardedBrokerThread:
             for req in variants:
                 assert not sharded.solve(req).cached
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_clear_drops_every_shard(self, mode):
+    def test_clear_drops_every_shard(self):
         requests = _mixed_requests()[:4]
-        with ShardedBroker(shards=2, shard_mode=mode) as sharded:
+        with ShardedBroker(shards=2) as sharded:
             sharded.solve_batch(requests)
             assert sharded.clear() == len(
                 {r.fingerprint() for r in requests}
@@ -193,7 +186,7 @@ class TestShardedBrokerThread:
             assert all(not sharded.solve(r).cached for r in requests)
 
     def test_single_shard_is_a_valid_degenerate(self):
-        with ShardedBroker(shards=1, shard_mode="thread") as sharded:
+        with ShardedBroker(shards=1) as sharded:
             req = SolveRequest(problem="master-slave",
                                platform=generators.paper_figure1(),
                                master="P1")
@@ -202,13 +195,13 @@ class TestShardedBrokerThread:
 
 
 # ----------------------------------------------------------------------
-# process shards (wire-codec dispatch to long-lived workers)
+# the workers behind local shards (wire-codec dispatch, long-lived state)
 # ----------------------------------------------------------------------
 class TestShardedBrokerProcess:
     def test_results_exactly_match_single_broker(self):
         requests = _mixed_requests()
         reference = _reference_results(requests)
-        with ShardedBroker(shards=2, shard_mode="process",
+        with ShardedBroker(shards=2,
                            cache_size=32) as sharded:
             out = sharded.solve_batch(requests)
             for ref, got in zip(reference, out):
@@ -219,8 +212,36 @@ class TestShardedBrokerProcess:
             again = sharded.solve_batch(requests)
             assert all(r.cached for r in again)
 
+    def test_every_registered_problem_is_exact_on_every_path(self):
+        """solve, submit, solve_batch, hot-key replicated reads and the
+        first answers of restarted workers: all ten problems,
+        ``Fraction``-identical to the unsharded broker."""
+        from repro.problems import registered_problems
+        from test_transport import _mixed_requests as one_per_problem
+
+        requests = one_per_problem()
+        assert {r.problem for r in requests} == set(registered_problems())
+        expected = [r.throughput for r in _reference_results(requests)]
+        with ShardedBroker(shards=2, replication_factor=2, hot_threshold=2,
+                           near_cache_size=0) as sharded:
+            def answers(results):
+                return [r.throughput for r in results]
+
+            assert answers(sharded.solve(r) for r in requests) == expected
+            futures = [sharded.submit(r) for r in requests]  # now hot
+            assert answers(f.result(30) for f in futures) == expected
+            assert answers(sharded.solve_batch(requests)) == expected
+            assert answers(sharded.solve(r) for r in requests) == expected
+            sharded.flush_replication(timeout=10)
+            assert sharded.snapshot()["replication"]["replica_reads"] > 0
+            for shard in sharded._shards:
+                shard.process.kill()
+                shard.process.join()
+            assert answers(sharded.solve(r) for r in requests) == expected
+            assert sharded.shard_health()["shard_restarts"] == 2
+
     def test_snapshot_sums_the_footprint_over_every_process(self):
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             snap = sharded.snapshot()
         front, workers = snap["process"], [
             s["process"] for s in snap["per_shard"]]
@@ -244,7 +265,7 @@ class TestShardedBrokerProcess:
     def test_worker_state_stays_hot_across_calls(self):
         g = generators.star(4, master_w=2, worker_w=[1, 2, 3, 4],
                             link_c=[1, 1, 2, 3])
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             sharded.solve(SolveRequest(problem="master-slave", platform=g,
                                        master="M"))
             mutated = g.scale(compute="3/2", comm="2/3")
@@ -262,7 +283,7 @@ class TestShardedBrokerProcess:
                     == solve_master_slave(mutated, "M").throughput)
 
     def test_include_schedule_roundtrips_through_the_pipe(self):
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             req = SolveRequest(problem="master-slave",
                                platform=generators.paper_figure1(),
                                master="P1", include_schedule=True)
@@ -278,54 +299,54 @@ class TestShardedBrokerProcess:
             SolveRequest(problem="send-or-receive", platform=fig1,
                          master="P1"),
         ]
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             sharded.solve_batch(variants)
             assert sharded.invalidate_platform(fig1) == len(variants)
             assert all(not sharded.solve(r).cached for r in variants)
 
     def test_spec_error_surfaces_as_broker_error(self):
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             good = SolveRequest(problem="master-slave",
                                 platform=generators.star(2), master="M")
             from repro.service.api import request_to_dict
 
             # a tampered wire payload sent straight to a shard: the
-            # *worker* decodes, rejects, and the error crosses the pipe
+            # *worker* decodes, rejects, and the error crosses the wire
             payload = request_to_dict(good)
             payload["spec"]["problem"] = "nope"
             with pytest.raises(BrokerError, match="unknown problem"):
-                sharded._transport_shards[0].call(
+                sharded._shards[0].call(
                     {"op": "solve", "fp": good.fingerprint(),
                      "request": payload})
 
     def test_worker_error_preserves_original_type(self):
         from repro.service import ShardError
 
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             with pytest.raises(ShardError) as err:
                 # worker-side PlatformError (not a SpecError): the relayed
                 # exception must report the ORIGINAL class name, so the
                 # JSON API's "type" field matches the unsharded broker
-                sharded._transport_shards[0].call(
+                sharded._shards[0].call(
                     {"op": "invalidate", "platform": {"nodes": 12}})
             assert type(err.value).__name__ == "PlatformError"
 
     def test_close_is_idempotent_and_workers_exit(self):
-        sharded = ShardedBroker(shards=2, shard_mode="process")
-        procs = [s.process for s in sharded._transport_shards]
+        sharded = ShardedBroker(shards=2)
+        procs = [s.process for s in sharded._shards]
         sharded.close()
         sharded.close()
         assert all(not p.is_alive() for p in procs)
 
 
 # ----------------------------------------------------------------------
-# the batched pipe protocol (solve_many)
+# the batched protocol (solve_many)
 # ----------------------------------------------------------------------
 class TestSolveMany:
     def test_batch_is_one_round_trip_per_shard(self):
         requests = _mixed_requests()
         reference = _reference_results(requests)
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             before = sharded.ipc_round_trips
             results = sharded.solve_batch(requests)
             used = sharded.ipc_round_trips - before
@@ -339,7 +360,7 @@ class TestSolveMany:
     def test_intra_batch_duplicates_hit_the_shard_cache(self):
         req = SolveRequest(problem="master-slave",
                            platform=generators.star(3), master="M")
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             results = sharded.solve_batch([req, req, req])
             assert not results[0].cached
             assert results[1].cached and results[2].cached
@@ -351,10 +372,10 @@ class TestSolveMany:
         from repro.service.api import request_to_dict
         from repro.service.wire import result_from_wire
 
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             bad = request_to_dict(good)
             bad["spec"]["problem"] = "nope"
-            reply = sharded._transport_shards[0].call({
+            reply = sharded._shards[0].call({
                 "op": "solve_many",
                 "items": [
                     {"fp": good.fingerprint(),
@@ -371,16 +392,11 @@ class TestSolveMany:
 
     def test_ipc_counter_grows_per_unbatched_solve(self):
         requests = _mixed_requests()[:4]
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             before = sharded.ipc_round_trips
             for request in requests:
                 sharded.solve(request)
             assert sharded.ipc_round_trips - before == len(requests)
-
-    def test_thread_mode_has_no_ipc(self):
-        with ShardedBroker(shards=2, shard_mode="thread") as sharded:
-            sharded.solve_batch(_mixed_requests()[:3])
-            assert sharded.ipc_round_trips == 0
 
 
 # ----------------------------------------------------------------------
@@ -392,9 +408,8 @@ class TestShardedApi:
             "spec": {"problem": "master-slave", "master": "P1"},
             "platform": platform_to_dict(generators.paper_figure1())}}
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_handle_request_ops(self, mode):
-        with ShardedBroker(shards=2, shard_mode=mode) as sharded:
+    def test_handle_request_ops(self):
+        with ShardedBroker(shards=2) as sharded:
             out = handle_request(sharded, self._envelope())
             assert out["ok"] and Fraction(out["throughput"]) == Fraction(2)
             again = handle_request(sharded, self._envelope())
@@ -417,13 +432,65 @@ class TestShardedApi:
 # ----------------------------------------------------------------------
 # CLI wiring
 # ----------------------------------------------------------------------
+def _running(pid: int) -> bool:
+    """Whether the process still runs (an orphan waiting for init to
+    reap it is a zombie: it exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 class TestServeCli:
     def test_executor_flag_rejected_with_shards(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="--shard-mode"):
+        with pytest.raises(SystemExit, match="--executor"):
             main(["serve", "--stdio", "--shards", "2",
                   "--executor", "process"])
+
+    def test_shard_mode_flag_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--stdio", "--shard-mode", "process"])
+        assert err.value.code == 2  # argparse: unrecognized arguments
+        assert "--shard-mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL],
+                             ids=["SIGTERM", "SIGKILL"])
+    def test_no_worker_outlives_its_server(self, sig):
+        """``kill`` is Ctrl-C (the broker closes, stopping its workers),
+        and a server that dies without a word is an EOF to each worker."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parents[1] / "src"),
+            os.environ.get("PYTHONPATH")])))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--shards", "2"],
+            env=env, stdout=subprocess.PIPE, text=True)
+        try:
+            banner = server.stdout.readline()
+            port = int(banner.split("http://127.0.0.1:")[1].split()[0])
+            with urllib.request.urlopen(
+                    f"http://127.0.0.1:{port}/metrics", timeout=30) as reply:
+                shards = json.load(reply)["shard_health"]["shards"]
+            assert all(s["address"].startswith("local://pid=")
+                       for s in shards)
+            pids = [int(s["address"].rpartition("=")[2]) for s in shards]
+            assert len(set(pids)) == 2
+            server.send_signal(sig)
+            server.wait(timeout=10)
+            deadline = time.time() + 5
+            while time.time() < deadline and any(map(_running, pids)):
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
 
     def test_sharded_stdio_roundtrip(self, capsys):
         import io
@@ -655,39 +722,18 @@ class TestHashRingProperties:
 
 
 # ----------------------------------------------------------------------
-# supervision: worker death, restart, timeout (local pipe shards)
+# local workers: a death is typed and counted, the RTT is metered
 # ----------------------------------------------------------------------
 class TestLocalShardSupervision:
-    def test_worker_death_restarts_once_and_request_survives(self):
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.paper_figure1(),
-                           master="P1")
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
-            reference = sharded.solve(req)
-            old_pids = [s.process.pid for s in sharded._transport_shards]
-            for shard in sharded._transport_shards:  # kill every worker
-                shard.process.kill()
-                shard.process.join()
-            # no lost request: the owning shard is restarted (fresh
-            # cache, so a cold re-solve) and answers identically
-            again = sharded.solve(req)
-            assert again.throughput == reference.throughput
-            assert not again.cached
-            health = sharded.shard_health()
-            assert health["shard_failures"] >= 1
-            assert health["shard_restarts"] >= 1
-            new_pids = [s.process.pid for s in sharded._transport_shards]
-            assert any(a != b for a, b in zip(old_pids, new_pids))
-
     def test_death_mid_request_is_a_typed_shard_error_not_eof(self):
         """The PR 3 bug: a worker dying mid-request surfaced as a raw
-        EOFError from the pipe.  It must be a counted, typed failure
+        EOFError from its channel.  It must be a counted, typed failure
         (and here — with a live sibling shard — a transparent failover,
         so the caller sees no error at all)."""
         req = SolveRequest(problem="master-slave",
                            platform=generators.star(3), master="M")
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
-            shard = sharded._transport_shards[
+        with ShardedBroker(shards=2) as sharded:
+            shard = sharded._shards[
                 sharded.shard_for(req.fingerprint())
             ]
             shard.process.kill()
@@ -698,49 +744,13 @@ class TestLocalShardSupervision:
             snap = sharded.snapshot()
             assert snap["shard_health"]["shard_restarts"] >= 1
 
-    def test_request_timeout_fails_over_then_raises_typed(self):
-        with ShardedBroker(shards=1, shard_mode="process",
-                           request_timeout=0.3) as sharded:
-            with pytest.raises(ShardTimeoutError) as err:
-                sharded._routed_call("0" * 64,
-                                     {"op": "sleep", "seconds": 10.0})
-            assert err.value.shard == 0
-            # the hung worker was replaced; the shard still serves
-            req = SolveRequest(problem="master-slave",
-                               platform=generators.star(2), master="M")
-            assert sharded.solve(req).throughput == Fraction(2)
-            health = sharded.shard_health()
-            assert health["shard_timeouts"] >= 1
-            assert health["shard_restarts"] >= 1
-
-    def test_invalidation_survives_a_dead_shard(self):
-        fig1 = generators.paper_figure1()
-        variants = [
-            SolveRequest(problem="master-slave", platform=fig1,
-                         master="P1"),
-            SolveRequest(problem="master-slave", platform=fig1,
-                         master="P2"),
-            SolveRequest(problem="send-or-receive", platform=fig1,
-                         master="P1"),
-        ]
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
-            sharded.solve_batch(variants)
-            for shard in sharded._transport_shards:
-                shard.process.kill()
-                shard.process.join()
-            # must not raise — dead workers are restarted with empty
-            # caches, which is invalidation by rebirth
-            removed = sharded.invalidate_platform(fig1)
-            assert removed >= 0
-            assert all(not sharded.solve(r).cached for r in variants)
-
     def test_metrics_observe_transport_latency(self):
         req = SolveRequest(problem="master-slave",
                            platform=generators.star(2), master="M")
-        with ShardedBroker(shards=2, shard_mode="process") as sharded:
+        with ShardedBroker(shards=2) as sharded:
             sharded.solve(req)
             endpoints = sharded.snapshot()["metrics"]["endpoints"]
-            assert endpoints["transport.pipe"]["count"] >= 1
+            assert endpoints["transport.async"]["count"] >= 1
 
 
 # ----------------------------------------------------------------------
@@ -784,6 +794,247 @@ def _start_shard_process(port: int) -> multiprocessing.Process:
     raise RuntimeError(f"shard server on :{port} never became reachable")
 
 
+class _Ring:
+    """A two-shard ring of one placement, plus the two things a test
+    does to a peer: take it away, and (remote only — a local worker is
+    restarted by its broker) bring its host back."""
+
+    def __init__(self, placement: str, **kwargs) -> None:
+        self.placement = placement
+        self.ports: list = []
+        self.servers: list = []
+        if placement == "remote":
+            self.ports = [_free_port(), _free_port()]
+            self.servers = [_start_shard_process(p) for p in self.ports]
+            kwargs.update(
+                shards=0, health_interval=0.2,
+                shard_addresses=[f"127.0.0.1:{p}" for p in self.ports])
+        self.broker = ShardedBroker(**kwargs)
+
+    def process(self, shard_id: int):
+        return (self.broker._shards[shard_id].process
+                or self.servers[shard_id])
+
+    def kill(self, shard_id: int) -> None:
+        process = self.process(shard_id)
+        process.kill()
+        process.join()
+
+    def recover(self, shard_id: int, old_pid: int) -> None:
+        """After the outage: the shard is back on the ring — restarted
+        by the broker (local), or rejoined by the health probe once its
+        host answers again (remote) — and the counters say which."""
+        if (self.placement == "remote"
+                and not self.process(shard_id).is_alive()):
+            self.servers[shard_id] = _start_shard_process(
+                self.ports[shard_id])
+        shard = self.broker._shards[shard_id]
+        deadline = time.time() + 20
+        while not shard.active and time.time() < deadline:
+            time.sleep(0.05)
+        assert shard.active, "the shard never came back"
+        health = self.broker.shard_health()
+        if self.placement == "local":
+            assert health["shard_restarts"] == 1
+            assert health["rejoins"] == 0
+            assert self.process(shard_id).pid != old_pid
+            assert (health["shards"][shard_id]["address"]
+                    == f"local://pid={self.process(shard_id).pid}")
+        else:
+            assert health["shard_restarts"] == 0
+            assert health["rejoins"] == 1
+
+    def close(self) -> None:
+        self.broker.close()
+        for server in self.servers:
+            server.kill()
+            server.join()
+
+
+@pytest.fixture(params=["local", "remote"])
+def ring(request):
+    rings = []
+
+    def build(**kwargs) -> _Ring:
+        rings.append(_Ring(request.param, **kwargs))
+        return rings[-1]
+
+    yield build
+    for built in rings:
+        built.close()
+
+
+def _fig1_variants():
+    fig1 = generators.paper_figure1()
+    return fig1, [
+        SolveRequest(problem="master-slave", platform=fig1, master="P1"),
+        SolveRequest(problem="master-slave", platform=fig1, master="P2"),
+        SolveRequest(problem="send-or-receive", platform=fig1, master="P1"),
+        SolveRequest(problem="send-or-receive", platform=fig1, master="P2"),
+    ]
+
+
+class TestSupervision:
+    """One body per fault, run against both placements: a local shard
+    is restarted where a remote one is ejected and rejoined, and nothing
+    else differs."""
+
+    def test_kill_mid_batch_loses_no_request(self, ring):
+        requests = _mixed_requests()
+        reference = _reference_results(requests)
+        r = ring()
+        broker = r.broker
+        victim = broker.shard_for(requests[0].fingerprint())
+        theirs = [q for q in requests
+                  if broker.shard_for(q.fingerprint()) == victim]
+        assert 0 < len(theirs) < len(requests)
+        old_pid = r.process(victim).pid
+
+        def hold_the_engine():
+            try:
+                broker._shards[victim].call({"op": "sleep", "seconds": 5.0})
+            except Exception:  # noqa: BLE001 — the peer dies under it
+                pass
+
+        # park the victim's engine, so its sub-batch is in flight and
+        # unanswered at the moment the peer dies
+        hold = threading.Thread(target=hold_the_engine, daemon=True)
+        hold.start()
+        time.sleep(0.2)
+        out: list = []
+        batch = threading.Thread(
+            target=lambda: out.extend(broker.solve_batch(requests)),
+            daemon=True)
+        batch.start()
+        time.sleep(0.3)
+        r.kill(victim)
+        batch.join(timeout=30)
+        hold.join(timeout=30)
+        assert [g.throughput for g in out] == [
+            ref.throughput for ref in reference]  # none lost, all exact
+        assert broker.shard_health()["shard_failures"] == 1
+        if r.placement == "remote":
+            assert not broker._shards[victim].active  # ejected
+        r.recover(victim, old_pid)
+        per_shard = broker.snapshot()["per_shard"]
+        if r.placement == "local":
+            # the retry ran on the fresh worker — which started empty —
+            # before any ring failover: the sibling saw none of it
+            assert per_shard[victim]["misses"] == len(theirs)
+            assert per_shard[victim]["hits"] == 0
+            assert (per_shard[1 - victim]["requests"]
+                    == len(requests) - len(theirs))
+        else:
+            # the survivor answered everything; the rejoined shard is
+            # empty (a new process here, and cleared on rejoin anyway)
+            assert per_shard[1 - victim]["requests"] == len(requests)
+            assert per_shard[victim]["cache_size"] == 0
+
+    def test_a_missed_request_timeout_is_typed_and_the_shard_stays(
+            self, ring):
+        requests = _mixed_requests()
+        reference = _reference_results(requests)
+        r = ring(request_timeout=0.4)
+        broker = r.broker
+        pids = [r.process(0).pid, r.process(1).pid]
+        fp = "0" * 64
+        started = time.perf_counter()
+        with pytest.raises(ShardTimeoutError) as err:
+            broker._routed_call(fp, {"op": "sleep", "seconds": 1.0})
+        # the shard's own answer at the budget — not this end's guess
+        # after the grace, and not a failover to the sibling
+        assert time.perf_counter() - started < 1.0
+        assert err.value.server_reported
+        assert err.value.shard == broker.shard_for(fp)
+        health = broker.shard_health()
+        assert health["shard_timeouts"] == 1
+        assert (health["shard_failures"] == health["shard_restarts"]
+                == health["failovers"] == health["rejoins"] == 0)
+        assert all(s["active"] for s in health["shards"])
+        assert [r.process(0).pid, r.process(1).pid] == pids  # kept warm
+        time.sleep(1.0)  # let the sleeping engine go
+        out = [broker.solve(q) for q in requests]
+        assert [g.throughput for g in out] == [
+            ref.throughput for ref in reference]
+
+    def test_invalidation_during_the_outage_leaves_nothing_stale(
+            self, ring):
+        fig1, variants = _fig1_variants()
+        reference = _reference_results(variants)
+        r = ring()
+        broker = r.broker
+        broker.solve_batch(variants)
+        owners = [broker.shard_for(v.fingerprint()) for v in variants]
+        assert set(owners) == {0, 1}  # the fan-out is actually needed
+        victim = owners[0]
+        old_pid = r.process(victim).pid
+        r.kill(victim)
+        # must not raise: the dead shard is restarted empty (local) or
+        # ejected and cleared before it rejoins (remote)
+        assert broker.invalidate_platform(fig1) == owners.count(1 - victim)
+        r.recover(victim, old_pid)
+        again = [broker.solve(v) for v in variants]
+        assert not any(g.cached for g in again)
+        assert [g.throughput for g in again] == [
+            ref.throughput for ref in reference]
+
+    def test_a_peer_that_stops_answering_is_replaced(self, ring):
+        """Only a shard that does not answer at all — not even with a
+        deadline miss — is restarted or ejected; what it cached through
+        the outage never resurfaces."""
+        fig1, variants = _fig1_variants()
+        reference = _reference_results(variants)
+        r = ring(request_timeout=0.2)
+        broker = r.broker
+        broker.solve_batch(variants)
+        victim = broker.shard_for(variants[0].fingerprint())
+        old_pid = r.process(victim).pid
+        os.kill(old_pid, signal.SIGSTOP)  # alive, cache intact, mute
+        try:
+            started = time.perf_counter()
+            got = broker.solve(variants[0])  # budget + grace, then recovery
+            assert time.perf_counter() - started > 0.2
+            assert got.throughput == reference[0].throughput
+            assert not got.cached
+            health = broker.shard_health()
+            assert health["shard_timeouts"] == 1
+            assert health["shard_failures"] == 1
+            broker.invalidate_platform(fig1)
+        finally:
+            if r.process(victim).pid == old_pid:
+                os.kill(old_pid, signal.SIGCONT)
+        r.recover(victim, old_pid)
+        again = [broker.solve(v) for v in variants]
+        assert not any(g.cached for g in again)
+        assert [g.throughput for g in again] == [
+            ref.throughput for ref in reference]
+
+
+def test_a_failed_constructor_leaves_no_worker_behind(monkeypatch):
+    from repro.service import sharding
+
+    before = set(multiprocessing.active_children())
+    # refused before anything is spawned
+    with pytest.raises(ValueError, match="host:port"):
+        ShardedBroker(shards=2, shard_addresses=["nonsense"])
+    assert set(multiprocessing.active_children()) == before
+    # a failure after the first worker is up stops it again
+    real = sharding.spawn_local_shard
+    spawned = []
+
+    def second_spawn_fails(*args):
+        if spawned:
+            raise OSError("no more processes")
+        spawned.append(real(*args))
+        return spawned[0]
+
+    monkeypatch.setattr(sharding, "spawn_local_shard", second_spawn_fails)
+    with pytest.raises(OSError, match="no more processes"):
+        ShardedBroker(shards=2)
+    assert not spawned[0][0].is_alive()
+    assert set(multiprocessing.active_children()) == before
+
+
 class TestRemoteTcpShards:
     def test_mixed_ring_matches_single_broker_exactly(self):
         """Acceptance: a ShardedBroker spanning a TCP shard returns
@@ -803,9 +1054,10 @@ class TestRemoteTcpShards:
                     assert got.throughput == ref.throughput  # exact
                 again = [sharded.solve(r) for r in requests]
                 assert all(r.cached for r in again)
-                kinds = {h["kind"] for h in
-                         sharded.shard_health()["shards"]}
-                assert kinds == {"pipe", "async"}
+                health = sharded.shard_health()["shards"]
+                assert {h["kind"] for h in health} == {"async"}
+                assert [h["address"].split("=")[0] for h in health] == [
+                    "local://pid", f"tcp://127.0.0.1:{port}"]
         finally:
             server.kill()
             server.join()
@@ -868,61 +1120,18 @@ class TestRemoteTcpShards:
                 server.kill()
                 server.join()
 
-    def test_ejected_shard_rejoins_after_restart(self):
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.paper_figure1(),
-                           master="P1")
-        port = _free_port()
-        server = _start_shard_process(port)
-        try:
-            with ShardedBroker(
-                shards=1,
-                shard_addresses=[f"127.0.0.1:{port}"],
-                health_interval=0.2,
-            ) as sharded:
-                sharded.solve(req)
-                server.kill()
-                server.join()
-                # force the failure to be noticed (request path ejects)
-                assert sharded.solve(req).throughput == Fraction(2)
-                remote = sharded._transport_shards[1]
-                assert not remote.active
-                server = _start_shard_process(port)  # same address
-                deadline = time.time() + 20
-                while time.time() < deadline and not remote.active:
-                    time.sleep(0.1)
-                assert remote.active, "health probe never rejoined"
-                assert sharded.shard_health()["rejoins"] >= 1
-                assert sharded.solve(req).throughput == Fraction(2)
-        finally:
-            server.kill()
-            server.join()
-
-    def test_thread_mode_rejects_remote_addresses(self):
-        with pytest.raises(ValueError, match="process"):
-            ShardedBroker(shards=2, shard_mode="thread",
-                          shard_addresses=["127.0.0.1:1"])
-
     def test_all_remote_ring_needs_an_address(self):
         with pytest.raises(ValueError):
-            ShardedBroker(shards=0, shard_mode="process")
+            ShardedBroker(shards=0)
 
 
 # ----------------------------------------------------------------------
 # review-hardening regressions
 # ----------------------------------------------------------------------
 class TestTimeoutConfiguration:
-    def test_thread_mode_rejects_request_timeout(self):
-        with pytest.raises(ValueError, match="thread"):
-            ShardedBroker(shards=2, shard_mode="thread",
-                          request_timeout=5.0)
-
     def test_cli_rejects_shard_timeout_without_transport_shards(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="shard-timeout"):
-            main(["serve", "--stdio", "--shards", "2",
-                  "--shard-timeout", "5"])
         with pytest.raises(SystemExit, match="shard-timeout"):
             main(["serve", "--stdio", "--shard-timeout", "5"])
 
@@ -933,14 +1142,15 @@ class TestTimeoutConfiguration:
 
         req = SolveRequest(problem="master-slave",
                            platform=generators.star(2), master="M")
-        with ShardedBroker(shards=1, shard_mode="process",
+        with ShardedBroker(shards=1,
                            request_timeout=0.5) as sharded:
-            shard = sharded._transport_shards[0]
+            shard = sharded._shards[0]
             seen = []
             original = shard.call
 
             def spying_call(msg, timeout=None):
-                seen.append(timeout)
+                seen.append(msg["deadline"])  # what the shard enforces
+                assert timeout > msg["deadline"]  # this end waits longer
                 return original(msg, timeout=timeout)
 
             shard.call = spying_call

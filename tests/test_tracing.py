@@ -357,16 +357,16 @@ class TestEndToEnd:
             assert s["parent"] is None or s["parent"] in by_id
 
     def test_pipe_shard_trace_and_waterfall(self):
-        with ShardedBroker(shards=1, shard_mode="process") as sharded:
+        with ShardedBroker(shards=1) as sharded:
             with start_trace("test") as tr:
                 sharded.solve(_request())
         names = {s["name"] for s in tr.as_dict()["spans"]}
-        assert "transport.pipe" in names and "simplex.solve" in names
+        assert "transport.async" in names and "simplex.solve" in names
         text = render_waterfall(tr.as_dict())
-        assert "transport.pipe" in text
+        assert "transport.async" in text
 
     def test_tracing_off_costs_nothing_and_changes_nothing(self):
-        with ShardedBroker(shards=1, shard_mode="process") as sharded:
+        with ShardedBroker(shards=1) as sharded:
             result = sharded.solve(_request())
         assert result.solution.throughput is not None
         assert current_span() is None

@@ -1,10 +1,12 @@
-"""Shard transport tests: framing, wire codec, pipe/TCP backends, server."""
+"""Shard transport tests: framing, wire codec, the multiplexed client over
+a local worker's socketpair and over TCP, the shard server."""
 
 from __future__ import annotations
 
 import asyncio
 import json
 import multiprocessing
+import os
 import socket
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from repro.service import (
     result_to_wire,
 )
 from repro.service.api import _request_wire
-from repro.service.transport import spawn_pipe_shard
+from repro.service.transport import spawn_local_shard
 from repro.service.wire import WireCodecError, solution_to_wire
 
 
@@ -175,15 +177,15 @@ class TestAddressParsing:
 
 
 # ----------------------------------------------------------------------
-# pipe transport (local worker process)
+# a local worker process behind its socketpair
 # ----------------------------------------------------------------------
 class TestPipeTransport:
     def _spawn(self):
-        return spawn_pipe_shard(multiprocessing.get_context(), 64, None,
-                                True)
+        return spawn_local_shard(multiprocessing.get_context(), 64, None,
+                                 True)
 
     def test_solve_roundtrip_and_ping(self):
-        transport = self._spawn()
+        process, transport = self._spawn()
         try:
             assert transport.ping(timeout=10.0)
             req = SolveRequest(problem="master-slave",
@@ -196,42 +198,43 @@ class TestPipeTransport:
             assert reply["ok"]
             assert result_from_wire(reply["result"]).throughput == Fraction(2)
         finally:
-            transport.close(stop_timeout=2.0)
-        assert not transport.process.is_alive()
-
-    def test_request_timeout_poisons_the_transport(self):
-        transport = self._spawn()
-        try:
-            with pytest.raises(TransportTimeout):
-                transport.request({"op": "sleep", "seconds": 5.0},
-                                  timeout=0.2)
-            assert transport.closed
-            # a poisoned pipe refuses further use instead of pairing the
-            # stale in-flight reply with the next request
-            with pytest.raises(TransportError):
-                transport.request({"op": "ping"})
-        finally:
-            transport.close(stop_timeout=1.0)
+            transport.close()
+        # the socket is the worker's whole life: EOF is its order to exit
+        process.join(timeout=5.0)
+        assert not process.is_alive()
 
     def test_worker_death_is_a_transport_error(self):
-        transport = self._spawn()
-        transport.process.kill()
-        transport.process.join()
-        with pytest.raises(TransportError, match="died"):
+        process, transport = self._spawn()
+        assert transport.ping(timeout=10.0)
+        process.kill()
+        process.join(timeout=5.0)
+        with pytest.raises(TransportError):
             transport.request({"op": "ping"})
+        # nothing to redial behind a socketpair: it stays broken
+        with pytest.raises(TransportError, match="hung up"):
+            transport.request({"op": "ping"})
+        assert transport.closed
         transport.close()
 
-    def test_request_many_pipelines_in_order(self):
-        transport = self._spawn()
+    def test_worker_binds_no_port(self):
+        # spawn, not fork: the worker then holds what it opened itself,
+        # not copies of whatever this test process has open
+        process, transport = spawn_local_shard(
+            multiprocessing.get_context("spawn"), 64, None, True)
         try:
-            replies = transport.request_many(
-                [{"op": "ping"}, {"op": "snapshot"}, {"op": "ping"}]
-            )
-            assert [("pong" in r, "snapshot" in r) for r in replies] == [
-                (True, False), (False, True), (True, False)
-            ]
+            assert transport.ping(timeout=30.0)
+            listening = set()
+            for table in ("tcp", "tcp6"):
+                with open(f"/proc/{process.pid}/net/{table}") as handle:
+                    listening |= {f"socket:[{line.split()[9]}]"
+                                  for line in handle.readlines()[1:]
+                                  if line.split()[3] == "0A"}  # LISTEN
+            fds = f"/proc/{process.pid}/fd"
+            held = {os.readlink(f"{fds}/{fd}") for fd in os.listdir(fds)}
+            assert not listening & held
         finally:
-            transport.close(stop_timeout=2.0)
+            transport.close()
+            process.join(timeout=5.0)
 
 
 # ----------------------------------------------------------------------
@@ -309,23 +312,6 @@ class TestTcpTransport:
         transport = connect_async(f"127.0.0.1:{port}", connect_timeout=0.5)
         with pytest.raises(TransportError, match="connect"):
             transport.request({"op": "ping"})
-
-    def test_request_many_pipelines_one_connection(self, shard_server):
-        transport = connect_async(shard_server.address)
-        try:
-            requests = _mixed_requests()[:4]
-            replies = transport.request_many([
-                {"op": "solve", "fp": r.fingerprint(),
-                 "request": _request_wire(r)}
-                for r in requests
-            ])
-            with Broker(executor="sync") as broker:
-                for request, reply in zip(requests, replies):
-                    assert reply["ok"]
-                    got = result_from_wire(reply["result"])
-                    assert got.throughput == broker.solve(request).throughput
-        finally:
-            transport.close()
 
     def test_two_clients_share_one_engine(self, shard_server):
         first = connect_async(shard_server.address)
