@@ -299,13 +299,6 @@ def _build_broker(args):
     shards = getattr(args, "shards", 1)
     addresses = list(getattr(args, "shard", None) or [])
     if shards > 1 or addresses:
-        if getattr(args, "executor", None):
-            # fail loudly: the flag would be silently dropped, and
-            # "--shards 4 --executor process" reads like process shards
-            raise SystemExit(
-                "--executor applies to the unsharded broker only; "
-                "every shard is a process of its own"
-            )
         from .service.sharding import ShardedBroker
 
         timeout = getattr(args, "shard_timeout", 0) or 0
@@ -339,8 +332,7 @@ def _build_broker(args):
             "unsharded broker solves in-process"
         )
     cache = SolutionCache(max_size=args.cache_size, ttl=ttl)
-    return Broker(cache=cache, workers=args.workers,
-                  executor=getattr(args, "executor", None) or "thread")
+    return Broker(cache=cache, workers=args.workers)
 
 
 def _run_until_stopped(amain) -> None:
@@ -590,10 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cache TTL in seconds (0 = no expiry)")
     p.add_argument("--workers", type=int, default=4,
                    help="worker-pool width of the unsharded broker")
-    p.add_argument("--executor", choices=["thread", "process", "sync"],
-                   default=None,
-                   help="worker-pool kind (default thread; unsharded "
-                        "broker only — rejected alongside --shards)")
     p.add_argument("--shards", type=int, default=1,
                    help="local shards — worker processes, each on a "
                         "private socketpair — routed by consistent hash "

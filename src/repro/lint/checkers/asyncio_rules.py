@@ -10,9 +10,9 @@ convention is mechanical, so it is machine-checked:
 * no raw socket calls (``recv``/``recv_into``/``recvfrom``/``accept``/
   ``sendall``, ``socket.create_connection``) — stream readers/writers
   only;
-* no un-awaited ``.request(...)`` / ``.ping(...)`` — calling the
-  *sync* bridge transport from a coroutine blocks the loop on network
-  I/O (the bridge exists for the opposite direction);
+* no un-awaited ``.request(...)`` / ``.ping(...)`` — the shard
+  transport is a coroutine API: without ``await`` the call sends
+  nothing and leaves a never-awaited coroutine behind;
 * no ``.result()`` — a ``concurrent.futures`` wait parks the loop;
   hand the future to ``asyncio.wrap_future`` or await the executor;
 * no sync ``with <...lock...>:`` — an engine/state lock held across a
@@ -63,8 +63,8 @@ class AsyncioChecker(Checker):
     rule = "asyncio"
     description = (
         "async def bodies in repro/service/ must not block the event "
-        "loop: no time.sleep, raw socket calls, un-awaited sync "
-        "Transport request/ping, Future.result(), or sync 'with' on a "
+        "loop: no time.sleep, raw socket calls, un-awaited "
+        "transport request/ping, Future.result(), or sync 'with' on a "
         "lock (engine locks belong inside executor jobs)"
     )
 
@@ -133,9 +133,9 @@ class AsyncioChecker(Checker):
                 yield Finding(
                     self.rule, module.display_path, node.lineno,
                     node.col_offset,
-                    f"un-awaited .{func.attr}() {where}: a sync "
-                    f"Transport call blocks the loop on network I/O "
-                    f"(await the async transport instead)",
+                    f"un-awaited .{func.attr}() {where}: the shard "
+                    f"transport is a coroutine API — without 'await' "
+                    f"nothing is sent",
                 )
             elif func.attr == "result" and id(node) not in awaited:
                 yield Finding(

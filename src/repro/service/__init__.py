@@ -32,7 +32,8 @@ long-running scheduling service that amortises solves across requests:
   fingerprint — and the exact JSON result codec they reply with;
 * :mod:`~repro.service.sharding` — :class:`ShardedBroker`: consistent-
   hash routing over local worker processes and remote TCP shards with
-  health supervision (auto-restart, ring ejection/rejoin, failover);
+  health supervision (auto-restart, ring ejection/rejoin, failover) —
+  coroutines on one private event loop behind a synchronous API;
 * :mod:`~repro.service.tracing` — request-scoped span trees threaded
   through every layer above (broker, ring, transports, simplex), a
   bounded slow-trace store behind ``GET /traces`` / ``GET /trace/<id>``,
@@ -97,12 +98,10 @@ from .wire import (
     solution_to_wire,
 )
 from .transport import (
-    AsyncBridgeTransport,
     AsyncShardServer,
     AsyncTcpTransport,
     TransportError,
     TransportTimeout,
-    connect_async,
     encode_frame,
     parse_shard_address,
     read_frame_async,
@@ -152,9 +151,7 @@ __all__ = [
     "TransportError",
     "TransportTimeout",
     "AsyncTcpTransport",
-    "AsyncBridgeTransport",
     "AsyncShardServer",
-    "connect_async",
     "encode_frame",
     "read_frame_async",
     "parse_shard_address",

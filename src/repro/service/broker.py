@@ -11,9 +11,8 @@ solvers.  For every :class:`SolveRequest` it:
    with the same fingerprint share one solve (one LP, two futures
    resolved);
 4. otherwise dispatches the request through the problem registry
-   (:mod:`repro.problems.registry`) on a worker pool — threads by
-   default, an optional process pool for CPU-bound sweeps — taking the
-   warm re-solve shortcut of :mod:`repro.service.incremental` whenever
+   (:mod:`repro.problems.registry`) on a pool of worker threads, taking
+   the warm re-solve shortcut of :mod:`repro.service.incremental` whenever
    the registered solver declares the ``warm_resolve`` capability and a
    model with the same topology is already hot.
 
@@ -28,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -233,7 +232,7 @@ class BrokerResult:
 
 
 # ----------------------------------------------------------------------
-# cold execution — module-level so a process pool can pickle it
+# cold execution
 # ----------------------------------------------------------------------
 def execute_request(request: SolveRequest) -> Any:
     """Dispatch one request through the problem registry.
@@ -257,12 +256,6 @@ class SolveEngine:
     :class:`Broker` wraps one engine with a worker pool and in-flight
     coalescing; :class:`~repro.service.sharding.ShardedBroker` runs N of
     them side by side, each a bare engine behind a shard server.
-
-    ``cold_executor``, when given, is called for every cold solve instead
-    of the in-process :func:`execute_request` (the process-pool broker
-    bounces CPU-bound requests through it); the warm path is skipped in
-    that case, since patching a hot in-process model would silently defeat
-    the isolation the caller asked for.
     """
 
     def __init__(
@@ -270,13 +263,11 @@ class SolveEngine:
         cache: Optional[SolutionCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         incremental: Optional[IncrementalSolver] = None,
-        cold_executor=None,
         heat_capacity: int = 128,
     ) -> None:
         self.cache = cache if cache is not None else SolutionCache()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.incremental = incremental
-        self.cold_executor = cold_executor
         # per-fingerprint lookup frequencies (space-saving top-K): what
         # the sharding layer's hot-key replication keys off, and an
         # operator's view of the request skew in `snapshot` either way
@@ -343,14 +334,10 @@ class SolveEngine:
         backend = request.option_dict().get("backend", "exact")
         if (
             self.incremental is not None
-            and self.cold_executor is None
             and resolve(request.problem).capabilities.warm_resolve
             and backend == "exact"
         ):
             solution, warm = self.incremental.solve_spec_ex(request.spec)
-        elif self.cold_executor is not None:
-            with span("solver.solve", path="cold_executor"):
-                solution = self.cold_executor(request)
         else:
             with span("solver.solve", path="registry"):
                 solution = execute_request(request)
@@ -452,9 +439,9 @@ class Broker:
     executor:
         ``"thread"`` (default) runs solves on a thread pool — fine for the
         exact simplex, whose Fraction arithmetic releases the GIL rarely
-        but whose requests are short; ``"process"`` adds a process pool
-        for genuinely CPU-bound sweeps (requests must be picklable);
-        ``"sync"`` executes inline (no pool — deterministic, for tests).
+        but whose requests are short; ``"sync"`` executes inline (no pool
+        — deterministic, for tests).  Process parallelism is the sharded
+        broker's job (``ShardedBroker(shards=N)`` / ``serve --shards N``).
     incremental:
         Use the warm re-solve path for requests whose registered solver
         declares the ``warm_resolve`` capability (master-slave, scatter,
@@ -470,26 +457,19 @@ class Broker:
         executor: str = "thread",
         incremental: bool = True,
     ) -> None:
-        if executor not in ("thread", "process", "sync"):
-            raise ValueError("executor must be 'thread', 'process' or 'sync'")
+        if executor not in ("thread", "sync"):
+            raise ValueError("executor must be 'thread' or 'sync'")
         self.workers = max(1, int(workers))
         self.executor_kind = executor
         self._pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
         if executor != "sync":
             self._pool = ThreadPoolExecutor(
                 max_workers=self.workers, thread_name_prefix="repro-broker"
             )
-        if executor == "process":
-            self._process_pool = ProcessPoolExecutor(max_workers=self.workers)
         self.engine = SolveEngine(
             cache=cache,
             metrics=metrics,
             incremental=IncrementalSolver() if incremental else None,
-            cold_executor=(
-                self._dispatch_to_process_pool
-                if self._process_pool is not None else None
-            ),
         )
         # RLock: a future that completes before add_done_callback returns
         # runs its callback inline on the submitting thread, re-entering
@@ -510,17 +490,12 @@ class Broker:
     def metrics(self) -> MetricsRegistry:
         return self.engine.metrics
 
-    def _dispatch_to_process_pool(self, request: SolveRequest) -> Any:
-        return self._process_pool.submit(execute_request, request).result()
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
 
     def __enter__(self) -> "Broker":
         return self

@@ -15,13 +15,30 @@ results — ``Fraction``-exact.
 
 Every shard is an :class:`~repro.service.transport.AsyncShardServer`
 reached through the multiplexed id-tagged client
-(:class:`~repro.service.transport.AsyncBridgeTransport`): requests
-travel as the spec wire codec, replies as the exact JSON result codec of
+(:class:`~repro.service.transport.AsyncTcpTransport`): requests travel
+as the spec wire codec, replies as the exact JSON result codec of
 :mod:`repro.service.wire`, many requests are in flight per connection,
 the shard enforces ``request_timeout`` as a server-side deadline,
 answers pings ahead of queued solves and coalesces identical in-flight
-solves.  Two placements share that one path and mix on one hash ring;
-they differ only in who owns the shard's life:
+solves.
+
+**The ring is a coroutine.**  Routing, the restart/failover ladder, the
+``solve_batch`` and invalidate/clear/snapshot fan-outs, hot-key
+replication and health probing are coroutines confined to **one private
+event loop thread** the :class:`ShardedBroker` owns, and they ``await``
+the shard transports directly.  Everything they share — ring membership,
+supervision counters, generation bounds, the in-flight replica puts — is
+touched by that loop only, so none of it is locked.  The public API
+stays synchronous: each public method is a **single crossing** onto the
+loop (``asyncio.run_coroutine_threadsafe``, whose
+``concurrent.futures.Future`` *is* what :meth:`ShardedBroker.submit`
+returns), after at most the fingerprint, the heat count and the
+near-cache lookup on the calling thread — a near-cache hit returns
+without any thread hop.  The only work that leaves the loop again is a
+worker respawn (``join`` + ``fork`` block), via ``asyncio.to_thread``.
+
+Two placements share that one path and mix on one hash ring; they
+differ only in who owns the shard's life:
 
 local shards (``shards=N``)
     Worker **processes** this broker spawns, each serving the far end
@@ -68,15 +85,16 @@ failover cheap and rejoin cheap again.
 
 from __future__ import annotations
 
+import asyncio
 import bisect
 import functools
 import hashlib
 import multiprocessing
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..platform.graph import Platform
 from ..platform.serialization import platform_to_dict
@@ -88,11 +106,11 @@ from .metrics import (
     merge_snapshots,
     process_snapshot,
 )
-from .tracing import activate, current_span, graft_remote, log_event, span
+from .tracing import current_span, graft_remote, log_event, span
 from .transport import (
+    AsyncTcpTransport,
     TransportError,
     TransportTimeout,
-    connect_async,
     parse_shard_address,
     spawn_local_shard,
 )
@@ -261,37 +279,37 @@ class HashRing:
 
 
 # ----------------------------------------------------------------------
-# the shard handle: one transport + one dispatch queue per shard
+# the shard handle: one transport + the supervision state of one shard
 # ----------------------------------------------------------------------
-#: dispatch-queue width: how many of one shard's requests this broker
-#: keeps in flight on the shared connection at once (the shard server
-#: bounds actual engine work with its own solve executor, so this only
-#: caps wire-level concurrency)
+#: how many of one shard's *solve* ops this broker keeps in flight on
+#: the shared connection at once (the shard server bounds actual engine
+#: work with its own solve executor, so this only caps wire-level
+#: concurrency); every other op bypasses the cap
 ASYNC_SHARD_WIDTH = 8
 
 
 class _Shard:
-    """Parent-side handle: a multiplexed transport, a dispatch queue
-    and the supervision counters of one shard.
+    """Parent-side handle: a multiplexed transport and the supervision
+    state of one shard, all of it **confined to the ring's loop**.
 
     ``process`` is the worker a **local** shard owns (spawned here,
-    replaced by :meth:`restart`); it is ``None`` for a **remote** shard,
-    whose life belongs to its operator — we supervise only its ring
-    membership (``ejected``).  Nothing else differs between the two.
+    replaced by :meth:`ShardedBroker._restart`); it is ``None`` for a
+    **remote** shard, whose life belongs to its operator — we supervise
+    only its ring membership (``ejected``).  Nothing else differs
+    between the two.
 
-    Calls do not serialise on the lock: the transport is thread-safe
-    and pairs replies to requests by id, so many of this broker's
-    threads keep requests in flight on one connection.  The lock guards
-    the counters, the worker swap and the prober's rejoin handshake.
-    The per-shard **own** executor is what prevents head-of-line
-    blocking: a burst of requests hashing to one busy shard queues on
-    *that shard's* threads and can never starve dispatch to idle shards
-    or the introspection fan-outs, which a shared pool would allow.
+    The ring's coroutines ``await`` the transport directly and only
+    they write the counters, so nothing here is locked.  ``solve_slots``
+    is what prevents head-of-line blocking: a burst of solves hashing to
+    one busy shard waits on *that shard's* semaphore and can never
+    starve dispatch to idle shards, and the introspection fan-outs do
+    not take it at all.
 
     ``epoch`` increments on every worker swap; a caller that saw a
     failure on epoch *e* only triggers recovery if the shard is still
-    on epoch *e*, so concurrent failures cause one restart, not a
-    stampede.
+    on epoch *e*.  ``swap`` serialises the swap itself (the one step of
+    recovery that awaits), so concurrent failures cause one restart,
+    not a stampede.
     """
 
     def __init__(self, index: int, address: Optional[str] = None,
@@ -301,21 +319,15 @@ class _Shard:
         if spawn is not None:
             self.process, self.transport = spawn()
         else:
-            self.process, self.transport = None, connect_async(address)
-        self.lock = threading.Lock()
-        self.executor = ThreadPoolExecutor(
-            max_workers=ASYNC_SHARD_WIDTH,
-            thread_name_prefix=f"repro-shard-{index}",
-        )
-        # transport round-trips (one request+reply pair)
-        self.calls = 0  # guarded-by: lock
-        # failures/timeouts are mutated by the owning ShardedBroker
-        # under ITS _health_lock (cross-object guarding the lock
-        # checker cannot express), so they stay unannotated here
+            self.process = None
+            self.transport = AsyncTcpTransport(*parse_shard_address(address))
+        self.solve_slots = asyncio.Semaphore(ASYNC_SHARD_WIDTH)
+        self.swap = asyncio.Lock()
+        self.calls = 0  # transport round-trips (one request+reply pair)
         self.failures = 0
         self.timeouts = 0
-        self.restarts = 0  # guarded-by: lock
-        self.epoch = 0  # guarded-by: lock
+        self.restarts = 0
+        self.epoch = 0
         self.ejected = False  # remote: off the ring until health rejoin
         self.dead = False  # local: respawn itself failed (permanent)
 
@@ -329,22 +341,19 @@ class _Shard:
             return f"local://pid={self.process.pid}"
         return self.transport.address
 
-    def call(self, msg: Dict[str, Any],
-             timeout: Optional[float] = None) -> Dict[str, Any]:
+    async def call(self, msg: Dict[str, Any],
+                   timeout: Optional[float] = None) -> Dict[str, Any]:
         """One round-trip; worker-side errors become exceptions."""
-        with self.lock:
-            self.calls += 1
-            transport = self.transport
-        # the round-trip happens OUTSIDE the lock — that is the whole
-        # point of the multiplexed transport
-        reply = transport.request(msg, timeout=timeout)
+        self.calls += 1
+        reply = await self.transport.request(msg, timeout=timeout)
         if not reply.get("ok"):
             raise _raise_worker_error(reply, shard=self.index)
         return reply
 
-    def _reap(self, grace: float) -> None:
-        """Close the channel and make sure the worker is gone."""
-        self.transport.close()  # EOF: a healthy worker exits on it
+    def reap(self, grace: float) -> None:
+        """Make sure the worker is gone (blocking: never on the loop).
+        Its channel is closed already — EOF is a healthy worker's order
+        to exit."""
         self.process.join(timeout=grace)
         if self.process.is_alive():
             self.process.terminate()
@@ -353,25 +362,26 @@ class _Shard:
                 self.process.kill()
                 self.process.join(timeout=grace)
 
-    def restart(self, expected_epoch: int) -> bool:
-        """Swap in a fresh worker on a fresh socketpair (local shards
-        only); returns whether the shard is usable."""
-        with self.lock:
-            if self.epoch != expected_epoch:
-                return not self.dead  # another thread already recovered
-            try:
-                # the worker is dead or wedged: no grace worth giving
-                self._reap(grace=0.2)
-            except Exception:  # noqa: BLE001 — already beyond saving
-                pass
-            try:
-                self.process, self.transport = self._spawn()
-            except Exception:  # noqa: BLE001 — respawn failed: shard dead
-                self.dead = True
-                return False
-            self.epoch += 1
-            self.restarts += 1
-            return True
+    def respawn(self):
+        """A fresh worker on a fresh socketpair, once the old one is
+        gone (blocking ``join`` + ``fork``: run off the loop)."""
+        self.reap(grace=0.2)  # dead or wedged: no grace worth giving
+        return self._spawn()
+
+    async def stop(self, timeout: float = 5.0) -> None:
+        """Say goodbye and close the channel; a local worker is then
+        reaped off the loop (:meth:`reap`)."""
+        async with self.swap:  # a respawn under way ends first
+            if self.process is not None:
+                try:
+                    # closing our end is an EOF only once no sibling
+                    # worker holds a forked copy of it; the handshake
+                    # does not wait
+                    await self.transport.request({"op": "stop"},
+                                                 timeout=timeout)
+                except TransportError:
+                    pass
+            await self.transport.close()
 
     def health(self) -> Dict[str, Any]:
         return {
@@ -381,26 +391,11 @@ class _Shard:
             "active": self.active,
             "ejected": self.ejected,
             "dead": self.dead,
-            # GIL-atomic int reads; taking self.lock here would block
-            # the health probe behind a worker swap
-            "calls": self.calls,  # repro-lint: allow(locks)
+            "calls": self.calls,
             "failures": self.failures,
             "timeouts": self.timeouts,
-            "restarts": self.restarts,  # repro-lint: allow(locks)
+            "restarts": self.restarts,
         }
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self.executor.shutdown(wait=True)  # drain queued dispatches first
-        if self.process is None:
-            self.transport.close()
-            return
-        try:
-            # closing our end is an EOF only once no sibling worker
-            # holds a forked copy of it; the handshake does not wait
-            self.transport.request({"op": "stop"}, timeout=timeout)
-        except TransportError:
-            pass
-        self._reap(grace=timeout)
 
 
 # ----------------------------------------------------------------------
@@ -529,7 +524,7 @@ class ShardedBroker:
         happen reactively on request failures, prober or not.
     async_transport:
         Selects nothing: every shard rides the multiplexed
-        :class:`~repro.service.transport.AsyncBridgeTransport`, and
+        :class:`~repro.service.transport.AsyncTcpTransport`, and
         ``False`` raises :class:`ValueError`.
     replication_factor:
         Replica count for **hot** fingerprints.  With ``R >= 2`` a
@@ -594,11 +589,12 @@ class ShardedBroker:
         self.request_timeout = (request_timeout
                                 if request_timeout and request_timeout > 0
                                 else None)
-        self._health_lock = threading.Lock()
+        # ---- ring state: touched by the loop thread only, never locked
         # requests that abandoned a shard mid-flight
-        self.failovers = 0  # guarded-by: _health_lock
+        self.failovers = 0
         # ejected remote shards re-admitted to the ring
-        self.rejoins = 0  # guarded-by: _health_lock
+        self.rejoins = 0
+        # set by close() on the caller's thread; the loop only reads it
         self._closed = False
         # ---- hot-key replication + near-cache ------------------------
         if replication_factor < 1:
@@ -617,48 +613,44 @@ class ShardedBroker:
         self._near_cache = (SolutionCache(max_size=near_cache_size, ttl=ttl)
                             if near_cache_size > 0 and self._heat is not None
                             else None)
-        self._rep_lock = threading.Lock()
         # hot-key solutions written to replicas that missed them
-        self.replicated_puts = 0  # guarded-by: _rep_lock
+        self.replicated_puts = 0
         # replicated puts refused: generation moved (stale), no known
         # generation yet, or the replica's transport failed
-        self.replica_put_rejects = 0  # guarded-by: _rep_lock
+        self.replica_put_rejects = 0
         # hot reads served by a non-primary replica (rotation working)
-        self.replica_reads = 0  # guarded-by: _rep_lock
+        self.replica_reads = 0
         # per-shard cache-generation lower bounds learned from transport
         # replies ("gen" rides on every shard reply); monotone, so a lag
         # only makes a replicated put reject safely, never land stale
-        self._known_gens: Dict[int, int] = {}  # guarded-by: _rep_lock
-        # in-flight replica put dispatches (drained by flush_replication)
-        self._put_futures: Set[Future] = set()  # guarded-by: _rep_lock
+        self._known_gens: Dict[int, int] = {}
+        # in-flight replica puts (drained by flush_replication)
+        self._put_tasks: Set[asyncio.Task] = set()
+        if health_interval is None:
+            health_interval = 5.0 if addresses else 0.0
+        self.health_interval = (health_interval
+                                if health_interval > 0 else None)
+        self._health: Optional[Future] = None  # the prober, when it runs
         ctx = (multiprocessing.get_context(mp_start_method)
                if mp_start_method else multiprocessing.get_context())
         spawn = functools.partial(spawn_local_shard, ctx, cache_size, ttl,
                                   incremental)
         self._shards: List[_Shard] = []
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(target=self._loop.run_forever,
+                                        name="repro-ring", daemon=True)
+        self._thread.start()
         try:
             for index in range(local_count):
                 self._shards.append(_Shard(index, spawn=spawn))
             for address in addresses:
                 self._shards.append(_Shard(len(self._shards),
                                            address=address))
+            if self.health_interval:
+                self._health = self._cross(self._health_loop())
         except BaseException:
-            for shard in self._shards:  # stop whatever did start
-                shard.stop()
+            self.close()  # stop whatever did start
             raise
-        if health_interval is None:
-            health_interval = 5.0 if addresses else 0.0
-        self.health_interval = (health_interval
-                                if health_interval > 0 else None)
-        self._stop_event = threading.Event()
-        self._health_thread: Optional[threading.Thread] = None
-        if self.health_interval:
-            self._health_thread = threading.Thread(
-                target=self._health_loop,
-                name="repro-shard-health",
-                daemon=True,
-            )
-            self._health_thread.start()
 
     # ------------------------------------------------------------------
     @property
@@ -677,17 +669,46 @@ class ShardedBroker:
         return sum(shard.calls for shard in self._shards)
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle: the loop thread, the one crossing onto it, shutdown
     # ------------------------------------------------------------------
+    def _cross(self, coro) -> Future:
+        """Hand a ring coroutine to the loop — the **one** thread
+        crossing of a public call.  The returned
+        ``concurrent.futures.Future`` resolves on the loop thread."""
+        if not self._closed:
+            try:
+                return asyncio.run_coroutine_threadsafe(coro, self._loop)
+            except RuntimeError:  # close() won the race: the loop is gone
+                pass
+        coro.close()
+        raise ShardError("broker is closed")
+
+    async def _shutdown(self) -> None:
+        """Stop every shard's channel (a respawn under way ends first:
+        its worker must hear the goodbye too), then cancel what is left
+        on the loop — the prober, replica puts, and any request that
+        raced :meth:`close` — so no caller waits on a loop that is
+        gone."""
+        await asyncio.gather(*(shard.stop() for shard in self._shards))
+        left = [task for task in asyncio.all_tasks()
+                if task is not asyncio.current_task()]
+        for task in left:
+            task.cancel()
+        await asyncio.gather(*left, return_exceptions=True)
+        await self._loop.shutdown_default_executor()  # respawn threads
+
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
-        self._stop_event.set()
-        if self._health_thread is not None:
-            self._health_thread.join(timeout=10.0)
+        self._closed = True  # from here on nothing crosses or respawns
+        asyncio.run_coroutine_threadsafe(self._shutdown(),
+                                         self._loop).result()
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join()
+        self._loop.close()
         for shard in self._shards:
-            shard.stop()
+            if shard.process is not None:
+                shard.reap(grace=5.0)
 
     def __enter__(self) -> "ShardedBroker":
         return self
@@ -698,11 +719,13 @@ class ShardedBroker:
     # ------------------------------------------------------------------
     # transport dispatch: metered calls, recovery, ring failover
     # ------------------------------------------------------------------
-    def _shard_call(self, shard: _Shard,
-                    msg: Dict[str, Any]) -> Dict[str, Any]:
+    async def _shard_call(self, shard: _Shard,
+                          msg: Dict[str, Any]) -> Dict[str, Any]:
         """One metered call; transport failures trigger recovery and
         re-raise as typed :class:`ShardUnavailableError`\\ s."""
         endpoint = f"transport.{shard.transport.kind}"
+        # the worker this call talks to: a failure recovers the shard
+        # only while it is still on this epoch
         epoch = shard.epoch
         timeout = self.request_timeout
         if timeout is not None and msg.get("op") == "solve_many":
@@ -724,43 +747,40 @@ class ShardedBroker:
                   op=msg.get("op")) as sp:
             start = time.perf_counter()
             try:
-                reply = shard.call(msg, timeout=timeout)
-            except ShardTimeoutError as exc:
+                reply = await shard.call(msg, timeout=timeout)
+            except ShardTimeoutError:
                 # server-reported deadline miss (shard.call minted it
                 # from the reply): the shard is alive and the channel is
                 # fine — count the timeout, never eject or restart
                 self.metrics.observe(endpoint, time.perf_counter() - start,
                                      error=True)
-                with self._health_lock:
-                    shard.timeouts += 1
+                shard.timeouts += 1
                 log_event("shard.deadline", shard=shard.index,
                           kind=shard.transport.kind,
                           address=shard.address,
                           op=msg.get("op"))
                 raise
-            except TransportTimeout as exc:
-                self.metrics.observe(endpoint, time.perf_counter() - start,
-                                     error=True)
-                self._note_transport_failure(shard, epoch, timeout=True)
-                raise ShardTimeoutError(
-                    f"shard {shard.index} ({shard.address}): "
-                    f"{exc}",
-                    shard=shard.index,
-                ) from exc
             except TransportError as exc:
                 self.metrics.observe(endpoint, time.perf_counter() - start,
                                      error=True)
-                self._note_transport_failure(shard, epoch)
-                raise ShardUnavailableError(
+                timed_out = isinstance(exc, TransportTimeout)
+                await self._note_transport_failure(shard, epoch,
+                                                   timeout=timed_out)
+                error = (ShardTimeoutError if timed_out
+                         else ShardUnavailableError)
+                raise error(
                     f"shard {shard.index} ({shard.address}): "
                     f"{exc}",
                     shard=shard.index,
                 ) from exc
             rtt = time.perf_counter() - start
             self.metrics.observe(endpoint, rtt)
+            # every reply carries the shard's cache generation: raise
+            # the learned lower bound
             gen = reply.get("gen")
-            if isinstance(gen, int):
-                self._note_generation(shard.index, gen)
+            if (isinstance(gen, int)
+                    and gen > self._known_gens.get(shard.index, -1)):
+                self._known_gens[shard.index] = gen
             if sp is not None:
                 # re-parent shard-side span trees (single replies and
                 # solve_many items alike) into this caller's trace
@@ -774,25 +794,46 @@ class ShardedBroker:
                         graft_remote(sp, item_trace.get("spans", []), rtt)
             return reply
 
-    def _note_transport_failure(self, shard: _Shard, epoch: int,
-                                timeout: bool = False) -> None:
+    async def _note_transport_failure(self, shard: _Shard, epoch: int,
+                                      timeout: bool = False) -> None:
         """Count one failure and recover the shard: local shards get one
         automatic restart, remote shards are ejected until the health
         probe sees them answer again."""
-        with self._health_lock:
-            shard.failures += 1
-            if timeout:
-                shard.timeouts += 1
+        shard.failures += 1
+        if timeout:
+            shard.timeouts += 1
         log_event("shard.timeout" if timeout else "shard.failure",
                   shard=shard.index, kind=shard.transport.kind,
                   address=shard.address)
         if shard.process is not None:
-            usable = shard.restart(epoch)  # marks dead if respawn fails
+            # shielded: the swap runs to its end even when the request
+            # that tripped it is cancelled — a worker spawned into a
+            # cancelled ``await`` would belong to nobody
+            usable = await asyncio.shield(self._restart(shard, epoch))
             log_event("shard.restart", shard=shard.index, usable=usable)
         else:
             shard.ejected = True
             log_event("shard.eject", shard=shard.index,
                       address=shard.address)
+
+    async def _restart(self, shard: _Shard, expected_epoch: int) -> bool:
+        """Swap in a fresh worker on a fresh socketpair (local shards
+        only); returns whether the shard is usable."""
+        async with shard.swap:
+            if shard.epoch != expected_epoch:
+                return not shard.dead  # another failure already recovered
+            if self._closed:
+                return False  # a closed broker resurrects nothing
+            await shard.transport.close()
+            try:
+                shard.process, shard.transport = \
+                    await asyncio.to_thread(shard.respawn)
+            except Exception:  # noqa: BLE001 — respawn failed: shard dead
+                shard.dead = True
+                return False
+            shard.epoch += 1
+            shard.restarts += 1
+            return True
 
     def _inactive_ids(self) -> set:
         return {s.index for s in self._shards if not s.active}
@@ -800,14 +841,6 @@ class ShardedBroker:
     # ------------------------------------------------------------------
     # hot-key machinery: heat, near-cache, replica fan-out
     # ------------------------------------------------------------------
-    def _note_generation(self, shard_id: int, gen: int) -> None:
-        """Raise the learned generation lower bound for a shard (every
-        transport reply carries the shard's current cache generation)."""
-        with self._rep_lock:
-            prev = self._known_gens.get(shard_id)
-            if prev is None or gen > prev:
-                self._known_gens[shard_id] = gen
-
     def _record_heat(self, fp: str) -> int:
         """Count one lookup; 0 when heat tracking is disabled."""
         return self._heat.record(fp) if self._heat is not None else 0
@@ -863,11 +896,10 @@ class ShardedBroker:
             if len(replica_ids) > 1:
                 ctx.replicas = replica_ids
                 ctx.target = replica_ids[count % len(replica_ids)]
-                with self._rep_lock:
-                    ctx.generations = {
-                        sid: self._known_gens.get(sid)
-                        for sid in replica_ids
-                    }
+                ctx.generations = {
+                    sid: self._known_gens.get(sid)
+                    for sid in replica_ids
+                }
         if self._near_cache is not None:
             ctx.near_generation = self._near_cache.generation
         return ctx
@@ -875,8 +907,7 @@ class ShardedBroker:
     def _count_replica_read(self, ctx: Optional[_HotContext]) -> None:
         """A hot read about to be served off the primary replica."""
         if ctx is not None and ctx.replicas and ctx.target != ctx.replicas[0]:
-            with self._rep_lock:
-                self.replica_reads += 1
+            self.replica_reads += 1
 
     def _propagate(self, request: SolveRequest, fp: str,
                    result: BrokerResult, ctx: Optional[_HotContext],
@@ -919,55 +950,46 @@ class ShardedBroker:
     def _dispatch_puts(
         self, entries_by_shard: Dict[int, List[Dict[str, Any]]]
     ) -> None:
-        """Queue batched replica puts on each shard's own dispatch
-        queue — fire-and-forget from the solve path (the reply already
+        """Start one batched replica put per shard as a task of its
+        own — fire-and-forget from the solve path (the reply already
         went to the caller), drainable via :meth:`flush_replication`."""
-        parent = current_span()
         for sid, entries in entries_by_shard.items():
             shard = self._shards[sid]
             if not shard.active:
-                with self._rep_lock:
-                    self.replica_put_rejects += len(entries)
+                self.replica_put_rejects += len(entries)
                 continue
-            fut = shard.executor.submit(self._run_put, shard, entries,
-                                        parent)
-            with self._rep_lock:
-                self._put_futures.add(fut)
-            fut.add_done_callback(self._discard_put_future)
+            task = self._loop.create_task(self._run_put(shard, entries))
+            self._put_tasks.add(task)
+            task.add_done_callback(self._put_tasks.discard)
 
-    def _discard_put_future(self, fut: Future) -> None:
-        with self._rep_lock:
-            self._put_futures.discard(fut)
-
-    def _run_put(self, shard: _Shard,
-                 entries: List[Dict[str, Any]], parent) -> None:
-        with activate(parent):
-            with span("ring.replicate", shard=shard.index,
-                      entries=len(entries)):
-                try:
-                    reply = self._shard_call(
-                        shard, {"op": "put", "entries": entries})
-                except ShardError:
-                    with self._rep_lock:
-                        self.replica_put_rejects += len(entries)
-                    return
-        with self._rep_lock:
-            self.replicated_puts += reply.get("stored", 0)
-            self.replica_put_rejects += (reply.get("stale", 0)
-                                         + reply.get("skipped", 0))
+    async def _run_put(self, shard: _Shard,
+                       entries: List[Dict[str, Any]]) -> None:
+        with span("ring.replicate", shard=shard.index,
+                  entries=len(entries)):
+            try:
+                reply = await self._shard_call(
+                    shard, {"op": "put", "entries": entries})
+            except ShardError:
+                self.replica_put_rejects += len(entries)
+                return
+        self.replicated_puts += reply.get("stored", 0)
+        self.replica_put_rejects += (reply.get("stale", 0)
+                                     + reply.get("skipped", 0))
 
     def flush_replication(self, timeout: Optional[float] = None) -> int:
         """Block until queued replica puts land; returns how many
-        dispatches were waited on (tests use this for determinism —
-        production callers never need it)."""
-        with self._rep_lock:
-            pending = list(self._put_futures)
+        were waited on (tests use this for determinism — production
+        callers never need it)."""
+        return self._cross(self._flush_replication(timeout)).result()
+
+    async def _flush_replication(self, timeout: Optional[float]) -> int:
+        pending = list(self._put_tasks)
         if pending:
-            wait(pending, timeout=timeout)
+            await asyncio.wait(pending, timeout=timeout)
         return len(pending)
 
-    def _routed_call(self, fp: str, msg: Dict[str, Any],
-                     prefer: Optional[int] = None) -> Dict[str, Any]:
+    async def _routed_call(self, fp: str, msg: Dict[str, Any],
+                           prefer: Optional[int] = None) -> Dict[str, Any]:
         """Route to the fingerprint's shard with automatic failover.
 
         ``prefer`` names the shard to try first (a hot key's rotating
@@ -996,7 +1018,8 @@ class ShardedBroker:
             retried_fresh_worker = False
             while True:
                 try:
-                    return self._shard_call(shard, msg)
+                    async with shard.solve_slots:  # solves take turns
+                        return await self._shard_call(shard, msg)
                 except ShardUnavailableError as exc:
                     if exc.server_reported:
                         # the shard is alive and answered within budget
@@ -1014,8 +1037,7 @@ class ShardedBroker:
                         continue
                     break
             tried.add(shard_id)
-            with self._health_lock:
-                self.failovers += 1
+            self.failovers += 1
             log_event("shard.failover", from_shard=shard_id,
                       fingerprint=fp[:12])
             # a zero-length marker in the waterfall: the request left
@@ -1027,7 +1049,7 @@ class ShardedBroker:
     # the solve paths
     # ------------------------------------------------------------------
     def solve(self, request: SolveRequest) -> BrokerResult:
-        """Route one request to its shard and solve synchronously.
+        """Route one request to its shard and wait for the answer.
 
         Hot fingerprints (heat >= ``hot_threshold``) take the skew
         path: near-cache first, then a rotating replica, with the
@@ -1035,23 +1057,22 @@ class ShardedBroker:
         missed it — see :class:`_HotContext` for the staleness
         discipline.
         """
-        fp = request.fingerprint()
-        count = self._record_heat(fp)
-        near = self._near_lookup(request, fp)
-        if near is not None:
-            return near
-        return self._transport_solve(request, fp,
-                                     self._hot_context(fp, count))
+        return self.submit(request).result()
 
     def submit(self, request: SolveRequest) -> "Future[BrokerResult]":
         """Asynchronous solve on the owning shard.
 
+        The fingerprint, the heat count and the near-cache lookup run
+        on the calling thread — a near hit returns without a thread hop
+        — and everything else is one crossing onto the ring's loop.
         Identical concurrent requests route to the same shard and share
         its connection, so the shard coalesces them onto one engine run
         (a hot key's rotation step changes the target only every
         ``len(replicas)`` lookups, and the replicas serve repeats from
         their own caches).
         """
+        if self._closed:
+            raise ShardError("broker is closed")
         fp = request.fingerprint()
         count = self._record_heat(fp)
         near = self._near_lookup(request, fp)
@@ -1059,34 +1080,19 @@ class ShardedBroker:
             done: "Future[BrokerResult]" = Future()
             done.set_result(near)
             return done
-        ctx = self._hot_context(fp, count)
-        shard = self._shards[self._queue_shard_id(fp, ctx)]
-        # the caller's span must follow the request onto the shard's
-        # dispatch thread (where the transport span is opened)
-        parent = current_span()
-        return shard.executor.submit(self._dispatch_solve, request, fp,
-                                     parent, ctx)
+        # the caller's span follows the request onto the loop: the task
+        # run_coroutine_threadsafe creates copies this thread's context
+        return self._cross(self._solve(request, fp, count))
 
-    def _dispatch_solve(self, request: SolveRequest, fp: str, parent,
-                        ctx: Optional[_HotContext] = None) -> BrokerResult:
-        with activate(parent):
-            return self._transport_solve(request, fp, ctx)
+    async def _solve(self, request: SolveRequest, fp: str,
+                     count: int) -> BrokerResult:
+        return await self._transport_solve(request, fp,
+                                           self._hot_context(fp, count))
 
-    def _queue_shard_id(self, fp: str,
-                        ctx: Optional[_HotContext] = None) -> int:
-        """The dispatch queue for an async solve: the hot key's chosen
-        replica, else the fingerprint's live owner, or its home shard
-        when nothing is live (the routed call will then raise the
-        no-shards error inside the future)."""
-        if ctx is not None and ctx.target is not None:
-            return ctx.target
-        try:
-            return self.ring.route(fp, skip=self._inactive_ids())
-        except ValueError:
-            return self.ring.route(fp)
-
-    def _transport_solve(self, request: SolveRequest, fp: str,
-                         ctx: Optional[_HotContext] = None) -> BrokerResult:
+    async def _transport_solve(
+        self, request: SolveRequest, fp: str,
+        ctx: Optional[_HotContext] = None,
+    ) -> BrokerResult:
         from .api import _request_wire  # deferred: avoid import cycle
 
         # the memoized read-only encoding: re-sends never re-encode the
@@ -1100,7 +1106,7 @@ class ShardedBroker:
             msg["trace"] = True  # ask the shard for its span tree
         prefer = ctx.target if ctx is not None else None
         self._count_replica_read(ctx)
-        reply = self._routed_call(fp, msg, prefer=prefer)
+        reply = await self._routed_call(fp, msg, prefer=prefer)
         result = result_from_wire(reply["result"])
         self._propagate(request, fp, result, ctx,
                         wire_result=reply["result"])
@@ -1121,21 +1127,32 @@ class ShardedBroker:
         error isolation submit individually.
         """
         with self.metrics.timer("solve.batch"):
-            return self._transport_solve_batch(requests)
+            # fingerprints on the calling thread; the rest is the loop's
+            fps = [request.fingerprint() for request in requests]
+            return self._cross(self._solve_batch(requests, fps)).result()
 
-    def _dispatch_call(self, shard: _Shard, msg: Dict[str, Any],
-                       parent) -> Dict[str, Any]:
-        with activate(parent):
-            return self._shard_call(shard, msg)
+    async def _sub_batch(self, shard_id: int,
+                         items: List[Dict[str, Any]]) -> Optional[List[Any]]:
+        """One shard's ``solve_many``; ``None`` when the shard died
+        holding it (recovery already ran — its members fail over)."""
+        shard = self._shards[shard_id]
+        try:
+            async with shard.solve_slots:
+                reply = await self._shard_call(
+                    shard, {"op": "solve_many", "items": items})
+        except ShardUnavailableError as exc:
+            if exc.server_reported:
+                raise  # the shard is alive; see _routed_call
+            self.failovers += 1
+            return None
+        return reply["results"]
 
-    def _transport_solve_batch(
-        self, requests: List[SolveRequest]
+    async def _solve_batch(
+        self, requests: List[SolveRequest], fps: List[str]
     ) -> List[BrokerResult]:
         from .api import _request_wire  # deferred: avoid import cycle
 
-        fps = [request.fingerprint() for request in requests]
-        parent = current_span()
-        traced = parent is not None
+        traced = current_span() is not None
         inactive = self._inactive_ids()
         by_shard: Dict[Optional[int], List[int]] = {}
         ctxs: Dict[int, Optional[_HotContext]] = {}
@@ -1157,45 +1174,25 @@ class ShardedBroker:
                 except ValueError:
                     owner = None  # nothing live: the retry path will raise
             by_shard.setdefault(owner, []).append(index)
-        # one solve_many per shard, dispatched through the shard's own
-        # queue (ordered with its other work), all shards in parallel
-        futures = {
-            shard_id: self._shards[shard_id].executor.submit(
-                self._dispatch_call,
-                self._shards[shard_id],
-                {
-                    "op": "solve_many",
-                    "items": [
-                        {"fp": fps[i], "request": _request_wire(requests[i]),
-                         **({"trace": True} if traced else {})}
-                        for i in indices
-                    ],
-                },
-                parent,
-            )
+        retry: List[int] = by_shard.pop(None, [])
+        # one solve_many per shard, all shards in flight at once
+        replies = await asyncio.gather(*(
+            self._sub_batch(shard_id, [
+                {"fp": fps[i], "request": _request_wire(requests[i]),
+                 **({"trace": True} if traced else {})}
+                for i in indices
+            ])
             for shard_id, indices in by_shard.items()
-            if shard_id is not None
-        }
-        retry: List[int] = list(by_shard.get(None, ()))
-        for shard_id, indices in by_shard.items():
-            if shard_id is None:
-                continue
-            try:
-                reply = futures[shard_id].result()
-            except ShardUnavailableError as exc:
-                if exc.server_reported:
-                    raise  # the shard is alive; see _routed_call
-                # the shard died holding this whole sub-batch: fail its
-                # members over individually (recovery already ran)
+        ))
+        for indices, items in zip(by_shard.values(), replies):
+            if items is None:
                 retry.extend(indices)
-                with self._health_lock:
-                    self.failovers += 1
                 continue
-            for i, item in zip(indices, reply["results"]):
+            for i, item in zip(indices, items):
                 outcomes[i] = item
         for i in sorted(retry):
-            outcomes[i] = self._transport_solve(requests[i], fps[i],
-                                                ctxs.get(i))
+            outcomes[i] = await self._transport_solve(requests[i], fps[i],
+                                                      ctxs.get(i))
         results: List[BrokerResult] = []
         # hot keys fan out in ONE batched put per replica shard, not one
         # round-trip per hot item
@@ -1239,12 +1236,10 @@ class ShardedBroker:
         if self._near_cache is not None:
             self._near_cache.invalidate_platform(platform)
         encoded = platform_to_dict(platform)
-        return sum(
-            reply["removed"]
-            for _shard, reply in self._fanout({"op": "invalidate",
-                                               "platform": encoded})
-            if reply is not None
-        )
+        replies = self._cross(self._fanout({"op": "invalidate",
+                                            "platform": encoded})).result()
+        return sum(reply["removed"] for _shard, reply in replies
+                   if reply is not None)
 
     def clear(self) -> int:
         """Drop every cached entry on every shard; returns entries removed.
@@ -1257,41 +1252,34 @@ class ShardedBroker:
         """
         if self._near_cache is not None:
             self._near_cache.clear()
-        return sum(reply["cleared"]
-                   for _shard, reply in self._fanout({"op": "clear"})
+        replies = self._cross(self._fanout({"op": "clear"})).result()
+        return sum(reply["cleared"] for _shard, reply in replies
                    if reply is not None)
 
-    def _fanout(self, msg: Dict[str, Any]):
+    async def _fanout(
+        self, msg: Dict[str, Any]
+    ) -> List[Tuple[_Shard, Optional[Dict[str, Any]]]]:
         """Send one op to every *live* shard concurrently, ahead of
         each shard's queued solves.
 
-        Transient threads call the shards directly rather than joining
-        the per-shard dispatch queues, so a metrics scrape or an
-        invalidation does not wait for a deep solve backlog to drain —
-        and the shards are visited in parallel, so the total wait is
-        the slowest shard's, not the sum.  Returns ``(shard, reply-or-None)`` pairs
-        in shard-id order; ``None`` marks a shard that failed at the
-        transport level mid-fan-out (recovery already ran — it was
-        restarted or ejected).  Worker-*reported* errors still raise:
-        the shard is alive, the request itself is at fault.
+        These ops do not take a shard's ``solve_slots``, so a metrics
+        scrape or an invalidation does not wait for a deep solve
+        backlog to drain — and the shards are visited in parallel, so
+        the total wait is the slowest shard's, not the sum.  Returns
+        ``(shard, reply-or-None)`` pairs in shard-id order; ``None``
+        marks a shard that failed at the transport level mid-fan-out
+        (recovery already ran — it was restarted or ejected).
+        Worker-*reported* errors still raise: the shard is alive, the
+        request itself is at fault.
         """
-        shards = [s for s in self._shards if s.active]
-        if not shards:
-            return []
-        with ThreadPoolExecutor(
-            max_workers=len(shards),
-            thread_name_prefix="repro-shard-fanout",
-        ) as pool:
-            futures = [(shard, pool.submit(self._shard_call, shard,
-                                           dict(msg)))
-                       for shard in shards]
-            out = []
-            for shard, fut in futures:
-                try:
-                    out.append((shard, fut.result()))
-                except ShardUnavailableError:
-                    out.append((shard, None))
-            return out
+        async def one(shard: _Shard):
+            try:
+                return shard, await self._shard_call(shard, dict(msg))
+            except ShardUnavailableError:
+                return shard, None
+
+        return await asyncio.gather(
+            *(one(shard) for shard in self._shards if shard.active))
 
     def shard_snapshots(self) -> List[Optional[Dict[str, Any]]]:
         """Per-shard engine snapshots (``cache`` / ``metrics`` /
@@ -1302,26 +1290,22 @@ class ShardedBroker:
         snaps: List[Optional[Dict[str, Any]]] = (
             [None] * len(self._shards)
         )
-        for shard, reply in self._fanout({"op": "snapshot"}):
+        replies = self._cross(self._fanout({"op": "snapshot"})).result()
+        for shard, reply in replies:
             if reply is not None:
                 snaps[shard.index] = reply["snapshot"]
         return snaps
 
     def shard_health(self) -> Dict[str, Any]:
         """Supervision counters + per-shard liveness (JSON-safe)."""
-        with self._health_lock:
-            out: Dict[str, Any] = {
-                "shard_failures": sum(s.failures
-                                      for s in self._shards),
-                "shard_timeouts": sum(s.timeouts
-                                      for s in self._shards),
-                "shard_restarts": sum(s.restarts
-                                      for s in self._shards),
-                "failovers": self.failovers,
-                "rejoins": self.rejoins,
-            }
-        out["shards"] = [s.health() for s in self._shards]
-        return out
+        return {
+            "shard_failures": sum(s.failures for s in self._shards),
+            "shard_timeouts": sum(s.timeouts for s in self._shards),
+            "shard_restarts": sum(s.restarts for s in self._shards),
+            "failovers": self.failovers,
+            "rejoins": self.rejoins,
+            "shards": [s.health() for s in self._shards],
+        }
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe aggregate state: merged cache counters, merged
@@ -1406,14 +1390,13 @@ class ShardedBroker:
         near-cache stats, the sketch's hot head, and the per-shard
         request imbalance (max/mean — 1.0 is perfectly even; the gauge
         replication exists to pull down under Zipf skew)."""
-        with self._rep_lock:
-            out: Dict[str, Any] = {
-                "factor": self.replication_factor,
-                "hot_threshold": self.hot_threshold,
-                "replicated_puts": self.replicated_puts,
-                "replica_put_rejects": self.replica_put_rejects,
-                "replica_reads": self.replica_reads,
-            }
+        out: Dict[str, Any] = {
+            "factor": self.replication_factor,
+            "hot_threshold": self.hot_threshold,
+            "replicated_puts": self.replicated_puts,
+            "replica_put_rejects": self.replica_put_rejects,
+            "replica_reads": self.replica_reads,
+        }
         loads = [s["requests"] for s in per_shard if "requests" in s]
         if loads and sum(loads) > 0:
             mean = sum(loads) / len(loads)
@@ -1440,17 +1423,18 @@ class ShardedBroker:
     # ------------------------------------------------------------------
     # background health: probe, restart, eject, rejoin
     # ------------------------------------------------------------------
-    def _health_loop(self) -> None:
-        while not self._stop_event.wait(self.health_interval):
+    async def _health_loop(self) -> None:
+        """The prober: one more task on the ring's loop, cancelled by
+        :meth:`_shutdown`."""
+        while True:
+            await asyncio.sleep(self.health_interval)
             for shard in self._shards:
-                if self._closed:
-                    return
                 try:
-                    self._health_check(shard)
+                    await self._health_check(shard)
                 except Exception:  # noqa: BLE001 — the prober must live
                     pass
 
-    def _health_check(self, shard: _Shard) -> None:
+    async def _health_check(self, shard: _Shard) -> None:
         if shard.dead:
             return  # local respawn failed: permanent until close
         if shard.ejected:
@@ -1458,23 +1442,20 @@ class ShardedBroker:
             # answered means the host is back.  Clear before re-admitting:
             # invalidations fanned out during the outage skipped this
             # shard, so whatever it still caches may be stale.
-            if not shard.transport.ping(timeout=_PING_TIMEOUT):
+            if not await shard.transport.ping(timeout=_PING_TIMEOUT):
                 return
             try:
-                with shard.lock:
-                    shard.transport.request({"op": "clear"},
-                                            timeout=_PING_TIMEOUT)
+                await shard.transport.request({"op": "clear"},
+                                              timeout=_PING_TIMEOUT)
             except TransportError:
                 return  # came back and vanished again; next round retries
             shard.ejected = False
-            with self._health_lock:
-                self.rejoins += 1
+            self.rejoins += 1
             log_event("shard.rejoin", shard=shard.index,
                       address=shard.address)
             return
-        with shard.lock:  # a consistent pair across a worker swap
-            epoch, transport = shard.epoch, shard.transport
+        epoch = shard.epoch  # of the worker the ping goes to
         # pings are answered on the shard's loop, ahead of queued solves:
         # a busy shard still answers, only a dead or wedged one does not
-        if not transport.ping(timeout=_PING_TIMEOUT):
-            self._note_transport_failure(shard, epoch)
+        if not await shard.transport.ping(timeout=_PING_TIMEOUT):
+            await self._note_transport_failure(shard, epoch)

@@ -144,7 +144,7 @@ class Trace:
     """A request-scoped tree of spans sharing one monotonic clock.
 
     Spans may be opened from any thread (the broker's worker pool, the
-    per-shard dispatch queues); the trace serialises id allocation and
+    sharded broker's ring loop); the trace serialises id allocation and
     the span list, nothing else.  The root span is created on
     construction and closed by :meth:`finish`.
     """
@@ -292,7 +292,7 @@ def span(name: str, **annotations: Any):
 
 
 class _ActivateContext:
-    """Re-enter a span on another thread (worker pools, dispatch queues).
+    """Re-enter a span on another thread (the broker's worker pool).
 
     Does not finish the span on exit — ownership stays with whoever
     created it.

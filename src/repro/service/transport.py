@@ -14,11 +14,10 @@ treats every shard identically:
   ``put`` / ``invalidate`` / ``clear`` against an engine;
 * **the client** — :class:`AsyncTcpTransport`, an asyncio client that
   multiplexes many in-flight requests over one connection (dialled to
-  ``host:port``, or adopted from a socketpair), and
-  :class:`AsyncBridgeTransport`, the sync facade
-  (``asyncio.run_coroutine_threadsafe`` onto a shared background loop)
-  through which the thread-pooled
-  :class:`~repro.service.sharding.ShardedBroker` rides it;
+  ``host:port``, or adopted from a socketpair).  It has no sync twin:
+  the :class:`~repro.service.sharding.ShardedBroker` ring is a set of
+  coroutines on one event loop of its own, and awaits
+  :meth:`AsyncTcpTransport.request` directly;
 * **the server** — :class:`AsyncShardServer`, one event loop hosting
   one engine.  Run as ``python -m repro shard-serve --port N`` it
   listens, so a broker on another host can place it on its hash ring
@@ -279,7 +278,7 @@ def _shard_op_reply(engine: SolveEngine,
 
 
 # ----------------------------------------------------------------------
-# the multiplexed asyncio client, its sync bridge, the shard server
+# the multiplexed asyncio client
 # ----------------------------------------------------------------------
 def _no_delay(writer: "asyncio.StreamWriter") -> None:
     """Frames are small and latency-bound: never wait to coalesce them
@@ -450,92 +449,6 @@ class AsyncTcpTransport:
                 await task
             except (asyncio.CancelledError, TransportError):
                 pass
-
-
-# ----------------------------------------------------------------------
-# the shared background loop + the sync bridge the broker rides
-# ----------------------------------------------------------------------
-_bridge_lock = threading.Lock()
-# only read/written under _bridge_lock
-_bridge_loop_singleton: Optional[asyncio.AbstractEventLoop] = None
-
-
-def bridge_event_loop() -> asyncio.AbstractEventLoop:
-    """The process-wide background event loop for sync→async bridging.
-
-    Started lazily on a daemon thread and shared by every
-    :class:`AsyncBridgeTransport` in the process — all multiplexed
-    connections cost one thread total, which is the point.
-    """
-    global _bridge_loop_singleton
-    with _bridge_lock:
-        loop = _bridge_loop_singleton
-        if loop is None or loop.is_closed():
-            loop = asyncio.new_event_loop()
-            thread = threading.Thread(
-                target=loop.run_forever,
-                name="repro-async-bridge",
-                daemon=True,
-            )
-            thread.start()
-            _bridge_loop_singleton = loop
-    return loop
-
-
-class AsyncBridgeTransport:
-    """Sync facade over :class:`AsyncTcpTransport` — what
-    :class:`~repro.service.sharding.ShardedBroker` holds per shard.
-
-    Calls are submitted to the shared background loop with
-    ``asyncio.run_coroutine_threadsafe`` and awaited synchronously.
-    Because the underlying channel demultiplexes by request id,
-    *concurrent* callers genuinely share one connection instead of
-    serialising on it, and the class is thread-safe by construction:
-    all channel state lives on the loop.  Every method may raise
-    :class:`TransportError` / :class:`TransportTimeout`; ``sock`` is
-    :class:`AsyncTcpTransport`'s.
-    """
-
-    kind = "async"
-
-    def __init__(self, host: Optional[str], port: Optional[int],
-                 connect_timeout: float = 5.0,
-                 sock: Optional[socket.socket] = None) -> None:
-        self._loop = bridge_event_loop()
-        self._transport = AsyncTcpTransport(
-            host, port, connect_timeout=connect_timeout, sock=sock)
-
-    @property
-    def address(self) -> str:
-        return self._transport.address
-
-    @property
-    def closed(self) -> bool:
-        return self._transport.closed
-
-    def _run(self, coro):
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
-
-    def request(self, message: Dict[str, Any],
-                timeout: Optional[float] = None) -> Dict[str, Any]:
-        return self._run(self._transport.request(message, timeout=timeout))
-
-    def ping(self, timeout: float = 1.0) -> bool:
-        try:
-            return self._run(self._transport.ping(timeout=timeout))
-        except TransportError:  # pragma: no cover — ping never raises
-            return False
-
-    def close(self) -> None:
-        if not self._loop.is_closed():
-            self._run(self._transport.close())
-
-
-def connect_async(address: str,
-                  connect_timeout: float = 5.0) -> AsyncBridgeTransport:
-    """An :class:`AsyncBridgeTransport` for ``host:port`` addresses."""
-    host, port = parse_shard_address(address)
-    return AsyncBridgeTransport(host, port, connect_timeout=connect_timeout)
 
 
 # ----------------------------------------------------------------------
@@ -995,4 +908,4 @@ def spawn_local_shard(ctx, cache_size: int, ttl: Optional[float],
             raise
         finally:
             child_end.close()
-    return process, AsyncBridgeTransport(None, None, sock=parent_end)
+    return process, AsyncTcpTransport(None, None, sock=parent_end)

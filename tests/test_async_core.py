@@ -29,7 +29,6 @@ from repro.service import (
     SolveRequest,
     TransportError,
     TransportTimeout,
-    connect_async,
     encode_frame,
     read_frame_async,
     request_to_dict,
@@ -53,6 +52,28 @@ def _distinct_requests(n):
             platform=generators.star(size, master_w=2), master="M"))
         size += 1
     return out[:n]
+
+
+def _shard_request(server, message, timeout=30.0):
+    """One request over a channel of its own, on a loop of its own."""
+    async def go():
+        transport = AsyncTcpTransport(server.host, server.port)
+        try:
+            return await transport.request(message, timeout=timeout)
+        finally:
+            await transport.close()
+    return asyncio.run(go())
+
+
+def _park_the_engine(server, seconds):
+    """Hold one of the shard's solve workers with a ``sleep`` op, from a
+    thread (and a channel) of its own; returns the started thread."""
+    hold = threading.Thread(
+        target=_shard_request,
+        args=(server, {"op": "sleep", "seconds": seconds}))
+    hold.start()
+    time.sleep(0.2)  # let the op reach the worker
+    return hold
 
 
 def _solve_msg(request):
@@ -262,18 +283,13 @@ class TestServerSideDeadlines:
         request = _ms_request()
         reference = _reference([request])[0]
         server = AsyncShardServer(solve_workers=1).start_in_thread()
-        blocker = connect_async(f"{server.host}:{server.port}")
         broker = ShardedBroker(shards=0,
                                shard_addresses=[f"{server.host}:"
                                                 f"{server.port}"],
                                request_timeout=0.4)
         try:
             # saturate the single solve worker from a separate channel
-            hold = threading.Thread(
-                target=lambda: blocker.request(
-                    {"op": "sleep", "seconds": 1.5}, timeout=30))
-            hold.start()
-            time.sleep(0.2)
+            hold = _park_the_engine(server, 1.5)
 
             started = time.perf_counter()
             with pytest.raises(ShardTimeoutError) as excinfo:
@@ -295,7 +311,6 @@ class TestServerSideDeadlines:
             assert all(s["active"] for s in health["shards"])
         finally:
             broker.close()
-            blocker.close()
             server.shutdown()
 
 
@@ -308,17 +323,12 @@ class TestCrossBrokerCoalescing:
         reference = _reference([request])[0]
         server = AsyncShardServer(solve_workers=1).start_in_thread()
         address = f"{server.host}:{server.port}"
-        blocker = connect_async(address)
         b1 = ShardedBroker(shards=0, shard_addresses=[address])
         b2 = ShardedBroker(shards=0, shard_addresses=[address])
         try:
             # park the solve worker so both brokers' requests are
             # provably concurrent at the shard
-            hold = threading.Thread(
-                target=lambda: blocker.request(
-                    {"op": "sleep", "seconds": 1.0}, timeout=30))
-            hold.start()
-            time.sleep(0.2)
+            hold = _park_the_engine(server, 1.0)
 
             results = [None, None]
 
@@ -331,8 +341,8 @@ class TestCrossBrokerCoalescing:
             t1.join(); t2.join(); hold.join()
 
             # exactly ONE engine solve; the other broker coalesced
-            snap = blocker.request({"op": "snapshot"},
-                                   timeout=5)["snapshot"]
+            snap = _shard_request(server, {"op": "snapshot"},
+                                  timeout=5)["snapshot"]
             endpoints = snap["metrics"]["endpoints"]
             assert endpoints["solve"]["count"] == 1
             assert snap["async"]["shard_coalesced"] == 1
@@ -349,12 +359,11 @@ class TestCrossBrokerCoalescing:
         finally:
             b1.close()
             b2.close()
-            blocker.close()
             server.shutdown()
 
 
 # ----------------------------------------------------------------------
-# the sync bridge end to end: ShardedBroker rides the multiplexed wire
+# the ring end to end: ShardedBroker awaits the multiplexed wire
 # ----------------------------------------------------------------------
 class TestAsyncTransportSharded:
     def test_results_exactly_match_unsharded_broker(self):

@@ -20,7 +20,6 @@ from repro.service import (
     ShardedBroker,
     SolutionCache,
     SolveRequest,
-    connect_async,
 )
 from repro.service import broker as broker_mod
 from repro.service.broker import SolveEngine
@@ -30,7 +29,8 @@ from repro.service.transport import handle_shard_message
 from repro.service.api import request_to_dict
 from repro.service.wire import result_to_wire
 
-from test_sharding import _mixed_requests, _reference_results
+from test_async_core import _shard_request
+from test_sharding import _mixed_requests, _on_ring, _reference_results
 
 
 def _hot_request():
@@ -360,17 +360,15 @@ class TestShardPutOp:
 
     @pytest.fixture()
     def served(self):
-        """The same engine behind a real shard server and its client:
-        ``snapshot`` and ``solve_many`` belong to the connection."""
+        """The same engine behind a real shard server, asked over the
+        wire: ``snapshot`` and ``solve_many`` belong to the connection."""
         engine, req, fp, result = self._engine_with_result()
         server = AsyncShardServer(engine=engine).start_in_thread()
-        transport = connect_async(server.address)
-        yield engine, req, fp, transport
-        transport.close()
+        yield engine, req, fp, server
         server.shutdown()
 
     def test_every_reply_carries_the_generation(self, served):
-        engine, req, fp, transport = served
+        engine, req, fp, server = served
         wire = request_to_dict(req)
         for msg in ({"op": "solve", "fp": fp, "request": wire},
                     {"op": "solve_many",
@@ -379,14 +377,14 @@ class TestShardPutOp:
                     {"op": "snapshot"},
                     {"op": "invalidate",
                      "platform": platform_to_dict(req.platform)}):
-            reply = transport.request(dict(msg))
+            reply = _shard_request(server, dict(msg))
             assert reply["ok"]
             assert reply["gen"] == engine.cache.generation
 
     def test_snapshot_op_ships_keys_for_dedup(self, served):
-        engine, req, fp, transport = served
+        engine, req, fp, server = served
         engine.run(req, fp)
-        reply = transport.request({"op": "snapshot"})
+        reply = _shard_request(server, {"op": "snapshot"})
         assert reply["snapshot"]["cache"]["keys"] == [fp]
 
 
@@ -455,9 +453,12 @@ class TestProcessModeReplication:
             # 0 (exactly what a concurrent invalidate through a second
             # broker produces)
             sharded.invalidate_platform(req.platform)
-            with sharded._rep_lock:
+
+            async def forget_the_bump():  # ring state: on its loop
                 for sid in replicas:
                     sharded._known_gens[sid] = 0
+
+            _on_ring(sharded, forget_the_bump())
             before = sharded.replica_put_rejects
             result = sharded.solve(req)  # hot: re-solves on one replica
             sharded.flush_replication(timeout=10)

@@ -3,6 +3,7 @@ shards, remote TCP shards, supervision (restart, eject/rejoin, failover)."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import multiprocessing
 import os
@@ -65,6 +66,13 @@ def _mixed_requests():
 def _reference_results(requests):
     with Broker(executor="sync") as broker:
         return [broker.solve(r) for r in requests]
+
+
+def _on_ring(broker, coro, timeout=30.0):
+    """Run one of the ring's own coroutines where all of them run — on
+    the broker's loop — and wait for it from this thread."""
+    return asyncio.run_coroutine_threadsafe(
+        coro, broker._loop).result(timeout)
 
 
 # ----------------------------------------------------------------------
@@ -315,9 +323,9 @@ class TestShardedBrokerProcess:
             payload = request_to_dict(good)
             payload["spec"]["problem"] = "nope"
             with pytest.raises(BrokerError, match="unknown problem"):
-                sharded._shards[0].call(
+                _on_ring(sharded, sharded._shards[0].call(
                     {"op": "solve", "fp": good.fingerprint(),
-                     "request": payload})
+                     "request": payload}))
 
     def test_worker_error_preserves_original_type(self):
         from repro.service import ShardError
@@ -327,8 +335,8 @@ class TestShardedBrokerProcess:
                 # worker-side PlatformError (not a SpecError): the relayed
                 # exception must report the ORIGINAL class name, so the
                 # JSON API's "type" field matches the unsharded broker
-                sharded._shards[0].call(
-                    {"op": "invalidate", "platform": {"nodes": 12}})
+                _on_ring(sharded, sharded._shards[0].call(
+                    {"op": "invalidate", "platform": {"nodes": 12}}))
             assert type(err.value).__name__ == "PlatformError"
 
     def test_close_is_idempotent_and_workers_exit(self):
@@ -375,14 +383,14 @@ class TestSolveMany:
         with ShardedBroker(shards=2) as sharded:
             bad = request_to_dict(good)
             bad["spec"]["problem"] = "nope"
-            reply = sharded._shards[0].call({
+            reply = _on_ring(sharded, sharded._shards[0].call({
                 "op": "solve_many",
                 "items": [
                     {"fp": good.fingerprint(),
                      "request": request_to_dict(good)},
                     {"fp": "bogus", "request": bad},
                 ],
-            })
+            }))
             ok, err = reply["results"]
             # replies are JSON-safe wire dicts (no pickle on any backend)
             assert ok["ok"] and isinstance(
@@ -443,12 +451,15 @@ def _running(pid: int) -> bool:
 
 
 class TestServeCli:
-    def test_executor_flag_rejected_with_shards(self):
+    def test_executor_flag_is_gone(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="--executor"):
-            main(["serve", "--stdio", "--shards", "2",
-                  "--executor", "process"])
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--stdio", "--executor", "thread"])
+        assert err.value.code == 2  # argparse: unrecognized arguments
+        assert "--executor" in capsys.readouterr().err
+        with pytest.raises(ValueError, match="'thread' or 'sync'"):
+            Broker(executor="process")
 
     def test_shard_mode_flag_is_gone(self, capsys):
         from repro.cli import main
@@ -744,6 +755,31 @@ class TestLocalShardSupervision:
             snap = sharded.snapshot()
             assert snap["shard_health"]["shard_restarts"] >= 1
 
+    def test_concurrent_failures_cause_one_restart(self):
+        """Sixteen requests in flight towards a worker that was just
+        killed: the ``epoch`` guard makes the first failure restart it
+        and every other one ride that restart — none lost, none
+        stampeding."""
+        requests = [SolveRequest(problem="master-slave",
+                                 platform=generators.star(n, master_w=2),
+                                 master="M") for n in range(2, 18)]
+        reference = _reference_results(requests)
+        with ShardedBroker(shards=1, near_cache_size=0) as sharded:
+            (shard,) = sharded._shards
+            old_pid = shard.process.pid
+            os.kill(old_pid, signal.SIGKILL)
+            shard.process.join()
+            futures = [sharded.submit(r) for r in requests]
+            assert [f.result(30).throughput for f in futures] == [
+                ref.throughput for ref in reference]
+            health = sharded.shard_health()
+            assert health["shard_restarts"] == 1
+            assert health["shard_failures"] >= 1
+            assert health["failovers"] == 0  # the fresh worker answered
+            assert shard.process.pid != old_pid
+            assert multiprocessing.active_children() == [shard.process]
+        assert multiprocessing.active_children() == []
+
     def test_metrics_observe_transport_latency(self):
         req = SolveRequest(problem="master-slave",
                            platform=generators.star(2), master="M")
@@ -892,7 +928,8 @@ class TestSupervision:
 
         def hold_the_engine():
             try:
-                broker._shards[victim].call({"op": "sleep", "seconds": 5.0})
+                _on_ring(broker, broker._shards[victim].call(
+                    {"op": "sleep", "seconds": 5.0}))
             except Exception:  # noqa: BLE001 — the peer dies under it
                 pass
 
@@ -940,7 +977,8 @@ class TestSupervision:
         fp = "0" * 64
         started = time.perf_counter()
         with pytest.raises(ShardTimeoutError) as err:
-            broker._routed_call(fp, {"op": "sleep", "seconds": 1.0})
+            _on_ring(broker, broker._routed_call(
+                fp, {"op": "sleep", "seconds": 1.0}))
         # the shard's own answer at the budget — not this end's guess
         # after the grace, and not a failover to the sibling
         assert time.perf_counter() - started < 1.0
@@ -1008,6 +1046,60 @@ class TestSupervision:
         assert not any(g.cached for g in again)
         assert [g.throughput for g in again] == [
             ref.throughput for ref in reference]
+
+
+class TestTheRingIsOneThread:
+    def test_the_ring_costs_one_thread(self):
+        """Routing, fan-outs, replication and health probing are tasks
+        on one loop: whatever the shard count and the load, an open
+        broker is one thread more and a closed one none."""
+        requests = [SolveRequest(problem="master-slave",
+                                 platform=generators.star(n, master_w=2),
+                                 master="M") for n in range(2, 10)] * 8
+        before = threading.active_count()
+        sharded = ShardedBroker(shards=4, health_interval=0.05,
+                                replication_factor=2, hot_threshold=2)
+        try:
+            futures = [sharded.submit(r) for r in requests]
+            assert len(futures) == 64
+            snap = sharded.snapshot()
+            sharded.invalidate_platform(requests[0].platform)
+            assert all(f.result(30).throughput > 0 for f in futures)
+            time.sleep(0.2)  # a few health rounds
+            assert len(snap["per_shard"]) == 4
+            assert threading.active_count() == before + 1
+        finally:
+            sharded.close()
+        assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
+
+    def test_a_closed_broker_answers_nothing_and_resurrects_nobody(self):
+        """The parent's bug: a request after ``close()`` found the dead
+        channel, "recovered" the shard by spawning a worker nobody would
+        ever stop, and returned a result."""
+        from repro.service import ShardError
+
+        req = SolveRequest(problem="master-slave",
+                           platform=generators.star(3), master="M")
+        sharded = ShardedBroker(shards=2, health_interval=0.05)
+        sharded.solve(req)
+        sharded.close()
+        assert multiprocessing.active_children() == []
+        started = time.perf_counter()
+        for call in (lambda: sharded.solve(req),
+                     lambda: sharded.submit(req),
+                     lambda: sharded.solve_batch([req]),
+                     lambda: sharded.invalidate_platform(req.platform),
+                     sharded.clear,
+                     sharded.snapshot,
+                     sharded.shard_snapshots,
+                     sharded.flush_replication):
+            with pytest.raises(ShardError, match="broker is closed"):
+                call()
+        assert time.perf_counter() - started < 1.0  # refused, not hung
+        assert multiprocessing.active_children() == []
+        assert sharded.shard_health()["shard_restarts"] == 0
+        sharded.close()  # still idempotent
 
 
 def test_a_failed_constructor_leaves_no_worker_behind(monkeypatch):
@@ -1148,21 +1240,20 @@ class TestTimeoutConfiguration:
             seen = []
             original = shard.call
 
-            def spying_call(msg, timeout=None):
+            async def spying_call(msg, timeout=None):
                 seen.append(msg["deadline"])  # what the shard enforces
                 assert timeout > msg["deadline"]  # this end waits longer
-                return original(msg, timeout=timeout)
+                return await original(msg, timeout=timeout)
 
             shard.call = spying_call
             items = [{"fp": req.fingerprint(),
                       "request": request_to_dict(req)}
                      for _ in range(6)]
-            reply = sharded._shard_call(shard,
-                                        {"op": "solve_many",
-                                         "items": items})
+            reply = _on_ring(sharded, sharded._shard_call(
+                shard, {"op": "solve_many", "items": items}))
             assert len(reply["results"]) == 6
             assert seen == [6 * 0.5]  # the whole-batch budget
-            sharded._shard_call(shard, {"op": "ping"})
+            _on_ring(sharded, sharded._shard_call(shard, {"op": "ping"}))
             assert seen[-1] == 0.5  # single ops keep the per-request one
 
 
@@ -1170,29 +1261,28 @@ class TestSharedShardServerHealth:
     def test_ping_is_answered_while_the_engine_lock_is_held(self):
         """A shared TCP shard busy with another broker's long op must
         still answer health pings — busy is not dead."""
-        import threading
-
-        from repro.service import AsyncShardServer, connect_async
+        from repro.service import AsyncShardServer, AsyncTcpTransport
 
         server = AsyncShardServer(("127.0.0.1", 0)).start_in_thread()
+
+        async def probe_a_busy_shard():
+            busy = AsyncTcpTransport(server.host, server.port)
+            prober = AsyncTcpTransport(server.host, server.port)
+            try:
+                blocker = asyncio.ensure_future(
+                    busy.request({"op": "sleep", "seconds": 3.0}))
+                await asyncio.sleep(0.3)  # the sleep op takes the lock
+                start = time.perf_counter()
+                # must not queue behind it
+                assert await prober.ping(timeout=1.0)
+                assert time.perf_counter() - start < 1.0
+                assert not blocker.done()  # the engine was held all along
+                blocker.cancel()
+            finally:
+                await busy.close()
+                await prober.close()
+
         try:
-            busy = connect_async(server.address)
-            prober = connect_async(server.address)
-
-            def hold_the_engine_lock():
-                try:
-                    busy.request({"op": "sleep", "seconds": 3.0})
-                except Exception:  # noqa: BLE001 — torn down by the test
-                    pass
-
-            blocker = threading.Thread(target=hold_the_engine_lock,
-                                       daemon=True)
-            blocker.start()
-            time.sleep(0.3)  # let the sleep op take the engine lock
-            start = time.perf_counter()
-            assert prober.ping(timeout=1.0)  # must not queue behind it
-            assert time.perf_counter() - start < 1.0
-            busy.close()
-            prober.close()
+            asyncio.run(probe_a_busy_shard())
         finally:
             server.shutdown()

@@ -16,11 +16,11 @@ from repro.core.dag import TaskGraph
 from repro.platform import generators
 from repro.service import (
     AsyncShardServer,
+    AsyncTcpTransport,
     Broker,
     SolveRequest,
     TransportError,
     TransportTimeout,
-    connect_async,
     encode_frame,
     parse_shard_address,
     read_frame_async,
@@ -186,59 +186,71 @@ class TestPipeTransport:
 
     def test_solve_roundtrip_and_ping(self):
         process, transport = self._spawn()
-        try:
-            assert transport.ping(timeout=10.0)
-            req = SolveRequest(problem="master-slave",
-                               platform=generators.paper_figure1(),
-                               master="P1")
-            reply = transport.request({
-                "op": "solve", "fp": req.fingerprint(),
-                "request": _request_wire(req),
-            })
-            assert reply["ok"]
-            assert result_from_wire(reply["result"]).throughput == Fraction(2)
-        finally:
-            transport.close()
+
+        async def go():
+            try:
+                assert await transport.ping(timeout=10.0)
+                req = SolveRequest(problem="master-slave",
+                                   platform=generators.paper_figure1(),
+                                   master="P1")
+                return await transport.request({
+                    "op": "solve", "fp": req.fingerprint(),
+                    "request": _request_wire(req),
+                })
+            finally:
+                await transport.close()
+
+        reply = asyncio.run(go())
+        assert reply["ok"]
+        assert result_from_wire(reply["result"]).throughput == Fraction(2)
         # the socket is the worker's whole life: EOF is its order to exit
         process.join(timeout=5.0)
         assert not process.is_alive()
 
     def test_worker_death_is_a_transport_error(self):
         process, transport = self._spawn()
-        assert transport.ping(timeout=10.0)
-        process.kill()
-        process.join(timeout=5.0)
-        with pytest.raises(TransportError):
-            transport.request({"op": "ping"})
-        # nothing to redial behind a socketpair: it stays broken
-        with pytest.raises(TransportError, match="hung up"):
-            transport.request({"op": "ping"})
-        assert transport.closed
-        transport.close()
+
+        async def go():
+            assert await transport.ping(timeout=10.0)
+            process.kill()
+            process.join(timeout=5.0)
+            with pytest.raises(TransportError):
+                await transport.request({"op": "ping"})
+            # nothing to redial behind a socketpair: it stays broken
+            with pytest.raises(TransportError, match="hung up"):
+                await transport.request({"op": "ping"})
+            assert transport.closed
+            await transport.close()
+
+        asyncio.run(go())
 
     def test_worker_binds_no_port(self):
         # spawn, not fork: the worker then holds what it opened itself,
         # not copies of whatever this test process has open
         process, transport = spawn_local_shard(
             multiprocessing.get_context("spawn"), 64, None, True)
-        try:
-            assert transport.ping(timeout=30.0)
-            listening = set()
-            for table in ("tcp", "tcp6"):
-                with open(f"/proc/{process.pid}/net/{table}") as handle:
-                    listening |= {f"socket:[{line.split()[9]}]"
-                                  for line in handle.readlines()[1:]
-                                  if line.split()[3] == "0A"}  # LISTEN
-            fds = f"/proc/{process.pid}/fd"
-            held = {os.readlink(f"{fds}/{fd}") for fd in os.listdir(fds)}
-            assert not listening & held
-        finally:
-            transport.close()
-            process.join(timeout=5.0)
+
+        async def go():
+            try:
+                assert await transport.ping(timeout=30.0)
+                listening = set()
+                for table in ("tcp", "tcp6"):
+                    with open(f"/proc/{process.pid}/net/{table}") as handle:
+                        listening |= {f"socket:[{line.split()[9]}]"
+                                      for line in handle.readlines()[1:]
+                                      if line.split()[3] == "0A"}  # LISTEN
+                fds = f"/proc/{process.pid}/fd"
+                held = {os.readlink(f"{fds}/{fd}") for fd in os.listdir(fds)}
+                assert not listening & held
+            finally:
+                await transport.close()
+
+        asyncio.run(go())
+        process.join(timeout=5.0)
 
 
 # ----------------------------------------------------------------------
-# TCP transport (the sync bridge the ring rides) + the shard server
+# the client over TCP + the shard server
 # ----------------------------------------------------------------------
 @pytest.fixture()
 def shard_server():
@@ -247,96 +259,109 @@ def shard_server():
     server.shutdown()
 
 
+def _with_transports(body, *ports, connect_timeout=5.0):
+    """Run ``body(*transports)`` — one :class:`AsyncTcpTransport` per
+    port — on a loop of its own, closing every transport after it."""
+    async def go():
+        transports = [AsyncTcpTransport("127.0.0.1", port,
+                                        connect_timeout=connect_timeout)
+                      for port in ports]
+        try:
+            return await body(*transports)
+        finally:
+            for transport in transports:
+                await transport.close()
+    return asyncio.run(go())
+
+
 class TestTcpTransport:
     def test_solve_is_exact_and_cache_stays_hot(self, shard_server):
-        transport = connect_async(f"127.0.0.1:{shard_server.port}")
-        try:
+        async def body(transport):
             req = SolveRequest(problem="master-slave",
                                platform=generators.paper_figure1(),
                                master="P1")
             msg = {"op": "solve", "fp": req.fingerprint(),
                    "request": _request_wire(req)}
-            cold = result_from_wire(transport.request(msg)["result"])
-            warm = result_from_wire(transport.request(msg)["result"])
+            cold = result_from_wire((await transport.request(msg))["result"])
+            warm = result_from_wire((await transport.request(msg))["result"])
             assert cold.throughput == Fraction(2) and not cold.cached
             assert warm.cached  # the server's engine persists across calls
-        finally:
-            transport.close()
+
+        _with_transports(body, shard_server.port)
 
     def test_ping_and_unknown_op(self, shard_server):
-        transport = connect_async(shard_server.address)
-        try:
-            assert transport.ping(timeout=5.0)
-            reply = transport.request({"op": "quantum"})
+        async def body(transport):
+            assert await transport.ping(timeout=5.0)
+            reply = await transport.request({"op": "quantum"})
             assert not reply["ok"] and reply["type"] == "SpecError"
-        finally:
-            transport.close()
+
+        _with_transports(body, shard_server.port)
 
     def test_timeout_abandons_only_its_own_request(self, shard_server):
-        transport = connect_async(shard_server.address)
-        try:
+        async def body(transport):
             with pytest.raises(TransportTimeout):
-                transport.request({"op": "sleep", "seconds": 1.0},
-                                  timeout=0.2)
+                await transport.request({"op": "sleep", "seconds": 1.0},
+                                        timeout=0.2)
             # the late reply is dropped by id, so the connection is not
             # poisoned: it stays open and keeps serving
             assert not transport.closed
-            assert transport.ping(timeout=10.0)
-        finally:
-            transport.close()
+            assert await transport.ping(timeout=10.0)
+
+        _with_transports(body, shard_server.port)
 
     def test_redials_after_the_server_returns(self):
         first = AsyncShardServer(("127.0.0.1", 0)).start_in_thread()
         port = first.port
-        transport = connect_async(f"127.0.0.1:{port}")
-        try:
-            assert transport.ping(timeout=5.0)
-            first.shutdown()
-            assert not transport.ping(timeout=1.0)
+
+        async def body(transport):
+            assert await transport.ping(timeout=5.0)
+            # shutdown() joins the server's thread: off this loop
+            await asyncio.to_thread(first.shutdown)
+            assert not await transport.ping(timeout=1.0)
             assert transport.closed
             # lazy reconnect: the next request dials again — this is what
             # lets an ejected remote shard rejoin without a new handle
-            second = AsyncShardServer(("127.0.0.1", port)).start_in_thread()
+            second = await asyncio.to_thread(
+                AsyncShardServer(("127.0.0.1", port)).start_in_thread)
             try:
-                assert transport.ping(timeout=10.0)
+                assert await transport.ping(timeout=10.0)
             finally:
-                second.shutdown()
-        finally:
-            transport.close()
+                await asyncio.to_thread(second.shutdown)
+
+        _with_transports(body, port)
 
     def test_unreachable_host_is_a_transport_error(self):
         sock = socket.socket()
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
         sock.close()  # nothing listens here any more
-        transport = connect_async(f"127.0.0.1:{port}", connect_timeout=0.5)
-        with pytest.raises(TransportError, match="connect"):
-            transport.request({"op": "ping"})
+
+        async def body(transport):
+            with pytest.raises(TransportError, match="connect"):
+                await transport.request({"op": "ping"})
+
+        _with_transports(body, port, connect_timeout=0.5)
 
     def test_two_clients_share_one_engine(self, shard_server):
-        first = connect_async(shard_server.address)
-        second = connect_async(shard_server.address)
-        try:
+        async def body(first, second):
             req = SolveRequest(problem="master-slave",
                                platform=generators.star(3), master="M")
             msg = {"op": "solve", "fp": req.fingerprint(),
                    "request": _request_wire(req)}
-            cold = result_from_wire(first.request(msg)["result"])
-            hit = result_from_wire(second.request(msg)["result"])
+            cold = result_from_wire((await first.request(msg))["result"])
+            hit = result_from_wire((await second.request(msg))["result"])
             assert not cold.cached and hit.cached  # one shared cache
             assert cold.throughput == hit.throughput
-        finally:
-            first.close()
-            second.close()
+
+        _with_transports(body, shard_server.port, shard_server.port)
 
     def test_stop_op_only_drops_the_connection(self, shard_server):
-        transport = connect_async(shard_server.address)
-        reply = transport.request({"op": "stop"})
-        assert reply["ok"]
-        transport.close()
-        # the server survives a client's stop: the operator owns its life
-        probe = connect_async(shard_server.address)
-        try:
-            assert probe.ping(timeout=5.0)
-        finally:
-            probe.close()
+        async def body(transport, probe):
+            reply = await transport.request({"op": "stop"})
+            assert reply["ok"]
+            await transport.close()
+            # the server survives a client's stop: the operator owns
+            # its life
+            assert await probe.ping(timeout=5.0)
+
+        _with_transports(body, shard_server.port, shard_server.port)
