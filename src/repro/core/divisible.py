@@ -202,8 +202,7 @@ def multi_round_makespan(
     master_rate = Fraction(0) if mw is None else Fraction(1) / mw
 
     if rounds_scale is None:
-        # repro-lint: allow(exactness) — math.isqrt is exact integer
-        # arithmetic (no float involved); it only sizes the round count
+        # exact integer arithmetic; it only sizes the round count
         m = max(1, math.isqrt(int(W / rate)) or 1)
     else:
         m = max(1, rounds_scale)

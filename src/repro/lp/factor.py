@@ -3,21 +3,44 @@
 This module is the linear-algebra core of the revised simplex in
 :mod:`repro.lp.simplex`.  It answers exactly two questions about the
 current basis matrix ``B`` (an ``m x m`` selection of standard-form
-columns), both over exact :class:`~fractions.Fraction` arithmetic:
+columns, whose rows the simplex layer has scaled to integers):
 
 * **FTRAN** — solve ``B x = a`` (the update direction of an entering
   column, and the basic solution ``x_B = B^{-1} b``);
 * **BTRAN** — solve ``y^T B = c`` (the simplex multipliers used to price
   reduced costs).
 
-:class:`SparseLU` performs one Gaussian elimination of ``B`` with
-**Markowitz pivot selection**: at each step the pivot ``(i, j)``
-minimising ``(r_i - 1) * (c_j - 1)`` (row nonzeros times column
-nonzeros) among the sparsest candidate columns, so fill-in stays small
-on the near-triangular bases the steady-state LPs produce.  Exact
-arithmetic means *any* nonzero pivot is numerically perfect — the
+**Every number in this file is a Python ``int``.**  A rational vector is
+carried as ``(X, D)``: integer numerators over ONE common positive
+denominator, ``x_i = X[i] / D`` — by Cramer's rule every entry of
+``B^{-1} a`` is an integer over ``det B``, so normalising the entries
+one rational at a time is pure overhead.  The invariants:
+
+* inputs (``rhs`` / ``cost``) are integer vectors; the solves are
+  linear, so a caller holding a denominator of its own multiplies it in;
+* a solve owns its running denominator: always positive, it grows only
+  where an LU or eta pivot does not divide exactly;
+* :class:`BasisFactor` normalises each result by **one**
+  ``gcd(D, *X)`` call on the way out — never per element — so ``D``
+  divides ``det B``;
+* the only divisions are ``//`` and ``divmod`` on values known to
+  divide (``repro lint`` flags a true ``/`` here: ``int / int`` is a
+  silent float).
+
+:class:`SparseLU` performs one **fraction-free** Gaussian elimination of
+``B`` with **Markowitz pivot selection**: at each step the pivot
+``(i, j)`` minimising ``(r_i - 1) * (c_j - 1)`` (row nonzeros times
+column nonzeros) among the sparsest candidate columns, so fill-in stays
+small on the near-triangular bases the steady-state LPs produce.  A row
+is eliminated as ``row_i <- a*row_i - b*row_p`` with
+``(a, b) = (pivot, below) / gcd`` and ``a > 0`` — a positive multiple
+of the rational elimination's row, so the nonzero structure, and with
+it the Markowitz order and the fill, are those of the rational LU.
+Exact arithmetic means *any* nonzero pivot is numerically perfect — the
 ordering is purely a fill-in (and therefore speed) decision, never a
-stability one.
+stability one.  Without Bareiss-style exact division the entries can
+grow on adversarial bases; ``int_bits_max`` (the widest pivot or
+denominator seen) makes that visible in the service metrics.
 
 :class:`BasisFactor` wraps one :class:`SparseLU` with a **product-form
 eta file**: each simplex pivot appends one eta vector (the FTRAN'd
@@ -26,64 +49,97 @@ so a pivot costs O(nnz) where the dense tableau paid O(m*n).  FTRAN
 applies the etas forward after the LU solves; BTRAN applies them in
 reverse before.  The simplex layer refactorises (a fresh
 :class:`SparseLU` of the current basis) when the eta file grows past its
-length or fill thresholds — see ``_RevisedCore.maybe_refactor``.
+length or fill thresholds — see ``_RevisedCore._maybe_refactor``.
 
 No floats anywhere: this file is on the ``repro lint`` exactness
-allowlist and must stay coercion-free.
+allowlist and in its all-integer kernel list.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+#: A sparse integer column: ``{row: value}`` with no explicit zeros.
+SparseColumn = Dict[int, int]
 
-#: A sparse column: ``{row: value}`` with no explicit zeros.
-SparseColumn = Dict[int, Fraction]
+#: A rational vector: integer numerators over one positive denominator.
+IntVector = Tuple[List[int], int]
+
+#: An eta ``(slot, W_s, rest, D_w)``: the direction ``w = W / D_w``
+#: entered at ``slot``, sign-normalised so ``W_s > 0`` (``D_w`` carries
+#: the sign), ``rest`` the other nonzero numerators ``(i, W_i)``.
+Eta = Tuple[int, int, List[Tuple[int, int]], int]
 
 
 class SingularBasisError(Exception):
     """The proposed basis columns are linearly dependent.
 
-    Raised only by :meth:`BasisFactor.refactor` when a basis that *must*
-    be nonsingular (it was reached by valid pivots) fails to factor —
+    Raised only by :meth:`BasisFactor.push_eta` when a basis that *must*
+    be nonsingular (it was reached by valid pivots) would go singular —
     which would be a bug, not an input condition.  Callers testing a
     *candidate* basis (warm restarts) use :meth:`SparseLU.factor`, which
     returns ``None`` instead of raising.
     """
 
 
+def normalised(X: List[int], D: int) -> IntVector:
+    """``(X, D)`` in lowest common terms, by one ``gcd`` call."""
+    g = gcd(D, *X)
+    if g != 1:
+        return [v // g for v in X], D // g
+    return X, D
+
+
+def apply_eta(X: List[int], D: int, eta: Eta) -> IntVector:
+    """``E^{-1} x`` for one eta: ``X_i <- X_i*W_s - W_i*X_s``,
+    ``X_s <- X_s*D_w``, ``D <- D*W_s``.  ``X`` may be updated in place;
+    use the returned pair.  This is both the forward eta step of FTRAN
+    and the basic-solution update of a simplex pivot."""
+    slot, ws, rest, dw = eta
+    xs = X[slot]
+    if xs:
+        if ws != 1:
+            X = [v * ws for v in X]
+            D *= ws
+        for i, wi in rest:
+            X[i] -= wi * xs
+        X[slot] = xs * dw
+    return X, D
+
+
 class SparseLU:
-    """One Markowitz-ordered sparse LU of an ``m x m`` basis matrix.
+    """One Markowitz-ordered, fraction-free sparse LU of an ``m x m``
+    integer basis matrix.
 
     Construction is through :meth:`factor`, which returns ``None`` for a
     singular matrix.  The factorisation is stored as the elimination
     sequence itself:
 
     * ``_perm[k] = (p_k, q_k, piv_k)`` — the pivot row, pivot column
-      (basis *slot*) and pivot value of elimination step ``k``;
-    * ``_lops[k]`` — the multipliers ``(row, mult)`` that eliminated the
-      sub-diagonal of step ``k`` (unit lower-triangular L);
+      (basis *slot*) and integer pivot value of elimination step ``k``;
+    * ``_lsteps`` — for each step that eliminated anything, in order,
+      ``(p_k, ops)`` with the row operations ``(row, a, b)`` meaning
+      ``row <- a*row - b*row_{p_k}`` (the L factor);
     * ``_urows[k]`` — the pivot row's surviving entries ``(slot, value)``
       over columns eliminated *later* (strict upper-triangular U).
 
     ``nnz`` (L + U + diagonal) over ``basis_nnz`` (the input columns) is
-    the fill ratio the service metrics report.
+    the fill ratio the service metrics report; ``pivot_bits`` is the
+    widest pivot's ``bit_length()``.
     """
 
-    __slots__ = ("m", "_perm", "_lops", "_urows", "_rowpos",
-                 "nnz", "basis_nnz")
+    __slots__ = ("m", "_perm", "_lsteps", "_urows",
+                 "nnz", "basis_nnz", "pivot_bits")
 
     def __init__(self, m: int) -> None:
         self.m = m
-        self._perm: List[Tuple[int, int, Fraction]] = []
-        self._lops: List[List[Tuple[int, Fraction]]] = []
-        self._urows: List[List[Tuple[int, Fraction]]] = []
-        self._rowpos: List[int] = []
+        self._perm: List[Tuple[int, int, int]] = []
+        self._lsteps: List[Tuple[int, List[Tuple[int, int, int]]]] = []
+        self._urows: List[List[Tuple[int, int]]] = []
         self.nnz = 0
         self.basis_nnz = 0
+        self.pivot_bits = 0
 
     # ------------------------------------------------------------------
     @classmethod
@@ -102,7 +158,7 @@ class SparseLU:
         # Active submatrix, mirrored row-wise and column-wise so both the
         # Markowitz scan and the elimination updates stay O(touched).
         colmap: List[SparseColumn] = [dict(col) for col in columns]
-        rowmap: List[Dict[int, Fraction]] = [dict() for _ in range(m)]
+        rowmap: List[Dict[int, int]] = [dict() for _ in range(m)]
         for j, col in enumerate(colmap):
             if not col:
                 return None
@@ -129,31 +185,36 @@ class SparseLU:
             piv = colmap[pj][pi]
             # Pivot row entries over still-active columns (minus pivot).
             urow = [(j, v) for j, v in rowmap[pi].items() if j != pj]
-            lops: List[Tuple[int, Fraction]] = []
+            lops: List[Tuple[int, int, int]] = []
             for i, below in list(colmap[pj].items()):
                 if i == pi:
                     continue
-                mult = below / piv
-                lops.append((i, mult))
+                g = gcd(piv, below)
+                a, b = piv // g, below // g
+                if a < 0:
+                    a, b = -a, -b
+                lops.append((i, a, b))
                 target = rowmap[i]
                 del target[pj]
+                if a != 1:
+                    # the whole row scales, not only the pivot row's
+                    # support (values change, dict order does not)
+                    for j, v in target.items():
+                        target[j] = colmap[j][i] = a * v
                 for j, v in urow:
                     old_len = len(colmap[j])
                     cur = target.get(j)
                     if cur is None:
-                        nv = -mult * v
-                        target[j] = nv
-                        colmap[j][i] = nv
+                        target[j] = colmap[j][i] = -b * v
                         move_bucket(j, old_len, old_len + 1)
                     else:
-                        nv = cur - mult * v
+                        nv = cur - b * v
                         if nv == 0:
                             del target[j]
                             del colmap[j][i]
                             move_bucket(j, old_len, old_len - 1)
                         else:
-                            target[j] = nv
-                            colmap[j][i] = nv
+                            target[j] = colmap[j][i] = nv
             # Retire the pivot row and column from the active submatrix.
             for j, _v in urow:
                 old_len = len(colmap[j])
@@ -163,17 +224,16 @@ class SparseLU:
             colmap[pj].clear()
             rowmap[pi].clear()
             self._perm.append((pi, pj, piv))
-            self._lops.append(lops)
+            if lops:
+                self._lsteps.append((pi, lops))
             self._urows.append(urow)
             self.nnz += len(lops) + len(urow) + 1
-        self._rowpos = [0] * m
-        for k, (p_k, _q, _piv) in enumerate(self._perm):
-            self._rowpos[p_k] = k
+            self.pivot_bits = max(self.pivot_bits, piv.bit_length())
         return self
 
     @staticmethod
     def _select_pivot(colmap: List[SparseColumn],
-                      rowmap: List[Dict[int, Fraction]],
+                      rowmap: List[Dict[int, int]],
                       buckets: Dict[int, set]) -> Tuple[int, int]:
         """Markowitz selection: minimise ``(row_nnz-1)*(col_nnz-1)``.
 
@@ -198,50 +258,69 @@ class SparseLU:
         return best
 
     # ------------------------------------------------------------------
-    def ftran(self, rhs: List[Fraction]) -> List[Fraction]:
-        """Solve ``B x = rhs``; ``x`` is indexed by basis *slot*."""
+    def ftran(self, rhs: List[int]) -> IntVector:
+        """Solve ``B x = rhs``: ``x = X / D`` indexed by basis *slot*
+        (``D > 0``, not necessarily in lowest terms)."""
         work = list(rhs)
-        for k, (p_k, _q, _piv) in enumerate(self._perm):
+        # replay the row operations on the rhs; a row scales by ``a``
+        # even when the pivot row's rhs is 0
+        for p_k, lops in self._lsteps:
             val = work[p_k]
-            if val != 0:
-                for i, mult in self._lops[k]:
-                    work[i] -= mult * val
-        x = [ZERO] * self.m
+            for i, a, b in lops:
+                work[i] = a * work[i] - b * val
+        X = [0] * self.m
+        D = 1
+        urows = self._urows
         for k in range(self.m - 1, -1, -1):
             p_k, q_k, piv = self._perm[k]
-            acc = work[p_k]
-            for j, v in self._urows[k]:
-                xj = x[j]
-                if xj != 0:
+            acc = work[p_k] * D
+            for j, v in urows[k]:
+                xj = X[j]
+                if xj:
                     acc -= v * xj
-            if acc != 0:
-                x[q_k] = acc / piv
-        return x
+            if acc:
+                quo, rem = divmod(acc, piv)
+                if rem:
+                    # the pivot does not divide: rescale the running
+                    # denominator by the missing factor
+                    f = abs(piv) // gcd(rem, piv)
+                    X = [v * f for v in X]
+                    D *= f
+                    quo = acc * f // piv
+                X[q_k] = quo
+        return X, D
 
-    def btran(self, cost: List[Fraction]) -> List[Fraction]:
-        """Solve ``y^T B = cost`` (``cost`` indexed by basis slot)."""
+    def btran(self, cost: List[int]) -> IntVector:
+        """Solve ``y^T B = cost`` (``cost`` indexed by basis slot):
+        ``y = Y / D`` indexed by row.  With ``R B = U`` (``R`` the row
+        operations) this is ``z^T U = cost`` then ``y^T = z^T R``."""
         m = self.m
-        v = [ZERO] * m
-        contrib = [ZERO] * m  # scattered U^T partial sums, by slot
-        for k, (_p, q_k, piv) in enumerate(self._perm):
-            acc = cost[q_k]
-            ck = contrib[q_k]
-            if ck != 0:
-                acc = acc - ck
-            if acc != 0:
-                vk = acc / piv
-                v[k] = vk
+        Z = [0] * m          # by row
+        contrib = [0] * m    # scattered U^T partial sums, by slot
+        D = 1
+        for k, (p_k, q_k, piv) in enumerate(self._perm):
+            acc = cost[q_k] * D - contrib[q_k]
+            if acc:
+                quo, rem = divmod(acc, piv)
+                if rem:
+                    f = abs(piv) // gcd(rem, piv)
+                    Z = [v * f for v in Z]
+                    contrib = [v * f for v in contrib]
+                    D *= f
+                    quo = acc * f // piv
+                Z[p_k] = quo
                 for j, u in self._urows[k]:
-                    contrib[j] += u * vk
-        y = [ZERO] * m
-        for k in range(m - 1, -1, -1):
-            acc = v[k]
-            for i, mult in self._lops[k]:
-                yi = y[i]
-                if yi != 0:
-                    acc -= mult * yi
-            y[self._perm[k][0]] = acc
-        return y
+                    contrib[j] += u * quo
+        # the row operations transposed, in reverse
+        for p_k, lops in reversed(self._lsteps):
+            acc = Z[p_k]
+            for i, a, b in lops:
+                zi = Z[i]
+                if zi:
+                    acc -= b * zi
+                    Z[i] = a * zi
+            Z[p_k] = acc
+        return Z, D
 
 
 class BasisFactor:
@@ -249,68 +328,85 @@ class BasisFactor:
     :class:`SparseLU` of ``B0`` plus the product-form eta file.
 
     Each :meth:`push_eta` records a simplex pivot: the entering column's
-    FTRAN'd direction ``w`` and the basis slot ``r`` it replaced.  The
-    file is applied forward after the LU solves in :meth:`ftran` and in
-    reverse before them in :meth:`btran` — the textbook product-form
-    update, exact because every operation is a Fraction operation.
+    FTRAN'd direction ``w = W / D_w`` and the basis slot ``r`` it
+    replaced.  The file is applied forward after the LU solves in
+    :meth:`ftran` and in reverse before them in :meth:`btran` — the
+    textbook product-form update over integers: an eta whose pivot
+    ``W_s`` is 1 (most are) leaves the running denominator alone, any
+    other multiplies it in, and the result is normalised once.
 
     ``ftran_ops`` / ``btran_ops`` count solver calls (the revised
     simplex's unit of linear-algebra work); ``eta_nnz`` tracks the
-    file's total fill for the refactorisation trigger.
+    file's total fill for the refactorisation trigger; ``int_bits_max``
+    is the widest LU pivot or returned denominator so far.
     """
 
-    __slots__ = ("lu", "etas", "eta_nnz", "ftran_ops", "btran_ops")
+    __slots__ = ("lu", "etas", "eta_nnz", "ftran_ops", "btran_ops",
+                 "int_bits_max")
 
     def __init__(self, lu: SparseLU) -> None:
         self.lu = lu
-        # eta = (slot, pivot value, [(other slot, value), ...])
-        self.etas: List[Tuple[int, Fraction, List[Tuple[int, Fraction]]]] = []
+        self.etas: List[Eta] = []
         self.eta_nnz = 0
         self.ftran_ops = 0
         self.btran_ops = 0
+        self.int_bits_max = lu.pivot_bits
 
     @property
     def eta_len(self) -> int:
         return len(self.etas)
 
-    def push_eta(self, slot: int, direction: List[Fraction]) -> None:
-        """Record a pivot: ``direction`` is the entering column's FTRAN
-        image (``B^{-1} a_q``), ``slot`` the basis position it enters."""
+    def push_eta(self, slot: int, direction: List[int], den: int) -> Eta:
+        """Record a pivot: ``direction / den`` is the entering column's
+        FTRAN image (``B^{-1} a_q``), ``slot`` the basis position it
+        enters.  Returns the eta, for the caller's own vectors."""
         piv = direction[slot]
         if piv == 0:
             raise SingularBasisError(
                 f"eta pivot at slot {slot} is zero — the exchange would "
                 f"make the basis singular"
             )
-        rest = [(i, v) for i, v in enumerate(direction)
-                if v != 0 and i != slot]
-        self.etas.append((slot, piv, rest))
+        sign = -1 if piv < 0 else 1
+        rest = [(i, sign * v) for i, v in enumerate(direction)
+                if v and i != slot]
+        eta = (slot, sign * piv, rest, sign * den)
+        self.etas.append(eta)
         self.eta_nnz += len(rest) + 1
+        return eta
+
+    def _out(self, X: List[int], D: int) -> IntVector:
+        X, D = normalised(X, D)
+        self.int_bits_max = max(self.int_bits_max, D.bit_length())
+        return X, D
 
     # ------------------------------------------------------------------
-    def ftran(self, rhs: List[Fraction]) -> List[Fraction]:
+    def ftran(self, rhs: List[int]) -> IntVector:
         """Solve ``B x = rhs`` through the LU and the eta file."""
         self.ftran_ops += 1
-        x = self.lu.ftran(rhs)
-        for slot, piv, rest in self.etas:
-            xr = x[slot]
-            if xr == 0:
-                continue
-            xr = xr / piv
-            x[slot] = xr
-            for i, v in rest:
-                x[i] -= v * xr
-        return x
+        X, D = self.lu.ftran(rhs)
+        for eta in self.etas:
+            X, D = apply_eta(X, D, eta)
+        return self._out(X, D)
 
-    def btran(self, cost: List[Fraction]) -> List[Fraction]:
+    def btran(self, cost: List[int]) -> IntVector:
         """Solve ``y^T B = cost`` through the eta file and the LU."""
         self.btran_ops += 1
-        v = list(cost)
-        for slot, piv, rest in reversed(self.etas):
-            acc = v[slot]
-            for i, w in rest:
-                vi = v[i]
-                if vi != 0:
-                    acc -= vi * w
-            v[slot] = acc / piv
-        return self.lu.btran(v)
+        V = list(cost)
+        D = 1
+        for slot, ws, rest, dw in reversed(self.etas):
+            acc = V[slot] * dw
+            for i, wi in rest:
+                vi = V[i]
+                if vi:
+                    acc -= vi * wi
+            if ws != 1:
+                quo, rem = divmod(acc, ws)
+                if rem:
+                    f = ws // gcd(rem, ws)
+                    V = [v * f for v in V]
+                    D *= f
+                    quo = acc * f // ws
+                acc = quo
+            V[slot] = acc
+        Y, D_lu = self.lu.btran(V)
+        return self._out(Y, D * D_lu)

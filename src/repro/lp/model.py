@@ -142,14 +142,22 @@ class LinExpr:
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other) -> "LinExpr":
+        return self.copy()._accumulate(other)
+
+    def _accumulate(self, other) -> "LinExpr":
+        """``self += other`` in place (``self`` must not be shared);
+        terms that cancel are dropped.  Returns ``self``."""
         other = LinExpr._coerce(other)
-        out = self.copy()
+        terms = self.terms
         for var, coef in other.terms.items():
-            out.terms[var] = out.terms.get(var, Fraction(0)) + coef
-            if out.terms[var] == 0:
-                del out.terms[var]
-        out.constant += other.constant
-        return out
+            cur = terms.get(var)
+            total = coef if cur is None else cur + coef
+            if total == 0:
+                terms.pop(var, None)
+            else:
+                terms[var] = total
+        self.constant += other.constant
+        return self
 
     __radd__ = __add__
 
@@ -207,9 +215,9 @@ class LinExpr:
 
 def lp_sum(items: Iterable) -> LinExpr:
     """Sum of variables/expressions/numbers (like ``sum`` but LP-aware)."""
-    total = LinExpr({}, 0)
+    total = LinExpr({}, 0)  # fresh: accumulating in place aliases nothing
     for item in items:
-        total = total + item
+        total._accumulate(item)
     return total
 
 

@@ -15,7 +15,9 @@ Two engines share one standard-form front end and one decode path:
   O(m·n) Fraction operations — with periodic refactorisation when the
   eta file grows past its length or fill thresholds.  A warm restart is
   **one sparse LU of the retained basis** against the patched
-  coefficients, not a Gauss-Jordan sweep.
+  coefficients, not a Gauss-Jordan sweep.  Its pivot loop runs on
+  **integers over common denominators**, not on ``Fraction`` objects
+  (see "Integer pivoting" below).
 * ``"tableau"`` — the original dense tableau, kept behind this flag as
   the differential-testing baseline.  Both engines follow the same
   pivot rules (Dantzig entering with a Bland anti-cycling degradation,
@@ -43,6 +45,42 @@ The solve is split into three phases behind :class:`SimplexInstance`:
 model so weight-only re-solves reuse both the assembled LP *and* the
 optimal basis.
 
+Integer pivoting
+----------------
+The answer must be rational; the arithmetic that finds it need not
+normalise one fraction at a time (by Cramer's rule the entries of
+``B^{-1} a``, ``B^{-1} b``, ``e_r^T B^{-1}`` and ``c - c_B B^{-1} A``
+share the denominator ``det B`` once the rows are integral).
+:class:`_RevisedCore` scales the standard form in once per solve and
+from there to the hand-out works on Python ints only:
+
+* **who owns a denominator** — every vector is ``(numerators, one
+  positive denominator)``: the basic solution ``x / x_den`` and the
+  reduced costs ``d / d_den`` belong to the core, an FTRAN/BTRAN result
+  to the :class:`~repro.lp.factor.BasisFactor` call that returned it.
+  Signs, zero tests and Dantzig/Bland selection therefore read
+  numerators alone, and both ratio tests compare by
+  cross-multiplication with the tableau's tie-breaks;
+* **when a vector is normalised** — once, by a single ``gcd(D, *X)``,
+  where it is produced or updated (end of FTRAN/BTRAN, after a pivot's
+  eta is applied to ``x``, after the reduced-cost sweep), never per
+  element;
+* **why the pivot sequence is unchanged** — row ``i`` and its rhs are
+  multiplied by ``scale[i]``, the lcm of their denominators.  With
+  ``S = diag(scale)`` the basis becomes ``S B``, so ``x_B``, every
+  ``B^{-1} a_j``, reduced cost and ratio are the unscaled ones — given
+  that *every* basis column is scaled by ``S``, the artificial of row
+  ``i`` included: it is ``scale[i] * e_i``.  A bare ``e_i`` would make
+  phase 1 minimise a differently weighted sum of infeasibilities and
+  walk another (equally optimal) path.  The objective is scaled by one
+  positive factor, which moves no comparison.
+
+``Fraction`` reappears exactly once, where
+:meth:`SimplexInstance._outcome_from_core` hands the vertex out;
+decoding, :class:`LPSolution` and every caller see what they always
+saw.  The dense tableau stays on ``Fraction`` arithmetic: a
+differential baseline should share little with the engine it checks.
+
 Standard-form conversion
 ------------------------
 * ``x`` with lower bound ``lo``: substitute ``x = lo + u`` (``u >= 0``);
@@ -58,9 +96,10 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any, Dict, List, Optional, Tuple
 
-from .factor import BasisFactor, SparseLU
+from .factor import BasisFactor, IntVector, SparseLU, apply_eta, normalised
 from .model import (
     InfeasibleError,
     LinearProgram,
@@ -98,6 +137,7 @@ FACTOR_STAT_KEYS = (
     "btran_ops",
     "lu_nnz",
     "lu_basis_nnz",
+    "int_bits_max",
 )
 
 
@@ -514,18 +554,24 @@ class _RevisedCore:
 
     The basis matrix is never formed densely: :class:`BasisFactor`
     answers FTRAN/BTRAN, each pivot appends one eta vector, and the LU
-    is rebuilt (``maybe_refactor``) only when the eta file passes its
-    length or fill thresholds.  Pricing walks the column-major standard
+    is rebuilt (``_maybe_refactor``) only when the eta file passes its
+    length or fill thresholds.  Pricing walks the row-major standard
     form (O(nnz) per iteration); the ratio test walks the FTRAN'd
     direction.
 
+    **All state is integral** (module docstring, "Integer pivoting"):
+    the constructor scales the standard form in, and from there to
+    :meth:`SimplexInstance._outcome_from_core` no ``Fraction`` exists.
+    The basic solution is ``x[s] / x_den``, the maintained reduced costs
+    ``d[j] / d_den`` (absent ``j`` price to 0).
+
     Column-id convention: ``j < n`` structural, ``n <= j < n + m`` the
-    artificial ``e_{j-n}``, ``j >= n + m`` an auxiliary column minted by
-    the warm restricted phase 1 (the negated column it replaced — see
-    :meth:`make_aux`).  ``pivots`` counts genuine simplex pivots against
-    the safety cap; basis exchanges performed while installing or
-    repairing a basis (artificial drive-outs, aux minting) are
-    ``refactor_ops`` and never trip the cap.
+    artificial ``scale[j-n] * e_{j-n}``, ``j >= n + m`` an auxiliary
+    column minted by the warm restricted phase 1 (the negated column it
+    replaced — see :meth:`make_aux`).  ``pivots`` counts genuine simplex
+    pivots against the safety cap; basis exchanges performed while
+    installing or repairing a basis (artificial drive-outs, aux minting)
+    are ``refactor_ops`` and never trip the cap.
     """
 
     STALL_LIMIT = STALL_LIMIT
@@ -536,12 +582,27 @@ class _RevisedCore:
         self.lp = lp
         self.m = len(sf.rows)
         self.n = sf.num_cols
-        cols: List[List[Tuple[int, Fraction]]] = [[] for _ in range(self.n)]
-        for i, row in enumerate(sf.rows):
-            for j, v in row.items():
+        #: integral rows: row ``i`` and its rhs times ``scale[i]``, the
+        #: lcm of their denominators
+        self.scale: List[int] = []
+        self.rows: List[Dict[int, int]] = []
+        self.rhs: List[int] = []
+        cols: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
+        for i, (row, b) in enumerate(zip(sf.rows, sf.rhs)):
+            s = lcm(b.denominator, *(v.denominator for v in row.values()))
+            irow = {j: v.numerator * (s // v.denominator)
+                    for j, v in row.items()}
+            for j, v in irow.items():
                 cols[j].append((i, v))
+            self.scale.append(s)
+            self.rows.append(irow)
+            self.rhs.append(b.numerator * (s // b.denominator))
         self.cols = cols
-        self.rhs: List[Fraction] = list(sf.rhs)
+        #: the phase-2 objective times the lcm of its denominators
+        s = lcm(*(c.denominator for c in sf.cost.values()))
+        self.cost: Dict[int, int] = {
+            j: c.numerator * (s // c.denominator)
+            for j, c in sf.cost.items()}
         self.max_pivots = max_pivots
         self.abandon_after: Optional[int] = None
         #: refactorise once the eta file reaches this many etas (the
@@ -550,12 +611,16 @@ class _RevisedCore:
             else max(16, self.m // 2)
         self.basis: List[int] = []
         self._basic: set = set()
-        self.x: List[Fraction] = []
+        self.x: List[int] = []
+        self.x_den = 1
+        #: reduced-cost numerators of the phase being run, zeros absent
+        self.d: Dict[int, int] = {}
+        self.d_den = 1
         self.factor: Optional[BasisFactor] = None
         #: columns minted by this core: cold-phase-1 artificials, or the
         #: warm repair's auxiliaries (ids >= n + m, vectors in aux_cols)
         self.minted: List[int] = []
-        self.aux_cols: Dict[int, List[Tuple[int, Fraction]]] = {}
+        self.aux_cols: Dict[int, List[Tuple[int, int]]] = {}
         self.pivots = 0
         self.iterations = 0
         self.refactor_ops = 0
@@ -567,16 +632,19 @@ class _RevisedCore:
         self.btran_ops = 0
         self.lu_nnz = 0
         self.lu_basis_nnz = 0
+        self.int_bits_max = 0
 
     # ------------------------------------------------------------------
     # columns and factorisation
     # ------------------------------------------------------------------
-    def column(self, col: int) -> List[Tuple[int, Fraction]]:
-        """The sparse standard-form column for any column id."""
+    def column(self, col: int) -> List[Tuple[int, int]]:
+        """The sparse (row-scaled) standard-form column for any id."""
         if col < self.n:
             return self.cols[col]
         if col < self.n + self.m:
-            return [(col - self.n, ONE)]
+            # scaled like its row, so phase 1 minimises the same sum of
+            # artificial *values* the unscaled problem does
+            return [(col - self.n, self.scale[col - self.n])]
         return self.aux_cols[col]
 
     def _refactor(self) -> bool:
@@ -596,6 +664,8 @@ class _RevisedCore:
         if self.factor is not None:
             self.ftran_ops += self.factor.ftran_ops
             self.btran_ops += self.factor.btran_ops
+            self.int_bits_max = max(self.int_bits_max,
+                                    self.factor.int_bits_max)
 
     def _maybe_refactor(self) -> None:
         """The periodic-refactorisation policy: rebuild the LU when the
@@ -612,44 +682,56 @@ class _RevisedCore:
                     f"{self.lp.name!r} went singular"
                 )
 
-    def ftran(self, dense: List[Fraction]) -> List[Fraction]:
+    def ftran(self, dense: List[int]) -> IntVector:
         assert self.factor is not None
         return self.factor.ftran(dense)
 
-    def btran(self, dense: List[Fraction]) -> List[Fraction]:
+    def btran(self, dense: List[int]) -> IntVector:
         assert self.factor is not None
         return self.factor.btran(dense)
 
-    def ftran_column(self, col: int) -> List[Fraction]:
+    def ftran_column(self, col: int) -> IntVector:
         """FTRAN of a standard-form column: the update direction
         ``B^{-1} a_col``."""
-        dense = [ZERO] * self.m
+        dense = [0] * self.m
         for i, v in self.column(col):
             dense[i] = v
         return self.ftran(dense)
 
-    def btran_unit(self, slot: int) -> List[Fraction]:
-        """BTRAN of ``e_slot``: row ``slot`` of ``B^{-1}``."""
-        dense = [ZERO] * self.m
-        dense[slot] = ONE
-        return self.btran(dense)
+    def btran_unit(self, slot: int) -> List[int]:
+        """BTRAN of ``e_slot``: the numerators of row ``slot`` of
+        ``B^{-1}`` (every use is a sign, a zero test or one side of a
+        ratio, so the positive denominator is dropped)."""
+        dense = [0] * self.m
+        dense[slot] = 1
+        return self.btran(dense)[0]
+
+    def _tableau_row(self, rho: List[int]) -> Dict[int, int]:
+        """``rho . a_j`` over the structural columns, sparse: scatter
+        each nonzero multiplier's row into a column-keyed accumulator —
+        O(nnz of the rows with nonzero ``rho``), not O(n).  Zero sums
+        may remain as explicit entries."""
+        alpha: Dict[int, int] = {}
+        rows = self.rows
+        for i, ri in enumerate(rho):
+            if ri:
+                for j, v in rows[i].items():
+                    alpha[j] = alpha.get(j, 0) + ri * v
+        return alpha
 
     # ------------------------------------------------------------------
     # basis installation
     # ------------------------------------------------------------------
     def install_cold(self) -> None:
         """Choose the textbook initial basis (reusing a slack column —
-        +1 coefficient, sole entry in its column, not in the objective —
-        where possible, else the row's artificial) and factor it."""
-        col_rows: Dict[int, List[int]] = {}
-        for i, row in enumerate(self.sf.rows):
-            for col in row:
-                col_rows.setdefault(col, []).append(i)
-        for i, row in enumerate(self.sf.rows):
+        coefficient +1 before row scaling, sole entry in its column, not
+        in the objective — where possible, else the row's artificial)
+        and factor it."""
+        for i, row in enumerate(self.rows):
             chosen = -1
             for col, val in row.items():
-                if val == 1 and len(col_rows[col]) == 1 \
-                        and col not in self.sf.cost:
+                if val == self.scale[i] and len(self.cols[col]) == 1 \
+                        and col not in self.cost:
                     chosen = col
                     break
             if chosen < 0:
@@ -662,7 +744,7 @@ class _RevisedCore:
                 f"internal: the initial unit basis of {self.lp.name!r} "
                 f"failed to factor"
             )
-        self.x = self.ftran(self.rhs)
+        self.x, self.x_den = self.ftran(self.rhs)
 
     def install_warm(self, basis_cols: List[int]) -> bool:
         """One sparse LU of a retained basis against the (patched)
@@ -675,7 +757,7 @@ class _RevisedCore:
             return False
         if not self._refactor():
             return False
-        self.x = self.ftran(self.rhs)
+        self.x, self.x_den = self.ftran(self.rhs)
         return True
 
     # ------------------------------------------------------------------
@@ -693,140 +775,108 @@ class _RevisedCore:
                 f"cycling, or raise max_pivots for an LP this size"
             )
 
-    def exchange(self, slot: int, col: int, w: List[Fraction],
-                 value: Fraction) -> None:
+    def exchange(self, slot: int, col: int, w: IntVector) -> None:
         """Swap ``col`` into basis position ``slot`` along the FTRAN'd
-        direction ``w``, entering at ``value``; appends one eta vector
-        and refactorises if the file passed its thresholds."""
-        x = self.x
-        if value != 0:
-            for i in range(self.m):
-                wi = w[i]
-                if wi != 0 and i != slot:
-                    x[i] -= wi * value
-        x[slot] = value
+        direction ``w``: appends one eta vector, applies that same eta
+        to the basic solution (the entering value is
+        ``x[slot] / w[slot]``) and refactorises if the file passed its
+        thresholds."""
         self._basic.discard(self.basis[slot])
         self.basis[slot] = col
         self._basic.add(col)
         assert self.factor is not None
-        self.factor.push_eta(slot, w)
-        if self.factor.eta_len > self.eta_len_max:
-            self.eta_len_max = self.factor.eta_len
+        eta = self.factor.push_eta(slot, *w)
+        self.x, self.x_den = normalised(
+            *apply_eta(self.x, self.x_den, eta))
+        self.int_bits_max = max(self.int_bits_max, self.x_den.bit_length())
+        self.eta_len_max = max(self.eta_len_max, self.factor.eta_len)
         self._maybe_refactor()
 
-    def _price_structural(self, cost: Dict[int, Fraction],
-                          y: List[Fraction]) -> Dict[int, Fraction]:
-        """Sparse reduced costs ``d_j = c_j - y·a_j`` over the structural
-        columns, computed row-major: scatter each nonzero multiplier's
-        row into a column-keyed accumulator, then overlay the objective
-        support.  Columns absent from the result have ``d_j = 0`` —
-        never candidates to enter — so pricing costs O(nnz of the rows
-        with nonzero ``y``), not O(n)."""
-        d: Dict[int, Fraction] = {}
-        rows = self.sf.rows
-        for i, yi in enumerate(y):
-            if yi != 0:
-                for j, v in rows[i].items():
-                    cur = d.get(j)
-                    nv = -yi * v if cur is None else cur - yi * v
-                    if nv != 0:
-                        d[j] = nv
-                    elif cur is not None:
-                        del d[j]
+    def _price_structural(self, cost: Dict[int, int],
+                          y: IntVector) -> Dict[int, int]:
+        """Reduced-cost numerators ``c_j*D_y - Y.a_j`` (over ``D_y``) of
+        the structural columns: the sparse row scatter of
+        :meth:`_tableau_row`, then the objective support overlaid.
+        Columns absent from the result (and explicit zeros) have
+        ``d_j = 0`` — never candidates to enter."""
+        d = {j: -v for j, v in self._tableau_row(y[0]).items()}
         for j, c in cost.items():
-            if j >= self.n:
-                continue
-            cur = d.get(j)
-            nv = c if cur is None else cur + c
-            if nv != 0:
-                d[j] = nv
-            elif cur is not None:
-                del d[j]
+            if j < self.n:
+                d[j] = d.get(j, 0) + c * y[1]
         return d
 
-    def _price_all(self, cost: Dict[int, Fraction],
-                   include_artificials: bool) -> Dict[int, Fraction]:
+    def _set_prices(self, d: Dict[int, int], den: int) -> None:
+        """Install reduced costs ``d / den``: zeros dropped, one gcd."""
+        g = gcd(den, *d.values())
+        self.d = {j: v // g for j, v in d.items() if v}
+        self.d_den = den // g
+        self.int_bits_max = max(self.int_bits_max, self.d_den.bit_length())
+
+    def _price_all(self, cost: Dict[int, int],
+                   include_artificials: bool) -> None:
         """Full pricing pass: one BTRAN of ``c_B``, then the sparse
         structural sweep plus the minted artificials (phase 1 only —
-        unit columns, ``d_a = c_a - y_row``).  Runs once per phase;
-        pivots keep the result current through :meth:`_update_prices`.
-        Exact arithmetic guarantees basic columns price to exactly 0
-        and therefore never appear in the dict."""
-        c_b = [cost.get(col, ZERO) for col in self.basis]
-        y = self.btran(c_b)
+        columns ``scale_r * e_r``, ``d_a = c_a - scale_r * y_r``).  Runs
+        once per phase; pivots keep the result current through
+        :meth:`_update_prices`.  Exact arithmetic guarantees basic
+        columns price to exactly 0 and therefore never appear in
+        ``self.d``."""
+        y = self.btran([cost.get(col, 0) for col in self.basis])
         d = self._price_structural(cost, y)
         if include_artificials:
             for a in self.minted:
-                if a >= self.n + self.m:
-                    continue
-                da = cost.get(a, ZERO) - y[a - self.n]
-                if da != 0:
-                    d[a] = da
-        return d
+                if a < self.n + self.m:
+                    r = a - self.n
+                    d[a] = cost.get(a, 0) * y[1] - y[0][r] * self.scale[r]
+        self._set_prices(d, y[1])
 
     @staticmethod
-    def _select_entering(d: Dict[int, Fraction], bland: bool) -> int:
-        """The entering column from the maintained reduced costs:
-        Dantzig (most negative, smallest column id of ties — minted ids
-        sit above the structural range, preserving structural-first
-        order) or Bland (smallest id with a negative reduced cost).
-        Returns -1 at optimality."""
+    def _select_entering(d: Dict[int, int], bland: bool) -> int:
+        """The entering column from the maintained reduced-cost
+        numerators: Dantzig (most negative, smallest column id of ties —
+        minted ids sit above the structural range, preserving
+        structural-first order) or Bland (smallest id with a negative
+        reduced cost).  Returns -1 at optimality."""
         enter = -1
         if bland:
             for j, dj in d.items():
                 if dj < 0 and (enter < 0 or j < enter):
                     enter = j
             return enter
-        best: Optional[Fraction] = None
+        best = 0
         for j, dj in d.items():
-            if dj < 0 and (best is None or dj < best or
-                           (dj == best and j < enter)):
+            if dj < 0 and (dj < best or (dj == best and j < enter)):
                 best = dj
                 enter = j
         return enter
 
-    def _update_prices(self, d: Dict[int, Fraction],
-                       rho: List[Fraction], rate: Fraction,
+    def _update_prices(self, rho: List[int], enter: int,
                        include_artificials: bool) -> None:
         """The product-form reduced-cost sweep: with ``rho`` the
-        pre-pivot BTRAN of the leaving slot's unit vector and ``rate``
-        ``d_enter / w_leave``, every column moves by
-        ``d_j -= rate * (rho·a_j)`` — the same single-row update the
-        dense tableau applies to its z-row, at the cost of one sparse
-        scatter instead of a whole-tableau elimination.  Exactness makes
-        the maintained values identical to a fresh pricing pass, so the
-        pivot sequence is unchanged."""
-        rows = self.sf.rows
-        alpha: Dict[int, Fraction] = {}
-        for i, ri in enumerate(rho):
-            if ri != 0:
-                for j, v in rows[i].items():
-                    cur = alpha.get(j)
-                    alpha[j] = ri * v if cur is None else cur + ri * v
-        for j, aj in alpha.items():
-            if aj == 0:
-                continue
-            cur = d.get(j)
-            nv = -rate * aj if cur is None else cur - rate * aj
-            if nv != 0:
-                d[j] = nv
-            elif cur is not None:
-                del d[j]
+        pre-pivot BTRAN of the leaving slot's unit vector and
+        ``A_j = rho . a_j`` (``A_enter > 0``: it is the ratio test's
+        pivot), every column moves as ``d_j -= d_enter * A_j / A_enter``
+        — in integers ``D_j <- D_j*A_e - D_e*A_j`` over ``D_d*A_e`` —
+        the same single-row update the dense tableau applies to its
+        z-row, at the cost of one sparse scatter instead of a
+        whole-tableau elimination.  Exactness makes the maintained
+        values identical to a fresh pricing pass, so the pivot sequence
+        is unchanged."""
+        alpha = self._tableau_row(rho)
         if include_artificials:
             for a in self.minted:
-                if a >= self.n + self.m:
-                    continue
-                ra = rho[a - self.n]
-                if ra == 0:
-                    continue
-                cur = d.get(a)
-                nv = -rate * ra if cur is None else cur - rate * ra
-                if nv != 0:
-                    d[a] = nv
-                elif cur is not None:
-                    del d[a]
+                if a < self.n + self.m and rho[a - self.n]:
+                    alpha[a] = rho[a - self.n] * self.scale[a - self.n]
+        d = self.d
+        a_e, d_e = alpha[enter], d[enter]
+        if a_e != 1:
+            d = {j: v * a_e for j, v in d.items()}
+        for j, aj in alpha.items():
+            if aj:
+                d[j] = d.get(j, 0) - d_e * aj
+        self._set_prices(d, self.d_den * a_e)
 
-    def run_primal(self, cost: Dict[int, Fraction],
+    def run_primal(self, cost: Dict[int, int],
                    include_artificials: bool = False) -> None:
         """Pivot to optimality from the current (primal feasible) basis.
         Same entering/leaving rules as the tableau engine — Dantzig with
@@ -834,47 +884,48 @@ class _RevisedCore:
         pivots, ratio-test ties broken on smallest basis column — so
         cold solves replay the identical pivot sequence.  Reduced costs
         are priced in full once, then maintained per pivot through
-        :meth:`_update_prices` (priced values stay bit-identical under
+        :meth:`_update_prices` (priced values stay identical under
         exact arithmetic)."""
         bland = False
         stall = 0
-        d = self._price_all(cost, include_artificials)
+        self._price_all(cost, include_artificials)
         while True:
             self.iterations += 1
-            enter = self._select_entering(d, bland)
+            enter = self._select_entering(self.d, bland)
             if enter < 0:
                 return
             w = self.ftran_column(enter)
+            # ratio test x_i / w_i over w_i > 0, by cross-multiplication
+            # (the two denominators are common to every row)
+            x, basis = self.x, self.basis
             leave = -1
-            best: Optional[Fraction] = None
-            for i in range(self.m):
-                wi = w[i]
+            best_x = best_w = 0
+            for i, wi in enumerate(w[0]):
                 if wi > 0:
-                    ratio = self.x[i] / wi
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    if leave >= 0:
+                        lhs, rhs = x[i] * best_w, best_x * wi
+                        if lhs > rhs or (lhs == rhs
+                                         and basis[i] > basis[leave]):
+                            continue
+                    leave, best_x, best_w = i, x[i], wi
             if leave < 0:
                 raise UnboundedError(
                     f"objective of {self.lp.name!r} is unbounded "
                     f"(column {enter} has no positive entries)"
                 )
             self._count_pivot()
-            rate = d[enter] / w[leave]
             rho = self.btran_unit(leave)
-            self.exchange(leave, enter, w, best)
-            self._update_prices(d, rho, rate, include_artificials)
+            self.exchange(leave, enter, w)
+            self._update_prices(rho, enter, include_artificials)
             if not bland:
-                if best == 0:  # degenerate: the objective did not move
+                if best_x == 0:  # degenerate: the objective did not move
                     stall += 1
                     if stall >= self.STALL_LIMIT:
                         bland = True
                 else:
                     stall = 0
 
-    def run_dual(self, cost: Dict[int, Fraction], limit: int) -> bool:
+    def run_dual(self, cost: Dict[int, int], limit: int) -> bool:
         """Dual-simplex pivots toward primal feasibility.
 
         Requires the current basis dual feasible for ``cost``; maintains
@@ -886,10 +937,9 @@ class _RevisedCore:
         steps = 0
         while True:
             leave = -1
-            worst: Optional[Fraction] = None
-            for s in range(self.m):
-                xs = self.x[s]
-                if xs < 0 and (worst is None or xs < worst):
+            worst = 0
+            for s, xs in enumerate(self.x):
+                if xs < worst:
                     worst = xs
                     leave = s
             if leave < 0:
@@ -897,34 +947,27 @@ class _RevisedCore:
             if steps >= limit:
                 return False
             rho = self.btran_unit(leave)
-            c_b = [cost.get(col, ZERO) for col in self.basis]
-            y = self.btran(c_b)
+            y = self.btran([cost.get(col, 0) for col in self.basis])
             priced = self._price_structural(cost, y)
-            # the leaving row of the tableau, sparse: alpha_j = rho·a_j
-            alpha: Dict[int, Fraction] = {}
-            rows = self.sf.rows
-            for i, ri in enumerate(rho):
-                if ri != 0:
-                    for j, v in rows[i].items():
-                        cur = alpha.get(j)
-                        alpha[j] = ri * v if cur is None else cur + ri * v
+            # ratio d_j / -alpha_j over the leaving row's negative
+            # entries, by cross-multiplication
             enter = -1
-            best: Optional[Fraction] = None
+            best_d = best_a = 0
             basic = self._basic
-            for j, a in alpha.items():
+            for j, a in self._tableau_row(rho).items():
                 if a >= 0 or j in basic:
                     continue
-                ratio = priced.get(j, ZERO) / -a
-                if best is None or ratio < best or (
-                    ratio == best and j < enter
-                ):
-                    best = ratio
-                    enter = j
+                dj = priced.get(j, 0)
+                if enter >= 0:
+                    lhs, rhs = dj * best_a, best_d * -a
+                    if lhs > rhs or (lhs == rhs and j > enter):
+                        continue
+                enter, best_d, best_a = j, dj, -a
             if enter < 0:
                 return False
             w = self.ftran_column(enter)
             self._count_pivot()
-            self.exchange(leave, enter, w, self.x[leave] / w[leave])
+            self.exchange(leave, enter, w)
             steps += 1
 
     # ------------------------------------------------------------------
@@ -932,26 +975,14 @@ class _RevisedCore:
     # ------------------------------------------------------------------
     def find_structural_exchange(
         self, slot: int
-    ) -> Tuple[int, Optional[List[Fraction]]]:
+    ) -> Tuple[int, Optional[IntVector]]:
         """The first structural column that can replace the basic
         column at ``slot`` (nonzero entry in row ``slot`` of the current
         tableau), with its FTRAN'd direction — or ``(-1, None)`` when
         the row has no structural support (a redundant row)."""
-        rho = self.btran_unit(slot)
-        candidates: set = set()
-        for i, ri in enumerate(rho):
-            if ri != 0:
-                candidates.update(self.sf.rows[i].keys())
-        basic = self._basic
-        for j in sorted(candidates):
-            if j in basic:
-                continue
-            alpha = ZERO
-            for i, v in self.cols[j]:
-                ri = rho[i]
-                if ri != 0:
-                    alpha += ri * v
-            if alpha != 0:
+        alpha = self._tableau_row(self.btran_unit(slot))
+        for j in sorted(alpha):
+            if alpha[j] and j not in self._basic:
                 return j, self.ftran_column(j)
         return -1, None
 
@@ -965,10 +996,9 @@ class _RevisedCore:
             if self.basis[s] < self.n:
                 continue
             enter, w = self.find_structural_exchange(s)
-            if enter >= 0:
-                assert w is not None
+            if w is not None:
                 self.refactor_ops += 1
-                self.exchange(s, enter, w, self.x[s] / w[s])
+                self.exchange(s, enter, w)
 
     def make_aux(self, slot: int) -> int:
         """Mint the warm restricted-phase-1 auxiliary for an infeasible
@@ -979,26 +1009,22 @@ class _RevisedCore:
         aux = self.n + self.m + slot
         self.aux_cols[aux] = [(i, -v) for i, v in self.column(self.basis[slot])]
         self.minted.append(aux)
-        w = [ZERO] * self.m
-        w[slot] = -ONE
+        w = [0] * self.m
+        w[slot] = -1
         self.refactor_ops += 1
-        self.exchange(slot, aux, w, self.x[slot] / w[slot])
+        self.exchange(slot, aux, (w, 1))
         return aux
 
     # ------------------------------------------------------------------
-    def objective_of(self, cost: Dict[int, Fraction]) -> Fraction:
-        """``cost`` evaluated at the current basic solution."""
-        total = ZERO
-        for s, col in enumerate(self.basis):
-            c = cost.get(col)
-            if c is not None and c != 0 and self.x[s] != 0:
-                total += c * self.x[s]
-        return total
+    def objective_of(self, cost: Dict[int, int]) -> int:
+        """The numerator (over ``x_den``) of ``cost`` evaluated at the
+        current basic solution."""
+        return sum(cost.get(col, 0) * self.x[s]
+                   for s, col in enumerate(self.basis))
 
-    def dual_feasible(self, cost: Dict[int, Fraction]) -> bool:
+    def dual_feasible(self, cost: Dict[int, int]) -> bool:
         """True when no structural column has a negative reduced cost."""
-        c_b = [cost.get(col, ZERO) for col in self.basis]
-        y = self.btran(c_b)
+        y = self.btran([cost.get(col, 0) for col in self.basis])
         basic = self._basic
         return all(d >= 0 or j in basic
                    for j, d in self._price_structural(cost, y).items())
@@ -1016,14 +1042,8 @@ class _RevisedCore:
         for s, col in enumerate(out):
             if col < self.n + self.m:
                 continue
-            rho = self.btran_unit(s)
-            pick = -1
-            for r in range(self.m):
-                if rho[r] != 0 and r not in used:
-                    pick = r
-                    break
-            if pick < 0:
-                pick = next(r for r in range(self.m) if rho[r] != 0)
+            covered = [r for r, v in enumerate(self.btran_unit(s)) if v]
+            pick = next((r for r in covered if r not in used), covered[0])
             used.add(pick)
             out[s] = self.n + pick
         return out
@@ -1035,14 +1055,7 @@ class _RevisedCore:
             # second read does not double-count
             self.factor.ftran_ops = 0
             self.factor.btran_ops = 0
-        return {
-            "refactorisations": self.refactorisations,
-            "eta_len_max": self.eta_len_max,
-            "ftran_ops": self.ftran_ops,
-            "btran_ops": self.btran_ops,
-            "lu_nnz": self.lu_nnz,
-            "lu_basis_nnz": self.lu_basis_nnz,
-        }
+        return {key: getattr(self, key) for key in FACTOR_STAT_KEYS}
 
 
 class SimplexInstance:
@@ -1072,8 +1085,8 @@ class SimplexInstance:
     Counters (``basis_restarts``, ``phase1_skips``, ``dual_repairs``,
     ``primal_repairs``, ``fallbacks``, ``last_pivots``/``total_pivots``,
     and the revised engine's ``last_factor_stats`` — refactorisations,
-    eta-file high-water mark, FTRAN/BTRAN calls, LU fill) feed the
-    service metrics and the warm-path benchmarks.
+    eta-file high-water mark, FTRAN/BTRAN calls, LU fill, widest integer
+    carried) feed the service metrics and the warm-path benchmarks.
     """
 
     def __init__(self, lp: LinearProgram,
@@ -1104,7 +1117,7 @@ class SimplexInstance:
         self.last_phase1_skipped = False
         #: factorisation telemetry of the most recent solve (zeros under
         #: the tableau engine); ``factor_totals`` accumulates across the
-        #: instance's lifetime except ``eta_len_max``, a high-water mark
+        #: instance's lifetime except the ``*_max`` high-water marks
         self.last_factor_stats: Dict[str, int] = dict.fromkeys(
             FACTOR_STAT_KEYS, 0)
         self.factor_totals: Dict[str, int] = dict.fromkeys(
@@ -1162,23 +1175,18 @@ class SimplexInstance:
     # revised engine
     # ------------------------------------------------------------------
     def _absorb_core(self, core: _RevisedCore) -> None:
-        fs = core.factor_stats()
-        for key, value in fs.items():
-            if key == "eta_len_max":
-                if value > self.last_factor_stats[key]:
-                    self.last_factor_stats[key] = value
-                if value > self.factor_totals[key]:
-                    self.factor_totals[key] = value
-            else:
-                self.last_factor_stats[key] += value
-                self.factor_totals[key] += value
+        for key, value in core.factor_stats().items():
+            # high-water marks merge by max, counters add up
+            merge = max if key.endswith("_max") else int.__add__
+            for stats in (self.last_factor_stats, self.factor_totals):
+                stats[key] = merge(stats[key], value)
 
     def _outcome_from_core(self, sf: _StandardForm,
                            core: _RevisedCore) -> _Outcome:
         u = [ZERO] * sf.num_cols
         for s, col in enumerate(core.basis):
-            if col < sf.num_cols:
-                u[col] = core.x[s]
+            if col < sf.num_cols and core.x[s]:
+                u[col] = Fraction(core.x[s], core.x_den)
         return _Outcome(u, core.retained_basis(), core.pivots,
                         core.iterations)
 
@@ -1188,18 +1196,18 @@ class SimplexInstance:
             core.install_cold()
             if core.minted:
                 started, before = time.perf_counter(), core.pivots
-                cost1 = {a: ONE for a in core.minted}
+                cost1 = {a: 1 for a in core.minted}
                 core.run_primal(cost1, include_artificials=True)
                 phase1_value = core.objective_of(cost1)
                 if phase1_value > 0:
                     raise InfeasibleError(
-                        f"{self.lp.name!r} is infeasible "
-                        f"(phase-1 optimum {phase1_value})"
+                        f"{self.lp.name!r} is infeasible (phase-1 optimum "
+                        f"{Fraction(phase1_value, core.x_den)})"
                     )
                 core.drive_out_artificials()
                 self._record_phase("cold.phase1", started, before, core)
             started, before = time.perf_counter(), core.pivots
-            core.run_primal(dict(sf.cost))
+            core.run_primal(core.cost)
             self._record_phase("cold.phase2", started, before, core)
             return self._outcome_from_core(sf, core)
         finally:
@@ -1229,15 +1237,14 @@ class SimplexInstance:
                 if core.basis[s] < n:
                     continue
                 enter, w = core.find_structural_exchange(s)
-                if enter >= 0:
-                    assert w is not None
+                if w is not None:
                     core.refactor_ops += 1
-                    core.exchange(s, enter, w, core.x[s] / w[s])
+                    core.exchange(s, enter, w)
                 elif core.x[s] != 0:
                     # 0·u = nonzero after elimination: let the cold
                     # two-phase method diagnose the (in)feasibility
                     return None
-            cost2 = dict(sf.cost)
+            cost2 = core.cost
             if all(v >= 0 for v in core.x):
                 # old basis still primal feasible: no phase 1, no repair
                 started, before = time.perf_counter(), core.pivots
@@ -1270,14 +1277,14 @@ class SimplexInstance:
             # product-form eta) and phase 1 minimises their sum
             aux = [core.make_aux(s) for s in range(core.m)
                    if core.x[s] < 0]
-            cost1 = {a: ONE for a in aux}
+            cost1 = {a: 1 for a in aux}
             started, before = time.perf_counter(), core.pivots
             core.run_primal(cost1)
             phase1_value = core.objective_of(cost1)
             if phase1_value > 0:
                 raise InfeasibleError(
-                    f"{self.lp.name!r} is infeasible "
-                    f"(restricted phase-1 optimum {phase1_value})"
+                    f"{self.lp.name!r} is infeasible (restricted phase-1 "
+                    f"optimum {Fraction(phase1_value, core.x_den)})"
                 )
             core.drive_out_artificials()
             self._record_phase("warm.phase1", started, before, core)

@@ -57,8 +57,8 @@ def default_group_count(n_tasks: int, throughput: Fraction) -> int:
     if n_tasks <= 0:
         return 1
     val = Fraction(n_tasks) / throughput
-    # repro-lint: allow(exactness) — isqrt/ceil are exact integer ops;
-    # they pick the (integer) group count, not a result weight
+    # repro-lint: allow(exactness) — ceil of a Fraction is an exact
+    # integer op; it picks the (integer) group count, not a result weight
     return max(1, math.isqrt(math.ceil(val)))
 
 

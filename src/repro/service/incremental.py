@@ -75,8 +75,11 @@ class WarmSolveStats:
     solves, the engine's unit of linear-algebra work),
     ``lu_fill_nnz`` / ``lu_basis_nnz`` (accumulated L+U fill vs basis
     nonzeros — their ratio is the Markowitz fill ratio the metrics
-    endpoint derives), and ``eta_len_max``, a high-water mark (merged by
-    ``max``, not sum, across shards).
+    endpoint derives), and two high-water marks merged by ``max``, not
+    sum, across solves and shards: ``eta_len_max`` and ``int_bits_max``
+    (the widest integer — LU pivot or common denominator — the
+    fraction-free kernels carried; it stays small while the bases stay
+    near-triangular, and an operator can watch that remain true).
     """
 
     warm_solves: int = 0
@@ -93,6 +96,7 @@ class WarmSolveStats:
     btran_ops: int = 0
     lu_fill_nnz: int = 0
     lu_basis_nnz: int = 0
+    int_bits_max: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
@@ -236,8 +240,10 @@ class IncrementalSolver:
             self.stats.btran_ops += fs["btran_ops"]
             self.stats.lu_fill_nnz += fs["lu_nnz"]
             self.stats.lu_basis_nnz += fs["lu_basis_nnz"]
-            if fs["eta_len_max"] > self.stats.eta_len_max:
-                self.stats.eta_len_max = fs["eta_len_max"]
+            self.stats.eta_len_max = max(self.stats.eta_len_max,
+                                         fs["eta_len_max"])
+            self.stats.int_bits_max = max(self.stats.int_bits_max,
+                                          fs["int_bits_max"])
         return sol
 
     # ------------------------------------------------------------------

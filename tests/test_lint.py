@@ -280,6 +280,41 @@ class TestFixtureCorpus:
         assert "math.sqrt" in messages
         assert "1e-09" in messages
 
+    def test_exactness_allows_only_the_integer_math_functions(self, tmp_path):
+        mod = tmp_path / "mod.py"
+        mod.write_text("# repro-lint: scope(exactness)\n"
+                       "import math\n"
+                       "from math import gcd, lcm, isqrt\n"
+                       "from math import floor\n"
+                       "a = math.gcd(4, 6) + math.lcm(4, 6) + math.isqrt(9)\n"
+                       "b = math.ceil(a)\n"
+                       "c = a / 2\n")  # not an integer kernel: / is fine
+        report = run_lint([str(mod)], rules=["exactness"])
+        messages = sorted(f.message.split(" in ")[0] for f in report.findings)
+        assert messages == ["math.ceil", "math.floor"]
+
+    def test_integer_kernel_ok_fixture_is_clean(self):
+        report = lint_file(FIXTURES / "integer_kernel_ok.py")
+        assert report.ok, report.render_text()
+
+    def test_integer_kernel_bad_fixture_fails(self):
+        report = lint_file(FIXTURES / "integer_kernel_bad.py")
+        assert {f.rule for f in report.findings} == {"exactness"}
+        messages = [f.message for f in report.findings]
+        # two in the return, one augmented assignment
+        assert sum("true division in an integer kernel" in m
+                   for m in messages) == 3
+        assert sum("math.sqrt" in m for m in messages) == 1
+        assert not any("math.gcd" in m for m in messages)
+
+    def test_factor_py_is_an_integer_kernel(self):
+        from repro.lint.checkers.exactness import INTEGER_FILES
+
+        assert "repro/lp/factor.py" in INTEGER_FILES
+        report = run_lint([str(REPO / "src" / "repro" / "lp" / "factor.py")],
+                          rules=["exactness"])
+        assert report.ok and not report.suppressed, report.render_text()
+
     def test_exactness_factor_ok_fixture_is_clean(self):
         report = lint_file(FIXTURES / "exactness_factor_ok.py")
         assert report.ok, report.render_text()

@@ -3,6 +3,7 @@ differential suite against the dense tableau engine, warm-restart edge
 cases under the factorisation, and the counter plumbing into the
 service metrics."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,11 @@ from repro.lp import (
 
 F = Fraction
 coef = st.integers(min_value=-5, max_value=5)
+small_int = st.integers(min_value=-6, max_value=6)
 
 
 def dense_of(m, columns):
-    rows = [[F(0)] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     for j, col in enumerate(columns):
         for i, v in col.items():
             rows[i][j] = v
@@ -43,32 +45,57 @@ def vec_mat(y, rows):
     return [sum(y[i] * rows[i][j] for i in range(m)) for j in range(m)]
 
 
+def rational(vector):
+    """An ``(int numerators, common denominator)`` pair as Fractions."""
+    numerators, denominator = vector
+    assert denominator > 0
+    assert all(type(v) is int for v in numerators + [denominator])
+    return [F(v, denominator) for v in numerators]
+
+
+def rational_solve(rows, rhs):
+    """``rows . x = rhs`` by dense Gauss-Jordan over Fractions (the
+    from-scratch reference; ``rows`` must be nonsingular)."""
+    m = len(rows)
+    aug = [[F(v) for v in row] + [F(b)] for row, b in zip(rows, rhs)]
+    for j in range(m):
+        piv = next(i for i in range(j, m) if aug[i][j] != 0)
+        aug[j], aug[piv] = aug[piv], aug[j]
+        aug[j] = [v / aug[j][j] for v in aug[j]]
+        for i in range(m):
+            if i != j and aug[i][j] != 0:
+                f = aug[i][j]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[j])]
+    return [row[-1] for row in aug]
+
+
 # ----------------------------------------------------------------------
-# SparseLU / BasisFactor unit behaviour
+# SparseLU / BasisFactor unit behaviour (integer API: vectors are
+# (numerators, one positive common denominator) pairs)
 # ----------------------------------------------------------------------
 class TestSparseLU:
     def test_identity(self):
-        lu = SparseLU.factor(3, [{0: F(1)}, {1: F(1)}, {2: F(1)}])
+        lu = SparseLU.factor(3, [{0: 1}, {1: 1}, {2: 1}])
         assert lu is not None
-        assert lu.ftran([F(3), F(5), F(7)]) == [F(3), F(5), F(7)]
-        assert lu.btran([F(2), F(4), F(6)]) == [F(2), F(4), F(6)]
+        assert lu.ftran([3, 5, 7]) == ([3, 5, 7], 1)
+        assert lu.btran([2, 4, 6]) == ([2, 4, 6], 1)
         assert lu.nnz == 3 and lu.basis_nnz == 3
 
     def test_permutation(self):
         # columns e2, e0, e1: x solves B x = rhs with x by basis slot
-        lu = SparseLU.factor(3, [{2: F(1)}, {0: F(1)}, {1: F(1)}])
+        lu = SparseLU.factor(3, [{2: 1}, {0: 1}, {1: 1}])
         assert lu is not None
-        assert lu.ftran([F(10), F(20), F(30)]) == [F(30), F(10), F(20)]
+        assert lu.ftran([10, 20, 30]) == ([30, 10, 20], 1)
 
     def test_structurally_singular_is_none(self):
-        assert SparseLU.factor(2, [{0: F(1)}, {}]) is None
+        assert SparseLU.factor(2, [{0: 1}, {}]) is None
 
     def test_numerically_singular_is_none(self):
-        cols = [{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}]
+        cols = [{0: 1, 1: 2}, {0: 2, 1: 4}]
         assert SparseLU.factor(2, cols) is None
 
     def test_wrong_column_count_is_none(self):
-        assert SparseLU.factor(2, [{0: F(1)}]) is None
+        assert SparseLU.factor(2, [{0: 1}]) is None
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -76,7 +103,7 @@ class TestSparseLU:
         m = data.draw(st.integers(min_value=1, max_value=5))
         entries = data.draw(st.lists(
             st.tuples(st.integers(0, m - 1), st.integers(0, m - 1),
-                      st.fractions(min_value=-3, max_value=3)),
+                      small_int),
             min_size=m, max_size=3 * m))
         columns = [dict() for _ in range(m)]
         for i, j, v in entries:
@@ -89,18 +116,18 @@ class TestSparseLU:
             # the dense copy finds rank < m
             assert _dense_rank(rows) < m
             return
-        rhs = [data.draw(st.fractions(min_value=-4, max_value=4))
-               for _ in range(m)]
-        x = lu.ftran(list(rhs))
-        assert mat_vec(rows, x) == rhs
-        cost = [data.draw(st.fractions(min_value=-4, max_value=4))
-                for _ in range(m)]
-        y = lu.btran(list(cost))
-        assert vec_mat(y, rows) == cost
+        rhs = [data.draw(small_int) for _ in range(m)]
+        x, den = lu.ftran(list(rhs))
+        assert den > 0
+        assert mat_vec(rows, x) == [den * b for b in rhs]
+        cost = [data.draw(small_int) for _ in range(m)]
+        y, den = lu.btran(list(cost))
+        assert den > 0
+        assert vec_mat(y, rows) == [den * c for c in cost]
 
 
 def _dense_rank(rows):
-    rows = [list(r) for r in rows]
+    rows = [[F(v) for v in r] for r in rows]
     m = len(rows)
     rank = 0
     for j in range(m):
@@ -120,55 +147,122 @@ def _dense_rank(rows):
 
 class TestBasisFactor:
     def _factor(self):
-        columns = [{0: F(2), 1: F(1)}, {1: F(3)}]
+        columns = [{0: 2, 1: 1}, {1: 3}]
         lu = SparseLU.factor(2, [dict(c) for c in columns])
         assert lu is not None
         return BasisFactor(lu), columns
 
     def test_eta_update_matches_refactorisation(self):
         bf, columns = self._factor()
-        entering = {0: F(1), 1: F(5)}
-        w = bf.ftran([entering.get(0, F(0)), entering.get(1, F(0))])
+        entering = {0: 1, 1: 5}
+        w, w_den = bf.ftran([entering.get(0, 0), entering.get(1, 0)])
         assert w[1] != 0
-        bf.push_eta(1, w)
+        bf.push_eta(1, w, w_den)
         columns[1] = entering
         fresh = SparseLU.factor(2, [dict(c) for c in columns])
         assert fresh is not None
-        for rhs in ([F(1), F(0)], [F(0), F(1)], [F(7), F(-3)]):
-            assert bf.ftran(list(rhs)) == fresh.ftran(list(rhs))
-            assert bf.btran(list(rhs)) == fresh.btran(list(rhs))
+        for rhs in ([1, 0], [0, 1], [7, -3]):
+            assert rational(bf.ftran(list(rhs))) == \
+                rational(fresh.ftran(list(rhs)))
+            assert rational(bf.btran(list(rhs))) == \
+                rational(fresh.btran(list(rhs)))
 
     def test_zero_pivot_eta_raises(self):
         bf, _ = self._factor()
         with pytest.raises(SingularBasisError):
-            bf.push_eta(0, [F(0), F(4)])
+            bf.push_eta(0, [0, 4], 1)
 
     def test_op_counters(self):
         bf, _ = self._factor()
-        bf.ftran([F(1), F(1)])
-        bf.btran([F(1), F(1)])
-        bf.btran([F(2), F(0)])
+        bf.ftran([1, 1])
+        bf.btran([1, 1])
+        bf.btran([2, 0])
         assert bf.ftran_ops == 1 and bf.btran_ops == 2
+
+    def test_dense_basis_denominators_stay_under_hadamard_bound(self):
+        """Growth guard: 20 forced eta updates on a dense 10 x 10 basis
+        with entries in +-9.  Every returned vector is normalised, so
+        its denominator divides det(B) and cannot pass the Hadamard
+        bound prod ||column|| of the *current* basis; and the eta file
+        keeps answering exactly what a from-scratch rational solve of
+        that basis does."""
+        rng = random.Random(17)
+        m = 10
+
+        def dense_column():
+            return {i: rng.choice([v for v in range(-9, 10) if v])
+                    for i in range(m)}
+
+        while True:
+            columns = [dense_column() for _ in range(m)]
+            lu = SparseLU.factor(m, [dict(c) for c in columns])
+            if lu is not None:
+                break
+        bf = BasisFactor(lu)
+        updates = 0
+        while updates < 20:
+            slot = updates % m
+            entering = dense_column()
+            w, w_den = bf.ftran([entering[i] for i in range(m)])
+            if w[slot] == 0:
+                continue  # would go singular: draw another column
+            bf.push_eta(slot, w, w_den)
+            columns[slot] = entering
+            updates += 1
+            rows = dense_of(m, columns)
+            hadamard_sq = 1
+            for col in columns:
+                hadamard_sq *= sum(v * v for v in col.values())
+            rhs = [rng.randint(-9, 9) for _ in range(m)]
+            x, den = bf.ftran(list(rhs))
+            assert 0 < den and den * den <= hadamard_sq
+            assert rational((x, den)) == rational_solve(rows, rhs)
+            y, den = bf.btran(list(rhs))
+            assert 0 < den and den * den <= hadamard_sq
+            transposed = [list(r) for r in zip(*rows)]
+            assert rational((y, den)) == rational_solve(transposed, rhs)
+        assert bf.eta_len == 20
+        # the telemetry covers the LU pivots and every denominator seen
+        assert bf.int_bits_max >= max(lu.pivot_bits, den.bit_length())
 
 
 # ----------------------------------------------------------------------
 # differential: revised vs tableau on random LPs
 # ----------------------------------------------------------------------
+def _fractions(numerators, denominators=st.integers(2, 12)):
+    return st.builds(F, numerators, denominators)
+
+
 @st.composite
 def random_lp(draw):
     """Random LP with mixed bound kinds, senses and degenerate ties.
 
-    Small integer coefficients and zero-heavy rhs keep ties (degenerate
+    Small coefficients and zero-heavy rhs keep ties (degenerate
     vertices) common; every bound kind and constraint sense is drawn.
+    Half the draws are all-integer; the other half mix in fractional
+    coefficients, rhs, bounds and objective (denominators 2..12), so the
+    revised engine's row and objective scale factors differ from 1 —
+    which integer data can never exercise.
     """
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=5))
-    bounds = [draw(st.sampled_from(["lo", "box", "hi", "free"]))
-              for _ in range(n)]
-    rows = [[draw(coef) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        number = st.one_of(coef, _fractions(st.integers(-12, 12)))
+        right = st.one_of(st.integers(0, 4), _fractions(st.integers(0, 24)))
+        lows = st.one_of(st.just(0), _fractions(st.integers(-6, 6)))
+        spans = st.one_of(st.just(3), _fractions(st.integers(1, 36)))
+    else:
+        number, right = coef, st.integers(min_value=0, max_value=4)
+        lows, spans = st.just(0), st.just(3)
+    bounds = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["lo", "box", "hi", "free"]))
+        lo = draw(lows)
+        bounds.append((kind, lo, lo + draw(spans)))
+    rows = [[draw(number) for _ in range(n)] for _ in range(m)]
     senses = [draw(st.sampled_from(["<=", ">=", "=="])) for _ in range(m)]
-    rhs = [draw(st.integers(min_value=0, max_value=4)) for _ in range(m)]
-    obj = [draw(coef) for _ in range(n)]
+    rhs = [draw(right) for _ in range(m)]
+    obj = [draw(number) for _ in range(n)]
     maximize = draw(st.booleans())
     return n, bounds, rows, senses, rhs, obj, maximize
 
@@ -177,13 +271,13 @@ def build_lp(data):
     n, bounds, rows, senses, rhs, obj, maximize = data
     lp = LinearProgram(name="diff")
     xs = []
-    for i, kind in enumerate(bounds):
+    for i, (kind, lo, hi) in enumerate(bounds):
         if kind == "lo":
-            xs.append(lp.variable(f"x{i}", lo=0))
+            xs.append(lp.variable(f"x{i}", lo=lo))
         elif kind == "box":
-            xs.append(lp.variable(f"x{i}", lo=0, hi=3))
+            xs.append(lp.variable(f"x{i}", lo=lo, hi=hi))
         elif kind == "hi":
-            xs.append(lp.variable(f"x{i}", hi=3))
+            xs.append(lp.variable(f"x{i}", hi=hi))
         else:
             xs.append(lp.variable(f"x{i}"))
     for k, (row, sense, b) in enumerate(zip(rows, senses, rhs)):
@@ -212,7 +306,7 @@ def classify(lp, engine):
 
 
 class TestDifferential:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=240, deadline=None)
     @given(random_lp())
     def test_cold_solves_agree_exactly(self, data):
         lp_r, _ = build_lp(data)
@@ -227,9 +321,13 @@ class TestDifferential:
             values_r = {v.name: x for v, x in sol_r.values.items()}
             values_t = {v.name: x for v, x in sol_t.values.items()}
             assert values_r == values_t
+            # ... by the same path: the pivot count is part of the
+            # contract (a mis-scaled artificial column still reaches
+            # the optimum, along another pivot sequence)
+            assert sol_r.pivots == sol_t.pivots
             lp_r.check(sol_r)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(random_lp(), st.data())
     def test_warm_resolves_agree_on_objective(self, data, dyn):
         """Patch one coefficient, warm-solve on both engines: same
@@ -258,7 +356,7 @@ class TestDifferential:
         ci = dyn.draw(st.integers(0, len(lps["revised"][0].constraints) - 1))
         vi = dyn.draw(st.integers(0, n - 1))
         delta = dyn.draw(st.sampled_from(
-            [F(1), F(-1), F(1, 2), F(2)]))
+            [F(1), F(-1), F(1, 2), F(2), F(1, 3), F(-3, 7), F(5, 12)]))
         outcomes = {}
         for engine in ("revised", "tableau"):
             lp, xs = lps[engine]
@@ -407,6 +505,37 @@ class TestWarmEdgeCases:
         assert stats["ftran_ops"] > 0 and stats["btran_ops"] > 0
         assert stats["lu_basis_nnz"] > 0
         assert stats["lu_nnz"] >= stats["refactorisations"]
+        assert stats["int_bits_max"] >= 1
+
+    def test_pivot_loop_state_is_integers(self, monkeypatch):
+        """Structural guard: between scaling the standard form in and
+        handing the outcome out, the basic solution and the maintained
+        reduced costs are ints over positive int denominators — a
+        Fraction (or a float from a stray ``/``) creeping back into the
+        loop fails here, not in a benchmark."""
+        from repro.core.master_slave import build_ssms_lp
+        from repro.platform import generators
+
+        cores = []
+        handed_out = SimplexInstance._outcome_from_core
+
+        def spy(self, sf, core):
+            cores.append(core)
+            return handed_out(self, sf, core)
+
+        monkeypatch.setattr(SimplexInstance, "_outcome_from_core", spy)
+        lp, _ = build_ssms_lp(generators.paper_figure1(), "P1")
+        inst = SimplexInstance(lp)
+        sol = inst.solve()
+        (core,) = cores
+        assert inst.last_pivots > 0 and core.d  # prices were maintained
+        for number in [*core.x, core.x_den, *core.d.values(), core.d_den,
+                       *core.rhs, *core.scale, *core.cost.values()]:
+            assert type(number) is int
+        assert core.x_den > 0 and core.d_den > 0
+        assert all(type(v) is Fraction for v in sol.values.values())
+        assert inst.last_factor_stats["int_bits_max"] >= \
+            core.x_den.bit_length()
 
 
 # ----------------------------------------------------------------------
@@ -441,6 +570,7 @@ class TestServiceCounters:
                 "btran_ops": 21,
                 "lu_fill_nnz": 90,
                 "lu_basis_nnz": 60,
+                "int_bits_max": 11,
             },
         }
         text = render_prometheus(snapshot)
@@ -450,6 +580,8 @@ class TestServiceCounters:
         # high-water marks are gauges, not counters
         assert "repro_warm_eta_len_max 3" in text
         assert "repro_warm_eta_len_max_total" not in text
+        assert "repro_warm_int_bits_max 11" in text
+        assert "repro_warm_int_bits_max_total" not in text
         assert "repro_warm_lu_fill_ratio 1.5" in text
 
     def test_warm_stats_declare_factor_fields(self):
@@ -458,6 +590,31 @@ class TestServiceCounters:
         stats = WarmSolveStats()
         snap = stats.as_dict()
         for key in ("refactorisations", "eta_len_max", "ftran_ops",
-                    "btran_ops", "lu_fill_nnz", "lu_basis_nnz"):
+                    "btran_ops", "lu_fill_nnz", "lu_basis_nnz",
+                    "int_bits_max"):
             assert key in snap
             assert snap[key] == 0
+
+    def test_merged_snapshot_takes_the_max_of_int_bits(self):
+        """``int_bits_max`` is a high-water mark: two shards that each
+        saw some width merge to the wider one, not to the sum."""
+        from repro.platform import generators
+        from repro.service import ShardedBroker, SolveRequest
+
+        with ShardedBroker(shards=2) as sharded:
+            for workers in range(3, 15):
+                sharded.solve(SolveRequest(
+                    problem="master-slave", master="M",
+                    platform=generators.star(
+                        workers, master_w=3,
+                        worker_w=[Fraction(k + 2, 3) for k in range(workers)],
+                        link_c=[Fraction(k + 1, 5) for k in range(workers)])))
+                snap = sharded.snapshot()
+                widths = [s["incremental"]["int_bits_max"]
+                          for s in snap["per_shard"]]
+                if all(widths):
+                    break
+        assert len(widths) == 2 and all(widths), widths
+        assert snap["incremental"]["int_bits_max"] == max(widths)
+        assert snap["incremental"]["eta_len_max"] == max(
+            s["incremental"]["eta_len_max"] for s in snap["per_shard"])
