@@ -32,6 +32,7 @@ EXACT_FILES = (
     "repro/lp/simplex.py",
     "repro/lp/factor.py",
     "repro/lp/model.py",
+    "repro/lp/certify.py",
     "repro/service/wire.py",
 )
 
@@ -78,7 +79,7 @@ class ExactnessChecker(Checker):
     description = (
         "no float literals, float() calls or math.* beyond gcd/lcm/isqrt "
         "in the exact paths (lp/simplex.py, lp/factor.py, lp/model.py, "
-        "core/, schedule/, problems/, service/wire.py; "
+        "lp/certify.py, core/, schedule/, problems/, service/wire.py; "
         "lp/scipy_backend.py exempt); no true division in the integer "
         "kernels (lp/factor.py)"
     )

@@ -1,7 +1,9 @@
 """Linear-programming substrate: modelling layer + the exact backend.
 
 The exact backend (:mod:`repro.lp.simplex`) produces rational optima, which
-the paper's period construction requires, and is all this package imports.
+the paper's period construction requires, and is all this package imports;
+each answer carries a duality certificate that :mod:`repro.lp.certify`
+checks on the model alone.
 The float backend (:mod:`repro.lp.scipy_backend`, HiGHS cross-checks) is
 opt-in: ``LinearProgram.solve(backend="scipy")`` imports it, and with it
 numpy and scipy, on first use, so a process that serves only exact
@@ -9,6 +11,12 @@ answers never loads the float stack (``repro lint``'s ``heavy-import``
 rule keeps it that way).
 """
 
+from .certify import (
+    CertificateError,
+    certify,
+    certify_infeasible,
+    certify_unbounded,
+)
 from .factor import BasisFactor, SingularBasisError, SparseLU
 from .model import (
     Constraint,
@@ -21,11 +29,14 @@ from .model import (
     Variable,
     lp_sum,
 )
-from .simplex import DEFAULT_ENGINE, SimplexInstance, solve_exact
+from .simplex import SimplexInstance, solve_exact
 
 __all__ = [
     "BasisFactor",
-    "DEFAULT_ENGINE",
+    "CertificateError",
+    "certify",
+    "certify_infeasible",
+    "certify_unbounded",
     "SimplexInstance",
     "SingularBasisError",
     "SparseLU",

@@ -45,7 +45,7 @@ denominator seen) makes that visible in the service metrics.
 :class:`BasisFactor` wraps one :class:`SparseLU` with a **product-form
 eta file**: each simplex pivot appends one eta vector (the FTRAN'd
 entering column and its pivot slot) instead of re-eliminating anything,
-so a pivot costs O(nnz) where the dense tableau paid O(m*n).  FTRAN
+so a pivot costs O(nnz) where a dense tableau pays O(m*n).  FTRAN
 applies the etas forward after the LU solves; BTRAN applies them in
 reverse before.  The simplex layer refactorises (a fresh
 :class:`SparseLU` of the current basis) when the eta file grows past its

@@ -52,11 +52,34 @@ class LPError(Exception):
 
 
 class InfeasibleError(LPError):
-    """The LP admits no feasible point."""
+    """The LP admits no feasible point.
+
+    ``farkas`` (exact backend) is the proof: one multiplier per model
+    constraint, keyed by its index in ``LinearProgram.constraints``
+    (zeros omitted) — see :func:`repro.lp.certify.certify_infeasible`.
+    """
+
+    def __init__(self, message: str,
+                 farkas: Optional[Dict[int, Fraction]] = None) -> None:
+        super().__init__(message)
+        self.farkas = farkas
 
 
 class UnboundedError(LPError):
-    """The LP objective is unbounded above."""
+    """The LP objective is unbounded in its optimisation direction.
+
+    ``point`` and ``ray`` (exact backend) are the proof: a feasible
+    assignment and a direction that stays feasible forever while the
+    objective improves — see
+    :func:`repro.lp.certify.certify_unbounded`.
+    """
+
+    def __init__(self, message: str,
+                 point: Optional[Dict["Variable", Fraction]] = None,
+                 ray: Optional[Dict["Variable", Fraction]] = None) -> None:
+        super().__init__(message)
+        self.point = point
+        self.ray = ray
 
 
 class Variable:
@@ -257,6 +280,13 @@ class LPSolution:
     ``pivots`` counts the simplex pivots the exact backend performed (zero
     for other backends); a warm basis-restart re-solve shows up here as a
     much smaller count than the cold solve it replaces.
+
+    ``duals`` is the exact backend's optimality proof: one multiplier
+    (shadow price: the objective's rate of change per unit of the
+    constraint's right-hand side) per model constraint, keyed by its
+    index in ``LinearProgram.constraints``, zeros omitted —
+    :func:`repro.lp.certify.certify` checks it against the model alone.
+    ``None`` from the scipy backend.
     """
 
     objective: Fraction
@@ -264,6 +294,7 @@ class LPSolution:
     backend: str
     iterations: int = 0
     pivots: int = 0
+    duals: Optional[Dict[int, Fraction]] = None
 
     def __getitem__(self, var: Variable) -> Fraction:
         return self.values.get(var, Fraction(0))

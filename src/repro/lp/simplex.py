@@ -5,26 +5,22 @@ basic solution (section 4.1 derives the period ``T`` as the lcm of the
 denominators of the activity variables), and no rational LP solver is
 available offline.
 
-Two engines share one standard-form front end and one decode path:
+One engine, a **sparse revised simplex**: the basis is held as a
+Markowitz-ordered sparse LU (:mod:`repro.lp.factor`) with product-form
+eta updates per pivot.  Each iteration prices reduced costs through one
+BTRAN and updates the basis through one FTRAN plus one appended eta
+vector — O(nnz) work where a dense tableau pays O(m·n) Fraction
+operations — with periodic refactorisation when the eta file grows past
+its length or fill thresholds.  A warm restart is **one sparse LU of the
+retained basis** against the patched coefficients, not a Gauss-Jordan
+sweep.  The pivot loop runs on **integers over common denominators**,
+not on ``Fraction`` objects (see "Integer pivoting" below); entering
+columns follow Dantzig's rule with a Bland anti-cycling degradation.
 
-* ``"revised"`` (the default) — a **sparse revised simplex**: the basis is
-  held as a Markowitz-ordered sparse LU (:mod:`repro.lp.factor`) with
-  product-form eta updates per pivot.  Each iteration prices reduced
-  costs through one BTRAN and updates the basis through one FTRAN plus
-  one appended eta vector — O(nnz) work where the dense tableau paid
-  O(m·n) Fraction operations — with periodic refactorisation when the
-  eta file grows past its length or fill thresholds.  A warm restart is
-  **one sparse LU of the retained basis** against the patched
-  coefficients, not a Gauss-Jordan sweep.  Its pivot loop runs on
-  **integers over common denominators**, not on ``Fraction`` objects
-  (see "Integer pivoting" below).
-* ``"tableau"`` — the original dense tableau, kept behind this flag as
-  the differential-testing baseline.  Both engines follow the same
-  pivot rules (Dantzig entering with a Bland anti-cycling degradation,
-  identical ratio-test tie-breaks), so a *cold* solve produces the
-  identical pivot sequence — and therefore the identical optimal
-  vertex — on both engines; warm repairs may walk different (equally
-  optimal) paths but always land on the same exact objective.
+Every outcome carries its proof (see "Certificates" below), so no second
+engine is kept to compare against: :mod:`repro.lp.certify` checks an
+answer on the original :class:`~repro.lp.model.LinearProgram` without
+importing anything from this module.
 
 The solve is split into three phases behind :class:`SimplexInstance`:
 
@@ -60,7 +56,7 @@ from there to the hand-out works on Python ints only:
   to the :class:`~repro.lp.factor.BasisFactor` call that returned it.
   Signs, zero tests and Dantzig/Bland selection therefore read
   numerators alone, and both ratio tests compare by
-  cross-multiplication with the tableau's tie-breaks;
+  cross-multiplication;
 * **when a vector is normalised** — once, by a single ``gcd(D, *X)``,
   where it is produced or updated (end of FTRAN/BTRAN, after a pivot's
   eta is applied to ``x``, after the reduced-cost sweep), never per
@@ -78,8 +74,24 @@ from there to the hand-out works on Python ints only:
 ``Fraction`` reappears exactly once, where
 :meth:`SimplexInstance._outcome_from_core` hands the vertex out;
 decoding, :class:`LPSolution` and every caller see what they always
-saw.  The dense tableau stays on ``Fraction`` arithmetic: a
-differential baseline should share little with the engine it checks.
+saw.
+
+Certificates
+------------
+The same hand-out reads the proof off the final basis by one BTRAN:
+
+* **optimal** — ``y = c_B B^{-1}``, mapped back through each row's scale
+  and sign flip to one multiplier per *model* constraint
+  (:attr:`LPSolution.duals`).  The ``u <= hi - lo`` bound rows need
+  none: the checker minimises the Lagrangian over the variable box
+  itself;
+* **infeasible** — the same read-out of the phase-1 objective (cold
+  phase 1 or the warm restricted phase 1) is a Farkas combination
+  (:attr:`InfeasibleError.farkas`); a constant constraint ``0 <= -1``
+  is its own one-entry combination;
+* **unbounded** — the current vertex and the ray ``u_enter = 1,
+  u_B = -B^{-1} a_enter``, decoded to model variables (the ray without
+  the substitution offsets).
 
 Standard-form conversion
 ------------------------
@@ -116,16 +128,10 @@ ONE = Fraction(1)
 #: need, low enough that a degenerate spin fails in seconds, not hours
 DEFAULT_MAX_PIVOTS = 200_000
 
-#: the engine :class:`SimplexInstance` uses when none is requested —
-#: the sparse revised simplex; ``"tableau"`` keeps the dense baseline
-#: available for differential tests
-DEFAULT_ENGINE = "revised"
-
 #: consecutive degenerate (no-progress) pivots tolerated under the
 #: Dantzig rule before switching to Bland's rule for good — the standard
 #: cycling safeguard (Bland guarantees termination from any basis;
-#: Dantzig is simply much faster when progress is being made).  Shared
-#: by both engines so their pivot sequences stay comparable.
+#: Dantzig is simply much faster when progress is being made).
 STALL_LIMIT = 32
 
 #: the factorisation telemetry keys a solve reports (see
@@ -147,6 +153,10 @@ class _StandardForm:
     def __init__(self) -> None:
         self.rows: List[Dict[int, Fraction]] = []  # sparse rows
         self.rhs: List[Fraction] = []
+        #: per row, where it came from: the index of its model constraint
+        #: (None for a ``u <= hi - lo`` bound row) and -1 if the row was
+        #: negated to make its rhs non-negative, else +1
+        self.origin: List[Tuple[Optional[int], int]] = []
         self.cost: Dict[int, Fraction] = {}
         self.cost_offset: Fraction = ZERO
         self.num_cols = 0
@@ -183,13 +193,14 @@ def _build_standard_form(lp: LinearProgram) -> _StandardForm:
     sf = _StandardForm()
     # 1. substitute variables.
     subs: Dict[Variable, Tuple[List[Tuple[int, Fraction]], Fraction]] = {}
-    extra_rows: List[Tuple[Dict[int, Fraction], str, Fraction]] = []
+    Row = Tuple[Dict[int, Fraction], str, Fraction, Optional[int]]
+    extra_rows: List[Row] = []
     for var in lp.variables:
         if var.lo is not None:
             u = sf.new_col()
             subs[var] = ([(u, ONE)], var.lo)
             if var.hi is not None:
-                extra_rows.append(({u: ONE}, "<=", var.hi - var.lo))
+                extra_rows.append(({u: ONE}, "<=", var.hi - var.lo, None))
         elif var.hi is not None:
             u = sf.new_col()
             subs[var] = ([(u, Fraction(-1))], var.hi)
@@ -210,8 +221,8 @@ def _build_standard_form(lp: LinearProgram) -> _StandardForm:
             sf.cost[col] = sf.cost.get(col, ZERO) + sign * coef * s
 
     # 3. constraint rows.
-    all_rows: List[Tuple[Dict[int, Fraction], str, Fraction]] = []
-    for cons in lp.constraints:
+    all_rows: List[Row] = []
+    for k, cons in enumerate(lp.constraints):
         terms, sense, rhs = cons.normalized()
         row: Dict[int, Fraction] = {}
         shift = ZERO
@@ -221,10 +232,10 @@ def _build_standard_form(lp: LinearProgram) -> _StandardForm:
             for col, s in cols:
                 row[col] = row.get(col, ZERO) + coef * s
         row = {c: v for c, v in row.items() if v != 0}
-        all_rows.append((row, sense, rhs - shift))
+        all_rows.append((row, sense, rhs - shift, k))
     all_rows.extend(extra_rows)
 
-    for row, sense, rhs in all_rows:
+    for row, sense, rhs, k in all_rows:
         if not row:
             # constant constraint: check satisfiability directly.
             ok = (
@@ -233,8 +244,11 @@ def _build_standard_form(lp: LinearProgram) -> _StandardForm:
                 or (sense == "==" and rhs == 0)
             )
             if not ok:
+                # only a model constraint can be empty, and it refutes
+                # itself: its expression is the constant -rhs
                 raise InfeasibleError(
-                    f"constant constraint 0 {sense} {rhs} is unsatisfiable"
+                    f"constant constraint 0 {sense} {rhs} is unsatisfiable",
+                    farkas={k: ONE if rhs < 0 else -ONE},
                 )
             continue
         r = dict(row)
@@ -244,12 +258,28 @@ def _build_standard_form(lp: LinearProgram) -> _StandardForm:
         elif sense == ">=":
             slack = sf.new_col()
             r[slack] = Fraction(-1)
+        flip = 1
         if rhs < 0:
             r = {c: -v for c, v in r.items()}
             rhs = -rhs
+            flip = -1
         sf.rows.append(r)
         sf.rhs.append(rhs)
+        sf.origin.append((k, flip))
     return sf
+
+
+def _decode_values(sf: _StandardForm, u: List[Fraction],
+                   offsets: bool = True) -> Dict[Variable, Fraction]:
+    """Model-variable values of the standard-form vector ``u``;
+    ``offsets=False`` decodes a direction (a ray) instead of a point."""
+    values: Dict[Variable, Fraction] = {}
+    for var, (cols, offset) in sf.decode.items():
+        x = offset if offsets else ZERO
+        for col, s in cols:
+            x += s * u[col]
+        values[var] = x
+    return values
 
 
 class _AbandonWarm(Exception):
@@ -257,295 +287,20 @@ class _AbandonWarm(Exception):
 
 
 class _Outcome:
-    """What either engine hands back: the standard-form solution vector,
-    the canonical basis to retain for the next warm restart, and the
-    pivot bookkeeping."""
+    """What a finished core hands back: the standard-form solution
+    vector, the multipliers of the model constraints, the canonical
+    basis to retain for the next warm restart, and the pivot
+    bookkeeping."""
 
-    __slots__ = ("u", "retained", "pivots", "iterations")
+    __slots__ = ("u", "duals", "retained", "pivots", "iterations")
 
-    def __init__(self, u: List[Fraction], retained: List[int],
-                 pivots: int, iterations: int) -> None:
+    def __init__(self, u: List[Fraction], duals: Dict[int, Fraction],
+                 retained: List[int], pivots: int, iterations: int) -> None:
         self.u = u
+        self.duals = duals
         self.retained = retained
         self.pivots = pivots
         self.iterations = iterations
-
-
-class _Tableau:
-    """Dense simplex working state: ``m`` rows x (``n`` + m artificials + 1
-    rhs), a basis assignment per row, and the pivot bookkeeping.
-
-    Kept as the ``engine="tableau"`` baseline for differential tests —
-    the revised engine replays the same pivot rules through the sparse
-    factorisation instead of whole-tableau elimination.
-
-    Column ``n + i`` is reserved as the artificial of row ``i`` (cold
-    phase 1 and the warm restricted phase-1 repair both use it); the rhs
-    lives in the last cell of each row.  ``pivots`` counts genuine simplex
-    pivots against the safety cap; basis re-factorisation row operations
-    are the same O(m·width) work but bounded by ``m``, so they are counted
-    separately (``refactor_ops``) and never trip the cap.
-    """
-
-    STALL_LIMIT = STALL_LIMIT
-
-    def __init__(self, sf: _StandardForm, lp: LinearProgram,
-                 max_pivots: int, extra_artificials: bool = False) -> None:
-        self.sf = sf
-        self.lp = lp
-        self.m = len(sf.rows)
-        self.n = sf.num_cols
-        # A warm restart reserves a SECOND artificial region
-        # [n + m, n + 2m): the first region's columns may be left dirty by
-        # driving a retained artificial out of the basis, so the
-        # feasibility repair mints its fresh artificials from untouched
-        # columns instead.
-        self.width = self.n + (2 if extra_artificials else 1) * self.m + 1
-        self.max_pivots = max_pivots
-        #: soft budget for warm attempts: when set, exceeding it raises
-        #: :class:`_AbandonWarm` (caught by the warm solver, which falls
-        #: back to cold) instead of the hard :class:`LPError` of the
-        #: safety cap — a restart that pivots more than the cold solve it
-        #: is meant to undercut has already lost
-        self.abandon_after: Optional[int] = None
-        self.pivots = 0
-        self.refactor_ops = 0
-        self.iterations = 0
-        self.rows: List[List[Fraction]] = []
-        for i, row in enumerate(sf.rows):
-            dense = [ZERO] * self.width
-            for col, val in row.items():
-                dense[col] = val
-            dense[-1] = sf.rhs[i]
-            self.rows.append(dense)
-        self.basis: List[int] = []
-
-    # ------------------------------------------------------------------
-    def _apply_pivot(self, row_i: int, col_j: int) -> None:
-        piv_row = self.rows[row_i]
-        piv = piv_row[col_j]
-        inv = ONE / piv
-        # one O(width) scan for the pivot row's support, then every row
-        # update touches only those columns — the steady-state LPs are
-        # sparse, so this is the difference between O(m·width) and
-        # O(m·nnz) Fraction work per pivot
-        nonzero = [j for j in range(self.width) if piv_row[j] != 0]
-        if piv != 1:
-            for j in nonzero:
-                piv_row[j] *= inv
-        for r in range(self.m):
-            if r == row_i:
-                continue
-            factor = self.rows[r][col_j]
-            if factor == 0:
-                continue
-            target = self.rows[r]
-            for j in nonzero:
-                target[j] -= factor * piv_row[j]
-        self.basis[row_i] = col_j
-
-    def pivot(self, row_i: int, col_j: int) -> None:
-        self.pivots += 1
-        if self.abandon_after is not None and self.pivots > self.abandon_after:
-            raise _AbandonWarm()
-        if self.pivots > self.max_pivots:
-            raise LPError(
-                f"simplex exceeded the {self.max_pivots}-pivot safety cap "
-                f"on {self.lp.name!r} (m={self.m} rows, n={self.n} columns, "
-                f"{len(self.lp.variables)} model variables) — degenerate "
-                f"cycling, or raise max_pivots for an LP this size"
-            )
-        self._apply_pivot(row_i, col_j)
-
-    # ------------------------------------------------------------------
-    def install_basis(self, basis_cols: List[int]) -> bool:
-        """Re-factorise: pivot each retained basis column back into the
-        basis by Gauss-Jordan elimination against the *patched*
-        coefficients.  Returns False when the columns have gone singular
-        (the caller falls back to a cold solve).
-
-        Artificial columns (``col >= n``, retained when the previous solve
-        ended with a redundant row's artificial still basic) are pinned
-        first: the artificial of row ``i`` is the unit column ``e_i``, so
-        assigning it to its own row is free and keeps every *other*
-        artificial column untouched — which the warm repair relies on when
-        it mints fresh artificials for rows the old basis leaves
-        infeasible."""
-        self.basis = [-1] * self.m
-        assigned = [False] * self.m
-        for col in basis_cols:
-            if col >= self.n:
-                i = col - self.n
-                if assigned[i]:
-                    return False
-                self.rows[i][col] = ONE
-                self.basis[i] = col
-                assigned[i] = True
-        # Markowitz-flavoured ordering: eliminate the sparsest columns
-        # first (slacks and bound rows are near-unit and pivot for free),
-        # so the fill-in of the dense conservation block lands late and
-        # stays small — this is what keeps a re-factorisation cheaper
-        # than the pivot sequence it replaces.
-        col_nnz: Dict[int, int] = {}
-        for row in self.sf.rows:
-            for col in row:
-                col_nnz[col] = col_nnz.get(col, 0) + 1
-        structural = sorted(
-            (col for col in basis_cols if col < self.n),
-            key=lambda col: col_nnz.get(col, 0),
-        )
-        for col in structural:
-            chosen = -1
-            for r in range(self.m):
-                if not assigned[r] and self.rows[r][col] != 0:
-                    chosen = r
-                    break
-            if chosen < 0:
-                return False
-            self.refactor_ops += 1
-            self._apply_pivot(chosen, col)
-            assigned[chosen] = True
-        return True
-
-    def price_out(self, cost: List[Fraction]) -> List[Fraction]:
-        """The reduced-cost row of ``cost`` under the current basis
-        (length ``width``; the rhs cell holds minus the objective)."""
-        z = [ZERO] * self.width
-        for j, c in enumerate(cost):
-            z[j] = c
-        for i in range(self.m):
-            cb = cost[self.basis[i]] if self.basis[i] < len(cost) else ZERO
-            if cb == 0:
-                continue
-            row = self.rows[i]
-            for j in range(self.width):
-                v = row[j]
-                if v != 0:
-                    z[j] -= cb * v
-        return z
-
-    def _sweep_z(self, z: List[Fraction], piv_row_i: int, enter: int) -> None:
-        factor = z[enter]
-        if factor == 0:
-            return
-        piv_row = self.rows[piv_row_i]
-        for j in range(self.width):
-            v = piv_row[j]
-            if v != 0:
-                z[j] -= factor * v
-
-    def run_primal(self, cost: List[Fraction], allowed_cols: int,
-                   z: Optional[List[Fraction]] = None) -> List[Fraction]:
-        """Pivot to optimality from the current basis; returns the final
-        reduced-cost row.  Entering column by Dantzig's rule (most
-        negative reduced cost), degrading permanently to Bland's rule
-        after :data:`STALL_LIMIT` consecutive degenerate pivots so
-        termination stays guaranteed.  ``z`` may carry a reduced-cost
-        row the caller already maintains for ``cost`` (the dual repair
-        does), saving the O(m·width) re-pricing pass."""
-        if z is None:
-            z = self.price_out(cost)
-        bland = False
-        stall = 0
-        while True:
-            self.iterations += 1
-            enter = -1
-            if bland:
-                # Bland: smallest-index column with negative reduced cost
-                for j in range(allowed_cols):
-                    if z[j] < 0:
-                        enter = j
-                        break
-            else:
-                most: Optional[Fraction] = None
-                for j in range(allowed_cols):
-                    v = z[j]
-                    if v < 0 and (most is None or v < most):
-                        most = v
-                        enter = j
-            if enter < 0:
-                return z
-            # ratio test; tie-break on smallest basis column index.
-            leave = -1
-            best: Optional[Fraction] = None
-            for i in range(self.m):
-                a = self.rows[i][enter]
-                if a > 0:
-                    ratio = self.rows[i][-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                raise UnboundedError(
-                    f"objective of {self.lp.name!r} is unbounded "
-                    f"(column {enter} has no positive entries)"
-                )
-            self.pivot(leave, enter)
-            self._sweep_z(z, leave, enter)
-            if not bland:
-                if best == 0:  # degenerate: the objective did not move
-                    stall += 1
-                    if stall >= self.STALL_LIMIT:
-                        bland = True
-                else:
-                    stall = 0
-
-    def run_dual(self, z: List[Fraction], limit: int) -> bool:
-        """Dual-simplex pivots toward primal feasibility.
-
-        Requires ``z`` dual feasible (no negative reduced cost among the
-        structural columns); maintains that invariant.  Returns True once
-        every rhs is non-negative, False to request a fallback (step
-        budget exhausted, or a fully non-negative pivot row — the dual
-        ray case, which the cold two-phase solve diagnoses properly).
-        """
-        steps = 0
-        while True:
-            # leaving row: most negative rhs (the textbook dual rule —
-            # converges far faster than Bland order; the step budget, not
-            # an anti-cycling rule, bounds the loop)
-            leave = -1
-            worst: Optional[Fraction] = None
-            for i in range(self.m):
-                rhs = self.rows[i][-1]
-                if rhs < 0 and (worst is None or rhs < worst):
-                    worst = rhs
-                    leave = i
-            if leave < 0:
-                return True
-            if steps >= limit:
-                return False
-            row = self.rows[leave]
-            enter = -1
-            best: Optional[Fraction] = None
-            for j in range(self.n):
-                a = row[j]
-                if a < 0:
-                    ratio = z[j] / -a
-                    if best is None or ratio < best:
-                        best = ratio
-                        enter = j
-            if enter < 0:
-                return False
-            self.pivot(leave, enter)
-            self._sweep_z(z, leave, enter)
-            steps += 1
-
-    def drive_out_artificials(self) -> None:
-        """Pivot zero-valued basic artificials onto structural columns
-        where possible; a row that stays artificial is redundant and the
-        artificial sits harmlessly at 0 (it can never re-enter: phase 2
-        restricts entering columns to the structural ones)."""
-        for i in range(self.m):
-            if self.basis[i] >= self.n:
-                row = self.rows[i]
-                for j in range(self.n):
-                    if row[j] != 0:
-                        self.refactor_ops += 1
-                        self._apply_pivot(i, j)
-                        break
 
 
 class _RevisedCore:
@@ -599,7 +354,7 @@ class _RevisedCore:
             self.rhs.append(b.numerator * (s // b.denominator))
         self.cols = cols
         #: the phase-2 objective times the lcm of its denominators
-        s = lcm(*(c.denominator for c in sf.cost.values()))
+        self.cost_scale = s = lcm(*(c.denominator for c in sf.cost.values()))
         self.cost: Dict[int, int] = {
             j: c.numerator * (s // c.denominator)
             for j, c in sf.cost.items()}
@@ -857,7 +612,7 @@ class _RevisedCore:
         ``A_j = rho . a_j`` (``A_enter > 0``: it is the ratio test's
         pivot), every column moves as ``d_j -= d_enter * A_j / A_enter``
         — in integers ``D_j <- D_j*A_e - D_e*A_j`` over ``D_d*A_e`` —
-        the same single-row update the dense tableau applies to its
+        the same single-row update a dense tableau applies to its
         z-row, at the cost of one sparse scatter instead of a
         whole-tableau elimination.  Exactness makes the maintained
         values identical to a fresh pricing pass, so the pivot sequence
@@ -879,13 +634,11 @@ class _RevisedCore:
     def run_primal(self, cost: Dict[int, int],
                    include_artificials: bool = False) -> None:
         """Pivot to optimality from the current (primal feasible) basis.
-        Same entering/leaving rules as the tableau engine — Dantzig with
-        the Bland degradation after :data:`STALL_LIMIT` degenerate
-        pivots, ratio-test ties broken on smallest basis column — so
-        cold solves replay the identical pivot sequence.  Reduced costs
-        are priced in full once, then maintained per pivot through
-        :meth:`_update_prices` (priced values stay identical under
-        exact arithmetic)."""
+        Dantzig entering with the Bland degradation after
+        :data:`STALL_LIMIT` degenerate pivots, ratio-test ties broken on
+        smallest basis column.  Reduced costs are priced in full once,
+        then maintained per pivot through :meth:`_update_prices` (priced
+        values stay identical under exact arithmetic)."""
         bland = False
         stall = 0
         self._price_all(cost, include_artificials)
@@ -909,10 +662,7 @@ class _RevisedCore:
                             continue
                     leave, best_x, best_w = i, x[i], wi
             if leave < 0:
-                raise UnboundedError(
-                    f"objective of {self.lp.name!r} is unbounded "
-                    f"(column {enter} has no positive entries)"
-                )
+                raise self.unbounded(enter, w)
             self._count_pivot()
             rho = self.btran_unit(leave)
             self.exchange(leave, enter, w)
@@ -1004,8 +754,8 @@ class _RevisedCore:
         """Mint the warm restricted-phase-1 auxiliary for an infeasible
         ``slot``: the *negated* column currently basic there.  The swap
         is the eta ``-e_slot`` (pivot value -1), so the basic value
-        flips sign — exactly the dense engine's row flip plus fresh
-        artificial, expressed in product form."""
+        flips sign — a row flip plus fresh artificial, expressed in
+        product form."""
         aux = self.n + self.m + slot
         self.aux_cols[aux] = [(i, -v) for i, v in self.column(self.basis[slot])]
         self.minted.append(aux)
@@ -1016,6 +766,58 @@ class _RevisedCore:
         return aux
 
     # ------------------------------------------------------------------
+    # the hand-out: the only place Fractions are made
+    # ------------------------------------------------------------------
+    def vertex(self) -> List[Fraction]:
+        """The current basic solution over the structural columns."""
+        u = [ZERO] * self.n
+        for s, col in enumerate(self.basis):
+            if col < self.n and self.x[s]:
+                u[col] = Fraction(self.x[s], self.x_den)
+        return u
+
+    def multipliers(self, cost: Dict[int, int], cost_scale: int,
+                    sign: int) -> Dict[int, Fraction]:
+        """``sign * cost_B B^{-1}`` (one BTRAN) mapped back to the model
+        constraints: a scaled row's multiplier times its scale is the
+        multiplier of the standard-form row, the recorded flip that of
+        the constraint it came from.  Bound rows are skipped — the
+        certificate needs none — and zeros omitted."""
+        y, den = self.btran([cost.get(col, 0) for col in self.basis])
+        den *= cost_scale
+        out: Dict[int, Fraction] = {}
+        for yi, scale, (k, flip) in zip(y, self.scale, self.sf.origin):
+            if yi and k is not None:
+                out[k] = Fraction(sign * flip * scale * yi, den)
+        return out
+
+    def unbounded(self, enter: int, w: IntVector) -> UnboundedError:
+        """The proof that ``enter`` improves the objective forever: the
+        current vertex and the ray ``u_enter = 1, u_B = -w`` (``w <= 0``;
+        a basic artificial sits on a row without structural support, so
+        its ``w`` entry is 0 and it stays at 0 along the ray)."""
+        ray = [ZERO] * self.n
+        ray[enter] = ONE
+        for s, col in enumerate(self.basis):
+            if col < self.n and w[0][s]:
+                ray[col] = Fraction(-w[0][s], w[1])
+        return UnboundedError(
+            f"objective of {self.lp.name!r} is unbounded "
+            f"(column {enter} has no positive entries)",
+            point=_decode_values(self.sf, self.vertex()),
+            ray=_decode_values(self.sf, ray, offsets=False),
+        )
+
+    def infeasible(self, cost1: Dict[int, int], what: str) -> InfeasibleError:
+        """The proof that a positive phase-1 optimum cannot be lowered:
+        its multipliers price every structural column non-negative, so
+        they are a Farkas combination of the model constraints."""
+        value = Fraction(self.objective_of(cost1), self.x_den)
+        return InfeasibleError(
+            f"{self.lp.name!r} is infeasible ({what} optimum {value})",
+            farkas=self.multipliers(cost1, 1, -1),
+        )
+
     def objective_of(self, cost: Dict[int, int]) -> int:
         """The numerator (over ``x_den``) of ``cost`` evaluated at the
         current basic solution."""
@@ -1075,32 +877,25 @@ class SimplexInstance:
     * structure changed / basis gone singular / repair budget exhausted
       → guaranteed fallback to the cold two-phase solve.
 
-    ``engine`` selects the pivot machinery: ``"revised"`` (default) runs
-    the sparse revised simplex of :class:`_RevisedCore` — warm restart =
-    one sparse LU of the retained basis, each pivot one FTRAN + one eta —
-    while ``"tableau"`` keeps the dense Gauss-Jordan baseline for
-    differential tests.  Results are exact :class:`~fractions.Fraction`
-    optima on every path and engine.
+    The pivot machinery is the sparse revised simplex of
+    :class:`_RevisedCore` — warm restart = one sparse LU of the retained
+    basis, each pivot one FTRAN + one eta.  Results are exact
+    :class:`~fractions.Fraction` optima on every path, each with its
+    duality certificate (:attr:`LPSolution.duals`; an infeasible or
+    unbounded LP raises with its Farkas combination or ray attached).
 
     Counters (``basis_restarts``, ``phase1_skips``, ``dual_repairs``,
     ``primal_repairs``, ``fallbacks``, ``last_pivots``/``total_pivots``,
-    and the revised engine's ``last_factor_stats`` — refactorisations,
+    and ``last_factor_stats`` — refactorisations,
     eta-file high-water mark, FTRAN/BTRAN calls, LU fill, widest integer
     carried) feed the service metrics and the warm-path benchmarks.
     """
 
     def __init__(self, lp: LinearProgram,
                  max_pivots: int = DEFAULT_MAX_PIVOTS,
-                 engine: Optional[str] = None,
                  eta_limit: Optional[int] = None) -> None:
         self.lp = lp
         self.max_pivots = max_pivots
-        self.engine = engine if engine is not None else DEFAULT_ENGINE
-        if self.engine not in ("revised", "tableau"):
-            raise LPError(
-                f"unknown simplex engine {self.engine!r} "
-                f"(expected 'revised' or 'tableau')"
-            )
         self.eta_limit = eta_limit
         self._basis: Optional[List[int]] = None
         self._structure: Optional[Tuple] = None
@@ -1115,9 +910,9 @@ class SimplexInstance:
         # how the most recent solve went (read by the incremental layer)
         self.last_restarted = False
         self.last_phase1_skipped = False
-        #: factorisation telemetry of the most recent solve (zeros under
-        #: the tableau engine); ``factor_totals`` accumulates across the
-        #: instance's lifetime except the ``*_max`` high-water marks
+        #: factorisation telemetry of the most recent solve;
+        #: ``factor_totals`` accumulates across the instance's lifetime
+        #: except the ``*_max`` high-water marks
         self.last_factor_stats: Dict[str, int] = dict.fromkeys(
             FACTOR_STAT_KEYS, 0)
         self.factor_totals: Dict[str, int] = dict.fromkeys(
@@ -1147,13 +942,11 @@ class SimplexInstance:
         self.last_phases = []
         self.last_factor_stats = dict.fromkeys(FACTOR_STAT_KEYS, 0)
         self._phase_clock = time.perf_counter()
-        revised = self.engine == "revised"
         outcome: Optional[_Outcome] = None
         if warm:
             if self._basis is not None and key == self._structure:
                 try:
-                    outcome = (self._warm_revised(sf) if revised
-                               else self._warm_tableau(sf))
+                    outcome = self._warm_revised(sf)
                 except _AbandonWarm:
                     outcome = None
             if outcome is None:
@@ -1162,8 +955,7 @@ class SimplexInstance:
                 # restart is a fallback
                 self.fallbacks += 1
         if outcome is None:
-            outcome = (self._cold_revised(sf) if revised
-                       else self._cold_tableau(sf))
+            outcome = self._cold_revised(sf)
         self._basis = outcome.retained
         self._structure = key
         self.solves += 1
@@ -1172,8 +964,6 @@ class SimplexInstance:
         return self._decode(sf, outcome)
 
     # ------------------------------------------------------------------
-    # revised engine
-    # ------------------------------------------------------------------
     def _absorb_core(self, core: _RevisedCore) -> None:
         for key, value in core.factor_stats().items():
             # high-water marks merge by max, counters add up
@@ -1181,14 +971,14 @@ class SimplexInstance:
             for stats in (self.last_factor_stats, self.factor_totals):
                 stats[key] = merge(stats[key], value)
 
-    def _outcome_from_core(self, sf: _StandardForm,
-                           core: _RevisedCore) -> _Outcome:
-        u = [ZERO] * sf.num_cols
-        for s, col in enumerate(core.basis):
-            if col < sf.num_cols and core.x[s]:
-                u[col] = Fraction(core.x[s], core.x_den)
-        return _Outcome(u, core.retained_basis(), core.pivots,
-                        core.iterations)
+    def _outcome_from_core(self, core: _RevisedCore) -> _Outcome:
+        """The hand-out of an optimal core: the vertex, and by one more
+        BTRAN of ``c_B`` the multipliers that prove it optimal (negated
+        for a ``max`` model: the core minimises ``-objective``)."""
+        duals = core.multipliers(core.cost, core.cost_scale,
+                                 -1 if self.lp.sense == "max" else 1)
+        return _Outcome(core.vertex(), duals, core.retained_basis(),
+                        core.pivots, core.iterations)
 
     def _cold_revised(self, sf: _StandardForm) -> _Outcome:
         core = _RevisedCore(sf, self.lp, self.max_pivots, self.eta_limit)
@@ -1198,27 +988,21 @@ class SimplexInstance:
                 started, before = time.perf_counter(), core.pivots
                 cost1 = {a: 1 for a in core.minted}
                 core.run_primal(cost1, include_artificials=True)
-                phase1_value = core.objective_of(cost1)
-                if phase1_value > 0:
-                    raise InfeasibleError(
-                        f"{self.lp.name!r} is infeasible (phase-1 optimum "
-                        f"{Fraction(phase1_value, core.x_den)})"
-                    )
+                if core.objective_of(cost1) > 0:
+                    raise core.infeasible(cost1, "phase-1")
                 core.drive_out_artificials()
                 self._record_phase("cold.phase1", started, before, core)
             started, before = time.perf_counter(), core.pivots
             core.run_primal(core.cost)
             self._record_phase("cold.phase2", started, before, core)
-            return self._outcome_from_core(sf, core)
+            return self._outcome_from_core(core)
         finally:
             self._absorb_core(core)
 
     def _warm_revised(self, sf: _StandardForm) -> Optional[_Outcome]:
-        """Basis-restart solve on the revised engine; None requests the
-        cold fallback.  One sparse LU of the retained basis replaces the
-        tableau engine's whole-matrix Gauss-Jordan sweep; the repair
-        ladder (phase-1 skip → dual repair → restricted phase 1 → cold)
-        is unchanged."""
+        """Basis-restart solve; None requests the cold fallback.  One
+        sparse LU of the retained basis, then the repair ladder: phase-1
+        skip → dual repair → restricted phase 1 → cold."""
         assert self._basis is not None
         n = sf.num_cols
         core = _RevisedCore(sf, self.lp, self.max_pivots, self.eta_limit)
@@ -1254,7 +1038,7 @@ class SimplexInstance:
                 self.phase1_skips += 1
                 self.last_restarted = True
                 self.last_phase1_skipped = True
-                return self._outcome_from_core(sf, core)
+                return self._outcome_from_core(core)
             if core.dual_feasible(cost2):
                 # dual feasible: dual-simplex repair.  The budget is
                 # tight on purpose — a drifted-but-close basis repairs in
@@ -1271,7 +1055,7 @@ class SimplexInstance:
                 self.basis_restarts += 1
                 self.dual_repairs += 1
                 self.last_restarted = True
-                return self._outcome_from_core(sf, core)
+                return self._outcome_from_core(core)
             # neither feasible: restricted phase 1 — every infeasible
             # slot gets an auxiliary (its negated basic column, a
             # product-form eta) and phase 1 minimises their sum
@@ -1280,12 +1064,8 @@ class SimplexInstance:
             cost1 = {a: 1 for a in aux}
             started, before = time.perf_counter(), core.pivots
             core.run_primal(cost1)
-            phase1_value = core.objective_of(cost1)
-            if phase1_value > 0:
-                raise InfeasibleError(
-                    f"{self.lp.name!r} is infeasible (restricted phase-1 "
-                    f"optimum {Fraction(phase1_value, core.x_den)})"
-                )
+            if core.objective_of(cost1) > 0:
+                raise core.infeasible(cost1, "restricted phase-1")
             core.drive_out_artificials()
             self._record_phase("warm.phase1", started, before, core)
             started, before = time.perf_counter(), core.pivots
@@ -1294,190 +1074,18 @@ class SimplexInstance:
             self.basis_restarts += 1
             self.primal_repairs += 1
             self.last_restarted = True
-            return self._outcome_from_core(sf, core)
+            return self._outcome_from_core(core)
         finally:
             self._absorb_core(core)
 
-    # ------------------------------------------------------------------
-    # tableau engine (differential-testing baseline)
-    # ------------------------------------------------------------------
-    def _outcome_from_tableau(self, sf: _StandardForm,
-                              tab: _Tableau) -> _Outcome:
-        n = sf.num_cols
-        u = [ZERO] * n
-        for i in range(tab.m):
-            if tab.basis[i] < n:
-                u[tab.basis[i]] = tab.rows[i][-1]
-        # canonicalise before retaining: any basic artificial is recorded
-        # as ``n + row`` — the next restart only needs to know WHICH rows
-        # were artificial-basic (redundant), not which artificial column
-        # happened to serve them
-        retained = [col if col < n else n + i
-                    for i, col in enumerate(tab.basis)]
-        return _Outcome(u, retained, tab.pivots, tab.iterations)
-
-    def _cold_tableau(self, sf: _StandardForm) -> _Outcome:
-        tab = _Tableau(sf, self.lp, self.max_pivots)
-        m, n = tab.m, tab.n
-        # Choose initial basis: reuse a slack column (+1 coefficient, sole
-        # entry in its row among *potential* basis columns) when possible,
-        # else an artificial.
-        col_rows: Dict[int, List[int]] = {}
-        for i, row in enumerate(sf.rows):
-            for col in row:
-                col_rows.setdefault(col, []).append(i)
-        artificial_cols: List[int] = []
-        for i, row in enumerate(sf.rows):
-            chosen = -1
-            for col, val in row.items():
-                if val == 1 and len(col_rows[col]) == 1 and col not in sf.cost:
-                    chosen = col
-                    break
-            if chosen >= 0:
-                tab.basis.append(chosen)
-            else:
-                art = n + i
-                tab.rows[i][art] = ONE
-                tab.basis.append(art)
-                artificial_cols.append(art)
-
-        # ---------------- phase 1 ----------------
-        if artificial_cols:
-            started, before = time.perf_counter(), tab.pivots
-            cost1 = [ZERO] * tab.width
-            for col in artificial_cols:
-                cost1[col] = ONE
-            z1 = tab.run_primal(cost1, tab.width - 1)
-            phase1_value = -z1[-1]
-            if phase1_value > 0:
-                raise InfeasibleError(
-                    f"{self.lp.name!r} is infeasible "
-                    f"(phase-1 optimum {phase1_value})"
-                )
-            tab.drive_out_artificials()
-            self._record_phase("cold.phase1", started, before, tab)
-
-        # ---------------- phase 2 ----------------
-        started, before = time.perf_counter(), tab.pivots
-        tab.run_primal(self._phase2_cost(tab), n)
-        self._record_phase("cold.phase2", started, before, tab)
-        return self._outcome_from_tableau(sf, tab)
-
-    def _phase2_cost(self, tab: _Tableau) -> List[Fraction]:
-        cost2 = [ZERO] * tab.width
-        for col, c in tab.sf.cost.items():
-            cost2[col] = c
-        return cost2
-
     def _record_phase(self, name: str, started: float,
-                      pivots_before: int, engine_state: Any) -> None:
+                      pivots_before: int, core: _RevisedCore) -> None:
         self.last_phases.append({
             "phase": name,
             "start_seconds": started - self._phase_clock,
             "duration_seconds": time.perf_counter() - started,
-            "pivots": engine_state.pivots - pivots_before,
+            "pivots": core.pivots - pivots_before,
         })
-
-    def _warm_tableau(self, sf: _StandardForm) -> Optional[_Outcome]:
-        """Basis-restart solve on the dense engine; None requests the
-        cold fallback.
-
-        Entering columns are restricted to the *structural* region
-        (``j < n``) in every warm phase — a driven-out artificial's column
-        is no longer a valid unit column, and the standard
-        no-artificial-re-entry rule keeps phase 1 correct without it.
-        """
-        assert self._basis is not None
-        n = sf.num_cols
-        tab = _Tableau(sf, self.lp, self.max_pivots, extra_artificials=True)
-        tab.abandon_after = tab.m // 2 + 16
-        if not tab.install_basis(self._basis):
-            return None
-        # Retained artificials mark rows that were redundant last solve.
-        # Against the patched coefficients each such row either (a) is
-        # still all-zero over the structural columns — a harmless
-        # invariant row provided its rhs is 0 — or (b) regained structural
-        # entries, in which case the artificial is driven out immediately
-        # so no phase below ever carries a nonzero artificial.
-        for i in range(tab.m):
-            if tab.basis[i] < n:
-                continue
-            row = tab.rows[i]
-            enter = -1
-            for j in range(n):
-                if row[j] != 0:
-                    enter = j
-                    break
-            if enter >= 0:
-                tab.refactor_ops += 1
-                tab._apply_pivot(i, enter)
-            elif row[-1] != 0:
-                # 0·u = nonzero after elimination: let the cold two-phase
-                # method diagnose the (in)feasibility from scratch
-                return None
-        cost2 = self._phase2_cost(tab)
-        if all(row[-1] >= 0 for row in tab.rows):
-            # old basis still primal feasible: no phase 1, no repair
-            started, before = time.perf_counter(), tab.pivots
-            tab.run_primal(cost2, n)
-            self._record_phase("warm.phase2", started, before, tab)
-            self.basis_restarts += 1
-            self.phase1_skips += 1
-            self.last_restarted = True
-            self.last_phase1_skipped = True
-            return self._outcome_from_tableau(sf, tab)
-        z = tab.price_out(cost2)
-        if all(z[j] >= 0 for j in range(n)):
-            # dual feasible: dual-simplex repair.  The budget is tight on
-            # purpose — a drifted-but-close basis repairs in a handful of
-            # pivots, and a repair that wanders past ~m/2 pivots is losing
-            # to the cold solve it is supposed to undercut, so fall back.
-            started, before = time.perf_counter(), tab.pivots
-            if not tab.run_dual(z, limit=tab.m // 2 + 8):
-                return None
-            self._record_phase("warm.dual_repair", started, before, tab)
-            # z was maintained through every dual pivot: still the exact
-            # reduced-cost row of cost2, so phase 2 needs no re-pricing
-            started, before = time.perf_counter(), tab.pivots
-            tab.run_primal(cost2, n, z=z)
-            self._record_phase("warm.phase2", started, before, tab)
-            self.basis_restarts += 1
-            self.dual_repairs += 1
-            self.last_restarted = True
-            return self._outcome_from_tableau(sf, tab)
-        # neither feasible: restricted phase 1 — each negative row is
-        # sign-flipped and given a FRESH artificial from the second
-        # region (guaranteed untouched; see _Tableau.__init__)
-        artificial_cols: List[int] = []
-        for i in range(tab.m):
-            row = tab.rows[i]
-            if row[-1] < 0:
-                for j in range(tab.width):
-                    if row[j] != 0:
-                        row[j] = -row[j]
-                art = n + tab.m + i
-                row[art] = ONE
-                tab.basis[i] = art
-                artificial_cols.append(art)
-        cost1 = [ZERO] * tab.width
-        for col in artificial_cols:
-            cost1[col] = ONE
-        started, before = time.perf_counter(), tab.pivots
-        z1 = tab.run_primal(cost1, n)
-        if -z1[-1] > 0:
-            raise InfeasibleError(
-                f"{self.lp.name!r} is infeasible "
-                f"(restricted phase-1 optimum {-z1[-1]})"
-            )
-        tab.drive_out_artificials()
-        self._record_phase("warm.phase1", started, before, tab)
-        started, before = time.perf_counter(), tab.pivots
-        tab.run_primal(cost2, n)
-        self._record_phase("warm.phase2", started, before, tab)
-        self.basis_restarts += 1
-        self.primal_repairs += 1
-        self.last_restarted = True
-        return self._outcome_from_tableau(sf, tab)
 
     # ------------------------------------------------------------------
     def _decode(self, sf: _StandardForm, outcome: _Outcome) -> LPSolution:
@@ -1487,19 +1095,14 @@ class SimplexInstance:
             uc = u[col]
             if uc != 0:
                 min_value += c * uc
-        values: Dict[Variable, Fraction] = {}
-        for var, (cols, offset) in sf.decode.items():
-            x = offset
-            for col, s in cols:
-                x += s * u[col]
-            values[var] = x
         objective = -min_value if self.lp.sense == "max" else min_value
         return LPSolution(
             objective=objective,
-            values=values,
+            values=_decode_values(sf, u),
             backend="exact",
             iterations=outcome.iterations,
             pivots=outcome.pivots,
+            duals=outcome.duals,
         )
 
     def stats(self) -> Dict[str, int]:
@@ -1517,11 +1120,9 @@ class SimplexInstance:
 
 
 def solve_exact(lp: LinearProgram,
-                max_iterations: int = DEFAULT_MAX_PIVOTS,
-                engine: Optional[str] = None) -> LPSolution:
+                max_iterations: int = DEFAULT_MAX_PIVOTS) -> LPSolution:
     """Solve ``lp`` exactly (one cold two-phase solve); raises
-    Infeasible/Unbounded errors as needed.  ``max_iterations`` is the
-    pivot safety cap and ``engine`` the pivot machinery (revised sparse
-    LU by default) — see :class:`SimplexInstance`."""
-    return SimplexInstance(lp, max_pivots=max_iterations,
-                           engine=engine).solve()
+    Infeasible/Unbounded errors, each carrying its proof, as needed.
+    ``max_iterations`` is the pivot safety cap — see
+    :class:`SimplexInstance`."""
+    return SimplexInstance(lp, max_pivots=max_iterations).solve()

@@ -11,9 +11,60 @@ from pathlib import Path
 
 import pytest
 
+from repro.lp import InfeasibleError, SimplexInstance, UnboundedError
+from repro.lp.certify import (
+    CertificateError,
+    certify,
+    certify_infeasible,
+    certify_unbounded,
+)
 from repro.platform import generators as gen
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: outcomes certified over the session, by kind
+CERTIFIED = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+
+
+@pytest.fixture(autouse=True)
+def certified_solves(monkeypatch):
+    """Every in-process ``SimplexInstance.solve`` of the suite proves its
+    outcome — optimum, infeasibility or unboundedness — on the
+    ``LinearProgram`` it was given.  A failed proof is re-raised where
+    it happens and, in case a broker's error handler turns that into a
+    reply, fails the test at teardown as well."""
+    solve = SimplexInstance.solve
+    refuted = []
+
+    def prove(kind, check, lp, evidence):
+        try:
+            check(lp, evidence)
+        except CertificateError as error:
+            refuted.append(f"{lp.name}: {error}")
+            raise
+        CERTIFIED[kind] += 1
+
+    def certified(self, warm=False):
+        try:
+            solution = solve(self, warm)
+        except InfeasibleError as error:
+            prove("infeasible", certify_infeasible, self.lp, error)
+            raise
+        except UnboundedError as error:
+            prove("unbounded", certify_unbounded, self.lp, error)
+            raise
+        prove("optimal", certify, self.lp, solution)
+        return solution
+
+    monkeypatch.setattr(SimplexInstance, "solve", certified)
+    yield
+    assert not refuted, refuted
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_line(
+        "certified LP outcomes: " + ", ".join(
+            f"{count} {kind}" for kind, count in CERTIFIED.items()))
 
 
 @pytest.fixture

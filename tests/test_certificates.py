@@ -6,6 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.certificates import build_ssms_dual, ssms_certificate
+from repro.core.master_slave import build_ssms_lp
+from repro.lp import certify, solve_exact
 from repro.platform import generators as gen
 
 
@@ -53,6 +55,35 @@ class TestStrongDuality:
         cert = ssms_certificate(platform, "R0")
         assert cert.optimal
         cert.verify_dual_feasibility()
+
+
+class TestTwoIndependentProofsAgree:
+    """``ssms_certificate`` builds the paper's dual by hand and solves
+    it; ``certify`` evaluates the multipliers the primal solve read off
+    its own basis.  Neither knows of the other: both bounds must be
+    ``ntask(G)``."""
+
+    @staticmethod
+    def _both_bounds(platform, master):
+        lp, _ = build_ssms_lp(platform, master)
+        solution = solve_exact(lp)
+        bound = certify(lp, solution)
+        cert = ssms_certificate(platform, master)
+        assert bound == cert.dual_value == cert.primal_value
+        assert bound == solution.objective
+        return bound
+
+    def test_fig1(self, fig1):
+        assert self._both_bounds(fig1, "P1") == 2
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(min_value=0, max_value=5000),
+           st.integers(min_value=3, max_value=6),
+           st.sampled_from([0.0, 0.4]))
+    def test_random_platforms(self, seed, n, forwarder_prob):
+        self._both_bounds(gen.random_connected(
+            n, seed=seed, forwarder_prob=forwarder_prob), "R0")
 
 
 class TestDualStructure:

@@ -9,6 +9,9 @@ interpreter (``fresh_python``) and asserts module *names*, never times.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 HEAVY = ("networkx", "numpy", "scipy")
 
 _ROLES = """
@@ -100,3 +103,20 @@ def test_the_exact_service_works_without_the_float_stack(fresh_python):
     assert out["served"]["ok"] is False
     assert out["served"]["type"] == "LPError"
     assert out["served"]["error"] == out["typed"]
+
+
+def test_the_certificate_checker_imports_nothing_from_the_solver():
+    """``lp/certify.py`` is the proof checker: what it shares with the
+    solver it cannot check.  It may import the model it checks against
+    and the standard library's numbers — not ``simplex``, not
+    ``factor``, not the package (whose ``__init__`` imports both)."""
+    source = (Path(__file__).resolve().parents[1]
+              / "src/repro/lp/certify.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "fractions", "typing", ".model"}
+    assert ".model" in imported

@@ -1,7 +1,7 @@
-"""The sparse revised simplex: LU/eta unit tests, a hypothesis
-differential suite against the dense tableau engine, warm-restart edge
-cases under the factorisation, and the counter plumbing into the
-service metrics."""
+"""The sparse revised simplex: LU/eta unit tests, a hypothesis suite
+that certifies every outcome on random LPs, the pinned pivot path,
+warm-restart edge cases under the factorisation, and the counter
+plumbing into the service metrics."""
 
 import random
 from fractions import Fraction
@@ -9,9 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.lp
+from repro._rational import is_infinite
+from repro.core.dag import TaskGraph, solve_dag_collection
+from repro.core.master_slave import build_ssms_lp, patch_ssms_coefficients
+from repro.core.scatter import build_a2a_lp, build_ssps_lp
 from repro.lp import (
     BasisFactor,
-    DEFAULT_ENGINE,
     InfeasibleError,
     LinearProgram,
     LPError,
@@ -19,9 +23,14 @@ from repro.lp import (
     SingularBasisError,
     SparseLU,
     UnboundedError,
+    certify,
+    certify_infeasible,
+    certify_unbounded,
     lp_sum,
     solve_exact,
 )
+from repro.platform import generators
+from repro.platform.graph import Platform
 
 F = Fraction
 coef = st.integers(min_value=-5, max_value=5)
@@ -227,7 +236,7 @@ class TestBasisFactor:
 
 
 # ----------------------------------------------------------------------
-# differential: revised vs tableau on random LPs
+# every outcome on random LPs proves itself (repro.lp.certify)
 # ----------------------------------------------------------------------
 def _fractions(numerators, denominators=st.integers(2, 12)):
     return st.builds(F, numerators, denominators)
@@ -241,7 +250,7 @@ def random_lp(draw):
     vertices) common; every bound kind and constraint sense is drawn.
     Half the draws are all-integer; the other half mix in fractional
     coefficients, rhs, bounds and objective (denominators 2..12), so the
-    revised engine's row and objective scale factors differ from 1 —
+    core's row and objective scale factors differ from 1 —
     which integer data can never exercise.
     """
     n = draw(st.integers(min_value=1, max_value=4))
@@ -296,83 +305,167 @@ def build_lp(data):
     return lp, xs
 
 
-def classify(lp, engine):
+def certified(lp, solve):
+    """Run ``solve()`` and prove its outcome on ``lp`` itself: returns
+    ``("optimal", solution)``, ``("infeasible", None)`` or
+    ``("unbounded", None)`` — or raises ``CertificateError``."""
     try:
-        return "optimal", solve_exact(lp, engine=engine)
-    except InfeasibleError:
+        solution = solve()
+    except InfeasibleError as error:
+        certify_infeasible(lp, error)
         return "infeasible", None
-    except UnboundedError:
+    except UnboundedError as error:
+        certify_unbounded(lp, error)
         return "unbounded", None
+    assert certify(lp, solution) == solution.objective
+    return "optimal", solution
 
 
 class TestDifferential:
+    """The reference is a proof, not a sibling engine: each outcome is
+    checked by ``repro.lp.certify`` on the ``LinearProgram`` alone."""
+
     @settings(max_examples=240, deadline=None)
     @given(random_lp())
     def test_cold_solves_agree_exactly(self, data):
-        lp_r, _ = build_lp(data)
-        lp_t, _ = build_lp(data)
-        kind_r, sol_r = classify(lp_r, "revised")
-        kind_t, sol_t = classify(lp_t, "tableau")
-        assert kind_r == kind_t
-        if kind_r == "optimal":
-            assert sol_r.objective == sol_t.objective
-            # both engines follow the same pivot rules, so the cold
-            # solves land on the same vertex — values identical too
-            values_r = {v.name: x for v, x in sol_r.values.items()}
-            values_t = {v.name: x for v, x in sol_t.values.items()}
-            assert values_r == values_t
-            # ... by the same path: the pivot count is part of the
-            # contract (a mis-scaled artificial column still reaches
-            # the optimum, along another pivot sequence)
-            assert sol_r.pivots == sol_t.pivots
-            lp_r.check(sol_r)
+        """A cold solve agrees with its certificate — optimal,
+        infeasible or unbounded — and an optimum is a basic solution of
+        the model it was asked about."""
+        lp, _ = build_lp(data)
+        kind, sol = certified(lp, lambda: solve_exact(lp))
+        if kind == "optimal":
+            assert sol.backend == "exact" and sol.pivots >= 0
+            lp.check(sol)
 
     @settings(max_examples=120, deadline=None)
     @given(random_lp(), st.data())
     def test_warm_resolves_agree_on_objective(self, data, dyn):
-        """Patch one coefficient, warm-solve on both engines: same
-        classification and exact objective (the vertices may differ —
-        warm repairs walk engine-specific paths)."""
-        insts = {}
-        lps = {}
-        for engine in ("revised", "tableau"):
-            lp, xs = build_lp(data)
-            lps[engine] = (lp, xs)
-            inst = SimplexInstance(lp, engine=engine)
-            insts[engine] = inst
-        kinds = {}
-        for engine, inst in insts.items():
-            try:
-                inst.solve()
-                kinds[engine] = "optimal"
-            except InfeasibleError:
-                kinds[engine] = "infeasible"
-            except UnboundedError:
-                kinds[engine] = "unbounded"
-        assert kinds["revised"] == kinds["tableau"]
-        if kinds["revised"] != "optimal":
+        """Patch one coefficient and warm-solve: the outcome certifies
+        on the patched LP, and equals (classification and exact
+        objective — the vertex may differ) a fresh cold solve of it."""
+        lp, xs = build_lp(data)
+        inst = SimplexInstance(lp)
+        kind, _ = certified(lp, inst.solve)
+        if kind != "optimal":
             return
-        n, bounds, rows, senses, rhs, obj, maximize = data
-        ci = dyn.draw(st.integers(0, len(lps["revised"][0].constraints) - 1))
-        vi = dyn.draw(st.integers(0, n - 1))
+        ci = dyn.draw(st.integers(0, len(lp.constraints) - 1))
+        vi = dyn.draw(st.integers(0, len(xs) - 1))
         delta = dyn.draw(st.sampled_from(
             [F(1), F(-1), F(1, 2), F(2), F(1, 3), F(-3, 7), F(5, 12)]))
-        outcomes = {}
-        for engine in ("revised", "tableau"):
-            lp, xs = lps[engine]
-            cons = lp.constraints[ci]
-            old = cons.expr.terms.get(xs[vi], F(0))
-            # a patch to 0 removes the term (structure change): both
-            # engines then fall back cold, which must also agree
-            lp.set_constraint_coefficient(cons.name, xs[vi], old + delta)
-            try:
-                sol = insts[engine].solve(warm=True)
-                outcomes[engine] = ("optimal", sol.objective)
-            except InfeasibleError:
-                outcomes[engine] = ("infeasible", None)
-            except UnboundedError:
-                outcomes[engine] = ("unbounded", None)
-        assert outcomes["revised"] == outcomes["tableau"]
+        cons = lp.constraints[ci]
+        old = cons.expr.terms.get(xs[vi], F(0))
+        # a patch to 0 removes the term (structure change): the warm
+        # request then falls back cold, which must also certify
+        lp.set_constraint_coefficient(cons.name, xs[vi], old + delta)
+        warm_kind, warm = certified(lp, lambda: inst.solve(warm=True))
+        cold_kind, cold = certified(lp, lambda: solve_exact(lp))
+        assert warm_kind == cold_kind
+        if warm_kind == "optimal":
+            assert warm.objective == cold.objective
+
+
+# ----------------------------------------------------------------------
+# the pinned pivot path: a certificate proves where the solve ended, not
+# how it got there — a mis-scaled artificial column (a bare ``e_i``
+# instead of ``scale[i] * e_i``) still reaches the optimum, by another
+# pivot sequence.  These literals were recorded before the dense engine
+# that used to be compared pivot for pivot was deleted.
+# ----------------------------------------------------------------------
+PINNED_PATHS = {
+    # name: (pivots, iterations, objective)
+    'ssms/fig1': (10, 12, '2'),
+    'scatter/fig2': (22, 24, '1/2'),
+    'a2a/random4': (42, 44, '1/23'),
+    'dag/fork_join2@fig1': (34, 36, '43/48'),
+    'ssms/random5-s0/cold': (9, 11, '35/36'),
+    'ssms/random5-s0/warm': (0, 1, '367/315'),
+    'ssms/random6-s1/cold': (8, 10, '3/2'),
+    'ssms/random6-s1/warm': (0, 1, '38/21'),
+    'ssms/random7-s2/cold': (12, 14, '3/2'),
+    'ssms/random7-s2/warm': (3, 1, '8311/3528'),
+    'ssms/random8-s3/cold': (13, 15, '63/50'),
+    'ssms/random8-s3/warm': (10, 12, '8/7'),
+    'ssms/random9-s4/cold': (12, 14, '5/4'),
+    'ssms/random9-s4/warm': (5, 6, '404/315'),
+    'ssms/random10-s5/cold': (15, 17, '67/60'),
+    'ssms/random10-s5/warm': (20, 1, '608/715'),
+    'ssms/random5-s6/cold': (6, 8, '8/15'),
+    'ssms/random5-s6/warm': (0, 1, '23/30'),
+    'ssms/random6-s7/cold': (9, 11, '13/12'),
+    'ssms/random6-s7/warm': (1, 2, '35/27'),
+    'ssms/random7-s8/cold': (8, 10, '3/4'),
+    'ssms/random7-s8/warm': (3, 4, '34/35'),
+    'ssms/random8-s9/cold': (16, 18, '5/4'),
+    'ssms/random8-s9/warm': (13, 15, '54/55'),
+    'ssms/random9-s10/cold': (18, 20, '119/120'),
+    'ssms/random9-s10/warm': (4, 5, '29119/34320'),
+    'ssms/random10-s11/cold': (18, 20, '11/10'),
+    'ssms/random10-s11/warm': (12, 13, '54/55'),
+    'ssms/random5-s12/cold': (6, 8, '9/20'),
+    'ssms/random5-s12/warm': (1, 1, '178/495'),
+    'ssms/random6-s13/cold': (11, 13, '1'),
+    'ssms/random6-s13/warm': (1, 2, '70/81'),
+    'ssms/random7-s14/cold': (8, 10, '2'),
+    'ssms/random7-s14/warm': (11, 13, '674396/269425'),
+    'ssms/random8-s15/cold': (9, 11, '5/6'),
+    'ssms/random8-s15/warm': (3, 1, '379/315'),
+    'ssms/random9-s16/cold': (10, 12, '7/12'),
+    'ssms/random9-s16/warm': (0, 1, '43/54'),
+    'ssms/random10-s17/cold': (12, 14, '7/10'),
+    'ssms/random10-s17/warm': (16, 17, '293/300'),
+    'ssms/random5-s18/cold': (6, 8, '3/4'),
+    'ssms/random5-s18/warm': (0, 1, '20/21'),
+    'ssms/random6-s19/cold': (11, 13, '7/6'),
+    'ssms/random6-s19/warm': (0, 1, '23/21'),
+}
+
+
+def _drift(platform, rng):
+    """Same topology, every weight moved by its own factor in [1/2, 2]."""
+    out = Platform(platform.name)
+    for spec in platform._nodes.values():  # noqa: SLF001 — test helper
+        out.add_node(spec.name, spec.w if is_infinite(spec.w)
+                     else spec.w * F(rng.randint(4, 16), 8))
+    for spec in platform.edges():
+        out.add_edge(spec.src, spec.dst, spec.c * F(rng.randint(4, 16), 8))
+    return out
+
+
+def _path(sol):
+    return sol.pivots, sol.iterations, str(sol.objective)
+
+
+def test_pivot_paths_are_pinned(monkeypatch):
+    paths = {}
+    fig1 = generators.paper_figure1()
+    paths["ssms/fig1"] = _path(solve_exact(build_ssms_lp(fig1, "P1")[0]))
+    paths["scatter/fig2"] = _path(solve_exact(build_ssps_lp(
+        generators.paper_figure2_multicast(), "P0", ["P5", "P6"])[0]))
+    paths["a2a/random4"] = _path(solve_exact(
+        build_a2a_lp(generators.random_connected(4, seed=11))[0]))
+    # the DAG collection LP is assembled inside its solver
+    seen = []
+    solve = SimplexInstance.solve
+
+    def spy(self, warm=False):
+        seen.append(solve(self, warm))
+        return seen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SimplexInstance, "solve", spy)
+        solve_dag_collection(fig1, TaskGraph.fork_join(2, size=F(1, 2)), "P1")
+    (dag_solution,) = seen
+    paths["dag/fork_join2@fig1"] = _path(dag_solution)
+    for seed in range(20):
+        n = 5 + seed % 6
+        platform = generators.random_connected(n, seed=seed)
+        lp, handles = build_ssms_lp(platform, "R0")
+        inst = SimplexInstance(lp)
+        paths[f"ssms/random{n}-s{seed}/cold"] = _path(inst.solve())
+        patch_ssms_coefficients(
+            lp, handles, _drift(platform, random.Random(seed)), "R0")
+        paths[f"ssms/random{n}-s{seed}/warm"] = _path(inst.solve(warm=True))
+    assert paths == PINNED_PATHS
 
 
 # ----------------------------------------------------------------------
@@ -393,7 +486,7 @@ class TestWarmEdgeCases:
 
     def test_singular_retained_basis_falls_back_cold(self):
         lp, x, y = self._two_var_model()
-        inst = SimplexInstance(lp, engine="revised")
+        inst = SimplexInstance(lp)
         sol = inst.solve()
         # optimum sits on both constraints: x and y are basic
         assert sol[x] == F(4, 3) and sol[y] == F(4, 3)
@@ -416,14 +509,14 @@ class TestWarmEdgeCases:
         lp.maximize(lp_sum((i + 1) * x for i, x in enumerate(xs)))
         # eta_limit=1: every pivot overflows the eta file and triggers
         # an immediate refactorisation
-        tight = SimplexInstance(lp, engine="revised", eta_limit=1)
+        tight = SimplexInstance(lp, eta_limit=1)
         sol_tight = tight.solve()
         assert tight.last_pivots > 1
         fs = tight.last_factor_stats
         assert fs["refactorisations"] >= tight.last_pivots
         assert fs["eta_len_max"] == 1
         # a roomy eta file never refactorises mid-solve ...
-        roomy = SimplexInstance(lp, engine="revised", eta_limit=10_000)
+        roomy = SimplexInstance(lp, eta_limit=10_000)
         sol_roomy = roomy.solve()
         assert roomy.last_factor_stats["refactorisations"] == 1
         # ... and the mid-solve refactorisations change nothing
@@ -442,21 +535,20 @@ class TestWarmEdgeCases:
         lp.add_constraint(x - y == 1)
         lp.add_constraint(x + 2 * z <= 4)
         lp.maximize(x + 2 * y + 3 * z)
-        reference = SimplexInstance(lp, engine="revised")
+        reference = SimplexInstance(lp)
         expected = reference.solve()
         pivots = reference.last_pivots
         assert pivots > 0
-        capped = SimplexInstance(lp, engine="revised", max_pivots=pivots)
+        capped = SimplexInstance(lp, max_pivots=pivots)
         sol = capped.solve()
         assert sol.objective == expected.objective
         # one fewer must trip, proving the cap is measured in pivots
         with pytest.raises(LPError, match="pivot safety cap"):
-            SimplexInstance(lp, engine="revised",
-                            max_pivots=pivots - 1).solve()
+            SimplexInstance(lp, max_pivots=pivots - 1).solve()
 
     def test_warm_pivot_cap_excludes_warm_install(self):
         lp, x, y = self._two_var_model()
-        probe = SimplexInstance(lp, engine="revised")
+        probe = SimplexInstance(lp)
         probe.solve()
         lp.set_constraint_coefficient("c1", y, 3)
         expected = probe.solve(warm=True)
@@ -465,7 +557,7 @@ class TestWarmEdgeCases:
         # replay with the cap set to exactly the warm pivot count: the
         # warm install's LU + any exchange bookkeeping must not count
         lp2, x2, y2 = self._two_var_model()
-        inst = SimplexInstance(lp2, engine="revised")
+        inst = SimplexInstance(lp2)
         inst.solve()
         lp2.set_constraint_coefficient("c1", y2, 3)
         inst.max_pivots = warm_pivots
@@ -474,29 +566,26 @@ class TestWarmEdgeCases:
         assert sol.objective == expected.objective
         assert inst.last_pivots == warm_pivots
 
-    def test_unknown_engine_rejected(self):
+    def test_engine_keyword_is_gone(self):
+        """One engine, no knob: the parameter that chose between the
+        revised core and the dense tableau is gone at every level."""
         lp, _, _ = self._two_var_model()
-        with pytest.raises(LPError, match="unknown simplex engine"):
-            SimplexInstance(lp, engine="dense")
-
-    def test_default_engine_is_revised(self):
-        assert DEFAULT_ENGINE == "revised"
-        lp, _, _ = self._two_var_model()
+        with pytest.raises(TypeError):
+            SimplexInstance(lp, engine="revised")
+        with pytest.raises(TypeError):
+            solve_exact(lp, engine="revised")
+        with pytest.raises(TypeError):
+            lp.solve(engine="revised")
+        assert not hasattr(repro.lp, "DEFAULT_ENGINE")
         inst = SimplexInstance(lp)
         inst.solve()
         assert inst.last_factor_stats["refactorisations"] >= 1
         assert inst.last_factor_stats["ftran_ops"] > 0
         assert inst.last_factor_stats["btran_ops"] > 0
 
-    def test_tableau_engine_reports_zero_factor_stats(self):
-        lp, _, _ = self._two_var_model()
-        inst = SimplexInstance(lp, engine="tableau")
-        inst.solve()
-        assert all(v == 0 for v in inst.last_factor_stats.values())
-
     def test_stats_carry_factor_totals(self):
         lp, x, y = self._two_var_model()
-        inst = SimplexInstance(lp, engine="revised")
+        inst = SimplexInstance(lp)
         inst.solve()
         lp.set_constraint_coefficient("c1", y, 3)
         inst.solve(warm=True)
@@ -519,9 +608,9 @@ class TestWarmEdgeCases:
         cores = []
         handed_out = SimplexInstance._outcome_from_core
 
-        def spy(self, sf, core):
+        def spy(self, core):
             cores.append(core)
-            return handed_out(self, sf, core)
+            return handed_out(self, core)
 
         monkeypatch.setattr(SimplexInstance, "_outcome_from_core", spy)
         lp, _ = build_ssms_lp(generators.paper_figure1(), "P1")

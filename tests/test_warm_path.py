@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 
 from repro._rational import INF, is_infinite
+from repro.core.master_slave import build_ssms_lp
+from repro.lp import solve_exact
 from repro.platform import generators
 from repro.platform.graph import Platform
 from repro.problems import (
@@ -34,20 +36,32 @@ WARM_PROBLEMS = (
 )
 
 
-def _reweight(platform: Platform, rng: random.Random) -> Platform:
-    """Same topology, every weight independently re-drawn (the monitoring
-    regime: per-node load changes, per-link bandwidth changes)."""
+def _with_weights(platform: Platform, node_w, edge_c) -> Platform:
+    """Same topology, every finite ``w`` and every ``c`` mapped."""
     out = Platform(platform.name)
     for spec in platform._nodes.values():  # noqa: SLF001 — test helper
-        if is_infinite(spec.w):
-            out.add_node(spec.name, INF)
-        else:
-            out.add_node(spec.name,
-                         Fraction(rng.randint(1, 12), rng.randint(1, 4)))
+        out.add_node(spec.name,
+                     INF if is_infinite(spec.w) else node_w(spec.w))
     for spec in platform.edges():
-        out.add_edge(spec.src, spec.dst,
-                     Fraction(rng.randint(1, 10), rng.randint(1, 4)))
+        out.add_edge(spec.src, spec.dst, edge_c(spec.c))
     return out
+
+
+def _reweight(platform: Platform, rng: random.Random) -> Platform:
+    """Every weight independently re-drawn (the monitoring regime:
+    per-node load changes, per-link bandwidth changes)."""
+    return _with_weights(
+        platform,
+        lambda w: Fraction(rng.randint(1, 12), rng.randint(1, 4)),
+        lambda c: Fraction(rng.randint(1, 10), rng.randint(1, 4)))
+
+
+def _drift(platform: Platform, rng: random.Random) -> Platform:
+    """Every weight moved by its own factor in [3/4, 5/4]: the regime
+    where the retained basis stays optimal or nearly so."""
+    def moved(weight):
+        return weight * Fraction(rng.randint(12, 20), 16)
+    return _with_weights(platform, moved, moved)
 
 
 def _spec_for(problem: str, platform: Platform, root, others):
@@ -146,6 +160,36 @@ class TestWarmStatsAndEvictions:
         assert stats.basis_fallbacks == 0
         # a basis restart re-solves with (far) fewer pivots than cold
         assert stats.warm_pivots < stats.cold_pivots
+
+    @pytest.mark.parametrize("platform", [
+        generators.paper_figure1(),
+        generators.binary_tree(3, seed=1),
+        generators.star(8, worker_w=list(range(1, 9)), link_c=[1] * 8),
+    ], ids=["paper_figure1", "binary_tree3", "star8"])
+    def test_weight_drift_refactorises_far_less_than_cold_pivots(
+            self, platform):
+        """Six weight-drift re-solves: each takes the warm path and
+        equals a cold solve of the drifted platform, and the warm path's
+        LU bill — one refactorisation per restart plus the odd eta
+        overflow — stays far under the pivots the cold solves pay."""
+        rounds = 6
+        rng = random.Random(20040427)
+        master = sorted(platform.nodes())[0]
+        inc = IncrementalSolver()
+        inc.solve_master_slave(platform, master)  # prime the hot model
+        primed = inc.stats.refactorisations
+        cold_pivots = 0
+        for _ in range(rounds):
+            drifted = _drift(platform, rng)
+            warm = inc.solve_master_slave(drifted, master)
+            cold = solve_exact(build_ssms_lp(drifted, master)[0])
+            assert warm.throughput == cold.objective
+            cold_pivots += cold.pivots
+        stats = inc.stats
+        assert stats.warm_solves == rounds and stats.basis_fallbacks == 0
+        warm_refactors = stats.refactorisations - primed
+        assert warm_refactors <= 2 * rounds
+        assert 4 * warm_refactors <= cold_pivots
 
     def test_counters_surface_in_broker_snapshot(self):
         g = generators.paper_figure1()
