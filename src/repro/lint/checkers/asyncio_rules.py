@@ -18,7 +18,20 @@ convention is mechanical, so it is machine-checked:
 * no sync ``with <...lock...>:`` — an engine/state lock held across a
   blocking acquire convoys the loop; engine locks belong *inside*
   executor jobs, loop-confined state needs no lock at all
-  (``async with`` on an ``asyncio.Lock`` is of course fine).
+  (``async with`` on an ``asyncio.Lock`` is of course fine).  The one
+  lock a loop does wait on is taken for it, inside a callee: a
+  loop-served cache hit (``SolveEngine.run_hit``) enters
+  ``SolutionCache``'s lock within ``hit`` / ``peek`` only, and an
+  executor thread holds that lock for at most one
+  ``invalidate_platform`` scan (~150 µs by the benchmark's
+  ``cache.invalidate_platform_us``) — never across a solve, which runs
+  under the *engine* lock the loop never touches;
+* no direct call of the blocking dispatchers ``route_post`` /
+  ``route_get`` / ``handle_request`` — each waits on broker futures
+  with ``.result()``.  They may only be *handed* to
+  ``run_in_executor``; the solve path of the HTTP loop drives the
+  generator dispatcher by awaiting instead, and must not drift back
+  onto the loop as a blocking call.
 
 Nested sync ``def``/``lambda`` bodies are exempt — they are exactly
 the functions handed to executors — and the deliberate exceptions
@@ -45,6 +58,8 @@ _SCOPE_DIRS = ("repro/service/",)
 _SOCKET_METHODS = frozenset(
     {"recv", "recv_into", "recvfrom", "accept", "sendall"})
 _TRANSPORT_METHODS = frozenset({"request", "ping"})
+_BLOCKING_DISPATCHERS = frozenset(
+    {"route_post", "route_get", "handle_request"})
 
 
 def _terminal_name(expr: ast.AST) -> str:
@@ -64,8 +79,9 @@ class AsyncioChecker(Checker):
     description = (
         "async def bodies in repro/service/ must not block the event "
         "loop: no time.sleep, raw socket calls, un-awaited "
-        "transport request/ping, Future.result(), or sync 'with' on a "
-        "lock (engine locks belong inside executor jobs)"
+        "transport request/ping, Future.result(), sync 'with' on a "
+        "lock (engine locks belong inside executor jobs), or direct "
+        "call of route_post/route_get/handle_request"
     )
 
     def applies_to(self, module: ModuleInfo) -> bool:
@@ -102,6 +118,16 @@ class AsyncioChecker(Checker):
         if not isinstance(node, ast.Call):
             return
         func = node.func
+        callee = _terminal_name(func)
+        if callee in _BLOCKING_DISPATCHERS:
+            yield Finding(
+                self.rule, module.display_path, node.lineno,
+                node.col_offset,
+                f"{callee}() {where} blocks the loop on "
+                f"the broker's futures; hand it to run_in_executor, or "
+                f"drive the dispatcher by awaiting",
+            )
+            return
         if (isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)):
             if func.value.id == "time" and func.attr == "sleep":

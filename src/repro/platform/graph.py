@@ -107,7 +107,7 @@ class Platform:
             spec = NodeSpec(name, INF)
         else:
             wf = as_fraction(w)
-            if wf <= 0:
+            if wf.numerator <= 0:
                 raise PlatformError(
                     f"node weight must be positive (w_i = 0 would allow "
                     f"infinitely many computations), got {w!r} for {name!r}"
@@ -134,7 +134,7 @@ class Platform:
                 "omit the edge instead of adding it"
             )
         cf = as_fraction(c)
-        if cf <= 0:
+        if cf.numerator <= 0:
             raise PlatformError(f"edge cost must be positive, got {c!r}")
         spec = EdgeSpec(src, dst, cf)
         self._edges[(src, dst)] = spec
@@ -369,11 +369,13 @@ class Platform:
     # transforms / io
     # ------------------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "Platform":
+        """An independent copy: the frozen, already validated specs are
+        shared, only the four containers are rebuilt."""
         g = Platform(name or self.name)
-        for spec in self._nodes.values():
-            g.add_node(spec.name, spec.w)
-        for spec in self._edges.values():
-            g.add_edge(spec.src, spec.dst, spec.c)
+        g._nodes = dict(self._nodes)
+        g._edges = dict(self._edges)
+        g._succ = {node: list(out) for node, out in self._succ.items()}
+        g._pred = {node: list(into) for node, into in self._pred.items()}
         return g
 
     def scale(

@@ -30,9 +30,25 @@ encode_weight = _encode_weight
 
 
 def _decode_weight(text: str):
+    """Inverse of :func:`encode_weight`.  The canonical ``"p"`` and
+    ``"p/q"`` (ASCII digits) are built from their integers; anything
+    else — signs, decimals, spaces, ``"1/0"``, non-strings — is left to
+    :class:`~fractions.Fraction`, whose value or error is the answer."""
     if text == "inf":
         return INF
+    if type(text) is str and text.isascii():
+        num, _, den = text.partition("/")
+        if num.isdigit():
+            if not den:
+                if num == text:
+                    return Fraction(int(num))
+            elif den.isdigit() and den.strip("0"):
+                return Fraction(int(num), int(den))
     return Fraction(text)
+
+
+#: public alias (the service's result codec parses with it too)
+decode_weight = _decode_weight
 
 
 def platform_to_dict(platform: Platform) -> Dict[str, Any]:

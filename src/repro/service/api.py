@@ -37,8 +37,9 @@ of pure functions (:func:`route_get`, :func:`route_post`) returning
 ``(status, content-type, body)`` triples.
 :class:`AsyncServiceServer` puts them on the network: an asyncio
 HTTP/1.1 keep-alive server — idle connections are parked coroutines, so
-thousands of keep-alive clients cost no threads, and the blocking
-broker dispatch runs on a bounded executor.  It serves ``POST /api``
+thousands of keep-alive clients cost no threads; solve and batch ops
+are awaited on that loop, ops that block on the broker run on a bounded
+executor.  It serves ``POST /api``
 and ``GET /metrics`` / ``/cache`` / ``/healthz`` for
 ``python -m repro serve``; the same :func:`handle_request` drives the
 ``--stdio`` JSON-lines mode used in tests and pipelines.
@@ -47,31 +48,30 @@ and ``GET /metrics`` / ``/cache`` / ``/healthz`` for
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import copy
 import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..core.activities import SteadyStateSolution
-from ..core.broadcast import BroadcastSolution
-from ..core.multicast import MulticastAnalysis
-from ..platform.serialization import (
-    encode_weight as _encode_fraction,
-    platform_from_dict,
-    platform_to_dict,
-    schedule_to_dict,
-    solution_to_dict,
-)
+from ..platform.serialization import platform_from_dict, platform_to_dict
 from ..problems import (
     SpecError,
     describe as registry_describe,
     spec_from_wire,
 )
-from .broker import Broker, BrokerError, BrokerResult, SolveRequest
+from .broker import (
+    THROUGHPUT_FIELDS,
+    Broker,
+    BrokerError,
+    BrokerResult,
+    SolveRequest,
+)
 from .metrics import render_prometheus
 from .tracing import EVENTS, TraceStore, start_trace
 from .transport import MAX_FRAME_BYTES, LoopServer
+from .wire import result_to_wire, solution_payload
 
 
 # ----------------------------------------------------------------------
@@ -158,45 +158,13 @@ def request_to_dict(request: SolveRequest) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # response encoding
 # ----------------------------------------------------------------------
-def _solution_payload(solution: Any) -> Dict[str, Any]:
-    if isinstance(solution, SteadyStateSolution):
-        return solution_to_dict(solution)
-    if isinstance(solution, BroadcastSolution):
-        return {
-            "problem": "broadcast",
-            "lp_bound": _encode_fraction(solution.lp_bound),
-            "achieved": _encode_fraction(solution.achieved),
-            "optimal": solution.optimal,
-            "exhaustive": solution.exhaustive,
-            "packing": [
-                {"rate": _encode_fraction(rate),
-                 "edges": sorted([u, v] for u, v in tree)}
-                for tree, rate in solution.packing.items()
-            ],
-        }
-    if isinstance(solution, MulticastAnalysis):
-        return {
-            "problem": "multicast",
-            "sum_lp": _encode_fraction(solution.sum_lp),
-            "tree_optimal": _encode_fraction(solution.tree_optimal),
-            "max_lp": _encode_fraction(solution.max_lp),
-            "exhaustive": solution.exhaustive,
-            "max_lp_achievable": solution.max_lp_achievable,
-        }
-    # DagSolution and anything else with a throughput
-    payload: Dict[str, Any] = {"problem": type(solution).__name__}
-    if hasattr(solution, "throughput"):
-        payload["throughput"] = _encode_fraction(solution.throughput)
-    if hasattr(solution, "cons"):
-        payload["cons"] = [
-            {"node": n, "type": t, "rate": _encode_fraction(r)}
-            for (n, t), r in solution.cons.items() if r != 0
-        ]
-    return payload
-
-
 def response_to_dict(result: BrokerResult) -> Dict[str, Any]:
-    """Encode a broker result as the solve response payload."""
+    """Encode a broker result as the solve response payload: a view of
+    its wire form (:func:`repro.service.wire.solution_payload`), which a
+    shard-served result still carries (``result.wire`` — no ``Fraction``
+    is built) and an in-process one gets from the same codec."""
+    wire = getattr(result, "wire", None) or result_to_wire(result)
+    solution = solution_payload(wire["solution"])
     out: Dict[str, Any] = {
         "ok": True,
         "fingerprint": result.fingerprint,
@@ -204,11 +172,12 @@ def response_to_dict(result: BrokerResult) -> Dict[str, Any]:
         "warm": result.warm,
         "coalesced": result.coalesced,
         "latency_seconds": result.latency_seconds,
-        "throughput": _encode_fraction(result.throughput),
-        "solution": _solution_payload(result.solution),
+        "throughput": next(solution[key] for key in THROUGHPUT_FIELDS
+                           if key in solution),
+        "solution": solution,
     }
-    if result.schedule is not None:
-        out["schedule"] = schedule_to_dict(result.schedule)
+    if wire.get("schedule") is not None:
+        out["schedule"] = wire["schedule"]
     return out
 
 
@@ -255,9 +224,17 @@ def _decode_or_error(data: Dict[str, Any]):
 # ----------------------------------------------------------------------
 # the dispatcher
 # ----------------------------------------------------------------------
-def _run_batch(broker: Broker, data: Dict[str, Any]) -> Dict[str, Any]:
-    """The ``batch`` op body: per-request error isolation — one
-    malformed/failing request must not discard its siblings' solves."""
+def _await(fut):
+    """``fut.result()`` for a :func:`_dispatch` generator: hand the
+    future to the driver, resume once it is done."""
+    yield fut
+    return fut.result()
+
+
+def _run_batch(broker: Broker, data: Dict[str, Any]):
+    """The ``batch`` op body (a :func:`_dispatch` sub-generator):
+    per-request error isolation — one malformed/failing request must not
+    discard its siblings' solves."""
     decoded = [
         _decode_or_error(raw) for raw in data.get("requests", [])
     ]
@@ -273,7 +250,7 @@ def _run_batch(broker: Broker, data: Dict[str, Any]) -> Dict[str, Any]:
                 results.append(item)  # the decode error
                 continue
             try:
-                results.append(response_to_dict(fut.result()))
+                results.append(response_to_dict((yield from _await(fut))))
             except SpecError as exc:
                 results.append(_error_response(exc, status=422))
             except Exception as exc:  # noqa: BLE001 — wire boundary
@@ -281,24 +258,14 @@ def _run_batch(broker: Broker, data: Dict[str, Any]) -> Dict[str, Any]:
     return {"ok": True, "results": results}
 
 
-
-def handle_request(broker: Broker, data: Dict[str, Any],
-                   trace_store: Optional[TraceStore] = None,
-                   ) -> Dict[str, Any]:
-    """Dispatch one decoded envelope; never raises.
-
-    Error responses carry ``"type"`` (the exception class) and
-    ``"status"`` — 400 for undecodable requests, 422 for well-formed but
-    invalid ones (:class:`SpecError`), 500 for unexpected solver/server
-    failures — so clients can tell "fix your request" from "server bug"
-    on any transport.
-
-    ``trace_store``, when given, turns tracing on for every solve/batch
-    (captured into the store, retrievable by the ``traces``/``trace``
-    ops); a request may also opt in per-call with ``"trace": true``,
-    which additionally inlines the full span tree on the response.
-    Traced responses always carry ``"trace_id"``.
-    """
+def _dispatch(broker: Broker, data: Dict[str, Any],
+              trace_store: Optional[TraceStore]):
+    """The one dispatcher body, as a generator: it yields each future
+    it must wait for (``broker.submit`` returns them without blocking)
+    and is resumed once that future is done.  :func:`handle_request`
+    drives it by blocking, :class:`AsyncServiceServer` by awaiting — so
+    solve and batch ops run on the HTTP loop without a second copy of
+    their branches.  Returns the response dict; never raises."""
     try:
         op = data.get("op", "solve")
         # solve/batch are metered inside the broker ("solve", "solve.batch");
@@ -364,7 +331,7 @@ def handle_request(broker: Broker, data: Dict[str, Any],
             if inline or trace_store is not None:
                 with start_trace("request.solve", store=trace_store,
                                  problem=request.problem) as tr:
-                    result = broker.submit(request).result()
+                    result = yield from _await(broker.submit(request))
                 out = response_to_dict(result)
                 out["trace_id"] = tr.trace_id
                 if inline:
@@ -372,17 +339,18 @@ def handle_request(broker: Broker, data: Dict[str, Any],
                 return out
             # submit() rather than solve(): concurrent identical requests
             # arriving on different transport threads coalesce into one LP
-            return response_to_dict(broker.submit(request).result())
+            return response_to_dict(
+                (yield from _await(broker.submit(request))))
         if op == "batch":
             inline = bool(data.get("trace"))
             if inline or trace_store is not None:
                 with start_trace("request.batch", store=trace_store) as tr:
-                    out = _run_batch(broker, data)
+                    out = yield from _run_batch(broker, data)
                 out["trace_id"] = tr.trace_id
                 if inline:
                     out["trace"] = tr.as_dict()
                 return out
-            return _run_batch(broker, data)
+            return (yield from _run_batch(broker, data))
         raise BrokerError(f"unknown op {op!r}")
     except _BadRequest as exc:  # undecodable request (past the timer)
         return _error_response(exc.original, status=400)
@@ -390,6 +358,31 @@ def handle_request(broker: Broker, data: Dict[str, Any],
         return _error_response(exc, status=422)
     except Exception as exc:  # noqa: BLE001 — unexpected: a server bug
         return _error_response(exc, status=500)
+
+
+def handle_request(broker: Broker, data: Dict[str, Any],
+                   trace_store: Optional[TraceStore] = None,
+                   ) -> Dict[str, Any]:
+    """Dispatch one decoded envelope; never raises.
+
+    Error responses carry ``"type"`` (the exception class) and
+    ``"status"`` — 400 for undecodable requests, 422 for well-formed but
+    invalid ones (:class:`SpecError`), 500 for unexpected solver/server
+    failures — so clients can tell "fix your request" from "server bug"
+    on any transport.
+
+    ``trace_store``, when given, turns tracing on for every solve/batch
+    (captured into the store, retrievable by the ``traces``/``trace``
+    ops); a request may also opt in per-call with ``"trace": true``,
+    which additionally inlines the full span tree on the response.
+    Traced responses always carry ``"trace_id"``.
+    """
+    steps = _dispatch(broker, data, trace_store)
+    try:
+        while True:  # the blocking driver
+            concurrent.futures.wait([next(steps)])
+    except StopIteration as stop:
+        return stop.value
 
 
 # ----------------------------------------------------------------------
@@ -449,23 +442,34 @@ def route_get(broker: Broker, path: str, query: Dict[str, list],
     return _json_reply({"ok": False, "error": "not found"}, status=404)
 
 
-def route_post(broker: Broker, path: str, body: bytes,
-               trace_store: Optional[TraceStore] = None) -> HttpResponse:
-    """Route one POST body; pure — no I/O beyond the broker dispatch."""
+def _parse_post(path: str, body: bytes):
+    """The decoded envelope of one POST, or the :data:`HttpResponse`
+    that refuses it."""
     if path not in ("/api", "/"):
         # mirror route_get: a POST to /metrics or a typo'd path is client
         # misconfiguration, not a solve request
         return _json_reply({"ok": False, "error": "not found"}, status=404)
     try:
-        data = json.loads(body or b"{}")
+        return json.loads(body or b"{}")
     except (ValueError, json.JSONDecodeError) as exc:
         return _json_reply(_error_response(exc, status=400), status=400)
-    response = handle_request(broker, data, trace_store=trace_store)
+
+
+def _post_reply(response: Dict[str, Any]) -> HttpResponse:
     # the dispatcher stamps every error with its status (400 bad
     # request / 422 invalid spec / 500 server bug); default defensively
     # for responses predating the field
     status = response.get("status", 200 if response.get("ok") else 422)
     return _json_reply(response, status=status)
+
+
+def route_post(broker: Broker, path: str, body: bytes,
+               trace_store: Optional[TraceStore] = None) -> HttpResponse:
+    """Route one POST body; pure — no I/O beyond the broker dispatch."""
+    data = _parse_post(path, body)
+    if isinstance(data, tuple):
+        return data
+    return _post_reply(handle_request(broker, data, trace_store=trace_store))
 
 
 # ----------------------------------------------------------------------
@@ -480,14 +484,25 @@ class _RefusedRequest(Exception):
         self.status = status
 
 
+#: A larger POST body goes to the executor whole, unparsed, so a huge
+#: platform cannot stall the HTTP loop.
+LOOP_BODY_BYTES = 256 * 1024
+
+
 class AsyncServiceServer(LoopServer):
     """asyncio HTTP/1.1 keep-alive front-end over a :class:`Broker`.
 
     Every connection is a coroutine: parsing and framing happen on one
-    event loop, and only the blocking broker dispatch (:func:`route_get`
-    / :func:`route_post`) is handed to a bounded executor
-    (``http_workers`` threads).  Idle connections cost nothing; the
-    executor bounds concurrent *dispatch*, not clients.
+    event loop, and so do ``solve`` and ``batch`` ops (bodies up to
+    :data:`LOOP_BODY_BYTES`): the request is decoded, fingerprinted and
+    looked up in the near-cache there, and the connection awaits the
+    future ``broker.submit`` returns (:func:`_dispatch`) — a cached read
+    crosses no thread at this door.  Every other op, every GET and any
+    larger body blocks on the broker, so it is handed to a bounded
+    executor (``http_workers`` threads) as :func:`route_get` /
+    :func:`route_post`.  Idle connections cost nothing; the executor
+    bounds concurrent *dispatch*, not clients.  (A test's
+    ``Broker(executor="sync")`` solves inside ``submit``: on the loop.)
 
     In-flight dispatch is published on the broker's metrics as the
     ``http_inflight`` / ``http_inflight_max`` gauges (merged into
@@ -546,9 +561,7 @@ class AsyncServiceServer(LoopServer):
                             parsed.path, parse_qs(parsed.query),
                             self.trace_store)
                     elif method == "POST":
-                        response = await self._loop.run_in_executor(
-                            self._executor, route_post, self.broker,
-                            parsed.path, body, self.trace_store)
+                        response = await self._post(parsed.path, body)
                     else:
                         response = _json_reply(
                             {"ok": False,
@@ -568,6 +581,25 @@ class AsyncServiceServer(LoopServer):
             pass  # client went away mid-exchange
         finally:
             writer.close()
+
+    async def _post(self, path: str, body: bytes) -> HttpResponse:
+        data = (_parse_post(path, body) if len(body) <= LOOP_BODY_BYTES
+                else None)
+        if isinstance(data, tuple):
+            return data
+        if not (isinstance(data, dict)
+                and data.get("op", "solve") in ("solve", "batch")):
+            return await self._loop.run_in_executor(
+                self._executor, route_post, self.broker, path, body,
+                self.trace_store)
+        steps = _dispatch(self.broker, data, self.trace_store)
+        try:
+            while True:  # the awaiting driver
+                await asyncio.wait([asyncio.wrap_future(next(steps))])
+        except StopIteration as stop:
+            return _post_reply(stop.value)
+        finally:
+            steps.close()  # cancelled mid-wait: unwind its trace now
 
     async def _read_request(self, reader: asyncio.StreamReader):
         """One request head + body; ``None`` when the client is done.

@@ -53,9 +53,14 @@ from .tracing import activate, current_span, span
 BrokerError = SpecError
 
 
+#: where a solution keeps its throughput, by precedence — attribute
+#: names on the objects, and keys of their response payloads
+THROUGHPUT_FIELDS = ("throughput", "achieved", "tree_optimal")
+
+
 def solution_throughput(solution: Any):
     """The throughput of any registered problem's solution object."""
-    for attr in ("throughput", "achieved", "tree_optimal"):
+    for attr in THROUGHPUT_FIELDS:
         if hasattr(solution, attr):
             return getattr(solution, attr)
     raise AttributeError(f"no throughput on {type(solution).__name__}")
@@ -277,6 +282,9 @@ class SolveEngine:
     def run(self, request: SolveRequest, fp: str) -> BrokerResult:
         """Solve one request (cache -> warm -> cold), metered."""
         start = time.perf_counter()
+        served = self.run_hit(fp, request.include_schedule)
+        if served is not None:
+            return served
         if self.heat is not None:
             self.heat.record(fp)
         with span("engine.run") as sp:
@@ -287,8 +295,8 @@ class SolveEngine:
                 lookup_started = time.perf_counter()
                 entry = self.cache.get(fp)
                 if entry is not None:
-                    # on a hit engine.run *is* the lookup — a child span
-                    # would only repeat it, so the hit path stays lean
+                    # the entry lacks the schedule this request wants (or
+                    # landed since run_hit looked): reconstruct on top
                     result = self._from_cache(request, fp, entry)
                     self.metrics.observe("solve.hit",
                                          time.perf_counter() - start)
@@ -311,6 +319,40 @@ class SolveEngine:
                 self.metrics.observe("solve", time.perf_counter() - start,
                                      error=True)
                 raise
+
+    def run_hit(self, fp: str,
+                include_schedule: bool) -> Optional[BrokerResult]:
+        """:meth:`run` for a request the cache answers as it stands:
+        no request object, no solve, no reconstruction, only the
+        cache's, heat sketch's and registry's own short locks — a shard
+        server calls it on its event loop.  The books are any hit's (one
+        cache hit, one heat record, ``solve.hit`` + ``solve``, an
+        ``engine.run`` span when tracing).  Returns ``None`` with
+        **nothing** counted when the entry is absent, expired or lacks a
+        wanted schedule: :meth:`run` then does the one counted lookup."""
+        start = time.perf_counter()
+        entry = self.cache.hit(fp, with_schedule=include_schedule)
+        if entry is None:
+            return None
+        if self.heat is not None:
+            self.heat.record(fp)
+        parent = current_span()
+        if parent is not None:
+            # on a hit engine.run *is* the lookup: back-date the span
+            sp = parent.trace.new_span("engine.run", parent.span_id,
+                                       start=start - parent.trace._t0)
+            sp.annotate(cached=True, warm=False)
+            sp.finish()
+        latency = time.perf_counter() - start
+        self.metrics.observe("solve.hit", latency)
+        self.metrics.observe("solve", latency)
+        return BrokerResult(
+            fingerprint=fp,
+            solution=entry.solution,
+            schedule=entry.schedule if include_schedule else None,
+            cached=True,
+            latency_seconds=latency,
+        )
 
     def _from_cache(
         self, request: SolveRequest, fp: str, entry: CacheEntry

@@ -191,6 +191,10 @@ class CacheEntry:
     ``topology_sig`` (weights erased) is what :meth:`SolutionCache.
     invalidate_platform` matches on; the full weighted signature is already
     folded into ``key`` by the fingerprint, so it is not stored again.
+
+    ``solution_json`` / ``schedule_json`` memoise the two objects' wire
+    bytes: :func:`repro.service.wire.encode_result` fills each on its
+    first serve and splices it into every later reply.
     """
 
     key: str
@@ -199,6 +203,8 @@ class CacheEntry:
     schedule: Any = None
     created_at: float = 0.0
     hits: int = 0
+    solution_json: Optional[bytes] = None
+    schedule_json: Optional[bytes] = None
 
 
 class SolutionCache:
@@ -263,10 +269,26 @@ class SolutionCache:
             if entry is None:
                 self.stats.misses += 1
                 return None
-            self._entries.move_to_end(key)
-            entry.hits += 1
-            self.stats.hits += 1
-            return entry
+            return self._touch(entry)
+
+    def hit(self, key: str, with_schedule: bool = False
+            ) -> Optional[CacheEntry]:
+        """:meth:`get` for a caller whose fallback is a full lookup: a
+        live entry (with a schedule, when one is wanted) counts a hit;
+        anything else returns ``None`` and counts, drops and expires
+        **nothing** — the fallback's :meth:`get` keeps those books."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if (entry is None or self._expired(entry)
+                    or (with_schedule and entry.schedule is None)):
+                return None
+            return self._touch(entry)
+
+    def _touch(self, entry: CacheEntry) -> CacheEntry:  # caller-holds: _lock
+        self._entries.move_to_end(entry.key)
+        entry.hits += 1
+        self.stats.hits += 1
+        return entry
 
     def put(
         self,
@@ -335,6 +357,7 @@ class SolutionCache:
             entry = self._entries.get(key)
             if entry is not None:
                 entry.schedule = schedule
+                entry.schedule_json = None
 
     # ------------------------------------------------------------------
     def invalidate(self, key: str) -> bool:

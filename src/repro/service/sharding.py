@@ -911,7 +911,6 @@ class ShardedBroker:
 
     def _propagate(self, request: SolveRequest, fp: str,
                    result: BrokerResult, ctx: Optional[_HotContext],
-                   wire_result: Dict[str, Any],
                    entry_sink: Optional[
                        Dict[int, List[Dict[str, Any]]]] = None) -> None:
         """Fan a hot solution out: near-cache admission plus writes to
@@ -939,7 +938,8 @@ class ShardedBroker:
         for sid in ctx.replicas:
             if sid == ctx.target:
                 continue
-            entry = {"fp": fp, "result": wire_result, "platform": encoded}
+            # a ring result came off the wire and still carries that dict
+            entry = {"fp": fp, "result": result.wire, "platform": encoded}
             gen = ctx.generations.get(sid)
             if gen is not None:
                 entry["gen"] = gen
@@ -1108,8 +1108,7 @@ class ShardedBroker:
         self._count_replica_read(ctx)
         reply = await self._routed_call(fp, msg, prefer=prefer)
         result = result_from_wire(reply["result"])
-        self._propagate(request, fp, result, ctx,
-                        wire_result=reply["result"])
+        self._propagate(request, fp, result, ctx)
         return result
 
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
@@ -1207,8 +1206,7 @@ class ShardedBroker:
             result = result_from_wire(item["result"])
             results.append(result)
             self._propagate(requests[index], fps[index], result,
-                            ctxs.get(index), wire_result=item["result"],
-                            entry_sink=put_sink)
+                            ctxs.get(index), entry_sink=put_sink)
         if put_sink:
             self._dispatch_puts(put_sink)
         return results

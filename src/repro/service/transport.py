@@ -37,11 +37,20 @@ the server echoes on the reply:
   peers outside the program that pipeline plain frames.
 
 The server executes ops on a bounded thread pool (the simplex is
-CPU-bound and exact — it stays off the loop), answers pings on the loop
-itself so a busy shard never looks dead to a health probe, enforces a
+CPU-bound and exact — it stays off the loop), answers pings and cache
+hits on the loop itself so a busy shard never looks dead to a health
+probe and a cached read never queues behind a solve, enforces a
 server-side per-op deadline with a prompt ``ShardTimeoutError`` reply
 instead of letting clients guess, and keys in-flight solves by
 fingerprint so brokers sharing a hot shard coalesce onto one engine run.
+
+**A hit is a lookup and a copy.**  A ``solve`` is looked up by its
+``fp`` before ``msg["request"]`` is touched (:func:`hit_reply`); the
+request is decoded only on a miss, or to reconstruct a schedule.  That
+weakens nothing: the shard has always trusted the peer's ``fp`` —
+``engine.run(request, msg["fp"])`` never recomputed it.  The result
+travels as the bytes its cache entry memoises, spliced into the frame
+(:func:`reply_json`) — still the JSON message any peer decodes.
 
 **Failure semantics.**  A dead peer raises :class:`TransportError` and
 an expired per-request timeout raises :class:`TransportTimeout`.  A
@@ -79,7 +88,7 @@ from .broker import SolveEngine
 from .cache import SolutionCache
 from .incremental import IncrementalSolver
 from .tracing import start_trace
-from .wire import result_from_wire, result_to_wire
+from .wire import compact_json, encode_result, result_from_wire
 
 
 class TransportError(RuntimeError):
@@ -102,9 +111,29 @@ MAX_SLEEP_SECONDS = 30.0
 _HEADER = struct.Struct(">I")
 
 
+def reply_json(reply: Dict[str, Any]) -> bytes:
+    """Compact JSON of a shard reply.  A solve reply's ``"result"`` is
+    bytes already, and a ``solve_many`` reply's ``"results"`` are such
+    replies: they are spliced in beside the rest (``"ok"``, ...), not
+    encoded again."""
+    result, items = reply.get("result"), reply.get("results")
+    if isinstance(result, bytes):
+        key, spliced = "result", result
+    elif isinstance(items, list):
+        key = "results"
+        spliced = b"[" + b",".join(map(reply_json, items)) + b"]"
+    else:
+        return compact_json(reply)
+    rest = compact_json({k: v for k, v in reply.items() if k != key})
+    return b'{"' + key.encode() + b'":' + spliced + b"," + rest[1:]
+
+
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """One message as its wire bytes (length prefix + UTF-8 JSON)."""
-    blob = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return _frame(compact_json(message))
+
+
+def _frame(blob: bytes) -> bytes:
     if len(blob) > MAX_FRAME_BYTES:
         raise TransportError(
             f"frame of {len(blob)} bytes exceeds the "
@@ -184,7 +213,9 @@ def handle_shard_message(engine: SolveEngine,
     """Run one ``solve`` / ``put`` / ``invalidate`` / ``clear`` /
     ``sleep`` message against an engine.
 
-    Always returns a JSON-safe reply dict; failures are reported as
+    Always returns a reply dict that is JSON-safe but for a solve's
+    ``"result"``, which is its JSON bytes already (:func:`reply_json`);
+    failures are reported as
     ``{"ok": False, "error": ..., "type": ...}`` replies carrying the
     original exception class, never by raising (a shard must survive
     any request).  ``ping``, ``stop``, ``snapshot`` and the
@@ -204,6 +235,44 @@ def handle_shard_message(engine: SolveEngine,
     return reply
 
 
+def hit_reply(engine: SolveEngine, fp: str, request_wire: Any,
+              trace: bool) -> Optional[Dict[str, Any]]:
+    """The reply to a ``solve`` the cache answers as it stands, else
+    ``None`` with nothing counted (:meth:`SolveEngine.run_hit`).  The
+    request is not decoded — only its ``include_schedule`` flag is read —
+    so an event loop may call this: a lookup and a copy."""
+    if not isinstance(request_wire, dict):
+        return None  # the full handler reports what is wrong with it
+    wants_schedule = bool(request_wire.get("include_schedule", False))
+    reply = _solved(engine, trace,
+                    lambda: engine.run_hit(fp, wants_schedule))
+    if reply is not None:
+        reply["gen"] = engine.cache.generation
+    return reply
+
+
+def _solved(engine: SolveEngine, trace: Any, run) -> Optional[Dict[str, Any]]:
+    """``run()``'s result (or ``None``) as an ok reply."""
+    if trace:
+        # the caller is tracing: record this shard's own span tree
+        # around the solve and ship it on the reply, to be grafted into
+        # the caller's trace.  Old peers without this field behave
+        # exactly as before — the protocol needs no version bump.
+        with start_trace("shard.solve") as tr:
+            result = run()
+    else:
+        tr, result = None, run()
+    if result is None:
+        return None
+    # the entry the result came from (or was just stored under) holds
+    # the memoised bytes; after a refused put there is none
+    entry = engine.cache.peek(result.fingerprint)
+    reply = {"ok": True, "result": encode_result(result, entry)}
+    if tr is not None:
+        reply["trace"] = {"trace_id": tr.trace_id, "spans": tr.span_wire()}
+    return reply
+
+
 def _shard_op_reply(engine: SolveEngine,
                     msg: Dict[str, Any]) -> Dict[str, Any]:
     from .api import request_from_dict  # deferred: avoid import cycle
@@ -212,19 +281,8 @@ def _shard_op_reply(engine: SolveEngine,
     try:
         if op == "solve":
             request = request_from_dict(msg["request"])
-            if msg.get("trace"):
-                # the caller is tracing: record this shard's own span
-                # tree around the solve and ship it on the reply, to be
-                # grafted into the caller's trace.  Old peers without
-                # this field behave exactly as before — the protocol
-                # needs no version bump.
-                with start_trace("shard.solve") as tr:
-                    result = engine.run(request, msg["fp"])
-                return {"ok": True, "result": result_to_wire(result),
-                        "trace": {"trace_id": tr.trace_id,
-                                  "spans": tr.span_wire()}}
-            result = engine.run(request, msg["fp"])
-            return {"ok": True, "result": result_to_wire(result)}
+            return _solved(engine, msg.get("trace"),
+                           lambda: engine.run(request, msg["fp"]))
         if op == "put":
             # replicated hot-key writes, batched (one round-trip per
             # replica shard per batch).  Every entry must carry the
@@ -565,6 +623,12 @@ class AsyncShardServer(LoopServer):
       even while every executor thread is busy, so a *busy* shard never
       looks *dead* to a prober (which would eject a healthy shared
       shard);
+    * **hits on the loop** — a ``solve`` (or ``solve_many`` item) the
+      cache answers as it stands is served right there
+      (:func:`hit_reply`): no decode, no executor hand-off, no engine
+      lock — the cache, heat sketch and metrics registry carry their
+      own.  Misses, schedule reconstruction, ``put``, ``invalidate``
+      and ``clear`` still take the executor;
     * **server-side deadlines** — an op carrying ``deadline`` (or the
       server-wide ``op_deadline`` default) that cannot finish in time is
       answered promptly with a ``ShardTimeoutError``-typed reply; the
@@ -582,8 +646,10 @@ class AsyncShardServer(LoopServer):
     loop-confined: it is only ever touched from the event loop.  The
     engine's warm models are not reentrant, so the engine itself is
     guarded by a real lock *inside* the executor jobs, never on the
-    loop — ops from all connections run one at a time, which gives
-    every client one strict solve → invalidate ordering.
+    loop — executor ops from all connections run one at a time, so
+    misses, puts and invalidations keep one strict order.  A loop-served
+    hit is ordered against them by the cache's own lock: it may overtake
+    an invalidation that has not been answered yet, never one that has.
     """
 
     def __init__(
@@ -683,7 +749,7 @@ class AsyncShardServer(LoopServer):
     async def _send(self, writer: asyncio.StreamWriter,
                     write_lock: asyncio.Lock,
                     reply: Dict[str, Any]) -> None:
-        frame = encode_frame(reply)
+        frame = _frame(reply_json(reply))
         try:
             async with write_lock:
                 writer.write(frame)
@@ -750,6 +816,9 @@ class AsyncShardServer(LoopServer):
         if not isinstance(fp, str) or request_wire is None:
             return {"ok": False, "type": "SpecError",
                     "error": "solve op requires 'fp' and 'request'"}
+        hit = hit_reply(self.engine, fp, request_wire, trace)
+        if hit is not None:
+            return hit  # a lookup and a copy, here on the loop
         shared = self._inflight_solves.get(fp)
         if shared is None:
             # leader: start the engine run; the shared future is

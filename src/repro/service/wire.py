@@ -29,19 +29,31 @@ An unknown solution type raises :class:`WireCodecError` at *encode*
 time, on the shard — a new problem kind must extend this codec before
 it can be served remotely, and the failure says so instead of
 surfacing as a baffling decode error on the broker.
+
+This is the **one result encoder**, and an answer passes through it
+once: :func:`encode_result` memoises a cached solution's (and
+schedule's) bytes on its :class:`~repro.service.cache.CacheEntry` and
+splices them into every later reply; :func:`result_from_wire` keeps the
+wire dict (``result.wire``) and builds ``Fraction`` objects only when
+``.solution`` / ``.schedule`` are first read; and the HTTP payload is a
+view of the wire form (:func:`solution_payload` — for the six
+steady-state problems, the wire dict minus ``"kind"``).
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from ..core.activities import SteadyStateSolution
 from ..core.broadcast import BroadcastSolution
 from ..core.dag import DagSolution
 from ..core.multicast import MulticastAnalysis
-from .._rational import INF, is_infinite
+from .._rational import is_infinite
 from ..platform.serialization import (
+    decode_weight as _decode_weight,
     encode_weight,
     platform_from_dict,
     platform_to_dict,
@@ -52,6 +64,7 @@ from ..platform.serialization import (
 )
 from ..problems import dag_from_dict, dag_to_dict
 from .broker import BrokerResult
+from .cache import CacheEntry
 
 #: Bumped when the result schema changes shape; a decoder seeing a newer
 #: version fails loudly instead of mis-reading fields.
@@ -60,12 +73,6 @@ RESULT_WIRE_VERSION = 1
 
 class WireCodecError(ValueError):
     """A result cannot be (de)coded for the shard wire protocol."""
-
-
-def _decode_weight(text: str):
-    if text == "inf":
-        return INF
-    return Fraction(text)
 
 
 # ----------------------------------------------------------------------
@@ -204,39 +211,132 @@ def solution_from_wire(data: Dict[str, Any]) -> Any:
 
 
 # ----------------------------------------------------------------------
+# the HTTP view of a wire solution
+# ----------------------------------------------------------------------
+#: wire ``kind`` -> the keys its response payload copies (``None``: all)
+_PAYLOAD_KEYS = {
+    "steady-state": None,
+    "broadcast": ("lp_bound", "achieved", "exhaustive", "packing"),
+    "multicast": ("sum_lp", "tree_optimal", "max_lp", "exhaustive"),
+    "dag": ("throughput",),
+}
+
+
+def _kind(data: Dict[str, Any]) -> str:
+    kind = data.get("kind")
+    if kind not in _PAYLOAD_KEYS:
+        raise WireCodecError(f"unknown solution wire kind {kind!r}")
+    return kind
+
+
+def solution_payload(data: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``"solution"`` object of a solve response, as a view of the
+    wire form (``data`` is not mutated; nested values are shared)."""
+    kind = _kind(data)
+    if kind == "steady-state":
+        return {key: value for key, value in data.items() if key != "kind"}
+    out = {"problem": "DagSolution" if kind == "dag" else kind}
+    out.update((key, data[key]) for key in _PAYLOAD_KEYS[kind])
+    if kind == "broadcast":
+        out["optimal"] = (_decode_weight(data["achieved"])
+                          == _decode_weight(data["lp_bound"]))
+    elif kind == "multicast":
+        out["max_lp_achievable"] = bool(data["exhaustive"]) and (
+            _decode_weight(data["tree_optimal"])
+            == _decode_weight(data["max_lp"]))
+    else:
+        out["cons"] = [rec for rec in data["cons"]
+                       if _decode_weight(rec["rate"]) != 0]
+    return out
+
+
+# ----------------------------------------------------------------------
 # broker results
 # ----------------------------------------------------------------------
-def result_to_wire(result: BrokerResult) -> Dict[str, Any]:
-    """Encode a :class:`BrokerResult` as a JSON-safe dict."""
-    out: Dict[str, Any] = {
+def _result_head(result: BrokerResult) -> Dict[str, Any]:
+    return {
         "version": RESULT_WIRE_VERSION,
         "fingerprint": result.fingerprint,
         "cached": result.cached,
         "warm": result.warm,
         "coalesced": result.coalesced,
         "latency_seconds": result.latency_seconds,
-        "solution": solution_to_wire(result.solution),
     }
+
+
+def result_to_wire(result: BrokerResult) -> Dict[str, Any]:
+    """Encode a :class:`BrokerResult` as a JSON-safe dict."""
+    out = _result_head(result)
+    out["solution"] = solution_to_wire(result.solution)
     if result.schedule is not None:
         out["schedule"] = schedule_to_dict(result.schedule)
     return out
 
 
+def compact_json(payload: Any) -> bytes:
+    """The shard protocol's JSON spelling: no spaces, UTF-8."""
+    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+
+
+def _spliced(entry: Optional[CacheEntry], field: str, obj: Any,
+             encode) -> bytes:
+    """``encode(obj)`` as compact JSON, memoised on ``entry`` while it
+    holds ``obj`` itself.  Racing first serves store equal bytes."""
+    if entry is None or getattr(entry, field) is not obj:
+        return compact_json(encode(obj))
+    blob = getattr(entry, field + "_json")
+    if blob is None:
+        blob = compact_json(encode(obj))
+        setattr(entry, field + "_json", blob)
+    return blob
+
+
+def encode_result(result: BrokerResult,
+                  entry: Optional[CacheEntry] = None) -> bytes:
+    """:func:`result_to_wire` as compact JSON bytes.  ``entry`` is the
+    cache entry the result was served from or stored under, if any: its
+    solution and schedule are encoded once and spliced in thereafter."""
+    parts = [compact_json(_result_head(result))[:-1], b',"solution":',
+             _spliced(entry, "solution", result.solution, solution_to_wire)]
+    if result.schedule is not None:
+        parts += [b',"schedule":', _spliced(entry, "schedule",
+                                            result.schedule,
+                                            schedule_to_dict)]
+    return b"".join(parts) + b"}"
+
+
+class _WireResult(BrokerResult):
+    """A result as it came off the wire (``wire``: the reply's result
+    dict); the exact objects are built when first read, into the
+    instance like the dataclass fields they stand in for."""
+
+    wire: Dict[str, Any]
+
+    @cached_property
+    def solution(self) -> Any:  # type: ignore[override]
+        return solution_from_wire(self.wire["solution"])
+
+    @cached_property
+    def schedule(self) -> Any:  # type: ignore[override]
+        data = self.wire.get("schedule")
+        return schedule_from_dict(data) if data is not None else None
+
+
 def result_from_wire(data: Dict[str, Any]) -> BrokerResult:
-    """Decode :func:`result_to_wire` output (exact inverse)."""
+    """Decode :func:`result_to_wire` output (exact inverse): ``version``
+    and the solution's ``kind`` are checked now, the solution and the
+    schedule decode on first read."""
     version = data.get("version", RESULT_WIRE_VERSION)
     if version > RESULT_WIRE_VERSION:
         raise WireCodecError(
             f"result wire version {version} is newer than this decoder "
             f"({RESULT_WIRE_VERSION}); upgrade the broker host"
         )
-    schedule: Optional[Any] = None
-    if data.get("schedule") is not None:
-        schedule = schedule_from_dict(data["schedule"])
-    return BrokerResult(
+    _kind(data["solution"])
+    result = object.__new__(_WireResult)
+    result.__dict__.update(
+        wire=data,
         fingerprint=data["fingerprint"],
-        solution=solution_from_wire(data["solution"]),
-        schedule=schedule,
         cached=bool(data.get("cached", False)),
         warm=bool(data.get("warm", False)),
         coalesced=bool(data.get("coalesced", False)),
@@ -244,3 +344,4 @@ def result_from_wire(data: Dict[str, Any]) -> BrokerResult:
         # exact result; explicitly float on both sides of the wire
         latency_seconds=float(data.get("latency_seconds", 0.0)),  # repro-lint: allow(exactness)
     )
+    return result

@@ -465,6 +465,79 @@ class TestAsyncHttp:
             server.shutdown()
             broker.close()
 
+    def test_solve_and_batch_stay_on_the_loop_everything_else_does_not(
+            self, monkeypatch):
+        # solve / batch ops are decoded, fingerprinted and awaited on the
+        # HTTP loop; every other op, every GET and any oversized body is
+        # handed to the executor as route_post / route_get
+        from repro.service import api
+
+        handed = []
+        for name in ("route_post", "route_get"):
+            real = getattr(api, name)
+            monkeypatch.setattr(
+                api, name,
+                lambda *args, _real=real, _name=name:
+                (handed.append(_name), _real(*args))[1])
+        request = _ms_request()
+        wire = request_to_dict(request)
+        broker = Broker(workers=2)
+        server = AsyncServiceServer(broker=broker,
+                                    http_workers=1).start_in_thread()
+        sock = socket.create_connection(("127.0.0.1", server.port), 5)
+
+        def post(envelope, path="/api"):
+            payload = (envelope if isinstance(envelope, bytes)
+                       else json.dumps(envelope).encode())
+            status, _, body = self._exchange(
+                sock, f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload)
+            return status, json.loads(body)
+
+        try:
+            status, cold = post({"op": "solve", "request": wire})
+            assert status == 200 and not cold["cached"]
+            status, hit = post(wire)  # a bare request is a solve
+            assert status == 200 and hit["cached"]
+            assert hit["solution"] == cold["solution"]
+            status, batch = post({"op": "batch", "requests": [
+                wire, {"spec": {"problem": "nope"}, "platform": {}}, wire]})
+            assert status == 200
+            assert [r["ok"] for r in batch["results"]] == [True, False, True]
+            assert batch["results"][1]["status"] in (400, 422)
+            # the loop path traces like the executor path did
+            assert cold["trace_id"] != hit["trace_id"]
+            status, inline = post({"op": "solve", "request": wire,
+                                   "trace": True})
+            assert inline["trace"]["trace_id"] == inline["trace_id"]
+            names = {sp["name"] for sp in inline["trace"]["spans"]}
+            assert {"request.solve", "engine.run"} <= names
+            # error statuses are the dispatcher's, whoever drives it
+            assert post(b"{not json")[0] == 400
+            assert post({"op": "solve", "request": {
+                "spec": {"problem": "nope"}, "platform": wire["platform"]
+            }})[0] == 422
+            assert post(wire, path="/elsewhere")[0] == 404
+            assert handed == []  # none of the above left the loop
+
+            assert post({"op": "ping"}) == (200, {"ok": True, "pong": True})
+            assert handed == ["route_post"]
+            padded = {"op": "solve", "request": wire,
+                      "pad": "x" * api.LOOP_BODY_BYTES}
+            status, big = post(padded)
+            assert status == 200 and big["cached"]
+            assert handed == ["route_post"] * 2
+            status, _, body = self._exchange(
+                sock, f"GET /trace/{hit['trace_id']} HTTP/1.1\r\n"
+                      f"Host: x\r\n\r\n".encode())
+            assert status == 200
+            assert json.loads(body)["trace"]["name"] == "request.solve"
+            assert handed == ["route_post"] * 2 + ["route_get"]
+        finally:
+            sock.close()
+            server.shutdown()
+            broker.close()
+
     def test_unknown_method_and_path(self):
         broker = Broker(executor="sync")
         server = AsyncServiceServer(broker=broker).start_in_thread()

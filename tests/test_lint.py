@@ -445,6 +445,23 @@ class TestFixtureCorpus:
         assert report.ok
         assert [f.rule for f in report.suppressed] == ["asyncio"]
 
+    def test_asyncio_catches_direct_dispatcher_calls(self):
+        # route_post / route_get / handle_request wait on broker futures:
+        # called from a coroutine they put the solve path back on the
+        # loop as a blocking call (bare-name and attribute spellings)
+        report = lint_file(FIXTURES / "asyncio_dispatch_bad.py")
+        assert [f.rule for f in report.findings] == ["asyncio"] * 3
+        messages = "\n".join(f.message for f in report.findings)
+        for name in ("route_get()", "route_post()", "handle_request()"):
+            assert name in messages
+        assert "run_in_executor" in messages
+
+    def test_asyncio_lets_dispatchers_travel_to_the_executor(self):
+        # handed to run_in_executor (a Name argument, not a call), called
+        # from a plain def, or replaced by an awaited wrap_future: clean
+        report = lint_file(FIXTURES / "asyncio_dispatch_ok.py")
+        assert report.ok and not report.suppressed
+
     def test_heavy_import_catches_every_import_time_shape(self):
         report = lint_file(FIXTURES / "heavy_import_bad.py")
         found = {(f.line, f.message.split(" at module scope")[0])

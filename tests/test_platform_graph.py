@@ -182,6 +182,40 @@ class TestAlgorithms:
         h.add_node("D", 1)
         assert not g.has_node("D")
 
+    def test_copy_is_equal_spec_for_spec(self):
+        g = small_platform()
+        h = g.copy()
+        assert h.name == g.name and g.copy("other").name == "other"
+        assert h.nodes() == g.nodes()
+        assert [h.node(n) for n in h.nodes()] == [g.node(n) for n in g.nodes()]
+        assert h.edges() == g.edges()
+        for n in g.nodes():
+            assert h.successors(n) == g.successors(n)
+            assert h.predecessors(n) == g.predecessors(n)
+
+    def test_copy_shares_no_container(self):
+        # the frozen specs are shared; the four containers are not, so
+        # growing either side never shows on the other
+        g = small_platform()
+        h = g.copy()
+        first = g.nodes()[0]
+        h.add_node("D", 1)
+        h.add_edge(first, "D", 1)
+        h.add_edge("D", first, 2)
+        assert not g.has_node("D") and not g.has_edge(first, "D")
+        assert "D" not in g.successors(first)
+        assert "D" not in g.predecessors(first)
+        g.add_node("E", 3)
+        g.add_edge("E", first, 1)
+        assert not h.has_node("E") and not h.has_edge("E", first)
+        assert "E" not in h.predecessors(first)
+        assert h.num_nodes == g.num_nodes and h.num_edges == g.num_edges + 1
+        # the copy still validates what is added to it
+        with pytest.raises(PlatformError):
+            h.add_node("D", 1)
+        with pytest.raises(PlatformError):
+            h.add_edge(first, "D", 1)
+
     def test_scale(self):
         g = small_platform()
         h = g.scale(compute=2, comm=Fraction(1, 2))

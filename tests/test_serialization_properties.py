@@ -69,3 +69,58 @@ class TestRoundTripProperties:
         b = PeriodicRunner(clone).run(7)
         assert a.total_completed == b.total_completed
         assert a.deficit == b.deficit
+
+
+# ----------------------------------------------------------------------
+# the one weight parser: a fast path in front of Fraction, never beside it
+# ----------------------------------------------------------------------
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 — the class is the answer
+        return type(exc)
+
+
+#: spellings the fast path takes, ones it must hand to Fraction, and
+#: ones Fraction refuses — mixed freely by the strategy below
+_SPELLINGS = st.one_of(
+    st.builds("{}".format, st.integers(0, 10**30)),
+    st.builds("{}/{}".format, st.integers(0, 10**12),
+              st.integers(0, 10**12)),
+    st.builds("{:0{}d}/{}".format, st.integers(0, 99), st.integers(1, 5),
+              st.integers(1, 99)),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-9, 9)),
+    st.sampled_from([
+        "3", "6/8", "0/5", "-1/2", "+3", " 1/2", "1/2 ", "1 /2", "1e3",
+        "1E-2", "0.25", ".5", "1_000", "1/0", "0/0", "1/00", "", "/", "/5",
+        "3/", "1/2/3", "٣", "١/٢", "²", "１", "inf",
+        "-inf", "nan", "0x10", "1/2\n",
+    ]),
+    st.text(alphabet="0123456789/ +-._e٣", max_size=8),
+    st.integers(-5, 5), st.floats(allow_nan=False, allow_infinity=False),
+    st.none(), st.booleans(), st.binary(max_size=3),
+)
+
+
+class TestWeightParser:
+    @settings(max_examples=400, deadline=None)
+    @given(_SPELLINGS)
+    def test_same_value_or_same_error_as_fraction(self, text):
+        from repro.platform.serialization import decode_weight
+
+        if isinstance(text, str) and text == "inf":
+            return  # the codec's own spelling for a forwarder
+        assert _outcome(decode_weight, text) == _outcome(Fraction, text)
+
+    def test_inf_is_the_forwarder_weight(self):
+        from repro._rational import INF
+        from repro.platform.serialization import decode_weight
+
+        assert decode_weight("inf") == INF
+
+    def test_the_service_codec_has_no_parser_of_its_own(self):
+        from repro.platform import serialization
+        from repro.service import wire
+
+        assert wire._decode_weight is serialization.decode_weight
+        assert serialization._decode_weight is serialization.decode_weight

@@ -70,6 +70,32 @@ class TestFingerprint:
         assert (request_fingerprint(a, "master-slave", source="X")
                 != request_fingerprint(c, "master-slave", source="X"))
 
+    def test_request_snapshots_its_platform(self):
+        # Platform.copy() shares the frozen specs but no container, so a
+        # request still describes the platform as it was when it was made
+        from repro.problems import resolve
+        from repro.service.api import request_from_dict, request_to_dict
+
+        g = generators.star(3)
+        spec = resolve("master-slave").example(g, "M", ("W1", "W2", "W3"))
+        for request in (SolveRequest.from_spec(spec),
+                        SolveRequest(problem="master-slave", platform=g,
+                                     master="M")):
+            assert request.platform is not g
+            assert request.spec.platform is request.platform
+            fingerprint = request.fingerprint()
+            snapshot = platform_to_dict(request.platform)
+            g.add_node(f"X{g.num_nodes}", 1)
+            g.add_edge("M", g.nodes()[-1], 1)
+            assert platform_to_dict(request.platform) == snapshot
+            # recomputed from scratch (no memo), the hash has not moved,
+            # and neither has what a shard would decode
+            assert SolveRequest.from_spec(
+                request.spec).fingerprint() == fingerprint
+            decoded = request_from_dict(request_to_dict(request))
+            assert platform_to_dict(decoded.platform) == snapshot
+            assert decoded.fingerprint() == fingerprint
+
     def test_targets_are_a_set(self):
         g = generators.paper_figure2_multicast()
         assert (request_fingerprint(g, "scatter", source="P0",

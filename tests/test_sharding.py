@@ -407,6 +407,78 @@ class TestSolveMany:
             assert sharded.ipc_round_trips - before == len(requests)
 
 
+class TestHitsThroughTheRing:
+    """A shard answers a cached read on its loop from memoised bytes and
+    the front keeps the wire form: the books and the objects must be
+    what they were when every hit was decoded, run and re-encoded."""
+
+    def test_n_reads_are_n_shard_hits_one_miss(self):
+        req = SolveRequest(problem="master-slave",
+                           platform=generators.paper_figure1(), master="P1")
+        reference = _reference_results([req])[0]
+        with ShardedBroker(shards=2, near_cache_size=0) as sharded:
+            first = sharded.solve(req)
+            reads = [sharded.solve(req) for _ in range(6)]
+            assert not first.cached and all(r.cached for r in reads)
+            cache = sharded.snapshot()["cache"]
+            assert (cache["hits"], cache["misses"]) == (6, 1)
+            merged = sharded.snapshot()["metrics"]["endpoints"]
+            assert merged["solve.hit"]["count"] == 6
+            assert merged["solve"]["count"] == 7
+            for result in [first] + reads:
+                assert result.fingerprint == reference.fingerprint
+                assert result.throughput == reference.throughput
+                assert result.solution.alpha == reference.solution.alpha
+                assert result.solution.send == reference.solution.send
+
+    def test_a_read_builds_no_fraction_until_somebody_looks(self):
+        from repro.service.api import response_to_dict
+
+        req = SolveRequest(problem="scatter",
+                           platform=generators.paper_figure2_multicast(),
+                           source="P0", targets=("P5", "P6"),
+                           include_schedule=True)
+        (reference,) = _reference_results([req])
+        with ShardedBroker(shards=2, near_cache_size=0) as sharded:
+            sharded.solve(req)
+            hit = sharded.solve(req)
+            payload = response_to_dict(hit)
+            assert "solution" not in vars(hit)  # served as a view
+            assert "schedule" not in vars(hit)
+            assert payload == {**response_to_dict(reference),
+                               "cached": True,
+                               "latency_seconds": hit.latency_seconds}
+            # ... and a library caller still gets the exact objects
+            assert hit.solution.throughput == reference.throughput
+            assert hit.schedule.period == reference.schedule.period
+
+    def test_near_cache_admission_keeps_exact_objects(self):
+        req = SolveRequest(problem="master-slave",
+                           platform=generators.star(3), master="M")
+        (reference,) = _reference_results([req])
+        with ShardedBroker(shards=2, hot_threshold=2) as sharded:
+            for _ in range(4):
+                sharded.solve(req)
+            near = sharded._near_cache.peek(req.fingerprint())
+            assert near is not None  # admitted off a wire result
+            assert near.solution.alpha == reference.solution.alpha
+            served = sharded.solve(req)
+            assert served.cached and served.solution is near.solution
+
+    def test_batch_of_hits_and_misses_keeps_its_order(self):
+        requests = _mixed_requests()
+        reference = _reference_results(requests)
+        with ShardedBroker(shards=2, near_cache_size=0) as sharded:
+            sharded.solve_batch(requests[::2])  # every other one is cached
+            results = sharded.solve_batch(requests)
+            assert [r.fingerprint for r in results] == \
+                [r.fingerprint for r in reference]
+            assert [r.cached for r in results] == \
+                [i % 2 == 0 for i in range(len(requests))]
+            for ref, got in zip(reference, results):
+                assert got.throughput == ref.throughput
+
+
 # ----------------------------------------------------------------------
 # the JSON API over a sharded broker
 # ----------------------------------------------------------------------

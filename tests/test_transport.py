@@ -28,6 +28,8 @@ from repro.service import (
     result_to_wire,
 )
 from repro.service.api import _request_wire
+from repro.service.broker import SolveEngine
+from repro.service.cache import SolutionCache
 from repro.service.transport import spawn_local_shard
 from repro.service.wire import WireCodecError, solution_to_wire
 
@@ -365,3 +367,212 @@ class TestTcpTransport:
             assert await probe.ping(timeout=5.0)
 
         _with_transports(body, shard_server.port, shard_server.port)
+
+
+# ----------------------------------------------------------------------
+# hits answered on the shard's loop: same books, same order
+# ----------------------------------------------------------------------
+def _solve_msg(req, **extra):
+    return {"op": "solve", "fp": req.fingerprint(),
+            "request": _request_wire(req), **extra}
+
+
+def _ms_request(workers=3, include_schedule=False):
+    return SolveRequest(problem="master-slave",
+                        platform=generators.star(workers), master="M",
+                        include_schedule=include_schedule)
+
+
+class TestLoopServedHit:
+    @pytest.fixture()
+    def counted(self, shard_server, monkeypatch):
+        """The server plus a log of every solve that took the executor."""
+        jobs = []
+        real = shard_server._solve_job
+
+        def logged(fp, request_wire, trace):
+            jobs.append(fp)
+            return real(fp, request_wire, trace)
+
+        monkeypatch.setattr(shard_server, "_solve_job", logged)
+        return shard_server, jobs
+
+    def test_n_hits_are_n_hits_and_a_miss_is_one_miss(self, counted):
+        server, jobs = counted
+        engine = server.engine
+        req = _ms_request()
+        fp = req.fingerprint()
+
+        async def body(transport):
+            cold = await transport.request(_solve_msg(req))
+            assert not cold["result"]["cached"]
+            stats = engine.cache.stats
+            assert (stats.hits, stats.misses) == (0, 1)  # one miss, not two
+            assert engine.heat.count(fp) == 1
+            for _ in range(5):
+                reply = await transport.request(_solve_msg(req))
+                assert reply["result"]["cached"]
+                assert reply["gen"] == engine.cache.generation
+            assert (stats.hits, stats.misses) == (5, 1)
+            assert engine.heat.count(fp) == 6
+            assert engine.metrics.endpoint("solve.hit").count == 5
+            assert engine.metrics.endpoint("solve").count == 6
+            assert engine.cache.peek(fp).hits == 5
+
+        _with_transports(body, server.port)
+        assert jobs == [fp]  # only the miss left the loop
+
+    def test_a_hit_decodes_nothing_and_keeps_the_memo(self, counted):
+        server, jobs = counted
+        req = _ms_request()
+
+        async def body(transport):
+            first = await transport.request(_solve_msg(req))
+            entry = server.engine.cache.peek(req.fingerprint())
+            memo = entry.solution_json  # encoded once, by the miss
+            assert memo is not None
+            # the shard trusts the peer's fp (it never recomputed it): a
+            # hit does not look at the request beyond include_schedule
+            hit = await transport.request(
+                {"op": "solve", "fp": req.fingerprint(),
+                 "request": {"spec": "not even a spec"}})
+            assert hit["result"]["cached"]
+            assert hit["result"]["solution"] == first["result"]["solution"]
+            assert entry.solution_json is memo
+            # ... and a request it cannot even index still gets the
+            # decode error, from the executor path
+            bad = await transport.request(
+                {"op": "solve", "fp": req.fingerprint(), "request": [1]})
+            assert not bad["ok"]
+
+        _with_transports(body, server.port)
+        assert len(jobs) == 2
+
+    @pytest.mark.parametrize("op", ["invalidate", "clear"])
+    def test_nothing_is_served_from_an_entry_once_its_removal_is_acked(
+            self, counted, op):
+        server, jobs = counted
+        req = _ms_request()
+        drop = {"op": "clear"} if op == "clear" else {
+            "op": "invalidate", "platform": _request_wire(req)["platform"]}
+
+        async def body(transport):
+            for round_ in range(3):
+                assert not (await transport.request(
+                    _solve_msg(req)))["result"]["cached"]
+                assert (await transport.request(
+                    _solve_msg(req)))["result"]["cached"]
+                gen = (await transport.request(dict(drop)))["gen"]
+                assert gen == round_ + 1
+
+        _with_transports(body, server.port)
+        assert len(jobs) == 3  # each round's first read re-solved
+
+    def test_an_expired_entry_is_a_miss(self):
+        now = [0.0]
+        engine = SolveEngine(
+            cache=SolutionCache(ttl=10.0, clock=lambda: now[0]))
+        server = AsyncShardServer(engine=engine).start_in_thread()
+        req = _ms_request()
+
+        async def body(transport):
+            await transport.request(_solve_msg(req))
+            assert (await transport.request(
+                _solve_msg(req)))["result"]["cached"]
+            now[0] = 11.0
+            late = await transport.request(_solve_msg(req))
+            assert not late["result"]["cached"]
+            stats = engine.cache.stats
+            assert (stats.hits, stats.misses, stats.expirations) == (1, 2, 1)
+
+        try:
+            _with_transports(body, server.port)
+        finally:
+            server.shutdown()
+
+    def test_a_missing_schedule_takes_the_executor_once(self, counted):
+        server, jobs = counted
+        plain = _ms_request()
+        scheduled = _ms_request(include_schedule=True)
+        assert plain.fingerprint() == scheduled.fingerprint()
+
+        async def body(transport):
+            cold = await transport.request(_solve_msg(plain))
+            assert "schedule" not in cold["result"]
+            first = await transport.request(_solve_msg(scheduled))
+            assert first["result"]["cached"]  # solution cached, schedule new
+            assert len(jobs) == 2
+            for _ in range(3):
+                again = await transport.request(_solve_msg(scheduled))
+                assert again["result"]["schedule"] == \
+                    first["result"]["schedule"]
+                bare = await transport.request(_solve_msg(plain))
+                assert bare["result"]["cached"]
+                assert "schedule" not in bare["result"]
+            assert len(jobs) == 2  # every later read was a loop hit
+            stats = server.engine.cache.stats
+            assert (stats.hits, stats.misses) == (7, 1)
+
+        _with_transports(body, server.port)
+
+    def test_a_traced_hit_ships_the_same_span_tree(self, counted):
+        server, jobs = counted
+        req = _ms_request()
+
+        async def body(transport):
+            await transport.request(_solve_msg(req))
+            reply = await transport.request(_solve_msg(req, trace=True))
+            spans = reply["trace"]["spans"]
+            root = [s for s in spans if s["parent"] is None]
+            assert [s["name"] for s in root] == ["shard.solve"]
+            (run,) = [s for s in spans if s["name"] == "engine.run"]
+            assert run["parent"] == root[0]["id"]
+            assert run["annotations"] == {"cached": True, "warm": False}
+            assert run["duration_seconds"] >= 0
+            untraced = await transport.request(_solve_msg(req))
+            assert "trace" not in untraced
+
+        _with_transports(body, server.port)
+        assert len(jobs) == 1
+
+    def test_a_hit_is_answered_while_every_worker_sleeps(self, counted):
+        server, jobs = counted
+        assert server.solve_workers == 2
+        req = _ms_request()
+
+        async def body(transport):
+            await transport.request(_solve_msg(req))
+            naps = [asyncio.ensure_future(
+                transport.request({"op": "sleep", "seconds": 1.0}))
+                for _ in range(2)]
+            await asyncio.sleep(0.1)  # both pool threads are now taken
+            hit = await transport.request(_solve_msg(req), timeout=0.5)
+            assert hit["result"]["cached"]
+            assert not any(nap.done() for nap in naps)
+            await asyncio.gather(*naps)
+
+        _with_transports(body, server.port)
+
+    def test_solve_many_mixes_hits_and_misses_in_order(self, counted):
+        server, jobs = counted
+        requests = [_ms_request(workers=n) for n in (2, 3, 4, 5)]
+
+        async def body(transport):
+            for req in requests[::2]:  # 2 and 4 workers are cached
+                await transport.request(_solve_msg(req))
+            items = [{"fp": r.fingerprint(), "request": _request_wire(r)}
+                     for r in requests]
+            items.insert(2, {"fp": "f" * 64})  # a malformed item, in place
+            reply = await transport.request(
+                {"op": "solve_many", "items": items})
+            assert reply["ok"] and reply["gen"] == 0
+            results = reply["results"]
+            assert [r["ok"] for r in results] == [True, True, False,
+                                                  True, True]
+            served = [r for r in results if r["ok"]]
+            assert [r["result"]["fingerprint"] for r in served] == \
+                [r.fingerprint() for r in requests]
+            assert [r["result"]["cached"] for r in served] == \
+                [True, False, True, False]
+
+        _with_transports(body, server.port)
