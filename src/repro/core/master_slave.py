@@ -24,9 +24,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._rational import as_fraction
-from ..lp import LinearProgram, LPSolution, lp_sum
+from ..lp import LinearProgram, LinExpr, LPSolution
 from ..platform.graph import NodeId, Platform, PlatformError
 from .activities import SteadyStateSolution
+
+ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 
 
 def declare_ssms_variables(
@@ -62,31 +64,24 @@ def add_ssms_conservation_and_objective(
     objective ``ntask(G) = sum_i alpha_i / w_i``."""
     # conservation law (last equation): for i != m,
     #   sum_j s_ji / c_ji  ==  alpha_i / w_i + sum_j s_ij / c_ij
+    # stored as  inflow - compute - outflow == 0
     for node in platform.nodes():
         if node == master:
             continue
-        inflow = lp_sum(
-            handles[("s", j, node)] / platform.c(j, node)
-            for j in platform.predecessors(node)
-        )
-        outflow = lp_sum(
-            handles[("s", node, j)] / platform.c(node, j)
-            for j in platform.successors(node)
-        )
+        row = [(handles[("s", j, node)], ONE / platform.c(j, node))
+               for j in platform.predecessors(node)]
         spec = platform.node(node)
         if spec.can_compute:
-            compute = handles[("alpha", node)] * (Fraction(1) / spec.w)
-            lp.add_constraint(inflow == compute + outflow, name=f"conserve[{node}]")
-        else:
-            lp.add_constraint(inflow == outflow, name=f"conserve[{node}]")
+            row.append((handles[("alpha", node)], MINUS_ONE / spec.w))
+        row += [(handles[("s", node, j)], MINUS_ONE / platform.c(node, j))
+                for j in platform.successors(node)]
+        lp.add_row(row, "==", name=f"conserve[{node}]")
 
-    lp.maximize(
-        lp_sum(
-            handles[("alpha", node)] * (Fraction(1) / platform.node(node).w)
-            for node in platform.nodes()
-            if platform.node(node).can_compute
-        )
-    )
+    lp.maximize(LinExpr({
+        handles[("alpha", node)]: ONE / platform.node(node).w
+        for node in platform.nodes()
+        if platform.node(node).can_compute
+    }))
 
 
 def build_ssms_lp(
@@ -102,12 +97,14 @@ def build_ssms_lp(
 
     # one-port constraints (3rd and 4th equations)
     for node in platform.nodes():
-        out = [handles[("s", node, j)] for j in platform.successors(node)]
+        out = [(handles[("s", node, j)], ONE)
+               for j in platform.successors(node)]
         if out:
-            lp.add_constraint(lp_sum(out) <= 1, name=f"send-port[{node}]")
-        inc = [handles[("s", j, node)] for j in platform.predecessors(node)]
+            lp.add_row(out, "<=", 1, name=f"send-port[{node}]")
+        inc = [(handles[("s", j, node)], ONE)
+               for j in platform.predecessors(node)]
         if inc:
-            lp.add_constraint(lp_sum(inc) <= 1, name=f"recv-port[{node}]")
+            lp.add_row(inc, "<=", 1, name=f"recv-port[{node}]")
 
     add_ssms_conservation_and_objective(lp, handles, platform, master)
     return lp, handles
@@ -132,29 +129,28 @@ def patch_ssms_coefficients(
     :class:`~repro.lp.model.LinearProgram` rebuild hook and re-solved
     without re-assembly.
     """
-    one = Fraction(1)
     for node in platform.nodes():
         if node == master:
             continue
         name = f"conserve[{node}]"
         for j in platform.predecessors(node):
             lp.set_constraint_coefficient(
-                name, handles[("s", j, node)], one / platform.c(j, node)
+                name, handles[("s", j, node)], ONE / platform.c(j, node)
             )
         for j in platform.successors(node):
             lp.set_constraint_coefficient(
-                name, handles[("s", node, j)], -one / platform.c(node, j)
+                name, handles[("s", node, j)], MINUS_ONE / platform.c(node, j)
             )
         spec = platform.node(node)
         if spec.can_compute:
             lp.set_constraint_coefficient(
-                name, handles[("alpha", node)], -one / spec.w
+                name, handles[("alpha", node)], MINUS_ONE / spec.w
             )
     for node in platform.nodes():
         spec = platform.node(node)
         if spec.can_compute:
             lp.set_objective_coefficient(
-                handles[("alpha", node)], one / spec.w
+                handles[("alpha", node)], ONE / spec.w
             )
 
 

@@ -27,10 +27,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..lp import LinearProgram, lp_sum
+from ..lp import LinearProgram
 from ..platform.graph import NodeId, Platform
 from .activities import SteadyStateSolution
 from .master_slave import (
+    ONE,
     add_ssms_conservation_and_objective,
     declare_ssms_variables,
     package_ssms_solution,
@@ -56,10 +57,12 @@ def build_send_or_receive_lp(
     handles = declare_ssms_variables(lp, platform, master)
     # merged port constraint: sending plus receiving within one time-unit
     for node in platform.nodes():
-        terms = [handles[("s", node, j)] for j in platform.successors(node)]
-        terms += [handles[("s", j, node)] for j in platform.predecessors(node)]
-        if terms:
-            lp.add_constraint(lp_sum(terms) <= 1, name=f"port[{node}]")
+        row = [(handles[("s", node, j)], ONE)
+               for j in platform.successors(node)]
+        row += [(handles[("s", j, node)], ONE)
+                for j in platform.predecessors(node)]
+        if row:
+            lp.add_row(row, "<=", 1, name=f"port[{node}]")
     add_ssms_conservation_and_objective(lp, handles, platform, master)
     return lp, handles
 
@@ -76,12 +79,14 @@ def build_multiport_lp(
     lp = LinearProgram(f"SSMS-mp{ports}({platform.name})")
     handles = declare_ssms_variables(lp, platform, master)
     for node in platform.nodes():
-        out = [handles[("s", node, j)] for j in platform.successors(node)]
+        out = [(handles[("s", node, j)], ONE)
+               for j in platform.successors(node)]
         if out:
-            lp.add_constraint(lp_sum(out) <= ports, name=f"send-cards[{node}]")
-        inc = [handles[("s", j, node)] for j in platform.predecessors(node)]
+            lp.add_row(out, "<=", ports, name=f"send-cards[{node}]")
+        inc = [(handles[("s", j, node)], ONE)
+               for j in platform.predecessors(node)]
         if inc:
-            lp.add_constraint(lp_sum(inc) <= ports, name=f"recv-cards[{node}]")
+            lp.add_row(inc, "<=", ports, name=f"recv-cards[{node}]")
     add_ssms_conservation_and_objective(lp, handles, platform, master)
     return lp, handles
 

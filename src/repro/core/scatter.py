@@ -24,10 +24,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..lp import LinearProgram, lp_sum
+from ..lp import LinearProgram
 from ..platform.graph import NodeId, Platform, PlatformError
 from ..schedule.flows import cancel_cycles
 from .activities import SteadyStateSolution
+from .master_slave import MINUS_ONE, ONE
 
 
 def build_ssps_lp(
@@ -80,31 +81,28 @@ def build_ssps_lp(
     # edge occupation: s_ij = sum_k send(i,j,k) * c_ij
     for spec in platform.edges():
         i, j = spec.src, spec.dst
-        lp.add_constraint(
-            handles[("s", i, j)]
-            == lp_sum(handles[("send", i, j, k)] for k in targets) * spec.c,
-            name=f"occupation[{i}->{j}]",
+        cost = -spec.c
+        lp.add_row(
+            [(handles[("s", i, j)], ONE)]
+            + [(handles[("send", i, j, k)], cost) for k in targets],
+            "==", name=f"occupation[{i}->{j}]",
         )
 
     # port constraints under the chosen model
     for node in platform.nodes():
-        out = [handles[("s", node, j)] for j in platform.successors(node)]
-        inc = [handles[("s", j, node)] for j in platform.predecessors(node)]
+        out = [(handles[("s", node, j)], ONE)
+               for j in platform.successors(node)]
+        inc = [(handles[("s", j, node)], ONE)
+               for j in platform.predecessors(node)]
         if port_model == "send-or-receive":
             if out or inc:
-                lp.add_constraint(
-                    lp_sum(out + inc) <= 1, name=f"port[{node}]"
-                )
+                lp.add_row(out + inc, "<=", 1, name=f"port[{node}]")
         else:
             budget = 1 if port_model == "one-port" else ports
             if out:
-                lp.add_constraint(
-                    lp_sum(out) <= budget, name=f"send-port[{node}]"
-                )
+                lp.add_row(out, "<=", budget, name=f"send-port[{node}]")
             if inc:
-                lp.add_constraint(
-                    lp_sum(inc) <= budget, name=f"recv-port[{node}]"
-                )
+                lp.add_row(inc, "<=", budget, name=f"recv-port[{node}]")
 
     # conservation: a non-source node forwards every message not addressed
     # to it (5th equation of SSPS)
@@ -112,22 +110,21 @@ def build_ssps_lp(
         for node in platform.nodes():
             if node == source or node == k:
                 continue
-            inflow = lp_sum(
-                handles[("send", j, node, k)]
-                for j in platform.predecessors(node)
+            lp.add_row(
+                [(handles[("send", j, node, k)], ONE)
+                 for j in platform.predecessors(node)]
+                + [(handles[("send", node, j, k)], MINUS_ONE)
+                   for j in platform.successors(node)],
+                "==", name=f"conserve[{node},{k}]",
             )
-            outflow = lp_sum(
-                handles[("send", node, j, k)]
-                for j in platform.successors(node)
-            )
-            lp.add_constraint(inflow == outflow, name=f"conserve[{node},{k}]")
 
     # each target receives TP messages of its own type (6th equation)
     for k in targets:
-        arrivals = lp_sum(
-            handles[("send", j, k, k)] for j in platform.predecessors(k)
+        lp.add_row(
+            [(handles[("send", j, k, k)], ONE)
+             for j in platform.predecessors(k)] + [(tp, MINUS_ONE)],
+            "==", name=f"deliver[{k}]",
         )
-        lp.add_constraint(arrivals == tp * 1, name=f"deliver[{k}]")
 
     lp.maximize(tp)
     return lp, handles
@@ -322,35 +319,35 @@ def build_a2a_lp(
     # named so the warm re-solve patch can find them
     for spec in platform.edges():
         i, j = spec.src, spec.dst
-        lp.add_constraint(
-            handles[("s", i, j)]
-            == lp_sum(handles[("f", i, j, a, b)] for (a, b) in commodities)
-            * spec.c,
-            name=f"occupation[{i}->{j}]",
+        cost = -spec.c
+        lp.add_row(
+            [(handles[("s", i, j)], ONE)]
+            + [(handles[("f", i, j, a, b)], cost) for (a, b) in commodities],
+            "==", name=f"occupation[{i}->{j}]",
         )
     for node in platform.nodes():
-        out = [handles[("s", node, j)] for j in platform.successors(node)]
+        out = [(handles[("s", node, j)], ONE)
+               for j in platform.successors(node)]
         if out:
-            lp.add_constraint(lp_sum(out) <= 1)
-        inc = [handles[("s", j, node)] for j in platform.predecessors(node)]
+            lp.add_row(out, "<=", 1)
+        inc = [(handles[("s", j, node)], ONE)
+               for j in platform.predecessors(node)]
         if inc:
-            lp.add_constraint(lp_sum(inc) <= 1)
+            lp.add_row(inc, "<=", 1)
     for (a, b) in commodities:
         for node in platform.nodes():
-            inflow = lp_sum(
-                handles[("f", j, node, a, b)]
-                for j in platform.predecessors(node)
-            )
-            outflow = lp_sum(
-                handles[("f", node, j, a, b)]
-                for j in platform.successors(node)
-            )
-            if node == a:
-                lp.add_constraint(outflow - inflow == tp * 1)
-            elif node == b:
-                lp.add_constraint(inflow - outflow == tp * 1)
-            else:
-                lp.add_constraint(inflow == outflow)
+            inflow = [handles[("f", j, node, a, b)]
+                      for j in platform.predecessors(node)]
+            outflow = [handles[("f", node, j, a, b)]
+                       for j in platform.successors(node)]
+            # a emits TP (outflow - inflow == TP), b absorbs it, every
+            # other node forwards (inflow == outflow)
+            plus, minus = (outflow, inflow) if node == a \
+                else (inflow, outflow)
+            lp.add_row(
+                [(var, ONE) for var in plus]
+                + [(var, MINUS_ONE) for var in minus]
+                + ([(tp, MINUS_ONE)] if node in (a, b) else []), "==")
     lp.maximize(tp)
     return lp, handles
 

@@ -7,7 +7,8 @@ the backends in :mod:`repro.lp.simplex` (exact rational) or
 
 Only what the library needs is implemented: real variables with bounds,
 linear expressions with exact :class:`~fractions.Fraction` coefficients,
-``<= / >= / ==`` constraints and a linear objective.
+``<= / >= / ==`` constraints and a linear objective.  A builder that
+knows its rows adds them whole with :meth:`LinearProgram.add_row`.
 
 Coefficient rebuild (warm re-solve hook)
 ----------------------------------------
@@ -357,6 +358,26 @@ class LinearProgram:
                 self._constraint_names[constraint.name] = constraint
         self.constraints.append(constraint)
         return constraint
+
+    def add_row(self, pairs: Iterable[Tuple[Variable, RationalLike]],
+                sense: str, rhs: RationalLike = 0,
+                name: str = "") -> Constraint:
+        """Add ``sum(coef * var) <sense> rhs`` from ``(var, coef)`` pairs:
+        what ``add_constraint(lp_sum(...) <= rhs)`` stores, for one
+        ``Fraction`` per coefficient instead of one ``LinExpr`` per term.
+        A repeated variable's coefficients add up where it first stood;
+        a zero total drops the term."""
+        terms: Dict[Variable, Fraction] = {}
+        for var, coef in pairs:
+            cur, total = terms.get(var), as_fraction(coef)
+            if cur is not None:
+                total = cur + total
+            if total:
+                terms[var] = total
+            else:
+                terms.pop(var, None)
+        return self.add_constraint(
+            Constraint(LinExpr(terms, -as_fraction(rhs)), sense), name)
 
     # ------------------------------------------------------------------
     # coefficient rebuild (warm re-solve hook — see the module docstring)

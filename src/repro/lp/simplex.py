@@ -9,11 +9,10 @@ One engine, a **sparse revised simplex**: the basis is held as a
 Markowitz-ordered sparse LU (:mod:`repro.lp.factor`) with product-form
 eta updates per pivot.  Each iteration prices reduced costs through one
 BTRAN and updates the basis through one FTRAN plus one appended eta
-vector — O(nnz) work where a dense tableau pays O(m·n) Fraction
-operations — with periodic refactorisation when the eta file grows past
-its length or fill thresholds.  A warm restart is **one sparse LU of the
-retained basis** against the patched coefficients, not a Gauss-Jordan
-sweep.  The pivot loop runs on **integers over common denominators**,
+vector — O(nnz) work — with periodic refactorisation when the eta file
+grows past its length or fill thresholds.  A warm restart is **one
+sparse LU of the retained basis** against the patched coefficients.
+The pivot loop runs on **integers over common denominators**,
 not on ``Fraction`` objects (see "Integer pivoting" below); entering
 columns follow Dantzig's rule with a Bland anti-cycling degradation.
 
@@ -26,20 +25,20 @@ The solve is split into three phases behind :class:`SimplexInstance`:
 
 1. **assemble** — the caller builds (or patches) a
    :class:`~repro.lp.model.LinearProgram`;
-2. **standard form** — :func:`_build_standard_form` lowers it to
-   ``min c·u, A u = b, u >= 0`` plus the column-decoding recipe;
+2. **lower** — :class:`_Form` lowers it in one pass to ``min c·u,
+   A u = b, u >= 0`` *in integers*, plus the column-decoding recipe.
+   The instance keeps the form: a warm solve rewrites only the rows the
+   patch moved (see "The retained form" below);
 3. **pivot** — a cold solve runs the two-phase primal simplex, while a
    *warm* solve restarts from the basis retained by the previous solve
-   of the same instance: the basis is re-factorised against the patched
-   coefficients, primal/dual feasibility is repaired as needed (phase 1
-   is skipped entirely when the old basis is still primal feasible),
-   and any structural surprise falls back to the cold two-phase solve.
+   of the same instance (the ladder in :class:`SimplexInstance`), and
+   any structural surprise falls back to the cold two-phase solve.
    Either way the result is the exact rational optimum.
 
 ``solve_exact`` remains the stateless entry point (one cold solve);
 :mod:`repro.service.incremental` holds a :class:`SimplexInstance` per hot
-model so weight-only re-solves reuse both the assembled LP *and* the
-optimal basis.
+model so weight-only re-solves reuse the assembled LP, its lowered form
+*and* the optimal basis.
 
 Integer pivoting
 ----------------
@@ -47,8 +46,8 @@ The answer must be rational; the arithmetic that finds it need not
 normalise one fraction at a time (by Cramer's rule the entries of
 ``B^{-1} a``, ``B^{-1} b``, ``e_r^T B^{-1}`` and ``c - c_B B^{-1} A``
 share the denominator ``det B`` once the rows are integral).
-:class:`_RevisedCore` scales the standard form in once per solve and
-from there to the hand-out works on Python ints only:
+:class:`_Form` holds the rows as integers and :class:`_RevisedCore`
+works, from there to the hand-out, on Python ints only:
 
 * **who owns a denominator** — every vector is ``(numerators, one
   positive denominator)``: the basic solution ``x / x_den`` and the
@@ -71,10 +70,8 @@ from there to the hand-out works on Python ints only:
   walk another (equally optimal) path.  The objective is scaled by one
   positive factor, which moves no comparison.
 
-``Fraction`` reappears exactly once, where
-:meth:`SimplexInstance._outcome_from_core` hands the vertex out;
-decoding, :class:`LPSolution` and every caller see what they always
-saw.
+``Fraction`` reappears exactly once, where :meth:`SimplexInstance._run`
+hands the vertex out to decoding and :class:`LPSolution`.
 
 Certificates
 ------------
@@ -93,8 +90,8 @@ The same hand-out reads the proof off the final basis by one BTRAN:
   u_B = -B^{-1} a_enter``, decoded to model variables (the ray without
   the substitution offsets).
 
-Standard-form conversion
-------------------------
+The retained form
+-----------------
 * ``x`` with lower bound ``lo``: substitute ``x = lo + u`` (``u >= 0``);
   an upper bound adds the row ``u <= hi - lo``.
 * ``x`` with only an upper bound: substitute ``x = hi - u``.
@@ -102,6 +99,18 @@ Standard-form conversion
 * ``<=`` rows get a slack, ``>=`` rows a surplus; rows are sign-normalised
   so the rhs is non-negative; artificial variables complete the phase-1
   basis where no slack is usable.
+
+A :class:`SimplexInstance` keeps what this gives — integer rows, rhs,
+scales and cost, the decoding recipe, the structure key — and, per
+row, what the row was *read from*.  Staleness is detected from the
+model, not trusted to the patch hooks: ``solve(warm=True)`` compares
+every constraint's terms, constant and sense (and the objective's) with
+that reading and re-lowers, in place, only the rows whose numbers moved,
+so an untouched row costs pointer compares.  Anything else — a
+variable, a bound, a constraint added, a term appearing, vanishing or
+changing place — takes a full lowering, after which the structure key
+decides between basis restart and cold fallback as it always did.
+``solve(warm=False)`` always lowers in full.
 """
 
 from __future__ import annotations
@@ -109,12 +118,14 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from math import gcd, lcm
+from operator import is_
 from typing import Any, Dict, List, Optional, Tuple
 
 from .factor import BasisFactor, IntVector, SparseLU, apply_eta, normalised
 from .model import (
     InfeasibleError,
     LinearProgram,
+    LinExpr,
     LPError,
     LPSolution,
     UnboundedError,
@@ -134,189 +145,215 @@ DEFAULT_MAX_PIVOTS = 200_000
 #: Dantzig is simply much faster when progress is being made).
 STALL_LIMIT = 32
 
-#: the factorisation telemetry keys a solve reports (see
-#: :attr:`SimplexInstance.last_factor_stats`)
-FACTOR_STAT_KEYS = (
-    "refactorisations",
-    "eta_len_max",
-    "ftran_ops",
-    "btran_ops",
-    "lu_nnz",
-    "lu_basis_nnz",
-    "int_bits_max",
-)
+#: the telemetry keys of :attr:`SimplexInstance.last_factor_stats`
+FACTOR_STAT_KEYS = ("refactorisations", "eta_len_max", "ftran_ops",
+                    "btran_ops", "lu_nnz", "lu_basis_nnz", "int_bits_max")
 
 
-class _StandardForm:
-    """min c·u  s.t.  A u = b (b >= 0), u >= 0, plus the decoding recipe."""
-
-    def __init__(self) -> None:
-        self.rows: List[Dict[int, Fraction]] = []  # sparse rows
-        self.rhs: List[Fraction] = []
-        #: per row, where it came from: the index of its model constraint
-        #: (None for a ``u <= hi - lo`` bound row) and -1 if the row was
-        #: negated to make its rhs non-negative, else +1
-        self.origin: List[Tuple[Optional[int], int]] = []
-        self.cost: Dict[int, Fraction] = {}
-        self.cost_offset: Fraction = ZERO
-        self.num_cols = 0
-        # var -> list of (col, sign); plus constant offset per var
-        self.decode: Dict[Variable, Tuple[List[Tuple[int, Fraction]], Fraction]] = {}
-        self._key: Optional[Tuple] = None
-
-    def new_col(self) -> int:
-        col = self.num_cols
-        self.num_cols += 1
-        return col
-
-    def structure_key(self) -> Tuple:
-        """Hashable *shape* of the standard form: column count, per-row
-        column support and objective support — everything a retained basis
-        depends on, none of the coefficient values.  Two standard forms
-        with equal keys differ only in coefficients, which is exactly the
-        situation a warm basis restart can handle.
-
-        Computed once and cached: the tuple-of-tuples row-support walk is
-        O(nnz) and the key is asked for on every warm solve of the same
-        instance.
-        """
-        if self._key is None:
-            self._key = (
-                self.num_cols,
-                tuple(tuple(sorted(row)) for row in self.rows),
-                tuple(sorted(self.cost)),
-            )
-        return self._key
+_Reading = Tuple[List[Variable], List[Any]]
 
 
-def _build_standard_form(lp: LinearProgram) -> _StandardForm:
-    sf = _StandardForm()
-    # 1. substitute variables.
-    subs: Dict[Variable, Tuple[List[Tuple[int, Fraction]], Fraction]] = {}
-    Row = Tuple[Dict[int, Fraction], str, Fraction, Optional[int]]
-    extra_rows: List[Row] = []
-    for var in lp.variables:
-        if var.lo is not None:
-            u = sf.new_col()
-            subs[var] = ([(u, ONE)], var.lo)
-            if var.hi is not None:
-                extra_rows.append(({u: ONE}, "<=", var.hi - var.lo, None))
-        elif var.hi is not None:
-            u = sf.new_col()
-            subs[var] = ([(u, Fraction(-1))], var.hi)
-        else:
-            u = sf.new_col()
-            v = sf.new_col()
-            subs[var] = ([(u, ONE), (v, Fraction(-1))], ZERO)
-    sf.decode = subs
+def _reading(expr: LinExpr, sense: str) -> _Reading:
+    """What a lowered row is read from: the variables in term order, and
+    everything compared by value (coefficients, constant, sense)."""
+    return list(expr.terms), [*expr.terms.values(), expr.constant, sense]
 
-    # 2. objective (always minimise internally).
-    assert lp.objective is not None
-    sign = Fraction(-1) if lp.sense == "max" else ONE
-    sf.cost_offset = sign * lp.objective.constant
-    for var, coef in lp.objective.terms.items():
-        cols, offset = subs[var]
-        sf.cost_offset += sign * coef * offset
-        for col, s in cols:
-            sf.cost[col] = sf.cost.get(col, ZERO) + sign * coef * s
 
-    # 3. constraint rows.
-    all_rows: List[Row] = []
-    for k, cons in enumerate(lp.constraints):
-        terms, sense, rhs = cons.normalized()
-        row: Dict[int, Fraction] = {}
-        shift = ZERO
-        for var, coef in terms.items():
-            cols, offset = subs[var]
-            shift += coef * offset
-            for col, s in cols:
-                row[col] = row.get(col, ZERO) + coef * s
-        row = {c: v for c, v in row.items() if v != 0}
-        all_rows.append((row, sense, rhs - shift, k))
-    all_rows.extend(extra_rows)
+def _same(now: _Reading, then: _Reading) -> bool:
+    """Variables by identity (``Variable.__eq__`` builds a constraint),
+    values by ``==``, which tries identity first: pointer compares only
+    for a row nobody touched."""
+    return (len(now[0]) == len(then[0]) and all(map(is_, now[0], then[0]))
+            and now[1] == then[1])
 
-    for row, sense, rhs, k in all_rows:
-        if not row:
-            # constant constraint: check satisfiability directly.
-            ok = (
-                (sense == "<=" and ZERO <= rhs)
-                or (sense == ">=" and ZERO >= rhs)
-                or (sense == "==" and rhs == 0)
-            )
-            if not ok:
-                # only a model constraint can be empty, and it refutes
-                # itself: its expression is the constant -rhs
+
+class _Form:
+    """``min c·u  s.t.  A u = b (b >= 0), u >= 0`` **in integers**, the
+    decoding recipe, and the readings of the model it was lowered from.
+
+    Row ``i`` is the model row and its rhs times ``scale[i]``, the lcm
+    of their denominators: ``rows[i]`` (``{col: int}``, slack last) and
+    ``rhs[i]``.  ``origin[i]`` is the index of the model constraint it
+    came from (None for a ``u <= hi - lo`` bound row) and ``flips[i]``
+    -1 if it was negated to make its rhs non-negative, else +1.  ``cost``
+    is the minimised objective times ``cost_scale``.  Lowering reads
+    numerators and denominators; it makes a ``Fraction`` only where a
+    substitution offset is nonzero."""
+
+    def __init__(self, lp: LinearProgram) -> None:
+        # 1. substitute ``x = offset + sign * u_col``: var -> (col, sign,
+        # offset); sign 0 is the free variable's ``x = u_col - u_(col+1)``
+        self.variables = (list(lp.variables),
+                          [b for v in lp.variables for b in (v.lo, v.hi)])
+        self.decode: Dict[Variable, Tuple[int, int, Fraction]] = {}
+        boxed: List[Tuple[int, Fraction]] = []
+        n = 0
+        for var in lp.variables:
+            lo, hi = var.lo, var.hi
+            if lo is not None:
+                self.decode[var] = n, 1, lo
+                if hi is not None:
+                    boxed.append((n, hi - lo if lo else hi))
+            elif hi is not None:
+                self.decode[var] = n, -1, hi
+            else:
+                self.decode[var] = n, 0, ZERO
+                n += 1
+            n += 1
+        self.first_slack = self.num_cols = n
+        # 2. rows: the model constraints, then the ``u <= hi - lo`` rows
+        self.rows: List[Dict[int, int]] = []
+        self.rhs: List[int] = []
+        self.scale: List[int] = []
+        self.origin: List[Optional[int]] = []
+        self.flips: List[int] = []
+        #: per model constraint: what it read when lowered, and its row
+        #: (None for a constant constraint, which has none)
+        self.readings: List[_Reading] = []
+        self.row_of: List[Optional[int]] = []
+        for k, cons in enumerate(lp.constraints):
+            self.readings.append(_reading(cons.expr, cons.sense))
+            entries = self._collect(cons.expr)
+            cols, num, den = entries[0], entries[3], entries[4]
+            self.row_of.append(len(self.rows) if cols else None)
+            if cols:
+                self._append(k, entries, cons.sense)
+            elif (num < 0 if cons.sense == "<=" else
+                  num > 0 if cons.sense == ">=" else num != 0):
+                # ``0 <sense> rhs`` refutes itself: the constraint's
+                # expression is the constant -rhs
                 raise InfeasibleError(
-                    f"constant constraint 0 {sense} {rhs} is unsatisfiable",
-                    farkas={k: ONE if rhs < 0 else -ONE},
-                )
-            continue
-        r = dict(row)
-        if sense == "<=":
-            slack = sf.new_col()
-            r[slack] = ONE
-        elif sense == ">=":
-            slack = sf.new_col()
-            r[slack] = Fraction(-1)
-        flip = 1
-        if rhs < 0:
-            r = {c: -v for c, v in r.items()}
-            rhs = -rhs
-            flip = -1
-        sf.rows.append(r)
-        sf.rhs.append(rhs)
-        sf.origin.append((k, flip))
-    return sf
+                    f"constant constraint 0 {cons.sense} "
+                    f"{Fraction(num, den)} is unsatisfiable",
+                    farkas={k: ONE if num < 0 else -ONE})
+        for col, span in boxed:
+            self._append(None, ([col], [1], [1], span.numerator,
+                                span.denominator), "<=")
+        # 3. objective (always minimise internally)
+        self.cost_reading = _reading(lp.objective, lp.sense)
+        self.cost, self.cost_scale = self._int_cost(lp)
+        #: hashable *shape*: column count, per-row column support and
+        #: objective support — everything a retained basis depends on,
+        #: none of the coefficient values; a :meth:`refresh` keeps it
+        self.key = (self.num_cols,
+                    tuple(tuple(sorted(row)) for row in self.rows),
+                    tuple(sorted(self.cost)))
 
+    def _collect(self, expr: LinExpr) -> Tuple:
+        """``expr`` over the columns: column, signed numerator and
+        denominator of each nonzero term (parallel lists), then the rhs
+        ``-(constant + sum coef * offset)`` as numerator, denominator."""
+        cols, nums, dens = [], [], []  # parallel, one entry per column
+        moved = expr.constant
+        for var, coef in expr.terms.items():
+            num = coef.numerator
+            if num:
+                col, sign, offset = self.decode[var]
+                if offset:
+                    moved = moved + coef * offset
+                for col, sign in (((col, sign),) if sign
+                                  else ((col, 1), (col + 1, -1))):
+                    cols.append(col)
+                    nums.append(sign * num)
+                    dens.append(coef.denominator)
+        return cols, nums, dens, -moved.numerator, moved.denominator
 
-def _decode_values(sf: _StandardForm, u: List[Fraction],
-                   offsets: bool = True) -> Dict[Variable, Fraction]:
-    """Model-variable values of the standard-form vector ``u``;
-    ``offsets=False`` decodes a direction (a ray) instead of a point."""
-    values: Dict[Variable, Fraction] = {}
-    for var, (cols, offset) in sf.decode.items():
-        x = offset if offsets else ZERO
-        for col, s in cols:
-            x += s * u[col]
-        values[var] = x
-    return values
+    @staticmethod
+    def _int_row(cols: List[int], nums: List[int], dens: List[int],
+                 b_num: int, b_den: int, sense: str,
+                 slack: Optional[int]) -> Tuple[Dict[int, int], int, int, int]:
+        """One row in integers, with its slack (``<=``) or surplus
+        (``>=``) and a non-negative rhs: ``(row, rhs, scale, flip)``."""
+        s = lcm(b_den, *dens)
+        flip = -1 if b_num < 0 else 1
+        row = {c: flip * v * (s // d) for c, v, d in zip(cols, nums, dens)}
+        if sense != "==":
+            row[slack] = flip * s if sense == "<=" else -flip * s
+        return row, flip * b_num * (s // b_den), s, flip
+
+    def _append(self, k: Optional[int], entries: Tuple, sense: str) -> None:
+        row, b, s, flip = self._int_row(*entries, sense, self.num_cols)
+        self.num_cols += sense != "=="
+        self.rows.append(row)
+        self.rhs.append(b)
+        self.scale.append(s)
+        self.origin.append(k)
+        self.flips.append(flip)
+
+    def _int_cost(self, lp: LinearProgram) -> Tuple[Dict[int, int], int]:
+        cols, nums, dens, _, _ = self._collect(lp.objective)
+        s = lcm(*dens)
+        sign = -1 if lp.sense == "max" else 1
+        return {c: sign * v * (s // d)
+                for c, v, d in zip(cols, nums, dens)}, s
+
+    def refresh(self, lp: LinearProgram) -> Optional[int]:
+        """Re-lower, **in place**, the constraint rows (and the cost
+        row) that no longer read what they read when lowered; returns
+        how many, or None when more than a number inside a row moved
+        (module docstring) and only a full lowering will do.  Columns,
+        row order and within-row order stay what a fresh lowering of the
+        patched model gives, so every pivot does too."""
+        bounds = [b for v in lp.variables for b in (v.lo, v.hi)]
+        if (len(lp.constraints) != len(self.readings)
+                or not _same((lp.variables, bounds), self.variables)):
+            return None
+        count = 0
+        for k, cons in enumerate(lp.constraints):
+            reading = _reading(cons.expr, cons.sense)
+            if _same(reading, self.readings[k]):
+                continue
+            i = self.row_of[k]
+            if i is None:
+                return None
+            old = self.rows[i]
+            slack = next(reversed(old))
+            row, b, s, flip = self._int_row(
+                *self._collect(cons.expr), cons.sense,
+                slack if slack >= self.first_slack else None)
+            if list(row) != list(old):
+                return None
+            self.rows[i], self.rhs[i], self.scale[i] = row, b, s
+            self.flips[i] = flip
+            self.readings[k] = reading
+            count += 1
+        reading = _reading(lp.objective, lp.sense)
+        if not _same(reading, self.cost_reading):
+            cost, scale = self._int_cost(lp)
+            if list(cost) != list(self.cost):
+                return None
+            self.cost, self.cost_scale = cost, scale
+            self.cost_reading = reading
+            count += 1
+        return count
+
+    def values(self, u: List[Fraction],
+               offsets: bool = True) -> Dict[Variable, Fraction]:
+        """Model-variable values of the standard-form vector ``u``;
+        ``offsets=False`` decodes a direction (a ray), not a point."""
+        out: Dict[Variable, Fraction] = {}
+        for var, (col, sign, offset) in self.decode.items():
+            x = offset if offsets else ZERO
+            step = (u[col] if sign > 0 else -u[col] if sign
+                    else u[col] - u[col + 1])
+            out[var] = (x + step if x else step) if step else x
+        return out
 
 
 class _AbandonWarm(Exception):
     """Internal: a warm attempt blew its pivot budget; fall back to cold."""
 
 
-class _Outcome:
-    """What a finished core hands back: the standard-form solution
-    vector, the multipliers of the model constraints, the canonical
-    basis to retain for the next warm restart, and the pivot
-    bookkeeping."""
-
-    __slots__ = ("u", "duals", "retained", "pivots", "iterations")
-
-    def __init__(self, u: List[Fraction], duals: Dict[int, Fraction],
-                 retained: List[int], pivots: int, iterations: int) -> None:
-        self.u = u
-        self.duals = duals
-        self.retained = retained
-        self.pivots = pivots
-        self.iterations = iterations
-
-
 class _RevisedCore:
     """Revised-simplex working state: basis column list, sparse LU +
     eta-file factorisation, and the current basic solution.
 
-    The basis matrix is never formed densely: :class:`BasisFactor`
-    answers FTRAN/BTRAN, each pivot appends one eta vector, and the LU
-    is rebuilt (``_maybe_refactor``) only when the eta file passes its
-    length or fill thresholds.  Pricing walks the row-major standard
-    form (O(nnz) per iteration); the ratio test walks the FTRAN'd
-    direction.
+    Pricing walks the row-major form (O(nnz) per iteration); the ratio
+    test walks the FTRAN'd direction.
 
     **All state is integral** (module docstring, "Integer pivoting"):
-    the constructor scales the standard form in, and from there to
-    :meth:`SimplexInstance._outcome_from_core` no ``Fraction`` exists.
+    the rows, rhs and objective are the :class:`_Form`'s, read only,
+    and up to the hand-out no ``Fraction`` exists.
     The basic solution is ``x[s] / x_den``, the maintained reduced costs
     ``d[j] / d_den`` (absent ``j`` price to 0).
 
@@ -331,33 +368,20 @@ class _RevisedCore:
 
     STALL_LIMIT = STALL_LIMIT
 
-    def __init__(self, sf: _StandardForm, lp: LinearProgram,
+    def __init__(self, form: _Form, lp: LinearProgram,
                  max_pivots: int, eta_limit: Optional[int] = None) -> None:
-        self.sf = sf
+        self.form = form
         self.lp = lp
-        self.m = len(sf.rows)
-        self.n = sf.num_cols
-        #: integral rows: row ``i`` and its rhs times ``scale[i]``, the
-        #: lcm of their denominators
-        self.scale: List[int] = []
-        self.rows: List[Dict[int, int]] = []
-        self.rhs: List[int] = []
-        cols: List[List[Tuple[int, int]]] = [[] for _ in range(self.n)]
-        for i, (row, b) in enumerate(zip(sf.rows, sf.rhs)):
-            s = lcm(b.denominator, *(v.denominator for v in row.values()))
-            irow = {j: v.numerator * (s // v.denominator)
-                    for j, v in row.items()}
-            for j, v in irow.items():
-                cols[j].append((i, v))
-            self.scale.append(s)
-            self.rows.append(irow)
-            self.rhs.append(b.numerator * (s // b.denominator))
-        self.cols = cols
-        #: the phase-2 objective times the lcm of its denominators
-        self.cost_scale = s = lcm(*(c.denominator for c in sf.cost.values()))
-        self.cost: Dict[int, int] = {
-            j: c.numerator * (s // c.denominator)
-            for j, c in sf.cost.items()}
+        self.m = len(form.rows)
+        self.n = form.num_cols
+        # the form's integral rows, rhs and objective, read only
+        self.rows, self.rhs = form.rows, form.rhs
+        self.scale, self.cost = form.scale, form.cost
+        #: the rows by column: an index, not kept (a third of a form)
+        self.cols: List[Dict[int, int]] = [{} for _ in range(self.n)]
+        for i, row in enumerate(self.rows):
+            for col, v in row.items():
+                self.cols[col][i] = v
         self.max_pivots = max_pivots
         self.abandon_after: Optional[int] = None
         #: refactorise once the eta file reaches this many etas (the
@@ -375,12 +399,11 @@ class _RevisedCore:
         #: columns minted by this core: cold-phase-1 artificials, or the
         #: warm repair's auxiliaries (ids >= n + m, vectors in aux_cols)
         self.minted: List[int] = []
-        self.aux_cols: Dict[int, List[Tuple[int, int]]] = {}
+        self.aux_cols: Dict[int, Dict[int, int]] = {}
         self.pivots = 0
         self.iterations = 0
         self.refactor_ops = 0
-        # factorisation telemetry (absorbed into
-        # SimplexInstance.last_factor_stats)
+        # factorisation telemetry (SimplexInstance.last_factor_stats)
         self.refactorisations = 0
         self.eta_len_max = 0
         self.ftran_ops = 0
@@ -392,20 +415,19 @@ class _RevisedCore:
     # ------------------------------------------------------------------
     # columns and factorisation
     # ------------------------------------------------------------------
-    def column(self, col: int) -> List[Tuple[int, int]]:
+    def column(self, col: int) -> Dict[int, int]:
         """The sparse (row-scaled) standard-form column for any id."""
         if col < self.n:
             return self.cols[col]
         if col < self.n + self.m:
             # scaled like its row, so phase 1 minimises the same sum of
             # artificial *values* the unscaled problem does
-            return [(col - self.n, self.scale[col - self.n])]
+            return {col - self.n: self.scale[col - self.n]}
         return self.aux_cols[col]
 
     def _refactor(self) -> bool:
         """Fresh sparse LU of the current basis; False when singular."""
-        lu = SparseLU.factor(self.m, [dict(self.column(c))
-                                      for c in self.basis])
+        lu = SparseLU.factor(self.m, [self.column(c) for c in self.basis])
         if lu is None:
             return False
         self._roll_factor_counters()
@@ -449,7 +471,7 @@ class _RevisedCore:
         """FTRAN of a standard-form column: the update direction
         ``B^{-1} a_col``."""
         dense = [0] * self.m
-        for i, v in self.column(col):
+        for i, v in self.column(col).items():
             dense[i] = v
         return self.ftran(dense)
 
@@ -723,32 +745,26 @@ class _RevisedCore:
     # ------------------------------------------------------------------
     # artificial handling
     # ------------------------------------------------------------------
-    def find_structural_exchange(
-        self, slot: int
-    ) -> Tuple[int, Optional[IntVector]]:
-        """The first structural column that can replace the basic
-        column at ``slot`` (nonzero entry in row ``slot`` of the current
-        tableau), with its FTRAN'd direction — or ``(-1, None)`` when
-        the row has no structural support (a redundant row)."""
-        alpha = self._tableau_row(self.btran_unit(slot))
-        for j in sorted(alpha):
-            if alpha[j] and j not in self._basic:
-                return j, self.ftran_column(j)
-        return -1, None
-
-    def drive_out_artificials(self) -> None:
-        """Exchange zero-valued basic artificials (and warm-repair
-        auxiliaries) for structural columns where possible; a slot that
-        keeps its artificial marks a redundant row and sits harmlessly
-        at 0 (it can never re-enter: phase 2 prices structural columns
-        only)."""
+    def drive_out_artificials(self) -> bool:
+        """Exchange each basic artificial (or warm-repair auxiliary) for
+        the first structural column with a nonzero entry in its tableau
+        row; a slot without one marks a redundant row and keeps its
+        artificial harmlessly at 0 (it can never re-enter: phase 2
+        prices structural columns only).  False, at once, if such a slot
+        is *not* at 0 — ``0·u = nonzero`` after elimination, which only
+        a retained basis installed against patched coefficients shows."""
         for s in range(self.m):
             if self.basis[s] < self.n:
                 continue
-            enter, w = self.find_structural_exchange(s)
-            if w is not None:
+            alpha = self._tableau_row(self.btran_unit(s))
+            enter = next((j for j in sorted(alpha)
+                          if alpha[j] and j not in self._basic), -1)
+            if enter >= 0:
                 self.refactor_ops += 1
-                self.exchange(s, enter, w)
+                self.exchange(s, enter, self.ftran_column(enter))
+            elif self.x[s] != 0:
+                return False
+        return True
 
     def make_aux(self, slot: int) -> int:
         """Mint the warm restricted-phase-1 auxiliary for an infeasible
@@ -757,7 +773,8 @@ class _RevisedCore:
         flips sign — a row flip plus fresh artificial, expressed in
         product form."""
         aux = self.n + self.m + slot
-        self.aux_cols[aux] = [(i, -v) for i, v in self.column(self.basis[slot])]
+        self.aux_cols[aux] = {
+            i: -v for i, v in self.column(self.basis[slot]).items()}
         self.minted.append(aux)
         w = [0] * self.m
         w[slot] = -1
@@ -786,7 +803,8 @@ class _RevisedCore:
         y, den = self.btran([cost.get(col, 0) for col in self.basis])
         den *= cost_scale
         out: Dict[int, Fraction] = {}
-        for yi, scale, (k, flip) in zip(y, self.scale, self.sf.origin):
+        form = self.form
+        for yi, scale, k, flip in zip(y, self.scale, form.origin, form.flips):
             if yi and k is not None:
                 out[k] = Fraction(sign * flip * scale * yi, den)
         return out
@@ -804,8 +822,8 @@ class _RevisedCore:
         return UnboundedError(
             f"objective of {self.lp.name!r} is unbounded "
             f"(column {enter} has no positive entries)",
-            point=_decode_values(self.sf, self.vertex()),
-            ray=_decode_values(self.sf, ray, offsets=False),
+            point=self.form.values(self.vertex()),
+            ray=self.form.values(ray, offsets=False),
         )
 
     def infeasible(self, cost1: Dict[int, int], what: str) -> InfeasibleError:
@@ -819,8 +837,7 @@ class _RevisedCore:
         )
 
     def objective_of(self, cost: Dict[int, int]) -> int:
-        """The numerator (over ``x_den``) of ``cost`` evaluated at the
-        current basic solution."""
+        """``cost`` at the current basic solution, over ``x_den``."""
         return sum(cost.get(col, 0) * self.x[s]
                    for s, col in enumerate(self.basis))
 
@@ -851,23 +868,23 @@ class _RevisedCore:
         return out
 
     def factor_stats(self) -> Dict[str, int]:
+        """The telemetry of a finished core (read once: it rolls the
+        live factor's counters in)."""
         self._roll_factor_counters()
-        if self.factor is not None:
-            # counters were just rolled up; zero the live ones so a
-            # second read does not double-count
-            self.factor.ftran_ops = 0
-            self.factor.btran_ops = 0
         return {key: getattr(self, key) for key in FACTOR_STAT_KEYS}
 
 
 class SimplexInstance:
     """Persistent exact-simplex state for repeated solves of one LP.
 
-    The instance keeps the *final basis* (and the standard-form structure
-    key it belongs to) across solves.  ``solve(warm=True)`` after the
-    bound :class:`~repro.lp.model.LinearProgram` was patched in place
-    (coefficients only — see the rebuild hook) restarts pivoting from
-    that basis instead of re-running the two-phase method from scratch:
+    The instance keeps the lowered integer :class:`_Form` of its LP, the
+    *final basis* and the structure key both belong to.  ``solve(
+    warm=True)`` after the bound :class:`~repro.lp.model.LinearProgram`
+    was patched in place re-lowers only the rows whose numbers moved
+    (found by comparing the model with what was lowered; anything else
+    that moved invalidates the form — module docstring, "The retained
+    form") and restarts pivoting from that basis instead of re-running
+    the two-phase method from scratch:
 
     * still primal feasible → phase 1 skipped entirely, straight to the
       primal phase 2 (often zero pivots);
@@ -877,18 +894,16 @@ class SimplexInstance:
     * structure changed / basis gone singular / repair budget exhausted
       → guaranteed fallback to the cold two-phase solve.
 
-    The pivot machinery is the sparse revised simplex of
-    :class:`_RevisedCore` — warm restart = one sparse LU of the retained
-    basis, each pivot one FTRAN + one eta.  Results are exact
-    :class:`~fractions.Fraction` optima on every path, each with its
-    duality certificate (:attr:`LPSolution.duals`; an infeasible or
-    unbounded LP raises with its Farkas combination or ray attached).
+    Results are exact :class:`~fractions.Fraction` optima on every
+    path, each with its duality certificate (:attr:`LPSolution.duals`;
+    an infeasible or unbounded LP raises with its Farkas combination or
+    ray attached).
 
-    Counters (``basis_restarts``, ``phase1_skips``, ``dual_repairs``,
-    ``primal_repairs``, ``fallbacks``, ``last_pivots``/``total_pivots``,
-    and ``last_factor_stats`` — refactorisations,
-    eta-file high-water mark, FTRAN/BTRAN calls, LU fill, widest integer
-    carried) feed the service metrics and the warm-path benchmarks.
+    Counters (:meth:`stats`: ``form_builds`` counts full lowerings,
+    ``rows_relowered`` rows rewritten in place, then the ladder's rungs
+    and the pivots; ``last_factor_stats``: refactorisations, eta-file
+    high-water mark, FTRAN/BTRAN calls, LU fill, widest integer carried)
+    feed the service metrics and the warm-path benchmarks.
     """
 
     def __init__(self, lp: LinearProgram,
@@ -897,9 +912,12 @@ class SimplexInstance:
         self.lp = lp
         self.max_pivots = max_pivots
         self.eta_limit = eta_limit
+        self._form: Optional[_Form] = None
         self._basis: Optional[List[int]] = None
         self._structure: Optional[Tuple] = None
         self.solves = 0
+        self.form_builds = 0
+        self.rows_relowered = 0
         self.basis_restarts = 0
         self.phase1_skips = 0
         self.dual_repairs = 0
@@ -913,15 +931,12 @@ class SimplexInstance:
         #: factorisation telemetry of the most recent solve;
         #: ``factor_totals`` accumulates across the instance's lifetime
         #: except the ``*_max`` high-water marks
-        self.last_factor_stats: Dict[str, int] = dict.fromkeys(
-            FACTOR_STAT_KEYS, 0)
-        self.factor_totals: Dict[str, int] = dict.fromkeys(
-            FACTOR_STAT_KEYS, 0)
+        self.last_factor_stats = dict.fromkeys(FACTOR_STAT_KEYS, 0)
+        self.factor_totals = dict.fromkeys(FACTOR_STAT_KEYS, 0)
         #: per-phase timing records of the most recent solve — raw dicts
-        #: ``{phase, start_seconds, duration_seconds, pivots}`` with
-        #: offsets relative to the start of :meth:`solve`.  The service
-        #: tracing layer turns these into spans; this module stays free
-        #: of any service import.
+        #: ``{phase, start_seconds, duration_seconds, pivots}``, offsets
+        #: from the start of :meth:`solve`; the service turns them into
+        #: spans, this module stays free of any service import
         self.last_phases: List[Dict[str, Any]] = []
         # phase timing metadata (perf_counter floats) — never touches
         # the exact pivot arithmetic
@@ -931,131 +946,120 @@ class SimplexInstance:
     def solve(self, warm: bool = False) -> LPSolution:
         """Solve the bound LP exactly; ``warm=True`` restarts from the
         retained basis when the structure still matches (with a cold
-        fallback), ``warm=False`` always runs the cold two-phase method.
-        """
+        fallback), ``warm=False`` always runs the cold two-phase method."""
         if self.lp.objective is None:
             raise LPError("no objective set")
-        sf = _build_standard_form(self.lp)
-        key = sf.structure_key()
+        form = self._form
+        moved = form.refresh(self.lp) if warm and form is not None else None
+        if moved is None:
+            # cold, never lowered, or more than a number in a row moved
+            form = self._form = _Form(self.lp)
+            self.form_builds += 1
+        else:
+            self.rows_relowered += moved
+        key = form.key
         self.last_restarted = False
         self.last_phase1_skipped = False
         self.last_phases = []
         self.last_factor_stats = dict.fromkeys(FACTOR_STAT_KEYS, 0)
         self._phase_clock = time.perf_counter()
-        outcome: Optional[_Outcome] = None
+        solution: Optional[LPSolution] = None
         if warm:
             if self._basis is not None and key == self._structure:
-                try:
-                    outcome = self._warm_revised(sf)
-                except _AbandonWarm:
-                    outcome = None
-            if outcome is None:
-                # never-solved / structure changed / singular basis /
-                # repair abandoned: every warm request that could not
-                # restart is a fallback
+                solution = self._run(form, self._basis)
+            if solution is None:
+                # never solved / structure changed / singular basis /
+                # repair abandoned: a warm request that did not restart
                 self.fallbacks += 1
-        if outcome is None:
-            outcome = self._cold_revised(sf)
-        self._basis = outcome.retained
+        if solution is None:
+            solution = self._run(form, None)
         self._structure = key
         self.solves += 1
-        self.last_pivots = outcome.pivots
-        self.total_pivots += outcome.pivots
-        return self._decode(sf, outcome)
+        self.last_pivots = solution.pivots
+        self.total_pivots += solution.pivots
+        return solution
 
     # ------------------------------------------------------------------
-    def _absorb_core(self, core: _RevisedCore) -> None:
-        for key, value in core.factor_stats().items():
-            # high-water marks merge by max, counters add up
-            merge = max if key.endswith("_max") else int.__add__
-            for stats in (self.last_factor_stats, self.factor_totals):
-                stats[key] = merge(stats[key], value)
-
-    def _outcome_from_core(self, core: _RevisedCore) -> _Outcome:
-        """The hand-out of an optimal core: the vertex, and by one more
-        BTRAN of ``c_B`` the multipliers that prove it optimal (negated
-        for a ``max`` model: the core minimises ``-objective``)."""
-        duals = core.multipliers(core.cost, core.cost_scale,
-                                 -1 if self.lp.sense == "max" else 1)
-        return _Outcome(core.vertex(), duals, core.retained_basis(),
-                        core.pivots, core.iterations)
-
-    def _cold_revised(self, sf: _StandardForm) -> _Outcome:
-        core = _RevisedCore(sf, self.lp, self.max_pivots, self.eta_limit)
+    def _run(self, form: _Form,
+             basis: Optional[List[int]]) -> Optional[LPSolution]:
+        """One core's life: the cold two-phase method, or with ``basis``
+        the warm ladder (None requests the cold fallback), then the
+        hand-out — the vertex, by one more BTRAN of ``c_B`` the
+        multipliers that prove it optimal (negated for a ``max`` model:
+        the core minimises ``-objective``), and the basis to retain."""
+        core = _RevisedCore(form, self.lp, self.max_pivots, self.eta_limit)
         try:
-            core.install_cold()
-            if core.minted:
-                started, before = time.perf_counter(), core.pivots
-                cost1 = {a: 1 for a in core.minted}
-                core.run_primal(cost1, include_artificials=True)
-                if core.objective_of(cost1) > 0:
-                    raise core.infeasible(cost1, "phase-1")
-                core.drive_out_artificials()
-                self._record_phase("cold.phase1", started, before, core)
-            started, before = time.perf_counter(), core.pivots
-            core.run_primal(core.cost)
-            self._record_phase("cold.phase2", started, before, core)
-            return self._outcome_from_core(core)
+            if basis is None:
+                self._cold(core)
+            else:
+                core.abandon_after = core.m // 2 + 16
+                rung = self._warm(core, basis)
+                if rung is None:
+                    return None
+                self.basis_restarts += 1
+                setattr(self, rung, getattr(self, rung) + 1)
+                self.last_restarted = True
+                self.last_phase1_skipped = rung == "phase1_skips"
+            duals = core.multipliers(core.cost, form.cost_scale,
+                                     -1 if self.lp.sense == "max" else 1)
+            values = form.values(core.vertex())
+            self._basis = core.retained_basis()
+            return LPSolution(
+                objective=self.lp.objective.value(values), values=values,
+                backend="exact", iterations=core.iterations,
+                pivots=core.pivots, duals=duals)
+        except _AbandonWarm:
+            return None
         finally:
-            self._absorb_core(core)
+            for key, value in core.factor_stats().items():
+                # high-water marks merge by max, counters add up
+                merge = max if key.endswith("_max") else int.__add__
+                for stats in (self.last_factor_stats, self.factor_totals):
+                    stats[key] = merge(stats[key], value)
 
-    def _warm_revised(self, sf: _StandardForm) -> Optional[_Outcome]:
-        """Basis-restart solve; None requests the cold fallback.  One
-        sparse LU of the retained basis, then the repair ladder: phase-1
-        skip → dual repair → restricted phase 1 → cold."""
-        assert self._basis is not None
-        n = sf.num_cols
-        core = _RevisedCore(sf, self.lp, self.max_pivots, self.eta_limit)
-        core.abandon_after = core.m // 2 + 16
-        try:
-            if not core.install_warm(self._basis):
+    def _cold(self, core: _RevisedCore) -> None:
+        core.install_cold()
+        if core.minted:
+            started, before = time.perf_counter(), core.pivots
+            cost1 = {a: 1 for a in core.minted}
+            core.run_primal(cost1, include_artificials=True)
+            if core.objective_of(cost1) > 0:
+                raise core.infeasible(cost1, "phase-1")
+            core.drive_out_artificials()
+            self._record_phase("cold.phase1", started, before, core)
+        started, before = time.perf_counter(), core.pivots
+        core.run_primal(core.cost)
+        self._record_phase("cold.phase2", started, before, core)
+
+    def _warm(self, core: _RevisedCore, basis: List[int]) -> Optional[str]:
+        """The basis restart: one sparse LU of the retained basis, then
+        the repair ladder.  Returns the counter of the rung that reached
+        the optimum — ``phase1_skips``, ``dual_repairs`` or
+        ``primal_repairs`` — or None to request the cold fallback."""
+        # Retained artificials mark rows that were redundant last solve:
+        # against the patched coefficients each is exchanged out at once
+        # or still sits at 0 — else the cold method must diagnose the
+        # (in)feasibility — so no phase below carries a nonzero artificial
+        if not (core.install_warm(basis) and core.drive_out_artificials()):
+            return None
+        cost2 = core.cost
+        if all(v >= 0 for v in core.x):
+            # old basis still primal feasible: no phase 1, no repair
+            started, before = time.perf_counter(), core.pivots
+            core.run_primal(cost2)
+            self._record_phase("warm.phase2", started, before, core)
+            return "phase1_skips"
+        if core.dual_feasible(cost2):
+            # dual feasible: dual-simplex repair.  The budget is tight on
+            # purpose — a drifted-but-close basis repairs in a handful of
+            # pivots, and a repair that wanders past ~m/2 pivots is
+            # losing to the cold solve it is supposed to undercut
+            started, before = time.perf_counter(), core.pivots
+            if not core.run_dual(cost2, limit=core.m // 2 + 8):
                 return None
-            # Retained artificials mark rows that were redundant last
-            # solve.  Against the patched coefficients each such row
-            # either (a) still has no structural support — a harmless
-            # invariant row provided its residual is 0 — or (b) regained
-            # structural entries, in which case the artificial is
-            # exchanged out immediately so no phase below ever carries a
-            # nonzero artificial.
-            for s in range(core.m):
-                if core.basis[s] < n:
-                    continue
-                enter, w = core.find_structural_exchange(s)
-                if w is not None:
-                    core.refactor_ops += 1
-                    core.exchange(s, enter, w)
-                elif core.x[s] != 0:
-                    # 0·u = nonzero after elimination: let the cold
-                    # two-phase method diagnose the (in)feasibility
-                    return None
-            cost2 = core.cost
-            if all(v >= 0 for v in core.x):
-                # old basis still primal feasible: no phase 1, no repair
-                started, before = time.perf_counter(), core.pivots
-                core.run_primal(cost2)
-                self._record_phase("warm.phase2", started, before, core)
-                self.basis_restarts += 1
-                self.phase1_skips += 1
-                self.last_restarted = True
-                self.last_phase1_skipped = True
-                return self._outcome_from_core(core)
-            if core.dual_feasible(cost2):
-                # dual feasible: dual-simplex repair.  The budget is
-                # tight on purpose — a drifted-but-close basis repairs in
-                # a handful of pivots, and a repair that wanders past
-                # ~m/2 pivots is losing to the cold solve it is supposed
-                # to undercut, so fall back.
-                started, before = time.perf_counter(), core.pivots
-                if not core.run_dual(cost2, limit=core.m // 2 + 8):
-                    return None
-                self._record_phase("warm.dual_repair", started, before, core)
-                started, before = time.perf_counter(), core.pivots
-                core.run_primal(cost2)
-                self._record_phase("warm.phase2", started, before, core)
-                self.basis_restarts += 1
-                self.dual_repairs += 1
-                self.last_restarted = True
-                return self._outcome_from_core(core)
+            self._record_phase("warm.dual_repair", started, before, core)
+            rung = "dual_repairs"
+        else:
             # neither feasible: restricted phase 1 — every infeasible
             # slot gets an auxiliary (its negated basic column, a
             # product-form eta) and phase 1 minimises their sum
@@ -1068,15 +1072,11 @@ class SimplexInstance:
                 raise core.infeasible(cost1, "restricted phase-1")
             core.drive_out_artificials()
             self._record_phase("warm.phase1", started, before, core)
-            started, before = time.perf_counter(), core.pivots
-            core.run_primal(cost2)
-            self._record_phase("warm.phase2", started, before, core)
-            self.basis_restarts += 1
-            self.primal_repairs += 1
-            self.last_restarted = True
-            return self._outcome_from_core(core)
-        finally:
-            self._absorb_core(core)
+            rung = "primal_repairs"
+        started, before = time.perf_counter(), core.pivots
+        core.run_primal(cost2)
+        self._record_phase("warm.phase2", started, before, core)
+        return rung
 
     def _record_phase(self, name: str, started: float,
                       pivots_before: int, core: _RevisedCore) -> None:
@@ -1087,42 +1087,18 @@ class SimplexInstance:
             "pivots": core.pivots - pivots_before,
         })
 
-    # ------------------------------------------------------------------
-    def _decode(self, sf: _StandardForm, outcome: _Outcome) -> LPSolution:
-        u = outcome.u
-        min_value = sf.cost_offset
-        for col, c in sf.cost.items():
-            uc = u[col]
-            if uc != 0:
-                min_value += c * uc
-        objective = -min_value if self.lp.sense == "max" else min_value
-        return LPSolution(
-            objective=objective,
-            values=_decode_values(sf, u),
-            backend="exact",
-            iterations=outcome.iterations,
-            pivots=outcome.pivots,
-            duals=outcome.duals,
-        )
-
     def stats(self) -> Dict[str, int]:
-        return {
-            "solves": self.solves,
-            "basis_restarts": self.basis_restarts,
-            "phase1_skips": self.phase1_skips,
-            "dual_repairs": self.dual_repairs,
-            "primal_repairs": self.primal_repairs,
-            "fallbacks": self.fallbacks,
-            "last_pivots": self.last_pivots,
-            "total_pivots": self.total_pivots,
-            **self.factor_totals,
-        }
+        counters = ("solves", "form_builds", "rows_relowered",
+                    "basis_restarts", "phase1_skips", "dual_repairs",
+                    "primal_repairs", "fallbacks", "last_pivots",
+                    "total_pivots")
+        return {**{name: getattr(self, name) for name in counters},
+                **self.factor_totals}
 
 
 def solve_exact(lp: LinearProgram,
                 max_iterations: int = DEFAULT_MAX_PIVOTS) -> LPSolution:
     """Solve ``lp`` exactly (one cold two-phase solve); raises
     Infeasible/Unbounded errors, each carrying its proof, as needed.
-    ``max_iterations`` is the pivot safety cap — see
-    :class:`SimplexInstance`."""
+    ``max_iterations`` is the pivot safety cap."""
     return SimplexInstance(lp, max_pivots=max_iterations).solve()

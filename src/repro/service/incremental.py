@@ -67,6 +67,10 @@ class WarmSolveStats:
     how the retained simplex basis fared on warm solves, and
     ``warm_pivots`` / ``cold_pivots`` accumulate the exact-simplex pivot
     counts of each path (the benchmark's headline comparison).
+    ``form_builds`` counts full lowerings of a model to its integer
+    standard form and ``rows_relowered`` the rows a warm re-solve
+    rewrote in place instead: on weight-only traffic the first stays at
+    one per hot model and the second counts the rows the patches moved.
 
     The revised-simplex factorisation adds its own telemetry:
     ``refactorisations`` (fresh sparse LUs — on the warm path this is
@@ -90,6 +94,8 @@ class WarmSolveStats:
     basis_fallbacks: int = 0
     warm_pivots: int = 0
     cold_pivots: int = 0
+    form_builds: int = 0
+    rows_relowered: int = 0
     refactorisations: int = 0
     eta_len_max: int = 0
     ftran_ops: int = 0
@@ -175,7 +181,10 @@ class IncrementalSolver:
             model_lock = self._model_locks.setdefault(key, threading.Lock())
         with model_lock:
             with self._lock:
-                cached = self._models.get(key)
+                cached = self._models.pop(key, None)
+                if cached is not None:
+                    # reuse refreshes recency: back in at the young end
+                    self._models[key] = cached
             if cached is None:
                 with span("warm.build", problem=spec.problem):
                     lp, handles = model.build(spec)
@@ -184,10 +193,10 @@ class IncrementalSolver:
                 with self._lock:
                     self.stats.full_rebuilds += 1
                     while len(self._models) >= self.max_models:
-                        # drop the oldest-inserted model; a size backstop,
-                        # not an LRU — models are tiny.  A thread mid-solve
-                        # on an evicted model keeps its local reference;
-                        # the evicted key's lock stays (see __init__).
+                        # drop the least recently used model.  A thread
+                        # mid-solve on an evicted model keeps its local
+                        # reference; the evicted key's lock stays (see
+                        # __init__).
                         self._models.pop(next(iter(self._models)))
                         self.stats.evictions += 1
                     self._models[key] = (lp, handles, spec.source_node(),
@@ -209,6 +218,7 @@ class IncrementalSolver:
         if instance is None:
             with span("lp.solve", backend=self.backend):
                 return lp.solve(backend=self.backend)
+        lowered = instance.form_builds, instance.rows_relowered
         with span("simplex.solve", warm=warm) as sp:
             sol = instance.solve(warm=warm)
             if sp is not None:
@@ -234,6 +244,8 @@ class IncrementalSolver:
                     self.stats.basis_fallbacks += 1
             else:
                 self.stats.cold_pivots += sol.pivots
+            self.stats.form_builds += instance.form_builds - lowered[0]
+            self.stats.rows_relowered += instance.rows_relowered - lowered[1]
             fs = instance.last_factor_stats
             self.stats.refactorisations += fs["refactorisations"]
             self.stats.ftran_ops += fs["ftran_ops"]

@@ -26,13 +26,20 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 CERTIFIED = {"optimal": 0, "infeasible": 0, "unbounded": 0}
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "plants_fault: the test breaks the solver on purpose; "
+        "exactly one refuted certificate is its expected outcome")
+
+
 @pytest.fixture(autouse=True)
-def certified_solves(monkeypatch):
+def certified_solves(monkeypatch, request):
     """Every in-process ``SimplexInstance.solve`` of the suite proves its
     outcome — optimum, infeasibility or unboundedness — on the
     ``LinearProgram`` it was given.  A failed proof is re-raised where
     it happens and, in case a broker's error handler turns that into a
-    reply, fails the test at teardown as well."""
+    reply, fails the test at teardown as well — unless the test is
+    marked ``plants_fault``, which must then refute exactly one."""
     solve = SimplexInstance.solve
     refuted = []
 
@@ -58,7 +65,8 @@ def certified_solves(monkeypatch):
 
     monkeypatch.setattr(SimplexInstance, "solve", certified)
     yield
-    assert not refuted, refuted
+    planted = request.node.get_closest_marker("plants_fault") is not None
+    assert len(refuted) == (1 if planted else 0), refuted
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -597,7 +597,7 @@ class TestWarmEdgeCases:
         assert stats["int_bits_max"] >= 1
 
     def test_pivot_loop_state_is_integers(self, monkeypatch):
-        """Structural guard: between scaling the standard form in and
+        """Structural guard: between lowering the model to integers and
         handing the outcome out, the basic solution and the maintained
         reduced costs are ints over positive int denominators — a
         Fraction (or a float from a stray ``/``) creeping back into the
@@ -605,14 +605,16 @@ class TestWarmEdgeCases:
         from repro.core.master_slave import build_ssms_lp
         from repro.platform import generators
 
+        from repro.lp.simplex import _RevisedCore
+
         cores = []
-        handed_out = SimplexInstance._outcome_from_core
+        vertex = _RevisedCore.vertex  # the hand-out: Fractions from here
 
-        def spy(self, core):
+        def spy(core):
             cores.append(core)
-            return handed_out(self, core)
+            return vertex(core)
 
-        monkeypatch.setattr(SimplexInstance, "_outcome_from_core", spy)
+        monkeypatch.setattr(_RevisedCore, "vertex", spy)
         lp, _ = build_ssms_lp(generators.paper_figure1(), "P1")
         inst = SimplexInstance(lp)
         sol = inst.solve()
