@@ -302,21 +302,13 @@ def _build_broker(args):
         from .service.sharding import ShardedBroker
 
         timeout = getattr(args, "shard_timeout", 0) or 0
-        replication = getattr(args, "replication_factor", 1)
         return ShardedBroker(
             shards=shards,
             cache_size=args.cache_size,
             ttl=ttl,
             shard_addresses=addresses,
             request_timeout=timeout if timeout > 0 else None,
-            replication_factor=max(1, replication),
             near_cache_size=getattr(args, "near_cache_size", 64),
-            hot_threshold=getattr(args, "hot_threshold", 8),
-        )
-    if getattr(args, "replication_factor", 1) > 1:
-        raise SystemExit(
-            "--replication-factor replicates hot keys across ring "
-            "shards; it needs --shards > 1 (or --shard host:port)"
         )
     if getattr(args, "near_cache_size", 64) != 64:
         raise SystemExit(
@@ -374,8 +366,6 @@ def cmd_serve(args) -> int:
         layout = f"{shards} local shards x {args.cache_size} entries"
         if addresses:
             layout += f" + {len(addresses)} remote " + " ".join(addresses)
-        if getattr(args, "replication_factor", 1) > 1:
-            layout += f", hot-key R={args.replication_factor}"
         near = getattr(args, "near_cache_size", 64)
         if near > 0:
             layout += f", near-cache {near}"
@@ -598,20 +588,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "answers a miss promptly, and only a shard that "
                         "does not answer at all is restarted (local) or "
                         "ejected (remote)")
-    p.add_argument("--replication-factor", type=int, default=1,
-                   help="replica count for HOT fingerprints: reads "
-                        "rotate over the key's first R live ring "
-                        "successors and solutions fan out to them with "
-                        "generation-checked puts (1 = classic "
-                        "single-owner routing; sharded broker only)")
     p.add_argument("--near-cache-size", type=int, default=64,
                    help="broker-side near-cache entries for the hottest "
                         "fingerprints, generation-revalidated so stale "
                         "serves are impossible (0 disables; sharded "
                         "broker only)")
-    p.add_argument("--hot-threshold", type=int, default=8,
-                   help="lookup count at which a fingerprint counts as "
-                        "hot (replicated + near-cached)")
     p.add_argument("--slow-trace", type=float, default=0.25,
                    help="traces at least this slow (seconds) are always "
                         "kept in the slow-trace ring")

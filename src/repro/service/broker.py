@@ -273,9 +273,8 @@ class SolveEngine:
         self.cache = cache if cache is not None else SolutionCache()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.incremental = incremental
-        # per-fingerprint lookup frequencies (space-saving top-K): what
-        # the sharding layer's hot-key replication keys off, and an
-        # operator's view of the request skew in `snapshot` either way
+        # per-fingerprint lookup frequencies (space-saving top-K): an
+        # operator's view of the request skew in `snapshot`
         self.heat = HeatSketch(heat_capacity) if heat_capacity > 0 else None
 
     # ------------------------------------------------------------------
@@ -439,19 +438,10 @@ class SolveEngine:
             self.incremental.forget(platform)
         return removed
 
-    def snapshot(self, include_keys: bool = False) -> Dict[str, Any]:
-        """JSON-safe operational state of this shard.
-
-        ``include_keys`` adds the cache's live fingerprints to the
-        ``cache`` sub-dict — the sharding layer asks for them so merged
-        snapshots can report a *deduplicated* unique-key count under
-        hot-key replication (a plain broker's snapshot stays compact).
-        """
-        cache = self.cache.snapshot()
-        if include_keys:
-            cache["keys"] = self.cache.keys()
+    def snapshot(self) -> Dict[str, Any]:
+        """JSON-safe operational state of this shard."""
         out: Dict[str, Any] = {
-            "cache": cache,
+            "cache": self.cache.snapshot(),
             "metrics": self.metrics.snapshot(),
             "process": process_snapshot(),
         }

@@ -81,7 +81,7 @@ class HeatSketch:
     never be missed — estimates only ever err high, by at most the
     evicted minimum).  The hot head of a skewed distribution therefore
     stabilises in the sketch after one pass, which is what the
-    replication and near-cache layers key off.
+    near-cache's admission keys off.
 
     The coldest key is found through a lazily rebuilt min-heap: stale
     heap entries (whose count moved since they were pushed) are popped
@@ -326,17 +326,6 @@ class SolutionCache:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
             return entry
-
-    def keys(self) -> List[str]:
-        """The live fingerprints, LRU-first (no counters touched).
-
-        Sharded deployments union these across shards to report a
-        *deduplicated* cache size: hot-key replication stores the same
-        fingerprint on several shards on purpose, so the raw per-shard
-        sum over-counts the distinct solutions held.
-        """
-        with self._lock:
-            return list(self._entries)
 
     def peek(self, key: str) -> Optional[CacheEntry]:
         """Look up without touching counters, recency or TTL eviction.

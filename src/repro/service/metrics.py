@@ -386,24 +386,8 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     emit("repro_cache_hit_rate", "gauge",
          "Fraction of cache lookups served.",
          [({}, cache.get("hit_rate"))])
-    emit("repro_cache_unique_size", "gauge",
-         "Distinct fingerprints cached across shards (hot-key "
-         "replicated copies deduplicated; absent when unsharded).",
-         [({}, cache.get("unique_size"))])
 
     replication = snapshot.get("replication", {})
-    emit("repro_replicated_puts_total", "counter",
-         "Hot-key solutions written to replica shards that missed them.",
-         [({}, replication.get("replicated_puts"))])
-    emit("repro_replica_put_rejects_total", "counter",
-         "Replicated puts refused (generation moved, unknown generation, "
-         "or replica unreachable) — each reject is the staleness guard "
-         "firing, never a stale entry landing.",
-         [({}, replication.get("replica_put_rejects"))])
-    emit("repro_replica_reads_total", "counter",
-         "Hot reads served by a non-primary replica (rotation spreading "
-         "the Zipf head).",
-         [({}, replication.get("replica_reads"))])
     emit("repro_shard_load_imbalance", "gauge",
          "Max/mean per-shard request load (1.0 = perfectly even).",
          [({}, replication.get("load_imbalance"))])

@@ -23,14 +23,13 @@ answers pings ahead of queued solves and coalesces identical in-flight
 solves.
 
 **The ring is a coroutine.**  Routing, the restart/failover ladder, the
-``solve_batch`` and invalidate/clear/snapshot fan-outs, hot-key
-replication and health probing are coroutines confined to **one private
-event loop thread** the :class:`ShardedBroker` owns, and they ``await``
-the shard transports directly.  Everything they share — ring membership,
-supervision counters, generation bounds, the in-flight replica puts — is
-touched by that loop only, so none of it is locked.  The public API
-stays synchronous: each public method is a **single crossing** onto the
-loop (``asyncio.run_coroutine_threadsafe``, whose
+``solve_batch`` and invalidate/clear/snapshot fan-outs and health
+probing are coroutines confined to **one private event loop thread** the
+:class:`ShardedBroker` owns, and they ``await`` the shard transports
+directly.  Everything they share — ring membership, supervision
+counters — is touched by that loop only, so none of it is locked.  The
+public API stays synchronous: each public method is a **single
+crossing** onto the loop (``asyncio.run_coroutine_threadsafe``, whose
 ``concurrent.futures.Future`` *is* what :meth:`ShardedBroker.submit`
 returns), after at most the fingerprint, the heat count and the
 near-cache lookup on the calling thread — a near-cache hit returns
@@ -93,8 +92,7 @@ import multiprocessing
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..platform.graph import Platform
 from ..platform.serialization import platform_to_dict
@@ -241,42 +239,6 @@ class HashRing:
                 return owner
         raise ValueError("every shard is excluded from routing")
 
-    def successors(self, fingerprint: str, count: int,
-                   skip: Iterable[int] = ()) -> List[int]:
-        """The first ``count`` *distinct* live shards clockwise from the
-        fingerprint's ring point — the replica set of a hot key.
-
-        The walk is the same one :meth:`route` takes, so
-        ``successors(fp, 1, skip)[0] == route(fp, skip)`` always, and the
-        list is a prefix-stable ordering of the live shards: asking for
-        ``count + 1`` appends one shard without reshuffling the first
-        ``count`` (what lets a replication factor be raised without
-        moving existing replicas), and ejecting one shard removes only
-        *that shard* from every key's walk — the minimal-disruption
-        invariant, extended from single owners to replica sets.
-
-        Returns fewer than ``count`` shards when fewer are live; raises
-        :class:`ValueError` when every shard is excluded.
-        """
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        point = int(fingerprint[:16], 16)
-        idx = bisect.bisect_right(self._keys, point)
-        skip = frozenset(skip)
-        out: List[int] = []
-        seen: set = set()
-        for step in range(len(self._owners)):
-            owner = self._owners[(idx + step) % len(self._owners)]
-            if owner in seen or owner in skip:
-                continue
-            seen.add(owner)
-            out.append(owner)
-            if len(out) == count:
-                break
-        if not out:
-            raise ValueError("every shard is excluded from routing")
-        return out
-
 
 # ----------------------------------------------------------------------
 # the shard handle: one transport + the supervision state of one shard
@@ -400,14 +362,9 @@ class _Shard:
 
 # ----------------------------------------------------------------------
 def _merge_cache_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate per-shard cache snapshots: counters sum, rate re-derives.
-
-    ``size`` stays the raw per-shard sum (what the shards actually hold);
-    when the snapshots carry their key lists, ``unique_size`` reports the
-    *deduplicated* fingerprint count alongside it — under hot-key
-    replication the same fingerprint lives on several shards on purpose,
-    so the raw sum over-counts the distinct solutions cached.
-    """
+    """Aggregate per-shard cache snapshots: counters sum, rate re-derives
+    (a fingerprint has one owning shard, so ``size`` counts distinct
+    solutions)."""
     summed = {
         key: sum(s.get(key, 0) for s in snaps)
         for key in ("size", "max_size", "hits", "misses", "evictions",
@@ -415,19 +372,12 @@ def _merge_cache_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
                     "generation")
     }
     lookups = summed["hits"] + summed["misses"]
-    merged = {
+    return {
         **summed,
         "ttl": snaps[0].get("ttl") if snaps else None,
         "hit_rate": summed["hits"] / lookups if lookups else 0.0,
         "shards": len(snaps),
     }
-    key_lists = [s.get("keys") for s in snaps]
-    if snaps and all(keys is not None for keys in key_lists):
-        unique: Set[str] = set()
-        for keys in key_lists:
-            unique.update(keys)
-        merged["unique_size"] = len(unique)
-    return merged
 
 
 class _AggregateCacheView:
@@ -452,29 +402,11 @@ class _AggregateCacheView:
 #: so a shard that cannot answer within this is treated as down
 _PING_TIMEOUT = 2.0
 
-
-@dataclass
-class _HotContext:
-    """Everything captured *before* a hot request is dispatched.
-
-    The generations are the PR 3 race discipline extended to fan-out:
-    each replica's cache generation (and the near-cache's) is captured
-    at solve start, and every replicated/near put passes its captured
-    value back — a racing ``invalidate_platform`` bumps the counter in
-    between and the late put is refused instead of reinstating a stale
-    solution.  ``replicas`` is ``None`` when only the near-cache is in
-    play (replication factor 1).
-    """
-
-    replicas: Optional[List[int]] = None
-    #: the replica chosen to serve this request (rotation over replicas)
-    target: Optional[int] = None
-    #: shard id -> that replica's cache generation at solve start: a
-    #: monotone lower bound learned from shard replies (``None`` when
-    #: nothing was learned yet — the put is then skipped shard-side and
-    #: the reply seeds the bound)
-    generations: Dict[int, Optional[int]] = field(default_factory=dict)
-    near_generation: Optional[int] = None
+#: lookups (per the heat sketch) at which a fingerprint is hot enough
+#: for the near-cache to admit it
+HOT_THRESHOLD = 8
+#: tracked-key budget of the broker's space-saving heat sketch
+HEAT_CAPACITY = 512
 
 
 # ----------------------------------------------------------------------
@@ -526,31 +458,15 @@ class ShardedBroker:
         Selects nothing: every shard rides the multiplexed
         :class:`~repro.service.transport.AsyncTcpTransport`, and
         ``False`` raises :class:`ValueError`.
-    replication_factor:
-        Replica count for **hot** fingerprints.  With ``R >= 2`` a
-        fingerprint whose heat (lookup count in the broker's
-        :class:`~repro.service.cache.HeatSketch`) reaches
-        ``hot_threshold`` is served by rotating over its first R live
-        ring successors (:meth:`HashRing.successors`), and solutions
-        are fanned to the replicas that miss them — generation-checked
-        puts piggybacked on the solve reply path, so a racing
-        invalidation can never be undone by a replica write.  The
-        default ``1`` keeps classic single-owner routing.
     near_cache_size:
         Entry budget of a tiny broker-side cache in front of the ring
         for the very head of the key distribution (``0`` disables).
-        Hot entries (heat >= ``hot_threshold``) are admitted with the
-        generation captured at solve start and revalidated the same
-        way shard caches are — :meth:`invalidate_platform`/:meth:`clear`
-        bump its generation, so serving a stale near-cache entry is
-        structurally impossible.
-    hot_threshold:
-        Lookup count (per the heat sketch) at which a fingerprint is
-        treated as hot — replicated and near-cached.
-    heat_capacity:
-        Tracked-key budget of the broker's space-saving heat sketch
-        (``0`` disables heat tracking, and with it replication and the
-        near-cache).
+        A fingerprint looked up :data:`HOT_THRESHOLD` times (per the
+        broker's :class:`~repro.service.cache.HeatSketch`) is admitted
+        with the generation captured at solve start and revalidated the
+        same way shard caches are — :meth:`invalidate_platform` /
+        :meth:`clear` bump its generation, so serving a stale near-cache
+        entry is structurally impossible.
     """
 
     def __init__(
@@ -566,10 +482,7 @@ class ShardedBroker:
         health_interval: Optional[float] = None,
         # kept only for bench/layers.py's ShardedBroker(async_transport=True)
         async_transport: bool = True,
-        replication_factor: int = 1,
         near_cache_size: int = 64,
-        hot_threshold: int = 8,
-        heat_capacity: int = 512,
     ) -> None:
         addresses = list(shard_addresses or [])
         if not async_transport:
@@ -596,36 +509,12 @@ class ShardedBroker:
         self.rejoins = 0
         # set by close() on the caller's thread; the loop only reads it
         self._closed = False
-        # ---- hot-key replication + near-cache ------------------------
-        if replication_factor < 1:
-            raise ValueError("replication_factor must be >= 1")
-        if hot_threshold < 1:
-            raise ValueError("hot_threshold must be >= 1")
+        # ---- near-cache: the heat sketch gates its admission ----------
         if near_cache_size < 0:
             raise ValueError("near_cache_size must be >= 0")
-        if heat_capacity < 0:
-            raise ValueError("heat_capacity must be >= 0")
-        self.replication_factor = int(replication_factor)
-        self.hot_threshold = int(hot_threshold)
-        hot_features = self.replication_factor > 1 or near_cache_size > 0
-        self._heat = (HeatSketch(heat_capacity)
-                      if heat_capacity > 0 and hot_features else None)
+        self._heat = HeatSketch(HEAT_CAPACITY) if near_cache_size else None
         self._near_cache = (SolutionCache(max_size=near_cache_size, ttl=ttl)
-                            if near_cache_size > 0 and self._heat is not None
-                            else None)
-        # hot-key solutions written to replicas that missed them
-        self.replicated_puts = 0
-        # replicated puts refused: generation moved (stale), no known
-        # generation yet, or the replica's transport failed
-        self.replica_put_rejects = 0
-        # hot reads served by a non-primary replica (rotation working)
-        self.replica_reads = 0
-        # per-shard cache-generation lower bounds learned from transport
-        # replies ("gen" rides on every shard reply); monotone, so a lag
-        # only makes a replicated put reject safely, never land stale
-        self._known_gens: Dict[int, int] = {}
-        # in-flight replica puts (drained by flush_replication)
-        self._put_tasks: Set[asyncio.Task] = set()
+                            if near_cache_size else None)
         if health_interval is None:
             health_interval = 5.0 if addresses else 0.0
         self.health_interval = (health_interval
@@ -686,7 +575,7 @@ class ShardedBroker:
     async def _shutdown(self) -> None:
         """Stop every shard's channel (a respawn under way ends first:
         its worker must hear the goodbye too), then cancel what is left
-        on the loop — the prober, replica puts, and any request that
+        on the loop — the prober and any request that
         raced :meth:`close` — so no caller waits on a loop that is
         gone."""
         await asyncio.gather(*(shard.stop() for shard in self._shards))
@@ -775,12 +664,6 @@ class ShardedBroker:
                 ) from exc
             rtt = time.perf_counter() - start
             self.metrics.observe(endpoint, rtt)
-            # every reply carries the shard's cache generation: raise
-            # the learned lower bound
-            gen = reply.get("gen")
-            if (isinstance(gen, int)
-                    and gen > self._known_gens.get(shard.index, -1)):
-                self._known_gens[shard.index] = gen
             if sp is not None:
                 # re-parent shard-side span trees (single replies and
                 # solve_many items alike) into this caller's trace
@@ -839,7 +722,7 @@ class ShardedBroker:
         return {s.index for s in self._shards if not s.active}
 
     # ------------------------------------------------------------------
-    # hot-key machinery: heat, near-cache, replica fan-out
+    # the near-cache: heat-gated admission in front of the ring
     # ------------------------------------------------------------------
     def _record_heat(self, fp: str) -> int:
         """Count one lookup; 0 when heat tracking is disabled."""
@@ -878,123 +761,32 @@ class ShardedBroker:
             latency_seconds=elapsed,
         )
 
-    def _hot_context(self, fp: str, count: int) -> Optional[_HotContext]:
-        """Capture the replica set and all generations for a hot solve —
-        *before* dispatch, per the PR 3 race discipline.  ``None`` when
-        the fingerprint is not (yet) hot or the features are off."""
-        if count < self.hot_threshold:
+    def _near_generation(self, count: int) -> Optional[int]:
+        """The near-cache generation a hot solve captures *before*
+        dispatch: the admission put passes it back, so an
+        ``invalidate_platform`` / ``clear`` racing the solve bumps the
+        counter in between and the late put is refused instead of
+        reinstating a stale solution.  ``None`` when the fingerprint is
+        not (yet) hot or the near-cache is off."""
+        if self._near_cache is None or count < HOT_THRESHOLD:
             return None
-        if self.replication_factor < 2 and self._near_cache is None:
-            return None
-        ctx = _HotContext()
-        if self.replication_factor > 1:
-            try:
-                replica_ids = self.ring.successors(
-                    fp, self.replication_factor, skip=self._inactive_ids())
-            except ValueError:
-                replica_ids = []
-            if len(replica_ids) > 1:
-                ctx.replicas = replica_ids
-                ctx.target = replica_ids[count % len(replica_ids)]
-                ctx.generations = {
-                    sid: self._known_gens.get(sid)
-                    for sid in replica_ids
-                }
-        if self._near_cache is not None:
-            ctx.near_generation = self._near_cache.generation
-        return ctx
+        return self._near_cache.generation
 
-    def _count_replica_read(self, ctx: Optional[_HotContext]) -> None:
-        """A hot read about to be served off the primary replica."""
-        if ctx is not None and ctx.replicas and ctx.target != ctx.replicas[0]:
-            self.replica_reads += 1
-
-    def _propagate(self, request: SolveRequest, fp: str,
-                   result: BrokerResult, ctx: Optional[_HotContext],
-                   entry_sink: Optional[
-                       Dict[int, List[Dict[str, Any]]]] = None) -> None:
-        """Fan a hot solution out: near-cache admission plus writes to
-        the replicas that missed it, each put guarded by the generation
-        captured at solve start (:class:`_HotContext`).
-
-        ``entry_sink`` collects the put entries instead of dispatching
-        them, so a batch fans all its hot keys to a shard in ONE
-        round-trip — the ``solve_many`` batching discipline applied to
-        replication.
-        """
-        if ctx is None:
-            return
+    def _near_admit(self, request: SolveRequest, fp: str,
+                    result: BrokerResult, generation: Optional[int]) -> None:
+        """Admit a hot solution, guarded by the generation captured at
+        solve start (:meth:`_near_generation`)."""
         near = self._near_cache
-        if near is not None and near.peek(fp) is None:
-            near.put(fp, result.solution, request.platform,
-                     schedule=result.schedule,
-                     generation=ctx.near_generation)
-        if not ctx.replicas:
+        if generation is None or near.peek(fp) is not None:
             return
-        entries_by_shard: Dict[int, List[Dict[str, Any]]] = (
-            {} if entry_sink is None else entry_sink
-        )
-        encoded = platform_to_dict(request.platform)
-        for sid in ctx.replicas:
-            if sid == ctx.target:
-                continue
-            # a ring result came off the wire and still carries that dict
-            entry = {"fp": fp, "result": result.wire, "platform": encoded}
-            gen = ctx.generations.get(sid)
-            if gen is not None:
-                entry["gen"] = gen
-            entries_by_shard.setdefault(sid, []).append(entry)
-        if entry_sink is None:
-            self._dispatch_puts(entries_by_shard)
+        near.put(fp, result.solution, request.platform,
+                 schedule=result.schedule, generation=generation)
 
-    def _dispatch_puts(
-        self, entries_by_shard: Dict[int, List[Dict[str, Any]]]
-    ) -> None:
-        """Start one batched replica put per shard as a task of its
-        own — fire-and-forget from the solve path (the reply already
-        went to the caller), drainable via :meth:`flush_replication`."""
-        for sid, entries in entries_by_shard.items():
-            shard = self._shards[sid]
-            if not shard.active:
-                self.replica_put_rejects += len(entries)
-                continue
-            task = self._loop.create_task(self._run_put(shard, entries))
-            self._put_tasks.add(task)
-            task.add_done_callback(self._put_tasks.discard)
-
-    async def _run_put(self, shard: _Shard,
-                       entries: List[Dict[str, Any]]) -> None:
-        with span("ring.replicate", shard=shard.index,
-                  entries=len(entries)):
-            try:
-                reply = await self._shard_call(
-                    shard, {"op": "put", "entries": entries})
-            except ShardError:
-                self.replica_put_rejects += len(entries)
-                return
-        self.replicated_puts += reply.get("stored", 0)
-        self.replica_put_rejects += (reply.get("stale", 0)
-                                     + reply.get("skipped", 0))
-
-    def flush_replication(self, timeout: Optional[float] = None) -> int:
-        """Block until queued replica puts land; returns how many
-        were waited on (tests use this for determinism — production
-        callers never need it)."""
-        return self._cross(self._flush_replication(timeout)).result()
-
-    async def _flush_replication(self, timeout: Optional[float]) -> int:
-        pending = list(self._put_tasks)
-        if pending:
-            await asyncio.wait(pending, timeout=timeout)
-        return len(pending)
-
-    async def _routed_call(self, fp: str, msg: Dict[str, Any],
-                           prefer: Optional[int] = None) -> Dict[str, Any]:
+    async def _routed_call(self, fp: str,
+                           msg: Dict[str, Any]) -> Dict[str, Any]:
         """Route to the fingerprint's shard with automatic failover.
 
-        ``prefer`` names the shard to try first (a hot key's rotating
-        replica); failover from it walks the ring exactly as before.  A
-        transport failure retries once on the same shard when it was
+        A transport failure retries once on the same shard when it was
         just restarted (local), then walks the ring to the next live
         shard.  Worker-*reported* errors (the shard is alive and said
         no) propagate immediately — failing over a deterministic solver
@@ -1003,17 +795,13 @@ class ShardedBroker:
         tried: set = set()
         first_error: Optional[ShardUnavailableError] = None
         while True:
-            skip = tried | self._inactive_ids()
-            if prefer is not None and prefer not in skip:
-                shard_id = prefer
-                prefer = None  # one preferred attempt, then ring order
-            else:
-                try:
-                    shard_id = self.ring.route(fp, skip=skip)
-                except ValueError:
-                    raise first_error or ShardError(
-                        "no shards available (all ejected or dead)"
-                    )
+            try:
+                shard_id = self.ring.route(
+                    fp, skip=tried | self._inactive_ids())
+            except ValueError:
+                raise first_error or ShardError(
+                    "no shards available (all ejected or dead)"
+                )
             shard = self._shards[shard_id]
             retried_fresh_worker = False
             while True:
@@ -1051,25 +839,22 @@ class ShardedBroker:
     def solve(self, request: SolveRequest) -> BrokerResult:
         """Route one request to its shard and wait for the answer.
 
-        Hot fingerprints (heat >= ``hot_threshold``) take the skew
-        path: near-cache first, then a rotating replica, with the
-        solution fanned to the replicas (and the near-cache) that
-        missed it — see :class:`_HotContext` for the staleness
-        discipline.
+        The near-cache answers the hot head first; a hot fingerprint
+        (heat >= :data:`HOT_THRESHOLD`) it misses is admitted once its
+        owning shard has answered — see :meth:`_near_generation` for
+        the staleness discipline.
         """
         return self.submit(request).result()
 
     def submit(self, request: SolveRequest) -> "Future[BrokerResult]":
         """Asynchronous solve on the owning shard.
 
-        The fingerprint, the heat count and the near-cache lookup run
-        on the calling thread — a near hit returns without a thread hop
-        — and everything else is one crossing onto the ring's loop.
+        The fingerprint, the heat count, the near-cache lookup and a
+        hot key's generation capture run on the calling thread — a near
+        hit returns without a thread hop — and everything else is one
+        crossing onto the ring's loop.
         Identical concurrent requests route to the same shard and share
-        its connection, so the shard coalesces them onto one engine run
-        (a hot key's rotation step changes the target only every
-        ``len(replicas)`` lookups, and the replicas serve repeats from
-        their own caches).
+        its connection, so the shard coalesces them onto one engine run.
         """
         if self._closed:
             raise ShardError("broker is closed")
@@ -1082,16 +867,12 @@ class ShardedBroker:
             return done
         # the caller's span follows the request onto the loop: the task
         # run_coroutine_threadsafe creates copies this thread's context
-        return self._cross(self._solve(request, fp, count))
-
-    async def _solve(self, request: SolveRequest, fp: str,
-                     count: int) -> BrokerResult:
-        return await self._transport_solve(request, fp,
-                                           self._hot_context(fp, count))
+        return self._cross(self._transport_solve(
+            request, fp, self._near_generation(count)))
 
     async def _transport_solve(
         self, request: SolveRequest, fp: str,
-        ctx: Optional[_HotContext] = None,
+        near_generation: Optional[int],
     ) -> BrokerResult:
         from .api import _request_wire  # deferred: avoid import cycle
 
@@ -1104,11 +885,9 @@ class ShardedBroker:
         }
         if current_span() is not None:
             msg["trace"] = True  # ask the shard for its span tree
-        prefer = ctx.target if ctx is not None else None
-        self._count_replica_read(ctx)
-        reply = await self._routed_call(fp, msg, prefer=prefer)
+        reply = await self._routed_call(fp, msg)
         result = result_from_wire(reply["result"])
-        self._propagate(request, fp, result, ctx)
+        self._near_admit(request, fp, result, near_generation)
         return result
 
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
@@ -1154,7 +933,7 @@ class ShardedBroker:
         traced = current_span() is not None
         inactive = self._inactive_ids()
         by_shard: Dict[Optional[int], List[int]] = {}
-        ctxs: Dict[int, Optional[_HotContext]] = {}
+        near_gens: List[Optional[int]] = [None] * len(requests)
         outcomes: List[Any] = [None] * len(requests)
         for index, fp in enumerate(fps):
             count = self._record_heat(fp)
@@ -1162,16 +941,11 @@ class ShardedBroker:
             if near is not None:
                 outcomes[index] = near  # served before touching a shard
                 continue
-            ctx = self._hot_context(fp, count)
-            ctxs[index] = ctx
-            if ctx is not None and ctx.target is not None:
-                self._count_replica_read(ctx)
-                owner: Optional[int] = ctx.target
-            else:
-                try:
-                    owner = self.ring.route(fp, skip=inactive)
-                except ValueError:
-                    owner = None  # nothing live: the retry path will raise
+            near_gens[index] = self._near_generation(count)
+            try:
+                owner: Optional[int] = self.ring.route(fp, skip=inactive)
+            except ValueError:
+                owner = None  # nothing live: the retry path will raise
             by_shard.setdefault(owner, []).append(index)
         retry: List[int] = by_shard.pop(None, [])
         # one solve_many per shard, all shards in flight at once
@@ -1191,11 +965,8 @@ class ShardedBroker:
                 outcomes[i] = item
         for i in sorted(retry):
             outcomes[i] = await self._transport_solve(requests[i], fps[i],
-                                                      ctxs.get(i))
+                                                      near_gens[i])
         results: List[BrokerResult] = []
-        # hot keys fan out in ONE batched put per replica shard, not one
-        # round-trip per hot item
-        put_sink: Dict[int, List[Dict[str, Any]]] = {}
         for index, item in enumerate(outcomes):
             assert item is not None
             if isinstance(item, BrokerResult):  # near hit / failover
@@ -1205,10 +976,8 @@ class ShardedBroker:
                 raise _raise_worker_error(item)
             result = result_from_wire(item["result"])
             results.append(result)
-            self._propagate(requests[index], fps[index], result,
-                            ctxs.get(index), entry_sink=put_sink)
-        if put_sink:
-            self._dispatch_puts(put_sink)
+            self._near_admit(requests[index], fps[index], result,
+                             near_gens[index])
         return results
 
     # ------------------------------------------------------------------
@@ -1227,7 +996,7 @@ class ShardedBroker:
         shard's cache is cleared on rejoin).
 
         The broker near-cache is invalidated first (its generation
-        bumps, so a replicated or near put racing this call is refused);
+        bumps, so a near put racing this call is refused);
         near-cache removals are duplicates of shard entries and are NOT
         counted in the returned total.
         """
@@ -1283,8 +1052,7 @@ class ShardedBroker:
         """Per-shard engine snapshots (``cache`` / ``metrics`` /
         ``incremental``), in shard-id order; ``None`` for shards that
         are ejected, dead, or failed mid-scrape (the shards are queried
-        concurrently — see :meth:`_fanout`).  Cache key lists ride along
-        so merged snapshots can deduplicate replicated entries."""
+        concurrently — see :meth:`_fanout`)."""
         snaps: List[Optional[Dict[str, Any]]] = (
             [None] * len(self._shards)
         )
@@ -1384,17 +1152,11 @@ class ShardedBroker:
     def _replication_snapshot(
         self, per_shard: List[Dict[str, Any]]
     ) -> Dict[str, Any]:
-        """The hot-key subsystem's JSON view: config, fan-out counters,
-        near-cache stats, the sketch's hot head, and the per-shard
-        request imbalance (max/mean — 1.0 is perfectly even; the gauge
-        replication exists to pull down under Zipf skew)."""
-        out: Dict[str, Any] = {
-            "factor": self.replication_factor,
-            "hot_threshold": self.hot_threshold,
-            "replicated_puts": self.replicated_puts,
-            "replica_put_rejects": self.replica_put_rejects,
-            "replica_reads": self.replica_reads,
-        }
+        """The skew view: near-cache stats, the sketch's hot head, and
+        the per-shard request imbalance (max/mean — 1.0 is perfectly
+        even; what the near-cache pulls down under Zipf skew).  The
+        section keeps the name ``bench/`` reads it under."""
+        out: Dict[str, Any] = {"hot_threshold": HOT_THRESHOLD}
         loads = [s["requests"] for s in per_shard if "requests" in s]
         if loads and sum(loads) > 0:
             mean = sum(loads) / len(loads)

@@ -11,7 +11,7 @@ treats every shard identically:
   process or host boundary), framed on a socket as a 4-byte length
   prefix + UTF-8 JSON (:func:`encode_frame` / :func:`read_frame_async`);
 * **the op handler** — :func:`handle_shard_message` runs ``solve`` /
-  ``put`` / ``invalidate`` / ``clear`` against an engine;
+  ``invalidate`` / ``clear`` against an engine;
 * **the client** — :class:`AsyncTcpTransport`, an asyncio client that
   multiplexes many in-flight requests over one connection (dialled to
   ``host:port``, or adopted from a socketpair).  It has no sync twin:
@@ -88,7 +88,7 @@ from .broker import SolveEngine
 from .cache import SolutionCache
 from .incremental import IncrementalSolver
 from .tracing import start_trace
-from .wire import compact_json, encode_result, result_from_wire
+from .wire import compact_json, encode_result
 
 
 class TransportError(RuntimeError):
@@ -208,33 +208,6 @@ def parse_shard_address(address: str) -> Tuple[str, int]:
 # ----------------------------------------------------------------------
 # the shard op handler — what an engine does with one message
 # ----------------------------------------------------------------------
-def handle_shard_message(engine: SolveEngine,
-                         msg: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one ``solve`` / ``put`` / ``invalidate`` / ``clear`` /
-    ``sleep`` message against an engine.
-
-    Always returns a reply dict that is JSON-safe but for a solve's
-    ``"result"``, which is its JSON bytes already (:func:`reply_json`);
-    failures are reported as
-    ``{"ok": False, "error": ..., "type": ...}`` replies carrying the
-    original exception class, never by raising (a shard must survive
-    any request).  ``ping``, ``stop``, ``snapshot`` and the
-    ``solve_many`` loop belong to the connection, not the engine:
-    :class:`AsyncShardServer` answers those itself, and echoes ``id``.
-    """
-    reply = _shard_op_reply(engine, msg)
-    if reply.get("ok") and "gen" not in reply:
-        # every successful reply reports the shard's cache generation:
-        # brokers keep it as a monotone per-shard lower bound that
-        # guards replicated puts (a bound that lags only makes a put
-        # reject safely — generations never move backwards)
-        try:
-            reply["gen"] = engine.cache.generation
-        except Exception:  # noqa: BLE001 — introspection must not fail ops
-            pass
-    return reply
-
-
 def hit_reply(engine: SolveEngine, fp: str, request_wire: Any,
               trace: bool) -> Optional[Dict[str, Any]]:
     """The reply to a ``solve`` the cache answers as it stands, else
@@ -244,11 +217,8 @@ def hit_reply(engine: SolveEngine, fp: str, request_wire: Any,
     if not isinstance(request_wire, dict):
         return None  # the full handler reports what is wrong with it
     wants_schedule = bool(request_wire.get("include_schedule", False))
-    reply = _solved(engine, trace,
-                    lambda: engine.run_hit(fp, wants_schedule))
-    if reply is not None:
-        reply["gen"] = engine.cache.generation
-    return reply
+    return _solved(engine, trace,
+                   lambda: engine.run_hit(fp, wants_schedule))
 
 
 def _solved(engine: SolveEngine, trace: Any, run) -> Optional[Dict[str, Any]]:
@@ -273,8 +243,20 @@ def _solved(engine: SolveEngine, trace: Any, run) -> Optional[Dict[str, Any]]:
     return reply
 
 
-def _shard_op_reply(engine: SolveEngine,
-                    msg: Dict[str, Any]) -> Dict[str, Any]:
+def handle_shard_message(engine: SolveEngine,
+                         msg: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one ``solve`` / ``invalidate`` / ``clear`` / ``sleep``
+    message against an engine.
+
+    Always returns a reply dict that is JSON-safe but for a solve's
+    ``"result"``, which is its JSON bytes already (:func:`reply_json`);
+    failures are reported as
+    ``{"ok": False, "error": ..., "type": ...}`` replies carrying the
+    original exception class, never by raising (a shard must survive
+    any request).  ``ping``, ``stop``, ``snapshot`` and the
+    ``solve_many`` loop belong to the connection, not the engine:
+    :class:`AsyncShardServer` answers those itself, and echoes ``id``.
+    """
     from .api import request_from_dict  # deferred: avoid import cycle
 
     op = msg.get("op")
@@ -283,35 +265,6 @@ def _shard_op_reply(engine: SolveEngine,
             request = request_from_dict(msg["request"])
             return _solved(engine, msg.get("trace"),
                            lambda: engine.run(request, msg["fp"]))
-        if op == "put":
-            # replicated hot-key writes, batched (one round-trip per
-            # replica shard per batch).  Every entry must carry the
-            # generation its writer captured at solve start: an entry
-            # without one is REJECTED — storing it unguarded could
-            # silently undo an invalidation — and the reply's "gen"
-            # seeds the writer's bound so its next put can land.
-            stored = stale = skipped = 0
-            for entry in msg.get("entries", ()):
-                try:
-                    gen = entry.get("gen")
-                    if not isinstance(gen, int) or isinstance(gen, bool):
-                        skipped += 1
-                        continue
-                    result = result_from_wire(entry["result"])
-                    platform = platform_from_dict(entry["platform"])
-                    if engine.cache.peek(entry["fp"]) is not None:
-                        continue  # the replica already has it
-                    landed = engine.cache.put(
-                        entry["fp"], result.solution, platform,
-                        schedule=result.schedule, generation=gen)
-                    if landed is None:
-                        stale += 1
-                    else:
-                        stored += 1
-                except Exception:  # noqa: BLE001 — a bad entry, not a bad op
-                    skipped += 1
-            return {"ok": True, "stored": stored, "stale": stale,
-                    "skipped": skipped}
         if op == "invalidate":
             platform = platform_from_dict(msg["platform"])
             return {"ok": True,
@@ -627,8 +580,8 @@ class AsyncShardServer(LoopServer):
       cache answers as it stands is served right there
       (:func:`hit_reply`): no decode, no executor hand-off, no engine
       lock — the cache, heat sketch and metrics registry carry their
-      own.  Misses, schedule reconstruction, ``put``, ``invalidate``
-      and ``clear`` still take the executor;
+      own.  Misses, schedule reconstruction, ``invalidate`` and
+      ``clear`` still take the executor;
     * **server-side deadlines** — an op carrying ``deadline`` (or the
       server-wide ``op_deadline`` default) that cannot finish in time is
       answered promptly with a ``ShardTimeoutError``-typed reply; the
@@ -647,7 +600,7 @@ class AsyncShardServer(LoopServer):
     engine's warm models are not reentrant, so the engine itself is
     guarded by a real lock *inside* the executor jobs, never on the
     loop — executor ops from all connections run one at a time, so
-    misses, puts and invalidations keep one strict order.  A loop-served
+    misses and invalidations keep one strict order.  A loop-served
     hit is ordered against them by the cache's own lock: it may overtake
     an invalidation that has not been answered yet, never one that has.
     """
@@ -796,14 +749,12 @@ class AsyncShardServer(LoopServer):
                 replies.append(await self._solve_one(
                     item.get("fp"), item.get("request"),
                     bool(item.get("trace")), deadline))
-            return {"ok": True, "results": replies,
-                    "gen": self.engine.cache.generation}
+            return {"ok": True, "results": replies}
         if op == "snapshot":
             # served on the loop: reads loop-confined counters plus the
             # engine's own (briefly) locked snapshot — microseconds, and
             # it must not queue behind saturated solve workers
-            return {"ok": True, "snapshot": self._snapshot_with_async(),
-                    "gen": self.engine.cache.generation}
+            return {"ok": True, "snapshot": self._snapshot_with_async()}
         # invalidate / clear / sleep / unknown: the shared op handler,
         # on a thread, under the engine lock
         assert self._loop is not None
@@ -908,9 +859,7 @@ class AsyncShardServer(LoopServer):
 
     def _snapshot_with_async(self) -> Dict[str, Any]:
         self._publish_gauges()
-        # include_keys for the same reason the shared op handler's
-        # snapshot does: merged snapshots deduplicate replicated entries
-        snap = self.engine.snapshot(include_keys=True)
+        snap = self.engine.snapshot()
         snap["async"] = {
             "solve_workers": self.solve_workers,
             "inflight": self.inflight_ops,

@@ -64,6 +64,15 @@ def _expected_response(problem):
     return expected
 
 
+def _expected_shard_reply(problem):
+    expected = copy.deepcopy(FIXTURE[problem]["shard_reply"])
+    # the recorded shard stamped its cache generation on every reply for
+    # hot-key replication's put guard; nothing reads it any more and a
+    # front of either version works with or without it
+    del expected["gen"]
+    return expected
+
+
 def test_the_fixture_covers_every_registered_problem():
     assert sorted(FIXTURE) == sorted(registered_problems())
     scheduled = {p for p, rec in FIXTURE.items() if "schedule" in
@@ -126,7 +135,7 @@ def test_spliced_reply_is_the_dict_the_parent_built(solved):
     assert (entry.schedule_json is not None) == req.include_schedule
     second = reply_json(hit_reply(engine, fp, request_wire, False))
     assert entry.solution_json is memo  # filled once, then copied
-    expected = FIXTURE[problem]["shard_reply"]
+    expected = _expected_shard_reply(problem)
     for blob in (first, second):
         assert _timeless(json.loads(blob)) == expected
     # the miss road (decode + run + encode) frames the same message
@@ -144,7 +153,7 @@ def test_either_version_of_a_peer_decodes_to_the_same_answer(solved):
     # parent's dict-built reply; behind a shard of this commit, the
     # spliced one.  Both go through the one result_from_wire.
     problem, _req, fp, engine, _result = solved
-    parent_reply = copy.deepcopy(FIXTURE[problem]["shard_reply"])
+    parent_reply = _expected_shard_reply(problem)
     ours = json.loads(reply_json(
         hit_reply(engine, fp, FIXTURE[problem]["request"], False)))
     from_parent = result_from_wire(parent_reply["result"])

@@ -36,6 +36,7 @@ from repro.service import (
 )
 from repro.service.broker import BrokerError
 from repro.service.metrics import render_prometheus
+from repro.service.sharding import HOT_THRESHOLD
 
 
 def _mixed_requests():
@@ -164,6 +165,28 @@ class TestShardedBrokerThread:
             assert len(occupied) >= 2  # the mix spreads across shards
             json.dumps(snap)  # JSON-safe end to end
 
+    def test_a_scrape_does_not_list_the_cache_entries(self):
+        """A shard's ``snapshot`` reply and the sharded ``GET /metrics``
+        body carry no per-entry fingerprint list: past a heat sketch's
+        ten-key head their size is O(shards), not O(cache entries)."""
+        from repro.service.api import route_get
+
+        requests = [SolveRequest(problem="master-slave",
+                                 platform=generators.star(n, master_w=w),
+                                 master="M")
+                    for n in range(2, 10) for w in range(1, 6)]
+        fps = {r.fingerprint() for r in requests}
+        with ShardedBroker(shards=2) as sharded:
+            sharded.solve_batch(requests)
+            replies = [_on_ring(sharded, shard.call({"op": "snapshot"}))
+                       for shard in sharded._shards]
+            _, _, body = route_get(sharded, "/metrics", {})
+        assert sum(r["snapshot"]["cache"]["size"] for r in replies) == 40
+        for reply in replies:
+            assert "keys" not in reply["snapshot"]["cache"]
+        for text in [json.dumps(r) for r in replies] + [body.decode()]:
+            assert sum(fp in text for fp in fps) <= 10  # the heat head
+
     def test_invalidate_fans_out_to_every_shard(self):
         fig1 = generators.paper_figure1()
         variants = [
@@ -221,8 +244,8 @@ class TestShardedBrokerProcess:
             assert all(r.cached for r in again)
 
     def test_every_registered_problem_is_exact_on_every_path(self):
-        """solve, submit, solve_batch, hot-key replicated reads and the
-        first answers of restarted workers: all ten problems,
+        """solve, submit, solve_batch and the first answers of
+        restarted workers: all ten problems,
         ``Fraction``-identical to the unsharded broker."""
         from repro.problems import registered_problems
         from test_transport import _mixed_requests as one_per_problem
@@ -230,18 +253,15 @@ class TestShardedBrokerProcess:
         requests = one_per_problem()
         assert {r.problem for r in requests} == set(registered_problems())
         expected = [r.throughput for r in _reference_results(requests)]
-        with ShardedBroker(shards=2, replication_factor=2, hot_threshold=2,
-                           near_cache_size=0) as sharded:
+        with ShardedBroker(shards=2, near_cache_size=0) as sharded:
             def answers(results):
                 return [r.throughput for r in results]
 
             assert answers(sharded.solve(r) for r in requests) == expected
-            futures = [sharded.submit(r) for r in requests]  # now hot
+            futures = [sharded.submit(r) for r in requests]
             assert answers(f.result(30) for f in futures) == expected
             assert answers(sharded.solve_batch(requests)) == expected
             assert answers(sharded.solve(r) for r in requests) == expected
-            sharded.flush_replication(timeout=10)
-            assert sharded.snapshot()["replication"]["replica_reads"] > 0
             for shard in sharded._shards:
                 shard.process.kill()
                 shard.process.join()
@@ -456,8 +476,8 @@ class TestHitsThroughTheRing:
         req = SolveRequest(problem="master-slave",
                            platform=generators.star(3), master="M")
         (reference,) = _reference_results([req])
-        with ShardedBroker(shards=2, hot_threshold=2) as sharded:
-            for _ in range(4):
+        with ShardedBroker(shards=2) as sharded:
+            for _ in range(HOT_THRESHOLD):  # the last lookup is the hot one
                 sharded.solve(req)
             near = sharded._near_cache.peek(req.fingerprint())
             assert near is not None  # admitted off a wire result
@@ -540,6 +560,20 @@ class TestServeCli:
             main(["serve", "--stdio", "--shard-mode", "process"])
         assert err.value.code == 2  # argparse: unrecognized arguments
         assert "--shard-mode" in capsys.readouterr().err
+
+    def test_replication_options_are_refused_not_ignored(self, capsys):
+        from repro.cli import main
+
+        for flag in ("--replication-factor", "--hot-threshold"):
+            with pytest.raises(SystemExit) as err:
+                main(["serve", "--stdio", "--shards", "2", flag, "2"])
+            assert err.value.code == 2  # argparse: unrecognized arguments
+            assert flag in capsys.readouterr().err
+        for keyword in ("replication_factor", "hot_threshold",
+                        "heat_capacity"):
+            with pytest.raises(TypeError, match=keyword):
+                ShardedBroker(shards=2, **{keyword: 2})
+        assert multiprocessing.active_children() == []  # nothing started
 
     @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL],
                              ids=["SIGTERM", "SIGKILL"])
@@ -736,72 +770,6 @@ class TestHashRingProperties:
         ring = HashRing(5)
         for fp in _fingerprints(64):
             assert ring.route(fp) == ring.route(fp, skip=set())
-
-    # ---- successors: the replica sets hot-key replication fans to ----
-    @settings(max_examples=25, deadline=None)
-    @given(shards=st.integers(min_value=2, max_value=10),
-           count=st.integers(min_value=1, max_value=12),
-           salt=st.text(alphabet="abcdef", min_size=0, max_size=6))
-    def test_successors_distinct_live_and_first_is_route(self, shards,
-                                                         count, salt):
-        """R distinct shards, never more than live, headed by route()."""
-        ring = HashRing(shards)
-        for fp in _fingerprints(32, salt):
-            replicas = ring.successors(fp, count)
-            assert len(replicas) == min(count, shards)
-            assert len(set(replicas)) == len(replicas)  # all distinct
-            assert replicas[0] == ring.route(fp)
-
-    @settings(max_examples=25, deadline=None)
-    @given(shards=st.integers(min_value=2, max_value=10),
-           count=st.integers(min_value=1, max_value=10))
-    def test_successors_agree_with_route_skip_walk(self, shards, count):
-        """The replica list IS the route() failover walk: each entry is
-        what route(fp, skip=<earlier entries>) would pick next."""
-        ring = HashRing(shards)
-        for fp in _fingerprints(24):
-            replicas = ring.successors(fp, count)
-            walked = []
-            for _ in range(len(replicas)):
-                walked.append(ring.route(fp, skip=set(walked)))
-            assert replicas == walked
-
-    @settings(max_examples=25, deadline=None)
-    @given(shards=st.integers(min_value=3, max_value=10),
-           count=st.integers(min_value=2, max_value=6),
-           ejected=st.integers(min_value=0, max_value=9))
-    def test_successors_minimal_disruption_on_ejection(self, shards,
-                                                       count, ejected):
-        """Ejecting one shard removes only THAT shard from every key's
-        replica walk — the surviving order is untouched."""
-        ejected %= shards
-        ring = HashRing(shards)
-        for fp in _fingerprints(24):
-            full = ring.successors(fp, shards)  # the whole walk
-            survivors = [s for s in full if s != ejected]
-            assert (ring.successors(fp, count, skip={ejected})
-                    == survivors[:count])
-
-    @settings(max_examples=25, deadline=None)
-    @given(shards=st.integers(min_value=2, max_value=10),
-           count=st.integers(min_value=1, max_value=8))
-    def test_successors_prefix_stable_in_count(self, shards, count):
-        """Raising the replication factor appends replicas, never
-        reshuffles the ones already placed."""
-        ring = HashRing(shards)
-        for fp in _fingerprints(24):
-            assert (ring.successors(fp, count + 1)[:count]
-                    == ring.successors(fp, count))
-
-    def test_successors_validation(self):
-        ring = HashRing(3)
-        fp = "ab" * 32
-        with pytest.raises(ValueError):
-            ring.successors(fp, 0)
-        with pytest.raises(ValueError, match="excluded"):
-            ring.successors(fp, 2, skip={0, 1, 2})
-        # fewer live shards than asked for: return what exists
-        assert len(ring.successors(fp, 3, skip={0})) == 2
 
 
 # ----------------------------------------------------------------------
@@ -1122,15 +1090,14 @@ class TestSupervision:
 
 class TestTheRingIsOneThread:
     def test_the_ring_costs_one_thread(self):
-        """Routing, fan-outs, replication and health probing are tasks
+        """Routing, fan-outs and health probing are tasks
         on one loop: whatever the shard count and the load, an open
         broker is one thread more and a closed one none."""
         requests = [SolveRequest(problem="master-slave",
                                  platform=generators.star(n, master_w=2),
                                  master="M") for n in range(2, 10)] * 8
         before = threading.active_count()
-        sharded = ShardedBroker(shards=4, health_interval=0.05,
-                                replication_factor=2, hot_threshold=2)
+        sharded = ShardedBroker(shards=4, health_interval=0.05)
         try:
             futures = [sharded.submit(r) for r in requests]
             assert len(futures) == 64
@@ -1164,8 +1131,7 @@ class TestTheRingIsOneThread:
                      lambda: sharded.invalidate_platform(req.platform),
                      sharded.clear,
                      sharded.snapshot,
-                     sharded.shard_snapshots,
-                     sharded.flush_replication):
+                     sharded.shard_snapshots):
             with pytest.raises(ShardError, match="broker is closed"):
                 call()
         assert time.perf_counter() - started < 1.0  # refused, not hung
