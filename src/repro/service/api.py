@@ -235,9 +235,11 @@ def _run_batch(broker: Broker, data: Dict[str, Any]):
     """The ``batch`` op body (a :func:`_dispatch` sub-generator):
     per-request error isolation — one malformed/failing request must not
     discard its siblings' solves."""
-    decoded = [
-        _decode_or_error(raw) for raw in data.get("requests", [])
-    ]
+    raw = data.get("requests", [])
+    if not isinstance(raw, list):
+        raise BrokerError(
+            f"batch 'requests' must be a list, not {type(raw).__name__}")
+    decoded = [_decode_or_error(item) for item in raw]
     with broker.metrics.timer("solve.batch"):
         futures = [
             broker.submit(item) if isinstance(item, SolveRequest)
@@ -256,6 +258,15 @@ def _run_batch(broker: Broker, data: Dict[str, Any]):
             except Exception as exc:  # noqa: BLE001 — wire boundary
                 results.append(_error_response(exc, status=500))
     return {"ok": True, "results": results}
+
+
+def _limit(data: Dict[str, Any]) -> int:
+    """The ``limit`` of a ``traces`` / ``events`` op (default 100)."""
+    try:
+        return int(data.get("limit", 100))
+    except (TypeError, ValueError):
+        raise BrokerError(f"'limit' must be an integer, not "
+                          f"{data['limit']!r}") from None
 
 
 def _dispatch(broker: Broker, data: Dict[str, Any],
@@ -282,12 +293,12 @@ def _dispatch(broker: Broker, data: Dict[str, Any],
                 return out
         if op == "traces":
             with broker.metrics.timer("traces"):
+                limit = _limit(data)
                 if trace_store is None:
                     return {"ok": True, "traces": [], "store": None}
                 return {
                     "ok": True,
-                    "traces": trace_store.index(
-                        limit=int(data.get("limit", 100))),
+                    "traces": trace_store.index(limit=limit),
                     "store": trace_store.snapshot(),
                 }
         if op == "trace":
@@ -302,8 +313,7 @@ def _dispatch(broker: Broker, data: Dict[str, Any],
         if op == "events":
             with broker.metrics.timer("events"):
                 return {"ok": True,
-                        "events": EVENTS.recent(
-                            limit=int(data.get("limit", 100)))}
+                        "events": EVENTS.recent(limit=_limit(data))}
         if op == "cache":
             with broker.metrics.timer("cache"):
                 return {"ok": True, "cache": broker.cache.snapshot()}
@@ -442,6 +452,15 @@ def route_get(broker: Broker, path: str, query: Dict[str, list],
     return _json_reply({"ok": False, "error": "not found"}, status=404)
 
 
+def _envelope(blob) -> Dict[str, Any]:
+    """One message's envelope: a JSON object, else ``ValueError``."""
+    data = json.loads(blob)
+    if not isinstance(data, dict):
+        raise ValueError(f"an envelope is a JSON object, not "
+                         f"{type(data).__name__}")
+    return data
+
+
 def _parse_post(path: str, body: bytes):
     """The decoded envelope of one POST, or the :data:`HttpResponse`
     that refuses it."""
@@ -450,8 +469,8 @@ def _parse_post(path: str, body: bytes):
         # misconfiguration, not a solve request
         return _json_reply({"ok": False, "error": "not found"}, status=404)
     try:
-        return json.loads(body or b"{}")
-    except (ValueError, json.JSONDecodeError) as exc:
+        return _envelope(body or b"{}")
+    except ValueError as exc:
         return _json_reply(_error_response(exc, status=400), status=400)
 
 
@@ -683,8 +702,8 @@ def serve_stdio(broker: Broker, stdin, stdout,
         if not line:
             continue
         try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
+            data = _envelope(line)
+        except ValueError as exc:
             response = _error_response(exc, status=400)
         else:
             if data.get("op") == "shutdown":

@@ -16,10 +16,11 @@ solvers.  For every :class:`SolveRequest` it:
    the registered solver declares the ``warm_resolve`` capability and a
    model with the same topology is already hot.
 
-:meth:`Broker.solve_batch` accepts a mixed list of requests, dedupes them
-by fingerprint and fans the distinct ones out concurrently — the service
-analogue of the paper's observation that one LP per platform is cheap
-enough to recompute freely.
+A batch is its requests' :meth:`Broker.submit`\\ s —
+:meth:`Broker.solve_batch` submits every request, then waits in order —
+so a duplicate inside a batch is coalesced in flight or served from the
+cache like any other request: each steady-state LP is a small,
+independent job.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from ..problems import (
     reconstructable_problems,
     resolve,
 )
-from .cache import CacheEntry, HeatSketch, SolutionCache
+from .cache import CacheEntry, SolutionCache
 from .fingerprint import request_fingerprint
 from .incremental import IncrementalSolver
 from .metrics import MetricsRegistry, process_snapshot
@@ -268,14 +269,10 @@ class SolveEngine:
         cache: Optional[SolutionCache] = None,
         metrics: Optional[MetricsRegistry] = None,
         incremental: Optional[IncrementalSolver] = None,
-        heat_capacity: int = 128,
     ) -> None:
         self.cache = cache if cache is not None else SolutionCache()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.incremental = incremental
-        # per-fingerprint lookup frequencies (space-saving top-K): an
-        # operator's view of the request skew in `snapshot`
-        self.heat = HeatSketch(heat_capacity) if heat_capacity > 0 else None
 
     # ------------------------------------------------------------------
     def run(self, request: SolveRequest, fp: str) -> BrokerResult:
@@ -284,8 +281,6 @@ class SolveEngine:
         served = self.run_hit(fp, request.include_schedule)
         if served is not None:
             return served
-        if self.heat is not None:
-            self.heat.record(fp)
         with span("engine.run") as sp:
             try:
                 # captured before the lookup: a solution computed from here
@@ -323,9 +318,9 @@ class SolveEngine:
                 include_schedule: bool) -> Optional[BrokerResult]:
         """:meth:`run` for a request the cache answers as it stands:
         no request object, no solve, no reconstruction, only the
-        cache's, heat sketch's and registry's own short locks — a shard
+        cache's and registry's own short locks — a shard
         server calls it on its event loop.  The books are any hit's (one
-        cache hit, one heat record, ``solve.hit`` + ``solve``, an
+        cache hit, ``solve.hit`` + ``solve``, an
         ``engine.run`` span when tracing).  Returns ``None`` with
         **nothing** counted when the entry is absent, expired or lacks a
         wanted schedule: :meth:`run` then does the one counted lookup."""
@@ -333,8 +328,6 @@ class SolveEngine:
         entry = self.cache.hit(fp, with_schedule=include_schedule)
         if entry is None:
             return None
-        if self.heat is not None:
-            self.heat.record(fp)
         parent = current_span()
         if parent is not None:
             # on a hit engine.run *is* the lookup: back-date the span
@@ -398,7 +391,7 @@ class SolveEngine:
     def tailor_schedule(
         self, request: SolveRequest, result: BrokerResult
     ) -> BrokerResult:
-        """Shape a shared (coalesced/deduped) result to this caller's
+        """Shape a shared (coalesced) result to this caller's
         ``include_schedule``: reconstruct lazily when asked, strip when not
         (so the response shape never depends on which twin solved first)."""
         if request.include_schedule:
@@ -445,8 +438,6 @@ class SolveEngine:
             "metrics": self.metrics.snapshot(),
             "process": process_snapshot(),
         }
-        if self.heat is not None:
-            out["heat"] = self.heat.snapshot()
         if self.incremental is not None:
             out["incremental"] = {
                 "hot_models": len(self.incremental),
@@ -650,40 +641,12 @@ class Broker:
         )
 
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
-        """Solve a mixed batch: dedupe by fingerprint, fan out, keep order.
-
-        Duplicates share one solve; each caller's ``include_schedule`` is
-        still honoured individually (the schedule is reconstructed lazily
-        on top of the shared solution when needed).  A request that fails
-        propagates its exception from here — callers needing per-request
-        error isolation should :meth:`submit` individually (the JSON API's
-        batch op does).
-        """
-        with self.metrics.timer("solve.batch"), \
-                span("solve.batch", requests=len(requests)):
-            start = time.perf_counter()
-            fps = [r.fingerprint() for r in requests]
-            futures: Dict[str, Future] = {}
-            leaders: Dict[str, int] = {}
-            for index, (request, fp) in enumerate(zip(requests, fps)):
-                if fp not in futures:
-                    futures[fp] = self.submit(request)
-                    leaders[fp] = index
-                else:
-                    with self._inflight_lock:
-                        self.coalesced += 1
-            results = []
-            for index, (request, fp) in enumerate(zip(requests, fps)):
-                shared = self.engine.tailor_schedule(
-                    request, futures[fp].result()
-                )
-                if leaders[fp] != index:
-                    # an intra-batch duplicate is a coalesced follower like
-                    # any other: first-class in metrics, own latency, and
-                    # flagged coalesced instead of echoing the leader
-                    shared = self._mark_coalesced(shared, start)
-                results.append(shared)
-            return results
+        """The blocking form of the served batch: :meth:`submit` every
+        request, then wait for each answer in order.  A failing request
+        raises here; the JSON API's ``batch`` op isolates errors."""
+        with self.metrics.timer("solve.batch"):
+            futures = [self.submit(request) for request in requests]
+            return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     # invalidation + introspection

@@ -117,7 +117,10 @@ class IncrementalSolver:
     is per model: solves of the *same* structure are serialised (the model
     is patched in place, so a warm solve must not interleave with
     another), while solves of distinct structures run in parallel on the
-    broker's worker pool.
+    broker's worker pool.  Every hot model is solved by the exact
+    simplex; a request for another backend never gets here
+    (:class:`~repro.service.broker.SolveEngine` sends it through the
+    registry).
 
     >>> from repro.platform import generators
     >>> inc = IncrementalSolver()
@@ -129,21 +132,20 @@ class IncrementalSolver:
     1
     """
 
-    def __init__(self, backend: str = "exact", max_models: int = 64) -> None:
+    def __init__(self, max_models: int = 64) -> None:
         if max_models < 1:
             raise ValueError("max_models must be >= 1")
-        self.backend = backend
         self.max_models = max_models
         # registry lock: guards the two dicts and the stats, never held
         # across an LP solve
         self._lock = threading.Lock()
         self.stats = WarmSolveStats()  # guarded-by: _lock
         # key -> (lp, handles, root node of the spec that built it,
-        #         SimplexInstance or None for non-exact backends)
+        #         the SimplexInstance that solves it)
         self._models: Dict[  # guarded-by: _lock
             Tuple,
             Tuple[LinearProgram, Dict[str, object], Optional[NodeId],
-                  Optional[SimplexInstance]],
+                  SimplexInstance],
         ] = {}
         # per-model locks: serialise patch+solve of one structure only.
         # Entries are NEVER removed — eviction/forget only drops the model.
@@ -188,8 +190,7 @@ class IncrementalSolver:
             if cached is None:
                 with span("warm.build", problem=spec.problem):
                     lp, handles = model.build(spec)
-                instance = (SimplexInstance(lp)
-                            if self.backend == "exact" else None)
+                instance = SimplexInstance(lp)
                 with self._lock:
                     self.stats.full_rebuilds += 1
                     while len(self._models) >= self.max_models:
@@ -207,17 +208,13 @@ class IncrementalSolver:
                     model.patch(lp, handles, spec)
                 with self._lock:
                     self.stats.warm_solves += 1
-            sol = self._solve_model(lp, instance, warm=cached is not None)
-            out = model.package(spec, sol, handles, self.backend)
+            sol = self._solve_model(instance, warm=cached is not None)
+            out = model.package(spec, sol, handles, "exact")
             return out, cached is not None
 
-    def _solve_model(self, lp: LinearProgram,
-                     instance: Optional[SimplexInstance], warm: bool) -> Any:
-        """Solve a (possibly just patched) hot model, preferring the
+    def _solve_model(self, instance: SimplexInstance, warm: bool) -> Any:
+        """Solve a (possibly just patched) hot model on the
         basis-restart path of its :class:`SimplexInstance`."""
-        if instance is None:
-            with span("lp.solve", backend=self.backend):
-                return lp.solve(backend=self.backend)
         lowered = instance.form_builds, instance.rows_relowered
         with span("simplex.solve", warm=warm) as sp:
             sol = instance.solve(warm=warm)

@@ -23,7 +23,7 @@ answers pings ahead of queued solves and coalesces identical in-flight
 solves.
 
 **The ring is a coroutine.**  Routing, the restart/failover ladder, the
-``solve_batch`` and invalidate/clear/snapshot fan-outs and health
+invalidate/clear/snapshot fan-outs and health
 probing are coroutines confined to **one private event loop thread** the
 :class:`ShardedBroker` owns, and they ``await`` the shard transports
 directly.  Everything they share — ring membership, supervision
@@ -35,6 +35,9 @@ returns), after at most the fingerprint, the heat count and the
 near-cache lookup on the calling thread — a near-cache hit returns
 without any thread hop.  The only work that leaves the loop again is a
 worker respawn (``join`` + ``fork`` block), via ``asyncio.to_thread``.
+A batch is its requests' :meth:`~ShardedBroker.submit`\\ s: N ``solve``
+frames in flight on the multiplexed shard connections, each routed,
+near-cached and failed over on its own.
 
 Two placements share that one path and mix on one hash ring; they
 differ only in who owns the shard's life:
@@ -166,8 +169,7 @@ def _raise_worker_error(reply: Dict[str, Any],
     """The exception for a worker-side ``{"ok": False, ...}`` reply —
     :class:`BrokerError` for spec validation, a genuine
     :class:`ShardTimeoutError` for a shard-reported deadline miss, a
-    relayed :class:`ShardError` subclass otherwise (shared by
-    single-solve replies and per-item ``solve_many`` replies)."""
+    relayed :class:`ShardError` subclass otherwise."""
     if reply.get("type") == "SpecError":
         return BrokerError(reply.get("error", "shard error"))
     if reply.get("type") == "ShardTimeoutError":
@@ -267,11 +269,14 @@ class _Shard:
     starve dispatch to idle shards, and the introspection fan-outs do
     not take it at all.
 
-    ``epoch`` increments on every worker swap; a caller that saw a
-    failure on epoch *e* only triggers recovery if the shard is still
-    on epoch *e*.  ``swap`` serialises the swap itself (the one step of
-    recovery that awaits), so concurrent failures cause one restart,
-    not a stampede.
+    ``epoch`` names the channel: it increments on every worker swap
+    and every rejoin.  A caller that saw a failure on epoch *e* only
+    counts it, and only triggers recovery, if the shard is still on
+    epoch *e* and no other caller has reported *e* (``failed_epoch``):
+    a broken channel fails every request in flight on it at once, and
+    that is one failure.  ``swap`` serialises the swap itself (the one
+    step of recovery that awaits), so concurrent failures cause one
+    restart, not a stampede.
     """
 
     def __init__(self, index: int, address: Optional[str] = None,
@@ -290,6 +295,7 @@ class _Shard:
         self.timeouts = 0
         self.restarts = 0
         self.epoch = 0
+        self.failed_epoch = -1  # the last epoch whose failure was counted
         self.ejected = False  # remote: off the ring until health rejoin
         self.dead = False  # local: respawn itself failed (permanent)
 
@@ -551,12 +557,6 @@ class ShardedBroker:
         ignores ejections — the *home* shard, not today's stand-in)."""
         return self.ring.route(fingerprint)
 
-    @property
-    def ipc_round_trips(self) -> int:
-        """Total transport round-trips across all shards — what
-        ``solve_many`` batching is measured by."""
-        return sum(shard.calls for shard in self._shards)
-
     # ------------------------------------------------------------------
     # lifecycle: the loop thread, the one crossing onto it, shutdown
     # ------------------------------------------------------------------
@@ -617,13 +617,6 @@ class ShardedBroker:
         # only while it is still on this epoch
         epoch = shard.epoch
         timeout = self.request_timeout
-        if timeout is not None and msg.get("op") == "solve_many":
-            # request_timeout is a PER-REQUEST budget; a solve_many
-            # round-trip carries a whole sub-batch, so the wait scales
-            # with it — otherwise any batch longer than one budget would
-            # deterministically "time out" a healthy shard and wipe its
-            # warm state
-            timeout *= max(1, len(msg.get("items", ())))
         if timeout is not None:
             # ship the budget as a server-side deadline and wait a
             # little longer client-side, so the *shard* answers the
@@ -665,36 +658,37 @@ class ShardedBroker:
             rtt = time.perf_counter() - start
             self.metrics.observe(endpoint, rtt)
             if sp is not None:
-                # re-parent shard-side span trees (single replies and
-                # solve_many items alike) into this caller's trace
+                # re-parent the shard-side span tree into this caller's
+                # trace
                 remote = reply.get("trace")
                 if remote:
                     graft_remote(sp, remote.get("spans", []), rtt)
-                for item in reply.get("results", ()):
-                    item_trace = item.get("trace") if isinstance(item, dict) \
-                        else None
-                    if item_trace:
-                        graft_remote(sp, item_trace.get("spans", []), rtt)
             return reply
 
     async def _note_transport_failure(self, shard: _Shard, epoch: int,
                                       timeout: bool = False) -> None:
         """Count one failure and recover the shard: local shards get one
         automatic restart, remote shards are ejected until the health
-        probe sees them answer again."""
-        shard.failures += 1
-        if timeout:
-            shard.timeouts += 1
-        log_event("shard.timeout" if timeout else "shard.failure",
-                  shard=shard.index, kind=shard.transport.kind,
-                  address=shard.address)
+        probe sees them answer again.  Only the first report of an
+        epoch counts; the requests that were in flight beside it only
+        wait for the recovery it started."""
+        first = epoch == shard.epoch and epoch != shard.failed_epoch
+        if first:
+            shard.failed_epoch = epoch
+            shard.failures += 1
+            if timeout:
+                shard.timeouts += 1
+            log_event("shard.timeout" if timeout else "shard.failure",
+                      shard=shard.index, kind=shard.transport.kind,
+                      address=shard.address)
         if shard.process is not None:
             # shielded: the swap runs to its end even when the request
             # that tripped it is cancelled — a worker spawned into a
             # cancelled ``await`` would belong to nobody
             usable = await asyncio.shield(self._restart(shard, epoch))
-            log_event("shard.restart", shard=shard.index, usable=usable)
-        else:
+            if first:
+                log_event("shard.restart", shard=shard.index, usable=usable)
+        elif first:
             shard.ejected = True
             log_event("shard.eject", shard=shard.index,
                       address=shard.address)
@@ -891,94 +885,12 @@ class ShardedBroker:
         return result
 
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
-        """Fan a mixed batch out across shards; order preserved.
-
-        Each shard receives ONE ``solve_many`` message (the whole
-        sub-batch crosses in a single round-trip instead of one per
-        request — the IPC/network cost that dominates hit-heavy
-        workloads).  A
-        sub-batch whose shard dies mid-call fails over: its requests are
-        re-dispatched individually through the ring, so a killed shard
-        loses no requests.  As with
-        :meth:`~repro.service.broker.Broker.solve_batch`, a failing
-        *request* propagates its exception; callers needing per-request
-        error isolation submit individually.
-        """
+        """The blocking form of the served batch: :meth:`submit` every
+        request, then wait for each answer in order.  A failing request
+        raises here; the JSON API's ``batch`` op isolates errors."""
         with self.metrics.timer("solve.batch"):
-            # fingerprints on the calling thread; the rest is the loop's
-            fps = [request.fingerprint() for request in requests]
-            return self._cross(self._solve_batch(requests, fps)).result()
-
-    async def _sub_batch(self, shard_id: int,
-                         items: List[Dict[str, Any]]) -> Optional[List[Any]]:
-        """One shard's ``solve_many``; ``None`` when the shard died
-        holding it (recovery already ran — its members fail over)."""
-        shard = self._shards[shard_id]
-        try:
-            async with shard.solve_slots:
-                reply = await self._shard_call(
-                    shard, {"op": "solve_many", "items": items})
-        except ShardUnavailableError as exc:
-            if exc.server_reported:
-                raise  # the shard is alive; see _routed_call
-            self.failovers += 1
-            return None
-        return reply["results"]
-
-    async def _solve_batch(
-        self, requests: List[SolveRequest], fps: List[str]
-    ) -> List[BrokerResult]:
-        from .api import _request_wire  # deferred: avoid import cycle
-
-        traced = current_span() is not None
-        inactive = self._inactive_ids()
-        by_shard: Dict[Optional[int], List[int]] = {}
-        near_gens: List[Optional[int]] = [None] * len(requests)
-        outcomes: List[Any] = [None] * len(requests)
-        for index, fp in enumerate(fps):
-            count = self._record_heat(fp)
-            near = self._near_lookup(requests[index], fp)
-            if near is not None:
-                outcomes[index] = near  # served before touching a shard
-                continue
-            near_gens[index] = self._near_generation(count)
-            try:
-                owner: Optional[int] = self.ring.route(fp, skip=inactive)
-            except ValueError:
-                owner = None  # nothing live: the retry path will raise
-            by_shard.setdefault(owner, []).append(index)
-        retry: List[int] = by_shard.pop(None, [])
-        # one solve_many per shard, all shards in flight at once
-        replies = await asyncio.gather(*(
-            self._sub_batch(shard_id, [
-                {"fp": fps[i], "request": _request_wire(requests[i]),
-                 **({"trace": True} if traced else {})}
-                for i in indices
-            ])
-            for shard_id, indices in by_shard.items()
-        ))
-        for indices, items in zip(by_shard.values(), replies):
-            if items is None:
-                retry.extend(indices)
-                continue
-            for i, item in zip(indices, items):
-                outcomes[i] = item
-        for i in sorted(retry):
-            outcomes[i] = await self._transport_solve(requests[i], fps[i],
-                                                      near_gens[i])
-        results: List[BrokerResult] = []
-        for index, item in enumerate(outcomes):
-            assert item is not None
-            if isinstance(item, BrokerResult):  # near hit / failover
-                results.append(item)
-                continue
-            if not item.get("ok"):
-                raise _raise_worker_error(item)
-            result = result_from_wire(item["result"])
-            results.append(result)
-            self._near_admit(requests[index], fps[index], result,
-                             near_gens[index])
-        return results
+            futures = [self.submit(request) for request in requests]
+            return [future.result() for future in futures]
 
     # ------------------------------------------------------------------
     # invalidation + introspection
@@ -1210,6 +1122,7 @@ class ShardedBroker:
             except TransportError:
                 return  # came back and vanished again; next round retries
             shard.ejected = False
+            shard.epoch += 1  # a new channel: its failures count afresh
             self.rejoins += 1
             log_event("shard.rejoin", shard=shard.index,
                       address=shard.address)

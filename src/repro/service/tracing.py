@@ -510,8 +510,10 @@ class EventLog:
         return record
 
     def recent(self, limit: int = 100) -> List[Dict[str, Any]]:
+        if limit <= 0:
+            return []  # a slice from -0 would be the whole ring
         with self._lock:
-            return list(self._events[-max(0, limit):])
+            return list(self._events[-limit:])
 
 
 #: process-wide default event log (the sharding layer emits here)

@@ -11,7 +11,10 @@ treats every shard identically:
   process or host boundary), framed on a socket as a 4-byte length
   prefix + UTF-8 JSON (:func:`encode_frame` / :func:`read_frame_async`);
 * **the op handler** — :func:`handle_shard_message` runs ``solve`` /
-  ``invalidate`` / ``clear`` against an engine;
+  ``invalidate`` / ``clear`` / ``sleep`` against an engine; the other
+  three of the protocol's seven ops, ``ping`` / ``stop`` /
+  ``snapshot``, belong to the connection.  A batch is N ``solve``
+  frames in flight on one connection, not an op of its own;
 * **the client** — :class:`AsyncTcpTransport`, an asyncio client that
   multiplexes many in-flight requests over one connection (dialled to
   ``host:port``, or adopted from a socketpair).  It has no sync twin:
@@ -113,19 +116,13 @@ _HEADER = struct.Struct(">I")
 
 def reply_json(reply: Dict[str, Any]) -> bytes:
     """Compact JSON of a shard reply.  A solve reply's ``"result"`` is
-    bytes already, and a ``solve_many`` reply's ``"results"`` are such
-    replies: they are spliced in beside the rest (``"ok"``, ...), not
-    encoded again."""
-    result, items = reply.get("result"), reply.get("results")
-    if isinstance(result, bytes):
-        key, spliced = "result", result
-    elif isinstance(items, list):
-        key = "results"
-        spliced = b"[" + b",".join(map(reply_json, items)) + b"]"
-    else:
+    bytes already: it is spliced in beside the rest (``"ok"``, ...),
+    not encoded again."""
+    result = reply.get("result")
+    if not isinstance(result, bytes):
         return compact_json(reply)
-    rest = compact_json({k: v for k, v in reply.items() if k != key})
-    return b'{"' + key.encode() + b'":' + spliced + b"," + rest[1:]
+    rest = compact_json({k: v for k, v in reply.items() if k != "result"})
+    return b'{"result":' + result + b"," + rest[1:]
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
@@ -253,9 +250,9 @@ def handle_shard_message(engine: SolveEngine,
     failures are reported as
     ``{"ok": False, "error": ..., "type": ...}`` replies carrying the
     original exception class, never by raising (a shard must survive
-    any request).  ``ping``, ``stop``, ``snapshot`` and the
-    ``solve_many`` loop belong to the connection, not the engine:
-    :class:`AsyncShardServer` answers those itself, and echoes ``id``.
+    any request).  ``ping``, ``stop`` and ``snapshot`` belong to the
+    connection, not the engine: :class:`AsyncShardServer` answers those
+    itself, and echoes ``id``.  Any other op is refused as unknown.
     """
     from .api import request_from_dict  # deferred: avoid import cycle
 
@@ -576,10 +573,10 @@ class AsyncShardServer(LoopServer):
       even while every executor thread is busy, so a *busy* shard never
       looks *dead* to a prober (which would eject a healthy shared
       shard);
-    * **hits on the loop** — a ``solve`` (or ``solve_many`` item) the
+    * **hits on the loop** — a ``solve`` the
       cache answers as it stands is served right there
       (:func:`hit_reply`): no decode, no executor hand-off, no engine
-      lock — the cache, heat sketch and metrics registry carry their
+      lock — the cache and metrics registry carry their
       own.  Misses, schedule reconstruction, ``invalidate`` and
       ``clear`` still take the executor;
     * **server-side deadlines** — an op carrying ``deadline`` (or the
@@ -743,13 +740,6 @@ class AsyncShardServer(LoopServer):
             return await self._solve_one(
                 msg.get("fp"), msg.get("request"), bool(msg.get("trace")),
                 deadline)
-        if op == "solve_many":
-            replies = []
-            for item in msg.get("items", ()):
-                replies.append(await self._solve_one(
-                    item.get("fp"), item.get("request"),
-                    bool(item.get("trace")), deadline))
-            return {"ok": True, "results": replies}
         if op == "snapshot":
             # served on the loop: reads loop-confined counters plus the
             # engine's own (briefly) locked snapshot — microseconds, and

@@ -369,13 +369,12 @@ class TestBroker:
             out = broker.solve_batch([req, req])
             snap = broker.metrics.snapshot()
             # ONE cold solve, but TWO first-class requests in the metrics:
-            # the intra-batch duplicate is a coalesced follower
+            # the intra-batch duplicate is a request like any other
             assert snap["endpoints"]["solve.cold"]["count"] == 1
-            assert snap["endpoints"]["solve.coalesced"]["count"] == 1
+            assert snap["endpoints"]["solve"]["count"] == 2
             assert snap["total_requests"] == 2
             assert "solve.batch" in snap["endpoints"]
-            assert not out[0].coalesced and out[1].coalesced
-            assert broker.coalesced == 1
+            assert out[0].throughput == out[1].throughput
             assert broker.cache.stats.misses == 1
 
     def test_warm_resolve_equals_cold(self):
@@ -992,6 +991,22 @@ class TestErrorStatusMapping:
             server.shutdown()
             broker.close()
 
+    def test_a_malformed_envelope_is_a_client_error(self):
+        from repro.service.api import route_post
+
+        with Broker(executor="sync") as broker:
+            for body in (b"[1]", b'"x"', b"5"):
+                status, _, reply = route_post(broker, "/api", body)
+                assert status == 400
+                assert json.loads(reply)["type"] == "ValueError"
+            for envelope in ({"op": "batch", "requests": 5},
+                             {"op": "events", "limit": "x"},
+                             {"op": "traces", "limit": [1]}):
+                status, _, reply = route_post(
+                    broker, "/api", json.dumps(envelope).encode())
+                assert status == 422
+                assert json.loads(reply)["type"] == "SpecError"
+
 
 class TestHttpServer:
     def test_end_to_end(self):
@@ -1012,6 +1027,43 @@ class TestHttpServer:
             with urllib.request.urlopen(url + "/metrics", timeout=10) as resp:
                 metrics = json.loads(resp.read())
             assert metrics["metrics"]["total_requests"] >= 1
+        finally:
+            server.shutdown()
+            broker.close()
+
+    def test_a_malformed_envelope_is_refused_on_either_road(self):
+        """Small ``solve`` / ``batch`` bodies are dispatched on the loop,
+        everything else on the executor: both refuse what is not an
+        envelope with a typed 4xx, and the server keeps serving."""
+        from repro.service.api import LOOP_BODY_BYTES
+
+        broker = Broker(workers=2)
+        server = AsyncServiceServer(("127.0.0.1", 0),
+                                    broker=broker).start_in_thread()
+
+        def post(payload) -> tuple:
+            body = (payload if isinstance(payload, bytes)
+                    else json.dumps(payload).encode())
+            req = urllib.request.Request(
+                f"http://127.0.0.1:{server.port}/api", data=body,
+                headers={"Content-Type": "application/json"})
+            try:
+                with urllib.request.urlopen(req, timeout=30) as resp:
+                    return resp.status, json.loads(resp.read())
+            except urllib.error.HTTPError as exc:
+                return exc.code, json.loads(exc.read())
+
+        huge_list = json.dumps([0] * 100_000).encode()
+        assert len(huge_list) > LOOP_BODY_BYTES  # the executor's road
+        try:
+            for payload, status in ((b"[1]", 400), (huge_list, 400),
+                                    ({"op": "batch", "requests": 5}, 422),
+                                    ({"op": "events", "limit": "x"}, 422)):
+                code, body = post(payload)
+                assert (code, body["status"]) == (status, status)
+                assert not body["ok"] and body["type"]
+            code, body = post({"op": "ping"})
+            assert code == 200 and body["pong"]
         finally:
             server.shutdown()
             broker.close()
@@ -1037,6 +1089,23 @@ class TestStdioServer:
         assert replies[0]["pong"]
         assert replies[1]["ok"] and Fraction(replies[1]["throughput"]) == 2
         assert replies[2]["bye"]
+
+    def test_a_line_that_is_no_envelope_is_answered_and_the_loop_goes_on(
+            self):
+        import io
+
+        from repro.service.api import serve_stdio
+
+        lines = ["[1]", "5", json.dumps({"op": "batch", "requests": 5}),
+                 json.dumps({"op": "ping"}), json.dumps({"op": "shutdown"})]
+        stdout = io.StringIO()
+        with Broker(executor="sync") as broker:
+            rc = serve_stdio(broker, io.StringIO("\n".join(lines) + "\n"),
+                             stdout)
+        assert rc == 0
+        replies = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert [r.get("status") for r in replies[:3]] == [400, 400, 422]
+        assert replies[3]["pong"] and replies[4]["bye"]
 
 
 class TestSubmitCli:

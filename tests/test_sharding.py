@@ -368,63 +368,67 @@ class TestShardedBrokerProcess:
 
 
 # ----------------------------------------------------------------------
-# the batched protocol (solve_many)
+# a batch is its requests' submits: N solve frames, no op of its own
 # ----------------------------------------------------------------------
 class TestSolveMany:
-    def test_batch_is_one_round_trip_per_shard(self):
-        requests = _mixed_requests()
-        reference = _reference_results(requests)
-        with ShardedBroker(shards=2) as sharded:
-            before = sharded.ipc_round_trips
-            results = sharded.solve_batch(requests)
-            used = sharded.ipc_round_trips - before
-            # one solve_many per shard that owns part of the batch — not
-            # one round-trip per request
-            assert used <= sharded.shards < len(requests)
-            for ref, got in zip(reference, results):
-                assert got.throughput == ref.throughput  # Fraction-exact
-                assert got.fingerprint == ref.fingerprint
+    """What replaced the ``solve_many`` op: the served batch is N
+    ``solve`` frames in flight on the shard connections."""
 
     def test_intra_batch_duplicates_hit_the_shard_cache(self):
         req = SolveRequest(problem="master-slave",
                            platform=generators.star(3), master="M")
-        with ShardedBroker(shards=2) as sharded:
+        with ShardedBroker(shards=2, near_cache_size=0) as sharded:
             results = sharded.solve_batch([req, req, req])
-            assert not results[0].cached
-            assert results[1].cached and results[2].cached
             assert len({r.throughput for r in results}) == 1
+            snap = sharded.snapshot()
+            # one engine solve; the twins were coalesced on the shard
+            # or served from its cache — every request counted either way
+            assert snap["cache"]["misses"] == 1
+            assert snap["cache"]["hits"] + snap["shard_coalesced"] == 2
 
-    def test_per_item_errors_are_isolated_in_the_reply(self):
-        good = SolveRequest(problem="master-slave",
-                            platform=generators.star(2), master="M")
+    def test_an_http_batch_is_one_solve_frame_per_item(self):
+        from repro.service.api import request_to_dict, route_post
+
+        requests = _mixed_requests()
+        reference = _reference_results(requests)
+        items = [request_to_dict(r) for r in requests]
+        items.insert(3, {"spec": {"problem": "nope", "master": "M"},
+                         "platform": platform_to_dict(generators.star(2))})
+        with ShardedBroker(shards=2, near_cache_size=0) as sharded:
+            ops = []
+            for shard in sharded._shards:
+                def spying_call(msg, timeout=None, original=shard.call):
+                    ops.append(msg["op"])
+                    return original(msg, timeout=timeout)
+
+                shard.call = spying_call
+            status, _, body = route_post(sharded, "/api", json.dumps(
+                {"op": "batch", "requests": items}).encode())
+            # one frame per good item; the malformed one never left the front
+            assert ops == ["solve"] * len(requests)
+            per_shard = sharded.snapshot()["per_shard"]
+        assert status == 200
+        results = json.loads(body)["results"]
+        assert results.pop(3)["status"] == 422  # isolated, in place
+        assert all(r["ok"] for r in results)
+        assert [r["fingerprint"] for r in results] == [
+            ref.fingerprint for ref in reference]
+        assert [Fraction(r["throughput"]) for r in results] == [
+            ref.throughput for ref in reference]  # Fraction-exact
+        assert sum(s["requests"] for s in per_shard) == len(requests)
+
+    @pytest.mark.parametrize("op", ["solve_many", "put"])
+    def test_a_removed_op_is_refused_as_unknown(self, op):
         from repro.service.api import request_to_dict
-        from repro.service.wire import result_from_wire
 
-        with ShardedBroker(shards=2) as sharded:
-            bad = request_to_dict(good)
-            bad["spec"]["problem"] = "nope"
-            reply = _on_ring(sharded, sharded._shards[0].call({
-                "op": "solve_many",
-                "items": [
-                    {"fp": good.fingerprint(),
-                     "request": request_to_dict(good)},
-                    {"fp": "bogus", "request": bad},
-                ],
-            }))
-            ok, err = reply["results"]
-            # replies are JSON-safe wire dicts (no pickle on any backend)
-            assert ok["ok"] and isinstance(
-                result_from_wire(ok["result"]), BrokerResult
-            )
-            assert not err["ok"] and err["type"] == "SpecError"
-
-    def test_ipc_counter_grows_per_unbatched_solve(self):
-        requests = _mixed_requests()[:4]
-        with ShardedBroker(shards=2) as sharded:
-            before = sharded.ipc_round_trips
-            for request in requests:
-                sharded.solve(request)
-            assert sharded.ipc_round_trips - before == len(requests)
+        req = SolveRequest(problem="master-slave",
+                           platform=generators.star(2), master="M")
+        with ShardedBroker(shards=1) as sharded:
+            with pytest.raises(BrokerError, match=f"unknown shard op '{op}'"):
+                _on_ring(sharded, sharded._shards[0].call({
+                    "op": op, "items": [{"fp": req.fingerprint(),
+                                         "request": request_to_dict(req)}]}))
+            assert sharded.solve(req).throughput > 0  # the shard stays
 
 
 class TestHitsThroughTheRing:
@@ -1192,21 +1196,6 @@ class TestRemoteTcpShards:
             server.kill()
             server.join()
 
-    def test_batch_over_tcp_is_one_round_trip_per_shard(self):
-        requests = _mixed_requests()
-        port = _free_port()
-        server = _start_shard_process(port)
-        try:
-            with ShardedBroker(shards=0,
-                               shard_addresses=[f"127.0.0.1:{port}"],
-                               health_interval=0) as sharded:
-                before = sharded.ipc_round_trips
-                sharded.solve_batch(requests)
-                assert sharded.ipc_round_trips - before == 1
-        finally:
-            server.kill()
-            server.join()
-
     def test_kill_a_shard_mid_run_fails_over_without_losing_requests(self):
         """Acceptance: the workload completes via failover after a hard
         kill — ejection moves the dead shard's keys to survivors."""
@@ -1265,11 +1254,9 @@ class TestTimeoutConfiguration:
         with pytest.raises(SystemExit, match="shard-timeout"):
             main(["serve", "--stdio", "--shard-timeout", "5"])
 
-    def test_solve_many_timeout_scales_with_batch_size(self):
-        """A batch whose total solve time exceeds one per-request budget
-        must NOT time out its shard (the budget is per request)."""
-        from repro.service.api import request_to_dict
-
+    def test_the_budget_travels_as_the_shard_deadline(self):
+        """The shard is handed ``request_timeout`` as its own deadline
+        and this end waits a grace longer, so the shard answers a miss."""
         req = SolveRequest(problem="master-slave",
                            platform=generators.star(2), master="M")
         with ShardedBroker(shards=1,
@@ -1284,15 +1271,9 @@ class TestTimeoutConfiguration:
                 return await original(msg, timeout=timeout)
 
             shard.call = spying_call
-            items = [{"fp": req.fingerprint(),
-                      "request": request_to_dict(req)}
-                     for _ in range(6)]
-            reply = _on_ring(sharded, sharded._shard_call(
-                shard, {"op": "solve_many", "items": items}))
-            assert len(reply["results"]) == 6
-            assert seen == [6 * 0.5]  # the whole-batch budget
+            sharded.solve_batch([req, req])
             _on_ring(sharded, sharded._shard_call(shard, {"op": "ping"}))
-            assert seen[-1] == 0.5  # single ops keep the per-request one
+            assert seen == [0.5, 0.5, 0.5]  # per request, never scaled
 
 
 class TestSharedShardServerHealth:

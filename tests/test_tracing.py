@@ -207,6 +207,7 @@ class TestEventLog:
         for i in range(4):
             log.emit("x", i=i)
         assert len(log.recent(limit=2)) == 2
+        assert log.recent(limit=0) == [] and log.recent(limit=-1) == []
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +310,18 @@ class TestTraceApi:
             out = handle_request(broker, {"op": "events", "limit": 5})
         assert out["ok"]
         assert any(e["event"] == "shard.eject" for e in out["events"])
+
+    def test_events_limit_zero_is_no_events(self):
+        from repro.service import log_event
+        from repro.service.api import route_get
+
+        for i in range(3):
+            log_event("shard.eject", shard=i)
+        with Broker(executor="sync") as broker:
+            _, _, body = route_get(broker, "/events", {"limit": ["0"]})
+            assert json.loads(body)["events"] == []
+            _, _, body = route_get(broker, "/events", {"limit": ["2"]})
+            assert len(json.loads(body)["events"]) == 2
 
 
 # ----------------------------------------------------------------------

@@ -206,14 +206,3 @@ class TestWarmStatsAndEvictions:
                     "basis_fallbacks", "warm_pivots", "cold_pivots"):
             assert key in inc, f"missing {key} in /metrics incremental"
         assert inc["warm_solves"] == 1 and inc["basis_restarts"] == 1
-
-    def test_non_exact_backend_skips_the_instance_path(self):
-        pytest.importorskip("scipy")
-        g = generators.star(3)
-        inc = IncrementalSolver(backend="scipy")
-        inc.solve_master_slave(g, "M")
-        inc.solve_master_slave(g.scale(compute=2), "M")
-        stats = inc.stats
-        assert stats.warm_solves == 1
-        # no exact instance: no pivot/restart accounting
-        assert stats.warm_pivots == 0 and stats.basis_restarts == 0
