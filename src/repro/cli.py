@@ -241,7 +241,8 @@ def _run_registry_check() -> int:
             note = ""
             if entry.capabilities.warm_resolve:
                 inc = IncrementalSolver()
-                inc.solve_spec(spec)  # builds the hot model
+                for _ in range(2):  # the second build keeps the hot model
+                    inc.solve_spec(spec)
                 mutated = dataclasses.replace(
                     spec,
                     platform=spec.platform.scale(compute=Fraction(3, 2),
@@ -394,9 +395,9 @@ def cmd_shard_serve(args) -> int:
     Point any ``python -m repro serve`` at it with ``--shard host:port``
     to place it on that broker's hash ring; several brokers may share
     one shard.  One event loop multiplexes id-tagged requests from many
-    brokers over however many connections arrive, solves run on a
-    bounded thread pool (``--solve-workers``), pings are answered on
-    the loop even while the pool is saturated, and ``--op-deadline``
+    brokers over however many connections arrive, misses run one at a
+    time on a single engine thread, pings and cache hits are answered
+    on the loop even while that thread is busy, and ``--op-deadline``
     answers overdue ops with a typed ``ShardTimeoutError`` reply.
     """
     from .service.transport import AsyncShardServer
@@ -408,14 +409,12 @@ def cmd_shard_serve(args) -> int:
         cache_size=args.cache_size,
         ttl=ttl,
         incremental=not args.no_incremental,
-        solve_workers=args.solve_workers,
         op_deadline=deadline,
     )
 
     async def _amain() -> None:
         await server.start()
-        print(f"repro shard listening on {server.address} "
-              f"({server.solve_workers} solve workers, op deadline "
+        print(f"repro shard listening on {server.address} (op deadline "
               f"{'none' if deadline is None else f'{deadline}s'}, "
               f"cache {args.cache_size} entries, warm path "
               f"{'off' if args.no_incremental else 'on'})", flush=True)
@@ -612,10 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cache TTL in seconds (0 = no expiry)")
     p.add_argument("--no-incremental", action="store_true",
                    help="disable the warm re-solve path for this shard")
-    p.add_argument("--solve-workers", type=int, default=2,
-                   help="threads in the bounded solve executor (the "
-                        "engine lock still serialises engine entry; the "
-                        "pool bounds queueing)")
     p.add_argument("--op-deadline", type=float, default=0,
                    help="default per-op server-side deadline in seconds "
                         "(0 = none); overdue ops are answered with a "

@@ -5,9 +5,11 @@ that is a pure function of the platform topology and the problem spec's
 distinguished nodes, and *coefficients* (``1/w_i``, ``1/c_ij``) that are
 pure functions of the weights.  When a monitoring layer re-weights a
 platform (CPU load changed, a link slowed down) the LP therefore does not
-need to be re-assembled: the built model is kept hot, the moved
-coefficients are patched through the :class:`~repro.lp.model.LinearProgram`
-rebuild hook, and the model is re-solved exactly.
+need to be re-assembled: the model is kept hot, the moved coefficients
+are patched through the :class:`~repro.lp.model.LinearProgram` rebuild
+hook, and the model is re-solved exactly.  A hot model is earned: a
+structure's first build is solved and dropped, and only the second keeps
+its model, so traffic of one-off topologies holds no model at all.
 
 Since the basis-reusing refactor the warm path is first-class all the way
 down: each hot model carries a :class:`~repro.lp.simplex.SimplexInstance`
@@ -60,7 +62,9 @@ class WarmSolveStats:
     """How the warm path behaved, down to the pivot level.
 
     ``warm_solves`` / ``full_rebuilds`` split re-solves by whether a hot
-    model was reused; ``evictions`` counts hot models dropped by the
+    model was reused; ``single_use_builds`` counts the builds whose model
+    was dropped after the solve because their structure had not been
+    built before; ``evictions`` counts hot models dropped by the
     ``max_models`` cap (visibility into cache pressure — an evicted model
     costs a full rebuild *and* a cold pivot sequence on its next use).
     ``basis_restarts`` / ``phase1_skips`` / ``basis_fallbacks`` describe
@@ -88,6 +92,7 @@ class WarmSolveStats:
 
     warm_solves: int = 0
     full_rebuilds: int = 0
+    single_use_builds: int = 0
     evictions: int = 0
     basis_restarts: int = 0
     phase1_skips: int = 0
@@ -113,23 +118,30 @@ class IncrementalSolver:
     weight-only re-solves.
 
     One instance may serve many platforms and problem kinds: models are
-    keyed by ``(topology signature, warm-model spec key)``.  Concurrency
-    is per model: solves of the *same* structure are serialised (the model
-    is patched in place, so a warm solve must not interleave with
-    another), while solves of distinct structures run in parallel on the
-    broker's worker pool.  Every hot model is solved by the exact
-    simplex; a request for another backend never gets here
-    (:class:`~repro.service.broker.SolveEngine` sends it through the
-    registry).
+    keyed by ``(topology signature, warm-model spec key)``.  A build
+    whose key's hash is not on record is solved, its model dropped and
+    the hash recorded (at most ``16 * max_models`` hashes, oldest out
+    first); a build whose hash is on record keeps its model, in a table
+    of at most ``max_models``, least recently used out first.  A hash
+    collision can only keep a model early, never serve a wrong one.
+
+    A solve checks its model out of the table, patches and solves it
+    privately, and checks it back in (a solve that raises drops it).  A
+    concurrent solve of the same structure finds no model and builds its
+    own; both answers are exact and the last check-in wins.  Every hot
+    model is solved by the exact simplex; a request for another backend
+    never gets here (:class:`~repro.service.broker.SolveEngine` sends it
+    through the registry).
 
     >>> from repro.platform import generators
     >>> inc = IncrementalSolver()
     >>> g = generators.star(3)
-    >>> cold = inc.solve_master_slave(g, "M")     # builds the LP
+    >>> once = inc.solve_master_slave(g, "M")      # solved, model dropped
+    >>> twice = inc.solve_master_slave(g, "M")     # seen before: kept
     >>> g2 = g.scale(compute=2)                    # weight-only mutation
     >>> warm = inc.solve_master_slave(g2, "M")     # patches + re-solves
-    >>> inc.stats.warm_solves
-    1
+    >>> inc.stats.single_use_builds, inc.stats.warm_solves
+    (1, 1)
     """
 
     def __init__(self, max_models: int = 64) -> None:
@@ -141,19 +153,15 @@ class IncrementalSolver:
         self._lock = threading.Lock()
         self.stats = WarmSolveStats()  # guarded-by: _lock
         # key -> (lp, handles, root node of the spec that built it,
-        #         the SimplexInstance that solves it)
+        #         the SimplexInstance that solves it); a model checked
+        #         out by a solve is absent
         self._models: Dict[  # guarded-by: _lock
             Tuple,
             Tuple[LinearProgram, Dict[str, object], Optional[NodeId],
                   SimplexInstance],
         ] = {}
-        # per-model locks: serialise patch+solve of one structure only.
-        # Entries are NEVER removed — eviction/forget only drops the model.
-        # Popping a lock while a thread still holds (or waits on) it would
-        # let a later arrival mint a second lock for the same key and
-        # patch an LP mid-solve; a lock object per distinct structure ever
-        # seen is a few dozen bytes and keeps the invariant airtight.
-        self._model_locks: Dict[Tuple, threading.Lock] = {}  # guarded-by: _lock
+        # hash(key) of the structures built lately, oldest first
+        self._built: Dict[int, None] = {}  # guarded-by: _lock
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -174,43 +182,48 @@ class IncrementalSolver:
 
     def solve_spec_ex(self, spec: ProblemSpec) -> Tuple[Any, bool]:
         """Like :meth:`solve_spec`, also reporting whether the warm path
-        was taken (decided under the model lock, so it is exact — unlike
-        an outside :meth:`has_model` check, which can race with a
-        concurrent first build or an eviction)."""
+        was taken (decided at check-out, so it is exact — unlike an
+        outside :meth:`has_model` check, which can race with a
+        concurrent solve or an eviction)."""
         model = resolve(spec.problem).warm_model
         key = self._key(spec)
         with self._lock:
-            model_lock = self._model_locks.setdefault(key, threading.Lock())
-        with model_lock:
+            cached = self._models.pop(key, None)  # checked out
+        if cached is None:
+            with span("warm.build", problem=spec.problem):
+                lp, handles = model.build(spec)
+            instance = SimplexInstance(lp)
+            sighting = hash(key)
             with self._lock:
-                cached = self._models.pop(key, None)
-                if cached is not None:
-                    # reuse refreshes recency: back in at the young end
-                    self._models[key] = cached
-            if cached is None:
-                with span("warm.build", problem=spec.problem):
-                    lp, handles = model.build(spec)
-                instance = SimplexInstance(lp)
-                with self._lock:
-                    self.stats.full_rebuilds += 1
-                    while len(self._models) >= self.max_models:
-                        # drop the least recently used model.  A thread
-                        # mid-solve on an evicted model keeps its local
-                        # reference; the evicted key's lock stays (see
-                        # __init__).
-                        self._models.pop(next(iter(self._models)))
-                        self.stats.evictions += 1
-                    self._models[key] = (lp, handles, spec.source_node(),
-                                         instance)
+                self.stats.full_rebuilds += 1
+                keep = sighting in self._built
+                if not keep:
+                    self._built[sighting] = None
+                    if len(self._built) > 16 * self.max_models:
+                        del self._built[next(iter(self._built))]
+        else:
+            lp, handles, _root, instance = cached
+            keep = True
+            with span("warm.patch", problem=spec.problem):
+                model.patch(lp, handles, spec)
+            with self._lock:
+                self.stats.warm_solves += 1
+        sol = self._solve_model(instance, warm=cached is not None)
+        out = model.package(spec, sol, handles, "exact")
+        with self._lock:
+            if not keep:
+                self.stats.single_use_builds += 1
             else:
-                lp, handles, _root, instance = cached
-                with span("warm.patch", problem=spec.problem):
-                    model.patch(lp, handles, spec)
-                with self._lock:
-                    self.stats.warm_solves += 1
-            sol = self._solve_model(instance, warm=cached is not None)
-            out = model.package(spec, sol, handles, "exact")
-            return out, cached is not None
+                # checked in at the young end; a concurrent twin's model
+                # of the same key gives way: the last check-in wins
+                self._models.pop(key, None)
+                while len(self._models) >= self.max_models:
+                    # drop the least recently used model
+                    self._models.pop(next(iter(self._models)))
+                    self.stats.evictions += 1
+                self._models[key] = (lp, handles, spec.source_node(),
+                                     instance)
+        return out, cached is not None
 
     def _solve_model(self, instance: SimplexInstance, warm: bool) -> Any:
         """Solve a (possibly just patched) hot model on the
@@ -294,7 +307,6 @@ class IncrementalSolver:
                 if key[0] == topo and (master is None or root == master)
             ]
             for key in doomed:
-                # the model goes, its lock stays (see __init__)
                 del self._models[key]
             return len(doomed)
 

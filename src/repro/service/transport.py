@@ -39,7 +39,7 @@ the server echoes on the reply:
   received.  Our own client always tags its frames; this branch serves
   peers outside the program that pipeline plain frames.
 
-The server executes ops on a bounded thread pool (the simplex is
+The server executes ops on one engine thread (the simplex is
 CPU-bound and exact — it stays off the loop), answers pings and cache
 hits on the loop itself so a busy shard never looks dead to a health
 probe and a cached read never queues behind a solve, enforces a
@@ -272,7 +272,7 @@ def handle_shard_message(engine: SolveEngine,
             # a test/benchmark aid: simulates a hung or overloaded
             # worker so timeout and failover paths can be exercised
             # deterministically.  Capped: the shard protocol is
-            # unauthenticated, and this op holds the engine lock — an
+            # unauthenticated, and this op holds the engine lane — an
             # unbounded sleep would let any client wedge a shared shard
             # indefinitely
             seconds = min(float(msg.get("seconds", 0.0)), MAX_SLEEP_SECONDS)
@@ -565,20 +565,19 @@ class AsyncShardServer(LoopServer):
     ring via ``--shard host:port`` and any number of brokers may share
     it; serving one inherited socket (:meth:`serve_connected`) it is a
     broker's private local worker.  Every connection is a coroutine on
-    one loop; engine work runs on a bounded thread pool
-    (``solve_workers``) because the exact simplex is CPU-bound — the
-    loop itself only frames, routes, and answers:
+    one loop; engine work runs on one executor thread, the *engine
+    lane*, because the exact simplex is CPU-bound — the loop itself
+    only frames, routes, and answers:
 
     * **pings on the loop** — a health probe is answered immediately
-      even while every executor thread is busy, so a *busy* shard never
+      even while the engine lane is busy, so a *busy* shard never
       looks *dead* to a prober (which would eject a healthy shared
       shard);
     * **hits on the loop** — a ``solve`` the
       cache answers as it stands is served right there
-      (:func:`hit_reply`): no decode, no executor hand-off, no engine
-      lock — the cache and metrics registry carry their
-      own.  Misses, schedule reconstruction, ``invalidate`` and
-      ``clear`` still take the executor;
+      (:func:`hit_reply`): no decode, no executor hand-off — the cache
+      and metrics registry carry their own locks.  Misses, schedule
+      reconstruction, ``invalidate`` and ``clear`` take the lane;
     * **server-side deadlines** — an op carrying ``deadline`` (or the
       server-wide ``op_deadline`` default) that cannot finish in time is
       answered promptly with a ``ShardTimeoutError``-typed reply; the
@@ -594,12 +593,12 @@ class AsyncShardServer(LoopServer):
 
     All mutable coordination state (the in-flight map, the counters) is
     loop-confined: it is only ever touched from the event loop.  The
-    engine's warm models are not reentrant, so the engine itself is
-    guarded by a real lock *inside* the executor jobs, never on the
-    loop — executor ops from all connections run one at a time, so
-    misses and invalidations keep one strict order.  A loop-served
-    hit is ordered against them by the cache's own lock: it may overtake
-    an invalidation that has not been answered yet, never one that has.
+    engine runs one executor job at a time, in arrival order, so misses
+    and invalidations from all connections keep one strict order, and a
+    job still queued when its deadline passes is cancelled before it
+    touches the engine.  A loop-served hit is ordered against them by
+    the cache's own lock: it may overtake an invalidation that has not
+    been answered yet, never one that has.
     """
 
     def __init__(
@@ -609,22 +608,15 @@ class AsyncShardServer(LoopServer):
         ttl: Optional[float] = None,
         incremental: bool = True,
         engine: Optional[SolveEngine] = None,
-        solve_workers: int = 2,
         op_deadline: Optional[float] = None,
     ) -> None:
         self.engine = engine if engine is not None else SolveEngine(
             cache=SolutionCache(max_size=cache_size, ttl=ttl),
             incremental=IncrementalSolver() if incremental else None,
         )
-        self.solve_workers = max(1, int(solve_workers))
         self.op_deadline = op_deadline
-        # the engine is single-threaded by contract; executor jobs take
-        # this lock, so the pool bounds *queueing*, not engine reentry
-        self._engine_lock = threading.Lock()
         super().__init__(address, ThreadPoolExecutor(
-            max_workers=self.solve_workers,
-            thread_name_prefix="repro-ashard",
-        ))
+            max_workers=1, thread_name_prefix="repro-ashard"))
         # ---- loop-confined state (event loop only, no locks) ----
         self._inflight_solves: Dict[str, asyncio.Future] = {}
         self.shard_coalesced = 0
@@ -743,13 +735,13 @@ class AsyncShardServer(LoopServer):
         if op == "snapshot":
             # served on the loop: reads loop-confined counters plus the
             # engine's own (briefly) locked snapshot — microseconds, and
-            # it must not queue behind saturated solve workers
+            # it must not queue behind a busy engine lane
             return {"ok": True, "snapshot": self._snapshot_with_async()}
         # invalidate / clear / sleep / unknown: the shared op handler,
-        # on a thread, under the engine lock
+        # in the engine lane
         assert self._loop is not None
         future = self._loop.run_in_executor(
-            self._executor, self._locked_message, msg)
+            self._executor, handle_shard_message, self.engine, msg)
         return await asyncio.wait_for(future, deadline)
 
     async def _solve_one(self, fp: Any, request_wire: Any, trace: bool,
@@ -815,11 +807,7 @@ class AsyncShardServer(LoopServer):
         msg = {"op": "solve", "fp": fp, "request": request_wire}
         if trace:
             msg["trace"] = True
-        return self._locked_message(msg)
-
-    def _locked_message(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        with self._engine_lock:
-            return handle_shard_message(self.engine, msg)
+        return handle_shard_message(self.engine, msg)
 
     def _follower_trace(self, fp: str, waited: float,
                         leader_trace: Optional[Dict[str, Any]],
@@ -851,7 +839,6 @@ class AsyncShardServer(LoopServer):
         self._publish_gauges()
         snap = self.engine.snapshot()
         snap["async"] = {
-            "solve_workers": self.solve_workers,
             "inflight": self.inflight_ops,
             "max_inflight": self.max_inflight,
             "queue_depth": self.queue_depth,

@@ -66,13 +66,13 @@ def _shard_request(server, message, timeout=30.0):
 
 
 def _park_the_engine(server, seconds):
-    """Hold one of the shard's solve workers with a ``sleep`` op, from a
-    thread (and a channel) of its own; returns the started thread."""
+    """Hold the shard's engine lane with a ``sleep`` op, from a thread
+    (and a channel) of its own; returns the started thread."""
     hold = threading.Thread(
         target=_shard_request,
         args=(server, {"op": "sleep", "seconds": seconds}))
     hold.start()
-    time.sleep(0.2)  # let the op reach the worker
+    time.sleep(0.2)  # let the op reach the lane
     return hold
 
 
@@ -195,11 +195,11 @@ class TestMultiplexedConnection:
         reference = _reference(requests)
 
         async def go():
-            server = AsyncShardServer(solve_workers=1)
+            server = AsyncShardServer()
             await server.start()
             transport = AsyncTcpTransport(server.host, server.port)
             try:
-                # occupy the single solve worker so everything queues
+                # occupy the engine lane so everything queues
                 blocker = asyncio.ensure_future(transport.request(
                     {"op": "sleep", "seconds": 1.2}, timeout=30))
                 await asyncio.sleep(0.2)
@@ -209,7 +209,7 @@ class TestMultiplexedConnection:
                     for r in requests]
                 # the doomed request: client gives up at 0.25s, server
                 # cancels its queued job at 0.5s — both deadlines fire
-                # while the worker is still busy elsewhere
+                # while the lane is still busy elsewhere
                 doomed = asyncio.ensure_future(transport.request(
                     {"op": "sleep", "seconds": 9,
                      "deadline": 0.5}, timeout=0.25))
@@ -250,7 +250,7 @@ class TestMultiplexedConnection:
         relies on in-order replies."""
         requests = _distinct_requests(3)
         reference = _reference(requests)
-        server = AsyncShardServer(solve_workers=2).start_in_thread()
+        server = AsyncShardServer().start_in_thread()
         try:
             with socket.create_connection((server.host, server.port),
                                           timeout=60) as sock:
@@ -282,13 +282,13 @@ class TestServerSideDeadlines:
     def test_saturated_executor_answers_timeout_with_shard_id(self):
         request = _ms_request()
         reference = _reference([request])[0]
-        server = AsyncShardServer(solve_workers=1).start_in_thread()
+        server = AsyncShardServer().start_in_thread()
         broker = ShardedBroker(shards=0,
                                shard_addresses=[f"{server.host}:"
                                                 f"{server.port}"],
                                request_timeout=0.4)
         try:
-            # saturate the single solve worker from a separate channel
+            # saturate the engine lane from a separate channel
             hold = _park_the_engine(server, 1.5)
 
             started = time.perf_counter()
@@ -321,12 +321,12 @@ class TestCrossBrokerCoalescing:
     def test_two_brokers_one_hot_shard_single_engine_solve(self):
         request = _ms_request()
         reference = _reference([request])[0]
-        server = AsyncShardServer(solve_workers=1).start_in_thread()
+        server = AsyncShardServer().start_in_thread()
         address = f"{server.host}:{server.port}"
         b1 = ShardedBroker(shards=0, shard_addresses=[address])
         b2 = ShardedBroker(shards=0, shard_addresses=[address])
         try:
-            # park the solve worker so both brokers' requests are
+            # park the engine lane so both brokers' requests are
             # provably concurrent at the shard
             hold = _park_the_engine(server, 1.0)
 
@@ -381,7 +381,7 @@ class TestAsyncTransportSharded:
                          dag=TaskGraph.chain([1, 2], [1])),
         ]
         reference = _reference(requests)
-        server = AsyncShardServer(solve_workers=2).start_in_thread()
+        server = AsyncShardServer().start_in_thread()
         broker = ShardedBroker(shards=0,
                                shard_addresses=[f"{server.host}:"
                                                 f"{server.port}"])
@@ -393,7 +393,9 @@ class TestAsyncTransportSharded:
             snap = broker.snapshot()
             assert "shard_coalesced" in snap
             (shard_stats,) = snap["per_shard"]
-            assert shard_stats["async"]["solve_workers"] == 2
+            # one engine lane: nothing to count but the queue around it
+            assert set(shard_stats["async"]) == {
+                "inflight", "max_inflight", "queue_depth", "shard_coalesced"}
         finally:
             broker.close()
             server.shutdown()

@@ -639,7 +639,8 @@ class TestServiceCounters:
 
         inc = IncrementalSolver()
         g = generators.star(4)
-        inc.solve_master_slave(g, "M")
+        for _ in range(2):  # the second build keeps the hot model
+            inc.solve_master_slave(g, "M")
         cold = inc.stats
         assert cold.refactorisations >= 1
         assert cold.ftran_ops > 0 and cold.btran_ops > 0

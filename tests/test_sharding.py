@@ -431,6 +431,32 @@ class TestSolveMany:
             assert sharded.solve(req).throughput > 0  # the shard stays
 
 
+class TestEarnedHotModels:
+    def test_a_cold_only_http_batch_leaves_no_hot_model(self):
+        from repro.service.api import request_to_dict, route_get, route_post
+
+        requests = [SolveRequest(problem="master-slave",
+                                 platform=generators.star(n), master="M")
+                    for n in range(2, 10)]  # 8 structures, each seen once
+        reference = _reference_results(requests)
+        with ShardedBroker(shards=2, near_cache_size=0) as sharded:
+            status, _, body = route_post(sharded, "/api", json.dumps(
+                {"op": "batch",
+                 "requests": [request_to_dict(r) for r in requests]},
+            ).encode())
+            _, _, metrics = route_get(sharded, "/metrics", {})
+            _, _, prometheus = route_get(sharded, "/metrics",
+                                         {"format": ["prometheus"]})
+        assert status == 200
+        assert [Fraction(r["throughput"]) for r in
+                json.loads(body)["results"]] == [
+            ref.throughput for ref in reference]
+        inc = json.loads(metrics)["incremental"]
+        assert inc["hot_models"] == 0 and inc["evictions"] == 0
+        assert inc["single_use_builds"] == inc["full_rebuilds"] == 8
+        assert b"repro_warm_single_use_builds_total 8" in prometheus
+
+
 class TestHitsThroughTheRing:
     """A shard answers a cached read on its loop from memoised bytes and
     the front keeps the wire form: the books and the objects must be
@@ -1277,7 +1303,7 @@ class TestTimeoutConfiguration:
 
 
 class TestSharedShardServerHealth:
-    def test_ping_is_answered_while_the_engine_lock_is_held(self):
+    def test_ping_is_answered_while_the_engine_lane_is_busy(self):
         """A shared TCP shard busy with another broker's long op must
         still answer health pings — busy is not dead."""
         from repro.service import AsyncShardServer, AsyncTcpTransport
@@ -1290,7 +1316,7 @@ class TestSharedShardServerHealth:
             try:
                 blocker = asyncio.ensure_future(
                     busy.request({"op": "sleep", "seconds": 3.0}))
-                await asyncio.sleep(0.3)  # the sleep op takes the lock
+                await asyncio.sleep(0.3)  # the sleep op takes the lane
                 start = time.perf_counter()
                 # must not queue behind it
                 assert await prober.ping(timeout=1.0)

@@ -535,7 +535,7 @@ class TestLoopServedHit:
 
     def test_a_hit_is_answered_while_every_worker_sleeps(self, counted):
         server, jobs = counted
-        assert server.solve_workers == 2
+        assert server._executor._max_workers == 1  # one engine lane
         req = _ms_request()
 
         async def body(transport):
@@ -543,7 +543,7 @@ class TestLoopServedHit:
             naps = [asyncio.ensure_future(
                 transport.request({"op": "sleep", "seconds": 1.0}))
                 for _ in range(2)]
-            await asyncio.sleep(0.1)  # both pool threads are now taken
+            await asyncio.sleep(0.1)  # one nap holds the lane, one queues
             hit = await transport.request(_solve_msg(req), timeout=0.5)
             assert hit["result"]["cached"]
             assert not any(nap.done() for nap in naps)
