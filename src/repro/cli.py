@@ -448,7 +448,6 @@ def cmd_submit(args) -> int:
                 source=args.source,
                 master=args.master,  # SolveRequest rejects a conflicting pair
                 targets=tuple(args.targets or ()),
-                options={"backend": args.backend},
                 include_schedule=args.include_schedule,
             )
         except BrokerError as exc:
@@ -627,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source")
     p.add_argument("--master")
     p.add_argument("--targets", nargs="*", default=[])
-    p.add_argument("--backend", default="exact")
     p.add_argument("--include-schedule", action="store_true")
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--trace", action="store_true",

@@ -5,7 +5,7 @@ worker, process-executor worker) imports ``repro`` before it can
 answer anything, and answers exact ``Fraction`` results from the
 standard library alone.  One module-scope ``import numpy`` /
 ``scipy`` / ``networkx`` anywhere in the package puts ~56 MB and
-~0.7 s on each of those processes for a backend no default request
+~0.7 s on each of those processes for a backend no served request
 calls.  This rule makes the boundary a checked invariant: under
 ``src/repro/`` those three packages may only be imported inside a
 function, which is where ``LinearProgram.solve(backend="scipy")`` and

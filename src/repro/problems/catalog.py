@@ -68,8 +68,8 @@ _SSMS_WARM = WarmModel(
     patch=lambda lp, handles, spec: patch_ssms_coefficients(
         lp, handles, spec.platform, spec.master
     ),
-    package=lambda spec, sol, handles, backend: package_ssms_solution(
-        spec.platform, spec.master, sol, handles, backend=backend
+    package=lambda spec, sol, handles: package_ssms_solution(
+        spec.platform, spec.master, sol, handles
     ),
 )
 
@@ -102,9 +102,9 @@ _SSPS_WARM = WarmModel(
     patch=lambda lp, handles, spec: patch_ssps_coefficients(
         lp, handles, spec.platform, spec.targets
     ),
-    package=lambda spec, sol, handles, backend: package_ssps_solution(
+    package=lambda spec, sol, handles: package_ssps_solution(
         spec.platform, spec.source, list(spec.targets), sol, handles,
-        backend=backend, port_model=spec.port_model,
+        port_model=spec.port_model,
     ),
 )
 
@@ -142,10 +142,10 @@ def _gather_patch(lp, handles, spec: GatherSpec) -> None:
                             spec.sources)
 
 
-def _gather_package(spec: GatherSpec, sol, handles, backend: str):
+def _gather_package(spec: GatherSpec, sol, handles):
     rsol = package_ssps_solution(
         reversed_platform(spec.platform), spec.sink, list(spec.sources),
-        sol, handles, backend=backend,
+        sol, handles,
     )
     return gather_from_scatter(spec.platform, spec.sink, spec.sources, rsol)
 
@@ -185,8 +185,8 @@ _A2A_WARM = WarmModel(
     patch=lambda lp, handles, spec: patch_a2a_coefficients(
         lp, handles, spec.platform
     ),
-    package=lambda spec, sol, handles, backend: package_a2a_solution(
-        spec.platform, sol, handles, backend=backend,
+    package=lambda spec, sol, handles: package_a2a_solution(
+        spec.platform, sol, handles,
         participants=spec.participants,  # the REQUESTER's ordering, not
         # the (sorted-key) hot model's first-build ordering
     ),
@@ -281,8 +281,8 @@ _MULTIPORT_WARM = WarmModel(
     patch=lambda lp, handles, spec: patch_ssms_coefficients(
         lp, handles, spec.platform, spec.master
     ),
-    package=lambda spec, sol, handles, backend: package_port_model_solution(
-        spec.platform, spec.master, sol, handles, backend=backend
+    package=lambda spec, sol, handles: package_port_model_solution(
+        spec.platform, spec.master, sol, handles
     ),
 )
 
@@ -308,8 +308,8 @@ _SOR_WARM = WarmModel(
     patch=lambda lp, handles, spec: patch_ssms_coefficients(
         lp, handles, spec.platform, spec.master
     ),
-    package=lambda spec, sol, handles, backend: package_port_model_solution(
-        spec.platform, spec.master, sol, handles, backend=backend
+    package=lambda spec, sol, handles: package_port_model_solution(
+        spec.platform, spec.master, sol, handles
     ),
 )
 

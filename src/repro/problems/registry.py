@@ -67,14 +67,15 @@ class WarmModel:
     ``patch(lp, handles, spec)``
         Rewrite every weight-derived coefficient of an assembled model in
         place (the :class:`~repro.lp.model.LinearProgram` rebuild hook).
-    ``package(spec, lp_solution, handles, backend)``
-        Turn a solved model into the problem's public solution object.
+    ``package(spec, lp_solution, handles)``
+        Turn a solved model — always an exact simplex solve — into the
+        problem's public solution object.
     """
 
     spec_key: Callable[[ProblemSpec], Tuple]
     build: Callable[[ProblemSpec], Tuple[Any, Dict]]
     patch: Callable[[Any, Dict, ProblemSpec], None]
-    package: Callable[[ProblemSpec, Any, Dict, str], Any]
+    package: Callable[[ProblemSpec, Any, Dict], Any]
 
 
 #: example factory signature: (platform, root, other_nodes) -> spec — used

@@ -32,6 +32,11 @@ from ..platform.graph import NodeId, Platform
 #: wire-format version accepted by :meth:`ProblemSpec.from_wire`
 SPEC_VERSION = 1
 
+#: the request-level ``options`` that earlier service clients send beside
+#: every spec envelope: it asks for the exact solve every request gets,
+#: so a request decoder may accept it and read nothing from it
+LEGACY_REQUEST_OPTIONS = {"backend": "exact"}
+
 
 class SpecError(ValueError):
     """A malformed problem spec (missing, unknown or ill-typed fields)."""
@@ -212,14 +217,9 @@ class ProblemSpec:
         dag: Optional[TaskGraph] = None,
         options: Optional[Dict[str, Any]] = None,
     ) -> "ProblemSpec":
-        """Build a typed spec from the flat request fields.
-
-        ``options["backend"]`` is an execution choice, not part of the
-        problem, and is ignored here (the service keeps it on the request);
-        any other unknown option is a typed error.
-        """
+        """Build a typed spec from the flat request fields; an unknown
+        option is a typed error."""
         opts = dict(options or {})
-        opts.pop("backend", None)
         kwargs: Dict[str, Any] = {}
         names = {f.name for f in cls._spec_fields()}
         if cls._SOURCE_FIELD is not None:

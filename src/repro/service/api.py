@@ -18,12 +18,14 @@ canonical form — field names come straight from the registered
               "sink": "P1",              # spec-typed fields
               "sources": ["P5", "P6"]},
      "platform": {...},                  # platform_to_dict format
-     "options": {"backend": "exact"},    # execution options
-     "include_schedule": false}
+     "include_schedule": false}          # a JSON boolean, default false
 
 The envelope is the only request form: problem fields at the top level
 of a request, beside or instead of ``"spec"``, are refused with a typed
-error.
+error.  Every answer is the exact LP optimum, so a request names no
+solver: an ``"options"`` member may be absent or the value older
+clients send (:data:`~repro.problems.specs.LEGACY_REQUEST_OPTIONS`),
+and anything else is a 422.
 
 Responses always carry ``"ok"``; solve responses add the fingerprint,
 cache/warm flags, latency, the throughput and a problem-shaped
@@ -61,12 +63,14 @@ from ..problems import (
     describe as registry_describe,
     spec_from_wire,
 )
+from ..problems.specs import LEGACY_REQUEST_OPTIONS
 from .broker import (
     THROUGHPUT_FIELDS,
     Broker,
     BrokerError,
     BrokerResult,
     SolveRequest,
+    schedule_flag,
 )
 from .metrics import render_prometheus
 from .tracing import EVENTS, TraceStore, start_trace
@@ -104,19 +108,15 @@ def request_from_dict(data: Dict[str, Any]) -> SolveRequest:
             f"request mixes a 'spec' envelope with legacy field(s) "
             f"{sorted(stray)}; put them in the spec"
         )
-    options = dict(data.get("options", {}))
-    backend = str(options.pop("backend", "exact"))
-    if options:
+    options = data.get("options", LEGACY_REQUEST_OPTIONS)
+    if options != LEGACY_REQUEST_OPTIONS:
         raise BrokerError(
-            f"with a 'spec' envelope, 'options' may only carry "
-            f"'backend'; move {sorted(options)} into the spec"
+            f"'options' {options!r} is not served: every answer is the "
+            f"exact LP optimum; move problem options into the spec"
         )
-    spec = spec_from_wire(platform, payload)
-    return SolveRequest.from_spec(
-        spec,
-        include_schedule=bool(data.get("include_schedule", False)),
-        backend=backend,
-    )
+    include_schedule = schedule_flag(data)
+    return SolveRequest.from_spec(spec_from_wire(platform, payload),
+                                  include_schedule=include_schedule)
 
 
 def _request_wire(request: SolveRequest) -> Dict[str, Any]:
@@ -134,9 +134,6 @@ def _request_wire(request: SolveRequest) -> Dict[str, Any]:
         cached = {
             "spec": request.spec.to_wire(),
             "platform": platform_to_dict(request.platform),
-            "options": {
-                "backend": request.option_dict().get("backend", "exact")
-            },
             "include_schedule": request.include_schedule,
         }
         object.__setattr__(request, "_wire_dict", cached)

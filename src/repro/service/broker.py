@@ -67,6 +67,20 @@ def solution_throughput(solution: Any):
     raise AttributeError(f"no throughput on {type(solution).__name__}")
 
 
+def schedule_flag(request_wire: Any) -> bool:
+    """The ``include_schedule`` of a wire request: absent is ``False``
+    and a JSON boolean is itself.  Anything else — ``"false"`` is a
+    string, not a no — is a :class:`BrokerError` naming the field."""
+    if not isinstance(request_wire, dict):
+        raise BrokerError(f"a solve request is a JSON object, not "
+                          f"{type(request_wire).__name__}")
+    flag = request_wire.get("include_schedule", False)
+    if not isinstance(flag, bool):
+        raise BrokerError(
+            f"'include_schedule' must be true or false, not {flag!r}")
+    return flag
+
+
 @dataclass(frozen=True)
 class SolveRequest:
     """One steady-state solve, in solver-neutral form.
@@ -76,8 +90,9 @@ class SolveRequest:
     distinguished node (master / scatter source / broadcast source /
     gather sink / DAG master — absent for all-to-all); ``targets`` is the
     commodity set (scatter targets, gather sources, multicast targets,
-    all-to-all participants).  ``options`` carries solver keywords
-    (``backend``, ``ports``, ``port_model``, ``tree_limit``);
+    all-to-all participants).  ``options`` carries the spec's own
+    keywords (``ports``, ``port_model``, ``tree_limit``) — a served
+    request is solved exactly, so there is no solver choice to carry;
     ``include_schedule`` asks for the reconstructed periodic schedule
     alongside the solution.
 
@@ -113,7 +128,6 @@ class SolveRequest:
         if master is not None and source is not None and master != source:
             raise BrokerError("pass either source or master, not both")
         entry = resolve(problem)
-        opts = dict(options)
         # snapshot: Platform is mutable (add_node/add_edge), and both the
         # memoized fingerprint and any cached solution must describe the
         # platform as it was when the request was made — not whatever the
@@ -123,20 +137,15 @@ class SolveRequest:
             source=source if source is not None else master,
             targets=targets,
             dag=dag,
-            options=opts,
+            options=dict(options),
         )
-        self._init_from_spec(
-            entry, spec,
-            backend=str(opts.get("backend", "exact")),
-            include_schedule=include_schedule,
-        )
+        self._init_from_spec(entry, spec, include_schedule=include_schedule)
 
     @classmethod
     def from_spec(
         cls,
         spec: ProblemSpec,
         include_schedule: bool = False,
-        backend: str = "exact",
     ) -> "SolveRequest":
         """Build a request straight from a typed spec.
 
@@ -147,14 +156,12 @@ class SolveRequest:
         """
         snapshot = dataclasses.replace(spec, platform=spec.platform.copy())
         self = object.__new__(cls)
-        self._init_from_spec(
-            resolve(spec.problem), snapshot,
-            backend=backend, include_schedule=include_schedule,
-        )
+        self._init_from_spec(resolve(spec.problem), snapshot,
+                             include_schedule=include_schedule)
         return self
 
     def _init_from_spec(
-        self, entry, spec: ProblemSpec, backend: str, include_schedule: bool
+        self, entry, spec: ProblemSpec, include_schedule: bool
     ) -> None:
         if include_schedule and not entry.capabilities.reconstructs_schedule:
             # fail loudly up front rather than returning a response whose
@@ -169,9 +176,8 @@ class SolveRequest:
         object.__setattr__(self, "source", spec.source_node())
         object.__setattr__(self, "targets", spec.target_nodes())
         object.__setattr__(self, "dag", spec.dag_graph())
-        normalized = {"backend": backend}
-        normalized.update(spec.option_fields())
-        object.__setattr__(self, "options", tuple(sorted(normalized.items())))
+        object.__setattr__(self, "options",
+                           tuple(sorted(spec.option_fields().items())))
         object.__setattr__(self, "include_schedule", bool(include_schedule))
         object.__setattr__(self, "_spec", spec)
 
@@ -247,8 +253,7 @@ def execute_request(request: SolveRequest) -> Any:
     spec (validated at construction) goes straight to the registered
     solver — no per-problem branches, no argument adapters.
     """
-    backend = str(request.option_dict().get("backend", "exact"))
-    return resolve(request.problem).solve(request.spec, backend=backend)
+    return resolve(request.problem).solve(request.spec)
 
 
 # ----------------------------------------------------------------------
@@ -365,11 +370,9 @@ class SolveEngine:
         self, request: SolveRequest, fp: str, generation: int
     ) -> BrokerResult:
         warm = False
-        backend = request.option_dict().get("backend", "exact")
         if (
             self.incremental is not None
             and resolve(request.problem).capabilities.warm_resolve
-            and backend == "exact"
         ):
             solution, warm = self.incremental.solve_spec_ex(request.spec)
         else:
@@ -468,8 +471,7 @@ class Broker:
     incremental:
         Use the warm re-solve path for requests whose registered solver
         declares the ``warm_resolve`` capability (master-slave, scatter,
-        gather) and whose topology was seen before (default on; exact
-        backend only).
+        gather) and whose topology was seen before (default on).
     """
 
     def __init__(

@@ -78,8 +78,8 @@ def spec_signature(
 
     ``targets`` is treated as a *set* of commodities — scatter / multicast /
     all-to-all semantics do not depend on target order — and is sorted.
-    ``options`` (backend, port model, port count, tree limit, ...) are
-    sorted by key; values must be JSON-representable scalars.
+    ``options`` (port model, port count, tree limit, ...) are sorted by
+    key; values must be JSON-representable scalars.
     """
     opts = tuple(sorted((str(k), str(v)) for k, v in (options or {}).items()))
     return (

@@ -129,9 +129,7 @@ class IncrementalSolver:
     privately, and checks it back in (a solve that raises drops it).  A
     concurrent solve of the same structure finds no model and builds its
     own; both answers are exact and the last check-in wins.  Every hot
-    model is solved by the exact simplex; a request for another backend
-    never gets here (:class:`~repro.service.broker.SolveEngine` sends it
-    through the registry).
+    model is solved by the exact simplex, as every served request is.
 
     >>> from repro.platform import generators
     >>> inc = IncrementalSolver()
@@ -209,7 +207,7 @@ class IncrementalSolver:
             with self._lock:
                 self.stats.warm_solves += 1
         sol = self._solve_model(instance, warm=cached is not None)
-        out = model.package(spec, sol, handles, "exact")
+        out = model.package(spec, sol, handles)
         with self._lock:
             if not keep:
                 self.stats.single_use_builds += 1

@@ -177,17 +177,13 @@ def process_snapshot() -> Dict[str, Any]:
     ``max_rss_bytes`` is the kernel's resident-set high-water mark
     (``ru_maxrss``: kilobytes on Linux, bytes on macOS; Linux carries
     it across ``exec``, so a process started by a larger one reports at
-    least what its parent held resident at that moment);
-    ``float_backend_loaded`` tells whether some request has asked for
-    ``"backend": "scipy"`` yet, which is when numpy and scipy arrive.
-    ``pid`` lets a merged view count a process that holds several ring
-    slots once.
+    least what its parent held resident at that moment).  ``pid`` lets
+    a merged view count a process that holds several ring slots once.
     """
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
         "pid": os.getpid(),
         "max_rss_bytes": peak if sys.platform == "darwin" else peak * 1024,
-        "float_backend_loaded": sys.modules.get("scipy") is not None,
     }
 
 
@@ -303,7 +299,7 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     text exposition.
 
     The snapshot stays the single source of truth — this is a *view* of
-    it, so every backend (single broker, sharded, remote shards) exposes
+    it, so every deployment (single broker, sharded, remote shards) exposes
     identical metric names.  Endpoint latencies come out as summary-style
     quantile samples (pre-computed nearest-rank p50/p99, not client-side
     aggregatable histograms — documented limitation).
@@ -445,11 +441,6 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     emit("repro_process_max_rss_bytes", "gauge",
          "Resident-set high-water mark of each process of the deployment.",
          [({"shard": label}, process["max_rss_bytes"])
-          for label, process in processes])
-    emit("repro_float_backend_loaded", "gauge",
-         "1 once a request with backend=scipy made the process import "
-         "numpy and scipy, 0 while it serves from the exact stack only.",
-         [({"shard": label}, int(process["float_backend_loaded"]))
           for label, process in processes])
 
     traces = snapshot.get("traces", {})

@@ -1043,8 +1043,6 @@ class ShardedBroker:
         out["processes"] = {
             "count": len(processes),
             "max_rss_bytes": sum(p["max_rss_bytes"] for p in processes),
-            "float_backend_loaded": sum(
-                p["float_backend_loaded"] for p in processes),
         }
         incremental = [s["incremental"] for s in present
                        if "incremental" in s]

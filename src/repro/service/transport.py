@@ -87,7 +87,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 
 from ..platform.serialization import platform_from_dict
-from .broker import SolveEngine
+from .broker import BrokerError, SolveEngine, schedule_flag
 from .cache import SolutionCache
 from .incremental import IncrementalSolver
 from .tracing import start_trace
@@ -211,9 +211,10 @@ def hit_reply(engine: SolveEngine, fp: str, request_wire: Any,
     ``None`` with nothing counted (:meth:`SolveEngine.run_hit`).  The
     request is not decoded — only its ``include_schedule`` flag is read —
     so an event loop may call this: a lookup and a copy."""
-    if not isinstance(request_wire, dict):
+    try:
+        wants_schedule = schedule_flag(request_wire)
+    except BrokerError:
         return None  # the full handler reports what is wrong with it
-    wants_schedule = bool(request_wire.get("include_schedule", False))
     return _solved(engine, trace,
                    lambda: engine.run_hit(fp, wants_schedule))
 
@@ -584,9 +585,11 @@ class AsyncShardServer(LoopServer):
       connection keeps serving its other in-flight ids, and an
       abandoned solve still completes on its thread and warms the cache;
     * **cross-broker coalescing** — in-flight solves are keyed by
-      fingerprint, so several brokers hammering one hot shard await the
-      same engine run (counted in ``shard_coalesced``, traced as
-      ``coalesce.remote`` spans on follower replies);
+      fingerprint and ``include_schedule``, so several brokers hammering
+      one hot shard await the same engine run (counted in
+      ``shard_coalesced``, traced as ``coalesce.remote`` spans on
+      follower replies), and every reply has the shape its own request
+      asked for;
     * **plain pipelining peers keep working** — frames without an
       ``id`` are answered strictly in order, one op at a time on their
       connection; only id-tagged frames are answered out of order.
@@ -618,7 +621,8 @@ class AsyncShardServer(LoopServer):
         super().__init__(address, ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-ashard"))
         # ---- loop-confined state (event loop only, no locks) ----
-        self._inflight_solves: Dict[str, asyncio.Future] = {}
+        # (fp, include_schedule) -> the one engine run its twins await
+        self._inflight_solves: Dict[Tuple, asyncio.Future] = {}
         self.shard_coalesced = 0
         self.inflight_ops = 0
         self.max_inflight = 0
@@ -752,7 +756,14 @@ class AsyncShardServer(LoopServer):
         hit = hit_reply(self.engine, fp, request_wire, trace)
         if hit is not None:
             return hit  # a lookup and a copy, here on the loop
-        shared = self._inflight_solves.get(fp)
+        # a twin asking otherwise for the schedule runs its own lane job
+        # (by then a cache hit, or one plus a reconstruction); a flag
+        # that does not decode keys as None, and the lane refuses it
+        try:
+            key = (fp, schedule_flag(request_wire))
+        except BrokerError:
+            key = (fp, None)
+        shared = self._inflight_solves.get(key)
         if shared is None:
             # leader: start the engine run; the shared future is
             # resolved by the executor-future's done callback (on the
@@ -760,14 +771,14 @@ class AsyncShardServer(LoopServer):
             # only its own wait
             assert self._loop is not None
             shared = self._loop.create_future()
-            self._inflight_solves[fp] = shared
+            self._inflight_solves[key] = shared
             self.queue_depth += 1
             self._publish_gauges()
             job = self._loop.run_in_executor(
                 self._executor, self._solve_job, fp, request_wire, trace)
             job.add_done_callback(
-                lambda done, fp=fp, shared=shared:
-                self._solve_finished(fp, shared, done))
+                lambda done, key=key, shared=shared:
+                self._solve_finished(key, shared, done))
             follower = False
         else:
             follower = True
@@ -786,10 +797,10 @@ class AsyncShardServer(LoopServer):
                     fp, waited, leader_trace)
         return reply
 
-    def _solve_finished(self, fp: str, shared: "asyncio.Future",
+    def _solve_finished(self, key: Tuple, shared: "asyncio.Future",
                         done: "asyncio.Future") -> None:
         # runs on the loop (run_in_executor future callback)
-        self._inflight_solves.pop(fp, None)
+        self._inflight_solves.pop(key, None)
         self.queue_depth = max(0, self.queue_depth - 1)
         self._publish_gauges()
         if shared.done():  # pragma: no cover — defensive

@@ -2,8 +2,8 @@
 only.
 
 The service answers ``Fraction``s from the standard library; numpy,
-scipy and networkx belong to the opt-in float backend, the cross-check
-tests and ``Platform.to_networkx``.  Each test runs in a fresh
+scipy and networkx belong to the library's opt-in float backend, the
+cross-check tests and ``Platform.to_networkx``.  Each test runs in a fresh
 interpreter (``fresh_python``) and asserts module *names*, never times.
 """
 
@@ -21,19 +21,24 @@ from fractions import Fraction
 import repro, repro.cli, repro.problems
 import repro.service.api, repro.service.sharding, repro.service.transport
 from repro.platform import generators
-from repro.service import Broker, ShardedBroker, SolveRequest
+from repro.service import Broker, ShardedBroker, SolveRequest, request_to_dict
 
 repro.cli.build_parser()
 request = SolveRequest(problem="master-slave", master="P1",
                        platform=generators.paper_figure1())
 with Broker(executor="sync") as broker:
     sync = broker.solve(request).throughput
+    # a request for the float backend is refused, and loads nothing
+    floated = repro.service.api.handle_request(broker, {
+        "request": {**request_to_dict(request),
+                    "options": {"backend": "scipy"}}})
 # a spawn worker starts from a fresh import, as a restarted shard does
 with ShardedBroker(shards=1, mp_start_method="spawn") as sharded:
     piped = sharded.solve(request).throughput
     worker = sharded.snapshot()["per_shard"][0]["process"]
 print(json.dumps({
     "exact": sync == piped == Fraction(2),
+    "floated": floated["status"],
     "heavy": sorted({name.split(".")[0] for name, module
                      in sys.modules.items() if module is not None}
                     & set(%r)),
@@ -83,12 +88,12 @@ print(json.dumps({"check": check, "log": log.getvalue(), "typed": typed,
 def test_every_process_role_loads_the_exact_stack_only(fresh_python):
     out = fresh_python(_ROLES)
     assert out["exact"]
+    assert out["floated"] == 422
     assert out["heavy"] == []
     assert out["first_party"] > 50  # the closure really was imported
     # the shard worker is another process and says so itself; its
     # import closure is a subset of this one's, so scipy stands for all
     assert out["worker"]["pid"] != out["pid"]
-    assert out["worker"]["float_backend_loaded"] is False
 
 
 def test_the_exact_service_works_without_the_float_stack(fresh_python):
@@ -96,13 +101,16 @@ def test_the_exact_service_works_without_the_float_stack(fresh_python):
     assert out["check"] == 0, out["log"]
     assert "registry check OK" in out["log"]
     assert out["exact"] == "1"
-    # asking for the float backend is a typed refusal, not a traceback
-    # from inside an import (and a 500 like any other LPError)
+    # asking the library for the float backend is a typed refusal, not
+    # a traceback from inside an import
     assert out["typed"] == ("backend 'scipy' needs numpy and scipy "
                             "installed (pip install repro[float])")
+    # the service has no float road: such a request is refused as
+    # invalid before any solver (or import) is reached
     assert out["served"]["ok"] is False
-    assert out["served"]["type"] == "LPError"
-    assert out["served"]["error"] == out["typed"]
+    assert out["served"]["status"] == 422
+    assert out["served"]["type"] == "SpecError"
+    assert "'options'" in out["served"]["error"]
 
 
 def test_the_certificate_checker_imports_nothing_from_the_solver():

@@ -131,8 +131,7 @@ class TestSpecRoundTrip:
         platform = _star2()
         spec = spec_from_request_fields(
             "scatter", platform, source="M", targets=("W2", "W1"),
-            options={"ports": "3", "port_model": "multiport",
-                     "backend": "exact"},
+            options={"ports": "3", "port_model": "multiport"},
         )
         assert spec.source_node() == "M"
         assert spec.target_nodes() == ("W2", "W1")
@@ -280,12 +279,24 @@ class TestSpecEnvelope:
                 "spec": {"problem": "broadcast", "source": "M"},
                 "platform": g, "options": {"tree_limit": 10},
             })
-        # backend is the one execution option that stays outside the spec
+        # a served request names no solver: the wire still accepts what
+        # earlier clients send beside every spec, and nothing else
         req = request_from_dict({
             "spec": {"problem": "broadcast", "source": "M"},
             "platform": g, "options": {"backend": "exact"},
         })
-        assert req.option_dict()["backend"] == "exact"
+        assert "backend" not in req.option_dict()
+        with pytest.raises(BrokerError, match="'options'"):
+            request_from_dict({
+                "spec": {"problem": "broadcast", "source": "M"},
+                "platform": g, "options": {"backend": "scipy"},
+            })
+        # ... and the flat constructor, which has no legacy to honour,
+        # refuses it like any unknown option
+        for backend in ("exact", "scipy"):
+            with pytest.raises(SpecError, match="unknown option"):
+                SolveRequest(problem="broadcast", platform=_star2(),
+                             source="M", options={"backend": backend})
 
     def test_conflicting_problem_names_rejected(self):
         g = platform_to_dict(_star2())

@@ -109,10 +109,8 @@ class TestFingerprint:
             request_fingerprint(g, "master-slave", source="M"),
             request_fingerprint(g, "broadcast", source="M"),
             request_fingerprint(g, "master-slave", source="W1"),
-            request_fingerprint(g, "master-slave", source="M",
-                                options={"backend": "scipy"}),
         }
-        assert len(fps) == 4
+        assert len(fps) == 3
 
     def test_topology_signature_ignores_weights(self):
         a = _two_node(w_y=2, c=1)
@@ -128,13 +126,8 @@ class TestFingerprint:
         b.add_edge("X", "Y", 1)
         assert topology_signature(a) != topology_signature(b)
 
-    def test_defaulted_options_share_the_fingerprint(self, fig1):
+    def test_defaulted_options_share_the_fingerprint(self):
         # relying on a default and spelling it out must hit the same entry
-        implicit = SolveRequest(problem="master-slave", platform=fig1,
-                                master="P1")
-        explicit = SolveRequest(problem="master-slave", platform=fig1,
-                                master="P1", options={"backend": "exact"})
-        assert implicit.fingerprint() == explicit.fingerprint()
         g = generators.paper_figure2_multicast()
         implicit = SolveRequest(problem="scatter", platform=g, source="P0",
                                 targets=("P5",))
@@ -749,12 +742,23 @@ class TestApi:
             platform=generators.paper_figure2_multicast(),
             source="P0",
             targets=("P5", "P6"),
-            options={"backend": "exact"},
         )
         from repro.service.api import request_from_dict
 
         back = request_from_dict(request_to_dict(req))
         assert back.fingerprint() == req.fingerprint()
+
+    def test_legacy_exact_options_are_the_request_without_them(self):
+        # what earlier clients send beside every spec asks for the exact
+        # solve every request gets: same fingerprint, same answer
+        with Broker(executor="sync") as broker:
+            bare = handle_request(broker, _fig1_envelope())
+            legacy = handle_request(
+                broker, _fig1_envelope(options={"backend": "exact"}))
+        assert legacy["fingerprint"] == bare["fingerprint"]
+        assert legacy["cached"] and not bare["cached"]
+        assert legacy["solution"] == bare["solution"]
+        assert Fraction(legacy["throughput"]) == Fraction(2)
 
     def test_error_is_a_response_not_an_exception(self):
         with Broker(executor="sync") as broker:
@@ -839,66 +843,32 @@ class TestApi:
             assert Fraction(out["throughput"]) > 0
 
 
-_FIRST_SCIPY_REQUEST = """
-import json
-from repro.platform import generators
-from repro.platform.serialization import platform_to_dict
-from repro.service import Broker
-from repro.service.api import handle_request, route_get
-
-def solve(broker, **options):
-    return handle_request(broker, {"op": "solve", "request": {
-        "spec": {"problem": "master-slave", "master": "P1"},
-        "platform": platform_to_dict(generators.paper_figure1()),
-        "options": options}})
-
-def metrics(broker):
-    _, _, body = route_get(broker, "/metrics", {})
-    _, _, text = route_get(broker, "/metrics", {"format": ["prometheus"]})
-    lines = [line for line in text.decode().splitlines()
-             if line.startswith(("repro_float", "repro_process"))]
-    return {"process": json.loads(body)["process"], "lines": lines}
-
-with Broker(executor="sync") as broker:
-    exact_before = solve(broker)
-    before = metrics(broker)
-    floated = solve(broker, backend="scipy")
-    after = metrics(broker)
-with Broker(executor="sync") as broker:  # an empty cache: solved again
-    exact_after = solve(broker)
-print(json.dumps({
-    "before": before, "after": after, "floated": floated,
-    "exact": [[r["ok"], r["cached"], r["throughput"], r["solution"]]
-              for r in (exact_before, exact_after)]}))
-"""
-
-
 class TestProcessFootprint:
-    """``process`` in every snapshot: what the process holds resident
-    and whether a request has made it load the float backend yet."""
+    """``process`` in every snapshot: which process answered and what it
+    holds resident."""
 
-    def test_float_backend_arrives_with_the_first_scipy_request(
-            self, fresh_python):
-        out = fresh_python(_FIRST_SCIPY_REQUEST)
-        before, after = out["before"], out["after"]
-        assert before["process"]["float_backend_loaded"] is False
-        assert after["process"]["float_backend_loaded"] is True
-        assert after["process"]["pid"] == before["process"]["pid"]
-        # Linux carries the high-water mark across exec, so under a
-        # large pytest process the ~55 MB of numpy + scipy may not show
-        assert (after["process"]["max_rss_bytes"]
-                >= before["process"]["max_rss_bytes"] > 0)
-        assert 'repro_float_backend_loaded{shard="front"} 0' in before["lines"]
-        assert 'repro_float_backend_loaded{shard="front"} 1' in after["lines"]
-        (rss_line,) = [line for line in after["lines"] if line.startswith(
+    def test_every_snapshot_carries_pid_and_rss_high_water(self):
+        from repro.service.api import route_get
+
+        def metrics(broker):
+            _, _, body = route_get(broker, "/metrics", {})
+            _, _, text = route_get(broker, "/metrics",
+                                   {"format": ["prometheus"]})
+            lines = [line for line in text.decode().splitlines()
+                     if line.startswith("repro_process")]
+            return json.loads(body)["process"], lines
+
+        with Broker(executor="sync") as broker:
+            before, _ = metrics(broker)
+            assert handle_request(broker, _fig1_envelope())["ok"]
+            after, lines = metrics(broker)
+        assert set(after) == {"pid", "max_rss_bytes"}
+        assert after["pid"] == before["pid"]
+        assert after["max_rss_bytes"] >= before["max_rss_bytes"] > 0
+        (rss_line,) = [line for line in lines if line.startswith(
             'repro_process_max_rss_bytes{shard="front"} ')]
         # scraped after the JSON view, and a high-water mark only rises
-        assert int(rss_line.split()[-1]) >= after["process"]["max_rss_bytes"]
-        assert out["floated"]["ok"]
-        # loading the float stack changes no exact answer
-        first, again = out["exact"]
-        assert first == again
-        assert first[:3] == [True, False, "2"]
+        assert int(rss_line.split()[-1]) >= after["max_rss_bytes"]
 
 
 class TestErrorStatusMapping:
@@ -1013,6 +983,38 @@ class TestErrorStatusMapping:
                     broker, "/api", json.dumps(envelope).encode())
                 assert status == 422
                 assert json.loads(reply)["type"] == "SpecError"
+
+    @pytest.mark.parametrize("options", [
+        {"backend": "scipy"}, {"backend": "exact", "ports": 2}, {}, None])
+    def test_options_other_than_the_legacy_exact_are_422(self, options):
+        from repro.service.api import route_post
+
+        with Broker(executor="sync") as broker:
+            status, _, reply = route_post(broker, "/api", json.dumps(
+                _fig1_envelope(options=options)).encode())
+            out = json.loads(reply)
+            assert status == 422 and out["type"] == "SpecError"
+            assert "'options'" in out["error"]
+            assert broker.cache.snapshot()["size"] == 0  # nothing solved
+            assert handle_request(broker, _fig1_envelope())["ok"]
+
+    @pytest.mark.parametrize("flag", ["false", "no", 0, 1, None, [True]])
+    def test_include_schedule_is_a_json_boolean(self, flag):
+        from repro.service.api import route_post
+
+        with Broker(executor="sync") as broker:
+            for spec in ({"problem": "master-slave", "master": "P1"},
+                         {"problem": "broadcast", "source": "P1"}):
+                envelope = {"op": "solve", "request": {
+                    "spec": spec, "include_schedule": flag,
+                    "platform": platform_to_dict(generators.paper_figure1())}}
+                status, _, reply = route_post(
+                    broker, "/api", json.dumps(envelope).encode())
+                out = json.loads(reply)
+                assert status == 422 and out["type"] == "SpecError", out
+                assert "'include_schedule'" in out["error"]
+                assert "not supported" not in out["error"]
+            assert broker.cache.snapshot()["size"] == 0
 
 
 class TestHttpServer:

@@ -278,16 +278,12 @@ class TestShardedBrokerProcess:
             "count": 3,
             "max_rss_bytes": (front["max_rss_bytes"]
                               + sum(w["max_rss_bytes"] for w in workers)),
-            "float_backend_loaded": sum(
-                p["float_backend_loaded"] for p in (front, *workers)),
         }
         text = render_prometheus(snap)
         for label, process in (("front", front), ("0", workers[0]),
                                ("1", workers[1])):
             assert (f'repro_process_max_rss_bytes{{shard="{label}"}} '
                     f'{process["max_rss_bytes"]}\n') in text
-            assert (f'repro_float_backend_loaded{{shard="{label}"}} '
-                    f'{int(process["float_backend_loaded"])}\n') in text
         json.dumps(snap)
 
     def test_worker_state_stays_hot_across_calls(self):
@@ -429,6 +425,49 @@ class TestSolveMany:
                     "op": op, "items": [{"fp": req.fingerprint(),
                                          "request": request_to_dict(req)}]}))
             assert sharded.solve(req).throughput > 0  # the shard stays
+
+
+class TestShardCoalescing:
+    """Twins in flight on one shard share an engine run only when they
+    ask for the same reply: the fingerprint does not cover
+    ``include_schedule``, so coalescing must."""
+
+    @pytest.mark.parametrize("flags", [(False, True), (True, False),
+                                       (False, False), (True, True)])
+    def test_each_twin_gets_the_schedule_it_asked_for(self, flags):
+        twins = [SolveRequest(problem="master-slave",
+                              platform=generators.star(3), master="M",
+                              include_schedule=flag) for flag in flags]
+        with ShardedBroker(shards=1, near_cache_size=0) as sharded:
+            # park the engine lane: both solves arrive while it naps
+            nap = asyncio.run_coroutine_threadsafe(
+                sharded._shards[0].call({"op": "sleep", "seconds": 0.5}),
+                sharded._loop)
+            time.sleep(0.1)
+            futures = [sharded.submit(twin) for twin in twins]
+            results = [future.result(30) for future in futures]
+            nap.result(30)
+            coalesced = sharded.snapshot()["shard_coalesced"]
+        for flag, result in zip(flags, results):
+            assert (result.schedule is not None) == flag
+        assert results[0].throughput == results[1].throughput
+        assert isinstance(results[0].throughput, Fraction)
+        assert coalesced == (1 if flags[0] == flags[1] else 0)
+
+    def test_a_non_boolean_flag_is_a_typed_refusal(self):
+        from repro.service.api import request_to_dict
+
+        req = SolveRequest(problem="master-slave",
+                           platform=generators.star(2), master="M")
+        with ShardedBroker(shards=1) as sharded:
+            sharded.solve(req)  # cached: a hit would be served on the loop
+            for flag in ("false", 0, None):
+                with pytest.raises(BrokerError, match="'include_schedule'"):
+                    _on_ring(sharded, sharded._shards[0].call({
+                        "op": "solve", "fp": req.fingerprint(),
+                        "request": {**request_to_dict(req),
+                                    "include_schedule": flag}}))
+            assert sharded.solve(req).cached  # the shard stays
 
 
 class TestEarnedHotModels:
