@@ -293,39 +293,19 @@ def cmd_lint(args) -> int:
 
 
 def _build_broker(args):
-    from .service.broker import Broker
-    from .service.cache import SolutionCache
+    """The served broker: always the ring, one local shard by default."""
+    from .service.sharding import ShardedBroker
 
-    ttl = args.ttl if args.ttl and args.ttl > 0 else None
-    shards = getattr(args, "shards", 1)
-    addresses = list(getattr(args, "shard", None) or [])
-    if shards > 1 or addresses:
-        from .service.sharding import ShardedBroker
-
-        timeout = getattr(args, "shard_timeout", 0) or 0
-        return ShardedBroker(
-            shards=shards,
-            cache_size=args.cache_size,
-            ttl=ttl,
-            shard_addresses=addresses,
-            request_timeout=timeout if timeout > 0 else None,
-            near_cache_size=getattr(args, "near_cache_size", 64),
-        )
-    if getattr(args, "near_cache_size", 64) != 64:
-        raise SystemExit(
-            "--near-cache-size configures the sharded broker's "
-            "near-cache; the unsharded broker's own cache already "
-            "fronts everything (use --cache-size)"
-        )
-    if shards < 1:
+    if args.shards < 1 and not args.shard:
         raise SystemExit("--shards 0 needs at least one --shard host:port")
-    if getattr(args, "shard_timeout", 0):
-        raise SystemExit(
-            "--shard-timeout applies to the sharded broker only; the "
-            "unsharded broker solves in-process"
-        )
-    cache = SolutionCache(max_size=args.cache_size, ttl=ttl)
-    return Broker(cache=cache, workers=args.workers)
+    return ShardedBroker(
+        shards=args.shards,
+        cache_size=args.cache_size,
+        ttl=args.ttl if args.ttl > 0 else None,
+        shard_addresses=args.shard,
+        request_timeout=args.shard_timeout,  # 0 waits indefinitely
+        near_cache_size=args.near_cache_size,
+    )
 
 
 def _run_until_stopped(amain) -> None:
@@ -361,17 +341,13 @@ def cmd_serve(args) -> int:
                                trace_store=store)
         finally:
             broker.close()
-    shards = getattr(args, "shards", 1)
-    addresses = list(getattr(args, "shard", None) or [])
-    if shards > 1 or addresses:
-        layout = f"{shards} local shards x {args.cache_size} entries"
-        if addresses:
-            layout += f" + {len(addresses)} remote " + " ".join(addresses)
-        near = getattr(args, "near_cache_size", 64)
-        if near > 0:
-            layout += f", near-cache {near}"
-    else:
-        layout = f"cache {args.cache_size} entries, {args.workers} workers"
+    plural = "" if args.shards == 1 else "s"
+    layout = (f"ring of {args.shards} local shard{plural} x "
+              f"{args.cache_size} entries")
+    if args.shard:
+        layout += f" + {len(args.shard)} remote " + " ".join(args.shard)
+    if args.near_cache_size > 0:
+        layout += f", near-cache {args.near_cache_size}"
     server = AsyncServiceServer(
         (args.host, args.port), broker=broker, trace_store=store,
         tracing=not args.no_tracing)
@@ -482,7 +458,7 @@ def cmd_submit(args) -> int:
                 f"(is this a repro server?): {body[:200]!r}"
             )
     else:
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             response = handle_request(broker, envelope)
 
     trace = response.pop("trace", None) if args.trace else None
@@ -568,14 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-size", type=int, default=256)
     p.add_argument("--ttl", type=float, default=0,
                    help="cache TTL in seconds (0 = no expiry)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="worker-pool width of the unsharded broker")
     p.add_argument("--shards", type=int, default=1,
                    help="local shards — worker processes, each on a "
                         "private socketpair — routed by consistent hash "
-                        "of the request fingerprint (1 = unsharded; "
-                        "--cache-size is per shard; 0 is allowed when "
-                        "--shard supplies the whole ring)")
+                        "of the request fingerprint (default 1: one "
+                        "supervised worker; --cache-size is per shard; "
+                        "0 is allowed when --shard supplies the whole "
+                        "ring)")
     p.add_argument("--shard", action="append", metavar="HOST:PORT",
                    help="remote shard-serve address to place on the hash "
                         "ring (repeatable; unreachable shards are "
@@ -589,8 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--near-cache-size", type=int, default=64,
                    help="broker-side near-cache entries for the hottest "
                         "fingerprints, generation-revalidated so stale "
-                        "serves are impossible (0 disables; sharded "
-                        "broker only)")
+                        "serves are impossible (0 disables)")
     p.add_argument("--slow-trace", type=float, default=0.25,
                    help="traces at least this slow (seconds) are always "
                         "kept in the slow-trace ring")

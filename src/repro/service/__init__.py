@@ -10,10 +10,10 @@ long-running scheduling service that amortises solves across requests:
   cache key;
 * :mod:`~repro.service.cache` — an LRU + TTL solution cache with hit /
   miss / eviction counters and explicit invalidation on platform mutation;
-* :mod:`~repro.service.broker` — a request broker that coalesces duplicate
-  in-flight requests, batches distinct ones and fans them out to a worker
-  pool, dispatching every problem through the typed solver registry of
-  :mod:`repro.problems` (one generic path, no per-problem adapters);
+* :mod:`~repro.service.broker` — the cache → warm → cold solve core of
+  one shard and the in-process broker around it, dispatching every
+  problem through the typed solver registry of :mod:`repro.problems`
+  (one generic path, no per-problem adapters);
 * :mod:`~repro.service.incremental` — warm re-solve when only edge/node
   weights change, for every solver declaring the ``warm_resolve``
   capability (the LP structure is reused, only coefficients are rebuilt;

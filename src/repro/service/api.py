@@ -167,7 +167,6 @@ def response_to_dict(result: BrokerResult) -> Dict[str, Any]:
         "fingerprint": result.fingerprint,
         "cached": result.cached,
         "warm": result.warm,
-        "coalesced": result.coalesced,
         "latency_seconds": result.latency_seconds,
         "throughput": next(solution[key] for key in THROUGHPUT_FIELDS
                            if key in solution),
@@ -344,8 +343,8 @@ def _dispatch(broker: Broker, data: Dict[str, Any],
                 if inline:
                     out["trace"] = tr.as_dict()
                 return out
-            # submit() rather than solve(): concurrent identical requests
-            # arriving on different transport threads coalesce into one LP
+            # submit() rather than solve(): the ring's future is awaited,
+            # not blocked on, when the HTTP loop drives this generator
             return response_to_dict(
                 (yield from _await(broker.submit(request))))
         if op == "batch":
@@ -517,8 +516,10 @@ class AsyncServiceServer(LoopServer):
     larger body blocks on the broker, so it is handed to a bounded
     executor (``http_workers`` threads) as :func:`route_get` /
     :func:`route_post`.  Idle connections cost nothing; the executor
-    bounds concurrent *dispatch*, not clients.  (A test's
-    ``Broker(executor="sync")`` solves inside ``submit``: on the loop.)
+    bounds concurrent *dispatch*, not clients.  ``broker`` is required:
+    ``serve`` hands it a :class:`~repro.service.sharding.ShardedBroker`,
+    and an in-process :class:`Broker` (a test's) solves inside
+    ``submit``, on the loop.
 
     In-flight dispatch is published on the broker's metrics as the
     ``http_inflight`` / ``http_inflight_max`` gauges (merged into
@@ -529,12 +530,13 @@ class AsyncServiceServer(LoopServer):
     def __init__(
         self,
         address=("127.0.0.1", 0),
-        broker: Optional[Broker] = None,
+        *,
+        broker: Broker,
         trace_store: Optional[TraceStore] = None,
         tracing: bool = True,
         http_workers: int = 8,
     ) -> None:
-        self.broker = broker if broker is not None else Broker()
+        self.broker = broker
         self.trace_store = (
             trace_store if trace_store is not None
             else (TraceStore() if tracing else None)

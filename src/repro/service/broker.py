@@ -1,4 +1,4 @@
-"""Request broker: coalescing, batching and worker-pool fan-out.
+"""Request broker: the solve core of one shard and its in-process facade.
 
 The broker sits between the JSON API (or a library caller) and the LP
 solvers.  For every :class:`SolveRequest` it:
@@ -7,28 +7,26 @@ solvers.  For every :class:`SolveRequest` it:
    (:mod:`repro.service.fingerprint`);
 2. serves it from the :class:`~repro.service.cache.SolutionCache` when a
    structurally identical request was solved before;
-3. **coalesces** duplicate in-flight requests — two concurrent submissions
-   with the same fingerprint share one solve (one LP, two futures
-   resolved);
-4. otherwise dispatches the request through the problem registry
-   (:mod:`repro.problems.registry`) on a pool of worker threads, taking
-   the warm re-solve shortcut of :mod:`repro.service.incremental` whenever
+3. otherwise dispatches the request through the problem registry
+   (:mod:`repro.problems.registry`) on the calling thread, taking the
+   warm re-solve shortcut of :mod:`repro.service.incremental` whenever
    the registered solver declares the ``warm_resolve`` capability and a
-   model with the same topology is already hot.
+   model with the same topology is already hot;
+4. leaves concurrency to the served broker: ``python -m repro serve`` is
+   always a :class:`~repro.service.sharding.ShardedBroker` ring, whose
+   shards run misses on their engine lane and coalesce identical
+   in-flight solves.
 
-A batch is its requests' :meth:`Broker.submit`\\ s —
-:meth:`Broker.solve_batch` submits every request, then waits in order —
-so a duplicate inside a batch is coalesced in flight or served from the
-cache like any other request: each steady-state LP is a small,
-independent job.
+A batch is its requests' solves, under the ``solve.batch`` timer, so a
+duplicate inside a batch is served from the cache like any other
+request: each steady-state LP is a small, independent job.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -45,7 +43,7 @@ from .cache import CacheEntry, SolutionCache
 from .fingerprint import request_fingerprint
 from .incremental import IncrementalSolver
 from .metrics import MetricsRegistry, process_snapshot
-from .tracing import activate, current_span, span
+from .tracing import current_span, span
 
 #: Malformed request (unknown problem kind, missing fields, ...).  The
 #: historical broker-level error type is the spec-validation error of the
@@ -103,7 +101,7 @@ class SolveRequest:
     The flat fields are re-derived from the validated spec, which also
     folds every option default in: a request relying on a default and one
     spelling it out explicitly hash to the same fingerprint (and
-    therefore share cache entries and coalesce).
+    therefore share cache entries).
     """
 
     problem: str
@@ -222,12 +220,7 @@ class SolveRequest:
 class BrokerResult:
     """What a solve request resolves to.
 
-    ``cached`` / ``warm`` describe how *this request's own* solve went;
-    ``coalesced`` marks a request that never solved at all because it
-    piggybacked on an identical in-flight solve (the cache-hit
-    equivalent for requests that arrive while the answer is still being
-    computed).  A coalesced result carries its *own* latency — the time
-    this caller waited — not the leader's.
+    ``cached`` / ``warm`` describe how the solve that answered it went.
     """
 
     fingerprint: str
@@ -235,7 +228,6 @@ class BrokerResult:
     schedule: Any = None
     cached: bool = False
     warm: bool = False
-    coalesced: bool = False
     latency_seconds: float = 0.0
 
     @property
@@ -264,9 +256,9 @@ class SolveEngine:
     :class:`SolutionCache`, a :class:`MetricsRegistry` and (optionally) an
     :class:`~repro.service.incremental.IncrementalSolver` with its hot LP
     models — and nothing else: no pools, no futures, no coalescing.
-    :class:`Broker` wraps one engine with a worker pool and in-flight
-    coalescing; :class:`~repro.service.sharding.ShardedBroker` runs N of
-    them side by side, each a bare engine behind a shard server.
+    :class:`Broker` calls one engine inline;
+    :class:`~repro.service.sharding.ShardedBroker` runs N of them side
+    by side, each behind a shard server that coalesces in-flight twins.
     """
 
     def __init__(
@@ -391,29 +383,6 @@ class SolveEngine:
             warm=warm,
         )
 
-    def tailor_schedule(
-        self, request: SolveRequest, result: BrokerResult
-    ) -> BrokerResult:
-        """Shape a shared (coalesced) result to this caller's
-        ``include_schedule``: reconstruct lazily when asked, strip when not
-        (so the response shape never depends on which twin solved first)."""
-        if request.include_schedule:
-            if result.schedule is not None:
-                return result
-            # another waiter may have reconstructed and attached it already
-            entry = self.cache.peek(result.fingerprint)
-            schedule = entry.schedule if entry is not None else None
-            if schedule is None:
-                schedule = self._reconstruct(request, result.solution)
-                if schedule is None:
-                    return result
-                self.cache.attach_schedule(result.fingerprint, schedule)
-        else:
-            if result.schedule is None:
-                return result
-            schedule = None
-        return dataclasses.replace(result, schedule=schedule)
-
     @staticmethod
     def _reconstruct(request: SolveRequest, solution: Any):
         if (
@@ -451,7 +420,14 @@ class SolveEngine:
 
 # ----------------------------------------------------------------------
 class Broker:
-    """Cached, coalescing, batching front-end over the solver library.
+    """Cached, batching, in-process front-end over the solver library.
+
+    Every request is solved inline, on the calling thread, by one
+    :class:`SolveEngine` — the broker of library code and of ``python
+    -m repro submit`` without ``--url``.  What a served deployment
+    adds — worker processes, failover, in-flight coalescing — is the
+    :class:`~repro.service.sharding.ShardedBroker` ring, which ``python
+    -m repro serve`` always runs.
 
     Parameters
     ----------
@@ -460,14 +436,9 @@ class Broker:
         pass ``None``-like ``max_size``/``ttl`` choices through it.
     metrics:
         A :class:`MetricsRegistry`; created when omitted.
-    workers:
-        Worker-pool width for :meth:`submit` / :meth:`solve_batch`.
     executor:
-        ``"thread"`` (default) runs solves on a thread pool — fine for the
-        exact simplex, whose Fraction arithmetic releases the GIL rarely
-        but whose requests are short; ``"sync"`` executes inline (no pool
-        — deterministic, for tests).  Process parallelism is the sharded
-        broker's job (``ShardedBroker(shards=N)`` / ``serve --shards N``).
+        Selects nothing: a broker solves inline, and any value but
+        ``"sync"`` raises :class:`ValueError`.
     incremental:
         Use the warm re-solve path for requests whose registered solver
         declares the ``warm_resolve`` capability (master-slave, scatter,
@@ -478,31 +449,20 @@ class Broker:
         self,
         cache: Optional[SolutionCache] = None,
         metrics: Optional[MetricsRegistry] = None,
-        workers: int = 4,
-        executor: str = "thread",
+        # kept only for bench/layers.py's Broker(executor="sync")
+        executor: str = "sync",
         incremental: bool = True,
     ) -> None:
-        if executor not in ("thread", "sync"):
-            raise ValueError("executor must be 'thread' or 'sync'")
-        self.workers = max(1, int(workers))
-        self.executor_kind = executor
-        self._pool: Optional[ThreadPoolExecutor] = None
         if executor != "sync":
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-broker"
+            raise ValueError(
+                f"a Broker solves inline; executor={executor!r} selects "
+                f"nothing (serve runs the ShardedBroker ring)"
             )
         self.engine = SolveEngine(
             cache=cache,
             metrics=metrics,
             incremental=IncrementalSolver() if incremental else None,
         )
-        # RLock: a future that completes before add_done_callback returns
-        # runs its callback inline on the submitting thread, re-entering
-        # the lock held by submit()
-        self._inflight_lock = threading.RLock()
-        self._inflight: Dict[str, Future] = {}  # guarded-by: _inflight_lock
-        # submissions answered by an in-flight future
-        self.coalesced = 0  # guarded-by: _inflight_lock
 
     # the per-shard state lives on the engine; expose it under the
     # historical names so `broker.cache.stats` / `broker.metrics` keep
@@ -516,11 +476,10 @@ class Broker:
         return self.engine.metrics
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle: nothing to release, closed like the ring
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        pass
 
     def __enter__(self) -> "Broker":
         return self
@@ -536,119 +495,21 @@ class Broker:
         return self.engine.run(request, request.fingerprint())
 
     def submit(self, request: SolveRequest) -> "Future[BrokerResult]":
-        """Asynchronous solve; duplicate in-flight requests share a future."""
-        fp = request.fingerprint()
-        start = time.perf_counter()
-        if self._pool is None:  # sync broker: resolve immediately
-            fut: "Future[BrokerResult]" = Future()
-            try:
-                fut.set_result(self.engine.run(request, fp))
-            except BaseException as exc:  # noqa: BLE001 — future carries it
-                fut.set_exception(exc)
-            return fut
-        # the caller's span (if any) must follow the request onto the pool
-        # thread; the leader future also remembers which trace it solves
-        # under so coalesced followers can link the two trees
-        parent = current_span()
-        with self._inflight_lock:
-            inflight = self._inflight.get(fp)
-            if inflight is None:
-                fut = self._pool.submit(self._run_pooled, request, fp, parent)
-                fut._repro_trace_id = (  # type: ignore[attr-defined]
-                    parent.trace.trace_id if parent is not None else None
-                )
-                self._inflight[fp] = fut
-                fut.add_done_callback(
-                    lambda _f, fp=fp: self._forget_inflight(fp)
-                )
-            else:
-                self.coalesced += 1
-        if inflight is None:
-            return fut
-        # outside the lock: chaining onto an already-completed future runs
-        # the relay (possibly a full schedule reconstruction) inline on this
-        # thread, which must not stall other submitters.  The in-flight
-        # request may not have asked for a schedule; honour this caller's
-        # include_schedule on top of its result.
-        follower_span = None
-        if parent is not None:
-            follower_span = parent.trace.new_span("coalesce.wait",
-                                                  parent.span_id)
-            leader_trace = getattr(inflight, "_repro_trace_id", None)
-            if leader_trace is not None:
-                follower_span.annotate(leader_trace=leader_trace)
-        return self._chain_schedule(inflight, request, start, follower_span)
-
-    def _run_pooled(self, request: SolveRequest, fp: str,
-                    parent) -> BrokerResult:
-        with activate(parent):
-            return self.engine.run(request, fp)
-
-    def _forget_inflight(self, fp: str) -> None:
-        with self._inflight_lock:
-            self._inflight.pop(fp, None)
-
-    def _chain_schedule(
-        self,
-        fut: "Future[BrokerResult]",
-        request: SolveRequest,
-        start: float,
-        follower_span=None,
-    ) -> "Future[BrokerResult]":
-        """Resolve a coalesced follower on top of the leader's future.
-
-        The follower is a first-class request: it gets its own ``solve``
-        observation (plus the ``solve.coalesced`` sub-timer) and its own
-        latency — the time *this* caller waited — and is flagged
-        ``coalesced=True`` rather than echoing the leader's ``cached`` /
-        ``warm`` flags, which describe how the *leader's* solve went.
-        ``follower_span``, when tracing, covers the wait-on-leader window
-        in the follower's own trace (annotated with the leader's trace id
-        — the cross-trace link).
-        """
-        out: "Future[BrokerResult]" = Future()
-
-        def _relay(done: "Future[BrokerResult]") -> None:
-            try:
-                with activate(follower_span):
-                    tailored = self.engine.tailor_schedule(request,
-                                                           done.result())
-                out.set_result(self._mark_coalesced(tailored, start))
-            except BaseException as exc:  # noqa: BLE001 — future carries it
-                self.metrics.observe("solve", time.perf_counter() - start,
-                                     error=True)
-                out.set_exception(exc)
-            finally:
-                if follower_span is not None:
-                    follower_span.finish()
-
-        fut.add_done_callback(_relay)
-        return out
-
-    def _mark_coalesced(
-        self, result: BrokerResult, start: float
-    ) -> BrokerResult:
-        """Stamp a follower result: own latency, own ``solve`` /
-        ``solve.coalesced`` observations, ``coalesced=True`` instead of
-        the leader's ``cached``/``warm`` flags."""
-        latency = time.perf_counter() - start
-        self.metrics.observe("solve", latency)
-        self.metrics.observe("solve.coalesced", latency)
-        return dataclasses.replace(
-            result,
-            cached=False,
-            warm=False,
-            coalesced=True,
-            latency_seconds=latency,
-        )
+        """:meth:`solve`, returned as an already-resolved future — the
+        shape the JSON API's dispatcher waits on for either broker."""
+        fut: "Future[BrokerResult]" = Future()
+        try:
+            fut.set_result(self.solve(request))
+        except Exception as exc:  # noqa: BLE001 — future carries it
+            fut.set_exception(exc)
+        return fut
 
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
-        """The blocking form of the served batch: :meth:`submit` every
-        request, then wait for each answer in order.  A failing request
-        raises here; the JSON API's ``batch`` op isolates errors."""
+        """Solve every request in order, under the ``solve.batch`` timer.
+        A failing request raises here; the JSON API's ``batch`` op
+        isolates errors."""
         with self.metrics.timer("solve.batch"):
-            futures = [self.submit(request) for request in requests]
-            return [future.result() for future in futures]
+            return [self.solve(request) for request in requests]
 
     # ------------------------------------------------------------------
     # invalidation + introspection
@@ -659,10 +520,4 @@ class Broker:
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe operational state (exposed by the API)."""
-        return {
-            "executor": self.executor_kind,
-            "workers": self.workers,
-            # GIL-atomic int read; a snapshot may lag one increment
-            "coalesced": self.coalesced,  # repro-lint: allow(locks)
-            **self.engine.snapshot(),
-        }
+        return self.engine.snapshot()

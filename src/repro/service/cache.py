@@ -3,8 +3,8 @@
 One entry per request fingerprint (see :mod:`repro.service.fingerprint`),
 holding the solver's result and — lazily, once somebody asks for it — the
 reconstructed :class:`~repro.schedule.periodic.PeriodicSchedule`.  The
-cache is thread-safe: the broker's worker pool and the API front-end hit
-it concurrently.
+cache is thread-safe: a shard's event loop (serving hits) and its engine
+lane (solving misses) hit it concurrently.
 
 Eviction happens on three paths, each with its own counter:
 

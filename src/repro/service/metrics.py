@@ -332,9 +332,6 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     emit("repro_requests_per_second", "gauge",
          "Aggregate request rate over the service uptime.",
          [({}, metrics.get("requests_per_second"))])
-    emit("repro_coalesced_total", "counter",
-         "Requests answered by piggybacking on an in-flight twin.",
-         [({}, snapshot.get("coalesced"))])
     emit("repro_shard_coalesced_total", "counter",
          "Solves coalesced at a shard across brokers (same fingerprint "
          "already in flight).",

@@ -148,7 +148,7 @@ class ShardTimeoutError(ShardUnavailableError):
 #: dynamically minted ShardError subclasses named after the worker-side
 #: exception class, so ``type(exc).__name__`` — the JSON API's ``"type"``
 #: field — reports the ORIGINAL class (RuntimeError, ZeroDivisionError,
-#: ...) identically to the unsharded broker, while remaining catchable
+#: ...) identically to an in-process broker, while remaining catchable
 #: as ShardError.
 _REMOTE_ERROR_TYPES: Dict[str, type] = {}
 
@@ -447,7 +447,7 @@ class ShardedBroker:
         appended to the ring after the local shards.
     request_timeout:
         Per-request transport timeout in seconds (``None`` — the
-        default — waits indefinitely, like the unsharded broker).  A
+        default — waits indefinitely, like an in-process broker).  A
         shard receives the budget as a server-side deadline: it
         answers a miss itself, promptly, and stays on the ring with its
         cache warm instead of being punished for being busy; only a

@@ -4,7 +4,7 @@ Flat per-endpoint percentiles (``/metrics``) say *that* a request was
 slow; this module says *where*.  A :class:`Trace` is a request-scoped
 tree of :class:`Span`\\ s — each with a monotonic start offset, a
 duration and typed annotations — threaded through the broker (cache
-lookup, warm-vs-cold decision, coalescing leader/follower links), the
+lookup, warm-vs-cold decision, a shard's coalescing follower links), the
 consistent-hash ring (shard chosen, failover hops), the shard
 transport (socketpair / TCP round-trips) and the exact simplex (phase
 timings, pivot counts).  The design goals, in order:
@@ -143,7 +143,7 @@ class Span:
 class Trace:
     """A request-scoped tree of spans sharing one monotonic clock.
 
-    Spans may be opened from any thread (the broker's worker pool, the
+    Spans may be opened from any thread (a shard's engine lane, the
     sharded broker's ring loop); the trace serialises id allocation and
     the span list, nothing else.  The root span is created on
     construction and closed by :meth:`finish`.
@@ -292,7 +292,7 @@ def span(name: str, **annotations: Any):
 
 
 class _ActivateContext:
-    """Re-enter a span on another thread (the broker's worker pool).
+    """Re-enter a span on another thread (a job handed to a pool).
 
     Does not finish the span on exit — ownership stays with whoever
     created it.

@@ -788,9 +788,12 @@ class AsyncShardServer(LoopServer):
                                             deadline))
         if follower:
             waited = time.perf_counter() - started
-            # metered like any endpoint so /metrics and the Prometheus
-            # view surface remote coalescing without a new schema
-            self.engine.metrics.observe("coalesce.remote", waited)
+            # a follower is a request like any other: one ``solve`` (an
+            # error when the shared reply is one), and the wait itself
+            # under the ``coalesce.remote`` sub-timer
+            metrics = self.engine.metrics
+            metrics.observe("solve", waited, error=not reply.get("ok"))
+            metrics.observe("coalesce.remote", waited)
             leader_trace = reply.pop("trace", None)
             if trace:
                 reply["trace"] = self._follower_trace(
@@ -830,7 +833,6 @@ class AsyncShardServer(LoopServer):
         sp = tr.new_span("coalesce.remote", tr.root.span_id, start=0.0)
         sp.annotations.update({
             "fingerprint": fp[:12],
-            "coalesced": True,
             "leader_trace": (leader_trace or {}).get("trace_id"),
         })
         sp.duration_seconds = waited

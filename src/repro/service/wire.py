@@ -259,7 +259,6 @@ def _result_head(result: BrokerResult) -> Dict[str, Any]:
         "fingerprint": result.fingerprint,
         "cached": result.cached,
         "warm": result.warm,
-        "coalesced": result.coalesced,
         "latency_seconds": result.latency_seconds,
     }
 
@@ -339,7 +338,6 @@ def result_from_wire(data: Dict[str, Any]) -> BrokerResult:
         fingerprint=data["fingerprint"],
         cached=bool(data.get("cached", False)),
         warm=bool(data.get("warm", False)),
-        coalesced=bool(data.get("coalesced", False)),
         # operational metadata (measured seconds), not part of the
         # exact result; explicitly float on both sides of the wire
         latency_seconds=float(data.get("latency_seconds", 0.0)),  # repro-lint: allow(exactness)

@@ -340,11 +340,13 @@ class TestCrossBrokerCoalescing:
             t1.start(); t2.start()
             t1.join(); t2.join(); hold.join()
 
-            # exactly ONE engine solve; the other broker coalesced
+            # exactly ONE engine solve; the other broker coalesced, and
+            # is counted as a request all the same
             snap = _shard_request(server, {"op": "snapshot"},
                                   timeout=5)["snapshot"]
             endpoints = snap["metrics"]["endpoints"]
-            assert endpoints["solve"]["count"] == 1
+            assert endpoints["solve.cold"]["count"] == 1
+            assert endpoints["solve"]["count"] == 2
             assert snap["async"]["shard_coalesced"] == 1
             assert endpoints["coalesce.remote"]["count"] == 1
 
@@ -483,7 +485,7 @@ class TestAsyncHttp:
                 (handed.append(_name), _real(*args))[1])
         request = _ms_request()
         wire = request_to_dict(request)
-        broker = Broker(workers=2)
+        broker = Broker()
         server = AsyncServiceServer(broker=broker,
                                     http_workers=1).start_in_thread()
         sock = socket.create_connection(("127.0.0.1", server.port), 5)

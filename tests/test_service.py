@@ -23,6 +23,7 @@ from repro.service import (
     AsyncServiceServer,
     MetricsRegistry,
     SolutionCache,
+    ShardedBroker,
     SolveRequest,
     handle_request,
     platform_signature,
@@ -266,7 +267,7 @@ class TestBroker:
             SolveRequest(problem="send-or-receive", platform=fig1,
                          master="P1"),
         ]
-        with Broker(workers=4) as broker:
+        with Broker() as broker:
             results = broker.solve_batch(requests)
             assert len(results) == len(requests)
             for res in results:
@@ -282,28 +283,28 @@ class TestBroker:
             assert len({r.fingerprint for r in results}) == 1
             assert broker.cache.stats.misses == 1
 
-    def test_inflight_coalescing(self, monkeypatch):
-        release = threading.Event()
-        started = threading.Event()
-        real = broker_mod.execute_request
+    def test_submit_is_an_already_resolved_future(self, fig1, monkeypatch):
+        req = SolveRequest(problem="master-slave", platform=fig1,
+                           master="P1")
+        with Broker() as broker:
+            good = broker.submit(req)
+            assert good.done() and good.result().throughput == Fraction(2)
 
-        def slow(request):
-            started.set()
-            assert release.wait(10)
-            return real(request)
+        def boom(request):
+            raise RuntimeError("solver exploded")
 
-        monkeypatch.setattr(broker_mod, "execute_request", slow)
-        with Broker(workers=2, incremental=False) as broker:
-            req = SolveRequest(problem="broadcast",
-                               platform=generators.chain(3), source="N0")
-            fut1 = broker.submit(req)
-            assert started.wait(10)
-            fut2 = broker.submit(req)      # same fingerprint, still in flight
-            assert broker.coalesced == 1
-            release.set()
-            r1, r2 = fut1.result(10), fut2.result(10)
-            assert r1.throughput == Fraction(1)
-            assert r2.solution is r1.solution  # one solve, shared result
+        monkeypatch.setattr(broker_mod, "execute_request", boom)
+        with Broker(incremental=False) as broker:
+            bad = broker.submit(req)
+            assert bad.done()
+            with pytest.raises(RuntimeError, match="solver exploded"):
+                bad.result()
+            ep = broker.metrics.endpoint("solve")
+            assert ep.count == 1 and ep.errors == 1
+
+    def test_the_http_server_takes_a_broker(self):
+        with pytest.raises(TypeError, match="broker"):
+            AsyncServiceServer(("127.0.0.1", 0))
 
     def test_batch_dedup_honours_include_schedule(self, fig1):
         # regression: a deduped request asking for a schedule must not
@@ -317,31 +318,6 @@ class TestBroker:
             assert out[1].schedule is not None
             assert out[1].schedule.throughput == out[1].solution.throughput
             assert broker.cache.stats.misses == 1
-
-    def test_coalesced_submit_honours_include_schedule(self, monkeypatch):
-        release = threading.Event()
-        started = threading.Event()
-        real = broker_mod.execute_request
-
-        def slow(request):
-            started.set()
-            assert release.wait(10)
-            return real(request)
-
-        monkeypatch.setattr(broker_mod, "execute_request", slow)
-        fig1 = generators.paper_figure1()
-        with Broker(workers=2, incremental=False) as broker:
-            bare = SolveRequest(problem="master-slave", platform=fig1,
-                                master="P1")
-            with_sched = SolveRequest(problem="master-slave", platform=fig1,
-                                      master="P1", include_schedule=True)
-            fut1 = broker.submit(bare)
-            assert started.wait(10)
-            fut2 = broker.submit(with_sched)
-            assert broker.coalesced == 1
-            release.set()
-            assert fut1.result(10).schedule is None
-            assert fut2.result(10).schedule is not None
 
     def test_batch_dedup_strips_unrequested_schedule(self, fig1):
         # the mirror case: a bare request deduped onto a schedule-bearing
@@ -423,88 +399,6 @@ class TestBroker:
 
 
 # ----------------------------------------------------------------------
-# coalesced followers: first-class in metrics, flagged on the result
-# ----------------------------------------------------------------------
-class TestCoalescedFollowers:
-    def _blocking_solver(self, monkeypatch):
-        release = threading.Event()
-        started = threading.Event()
-        real = broker_mod.execute_request
-
-        def slow(request):
-            started.set()
-            assert release.wait(10)
-            return real(request)
-
-        monkeypatch.setattr(broker_mod, "execute_request", slow)
-        return started, release
-
-    def test_follower_gets_own_metrics_and_coalesced_flag(self, monkeypatch):
-        # regression: followers used to be invisible to /metrics and
-        # echoed the leader's cached/warm flags and latency verbatim
-        started, release = self._blocking_solver(monkeypatch)
-        with Broker(workers=2, incremental=False) as broker:
-            req = SolveRequest(problem="broadcast",
-                               platform=generators.chain(3), source="N0")
-            leader_fut = broker.submit(req)
-            assert started.wait(10)
-            follower_fut = broker.submit(req)
-            assert broker.coalesced == 1
-            release.set()
-            leader = leader_fut.result(10)
-            follower = follower_fut.result(10)
-            assert not leader.coalesced and not leader.cached
-            assert follower.coalesced
-            assert not follower.cached and not follower.warm
-            assert follower.solution is leader.solution  # still one solve
-            assert follower.latency_seconds > 0
-            # the follower is a first-class request in the metrics:
-            assert broker.metrics.endpoint("solve").count == 2
-            assert broker.metrics.endpoint("solve.coalesced").count == 1
-            assert broker.metrics.snapshot()["total_requests"] == 2
-            # ... but only ONE cold solve happened
-            assert broker.metrics.endpoint("solve.cold").count == 1
-
-    def test_follower_error_still_observed(self, monkeypatch):
-        started = threading.Event()
-        release = threading.Event()
-
-        def boom(request):
-            started.set()
-            assert release.wait(10)
-            raise RuntimeError("solver exploded")
-
-        monkeypatch.setattr(broker_mod, "execute_request", boom)
-        with Broker(workers=2, incremental=False) as broker:
-            req = SolveRequest(problem="broadcast",
-                               platform=generators.chain(3), source="N0")
-            leader_fut = broker.submit(req)
-            assert started.wait(10)
-            follower_fut = broker.submit(req)
-            release.set()
-            with pytest.raises(RuntimeError):
-                leader_fut.result(10)
-            with pytest.raises(RuntimeError):
-                follower_fut.result(10)
-            ep = broker.metrics.endpoint("solve")
-            assert ep.count == 2 and ep.errors == 2
-
-    def test_coalesced_flag_on_the_wire(self, monkeypatch):
-        started, release = self._blocking_solver(monkeypatch)
-        with Broker(workers=2, incremental=False) as broker:
-            req = SolveRequest(problem="broadcast",
-                               platform=generators.chain(3), source="N0")
-            leader = broker.submit(req)
-            assert started.wait(10)
-            follower = broker.submit(req)
-            release.set()
-            from repro.service import response_to_dict
-
-            assert response_to_dict(leader.result(10))["coalesced"] is False
-            assert response_to_dict(follower.result(10))["coalesced"] is True
-
-
-# ----------------------------------------------------------------------
 # invalidation generation: in-flight solves cannot reinstate stale entries
 # ----------------------------------------------------------------------
 class TestInvalidationGeneration:
@@ -522,14 +416,18 @@ class TestInvalidationGeneration:
 
         monkeypatch.setattr(broker_mod, "execute_request", slow)
         platform = generators.chain(3)
-        with Broker(workers=2, incremental=False) as broker:
+        with Broker(incremental=False) as broker:
             req = SolveRequest(problem="broadcast", platform=platform,
                                source="N0")
-            fut = broker.submit(req)
+            solved = []
+            solver = threading.Thread(target=lambda: solved.append(
+                broker.engine.run(req, req.fingerprint())))
+            solver.start()
             assert started.wait(10)  # solve captured its generation
             assert broker.invalidate_platform(platform) == 0  # no entry yet
             release.set()
-            result = fut.result(10)  # the caller still gets its answer
+            solver.join(10)
+            (result,) = solved  # the caller still gets its answer
             assert result.throughput == Fraction(1)
             # ... but the pre-invalidation solution must not be cached
             assert broker.cache.peek(req.fingerprint()) is None
@@ -940,7 +838,7 @@ class TestErrorStatusMapping:
             raise RuntimeError("solver exploded")
 
         monkeypatch.setattr(broker_mod, "execute_request", boom)
-        broker = Broker(workers=2, incremental=False)
+        broker = Broker(incremental=False)
         server = AsyncServiceServer(("127.0.0.1", 0),
                                     broker=broker).start_in_thread()
         url = f"http://127.0.0.1:{server.port}/api"
@@ -1019,7 +917,7 @@ class TestErrorStatusMapping:
 
 class TestHttpServer:
     def test_end_to_end(self):
-        broker = Broker(workers=2)
+        broker = ShardedBroker(shards=1)  # what a bare `serve` runs
         server = AsyncServiceServer(("127.0.0.1", 0),
                                     broker=broker).start_in_thread()
         url = f"http://127.0.0.1:{server.port}"
@@ -1046,7 +944,7 @@ class TestHttpServer:
         envelope with a typed 4xx, and the server keeps serving."""
         from repro.service.api import LOOP_BODY_BYTES
 
-        broker = Broker(workers=2)
+        broker = Broker()
         server = AsyncServiceServer(("127.0.0.1", 0),
                                     broker=broker).start_in_thread()
 

@@ -454,6 +454,61 @@ class TestShardCoalescing:
         assert isinstance(results[0].throughput, Fraction)
         assert coalesced == (1 if flags[0] == flags[1] else 0)
 
+    @staticmethod
+    def _twins_behind_a_nap(sharded, request):
+        """Submit ``request`` twice while a ``sleep`` op holds the engine
+        lane, so the second is a follower of the first; the futures."""
+        nap = asyncio.run_coroutine_threadsafe(
+            sharded._shards[0].call({"op": "sleep", "seconds": 0.5}),
+            sharded._loop)
+        time.sleep(0.1)
+        futures = [sharded.submit(request) for _ in range(2)]
+        nap.result(30)
+        return futures
+
+    def test_a_follower_is_a_request_in_the_metrics(self):
+        req = SolveRequest(problem="master-slave",
+                           platform=generators.star(3), master="M")
+        with ShardedBroker(shards=1, near_cache_size=0) as sharded:
+            futures = self._twins_behind_a_nap(sharded, req)
+            results = [future.result(30) for future in futures]
+            snap = sharded.snapshot()
+        assert results[0].throughput == results[1].throughput
+        assert snap["shard_coalesced"] == 1
+        endpoints = snap["metrics"]["endpoints"]
+        # two requests, one engine run: the follower is counted once
+        assert endpoints["solve"]["count"] == 2
+        assert endpoints["solve.cold"]["count"] == 1
+        assert endpoints["coalesce.remote"]["count"] == 1
+        assert snap["metrics"]["total_requests"] == 2
+
+    def test_a_failed_shared_solve_fails_both_requests(self, monkeypatch):
+        from repro.service import AsyncShardServer, ShardError
+        import repro.service.broker as broker_mod
+
+        def boom(request):
+            raise RuntimeError("solver exploded")
+
+        # an in-thread shard: the patch reaches its engine
+        monkeypatch.setattr(broker_mod, "execute_request", boom)
+        server = AsyncShardServer(incremental=False).start_in_thread()
+        req = SolveRequest(problem="broadcast",
+                           platform=generators.chain(3), source="N0")
+        try:
+            with ShardedBroker(shards=0, near_cache_size=0,
+                               shard_addresses=[f"{server.host}:"
+                                                f"{server.port}"],
+                               health_interval=0) as sharded:
+                for future in self._twins_behind_a_nap(sharded, req):
+                    with pytest.raises(ShardError, match="solver exploded"):
+                        future.result(30)
+                snap = sharded.snapshot()
+        finally:
+            server.shutdown()
+        assert snap["shard_coalesced"] == 1
+        solve = snap["metrics"]["endpoints"]["solve"]
+        assert solve["count"] == 2 and solve["errors"] == 2
+
     def test_a_non_boolean_flag_is_a_typed_refusal(self):
         from repro.service.api import request_to_dict
 
@@ -619,8 +674,36 @@ class TestServeCli:
             main(["serve", "--stdio", "--executor", "thread"])
         assert err.value.code == 2  # argparse: unrecognized arguments
         assert "--executor" in capsys.readouterr().err
-        with pytest.raises(ValueError, match="'thread' or 'sync'"):
-            Broker(executor="process")
+        for kind in ("thread", "process"):
+            with pytest.raises(ValueError, match="selects nothing"):
+                Broker(executor=kind)
+
+    def test_a_bare_serve_is_a_ring_that_restarts_its_worker(self):
+        from repro.cli import _build_broker, build_parser
+        from repro.service.api import request_to_dict
+
+        req = SolveRequest(problem="master-slave",
+                           platform=generators.star(2), master="M")
+        envelope = {"op": "solve", "request": request_to_dict(req)}
+        with _build_broker(build_parser().parse_args(["serve"])) as broker:
+            assert isinstance(broker, ShardedBroker) and broker.shards == 1
+            first = handle_request(broker, envelope)
+            assert first["ok"] and "coalesced" not in first
+            (shard,) = broker._shards
+            shard.process.kill()
+            shard.process.join()
+            again = handle_request(broker, envelope)
+            assert again["ok"] and not again["cached"]  # a fresh worker
+            assert again["throughput"] == first["throughput"]
+            assert broker.shard_health()["shard_restarts"] == 1
+
+    def test_workers_flag_is_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--stdio", "--workers", "2"])
+        assert err.value.code == 2  # argparse: unrecognized arguments
+        assert "--workers" in capsys.readouterr().err
 
     def test_shard_mode_flag_is_gone(self, capsys):
         from repro.cli import main
@@ -1313,11 +1396,20 @@ class TestRemoteTcpShards:
 # review-hardening regressions
 # ----------------------------------------------------------------------
 class TestTimeoutConfiguration:
-    def test_cli_rejects_shard_timeout_without_transport_shards(self):
-        from repro.cli import main
+    def test_a_bare_serve_takes_the_ring_options(self):
+        """A bare ``serve`` is a one-shard ring: ``--shard-timeout`` and
+        ``--near-cache-size`` apply to it; ``--shards 0`` needs a
+        ``--shard``."""
+        from repro.cli import _build_broker, build_parser, main
 
-        with pytest.raises(SystemExit, match="shard-timeout"):
-            main(["serve", "--stdio", "--shard-timeout", "5"])
+        args = build_parser().parse_args(
+            ["serve", "--shard-timeout", "5", "--near-cache-size", "8"])
+        with _build_broker(args) as broker:
+            assert broker.shards == 1
+            assert broker.request_timeout == 5
+            assert broker._near_cache.max_size == 8
+        with pytest.raises(SystemExit, match="--shards 0"):
+            main(["serve", "--stdio", "--shards", "0"])
 
     def test_the_budget_travels_as_the_shard_deadline(self):
         """The shard is handed ``request_timeout`` as its own deadline

@@ -86,7 +86,7 @@ class TestResultWireCodec:
             broker.solve(req)
             hit = broker.solve(req)
             back = result_from_wire(result_to_wire(hit))
-            assert back.cached and not back.warm and not back.coalesced
+            assert back.cached and not back.warm
 
     def test_packing_is_exact(self):
         req = SolveRequest(problem="broadcast",
