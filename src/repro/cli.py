@@ -234,7 +234,7 @@ def _run_registry_check() -> int:
             continue
         try:
             spec = entry.example(platform.copy(), "M", ("W1", "W2"))
-            solution = execute_request(SolveRequest.from_spec(spec))
+            solution = execute_request(SolveRequest(spec))
             throughput = solution_throughput(solution)
             if throughput < 0:
                 raise ValueError(f"negative throughput {throughput}")
@@ -253,7 +253,7 @@ def _run_registry_check() -> int:
                     raise ValueError("warm re-solve did not take the warm path")
                 warm_tp = solution_throughput(warm_sol)
                 cold_tp = solution_throughput(
-                    execute_request(SolveRequest.from_spec(mutated))
+                    execute_request(SolveRequest(mutated))
                 )
                 if warm_tp != cold_tp:
                     raise ValueError(
@@ -403,6 +403,7 @@ def cmd_shard_serve(args) -> int:
 def cmd_submit(args) -> int:
     import json as _json
 
+    from .problems import SpecError, resolve, spec_from_wire
     from .service.api import handle_request, request_to_dict
     from .service.broker import Broker, SolveRequest
 
@@ -415,18 +416,18 @@ def cmd_submit(args) -> int:
         if not args.problem:
             raise SystemExit("provide --request FILE or --problem NAME")
         platform = _load_platform(args)
-        from .service.broker import BrokerError
-
         try:
-            request = SolveRequest(
-                problem=args.problem,
-                platform=platform,
-                source=args.source,
-                master=args.master,  # SolveRequest rejects a conflicting pair
-                targets=tuple(args.targets or ()),
-                include_schedule=args.include_schedule,
-            )
-        except BrokerError as exc:
+            # a role the problem lacks stays under its generic name, so
+            # the spec codec refuses it as an unknown field
+            spec_type = resolve(args.problem).spec_type
+            payload = {"problem": args.problem}
+            if args.source is not None:
+                payload[spec_type._SOURCE_FIELD or "source"] = args.source
+            if args.targets:
+                payload[spec_type._TARGETS_FIELD or "targets"] = args.targets
+            request = SolveRequest(spec_from_wire(platform, payload),
+                                   include_schedule=args.include_schedule)
+        except SpecError as exc:
             raise SystemExit(str(exc))
         envelope = {"op": "solve", "request": request_to_dict(request)}
 
@@ -597,8 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--request", help="JSON request/envelope file")
     p.add_argument("--problem",
                    help="problem kind (master-slave, scatter, broadcast, ...)")
-    p.add_argument("--source")
-    p.add_argument("--master")
+    p.add_argument("--source", "--master", dest="source",
+                   help="the distinguished node (master, source, sink, root)")
     p.add_argument("--targets", nargs="*", default=[])
     p.add_argument("--include-schedule", action="store_true")
     p.add_argument("--timeout", type=float, default=60.0)

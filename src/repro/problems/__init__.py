@@ -49,7 +49,6 @@ from .registry import (
     registered_problems,
     resolve,
     solve,
-    spec_from_request_fields,
     spec_from_wire,
 )
 from . import catalog  # noqa: F401  — registers the built-in problems
@@ -79,6 +78,5 @@ __all__ = [
     "registered_problems",
     "resolve",
     "solve",
-    "spec_from_request_fields",
     "spec_from_wire",
 ]

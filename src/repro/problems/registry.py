@@ -178,20 +178,6 @@ def reconstructable_problems() -> frozenset:
     )
 
 
-def spec_from_request_fields(
-    problem: str,
-    platform: Platform,
-    source: Optional[NodeId] = None,
-    targets: Any = (),
-    dag: Any = None,
-    options: Optional[Dict[str, Any]] = None,
-) -> ProblemSpec:
-    """Typed spec from the flat :class:`SolveRequest` keyword fields."""
-    return resolve(problem).spec_type.from_request_fields(
-        platform, source=source, targets=targets, dag=dag, options=options
-    )
-
-
 def spec_from_wire(platform: Platform, payload: Any) -> ProblemSpec:
     """Typed spec from a versioned wire envelope (``{"spec": ...}``)."""
     if not isinstance(payload, dict):

@@ -10,9 +10,9 @@ distinguished node, its commodity set, its structural options), with
   :class:`SpecError`, never a downstream ``KeyError``/``TypeError``;
 * an exact JSON wire codec (:meth:`ProblemSpec.to_wire` /
   :meth:`ProblemSpec.from_wire`) with explicit versioning;
-* a lossless mapping to and from the flat keyword fields of
-  :class:`~repro.service.broker.SolveRequest`
-  (``source``/``targets``/``dag``/``options``).
+* one canonical form (:meth:`ProblemSpec.canonical_wire`) that a
+  :class:`~repro.service.broker.SolveRequest`'s fingerprint hashes, so
+  two specs share a cache key exactly when they pose the same problem.
 
 Specs are *data only*.  How a spec is solved — and which capabilities the
 solver declares — lives in :mod:`repro.problems.registry` and the built-in
@@ -97,8 +97,11 @@ class ProblemSpec:
     ``problem``
         The wire-level problem name (the registry key).
     ``_SOURCE_FIELD`` / ``_TARGETS_FIELD``
-        Which spec field the flat request-level ``source`` (resp.
-        ``targets``) maps onto — e.g. gather's sink arrives as ``source``.
+        The field naming the spec's distinguished node (master, source,
+        sink, root) and the one holding its commodity set (targets,
+        sources, participants).  Both must name nodes of the platform,
+        the commodity set without repeats and without the distinguished
+        node.
     ``_ROLES``
         Human-readable field descriptions used in validation errors.
     ``_INT_FIELDS``
@@ -129,6 +132,7 @@ class ProblemSpec:
                     raise SpecError(
                         f"{self.problem} requests need {self._role(f.name)}"
                     )
+                self._check_node(f.name, value)
             elif f.name == self._TARGETS_FIELD:
                 if isinstance(value, (str, bytes)):
                     # tuple("P5") would silently become ('P', '5')
@@ -148,8 +152,18 @@ class ProblemSpec:
                     raise SpecError(
                         f"{self.problem} requests need {self._role(f.name)}"
                     )
+                for node in value:
+                    self._check_node(f.name, node)
+                if len(set(value)) != len(value):
+                    raise SpecError(f"{self._role(f.name)} repeat a node: "
+                                    f"{list(value)}")
+                if self.source_node() in value:
+                    raise SpecError(f"{self._role(f.name)} include the "
+                                    f"{self._role(self._SOURCE_FIELD)}")
             elif f.name in self._INT_FIELDS:
                 try:
+                    if isinstance(value, bool):
+                        raise ValueError  # a JSON true is not a count
                     coerced = int(value)
                     # int() on a string already rejects "2.9"; for numeric
                     # input, refuse to truncate 2.9 -> 2 silently
@@ -165,6 +179,11 @@ class ProblemSpec:
 
     def _validate(self) -> None:
         """Subclass hook for problem-specific invariants."""
+
+    def _check_node(self, name: str, node: Any) -> None:
+        if not isinstance(node, str) or not self.platform.has_node(node):
+            raise SpecError(f"{self._role(name)} {node!r} is not a node "
+                            f"of the platform")
 
     # ------------------------------------------------------------------
     # generic introspection helpers
@@ -188,61 +207,6 @@ class ProblemSpec:
             return None
         return getattr(self, self._SOURCE_FIELD)
 
-    def target_nodes(self) -> Tuple[NodeId, ...]:
-        """The commodity set (targets / sources / participants), if any."""
-        if self._TARGETS_FIELD is None:
-            return ()
-        return tuple(getattr(self, self._TARGETS_FIELD))
-
-    def dag_graph(self) -> Optional[TaskGraph]:
-        return getattr(self, "dag", None)
-
-    def option_fields(self) -> Dict[str, Any]:
-        """Spec fields that travel as request-level ``options``."""
-        skip = {"platform", "dag", self._SOURCE_FIELD, self._TARGETS_FIELD}
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self) if f.name not in skip
-        }
-
-    # ------------------------------------------------------------------
-    # flat request fields (the SolveRequest constructor's shape)
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_request_fields(
-        cls,
-        platform: Platform,
-        source: Optional[NodeId] = None,
-        targets: Any = (),
-        dag: Optional[TaskGraph] = None,
-        options: Optional[Dict[str, Any]] = None,
-    ) -> "ProblemSpec":
-        """Build a typed spec from the flat request fields; an unknown
-        option is a typed error."""
-        opts = dict(options or {})
-        kwargs: Dict[str, Any] = {}
-        names = {f.name for f in cls._spec_fields()}
-        if cls._SOURCE_FIELD is not None:
-            kwargs[cls._SOURCE_FIELD] = source
-        elif source is not None:
-            raise SpecError(f"{cls.problem} requests take no source")
-        if cls._TARGETS_FIELD is not None:
-            kwargs[cls._TARGETS_FIELD] = targets
-        elif targets:
-            raise SpecError(f"{cls.problem} requests take no targets")
-        if "dag" in names:
-            kwargs["dag"] = dag
-        elif dag is not None:
-            raise SpecError(f"{cls.problem} requests take no task graph")
-        for name in names - set(kwargs):
-            if name in opts:
-                kwargs[name] = opts.pop(name)
-        if opts:
-            raise SpecError(
-                f"unknown option(s) for {cls.problem}: {sorted(opts)}"
-            )
-        return cls(platform=platform, **kwargs)
-
     # ------------------------------------------------------------------
     # wire codec (the versioned "spec" envelope)
     # ------------------------------------------------------------------
@@ -256,6 +220,20 @@ class ProblemSpec:
             elif isinstance(value, tuple):
                 value = list(value)
             out[f.name] = value
+        return out
+
+    def canonical_wire(self) -> Dict[str, Any]:
+        """:meth:`to_wire` with the orders that mean nothing sorted out:
+        the commodity set and a task graph's files.  Construction has
+        already folded defaults and spellings (``"2"`` and ``2`` ports),
+        so two specs of one problem pose the same problem exactly when
+        their canonical forms are equal."""
+        out = self.to_wire()
+        if self._TARGETS_FIELD is not None:
+            out[self._TARGETS_FIELD].sort()
+        if "dag" in out:
+            out["dag"]["files"].sort(
+                key=lambda rec: (rec["producer"], rec["consumer"]))
         return out
 
     @classmethod
@@ -357,6 +335,10 @@ class AllToAllSpec(ProblemSpec):
 
     problem = "all-to-all"
     _TARGETS_FIELD = "participants"
+
+    def _validate(self) -> None:
+        if len(self.participants or self.platform.nodes()) < 2:
+            raise SpecError("all-to-all needs at least two participants")
 
 
 @dataclass(frozen=True)

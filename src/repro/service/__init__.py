@@ -43,10 +43,11 @@ long-running scheduling service that amortises solves across requests:
 Quickstart
 ----------
 >>> from repro import generators
+>>> from repro.problems import MasterSlaveSpec
 >>> from repro.service import Broker, SolveRequest
 >>> broker = Broker()
->>> req = SolveRequest(problem="master-slave",
-...                    platform=generators.paper_figure1(), master="P1")
+>>> req = SolveRequest(MasterSlaveSpec(platform=generators.paper_figure1(),
+...                                    master="P1"))
 >>> cold = broker.solve(req)
 >>> warm = broker.solve(req)          # served from cache
 >>> assert warm.cached and warm.solution.throughput == cold.solution.throughput
@@ -55,7 +56,6 @@ Quickstart
 from .fingerprint import (
     platform_signature,
     request_fingerprint,
-    spec_signature,
     topology_signature,
 )
 from .cache import CacheEntry, CacheStats, HeatSketch, SolutionCache
@@ -117,7 +117,6 @@ from .sharding import (
 __all__ = [
     "platform_signature",
     "topology_signature",
-    "spec_signature",
     "request_fingerprint",
     "CacheEntry",
     "CacheStats",

@@ -115,8 +115,8 @@ def request_from_dict(data: Dict[str, Any]) -> SolveRequest:
             f"exact LP optimum; move problem options into the spec"
         )
     include_schedule = schedule_flag(data)
-    return SolveRequest.from_spec(spec_from_wire(platform, payload),
-                                  include_schedule=include_schedule)
+    return SolveRequest(spec_from_wire(platform, payload),
+                        include_schedule=include_schedule)
 
 
 def _request_wire(request: SolveRequest) -> Dict[str, Any]:

@@ -28,11 +28,10 @@ import dataclasses
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..core.activities import SteadyStateSolution
-from ..core.dag import TaskGraph
-from ..platform.graph import NodeId, Platform
+from ..platform.graph import Platform
 from ..problems import (
     ProblemSpec,
     SpecError,
@@ -81,139 +80,67 @@ def schedule_flag(request_wire: Any) -> bool:
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """One steady-state solve, in solver-neutral form.
+    """One steady-state solve: a typed spec, and whether to reconstruct
+    its periodic schedule.
 
-    ``problem`` names a registered problem (see
-    :func:`repro.problems.registered_problems`); ``source`` is the
-    distinguished node (master / scatter source / broadcast source /
-    gather sink / DAG master — absent for all-to-all); ``targets`` is the
-    commodity set (scatter targets, gather sources, multicast targets,
-    all-to-all participants).  ``options`` carries the spec's own
-    keywords (``ports``, ``port_model``, ``tree_limit``) — a served
+    ``spec`` is a validated :class:`~repro.problems.specs.ProblemSpec`
+    of a registered problem (see :func:`repro.problems.registered_problems`)
+    and carries everything the solve needs — its platform, its
+    distinguished node, its commodity set, its options.  A served
     request is solved exactly, so there is no solver choice to carry;
     ``include_schedule`` asks for the reconstructed periodic schedule
-    alongside the solution.
-
-    Construction builds the problem's typed
-    :class:`~repro.problems.specs.ProblemSpec` (available as
-    :attr:`spec`), so a malformed request fails here with a
-    :class:`BrokerError` — never with a ``KeyError`` inside a solver.
-    The flat fields are re-derived from the validated spec, which also
-    folds every option default in: a request relying on a default and one
-    spelling it out explicitly hash to the same fingerprint (and
-    therefore share cache entries).
+    alongside the solution, and a problem that cannot reconstruct one
+    is a :class:`BrokerError` here, not a silent omission later.
     """
 
-    problem: str
-    platform: Platform
-    source: Optional[NodeId] = None
-    targets: Tuple[NodeId, ...] = ()
-    dag: Optional[TaskGraph] = None
-    options: Tuple[Tuple[str, Any], ...] = ()
+    spec: ProblemSpec
     include_schedule: bool = False
 
-    def __init__(
-        self,
-        problem: str,
-        platform: Platform,
-        source: Optional[NodeId] = None,
-        master: Optional[NodeId] = None,
-        targets: Any = (),
-        dag: Optional[TaskGraph] = None,
-        options: Any = (),
-        include_schedule: bool = False,
-    ) -> None:
-        if master is not None and source is not None and master != source:
-            raise BrokerError("pass either source or master, not both")
-        entry = resolve(problem)
+    def __post_init__(self) -> None:
+        if not isinstance(self.spec, ProblemSpec):
+            raise BrokerError(f"a solve request needs a ProblemSpec, got "
+                              f"{type(self.spec).__name__}")
+        entry = resolve(self.spec.problem)
+        if self.include_schedule \
+                and not entry.capabilities.reconstructs_schedule:
+            # fail loudly up front rather than returning a response whose
+            # missing "schedule" the client cannot tell from a server bug
+            raise BrokerError(
+                f"include_schedule is not supported for {entry.problem!r}; "
+                f"schedules are reconstructable for: "
+                f"{sorted(reconstructable_problems())}"
+            )
         # snapshot: Platform is mutable (add_node/add_edge), and both the
         # memoized fingerprint and any cached solution must describe the
         # platform as it was when the request was made — not whatever the
         # caller mutates it into afterwards
-        spec = entry.spec_type.from_request_fields(
-            platform.copy(),
-            source=source if source is not None else master,
-            targets=targets,
-            dag=dag,
-            options=dict(options),
-        )
-        self._init_from_spec(entry, spec, include_schedule=include_schedule)
+        object.__setattr__(self, "spec", dataclasses.replace(
+            self.spec, platform=self.spec.platform.copy()))
+        object.__setattr__(self, "include_schedule",
+                           bool(self.include_schedule))
 
+    # kept only for bench/workloads.py's SolveRequest.from_spec(spec)
     @classmethod
-    def from_spec(
-        cls,
-        spec: ProblemSpec,
-        include_schedule: bool = False,
-    ) -> "SolveRequest":
-        """Build a request straight from a typed spec.
-
-        The already-validated spec is kept as-is (with the platform
-        snapshotted) rather than being round-tripped through the flat
-        legacy fields, so spec types stay the single source of truth for
-        what a request can express.
-        """
-        snapshot = dataclasses.replace(spec, platform=spec.platform.copy())
-        self = object.__new__(cls)
-        self._init_from_spec(resolve(spec.problem), snapshot,
-                             include_schedule=include_schedule)
-        return self
-
-    def _init_from_spec(
-        self, entry, spec: ProblemSpec, include_schedule: bool
-    ) -> None:
-        if include_schedule and not entry.capabilities.reconstructs_schedule:
-            # fail loudly up front rather than returning a response whose
-            # missing "schedule" the client cannot tell from a server bug
-            raise BrokerError(
-                f"include_schedule is not supported for {spec.problem!r}; "
-                f"schedules are reconstructable for: "
-                f"{sorted(reconstructable_problems())}"
-            )
-        object.__setattr__(self, "problem", entry.problem)
-        object.__setattr__(self, "platform", spec.platform)
-        object.__setattr__(self, "source", spec.source_node())
-        object.__setattr__(self, "targets", spec.target_nodes())
-        object.__setattr__(self, "dag", spec.dag_graph())
-        object.__setattr__(self, "options",
-                           tuple(sorted(spec.option_fields().items())))
-        object.__setattr__(self, "include_schedule", bool(include_schedule))
-        object.__setattr__(self, "_spec", spec)
+    def from_spec(cls, spec: ProblemSpec,
+                  include_schedule: bool = False) -> "SolveRequest":
+        return cls(spec, include_schedule)
 
     @property
-    def spec(self) -> ProblemSpec:
-        """The validated typed spec this request was built from."""
-        return self.__dict__["_spec"]
+    def problem(self) -> str:
+        return self.spec.problem
 
     @property
-    def master(self) -> Optional[NodeId]:
-        return self.source
-
-    def option_dict(self) -> Dict[str, Any]:
-        return dict(self.options)
+    def platform(self) -> Platform:
+        return self.spec.platform
 
     def fingerprint(self) -> str:
+        """The cache key: :func:`request_fingerprint` of the spec,
+        memoized (``include_schedule`` is not part of it)."""
         cached = self.__dict__.get("_fingerprint")
-        if cached is not None:
-            return cached
-        options = self.option_dict()
-        if self.dag is not None:
-            # fold the DAG spec into the canonical options so two requests
-            # with the same platform but different task graphs never collide
-            options["__dag_types"] = tuple(
-                (t, str(w)) for t, w in sorted(self.dag.types.items())
-            )
-            options["__dag_files"] = tuple(
-                (a, b, str(sz)) for (a, b), sz in sorted(self.dag.files.items())
-            )
-        fp = request_fingerprint(
-            self.platform,
-            self.problem,
-            source=self.source,
-            targets=self.targets,
-            options=options,
-        )
-        object.__setattr__(self, "_fingerprint", fp)
-        return fp
+        if cached is None:
+            cached = request_fingerprint(self.spec)
+            object.__setattr__(self, "_fingerprint", cached)
+        return cached
 
 
 @dataclass

@@ -17,19 +17,21 @@ Two signature levels are exposed:
   coefficients — the precondition for the warm re-solve path of
   :mod:`repro.service.incremental`.
 
-Fingerprints are hex SHA-256 digests of a canonical JSON encoding;
-signatures are the underlying hashable tuples (useful as dict keys
-without paying for the hash).
+A request's fingerprint (:func:`request_fingerprint`) is the hex SHA-256
+of a canonical JSON encoding of its platform signature and its spec's
+canonical form; signatures are the underlying hashable tuples (useful
+as dict keys without paying for the hash).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Tuple
 
 from ..platform.graph import Platform
 from ..platform.serialization import encode_weight as _encode_weight
+from ..problems.specs import ProblemSpec
 
 Signature = Tuple  # nested tuples of strings — hashable, comparable
 
@@ -68,40 +70,10 @@ def topology_signature(platform: Platform) -> Signature:
     return ("topology", nodes, edges)
 
 
-def spec_signature(
-    problem: str,
-    source: Optional[str] = None,
-    targets: Sequence[str] = (),
-    options: Optional[Dict[str, Any]] = None,
-) -> Signature:
-    """Canonical signature of the problem spec (everything but the platform).
-
-    ``targets`` is treated as a *set* of commodities — scatter / multicast /
-    all-to-all semantics do not depend on target order — and is sorted.
-    ``options`` (port model, port count, tree limit, ...) are sorted by
-    key; values must be JSON-representable scalars.
-    """
-    opts = tuple(sorted((str(k), str(v)) for k, v in (options or {}).items()))
-    return (
-        "spec",
-        str(problem),
-        "" if source is None else str(source),
-        tuple(sorted(str(t) for t in targets)),
-        opts,
-    )
-
-
-def request_fingerprint(
-    platform: Platform,
-    problem: str,
-    source: Optional[str] = None,
-    targets: Sequence[str] = (),
-    options: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Hex SHA-256 over the canonical JSON of (platform, spec) signatures."""
-    payload = (
-        platform_signature(platform),
-        spec_signature(problem, source=source, targets=targets, options=options),
-    )
-    blob = json.dumps(payload, separators=(",", ":"), sort_keys=False)
+def request_fingerprint(spec: ProblemSpec) -> str:
+    """Hex SHA-256 over the canonical JSON of the spec's platform
+    signature and the spec's own canonical form
+    (:meth:`~repro.problems.specs.ProblemSpec.canonical_wire`)."""
+    payload = (platform_signature(spec.platform), spec.canonical_wire())
+    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

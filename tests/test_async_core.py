@@ -19,6 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.platform import generators
+from repro.problems import (
+    BroadcastSpec,
+    DagSpec,
+    MasterSlaveSpec,
+    ScatterSpec,
+)
 from repro.service import (
     AsyncServiceServer,
     AsyncShardServer,
@@ -38,8 +44,8 @@ from repro.service.wire import result_from_wire
 
 
 def _ms_request():
-    return SolveRequest(problem="master-slave",
-                        platform=generators.paper_figure1(), master="P1")
+    return SolveRequest(MasterSlaveSpec(
+        platform=generators.paper_figure1(), master="P1"))
 
 
 def _distinct_requests(n):
@@ -47,9 +53,8 @@ def _distinct_requests(n):
     out = [_ms_request()]
     size = 3
     while len(out) < n:
-        out.append(SolveRequest(
-            problem="master-slave",
-            platform=generators.star(size, master_w=2), master="M"))
+        out.append(SolveRequest(MasterSlaveSpec(
+            platform=generators.star(size, master_w=2), master="M")))
         size += 1
     return out[:n]
 
@@ -373,14 +378,14 @@ class TestAsyncTransportSharded:
 
         requests = [
             _ms_request(),
-            SolveRequest(problem="scatter",
-                         platform=generators.paper_figure2_multicast(),
-                         source="P0", targets=("P5", "P6")),
-            SolveRequest(problem="broadcast",
-                         platform=generators.chain(4), source="N0"),
-            SolveRequest(problem="dag",
-                         platform=generators.paper_figure1(), master="P1",
-                         dag=TaskGraph.chain([1, 2], [1])),
+            SolveRequest(ScatterSpec(
+                platform=generators.paper_figure2_multicast(), source="P0",
+                targets=("P5", "P6"))),
+            SolveRequest(BroadcastSpec(
+                platform=generators.chain(4), source="N0")),
+            SolveRequest(DagSpec(
+                platform=generators.paper_figure1(), master="P1",
+                dag=TaskGraph.chain([1, 2], [1]))),
         ]
         reference = _reference(requests)
         server = AsyncShardServer().start_in_thread()

@@ -24,8 +24,8 @@ from repro.platform import generators
 from repro.service import Broker, ShardedBroker, SolveRequest, request_to_dict
 
 repro.cli.build_parser()
-request = SolveRequest(problem="master-slave", master="P1",
-                       platform=generators.paper_figure1())
+request = SolveRequest(repro.problems.MasterSlaveSpec(
+    platform=generators.paper_figure1(), master="P1"))
 with Broker(executor="sync") as broker:
     sync = broker.solve(request).throughput
     # a request for the float backend is refused, and loads nothing

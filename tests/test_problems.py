@@ -21,8 +21,10 @@ from repro.core.scatter import solve_gather, solve_scatter
 from repro.platform import generators
 from repro.platform.serialization import platform_to_dict
 from repro.problems import (
+    DagSpec,
     GatherSpec,
     MasterSlaveSpec,
+    MultiportSpec,
     ScatterSpec,
     SpecError,
     describe,
@@ -30,7 +32,6 @@ from repro.problems import (
     registered_problems,
     resolve,
     solve,
-    spec_from_request_fields,
     spec_from_wire,
 )
 from repro.service import Broker, IncrementalSolver, SolveRequest, handle_request
@@ -126,17 +127,6 @@ class TestSpecRoundTrip:
             again = request_from_dict(request_to_dict(back))
             assert request_to_dict(again) == request_to_dict(back), problem
 
-    def test_request_fields_round_trip(self):
-        # flat legacy fields -> typed spec -> flat fields is lossless
-        platform = _star2()
-        spec = spec_from_request_fields(
-            "scatter", platform, source="M", targets=("W2", "W1"),
-            options={"ports": "3", "port_model": "multiport"},
-        )
-        assert spec.source_node() == "M"
-        assert spec.target_nodes() == ("W2", "W1")
-        assert spec.option_fields() == {"port_model": "multiport", "ports": 3}
-
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(min_value=2, max_value=4),
@@ -170,43 +160,41 @@ class TestSpecValidation:
         with pytest.raises(SpecError, match=r"targets \(the sources\)"):
             GatherSpec(platform=g, sink="M", sources=())
         with pytest.raises(SpecError, match="need a task graph"):
-            SolveRequest(problem="dag", platform=g, master="M")
+            DagSpec(platform=g, master="M", dag=None)
 
     def test_unknown_options_are_typed_errors(self):
         g = _star2()
-        with pytest.raises(SpecError, match="unknown option"):
-            SolveRequest(problem="master-slave", platform=g, master="M",
-                         options={"ports": 2})
-        with pytest.raises(SpecError, match="unknown option"):
-            SolveRequest(problem="broadcast", platform=g, source="M",
-                         options={"typo_limit": 5})
+        with pytest.raises(SpecError, match="unknown spec field"):
+            spec_from_wire(g, {"problem": "master-slave", "master": "M",
+                               "ports": 2})
+        with pytest.raises(SpecError, match="unknown spec field"):
+            spec_from_wire(g, {"problem": "broadcast", "source": "M",
+                               "typo_limit": 5})
 
     def test_ill_typed_options_are_typed_errors(self):
         g = _star2()
         with pytest.raises(SpecError, match="must be an integer"):
-            SolveRequest(problem="multiport", platform=g, master="M",
-                         options={"ports": "many"})
+            SolveRequest(MultiportSpec(platform=g, master="M", ports="many"))
         with pytest.raises(SpecError, match="port model"):
-            SolveRequest(problem="scatter", platform=g, source="M",
-                         targets=("W1",), options={"port_model": "zero-port"})
+            SolveRequest(ScatterSpec(
+                platform=g, source="M", targets=("W1",),
+                port_model="zero-port"))
 
     def test_fractional_int_options_are_rejected_not_truncated(self):
         g = _star2()
         with pytest.raises(SpecError, match="must be an integer"):
-            SolveRequest(problem="multiport", platform=g, master="M",
-                         options={"ports": 2.9})
+            SolveRequest(MultiportSpec(platform=g, master="M", ports=2.9))
         # integral floats (e.g. from a JSON producer emitting 2.0) are fine
-        req = SolveRequest(problem="multiport", platform=g, master="M",
-                           options={"ports": 2.0})
-        assert req.option_dict()["ports"] == 2
+        req = SolveRequest(MultiportSpec(platform=g, master="M", ports=2.0))
+        assert req.spec.ports == 2
 
     def test_misdirected_fields_are_typed_errors(self):
         g = _star2()
-        with pytest.raises(SpecError, match="take no source"):
-            SolveRequest(problem="all-to-all", platform=g, source="M")
-        with pytest.raises(SpecError, match="take no targets"):
-            SolveRequest(problem="master-slave", platform=g, master="M",
-                         targets=("W1",))
+        with pytest.raises(SpecError, match=r"all-to-all: \['source'\]"):
+            spec_from_wire(g, {"problem": "all-to-all", "source": "M"})
+        with pytest.raises(SpecError, match=r"master-slave: \['targets'\]"):
+            spec_from_wire(g, {"problem": "master-slave", "master": "M",
+                               "targets": ["W1"]})
 
     def test_broker_error_is_the_spec_error(self):
         # the broker's historical error type and the typed validation
@@ -254,15 +242,16 @@ class TestSpecEnvelope:
             ).throughput
 
     def test_envelope_and_legacy_fields_share_fingerprints(self):
-        # the flat fields survive as SolveRequest's keyword arguments
-        legacy = SolveRequest(problem="scatter", platform=_star2(),
-                              source="M", targets=("W1", "W2"))
-        typed = request_from_dict({
+        # a spec built in code and one decoded from the wire, with its
+        # targets permuted and a default spelled out, are one request
+        built = SolveRequest(ScatterSpec(
+            platform=_star2(), source="M", targets=("W1", "W2")))
+        decoded = request_from_dict({
             "spec": {"problem": "scatter", "source": "M",
-                     "targets": ["W1", "W2"]},
+                     "targets": ["W2", "W1"], "ports": "1"},
             "platform": platform_to_dict(_star2()),
         })
-        assert legacy.fingerprint() == typed.fingerprint()
+        assert built.fingerprint() == decoded.fingerprint()
 
     def test_envelope_rejects_stray_legacy_fields_and_options(self):
         # nothing alongside a spec envelope may be silently ignored: a
@@ -285,18 +274,16 @@ class TestSpecEnvelope:
             "spec": {"problem": "broadcast", "source": "M"},
             "platform": g, "options": {"backend": "exact"},
         })
-        assert "backend" not in req.option_dict()
+        assert "backend" not in req.spec.to_wire()
         with pytest.raises(BrokerError, match="'options'"):
             request_from_dict({
                 "spec": {"problem": "broadcast", "source": "M"},
                 "platform": g, "options": {"backend": "scipy"},
             })
-        # ... and the flat constructor, which has no legacy to honour,
-        # refuses it like any unknown option
-        for backend in ("exact", "scipy"):
-            with pytest.raises(SpecError, match="unknown option"):
-                SolveRequest(problem="broadcast", platform=_star2(),
-                             source="M", options={"backend": backend})
+        # ... and inside the spec it is an unknown field like any other
+        with pytest.raises(SpecError, match="unknown spec field"):
+            spec_from_wire(_star2(), {"problem": "broadcast", "source": "M",
+                                      "backend": "exact"})
 
     def test_conflicting_problem_names_rejected(self):
         g = platform_to_dict(_star2())
@@ -324,15 +311,13 @@ class TestWarmCollectives:
         mutated = fig2.scale(comm="2/3", compute=2)
         with Broker(executor="sync") as broker:
             # a structure's first build keeps no model: prime it twice
-            broker.solve(SolveRequest(
-                problem="scatter", platform=fig2.scale(compute=3),
-                source="P0", targets=("P5", "P6")))
-            first = broker.solve(SolveRequest(
-                problem="scatter", platform=fig2, source="P0",
-                targets=("P5", "P6")))
-            second = broker.solve(SolveRequest(
-                problem="scatter", platform=mutated, source="P0",
-                targets=("P5", "P6")))
+            broker.solve(SolveRequest(ScatterSpec(
+                platform=fig2.scale(compute=3), source="P0",
+                targets=("P5", "P6"))))
+            first = broker.solve(SolveRequest(ScatterSpec(
+                platform=fig2, source="P0", targets=("P5", "P6"))))
+            second = broker.solve(SolveRequest(ScatterSpec(
+                platform=mutated, source="P0", targets=("P5", "P6"))))
             assert not first.warm and second.warm and not second.cached
             cold = solve_scatter(mutated, "P0", ["P5", "P6"])
             assert second.solution.throughput == cold.throughput
@@ -343,14 +328,12 @@ class TestWarmCollectives:
         with Broker(executor="sync") as broker:
             # a structure's first build keeps no model: prime it twice
             for prime in (g, g.scale(compute=2)):
-                broker.solve(SolveRequest(problem="gather", platform=prime,
-                                          source="M",
-                                          targets=("W1", "W2", "W3")))
+                broker.solve(SolveRequest(GatherSpec(
+                    platform=prime, sink="M", sources=("W1", "W2", "W3"))))
             for factor in ("1/2", "3", "7/5"):
                 mutated = g.scale(comm=factor)
-                warm = broker.solve(SolveRequest(
-                    problem="gather", platform=mutated, source="M",
-                    targets=("W1", "W2", "W3")))
+                warm = broker.solve(SolveRequest(GatherSpec(
+                    platform=mutated, sink="M", sources=("W1", "W2", "W3"))))
                 assert warm.warm
                 cold = solve_gather(mutated, "M", ["W1", "W2", "W3"])
                 assert warm.solution.throughput == cold.throughput
@@ -423,9 +406,9 @@ class TestGatherService:
     def test_gather_include_schedule_through_broker(self):
         g = generators.star(3, bidirectional=True)
         with Broker(executor="sync") as broker:
-            res = broker.solve(SolveRequest(
-                problem="gather", platform=g, source="M",
-                targets=("W1", "W2", "W3"), include_schedule=True))
+            res = broker.solve(SolveRequest(GatherSpec(
+                platform=g, sink="M",
+                sources=("W1", "W2", "W3")), include_schedule=True))
             assert res.schedule is not None
             assert res.schedule.throughput == res.solution.throughput
             delivered = sum(

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from repro.platform import generators
+from repro.problems import BroadcastSpec, MasterSlaveSpec
 from repro.service import HeatSketch, ShardedBroker, SolveRequest
 from repro.service import broker as broker_mod
 from repro.service.metrics import render_prometheus
@@ -26,8 +27,8 @@ from test_sharding import _mixed_requests, _reference_results
 
 
 def _hot_request():
-    return SolveRequest(problem="master-slave",
-                        platform=generators.paper_figure1(), master="P1")
+    return SolveRequest(MasterSlaveSpec(
+        platform=generators.paper_figure1(), master="P1"))
 
 
 def _wait_until(predicate, timeout=10.0):
@@ -176,9 +177,9 @@ class TestThreadModeHotPath:
         ``Fraction``-identical to the unsharded broker's, the hot head is
         served near, and no answer given after an in-stream
         ``invalidate_platform`` predates it."""
-        corpus = [SolveRequest(problem="master-slave",
-                               platform=generators.star(n, master_w=2),
-                               master="M") for n in range(2, 14)]
+        corpus = [SolveRequest(MasterSlaveSpec(
+            platform=generators.star(n, master_w=2),
+            master="M")) for n in range(2, 14)]
         expected = {ref.fingerprint: ref.throughput
                     for ref in _reference_results(corpus)}
         weights = [1.0 / (rank + 1) ** 1.2 for rank in range(len(corpus))]
@@ -233,8 +234,7 @@ class TestReplicatedStalenessRace:
         platform = generators.chain(3)
         with ShardedBroker(shards=2, incremental=False,
                            near_cache_size=8) as sharded:
-            req = SolveRequest(problem="broadcast", platform=platform,
-                               source="N0")
+            req = SolveRequest(BroadcastSpec(platform=platform, source="N0"))
             fp = req.fingerprint()
             for _ in range(HOT_THRESHOLD - 1):
                 sharded._heat.record(fp)  # heat without a (slow) solve

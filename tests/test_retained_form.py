@@ -19,6 +19,7 @@ from repro.core.master_slave import build_ssms_lp, patch_ssms_coefficients
 from repro.lp import CertificateError, SimplexInstance, simplex
 from repro.platform import generators
 from repro.platform.graph import Platform
+from repro.problems import MasterSlaveSpec
 from repro.service.broker import Broker, SolveRequest
 from repro.service.incremental import IncrementalSolver
 from repro.service.metrics import render_prometheus
@@ -171,9 +172,8 @@ class TestCounters:
         with Broker(executor="sync") as broker:
             # 5, 1: the second build keeps the hot model; 2, 3 are warm
             for factor in (5, 1, 2, 3):
-                broker.solve(SolveRequest(
-                    problem="master-slave", master="P1",
-                    platform=g.scale(compute=factor)))
+                broker.solve(SolveRequest(MasterSlaveSpec(
+                    platform=g.scale(compute=factor), master="P1")))
             snap = broker.snapshot()
         inc = snap["incremental"]
         assert inc["form_builds"] == 2 and inc["warm_solves"] == 2

@@ -691,16 +691,17 @@ class TestServiceCounters:
         """``int_bits_max`` is a high-water mark: two shards that each
         saw some width merge to the wider one, not to the sum."""
         from repro.platform import generators
+        from repro.problems import MasterSlaveSpec
         from repro.service import ShardedBroker, SolveRequest
 
         with ShardedBroker(shards=2) as sharded:
             for workers in range(3, 15):
-                sharded.solve(SolveRequest(
-                    problem="master-slave", master="M",
+                sharded.solve(SolveRequest(MasterSlaveSpec(
                     platform=generators.star(
                         workers, master_w=3,
                         worker_w=[Fraction(k + 2, 3) for k in range(workers)],
-                        link_c=[Fraction(k + 1, 5) for k in range(workers)])))
+                        link_c=[Fraction(k + 1, 5) for k in range(workers)]),
+                    master="M")))
                 snap = sharded.snapshot()
                 widths = [s["incremental"]["int_bits_max"]
                           for s in snap["per_shard"]]

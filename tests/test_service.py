@@ -17,6 +17,20 @@ from repro.core.master_slave import solve_master_slave
 from repro.platform import generators
 from repro.platform.graph import Platform
 from repro.platform.serialization import platform_to_dict
+from repro.problems import (
+    AllToAllSpec,
+    BroadcastSpec,
+    DagSpec,
+    GatherSpec,
+    MasterSlaveSpec,
+    MulticastSpec,
+    MultiportSpec,
+    ScatterSpec,
+    SendOrReceiveSpec,
+    registered_problems,
+    resolve,
+    spec_from_wire,
+)
 from repro.service import (
     Broker,
     IncrementalSolver,
@@ -59,29 +73,28 @@ class TestFingerprint:
         b.add_edge("P2", "P1", 4)
         b.add_edge("P1", "P2", 3)
         assert platform_signature(a) == platform_signature(b)
-        assert (request_fingerprint(a, "master-slave", source="P1")
-                == request_fingerprint(b, "master-slave", source="P1"))
+        assert (request_fingerprint(MasterSlaveSpec(platform=a, master="P1"))
+                == request_fingerprint(MasterSlaveSpec(platform=b,
+                                                       master="P1")))
 
     def test_weight_change_changes_fingerprint(self):
         a = _two_node(w_y=2)
         b = _two_node(w_y=3)
-        assert (request_fingerprint(a, "master-slave", source="X")
-                != request_fingerprint(b, "master-slave", source="X"))
         c = _two_node(c="1/2")
-        assert (request_fingerprint(a, "master-slave", source="X")
-                != request_fingerprint(c, "master-slave", source="X"))
+        fa, fb, fc = (request_fingerprint(MasterSlaveSpec(platform=g,
+                                                          master="X"))
+                      for g in (a, b, c))
+        assert fa != fb and fa != fc
 
     def test_request_snapshots_its_platform(self):
         # Platform.copy() shares the frozen specs but no container, so a
         # request still describes the platform as it was when it was made
-        from repro.problems import resolve
         from repro.service.api import request_from_dict, request_to_dict
 
         g = generators.star(3)
         spec = resolve("master-slave").example(g, "M", ("W1", "W2", "W3"))
         for request in (SolveRequest.from_spec(spec),
-                        SolveRequest(problem="master-slave", platform=g,
-                                     master="M")):
+                        SolveRequest(MasterSlaveSpec(platform=g, master="M"))):
             assert request.platform is not g
             assert request.spec.platform is request.platform
             fingerprint = request.fingerprint()
@@ -99,17 +112,17 @@ class TestFingerprint:
 
     def test_targets_are_a_set(self):
         g = generators.paper_figure2_multicast()
-        assert (request_fingerprint(g, "scatter", source="P0",
-                                    targets=("P5", "P6"))
-                == request_fingerprint(g, "scatter", source="P0",
-                                       targets=("P6", "P5")))
+        assert (request_fingerprint(ScatterSpec(platform=g, source="P0",
+                                                targets=("P5", "P6")))
+                == request_fingerprint(ScatterSpec(platform=g, source="P0",
+                                                   targets=("P6", "P5"))))
 
     def test_spec_fields_matter(self):
         g = generators.star(3)
         fps = {
-            request_fingerprint(g, "master-slave", source="M"),
-            request_fingerprint(g, "broadcast", source="M"),
-            request_fingerprint(g, "master-slave", source="W1"),
+            request_fingerprint(MasterSlaveSpec(platform=g, master="M")),
+            request_fingerprint(BroadcastSpec(platform=g, source="M")),
+            request_fingerprint(MasterSlaveSpec(platform=g, master="W1")),
         }
         assert len(fps) == 3
 
@@ -130,19 +143,17 @@ class TestFingerprint:
     def test_defaulted_options_share_the_fingerprint(self):
         # relying on a default and spelling it out must hit the same entry
         g = generators.paper_figure2_multicast()
-        implicit = SolveRequest(problem="scatter", platform=g, source="P0",
-                                targets=("P5",))
-        explicit = SolveRequest(problem="scatter", platform=g, source="P0",
-                                targets=("P5",),
-                                options={"port_model": "one-port",
-                                         "ports": 1})
+        implicit = SolveRequest(ScatterSpec(
+            platform=g, source="P0", targets=("P5",)))
+        explicit = SolveRequest(ScatterSpec(
+            platform=g, source="P0", targets=("P5",), port_model="one-port",
+            ports=1))
         assert implicit.fingerprint() == explicit.fingerprint()
 
     def test_bare_string_targets_rejected(self, fig1):
         # tuple("P5") would silently become ('P', '5')
         with pytest.raises(BrokerError, match="bare"):
-            SolveRequest(problem="scatter", platform=fig1, source="P1",
-                         targets="P5")
+            SolveRequest(ScatterSpec(platform=fig1, source="P1", targets="P5"))
         # same guard on the wire path
         with Broker(executor="sync") as broker:
             resp = handle_request(broker, {"op": "solve", "request": {
@@ -153,11 +164,129 @@ class TestFingerprint:
 
     def test_dag_folded_into_fingerprint(self):
         g = generators.star(2)
-        r1 = SolveRequest(problem="dag", platform=g, master="M",
-                          dag=TaskGraph.chain([1, 2], [1]))
-        r2 = SolveRequest(problem="dag", platform=g, master="M",
-                          dag=TaskGraph.chain([1, 3], [1]))
+        r1 = SolveRequest(DagSpec(
+            platform=g, master="M", dag=TaskGraph.chain([1, 2], [1])))
+        r2 = SolveRequest(DagSpec(
+            platform=g, master="M", dag=TaskGraph.chain([1, 3], [1])))
         assert r1.fingerprint() != r2.fingerprint()
+
+
+#: valid values of every option field a spec has
+_OPTION_VALUES = {"ports": (1, 2, 3), "tree_limit": (5, 100_000),
+                  "port_model": ("one-port", "send-or-receive", "multiport")}
+_weights_pos = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+
+
+class TestFingerprintProperty:
+    """A fingerprint is the problem posed: presentation never moves it,
+    and any one field of the problem always does."""
+
+    @staticmethod
+    def _fingerprint(problem, weights, edges, fields):
+        platform = Platform("p")
+        for node, w in weights:
+            platform.add_node(node, w)
+        for (src, dst), c in edges:
+            platform.add_edge(src, dst, c)
+        spec = spec_from_wire(platform, {"problem": problem, **fields})
+        return SolveRequest(spec).fingerprint()
+
+    @pytest.mark.parametrize("problem", sorted(registered_problems()))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_presentation_keeps_and_any_field_moves(self, problem, data):
+        draw = data.draw
+        spec_type = resolve(problem).spec_type
+        nodes = [f"N{k}" for k in range(draw(st.integers(3, 5)))]
+        weights = {node: draw(_weights_pos) for node in nodes}
+        pairs = [(a, b) for a in nodes for b in nodes if a != b]
+        edges = draw(st.dictionaries(st.sampled_from(pairs), _weights_pos,
+                                     min_size=1, max_size=6))
+        fields = {}
+        source_field = spec_type._SOURCE_FIELD
+        targets_field = spec_type._TARGETS_FIELD
+        if source_field:
+            fields[source_field] = draw(st.sampled_from(nodes))
+        if targets_field:
+            others = [n for n in nodes if n != fields.get(source_field)]
+            fields[targets_field] = draw(st.lists(
+                st.sampled_from(others), unique=True,
+                min_size=2 if source_field is None else 1))
+        defaults = {f.name: f.default for f in spec_type._spec_fields()}
+        options = sorted(set(defaults) & set(_OPTION_VALUES))
+        for name in options:
+            fields[name] = draw(st.sampled_from(_OPTION_VALUES[name]))
+        if "dag" in defaults:
+            types = {f"T{i}": str(draw(_weights_pos))
+                     for i in range(draw(st.integers(2, 4)))}
+            fields["dag"] = {"types": types, "files": [
+                {"producer": a, "consumer": b, "size": str(draw(_weights_pos))}
+                for a in types for b in types
+                if a < b and draw(st.booleans())]}
+        reference = self._fingerprint(problem, list(weights.items()),
+                                      list(edges.items()), fields)
+
+        # the same problem, presented differently
+        same = dict(fields)
+        if targets_field:
+            same[targets_field] = draw(st.permutations(fields[targets_field]))
+        for name in options:
+            if fields[name] == defaults[name] and draw(st.booleans()):
+                del same[name]
+            elif isinstance(fields[name], int) and draw(st.booleans()):
+                same[name] = str(fields[name])
+        if "dag" in same:
+            dag = fields["dag"]
+            types = draw(st.permutations(list(dag["types"].items())))
+            same["dag"] = {"types": dict(types),
+                           "files": draw(st.permutations(dag["files"]))}
+        assert self._fingerprint(
+            problem, draw(st.permutations(list(weights.items()))),
+            draw(st.permutations(list(edges.items()))), same) == reference
+
+        # one field of the problem changed
+        weights2, edges2, moved = dict(weights), dict(edges), dict(fields)
+        spare = [n for n in nodes if n != fields.get(source_field)
+                 and n not in fields.get(targets_field, ())]
+        kinds = ["node", "edge"]
+        if source_field and spare:
+            kinds.append("source")
+        if targets_field and spare:
+            kinds.append("target")
+        kinds += options
+        if "dag" in fields:
+            kinds.append("dag-type")
+            if fields["dag"]["files"]:
+                kinds.append("dag-file")
+        kind = draw(st.sampled_from(kinds))
+        if kind == "node":
+            node = draw(st.sampled_from(nodes))
+            weights2[node] += 1
+        elif kind == "edge":
+            pair = draw(st.sampled_from(sorted(edges)))
+            edges2[pair] += 1
+        elif kind == "source":
+            moved[source_field] = draw(st.sampled_from(spare))
+        elif kind == "target":
+            targets = list(fields[targets_field])
+            targets[draw(st.integers(0, len(targets) - 1))] = draw(
+                st.sampled_from(spare))
+            moved[targets_field] = targets
+        elif kind in _OPTION_VALUES:
+            moved[kind] = draw(st.sampled_from(
+                [v for v in _OPTION_VALUES[kind] if v != fields[kind]]))
+        else:
+            dag = fields["dag"]
+            types, files = dict(dag["types"]), [dict(f) for f in dag["files"]]
+            if kind == "dag-type":
+                name = draw(st.sampled_from(sorted(types)))
+                types[name] = str(Fraction(types[name]) + 1)
+            else:
+                record = files[draw(st.integers(0, len(files) - 1))]
+                record["size"] = str(Fraction(record["size"]) + 1)
+            moved["dag"] = {"types": types, "files": files}
+        assert self._fingerprint(problem, list(weights2.items()),
+                                 list(edges2.items()), moved) != reference
 
 
 # ----------------------------------------------------------------------
@@ -227,8 +356,7 @@ class TestSolutionCache:
 class TestBroker:
     def test_hit_is_exactly_the_cold_solution(self, fig1):
         with Broker(executor="sync") as broker:
-            req = SolveRequest(problem="master-slave", platform=fig1,
-                               master="P1")
+            req = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             cold = broker.solve(req)
             hot = broker.solve(req)
             assert not cold.cached and hot.cached
@@ -237,11 +365,10 @@ class TestBroker:
 
     def test_schedule_reconstructed_lazily_on_hit(self, fig1):
         with Broker(executor="sync") as broker:
-            bare = SolveRequest(problem="master-slave", platform=fig1,
-                                master="P1")
+            bare = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             broker.solve(bare)
-            with_sched = SolveRequest(problem="master-slave", platform=fig1,
-                                      master="P1", include_schedule=True)
+            with_sched = SolveRequest(MasterSlaveSpec(
+                platform=fig1, master="P1"), include_schedule=True)
             res = broker.solve(with_sched)
             assert res.cached and res.schedule is not None
             assert res.schedule.throughput == res.solution.throughput
@@ -250,22 +377,20 @@ class TestBroker:
         fig2 = generators.paper_figure2_multicast()
         star_bi = generators.star(3, bidirectional=True)
         requests = [
-            SolveRequest(problem="master-slave", platform=fig1, master="P1"),
-            SolveRequest(problem="scatter", platform=fig2, source="P0",
-                         targets=("P5", "P6")),
-            SolveRequest(problem="gather", platform=star_bi, source="M",
-                         targets=("W1", "W2", "W3")),
-            SolveRequest(problem="all-to-all", platform=star_bi),
-            SolveRequest(problem="broadcast", platform=generators.chain(3),
-                         source="N0"),
-            SolveRequest(problem="multicast", platform=fig2, source="P0",
-                         targets=("P5", "P6")),
-            SolveRequest(problem="dag", platform=fig1, master="P1",
-                         dag=TaskGraph.chain([1, 2], [1])),
-            SolveRequest(problem="multiport", platform=fig1, master="P1",
-                         options={"ports": 2}),
-            SolveRequest(problem="send-or-receive", platform=fig1,
-                         master="P1"),
+            SolveRequest(MasterSlaveSpec(platform=fig1, master="P1")),
+            SolveRequest(ScatterSpec(
+                platform=fig2, source="P0", targets=("P5", "P6"))),
+            SolveRequest(GatherSpec(
+                platform=star_bi, sink="M", sources=("W1", "W2", "W3"))),
+            SolveRequest(AllToAllSpec(platform=star_bi)),
+            SolveRequest(BroadcastSpec(
+                platform=generators.chain(3), source="N0")),
+            SolveRequest(MulticastSpec(
+                platform=fig2, source="P0", targets=("P5", "P6"))),
+            SolveRequest(DagSpec(
+                platform=fig1, master="P1", dag=TaskGraph.chain([1, 2], [1]))),
+            SolveRequest(MultiportSpec(platform=fig1, master="P1", ports=2)),
+            SolveRequest(SendOrReceiveSpec(platform=fig1, master="P1")),
         ]
         with Broker() as broker:
             results = broker.solve_batch(requests)
@@ -275,17 +400,15 @@ class TestBroker:
 
     def test_batch_dedupes_by_fingerprint(self, fig1):
         with Broker(executor="sync") as broker:
-            req = SolveRequest(problem="master-slave", platform=fig1,
-                               master="P1")
-            same = SolveRequest(problem="master-slave",
-                                platform=fig1.copy("renamed"), master="P1")
+            req = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
+            same = SolveRequest(MasterSlaveSpec(
+                platform=fig1.copy("renamed"), master="P1"))
             results = broker.solve_batch([req, same, req])
             assert len({r.fingerprint for r in results}) == 1
             assert broker.cache.stats.misses == 1
 
     def test_submit_is_an_already_resolved_future(self, fig1, monkeypatch):
-        req = SolveRequest(problem="master-slave", platform=fig1,
-                           master="P1")
+        req = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
         with Broker() as broker:
             good = broker.submit(req)
             assert good.done() and good.result().throughput == Fraction(2)
@@ -310,10 +433,9 @@ class TestBroker:
         # regression: a deduped request asking for a schedule must not
         # silently inherit the bare result of its fingerprint twin
         with Broker(executor="sync") as broker:
-            bare = SolveRequest(problem="master-slave", platform=fig1,
-                                master="P1")
-            with_sched = SolveRequest(problem="master-slave", platform=fig1,
-                                      master="P1", include_schedule=True)
+            bare = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
+            with_sched = SolveRequest(MasterSlaveSpec(
+                platform=fig1, master="P1"), include_schedule=True)
             out = broker.solve_batch([bare, with_sched])
             assert out[1].schedule is not None
             assert out[1].schedule.throughput == out[1].solution.throughput
@@ -323,18 +445,16 @@ class TestBroker:
         # the mirror case: a bare request deduped onto a schedule-bearing
         # twin must not receive the schedule it did not ask for
         with Broker(executor="sync") as broker:
-            with_sched = SolveRequest(problem="master-slave", platform=fig1,
-                                      master="P1", include_schedule=True)
-            bare = SolveRequest(problem="master-slave", platform=fig1,
-                                master="P1")
+            with_sched = SolveRequest(MasterSlaveSpec(
+                platform=fig1, master="P1"), include_schedule=True)
+            bare = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             out = broker.solve_batch([with_sched, bare])
             assert out[0].schedule is not None
             assert out[1].schedule is None
 
     def test_batch_dedup_solves_once_but_counts_both_requests(self, fig1):
         with Broker(executor="sync") as broker:
-            req = SolveRequest(problem="master-slave", platform=fig1,
-                               master="P1")
+            req = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             out = broker.solve_batch([req, req])
             snap = broker.metrics.snapshot()
             # ONE cold solve, but TWO first-class requests in the metrics:
@@ -352,46 +472,47 @@ class TestBroker:
         mutated = g.scale(compute="3/2", comm="2/3")
         with Broker(executor="sync") as broker:
             # a structure's first build keeps no model: prime it twice
-            broker.solve(SolveRequest(problem="master-slave",
-                                      platform=g.scale(compute=5),
-                                      master="M"))
-            first = broker.solve(SolveRequest(problem="master-slave",
-                                              platform=g, master="M"))
-            second = broker.solve(SolveRequest(problem="master-slave",
-                                               platform=mutated, master="M"))
+            broker.solve(SolveRequest(MasterSlaveSpec(
+                platform=g.scale(compute=5), master="M")))
+            first = broker.solve(SolveRequest(MasterSlaveSpec(
+                platform=g, master="M")))
+            second = broker.solve(SolveRequest(MasterSlaveSpec(
+                platform=mutated, master="M")))
             assert not first.warm and second.warm and not second.cached
             assert (second.solution.throughput
                     == solve_master_slave(mutated, "M").throughput)
 
     def test_invalidate_platform_drops_entries(self, fig1):
         with Broker(executor="sync") as broker:
-            req = SolveRequest(problem="master-slave", platform=fig1,
-                               master="P1")
+            req = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             broker.solve(req)
             assert broker.invalidate_platform(fig1) == 1
             assert not broker.solve(req).cached
 
     def test_unknown_problem_raises(self, fig1):
+        from repro.service.api import request_from_dict
+
         with Broker(executor="sync") as broker:
             with pytest.raises(BrokerError, match="unknown problem"):
-                broker.solve(SolveRequest(problem="nope", platform=fig1,
-                                          master="P1"))
+                broker.solve(request_from_dict({
+                    "spec": {"problem": "nope", "master": "P1"},
+                    "platform": platform_to_dict(fig1)}))
 
     def test_include_schedule_rejected_for_non_reconstructable(self, fig1):
         with pytest.raises(BrokerError, match="include_schedule"):
-            SolveRequest(problem="broadcast", platform=fig1, source="P1",
-                         include_schedule=True)
+            SolveRequest(BroadcastSpec(
+                platform=fig1, source="P1"), include_schedule=True)
 
     def test_missing_fields_raise(self, fig1):
         with Broker(executor="sync") as broker:
             with pytest.raises(BrokerError, match="need"):
-                broker.solve(SolveRequest(problem="scatter", platform=fig1,
-                                          source="P1"))
+                broker.solve(SolveRequest(ScatterSpec(
+                    platform=fig1, source="P1", targets=())))
 
     def test_snapshot_shape(self, fig1):
         with Broker(executor="sync") as broker:
-            broker.solve(SolveRequest(problem="master-slave", platform=fig1,
-                                      master="P1"))
+            broker.solve(SolveRequest(MasterSlaveSpec(
+                platform=fig1, master="P1")))
             snap = broker.snapshot()
             assert snap["cache"]["misses"] == 1
             assert snap["metrics"]["endpoints"]["solve"]["count"] == 1
@@ -417,8 +538,7 @@ class TestInvalidationGeneration:
         monkeypatch.setattr(broker_mod, "execute_request", slow)
         platform = generators.chain(3)
         with Broker(incremental=False) as broker:
-            req = SolveRequest(problem="broadcast", platform=platform,
-                               source="N0")
+            req = SolveRequest(BroadcastSpec(platform=platform, source="N0"))
             solved = []
             solver = threading.Thread(target=lambda: solved.append(
                 broker.engine.run(req, req.fingerprint())))
@@ -539,7 +659,7 @@ class TestCacheCorrectnessProperties:
         g = generators.star(n, master_w=master_w, worker_w=worker_w,
                             link_c=link_c)
         with Broker(executor="sync") as broker:
-            req = SolveRequest(problem="master-slave", platform=g, master="M")
+            req = SolveRequest(MasterSlaveSpec(platform=g, master="M"))
             cold = broker.solve(req)
             hit = broker.solve(req)
             assert hit.cached
@@ -555,8 +675,7 @@ class TestCacheCorrectnessProperties:
     def test_tree_hit_equals_cold_solve(self, depth, seed):
         g = generators.binary_tree(depth, seed=seed)
         with Broker(executor="sync") as broker:
-            req = SolveRequest(problem="master-slave", platform=g,
-                               master="T0")
+            req = SolveRequest(MasterSlaveSpec(platform=g, master="T0"))
             cold = broker.solve(req)
             hit = broker.solve(req)
             assert hit.cached
@@ -570,8 +689,9 @@ class TestCacheCorrectnessProperties:
         worker_w = [data.draw(_weights) for _ in range(n)]
         g = generators.star(n, worker_w=worker_w)
         mutated = g.scale(compute=factor)
-        fp = request_fingerprint(g, "master-slave", source="M")
-        fp_mut = request_fingerprint(mutated, "master-slave", source="M")
+        fp = request_fingerprint(MasterSlaveSpec(platform=g, master="M"))
+        fp_mut = request_fingerprint(MasterSlaveSpec(platform=mutated,
+                                                     master="M"))
         if factor == 1:
             assert fp == fp_mut
         else:
@@ -635,12 +755,9 @@ class TestApi:
             assert Fraction(out["schedule"]["throughput"]) == Fraction(2)
 
     def test_request_encode_decode_roundtrip(self):
-        req = SolveRequest(
-            problem="scatter",
-            platform=generators.paper_figure2_multicast(),
-            source="P0",
-            targets=("P5", "P6"),
-        )
+        req = SolveRequest(ScatterSpec(
+            platform=generators.paper_figure2_multicast(), source="P0",
+            targets=("P5", "P6")))
         from repro.service.api import request_from_dict
 
         back = request_from_dict(request_to_dict(req))
@@ -915,6 +1032,53 @@ class TestErrorStatusMapping:
             assert broker.cache.snapshot()["size"] == 0
 
 
+#: specs naming a node star(2) (M, W1, W2) lacks, or naming nodes in a
+#: shape no spec accepts: each is the client's mistake, never a 500
+HOSTILE_SPECS = [
+    pytest.param({"problem": "master-slave", "master": "ZZ"}, id="master"),
+    pytest.param({"problem": "master-slave", "master": ["M"]}, id="list"),
+    pytest.param({"problem": "master-slave", "master": {"a": 1}}, id="dict"),
+    pytest.param({"problem": "scatter", "source": "ZZ", "targets": ["W1"]},
+                 id="scatter-source"),
+    pytest.param({"problem": "scatter", "source": "M",
+                  "targets": ["W1", "ZZ"]}, id="scatter-target"),
+    pytest.param({"problem": "scatter", "source": "M",
+                  "targets": ["W1", "W1"]}, id="scatter-twice"),
+    pytest.param({"problem": "scatter", "source": "M", "targets": ["M"]},
+                 id="scatter-to-itself"),
+    pytest.param({"problem": "gather", "sink": "M", "sources": ["W1", "M"]},
+                 id="gather-from-itself"),
+    pytest.param({"problem": "multicast", "source": "ZZ", "targets": ["W1"]},
+                 id="multicast"),
+    pytest.param({"problem": "broadcast", "source": "ZZ"}, id="broadcast"),
+    pytest.param({"problem": "reduce", "root": "ZZ"}, id="reduce"),
+    pytest.param({"problem": "all-to-all", "participants": ["M"]},
+                 id="all-to-all-alone"),
+    pytest.param({"problem": "multiport", "master": "M", "ports": True},
+                 id="ports-true"),
+]
+
+
+@pytest.fixture(scope="module")
+def one_shard_ring():
+    with ShardedBroker(shards=1) as ring:  # what a bare `serve` runs
+        yield ring
+
+
+class TestHostileNodes:
+    @pytest.mark.parametrize("spec", HOSTILE_SPECS)
+    def test_is_refused_at_the_front(self, spec, one_shard_ring):
+        envelope = {"op": "solve", "request": {
+            "spec": spec, "platform": platform_to_dict(generators.star(2))}}
+        calls = [shard.calls for shard in one_shard_ring._shards]
+        with Broker() as broker:
+            for front in (broker, one_shard_ring):
+                out = handle_request(front, envelope)
+                assert out["status"] == 422, out
+                assert out["type"] == "SpecError", out
+        assert [shard.calls for shard in one_shard_ring._shards] == calls
+
+
 class TestHttpServer:
     def test_end_to_end(self):
         broker = ShardedBroker(shards=1)  # what a bare `serve` runs
@@ -1033,3 +1197,29 @@ class TestSubmitCli:
         rc = main(["submit", "--request", str(path)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["ok"]
+
+    def test_gather_takes_its_sink_as_source(self, capsys):
+        from repro.cli import main
+
+        rc = main(["submit", "--problem", "gather", "--generator", "star",
+                   "--args", "2", "--source", "M", "--targets", "W1", "W2"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+
+    def test_a_role_the_problem_lacks_is_the_codecs_error(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match=r"unknown spec field.*'source'"):
+            main(["submit", "--problem", "all-to-all", "--generator", "star",
+                  "--args", "2", "--source", "M"])
+
+    def test_master_is_a_second_spelling_of_source(self, capsys):
+        from repro.cli import main
+
+        fingerprints = []
+        for flag in ("--master", "--source"):
+            assert main(["submit", "--problem", "master-slave", "--generator",
+                         "paper_figure1", flag, "P1"]) == 0
+            fingerprints.append(
+                json.loads(capsys.readouterr().out)["fingerprint"])
+        assert fingerprints[0] == fingerprints[1]

@@ -24,6 +24,16 @@ from hypothesis import strategies as st
 from repro.core.dag import TaskGraph
 from repro.platform import generators
 from repro.platform.serialization import platform_to_dict
+from repro.problems import (
+    BroadcastSpec,
+    DagSpec,
+    GatherSpec,
+    MasterSlaveSpec,
+    MulticastSpec,
+    MultiportSpec,
+    ScatterSpec,
+    SendOrReceiveSpec,
+)
 from repro.service import (
     Broker,
     BrokerResult,
@@ -45,22 +55,20 @@ def _mixed_requests():
     fig2 = generators.paper_figure2_multicast()
     star_bi = generators.star(3, bidirectional=True)
     return [
-        SolveRequest(problem="master-slave", platform=fig1, master="P1"),
-        SolveRequest(problem="scatter", platform=fig2, source="P0",
-                     targets=("P5", "P6")),
-        SolveRequest(problem="gather", platform=star_bi, source="M",
-                     targets=("W1", "W2", "W3")),
-        SolveRequest(problem="broadcast", platform=generators.chain(4),
-                     source="N0"),
-        SolveRequest(problem="multicast", platform=fig2, source="P0",
-                     targets=("P5", "P6")),
-        SolveRequest(problem="dag", platform=fig1, master="P1",
-                     dag=TaskGraph.chain([1, 2], [1])),
-        SolveRequest(problem="master-slave",
-                     platform=generators.star(4, master_w=2,
-                                              worker_w=[1, 2, 3, 4],
-                                              link_c=[1, 1, 2, 3]),
-                     master="M"),
+        SolveRequest(MasterSlaveSpec(platform=fig1, master="P1")),
+        SolveRequest(ScatterSpec(
+            platform=fig2, source="P0", targets=("P5", "P6"))),
+        SolveRequest(GatherSpec(
+            platform=star_bi, sink="M", sources=("W1", "W2", "W3"))),
+        SolveRequest(BroadcastSpec(platform=generators.chain(4), source="N0")),
+        SolveRequest(MulticastSpec(
+            platform=fig2, source="P0", targets=("P5", "P6"))),
+        SolveRequest(DagSpec(
+            platform=fig1, master="P1", dag=TaskGraph.chain([1, 2], [1]))),
+        SolveRequest(MasterSlaveSpec(
+            platform=generators.star(4, master_w=2, worker_w=[1, 2, 3, 4],
+                                     link_c=[1, 1, 2, 3]),
+            master="M")),
     ]
 
 
@@ -131,12 +139,10 @@ class TestShardedBrokerThread:
 
     def test_identical_requests_route_to_one_shard(self):
         with ShardedBroker(shards=4) as sharded:
-            req = SolveRequest(problem="master-slave",
-                               platform=generators.paper_figure1(),
-                               master="P1")
-            twin = SolveRequest(problem="master-slave",
-                                platform=generators.paper_figure1(),
-                                master="P1")
+            req = SolveRequest(MasterSlaveSpec(
+                platform=generators.paper_figure1(), master="P1"))
+            twin = SolveRequest(MasterSlaveSpec(
+                platform=generators.paper_figure1(), master="P1"))
             assert (sharded.shard_for(req.fingerprint())
                     == sharded.shard_for(twin.fingerprint()))
             sharded.solve(req)
@@ -171,9 +177,8 @@ class TestShardedBrokerThread:
         ten-key head their size is O(shards), not O(cache entries)."""
         from repro.service.api import route_get
 
-        requests = [SolveRequest(problem="master-slave",
-                                 platform=generators.star(n, master_w=w),
-                                 master="M")
+        requests = [SolveRequest(MasterSlaveSpec(
+            platform=generators.star(n, master_w=w), master="M"))
                     for n in range(2, 10) for w in range(1, 6)]
         fps = {r.fingerprint() for r in requests}
         with ShardedBroker(shards=2) as sharded:
@@ -190,12 +195,10 @@ class TestShardedBrokerThread:
     def test_invalidate_fans_out_to_every_shard(self):
         fig1 = generators.paper_figure1()
         variants = [
-            SolveRequest(problem="master-slave", platform=fig1, master="P1"),
-            SolveRequest(problem="master-slave", platform=fig1, master="P2"),
-            SolveRequest(problem="send-or-receive", platform=fig1,
-                         master="P1"),
-            SolveRequest(problem="multiport", platform=fig1, master="P1",
-                         options={"ports": 2}),
+            SolveRequest(MasterSlaveSpec(platform=fig1, master="P1")),
+            SolveRequest(MasterSlaveSpec(platform=fig1, master="P2")),
+            SolveRequest(SendOrReceiveSpec(platform=fig1, master="P1")),
+            SolveRequest(MultiportSpec(platform=fig1, master="P1", ports=2)),
         ]
         with ShardedBroker(shards=4) as sharded:
             sharded.solve_batch(variants)
@@ -218,9 +221,8 @@ class TestShardedBrokerThread:
 
     def test_single_shard_is_a_valid_degenerate(self):
         with ShardedBroker(shards=1) as sharded:
-            req = SolveRequest(problem="master-slave",
-                               platform=generators.paper_figure1(),
-                               master="P1")
+            req = SolveRequest(MasterSlaveSpec(
+                platform=generators.paper_figure1(), master="P1"))
             assert sharded.solve(req).throughput == Fraction(2)
             assert sharded.solve(req).cached
 
@@ -290,11 +292,11 @@ class TestShardedBrokerProcess:
         g = generators.star(4, master_w=2, worker_w=[1, 2, 3, 4],
                             link_c=[1, 1, 2, 3])
         with ShardedBroker(shards=2) as sharded:
-            sharded.solve(SolveRequest(problem="master-slave", platform=g,
-                                       master="M"))
+            sharded.solve(SolveRequest(MasterSlaveSpec(
+                platform=g, master="M")))
             mutated = g.scale(compute="3/2", comm="2/3")
-            warm = sharded.solve(SolveRequest(problem="master-slave",
-                                              platform=mutated, master="M"))
+            warm = sharded.solve(SolveRequest(MasterSlaveSpec(
+                platform=mutated, master="M")))
             snap = sharded.snapshot()
             # weight-only mutation: either the same shard re-used its hot
             # model (warm) or another shard built fresh — but when it IS
@@ -308,9 +310,9 @@ class TestShardedBrokerProcess:
 
     def test_include_schedule_roundtrips_through_the_pipe(self):
         with ShardedBroker(shards=2) as sharded:
-            req = SolveRequest(problem="master-slave",
-                               platform=generators.paper_figure1(),
-                               master="P1", include_schedule=True)
+            req = SolveRequest(MasterSlaveSpec(
+                platform=generators.paper_figure1(),
+                master="P1"), include_schedule=True)
             res = sharded.solve(req)
             assert res.schedule is not None
             assert res.schedule.throughput == res.solution.throughput
@@ -318,10 +320,9 @@ class TestShardedBrokerProcess:
     def test_invalidate_fans_out(self):
         fig1 = generators.paper_figure1()
         variants = [
-            SolveRequest(problem="master-slave", platform=fig1, master="P1"),
-            SolveRequest(problem="master-slave", platform=fig1, master="P2"),
-            SolveRequest(problem="send-or-receive", platform=fig1,
-                         master="P1"),
+            SolveRequest(MasterSlaveSpec(platform=fig1, master="P1")),
+            SolveRequest(MasterSlaveSpec(platform=fig1, master="P2")),
+            SolveRequest(SendOrReceiveSpec(platform=fig1, master="P1")),
         ]
         with ShardedBroker(shards=2) as sharded:
             sharded.solve_batch(variants)
@@ -330,8 +331,8 @@ class TestShardedBrokerProcess:
 
     def test_spec_error_surfaces_as_broker_error(self):
         with ShardedBroker(shards=2) as sharded:
-            good = SolveRequest(problem="master-slave",
-                                platform=generators.star(2), master="M")
+            good = SolveRequest(MasterSlaveSpec(
+                platform=generators.star(2), master="M"))
             from repro.service.api import request_to_dict
 
             # a tampered wire payload sent straight to a shard: the
@@ -371,8 +372,8 @@ class TestSolveMany:
     ``solve`` frames in flight on the shard connections."""
 
     def test_intra_batch_duplicates_hit_the_shard_cache(self):
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(3), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3), master="M"))
         with ShardedBroker(shards=2, near_cache_size=0) as sharded:
             results = sharded.solve_batch([req, req, req])
             assert len({r.throughput for r in results}) == 1
@@ -417,8 +418,8 @@ class TestSolveMany:
     def test_a_removed_op_is_refused_as_unknown(self, op):
         from repro.service.api import request_to_dict
 
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(2), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(2), master="M"))
         with ShardedBroker(shards=1) as sharded:
             with pytest.raises(BrokerError, match=f"unknown shard op '{op}'"):
                 _on_ring(sharded, sharded._shards[0].call({
@@ -435,9 +436,9 @@ class TestShardCoalescing:
     @pytest.mark.parametrize("flags", [(False, True), (True, False),
                                        (False, False), (True, True)])
     def test_each_twin_gets_the_schedule_it_asked_for(self, flags):
-        twins = [SolveRequest(problem="master-slave",
-                              platform=generators.star(3), master="M",
-                              include_schedule=flag) for flag in flags]
+        twins = [SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3),
+            master="M"), include_schedule=flag) for flag in flags]
         with ShardedBroker(shards=1, near_cache_size=0) as sharded:
             # park the engine lane: both solves arrive while it naps
             nap = asyncio.run_coroutine_threadsafe(
@@ -467,8 +468,8 @@ class TestShardCoalescing:
         return futures
 
     def test_a_follower_is_a_request_in_the_metrics(self):
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(3), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3), master="M"))
         with ShardedBroker(shards=1, near_cache_size=0) as sharded:
             futures = self._twins_behind_a_nap(sharded, req)
             results = [future.result(30) for future in futures]
@@ -492,8 +493,8 @@ class TestShardCoalescing:
         # an in-thread shard: the patch reaches its engine
         monkeypatch.setattr(broker_mod, "execute_request", boom)
         server = AsyncShardServer(incremental=False).start_in_thread()
-        req = SolveRequest(problem="broadcast",
-                           platform=generators.chain(3), source="N0")
+        req = SolveRequest(BroadcastSpec(
+            platform=generators.chain(3), source="N0"))
         try:
             with ShardedBroker(shards=0, near_cache_size=0,
                                shard_addresses=[f"{server.host}:"
@@ -512,8 +513,8 @@ class TestShardCoalescing:
     def test_a_non_boolean_flag_is_a_typed_refusal(self):
         from repro.service.api import request_to_dict
 
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(2), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(2), master="M"))
         with ShardedBroker(shards=1) as sharded:
             sharded.solve(req)  # cached: a hit would be served on the loop
             for flag in ("false", 0, None):
@@ -529,8 +530,8 @@ class TestEarnedHotModels:
     def test_a_cold_only_http_batch_leaves_no_hot_model(self):
         from repro.service.api import request_to_dict, route_get, route_post
 
-        requests = [SolveRequest(problem="master-slave",
-                                 platform=generators.star(n), master="M")
+        requests = [SolveRequest(MasterSlaveSpec(
+            platform=generators.star(n), master="M"))
                     for n in range(2, 10)]  # 8 structures, each seen once
         reference = _reference_results(requests)
         with ShardedBroker(shards=2, near_cache_size=0) as sharded:
@@ -557,8 +558,8 @@ class TestHitsThroughTheRing:
     what they were when every hit was decoded, run and re-encoded."""
 
     def test_n_reads_are_n_shard_hits_one_miss(self):
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.paper_figure1(), master="P1")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.paper_figure1(), master="P1"))
         reference = _reference_results([req])[0]
         with ShardedBroker(shards=2, near_cache_size=0) as sharded:
             first = sharded.solve(req)
@@ -578,10 +579,9 @@ class TestHitsThroughTheRing:
     def test_a_read_builds_no_fraction_until_somebody_looks(self):
         from repro.service.api import response_to_dict
 
-        req = SolveRequest(problem="scatter",
-                           platform=generators.paper_figure2_multicast(),
-                           source="P0", targets=("P5", "P6"),
-                           include_schedule=True)
+        req = SolveRequest(ScatterSpec(
+            platform=generators.paper_figure2_multicast(), source="P0",
+            targets=("P5", "P6")), include_schedule=True)
         (reference,) = _reference_results([req])
         with ShardedBroker(shards=2, near_cache_size=0) as sharded:
             sharded.solve(req)
@@ -597,8 +597,8 @@ class TestHitsThroughTheRing:
             assert hit.schedule.period == reference.schedule.period
 
     def test_near_cache_admission_keeps_exact_objects(self):
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(3), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3), master="M"))
         (reference,) = _reference_results([req])
         with ShardedBroker(shards=2) as sharded:
             for _ in range(HOT_THRESHOLD):  # the last lookup is the hot one
@@ -682,8 +682,8 @@ class TestServeCli:
         from repro.cli import _build_broker, build_parser
         from repro.service.api import request_to_dict
 
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(2), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(2), master="M"))
         envelope = {"op": "solve", "request": request_to_dict(req)}
         with _build_broker(build_parser().parse_args(["serve"])) as broker:
             assert isinstance(broker, ShardedBroker) and broker.shards == 1
@@ -933,8 +933,8 @@ class TestLocalShardSupervision:
         EOFError from its channel.  It must be a counted, typed failure
         (and here — with a live sibling shard — a transparent failover,
         so the caller sees no error at all)."""
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(3), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3), master="M"))
         with ShardedBroker(shards=2) as sharded:
             shard = sharded._shards[
                 sharded.shard_for(req.fingerprint())
@@ -952,9 +952,9 @@ class TestLocalShardSupervision:
         killed: the ``epoch`` guard makes the first failure restart it
         and every other one ride that restart — none lost, none
         stampeding."""
-        requests = [SolveRequest(problem="master-slave",
-                                 platform=generators.star(n, master_w=2),
-                                 master="M") for n in range(2, 18)]
+        requests = [SolveRequest(MasterSlaveSpec(
+            platform=generators.star(n, master_w=2),
+            master="M")) for n in range(2, 18)]
         reference = _reference_results(requests)
         with ShardedBroker(shards=1, near_cache_size=0) as sharded:
             (shard,) = sharded._shards
@@ -973,8 +973,8 @@ class TestLocalShardSupervision:
         assert multiprocessing.active_children() == []
 
     def test_metrics_observe_transport_latency(self):
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(2), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(2), master="M"))
         with ShardedBroker(shards=2) as sharded:
             sharded.solve(req)
             endpoints = sharded.snapshot()["metrics"]["endpoints"]
@@ -1095,10 +1095,10 @@ def ring(request):
 def _fig1_variants():
     fig1 = generators.paper_figure1()
     return fig1, [
-        SolveRequest(problem="master-slave", platform=fig1, master="P1"),
-        SolveRequest(problem="master-slave", platform=fig1, master="P2"),
-        SolveRequest(problem="send-or-receive", platform=fig1, master="P1"),
-        SolveRequest(problem="send-or-receive", platform=fig1, master="P2"),
+        SolveRequest(MasterSlaveSpec(platform=fig1, master="P1")),
+        SolveRequest(MasterSlaveSpec(platform=fig1, master="P2")),
+        SolveRequest(SendOrReceiveSpec(platform=fig1, master="P1")),
+        SolveRequest(SendOrReceiveSpec(platform=fig1, master="P2")),
     ]
 
 
@@ -1245,9 +1245,9 @@ class TestTheRingIsOneThread:
         """Routing, fan-outs and health probing are tasks
         on one loop: whatever the shard count and the load, an open
         broker is one thread more and a closed one none."""
-        requests = [SolveRequest(problem="master-slave",
-                                 platform=generators.star(n, master_w=2),
-                                 master="M") for n in range(2, 10)] * 8
+        requests = [SolveRequest(MasterSlaveSpec(
+            platform=generators.star(n, master_w=2),
+            master="M")) for n in range(2, 10)] * 8
         before = threading.active_count()
         sharded = ShardedBroker(shards=4, health_interval=0.05)
         try:
@@ -1270,8 +1270,8 @@ class TestTheRingIsOneThread:
         ever stop, and returned a result."""
         from repro.service import ShardError
 
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(3), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3), master="M"))
         sharded = ShardedBroker(shards=2, health_interval=0.05)
         sharded.solve(req)
         sharded.close()
@@ -1414,8 +1414,8 @@ class TestTimeoutConfiguration:
     def test_the_budget_travels_as_the_shard_deadline(self):
         """The shard is handed ``request_timeout`` as its own deadline
         and this end waits a grace longer, so the shard answers a miss."""
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(2), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(2), master="M"))
         with ShardedBroker(shards=1,
                            request_timeout=0.5) as sharded:
             shard = sharded._shards[0]

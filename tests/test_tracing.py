@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from repro.platform import generators
+from repro.problems import MasterSlaveSpec
 from repro.service import (
     AsyncShardServer,
     Broker,
@@ -31,9 +32,9 @@ from repro.service import (
 from repro.service.tracing import graft_remote
 
 
-def _request(problem: str = "master-slave") -> SolveRequest:
-    return SolveRequest(problem=problem,
-                        platform=generators.paper_figure1(), master="P1")
+def _request() -> SolveRequest:
+    return SolveRequest(MasterSlaveSpec(platform=generators.paper_figure1(),
+                                        master="P1"))
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,18 @@ import pytest
 
 from repro.core.dag import TaskGraph
 from repro.platform import generators
+from repro.problems import (
+    AllToAllSpec,
+    BroadcastSpec,
+    DagSpec,
+    GatherSpec,
+    MasterSlaveSpec,
+    MulticastSpec,
+    MultiportSpec,
+    ReduceSpec,
+    ScatterSpec,
+    SendOrReceiveSpec,
+)
 from repro.service import (
     AsyncShardServer,
     AsyncTcpTransport,
@@ -40,25 +52,22 @@ def _mixed_requests():
     fig2 = generators.paper_figure2_multicast()
     star_bi = generators.star(3, bidirectional=True)
     return [
-        SolveRequest(problem="master-slave", platform=fig1, master="P1",
-                     include_schedule=True),
-        SolveRequest(problem="scatter", platform=fig2, source="P0",
-                     targets=("P5", "P6")),
-        SolveRequest(problem="gather", platform=star_bi, source="M",
-                     targets=("W1", "W2", "W3")),
-        SolveRequest(problem="all-to-all", platform=star_bi,
-                     targets=("M", "W1", "W2")),
-        SolveRequest(problem="broadcast", platform=generators.chain(4),
-                     source="N0"),
-        SolveRequest(problem="reduce", platform=star_bi, source="M"),
-        SolveRequest(problem="multicast", platform=fig2, source="P0",
-                     targets=("P5", "P6")),
-        SolveRequest(problem="dag", platform=fig1, master="P1",
-                     dag=TaskGraph.chain([1, 2], [1])),
-        SolveRequest(problem="multiport", platform=fig1, master="P1",
-                     options={"ports": 2}),
-        SolveRequest(problem="send-or-receive", platform=fig1,
-                     master="P1"),
+        SolveRequest(MasterSlaveSpec(
+            platform=fig1, master="P1"), include_schedule=True),
+        SolveRequest(ScatterSpec(
+            platform=fig2, source="P0", targets=("P5", "P6"))),
+        SolveRequest(GatherSpec(
+            platform=star_bi, sink="M", sources=("W1", "W2", "W3"))),
+        SolveRequest(AllToAllSpec(
+            platform=star_bi, participants=("M", "W1", "W2"))),
+        SolveRequest(BroadcastSpec(platform=generators.chain(4), source="N0")),
+        SolveRequest(ReduceSpec(platform=star_bi, root="M")),
+        SolveRequest(MulticastSpec(
+            platform=fig2, source="P0", targets=("P5", "P6"))),
+        SolveRequest(DagSpec(
+            platform=fig1, master="P1", dag=TaskGraph.chain([1, 2], [1]))),
+        SolveRequest(MultiportSpec(platform=fig1, master="P1", ports=2)),
+        SolveRequest(SendOrReceiveSpec(platform=fig1, master="P1")),
     ]
 
 
@@ -80,8 +89,8 @@ class TestResultWireCodec:
                             == result.schedule.throughput)
 
     def test_flags_survive(self):
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(2), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(2), master="M"))
         with Broker(executor="sync") as broker:
             broker.solve(req)
             hit = broker.solve(req)
@@ -89,9 +98,8 @@ class TestResultWireCodec:
             assert back.cached and not back.warm
 
     def test_packing_is_exact(self):
-        req = SolveRequest(problem="broadcast",
-                           platform=generators.paper_figure1(),
-                           source="P1")
+        req = SolveRequest(BroadcastSpec(
+            platform=generators.paper_figure1(), source="P1"))
         with Broker(executor="sync") as broker:
             result = broker.solve(req)
         back = result_from_wire(
@@ -105,8 +113,8 @@ class TestResultWireCodec:
             solution_to_wire(object())
 
     def test_newer_wire_version_fails_loudly(self):
-        req = SolveRequest(problem="master-slave",
-                           platform=generators.star(2), master="M")
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(2), master="M"))
         with Broker(executor="sync") as broker:
             wire = result_to_wire(broker.solve(req))
         wire["version"] = 99
@@ -192,9 +200,8 @@ class TestPipeTransport:
         async def go():
             try:
                 assert await transport.ping(timeout=10.0)
-                req = SolveRequest(problem="master-slave",
-                                   platform=generators.paper_figure1(),
-                                   master="P1")
+                req = SolveRequest(MasterSlaveSpec(
+                    platform=generators.paper_figure1(), master="P1"))
                 return await transport.request({
                     "op": "solve", "fp": req.fingerprint(),
                     "request": _request_wire(req),
@@ -279,9 +286,8 @@ def _with_transports(body, *ports, connect_timeout=5.0):
 class TestTcpTransport:
     def test_solve_is_exact_and_cache_stays_hot(self, shard_server):
         async def body(transport):
-            req = SolveRequest(problem="master-slave",
-                               platform=generators.paper_figure1(),
-                               master="P1")
+            req = SolveRequest(MasterSlaveSpec(
+                platform=generators.paper_figure1(), master="P1"))
             msg = {"op": "solve", "fp": req.fingerprint(),
                    "request": _request_wire(req)}
             cold = result_from_wire((await transport.request(msg))["result"])
@@ -346,8 +352,8 @@ class TestTcpTransport:
 
     def test_two_clients_share_one_engine(self, shard_server):
         async def body(first, second):
-            req = SolveRequest(problem="master-slave",
-                               platform=generators.star(3), master="M")
+            req = SolveRequest(MasterSlaveSpec(
+                platform=generators.star(3), master="M"))
             msg = {"op": "solve", "fp": req.fingerprint(),
                    "request": _request_wire(req)}
             cold = result_from_wire((await first.request(msg))["result"])
@@ -378,9 +384,9 @@ def _solve_msg(req, **extra):
 
 
 def _ms_request(workers=3, include_schedule=False):
-    return SolveRequest(problem="master-slave",
-                        platform=generators.star(workers), master="M",
-                        include_schedule=include_schedule)
+    return SolveRequest(MasterSlaveSpec(
+        platform=generators.star(workers),
+        master="M"), include_schedule=include_schedule)
 
 
 class TestLoopServedHit:

@@ -205,11 +205,10 @@ class TestWarmStatsAndEvictions:
         with Broker(executor="sync") as broker:
             # a structure's first build keeps no model: prime it twice
             for prime in (g, g.scale(compute=3)):
-                broker.solve(SolveRequest(problem="master-slave",
-                                          platform=prime, master="P1"))
-            broker.solve(SolveRequest(problem="master-slave",
-                                      platform=g.scale(compute=2),
-                                      master="P1"))
+                broker.solve(SolveRequest(MasterSlaveSpec(
+                    platform=prime, master="P1")))
+            broker.solve(SolveRequest(MasterSlaveSpec(
+                platform=g.scale(compute=2), master="P1")))
             snap = broker.snapshot()
         inc = snap["incremental"]
         for key in ("hot_models", "warm_solves", "full_rebuilds",
