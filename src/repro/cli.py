@@ -301,7 +301,6 @@ def _build_broker(args):
     return ShardedBroker(
         shards=args.shards,
         cache_size=args.cache_size,
-        ttl=args.ttl if args.ttl > 0 else None,
         shard_addresses=args.shard,
         request_timeout=args.shard_timeout,  # 0 waits indefinitely
         near_cache_size=args.near_cache_size,
@@ -378,13 +377,10 @@ def cmd_shard_serve(args) -> int:
     """
     from .service.transport import AsyncShardServer
 
-    ttl = args.ttl if args.ttl and args.ttl > 0 else None
     deadline = args.op_deadline if args.op_deadline > 0 else None
     server = AsyncShardServer(
         (args.host, args.port),
         cache_size=args.cache_size,
-        ttl=ttl,
-        incremental=not args.no_incremental,
         op_deadline=deadline,
     )
 
@@ -392,8 +388,7 @@ def cmd_shard_serve(args) -> int:
         await server.start()
         print(f"repro shard listening on {server.address} (op deadline "
               f"{'none' if deadline is None else f'{deadline}s'}, "
-              f"cache {args.cache_size} entries, warm path "
-              f"{'off' if args.no_incremental else 'on'})", flush=True)
+              f"cache {args.cache_size} entries)", flush=True)
         await server.serve_forever()
 
     _run_until_stopped(_amain)
@@ -543,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stdio", action="store_true",
                    help="JSON-lines over stdin/stdout instead of HTTP")
     p.add_argument("--cache-size", type=int, default=256)
-    p.add_argument("--ttl", type=float, default=0,
-                   help="cache TTL in seconds (0 = no expiry)")
     p.add_argument("--shards", type=int, default=1,
                    help="local shards — worker processes, each on a "
                         "private socketpair — routed by consistent hash "
@@ -564,8 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "ejected (remote)")
     p.add_argument("--near-cache-size", type=int, default=64,
                    help="broker-side near-cache entries for the hottest "
-                        "fingerprints, generation-revalidated so stale "
-                        "serves are impossible (0 disables)")
+                        "fingerprints (0 disables)")
     p.add_argument("--slow-trace", type=float, default=0.25,
                    help="traces at least this slow (seconds) are always "
                         "kept in the slow-trace ring")
@@ -581,10 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8590,
                    help="TCP port (0 picks a free one)")
     p.add_argument("--cache-size", type=int, default=256)
-    p.add_argument("--ttl", type=float, default=0,
-                   help="cache TTL in seconds (0 = no expiry)")
-    p.add_argument("--no-incremental", action="store_true",
-                   help="disable the warm re-solve path for this shard")
     p.add_argument("--op-deadline", type=float, default=0,
                    help="default per-op server-side deadline in seconds "
                         "(0 = none); overdue ops are answered with a "

@@ -8,8 +8,8 @@ long-running scheduling service that amortises solves across requests:
 * :mod:`~repro.service.fingerprint` — canonical, order-independent hashing
   of a platform + problem spec, so structurally identical requests share a
   cache key;
-* :mod:`~repro.service.cache` — an LRU + TTL solution cache with hit /
-  miss / eviction counters and explicit invalidation on platform mutation;
+* :mod:`~repro.service.cache` — an LRU solution cache with hit / miss /
+  eviction counters and explicit invalidation on platform mutation;
 * :mod:`~repro.service.broker` — the cache → warm → cold solve core of
   one shard and the in-process broker around it, dispatching every
   problem through the typed solver registry of :mod:`repro.problems`
@@ -70,10 +70,8 @@ from .tracing import (
     Span,
     Trace,
     TraceStore,
-    activate,
     annotate,
     current_span,
-    current_trace,
     log_event,
     render_waterfall,
     span,
@@ -130,10 +128,8 @@ __all__ = [
     "Span",
     "Trace",
     "TraceStore",
-    "activate",
     "annotate",
     "current_span",
-    "current_trace",
     "log_event",
     "render_waterfall",
     "span",

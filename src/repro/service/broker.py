@@ -207,9 +207,6 @@ class SolveEngine:
             return served
         with span("engine.run") as sp:
             try:
-                # captured before the lookup: a solution computed from here
-                # on is only storable if no invalidation arrives meanwhile
-                generation = self.cache.generation
                 lookup_started = time.perf_counter()
                 entry = self.cache.get(fp)
                 if entry is not None:
@@ -224,7 +221,7 @@ class SolveEngine:
                             "cache.lookup", sp.span_id,
                             start=lookup_started - sp.trace._t0)
                         lookup.finish()
-                    result = self._solve_cold(request, fp, generation)
+                    result = self._solve_cold(request, fp)
                     endpoint = "solve.warm" if result.warm else "solve.cold"
                     self.metrics.observe(endpoint,
                                          time.perf_counter() - start)
@@ -246,8 +243,8 @@ class SolveEngine:
         server calls it on its event loop.  The books are any hit's (one
         cache hit, ``solve.hit`` + ``solve``, an
         ``engine.run`` span when tracing).  Returns ``None`` with
-        **nothing** counted when the entry is absent, expired or lacks a
-        wanted schedule: :meth:`run` then does the one counted lookup."""
+        **nothing** counted when the entry is absent or lacks a wanted
+        schedule: :meth:`run` then does the one counted lookup."""
         start = time.perf_counter()
         entry = self.cache.hit(fp, with_schedule=include_schedule)
         if entry is None:
@@ -286,7 +283,7 @@ class SolveEngine:
         )
 
     def _solve_cold(
-        self, request: SolveRequest, fp: str, generation: int
+        self, request: SolveRequest, fp: str
     ) -> BrokerResult:
         warm = False
         if (
@@ -300,8 +297,7 @@ class SolveEngine:
         schedule = None
         if request.include_schedule:
             schedule = self._reconstruct(request, solution)
-        self.cache.put(fp, solution, request.platform, schedule=schedule,
-                       generation=generation)
+        self.cache.put(fp, solution, request.platform, schedule=schedule)
         return BrokerResult(
             fingerprint=fp,
             solution=solution,
@@ -359,8 +355,7 @@ class Broker:
     Parameters
     ----------
     cache:
-        A :class:`SolutionCache` (a default one is created when omitted);
-        pass ``None``-like ``max_size``/``ttl`` choices through it.
+        A :class:`SolutionCache` (a default one is created when omitted).
     metrics:
         A :class:`MetricsRegistry`; created when omitted.
     executor:

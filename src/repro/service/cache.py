@@ -1,4 +1,4 @@
-"""LRU + TTL cache for steady-state solutions and reconstructed schedules.
+"""LRU cache for steady-state solutions and reconstructed schedules.
 
 One entry per request fingerprint (see :mod:`repro.service.fingerprint`),
 holding the solver's result and — lazily, once somebody asks for it — the
@@ -6,35 +6,24 @@ reconstructed :class:`~repro.schedule.periodic.PeriodicSchedule`.  The
 cache is thread-safe: a shard's event loop (serving hits) and its engine
 lane (solving misses) hit it concurrently.
 
-Eviction happens on three paths, each with its own counter:
+An entry is the answer to its key and never goes stale: the fingerprint
+hashes every node and edge weight exactly, so a re-weighted platform is
+another key, solved into another entry.  The cache needs a bound, never
+an expiry.  Entries leave on two paths, each with its own counter:
 
 * **LRU** — beyond ``max_size`` entries, the least recently *used* goes;
-* **TTL** — entries older than ``ttl`` (seconds) are dropped on access
-  ("expirations") — pass ``ttl=None`` to disable;
-* **invalidation** — :meth:`SolutionCache.invalidate_platform` removes
+* **invalidation** — :meth:`SolutionCache.invalidate_platform` frees
   every entry computed against a platform with the given structural
-  signature; call it after mutating a platform the service solved for.
-
-Invalidation also bumps a monotonically increasing **generation**
-counter.  A solve that was already in flight when ``invalidate_platform``
-(or ``clear``) ran computed its solution against the *pre-invalidation*
-platform; if its ``put`` landed afterwards it would silently reinstate
-the stale solution.  Callers therefore capture
-:attr:`SolutionCache.generation` when the solve *starts* and pass it back
-to :meth:`SolutionCache.put`, which rejects the write (counted in
-``stale_puts``) when an invalidation happened in between.
-
-The clock is injectable for deterministic TTL tests.
+  signature: the weight-variants of a platform that has moved on.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..platform.graph import Platform
 from .fingerprint import Signature, topology_signature
@@ -47,9 +36,7 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     invalidations: int = 0
-    stale_puts: int = 0
 
     @property
     def lookups(self) -> int:
@@ -64,9 +51,7 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "invalidations": self.invalidations,
-            "stale_puts": self.stale_puts,
             "hit_rate": self.hit_rate,
         }
 
@@ -201,48 +186,22 @@ class CacheEntry:
     topology_sig: Signature
     solution: Any
     schedule: Any = None
-    created_at: float = 0.0
     hits: int = 0
     solution_json: Optional[bytes] = None
     schedule_json: Optional[bytes] = None
 
 
 class SolutionCache:
-    """Thread-safe LRU + TTL mapping ``fingerprint -> CacheEntry``.
+    """Thread-safe LRU mapping ``fingerprint -> CacheEntry``; the least
+    recently used entry is evicted beyond ``max_size``."""
 
-    Parameters
-    ----------
-    max_size:
-        Entry budget; the least-recently-used entry is evicted beyond it.
-    ttl:
-        Seconds an entry stays valid, or ``None`` for no expiry.
-    clock:
-        Monotonic time source (injectable for tests).
-    """
-
-    def __init__(
-        self,
-        max_size: int = 256,
-        ttl: Optional[float] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, max_size: int = 256) -> None:
         if max_size < 1:
             raise ValueError("max_size must be >= 1")
-        if ttl is not None and ttl <= 0:
-            raise ValueError("ttl must be positive (or None to disable)")
         self.max_size = max_size
-        self.ttl = ttl
-        self._clock = clock
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()  # guarded-by: _lock
-        self._generation = 0  # guarded-by: _lock
         self.stats = CacheStats()  # guarded-by: _lock
-
-    @property
-    def generation(self) -> int:
-        """Invalidation epoch; capture at solve start, pass to :meth:`put`."""
-        with self._lock:
-            return self._generation
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -251,36 +210,30 @@ class SolutionCache:
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            entry = self._entries.get(key)
-            return entry is not None and not self._expired(entry)
-
-    def _expired(self, entry: CacheEntry) -> bool:
-        return self.ttl is not None and self._clock() - entry.created_at > self.ttl
+            return key in self._entries
 
     # ------------------------------------------------------------------
-    def get(self, key: str) -> Optional[CacheEntry]:
-        """Look up a fingerprint; counts a hit or a miss either way."""
+    def get(self, key: str, with_schedule: bool = False
+            ) -> Optional[CacheEntry]:
+        """Look up a fingerprint; counts a hit or a miss either way.  An
+        entry without a wanted schedule is a miss and keeps its
+        recency."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and self._expired(entry):
-                del self._entries[key]
-                self.stats.expirations += 1
-                entry = None
-            if entry is None:
+            if entry is None or (with_schedule and entry.schedule is None):
                 self.stats.misses += 1
                 return None
             return self._touch(entry)
 
     def hit(self, key: str, with_schedule: bool = False
             ) -> Optional[CacheEntry]:
-        """:meth:`get` for a caller whose fallback is a full lookup: a
-        live entry (with a schedule, when one is wanted) counts a hit;
-        anything else returns ``None`` and counts, drops and expires
-        **nothing** — the fallback's :meth:`get` keeps those books."""
+        """:meth:`get` for a caller whose fallback is a full lookup: an
+        entry (with a schedule, when one is wanted) counts a hit;
+        anything else returns ``None`` and counts **nothing** — the
+        fallback's :meth:`get` keeps those books."""
         with self._lock:
             entry = self._entries.get(key)
-            if (entry is None or self._expired(entry)
-                    or (with_schedule and entry.schedule is None)):
+            if entry is None or (with_schedule and entry.schedule is None):
                 return None
             return self._touch(entry)
 
@@ -296,30 +249,15 @@ class SolutionCache:
         solution: Any,
         platform: Platform,
         schedule: Any = None,
-        generation: Optional[int] = None,
-    ) -> Optional[CacheEntry]:
-        """Insert (or refresh) an entry, evicting LRU entries beyond budget.
-
-        ``generation`` is the value of :attr:`generation` captured when the
-        solve producing ``solution`` started.  When an invalidation has
-        happened since (the counter moved), the write is refused and
-        ``None`` is returned: the solution was computed against a platform
-        state the caller has since declared stale, and storing it would
-        undo the invalidation.  Pass ``None`` to skip the check (the
-        solution is known current, e.g. a manual warm-up).
-        """
-        topo = topology_signature(platform)
+    ) -> CacheEntry:
+        """Insert (or refresh) an entry, evicting LRU entries beyond budget."""
+        entry = CacheEntry(
+            key=key,
+            topology_sig=topology_signature(platform),
+            solution=solution,
+            schedule=schedule,
+        )
         with self._lock:
-            if generation is not None and generation != self._generation:
-                self.stats.stale_puts += 1
-                return None
-            entry = CacheEntry(
-                key=key,
-                topology_sig=topo,
-                solution=solution,
-                schedule=schedule,
-                created_at=self._clock(),
-            )
             self._entries[key] = entry
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_size:
@@ -328,17 +266,14 @@ class SolutionCache:
             return entry
 
     def peek(self, key: str) -> Optional[CacheEntry]:
-        """Look up without touching counters, recency or TTL eviction.
+        """Look up without touching counters or recency.
 
         For internal short-circuits (e.g. checking whether a schedule was
         already attached by another waiter) that must not distort the
         hit-rate statistics.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and self._expired(entry):
-                return None
-            return entry
+            return self._entries.get(key)
 
     def attach_schedule(self, key: str, schedule: Any) -> None:
         """Record a lazily reconstructed schedule on an existing entry."""
@@ -349,31 +284,18 @@ class SolutionCache:
                 entry.schedule_json = None
 
     # ------------------------------------------------------------------
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry by fingerprint; True when something was removed."""
-        with self._lock:
-            if key in self._entries:
-                del self._entries[key]
-                self.stats.invalidations += 1
-                return True
-            return False
-
     def invalidate_platform(self, platform: Platform) -> int:
         """Drop every entry whose platform shares this platform's *topology*.
 
         The intended call site is a platform mutation: weights are frozen
         in :class:`~repro.platform.graph.Platform`, so "mutating" means
         deriving a re-weighted copy (e.g. :meth:`Platform.scale` or a
-        monitoring update).  Matching on the topology signature removes
-        all stale weight-variants of the platform in one call; returns the
-        number of entries removed.
+        monitoring update).  An old weighting's entries stay exact answers
+        to their own keys; this frees them all in one call and returns
+        the number of entries removed.
         """
         topo = topology_signature(platform)
         with self._lock:
-            # bump even when nothing matched: an in-flight solve for this
-            # platform has no entry yet, and its late put must still be
-            # refused (the whole point of the generation check)
-            self._generation += 1
             doomed: List[str] = [
                 key for key, entry in self._entries.items()
                 if entry.topology_sig == topo
@@ -385,7 +307,6 @@ class SolutionCache:
 
     def clear(self) -> int:
         with self._lock:
-            self._generation += 1
             n = len(self._entries)
             self._entries.clear()
             return n
@@ -397,7 +318,5 @@ class SolutionCache:
             return {
                 "size": len(self._entries),
                 "max_size": self.max_size,
-                "ttl": self.ttl,
-                "generation": self._generation,
                 **self.stats.as_dict(),
             }

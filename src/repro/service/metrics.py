@@ -369,7 +369,6 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
         ("hits", "Cache lookups served."),
         ("misses", "Cache lookups missed."),
         ("evictions", "Entries evicted by the size bound."),
-        ("expirations", "Entries expired by TTL."),
         ("invalidations", "Entries dropped by platform invalidation."),
     ):
         kind = "gauge" if key == "size" else "counter"
@@ -393,10 +392,6 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     emit("repro_near_cache_misses_total", "counter",
          "Near-cache lookups that fell through to the ring.",
          [({}, near.get("misses"))])
-    emit("repro_near_cache_stale_rejects_total", "counter",
-         "Near-cache admissions refused because the generation moved "
-         "during the solve (stale serves stay impossible).",
-         [({}, near.get("stale_rejects"))])
 
     health = snapshot.get("shard_health", {})
     for key in ("shard_failures", "shard_timeouts", "shard_restarts",

@@ -58,8 +58,7 @@ remote shards (``shard_addresses=["host:port", ...]``)
     that fails or stops answering is **ejected** from the ring — its
     keys fail over to the clockwise-next live shard, moving only that
     shard's slice of the keyspace — and a background health probe
-    re-admits it when its host returns (after clearing its cache, so
-    invalidations it missed during the outage can never resurface).
+    re-admits it, its cache as it was, when its host returns.
 
 Failure semantics, uniformly: a transport-level failure raises a typed
 :class:`ShardUnavailableError` (a :class:`ShardError`) carrying the
@@ -72,11 +71,11 @@ every failure is counted — ``shard_failures`` / ``shard_timeouts`` /
 
 :meth:`ShardedBroker.invalidate_platform` fans out to every shard and
 **tolerates outages**: an unreachable shard is ejected and counted, not
-raised — its entries are dropped wholesale before it rejoins, so cache
-invalidation never fails the caller during a shard outage, and a solve
-racing the invalidation still cannot re-insert a stale entry (each
-shard's cache generation counter, see
-:class:`~repro.service.cache.SolutionCache`).
+raised.  Invalidation frees memory and hot models; it guards no
+correctness, because a cache entry is the exact answer to its
+fingerprint for ever (see :class:`~repro.service.cache.SolutionCache`),
+so an entry a rejoined shard kept, or a racing solve stored, is still
+right.
 
 The consistent-hash ring (many points per shard, like the routing rings
 in Dask ``distributed``-style schedulers) keeps the fingerprint → shard
@@ -374,13 +373,11 @@ def _merge_cache_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     summed = {
         key: sum(s.get(key, 0) for s in snaps)
         for key in ("size", "max_size", "hits", "misses", "evictions",
-                    "expirations", "invalidations", "stale_puts",
-                    "generation")
+                    "invalidations")
     }
     lookups = summed["hits"] + summed["misses"]
     return {
         **summed,
-        "ttl": snaps[0].get("ttl") if snaps else None,
         "hit_rate": summed["hits"] / lookups if lookups else 0.0,
         "shards": len(snaps),
     }
@@ -404,8 +401,8 @@ class _AggregateCacheView:
         )
 
 
-#: health-probe request budget: pings and rejoin clears are cheap ops,
-#: so a shard that cannot answer within this is treated as down
+#: health-probe request budget: a ping is cheap, so a shard that
+#: cannot answer one within this is treated as down
 _PING_TIMEOUT = 2.0
 
 #: lookups (per the heat sketch) at which a fingerprint is hot enough
@@ -429,13 +426,10 @@ class ShardedBroker:
         Number of **local** shards — worker processes this broker
         spawns, supervises and stops (>= 1 without remote addresses;
         may be 0 when ``shard_addresses`` supplies the whole ring).
-    cache_size / ttl:
+    cache_size:
         Per-shard :class:`SolutionCache` budget for local shards; the
         aggregate capacity is ``shards * cache_size`` plus whatever the
         remote servers were started with.
-    incremental:
-        Enable the per-shard warm re-solve path (local shards; remote
-        servers decide for themselves at ``shard-serve`` time).
     replicas:
         Virtual ring points per shard (routing smoothness).
     mp_start_method:
@@ -468,19 +462,14 @@ class ShardedBroker:
         Entry budget of a tiny broker-side cache in front of the ring
         for the very head of the key distribution (``0`` disables).
         A fingerprint looked up :data:`HOT_THRESHOLD` times (per the
-        broker's :class:`~repro.service.cache.HeatSketch`) is admitted
-        with the generation captured at solve start and revalidated the
-        same way shard caches are — :meth:`invalidate_platform` /
-        :meth:`clear` bump its generation, so serving a stale near-cache
-        entry is structurally impossible.
+        broker's :class:`~repro.service.cache.HeatSketch`) has its
+        answer admitted once its owning shard has answered.
     """
 
     def __init__(
         self,
         shards: int = 2,
         cache_size: int = 256,
-        ttl: Optional[float] = None,
-        incremental: bool = True,
         replicas: int = 64,
         mp_start_method: Optional[str] = None,
         shard_addresses: Optional[List[str]] = None,
@@ -519,7 +508,7 @@ class ShardedBroker:
         if near_cache_size < 0:
             raise ValueError("near_cache_size must be >= 0")
         self._heat = HeatSketch(HEAT_CAPACITY) if near_cache_size else None
-        self._near_cache = (SolutionCache(max_size=near_cache_size, ttl=ttl)
+        self._near_cache = (SolutionCache(max_size=near_cache_size)
                             if near_cache_size else None)
         if health_interval is None:
             health_interval = 5.0 if addresses else 0.0
@@ -528,8 +517,7 @@ class ShardedBroker:
         self._health: Optional[Future] = None  # the prober, when it runs
         ctx = (multiprocessing.get_context(mp_start_method)
                if mp_start_method else multiprocessing.get_context())
-        spawn = functools.partial(spawn_local_shard, ctx, cache_size, ttl,
-                                  incremental)
+        spawn = functools.partial(spawn_local_shard, ctx, cache_size)
         self._shards: List[_Shard] = []
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._loop.run_forever,
@@ -719,26 +707,24 @@ class ShardedBroker:
     # the near-cache: heat-gated admission in front of the ring
     # ------------------------------------------------------------------
     def _record_heat(self, fp: str) -> int:
-        """Count one lookup; 0 when heat tracking is disabled."""
+        """Count one lookup; 0 when the near-cache, and so heat
+        tracking, is off."""
         return self._heat.record(fp) if self._heat is not None else 0
 
     def _near_lookup(self, request: SolveRequest,
                      fp: str) -> Optional[BrokerResult]:
         """Serve from the broker near-cache when possible.
 
-        Counts a hit/miss on the near-cache's own stats either way.  A
-        hit that cannot satisfy ``include_schedule`` (the near entry
-        holds no schedule) falls through to the owning shard, which can
-        reconstruct it; that rare case still counts as a near hit.
+        Counts a hit/miss on the near-cache's own stats either way.  An
+        entry without the schedule a request wants is a near miss: the
+        owning shard, which can reconstruct it, answers instead.
         """
         near = self._near_cache
         if near is None:
             return None
         start = time.perf_counter()
-        entry = near.get(fp)
+        entry = near.get(fp, with_schedule=request.include_schedule)
         if entry is None:
-            return None
-        if request.include_schedule and entry.schedule is None:
             return None
         elapsed = time.perf_counter() - start
         # a near hit never reaches a shard engine, so the front-door
@@ -754,27 +740,6 @@ class ShardedBroker:
             cached=True,
             latency_seconds=elapsed,
         )
-
-    def _near_generation(self, count: int) -> Optional[int]:
-        """The near-cache generation a hot solve captures *before*
-        dispatch: the admission put passes it back, so an
-        ``invalidate_platform`` / ``clear`` racing the solve bumps the
-        counter in between and the late put is refused instead of
-        reinstating a stale solution.  ``None`` when the fingerprint is
-        not (yet) hot or the near-cache is off."""
-        if self._near_cache is None or count < HOT_THRESHOLD:
-            return None
-        return self._near_cache.generation
-
-    def _near_admit(self, request: SolveRequest, fp: str,
-                    result: BrokerResult, generation: Optional[int]) -> None:
-        """Admit a hot solution, guarded by the generation captured at
-        solve start (:meth:`_near_generation`)."""
-        near = self._near_cache
-        if generation is None or near.peek(fp) is not None:
-            return
-        near.put(fp, result.solution, request.platform,
-                 schedule=result.schedule, generation=generation)
 
     async def _routed_call(self, fp: str,
                            msg: Dict[str, Any]) -> Dict[str, Any]:
@@ -834,19 +799,17 @@ class ShardedBroker:
         """Route one request to its shard and wait for the answer.
 
         The near-cache answers the hot head first; a hot fingerprint
-        (heat >= :data:`HOT_THRESHOLD`) it misses is admitted once its
-        owning shard has answered — see :meth:`_near_generation` for
-        the staleness discipline.
+        (heat >= :data:`HOT_THRESHOLD`) it does not hold yet is
+        admitted once its owning shard has answered.
         """
         return self.submit(request).result()
 
     def submit(self, request: SolveRequest) -> "Future[BrokerResult]":
         """Asynchronous solve on the owning shard.
 
-        The fingerprint, the heat count, the near-cache lookup and a
-        hot key's generation capture run on the calling thread — a near
-        hit returns without a thread hop — and everything else is one
-        crossing onto the ring's loop.
+        The fingerprint, the heat count and the near-cache lookup run on
+        the calling thread — a near hit returns without a thread hop —
+        and everything else is one crossing onto the ring's loop.
         Identical concurrent requests route to the same shard and share
         its connection, so the shard coalesces them onto one engine run.
         """
@@ -862,11 +825,10 @@ class ShardedBroker:
         # the caller's span follows the request onto the loop: the task
         # run_coroutine_threadsafe creates copies this thread's context
         return self._cross(self._transport_solve(
-            request, fp, self._near_generation(count)))
+            request, fp, hot=count >= HOT_THRESHOLD))
 
     async def _transport_solve(
-        self, request: SolveRequest, fp: str,
-        near_generation: Optional[int],
+        self, request: SolveRequest, fp: str, hot: bool,
     ) -> BrokerResult:
         from .api import _request_wire  # deferred: avoid import cycle
 
@@ -881,7 +843,9 @@ class ShardedBroker:
             msg["trace"] = True  # ask the shard for its span tree
         reply = await self._routed_call(fp, msg)
         result = result_from_wire(reply["result"])
-        self._near_admit(request, fp, result, near_generation)
+        if hot and self._near_cache.peek(fp) is None:
+            self._near_cache.put(fp, result.solution, request.platform,
+                                 schedule=result.schedule)
         return result
 
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
@@ -900,17 +864,16 @@ class ShardedBroker:
 
         A platform's requests spread across shards (each problem/option
         combination fingerprints differently), so invalidation must fan
-        out.  Each shard's generation counter makes the fan-out sound
-        under racing in-flight solves, and an **unreachable shard never
-        fails the caller**: it is ejected (remote) or restarted with an
-        empty cache (local) and counted in ``shard_health`` — either
-        way its stale entries are gone before it serves again (a remote
-        shard's cache is cleared on rejoin).
+        out.  An **unreachable shard never fails the caller**: it is
+        ejected (remote) or restarted with an empty cache (local) and
+        counted in ``shard_health``.  The entries a remote shard keeps
+        through its outage, like those a racing solve stores, are
+        exact answers to their keys: invalidation frees memory and hot
+        models, nothing else.
 
-        The broker near-cache is invalidated first (its generation
-        bumps, so a near put racing this call is refused);
-        near-cache removals are duplicates of shard entries and are NOT
-        counted in the returned total.
+        The broker near-cache is invalidated first; near-cache removals
+        are duplicates of shard entries and are NOT counted in the
+        returned total.
         """
         if self._near_cache is not None:
             self._near_cache.invalidate_platform(platform)
@@ -923,11 +886,9 @@ class ShardedBroker:
     def clear(self) -> int:
         """Drop every cached entry on every shard; returns entries removed.
 
-        (The per-shard generation counters advance — the near-cache's
-        too — so in-flight solves cannot re-populate the caches with
-        pre-clear solutions.  Like :meth:`invalidate_platform`, an
-        unreachable shard is recovered and counted, never raised; near-
-        cache removals are duplicates and are not counted.)
+        (Like :meth:`invalidate_platform`, an unreachable shard is
+        recovered and counted, never raised; near-cache removals are
+        duplicates and are not counted.)
         """
         if self._near_cache is not None:
             self._near_cache.clear()
@@ -1080,13 +1041,9 @@ class ShardedBroker:
             out["near_cache"] = {
                 "size": near["size"],
                 "max_size": near["max_size"],
-                "generation": near["generation"],
                 "hits": near["hits"],
                 "misses": near["misses"],
                 "hit_rate": near["hit_rate"],
-                # a refused put IS the staleness guarantee working: the
-                # generation moved between solve start and admission
-                "stale_rejects": near["stale_puts"],
             }
         return out
 
@@ -1109,16 +1066,9 @@ class ShardedBroker:
             return  # local respawn failed: permanent until close
         if shard.ejected:
             # rejoin probe; the transport redials lazily, so a ping
-            # answered means the host is back.  Clear before re-admitting:
-            # invalidations fanned out during the outage skipped this
-            # shard, so whatever it still caches may be stale.
+            # answered means the host is back, its cache as it was
             if not await shard.transport.ping(timeout=_PING_TIMEOUT):
                 return
-            try:
-                await shard.transport.request({"op": "clear"},
-                                              timeout=_PING_TIMEOUT)
-            except TransportError:
-                return  # came back and vanished again; next round retries
             shard.ejected = False
             shard.epoch += 1  # a new channel: its failures count afresh
             self.rejoins += 1

@@ -61,10 +61,8 @@ __all__ = [
     "EVENTS",
     "log_event",
     "current_span",
-    "current_trace",
     "start_trace",
     "span",
-    "activate",
     "annotate",
     "graft_remote",
     "render_waterfall",
@@ -74,8 +72,7 @@ __all__ = [
 # replaced on plain threads (fresh threads start empty) while also
 # flowing into asyncio tasks; exits restore the *remembered* previous
 # span via ``set`` rather than a ``Token`` reset so a context manager
-# entered in one task context and exited in another (the cross-thread
-# ``activate`` hand-off) keeps today's semantics.
+# entered in one task context and exited in another keeps working.
 _current_span: "contextvars.ContextVar[Optional[Span]]" = \
     contextvars.ContextVar("repro_current_span", default=None)
 
@@ -225,11 +222,6 @@ def current_span() -> Optional[Span]:
     return _current_span.get()
 
 
-def current_trace() -> Optional[Trace]:
-    sp = _current_span.get()
-    return sp.trace if sp is not None else None
-
-
 def annotate(**fields: Any) -> None:
     """Annotate the current span; a no-op when no trace is active."""
     sp = _current_span.get()
@@ -238,7 +230,7 @@ def annotate(**fields: Any) -> None:
 
 
 class _NullContext:
-    """Shared no-op for :func:`span` / :func:`activate` when not tracing."""
+    """Shared no-op for :func:`span` when not tracing."""
 
     __slots__ = ()
 
@@ -289,35 +281,6 @@ def span(name: str, **annotations: Any):
     if parent is None:
         return _NULL
     return _SpanContext(parent, name, annotations)
-
-
-class _ActivateContext:
-    """Re-enter a span on another thread (a job handed to a pool).
-
-    Does not finish the span on exit — ownership stays with whoever
-    created it.
-    """
-
-    __slots__ = ("_span", "_prev")
-
-    def __init__(self, sp: Span) -> None:
-        self._span = sp
-
-    def __enter__(self) -> Span:
-        self._prev = _current_span.get()
-        _current_span.set(self._span)
-        return self._span
-
-    def __exit__(self, *exc: Any) -> bool:
-        _current_span.set(self._prev)
-        return False
-
-
-def activate(sp: Optional[Span]):
-    """Make ``sp`` the current span for a block (cross-thread hand-off)."""
-    if sp is None:
-        return _NULL
-    return _ActivateContext(sp)
 
 
 class _TraceContext:

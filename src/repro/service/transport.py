@@ -233,7 +233,7 @@ def _solved(engine: SolveEngine, trace: Any, run) -> Optional[Dict[str, Any]]:
     if result is None:
         return None
     # the entry the result came from (or was just stored under) holds
-    # the memoised bytes; after a refused put there is none
+    # the memoised bytes; once evicted or invalidated there is none
     entry = engine.cache.peek(result.fingerprint)
     reply = {"ok": True, "result": encode_result(result, entry)}
     if tr is not None:
@@ -608,14 +608,12 @@ class AsyncShardServer(LoopServer):
         self,
         address=("127.0.0.1", 0),
         cache_size: int = 256,
-        ttl: Optional[float] = None,
-        incremental: bool = True,
         engine: Optional[SolveEngine] = None,
         op_deadline: Optional[float] = None,
     ) -> None:
         self.engine = engine if engine is not None else SolveEngine(
-            cache=SolutionCache(max_size=cache_size, ttl=ttl),
-            incremental=IncrementalSolver() if incremental else None,
+            cache=SolutionCache(max_size=cache_size),
+            incremental=IncrementalSolver(),
         )
         self.op_deadline = op_deadline
         super().__init__(address, ThreadPoolExecutor(
@@ -864,8 +862,7 @@ class AsyncShardServer(LoopServer):
 # local shards: the same server in a child process, on a socketpair
 # ----------------------------------------------------------------------
 def _local_shard_main(sock: socket.socket, parent_end: socket.socket,
-                      cache_size: int, ttl: Optional[float],
-                      incremental: bool) -> None:
+                      cache_size: int) -> None:
     """A local shard worker: one engine serving one inherited socket.
 
     The engine (cache + metrics + warm models) lives for the worker's
@@ -881,8 +878,7 @@ def _local_shard_main(sock: socket.socket, parent_end: socket.socket,
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     # Ctrl-C reaches the whole process group; the parent stops us
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    server = AsyncShardServer(cache_size=cache_size, ttl=ttl,
-                              incremental=incremental)
+    server = AsyncShardServer(cache_size=cache_size)
     asyncio.run(server.serve_connected(sock))
     # nobody is left to answer: a solve still on an executor thread
     # must not keep the process alive behind a parent that is gone
@@ -898,15 +894,14 @@ def _local_shard_main(sock: socket.socket, parent_end: socket.socket,
 _spawn_lock = threading.Lock()
 
 
-def spawn_local_shard(ctx, cache_size: int, ttl: Optional[float],
-                      incremental: bool):
+def spawn_local_shard(ctx, cache_size: int):
     """Start one local shard worker on a private socketpair; returns
     ``(process, transport)``."""
     with _spawn_lock:
         parent_end, child_end = socket.socketpair()
         process = ctx.Process(
             target=_local_shard_main,
-            args=(child_end, parent_end, cache_size, ttl, incremental),
+            args=(child_end, parent_end, cache_size),
             daemon=True,
         )
         try:

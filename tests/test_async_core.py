@@ -609,14 +609,14 @@ class TestAsyncHttp:
 # ----------------------------------------------------------------------
 class TestContextvarPropagation:
     def test_span_context_flows_into_asyncio_tasks(self):
-        from repro.service.tracing import current_trace, span, start_trace
+        from repro.service.tracing import current_span, span, start_trace
 
         async def go():
             with start_trace("async-root") as trace:
                 async def child():
                     # the task inherited the contextvar snapshot: the
                     # active trace is visible without explicit plumbing
-                    assert current_trace() is trace
+                    assert current_span().trace is trace
                     with span("task-child"):
                         await asyncio.sleep(0)
                     return True

@@ -492,7 +492,7 @@ class TestShardCoalescing:
 
         # an in-thread shard: the patch reaches its engine
         monkeypatch.setattr(broker_mod, "execute_request", boom)
-        server = AsyncShardServer(incremental=False).start_in_thread()
+        server = AsyncShardServer().start_in_thread()
         req = SolveRequest(BroadcastSpec(
             platform=generators.chain(3), source="N0"))
         try:
@@ -1200,7 +1200,7 @@ class TestSupervision:
         old_pid = r.process(victim).pid
         r.kill(victim)
         # must not raise: the dead shard is restarted empty (local) or
-        # ejected and cleared before it rejoins (remote)
+        # ejected until a fresh server rejoins (remote)
         assert broker.invalidate_platform(fig1) == owners.count(1 - victim)
         r.recover(victim, old_pid)
         again = [broker.solve(v) for v in variants]
@@ -1210,8 +1210,9 @@ class TestSupervision:
 
     def test_a_peer_that_stops_answering_is_replaced(self, ring):
         """Only a shard that does not answer at all — not even with a
-        deadline miss — is restarted or ejected; what it cached through
-        the outage never resurfaces."""
+        deadline miss — is restarted or ejected.  A rejoined remote
+        shard serves what it cached through the outage, and every entry
+        is still the exact answer to its key."""
         fig1, variants = _fig1_variants()
         reference = _reference_results(variants)
         r = ring(request_timeout=0.2)
@@ -1235,7 +1236,13 @@ class TestSupervision:
                 os.kill(old_pid, signal.SIGCONT)
         r.recover(victim, old_pid)
         again = [broker.solve(v) for v in variants]
-        assert not any(g.cached for g in again)
+        # the invalidation reached the live shard only; a local victim
+        # was restarted empty, a remote one kept its cache
+        kept = [r.placement == "remote"
+                and broker.shard_for(v.fingerprint()) == victim
+                for v in variants]
+        assert any(kept) == (r.placement == "remote")
+        assert [g.cached for g in again] == kept
         assert [g.throughput for g in again] == [
             ref.throughput for ref in reference]
 

@@ -5,7 +5,6 @@ both broker-side routing spans and shard-side simplex spans."""
 
 import json
 import logging
-import threading
 
 import pytest
 
@@ -19,10 +18,8 @@ from repro.service import (
     SolveRequest,
     Trace,
     TraceStore,
-    activate,
     annotate,
     current_span,
-    current_trace,
     handle_request,
     render_prometheus,
     render_waterfall,
@@ -66,11 +63,11 @@ class TestTraceBasics:
         with span("orphan") as sp:
             assert sp is None          # no-op context: zero overhead path
         annotate(ignored=True)         # must not raise without a trace
-        assert current_trace() is None
+        assert current_span() is None
 
     def test_start_trace_nests_spans_and_restores_state(self):
         with start_trace("outer", color="red") as tr:
-            assert current_trace() is tr
+            assert current_span().trace is tr
             with span("inner", step=1) as sp:
                 assert sp is not None
                 assert current_span() is sp
@@ -88,26 +85,6 @@ class TestTraceBasics:
                     raise ValueError("nope")
         # The trace context exited; nothing should linger thread-locally.
         assert current_span() is None
-
-    def test_activate_carries_context_across_threads(self):
-        results = {}
-
-        def worker(parent):
-            with activate(parent):
-                with span("in-thread") as sp:
-                    results["span"] = sp
-
-        with start_trace("threaded") as tr:
-            parent = current_span()
-            t = threading.Thread(target=worker, args=(parent,))
-            t.start()
-            t.join()
-        assert results["span"].trace is tr
-        assert results["span"].parent_id == tr.as_dict()["spans"][0]["id"]
-
-    def test_activate_none_is_noop(self):
-        with activate(None):
-            assert current_span() is None
 
 
 # ----------------------------------------------------------------------

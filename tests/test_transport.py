@@ -40,8 +40,6 @@ from repro.service import (
     result_to_wire,
 )
 from repro.service.api import _request_wire
-from repro.service.broker import SolveEngine
-from repro.service.cache import SolutionCache
 from repro.service.transport import spawn_local_shard
 from repro.service.wire import WireCodecError, solution_to_wire
 
@@ -191,8 +189,7 @@ class TestAddressParsing:
 # ----------------------------------------------------------------------
 class TestPipeTransport:
     def _spawn(self):
-        return spawn_local_shard(multiprocessing.get_context(), 64, None,
-                                 True)
+        return spawn_local_shard(multiprocessing.get_context(), 64)
 
     def test_solve_roundtrip_and_ping(self):
         process, transport = self._spawn()
@@ -237,7 +234,7 @@ class TestPipeTransport:
         # spawn, not fork: the worker then holds what it opened itself,
         # not copies of whatever this test process has open
         process, transport = spawn_local_shard(
-            multiprocessing.get_context("spawn"), 64, None, True)
+            multiprocessing.get_context("spawn"), 64)
 
         async def go():
             try:
@@ -461,38 +458,15 @@ class TestLoopServedHit:
             "op": "invalidate", "platform": _request_wire(req)["platform"]}
 
         async def body(transport):
-            for round_ in range(3):
+            for _ in range(3):
                 assert not (await transport.request(
                     _solve_msg(req)))["result"]["cached"]
                 assert (await transport.request(
                     _solve_msg(req)))["result"]["cached"]
                 assert (await transport.request(dict(drop)))["ok"]
-                assert server.engine.cache.generation == round_ + 1
 
         _with_transports(body, server.port)
         assert len(jobs) == 3  # each round's first read re-solved
-
-    def test_an_expired_entry_is_a_miss(self):
-        now = [0.0]
-        engine = SolveEngine(
-            cache=SolutionCache(ttl=10.0, clock=lambda: now[0]))
-        server = AsyncShardServer(engine=engine).start_in_thread()
-        req = _ms_request()
-
-        async def body(transport):
-            await transport.request(_solve_msg(req))
-            assert (await transport.request(
-                _solve_msg(req)))["result"]["cached"]
-            now[0] = 11.0
-            late = await transport.request(_solve_msg(req))
-            assert not late["result"]["cached"]
-            stats = engine.cache.stats
-            assert (stats.hits, stats.misses, stats.expirations) == (1, 2, 1)
-
-        try:
-            _with_transports(body, server.port)
-        finally:
-            server.shutdown()
 
     def test_a_missing_schedule_takes_the_executor_once(self, counted):
         server, jobs = counted
