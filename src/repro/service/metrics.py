@@ -1,14 +1,16 @@
 """Per-endpoint latency / throughput counters for the scheduling service.
 
 Each endpoint (``solve``, ``batch``, ``invalidate``, ...) accumulates a
-request count, an error count, total busy time and a bounded reservoir of
-recent latencies from which p50/p99 are read.  Everything is thread-safe
-and snapshottable as JSON — the API exposes :meth:`MetricsRegistry.snapshot`
-verbatim.
+request count, an error count, total busy time, min/max and a fixed
+log-scale latency histogram (:data:`LATENCY_BUCKETS`) from which p50/p99
+are read.  Everything is thread-safe and snapshottable as JSON — the API
+exposes :meth:`MetricsRegistry.snapshot` verbatim.
 
-The reservoir keeps the most recent ``reservoir_size`` observations (a
-sliding window, not a random sample): the service cares about *current*
-tail latency, and a window is both exact over its span and cheap.
+Every stored number is a counter, so snapshots of several registries
+merge by one rule (:func:`merge_counters`): a merged endpoint is exactly
+what one registry that had seen every observation would report.  The
+percentiles are exact to one bucket and cover the registry's whole
+life; an interval's distribution is the difference of two snapshots.
 """
 
 from __future__ import annotations
@@ -18,17 +20,45 @@ import resource
 import sys
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional
+from bisect import bisect_left
+from itertools import zip_longest
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 from contextlib import contextmanager
 
+#: upper bounds (seconds) of the latency histogram: 2**(k/4) for
+#: k = -80..28, about 0.95 µs to 128 s, each 2**(1/4) ≈ 1.19x the one
+#: before; one overflow bucket past the last holds anything slower
+LATENCY_BUCKETS = tuple(2.0 ** (k / 4) for k in range(-80, 29))
 
-def _nearest_rank(ordered: list, p: float) -> float:
-    """Nearest-rank percentile of an already-sorted non-empty list."""
+
+def _percentile(buckets: List[int], max_seconds: Optional[float],
+                p: float) -> Optional[float]:
+    """Nearest-rank percentile to one bucket: the upper bound of the
+    bucket holding the rank-th observation, clamped to ``max_seconds`` —
+    so in the exact value's bucket, never below it, never above the max."""
     if not 0 <= p <= 100:
         raise ValueError("percentile must be in [0, 100]")
-    rank = max(1, -(-len(ordered) * p // 100))  # ceil without floats
-    return ordered[int(rank) - 1]
+    rank = max(1, -(-sum(buckets) * p // 100))  # ceil without floats
+    seen = 0
+    for index, n in enumerate(buckets):
+        seen += n
+        if seen >= rank and max_seconds is not None:
+            bound = (LATENCY_BUCKETS[index] if index < len(LATENCY_BUCKETS)
+                     else max_seconds)
+            return min(bound, max_seconds)
+    return None
+
+
+def _with_derived(ep: Dict[str, Any]) -> Dict[str, Any]:
+    """An endpoint's counters plus what is read off them (recomputed on
+    every merge, never merged)."""
+    count, buckets, top = ep["count"], ep["buckets"], ep["max_seconds"]
+    return {
+        **ep,
+        "mean_seconds": ep["total_seconds"] / count if count else None,
+        "p50_seconds": _percentile(buckets, top, 50),
+        "p99_seconds": _percentile(buckets, top, 99),
+    }
 
 
 class EndpointMetrics:
@@ -36,16 +66,16 @@ class EndpointMetrics:
     serialises access)."""
 
     __slots__ = ("name", "count", "errors", "total_seconds", "min_seconds",
-                 "max_seconds", "_window")
+                 "max_seconds", "buckets")
 
-    def __init__(self, name: str, reservoir_size: int = 4096) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.errors = 0
         self.total_seconds = 0.0
         self.min_seconds: Optional[float] = None
         self.max_seconds: Optional[float] = None
-        self._window: "deque[float]" = deque(maxlen=reservoir_size)
+        self.buckets = [0] * (len(LATENCY_BUCKETS) + 1)
 
     def observe(self, seconds: float, error: bool = False) -> None:
         self.count += 1
@@ -56,33 +86,24 @@ class EndpointMetrics:
                             else min(self.min_seconds, seconds))
         self.max_seconds = (seconds if self.max_seconds is None
                             else max(self.max_seconds, seconds))
-        self._window.append(seconds)
+        self.buckets[bisect_left(LATENCY_BUCKETS, seconds)] += 1
 
     def percentile(self, p: float) -> Optional[float]:
-        """Nearest-rank percentile over the recent-latency window."""
-        if not self._window:
-            return None
-        return _nearest_rank(sorted(self._window), p)
-
-    @property
-    def mean_seconds(self) -> Optional[float]:
-        return self.total_seconds / self.count if self.count else None
+        """Nearest-rank percentile, exact to one bucket."""
+        return _percentile(self.buckets, self.max_seconds, p)
 
     def as_dict(self) -> Dict[str, Any]:
-        # one sort serves every percentile in the snapshot — percentile()
-        # used to be called per quantile, sorting the window each time
-        ordered = sorted(self._window)
-        return {
+        used = len(self.buckets)
+        while used and not self.buckets[used - 1]:
+            used -= 1
+        return _with_derived({
             "count": self.count,
             "errors": self.errors,
             "total_seconds": self.total_seconds,
-            "mean_seconds": self.mean_seconds,
             "min_seconds": self.min_seconds,
             "max_seconds": self.max_seconds,
-            "p50_seconds": _nearest_rank(ordered, 50) if ordered else None,
-            "p99_seconds": _nearest_rank(ordered, 99) if ordered else None,
-            "window": len(ordered),
-        }
+            "buckets": self.buckets[:used],
+        })
 
 
 class MetricsRegistry:
@@ -91,15 +112,11 @@ class MetricsRegistry:
     ``clock`` is injectable for tests; it must be monotonic.
     """
 
-    def __init__(
-        self,
-        reservoir_size: int = 4096,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
+    def __init__(self, clock: Callable[[], float] = time.perf_counter
+                 ) -> None:
         self._lock = threading.Lock()
         self._endpoints: Dict[str, EndpointMetrics] = {}  # guarded-by: _lock
         self._gauges: Dict[str, float] = {}  # guarded-by: _lock
-        self._reservoir_size = reservoir_size
         self._clock = clock
         self._started = clock()
 
@@ -107,7 +124,7 @@ class MetricsRegistry:
         with self._lock:
             em = self._endpoints.get(endpoint)
             if em is None:
-                em = EndpointMetrics(endpoint, self._reservoir_size)
+                em = EndpointMetrics(endpoint)
                 self._endpoints[endpoint] = em
             em.observe(seconds, error=error)
 
@@ -125,10 +142,10 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         """Record a point-in-time level (queue depth, in-flight requests).
 
-        Gauges are last-write-wins, not accumulated; when snapshots from
-        several registries are merged the convention is: names ending in
-        ``_max`` merge by max, everything else sums (depths and in-flight
-        counts across shards add up).
+        Gauges are last-write-wins, not accumulated; merged snapshots
+        combine them by :func:`merge_counters` (depths and in-flight
+        counts across shards add up, ``*_max`` high-water marks take the
+        max).
         """
         with self._lock:
             self._gauges[name] = value
@@ -158,16 +175,20 @@ class MetricsRegistry:
                 name: em.as_dict() for name, em in self._endpoints.items()
             }
             gauges = dict(self._gauges)
-        total = sum(
-            e["count"] for name, e in endpoints.items() if "." not in name
-        )
-        return {
-            "uptime_seconds": uptime,
-            "total_requests": total,
-            "requests_per_second": total / uptime if uptime > 0 else 0.0,
-            "endpoints": endpoints,
-            "gauges": gauges,
-        }
+        return _registry_view(endpoints, gauges, uptime)
+
+
+def _registry_view(endpoints: Dict[str, Any], gauges: Dict[str, float],
+                   uptime: float) -> Dict[str, Any]:
+    """The snapshot shape a registry and a merge both report."""
+    total = sum(e["count"] for name, e in endpoints.items() if "." not in name)
+    return {
+        "uptime_seconds": uptime,
+        "total_requests": total,
+        "requests_per_second": total / uptime if uptime > 0 else 0.0,
+        "endpoints": endpoints,
+        "gauges": gauges,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -204,44 +225,41 @@ def distinct_processes(snapshot: Dict[str, Any]) -> list:
     return found
 
 
-def _merge_endpoint_dicts(dicts: list) -> Dict[str, Any]:
-    count = sum(d["count"] for d in dicts)
-    errors = sum(d["errors"] for d in dicts)
-    total = sum(d["total_seconds"] for d in dicts)
-    mins = [d["min_seconds"] for d in dicts if d["min_seconds"] is not None]
-    maxs = [d["max_seconds"] for d in dicts if d["max_seconds"] is not None]
+def _merge_value(key: str, old: Any, new: Any) -> Any:
+    if old is None or new is None:
+        return new if old is None else old
+    if isinstance(new, dict):
+        return merge_counters([old, new])
+    if isinstance(new, list):
+        return [a + b for a, b in zip_longest(old, new, fillvalue=0)]
+    if key == "min_seconds":
+        return min(old, new)
+    if key == "max_seconds" or key.endswith("_max"):
+        return max(old, new)
+    return old + new
 
-    def weighted(key: str) -> Optional[float]:
-        pairs = [(d[key], d["count"]) for d in dicts
-                 if d.get(key) is not None and d["count"]]
-        weight = sum(n for _v, n in pairs)
-        if not weight:
-            return None
-        return sum(v * n for v, n in pairs) / weight
 
-    return {
-        "count": count,
-        "errors": errors,
-        "total_seconds": total,
-        "mean_seconds": total / count if count else None,
-        "min_seconds": min(mins) if mins else None,
-        "max_seconds": max(maxs) if maxs else None,
-        "p50_seconds": weighted("p50_seconds"),
-        "p99_seconds": weighted("p99_seconds"),
-        "window": sum(d["window"] for d in dicts),
-    }
+def merge_counters(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Merge snapshot sections by the one rule: numbers add; ``*_max``
+    and ``max_seconds`` take the max, ``min_seconds`` the min; lists add
+    element by element; nested dicts merge by the same rule; ``None``
+    counts as absent.  Ratios and percentiles are the caller's to
+    recompute from the merged counters."""
+    out: Dict[str, Any] = {}
+    for part in parts:
+        for key, value in part.items():
+            out[key] = _merge_value(key, out.get(key), value)
+    return out
 
 
 def merge_snapshots(snapshots: Iterable[Dict[str, Any]],
                     uptime_seconds: Optional[float] = None) -> Dict[str, Any]:
     """Merge per-shard :meth:`MetricsRegistry.snapshot` dicts into one.
 
-    Counts, errors and busy time are exact sums; min/max are exact;
-    the mean is re-derived from the summed totals.  Percentiles cannot be
-    reconstructed from per-shard percentiles, so the merged p50/p99 are
-    *count-weighted averages* of the shard values — a documented
-    approximation (exact when shards see similar latency distributions,
-    which hash routing makes the common case).
+    Endpoints and gauges merge by :func:`merge_counters`, and each
+    endpoint's mean and percentiles are re-read off the merged counters:
+    the result is what one registry that had seen every observation
+    would report.
 
     ``uptime_seconds`` should be the *caller registry's* uptime (the
     front door every merged request passed through): remote shards start
@@ -255,35 +273,11 @@ def merge_snapshots(snapshots: Iterable[Dict[str, Any]],
     uptime = (uptime_seconds if uptime_seconds is not None
               else max((s.get("uptime_seconds", 0.0) for s in snapshots),
                        default=0.0))
-    names: Dict[str, list] = {}
-    for snap in snapshots:
-        for name, ep in snap.get("endpoints", {}).items():
-            names.setdefault(name, []).append(ep)
-    endpoints = {
-        name: _merge_endpoint_dicts(dicts)
-        for name, dicts in sorted(names.items())
-    }
-    # gauges are levels, not rates: in-flight/depth gauges sum across
-    # shards, high-water marks (``*_max``) take the max
-    gauges: Dict[str, float] = {}
-    for snap in snapshots:
-        for name, value in snap.get("gauges", {}).items():
-            if name in gauges:
-                gauges[name] = (max(gauges[name], value)
-                                if name.endswith("_max")
-                                else gauges[name] + value)
-            else:
-                gauges[name] = value
-    total = sum(
-        e["count"] for name, e in endpoints.items() if "." not in name
-    )
-    return {
-        "uptime_seconds": uptime,
-        "total_requests": total,
-        "requests_per_second": total / uptime if uptime > 0 else 0.0,
-        "endpoints": endpoints,
-        "gauges": gauges,
-    }
+    merged = merge_counters(s.get("endpoints", {}) for s in snapshots)
+    endpoints = {name: _with_derived(ep)
+                 for name, ep in sorted(merged.items())}
+    gauges = merge_counters(s.get("gauges", {}) for s in snapshots)
+    return _registry_view(endpoints, gauges, uptime)
 
 
 # ----------------------------------------------------------------------
@@ -294,26 +288,38 @@ def _label_escape(value: str) -> str:
             .replace("\n", "\\n"))
 
 
+def _histogram_samples(name: str, ep: Dict[str, Any]) -> Iterator[tuple]:
+    """One endpoint's histogram lines: cumulative buckets up to the
+    highest non-empty one, then ``+Inf``, ``_sum`` and ``_count``."""
+    cumulative = 0
+    for bound, n in zip(LATENCY_BUCKETS, ep["buckets"]):
+        cumulative += n
+        yield {"endpoint": name, "le": bound}, cumulative, "_bucket"
+    yield {"endpoint": name, "le": "+Inf"}, ep["count"], "_bucket"
+    yield {"endpoint": name}, ep["total_seconds"], "_sum"
+    yield {"endpoint": name}, ep["count"], "_count"
+
+
 def render_prometheus(snapshot: Dict[str, Any]) -> str:
     """Render a broker/sharded-broker :meth:`snapshot` dict as Prometheus
     text exposition.
 
     The snapshot stays the single source of truth — this is a *view* of
     it, so every deployment (single broker, sharded, remote shards) exposes
-    identical metric names.  Endpoint latencies come out as summary-style
-    quantile samples (pre-computed nearest-rank p50/p99, not client-side
-    aggregatable histograms — documented limitation).
+    identical metric names.  Endpoint latencies come out as one histogram
+    family over :data:`LATENCY_BUCKETS`, which aggregates across scrapes
+    and deployments by adding.
     """
     metrics = snapshot.get("metrics", {})
     lines: list = []
 
     def emit(name: str, kind: str, help_text: str, samples: list) -> None:
-        real = [(labels, v) for labels, v in samples if v is not None]
+        real = [sample for sample in samples if sample[1] is not None]
         if not real:
             return
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {kind}")
-        for labels, value in real:
+        for labels, value, *suffix in real:
             label_text = ""
             if labels:
                 inner = ",".join(
@@ -321,7 +327,7 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
                     for k, v in sorted(labels.items())
                 )
                 label_text = "{" + inner + "}"
-            lines.append(f"{name}{label_text} {value}")
+            lines.append(f"{name}{''.join(suffix)}{label_text} {value}")
 
     emit("repro_uptime_seconds", "gauge",
          "Seconds since the metrics registry started.",
@@ -344,20 +350,11 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
          [({"name": name}, value) for name, value in sorted(gauges.items())])
 
     endpoints = metrics.get("endpoints", {})
-    emit("repro_request_duration_seconds", "summary",
-         "Per-endpoint request latency (nearest-rank quantiles over the "
-         "recent window).",
-         [({"endpoint": name, "quantile": q}, ep.get(f"p{p}_seconds"))
-          for name, ep in sorted(endpoints.items())
-          for q, p in (("0.5", 50), ("0.99", 99))])
-    emit("repro_request_duration_seconds_sum", "counter",
-         "Per-endpoint total busy time.",
-         [({"endpoint": name}, ep.get("total_seconds"))
-          for name, ep in sorted(endpoints.items())])
-    emit("repro_request_duration_seconds_count", "counter",
-         "Per-endpoint request count.",
-         [({"endpoint": name}, ep.get("count"))
-          for name, ep in sorted(endpoints.items())])
+    emit("repro_request_duration_seconds", "histogram",
+         "Per-endpoint request latency (log-scale buckets, each 2^(1/4) "
+         "times the one before).",
+         [sample for name, ep in sorted(endpoints.items())
+          for sample in _histogram_samples(name, ep)])
     emit("repro_request_errors_total", "counter",
          "Per-endpoint error count.",
          [({"endpoint": name}, ep.get("errors"))

@@ -67,7 +67,9 @@ every failure is counted — ``shard_failures`` / ``shard_timeouts`` /
 ``shard_restarts`` / ``failovers`` / ``rejoins`` all surface under
 ``shard_health`` in :meth:`ShardedBroker.snapshot` (and therefore in
 ``/metrics``), alongside transport round-trip latency (the
-``transport.async`` endpoint timer).
+``transport.async`` endpoint timer).  Shard snapshots merge into the
+front's by adding counters (:func:`~repro.service.metrics.merge_counters`),
+so a merged latency histogram is exact, never an average of shards.
 
 :meth:`ShardedBroker.invalidate_platform` fans out to every shard and
 **tolerates outages**: an unreachable shard is ejected and counted, not
@@ -103,6 +105,7 @@ from .cache import HeatSketch, SolutionCache
 from .metrics import (
     MetricsRegistry,
     distinct_processes,
+    merge_counters,
     merge_snapshots,
     process_snapshot,
 )
@@ -367,20 +370,14 @@ class _Shard:
 
 # ----------------------------------------------------------------------
 def _merge_cache_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Aggregate per-shard cache snapshots: counters sum, rate re-derives
-    (a fingerprint has one owning shard, so ``size`` counts distinct
-    solutions)."""
-    summed = {
-        key: sum(s.get(key, 0) for s in snaps)
-        for key in ("size", "max_size", "hits", "misses", "evictions",
-                    "invalidations")
-    }
-    lookups = summed["hits"] + summed["misses"]
-    return {
-        **summed,
-        "hit_rate": summed["hits"] / lookups if lookups else 0.0,
-        "shards": len(snaps),
-    }
+    """Aggregate per-shard cache snapshots: counters merge, the rate
+    re-derives (a fingerprint has one owning shard, so ``size`` counts
+    distinct solutions)."""
+    merged = merge_counters(snaps)
+    hits, misses = merged.get("hits", 0), merged.get("misses", 0)
+    merged["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
+    merged["shards"] = len(snaps)
+    return merged
 
 
 class _AggregateCacheView:
@@ -983,7 +980,6 @@ class ShardedBroker:
                 **({"async": s["async"]} if "async" in s else {}),
             })
         out: Dict[str, Any] = {
-            "executor": "sharded",
             "shards": self.shards,
             # solves coalesced ON the shards across all their brokers
             # (this broker's view is whatever its shards report)
@@ -1008,16 +1004,7 @@ class ShardedBroker:
         incremental = [s["incremental"] for s in present
                        if "incremental" in s]
         if incremental:
-            # sum over the union of counters so new WarmSolveStats fields
-            # (evictions, basis_restarts, pivot counts, ...) surface in
-            # /metrics without this list needing maintenance; *_max keys
-            # are high-water marks and merge by max, not sum
-            keys = sorted({key for snap in incremental for key in snap})
-            out["incremental"] = {
-                key: (max if key.endswith("_max") else sum)(
-                    snap.get(key, 0) for snap in incremental)
-                for key in keys
-            }
+            out["incremental"] = merge_counters(incremental)
         return out
 
     def _replication_snapshot(

@@ -736,8 +736,9 @@ class AsyncShardServer(LoopServer):
                 deadline)
         if op == "snapshot":
             # served on the loop: reads loop-confined counters plus the
-            # engine's own (briefly) locked snapshot — microseconds, and
-            # it must not queue behind a busy engine lane
+            # engine's own (briefly) locked snapshot — fixed-size latency
+            # histograms, nothing sorted — and it must not queue behind
+            # a busy engine lane
             return {"ok": True, "snapshot": self._snapshot_with_async()}
         # invalidate / clear / sleep / unknown: the shared op handler,
         # in the engine lane

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import json
 import threading
 import urllib.error
@@ -47,6 +48,7 @@ from repro.service import (
     topology_signature,
 )
 from repro.service.broker import BrokerError
+from repro.service.metrics import LATENCY_BUCKETS
 import repro.service.broker as broker_mod
 
 
@@ -673,8 +675,12 @@ class TestMetrics:
             reg.observe("solve", ms / 1000.0)
         ep = reg.endpoint("solve")
         assert ep.count == 5
-        assert ep.percentile(50) == pytest.approx(0.003)
-        assert ep.percentile(99) == pytest.approx(0.1)
+        # nearest-rank values 3 ms and 100 ms, each reported as the bound
+        # of its bucket (clamped to the max): never below, same bucket
+        for p, exact in ((50, 0.003), (99, 0.1)):
+            assert exact <= ep.percentile(p) <= ep.max_seconds
+            assert (bisect.bisect_left(LATENCY_BUCKETS, exact)
+                    == bisect.bisect_left(LATENCY_BUCKETS, ep.percentile(p)))
         assert ep.min_seconds == pytest.approx(0.001)
         snap = reg.snapshot()
         assert snap["endpoints"]["solve"]["count"] == 5

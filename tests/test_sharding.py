@@ -4,7 +4,9 @@ shards, remote TCP shards, supervision (restart, eject/rejoin, failover)."""
 from __future__ import annotations
 
 import asyncio
+import bisect
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -45,7 +47,7 @@ from repro.service import (
     merge_snapshots,
 )
 from repro.service.broker import BrokerError
-from repro.service.metrics import render_prometheus
+from repro.service.metrics import LATENCY_BUCKETS, render_prometheus
 from repro.service.sharding import HOT_THRESHOLD
 
 
@@ -158,7 +160,7 @@ class TestShardedBrokerThread:
             sharded.solve_batch(requests)
             sharded.solve_batch(requests)  # second pass: all hits
             snap = sharded.snapshot()
-            assert snap["shards"] == 4 and snap["executor"] == "sharded"
+            assert snap["shards"] == 4
             assert snap["cache"]["misses"] == len(requests)
             assert snap["cache"]["hits"] == len(requests)
             assert (snap["metrics"]["total_requests"]
@@ -818,23 +820,83 @@ class TestMergeSnapshots:
         assert "solve.cold" in merged["endpoints"]
 
     def test_all_none_percentiles_stay_none(self):
-        """Merging endpoints whose windows never filled keeps p50/p99 None
+        """Merging endpoints with empty histograms keeps p50/p99 None
         instead of raising or inventing zeros."""
         from repro.service import MetricsRegistry
 
         a, b = MetricsRegistry(), MetricsRegistry()
         snap_a, snap_b = a.snapshot(), b.snapshot()
-        # Simulate a shard that reports the endpoint but no latency window.
+        # Simulate a shard that reports the endpoint but no observation.
         snap_a["endpoints"]["solve"] = ({
             "count": 0, "errors": 0, "total_seconds": 0.0,
             "mean_seconds": None, "min_seconds": None, "max_seconds": None,
-            "p50_seconds": None, "p99_seconds": None, "window": 0,
+            "p50_seconds": None, "p99_seconds": None, "buckets": [],
         })
         merged = merge_snapshots([snap_a, snap_b])
         ep = merged["endpoints"]["solve"]
         assert ep["p50_seconds"] is None
         assert ep["p99_seconds"] is None
         assert ep["min_seconds"] is None and ep["max_seconds"] is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(
+        st.tuples(st.floats(min_value=-7, max_value=math.log10(500)),
+                  st.booleans(), st.integers(min_value=0, max_value=3)),
+        min_size=1, max_size=120))
+    def test_merge_is_exact(self, draws):
+        """A merged endpoint is what one registry that saw every
+        observation reports; its percentiles sit in the exact nearest-rank
+        value's bucket, never below it and never above the max."""
+        from repro.service import MetricsRegistry
+
+        # log-uniform 0.1 µs .. 500 s, duplicates kept: the first bucket
+        # and the overflow bucket are both reachable
+        latencies = [(10.0 ** e, error, part) for e, error, part in draws]
+        latencies += latencies[: len(latencies) // 4]
+        parts = [MetricsRegistry() for _ in range(4)]
+        whole = MetricsRegistry()
+        for seconds, error, part in latencies:
+            parts[part].observe("solve", seconds, error=error)
+            whole.observe("solve", seconds, error=error)
+        merged = merge_snapshots(
+            [p.snapshot() for p in parts])["endpoints"]["solve"]
+        one = whole.snapshot()["endpoints"]["solve"]
+        for key in ("count", "errors", "min_seconds", "max_seconds",
+                    "buckets", "p50_seconds", "p99_seconds"):
+            assert merged[key] == one[key], key
+        assert merged["total_seconds"] == pytest.approx(one["total_seconds"])
+        ordered = sorted(seconds for seconds, _e, _p in latencies)
+        for p in (50, 99):
+            exact = ordered[-(-len(ordered) * p // 100) - 1]
+            reported = merged[f"p{p}_seconds"]
+            assert exact <= reported <= merged["max_seconds"]
+            assert (bisect.bisect_left(LATENCY_BUCKETS, exact)
+                    == bisect.bisect_left(LATENCY_BUCKETS, reported))
+
+    def test_front_and_shard_merge_to_the_true_p99(self):
+        """310 front hits at 10 µs and a shard's 676 hits at 13 µs plus 14
+        misses at 5 ms: the p99 is 5 ms, not an average of the two p99s."""
+        from repro.service import MetricsRegistry
+
+        front, shard = MetricsRegistry(), MetricsRegistry()
+        for _ in range(310):
+            front.observe("solve", 10e-6)
+        for _ in range(676):
+            shard.observe("solve", 13e-6)
+        for _ in range(14):
+            shard.observe("solve", 5e-3)
+        merged = merge_snapshots([front.snapshot(), shard.snapshot()])
+        assert merged["endpoints"]["solve"]["p99_seconds"] == 0.005
+
+    def test_endpoint_state_is_bounded(self):
+        from repro.service import MetricsRegistry
+
+        reg = MetricsRegistry()
+        for i in range(100_000):
+            reg.observe("solve", 1e-7 * 1.00025 ** i)
+        ep = reg.snapshot()["endpoints"]["solve"]
+        assert ep["count"] == 100_000 == sum(ep["buckets"])
+        assert len(ep["buckets"]) <= len(LATENCY_BUCKETS) + 1
 
     def test_caller_uptime_overrides_shard_max(self):
         """requests_per_second derives from the caller's uptime, not the

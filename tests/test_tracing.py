@@ -217,7 +217,9 @@ class TestRendering:
         text = render_prometheus(response)
         assert "# TYPE repro_requests_total counter" in text
         assert "repro_requests_total" in text
-        assert 'repro_request_duration_seconds{endpoint="solve"' in text
+        assert "# TYPE repro_request_duration_seconds histogram" in text
+        assert ('repro_request_duration_seconds_bucket{endpoint="solve",'
+                'le="+Inf"} 1') in text
         assert "repro_cache_hits_total" in text
         assert text.endswith("\n")
 
