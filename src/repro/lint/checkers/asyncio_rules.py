@@ -130,7 +130,8 @@ class AsyncioChecker(Checker):
             return
         if (isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)):
-            if func.value.id == "time" and func.attr == "sleep":
+            called = f"{func.value.id}.{func.attr}"
+            if called == "time.sleep":
                 yield Finding(
                     self.rule, module.display_path, node.lineno,
                     node.col_offset,
@@ -138,7 +139,7 @@ class AsyncioChecker(Checker):
                     f"the loop; use 'await asyncio.sleep(...)'",
                 )
                 return
-            if func.value.id == "socket" and func.attr == "create_connection":
+            if called == "socket.create_connection":
                 yield Finding(
                     self.rule, module.display_path, node.lineno,
                     node.col_offset,

@@ -11,10 +11,10 @@ treats every shard identically:
   process or host boundary), framed on a socket as a 4-byte length
   prefix + UTF-8 JSON (:func:`encode_frame` / :func:`read_frame_async`);
 * **the op handler** — :func:`handle_shard_message` runs ``solve`` /
-  ``invalidate`` / ``clear`` / ``sleep`` against an engine; the other
-  three of the protocol's seven ops, ``ping`` / ``stop`` /
-  ``snapshot``, belong to the connection.  A batch is N ``solve``
-  frames in flight on one connection, not an op of its own;
+  ``invalidate`` / ``clear`` against an engine; the other three of the
+  protocol's six ops, ``ping`` / ``stop`` / ``snapshot``, belong to the
+  connection.  A batch is N ``solve`` frames in flight on one
+  connection, not an op of its own;
 * **the client** — :class:`AsyncTcpTransport`, an asyncio client that
   multiplexes many in-flight requests over one connection (dialled to
   ``host:port``, or adopted from a socketpair).  It has no sync twin:
@@ -81,6 +81,7 @@ import os
 import signal
 import socket
 import struct
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -109,8 +110,6 @@ class TransportTimeout(TransportError):
 #: Upper bound on one frame; a platform corpus entry is a few KB, so
 #: anything near this is a protocol error, not a big request.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-#: Bound on the ``sleep`` debug op (see :func:`handle_shard_message`).
-MAX_SLEEP_SECONDS = 30.0
 _HEADER = struct.Struct(">I")
 
 
@@ -243,8 +242,8 @@ def _solved(engine: SolveEngine, trace: Any, run) -> Optional[Dict[str, Any]]:
 
 def handle_shard_message(engine: SolveEngine,
                          msg: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one ``solve`` / ``invalidate`` / ``clear`` / ``sleep``
-    message against an engine.
+    """Run one ``solve`` / ``invalidate`` / ``clear`` message against
+    an engine.
 
     Always returns a reply dict that is JSON-safe but for a solve's
     ``"result"``, which is its JSON bytes already (:func:`reply_json`);
@@ -269,16 +268,6 @@ def handle_shard_message(engine: SolveEngine,
                     "removed": engine.invalidate_platform(platform)}
         if op == "clear":
             return {"ok": True, "cleared": engine.cache.clear()}
-        if op == "sleep":
-            # a test/benchmark aid: simulates a hung or overloaded
-            # worker so timeout and failover paths can be exercised
-            # deterministically.  Capped: the shard protocol is
-            # unauthenticated, and this op holds the engine lane — an
-            # unbounded sleep would let any client wedge a shared shard
-            # indefinitely
-            seconds = min(float(msg.get("seconds", 0.0)), MAX_SLEEP_SECONDS)
-            time.sleep(seconds)
-            return {"ok": True, "slept": seconds}
         return {"ok": False, "error": f"unknown shard op {op!r}",
                 "type": "SpecError"}
     except Exception as exc:  # noqa: BLE001 — reply carries it
@@ -712,16 +701,23 @@ class AsyncShardServer(LoopServer):
         self._publish_gauges()
         try:
             deadline = msg.get("deadline", self.op_deadline)
-            try:
-                reply = await self._dispatch(msg, deadline)
-            except asyncio.TimeoutError:
-                reply = {
-                    "ok": False,
-                    "type": "ShardTimeoutError",
-                    "error": (f"op {msg.get('op')!r} missed its "
-                              f"{deadline}s server-side deadline "
-                              f"(executor saturated or solve too slow)"),
-                }
+            if deadline is not None and not (
+                    type(deadline) in (int, float)  # a bool is no number
+                    and abs(deadline) <= sys.float_info.max):
+                reply = {"ok": False, "type": "SpecError",
+                         "error": f"'deadline' must be a finite number of "
+                                  f"seconds or null, not {deadline!r}"}
+            else:
+                try:
+                    reply = await self._dispatch(msg, deadline)
+                except asyncio.TimeoutError:
+                    reply = {
+                        "ok": False,
+                        "type": "ShardTimeoutError",
+                        "error": (f"op {msg.get('op')!r} missed its "
+                                  f"{deadline}s server-side deadline "
+                                  f"(executor saturated or solve too slow)"),
+                    }
         finally:
             self.inflight_ops -= 1
             self._publish_gauges()
@@ -740,8 +736,8 @@ class AsyncShardServer(LoopServer):
             # histograms, nothing sorted — and it must not queue behind
             # a busy engine lane
             return {"ok": True, "snapshot": self._snapshot_with_async()}
-        # invalidate / clear / sleep / unknown: the shared op handler,
-        # in the engine lane
+        # invalidate / clear / unknown: the shared op handler, in the
+        # engine lane
         assert self._loop is not None
         future = self._loop.run_in_executor(
             self._executor, handle_shard_message, self.engine, msg)

@@ -96,6 +96,20 @@ def fresh_python():
 
 
 @pytest.fixture
+def lane_latch():
+    """A :class:`lane_latch.LaneLatch`, released however the test ends:
+    a held lane thread would otherwise block interpreter exit, which
+    joins every executor thread."""
+    from lane_latch import LaneLatch
+
+    latch = LaneLatch()
+    try:
+        yield latch
+    finally:
+        latch.release()
+
+
+@pytest.fixture
 def star4():
     """Heterogeneous star: the closed-form oracle platform."""
     return gen.star(4, master_w=2, worker_w=[1, 2, 3, 4], link_c=[1, 1, 2, 3])

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lane_latch import LatchedShardServer, until, until_async
 
 from repro.platform import generators
 from repro.problems import (
@@ -70,24 +71,13 @@ def _shard_request(server, message, timeout=30.0):
     return asyncio.run(go())
 
 
-def _park_the_engine(server, seconds):
-    """Hold the shard's engine lane with a ``sleep`` op, from a thread
-    (and a channel) of its own; returns the started thread."""
-    hold = threading.Thread(
-        target=_shard_request,
-        args=(server, {"op": "sleep", "seconds": seconds}))
-    hold.start()
-    time.sleep(0.2)  # let the op reach the lane
-    return hold
-
-
 def _solve_msg(request):
     return {"op": "solve", "fp": request.fingerprint(),
             "request": request_to_dict(request)}
 
 
 def _reference(requests):
-    with Broker(executor="sync") as broker:
+    with Broker() as broker:
         return [broker.solve(r) for r in requests]
 
 
@@ -195,34 +185,42 @@ class TestFrameCodecFuzz:
 # expiry cancels only its own id
 # ----------------------------------------------------------------------
 class TestMultiplexedConnection:
-    def test_eight_in_flight_one_deadline_expiry_spares_the_rest(self):
+    def test_eight_in_flight_one_deadline_expiry_spares_the_rest(
+            self, lane_latch):
         requests = _distinct_requests(8)
         reference = _reference(requests)
 
         async def go():
-            server = AsyncShardServer()
+            # the engine lane is held, so every lane op queues
+            server = LatchedShardServer(lane_latch)
             await server.start()
             transport = AsyncTcpTransport(server.host, server.port)
-            try:
-                # occupy the engine lane so everything queues
-                blocker = asyncio.ensure_future(transport.request(
-                    {"op": "sleep", "seconds": 1.2}, timeout=30))
-                await asyncio.sleep(0.2)
 
+            def in_flight(count):
+                """A probe: the shard's snapshot once ``count`` ops are
+                in flight, the snapshot asking included."""
+                async def probe():
+                    snap = (await transport.request(
+                        {"op": "snapshot"}, timeout=5))["snapshot"]
+                    if snap["async"]["inflight"] == count:
+                        return snap
+                return probe
+
+            try:
+                blocker = asyncio.ensure_future(transport.request(
+                    {"op": "clear"}, timeout=30))
                 solves = [asyncio.ensure_future(
                     transport.request(_solve_msg(r), timeout=60))
                     for r in requests]
                 # the doomed request: client gives up at 0.25s, server
                 # cancels its queued job at 0.5s — both deadlines fire
-                # while the lane is still busy elsewhere
+                # while the lane is still held
                 doomed = asyncio.ensure_future(transport.request(
-                    {"op": "sleep", "seconds": 9,
-                     "deadline": 0.5}, timeout=0.25))
-                await asyncio.sleep(0.2)
+                    {"op": "clear", "deadline": 0.5}, timeout=0.25))
 
-                # all of it is in flight on this one connection NOW
-                snap = (await transport.request(
-                    {"op": "snapshot"}, timeout=5))["snapshot"]
+                # all of it is in flight on this one connection NOW:
+                # blocker + 8 solves + doomed + the snapshot itself
+                snap = await until_async(in_flight(11))
                 inflight = snap["async"]["inflight"]
 
                 # a saturated shard still answers pings on the loop
@@ -230,6 +228,9 @@ class TestMultiplexedConnection:
 
                 with pytest.raises(TransportTimeout) as excinfo:
                     await doomed
+                # the shard answered the doomed op at its own deadline
+                await until_async(in_flight(10))
+                lane_latch.release()
                 # ... and only that id died: every other request on the
                 # same connection completes, results exact
                 replies = await asyncio.gather(*solves)
@@ -284,17 +285,18 @@ class TestMultiplexedConnection:
 # deadline semantics through the sharded broker
 # ----------------------------------------------------------------------
 class TestServerSideDeadlines:
-    def test_saturated_executor_answers_timeout_with_shard_id(self):
+    def test_saturated_executor_answers_timeout_with_shard_id(
+            self, lane_latch):
         request = _ms_request()
         reference = _reference([request])[0]
-        server = AsyncShardServer().start_in_thread()
+        # the engine lane is saturated from the start
+        server = LatchedShardServer(lane_latch).start_in_thread()
         broker = ShardedBroker(shards=0,
                                shard_addresses=[f"{server.host}:"
                                                 f"{server.port}"],
                                request_timeout=0.4)
         try:
-            # saturate the engine lane from a separate channel
-            hold = _park_the_engine(server, 1.5)
+            assert lane_latch.held.wait(10)
 
             started = time.perf_counter()
             with pytest.raises(ShardTimeoutError) as excinfo:
@@ -306,7 +308,7 @@ class TestServerSideDeadlines:
             assert excinfo.value.shard == 0
             assert excinfo.value.server_reported
 
-            hold.join()
+            lane_latch.release()
             # the shard was never ejected and the connection never
             # poisoned: the same broker solves the same request fine
             result = broker.solve(request)
@@ -323,18 +325,18 @@ class TestServerSideDeadlines:
 # cross-broker coalescing at the shard
 # ----------------------------------------------------------------------
 class TestCrossBrokerCoalescing:
-    def test_two_brokers_one_hot_shard_single_engine_solve(self):
+    def test_two_brokers_one_hot_shard_single_engine_solve(
+            self, lane_latch):
         request = _ms_request()
         reference = _reference([request])[0]
-        server = AsyncShardServer().start_in_thread()
+        # the engine lane is held, so both brokers' requests are
+        # provably concurrent at the shard
+        server = LatchedShardServer(lane_latch).start_in_thread()
         address = f"{server.host}:{server.port}"
         b1 = ShardedBroker(shards=0, shard_addresses=[address])
         b2 = ShardedBroker(shards=0, shard_addresses=[address])
         try:
-            # park the engine lane so both brokers' requests are
-            # provably concurrent at the shard
-            hold = _park_the_engine(server, 1.0)
-
+            assert lane_latch.held.wait(10)
             results = [None, None]
 
             def run(i, broker):
@@ -343,7 +345,12 @@ class TestCrossBrokerCoalescing:
             t1 = threading.Thread(target=run, args=(0, b1))
             t2 = threading.Thread(target=run, args=(1, b2))
             t1.start(); t2.start()
-            t1.join(); t2.join(); hold.join()
+            # the second broker's request has met the first's in flight
+            until(lambda: _shard_request(
+                server, {"op": "snapshot"},
+                timeout=5)["snapshot"]["async"]["shard_coalesced"] == 1)
+            lane_latch.release()
+            t1.join(30); t2.join(30)
 
             # exactly ONE engine solve; the other broker coalesced, and
             # is counted as a request all the same
@@ -434,7 +441,7 @@ class TestAsyncHttp:
     def test_keep_alive_connection_serves_many_requests(self):
         request = _ms_request()
         reference = _reference([request])[0]
-        broker = Broker(executor="sync")
+        broker = Broker()
         server = AsyncServiceServer(broker=broker).start_in_thread()
         sock = socket.create_connection(("127.0.0.1", server.port), 5)
         try:
@@ -548,7 +555,7 @@ class TestAsyncHttp:
             broker.close()
 
     def test_unknown_method_and_path(self):
-        broker = Broker(executor="sync")
+        broker = Broker()
         server = AsyncServiceServer(broker=broker).start_in_thread()
         sock = socket.create_connection(("127.0.0.1", server.port), 5)
         try:
@@ -567,7 +574,7 @@ class TestAsyncHttp:
         (b"-5", 400), (b"five", 400), (b"99999999999", 413)])
     def test_bad_content_length_is_refused_without_reading(
             self, announced, status, capfd):
-        broker = Broker(executor="sync")
+        broker = Broker()
         server = AsyncServiceServer(broker=broker).start_in_thread()
         try:
             with socket.create_connection(("127.0.0.1", server.port),
@@ -592,7 +599,7 @@ class TestAsyncHttp:
         assert capfd.readouterr().err == ""
 
     def test_malformed_head_drops_connection(self):
-        broker = Broker(executor="sync")
+        broker = Broker()
         server = AsyncServiceServer(broker=broker).start_in_thread()
         sock = socket.create_connection(("127.0.0.1", server.port), 5)
         try:

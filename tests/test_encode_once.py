@@ -212,7 +212,7 @@ def test_attach_schedule_resets_the_schedule_memo():
 def test_http_body_matches_for_every_problem():
     # the whole front door, unsharded: handle_request's solve response
     # is the recorded payload (first cold, then from the cache)
-    with Broker(executor="sync") as broker:
+    with Broker() as broker:
         for problem, record in FIXTURE.items():
             envelope = {"op": "solve", "request": record["request"]}
             for cached in (False, True):

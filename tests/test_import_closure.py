@@ -26,7 +26,7 @@ from repro.service import Broker, ShardedBroker, SolveRequest, request_to_dict
 repro.cli.build_parser()
 request = SolveRequest(repro.problems.MasterSlaveSpec(
     platform=generators.paper_figure1(), master="P1"))
-with Broker(executor="sync") as broker:
+with Broker() as broker:
     sync = broker.solve(request).throughput
     # a request for the float backend is refused, and loads nothing
     floated = repro.service.api.handle_request(broker, {
@@ -75,7 +75,7 @@ try:
 except LPError as exc:
     typed = str(exc)
 
-with Broker(executor="sync") as broker:
+with Broker() as broker:
     served = handle_request(broker, {"op": "solve", "request": {
         "spec": {"problem": "master-slave", "master": "P1"},
         "platform": platform_to_dict(generators.paper_figure1()),

@@ -203,7 +203,7 @@ class TestSpecValidation:
 
     def test_malformed_wire_specs_report_typed_errors(self):
         g = platform_to_dict(_star2())
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             cases = [
                 {"spec": {"problem": "scatter", "source": "M"},
                  "platform": g},                                   # missing
@@ -234,7 +234,7 @@ class TestSpecEnvelope:
                      "sources": ["W1", "W2"]},
             "platform": platform_to_dict(g),
         }}
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, envelope)
             assert out["ok"], out
             assert Fraction(out["throughput"]) == solve_gather(
@@ -296,7 +296,7 @@ class TestSpecEnvelope:
             })
 
     def test_problems_op_lists_the_registry(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "problems"})
             assert out["ok"]
             assert set(out["problems"]) == ALL_PROBLEMS
@@ -309,7 +309,7 @@ class TestWarmCollectives:
     def test_scatter_warm_resolve_equals_cold(self):
         fig2 = generators.paper_figure2_multicast()
         mutated = fig2.scale(comm="2/3", compute=2)
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             # a structure's first build keeps no model: prime it twice
             broker.solve(SolveRequest(ScatterSpec(
                 platform=fig2.scale(compute=3), source="P0",
@@ -325,7 +325,7 @@ class TestWarmCollectives:
 
     def test_gather_warm_resolve_equals_cold(self):
         g = generators.star(3, bidirectional=True)
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             # a structure's first build keeps no model: prime it twice
             for prime in (g, g.scale(compute=2)):
                 broker.solve(SolveRequest(GatherSpec(
@@ -405,7 +405,7 @@ class TestWarmCollectives:
 class TestGatherService:
     def test_gather_include_schedule_through_broker(self):
         g = generators.star(3, bidirectional=True)
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             res = broker.solve(SolveRequest(GatherSpec(
                 platform=g, sink="M",
                 sources=("W1", "W2", "W3")), include_schedule=True))
@@ -419,7 +419,7 @@ class TestGatherService:
 
     def test_gather_schedule_over_the_wire(self):
         g = generators.star(2, bidirectional=True)
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "solve", "request": {
                 "spec": {"problem": "gather", "sink": "M",
                          "sources": ["W1", "W2"]},

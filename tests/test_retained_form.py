@@ -169,7 +169,7 @@ class TestCounters:
 
     def test_counters_reach_metrics(self):
         g = generators.paper_figure1()
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             # 5, 1: the second build keeps the hot model; 2, 3 are warm
             for factor in (5, 1, 2, 3):
                 broker.solve(SolveRequest(MasterSlaveSpec(

@@ -158,7 +158,7 @@ class TestFingerprint:
         with pytest.raises(BrokerError, match="bare"):
             SolveRequest(ScatterSpec(platform=fig1, source="P1", targets="P5"))
         # same guard on the wire path
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             resp = handle_request(broker, {"op": "solve", "request": {
                 "spec": {"problem": "scatter", "source": "P1",
                          "targets": "P5"},
@@ -347,7 +347,7 @@ class TestSolutionCache:
 # ----------------------------------------------------------------------
 class TestBroker:
     def test_hit_is_exactly_the_cold_solution(self, fig1):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             req = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             cold = broker.solve(req)
             hot = broker.solve(req)
@@ -356,7 +356,7 @@ class TestBroker:
             assert hot.solution.throughput == cold.solution.throughput
 
     def test_schedule_reconstructed_lazily_on_hit(self, fig1):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             bare = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             broker.solve(bare)
             with_sched = SolveRequest(MasterSlaveSpec(
@@ -391,7 +391,7 @@ class TestBroker:
                 assert res.throughput >= 0
 
     def test_batch_dedupes_by_fingerprint(self, fig1):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             req = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             same = SolveRequest(MasterSlaveSpec(
                 platform=fig1.copy("renamed"), master="P1"))
@@ -424,7 +424,7 @@ class TestBroker:
     def test_batch_dedup_honours_include_schedule(self, fig1):
         # regression: a deduped request asking for a schedule must not
         # silently inherit the bare result of its fingerprint twin
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             bare = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             with_sched = SolveRequest(MasterSlaveSpec(
                 platform=fig1, master="P1"), include_schedule=True)
@@ -436,7 +436,7 @@ class TestBroker:
     def test_batch_dedup_strips_unrequested_schedule(self, fig1):
         # the mirror case: a bare request deduped onto a schedule-bearing
         # twin must not receive the schedule it did not ask for
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             with_sched = SolveRequest(MasterSlaveSpec(
                 platform=fig1, master="P1"), include_schedule=True)
             bare = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
@@ -445,7 +445,7 @@ class TestBroker:
             assert out[1].schedule is None
 
     def test_batch_dedup_solves_once_but_counts_both_requests(self, fig1):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             req = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             out = broker.solve_batch([req, req])
             snap = broker.metrics.snapshot()
@@ -462,7 +462,7 @@ class TestBroker:
         g = generators.star(4, master_w=2, worker_w=[1, 2, 3, 4],
                             link_c=[1, 1, 2, 3])
         mutated = g.scale(compute="3/2", comm="2/3")
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             # a structure's first build keeps no model: prime it twice
             broker.solve(SolveRequest(MasterSlaveSpec(
                 platform=g.scale(compute=5), master="M")))
@@ -475,7 +475,7 @@ class TestBroker:
                     == solve_master_slave(mutated, "M").throughput)
 
     def test_invalidate_platform_drops_entries(self, fig1):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             req = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
             broker.solve(req)
             assert broker.invalidate_platform(fig1) == 1
@@ -484,7 +484,7 @@ class TestBroker:
     def test_unknown_problem_raises(self, fig1):
         from repro.service.api import request_from_dict
 
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             with pytest.raises(BrokerError, match="unknown problem"):
                 broker.solve(request_from_dict({
                     "spec": {"problem": "nope", "master": "P1"},
@@ -496,13 +496,13 @@ class TestBroker:
                 platform=fig1, source="P1"), include_schedule=True)
 
     def test_missing_fields_raise(self, fig1):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             with pytest.raises(BrokerError, match="need"):
                 broker.solve(SolveRequest(ScatterSpec(
                     platform=fig1, source="P1", targets=())))
 
     def test_snapshot_shape(self, fig1):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             broker.solve(SolveRequest(MasterSlaveSpec(
                 platform=fig1, master="P1")))
             snap = broker.snapshot()
@@ -625,7 +625,7 @@ class TestCacheCorrectnessProperties:
         link_c = [data.draw(_weights) for _ in range(n)]
         g = generators.star(n, master_w=master_w, worker_w=worker_w,
                             link_c=link_c)
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             req = SolveRequest(MasterSlaveSpec(platform=g, master="M"))
             cold = broker.solve(req)
             hit = broker.solve(req)
@@ -641,7 +641,7 @@ class TestCacheCorrectnessProperties:
            seed=st.integers(min_value=0, max_value=1000))
     def test_tree_hit_equals_cold_solve(self, depth, seed):
         g = generators.binary_tree(depth, seed=seed)
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             req = SolveRequest(MasterSlaveSpec(platform=g, master="T0"))
             cold = broker.solve(req)
             hit = broker.solve(req)
@@ -710,7 +710,7 @@ def _fig1_envelope(**extra):
 
 class TestApi:
     def test_solve_roundtrip(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, _fig1_envelope())
             assert out["ok"] and not out["cached"]
             assert Fraction(out["throughput"]) == Fraction(2)
@@ -719,7 +719,7 @@ class TestApi:
             assert again["fingerprint"] == out["fingerprint"]
 
     def test_solve_with_schedule(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker,
                                  _fig1_envelope(include_schedule=True))
             assert out["ok"] and "schedule" in out
@@ -737,7 +737,7 @@ class TestApi:
     def test_legacy_exact_options_are_the_request_without_them(self):
         # what earlier clients send beside every spec asks for the exact
         # solve every request gets: same fingerprint, same answer
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             bare = handle_request(broker, _fig1_envelope())
             legacy = handle_request(
                 broker, _fig1_envelope(options={"backend": "exact"}))
@@ -747,7 +747,7 @@ class TestApi:
         assert Fraction(legacy["throughput"]) == Fraction(2)
 
     def test_error_is_a_response_not_an_exception(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "solve", "request": {
                 "spec": {"problem": "master-slave", "master": "P1"}}})
             assert not out["ok"] and "platform" in out["error"]
@@ -755,7 +755,7 @@ class TestApi:
             assert not out["ok"] and "unknown op" in out["error"]
 
     def test_ops(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             assert handle_request(broker, {"op": "ping"})["pong"]
             handle_request(broker, _fig1_envelope())
             m = handle_request(broker, {"op": "metrics"})
@@ -769,7 +769,7 @@ class TestApi:
             assert inv["invalidated"] == 1
 
     def test_batch_op(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {
                 "op": "batch",
                 "requests": [_fig1_envelope()["request"],
@@ -783,7 +783,7 @@ class TestApi:
         # one bad member must not discard the good members' results
         bad = {"spec": {"problem": "nope", "master": "M"},
                "platform": platform_to_dict(generators.star(2))}
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {
                 "op": "batch",
                 "requests": [_fig1_envelope()["request"], bad,
@@ -800,7 +800,7 @@ class TestApi:
         # regression: payload encoding of non-SteadyStateSolution results
         # (multicast used to call a property and 422 on every request)
         fig2 = platform_to_dict(generators.paper_figure2_multicast())
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "solve", "request": {
                 "spec": {"problem": "multicast", "source": "P0",
                          "targets": ["P5", "P6"]},
@@ -816,7 +816,7 @@ class TestApi:
             assert out["solution"]["optimal"] is True
 
     def test_dag_request_over_the_wire(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "solve", "request": {
                 "spec": {"problem": "dag", "master": "M",
                          "dag": {"types": {"a": "1", "b": "2"},
@@ -844,7 +844,7 @@ class TestProcessFootprint:
                      if line.startswith("repro_process")]
             return json.loads(body)["process"], lines
 
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             before, _ = metrics(broker)
             assert handle_request(broker, _fig1_envelope())["ok"]
             after, lines = metrics(broker)
@@ -861,7 +861,7 @@ class TestErrorStatusMapping:
     """Client errors (400/422) vs server bugs (500), with "type" preserved."""
 
     def test_invalid_spec_is_422(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "solve", "request": {
                 "spec": {"problem": "nope", "master": "M"},
                 "platform": platform_to_dict(generators.star(2))}})
@@ -870,7 +870,7 @@ class TestErrorStatusMapping:
 
     def test_flat_request_without_a_spec_is_422(self):
         # the PR-1 schema (problem fields beside the platform) is gone
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "solve", "request": {
                 "problem": "master-slave", "master": "M",
                 "platform": platform_to_dict(generators.star(2))}})
@@ -879,7 +879,7 @@ class TestErrorStatusMapping:
             assert "needs a 'spec'" in out["error"]
 
     def test_undecodable_platform_is_400(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "solve", "request": {
                 "spec": {"problem": "master-slave", "master": "M"},
                 "platform": {"nodes": 12}}})
@@ -893,7 +893,7 @@ class TestErrorStatusMapping:
             assert broker.metrics.endpoint("invalidate").errors == 1
 
     def test_unknown_op_is_422(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "wat"})
             assert out["status"] == 422 and out["type"] == "SpecError"
 
@@ -904,7 +904,7 @@ class TestErrorStatusMapping:
             raise RuntimeError("solver exploded")
 
         monkeypatch.setattr(broker_mod, "execute_request", boom)
-        with Broker(executor="sync", incremental=False) as broker:
+        with Broker(incremental=False) as broker:
             out = handle_request(broker, _fig1_envelope())
             assert not out["ok"]
             assert out["status"] == 500
@@ -914,7 +914,7 @@ class TestErrorStatusMapping:
     def test_batch_isolates_statuses(self, monkeypatch):
         bad_spec = {"spec": {"problem": "nope", "master": "M"},
                     "platform": platform_to_dict(generators.star(2))}
-        with Broker(executor="sync", incremental=False) as broker:
+        with Broker(incremental=False) as broker:
             out = handle_request(broker, {"op": "batch", "requests": [
                 _fig1_envelope()["request"], bad_spec]})
             assert out["ok"]  # the envelope succeeded; members differ
@@ -957,7 +957,7 @@ class TestErrorStatusMapping:
     def test_a_malformed_envelope_is_a_client_error(self):
         from repro.service.api import route_post
 
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             for body in (b"[1]", b'"x"', b"5"):
                 status, _, reply = route_post(broker, "/api", body)
                 assert status == 400
@@ -975,7 +975,7 @@ class TestErrorStatusMapping:
     def test_options_other_than_the_legacy_exact_are_422(self, options):
         from repro.service.api import route_post
 
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             status, _, reply = route_post(broker, "/api", json.dumps(
                 _fig1_envelope(options=options)).encode())
             out = json.loads(reply)
@@ -988,7 +988,7 @@ class TestErrorStatusMapping:
     def test_include_schedule_is_a_json_boolean(self, flag):
         from repro.service.api import route_post
 
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             for spec in ({"problem": "master-slave", "master": "P1"},
                          {"problem": "broadcast", "source": "P1"}):
                 envelope = {"op": "solve", "request": {
@@ -1123,7 +1123,7 @@ class TestStdioServer:
             json.dumps({"op": "shutdown"}),
         ]
         stdout = io.StringIO()
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             rc = serve_stdio(broker, io.StringIO("\n".join(lines) + "\n"),
                              stdout)
         assert rc == 0
@@ -1141,7 +1141,7 @@ class TestStdioServer:
         lines = ["[1]", "5", json.dumps({"op": "batch", "requests": 5}),
                  json.dumps({"op": "ping"}), json.dumps({"op": "shutdown"})]
         stdout = io.StringIO()
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             rc = serve_stdio(broker, io.StringIO("\n".join(lines) + "\n"),
                              stdout)
         assert rc == 0

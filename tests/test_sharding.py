@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lane_latch import LatchedShardServer, until
 
 from repro.core.dag import TaskGraph
 from repro.platform import generators
@@ -75,7 +76,7 @@ def _mixed_requests():
 
 
 def _reference_results(requests):
-    with Broker(executor="sync") as broker:
+    with Broker() as broker:
         return [broker.solve(r) for r in requests]
 
 
@@ -84,6 +85,13 @@ def _on_ring(broker, coro, timeout=30.0):
     the broker's loop — and wait for it from this thread."""
     return asyncio.run_coroutine_threadsafe(
         coro, broker._loop).result(timeout)
+
+
+def _shard_async(broker, shard_id):
+    """A shard's own loop-side counters (``snapshot()["async"]``); its
+    ``inflight`` counts the snapshot asking."""
+    return _on_ring(broker, broker._shards[shard_id].call(
+        {"op": "snapshot"}))["snapshot"]["async"]
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +424,7 @@ class TestSolveMany:
             ref.throughput for ref in reference]  # Fraction-exact
         assert sum(s["requests"] for s in per_shard) == len(requests)
 
-    @pytest.mark.parametrize("op", ["solve_many", "put"])
+    @pytest.mark.parametrize("op", ["solve_many", "put", "sleep"])
     def test_a_removed_op_is_refused_as_unknown(self, op):
         from repro.service.api import request_to_dict
 
@@ -437,19 +445,20 @@ class TestShardCoalescing:
 
     @pytest.mark.parametrize("flags", [(False, True), (True, False),
                                        (False, False), (True, True)])
-    def test_each_twin_gets_the_schedule_it_asked_for(self, flags):
+    def test_each_twin_gets_the_schedule_it_asked_for(
+            self, flags, lane_latch, monkeypatch):
         twins = [SolveRequest(MasterSlaveSpec(
             platform=generators.star(3),
             master="M"), include_schedule=flag) for flag in flags]
+        lane_latch.patch_local_shards(monkeypatch)
         with ShardedBroker(shards=1, near_cache_size=0) as sharded:
-            # park the engine lane: both solves arrive while it naps
-            nap = asyncio.run_coroutine_threadsafe(
-                sharded._shards[0].call({"op": "sleep", "seconds": 0.5}),
-                sharded._loop)
-            time.sleep(0.1)
+            # the engine lane is held: both solves arrive while it is
+            assert lane_latch.held.wait(10)
             futures = [sharded.submit(twin) for twin in twins]
+            # both in flight at the shard, the snapshot asking a third
+            until(lambda: _shard_async(sharded, 0)["inflight"] == 3)
+            lane_latch.release()
             results = [future.result(30) for future in futures]
-            nap.result(30)
             coalesced = sharded.snapshot()["shard_coalesced"]
         for flag, result in zip(flags, results):
             assert (result.schedule is not None) == flag
@@ -458,22 +467,23 @@ class TestShardCoalescing:
         assert coalesced == (1 if flags[0] == flags[1] else 0)
 
     @staticmethod
-    def _twins_behind_a_nap(sharded, request):
-        """Submit ``request`` twice while a ``sleep`` op holds the engine
-        lane, so the second is a follower of the first; the futures."""
-        nap = asyncio.run_coroutine_threadsafe(
-            sharded._shards[0].call({"op": "sleep", "seconds": 0.5}),
-            sharded._loop)
-        time.sleep(0.1)
+    def _twins_behind_a_hold(sharded, latch, request):
+        """Submit ``request`` twice while ``latch`` holds the engine
+        lane, so the second is a follower of the first; release the
+        lane once it is, and return the futures."""
+        assert latch.held.wait(10)
         futures = [sharded.submit(request) for _ in range(2)]
-        nap.result(30)
+        until(lambda: _shard_async(sharded, 0)["shard_coalesced"] == 1)
+        latch.release()
         return futures
 
-    def test_a_follower_is_a_request_in_the_metrics(self):
+    def test_a_follower_is_a_request_in_the_metrics(self, lane_latch,
+                                                    monkeypatch):
         req = SolveRequest(MasterSlaveSpec(
             platform=generators.star(3), master="M"))
+        lane_latch.patch_local_shards(monkeypatch)
         with ShardedBroker(shards=1, near_cache_size=0) as sharded:
-            futures = self._twins_behind_a_nap(sharded, req)
+            futures = self._twins_behind_a_hold(sharded, lane_latch, req)
             results = [future.result(30) for future in futures]
             snap = sharded.snapshot()
         assert results[0].throughput == results[1].throughput
@@ -485,8 +495,9 @@ class TestShardCoalescing:
         assert endpoints["coalesce.remote"]["count"] == 1
         assert snap["metrics"]["total_requests"] == 2
 
-    def test_a_failed_shared_solve_fails_both_requests(self, monkeypatch):
-        from repro.service import AsyncShardServer, ShardError
+    def test_a_failed_shared_solve_fails_both_requests(self, monkeypatch,
+                                                       lane_latch):
+        from repro.service import ShardError
         import repro.service.broker as broker_mod
 
         def boom(request):
@@ -494,7 +505,7 @@ class TestShardCoalescing:
 
         # an in-thread shard: the patch reaches its engine
         monkeypatch.setattr(broker_mod, "execute_request", boom)
-        server = AsyncShardServer().start_in_thread()
+        server = LatchedShardServer(lane_latch).start_in_thread()
         req = SolveRequest(BroadcastSpec(
             platform=generators.chain(3), source="N0"))
         try:
@@ -502,7 +513,8 @@ class TestShardCoalescing:
                                shard_addresses=[f"{server.host}:"
                                                 f"{server.port}"],
                                health_interval=0) as sharded:
-                for future in self._twins_behind_a_nap(sharded, req):
+                for future in self._twins_behind_a_hold(
+                        sharded, lane_latch, req):
                     with pytest.raises(ShardError, match="solver exploded"):
                         future.result(30)
                 snap = sharded.snapshot()
@@ -1054,22 +1066,26 @@ def _free_port() -> int:
     return port
 
 
-def _run_shard_server(port: int) -> None:  # pragma: no cover — child
+def _run_shard_server(port: int,
+                      latch=None) -> None:  # pragma: no cover — child
     import asyncio
 
     from repro.service import AsyncShardServer
 
     async def serve() -> None:
-        server = AsyncShardServer(("127.0.0.1", port))
+        address = ("127.0.0.1", port)
+        server = (AsyncShardServer(address) if latch is None
+                  else LatchedShardServer(latch, address))
         await server.start()
         await server.serve_forever()
 
     asyncio.run(serve())
 
 
-def _start_shard_process(port: int) -> multiprocessing.Process:
+def _start_shard_process(port: int,
+                         latch=None) -> multiprocessing.Process:
     ctx = multiprocessing.get_context()
-    process = ctx.Process(target=_run_shard_server, args=(port,),
+    process = ctx.Process(target=_run_shard_server, args=(port, latch),
                           daemon=True)
     process.start()
     deadline = time.time() + 20
@@ -1089,13 +1105,14 @@ class _Ring:
     does to a peer: take it away, and (remote only — a local worker is
     restarted by its broker) bring its host back."""
 
-    def __init__(self, placement: str, **kwargs) -> None:
+    def __init__(self, placement: str, latch=None, **kwargs) -> None:
         self.placement = placement
         self.ports: list = []
         self.servers: list = []
         if placement == "remote":
             self.ports = [_free_port(), _free_port()]
-            self.servers = [_start_shard_process(p) for p in self.ports]
+            self.servers = [_start_shard_process(p, latch)
+                            for p in self.ports]
             kwargs.update(
                 shards=0, health_interval=0.2,
                 shard_addresses=[f"127.0.0.1:{p}" for p in self.ports])
@@ -1142,11 +1159,15 @@ class _Ring:
 
 
 @pytest.fixture(params=["local", "remote"])
-def ring(request):
+def ring(request, monkeypatch):
     rings = []
 
-    def build(**kwargs) -> _Ring:
-        rings.append(_Ring(request.param, **kwargs))
+    def build(latch=None, **kwargs) -> _Ring:
+        """A ring; with ``latch``, every shard is born with its engine
+        lane held."""
+        if latch is not None and request.param == "local":
+            latch.patch_local_shards(monkeypatch)
+        rings.append(_Ring(request.param, latch, **kwargs))
         return rings[-1]
 
     yield build
@@ -1169,38 +1190,29 @@ class TestSupervision:
     is restarted where a remote one is ejected and rejoined, and nothing
     else differs."""
 
-    def test_kill_mid_batch_loses_no_request(self, ring):
+    def test_kill_mid_batch_loses_no_request(self, ring, lane_latch):
         requests = _mixed_requests()
         reference = _reference_results(requests)
-        r = ring()
+        # every engine lane is held, so the victim's sub-batch is in
+        # flight and unanswered at the moment the peer dies
+        r = ring(latch=lane_latch)
         broker = r.broker
         victim = broker.shard_for(requests[0].fingerprint())
         theirs = [q for q in requests
                   if broker.shard_for(q.fingerprint()) == victim]
         assert 0 < len(theirs) < len(requests)
         old_pid = r.process(victim).pid
-
-        def hold_the_engine():
-            try:
-                _on_ring(broker, broker._shards[victim].call(
-                    {"op": "sleep", "seconds": 5.0}))
-            except Exception:  # noqa: BLE001 — the peer dies under it
-                pass
-
-        # park the victim's engine, so its sub-batch is in flight and
-        # unanswered at the moment the peer dies
-        hold = threading.Thread(target=hold_the_engine, daemon=True)
-        hold.start()
-        time.sleep(0.2)
+        assert lane_latch.held.wait(10)
         out: list = []
         batch = threading.Thread(
             target=lambda: out.extend(broker.solve_batch(requests)),
             daemon=True)
         batch.start()
-        time.sleep(0.3)
+        until(lambda: (_shard_async(broker, victim)["inflight"]
+                       == len(theirs) + 1))
         r.kill(victim)
+        lane_latch.release()
         batch.join(timeout=30)
-        hold.join(timeout=30)
         assert [g.throughput for g in out] == [
             ref.throughput for ref in reference]  # none lost, all exact
         assert broker.shard_health()["shard_failures"] == 1
@@ -1222,17 +1234,18 @@ class TestSupervision:
             assert per_shard[victim]["cache_size"] == 0
 
     def test_a_missed_request_timeout_is_typed_and_the_shard_stays(
-            self, ring):
+            self, ring, lane_latch):
         requests = _mixed_requests()
         reference = _reference_results(requests)
-        r = ring(request_timeout=0.4)
+        r = ring(latch=lane_latch, request_timeout=0.4)
         broker = r.broker
         pids = [r.process(0).pid, r.process(1).pid]
         fp = "0" * 64
+        assert lane_latch.held.wait(10)
         started = time.perf_counter()
         with pytest.raises(ShardTimeoutError) as err:
-            _on_ring(broker, broker._routed_call(
-                fp, {"op": "sleep", "seconds": 1.0}))
+            # queued behind the held engine lane
+            _on_ring(broker, broker._routed_call(fp, {"op": "clear"}))
         # the shard's own answer at the budget — not this end's guess
         # after the grace, and not a failover to the sibling
         assert time.perf_counter() - started < 1.0
@@ -1244,7 +1257,7 @@ class TestSupervision:
                 == health["failovers"] == health["rejoins"] == 0)
         assert all(s["active"] for s in health["shards"])
         assert [r.process(0).pid, r.process(1).pid] == pids  # kept warm
-        time.sleep(1.0)  # let the sleeping engine go
+        lane_latch.release()
         out = [broker.solve(q) for q in requests]
         assert [g.throughput for g in out] == [
             ref.throughput for ref in reference]
@@ -1503,20 +1516,22 @@ class TestTimeoutConfiguration:
 
 
 class TestSharedShardServerHealth:
-    def test_ping_is_answered_while_the_engine_lane_is_busy(self):
+    def test_ping_is_answered_while_the_engine_lane_is_busy(
+            self, lane_latch):
         """A shared TCP shard busy with another broker's long op must
         still answer health pings — busy is not dead."""
-        from repro.service import AsyncShardServer, AsyncTcpTransport
+        from repro.service import AsyncTcpTransport
 
-        server = AsyncShardServer(("127.0.0.1", 0)).start_in_thread()
+        server = LatchedShardServer(
+            lane_latch, ("127.0.0.1", 0)).start_in_thread()
+        assert lane_latch.held.wait(10)
 
         async def probe_a_busy_shard():
             busy = AsyncTcpTransport(server.host, server.port)
             prober = AsyncTcpTransport(server.host, server.port)
             try:
-                blocker = asyncio.ensure_future(
-                    busy.request({"op": "sleep", "seconds": 3.0}))
-                await asyncio.sleep(0.3)  # the sleep op takes the lane
+                # queued behind the held lane
+                blocker = asyncio.ensure_future(busy.request({"op": "clear"}))
                 start = time.perf_counter()
                 # must not queue behind it
                 assert await prober.ping(timeout=1.0)

@@ -211,7 +211,7 @@ class TestRendering:
         assert "problem=demo" in text
 
     def test_prometheus_rendering_of_snapshot(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             broker.solve(_request())
             response = handle_request(broker, {"op": "metrics"})
         text = render_prometheus(response)
@@ -225,7 +225,7 @@ class TestRendering:
 
     def test_prometheus_includes_trace_counters(self):
         store = TraceStore()
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             handle_request(broker, {"op": "solve",
                                     "request": _solve_wire()},
                            trace_store=store)
@@ -247,7 +247,7 @@ def _solve_wire() -> dict:
 class TestTraceApi:
     def test_solve_records_trace_and_trace_op_fetches_it(self):
         store = TraceStore()
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "solve",
                                           "request": _solve_wire()},
                                  trace_store=store)
@@ -268,14 +268,14 @@ class TestTraceApi:
             assert "engine.run" in names and "cache.lookup" in names
 
     def test_trace_op_missing_id_is_404(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "trace",
                                           "trace_id": "nope"},
                                  trace_store=TraceStore())
         assert not out["ok"] and out["status"] == 404
 
     def test_inline_trace_without_store(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "solve", "trace": True,
                                           "request": _solve_wire()})
         assert out["ok"]
@@ -286,7 +286,7 @@ class TestTraceApi:
         from repro.service import log_event
 
         log_event("shard.eject", shard=9)
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "events", "limit": 5})
         assert out["ok"]
         assert any(e["event"] == "shard.eject" for e in out["events"])
@@ -297,7 +297,7 @@ class TestTraceApi:
 
         for i in range(3):
             log_event("shard.eject", shard=i)
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             _, _, body = route_get(broker, "/events", {"limit": ["0"]})
             assert json.loads(body)["events"] == []
             _, _, body = route_get(broker, "/events", {"limit": ["2"]})

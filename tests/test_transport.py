@@ -8,6 +8,7 @@ import json
 import multiprocessing
 import os
 import socket
+import struct
 from fractions import Fraction
 
 import pytest
@@ -74,7 +75,7 @@ def _mixed_requests():
 # ----------------------------------------------------------------------
 class TestResultWireCodec:
     def test_every_solution_kind_roundtrips_exactly(self):
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             for request in _mixed_requests():
                 result = broker.solve(request)
                 wire = json.loads(json.dumps(result_to_wire(result)))
@@ -89,7 +90,7 @@ class TestResultWireCodec:
     def test_flags_survive(self):
         req = SolveRequest(MasterSlaveSpec(
             platform=generators.star(2), master="M"))
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             broker.solve(req)
             hit = broker.solve(req)
             back = result_from_wire(result_to_wire(hit))
@@ -98,7 +99,7 @@ class TestResultWireCodec:
     def test_packing_is_exact(self):
         req = SolveRequest(BroadcastSpec(
             platform=generators.paper_figure1(), source="P1"))
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             result = broker.solve(req)
         back = result_from_wire(
             json.loads(json.dumps(result_to_wire(result)))
@@ -113,7 +114,7 @@ class TestResultWireCodec:
     def test_newer_wire_version_fails_loudly(self):
         req = SolveRequest(MasterSlaveSpec(
             platform=generators.star(2), master="M"))
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             wire = result_to_wire(broker.solve(req))
         wire["version"] = 99
         with pytest.raises(WireCodecError, match="newer"):
@@ -302,17 +303,57 @@ class TestTcpTransport:
 
         _with_transports(body, shard_server.port)
 
-    def test_timeout_abandons_only_its_own_request(self, shard_server):
+    def test_timeout_abandons_only_its_own_request(self, shard_server,
+                                                   lane_latch):
+        lane_latch.hold(shard_server)
+        assert lane_latch.held.wait(10)
+
         async def body(transport):
             with pytest.raises(TransportTimeout):
-                await transport.request({"op": "sleep", "seconds": 1.0},
-                                        timeout=0.2)
+                # queued behind the held lane: no reply in time
+                await transport.request({"op": "clear"}, timeout=0.2)
             # the late reply is dropped by id, so the connection is not
             # poisoned: it stays open and keeps serving
             assert not transport.closed
             assert await transport.ping(timeout=10.0)
 
         _with_transports(body, shard_server.port)
+
+    @pytest.mark.parametrize("tagged", [True, False], ids=["id", "no-id"])
+    @pytest.mark.parametrize("deadline, served", [
+        ('"soon"', False), ("[1]", False), ('{"a":1}', False),
+        ("true", False), ("NaN", False), ("-Infinity", False),
+        ("1" + "0" * 400, False),  # an int no float holds
+        ("null", True), ("5", True), ("0.5", True),
+    ], ids=["text", "list", "object", "bool", "nan", "-inf", "huge",
+            "null", "int", "float"])
+    def test_a_deadline_is_a_finite_number_or_null(
+            self, shard_server, deadline, served, tagged):
+        """Anything else is refused with a typed reply, and a ping
+        pipelined behind it on the same connection is still answered."""
+        blob = ('{"op":"clear","deadline":' + deadline
+                + (',"id":7}' if tagged else "}")).encode()
+
+        async def go():
+            reader, writer = await asyncio.open_connection(
+                shard_server.host, shard_server.port)
+            try:
+                writer.write(struct.pack(">I", len(blob)) + blob
+                             + encode_frame({"op": "ping"}))
+                return [await asyncio.wait_for(read_frame_async(reader), 5)
+                        for _ in range(2)]
+            finally:
+                writer.close()
+
+        replies = asyncio.run(go())
+        assert {"ok": True, "pong": True} in replies
+        (reply,) = [r for r in replies if "pong" not in r]
+        assert reply.get("id") == (7 if tagged else None)
+        if served:
+            assert reply["ok"] and reply["cleared"] == 0
+        else:
+            assert not reply["ok"] and reply["type"] == "SpecError"
+            assert "'deadline'" in reply["error"]
 
     def test_redials_after_the_server_returns(self):
         first = AsyncShardServer(("127.0.0.1", 0)).start_in_thread()
@@ -513,20 +554,22 @@ class TestLoopServedHit:
         _with_transports(body, server.port)
         assert len(jobs) == 1
 
-    def test_a_hit_is_answered_while_every_worker_sleeps(self, counted):
+    def test_a_hit_is_answered_while_every_worker_sleeps(self, counted,
+                                                         lane_latch):
         server, jobs = counted
         assert server._executor._max_workers == 1  # one engine lane
         req = _ms_request()
 
         async def body(transport):
             await transport.request(_solve_msg(req))
-            naps = [asyncio.ensure_future(
-                transport.request({"op": "sleep", "seconds": 1.0}))
-                for _ in range(2)]
-            await asyncio.sleep(0.1)  # one nap holds the lane, one queues
+            lane_latch.hold(server)
+            # the latch holds the lane, and a lane op queues behind it
+            queued = asyncio.ensure_future(transport.request({"op": "clear"}))
+            assert await asyncio.to_thread(lane_latch.held.wait, 10)
             hit = await transport.request(_solve_msg(req), timeout=0.5)
             assert hit["result"]["cached"]
-            assert not any(nap.done() for nap in naps)
-            await asyncio.gather(*naps)
+            assert not queued.done()
+            lane_latch.release()
+            assert (await queued)["ok"]
 
         _with_transports(body, server.port)

@@ -202,7 +202,7 @@ class TestWarmStatsAndEvictions:
 
     def test_counters_surface_in_broker_snapshot(self):
         g = generators.paper_figure1()
-        with Broker(executor="sync") as broker:
+        with Broker() as broker:
             # a structure's first build keeps no model: prime it twice
             for prime in (g, g.scale(compute=3)):
                 broker.solve(SolveRequest(MasterSlaveSpec(
