@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import os
 import sys
 import time
 from pathlib import Path
@@ -166,11 +165,6 @@ def replay(size: str) -> Dict[str, Any]:
 
 
 def main() -> int:
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        # a tree packing's LP lists its port rows in set order: pin it,
-        # as bench/stack.py does for the servers it starts
-        os.execve(sys.executable, [sys.executable, *sys.argv],
-                  {**os.environ, "PYTHONHASHSEED": "0"})
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--smoke", action="store_true",
                         help="64 + 24 + (128 + 32) requests, a few seconds")

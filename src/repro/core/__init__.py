@@ -36,7 +36,6 @@ from .multicast import (
 from .trees import (
     Arborescence,
     enumerate_arborescences,
-    greedy_tree_packing,
     pack_trees,
     tree_throughput,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "solve_multicast",
     "Arborescence",
     "enumerate_arborescences",
-    "greedy_tree_packing",
     "pack_trees",
     "tree_throughput",
     "BEGIN",

@@ -11,9 +11,10 @@ message copy travelled where.
 This module provides:
 
 * :func:`broadcast_lp_bound` — the max-rule LP optimum (upper bound);
-* :func:`solve_broadcast` — the bound plus a *constructive* achiever: an
-  optimal fractional packing of spanning arborescences (exhaustive on
-  small platforms, greedy fallback on larger ones);
+* :func:`solve_broadcast` — a *constructive* achiever: the optimal
+  fractional packing of spanning arborescences, found in polynomial time
+  by column generation (:func:`repro.core.trees.pack_arborescences`),
+  with the dual bound that proves it optimal;
 * :func:`edmonds_cut_bound` — the classical edge-capacity bound (min over
   targets of the max-flow from the source), for analysis: it ignores
   one-port constraints and so can exceed the LP bound.
@@ -23,17 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..lp import LinearProgram, lp_sum
 from ..platform.graph import NodeId, Platform, PlatformError
-from .trees import (
-    Arborescence,
-    TreeEnumerationLimit,
-    enumerate_arborescences,
-    greedy_tree_packing,
-    pack_trees,
-)
+from .scatter import reversed_platform
+from .trees import Arborescence, pack_arborescences
 
 
 def build_broadcast_lp(
@@ -118,14 +114,15 @@ def broadcast_lp_bound(
 
 @dataclass
 class BroadcastSolution:
-    """LP bound and a constructive tree packing achieving (or approaching) it."""
+    """An optimal tree packing and its dual bound (per [5], the max-rule
+    LP optimum); ``exhaustive`` is always true."""
 
     platform: Platform
     source: NodeId
     lp_bound: Fraction
     achieved: Fraction
     packing: Dict[Arborescence, Fraction]
-    exhaustive: bool
+    exhaustive: bool = True
 
     @property
     def optimal(self) -> bool:
@@ -144,30 +141,17 @@ def solve_broadcast(
     platform: Platform,
     source: NodeId,
     backend: str = "exact",
-    tree_limit: int = 100_000,
 ) -> BroadcastSolution:
-    """Bound + constructive packing for a series of broadcasts.
-
-    On platforms small enough for exhaustive arborescence enumeration the
-    packing is *optimal* and — per [5] — matches the LP bound exactly
-    (asserted by the benchmark suite).  Larger platforms fall back to the
-    polynomial greedy packing, yielding a certified lower bound.
-    """
-    bound = broadcast_lp_bound(platform, source, backend=backend)
-    try:
-        trees = enumerate_arborescences(platform, source, limit=tree_limit)
-        achieved, packing = pack_trees(platform, trees, backend=backend)
-        exhaustive = True
-    except TreeEnumerationLimit:
-        achieved, packing = greedy_tree_packing(platform, source)
-        exhaustive = False
+    """The optimal packing of spanning arborescences for a series of
+    broadcasts, with its dual bound (equal to the throughput)."""
+    achieved, packing, bound = pack_arborescences(
+        platform, source, backend=backend)
     return BroadcastSolution(
         platform=platform,
         source=source,
         lp_bound=bound,
         achieved=achieved,
         packing=packing,
-        exhaustive=exhaustive,
     )
 
 
@@ -175,7 +159,6 @@ def solve_reduce(
     platform: Platform,
     root: NodeId,
     backend: str = "exact",
-    tree_limit: int = 100_000,
 ) -> BroadcastSolution:
     """Series of reductions: reverse-broadcast with message combining.
 
@@ -186,14 +169,7 @@ def solve_reduce(
     solvable in polynomial time [12]; we reuse the broadcast machinery on
     the reversed graph.
     """
-    reversed_platform = Platform(f"{platform.name}-reversed")
-    for name in platform.nodes():
-        reversed_platform.add_node(name, platform.node(name).w)
-    for spec in platform.edges():
-        reversed_platform.add_edge(spec.dst, spec.src, spec.c)
-    rsol = solve_broadcast(
-        reversed_platform, root, backend=backend, tree_limit=tree_limit
-    )
+    rsol = solve_broadcast(reversed_platform(platform), root, backend=backend)
     packing = {
         frozenset((v, u) for (u, v) in tree): rate
         for tree, rate in rsol.packing.items()
@@ -204,7 +180,6 @@ def solve_reduce(
         lp_bound=rsol.lp_bound,
         achieved=rsol.achieved,
         packing=packing,
-        exhaustive=rsol.exhaustive,
     )
 
 

@@ -33,11 +33,11 @@ from ..platform.generators import (
 )
 from .broadcast import build_broadcast_lp
 from .scatter import build_ssps_lp
+from .steiner import heuristic_multicast_packing
 from .trees import (
     Arborescence,
     TreeEnumerationLimit,
     enumerate_arborescences,
-    greedy_tree_packing,
     pack_trees,
     tree_throughput,
 )
@@ -87,7 +87,8 @@ def solve_multicast(
     backend: str = "exact",
     tree_limit: int = 100_000,
 ) -> MulticastAnalysis:
-    """Compute the sum-LP / tree-packing / max-LP bracket."""
+    """Compute the sum-LP / tree-packing / max-LP bracket; past
+    ``tree_limit`` trees, the packing is over :mod:`.steiner`'s candidates."""
     sum_lp, max_lp = multicast_bounds(platform, source, targets, backend)
     try:
         trees = enumerate_arborescences(
@@ -96,8 +97,8 @@ def solve_multicast(
         tree_opt, packing = pack_trees(platform, trees, backend=backend)
         exhaustive = True
     except TreeEnumerationLimit:
-        tree_opt, packing = greedy_tree_packing(
-            platform, source, terminals=list(targets)
+        tree_opt, packing = heuristic_multicast_packing(
+            platform, source, targets, backend=backend
         )
         exhaustive = False
     return MulticastAnalysis(

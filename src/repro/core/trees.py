@@ -1,4 +1,4 @@
-"""Arborescence enumeration and fractional tree packing.
+"""Arborescence packing: enumerated for multicast, priced for broadcast.
 
 Steady-state broadcast/multicast schedules route each operation instance
 along a directed tree (arborescence) rooted at the source: every node in
@@ -13,19 +13,28 @@ send time and receive time per time-unit stay below 1:
 The best packing over *all* arborescences equals the optimal steady-state
 throughput of the series of broadcasts (resp. multicasts): any schedule
 routes each instance along some arborescence, and conversely a packing
-yields a periodic schedule.  Reference [5] proves the packing optimum
-matches the max-rule LP bound for broadcast; [7] proves computing it is
-NP-hard for multicast (our *exhaustive enumeration* sidesteps hardness on
-the small instances used in tests and benchmarks — it is exponential by
-design).
+yields a periodic schedule.
+
+* Broadcast (spanning arborescences): :func:`pack_arborescences` finds the
+  optimal packing in polynomial time by column generation.  The master is
+  :func:`pack_trees`'s LP over a growing pool; its duals ``y`` price an
+  edge ``c_uv * (y_send(u) + y_recv(v))``, and a minimum-cost arborescence
+  (:func:`min_cost_arborescence`, Chu-Liu/Edmonds) is the column to add
+  while it costs less than 1.  When none does, ``y`` is feasible for the
+  packing LP over every arborescence, so ``sum(y)`` bounds the throughput
+  and the master attains it.  Reference [5] proves this optimum matches
+  the max-rule LP bound.
+* Multicast (Steiner arborescences): [7] proves the packing NP-hard, and
+  :func:`enumerate_arborescences` lists every tree on the small instances
+  used in tests and benchmarks — it is exponential by design.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..lp import LinearProgram, lp_sum
+from ..lp import LinearProgram, LPSolution, lp_sum
 from ..platform.graph import Edge, NodeId, Platform, PlatformError
 
 Arborescence = FrozenSet[Edge]
@@ -164,6 +173,30 @@ def tree_throughput(platform: Platform, tree: Arborescence) -> Fraction:
     return Fraction(1) / max(loads)
 
 
+def _solve_packing(
+    platform: Platform, trees: Sequence[Arborescence], backend: str
+) -> Tuple[LPSolution, Dict[Arborescence, Fraction],
+           List[Tuple[str, NodeId]]]:
+    """The packing LP over ``trees`` solved: its solution, the non-zero
+    rates and the ``(kind, node)`` port of each row, in sorted order."""
+    lp = LinearProgram("tree-packing")
+    xs = [lp.variable(f"x[{k}]", lo=0) for k in range(len(trees))]
+    terms: Dict[Tuple[str, NodeId], List] = {}
+    for x, tree in zip(xs, trees):
+        for node, t in tree_send_time(platform, tree).items():
+            terms.setdefault(("send", node), []).append(x * t)
+        for node, t in tree_recv_time(platform, tree).items():
+            terms.setdefault(("recv", node), []).append(x * t)
+    ports = sorted(terms)
+    for kind, node in ports:
+        lp.add_constraint(lp_sum(terms[kind, node]) <= 1,
+                          name=f"{kind}[{node}]")
+    lp.maximize(lp_sum(xs))
+    sol = lp.solve(backend=backend)
+    rates = {tree: sol[x] for x, tree in zip(xs, trees) if sol[x] != 0}
+    return sol, rates, ports
+
+
 def pack_trees(
     platform: Platform,
     trees: Sequence[Arborescence],
@@ -177,120 +210,105 @@ def pack_trees(
     """
     if not trees:
         return Fraction(0), {}
-    lp = LinearProgram("tree-packing")
-    xs = [lp.variable(f"x[{k}]", lo=0) for k in range(len(trees))]
-    send_terms: Dict[NodeId, List] = {}
-    recv_terms: Dict[NodeId, List] = {}
-    for x, tree in zip(xs, trees):
-        for node, t in tree_send_time(platform, tree).items():
-            send_terms.setdefault(node, []).append(x * t)
-        for node, t in tree_recv_time(platform, tree).items():
-            recv_terms.setdefault(node, []).append(x * t)
-    for node, terms in send_terms.items():
-        lp.add_constraint(lp_sum(terms) <= 1, name=f"send[{node}]")
-    for node, terms in recv_terms.items():
-        lp.add_constraint(lp_sum(terms) <= 1, name=f"recv[{node}]")
-    lp.maximize(lp_sum(xs))
-    sol = lp.solve(backend=backend)
-    rates = {
-        tree: sol[x]
-        for x, tree in zip(xs, trees)
-        if sol[x] != 0
-    }
+    sol, rates, _ports = _solve_packing(platform, trees, backend)
     return sol.objective, rates
 
 
-def greedy_tree_packing(
-    platform: Platform,
-    root: NodeId,
-    terminals: Optional[Sequence[NodeId]] = None,
-    rounds: int = 64,
-) -> Tuple[Fraction, Dict[Arborescence, Fraction]]:
-    """Polynomial heuristic packing (no enumeration): repeatedly add the
-    best single tree on residual port capacity.
-
-    Useful on platforms too large for exhaustive enumeration; gives a lower
-    bound on the optimal packing.
-    """
-    send_left: Dict[NodeId, Fraction] = {
-        n: Fraction(1) for n in platform.nodes()
-    }
-    recv_left: Dict[NodeId, Fraction] = {
-        n: Fraction(1) for n in platform.nodes()
-    }
-    packing: Dict[Arborescence, Fraction] = {}
-    total = Fraction(0)
-    term_set = (
-        {n for n in platform.nodes() if n != root}
-        if terminals is None
-        else set(terminals)
-    )
-    for _ in range(rounds):
-        # build a shortest-path arborescence on residual-capacity edges
-        tree = _residual_shortest_path_tree(
-            platform, root, term_set, send_left, recv_left
-        )
-        if tree is None:
-            break
-        sends = tree_send_time(platform, tree)
-        recvs = tree_recv_time(platform, tree)
-        rate = min(
-            min(send_left[n] / t for n, t in sends.items()),
-            min(recv_left[n] / t for n, t in recvs.items()),
-        )
-        if rate <= 0:
-            break
-        # commit half the bottleneck rate to keep later trees viable,
-        # except when a single tree saturates (then take it all)
-        commit = rate if len(packing) >= rounds - 1 else rate / 2
-        if commit == 0:
-            break
-        for n, t in sends.items():
-            send_left[n] -= commit * t
-        for n, t in recvs.items():
-            recv_left[n] -= commit * t
-        packing[tree] = packing.get(tree, Fraction(0)) + commit
-        total += commit
-    return total, packing
-
-
-def _residual_shortest_path_tree(
-    platform: Platform,
-    root: NodeId,
-    terminals: Set[NodeId],
-    send_left: Dict[NodeId, Fraction],
-    recv_left: Dict[NodeId, Fraction],
+def min_cost_arborescence(
+    platform: Platform, root: NodeId, cost: Dict[Edge, Fraction]
 ) -> Optional[Arborescence]:
-    """Dijkstra tree over edges whose endpoints retain port capacity."""
-    import heapq
-
-    dist: Dict[NodeId, Fraction] = {root: Fraction(0)}
-    parent: Dict[NodeId, Edge] = {}
-    # exact Fraction heap keys — see _dijkstra_from_set in steiner.py
-    heap: List[Tuple[Fraction, int, NodeId]] = [(Fraction(0), 0, root)]
-    counter = 1
-    done: Set[NodeId] = set()
-    while heap:
-        _, _, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v in platform.successors(u):
-            if send_left[u] <= 0 or recv_left[v] <= 0:
-                continue
-            nd = dist[u] + platform.c(u, v)
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                parent[v] = (u, v)
-                heapq.heappush(heap, (nd, counter, v))
-                counter += 1
-    if not terminals <= done:
+    """The cheapest spanning arborescence rooted at ``root`` under
+    ``cost`` (Chu-Liu/Edmonds), or ``None`` when a node is out of reach.
+    Exact, and deterministic: edges are scanned sorted, a tie keeps the
+    first."""
+    edges = sorted(cost)
+    index = {node: k for k, node in enumerate(sorted(platform.nodes()))}
+    arcs = [(index[u], index[v], cost[u, v]) for (u, v) in edges]
+    chosen = _chu_liu(len(index), index[root], arcs)
+    if chosen is None:
         return None
-    edges: Set[Edge] = set()
-    for t in terminals:
-        node = t
-        while node != root:
-            e = parent[node]
-            edges.add(e)
-            node = e[0]
-    return _prune_non_terminal_leaves(edges, root, terminals)
+    return frozenset(edges[k] for k in chosen)
+
+
+def _chu_liu(
+    n: int, root: int, arcs: List[Tuple[int, int, Fraction]]
+) -> Optional[List[int]]:
+    """Indices into ``arcs`` of a minimum arborescence of nodes ``0..n-1``:
+    every node takes its cheapest in-arc; a cycle among those contracts
+    to one node, whose in-arcs are re-priced by the cycle arc they would
+    replace, and the contracted graph is solved the same way."""
+    enter: List[Optional[int]] = [None] * n
+    for k, (u, v, w) in enumerate(arcs):
+        if v != root and (enter[v] is None or w < arcs[enter[v]][2]):
+            enter[v] = k
+    if any(enter[v] is None for v in range(n) if v != root):
+        return None
+    label = [-1] * n
+    walk = [-1] * n
+    cycles = 0
+    for start in range(n):
+        v = start
+        while v != root and walk[v] == -1:
+            walk[v] = start
+            v = arcs[enter[v]][0]
+        if v != root and walk[v] == start and label[v] == -1:
+            while label[v] == -1:
+                label[v] = cycles
+                v = arcs[enter[v]][0]
+            cycles += 1
+    if not cycles:
+        return [enter[v] for v in range(n) if v != root]
+    on_cycle = [lab != -1 for lab in label]
+    m = cycles
+    for v in range(n):
+        if label[v] == -1:
+            label[v] = m
+            m += 1
+    sub: List[Tuple[int, int, Fraction]] = []
+    origin: List[int] = []
+    for k, (u, v, w) in enumerate(arcs):
+        if label[u] != label[v] and v != root:
+            sub.append((label[u], label[v], w - arcs[enter[v]][2]))
+            origin.append(k)
+    inner = _chu_liu(m, label[root], sub)
+    if inner is None:
+        return None
+    chosen = [origin[k] for k in inner]
+    entered = {arcs[k][1] for k in chosen}
+    chosen.extend(enter[v] for v in range(n)
+                  if on_cycle[v] and v not in entered)
+    return chosen
+
+
+def pack_arborescences(
+    platform: Platform, root: NodeId, backend: str = "exact"
+) -> Tuple[Fraction, Dict[Arborescence, Fraction], Fraction]:
+    """The optimal packing of spanning arborescences rooted at ``root``:
+    throughput, per-tree rates and the dual bound ``sum(y)`` (all zero
+    when a node is out of reach).  Column generation (module docstring)
+    from one shortest-path tree; it stops when the cheapest arborescence
+    costs at least 1, or is already pooled (a float backend's rounding).
+    """
+    from .steiner import shortest_path_tree
+
+    others = [node for node in platform.nodes() if node != root]
+    if not others:
+        raise PlatformError("broadcast needs at least one receiver")
+    seed = shortest_path_tree(platform, root, others)
+    if seed is None:
+        return Fraction(0), {}, Fraction(0)
+    pool = [seed]
+    while True:
+        sol, rates, ports = _solve_packing(platform, pool, backend)
+        y = {port: sol.duals.get(k, Fraction(0))
+             for k, port in enumerate(ports)}
+        cost = {
+            (e.src, e.dst): e.c * (y.get(("send", e.src), Fraction(0))
+                                   + y.get(("recv", e.dst), Fraction(0)))
+            for e in platform.edges()
+        }
+        tree = min_cost_arborescence(platform, root, cost)
+        if sum(cost[e] for e in tree) >= 1 or tree in pool:
+            break
+        pool.append(tree)
+    return sol.objective, rates, sum(y.values(), Fraction(0))

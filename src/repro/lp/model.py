@@ -287,7 +287,8 @@ class LPSolution:
     constraint's right-hand side) per model constraint, keyed by its
     index in ``LinearProgram.constraints``, zeros omitted —
     :func:`repro.lp.certify.certify` checks it against the model alone.
-    ``None`` from the scipy backend.
+    The scipy backend rationalises HiGHS's marginals into the same
+    convention (no proof: they are float).
     """
 
     objective: Fraction

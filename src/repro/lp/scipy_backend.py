@@ -2,9 +2,11 @@
 
 Used for (a) cross-checking the exact simplex on every LP family in the
 test-suite and (b) large parameter sweeps in benchmarks where exactness is
-not needed.  Outputs are rationalised (``limit_denominator``) so the calling
-code sees the same Fraction-based interface; callers that feed a solution
-into schedule reconstruction should use the exact backend, as documented in
+not needed.  Outputs — values, objective and HiGHS's marginals as
+``duals``, in the exact backend's sign convention — are rationalised
+(``limit_denominator``) so the calling code sees the same Fraction-based
+interface; callers that feed a solution into schedule reconstruction
+should use the exact backend, as documented in
 :meth:`repro.lp.model.LinearProgram.solve`.
 """
 
@@ -94,9 +96,20 @@ def solve_scipy(
 
     objective_float = sign * float(res.fun)
     objective = Fraction(objective_float).limit_denominator(rationalize)
+    # HiGHS's marginals are d(min c.x)/d(b); the model's shadow price is
+    # d(objective)/d(rhs), so undo the max->min and the >= -> <= flips
+    ub, eq = iter(res.ineqlin.marginals), iter(res.eqlin.marginals)
+    duals: Dict[int, Fraction] = {}
+    for k, cons in enumerate(lp.constraints):
+        flip = -1 if cons.sense == ">=" else 1
+        marginal = float(next(eq if cons.sense == "==" else ub))
+        y = Fraction(sign * flip * marginal).limit_denominator(rationalize)
+        if y:
+            duals[k] = y
     return LPSolution(
         objective=objective,
         values=values,
         backend="scipy",
         iterations=int(res.nit) if hasattr(res, "nit") else 0,
+        duals=duals,
     )

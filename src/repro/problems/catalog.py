@@ -219,8 +219,7 @@ def _solve_all_to_all(spec: AllToAllSpec, backend: str = "exact"):
     ),
 )
 def _solve_broadcast(spec: BroadcastSpec, backend: str = "exact"):
-    return solve_broadcast(spec.platform, spec.source, backend=backend,
-                           tree_limit=spec.tree_limit)
+    return solve_broadcast(spec.platform, spec.source, backend=backend)
 
 
 @register(
@@ -232,8 +231,7 @@ def _solve_broadcast(spec: BroadcastSpec, backend: str = "exact"):
     ),
 )
 def _solve_reduce(spec: ReduceSpec, backend: str = "exact"):
-    return solve_reduce(spec.platform, spec.root, backend=backend,
-                        tree_limit=spec.tree_limit)
+    return solve_reduce(spec.platform, spec.root, backend=backend)
 
 
 # ----------------------------------------------------------------------

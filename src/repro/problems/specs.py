@@ -343,18 +343,12 @@ class AllToAllSpec(ProblemSpec):
 
 @dataclass(frozen=True)
 class BroadcastSpec(ProblemSpec):
-    """Series of broadcasts — LP bound + arborescence packing (3.3, 4.2)."""
+    """Series of broadcasts — priced arborescence packing (3.3, 4.2)."""
 
     source: NodeId
-    tree_limit: int = 100_000
 
     problem = "broadcast"
     _SOURCE_FIELD = "source"
-    _INT_FIELDS = ("tree_limit",)
-
-    def _validate(self) -> None:
-        if self.tree_limit < 1:
-            raise SpecError("tree_limit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -362,15 +356,9 @@ class ReduceSpec(ProblemSpec):
     """Series of reductions — reverse broadcast with combining (4.2)."""
 
     root: NodeId
-    tree_limit: int = 100_000
 
     problem = "reduce"
     _SOURCE_FIELD = "root"
-    _INT_FIELDS = ("tree_limit",)
-
-    def _validate(self) -> None:
-        if self.tree_limit < 1:
-            raise SpecError("tree_limit must be >= 1")
 
 
 @dataclass(frozen=True)

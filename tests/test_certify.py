@@ -119,10 +119,20 @@ class TestOptimal:
         with pytest.raises(CertificateError, match="unknown constraint"):
             certify(lp, claim(5, {x: F(3), y: F(1)}, {2: F(1)}))
 
-    def test_scipy_answers_carry_no_proof(self):
+    def test_scipy_duals_are_the_exact_ones(self):
+        """HiGHS's marginals in the exact backend's sign convention: a
+        max model's ``<=`` rows and a min model's ``>=`` rows."""
         pytest.importorskip("scipy")
         lp, _, _ = two_rows()
-        assert lp.solve(backend="scipy").duals is None
+        assert lp.solve(backend="scipy").duals == lp.solve().duals
+        diet = LinearProgram("diet")
+        x = diet.variable("x", lo=0)
+        y = diet.variable("y", lo=0)
+        diet.add_constraint(x + y >= 2)
+        diet.add_constraint(x <= 5)
+        diet.minimize(3 * x + 2 * y)
+        assert diet.solve(backend="scipy").duals == diet.solve().duals == {
+            0: F(2)}
 
 
 class TestInfeasible:

@@ -15,6 +15,7 @@ from repro import (
     TaskGraph,
     analyze_figure2,
     autonomous_throughput,
+    broadcast_lp_bound,
     fixed_period_schedule,
     generators as gen,
     grouped_schedule_makespan,
@@ -73,7 +74,8 @@ class TestCollectivesPipeline:
     def test_broadcast_schedule_runs_at_bound(self, fig2):
         sol = solve_broadcast(fig2, "P0")
         sched = packing_to_schedule(fig2, sol.packing, "P0", "broadcast")
-        assert sched.throughput == sol.lp_bound  # achievability, executed
+        # achievability, executed: the max-rule LP is the witness
+        assert sched.throughput == broadcast_lp_bound(fig2, "P0")
 
     def test_multicast_gap_consistent_with_schedules(self, fig2):
         report = analyze_figure2()

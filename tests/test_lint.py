@@ -542,24 +542,6 @@ class TestFixedFindings:
         assert parent["a"] == ("b", "a")
         assert dist["c"] == Fraction(1, 3) + delta + 1
 
-    def test_residual_tree_heap_keys_are_exact(self):
-        from repro.core.trees import _residual_shortest_path_tree
-        from repro.platform.graph import Platform
-
-        eps = Fraction(1, 10**40)
-        p = Platform("tie")
-        for n in ("r", "a", "b", "t"):
-            p.add_node(n, w=1)
-        p.add_edge("r", "a", c=Fraction(1, 3) + eps)
-        p.add_edge("r", "b", c=Fraction(1, 3))
-        p.add_edge("a", "t", c=Fraction(1))
-        p.add_edge("b", "t", c=Fraction(1))
-        plenty = {n: Fraction(100) for n in ("r", "a", "b", "t")}
-        tree = _residual_shortest_path_tree(
-            p, "r", {"t"}, dict(plenty), dict(plenty))
-        # the truly cheaper branch must win despite the float tie
-        assert ("r", "b") in tree and ("b", "t") in tree
-
     def test_hopcroft_karp_integer_sentinel(self):
         from repro.schedule.matching import hopcroft_karp
 

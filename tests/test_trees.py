@@ -7,7 +7,6 @@ import pytest
 from repro.core.trees import (
     TreeEnumerationLimit,
     enumerate_arborescences,
-    greedy_tree_packing,
     pack_trees,
     tree_recv_time,
     tree_send_time,
@@ -166,13 +165,3 @@ class TestPacking:
                 recv_busy[node] = recv_busy.get(node, Fraction(0)) + rate * t
         assert all(v <= 1 for v in send_busy.values())
         assert all(v <= 1 for v in recv_busy.values())
-
-    def test_greedy_packing_is_lower_bound(self):
-        g = diamond()
-        trees = enumerate_arborescences(g, "S")
-        opt, _ = pack_trees(g, trees)
-        greedy, packing = greedy_tree_packing(g, "S")
-        assert 0 < greedy <= opt
-        for tree in packing:
-            heads = {v for (_, v) in tree}
-            assert {"A", "B", "T"} <= heads
