@@ -291,13 +291,15 @@ def cmd_lint(args) -> int:
     return lint_cli.run(args)
 
 
-def _build_broker(args):
-    """The served broker: always the ring, one local shard by default."""
+def _build_broker(args, build=None):
+    """The served broker: always the ring, one local shard by default.
+    ``build`` is :class:`ShardedBroker` (the default: a private ring
+    loop) or its :meth:`~ShardedBroker.on_running_loop` (awaited)."""
     from .service.sharding import ShardedBroker
 
     if args.shards < 1 and not args.shard:
         raise SystemExit("--shards 0 needs at least one --shard host:port")
-    return ShardedBroker(
+    return (build or ShardedBroker)(
         shards=args.shards,
         cache_size=args.cache_size,
         shard_addresses=args.shard,
@@ -326,19 +328,17 @@ def _run_until_stopped(amain) -> None:
 
 def cmd_serve(args) -> int:
     from .service.api import AsyncServiceServer, serve_stdio
+    from .service.sharding import ShardedBroker
     from .service.tracing import TraceStore
 
-    broker = _build_broker(args)
     store = None
     if not args.no_tracing:
         store = TraceStore(capacity=args.trace_capacity,
                           slow_threshold=args.slow_trace)
     if args.stdio:
-        try:
+        with _build_broker(args) as broker:
             return serve_stdio(broker, sys.stdin, sys.stdout,
                                trace_store=store)
-        finally:
-            broker.close()
     plural = "" if args.shards == 1 else "s"
     layout = (f"ring of {args.shards} local shard{plural} x "
               f"{args.cache_size} entries")
@@ -346,20 +346,23 @@ def cmd_serve(args) -> int:
         layout += f" + {len(args.shard)} remote " + " ".join(args.shard)
     if args.near_cache_size > 0:
         layout += f", near-cache {args.near_cache_size}"
-    server = AsyncServiceServer(
-        (args.host, args.port), broker=broker, trace_store=store,
-        tracing=not args.no_tracing)
 
     async def _amain() -> None:
-        await server.start()
-        print(f"repro service listening on "
-              f"http://{args.host}:{server.port} ({layout})", flush=True)
-        await server.serve_forever()
+        # one loop: the ring's coroutines run on the HTTP server's loop,
+        # and the broker closes on it before it stops
+        broker = await _build_broker(args, ShardedBroker.on_running_loop)
+        try:
+            server = AsyncServiceServer(
+                (args.host, args.port), broker=broker, trace_store=store,
+                tracing=not args.no_tracing)
+            await server.start()
+            print(f"repro service listening on "
+                  f"http://{args.host}:{server.port} ({layout})", flush=True)
+            await server.serve_forever()
+        finally:
+            await broker.aclose()
 
-    try:
-        _run_until_stopped(_amain)
-    finally:
-        broker.close()
+    _run_until_stopped(_amain)
     return 0
 
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import copy
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
@@ -65,17 +66,23 @@ from ..problems import (
 )
 from ..problems.specs import LEGACY_REQUEST_OPTIONS
 from .broker import (
-    THROUGHPUT_FIELDS,
     Broker,
     BrokerError,
     BrokerResult,
     SolveRequest,
     schedule_flag,
 )
+from .cache import BodyMemo
 from .metrics import render_prometheus
 from .tracing import EVENTS, TraceStore, start_trace
 from .transport import MAX_FRAME_BYTES, LoopServer
-from .wire import result_to_wire, solution_payload
+from .wire import (
+    compact_json,
+    payload_json,
+    payload_throughput,
+    result_to_wire,
+    solution_payload,
+)
 
 
 # ----------------------------------------------------------------------
@@ -162,19 +169,29 @@ def response_to_dict(result: BrokerResult) -> Dict[str, Any]:
     is built) and an in-process one gets from the same codec."""
     wire = getattr(result, "wire", None) or result_to_wire(result)
     solution = solution_payload(wire["solution"])
-    out: Dict[str, Any] = {
-        "ok": True,
-        "fingerprint": result.fingerprint,
-        "cached": result.cached,
-        "warm": result.warm,
-        "latency_seconds": result.latency_seconds,
-        "throughput": next(solution[key] for key in THROUGHPUT_FIELDS
-                           if key in solution),
-        "solution": solution,
-    }
+    out = {**_reply_head(result),
+           "throughput": payload_throughput(solution), "solution": solution}
     if wire.get("schedule") is not None:
         out["schedule"] = wire["schedule"]
     return out
+
+
+def _reply_head(result: BrokerResult) -> Dict[str, Any]:
+    """The scalars a solve reply leads with, ahead of its payload."""
+    return {"ok": True, "fingerprint": result.fingerprint,
+            "cached": result.cached, "warm": result.warm,
+            "latency_seconds": result.latency_seconds}
+
+
+def _solve_json(result: BrokerResult, extra: Dict[str, Any]) -> bytes:
+    """A solve reply with ``extra`` scalars, as HTTP body bytes.  A near
+    hit's payload is spliced from bytes encoded once per near entry
+    (:func:`~repro.service.wire.payload_json`) behind fresh scalars."""
+    entry = getattr(result, "entry", None)
+    if entry is None:
+        return compact_json({**response_to_dict(result), **extra})
+    head = compact_json({**_reply_head(result), **extra})
+    return head[:-1] + payload_json(entry, "schedule" in result.wire) + b"}"
 
 
 def _error_response(
@@ -266,13 +283,16 @@ def _limit(data: Dict[str, Any]) -> int:
 
 
 def _dispatch(broker: Broker, data: Dict[str, Any],
-              trace_store: Optional[TraceStore]):
+              trace_store: Optional[TraceStore],
+              respond=lambda result, extra: {**response_to_dict(result),
+                                             **extra}):
     """The one dispatcher body, as a generator: it yields each future
     it must wait for (``broker.submit`` returns them without blocking)
     and is resumed once that future is done.  :func:`handle_request`
     drives it by blocking, :class:`AsyncServiceServer` by awaiting — so
     solve and batch ops run on the HTTP loop without a second copy of
-    their branches.  Returns the response dict; never raises."""
+    their branches.  Returns the response dict (a solve's is
+    ``respond(result, extra)``); never raises."""
     try:
         op = data.get("op", "solve")
         # solve/batch are metered inside the broker ("solve", "solve.batch");
@@ -330,23 +350,23 @@ def _dispatch(broker: Broker, data: Dict[str, Any],
                 return {"ok": True,
                         "invalidated": broker.invalidate_platform(platform)}
         if op == "solve":
-            request = _decode_or_error(data.get("request", data))
-            if not isinstance(request, SolveRequest):
-                return request  # the decode-error response
+            request = data.get("request", data)
+            if not isinstance(request, SolveRequest):  # not yet decoded
+                request = _decode_or_error(request)
+                if not isinstance(request, SolveRequest):
+                    return request  # the decode-error response
             inline = bool(data.get("trace"))
             if inline or trace_store is not None:
                 with start_trace("request.solve", store=trace_store,
                                  problem=request.problem) as tr:
                     result = yield from _await(broker.submit(request))
-                out = response_to_dict(result)
-                out["trace_id"] = tr.trace_id
+                extra = {"trace_id": tr.trace_id}
                 if inline:
-                    out["trace"] = tr.as_dict()
-                return out
+                    extra["trace"] = tr.as_dict()
+                return respond(result, extra)
             # submit() rather than solve(): the ring's future is awaited,
             # not blocked on, when the HTTP loop drives this generator
-            return response_to_dict(
-                (yield from _await(broker.submit(request))))
+            return respond((yield from _await(broker.submit(request))), {})
         if op == "batch":
             inline = bool(data.get("trace"))
             if inline or trace_store is not None:
@@ -403,7 +423,7 @@ HttpResponse = Tuple[int, str, bytes]
 
 
 def _json_reply(payload: Dict[str, Any], status: int = 200) -> HttpResponse:
-    return status, _JSON_TYPE, json.dumps(payload).encode("utf-8")
+    return status, _JSON_TYPE, compact_json(payload)
 
 
 def _query_int(query: Dict[str, list], key: str, default: int) -> int:
@@ -413,18 +433,22 @@ def _query_int(query: Dict[str, list], key: str, default: int) -> int:
         return default
 
 
+def _metrics_reply(response: Dict[str, Any],
+                   query: Dict[str, list]) -> HttpResponse:
+    if query.get("format", [""])[0] == "prometheus":
+        return (200, _PROMETHEUS_TYPE,
+                render_prometheus(response).encode("utf-8"))
+    return _json_reply(response)
+
+
 def route_get(broker: Broker, path: str, query: Dict[str, list],
               trace_store: Optional[TraceStore] = None) -> HttpResponse:
     """Route one GET; pure — no I/O beyond the broker dispatch."""
     if path in ("/healthz", "/"):
         return _json_reply({"ok": True, "service": "repro", "ready": True})
     if path == "/metrics":
-        response = handle_request(broker, {"op": "metrics"},
-                                  trace_store=trace_store)
-        if query.get("format", [""])[0] == "prometheus":
-            return (200, _PROMETHEUS_TYPE,
-                    render_prometheus(response).encode("utf-8"))
-        return _json_reply(response)
+        return _metrics_reply(handle_request(
+            broker, {"op": "metrics"}, trace_store=trace_store), query)
     if path == "/cache":
         return _json_reply(handle_request(broker, {"op": "cache"}))
     if path == "/problems":
@@ -512,9 +536,13 @@ class AsyncServiceServer(LoopServer):
     :data:`LOOP_BODY_BYTES`): the request is decoded, fingerprinted and
     looked up in the near-cache there, and the connection awaits the
     future ``broker.submit`` returns (:func:`_dispatch`) — a cached read
-    crosses no thread at this door.  Every other op, every GET and any
-    larger body blocks on the broker, so it is handed to a bounded
-    executor (``http_workers`` threads) as :func:`route_get` /
+    crosses no thread at this door, and none behind it when the broker
+    runs its ring on this loop (``serve``).  A ``solve`` body whose
+    answer came back cached is kept in :attr:`memo` (a
+    :class:`~repro.service.cache.BodyMemo`): its next sighting skips the
+    JSON parse, the decode and the fingerprint.  Every other op, every
+    GET and any larger body blocks on the broker, so it is handed to a
+    bounded executor (``http_workers`` threads) as :func:`route_get` /
     :func:`route_post`.  Idle connections cost nothing; the executor
     bounds concurrent *dispatch*, not clients.  ``broker`` is required:
     ``serve`` hands it a :class:`~repro.service.sharding.ShardedBroker`,
@@ -544,6 +572,7 @@ class AsyncServiceServer(LoopServer):
         self.http_workers = max(1, int(http_workers))
         super().__init__(address, ThreadPoolExecutor(
             max_workers=self.http_workers, thread_name_prefix="repro-http"))
+        self.memo = BodyMemo()  # loop-confined, like the gauges below
         # loop-confined gauge state (event loop only, no locks)
         self._inflight = 0
         self._max_inflight = 0
@@ -574,10 +603,7 @@ class AsyncServiceServer(LoopServer):
                 self._publish_gauges()
                 try:
                     if method == "GET":
-                        response = await self._loop.run_in_executor(
-                            self._executor, route_get, self.broker,
-                            parsed.path, parse_qs(parsed.query),
-                            self.trace_store)
+                        response = await self._get(parsed)
                     elif method == "POST":
                         response = await self._post(parsed.path, body)
                     else:
@@ -600,24 +626,58 @@ class AsyncServiceServer(LoopServer):
         finally:
             writer.close()
 
-    async def _post(self, path: str, body: bytes) -> HttpResponse:
-        data = (_parse_post(path, body) if len(body) <= LOOP_BODY_BYTES
-                else None)
-        if isinstance(data, tuple):
-            return data
-        if not (isinstance(data, dict)
-                and data.get("op", "solve") in ("solve", "batch")):
+    async def _get(self, parsed) -> HttpResponse:
+        """A GET, on the executor; ``/metrics`` adds :attr:`memo`."""
+        query = parse_qs(parsed.query)
+        if parsed.path != "/metrics":
             return await self._loop.run_in_executor(
-                self._executor, route_post, self.broker, path, body,
+                self._executor, route_get, self.broker, parsed.path, query,
                 self.trace_store)
-        steps = _dispatch(self.broker, data, self.trace_store)
+        response = await self._loop.run_in_executor(
+            self._executor, handle_request, self.broker, {"op": "metrics"},
+            self.trace_store)
+        if response.get("ok"):  # next to the near-cache
+            response.setdefault("replication", {})["body_memo"] = \
+                self.memo.snapshot()
+        return _metrics_reply(response, query)
+
+    async def _post(self, path: str, body: bytes) -> HttpResponse:
+        small = len(body) <= LOOP_BODY_BYTES
+        data = (self.memo.get(body) if small and path in ("/api", "/")
+                else None)
+        if data is None:
+            data = _parse_post(path, body) if small else None
+            if isinstance(data, tuple):
+                return data
+            op = data.get("op", "solve") if isinstance(data, dict) else None
+            if op not in ("solve", "batch"):
+                return await self._loop.run_in_executor(
+                    self._executor, route_post, self.broker, path, body,
+                    self.trace_store)
+            if op == "solve":  # decoded here, so the memo can keep it
+                request = _decode_or_error(data.get("request", data))
+                if not isinstance(request, SolveRequest):
+                    return _post_reply(request)
+                data = {**data, "request": request}
+        steps = _dispatch(self.broker, data, self.trace_store,
+                          respond=functools.partial(self._respond, body, data))
         try:
             while True:  # the awaiting driver
-                await asyncio.wait([asyncio.wrap_future(next(steps))])
+                fut = next(steps)
+                if not fut.done():
+                    await asyncio.wait([asyncio.wrap_future(fut)])
         except StopIteration as stop:
+            if isinstance(stop.value, bytes):
+                return 200, _JSON_TYPE, stop.value
             return _post_reply(stop.value)
         finally:
             steps.close()  # cancelled mid-wait: unwind its trace now
+
+    def _respond(self, body: bytes, data: Dict[str, Any],
+                 result: BrokerResult, extra: Dict[str, Any]) -> bytes:
+        if result.cached:  # traffic that never repeats never enters
+            self.memo.put(body, data)
+        return _solve_json(result, extra)
 
     async def _read_request(self, reader: asyncio.StreamReader):
         """One request head + body; ``None`` when the client is done.

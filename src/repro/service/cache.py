@@ -179,7 +179,10 @@ class CacheEntry:
 
     ``solution_json`` / ``schedule_json`` memoise the two objects' wire
     bytes: :func:`repro.service.wire.encode_result` fills each on its
-    first serve and splices it into every later reply.
+    first serve and splices it into every later reply.  A broker
+    near-cache entry holds the shard's wire dicts instead, and there
+    the two memo its HTTP reply bytes (:func:`repro.service.wire.
+    payload_json`).
     """
 
     key: str
@@ -320,3 +323,54 @@ class SolutionCache:
                 "max_size": self.max_size,
                 **self.stats.as_dict(),
             }
+
+
+#: the body memo's bound: this many ``solve`` bodies, or this many of
+#: their bytes, whichever binds first
+BODY_MEMO_ENTRIES = 256
+BODY_MEMO_BYTES = 1 << 20
+
+
+class BodyMemo:
+    """Bounded LRU from the exact bytes of a ``solve`` body to the
+    envelope its full decode produced (the decoded request in place of
+    its dict), for the HTTP loop that alone touches it: no lock.
+
+    It holds no answers, so it needs a bound and never an invalidation:
+    a memo hit is exactly the decode it skips.  Beyond
+    :data:`BODY_MEMO_ENTRIES` bodies or :data:`BODY_MEMO_BYTES` of them,
+    the least recently used goes.  The byte bound counts body bytes
+    only: each entry also keeps its decoded request and that request's
+    memoised wire dict, about 18 KiB for a benchmark ``hit_zipf`` body
+    of 0.9 KiB, so a full memo of such bodies holds about 5 MiB.
+    """
+
+    def __init__(self) -> None:
+        self._entries: "OrderedDict[bytes, Dict[str, Any]]" = OrderedDict()
+        self.bytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, body: bytes) -> Optional[Dict[str, Any]]:
+        data = self._entries.get(body)
+        if data is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(body)
+        self.hits += 1
+        return data
+
+    def put(self, body: bytes, data: Dict[str, Any]) -> None:
+        if body in self._entries:
+            return
+        self._entries[body] = data
+        self.bytes += len(body)
+        while (len(self._entries) > BODY_MEMO_ENTRIES
+               or self.bytes > BODY_MEMO_BYTES):
+            self.bytes -= len(self._entries.popitem(last=False)[0])
+
+    def snapshot(self) -> Dict[str, Any]:
+        return {"entries": len(self._entries),
+                "max_entries": BODY_MEMO_ENTRIES, "bytes": self.bytes,
+                "max_bytes": BODY_MEMO_BYTES, "hits": self.hits,
+                "misses": self.misses}

@@ -389,6 +389,18 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     emit("repro_near_cache_misses_total", "counter",
          "Near-cache lookups that fell through to the ring.",
          [({}, near.get("misses"))])
+    memo = replication.get("body_memo", {})
+    emit("repro_body_memo_hits_total", "counter",
+         "Solve bodies the HTTP loop knew by their bytes (no decode, no "
+         "fingerprint).", [({}, memo.get("hits"))])
+    emit("repro_body_memo_misses_total", "counter",
+         "Loop-road POST bodies the body memo did not hold.",
+         [({}, memo.get("misses"))])
+    emit("repro_body_memo_entries", "gauge",
+         "Solve bodies held by the body memo.", [({}, memo.get("entries"))])
+    emit("repro_body_memo_bytes", "gauge",
+         "Bytes of the solve bodies held by the body memo.",
+         [({}, memo.get("bytes"))])
 
     health = snapshot.get("shard_health", {})
     for key in ("shard_failures", "shard_timeouts", "shard_restarts",

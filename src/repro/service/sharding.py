@@ -23,18 +23,18 @@ answers pings ahead of queued solves and coalesces identical in-flight
 solves.
 
 **The ring is a coroutine.**  Routing, the restart/failover ladder, the
-invalidate/clear/snapshot fan-outs and health
-probing are coroutines confined to **one private event loop thread** the
-:class:`ShardedBroker` owns, and they ``await`` the shard transports
+invalidate/clear/snapshot fan-outs and health probing are coroutines
+confined to **one event loop**, and they ``await`` the shard transports
 directly.  Everything they share — ring membership, supervision
-counters — is touched by that loop only, so none of it is locked.  The
-public API stays synchronous: each public method is a **single
-crossing** onto the loop (``asyncio.run_coroutine_threadsafe``, whose
-``concurrent.futures.Future`` *is* what :meth:`ShardedBroker.submit`
-returns), after at most the fingerprint, the heat count and the
-near-cache lookup on the calling thread — a near-cache hit returns
-without any thread hop.  The only work that leaves the loop again is a
-worker respawn (``join`` + ``fork`` block), via ``asyncio.to_thread``.
+counters — is touched by that loop only, so none of it is locked.
+:meth:`ShardedBroker.on_running_loop` (what ``serve`` builds) runs the
+ring on the caller's loop, where :meth:`~ShardedBroker.submit` is a task
+and no thread is crossed; a broker built plainly owns a private loop
+thread (``repro-ring``), and each public method is a **single crossing**
+onto it.  The fingerprint, the heat count and the near-cache lookup run
+on the calling thread, so a near hit makes no hop.  Only a worker
+respawn or reap (``join`` + ``fork``) leaves the loop, via
+``asyncio.to_thread``.
 A batch is its requests' :meth:`~ShardedBroker.submit`\\ s: N ``solve``
 frames in flight on the multiplexed shard connections, each routed,
 near-cached and failed over on its own.
@@ -117,7 +117,7 @@ from .transport import (
     parse_shard_address,
     spawn_local_shard,
 )
-from .wire import result_from_wire
+from .wire import near_result, result_from_wire
 
 
 class ShardError(RuntimeError):
@@ -475,6 +475,8 @@ class ShardedBroker:
         # kept only for bench/layers.py's ShardedBroker(async_transport=True)
         async_transport: bool = True,
         near_cache_size: int = 64,
+        *,
+        _loop: Optional[asyncio.AbstractEventLoop] = None,
     ) -> None:
         addresses = list(shard_addresses or [])
         if not async_transport:
@@ -511,15 +513,19 @@ class ShardedBroker:
             health_interval = 5.0 if addresses else 0.0
         self.health_interval = (health_interval
                                 if health_interval > 0 else None)
-        self._health: Optional[Future] = None  # the prober, when it runs
+        self._health = None  # the prober's future, when it runs
         ctx = (multiprocessing.get_context(mp_start_method)
                if mp_start_method else multiprocessing.get_context())
         spawn = functools.partial(spawn_local_shard, ctx, cache_size)
         self._shards: List[_Shard] = []
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(target=self._loop.run_forever,
-                                        name="repro-ring", daemon=True)
-        self._thread.start()
+        # the ring's loop: the caller's (on_running_loop), else a
+        # private thread's, which the blocking API crosses onto
+        self._loop, self._thread = _loop, None
+        if _loop is None:
+            self._loop = asyncio.new_event_loop()
+            self._thread = threading.Thread(target=self._loop.run_forever,
+                                            name="repro-ring", daemon=True)
+            self._thread.start()
         try:
             for index in range(local_count):
                 self._shards.append(_Shard(index, spawn=spawn))
@@ -532,6 +538,17 @@ class ShardedBroker:
             self.close()  # stop whatever did start
             raise
 
+    @classmethod
+    async def on_running_loop(cls, **options: Any) -> "ShardedBroker":
+        """A broker whose ring runs on the calling coroutine's loop, as
+        ``serve`` builds it on its HTTP loop: :meth:`submit` there is a
+        task on it, no thread is crossed, and ``await aclose()`` closes
+        it there.  Other threads keep the blocking API; on this loop it
+        raises :class:`ShardError`, since it would wait on itself.  The
+        workers are spawned off the loop, which keeps serving meanwhile."""
+        return await asyncio.to_thread(
+            cls, **options, _loop=asyncio.get_running_loop())
+
     # ------------------------------------------------------------------
     @property
     def shards(self) -> int:
@@ -543,46 +560,68 @@ class ShardedBroker:
         return self.ring.route(fingerprint)
 
     # ------------------------------------------------------------------
-    # lifecycle: the loop thread, the one crossing onto it, shutdown
+    # lifecycle: the ring's loop, the one crossing onto it, shutdown
     # ------------------------------------------------------------------
-    def _cross(self, coro) -> Future:
-        """Hand a ring coroutine to the loop — the **one** thread
-        crossing of a public call.  The returned
-        ``concurrent.futures.Future`` resolves on the loop thread."""
+    def _on_ring_loop(self) -> bool:
+        return asyncio._get_running_loop() is self._loop  # None off loops
+
+    def _blocking(self) -> None:
+        if self._on_ring_loop():  # it would wait on the loop it holds
+            raise ShardError("a blocking broker call on the ring's own "
+                             "loop: await submit() / aclose() there")
+
+    def _cross(self, coro):
+        """Hand a ring coroutine to the loop: on the loop itself, a task
+        (no crossing); from any other thread, the **one** crossing of a
+        public call, a ``concurrent.futures.Future``."""
         if not self._closed:
+            if self._on_ring_loop():
+                return self._loop.create_task(coro)
             try:
                 return asyncio.run_coroutine_threadsafe(coro, self._loop)
-            except RuntimeError:  # close() won the race: the loop is gone
+            except RuntimeError:  # the loop is gone
                 pass
         coro.close()
         raise ShardError("broker is closed")
 
-    async def _shutdown(self) -> None:
-        """Stop every shard's channel (a respawn under way ends first:
-        its worker must hear the goodbye too), then cancel what is left
-        on the loop — the prober and any request that
-        raced :meth:`close` — so no caller waits on a loop that is
-        gone."""
-        await asyncio.gather(*(shard.stop() for shard in self._shards))
-        left = [task for task in asyncio.all_tasks()
-                if task is not asyncio.current_task()]
-        for task in left:
-            task.cancel()
-        await asyncio.gather(*left, return_exceptions=True)
-        await self._loop.shutdown_default_executor()  # respawn threads
-
-    def close(self) -> None:
+    async def aclose(self) -> None:
+        """Close on the ring's loop: stop every shard's channel (a
+        respawn under way ends first: its worker must hear the goodbye
+        too) and reap the local workers off the loop.  A private loop
+        then cancels what is left on it — any request that raced the
+        close — so no caller waits on a loop that is gone."""
         if self._closed:
             return
         self._closed = True  # from here on nothing crosses or respawns
-        asyncio.run_coroutine_threadsafe(self._shutdown(),
-                                         self._loop).result()
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join()
-        self._loop.close()
-        for shard in self._shards:
-            if shard.process is not None:
-                shard.reap(grace=5.0)
+        if self._health is not None:
+            self._health.cancel()
+        await asyncio.gather(*(shard.stop() for shard in self._shards))
+        await asyncio.gather(*(asyncio.to_thread(shard.reap, 5.0)
+                               for shard in self._shards if shard.process))
+        if self._thread is not None:
+            left = [task for task in asyncio.all_tasks()
+                    if task is not asyncio.current_task()]
+            for task in left:
+                task.cancel()
+            await asyncio.gather(*left, return_exceptions=True)
+            await self._loop.shutdown_default_executor()
+
+    def close(self) -> None:
+        """:meth:`aclose` from any thread but the ring's loop.  A
+        caller's loop that ended without it leaves workers to reap."""
+        self._blocking()
+        if self._loop.is_closed():
+            if not self._closed:
+                self._closed = True
+                for shard in self._shards:
+                    if shard.process is not None:
+                        shard.reap(grace=0.2)
+            return
+        asyncio.run_coroutine_threadsafe(self.aclose(), self._loop).result()
+        if self._thread is not None:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join()
+            self._loop.close()
 
     def __enter__(self) -> "ShardedBroker":
         return self
@@ -714,7 +753,8 @@ class ShardedBroker:
 
         Counts a hit/miss on the near-cache's own stats either way.  An
         entry without the schedule a request wants is a near miss: the
-        owning shard, which can reconstruct it, answers instead.
+        owning shard, which can reconstruct it, answers instead.  An
+        entry keeps the shard's wire form: a hit decodes nothing.
         """
         near = self._near_cache
         if near is None:
@@ -730,13 +770,7 @@ class ShardedBroker:
         self.metrics.observe("solve.near", elapsed)
         with span("near_cache.hit", fingerprint=fp[:12]):
             pass
-        return BrokerResult(
-            fingerprint=fp,
-            solution=entry.solution,
-            schedule=entry.schedule if request.include_schedule else None,
-            cached=True,
-            latency_seconds=elapsed,
-        )
+        return near_result(entry, request.include_schedule, elapsed)
 
     async def _routed_call(self, fp: str,
                            msg: Dict[str, Any]) -> Dict[str, Any]:
@@ -799,6 +833,7 @@ class ShardedBroker:
         (heat >= :data:`HOT_THRESHOLD`) it does not hold yet is
         admitted once its owning shard has answered.
         """
+        self._blocking()
         return self.submit(request).result()
 
     def submit(self, request: SolveRequest) -> "Future[BrokerResult]":
@@ -806,9 +841,11 @@ class ShardedBroker:
 
         The fingerprint, the heat count and the near-cache lookup run on
         the calling thread — a near hit returns without a thread hop —
-        and everything else is one crossing onto the ring's loop.
-        Identical concurrent requests route to the same shard and share
-        its connection, so the shard coalesces them onto one engine run.
+        and everything else is a task on the ring's loop: an ``asyncio``
+        future when called on it, near hit or not, and otherwise one
+        crossing onto it, a ``concurrent.futures.Future``.  Identical
+        concurrent requests route to the same shard and share its
+        connection, so the shard coalesces them onto one engine run.
         """
         if self._closed:
             raise ShardError("broker is closed")
@@ -816,11 +853,12 @@ class ShardedBroker:
         count = self._record_heat(fp)
         near = self._near_lookup(request, fp)
         if near is not None:
-            done: "Future[BrokerResult]" = Future()
+            done = (self._loop.create_future() if self._on_ring_loop()
+                    else Future())
             done.set_result(near)
             return done
         # the caller's span follows the request onto the loop: the task
-        # run_coroutine_threadsafe creates copies this thread's context
+        # copies this thread's context
         return self._cross(self._transport_solve(
             request, fp, hot=count >= HOT_THRESHOLD))
 
@@ -840,15 +878,20 @@ class ShardedBroker:
             msg["trace"] = True  # ask the shard for its span tree
         reply = await self._routed_call(fp, msg)
         result = result_from_wire(reply["result"])
-        if hot and self._near_cache.peek(fp) is None:
-            self._near_cache.put(fp, result.solution, request.platform,
-                                 schedule=result.schedule)
+        if hot:  # admit the wire form; an entry learns a schedule late
+            wire, entry = result.wire, self._near_cache.peek(fp)
+            if entry is None:
+                self._near_cache.put(fp, wire["solution"], request.platform,
+                                     schedule=wire.get("schedule"))
+            elif entry.schedule is None and "schedule" in wire:
+                self._near_cache.attach_schedule(fp, wire["schedule"])
         return result
 
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
         """The blocking form of the served batch: :meth:`submit` every
         request, then wait for each answer in order.  A failing request
         raises here; the JSON API's ``batch`` op isolates errors."""
+        self._blocking()
         with self.metrics.timer("solve.batch"):
             futures = [self.submit(request) for request in requests]
             return [future.result() for future in futures]
@@ -872,6 +915,7 @@ class ShardedBroker:
         are duplicates of shard entries and are NOT counted in the
         returned total.
         """
+        self._blocking()
         if self._near_cache is not None:
             self._near_cache.invalidate_platform(platform)
         encoded = platform_to_dict(platform)
@@ -887,6 +931,7 @@ class ShardedBroker:
         recovered and counted, never raised; near-cache removals are
         duplicates and are not counted.)
         """
+        self._blocking()
         if self._near_cache is not None:
             self._near_cache.clear()
         replies = self._cross(self._fanout({"op": "clear"})).result()
@@ -923,6 +968,7 @@ class ShardedBroker:
         ``incremental``), in shard-id order; ``None`` for shards that
         are ejected, dead, or failed mid-scrape (the shards are queried
         concurrently — see :meth:`_fanout`)."""
+        self._blocking()
         snaps: List[Optional[Dict[str, Any]]] = (
             [None] * len(self._shards)
         )
@@ -1039,7 +1085,7 @@ class ShardedBroker:
     # ------------------------------------------------------------------
     async def _health_loop(self) -> None:
         """The prober: one more task on the ring's loop, cancelled by
-        :meth:`_shutdown`."""
+        :meth:`aclose`."""
         while True:
             await asyncio.sleep(self.health_interval)
             for shard in self._shards:

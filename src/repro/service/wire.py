@@ -63,7 +63,7 @@ from ..platform.serialization import (
     solution_to_dict,
 )
 from ..problems import dag_from_dict, dag_to_dict
-from .broker import BrokerResult
+from .broker import THROUGHPUT_FIELDS, BrokerResult
 from .cache import CacheEntry
 
 #: Bumped when the result schema changes shape; a decoder seeing a newer
@@ -250,6 +250,11 @@ def solution_payload(data: Dict[str, Any]) -> Dict[str, Any]:
     return out
 
 
+def payload_throughput(payload: Dict[str, Any]) -> Any:
+    """The ``"throughput"`` of a solve response, read off its payload."""
+    return next(payload[key] for key in THROUGHPUT_FIELDS if key in payload)
+
+
 # ----------------------------------------------------------------------
 # broker results
 # ----------------------------------------------------------------------
@@ -307,9 +312,11 @@ def encode_result(result: BrokerResult,
 class _WireResult(BrokerResult):
     """A result as it came off the wire (``wire``: the reply's result
     dict); the exact objects are built when first read, into the
-    instance like the dataclass fields they stand in for."""
+    instance like the dataclass fields they stand in for.  ``entry`` is
+    the near-cache entry that served it, if one did."""
 
     wire: Dict[str, Any]
+    entry: Optional[CacheEntry] = None
 
     @cached_property
     def solution(self) -> Any:  # type: ignore[override]
@@ -343,3 +350,33 @@ def result_from_wire(data: Dict[str, Any]) -> BrokerResult:
         latency_seconds=float(data.get("latency_seconds", 0.0)),  # repro-lint: allow(exactness)
     )
     return result
+
+
+def near_result(entry: CacheEntry, with_schedule: bool,
+                latency_seconds: float) -> BrokerResult:
+    """A near-cache hit: ``entry`` keeps the shard's wire form of its
+    solution (and schedule), served as a lazy :class:`_WireResult`."""
+    data = {"fingerprint": entry.key, "cached": True,
+            "latency_seconds": latency_seconds, "solution": entry.solution}
+    if with_schedule:
+        data["schedule"] = entry.schedule
+    result = result_from_wire(data)
+    result.__dict__["entry"] = entry
+    return result
+
+
+def payload_json(entry: CacheEntry, with_schedule: bool) -> bytes:
+    """``,"throughput":…,"solution":{…}`` (then ``,"schedule":{…}``)
+    of the HTTP reply to a near hit on ``entry``: encoded once per
+    entry, into its ``solution_json`` / ``schedule_json``, then spliced.
+    Racing first serves store equal bytes."""
+    if entry.solution_json is None:
+        payload = solution_payload(entry.solution)
+        entry.solution_json = b"," + compact_json(
+            {"throughput": payload_throughput(payload),
+             "solution": payload})[1:-1]
+    if not with_schedule:
+        return entry.solution_json
+    if entry.schedule_json is None:
+        entry.schedule_json = b',"schedule":' + compact_json(entry.schedule)
+    return entry.solution_json + entry.schedule_json

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,8 @@ import pytest
 from repro.platform.serialization import schedule_to_dict
 from repro.problems import registered_problems
 from repro.service.api import (
+    AsyncServiceServer,
+    _solve_json,
     handle_request,
     request_from_dict,
     response_to_dict,
@@ -35,6 +38,7 @@ from repro.service.transport import (
 )
 from repro.service.wire import (
     encode_result,
+    near_result,
     result_from_wire,
     result_to_wire,
     solution_to_wire,
@@ -220,3 +224,76 @@ def test_http_body_matches_for_every_problem():
                 expected = _expected_response(problem)
                 expected["cached"] = cached
                 assert _timeless(response) == expected
+
+
+# ----------------------------------------------------------------------
+# the near-cache road: an entry keeps the shard's wire form, and the
+# HTTP reply splices bytes encoded once per entry
+# ----------------------------------------------------------------------
+def _near_entry(problem, engine, fp, req):
+    """A near-cache entry as the ring admits one: the wire dicts of the
+    shard's reply."""
+    reply = json.loads(reply_json(
+        hit_reply(engine, fp, FIXTURE[problem]["request"], False)))
+    wire = reply["result"]
+    return SolutionCache().put(fp, wire["solution"], req.platform,
+                               schedule=wire.get("schedule"))
+
+
+def test_a_near_hit_replies_spliced_bytes(solved):
+    problem, req, fp, engine, _result = solved
+    entry = _near_entry(problem, engine, fp, req)
+    for with_schedule in sorted({False, req.include_schedule}):
+        expected = _expected_response(problem)
+        expected["cached"] = True
+        if not with_schedule:
+            expected.pop("schedule", None)
+        result = near_result(entry, with_schedule, 0.25)
+        first = _solve_json(result, {"trace_id": "abc"})
+        memo = entry.solution_json
+        assert _solve_json(result, {"trace_id": "abc"}) == first
+        assert entry.solution_json is memo  # encoded once, then spliced
+        assert _timeless(json.loads(first)) == {**expected,
+                                                "trace_id": "abc"}
+        # a batch item, stdio and the executor road keep the dict view
+        assert _timeless(response_to_dict(result)) == expected
+        assert "solution" not in vars(result)  # nothing was decoded
+    assert (entry.schedule_json is not None) == req.include_schedule
+
+
+def test_the_ring_serves_every_problem_near_by_either_road():
+    """Through ``serve``'s layers: each request made hot on a one-shard
+    ring, then served near — a ``solve`` reply spliced, a ``batch`` of
+    all ten as dicts — equals the recorded payloads."""
+    from repro.service.sharding import HOT_THRESHOLD, ShardedBroker
+
+    def post(port, envelope):
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{port}/api",
+            data=json.dumps(envelope).encode())
+        with urllib.request.urlopen(req, timeout=60) as reply:
+            return json.load(reply)
+
+    with ShardedBroker(shards=1) as broker:
+        server = AsyncServiceServer(broker=broker,
+                                    tracing=False).start_in_thread()
+        try:
+            for problem, record in sorted(FIXTURE.items()):
+                envelope = {"op": "solve", "request": record["request"]}
+                for _ in range(HOT_THRESHOLD):  # the last one is admitted
+                    post(server.port, envelope)
+                near = broker.snapshot()["replication"]["near_cache"]
+                expected = _expected_response(problem)
+                expected["cached"] = True
+                assert _timeless(post(server.port, envelope)) == expected
+                after = broker.snapshot()["replication"]["near_cache"]
+                assert after["hits"] == near["hits"] + 1
+            batch = post(server.port, {
+                "op": "batch",
+                "requests": [record["request"] for _problem, record
+                             in sorted(FIXTURE.items())]})
+            for problem, item in zip(sorted(FIXTURE), batch["results"]):
+                assert _timeless(item) == {**_expected_response(problem),
+                                           "cached": True}
+        finally:
+            server.shutdown()

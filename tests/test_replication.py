@@ -205,6 +205,7 @@ class TestThreadModeHotPath:
         plain = _hot_request()
         scheduled = SolveRequest(plain.spec, include_schedule=True)
         assert scheduled.fingerprint() == plain.fingerprint()
+        reference = _reference_results([scheduled])[0]
         with ShardedBroker(shards=1, near_cache_size=4) as sharded:
             for _ in range(10):  # admitted at HOT_THRESHOLD, then 2 hits
                 sharded.solve(plain)
@@ -216,12 +217,16 @@ class TestThreadModeHotPath:
 
             hits, misses, shard_hits = books()
             assert (hits, shard_hits) == (2, 7)
-            for _ in range(5):
+            got = sharded.solve(scheduled)
+            assert got.schedule is not None and got.entry is None
+            # the shard answered it, and only it counts it as a hit; its
+            # schedule is attached to the near entry on the way back
+            assert books() == (hits, misses + 1, shard_hits + 1)
+            for _ in range(4):
                 got = sharded.solve(scheduled)
-                assert got.schedule is not None
-            # the shard answered every one of them, and only it counts
-            # them as hits
-            assert books() == (hits, misses + 5, shard_hits + 5)
+                assert got.entry is not None  # served near, with schedule
+                assert got.schedule.period == reference.schedule.period
+            assert books() == (hits + 4, misses + 1, shard_hits + 1)
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.service import (
     BrokerResult,
     HashRing,
     ShardedBroker,
+    ShardError,
     ShardTimeoutError,
     SolveRequest,
     handle_request,
@@ -50,6 +51,7 @@ from repro.service import (
 from repro.service.broker import BrokerError
 from repro.service.metrics import LATENCY_BUCKETS, render_prometheus
 from repro.service.sharding import HOT_THRESHOLD
+from repro.service.wire import solution_to_wire
 
 
 def _mixed_requests():
@@ -618,10 +620,12 @@ class TestHitsThroughTheRing:
             for _ in range(HOT_THRESHOLD):  # the last lookup is the hot one
                 sharded.solve(req)
             near = sharded._near_cache.peek(req.fingerprint())
-            assert near is not None  # admitted off a wire result
-            assert near.solution.alpha == reference.solution.alpha
+            assert near is not None  # admitted as the shard's wire form
+            assert near.solution == solution_to_wire(reference.solution)
             served = sharded.solve(req)
-            assert served.cached and served.solution is near.solution
+            assert served.cached and served.entry is near
+            assert "solution" not in vars(served)  # nothing decoded yet
+            assert served.solution.alpha == reference.solution.alpha
 
     def test_batch_of_hits_and_misses_keeps_its_order(self):
         requests = _mixed_requests()
@@ -764,7 +768,8 @@ class TestServeCli:
             pids = [int(s["address"].rpartition("=")[2]) for s in shards]
             assert len(set(pids)) == 2
             server.send_signal(sig)
-            server.wait(timeout=10)
+            code = server.wait(timeout=10)
+            assert code == (0 if sig == signal.SIGTERM else -sig)
             deadline = time.time() + 5
             while time.time() < deadline and any(map(_running, pids)):
                 time.sleep(0.05)
@@ -774,6 +779,55 @@ class TestServeCli:
                 server.kill()
                 server.wait()
             server.stdout.close()
+
+    def test_serve_runs_the_ring_on_its_http_loop(self):
+        """``serve`` itself: no ``repro-ring`` thread while it answers,
+        and SIGTERM closes the ring on that loop, reaps the worker and
+        returns 0."""
+        from repro.cli import main
+        from repro.service.api import request_to_dict
+
+        port = _free_port()
+        body = json.dumps({"op": "solve", "request": request_to_dict(
+            SolveRequest(MasterSlaveSpec(platform=generators.star(3),
+                                         master="M")))}).encode()
+        seen = {}
+
+        def client():
+            deadline = time.time() + 30
+            while time.time() < deadline:
+                try:
+                    urllib.request.urlopen(
+                        f"http://127.0.0.1:{port}/healthz", timeout=5)
+                    break
+                except OSError:
+                    time.sleep(0.05)
+            else:
+                return  # never came up: main() has failed on its own
+            try:
+                for _ in range(3):
+                    req = urllib.request.Request(
+                        f"http://127.0.0.1:{port}/api", data=body)
+                    with urllib.request.urlopen(req, timeout=30) as reply:
+                        seen.setdefault("cached", []).append(
+                            json.load(reply)["cached"])
+                with urllib.request.urlopen(
+                        f"http://127.0.0.1:{port}/metrics",
+                        timeout=30) as reply:
+                    shards = json.load(reply)["shard_health"]["shards"]
+                seen["pid"] = int(shards[0]["address"].rpartition("=")[2])
+                seen["threads"] = {t.name for t in threading.enumerate()}
+            finally:
+                os.kill(os.getpid(), signal.SIGTERM)  # serve's handler
+
+        caller = threading.Thread(target=client)
+        caller.start()
+        assert main(["serve", "--port", str(port), "--shards", "1"]) == 0
+        caller.join(30)
+        assert seen["cached"] == [False, True, True]
+        assert "repro-ring" not in seen["threads"]
+        assert not _running(seen["pid"])
+        assert multiprocessing.active_children() == []
 
     def test_sharded_stdio_roundtrip(self, capsys):
         import io
@@ -1346,6 +1400,133 @@ class TestTheRingIsOneThread:
         assert threading.active_count() == before
         assert multiprocessing.active_children() == []
 
+    def test_a_broker_on_the_running_loop_runs_its_ring_there(self):
+        """``serve``'s wiring: a submit on the loop is a task there (an
+        ``asyncio`` future, near hit or not), the blocking API crosses
+        onto it from any other thread, and the broker closes on it,
+        reaping its worker."""
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3), master="M"))
+
+        async def main():
+            broker = await ShardedBroker.on_running_loop(
+                shards=1, health_interval=0.05)
+            try:
+                names = {t.name for t in threading.enumerate()}
+                assert "repro-ring" not in names
+                fut = broker.submit(req)
+                assert isinstance(fut, asyncio.Task)
+                assert not (await fut).cached
+                # the blocking API, from a plain thread, onto this loop
+                again = await asyncio.to_thread(broker.solve, req)
+                snap = await asyncio.to_thread(broker.snapshot)
+                for _ in range(HOT_THRESHOLD):  # heat it into the near-cache
+                    await broker.submit(req)
+                near = broker.submit(req)
+                assert isinstance(near, asyncio.Future) and near.done()
+                assert near.result().entry is not None
+                await asyncio.sleep(0.2)  # a few health rounds, here
+            finally:
+                await broker.aclose()
+            assert again.cached and snap["cache"]["size"] == 1
+            assert multiprocessing.active_children() == []
+            with pytest.raises(ShardError, match="broker is closed"):
+                broker.submit(req)
+
+        asyncio.run(main())
+
+    def test_a_blocking_call_on_the_ring_loop_is_refused(self):
+        """On its own loop the blocking API would wait on itself: every
+        blocking method raises instead, and the broker still works."""
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3), master="M"))
+
+        async def main():
+            broker = await ShardedBroker.on_running_loop(shards=1)
+            try:
+                for call in (lambda: broker.solve(req),
+                             lambda: broker.solve_batch([req]),
+                             broker.snapshot, broker.clear,
+                             lambda: broker.invalidate_platform(
+                                 req.platform),
+                             broker.close):
+                    with pytest.raises(ShardError, match="own loop"):
+                        call()
+                with pytest.raises(ShardError, match="own loop"):
+                    with broker:
+                        pass
+                assert (await broker.submit(req)).throughput > 0
+            finally:
+                await broker.aclose()
+            assert multiprocessing.active_children() == []
+
+        asyncio.run(asyncio.wait_for(main(), 60))
+
+    def test_a_plain_broker_inside_a_running_loop_owns_a_private_loop(self):
+        """Built plainly inside ``asyncio.run`` (a notebook cell, an
+        async app), the broker runs its own ring thread: ``with`` and
+        the blocking API work as on a plain thread."""
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3), master="M"))
+
+        async def main():
+            with ShardedBroker(shards=1) as broker:
+                assert "repro-ring" in {t.name for t in threading.enumerate()}
+                first, again = broker.solve(req), broker.solve(req)
+                snap = broker.snapshot()
+            return first, again, snap
+
+        first, again, snap = asyncio.run(asyncio.wait_for(main(), 60))
+        assert not first.cached and again.cached
+        assert snap["cache"]["size"] == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("solved", [False, True])
+    def test_close_after_the_callers_loop_ended_reaps_the_worker(
+            self, solved):
+        """A caller's loop that ended without ``aclose()`` can leave the
+        worker running (an unused channel is never closed); ``close()``
+        from any thread then reaps it."""
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3), master="M"))
+
+        async def main():
+            broker = await ShardedBroker.on_running_loop(shards=1)
+            if solved:
+                await broker.submit(req)
+            return broker
+
+        broker = asyncio.run(main())
+        worker = broker._shards[0].process
+        if not solved:
+            assert worker.is_alive()
+        broker.close()
+        assert worker.exitcode is not None
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ShardError, match="broker is closed"):
+            broker.submit(req)
+
+    def test_a_library_broker_on_a_plain_thread_owns_a_private_loop(self):
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.star(3), master="M"))
+        seen = {}
+
+        def library_caller():
+            with ShardedBroker(shards=1) as broker:
+                seen["first"] = broker.solve(req)
+                seen["snapshot"] = broker.snapshot()
+                seen["threads"] = {t.name for t in threading.enumerate()}
+            seen["closed"] = {t.name for t in threading.enumerate()}
+
+        caller = threading.Thread(target=library_caller)
+        caller.start()
+        caller.join(60)
+        assert seen["first"].throughput > 0
+        assert seen["snapshot"]["cache"]["size"] == 1
+        assert "repro-ring" in seen["threads"]
+        assert "repro-ring" not in seen["closed"]
+        assert multiprocessing.active_children() == []
+
     def test_a_closed_broker_answers_nothing_and_resurrects_nobody(self):
         """The parent's bug: a request after ``close()`` found the dead
         channel, "recovered" the shard by spawning a worker nobody would
@@ -1395,6 +1576,33 @@ def test_a_failed_constructor_leaves_no_worker_behind(monkeypatch):
     monkeypatch.setattr(sharding, "spawn_local_shard", second_spawn_fails)
     with pytest.raises(OSError, match="no more processes"):
         ShardedBroker(shards=2)
+    assert not spawned[0][0].is_alive()
+    assert set(multiprocessing.active_children()) == before
+
+
+def test_a_failed_constructor_on_a_loop_leaves_no_worker_behind(
+        monkeypatch):
+    """Built on a running loop, the broker is constructed off it, so a
+    failed constructor closes what it started on that loop."""
+    from repro.service import sharding
+
+    before = set(multiprocessing.active_children())
+    real = sharding.spawn_local_shard
+    spawned = []
+
+    def second_spawn_fails(*args):
+        if spawned:
+            raise OSError("no more processes")
+        spawned.append(real(*args))
+        return spawned[0]
+
+    monkeypatch.setattr(sharding, "spawn_local_shard", second_spawn_fails)
+
+    async def build():
+        with pytest.raises(OSError, match="no more processes"):
+            await ShardedBroker.on_running_loop(shards=2)
+
+    asyncio.run(asyncio.wait_for(build(), 30))
     assert not spawned[0][0].is_alive()
     assert set(multiprocessing.active_children()) == before
 
