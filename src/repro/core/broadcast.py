@@ -115,14 +115,13 @@ def broadcast_lp_bound(
 @dataclass
 class BroadcastSolution:
     """An optimal tree packing and its dual bound (per [5], the max-rule
-    LP optimum); ``exhaustive`` is always true."""
+    LP optimum)."""
 
     platform: Platform
     source: NodeId
     lp_bound: Fraction
     achieved: Fraction
     packing: Dict[Arborescence, Fraction]
-    exhaustive: bool = True
 
     @property
     def optimal(self) -> bool:

@@ -9,14 +9,16 @@ and resurfaces as a wrong answer on another host.  This rule checks:
 
 * **statically** (works on fixture files too): for every ``kind`` the
   encoder's dict-literal keys (plus conditional ``out["k"] = ...``
-  additions) must equal the decoder's constructor keyword names, and
-  every kind must appear on both sides;
+  additions) must equal the decoder's constructor keyword names, less
+  those *bound* from its second argument (``platform=spec.platform``),
+  and every kind must appear on both sides;
 * **dynamically** (only when the real ``repro/service/wire.py`` is in
-  the checked set): the per-kind key set must equal the solution
-  dataclass's field set, every spec dataclass declaring a ``problem``
-  must be registered with an example factory, role fields
-  (``_SOURCE_FIELD``/``_TARGETS_FIELD``) must name real fields, and
-  every solver declaring ``warm_resolve`` must bind a ``WarmModel``.
+  the checked set): the per-kind key set plus the bound keywords must
+  equal the solution dataclass's field set, every spec dataclass
+  declaring a ``problem`` must be registered with an example factory,
+  role fields (``_SOURCE_FIELD``/``_TARGETS_FIELD``) must name real
+  fields, and every solver declaring ``warm_resolve`` must bind a
+  ``WarmModel``.
 
 The dynamic twin — actually encoding/decoding every registered spec
 and solution — lives in ``tests/test_wire_roundtrip.py``.
@@ -49,6 +51,7 @@ class _DecoderBranch:
         self.line = line
         self.cls_name: Optional[str] = None
         self.kwargs: Set[str] = set()
+        self.bound: Set[str] = set()
         self.delegated = False
 
 
@@ -144,6 +147,7 @@ def _parse_encoder(func: ast.FunctionDef) -> List[_EncoderBranch]:
 
 
 def _parse_decoder(func: ast.FunctionDef) -> List[_DecoderBranch]:
+    spec_args = {arg.arg for arg in func.args.args[1:]}
     branches: List[_DecoderBranch] = []
     for node in ast.walk(func):
         if not isinstance(node, ast.If):
@@ -161,7 +165,12 @@ def _parse_decoder(func: ast.FunctionDef) -> List[_DecoderBranch]:
                           if kw.arg is not None}
                 if kwargs and name[:1].isupper():
                     branch.cls_name = name
-                    branch.kwargs = kwargs
+                    branch.bound = {kw.arg for kw in sub.value.keywords
+                                    if kw.arg in kwargs and any(
+                                        isinstance(n, ast.Name)
+                                        and n.id in spec_args
+                                        for n in ast.walk(kw.value))}
+                    branch.kwargs = kwargs - branch.bound
                 else:
                     branch.delegated = True
                 break
@@ -266,12 +275,12 @@ class DriftChecker(Checker):
             return
 
         # encoder/decoder field sets vs the solution dataclasses
-        dec_cls = {b.kind: b.cls_name for b in self._real_decoder
-                   if b.cls_name}
+        dec = {b.kind: b for b in self._real_decoder if b.cls_name}
         for branch in self._real_encoder:
             if branch.delegated:
                 continue
-            cls_name = branch.cls_name or dec_cls.get(branch.kind)
+            twin = dec.get(branch.kind, _DecoderBranch(branch.kind, 0))
+            cls_name = branch.cls_name or twin.cls_name
             cls = getattr(wire_mod, cls_name, None) if cls_name else None
             if cls is None or not dataclasses.is_dataclass(cls):
                 yield Finding(
@@ -280,7 +289,7 @@ class DriftChecker(Checker):
                     f"dataclass {cls_name!r} in repro.service.wire")
                 continue
             field_names = {f.name for f in dataclasses.fields(cls)}
-            wire_keys = branch.keys | branch.optional_keys
+            wire_keys = branch.keys | branch.optional_keys | twin.bound
             missing = sorted(field_names - wire_keys)
             extra = sorted(wire_keys - field_names)
             if missing or extra:

@@ -1,15 +1,19 @@
-"""Platform and schedule (de)serialisation.
+"""Platform, schedule and solution (de)serialisation.
 
 Plain-dict / JSON round-trips so platforms can live in version control and
 schedules can be shipped to the machines that execute them.  Exact
 rationals are encoded as ``"p/q"`` strings; infinite weights as ``"inf"``.
+
+A schedule or a solution travels beside the platform it answers on
+(result wire version 2): its dict carries none, and its decoder takes
+the reader's own platform as an argument.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
 from .._rational import INF, as_fraction, is_infinite
 from .graph import Platform, PlatformError
@@ -93,7 +97,6 @@ def schedule_to_dict(schedule) -> Dict[str, Any]:
     """Serialise a :class:`~repro.schedule.periodic.PeriodicSchedule`."""
     return {
         "problem": schedule.problem,
-        "platform": platform_to_dict(schedule.platform),
         "period": _encode_weight(schedule.period),
         "throughput": _encode_weight(schedule.throughput),
         "source": schedule.source,
@@ -120,11 +123,10 @@ def schedule_to_dict(schedule) -> Dict[str, Any]:
     }
 
 
-def schedule_from_dict(data: Dict[str, Any]):
-    """Rebuild a periodic schedule (validated on construction)."""
+def schedule_from_dict(data: Dict[str, Any], platform: Platform):
+    """Rebuild a periodic schedule on ``platform`` (validated)."""
     from ..schedule.periodic import CommSlice, PeriodicSchedule
 
-    platform = platform_from_dict(data["platform"])
     slices = [
         CommSlice(
             start=Fraction(s["start"]),
@@ -156,14 +158,6 @@ def schedule_from_dict(data: Dict[str, Any]):
     return schedule
 
 
-def schedule_to_json(schedule, indent: int = 2) -> str:
-    return json.dumps(schedule_to_dict(schedule), indent=indent)
-
-
-def schedule_from_json(text: str):
-    return schedule_from_dict(json.loads(text))
-
-
 # ----------------------------------------------------------------------
 # steady-state solutions (the service API's response payload)
 # ----------------------------------------------------------------------
@@ -176,7 +170,6 @@ def solution_to_dict(solution) -> Dict[str, Any]:
     """
     return {
         "problem": solution.problem,
-        "platform": platform_to_dict(solution.platform),
         "throughput": _encode_weight(solution.throughput),
         "alpha": {
             node: _encode_weight(a) for node, a in solution.alpha.items()
@@ -195,12 +188,12 @@ def solution_to_dict(solution) -> Dict[str, Any]:
     }
 
 
-def solution_from_dict(data: Dict[str, Any]):
-    """Rebuild a steady-state solution from its wire form."""
+def solution_from_dict(data: Dict[str, Any], platform: Platform):
+    """Rebuild a steady-state solution on ``platform``."""
     from ..core.activities import SteadyStateSolution
 
     return SteadyStateSolution(
-        platform=platform_from_dict(data["platform"]),
+        platform=platform,
         problem=data["problem"],
         throughput=_decode_weight(data["throughput"]),
         alpha={
@@ -219,11 +212,3 @@ def solution_from_dict(data: Dict[str, Any]):
         targets=tuple(data.get("targets", ())),
         edge_occupation_mode=data.get("edge_occupation_mode", "sum"),
     )
-
-
-def solution_to_json(solution, indent: int = 2) -> str:
-    return json.dumps(solution_to_dict(solution), indent=indent)
-
-
-def solution_from_json(text: str):
-    return solution_from_dict(json.loads(text))

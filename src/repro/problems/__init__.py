@@ -36,8 +36,6 @@ from .specs import (
     ScatterSpec,
     SendOrReceiveSpec,
     SpecError,
-    dag_from_dict,
-    dag_to_dict,
 )
 from .registry import (
     Capabilities,
@@ -70,8 +68,6 @@ __all__ = [
     "SolverEntry",
     "SpecError",
     "WarmModel",
-    "dag_from_dict",
-    "dag_to_dict",
     "describe",
     "reconstructable_problems",
     "register",

@@ -770,7 +770,7 @@ class ShardedBroker:
         self.metrics.observe("solve.near", elapsed)
         with span("near_cache.hit", fingerprint=fp[:12]):
             pass
-        return near_result(entry, request.include_schedule, elapsed)
+        return near_result(entry, request, elapsed)
 
     async def _routed_call(self, fp: str,
                            msg: Dict[str, Any]) -> Dict[str, Any]:
@@ -877,7 +877,7 @@ class ShardedBroker:
         if current_span() is not None:
             msg["trace"] = True  # ask the shard for its span tree
         reply = await self._routed_call(fp, msg)
-        result = result_from_wire(reply["result"])
+        result = result_from_wire(reply["result"], request.spec)
         if hot:  # admit the wire form; an entry learns a schedule late
             wire, entry = result.wire, self._near_cache.peek(fp)
             if entry is None:

@@ -13,8 +13,11 @@ speaks one schema.
 
 Exactness is the contract: rationals travel as the ``"p/q"`` strings of
 :mod:`repro.platform.serialization`, so a result decoded from the wire
-compares ``Fraction``-identical to the in-process original.  Every
-registered problem's solution type round-trips:
+compares ``Fraction``-identical to the in-process original.  A reply is
+the answer, not an echo (version 2): it carries neither the request's
+platform nor a DAG's task graph, and the decoder binds the caller's own
+spec instead (it drops a version-1 reply's echo).  Every registered
+problem's solution type round-trips:
 
 * :class:`~repro.core.activities.SteadyStateSolution` (master-slave,
   scatter, gather, all-to-all, multiport, send-or-receive) — via the
@@ -22,8 +25,7 @@ registered problem's solution type round-trips:
 * :class:`~repro.core.broadcast.BroadcastSolution` (broadcast, reduce)
   — tree packings as explicit edge lists;
 * :class:`~repro.core.multicast.MulticastAnalysis` (multicast);
-* :class:`~repro.core.dag.DagSolution` (dag) — the task graph reuses
-  the spec codec's :func:`~repro.problems.specs.dag_to_dict`.
+* :class:`~repro.core.dag.DagSolution` (dag).
 
 An unknown solution type raises :class:`WireCodecError` at *encode*
 time, on the shard — a new problem kind must extend this codec before
@@ -55,20 +57,18 @@ from .._rational import is_infinite
 from ..platform.serialization import (
     decode_weight as _decode_weight,
     encode_weight,
-    platform_from_dict,
-    platform_to_dict,
     schedule_from_dict,
     schedule_to_dict,
     solution_from_dict,
     solution_to_dict,
 )
-from ..problems import dag_from_dict, dag_to_dict
-from .broker import THROUGHPUT_FIELDS, BrokerResult
+from ..problems import ProblemSpec
+from .broker import THROUGHPUT_FIELDS, BrokerResult, SolveRequest
 from .cache import CacheEntry
 
 #: Bumped when the result schema changes shape; a decoder seeing a newer
 #: version fails loudly instead of mis-reading fields.
-RESULT_WIRE_VERSION = 1
+RESULT_WIRE_VERSION = 2
 
 
 class WireCodecError(ValueError):
@@ -79,22 +79,15 @@ class WireCodecError(ValueError):
 # tree packings (broadcast / multicast): Dict[FrozenSet[Edge], Fraction]
 # ----------------------------------------------------------------------
 def _packing_to_wire(packing: Dict[Any, Fraction]) -> list:
-    return [
-        {"rate": encode_weight(rate),
-         "edges": sorted([u, v] for u, v in tree)}
-        for tree, rate in sorted(
-            packing.items(), key=lambda tr: sorted(tr[0])
-        )
-    ]
+    return [{"rate": encode_weight(rate), "edges": sorted(map(list, tree))}
+            for tree, rate in sorted(packing.items(),
+                                     key=lambda tr: sorted(tr[0]))]
 
 
 def _packing_from_wire(records: list) -> Dict[FrozenSet[Tuple[str, str]],
                                               Fraction]:
-    return {
-        frozenset((u, v) for u, v in rec["edges"]):
-            Fraction(rec["rate"])
-        for rec in records
-    }
+    return {frozenset(map(tuple, rec["edges"])): Fraction(rec["rate"])
+            for rec in records}
 
 
 # ----------------------------------------------------------------------
@@ -107,17 +100,14 @@ def solution_to_wire(solution: Any) -> Dict[str, Any]:
     if isinstance(solution, BroadcastSolution):
         return {
             "kind": "broadcast",
-            "platform": platform_to_dict(solution.platform),
             "source": solution.source,
             "lp_bound": encode_weight(solution.lp_bound),
             "achieved": encode_weight(solution.achieved),
             "packing": _packing_to_wire(solution.packing),
-            "exhaustive": solution.exhaustive,
         }
     if isinstance(solution, MulticastAnalysis):
         return {
             "kind": "multicast",
-            "platform": platform_to_dict(solution.platform),
             "source": solution.source,
             "targets": list(solution.targets),
             "sum_lp": encode_weight(solution.sum_lp),
@@ -129,8 +119,6 @@ def solution_to_wire(solution: Any) -> Dict[str, Any]:
     if isinstance(solution, DagSolution):
         out: Dict[str, Any] = {
             "kind": "dag",
-            "platform": platform_to_dict(solution.platform),
-            "dag": dag_to_dict(solution.dag),
             "master": solution.master,
             "throughput": encode_weight(solution.throughput),
             "cons": [
@@ -158,23 +146,22 @@ def solution_to_wire(solution: Any) -> Dict[str, Any]:
     )
 
 
-def solution_from_wire(data: Dict[str, Any]) -> Any:
-    """Decode :func:`solution_to_wire` output (exact inverse)."""
+def solution_from_wire(data: Dict[str, Any], spec: ProblemSpec) -> Any:
+    """Decode :func:`solution_to_wire` output on the caller's ``spec``."""
     kind = data.get("kind")
     if kind == "steady-state":
-        return solution_from_dict(data)
+        return solution_from_dict(data, spec.platform)
     if kind == "broadcast":
         return BroadcastSolution(
-            platform=platform_from_dict(data["platform"]),
+            platform=spec.platform,
             source=data["source"],
             lp_bound=_decode_weight(data["lp_bound"]),
             achieved=_decode_weight(data["achieved"]),
             packing=_packing_from_wire(data["packing"]),
-            exhaustive=bool(data["exhaustive"]),
         )
     if kind == "multicast":
         return MulticastAnalysis(
-            platform=platform_from_dict(data["platform"]),
+            platform=spec.platform,
             source=data["source"],
             targets=tuple(data["targets"]),
             sum_lp=_decode_weight(data["sum_lp"]),
@@ -184,21 +171,16 @@ def solution_from_wire(data: Dict[str, Any]) -> Any:
             exhaustive=bool(data["exhaustive"]),
         )
     if kind == "dag":
-        affinity = None
-        if "affinity" in data:
-            affinity = {
-                (rec["node"], rec["type"]): _decode_weight(rec["mult"])
-                for rec in data["affinity"]
-            }
+        affinity = None if "affinity" not in data else {
+            (rec["node"], rec["type"]): _decode_weight(rec["mult"])
+            for rec in data["affinity"]}
         return DagSolution(
-            platform=platform_from_dict(data["platform"]),
-            dag=dag_from_dict(data["dag"]),
+            platform=spec.platform,
+            dag=spec.dag,
             master=data["master"],
             throughput=_decode_weight(data["throughput"]),
-            cons={
-                (rec["node"], rec["type"]): _decode_weight(rec["rate"])
-                for rec in data["cons"]
-            },
+            cons={(rec["node"], rec["type"]): _decode_weight(rec["rate"])
+                  for rec in data["cons"]},
             flow={
                 (rec["src"], rec["dst"],
                  (rec["producer"], rec["consumer"])):
@@ -216,10 +198,20 @@ def solution_from_wire(data: Dict[str, Any]) -> Any:
 #: wire ``kind`` -> the keys its response payload copies (``None``: all)
 _PAYLOAD_KEYS = {
     "steady-state": None,
-    "broadcast": ("lp_bound", "achieved", "exhaustive", "packing"),
+    "broadcast": ("lp_bound", "achieved", "packing"),
     "multicast": ("sum_lp", "tree_optimal", "max_lp", "exhaustive"),
     "dag": ("throughput",),
 }
+
+
+#: wire ``kind`` -> the keys its version-1 form echoed of the request
+_V1_ECHO = {"steady-state": ("platform",), "multicast": ("platform",),
+            "broadcast": ("platform", "exhaustive"),
+            "dag": ("platform", "dag")}
+
+
+def _without(data: Dict[str, Any], keys: Tuple[str, ...]) -> Dict[str, Any]:
+    return {key: value for key, value in data.items() if key not in keys}
 
 
 def _kind(data: Dict[str, Any]) -> str:
@@ -311,37 +303,53 @@ def encode_result(result: BrokerResult,
 
 class _WireResult(BrokerResult):
     """A result as it came off the wire (``wire``: the reply's result
-    dict); the exact objects are built when first read, into the
-    instance like the dataclass fields they stand in for.  ``entry`` is
-    the near-cache entry that served it, if one did."""
+    dict); the exact objects are built on ``spec`` when first read, into
+    the instance like the dataclass fields they stand in for.  ``entry``
+    is the near-cache entry that served it, if one did."""
 
     wire: Dict[str, Any]
+    spec: Optional[ProblemSpec]
     entry: Optional[CacheEntry] = None
+
+    def _spec(self) -> ProblemSpec:
+        if self.spec is None:
+            raise WireCodecError("no spec to bind the reply's answer to")
+        return self.spec
 
     @cached_property
     def solution(self) -> Any:  # type: ignore[override]
-        return solution_from_wire(self.wire["solution"])
+        return solution_from_wire(self.wire["solution"], self._spec())
 
     @cached_property
     def schedule(self) -> Any:  # type: ignore[override]
         data = self.wire.get("schedule")
-        return schedule_from_dict(data) if data is not None else None
+        return (schedule_from_dict(data, self._spec().platform)
+                if data is not None else None)
 
 
-def result_from_wire(data: Dict[str, Any]) -> BrokerResult:
-    """Decode :func:`result_to_wire` output (exact inverse): ``version``
-    and the solution's ``kind`` are checked now, the solution and the
-    schedule decode on first read."""
+def result_from_wire(data: Dict[str, Any],
+                     # kept only for bench/layers.py's one-argument call:
+                     # without a spec, only the payload view is readable
+                     spec: Optional[ProblemSpec] = None) -> BrokerResult:
+    """Decode :func:`result_to_wire` output (exact inverse) for the
+    request whose spec is ``spec``: ``version`` and the solution's
+    ``kind`` are checked now, the solution and the schedule decode on
+    first read, on the spec's platform."""
     version = data.get("version", RESULT_WIRE_VERSION)
     if version > RESULT_WIRE_VERSION:
         raise WireCodecError(
             f"result wire version {version} is newer than this decoder "
             f"({RESULT_WIRE_VERSION}); upgrade the broker host"
         )
-    _kind(data["solution"])
+    kind = _kind(data["solution"])
+    if version < RESULT_WIRE_VERSION:  # a version-1 reply: drop its echo
+        data = {**data, "solution": _without(data["solution"], _V1_ECHO[kind])}
+        if data.get("schedule") is not None:
+            data["schedule"] = _without(data["schedule"], ("platform",))
     result = object.__new__(_WireResult)
     result.__dict__.update(
         wire=data,
+        spec=spec,
         fingerprint=data["fingerprint"],
         cached=bool(data.get("cached", False)),
         warm=bool(data.get("warm", False)),
@@ -352,15 +360,16 @@ def result_from_wire(data: Dict[str, Any]) -> BrokerResult:
     return result
 
 
-def near_result(entry: CacheEntry, with_schedule: bool,
+def near_result(entry: CacheEntry, request: SolveRequest,
                 latency_seconds: float) -> BrokerResult:
-    """A near-cache hit: ``entry`` keeps the shard's wire form of its
-    solution (and schedule), served as a lazy :class:`_WireResult`."""
+    """A near-cache hit for ``request``: ``entry`` keeps the shard's wire
+    form of its solution (and schedule), served as a lazy
+    :class:`_WireResult`."""
     data = {"fingerprint": entry.key, "cached": True,
             "latency_seconds": latency_seconds, "solution": entry.solution}
-    if with_schedule:
+    if request.include_schedule:
         data["schedule"] = entry.schedule
-    result = result_from_wire(data)
+    result = result_from_wire(data, request.spec)
     result.__dict__["entry"] = entry
     return result
 

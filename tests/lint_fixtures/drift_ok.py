@@ -1,9 +1,11 @@
 # repro-lint: scope(drift)
-"""A mini solution codec whose encoder and decoder agree: passes."""
+"""A mini solution codec whose encoder and decoder agree: passes.  The
+platform is bound from the caller's spec, so it is never encoded."""
 
 
 class Widget:
-    def __init__(self, a, b):
+    def __init__(self, platform, a, b):
+        self.platform = platform
         self.a = a
         self.b = b
 
@@ -14,8 +16,8 @@ def solution_to_wire(solution):
     raise ValueError("unknown solution")
 
 
-def solution_from_wire(data):
+def solution_from_wire(data, spec):
     kind = data.get("kind")
     if kind == "widget":
-        return Widget(a=data["a"], b=data["b"])
+        return Widget(platform=spec.platform, a=data["a"], b=data["b"])
     raise ValueError("unknown kind")

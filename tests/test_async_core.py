@@ -245,9 +245,9 @@ class TestMultiplexedConnection:
         assert snap["async"]["max_inflight"] >= 9
         assert "other in-flight requests unaffected" in timeout_text
         assert snap["metrics"]["gauges"]["mux_inflight_max"] >= 9
-        for reply, ref in zip(replies, reference):
+        for reply, req, ref in zip(replies, requests, reference):
             assert reply["ok"]
-            result = result_from_wire(reply["result"])
+            result = result_from_wire(reply["result"], req.spec)
             assert isinstance(result.throughput, Fraction)
             assert result.throughput == ref.throughput
 
@@ -274,7 +274,7 @@ class TestMultiplexedConnection:
                 replies = [read_reply() for _ in requests]
             for reply, req, ref in zip(replies, requests, reference):
                 assert reply["ok"]
-                result = result_from_wire(reply["result"])
+                result = result_from_wire(reply["result"], req.spec)
                 assert result.fingerprint == req.fingerprint()
                 assert result.throughput == ref.throughput
         finally:

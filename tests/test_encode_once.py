@@ -8,12 +8,15 @@ recorded on the commit *before* that change with the object-path
 encoder (``response_to_dict`` over solution objects) and the dict-built
 shard reply (``handle_shard_message``), for all ten registered problems
 on one fixed platform (``include_schedule`` on the reconstructable
-ones).  ``latency_seconds`` is zeroed on both sides.
+ones).  ``latency_seconds`` is zeroed on both sides.  The recording is
+result wire version 1, which echoed the request: the expectations drop
+that echo, and one test decodes the recording as it is.
 """
 
 from __future__ import annotations
 
 import copy
+import io
 import json
 import urllib.request
 from pathlib import Path
@@ -28,15 +31,21 @@ from repro.service.api import (
     handle_request,
     request_from_dict,
     response_to_dict,
+    route_post,
+    serve_stdio,
 )
-from repro.service.broker import Broker, SolveEngine
+from repro.service.broker import Broker, SolveEngine, SolveRequest
 from repro.service.cache import SolutionCache
+from repro.service.sharding import HOT_THRESHOLD, ShardedBroker
 from repro.service.transport import (
     handle_shard_message,
     hit_reply,
     reply_json,
 )
 from repro.service.wire import (
+    RESULT_WIRE_VERSION,
+    WireCodecError,
+    compact_json,
     encode_result,
     near_result,
     result_from_wire,
@@ -64,9 +73,22 @@ def _timeless(payload):
 _POOL_ONLY_FLAG = "coalesced"
 
 
+def _answer_only(holder, problem):
+    """Drop from ``holder``'s solution and schedule what version 1
+    echoed of the request: the platform, a DAG's task graph, and the
+    ``exhaustive`` flag broadcast and reduce always set true."""
+    for key in ("platform", "dag"):
+        holder["solution"].pop(key, None)
+    if problem in ("broadcast", "reduce"):
+        del holder["solution"]["exhaustive"]
+    if "schedule" in holder:
+        del holder["schedule"]["platform"]
+
+
 def _expected_response(problem):
     expected = copy.deepcopy(FIXTURE[problem]["response"])
     del expected[_POOL_ONLY_FLAG]
+    _answer_only(expected, problem)
     if problem == "dag":
         # the object path listed the non-zero `cons` in solver order; a
         # shard-served answer always came in the codec's sorted order,
@@ -83,6 +105,8 @@ def _expected_shard_reply(problem):
     # front of either version works with or without it
     del expected["gen"]
     del expected["result"][_POOL_ONLY_FLAG]
+    _answer_only(expected["result"], problem)
+    expected["result"]["version"] = RESULT_WIRE_VERSION
     return expected
 
 
@@ -118,13 +142,17 @@ def test_response_is_the_parents_by_the_wire_road(solved):
     assert _timeless(response_to_dict(decoded)) == _expected_response(problem)
     assert "solution" not in vars(decoded) and "schedule" not in vars(decoded)
     json.dumps(response_to_dict(decoded))  # and it is JSON-safe as it is
+    # the reply holds no platform to decode the answer on
+    with pytest.raises(WireCodecError, match="spec"):
+        decoded.solution
 
 
 def test_lazy_objects_equal_the_originals_fraction_for_fraction(solved):
-    _problem, _req, _fp, _engine, result = solved
+    _problem, req, _fp, _engine, result = solved
     decoded = result_from_wire(
-        json.loads(json.dumps(result_to_wire(result))))
+        json.loads(json.dumps(result_to_wire(result))), req.spec)
     assert type(decoded.solution) is type(result.solution)
+    assert decoded.solution.platform is req.spec.platform
     assert decoded.solution is decoded.solution  # decoded once, then kept
     assert solution_to_wire(decoded.solution) == \
         solution_to_wire(result.solution)
@@ -163,23 +191,47 @@ def test_spliced_reply_is_the_dict_the_parent_built(solved):
 
 def test_either_version_of_a_peer_decodes_to_the_same_answer(solved):
     # a front of this commit behind a parent shard-serve reads the
-    # parent's dict-built reply; behind a shard of this commit, the
-    # spliced one.  Both go through the one result_from_wire.
-    problem, _req, fp, engine, _result = solved
-    parent_reply = _expected_shard_reply(problem)
+    # parent's dict-built reply, echo and all; behind a shard of this
+    # commit, the spliced one.  Both go through the one result_from_wire.
+    problem, req, fp, engine, _result = solved
+    parent_reply = FIXTURE[problem]["shard_reply"]
     ours = json.loads(reply_json(
         hit_reply(engine, fp, FIXTURE[problem]["request"], False)))
-    from_parent = result_from_wire(parent_reply["result"])
-    from_ours = result_from_wire(ours["result"])
+    from_parent = result_from_wire(parent_reply["result"], req.spec)
+    from_ours = result_from_wire(ours["result"], req.spec)
     assert _timeless(response_to_dict(from_parent)) == \
         _timeless(response_to_dict(from_ours))
     assert solution_to_wire(from_parent.solution) == \
         solution_to_wire(from_ours.solution)
-    # and the reverse: what this commit frames is, key for key, the
-    # message a parent-version front decodes (same version, same shape)
-    assert set(ours) == set(parent_reply)
-    assert set(ours["result"]) == set(parent_reply["result"])
-    assert ours["result"]["version"] == 1
+    # the parent's echo is dropped on decode, so neither the HTTP view
+    # nor what a near cache admits (``result.wire``) carries it
+    _no_platform(compact_json(response_to_dict(from_parent)))
+    _no_platform(compact_json(from_parent.wire))
+    # the frame keeps its keys; a parent-version front refuses the new
+    # version loudly instead of reading a platform that is not there
+    assert set(ours) == set(parent_reply) - {"gen"}
+    assert set(ours["result"]) == \
+        set(parent_reply["result"]) - {_POOL_ONLY_FLAG}
+    assert ours["result"]["version"] == 2 > parent_reply["result"]["version"]
+
+
+def test_a_recorded_v1_reply_decodes_to_the_reference(solved):
+    problem, req, _fp, _engine, result = solved
+    v1 = copy.deepcopy(FIXTURE[problem]["shard_reply"]["result"])
+    assert v1["version"] == 1 and "platform" in v1["solution"]
+    decoded = result_from_wire(v1, req.spec)
+    assert decoded.solution.platform is req.spec.platform
+    assert solution_to_wire(decoded.solution) == \
+        solution_to_wire(result.solution)
+    assert decoded.throughput == result.throughput
+    if result.schedule is None:
+        assert decoded.schedule is None
+    else:
+        assert schedule_to_dict(decoded.schedule) == \
+            schedule_to_dict(result.schedule)
+    v1["version"] = 3
+    with pytest.raises(WireCodecError, match="newer"):
+        result_from_wire(v1, req.spec)
 
 
 def test_encode_result_is_result_to_wire_with_or_without_an_entry(solved):
@@ -248,7 +300,9 @@ def test_a_near_hit_replies_spliced_bytes(solved):
         expected["cached"] = True
         if not with_schedule:
             expected.pop("schedule", None)
-        result = near_result(entry, with_schedule, 0.25)
+        result = near_result(
+            entry, SolveRequest(req.spec, include_schedule=with_schedule),
+            0.25)
         first = _solve_json(result, {"trace_id": "abc"})
         memo = entry.solution_json
         assert _solve_json(result, {"trace_id": "abc"}) == first
@@ -265,8 +319,6 @@ def test_the_ring_serves_every_problem_near_by_either_road():
     """Through ``serve``'s layers: each request made hot on a one-shard
     ring, then served near — a ``solve`` reply spliced, a ``batch`` of
     all ten as dicts — equals the recorded payloads."""
-    from repro.service.sharding import HOT_THRESHOLD, ShardedBroker
-
     def post(port, envelope):
         req = urllib.request.Request(
             f"http://127.0.0.1:{port}/api",
@@ -297,3 +349,61 @@ def test_the_ring_serves_every_problem_near_by_either_road():
                                            "cached": True}
         finally:
             server.shutdown()
+
+
+# ----------------------------------------------------------------------
+# a reply is the answer, not an echo: the caller's platform is bound,
+# never the one another client sent
+# ----------------------------------------------------------------------
+def _two_clients():
+    """One scheduled master-slave request as two clients send it: the
+    second renames the platform and lists its nodes the other way
+    round, which the fingerprint leaves out."""
+    first = copy.deepcopy(FIXTURE["master-slave"]["request"])
+    second = copy.deepcopy(first)
+    second["platform"]["name"] = "renamed-by-client-2"
+    second["platform"]["nodes"].reverse()
+    return first, second
+
+
+def _no_platform(body):
+    assert b'"platform"' not in body
+    return json.loads(body)
+
+
+def test_no_road_echoes_the_platform_another_client_sent():
+    first, second = _two_clients()
+    fp = request_from_dict(first).fingerprint()
+    assert request_from_dict(second).fingerprint() == fp
+    with Broker() as broker:
+        for raw, cached in ((first, False), (second, True)):
+            status, _, body = route_post(broker, "/api", json.dumps(
+                {"op": "solve", "request": raw}).encode())
+            assert status == 200
+            assert _no_platform(body)["cached"] is cached
+        # the in-process road hands out the cached objects themselves,
+        # built on the first client's platform; only a decoded reply is
+        # bound to the caller's own
+        hit = broker.solve(request_from_dict(second))
+        assert hit.cached and hit.solution.platform.name == \
+            request_from_dict(first).platform.name
+    with ShardedBroker(shards=1) as ring:
+        ring.solve(request_from_dict(first))
+        shard_hit = ring.solve(request_from_dict(second))
+        assert shard_hit.cached and shard_hit.entry is None
+        for _ in range(HOT_THRESHOLD):  # heats the key, then admits it
+            ring.solve(request_from_dict(second))
+        near = ring.solve(request_from_dict(second))
+        assert near.entry is not None
+        for result in (shard_hit, near):
+            _no_platform(_solve_json(result, {}))
+            assert result.solution.platform.name == "renamed-by-client-2"
+            assert result.schedule.platform.name == "renamed-by-client-2"
+        batch = handle_request(ring, {"op": "batch",
+                                      "requests": [first, second]})
+        assert all(item["cached"] for item in batch["results"])
+        _no_platform(compact_json(batch["results"]))
+        out = io.StringIO()
+        serve_stdio(ring, io.StringIO(json.dumps(
+            {"op": "solve", "request": second}) + "\n"), out)
+        assert _no_platform(out.getvalue().encode())["cached"]

@@ -420,6 +420,18 @@ class TestFixtureCorpus:
         assert "'widget'" in messages and "b" in messages
         assert "'gadget'" in messages and "no decoder" in messages
 
+    def test_drift_leaves_out_a_field_bound_from_the_spec(self, tmp_path):
+        ok = FIXTURES / "drift_ok.py"
+        assert not lint_file(ok).findings
+        # the same field read off the wire dict is a decoded key again
+        echo = tmp_path / "drift_echo.py"
+        echo.write_text(ok.read_text().replace(
+            "platform=spec.platform", 'platform=data["platform"]'))
+        report = lint_file(echo)
+        assert [f.message for f in report.findings] == [
+            "solution kind 'widget' codec drift — decoded but never "
+            "encoded: platform"]
+
     def test_tracing_catches_naked_span_and_wall_clock(self):
         report = lint_file(FIXTURES / "tracing_bad.py")
         messages = "\n".join(f.message for f in report.findings)

@@ -14,8 +14,8 @@ from repro.platform.serialization import (
     platform_from_json,
     platform_to_dict,
     platform_to_json,
-    schedule_from_json,
-    schedule_to_json,
+    schedule_from_dict,
+    schedule_to_dict,
 )
 from repro.schedule.reconstruction import reconstruct_schedule
 
@@ -62,11 +62,19 @@ class TestPlatformRoundTrip:
         assert {"name", "nodes", "edges"} <= set(data)
 
 
+def _through_json(schedule, platform):
+    """A schedule shipped as JSON and rebuilt on the reader's platform."""
+    return schedule_from_dict(json.loads(json.dumps(
+        schedule_to_dict(schedule))), platform)
+
+
 class TestScheduleRoundTrip:
     def test_master_slave_schedule(self, star4):
         sol = solve_master_slave(star4, "M")
         sched = reconstruct_schedule(sol)
-        clone = schedule_from_json(schedule_to_json(sched))
+        assert "platform" not in schedule_to_dict(sched)  # travels beside
+        clone = _through_json(sched, star4)
+        assert clone.platform is star4
         assert clone.period == sched.period
         assert clone.throughput == sched.throughput
         assert clone.compute == sched.compute
@@ -80,7 +88,7 @@ class TestScheduleRoundTrip:
 
         sol = solve_scatter(fig2, "P0", ["P5", "P6"])
         sched = reconstruct_schedule(sol)
-        clone = schedule_from_json(schedule_to_json(sched))
+        clone = _through_json(sched, fig2)
         assert clone.routes == sched.routes
 
     def test_clone_runs_in_simulator(self, star4):
@@ -88,7 +96,7 @@ class TestScheduleRoundTrip:
 
         sol = solve_master_slave(star4, "M")
         sched = reconstruct_schedule(sol)
-        clone = schedule_from_json(schedule_to_json(sched))
+        clone = _through_json(sched, star4)
         original = PeriodicRunner(sched).run(10)
         replay = PeriodicRunner(clone).run(10)
         assert original.total_completed == replay.total_completed

@@ -1,5 +1,6 @@
 """Hypothesis round-trip properties for serialisation."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -8,8 +9,8 @@ from repro.platform import generators as gen
 from repro.platform.serialization import (
     platform_from_json,
     platform_to_json,
-    schedule_from_json,
-    schedule_to_json,
+    schedule_from_dict,
+    schedule_to_dict,
 )
 
 SLOW = dict(
@@ -64,7 +65,8 @@ class TestRoundTripProperties:
 
         master = platform.nodes()[0]
         sched = reconstruct_schedule(solve_master_slave(platform, master))
-        clone = schedule_from_json(schedule_to_json(sched))
+        clone = schedule_from_dict(
+            json.loads(json.dumps(schedule_to_dict(sched))), platform)
         a = PeriodicRunner(sched).run(7)
         b = PeriodicRunner(clone).run(7)
         assert a.total_completed == b.total_completed

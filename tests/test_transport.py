@@ -79,7 +79,7 @@ class TestResultWireCodec:
             for request in _mixed_requests():
                 result = broker.solve(request)
                 wire = json.loads(json.dumps(result_to_wire(result)))
-                back = result_from_wire(wire)
+                back = result_from_wire(wire, request.spec)
                 assert back.fingerprint == result.fingerprint
                 assert back.throughput == result.throughput  # Fraction
                 assert type(back.solution) is type(result.solution)
@@ -102,7 +102,7 @@ class TestResultWireCodec:
         with Broker() as broker:
             result = broker.solve(req)
         back = result_from_wire(
-            json.loads(json.dumps(result_to_wire(result)))
+            json.loads(json.dumps(result_to_wire(result))), req.spec
         )
         assert back.solution.packing == result.solution.packing
         assert back.solution.lp_bound == result.solution.lp_bound
@@ -194,12 +194,12 @@ class TestPipeTransport:
 
     def test_solve_roundtrip_and_ping(self):
         process, transport = self._spawn()
+        req = SolveRequest(MasterSlaveSpec(
+            platform=generators.paper_figure1(), master="P1"))
 
         async def go():
             try:
                 assert await transport.ping(timeout=10.0)
-                req = SolveRequest(MasterSlaveSpec(
-                    platform=generators.paper_figure1(), master="P1"))
                 return await transport.request({
                     "op": "solve", "fp": req.fingerprint(),
                     "request": _request_wire(req),
@@ -209,7 +209,8 @@ class TestPipeTransport:
 
         reply = asyncio.run(go())
         assert reply["ok"]
-        assert result_from_wire(reply["result"]).throughput == Fraction(2)
+        assert result_from_wire(reply["result"],
+                                req.spec).throughput == Fraction(2)
         # the socket is the worker's whole life: EOF is its order to exit
         process.join(timeout=5.0)
         assert not process.is_alive()
@@ -288,8 +289,10 @@ class TestTcpTransport:
                 platform=generators.paper_figure1(), master="P1"))
             msg = {"op": "solve", "fp": req.fingerprint(),
                    "request": _request_wire(req)}
-            cold = result_from_wire((await transport.request(msg))["result"])
-            warm = result_from_wire((await transport.request(msg))["result"])
+            cold = result_from_wire((await transport.request(msg))["result"],
+                                    req.spec)
+            warm = result_from_wire((await transport.request(msg))["result"],
+                                    req.spec)
             assert cold.throughput == Fraction(2) and not cold.cached
             assert warm.cached  # the server's engine persists across calls
 
@@ -394,8 +397,10 @@ class TestTcpTransport:
                 platform=generators.star(3), master="M"))
             msg = {"op": "solve", "fp": req.fingerprint(),
                    "request": _request_wire(req)}
-            cold = result_from_wire((await first.request(msg))["result"])
-            hit = result_from_wire((await second.request(msg))["result"])
+            cold = result_from_wire((await first.request(msg))["result"],
+                                    req.spec)
+            hit = result_from_wire((await second.request(msg))["result"],
+                                   req.spec)
             assert not cold.cached and hit.cached  # one shared cache
             assert cold.throughput == hit.throughput
 

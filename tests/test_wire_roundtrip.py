@@ -24,6 +24,10 @@ from repro.service.wire import solution_from_wire, solution_to_wire
 #: module (field-set equality is asserted against the dataclass there).
 DELEGATED_KINDS = {"steady-state"}
 
+#: Fields the decoder binds from the caller's spec: a reply never
+#: echoes the request's platform or a DAG's task graph.
+SPEC_BOUND = {"platform", "dag"}
+
 ALL_PROBLEMS = registered_problems()
 
 
@@ -60,8 +64,10 @@ def test_solution_roundtrip_is_exact(problem):
     entry, spec = example_spec(problem)
     solution = entry.solve(spec)
     payload = solution_to_wire(solution)
-    decoded = solution_from_wire(payload)
+    assert not SPEC_BOUND & set(payload)
+    decoded = solution_from_wire(payload, spec)
     assert type(decoded) is type(solution)
+    assert decoded.platform is spec.platform
     # Fraction-identical: the canonical re-encoding must be equal,
     # including every "p/q" rational string
     assert solution_to_wire(decoded) == payload
@@ -75,7 +81,7 @@ def test_solution_wire_keys_match_dataclass(problem):
     kind = payload["kind"]
     if kind in DELEGATED_KINDS:
         pytest.skip(f"kind {kind} delegates to solution_to_dict")
-    field_names = {f.name for f in dataclasses.fields(solution)}
+    field_names = {f.name for f in dataclasses.fields(solution)} - SPEC_BOUND
     wire_keys = set(payload) - {"kind"}
     # optional fields (e.g. dag affinity=None) may be omitted from the
     # wire, but a wire key with no dataclass field is always drift
@@ -94,7 +100,7 @@ def test_delegated_steady_state_fields_covered():
     entry, spec = example_spec("master-slave")
     solution = entry.solve(spec)
     payload = solution_to_wire(solution)
-    field_names = {f.name for f in dataclasses.fields(solution)}
+    field_names = {f.name for f in dataclasses.fields(solution)} - SPEC_BOUND
     wire_keys = set(payload) - {"kind"}
     missing = {name for name in field_names - wire_keys
                if getattr(solution, name) is not None}
