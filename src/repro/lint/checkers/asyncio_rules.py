@@ -27,11 +27,10 @@ convention is mechanical, so it is machine-checked:
   ``cache.invalidate_platform_us``) — never across a solve, which runs
   under the *engine* lock the loop never touches;
 * no direct call of the blocking dispatchers ``route_post`` /
-  ``route_get`` / ``handle_request`` — each waits on broker futures
-  with ``.result()``.  They may only be *handed* to
-  ``run_in_executor``; the solve path of the HTTP loop drives the
-  generator dispatcher by awaiting instead, and must not drift back
-  onto the loop as a blocking call.
+  ``handle_request`` — each blocks until the broker's futures resolve.
+  A coroutine drives the generator dispatcher by awaiting the futures
+  it yields, as the HTTP loop does for every op, and must not drift
+  back onto the loop as a blocking call.
 
 Nested sync ``def``/``lambda`` bodies are exempt — they are exactly
 the functions handed to executors — and the deliberate exceptions
@@ -81,7 +80,7 @@ class AsyncioChecker(Checker):
         "loop: no time.sleep, raw socket calls, un-awaited "
         "transport request/ping, Future.result(), sync 'with' on a "
         "lock (engine locks belong inside executor jobs), or direct "
-        "call of route_post/route_get/handle_request"
+        "call of route_post/handle_request"
     )
 
     def applies_to(self, module: ModuleInfo) -> bool:
@@ -124,8 +123,7 @@ class AsyncioChecker(Checker):
                 self.rule, module.display_path, node.lineno,
                 node.col_offset,
                 f"{callee}() {where} blocks the loop on "
-                f"the broker's futures; hand it to run_in_executor, or "
-                f"drive the dispatcher by awaiting",
+                f"the broker's futures; drive the dispatcher by awaiting",
             )
             return
         if (isinstance(func, ast.Attribute)

@@ -85,7 +85,6 @@ from .api import (
     request_from_dict,
     request_to_dict,
     response_to_dict,
-    route_get,
     route_post,
 )
 from .wire import (
@@ -162,6 +161,5 @@ __all__ = [
     "request_from_dict",
     "request_to_dict",
     "response_to_dict",
-    "route_get",
     "route_post",
 ]

@@ -33,18 +33,15 @@ cache/warm flags, latency, the throughput and a problem-shaped
 ``{"op": "problems"}`` envelope (and ``GET /problems``) lists every
 registered problem with its spec fields and declared capabilities.
 
-Transport is pluggable: :func:`handle_request` is a pure
-dict-in/dict-out function, and the HTTP routing on top of it is a pair
-of pure functions (:func:`route_get`, :func:`route_post`) returning
-``(status, content-type, body)`` triples.
-:class:`AsyncServiceServer` puts them on the network: an asyncio
-HTTP/1.1 keep-alive server — idle connections are parked coroutines, so
-thousands of keep-alive clients cost no threads; solve and batch ops
-are awaited on that loop, ops that block on the broker run on a bounded
-executor.  It serves ``POST /api``
-and ``GET /metrics`` / ``/cache`` / ``/healthz`` for
-``python -m repro serve``; the same :func:`handle_request` drives the
-``--stdio`` JSON-lines mode used in tests and pipelines.
+Every op is one generator, :func:`_dispatch`, which yields the broker
+futures it waits on.  :class:`AsyncServiceServer` awaits it for every
+POST and GET (``POST /api``, ``GET /metrics`` / ``/cache`` /
+``/healthz`` and the rest of :func:`_get_envelope`) on one asyncio
+HTTP/1.1 keep-alive loop — idle connections are parked coroutines, so
+thousands of keep-alive clients cost no threads.  :func:`handle_request`
+drives the same generator by blocking: a pure dict-in/dict-out function
+for library callers and the ``--stdio`` JSON-lines mode, with
+:func:`route_post` its HTTP routing.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ import concurrent.futures
 import copy
 import functools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -248,11 +244,9 @@ def _run_batch(broker: Broker, data: Dict[str, Any]):
     """The ``batch`` op body (a :func:`_dispatch` sub-generator):
     per-request error isolation — one malformed/failing request must not
     discard its siblings' solves."""
-    raw = data.get("requests", [])
-    if not isinstance(raw, list):
-        raise BrokerError(
-            f"batch 'requests' must be a list, not {type(raw).__name__}")
-    decoded = [_decode_or_error(item) for item in raw]
+    decoded = data.get("requests", [])
+    if not isinstance(decoded, tuple):  # not decoded off the loop
+        decoded = _decode_batch(decoded)
     with broker.metrics.timer("solve.batch"):
         futures = [
             broker.submit(item) if isinstance(item, SolveRequest)
@@ -273,6 +267,15 @@ def _run_batch(broker: Broker, data: Dict[str, Any]):
     return {"ok": True, "results": results}
 
 
+def _decode_batch(raw: Any) -> tuple:
+    """A batch's requests, each decoded or its error response; a tuple,
+    which no JSON body parses to, so :func:`_run_batch` decodes once."""
+    if not isinstance(raw, list):
+        raise BrokerError(
+            f"batch 'requests' must be a list, not {type(raw).__name__}")
+    return tuple(_decode_or_error(item) for item in raw)
+
+
 def _limit(data: Dict[str, Any]) -> int:
     """The ``limit`` of a ``traces`` / ``events`` op (default 100)."""
     try:
@@ -287,12 +290,13 @@ def _dispatch(broker: Broker, data: Dict[str, Any],
               respond=lambda result, extra: {**response_to_dict(result),
                                              **extra}):
     """The one dispatcher body, as a generator: it yields each future
-    it must wait for (``broker.submit`` returns them without blocking)
-    and is resumed once that future is done.  :func:`handle_request`
-    drives it by blocking, :class:`AsyncServiceServer` by awaiting — so
-    solve and batch ops run on the HTTP loop without a second copy of
-    their branches.  Returns the response dict (a solve's is
-    ``respond(result, extra)``); never raises."""
+    it must wait for (``broker.submit``, ``submit_snapshot`` and
+    ``submit_invalidate`` return them without blocking) and is resumed
+    once that future is done.  :func:`handle_request` drives it by
+    blocking, :class:`AsyncServiceServer` by awaiting — so every op runs
+    on the HTTP loop without a second copy of its branch.  Returns the
+    response dict (a solve's is ``respond(result, extra)``); never
+    raises."""
     try:
         op = data.get("op", "solve")
         # solve/batch are metered inside the broker ("solve", "solve.batch");
@@ -303,7 +307,8 @@ def _dispatch(broker: Broker, data: Dict[str, Any],
                 return {"ok": True, "pong": True}
         if op == "metrics":
             with broker.metrics.timer("metrics"):
-                out = {"ok": True, **broker.snapshot()}
+                out = {"ok": True,
+                       **(yield from _await(broker.submit_snapshot()))}
                 if trace_store is not None:
                     out["traces"] = trace_store.snapshot()
                 return out
@@ -332,7 +337,8 @@ def _dispatch(broker: Broker, data: Dict[str, Any],
                         "events": EVENTS.recent(limit=_limit(data))}
         if op == "cache":
             with broker.metrics.timer("cache"):
-                return {"ok": True, "cache": broker.cache.snapshot()}
+                snapshot = yield from _await(broker.submit_snapshot())
+                return {"ok": True, "cache": snapshot["cache"]}
         if op == "problems":
             with broker.metrics.timer("problems"):
                 return {"ok": True, "problems": registry_describe()}
@@ -347,8 +353,8 @@ def _dispatch(broker: Broker, data: Dict[str, Any],
                 except Exception as exc:  # noqa: BLE001 — wire boundary
                     # raise (not return): the timer must record the error
                     raise _BadRequest(exc) from exc
-                return {"ok": True,
-                        "invalidated": broker.invalidate_platform(platform)}
+                removed = yield from _await(broker.submit_invalidate(platform))
+                return {"ok": True, "invalidated": removed}
         if op == "solve":
             request = data.get("request", data)
             if not isinstance(request, SolveRequest):  # not yet decoded
@@ -433,43 +439,17 @@ def _query_int(query: Dict[str, list], key: str, default: int) -> int:
         return default
 
 
-def _metrics_reply(response: Dict[str, Any],
-                   query: Dict[str, list]) -> HttpResponse:
-    if query.get("format", [""])[0] == "prometheus":
-        return (200, _PROMETHEUS_TYPE,
-                render_prometheus(response).encode("utf-8"))
-    return _json_reply(response)
-
-
-def route_get(broker: Broker, path: str, query: Dict[str, list],
-              trace_store: Optional[TraceStore] = None) -> HttpResponse:
-    """Route one GET; pure — no I/O beyond the broker dispatch."""
-    if path in ("/healthz", "/"):
-        return _json_reply({"ok": True, "service": "repro", "ready": True})
-    if path == "/metrics":
-        return _metrics_reply(handle_request(
-            broker, {"op": "metrics"}, trace_store=trace_store), query)
-    if path == "/cache":
-        return _json_reply(handle_request(broker, {"op": "cache"}))
-    if path == "/problems":
-        return _json_reply(handle_request(broker, {"op": "problems"}))
-    if path == "/traces":
-        limit = _query_int(query, "limit", 100)
-        return _json_reply(handle_request(
-            broker, {"op": "traces", "limit": limit},
-            trace_store=trace_store))
+def _get_envelope(path: str,
+                  query: Dict[str, list]) -> Optional[Dict[str, Any]]:
+    """The envelope a GET path stands for; ``None`` for an unknown one
+    (``/healthz`` is the server's own)."""
+    if path in ("/metrics", "/cache", "/problems"):
+        return {"op": path[1:]}
+    if path in ("/traces", "/events"):
+        return {"op": path[1:], "limit": _query_int(query, "limit", 100)}
     if path.startswith("/trace/"):
-        response = handle_request(
-            broker, {"op": "trace", "id": path[len("/trace/"):]},
-            trace_store=trace_store)
-        status = response.get("status", 200 if response.get("ok") else 404)
-        return _json_reply(response, status=status)
-    if path == "/events":
-        limit = _query_int(query, "limit", 100)
-        return _json_reply(handle_request(
-            broker, {"op": "events", "limit": limit},
-            trace_store=trace_store))
-    return _json_reply({"ok": False, "error": "not found"}, status=404)
+        return {"op": "trace", "id": path[len("/trace/"):]}
+    return None
 
 
 def _envelope(blob) -> Dict[str, Any]:
@@ -481,17 +461,31 @@ def _envelope(blob) -> Dict[str, Any]:
     return data
 
 
-def _parse_post(path: str, body: bytes):
-    """The decoded envelope of one POST, or the :data:`HttpResponse`
-    that refuses it."""
+_NOT_FOUND = 404, _JSON_TYPE, compact_json({"ok": False,
+                                             "error": "not found"})
+
+
+def _decode_post(path: str, body: bytes, batch: bool = False):
+    """The envelope of one POST with a ``solve`` op's request decoded
+    (and with ``batch``, a batch's: :func:`_decode_batch`), or the
+    :data:`HttpResponse` that refuses it."""
     if path not in ("/api", "/"):
-        # mirror route_get: a POST to /metrics or a typo'd path is client
-        # misconfiguration, not a solve request
-        return _json_reply({"ok": False, "error": "not found"}, status=404)
+        # like an unknown GET: a POST to /metrics or a typo'd path is
+        # client misconfiguration, not a solve request
+        return _NOT_FOUND
     try:
-        return _envelope(body or b"{}")
+        data = _envelope(body or b"{}")
     except ValueError as exc:
         return _json_reply(_error_response(exc, status=400), status=400)
+    op = data.get("op", "solve")
+    if op == "solve":
+        request = _decode_or_error(data.get("request", data))
+        if not isinstance(request, SolveRequest):
+            return _post_reply(request)
+        return {**data, "request": request}
+    if batch and op == "batch" and isinstance(data.get("requests"), list):
+        return {**data, "requests": _decode_batch(data["requests"])}
+    return data
 
 
 def _post_reply(response: Dict[str, Any]) -> HttpResponse:
@@ -505,7 +499,7 @@ def _post_reply(response: Dict[str, Any]) -> HttpResponse:
 def route_post(broker: Broker, path: str, body: bytes,
                trace_store: Optional[TraceStore] = None) -> HttpResponse:
     """Route one POST body; pure — no I/O beyond the broker dispatch."""
-    data = _parse_post(path, body)
+    data = _decode_post(path, body)
     if isinstance(data, tuple):
         return data
     return _post_reply(handle_request(broker, data, trace_store=trace_store))
@@ -523,31 +517,27 @@ class _RefusedRequest(Exception):
         self.status = status
 
 
-#: A larger POST body goes to the executor whole, unparsed, so a huge
-#: platform cannot stall the HTTP loop.
+#: A larger POST body is parsed and decoded off the loop, so a huge
+#: platform cannot stall it; its dispatch runs on the loop like any other.
 LOOP_BODY_BYTES = 256 * 1024
 
 
 class AsyncServiceServer(LoopServer):
     """asyncio HTTP/1.1 keep-alive front-end over a :class:`Broker`.
 
-    Every connection is a coroutine: parsing and framing happen on one
-    event loop, and so do ``solve`` and ``batch`` ops (bodies up to
-    :data:`LOOP_BODY_BYTES`): the request is decoded, fingerprinted and
-    looked up in the near-cache there, and the connection awaits the
-    future ``broker.submit`` returns (:func:`_dispatch`) — a cached read
-    crosses no thread at this door, and none behind it when the broker
-    runs its ring on this loop (``serve``).  A ``solve`` body whose
-    answer came back cached is kept in :attr:`memo` (a
-    :class:`~repro.service.cache.BodyMemo`): its next sighting skips the
-    JSON parse, the decode and the fingerprint.  Every other op, every
-    GET and any larger body blocks on the broker, so it is handed to a
-    bounded executor (``http_workers`` threads) as :func:`route_get` /
-    :func:`route_post`.  Idle connections cost nothing; the executor
-    bounds concurrent *dispatch*, not clients.  ``broker`` is required:
-    ``serve`` hands it a :class:`~repro.service.sharding.ShardedBroker`,
-    and an in-process :class:`Broker` (a test's) solves inside
-    ``submit``, on the loop.
+    Every connection is a coroutine on one event loop, and so is every
+    op: a POST's envelope, or the one a GET path names
+    (:func:`_get_envelope`), is dispatched by awaiting the futures
+    :func:`_dispatch` yields (``broker.submit``, ``submit_snapshot``,
+    ``submit_invalidate``), so no thread is crossed here, nor behind it
+    when the broker runs its ring on this loop (``serve``).  Only the
+    parse and decode of a body over :data:`LOOP_BODY_BYTES` leave the
+    loop.  A ``solve`` body whose answer came back cached is kept in
+    :attr:`memo` (a :class:`~repro.service.cache.BodyMemo`): its next
+    sighting skips the JSON parse, the decode and the fingerprint.
+    ``broker`` is required: ``serve`` hands it a
+    :class:`~repro.service.sharding.ShardedBroker`; an in-process
+    :class:`Broker` (a test's) answers inside each call, on the loop.
 
     In-flight dispatch is published on the broker's metrics as the
     ``http_inflight`` / ``http_inflight_max`` gauges (merged into
@@ -562,16 +552,13 @@ class AsyncServiceServer(LoopServer):
         broker: Broker,
         trace_store: Optional[TraceStore] = None,
         tracing: bool = True,
-        http_workers: int = 8,
     ) -> None:
         self.broker = broker
         self.trace_store = (
             trace_store if trace_store is not None
             else (TraceStore() if tracing else None)
         )
-        self.http_workers = max(1, int(http_workers))
-        super().__init__(address, ThreadPoolExecutor(
-            max_workers=self.http_workers, thread_name_prefix="repro-http"))
+        super().__init__(address)
         self.memo = BodyMemo()  # loop-confined, like the gauges below
         # loop-confined gauge state (event loop only, no locks)
         self._inflight = 0
@@ -627,55 +614,59 @@ class AsyncServiceServer(LoopServer):
             writer.close()
 
     async def _get(self, parsed) -> HttpResponse:
-        """A GET, on the executor; ``/metrics`` adds :attr:`memo`."""
-        query = parse_qs(parsed.query)
-        if parsed.path != "/metrics":
-            return await self._loop.run_in_executor(
-                self._executor, route_get, self.broker, parsed.path, query,
-                self.trace_store)
-        response = await self._loop.run_in_executor(
-            self._executor, handle_request, self.broker, {"op": "metrics"},
-            self.trace_store)
-        if response.get("ok"):  # next to the near-cache
-            response.setdefault("replication", {})["body_memo"] = \
-                self.memo.snapshot()
-        return _metrics_reply(response, query)
+        """A GET is the op its path names; ``/metrics`` adds :attr:`memo`."""
+        path, query = parsed.path, parse_qs(parsed.query)
+        if path in ("/healthz", "/"):
+            return _json_reply({"ok": True, "service": "repro", "ready": True})
+        data = _get_envelope(path, query)
+        if data is None:
+            return _NOT_FOUND
+        response = await self._drive(data)
+        if path == "/metrics":
+            if response.get("ok"):  # next to the near-cache
+                response.setdefault("replication", {})["body_memo"] = \
+                    self.memo.snapshot()
+            if query.get("format", [""])[0] == "prometheus":
+                return (200, _PROMETHEUS_TYPE,
+                        render_prometheus(response).encode("utf-8"))
+        # only a trace the store lacks answers other than 200
+        return _json_reply(response, status=response.get("status", 200)
+                           if data["op"] == "trace" else 200)
 
     async def _post(self, path: str, body: bytes) -> HttpResponse:
         small = len(body) <= LOOP_BODY_BYTES
         data = (self.memo.get(body) if small and path in ("/api", "/")
                 else None)
         if data is None:
-            data = _parse_post(path, body) if small else None
+            # a small batch decodes in _run_batch: decoded here, ahead of
+            # its dispatch, it left the front 2 MB larger on churn_mixed
+            data = (_decode_post(path, body) if small else
+                    await asyncio.to_thread(_decode_post, path, body, True))
             if isinstance(data, tuple):
                 return data
-            op = data.get("op", "solve") if isinstance(data, dict) else None
-            if op not in ("solve", "batch"):
-                return await self._loop.run_in_executor(
-                    self._executor, route_post, self.broker, path, body,
-                    self.trace_store)
-            if op == "solve":  # decoded here, so the memo can keep it
-                request = _decode_or_error(data.get("request", data))
-                if not isinstance(request, SolveRequest):
-                    return _post_reply(request)
-                data = {**data, "request": request}
-        steps = _dispatch(self.broker, data, self.trace_store,
-                          respond=functools.partial(self._respond, body, data))
+        response = await self._drive(
+            data, functools.partial(self._respond, body, data))
+        if isinstance(response, bytes):
+            return 200, _JSON_TYPE, response
+        return _post_reply(response)
+
+    async def _drive(self, data: Dict[str, Any], *respond):
+        """Drive :func:`_dispatch` by awaiting each future it yields."""
+        steps = _dispatch(self.broker, data, self.trace_store, *respond)
         try:
-            while True:  # the awaiting driver
+            while True:
                 fut = next(steps)
                 if not fut.done():
                     await asyncio.wait([asyncio.wrap_future(fut)])
         except StopIteration as stop:
-            if isinstance(stop.value, bytes):
-                return 200, _JSON_TYPE, stop.value
-            return _post_reply(stop.value)
+            return stop.value
         finally:
             steps.close()  # cancelled mid-wait: unwind its trace now
 
     def _respond(self, body: bytes, data: Dict[str, Any],
                  result: BrokerResult, extra: Dict[str, Any]) -> bytes:
-        if result.cached:  # traffic that never repeats never enters
+        # traffic that never repeats, or is too large, never enters
+        if result.cached and len(body) <= LOOP_BODY_BYTES:
             self.memo.put(body, data)
         return _solve_json(result, extra)
 

@@ -413,18 +413,22 @@ class Broker:
     # the solve paths
     # ------------------------------------------------------------------
     def solve(self, request: SolveRequest) -> BrokerResult:
-        """Synchronous solve (cache -> warm -> cold), metered."""
-        return self.engine.run(request, request.fingerprint())
+        """Synchronous solve (cache -> warm -> cold), metered; a hit is
+        bound to this request's spec, whichever spelling was cached."""
+        result = self.engine.run(request, request.fingerprint())
+        spec = request.spec
+        if result.cached and result.solution.platform is not spec.platform:
+            result.solution = dataclasses.replace(
+                result.solution, platform=spec.platform,
+                **({"dag": spec.dag} if hasattr(spec, "dag") else {}))
+            if result.schedule is not None:
+                result.schedule = dataclasses.replace(
+                    result.schedule, platform=spec.platform)
+        return result
 
     def submit(self, request: SolveRequest) -> "Future[BrokerResult]":
-        """:meth:`solve`, returned as an already-resolved future — the
-        shape the JSON API's dispatcher waits on for either broker."""
-        fut: "Future[BrokerResult]" = Future()
-        try:
-            fut.set_result(self.solve(request))
-        except Exception as exc:  # noqa: BLE001 — future carries it
-            fut.set_exception(exc)
-        return fut
+        """:meth:`solve` as a resolved future, the dispatcher's shape."""
+        return _resolved(self.solve, request)
 
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
         """Solve every request in order, under the ``solve.batch`` timer.
@@ -438,8 +442,25 @@ class Broker:
     # ------------------------------------------------------------------
     def invalidate_platform(self, platform: Platform) -> int:
         """Drop cached results and hot LP models for this platform shape."""
-        return self.engine.invalidate_platform(platform)
+        return self.submit_invalidate(platform).result()
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe operational state (exposed by the API)."""
-        return self.engine.snapshot()
+        return self.submit_snapshot().result()
+
+    # the dispatcher's shape of the two, resolved futures like submit()
+    def submit_invalidate(self, platform: Platform) -> "Future[int]":
+        return _resolved(self.engine.invalidate_platform, platform)
+
+    def submit_snapshot(self) -> "Future[Dict[str, Any]]":
+        return _resolved(self.engine.snapshot)
+
+
+def _resolved(fn, *args) -> Future:
+    """``fn(*args)``, or what it raised, as an already-resolved future."""
+    fut: Future = Future()
+    try:
+        fut.set_result(fn(*args))
+    except Exception as exc:  # noqa: BLE001 — the future carries it
+        fut.set_exception(exc)
+    return fut

@@ -28,13 +28,14 @@ confined to **one event loop**, and they ``await`` the shard transports
 directly.  Everything they share — ring membership, supervision
 counters — is touched by that loop only, so none of it is locked.
 :meth:`ShardedBroker.on_running_loop` (what ``serve`` builds) runs the
-ring on the caller's loop, where :meth:`~ShardedBroker.submit` is a task
-and no thread is crossed; a broker built plainly owns a private loop
-thread (``repro-ring``), and each public method is a **single crossing**
-onto it.  The fingerprint, the heat count and the near-cache lookup run
-on the calling thread, so a near hit makes no hop.  Only a worker
-respawn or reap (``join`` + ``fork``) leaves the loop, via
-``asyncio.to_thread``.
+ring on the caller's loop, where :meth:`~ShardedBroker.submit`,
+:meth:`~ShardedBroker.submit_snapshot` and
+:meth:`~ShardedBroker.submit_invalidate` are tasks — the HTTP front
+awaits them, so no thread is crossed; a broker built plainly owns a
+private loop thread (``repro-ring``), and each public method is a
+**single crossing** onto it.  The fingerprint, the heat count and the
+near-cache lookup run on the calling thread, so a near hit makes no hop.
+Only a worker respawn or reap (``join`` + ``fork``) leaves the loop.
 A batch is its requests' :meth:`~ShardedBroker.submit`\\ s: N ``solve``
 frames in flight on the multiplexed shard connections, each routed,
 near-cached and failed over on its own.
@@ -380,24 +381,6 @@ def _merge_cache_snapshots(snaps: List[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
-class _AggregateCacheView:
-    """Read-only stand-in for ``broker.cache`` over all shards.
-
-    The JSON API (and any library caller poking ``broker.cache``) only
-    needs the aggregate snapshot; per-shard caches stay private to their
-    shards on purpose.
-    """
-
-    def __init__(self, owner: "ShardedBroker") -> None:
-        self._owner = owner
-
-    def snapshot(self) -> Dict[str, Any]:
-        return _merge_cache_snapshots(
-            [s["cache"] for s in self._owner.shard_snapshots()
-             if s is not None]
-        )
-
-
 #: health-probe request budget: a ping is cheap, so a shard that
 #: cannot answer one within this is treated as down
 _PING_TIMEOUT = 2.0
@@ -415,7 +398,7 @@ class ShardedBroker:
 
     Drop-in for :class:`~repro.service.broker.Broker` where the JSON API
     is concerned (``solve`` / ``submit`` / ``solve_batch`` /
-    ``invalidate_platform`` / ``snapshot`` / ``metrics`` / ``cache``).
+    ``invalidate_platform`` / ``snapshot`` (and ``submit_*``) / ``metrics``).
 
     Parameters
     ----------
@@ -492,7 +475,6 @@ class ShardedBroker:
         self.ring = HashRing(local_count + len(addresses),
                              replicas=replicas)
         self.metrics = MetricsRegistry()  # front-door ops + transport RTT
-        self.cache = _AggregateCacheView(self)
         self.request_timeout = (request_timeout
                                 if request_timeout and request_timeout > 0
                                 else None)
@@ -916,13 +898,17 @@ class ShardedBroker:
         returned total.
         """
         self._blocking()
+        return self.submit_invalidate(platform).result()
+
+    def submit_invalidate(self, platform: Platform) -> "Future[int]":
+        """:meth:`invalidate_platform` as the ring's future (a task on
+        its own loop, one crossing from any other thread), which the
+        dispatcher awaits."""
         if self._near_cache is not None:
             self._near_cache.invalidate_platform(platform)
-        encoded = platform_to_dict(platform)
-        replies = self._cross(self._fanout({"op": "invalidate",
-                                            "platform": encoded})).result()
-        return sum(reply["removed"] for _shard, reply in replies
-                   if reply is not None)
+        return self._cross(self._fanout_total(
+            {"op": "invalidate", "platform": platform_to_dict(platform)},
+            "removed"))
 
     def clear(self) -> int:
         """Drop every cached entry on every shard; returns entries removed.
@@ -934,8 +920,12 @@ class ShardedBroker:
         self._blocking()
         if self._near_cache is not None:
             self._near_cache.clear()
-        replies = self._cross(self._fanout({"op": "clear"})).result()
-        return sum(reply["cleared"] for _shard, reply in replies
+        return self._cross(self._fanout_total({"op": "clear"},
+                                              "cleared")).result()
+
+    async def _fanout_total(self, msg: Dict[str, Any], count: str) -> int:
+        """:meth:`_fanout`, summing ``count`` over the shards' replies."""
+        return sum(reply[count] for _shard, reply in await self._fanout(msg)
                    if reply is not None)
 
     async def _fanout(
@@ -963,21 +953,6 @@ class ShardedBroker:
         return await asyncio.gather(
             *(one(shard) for shard in self._shards if shard.active))
 
-    def shard_snapshots(self) -> List[Optional[Dict[str, Any]]]:
-        """Per-shard engine snapshots (``cache`` / ``metrics`` /
-        ``incremental``), in shard-id order; ``None`` for shards that
-        are ejected, dead, or failed mid-scrape (the shards are queried
-        concurrently — see :meth:`_fanout`)."""
-        self._blocking()
-        snaps: List[Optional[Dict[str, Any]]] = (
-            [None] * len(self._shards)
-        )
-        replies = self._cross(self._fanout({"op": "snapshot"})).result()
-        for shard, reply in replies:
-            if reply is not None:
-                snaps[shard.index] = reply["snapshot"]
-        return snaps
-
     def shard_health(self) -> Dict[str, Any]:
         """Supervision counters + per-shard liveness (JSON-safe)."""
         return {
@@ -994,7 +969,19 @@ class ShardedBroker:
         metrics (see :func:`~repro.service.metrics.merge_snapshots` for
         the aggregation semantics), supervision counters and a compact
         per-shard breakdown (unreachable shards flagged, not omitted)."""
-        shard_snaps = self.shard_snapshots()
+        self._blocking()
+        return self.submit_snapshot().result()
+
+    def submit_snapshot(self) -> "Future[Dict[str, Any]]":
+        """:meth:`snapshot` as the ring's future, like submit_invalidate."""
+        return self._cross(self._snapshot())
+
+    async def _snapshot(self) -> Dict[str, Any]:
+        # per shard its engine snapshot, None if it did not answer
+        shard_snaps = [None] * len(self._shards)
+        for shard, reply in await self._fanout({"op": "snapshot"}):
+            if reply is not None:
+                shard_snaps[shard.index] = reply["snapshot"]
         present = [s for s in shard_snaps if s is not None]
         # the front-door registry's uptime is the service's routing age;
         # remote shards start/restart/rejoin at their own times, so their

@@ -462,9 +462,8 @@ class LoopServer:
     supply the per-connection coroutine ``_serve_connection``.
     """
 
-    def __init__(self, address, executor: ThreadPoolExecutor) -> None:
+    def __init__(self, address) -> None:
         self._requested_address = address
-        self._executor = executor
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._thread: Optional[threading.Thread] = None
@@ -541,7 +540,6 @@ class LoopServer:
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None
-        self._executor.shutdown(wait=False)
 
 
 # ----------------------------------------------------------------------
@@ -605,8 +603,9 @@ class AsyncShardServer(LoopServer):
             incremental=IncrementalSolver(),
         )
         self.op_deadline = op_deadline
-        super().__init__(address, ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-ashard"))
+        super().__init__(address)
+        self._executor = ThreadPoolExecutor(  # the engine lane
+            max_workers=1, thread_name_prefix="repro-ashard")
         # ---- loop-confined state (event loop only, no locks) ----
         # (fp, include_schedule) -> the one engine run its twins await
         self._inflight_solves: Dict[Tuple, asyncio.Future] = {}
@@ -618,6 +617,10 @@ class AsyncShardServer(LoopServer):
     @property
     def address(self) -> str:
         return f"tcp://{self.host}:{self.port}"
+
+    def shutdown(self) -> None:
+        super().shutdown()
+        self._executor.shutdown(wait=False)
 
     async def serve_connected(self, sock: socket.socket) -> None:
         """Serve one already-connected socket until its peer hangs up

@@ -481,25 +481,29 @@ class TestAsyncHttp:
             server.shutdown()
             broker.close()
 
-    def test_solve_and_batch_stay_on_the_loop_everything_else_does_not(
-            self, monkeypatch):
-        # solve / batch ops are decoded, fingerprinted and awaited on the
-        # HTTP loop; every other op, every GET and any oversized body is
-        # handed to the executor as route_post / route_get
+    def test_every_op_is_awaited_on_the_loop(self, monkeypatch):
+        # every envelope and every GET is dispatched by awaiting on the
+        # HTTP loop: the blocking drivers are never called, and only the
+        # parse and decode of an oversized body leave the loop
         from repro.service import api
 
-        handed = []
-        for name in ("route_post", "route_get"):
-            real = getattr(api, name)
+        blocking, decoded_on = [], []
+        for name in ("route_post", "handle_request"):
             monkeypatch.setattr(
-                api, name,
-                lambda *args, _real=real, _name=name:
-                (handed.append(_name), _real(*args))[1])
+                api, name, lambda *args, _name=name: blocking.append(_name))
+        real_decode = api._decode_post
+
+        def decode(*args):
+            decoded_on.append(threading.current_thread().name)
+            return real_decode(*args)
+
+        monkeypatch.setattr(api, "_decode_post", decode)
         request = _ms_request()
         wire = request_to_dict(request)
         broker = Broker()
-        server = AsyncServiceServer(broker=broker,
-                                    http_workers=1).start_in_thread()
+        with pytest.raises(TypeError):  # no HTTP pool to size
+            AsyncServiceServer(broker=broker, http_workers=1)
+        server = AsyncServiceServer(broker=broker).start_in_thread()
         sock = socket.create_connection(("127.0.0.1", server.port), 5)
 
         def post(envelope, path="/api"):
@@ -508,6 +512,11 @@ class TestAsyncHttp:
             status, _, body = self._exchange(
                 sock, f"POST {path} HTTP/1.1\r\nHost: x\r\n"
                 f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload)
+            return status, json.loads(body)
+
+        def get(path):
+            status, _, body = self._exchange(
+                sock, f"GET {path} HTTP/1.1\r\nHost: x\r\n\r\n".encode())
             return status, json.loads(body)
 
         try:
@@ -521,38 +530,105 @@ class TestAsyncHttp:
             assert status == 200
             assert [r["ok"] for r in batch["results"]] == [True, False, True]
             assert batch["results"][1]["status"] in (400, 422)
-            # the loop path traces like the executor path did
             assert cold["trace_id"] != hit["trace_id"]
             status, inline = post({"op": "solve", "request": wire,
                                    "trace": True})
             assert inline["trace"]["trace_id"] == inline["trace_id"]
             names = {sp["name"] for sp in inline["trace"]["spans"]}
             assert {"request.solve", "engine.run"} <= names
-            # error statuses are the dispatcher's, whoever drives it
+            # error statuses are the dispatcher's
             assert post(b"{not json")[0] == 400
             assert post({"op": "solve", "request": {
                 "spec": {"problem": "nope"}, "platform": wire["platform"]
             }})[0] == 422
             assert post(wire, path="/elsewhere")[0] == 404
-            assert handed == []  # none of the above left the loop
-
             assert post({"op": "ping"}) == (200, {"ok": True, "pong": True})
-            assert handed == ["route_post"]
+            assert get("/cache")[1]["cache"] == broker.snapshot()["cache"]
+            assert get("/metrics")[0] == 200
+            assert set(decoded_on) == {"repro-AsyncServiceServer"}
+
             padded = {"op": "solve", "request": wire,
                       "pad": "x" * api.LOOP_BODY_BYTES}
             status, big = post(padded)
             assert status == 200 and big["cached"]
-            assert handed == ["route_post"] * 2
-            status, _, body = self._exchange(
-                sock, f"GET /trace/{hit['trace_id']} HTTP/1.1\r\n"
-                      f"Host: x\r\n\r\n".encode())
+            assert decoded_on[-1] != "repro-AsyncServiceServer"
+            status, big = post({**padded, "op": "batch",
+                                "requests": [wire, {"spec": {}}]})
             assert status == 200
-            assert json.loads(body)["trace"]["name"] == "request.solve"
-            assert handed == ["route_post"] * 2 + ["route_get"]
+            assert decoded_on[-1] != "repro-AsyncServiceServer"
+            assert [r.get("cached") for r in big["results"]] == [True, None]
+            assert big["results"][1]["status"] in (400, 422)
+            status, traced = get(f"/trace/{hit['trace_id']}")
+            assert status == 200
+            assert traced["trace"]["name"] == "request.solve"
+            assert post({"op": "invalidate",
+                         "platform": wire["platform"]}) == (
+                200, {"ok": True, "invalidated": 1})
+            assert blocking == []
+            assert not any(t.name.startswith("repro-http")
+                           for t in threading.enumerate())
         finally:
             sock.close()
             server.shutdown()
             broker.close()
+
+    def test_nothing_the_front_serves_leaves_its_loop(self, monkeypatch):
+        """``serve``'s wiring: the ring runs on the HTTP loop, and 96
+        concurrent non-solve ops, GET and POST, are answered there —
+        no crossing onto that loop from another thread, no
+        ``repro-http`` thread — and ``GET /cache`` is the ring
+        snapshot's ``cache`` section."""
+        crossings = []
+        real = asyncio.run_coroutine_threadsafe
+
+        def recorded(coro, loop):
+            crossings.append(coro.__qualname__)
+            return real(coro, loop)
+
+        wire = request_to_dict(_ms_request())
+        ops = [("GET", path, b"") for path in (
+            "/metrics", "/cache", "/traces", "/events", "/problems")]
+        ops += [("POST", "/api", json.dumps(envelope).encode()) for envelope
+                in ({"op": "ping"},
+                    {"op": "invalidate", "platform": wire["platform"]})]
+
+        async def fetch(port, method, path, body=b""):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(f"{method} {path} HTTP/1.1\r\nHost: x\r\n"
+                         f"Content-Length: {len(body)}\r\n"
+                         f"Connection: close\r\n\r\n".encode() + body)
+            head = await reader.readuntil(b"\r\n\r\n")
+            reply = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return int(head.split(b" ", 2)[1]), json.loads(reply)
+
+        async def main():
+            ring = await ShardedBroker.on_running_loop(shards=1)
+            server = AsyncServiceServer(broker=ring)
+            await server.start()
+            try:
+                solved = await fetch(server.port, "POST", "/api", json.dumps(
+                    {"op": "solve", "request": wire}).encode())
+                assert solved[0] == 200
+                monkeypatch.setattr(asyncio, "run_coroutine_threadsafe",
+                                    recorded)
+                replies = await asyncio.gather(*(
+                    fetch(server.port, *ops[i % len(ops)])
+                    for i in range(96)))
+                cache = (await fetch(server.port, "GET", "/cache"))[1]
+                assert crossings == []
+                assert [status for status, _ in replies] == [200] * 96
+                assert not any(t.name.startswith("repro-http")
+                               for t in threading.enumerate())
+                snapshot = await asyncio.to_thread(ring.snapshot)
+                assert cache["cache"] == snapshot["cache"]
+            finally:
+                server._server.close()
+                await server._server.wait_closed()
+                await ring.aclose()
+
+        asyncio.run(asyncio.wait_for(main(), 60))
 
     def test_unknown_method_and_path(self):
         broker = Broker()

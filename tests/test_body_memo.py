@@ -8,8 +8,9 @@ bytes, a memo hit is exactly the decode it replaces: every respelling
 of a request is decoded on its own, and a body that is not admitted
 (malformed, or answered fresh) runs every check on every sighting.
 
-The full road here is ``route_post`` (the executor road, which never
-consults the memo), on the same in-process broker.
+The full road here is ``route_post`` (the blocking driver of the same
+dispatcher, which never consults the memo), on the same in-process
+broker.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service import AsyncServiceServer, Broker
-from repro.service.api import route_get, route_post
+from repro.service.api import route_post
 from repro.service.cache import BODY_MEMO_BYTES, BODY_MEMO_ENTRIES, BodyMemo
 
 FIXTURE = json.loads(
@@ -238,7 +239,7 @@ def test_the_memo_bound_counts_body_bytes():
 
 def test_get_metrics_reports_the_memo_json_and_prometheus():
     """The server adds its memo to ``GET /metrics`` itself, next to the
-    near-cache; the pure ``route_get`` has no memo to report."""
+    near-cache."""
     body = _body(_envelope("master-slave"))
     with Broker() as broker:
         server = AsyncServiceServer(broker=broker).start_in_thread()
@@ -251,7 +252,6 @@ def test_get_metrics_reports_the_memo_json_and_prometheus():
             with urllib.request.urlopen(url + "?format=prometheus",
                                         timeout=30) as reply:
                 text = reply.read().decode()
-            pure = json.loads(route_get(broker, "/metrics", {})[2])
         finally:
             server.shutdown()
     assert memo == {"entries": 1, "max_entries": BODY_MEMO_ENTRIES,
@@ -264,4 +264,3 @@ def test_get_metrics_reports_the_memo_json_and_prometheus():
         "repro_body_memo_misses_total": 2.0,
         "repro_body_memo_entries": 1.0,
         "repro_body_memo_bytes": float(len(body))}
-    assert "body_memo" not in pure.get("replication", {})

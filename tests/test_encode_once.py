@@ -381,12 +381,12 @@ def test_no_road_echoes_the_platform_another_client_sent():
                 {"op": "solve", "request": raw}).encode())
             assert status == 200
             assert _no_platform(body)["cached"] is cached
-        # the in-process road hands out the cached objects themselves,
-        # built on the first client's platform; only a decoded reply is
-        # bound to the caller's own
+        # the in-process road binds its hit to the caller's spec too:
+        # the cached objects were built on the first client's platform
         hit = broker.solve(request_from_dict(second))
-        assert hit.cached and hit.solution.platform.name == \
-            request_from_dict(first).platform.name
+        assert hit.cached and hit.schedule is not None
+        assert hit.solution.platform.name == "renamed-by-client-2"
+        assert hit.schedule.platform.name == "renamed-by-client-2"
     with ShardedBroker(shards=1) as ring:
         ring.solve(request_from_dict(first))
         shard_hit = ring.solve(request_from_dict(second))

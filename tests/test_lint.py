@@ -466,7 +466,7 @@ class TestFixtureCorpus:
         messages = "\n".join(f.message for f in report.findings)
         for name in ("route_get()", "route_post()", "handle_request()"):
             assert name in messages
-        assert "run_in_executor" in messages
+        assert "drive the dispatcher by awaiting" in messages
 
     def test_asyncio_lets_dispatchers_travel_to_the_executor(self):
         # handed to run_in_executor (a Name argument, not a call), called

@@ -834,15 +834,13 @@ class TestProcessFootprint:
     holds resident."""
 
     def test_every_snapshot_carries_pid_and_rss_high_water(self):
-        from repro.service.api import route_get
+        from repro.service import render_prometheus
 
         def metrics(broker):
-            _, _, body = route_get(broker, "/metrics", {})
-            _, _, text = route_get(broker, "/metrics",
-                                   {"format": ["prometheus"]})
-            lines = [line for line in text.decode().splitlines()
+            response = handle_request(broker, {"op": "metrics"})
+            lines = [line for line in render_prometheus(response).splitlines()
                      if line.startswith("repro_process")]
-            return json.loads(body)["process"], lines
+            return response["process"], lines
 
         with Broker() as broker:
             before, _ = metrics(broker)
@@ -1073,10 +1071,10 @@ class TestHttpServer:
             server.shutdown()
             broker.close()
 
-    def test_a_malformed_envelope_is_refused_on_either_road(self):
-        """Small ``solve`` / ``batch`` bodies are dispatched on the loop,
-        everything else on the executor: both refuse what is not an
-        envelope with a typed 4xx, and the server keeps serving."""
+    def test_a_malformed_envelope_is_refused_whatever_its_size(self):
+        """Every body is dispatched on the loop, a large one parsed off
+        it first: either is refused with a typed 4xx when it is not an
+        envelope, and the server keeps serving."""
         from repro.service.api import LOOP_BODY_BYTES
 
         broker = Broker()
@@ -1096,7 +1094,7 @@ class TestHttpServer:
                 return exc.code, json.loads(exc.read())
 
         huge_list = json.dumps([0] * 100_000).encode()
-        assert len(huge_list) > LOOP_BODY_BYTES  # the executor's road
+        assert len(huge_list) > LOOP_BODY_BYTES  # parsed off the loop
         try:
             for payload, status in ((b"[1]", 400), (huge_list, 400),
                                     ({"op": "batch", "requests": 5}, 422),

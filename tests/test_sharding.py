@@ -187,8 +187,6 @@ class TestShardedBrokerThread:
         """A shard's ``snapshot`` reply and the sharded ``GET /metrics``
         body carry no per-entry fingerprint list: past a heat sketch's
         ten-key head their size is O(shards), not O(cache entries)."""
-        from repro.service.api import route_get
-
         requests = [SolveRequest(MasterSlaveSpec(
             platform=generators.star(n, master_w=w), master="M"))
                     for n in range(2, 10) for w in range(1, 6)]
@@ -197,11 +195,11 @@ class TestShardedBrokerThread:
             sharded.solve_batch(requests)
             replies = [_on_ring(sharded, shard.call({"op": "snapshot"}))
                        for shard in sharded._shards]
-            _, _, body = route_get(sharded, "/metrics", {})
+            body = json.dumps(handle_request(sharded, {"op": "metrics"}))
         assert sum(r["snapshot"]["cache"]["size"] for r in replies) == 40
         for reply in replies:
             assert "keys" not in reply["snapshot"]["cache"]
-        for text in [json.dumps(r) for r in replies] + [body.decode()]:
+        for text in [json.dumps(r) for r in replies] + [body]:
             assert sum(fp in text for fp in fps) <= 10  # the heat head
 
     def test_invalidate_fans_out_to_every_shard(self):
@@ -228,7 +226,7 @@ class TestShardedBrokerThread:
             assert sharded.clear() == len(
                 {r.fingerprint() for r in requests}
             )
-            assert sharded.cache.snapshot()["size"] == 0
+            assert sharded.snapshot()["cache"]["size"] == 0
             assert all(not sharded.solve(r).cached for r in requests)
 
     def test_single_shard_is_a_valid_degenerate(self):
@@ -544,7 +542,7 @@ class TestShardCoalescing:
 
 class TestEarnedHotModels:
     def test_a_cold_only_http_batch_leaves_no_hot_model(self):
-        from repro.service.api import request_to_dict, route_get, route_post
+        from repro.service.api import request_to_dict, route_post
 
         requests = [SolveRequest(MasterSlaveSpec(
             platform=generators.star(n), master="M"))
@@ -555,17 +553,16 @@ class TestEarnedHotModels:
                 {"op": "batch",
                  "requests": [request_to_dict(r) for r in requests]},
             ).encode())
-            _, _, metrics = route_get(sharded, "/metrics", {})
-            _, _, prometheus = route_get(sharded, "/metrics",
-                                         {"format": ["prometheus"]})
+            metrics = handle_request(sharded, {"op": "metrics"})
         assert status == 200
         assert [Fraction(r["throughput"]) for r in
                 json.loads(body)["results"]] == [
             ref.throughput for ref in reference]
-        inc = json.loads(metrics)["incremental"]
+        inc = metrics["incremental"]
         assert inc["hot_models"] == 0 and inc["evictions"] == 0
         assert inc["single_use_builds"] == inc["full_rebuilds"] == 8
-        assert b"repro_warm_single_use_builds_total 8" in prometheus
+        assert ("repro_warm_single_use_builds_total 8"
+                in render_prometheus(metrics))
 
 
 class TestHitsThroughTheRing:
@@ -1546,7 +1543,8 @@ class TestTheRingIsOneThread:
                      lambda: sharded.invalidate_platform(req.platform),
                      sharded.clear,
                      sharded.snapshot,
-                     sharded.shard_snapshots):
+                     sharded.submit_snapshot,
+                     lambda: sharded.submit_invalidate(req.platform)):
             with pytest.raises(ShardError, match="broker is closed"):
                 call()
         assert time.perf_counter() - started < 1.0  # refused, not hung

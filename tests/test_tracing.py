@@ -5,12 +5,14 @@ both broker-side routing spans and shard-side simplex spans."""
 
 import json
 import logging
+import urllib.request
 
 import pytest
 
 from repro.platform import generators
 from repro.problems import MasterSlaveSpec
 from repro.service import (
+    AsyncServiceServer,
     AsyncShardServer,
     Broker,
     EventLog,
@@ -293,15 +295,19 @@ class TestTraceApi:
 
     def test_events_limit_zero_is_no_events(self):
         from repro.service import log_event
-        from repro.service.api import route_get
 
         for i in range(3):
             log_event("shard.eject", shard=i)
         with Broker() as broker:
-            _, _, body = route_get(broker, "/events", {"limit": ["0"]})
-            assert json.loads(body)["events"] == []
-            _, _, body = route_get(broker, "/events", {"limit": ["2"]})
-            assert len(json.loads(body)["events"]) == 2
+            server = AsyncServiceServer(broker=broker).start_in_thread()
+            try:
+                url = f"http://127.0.0.1:{server.port}/events?limit="
+                for limit, count in (("0", 0), ("2", 2)):
+                    with urllib.request.urlopen(url + limit,
+                                                timeout=30) as reply:
+                        assert len(json.load(reply)["events"]) == count
+            finally:
+                server.shutdown()
 
 
 # ----------------------------------------------------------------------
