@@ -24,7 +24,9 @@ warm model's callables, ``lower`` the full and the in-place lowering,
 the hand-out (``LOWER`` / ``FACTOR`` / ``DECODE`` below name the
 functions inside :mod:`repro.lp.simplex`; a commit that renames one
 renames it here).  Indicative only: the wrappers cost a few
-microseconds a call, the same on both sides of a comparison.
+microseconds a call, the same on both sides of a comparison.  Beside it,
+the mean rows and columns (slacks included) of a full lowering: the
+size every FTRAN, BTRAN and refactorisation of that solve works on.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import hashlib
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))          # bench/ lives beside src/
@@ -85,11 +87,20 @@ def _patch(dotted: str, wrap: Callable[[Callable], Callable]) -> None:
     setattr(owner, leaf, wrap(getattr(owner, leaf)))
 
 
-def _instrument(split: Split, log: List[str]) -> None:
+def _instrument(split: Split, log: List[str],
+                shapes: List[Tuple[int, int]]) -> None:
     for bucket, names in (("lower", LOWER), ("factor", FACTOR),
                           ("decode", DECODE)):
         for name in names:
             _patch(name, lambda fn, b=bucket: split.timed(b, fn))
+
+    def shaped(init: Callable) -> Callable:
+        def wrapper(form: Any, lp: Any) -> None:
+            init(form, lp)
+            shapes.append((len(form.rows), form.num_cols))
+        return wrapper
+
+    _patch("_Form.__init__", shaped)
 
     def logged(solve: Callable) -> Callable:
         def wrapper(inst: Any, warm: bool = False) -> Any:
@@ -147,7 +158,8 @@ def _streams(size: str) -> Dict[str, List[Any]]:
 def replay(size: str) -> Dict[str, Any]:
     split = Split()
     log: List[str] = []
-    _instrument(split, log)
+    shapes: List[Tuple[int, int]] = []
+    _instrument(split, log, shapes)
     inc = incremental.IncrementalSolver()
     engine = SolveEngine(incremental=inc)
     requests = 0
@@ -161,7 +173,8 @@ def replay(size: str) -> Dict[str, Any]:
     digest = hashlib.sha256("\n".join(log).encode("utf-8")).hexdigest()
     return {"log": log, "sha256": digest, "requests": requests,
             "solves": sum(not line.startswith("#") for line in log),
-            "split": split.seconds, "stats": inc.stats.as_dict()}
+            "split": split.seconds, "shapes": shapes,
+            "stats": inc.stats.as_dict()}
 
 
 def main() -> int:
@@ -192,6 +205,11 @@ def main() -> int:
                    "phases", "decode", "solve.other", "package"):
         per_request = seconds.get(bucket, 0.0) / out["requests"] * 1e6
         print(f"  {bucket:<12}{per_request:10.0f}")
+    shapes = out["shapes"]
+    print(f"full lowerings: {len(shapes)}, "
+          f"{sum(r for r, _ in shapes) / len(shapes):.1f} rows and "
+          f"{sum(c for _, c in shapes) / len(shapes):.1f} columns each "
+          f"(slacks included)")
     if args.check:
         recorded = dict(line.split() for line in
                         Path(args.check).read_text().splitlines() if line)

@@ -80,8 +80,9 @@ The same hand-out reads the proof off the final basis by one BTRAN:
 * **optimal** — ``y = c_B B^{-1}``, mapped back through each row's scale
   and sign flip to one multiplier per *model* constraint
   (:attr:`LPSolution.duals`).  The ``u <= hi - lo`` bound rows need
-  none: the checker minimises the Lagrangian over the variable box
-  itself;
+  none, and neither do the bounds lowered as no row at all (a fixed
+  variable, an implied span): the checker minimises the Lagrangian over
+  the variable box itself;
 * **infeasible** — the same read-out of the phase-1 objective (cold
   phase 1 or the warm restricted phase 1) is a Farkas combination
   (:attr:`InfeasibleError.farkas`); a constant constraint ``0 <= -1``
@@ -92,8 +93,14 @@ The same hand-out reads the proof off the final basis by one BTRAN:
 
 The retained form
 -----------------
+* ``x`` with ``lo == hi``: no column and no row, ``x = lo`` is a
+  substitution offset (its terms move to the rhs).
 * ``x`` with lower bound ``lo``: substitute ``x = lo + u`` (``u >= 0``);
-  an upper bound adds the row ``u <= hi - lo``.
+  an upper bound adds the row ``u <= hi - lo`` unless a model row
+  already implies it: a row whose every entry is positive, slack
+  included, caps each of its columns at ``rhs / a``, and a span no
+  tighter than such a cap needs no row.  Only boxes no such row
+  implies (an SSMS ``alpha``, a multi-port ``s``) are lowered as rows.
 * ``x`` with only an upper bound: substitute ``x = hi - u``.
 * free ``x``: substitute ``x = u - v``.
 * ``<=`` rows get a slack, ``>=`` rows a surplus; rows are sign-normalised
@@ -108,7 +115,9 @@ every constraint's terms, constant and sense (and the objective's) with
 that reading and re-lowers, in place, only the rows whose numbers moved,
 so an untouched row costs pointer compares.  Anything else — a
 variable, a bound, a constraint added, a term appearing, vanishing or
-changing place — takes a full lowering, after which the structure key
+changing place, a number moving in a row that is or was all-positive
+(which boxes need rows is part of the shape) — takes a full lowering,
+after which the structure key
 decides between basis restart and cold fallback as it always did.
 ``solve(warm=False)`` always lowers in full.
 """
@@ -174,7 +183,9 @@ class _Form:
     Row ``i`` is the model row and its rhs times ``scale[i]``, the lcm
     of their denominators: ``rows[i]`` (``{col: int}``, slack last) and
     ``rhs[i]``.  ``origin[i]`` is the index of the model constraint it
-    came from (None for a ``u <= hi - lo`` bound row) and ``flips[i]``
+    came from (None for a ``u <= hi - lo`` bound row, emitted only for a
+    box no all-positive model row implies; a fixed variable has neither
+    a column nor a row) and ``flips[i]``
     -1 if it was negated to make its rhs non-negative, else +1.  ``cost``
     is the minimised objective times ``cost_scale``.  Lowering reads
     numerators and denominators; it makes a ``Fraction`` only where a
@@ -183,17 +194,22 @@ class _Form:
     def __init__(self, lp: LinearProgram) -> None:
         # 1. substitute ``x = offset + sign * u_col``: var -> (col, sign,
         # offset); sign 0 is the free variable's ``x = u_col - u_(col+1)``
+        # and col None the fixed variable's ``x = offset``
         self.variables = (list(lp.variables),
                           [b for v in lp.variables for b in (v.lo, v.hi)])
-        self.decode: Dict[Variable, Tuple[int, int, Fraction]] = {}
-        boxed: List[Tuple[int, Fraction]] = []
+        self.decode: Dict[Variable,
+                          Tuple[Optional[int], int, Fraction]] = {}
+        boxed: Dict[int, Fraction] = {}  # col -> span ``hi - lo``
         n = 0
         for var in lp.variables:
             lo, hi = var.lo, var.hi
+            if lo is not None and lo == hi:
+                self.decode[var] = None, 0, lo
+                continue
             if lo is not None:
                 self.decode[var] = n, 1, lo
                 if hi is not None:
-                    boxed.append((n, hi - lo if lo else hi))
+                    boxed[n] = hi - lo if lo else hi
             elif hi is not None:
                 self.decode[var] = n, -1, hi
             else:
@@ -226,9 +242,21 @@ class _Form:
                     f"constant constraint 0 {cons.sense} "
                     f"{Fraction(num, den)} is unsatisfiable",
                     farkas={k: ONE if num < 0 else -ONE})
-        for col, span in boxed:
-            self._append(None, ([col], [1], [1], span.numerator,
-                                span.denominator), "<=")
+        # a row of positive entries, slack included, caps each of its
+        # columns at ``rhs / a`` (every u >= 0): a span no tighter than
+        # one such cap is implied and gets no row
+        implied = set()
+        for row, b in zip(self.rows, self.rhs):
+            if min(row.values()) > 0:
+                for col, a in row.items():
+                    span = boxed.get(col)
+                    if span is not None and (span.numerator * a
+                                             >= b * span.denominator):
+                        implied.add(col)
+        for col, span in boxed.items():
+            if col not in implied:
+                self._append(None, ([col], [1], [1], span.numerator,
+                                    span.denominator), "<=")
         # 3. objective (always minimise internally)
         self.cost_reading = _reading(lp.objective, lp.sense)
         self.cost, self.cost_scale = self._int_cost(lp)
@@ -251,6 +279,8 @@ class _Form:
                 col, sign, offset = self.decode[var]
                 if offset:
                     moved = moved + coef * offset
+                if col is None:
+                    continue
                 for col, sign in (((col, sign),) if sign
                                   else ((col, 1), (col + 1, -1))):
                     cols.append(col)
@@ -311,8 +341,9 @@ class _Form:
             row, b, s, flip = self._int_row(
                 *self._collect(cons.expr), cons.sense,
                 slack if slack >= self.first_slack else None)
-            if list(row) != list(old):
-                return None
+            if (list(row) != list(old) or min(old.values()) > 0
+                    or min(row.values()) > 0):
+                return None  # new columns, or the implied bounds may move
             self.rows[i], self.rhs[i], self.scale[i] = row, b, s
             self.flips[i] = flip
             self.readings[k] = reading
@@ -334,9 +365,11 @@ class _Form:
         out: Dict[Variable, Fraction] = {}
         for var, (col, sign, offset) in self.decode.items():
             x = offset if offsets else ZERO
-            step = (u[col] if sign > 0 else -u[col] if sign
-                    else u[col] - u[col + 1])
-            out[var] = (x + step if x else step) if step else x
+            if col is not None:
+                step = (u[col] if sign > 0 else -u[col] if sign
+                        else u[col] - u[col + 1])
+                x = (x + step if x else step) if step else x
+            out[var] = x
         return out
 
 
@@ -799,7 +832,8 @@ class _RevisedCore:
         constraints: a scaled row's multiplier times its scale is the
         multiplier of the standard-form row, the recorded flip that of
         the constraint it came from.  Bound rows are skipped — the
-        certificate needs none — and zeros omitted."""
+        certificate needs none, as it needs none for the bounds that
+        were never rows — and zeros omitted."""
         y, den = self.btran([cost.get(col, 0) for col in self.basis])
         den *= cost_scale
         out: Dict[int, Fraction] = {}

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.master_slave import build_ssms_lp, patch_ssms_coefficients
-from repro.lp import CertificateError, SimplexInstance, simplex
+from repro.lp import (CertificateError, LinearProgram, SimplexInstance,
+                      certify, simplex, solve_exact)
 from repro.platform import generators
 from repro.platform.graph import Platform
 from repro.problems import MasterSlaveSpec
@@ -159,12 +160,20 @@ class TestCounters:
         lp, handles = build_ssms_lp(generators.star(3), "M")
         inst = SimplexInstance(lp)
         inst.solve()
-        handles[("s", "M", "W1")].hi = None  # a bound kind: other columns
+        # the master's send port implies s[M->W1] <= 1, so that bound
+        # has no row: dropping it lowers in full, to the same shape
+        handles[("s", "M", "W1")].hi = None
         inst.solve(warm=True)
-        assert (inst.form_builds, inst.fallbacks) == (2, 1)
-        lp.constraints[0].expr.constant -= 1  # a number: same columns
+        assert (inst.form_builds, inst.fallbacks) == (2, 0)
+        assert inst.last_restarted
+        handles[("alpha", "W1")].hi = None  # a bound row: other columns
         inst.solve(warm=True)
-        assert (inst.form_builds, inst.rows_relowered) == (2, 1)
+        assert (inst.form_builds, inst.fallbacks) == (3, 1)
+        conserve = lp.constraints[4]
+        assert conserve.name == "conserve[W1]"
+        conserve.expr.constant -= 1  # a number: same columns
+        inst.solve(warm=True)
+        assert (inst.form_builds, inst.rows_relowered) == (3, 1)
         assert inst.last_restarted
 
     def test_counters_reach_metrics(self):
@@ -182,6 +191,44 @@ class TestCounters:
         assert "repro_warm_form_builds_total 2" in text
         assert f"repro_warm_rows_relowered_total {inc['rows_relowered']}" \
             in text
+
+
+class TestBoundsThatAreNotRows:
+    def test_fixed_variables_and_implied_bounds_get_no_row(self):
+        platform = generators.star(3, bidirectional=True)
+        lp, handles = build_ssms_lp(platform, "M")
+        form = simplex._Form(lp)
+        # s[Wk->M] is pinned to 0 (5th equation): no column, and the
+        # master's receive port and each worker's send port read only
+        # pinned variables, so they lower to no row either
+        assert form.first_slack == 4 + 3
+        assert sum(k is not None for k in form.origin) == 1 + 3 + 3
+        cols = {key: form.decode[var][0] for key, var in handles.items()}
+        assert [key for key, c in cols.items() if c is None] == [
+            ("s", f"W{k}", "M") for k in (1, 2, 3)]
+        # each remaining s is capped at 1 by its port rows: no bound row;
+        # every alpha sits in a mixed-sign conservation row: it keeps one
+        bound_cols = [next(iter(row)) for row, k
+                      in zip(form.rows, form.origin) if k is None]
+        assert bound_cols == [cols[("alpha", n)] for n in platform.nodes()]
+        sol = solve_exact(lp)
+        certify(lp, sol)
+        assert all(sol[handles[("s", f"W{k}", "M")]] == 0 for k in (1, 2, 3))
+
+    def test_a_patch_that_breaks_an_implication_lowers_in_full(self):
+        lp = LinearProgram(name="implied")
+        x = lp.variable("x", lo=0, hi=1)
+        y = lp.variable("y", lo=0)
+        lp.add_constraint(x + y <= 1, name="cap")
+        lp.maximize(x)
+        inst = SimplexInstance(lp)
+        assert inst.solve()[x] == 1
+        # x/2 + y <= 1 caps x at 2 only: x <= 1 needs its row back, and
+        # re-lowering "cap" in place would answer x = 2
+        lp.set_constraint_coefficient("cap", x, F(1, 2))
+        kind, sol = certified(lp, lambda: inst.solve(warm=True))
+        assert (kind, sol[x]) == ("optimal", 1)
+        assert inst.form_builds == 2
 
 
 def test_hot_model_eviction_is_least_recently_used():

@@ -251,7 +251,10 @@ def random_lp(draw):
     Half the draws are all-integer; the other half mix in fractional
     coefficients, rhs, bounds and objective (denominators 2..12), so the
     core's row and objective scale factors differ from 1 —
-    which integer data can never exercise.
+    which integer data can never exercise.  A fixed variable (``lo ==
+    hi``) has no column, and half the draws keep every row non-negative,
+    so a row of positive entries often implies a box the lowering then
+    drops (and a patch may break the implication).
     """
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=5))
@@ -265,10 +268,11 @@ def random_lp(draw):
         lows, spans = st.just(0), st.just(3)
     bounds = []
     for _ in range(n):
-        kind = draw(st.sampled_from(["lo", "box", "hi", "free"]))
+        kind = draw(st.sampled_from(["lo", "box", "hi", "free", "fixed"]))
         lo = draw(lows)
         bounds.append((kind, lo, lo + draw(spans)))
-    rows = [[draw(number) for _ in range(n)] for _ in range(m)]
+    entry = number.map(abs) if draw(st.booleans()) else number
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
     senses = [draw(st.sampled_from(["<=", ">=", "=="])) for _ in range(m)]
     rhs = [draw(right) for _ in range(m)]
     obj = [draw(number) for _ in range(n)]
@@ -287,6 +291,8 @@ def build_lp(data):
             xs.append(lp.variable(f"x{i}", lo=lo, hi=hi))
         elif kind == "hi":
             xs.append(lp.variable(f"x{i}", hi=hi))
+        elif kind == "fixed":
+            xs.append(lp.variable(f"x{i}", lo=lo, hi=lo))
         else:
             xs.append(lp.variable(f"x{i}"))
     for k, (row, sense, b) in enumerate(zip(rows, senses, rhs)):
@@ -369,14 +375,16 @@ class TestDifferential:
 # how it got there — a mis-scaled artificial column (a bare ``e_i``
 # instead of ``scale[i] * e_i``) still reaches the optimum, by another
 # pivot sequence.  These literals were recorded before the dense engine
-# that used to be compared pivot for pivot was deleted.
+# that used to be compared pivot for pivot was deleted; the DAG path and
+# ``ssms/random10-s5/warm`` were re-pinned (same objectives) when fixed
+# variables and implied bounds stopped being lowered as rows.
 # ----------------------------------------------------------------------
 PINNED_PATHS = {
     # name: (pivots, iterations, objective)
     'ssms/fig1': (10, 12, '2'),
     'scatter/fig2': (22, 24, '1/2'),
     'a2a/random4': (42, 44, '1/23'),
-    'dag/fork_join2@fig1': (34, 36, '43/48'),
+    'dag/fork_join2@fig1': (29, 31, '43/48'),
     'ssms/random5-s0/cold': (9, 11, '35/36'),
     'ssms/random5-s0/warm': (0, 1, '367/315'),
     'ssms/random6-s1/cold': (8, 10, '3/2'),
@@ -388,7 +396,7 @@ PINNED_PATHS = {
     'ssms/random9-s4/cold': (12, 14, '5/4'),
     'ssms/random9-s4/warm': (5, 6, '404/315'),
     'ssms/random10-s5/cold': (15, 17, '67/60'),
-    'ssms/random10-s5/warm': (20, 1, '608/715'),
+    'ssms/random10-s5/warm': (18, 1, '608/715'),
     'ssms/random5-s6/cold': (6, 8, '8/15'),
     'ssms/random5-s6/warm': (0, 1, '23/30'),
     'ssms/random6-s7/cold': (9, 11, '13/12'),
