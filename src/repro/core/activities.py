@@ -9,7 +9,7 @@ commodity message rates ``send(i, j, k)``.
 :class:`SteadyStateSolution` carries those values exactly (Fractions) and
 implements:
 
-* the paper's invariant checks (one-port sums, conservation laws),
+* the paper's invariant checks (port budgets, conservation laws),
 * the period construction of section 4.1 (``T = lcm`` of denominators),
 * the per-period integer message/task counts used by reconstruction.
 """
@@ -18,14 +18,61 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .._rational import format_fraction, lcm_denominators
-from ..platform.graph import Edge, NodeId, Platform
+from ..platform.graph import Edge, NodeId, Platform, PlatformError
+
+#: the communication models of section 5.1, the paper's default first
+PORT_MODELS = ("one-port", "send-or-receive", "multiport")
 
 
 class SteadyStateError(ValueError):
     """An activity set violates the steady-state equations."""
+
+
+def port_groups(
+    platform: Platform, node: NodeId, port_model: str = "one-port",
+    ports: int = 1,
+) -> List[Tuple[str, List[Edge], int]]:
+    """The port budgets of ``node`` under a section 5.1 model, as
+    ``(name, edges, budget)``: the edges' occupations ``s_ij`` sum to at
+    most ``budget``.
+
+    One-port (full overlap) gives ``[(out, 1), (in, 1)]``, send-or-receive
+    merges them into ``[(out + in, 1)]`` and multiport(k) gives each
+    direction ``k`` cards, ``[(out, k), (in, k)]``.  Every steady-state LP
+    takes its port rows from here (:func:`add_port_rows`) and
+    :meth:`SteadyStateSolution.check_ports` checks the same groups.
+    """
+    if port_model not in PORT_MODELS:
+        raise PlatformError(f"unknown port model {port_model!r}")
+    if ports < 1:
+        raise PlatformError("ports must be >= 1")
+    out = [(node, j) for j in platform.successors(node)]
+    inc = [(j, node) for j in platform.predecessors(node)]
+    if port_model == "send-or-receive":
+        return [("port", out + inc, 1)]
+    budget = ports if port_model == "multiport" else 1
+    return [("send-port", out, budget), ("recv-port", inc, budget)]
+
+
+def add_port_rows(
+    lp, platform: Platform,
+    occupation: Callable[[NodeId, NodeId], Iterable[Tuple[object, object]]],
+    port_model: str = "one-port", ports: int = 1,
+) -> None:
+    """Add to the :class:`~repro.lp.LinearProgram` ``lp`` one ``<=`` row
+    per non-empty :func:`port_groups` group of every node, named
+    ``<group>[<node>]``; ``occupation(i, j)`` gives the
+    ``(variable, coefficient)`` terms of edge ``i -> j``'s busy time."""
+    for node in platform.nodes():
+        for name, edges, budget in port_groups(platform, node, port_model,
+                                               ports):
+            if edges:
+                lp.add_row([term for (i, j) in edges
+                            for term in occupation(i, j)],
+                           "<=", budget, name=f"{name}[{node}]")
 
 
 @dataclass
@@ -108,54 +155,45 @@ class SteadyStateSolution:
             if not self.platform.has_edge(i, j):
                 raise SteadyStateError(f"activity on missing edge {i}->{j}")
 
-    def check_one_port(self) -> None:
-        """Sum of send (resp. receive) fractions per node must be <= 1."""
+    def check_ports(self, port_model: str = "one-port",
+                    ports: int = 1) -> None:
+        """Every port budget group of every node holds under ``port_model``
+        (:func:`port_groups`)."""
+        s = self.s
         for node in self.platform.nodes():
-            out = sum(
-                (self.s.get((node, j), Fraction(0))
-                 for j in self.platform.successors(node)),
-                start=Fraction(0),
-            )
-            if out > 1:
-                raise SteadyStateError(
-                    f"one-port (send) violated at {node}: {out} > 1"
-                )
-            inc = sum(
-                (self.s.get((j, node), Fraction(0))
-                 for j in self.platform.predecessors(node)),
-                start=Fraction(0),
-            )
-            if inc > 1:
-                raise SteadyStateError(
-                    f"one-port (recv) violated at {node}: {inc} > 1"
-                )
+            for name, edges, budget in port_groups(self.platform, node,
+                                                   port_model, ports):
+                busy = sum(s[e] for e in edges if s.get(e))
+                if busy > budget:
+                    raise SteadyStateError(
+                        f"{port_model} {name} budget violated at {node}: "
+                        f"{busy} > {budget}"
+                    )
 
     def check_master_slave_conservation(self) -> None:
         """Tasks in = tasks computed + tasks out, for every non-master node."""
         if self.source is None:
             raise SteadyStateError("master-slave solution lacks a source")
+        inflow: Dict[NodeId, Fraction] = {}
+        outflow: Dict[NodeId, Fraction] = {}
+        for (i, j) in self.s:
+            rate = self.edge_rate(i, j)
+            if rate:
+                inflow[j] = inflow.get(j, 0) + rate
+                outflow[i] = outflow.get(i, 0) + rate
         for node in self.platform.nodes():
             if node == self.source:
                 continue
-            inflow = sum(
-                (self.edge_rate(j, node)
-                 for j in self.platform.predecessors(node)),
-                start=Fraction(0),
-            )
-            outflow = sum(
-                (self.edge_rate(node, j)
-                 for j in self.platform.successors(node)),
-                start=Fraction(0),
-            )
+            got, sent = inflow.get(node, 0), outflow.get(node, 0)
             computed = (
                 self.compute_rate(node)
                 if self.platform.node(node).can_compute
-                else Fraction(0)
+                else 0
             )
-            if inflow != computed + outflow:
+            if got != computed + sent:
                 raise SteadyStateError(
-                    f"conservation violated at {node}: in {inflow} != "
-                    f"compute {computed} + out {outflow}"
+                    f"conservation violated at {node}: in {got} != "
+                    f"compute {computed} + out {sent}"
                 )
         # the master receives nothing
         for j in self.platform.predecessors(self.source):
@@ -172,6 +210,12 @@ class SteadyStateSolution:
         """
         if not self.send:
             return
+        inflow: Dict[Tuple[NodeId, str], Fraction] = {}
+        outflow: Dict[Tuple[NodeId, str], Fraction] = {}
+        for (i, j, k), rate in self.send.items():
+            if rate:
+                inflow[(j, k)] = inflow.get((j, k), 0) + rate
+                outflow[(i, k)] = outflow.get((i, k), 0) + rate
         commodities = sorted({k for (_, _, k) in self.send})
         for k in commodities:
             if self.problem == "all-to-all" and "->" in k:
@@ -181,20 +225,12 @@ class SteadyStateSolution:
             for node in self.platform.nodes():
                 if node in excluded:
                     continue
-                inflow = sum(
-                    (self.send.get((j, node, k), Fraction(0))
-                     for j in self.platform.predecessors(node)),
-                    start=Fraction(0),
-                )
-                outflow = sum(
-                    (self.send.get((node, j, k), Fraction(0))
-                     for j in self.platform.successors(node)),
-                    start=Fraction(0),
-                )
-                if inflow != outflow:
+                got = inflow.get((node, k), 0)
+                sent = outflow.get((node, k), 0)
+                if got != sent:
                     raise SteadyStateError(
                         f"commodity {k} not conserved at {node}: "
-                        f"{inflow} != {outflow}"
+                        f"{got} != {sent}"
                     )
 
     def check_edge_occupation(self) -> None:
@@ -217,10 +253,12 @@ class SteadyStateSolution:
                     f"of commodity rates gives {expected}"
                 )
 
-    def verify(self) -> None:
-        """Run every applicable invariant check; raise on the first failure."""
+    def verify(self, port_model: str = "one-port", ports: int = 1) -> None:
+        """Run every applicable invariant check, the port budgets under
+        the model the solution was solved for; raise on the first
+        failure."""
         self.check_bounds()
-        self.check_one_port()
+        self.check_ports(port_model, ports)
         if self.problem == "master-slave":
             self.check_master_slave_conservation()
         if self.send:

@@ -28,6 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..lp import LinearProgram, lp_sum
 from ..platform.graph import NodeId, Platform, PlatformError
+from .activities import add_port_rows
 from .scatter import reversed_platform
 from .trees import Arborescence, pack_arborescences
 
@@ -73,13 +74,7 @@ def build_broadcast_lp(
                 handles[("s", i, j)] >= handles[("send", i, j, k)] * spec.c,
                 name=f"occupation[{i}->{j},{k}]",
             )
-    for node in platform.nodes():
-        out = [handles[("s", node, j)] for j in platform.successors(node)]
-        if out:
-            lp.add_constraint(lp_sum(out) <= 1, name=f"send-port[{node}]")
-        inc = [handles[("s", j, node)] for j in platform.predecessors(node)]
-        if inc:
-            lp.add_constraint(lp_sum(inc) <= 1, name=f"recv-port[{node}]")
+    add_port_rows(lp, platform, lambda i, j: [(handles[("s", i, j)], 1)])
     for k in targets:
         for node in platform.nodes():
             if node == source or node == k:

@@ -37,7 +37,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .._rational import RationalLike, as_fraction
 from ..lp import LinearProgram, lp_sum
-from ..platform.graph import NodeId, Platform, PlatformError
+from ..platform.graph import NodeId, Platform
+from .activities import add_port_rows
 
 BEGIN = "__begin__"
 END = "__end__"
@@ -397,13 +398,7 @@ def solve_dag_collection(
         )
         edge_busy[(i, j)] = busy
         lp.add_constraint(busy <= 1, name=f"edge[{i}->{j}]")
-    for node in platform.nodes():
-        out = [edge_busy[(node, j)] for j in platform.successors(node)]
-        if out:
-            lp.add_constraint(lp_sum(out) <= 1, name=f"send-port[{node}]")
-        inc = [edge_busy[(j, node)] for j in platform.predecessors(node)]
-        if inc:
-            lp.add_constraint(lp_sum(inc) <= 1, name=f"recv-port[{node}]")
+    add_port_rows(lp, platform, lambda i, j: edge_busy[(i, j)].terms.items())
 
     # file conservation at every node
     for f in dag.files:

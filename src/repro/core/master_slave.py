@@ -6,7 +6,8 @@ characterises the optimal steady-state: for each node the fraction of time
 ``alpha_i`` spent computing, for each edge the fraction ``s_ij`` spent
 sending task files, under
 
-* one-port constraints (send and receive separately),
+* one-port constraints (send and receive separately) — or another
+  section 5.1 port model,
 * "the master does not receive anything" (``s_jm = 0``),
 * the conservation law: tasks received = tasks computed + tasks forwarded,
   per time-unit, for every non-master node.
@@ -21,50 +22,49 @@ builds that schedule and :mod:`repro.simulator` executes it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .._rational import as_fraction
 from ..lp import LinearProgram, LinExpr, LPSolution
-from ..platform.graph import NodeId, Platform, PlatformError
-from .activities import SteadyStateSolution
+from ..platform.graph import NodeId, Platform
+from .activities import SteadyStateSolution, add_port_rows
 
 ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 
 
-def declare_ssms_variables(
-    lp: LinearProgram, platform: Platform, master: NodeId
-) -> Dict[object, object]:
-    """Declare the SSMS activity variables: ``("alpha", i)`` in [0, 1] for
-    compute-capable nodes and ``("s", i, j)`` in [0, 1] per edge, with
-    edges into the master pinned to zero (5th equation).  Shared by the
-    one-port build below and the section-5.1 port-model variants, which
-    differ only in their port constraints."""
+def build_ssms_lp(
+    platform: Platform, master: NodeId, port_model: str = "one-port",
+    ports: int = 1,
+) -> Tuple[LinearProgram, Dict[str, object]]:
+    """Assemble the SSMS(G) LP of section 3.1.
+
+    ``port_model`` selects the section 5.1 communication variant of its
+    port rows (:func:`~repro.core.activities.port_groups`): ``"one-port"``
+    (the paper's default), ``"send-or-receive"`` or ``"multiport"`` with
+    ``ports`` cards per direction.  Returns the LP and a handle dict
+    mapping ``("alpha", i)`` and ``("s", i, j)`` to LP variables.
+    """
     platform.node(master)  # validate
+    lp = LinearProgram(f"SSMS({platform.name})")
     handles: Dict[object, object] = {}
     for node in platform.nodes():
         if platform.node(node).can_compute:
             handles[("alpha", node)] = lp.variable(f"alpha[{node}]", lo=0, hi=1)
     for spec in platform.edges():
+        # the master receives nothing (5th equation)
         hi = 0 if spec.dst == master else 1
         handles[("s", spec.src, spec.dst)] = lp.variable(
             f"s[{spec.src}->{spec.dst}]", lo=0, hi=hi
         )
-    return handles
 
+    # port constraints (3rd and 4th equations under one-port)
+    add_port_rows(lp, platform, lambda i, j: [(handles[("s", i, j)], ONE)],
+                  port_model, ports)
 
-def add_ssms_conservation_and_objective(
-    lp: LinearProgram,
-    handles: Dict[object, object],
-    platform: Platform,
-    master: NodeId,
-) -> None:
-    """The weight-carrying part of every SSMS-family LP: per-node
-    conservation (named ``conserve[i]``, so
-    :func:`patch_ssms_coefficients` can find it) and the throughput
-    objective ``ntask(G) = sum_i alpha_i / w_i``."""
     # conservation law (last equation): for i != m,
     #   sum_j s_ji / c_ji  ==  alpha_i / w_i + sum_j s_ij / c_ij
-    # stored as  inflow - compute - outflow == 0
+    # stored as  inflow - compute - outflow == 0, named conserve[i] so
+    # patch_ssms_coefficients can find it
     for node in platform.nodes():
         if node == master:
             continue
@@ -82,31 +82,6 @@ def add_ssms_conservation_and_objective(
         for node in platform.nodes()
         if platform.node(node).can_compute
     }))
-
-
-def build_ssms_lp(
-    platform: Platform, master: NodeId
-) -> Tuple[LinearProgram, Dict[str, object]]:
-    """Assemble the SSMS(G) LP of section 3.1.
-
-    Returns the LP and a handle dict mapping ``("alpha", i)`` and
-    ``("s", i, j)`` to LP variables.
-    """
-    lp = LinearProgram(f"SSMS({platform.name})")
-    handles = declare_ssms_variables(lp, platform, master)
-
-    # one-port constraints (3rd and 4th equations)
-    for node in platform.nodes():
-        out = [(handles[("s", node, j)], ONE)
-               for j in platform.successors(node)]
-        if out:
-            lp.add_row(out, "<=", 1, name=f"send-port[{node}]")
-        inc = [(handles[("s", j, node)], ONE)
-               for j in platform.predecessors(node)]
-        if inc:
-            lp.add_row(inc, "<=", 1, name=f"recv-port[{node}]")
-
-    add_ssms_conservation_and_objective(lp, handles, platform, master)
     return lp, handles
 
 
@@ -123,9 +98,9 @@ def patch_ssms_coefficients(
     node ``i`` was assembled as ``inflow - compute - outflow == 0`` with
     coefficients ``+1/c_ji`` (on ``s_ji``), ``-1/w_i`` (on ``alpha_i``)
     and ``-1/c_ij`` (on ``s_ij``); the objective carries ``+1/w_i`` per
-    compute node.  One-port constraints and variable bounds are
-    weight-free, so a weight-only platform mutation moves exactly these
-    coefficients — the model is patched through the
+    compute node.  Port rows (under every port model) and variable
+    bounds are weight-free, so a weight-only platform mutation moves
+    exactly these coefficients — the model is patched through the
     :class:`~repro.lp.model.LinearProgram` rebuild hook and re-solved
     without re-assembly.
     """
@@ -160,16 +135,16 @@ def package_ssms_solution(
     sol: LPSolution,
     handles: Dict[str, object],
     backend: str = "exact",
-    verify: bool = True,
+    port_model: str = "one-port",
+    ports: int = 1,
 ) -> SteadyStateSolution:
     """Turn an SSMS LP solution back into verified steady-state activities.
 
-    Shared by :func:`solve_master_slave` and the warm re-solve path of
+    Shared by every SSMS solve and the warm re-solve path of
     :mod:`repro.service.incremental` (which re-solves a coefficient-patched
     copy of the same LP, so the handle dict is reused across platforms with
-    identical topology).  ``verify=False`` skips the one-port invariant
-    check — the section-5.1 port-model variants relax exactly that
-    invariant, so their packaging reuses this with verification off.
+    identical topology).  An exact solution is verified against the port
+    model it was built for.
     """
     alpha: Dict[NodeId, Fraction] = {}
     s: Dict[Tuple[NodeId, NodeId], Fraction] = {}
@@ -187,8 +162,8 @@ def package_ssms_solution(
         source=master,
     )
     out.simplify()  # cancel degenerate flow circulations (see activities.py)
-    if backend == "exact" and verify:
-        out.verify()
+    if backend == "exact":
+        out.verify(port_model, ports)
     return out
 
 

@@ -20,6 +20,14 @@ that hypothesis moves:
 Throughputs are always ordered
 ``send-or-receive <= one-port <= multiport(k)``; benchmark C11 measures
 the gaps.
+
+The edit itself is made in one place for every steady-state LP:
+:func:`repro.core.activities.port_groups` maps a node to its port
+budgets under a model, each builder (``build_ssms_lp``,
+``build_ssps_lp``, ...) turns those into rows, and every exact answer
+is verified against the same groups.  This module
+keeps the master-slave solvers under the two alternative models and the
+greedy colouring that schedules send-or-receive.
 """
 
 from __future__ import annotations
@@ -27,91 +35,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..lp import LinearProgram
 from ..platform.graph import NodeId, Platform
 from .activities import SteadyStateSolution
-from .master_slave import (
-    ONE,
-    add_ssms_conservation_and_objective,
-    declare_ssms_variables,
-    package_ssms_solution,
-)
-
-# These LPs share the SSMS structure-vs-coefficient split: only the port
-# constraints differ from the one-port build, and ports are weight-free,
-# so the warm re-solve path reuses ``patch_ssms_coefficients`` verbatim
-# (re-exported here so the catalog's warm models read naturally).
-from .master_slave import patch_ssms_coefficients  # noqa: F401 — re-export
-
-
-def build_send_or_receive_lp(
-    platform: Platform, master: NodeId
-) -> Tuple[LinearProgram, Dict[object, object]]:
-    """Assemble SSMS under the send-OR-receive model of section 5.1.1.
-
-    Same variables, conservation law and objective as the one-port SSMS
-    build (handles in the same ``("alpha", i)`` / ``("s", i, j)`` format);
-    the one-port pair collapses into one merged budget per node.
-    """
-    lp = LinearProgram(f"SSMS-sor({platform.name})")
-    handles = declare_ssms_variables(lp, platform, master)
-    # merged port constraint: sending plus receiving within one time-unit
-    for node in platform.nodes():
-        row = [(handles[("s", node, j)], ONE)
-               for j in platform.successors(node)]
-        row += [(handles[("s", j, node)], ONE)
-                for j in platform.predecessors(node)]
-        if row:
-            lp.add_row(row, "<=", 1, name=f"port[{node}]")
-    add_ssms_conservation_and_objective(lp, handles, platform, master)
-    return lp, handles
-
-
-def build_multiport_lp(
-    platform: Platform, master: NodeId, ports: int = 2
-) -> Tuple[LinearProgram, Dict[object, object]]:
-    """Assemble SSMS with ``ports`` send cards and receive cards per node
-    (section 5.1.2).  Each individual link still carries at most one
-    message at a time (``s_ij <= 1``); per-direction totals may reach
-    ``ports``."""
-    if ports < 1:
-        raise ValueError("ports must be >= 1")
-    lp = LinearProgram(f"SSMS-mp{ports}({platform.name})")
-    handles = declare_ssms_variables(lp, platform, master)
-    for node in platform.nodes():
-        out = [(handles[("s", node, j)], ONE)
-               for j in platform.successors(node)]
-        if out:
-            lp.add_row(out, "<=", ports, name=f"send-cards[{node}]")
-        inc = [(handles[("s", j, node)], ONE)
-               for j in platform.predecessors(node)]
-        if inc:
-            lp.add_row(inc, "<=", ports, name=f"recv-cards[{node}]")
-    add_ssms_conservation_and_objective(lp, handles, platform, master)
-    return lp, handles
-
-
-def package_port_model_solution(
-    platform: Platform,
-    master: NodeId,
-    sol,
-    handles: Dict[object, object],
-    backend: str = "exact",
-) -> SteadyStateSolution:
-    """Package a port-model LP solution: the SSMS packaging with the
-    one-port invariant check off (these models relax exactly that)."""
-    return package_ssms_solution(platform, master, sol, handles,
-                                 backend=backend, verify=False)
+from .master_slave import build_ssms_lp, package_ssms_solution
 
 
 def solve_master_slave_send_or_receive(
     platform: Platform, master: NodeId, backend: str = "exact"
 ) -> SteadyStateSolution:
     """SSMS under the send-OR-receive model of section 5.1.1."""
-    lp, handles = build_send_or_receive_lp(platform, master)
+    lp, handles = build_ssms_lp(platform, master, "send-or-receive")
     sol = lp.solve(backend=backend)
-    return package_port_model_solution(platform, master, sol, handles,
-                                       backend=backend)
+    return package_ssms_solution(platform, master, sol, handles,
+                                 backend=backend, port_model="send-or-receive")
 
 
 def solve_master_slave_multiport(
@@ -125,10 +61,11 @@ def solve_master_slave_multiport(
     Each individual link still carries at most one message at a time
     (``s_ij <= 1``); per-direction totals may reach ``ports``.
     """
-    lp, handles = build_multiport_lp(platform, master, ports=ports)
+    lp, handles = build_ssms_lp(platform, master, "multiport", ports)
     sol = lp.solve(backend=backend)
-    return package_port_model_solution(platform, master, sol, handles,
-                                       backend=backend)
+    return package_ssms_solution(platform, master, sol, handles,
+                                 backend=backend, port_model="multiport",
+                                 ports=ports)
 
 
 # ----------------------------------------------------------------------

@@ -22,12 +22,12 @@ paper notes scatter techniques extend to these and to reduce (section 4.2).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..lp import LinearProgram
 from ..platform.graph import NodeId, Platform, PlatformError
 from ..schedule.flows import cancel_cycles
-from .activities import SteadyStateSolution
+from .activities import SteadyStateSolution, add_port_rows
 from .master_slave import MINUS_ONE, ONE
 
 
@@ -40,15 +40,12 @@ def build_ssps_lp(
 ) -> Tuple[LinearProgram, Dict[object, object]]:
     """Assemble SSPS(G) for ``source`` scattering to ``targets``.
 
-    ``port_model`` selects the section 5.1 communication variant:
+    ``port_model`` selects the section 5.1 communication variant of its
+    port rows (:func:`~repro.core.activities.port_groups`):
     ``"one-port"`` (full overlap, the paper's default),
     ``"send-or-receive"`` (merged port budget) or ``"multiport"`` (with
     ``ports`` cards per direction).
     """
-    if port_model not in ("one-port", "send-or-receive", "multiport"):
-        raise PlatformError(f"unknown port model {port_model!r}")
-    if ports < 1:
-        raise PlatformError("ports must be >= 1")
     platform.node(source)
     targets = list(targets)
     if not targets:
@@ -88,21 +85,8 @@ def build_ssps_lp(
             "==", name=f"occupation[{i}->{j}]",
         )
 
-    # port constraints under the chosen model
-    for node in platform.nodes():
-        out = [(handles[("s", node, j)], ONE)
-               for j in platform.successors(node)]
-        inc = [(handles[("s", j, node)], ONE)
-               for j in platform.predecessors(node)]
-        if port_model == "send-or-receive":
-            if out or inc:
-                lp.add_row(out + inc, "<=", 1, name=f"port[{node}]")
-        else:
-            budget = 1 if port_model == "one-port" else ports
-            if out:
-                lp.add_row(out, "<=", budget, name=f"send-port[{node}]")
-            if inc:
-                lp.add_row(inc, "<=", budget, name=f"recv-port[{node}]")
+    add_port_rows(lp, platform, lambda i, j: [(handles[("s", i, j)], ONE)],
+                  port_model, ports)
 
     # conservation: a non-source node forwards every message not addressed
     # to it (5th equation of SSPS)
@@ -164,12 +148,14 @@ def package_ssps_solution(
     handles: Dict[object, object],
     backend: str = "exact",
     port_model: str = "one-port",
+    ports: int = 1,
 ) -> SteadyStateSolution:
     """Turn an SSPS LP solution into verified per-commodity activities.
 
     Shared by :func:`solve_scatter` and the warm re-solve path (which
     re-solves a coefficient-patched copy of the same LP, reusing the
-    handle dict across platforms with identical topology).
+    handle dict across platforms with identical topology).  An exact
+    solution is verified against the port model it was built for.
     """
     send: Dict[Tuple[NodeId, NodeId, str], Fraction] = {}
     per_commodity: Dict[str, Dict[Tuple[NodeId, NodeId], Fraction]] = {
@@ -204,8 +190,8 @@ def package_ssps_solution(
         targets=tuple(targets),
         edge_occupation_mode="sum",
     )
-    if backend == "exact" and port_model == "one-port":
-        out.verify()
+    if backend == "exact":
+        out.verify(port_model, ports)
     return out
 
 
@@ -219,8 +205,8 @@ def solve_scatter(
 ) -> SteadyStateSolution:
     """Solve SSPS(G); returns verified activities with per-commodity flows.
 
-    ``port_model``/``ports`` select the section 5.1 variant (the returned
-    solution's one-port invariant check is only run for the default model).
+    ``port_model``/``ports`` select the section 5.1 variant, and the
+    returned solution is verified against it.
     """
     lp, handles = build_ssps_lp(
         platform, source, targets, port_model=port_model, ports=ports
@@ -228,7 +214,7 @@ def solve_scatter(
     sol = lp.solve(backend=backend)
     return package_ssps_solution(
         platform, source, targets, sol, handles,
-        backend=backend, port_model=port_model,
+        backend=backend, port_model=port_model, ports=ports,
     )
 
 
@@ -325,15 +311,7 @@ def build_a2a_lp(
             + [(handles[("f", i, j, a, b)], cost) for (a, b) in commodities],
             "==", name=f"occupation[{i}->{j}]",
         )
-    for node in platform.nodes():
-        out = [(handles[("s", node, j)], ONE)
-               for j in platform.successors(node)]
-        if out:
-            lp.add_row(out, "<=", 1)
-        inc = [(handles[("s", j, node)], ONE)
-               for j in platform.predecessors(node)]
-        if inc:
-            lp.add_row(inc, "<=", 1)
+    add_port_rows(lp, platform, lambda i, j: [(handles[("s", i, j)], ONE)])
     for (a, b) in commodities:
         for node in platform.nodes():
             inflow = [handles[("f", j, node, a, b)]

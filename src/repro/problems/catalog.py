@@ -26,9 +26,6 @@ from ..core.master_slave import (
 )
 from ..core.multicast import solve_multicast
 from ..core.port_models import (
-    build_multiport_lp,
-    build_send_or_receive_lp,
-    package_port_model_solution,
     solve_master_slave_multiport,
     solve_master_slave_send_or_receive,
 )
@@ -60,23 +57,39 @@ from .specs import (
 )
 
 # ----------------------------------------------------------------------
-# master-slave (SSMS, section 3.1)
+# master-slave (SSMS, section 3.1).  One warm model serves it and its two
+# section 5.1 port models below: the spec's port setting picks the port
+# rows, and the conservation/objective block is the only weight-carrying
+# part of all three.
 # ----------------------------------------------------------------------
+def _ssms_key(spec):
+    # the problem name keeps the three models' hot LPs apart, and
+    # multiport's card count is structure too
+    port_model, ports = spec.port_setting()
+    key = (spec.problem, spec.master)
+    return key + (ports,) if port_model == "multiport" else key
+
+
+def _ssms_package(spec, sol, handles):
+    port_model, ports = spec.port_setting()
+    return package_ssms_solution(spec.platform, spec.master, sol, handles,
+                                 port_model=port_model, ports=ports)
+
+
 _SSMS_WARM = WarmModel(
-    spec_key=lambda spec: ("master-slave", spec.master),
-    build=lambda spec: build_ssms_lp(spec.platform, spec.master),
+    spec_key=_ssms_key,
+    build=lambda spec: build_ssms_lp(spec.platform, spec.master,
+                                     *spec.port_setting()),
     patch=lambda lp, handles, spec: patch_ssms_coefficients(
         lp, handles, spec.platform, spec.master
     ),
-    package=lambda spec, sol, handles: package_ssms_solution(
-        spec.platform, spec.master, sol, handles
-    ),
+    package=_ssms_package,
 )
 
 
 @register(
     MasterSlaveSpec,
-    capabilities=Capabilities(warm_resolve=True, reconstructs_schedule=True,
+    capabilities=Capabilities(reconstructs_schedule=True,
                               lp_structure="ssms"),
     entry_point=solve_master_slave,
     warm_model=_SSMS_WARM,
@@ -104,14 +117,14 @@ _SSPS_WARM = WarmModel(
     ),
     package=lambda spec, sol, handles: package_ssps_solution(
         spec.platform, spec.source, list(spec.targets), sol, handles,
-        port_model=spec.port_model,
+        port_model=spec.port_model, ports=spec.ports,
     ),
 )
 
 
 @register(
     ScatterSpec,
-    capabilities=Capabilities(warm_resolve=True, reconstructs_schedule=True,
+    capabilities=Capabilities(reconstructs_schedule=True,
                               lp_structure="ssps"),
     entry_point=solve_scatter,
     warm_model=_SSPS_WARM,
@@ -160,7 +173,7 @@ _GATHER_WARM = WarmModel(
 
 @register(
     GatherSpec,
-    capabilities=Capabilities(warm_resolve=True, reconstructs_schedule=True,
+    capabilities=Capabilities(reconstructs_schedule=True,
                               lp_structure="ssps"),
     entry_point=solve_gather,
     warm_model=_GATHER_WARM,
@@ -195,7 +208,7 @@ _A2A_WARM = WarmModel(
 
 @register(
     AllToAllSpec,
-    capabilities=Capabilities(warm_resolve=True, reconstructs_schedule=True,
+    capabilities=Capabilities(reconstructs_schedule=True,
                               lp_structure="multicommodity"),
     entry_point=solve_all_to_all_solution,
     warm_model=_A2A_WARM,
@@ -267,30 +280,15 @@ def _solve_dag(spec: DagSpec, backend: str = "exact"):
 
 
 # ----------------------------------------------------------------------
-# alternative port models for master-slave (section 5.1).  Both share the
-# SSMS conservation/objective block (the only weight-carrying rows — port
-# budgets are weight-free), so patch_ssms_coefficients serves their warm
-# models unchanged; only the build differs.
+# alternative port models for master-slave (section 5.1): the SSMS LP
+# with the port rows of the spec's model (``port_setting``), on the
+# master-slave warm model above
 # ----------------------------------------------------------------------
-_MULTIPORT_WARM = WarmModel(
-    spec_key=lambda spec: ("multiport", spec.master, spec.ports),
-    build=lambda spec: build_multiport_lp(spec.platform, spec.master,
-                                          ports=spec.ports),
-    patch=lambda lp, handles, spec: patch_ssms_coefficients(
-        lp, handles, spec.platform, spec.master
-    ),
-    package=lambda spec, sol, handles: package_port_model_solution(
-        spec.platform, spec.master, sol, handles
-    ),
-)
-
-
 @register(
     MultiportSpec,
-    capabilities=Capabilities(warm_resolve=True,
-                              lp_structure="ssms-multiport"),
+    capabilities=Capabilities(lp_structure="ssms-multiport"),
     entry_point=solve_master_slave_multiport,
-    warm_model=_MULTIPORT_WARM,
+    warm_model=_SSMS_WARM,
     example=lambda platform, root, others: MultiportSpec(
         platform=platform, master=root, ports=2
     ),
@@ -300,24 +298,11 @@ def _solve_multiport(spec: MultiportSpec, backend: str = "exact"):
                                         ports=spec.ports, backend=backend)
 
 
-_SOR_WARM = WarmModel(
-    spec_key=lambda spec: ("send-or-receive", spec.master),
-    build=lambda spec: build_send_or_receive_lp(spec.platform, spec.master),
-    patch=lambda lp, handles, spec: patch_ssms_coefficients(
-        lp, handles, spec.platform, spec.master
-    ),
-    package=lambda spec, sol, handles: package_port_model_solution(
-        spec.platform, spec.master, sol, handles
-    ),
-)
-
-
 @register(
     SendOrReceiveSpec,
-    capabilities=Capabilities(warm_resolve=True,
-                              lp_structure="ssms-send-or-receive"),
+    capabilities=Capabilities(lp_structure="ssms-send-or-receive"),
     entry_point=solve_master_slave_send_or_receive,
-    warm_model=_SOR_WARM,
+    warm_model=_SSMS_WARM,
     example=lambda platform, root, others: SendOrReceiveSpec(
         platform=platform, master=root
     ),

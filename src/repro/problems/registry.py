@@ -36,8 +36,9 @@ class Capabilities:
 
     ``warm_resolve``
         The solver's LP structure depends only on the platform topology;
-        weight-only mutations can be re-solved by patching coefficients
-        (requires a :class:`WarmModel` on the entry).
+        weight-only mutations can be re-solved by patching coefficients.
+        :func:`register` sets it: it holds exactly when the entry binds
+        a :class:`WarmModel`.
     ``reconstructs_schedule``
         The solution can be turned into an executable periodic schedule
         by :func:`repro.schedule.reconstruction.reconstruct_schedule`.
@@ -121,15 +122,11 @@ def register(
     ... def solve_my_problem(spec, backend="exact"):
     ...     return my_core_solver(spec.platform, spec.master, backend=backend)
     """
-    caps = capabilities if capabilities is not None else Capabilities()
+    caps = dataclasses.replace(capabilities or Capabilities(),
+                               warm_resolve=warm_model is not None)
     problem = spec_type.problem
     if not problem:
         raise ValueError(f"{spec_type.__name__} declares no problem name")
-    if caps.warm_resolve != (warm_model is not None):
-        raise ValueError(
-            f"{problem}: the warm_resolve capability and the warm model "
-            f"must be declared together"
-        )
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
         if problem in _REGISTRY:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any, ClassVar, Dict, Optional, Tuple
 
+from ..core.activities import PORT_MODELS
 from ..core.dag import BEGIN, TaskGraph
 from ..platform.graph import NodeId, Platform
 
@@ -207,6 +208,12 @@ class ProblemSpec:
             return None
         return getattr(self, self._SOURCE_FIELD)
 
+    def port_setting(self) -> Tuple[str, int]:
+        """``(port_model, ports)``: the section 5.1 communication model
+        the problem's LP is built and verified under — one-port unless
+        the problem says otherwise."""
+        return "one-port", 1
+
     # ------------------------------------------------------------------
     # wire codec (the versioned "spec" envelope)
     # ------------------------------------------------------------------
@@ -305,10 +312,13 @@ class ScatterSpec(ProblemSpec):
     _INT_FIELDS = ("ports",)
 
     def _validate(self) -> None:
-        if self.port_model not in ("one-port", "send-or-receive", "multiport"):
+        if self.port_model not in PORT_MODELS:
             raise SpecError(f"unknown port model {self.port_model!r}")
         if self.ports < 1:
             raise SpecError("ports must be >= 1")
+
+    def port_setting(self) -> Tuple[str, int]:
+        return self.port_model, self.ports
 
 
 @dataclass(frozen=True)
@@ -411,6 +421,9 @@ class MultiportSpec(ProblemSpec):
         if self.ports < 1:
             raise SpecError("ports must be >= 1")
 
+    def port_setting(self) -> Tuple[str, int]:
+        return "multiport", self.ports
+
 
 @dataclass(frozen=True)
 class SendOrReceiveSpec(ProblemSpec):
@@ -421,3 +434,6 @@ class SendOrReceiveSpec(ProblemSpec):
     problem = "send-or-receive"
     _SOURCE_FIELD = "master"
     _ROLES = {"master": "source/master"}
+
+    def port_setting(self) -> Tuple[str, int]:
+        return "send-or-receive", 1

@@ -101,14 +101,20 @@ class SolveRequest:
             raise BrokerError(f"a solve request needs a ProblemSpec, got "
                               f"{type(self.spec).__name__}")
         entry = resolve(self.spec.problem)
-        if self.include_schedule \
-                and not entry.capabilities.reconstructs_schedule:
+        port_model = self.spec.port_setting()[0]
+        if self.include_schedule and (
+                not entry.capabilities.reconstructs_schedule
+                or port_model != "one-port"):
             # fail loudly up front rather than returning a response whose
-            # missing "schedule" the client cannot tell from a server bug
+            # missing "schedule" the client cannot tell from a server bug;
+            # reconstruction colours the one-port bipartite graph, so a
+            # scatter under another port model has no schedule either
+            under = "" if port_model == "one-port" \
+                else f" under the {port_model} model"
             raise BrokerError(
-                f"include_schedule is not supported for {entry.problem!r}; "
-                f"schedules are reconstructable for: "
-                f"{sorted(reconstructable_problems())}"
+                f"include_schedule is not supported for {entry.problem!r}"
+                f"{under}; schedules are reconstructable for: "
+                f"{sorted(reconstructable_problems())} under one-port"
             )
         # snapshot: Platform is mutable (add_node/add_edge), and both the
         # memoized fingerprint and any cached solution must describe the
@@ -363,8 +369,10 @@ class Broker:
         ``"sync"`` raises :class:`ValueError`.
     incremental:
         Use the warm re-solve path for requests whose registered solver
-        declares the ``warm_resolve`` capability (master-slave, scatter,
-        gather) and whose topology was seen before (default on).
+        has the ``warm_resolve`` capability (the six problems with a
+        warm model: master-slave, scatter, gather, all-to-all, multiport
+        and send-or-receive) and whose topology was seen before
+        (default on).
     """
 
     def __init__(

@@ -21,12 +21,12 @@ pivot sequence.  :class:`WarmSolveStats` counts the restarts, repairs,
 fallbacks and pivots; the broker surfaces them in ``/metrics``.
 
 Which problems support this — and *how* — is declared in the solver
-registry (:mod:`repro.problems.registry`): an entry with the
-``warm_resolve`` capability carries a
-:class:`~repro.problems.registry.WarmModel` spelling out its
-structure-vs-coefficient split (build / patch / package).  Master-slave
-(SSMS), scatter and gather (SSPS, the latter on the reversed platform),
-all-to-all, multiport and send-or-receive all declare it;
+registry (:mod:`repro.problems.registry`): an entry that carries a
+:class:`~repro.problems.registry.WarmModel`, spelling out its
+structure-vs-coefficient split (build / patch / package), has the
+``warm_resolve`` capability.  Master-slave (SSMS, and under its
+multiport and send-or-receive models), scatter and gather (SSPS, the
+latter on the reversed platform) and all-to-all carry one;
 :class:`IncrementalSolver` is the generic executor and contains no
 per-problem code.
 
@@ -52,7 +52,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..lp.model import LinearProgram
 from ..lp.simplex import SimplexInstance
 from ..platform.graph import NodeId, Platform
-from ..problems import MasterSlaveSpec, ProblemSpec, SpecError, resolve
+from ..problems import ProblemSpec, SpecError, resolve
 from .fingerprint import topology_signature
 from .tracing import span
 
@@ -132,12 +132,13 @@ class IncrementalSolver:
     model is solved by the exact simplex, as every served request is.
 
     >>> from repro.platform import generators
+    >>> from repro.problems import MasterSlaveSpec
     >>> inc = IncrementalSolver()
-    >>> g = generators.star(3)
-    >>> once = inc.solve_master_slave(g, "M")      # solved, model dropped
-    >>> twice = inc.solve_master_slave(g, "M")     # seen before: kept
-    >>> g2 = g.scale(compute=2)                    # weight-only mutation
-    >>> warm = inc.solve_master_slave(g2, "M")     # patches + re-solves
+    >>> spec = MasterSlaveSpec(platform=generators.star(3), master="M")
+    >>> once = inc.solve_spec(spec)                # solved, model dropped
+    >>> twice = inc.solve_spec(spec)               # seen before: kept
+    >>> g2 = spec.platform.scale(compute=2)        # weight-only mutation
+    >>> warm = inc.solve_spec(MasterSlaveSpec(platform=g2, master="M"))
     >>> inc.stats.single_use_builds, inc.stats.warm_solves
     (1, 1)
     """
@@ -181,7 +182,7 @@ class IncrementalSolver:
     def solve_spec_ex(self, spec: ProblemSpec) -> Tuple[Any, bool]:
         """Like :meth:`solve_spec`, also reporting whether the warm path
         was taken (decided at check-out, so it is exact — unlike an
-        outside :meth:`has_model` check, which can race with a
+        outside :meth:`has_model_for` check, which can race with a
         concurrent solve or an eviction)."""
         model = resolve(spec.problem).warm_model
         key = self._key(spec)
@@ -267,28 +268,6 @@ class IncrementalSolver:
         return sol
 
     # ------------------------------------------------------------------
-    # master-slave convenience wrappers (the original PR 1 surface)
-    # ------------------------------------------------------------------
-    def solve_master_slave(
-        self, platform: Platform, master: NodeId
-    ) -> Any:
-        """Solve SSMS(G), warm when a structurally identical model is hot."""
-        return self.solve_spec(MasterSlaveSpec(platform=platform,
-                                               master=master))
-
-    def solve_master_slave_ex(
-        self, platform: Platform, master: NodeId
-    ) -> Tuple[Any, bool]:
-        return self.solve_spec_ex(MasterSlaveSpec(platform=platform,
-                                                  master=master))
-
-    # ------------------------------------------------------------------
-    def has_model(self, platform: Platform, master: NodeId) -> bool:
-        """True when a warm master-slave solve would reuse a built model."""
-        key = self._key(MasterSlaveSpec(platform=platform, master=master))
-        with self._lock:
-            return key in self._models
-
     def has_model_for(self, spec: ProblemSpec) -> bool:
         """True when a warm solve of ``spec`` would reuse a built model."""
         key = self._key(spec)

@@ -194,4 +194,4 @@ class TestConservationDetection:
         for j in star4.successors("M"):
             sol.s[("M", j)] = Fraction(1)
         with pytest.raises(SteadyStateError):
-            sol.check_one_port()
+            sol.check_ports()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core.activities import SteadyStateError, SteadyStateSolution
 from repro.core.master_slave import solve_master_slave
 from repro.core.port_models import (
     greedy_interval_coloring,
@@ -11,8 +12,20 @@ from repro.core.port_models import (
     solve_master_slave_multiport,
     solve_master_slave_send_or_receive,
 )
+from repro.core.scatter import solve_scatter
 from repro.platform import generators as gen
 from repro.platform.graph import Platform
+
+#: (port_model, ports) of every section 5.1 model, as the solvers take it
+MODELS = [("one-port", 1), ("send-or-receive", 1), ("multiport", 2)]
+
+
+def _ssms(platform, master, port_model, ports):
+    if port_model == "one-port":
+        return solve_master_slave(platform, master)
+    if port_model == "send-or-receive":
+        return solve_master_slave_send_or_receive(platform, master)
+    return solve_master_slave_multiport(platform, master, ports)
 
 
 class TestThroughputOrdering:
@@ -106,3 +119,106 @@ class TestGreedyColoring:
         T, length = send_or_receive_schedule_length(sol)
         # the greedy orchestration must fit within the Shannon-type factor
         assert length <= 2 * T
+
+
+class TestEveryModelIsVerified:
+    """An exact answer is checked against the port model it was solved
+    for: its budgets, bounds and conservation laws."""
+
+    @pytest.mark.parametrize("port_model,ports", MODELS)
+    def test_ssms_over_budget_refused(self, port_model, ports):
+        g = gen.star(3, worker_w=[1, 1, 1], link_c=[1, 1, 1])
+        sol = _ssms(g, "M", port_model, ports)
+        sol.verify(port_model, ports)
+        for j in g.successors("M"):
+            sol.s[("M", j)] = Fraction(1)  # three busy links > any budget
+        with pytest.raises(SteadyStateError, match="budget violated at M"):
+            sol.verify(port_model, ports)
+
+    @pytest.mark.parametrize("port_model,ports", MODELS)
+    def test_ssms_broken_conservation_refused(self, port_model, ports):
+        g = gen.star(3, worker_w=[1, 2, 3], link_c=[1, 2, 3])
+        sol = _ssms(g, "M", port_model, ports)
+        worker = max((n for n in sol.alpha if n != "M"),
+                     key=lambda n: sol.alpha[n])
+        sol.alpha[worker] /= 2
+        with pytest.raises(SteadyStateError, match="conservation violated"):
+            sol.verify(port_model, ports)
+
+    @pytest.mark.parametrize("port_model,ports", MODELS)
+    def test_scatter_over_budget_refused(self, port_model, ports):
+        g = gen.star(3, worker_w=[1, 1, 1], link_c=[1, 1, 1])
+        sol = solve_scatter(g, "M", ["W1", "W2", "W3"],
+                            port_model=port_model, ports=ports)
+        for j in g.successors("M"):
+            sol.s[("M", j)] = Fraction(1)
+        with pytest.raises(SteadyStateError, match="budget violated at M"):
+            sol.verify(port_model, ports)
+
+    @pytest.mark.parametrize("port_model,ports", MODELS)
+    def test_scatter_broken_conservation_refused(self, port_model, ports):
+        g = gen.chain(3, link_c=1)
+        sol = solve_scatter(g, "N0", ["N2"], port_model=port_model,
+                            ports=ports)
+        sol.send[("N1", "N2", "N2")] *= 2  # N1 forwards more than it gets
+        with pytest.raises(SteadyStateError, match="not conserved at N1"):
+            sol.verify(port_model, ports)
+
+    def test_verify_checks_the_model_it_is_given(self):
+        """Full overlap lets a relay receive and forward at once, which
+        send-or-receive forbids; three cards per node let a master feed
+        three links, which one port forbids."""
+        from repro._rational import INF
+
+        relay = Platform("relay-chain")
+        relay.add_node("N0", 1)
+        relay.add_node("N1", INF)
+        relay.add_node("N2", 1)
+        relay.add_edge("N0", "N1", 1)
+        relay.add_edge("N1", "N2", 1)
+        one = solve_master_slave(relay, "N0")
+        with pytest.raises(SteadyStateError,
+                           match="send-or-receive port budget"):
+            one.verify("send-or-receive")
+        star = gen.star(3, worker_w=[1, 1, 1], link_c=[1, 1, 1])
+        mp3 = solve_master_slave_multiport(star, "M", 3)
+        mp3.verify("multiport", 3)
+        with pytest.raises(SteadyStateError, match="one-port send-port"):
+            mp3.verify()
+
+    def test_every_exact_package_verifies_its_model(self, monkeypatch):
+        """Cold solves and warm-model packages alike: no exact SSMS or
+        SSPS answer leaves its packager unchecked."""
+        from repro.problems import (
+            MultiportSpec, ScatterSpec, SendOrReceiveSpec,
+        )
+        from repro.service import IncrementalSolver
+
+        seen = []
+        verify = SteadyStateSolution.verify
+
+        def recorded(sol, port_model="one-port", ports=1):
+            seen.append((sol.problem, port_model, ports))
+            verify(sol, port_model, ports)
+
+        monkeypatch.setattr(SteadyStateSolution, "verify", recorded)
+        g = gen.star(3, worker_w=[1, 2, 3], link_c=[1, 2, 3])
+        for port_model, ports in MODELS:
+            _ssms(g, "M", port_model, ports)
+            solve_scatter(g, "M", ["W1", "W2"], port_model=port_model,
+                          ports=ports)
+        inc = IncrementalSolver()
+        for spec in (MultiportSpec(platform=g, master="M", ports=3),
+                     SendOrReceiveSpec(platform=g, master="M"),
+                     ScatterSpec(platform=g, source="M", targets=("W1",),
+                                 port_model="multiport", ports=3)):
+            inc.solve_spec(spec)
+        assert seen == [
+            ("master-slave", "one-port", 1), ("scatter", "one-port", 1),
+            ("master-slave", "send-or-receive", 1),
+            ("scatter", "send-or-receive", 1),
+            ("master-slave", "multiport", 2), ("scatter", "multiport", 2),
+            ("master-slave", "multiport", 3),
+            ("master-slave", "send-or-receive", 1),
+            ("scatter", "multiport", 3),
+        ]

@@ -11,6 +11,7 @@ validation errors, end-to-end servability, warm re-solve for every
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from repro.problems import (
 from repro.service import Broker, IncrementalSolver, SolveRequest, handle_request
 from repro.service.api import request_from_dict, request_to_dict
 from repro.service.broker import BrokerError, execute_request, solution_throughput
+from repro.service.wire import compact_json
 
 ALL_PROBLEMS = frozenset({
     "master-slave", "scatter", "gather", "all-to-all", "broadcast",
@@ -300,6 +302,22 @@ class TestSpecEnvelope:
             out = handle_request(broker, {"op": "problems"})
             assert out["ok"]
             assert set(out["problems"]) == ALL_PROBLEMS
+
+    def test_registry_listing_is_pinned(self):
+        """``describe()`` and the ``problems`` op (``GET /problems``) are
+        pinned byte for byte; ``warm_resolve`` in them is derived from
+        each entry's warm model."""
+        for problem in registered_problems():
+            entry = resolve(problem)
+            assert entry.capabilities.warm_resolve == (
+                entry.warm_model is not None)
+        listing = json.dumps(describe(), sort_keys=True).encode()
+        assert hashlib.sha256(listing).hexdigest() == (
+            "af1850f0be0e55bc59175258fc2f1cb62df40553be79d0a1989b531cbd4b76a1")
+        with Broker() as broker:
+            reply = compact_json(handle_request(broker, {"op": "problems"}))
+        assert hashlib.sha256(reply).hexdigest() == (
+            "9ef0e06d93d413e7321ce0810330c2e12994e7f32682a7c91ca1b228540d173d")
 
 
 # ----------------------------------------------------------------------

@@ -33,6 +33,11 @@ KINDS = ["hook", "zero-and-back", "term", "constant", "sense", "bound",
          "unbound", "objective", "row"]
 
 
+def _ms(platform: Platform, master) -> MasterSlaveSpec:
+    """The master-slave spec an :class:`IncrementalSolver` is handed."""
+    return MasterSlaveSpec(platform=platform, master=master)
+
+
 def _agrees_with_a_fresh_instance(lp, inst):
     warm_kind, warm = certified(lp, lambda: inst.solve(warm=True))
     fresh = copy.deepcopy(lp)
@@ -235,11 +240,11 @@ def test_hot_model_eviction_is_least_recently_used():
     inc = IncrementalSolver(max_models=2)
     a, b, c = (generators.star(n) for n in (2, 3, 4))
     for g in (a, a, b, b):  # the second build keeps the hot model
-        inc.solve_master_slave(g, "M")
-    _, warm = inc.solve_master_slave_ex(a.scale(compute=2), "M")
+        inc.solve_spec(_ms(g, "M"))
+    _, warm = inc.solve_spec_ex(_ms(a.scale(compute=2), "M"))
     assert warm
     for _ in range(2):  # c's second build evicts b, least recently used
-        inc.solve_master_slave(c, "M")
+        inc.solve_spec(_ms(c, "M"))
     assert inc.stats.evictions == 1
-    assert inc.has_model(a, "M") and inc.has_model(c, "M")
-    assert not inc.has_model(b, "M")
+    assert inc.has_model_for(_ms(a, "M")) and inc.has_model_for(_ms(c, "M"))
+    assert not inc.has_model_for(_ms(b, "M"))

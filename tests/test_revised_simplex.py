@@ -31,10 +31,16 @@ from repro.lp import (
 )
 from repro.platform import generators
 from repro.platform.graph import Platform
+from repro.problems import MasterSlaveSpec
 
 F = Fraction
 coef = st.integers(min_value=-5, max_value=5)
 small_int = st.integers(min_value=-6, max_value=6)
+
+
+def _ms(platform: Platform, master) -> MasterSlaveSpec:
+    """The master-slave spec an :class:`IncrementalSolver` is handed."""
+    return MasterSlaveSpec(platform=platform, master=master)
 
 
 def dense_of(m, columns):
@@ -648,12 +654,12 @@ class TestServiceCounters:
         inc = IncrementalSolver()
         g = generators.star(4)
         for _ in range(2):  # the second build keeps the hot model
-            inc.solve_master_slave(g, "M")
+            inc.solve_spec(_ms(g, "M"))
         cold = inc.stats
         assert cold.refactorisations >= 1
         assert cold.ftran_ops > 0 and cold.btran_ops > 0
         assert cold.lu_basis_nnz > 0
-        inc.solve_master_slave(g.scale(compute=2), "M")
+        inc.solve_spec(_ms(g.scale(compute=2), "M"))
         assert inc.stats.warm_solves == 1
         assert inc.stats.basis_fallbacks == 0
 
@@ -699,7 +705,6 @@ class TestServiceCounters:
         """``int_bits_max`` is a high-water mark: two shards that each
         saw some width merge to the wider one, not to the sum."""
         from repro.platform import generators
-        from repro.problems import MasterSlaveSpec
         from repro.service import ShardedBroker, SolveRequest
 
         with ShardedBroker(shards=2) as sharded:

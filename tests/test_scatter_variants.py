@@ -10,7 +10,9 @@ from repro.core.scatter import (
 )
 from repro.platform import generators as gen
 from repro.platform.graph import Platform, PlatformError
+from repro.platform.serialization import platform_to_dict
 from repro.schedule.reconstruction import reconstruct_schedule
+from repro.service import Broker, handle_request
 
 
 class TestScatterPortModels:
@@ -47,6 +49,38 @@ class TestScatterPortModels:
         with pytest.raises(PlatformError):
             solve_scatter(fig2, "P0", ["P5"], port_model="multiport",
                           ports=0)
+
+
+class TestScatterScheduleRequests:
+    """Reconstruction colours the one-port bipartite graph: a scatter
+    under another port model asks for a schedule it cannot have, and is
+    refused up front like a multiport or send-or-receive master-slave
+    request, not answered with a 500 or a schedule of the wrong model."""
+
+    def _solve(self, broker, include_schedule, **model):
+        g = gen.random_connected(6, seed=1)
+        return handle_request(broker, {
+            "op": "solve", "platform": platform_to_dict(g),
+            "include_schedule": include_schedule,
+            "spec": {"problem": "scatter", "source": "R0",
+                     "targets": ["R1", "R2", "R3"], **model},
+        })
+
+    @pytest.mark.parametrize("model", [
+        {"port_model": "multiport", "ports": 2},
+        {"port_model": "send-or-receive"},
+    ])
+    def test_other_port_models_are_refused_a_schedule(self, model):
+        with Broker() as broker:
+            out = self._solve(broker, True, **model)
+            assert out["status"] == 422, out
+            assert f"under the {model['port_model']} model" in out["error"]
+            assert self._solve(broker, False, **model)["ok"]
+
+    def test_one_port_scatter_keeps_its_schedule(self):
+        with Broker() as broker:
+            out = self._solve(broker, True)
+        assert out["ok"] and out["schedule"] is not None
 
 
 class TestAllToAllReconstruction:

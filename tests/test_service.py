@@ -52,6 +52,11 @@ from repro.service.metrics import LATENCY_BUCKETS
 import repro.service.broker as broker_mod
 
 
+def _ms(platform: Platform, master) -> MasterSlaveSpec:
+    """The master-slave spec an :class:`IncrementalSolver` is handed."""
+    return MasterSlaveSpec(platform=platform, master=master)
+
+
 def _two_node(name="p", w_x=1, w_y=2, c=1) -> Platform:
     g = Platform(name)
     g.add_node("X", w_x)
@@ -560,10 +565,10 @@ class TestIncrementalSolver:
         g = generators.star(4, master_w=2, worker_w=[1, 2, 3, 4],
                             link_c=[1, 1, 2, 3])
         for _ in range(2):  # the second build keeps the hot model
-            inc.solve_master_slave(g, "M")
+            inc.solve_spec(_ms(g, "M"))
         for compute, comm in [("1/2", 1), (3, "1/3"), ("7/5", "5/7")]:
             mutated = g.scale(compute=compute, comm=comm)
-            warm = inc.solve_master_slave(mutated, "M")
+            warm = inc.solve_spec(_ms(mutated, "M"))
             cold = solve_master_slave(mutated, "M")
             assert warm.throughput == cold.throughput
             warm.verify()  # activities satisfy the steady-state equations
@@ -573,7 +578,7 @@ class TestIncrementalSolver:
     def test_non_uniform_weight_mutation(self, fig1):
         inc = IncrementalSolver()
         for _ in range(2):  # the second build keeps the hot model
-            inc.solve_master_slave(fig1, "P1")
+            inc.solve_spec(_ms(fig1, "P1"))
         mutated = Platform("fig1-mutated")
         for name in fig1.nodes():
             spec = fig1.node(name)
@@ -582,7 +587,7 @@ class TestIncrementalSolver:
         for spec in fig1.edges():
             c = spec.c * Fraction(1, 3) if spec.src == "P1" else spec.c
             mutated.add_edge(spec.src, spec.dst, c)
-        warm = inc.solve_master_slave(mutated, "P1")
+        warm = inc.solve_spec(_ms(mutated, "P1"))
         cold = solve_master_slave(mutated, "P1")
         assert warm.throughput == cold.throughput
         assert inc.stats.warm_solves == 1
@@ -590,9 +595,9 @@ class TestIncrementalSolver:
     def test_topology_change_falls_back(self):
         inc = IncrementalSolver()
         g = generators.star(3)
-        inc.solve_master_slave(g, "M")
+        inc.solve_spec(_ms(g, "M"))
         bigger = generators.star(4)
-        warm = inc.solve_master_slave(bigger, "M")
+        warm = inc.solve_spec(_ms(bigger, "M"))
         assert warm.throughput == solve_master_slave(bigger, "M").throughput
         assert inc.stats.full_rebuilds == 2
         assert inc.stats.warm_solves == 0
@@ -601,10 +606,10 @@ class TestIncrementalSolver:
         inc = IncrementalSolver()
         g = generators.star(3)
         for _ in range(2):  # the second build keeps the hot model
-            inc.solve_master_slave(g, "M")
-        assert inc.has_model(g, "M")
+            inc.solve_spec(_ms(g, "M"))
+        assert inc.has_model_for(_ms(g, "M"))
         assert inc.forget(g) == 1
-        assert not inc.has_model(g, "M")
+        assert not inc.has_model_for(_ms(g, "M"))
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,11 @@ WARM_PROBLEMS = (
 )
 
 
+def _ms(platform: Platform, master) -> MasterSlaveSpec:
+    """The master-slave spec an :class:`IncrementalSolver` is handed."""
+    return MasterSlaveSpec(platform=platform, master=master)
+
+
 def _with_weights(platform: Platform, node_w, edge_c) -> Platform:
     """Same topology, every finite ``w`` and every ``c`` mapped."""
     out = Platform(platform.name)
@@ -147,10 +152,10 @@ class TestWarmStatsAndEvictions:
     def test_model_cache_evictions_are_counted(self):
         inc = IncrementalSolver(max_models=1)
         for _ in range(2):  # the second build keeps the hot model
-            inc.solve_master_slave(generators.star(2), "M")
+            inc.solve_spec(_ms(generators.star(2), "M"))
         assert inc.stats.evictions == 0
         for _ in range(2):  # a distinct topology, kept the same way
-            inc.solve_master_slave(generators.star(3), "M")
+            inc.solve_spec(_ms(generators.star(3), "M"))
         assert inc.stats.evictions == 1
         assert len(inc) == 1
 
@@ -158,9 +163,9 @@ class TestWarmStatsAndEvictions:
         g = generators.paper_figure1()
         inc = IncrementalSolver()
         for _ in range(2):  # the second build keeps the hot model
-            inc.solve_master_slave(g, "P1")
+            inc.solve_spec(_ms(g, "P1"))
         assert inc.stats.cold_pivots > 0
-        inc.solve_master_slave(g.scale(compute=Fraction(5, 4)), "P1")
+        inc.solve_spec(_ms(g.scale(compute=Fraction(5, 4)), "P1"))
         stats = inc.stats
         assert stats.warm_solves == 1
         assert stats.basis_restarts == 1
@@ -185,12 +190,12 @@ class TestWarmStatsAndEvictions:
         master = sorted(platform.nodes())[0]
         inc = IncrementalSolver()
         for _ in range(2):  # the second build keeps the hot model
-            inc.solve_master_slave(platform, master)
+            inc.solve_spec(_ms(platform, master))
         primed = inc.stats.refactorisations
         cold_pivots = 0
         for _ in range(rounds):
             drifted = _drift(platform, rng)
-            warm = inc.solve_master_slave(drifted, master)
+            warm = inc.solve_spec(_ms(drifted, master))
             cold = solve_exact(build_ssms_lp(drifted, master)[0])
             assert warm.throughput == cold.objective
             cold_pivots += cold.pivots
@@ -252,7 +257,7 @@ class TestEarnedHotModels:
         seen = []
         for factor in (1, 2, 3):
             mutated = g.scale(compute=factor)
-            sol, warm = inc.solve_master_slave_ex(mutated, "P1")
+            sol, warm = inc.solve_spec_ex(_ms(mutated, "P1"))
             cold = solve_exact(build_ssms_lp(mutated, "P1")[0])
             assert sol.throughput == cold.objective
             seen.append((warm, len(inc), inc.stats.full_rebuilds,
@@ -263,7 +268,7 @@ class TestEarnedHotModels:
         g = generators.paper_figure1()
         inc = IncrementalSolver()
         for _ in range(2):  # the second build keeps the hot model
-            inc.solve_master_slave(g, "P1")
+            inc.solve_spec(_ms(g, "P1"))
         platforms = [g.scale(compute=2), g.scale(comm=Fraction(3, 2))]
         start = threading.Barrier(2, timeout=10)
         inside = threading.Barrier(2, timeout=10)
@@ -279,7 +284,7 @@ class TestEarnedHotModels:
         def run(i):
             start.wait()
             try:
-                out[i] = inc.solve_master_slave_ex(platforms[i], "P1")
+                out[i] = inc.solve_spec_ex(_ms(platforms[i], "P1"))
             except Exception as exc:  # noqa: BLE001 — asserted below
                 out[i] = exc
 
@@ -311,7 +316,7 @@ class TestEarnedHotModels:
             for _ in range(rounds):
                 i = rng.randrange(len(platforms))
                 mutated = _drift(platforms[i], rng)
-                sol = inc.solve_master_slave(mutated, masters[i])
+                sol = inc.solve_spec(_ms(mutated, masters[i]))
                 cold = solve_exact(build_ssms_lp(mutated, masters[i])[0])
                 if sol.throughput != cold.objective:
                     failures.append((seed, i))
