@@ -1,7 +1,11 @@
 """The paper's primary contribution: steady-state LPs for every problem in
 sections 3-5 plus the activity/invariant machinery they share."""
 
-from .activities import SteadyStateError, SteadyStateSolution
+from .activities import (
+    SteadyStateError,
+    SteadyStateSolution,
+    commodity_endpoints,
+)
 from .master_slave import (
     bandwidth_centric_rates,
     build_ssms_lp,
@@ -11,7 +15,7 @@ from .master_slave import (
 )
 from .master_slave import package_ssms_solution
 from .scatter import (
-    build_ssps_lp,
+    build_commodity_lp,
     solve_all_to_all,
     solve_all_to_all_solution,
     solve_gather,
@@ -20,7 +24,6 @@ from .scatter import (
 from .broadcast import (
     BroadcastSolution,
     broadcast_lp_bound,
-    build_broadcast_lp,
     edmonds_cut_bound,
     solve_broadcast,
     solve_reduce,
@@ -63,12 +66,13 @@ from .steiner import (
 __all__ = [
     "SteadyStateError",
     "SteadyStateSolution",
+    "commodity_endpoints",
     "bandwidth_centric_rates",
     "build_ssms_lp",
     "ntask",
     "solve_master_slave",
     "star_throughput",
-    "build_ssps_lp",
+    "build_commodity_lp",
     "package_ssms_solution",
     "solve_all_to_all",
     "solve_all_to_all_solution",
@@ -76,7 +80,6 @@ __all__ = [
     "solve_scatter",
     "BroadcastSolution",
     "broadcast_lp_bound",
-    "build_broadcast_lp",
     "edmonds_cut_bound",
     "solve_broadcast",
     "solve_reduce",

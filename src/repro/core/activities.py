@@ -75,6 +75,37 @@ def add_port_rows(
                            "<=", budget, name=f"{name}[{node}]")
 
 
+def commodity_endpoints(
+    problem: str, source: Optional[NodeId], targets: Iterable[NodeId],
+) -> Dict[str, Tuple[NodeId, NodeId]]:
+    """The commodities of a multi-commodity problem, in order, as
+    ``{label: (origin, sink)}``: the one rule for where a commodity
+    starts and ends.
+
+    All-to-all has one commodity ``"a->b"`` per ordered pair of its
+    participants ``targets``; gather's commodity ``k`` flows from source
+    ``k`` to the sink ``source``; every other problem (scatter, the
+    max-rule broadcast and multicast bounds) sends commodity ``k`` from
+    ``source`` to target ``k``.  Empty, repeated or source-including
+    target lists and fewer than two participants are refused here.
+    """
+    targets = tuple(targets)
+    if len(set(targets)) != len(targets):
+        raise PlatformError(f"duplicate {problem} targets")
+    if problem == "all-to-all":
+        if len(targets) < 2:
+            raise PlatformError("all-to-all needs at least two participants")
+        return {f"{a}->{b}": (a, b)
+                for a in targets for b in targets if a != b}
+    if not targets:
+        raise PlatformError(f"{problem} needs at least one target")
+    if source in targets:
+        raise PlatformError(f"the source cannot be a {problem} target")
+    if problem == "gather":
+        return {k: (k, source) for k in targets}
+    return {k: (source, k) for k in targets}
+
+
 @dataclass
 class SteadyStateSolution:
     """Exact steady-state activities on a platform.
@@ -98,9 +129,14 @@ class SteadyStateSolution:
         ``i -> j`` per time-unit (empty for master-slave, where the single
         commodity rate is ``s_ij / c_ij``).
     source:
-        The master / source node, when the problem has one.
+        The master (master-slave), the source (scatter) or the sink
+        (gather); ``None`` for all-to-all.
     targets:
-        Target set for scatter/multicast problems.
+        Scatter's targets, gather's sources or all-to-all's participants,
+        in the request's order; empty for master-slave.  They and
+        ``source`` fix the commodities: :meth:`commodities` gives each
+        label's ``(origin, sink)`` (:func:`commodity_endpoints`), and
+        :meth:`verify` and schedule reconstruction read them there.
     edge_occupation_mode:
         ``"sum"`` when distinct commodities on one edge pay separately
         (master-slave, scatter), ``"max"`` when identical payloads share a
@@ -120,6 +156,11 @@ class SteadyStateSolution:
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
+    def commodities(self) -> Dict[str, Tuple[NodeId, NodeId]]:
+        """``{label: (origin, sink)}`` of every commodity of a scatter,
+        gather or all-to-all answer (:func:`commodity_endpoints`)."""
+        return commodity_endpoints(self.problem, self.source, self.targets)
+
     def compute_rate(self, node: NodeId) -> Fraction:
         """Tasks processed by ``node`` per time-unit (``alpha_i / w_i``)."""
         a = self.alpha.get(node, Fraction(0))
@@ -171,7 +212,8 @@ class SteadyStateSolution:
                     )
 
     def check_master_slave_conservation(self) -> None:
-        """Tasks in = tasks computed + tasks out, for every non-master node."""
+        """Tasks in = tasks computed + tasks out, for every non-master
+        node, and the tasks computed add up to ``throughput``."""
         if self.source is None:
             raise SteadyStateError("master-slave solution lacks a source")
         inflow: Dict[NodeId, Fraction] = {}
@@ -201,36 +243,32 @@ class SteadyStateSolution:
                 raise SteadyStateError(
                     f"master {self.source} receives from {j}"
                 )
+        if self.total_compute_rate() != self.throughput:
+            raise SteadyStateError(
+                f"tasks computed {self.total_compute_rate()} != "
+                f"throughput {self.throughput}"
+            )
 
     def check_commodity_conservation(self) -> None:
-        """Per-commodity flow conservation for scatter/multicast solutions.
-
-        All-to-all commodities are named ``"a->b"``; their excluded
-        endpoints are parsed from the name instead of using ``source``.
-        """
-        if not self.send:
-            return
-        inflow: Dict[Tuple[NodeId, str], Fraction] = {}
-        outflow: Dict[Tuple[NodeId, str], Fraction] = {}
+        """Every commodity of :meth:`commodities` is conserved at every
+        node but its origin and sink, leaves its origin at net rate
+        ``throughput`` and reaches its sink at the same net rate."""
+        commodities = self.commodities()
+        net: Dict[Tuple[NodeId, str], Fraction] = {}
         for (i, j, k), rate in self.send.items():
-            if rate:
-                inflow[(j, k)] = inflow.get((j, k), 0) + rate
-                outflow[(i, k)] = outflow.get((i, k), 0) + rate
-        commodities = sorted({k for (_, _, k) in self.send})
-        for k in commodities:
-            if self.problem == "all-to-all" and "->" in k:
-                excluded = set(k.split("->"))
-            else:
-                excluded = {self.source, k}
+            if k not in commodities:
+                raise SteadyStateError(f"unknown commodity {k!r}")
+            net[(i, k)] = net.get((i, k), 0) + rate
+            net[(j, k)] = net.get((j, k), 0) - rate
+        for k, (origin, sink) in commodities.items():
             for node in self.platform.nodes():
-                if node in excluded:
-                    continue
-                got = inflow.get((node, k), 0)
-                sent = outflow.get((node, k), 0)
-                if got != sent:
+                want = (self.throughput if node == origin
+                        else -self.throughput if node == sink else 0)
+                got = net.get((node, k), 0)
+                if got != want:
                     raise SteadyStateError(
-                        f"commodity {k} not conserved at {node}: "
-                        f"{got} != {sent}"
+                        f"commodity {k} not conserved at {node}: net "
+                        f"outflow {got} != {want}"
                     )
 
     def check_edge_occupation(self) -> None:
@@ -255,13 +293,13 @@ class SteadyStateSolution:
 
     def verify(self, port_model: str = "one-port", ports: int = 1) -> None:
         """Run every applicable invariant check, the port budgets under
-        the model the solution was solved for; raise on the first
-        failure."""
+        the model the solution was solved for, and the throughput the
+        solution claims; raise on the first failure."""
         self.check_bounds()
         self.check_ports(port_model, ports)
         if self.problem == "master-slave":
             self.check_master_slave_conservation()
-        if self.send:
+        else:
             self.check_commodity_conservation()
             self.check_edge_occupation()
 

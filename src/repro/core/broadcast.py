@@ -10,7 +10,9 @@ message copy travelled where.
 
 This module provides:
 
-* :func:`broadcast_lp_bound` — the max-rule LP optimum (upper bound);
+* :func:`broadcast_lp_bound` — the max-rule LP optimum (upper bound): the
+  multi-commodity LP of :mod:`.scatter` with one commodity per target,
+  under the max occupation rule;
 * :func:`solve_broadcast` — a *constructive* achiever: the optimal
   fractional packing of spanning arborescences, found in polynomial time
   by column generation (:func:`repro.core.trees.pack_arborescences`),
@@ -24,76 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from ..lp import LinearProgram, lp_sum
 from ..platform.graph import NodeId, Platform, PlatformError
-from .activities import add_port_rows
-from .scatter import reversed_platform
+from .activities import commodity_endpoints
+from .scatter import build_commodity_lp, reversed_platform
 from .trees import Arborescence, pack_arborescences
-
-
-def build_broadcast_lp(
-    platform: Platform,
-    source: NodeId,
-    targets: Optional[Sequence[NodeId]] = None,
-) -> Tuple[LinearProgram, Dict[object, object]]:
-    """Max-rule LP: like SSPS but ``s_ij >= send(i,j,k) * c_ij`` per k.
-
-    With the objective pushing ``TP`` up and the one-port constraints
-    pushing ``s_ij`` down, ``s_ij`` settles at the max over commodities —
-    the linearisation is exact at the optimum.
-    """
-    platform.node(source)
-    if targets is None:
-        targets = [n for n in platform.nodes() if n != source]
-    targets = list(targets)
-    if not targets:
-        raise PlatformError("broadcast needs at least one receiver")
-    for t in targets:
-        if t == source:
-            raise PlatformError("the source cannot be a broadcast target")
-
-    lp = LinearProgram(f"SSB({platform.name})")
-    handles: Dict[object, object] = {}
-    tp = lp.variable("TP", lo=0)
-    handles["TP"] = tp
-    for spec in platform.edges():
-        handles[("s", spec.src, spec.dst)] = lp.variable(
-            f"s[{spec.src}->{spec.dst}]", lo=0, hi=1
-        )
-        for k in targets:
-            hi = 0 if spec.src == k else None
-            handles[("send", spec.src, spec.dst, k)] = lp.variable(
-                f"send[{spec.src}->{spec.dst},{k}]", lo=0, hi=hi
-            )
-    for spec in platform.edges():
-        i, j = spec.src, spec.dst
-        for k in targets:
-            lp.add_constraint(
-                handles[("s", i, j)] >= handles[("send", i, j, k)] * spec.c,
-                name=f"occupation[{i}->{j},{k}]",
-            )
-    add_port_rows(lp, platform, lambda i, j: [(handles[("s", i, j)], 1)])
-    for k in targets:
-        for node in platform.nodes():
-            if node == source or node == k:
-                continue
-            inflow = lp_sum(
-                handles[("send", j, node, k)]
-                for j in platform.predecessors(node)
-            )
-            outflow = lp_sum(
-                handles[("send", node, j, k)]
-                for j in platform.successors(node)
-            )
-            lp.add_constraint(inflow == outflow, name=f"conserve[{node},{k}]")
-        arrivals = lp_sum(
-            handles[("send", j, k, k)] for j in platform.predecessors(k)
-        )
-        lp.add_constraint(arrivals == tp * 1, name=f"deliver[{k}]")
-    lp.maximize(tp)
-    return lp, handles
 
 
 def broadcast_lp_bound(
@@ -102,8 +40,18 @@ def broadcast_lp_bound(
     targets: Optional[Sequence[NodeId]] = None,
     backend: str = "exact",
 ) -> Fraction:
-    """Upper bound on broadcast throughput (max-rule LP optimum)."""
-    lp, _ = build_broadcast_lp(platform, source, targets)
+    """Upper bound on broadcast throughput: the optimum of the max-rule
+    commodity LP (:func:`~repro.core.scatter.build_commodity_lp`), one
+    commodity per target, every node but the source by default.
+
+    With the objective pushing ``TP`` up and the one-port rows pushing
+    ``s_ij`` down, ``s_ij`` settles at the max over commodities — the
+    linearisation is exact at the optimum.
+    """
+    if targets is None:
+        targets = [n for n in platform.nodes() if n != source]
+    lp, _ = build_commodity_lp(
+        platform, commodity_endpoints("broadcast", source, targets), "max")
     return lp.solve(backend=backend).objective
 
 

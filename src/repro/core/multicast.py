@@ -31,8 +31,8 @@ from ..platform.generators import (
     MULTICAST_TARGETS,
     paper_figure2_multicast,
 )
-from .broadcast import build_broadcast_lp
-from .scatter import build_ssps_lp
+from .activities import commodity_endpoints
+from .scatter import build_commodity_lp
 from .steiner import heuristic_multicast_packing
 from .trees import (
     Arborescence,
@@ -71,13 +71,14 @@ def multicast_bounds(
     targets: Sequence[NodeId],
     backend: str = "exact",
 ) -> Tuple[Fraction, Fraction]:
-    """Return ``(sum_lp, max_lp)`` throughput bounds."""
-    lp_sum_form, _ = build_ssps_lp(platform, source, list(targets))
-    lp_max_form, _ = build_broadcast_lp(platform, source, list(targets))
-    return (
-        lp_sum_form.solve(backend=backend).objective,
-        lp_max_form.solve(backend=backend).objective,
-    )
+    """Return ``(sum_lp, max_lp)`` throughput bounds: the optima of the
+    commodity LP with one commodity per target, under the sum and under
+    the max occupation rule."""
+    commodities = commodity_endpoints("multicast", source, targets)
+    return tuple(
+        build_commodity_lp(platform, commodities, rule)[0]
+        .solve(backend=backend).objective
+        for rule in ("sum", "max"))
 
 
 def solve_multicast(

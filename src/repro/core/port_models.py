@@ -24,7 +24,7 @@ the gaps.
 The edit itself is made in one place for every steady-state LP:
 :func:`repro.core.activities.port_groups` maps a node to its port
 budgets under a model, each builder (``build_ssms_lp``,
-``build_ssps_lp``, ...) turns those into rows, and every exact answer
+``build_commodity_lp``, ...) turns those into rows, and every exact answer
 is verified against the same groups.  This module
 keeps the master-slave solvers under the two alternative models and the
 greedy colouring that schedules send-or-receive.

@@ -29,14 +29,12 @@ from ..core.port_models import (
     solve_master_slave_multiport,
     solve_master_slave_send_or_receive,
 )
+from ..core.activities import commodity_endpoints
 from ..core.scatter import (
-    build_a2a_lp,
-    build_ssps_lp,
+    build_commodity_lp,
     gather_from_scatter,
-    package_a2a_solution,
-    package_ssps_solution,
-    patch_a2a_coefficients,
-    patch_ssps_coefficients,
+    package_commodity_solution,
+    patch_commodity_coefficients,
     reversed_platform,
     solve_all_to_all_solution,
     solve_gather,
@@ -102,23 +100,46 @@ def _solve_master_slave(spec: MasterSlaveSpec, backend: str = "exact"):
 
 
 # ----------------------------------------------------------------------
-# scatter (SSPS, section 3.2 — port models of section 5.1)
+# scatter (SSPS, section 3.2 — port models of section 5.1), gather and
+# personalised all-to-all (section 4.2): one sum-rule commodity LP, whose
+# occupation rows are its only weight-carrying part.  Gather works on the
+# reversed platform throughout: the reversed topology is a pure function
+# of the original topology, so the original's topology signature still
+# keys the hot-model cache correctly.  A hot model may have been built
+# for the same commodities in another order; the packager reads them in
+# the requester's order.
 # ----------------------------------------------------------------------
-_SSPS_WARM = WarmModel(
-    spec_key=lambda spec: ("scatter", spec.source,
-                           tuple(sorted(spec.targets)),
-                           spec.port_model, spec.ports),
-    build=lambda spec: build_ssps_lp(
-        spec.platform, spec.source, list(spec.targets),
-        port_model=spec.port_model, ports=spec.ports,
-    ),
-    patch=lambda lp, handles, spec: patch_ssps_coefficients(
-        lp, handles, spec.platform, spec.targets
-    ),
-    package=lambda spec, sol, handles: package_ssps_solution(
-        spec.platform, spec.source, list(spec.targets), sol, handles,
-        port_model=spec.port_model, ports=spec.ports,
-    ),
+def _commodity_warm(spec_key, lp_problem, finish=lambda spec, sol: sol):
+    """The warm model of a sum-rule commodity problem: ``lp_problem(spec)``
+    is ``(platform, problem, source, targets)`` of the LP as solved, and
+    ``finish(spec, solution)`` turns its packaged answer into the
+    problem's (gather's LP is a scatter on the reversed platform)."""
+    def build(spec):
+        platform, problem, source, targets = lp_problem(spec)
+        return build_commodity_lp(
+            platform, commodity_endpoints(problem, source, targets), "sum",
+            *spec.port_setting())
+
+    def patch(lp, handles, spec):
+        platform, problem, source, targets = lp_problem(spec)
+        patch_commodity_coefficients(
+            lp, handles, platform,
+            commodity_endpoints(problem, source, targets))
+
+    def package(spec, sol, handles):
+        port_model, ports = spec.port_setting()
+        return finish(spec, package_commodity_solution(
+            *lp_problem(spec), sol, handles,
+            port_model=port_model, ports=ports))
+
+    return WarmModel(spec_key=spec_key, build=build, patch=patch,
+                     package=package)
+
+
+_SSPS_WARM = _commodity_warm(
+    lambda spec: ("scatter", spec.source, tuple(sorted(spec.targets)),
+                  spec.port_model, spec.ports),
+    lambda spec: (spec.platform, "scatter", spec.source, spec.targets),
 )
 
 
@@ -139,35 +160,12 @@ def _solve_scatter(spec: ScatterSpec, backend: str = "exact"):
     )
 
 
-# ----------------------------------------------------------------------
-# gather — scatter on the reversed platform (section 4.2).  The warm
-# model works on the reversed platform throughout: the reversed topology
-# is a pure function of the original topology, so the original's topology
-# signature still keys the hot-model cache correctly.
-# ----------------------------------------------------------------------
-def _gather_build(spec: GatherSpec):
-    return build_ssps_lp(reversed_platform(spec.platform), spec.sink,
-                         list(spec.sources))
-
-
-def _gather_patch(lp, handles, spec: GatherSpec) -> None:
-    patch_ssps_coefficients(lp, handles, reversed_platform(spec.platform),
-                            spec.sources)
-
-
-def _gather_package(spec: GatherSpec, sol, handles):
-    rsol = package_ssps_solution(
-        reversed_platform(spec.platform), spec.sink, list(spec.sources),
-        sol, handles,
-    )
-    return gather_from_scatter(spec.platform, spec.sink, spec.sources, rsol)
-
-
-_GATHER_WARM = WarmModel(
-    spec_key=lambda spec: ("gather", spec.sink, tuple(sorted(spec.sources))),
-    build=_gather_build,
-    patch=_gather_patch,
-    package=_gather_package,
+_GATHER_WARM = _commodity_warm(
+    lambda spec: ("gather", spec.sink, tuple(sorted(spec.sources))),
+    lambda spec: (reversed_platform(spec.platform), "scatter", spec.sink,
+                  spec.sources),
+    finish=lambda spec, rsol: gather_from_scatter(
+        spec.platform, spec.sink, spec.sources, rsol),
 )
 
 
@@ -186,23 +184,10 @@ def _solve_gather(spec: GatherSpec, backend: str = "exact"):
                         backend=backend)
 
 
-# ----------------------------------------------------------------------
-# personalised all-to-all (end of section 4.2).  Like SSPS, only the
-# occupation rows carry weights, so the multicommodity LP warm re-solves
-# by patching the c_ij coefficients in place.
-# ----------------------------------------------------------------------
-_A2A_WARM = WarmModel(
-    spec_key=lambda spec: ("all-to-all", tuple(sorted(spec.participants))),
-    build=lambda spec: build_a2a_lp(spec.platform,
-                                    list(spec.participants) or None),
-    patch=lambda lp, handles, spec: patch_a2a_coefficients(
-        lp, handles, spec.platform
-    ),
-    package=lambda spec, sol, handles: package_a2a_solution(
-        spec.platform, sol, handles,
-        participants=spec.participants,  # the REQUESTER's ordering, not
-        # the (sorted-key) hot model's first-build ordering
-    ),
+_A2A_WARM = _commodity_warm(
+    lambda spec: ("all-to-all", tuple(sorted(spec.participants))),
+    lambda spec: (spec.platform, "all-to-all", None,
+                  spec.participants or spec.platform.nodes()),
 )
 
 
@@ -215,8 +200,7 @@ _A2A_WARM = WarmModel(
     example=lambda platform, root, others: AllToAllSpec(platform=platform),
 )
 def _solve_all_to_all(spec: AllToAllSpec, backend: str = "exact"):
-    participants = list(spec.participants) or None
-    return solve_all_to_all_solution(spec.platform, participants,
+    return solve_all_to_all_solution(spec.platform, spec.participants,
                                      backend=backend)
 
 

@@ -92,31 +92,16 @@ def reconstruct_schedule(
         routes["task"] = decompose_flow(
             solution.platform, flow, solution.source, demands
         )
-    elif solution.send and (
-        solution.problem == "all-to-all" or solution.source is not None
-    ):
-        # every other commodity flow differs only in where a commodity
-        # originates and where it is consumed:
-        #   all-to-all — commodities are named "a->b", each with its own
-        #     source and sink;
-        #   gather — commodity k points AT the sink: sourced at node k,
-        #     consumed at solution.source (the reverse orientation of
-        #     scatter's source-outward flows);
-        #   scatter and friends — sourced at solution.source, consumed
-        #     at target k.
-        for k in sorted({key for (_, _, key) in solution.send}):
-            if solution.problem == "all-to-all":
-                origin, consumer = k.split("->")
-            elif solution.problem == "gather":
-                origin, consumer = k, solution.source
-            else:
-                origin, consumer = solution.source, k
+    elif solution.send:
+        # every commodity is routed from its origin to its sink
+        # (SteadyStateSolution.commodities)
+        for k, (origin, sink) in sorted(solution.commodities().items()):
             flow = {
                 (i, j): rate * T
                 for (i, j, kk), rate in solution.send.items()
                 if kk == k and rate > 0
             }
-            demands = {consumer: solution.throughput * T}
+            demands = {sink: solution.throughput * T}
             routes[k] = decompose_flow(solution.platform, flow, origin, demands)
 
     schedule = PeriodicSchedule(

@@ -5,10 +5,23 @@ from fractions import Fraction
 import pytest
 
 from repro._rational import INF
-from repro.core.activities import SteadyStateError, SteadyStateSolution
+from repro.core.activities import (
+    SteadyStateError,
+    SteadyStateSolution,
+    commodity_endpoints,
+)
 from repro.core.master_slave import solve_master_slave
+from repro.core.port_models import (
+    solve_master_slave_multiport,
+    solve_master_slave_send_or_receive,
+)
+from repro.core.scatter import (
+    solve_all_to_all_solution,
+    solve_gather,
+    solve_scatter,
+)
 from repro.platform import generators as gen
-from repro.platform.graph import Platform
+from repro.platform.graph import Platform, PlatformError
 
 
 def tiny():
@@ -127,3 +140,95 @@ class TestSummary:
         text = sol.summary()
         assert "throughput" in text
         assert "3/2" in text
+
+
+# every steady-state answer kind on one platform, with the port model it
+# is verified under
+ANSWERS = {
+    "master-slave": (lambda g: solve_master_slave(g, "R0"), ()),
+    "multiport": (lambda g: solve_master_slave_multiport(g, "R0", 2),
+                  ("multiport", 2)),
+    "send-or-receive": (
+        lambda g: solve_master_slave_send_or_receive(g, "R0"),
+        ("send-or-receive",)),
+    "scatter": (lambda g: solve_scatter(g, "R0", ["R1", "R2", "R3"]), ()),
+    "gather": (lambda g: solve_gather(g, "R0", ["R1", "R2", "R3"]), ()),
+    "all-to-all": (lambda g: solve_all_to_all_solution(
+        g, ["R0", "R1", "R2", "R3"]), ()),
+}
+COMMODITY_ANSWERS = ("scatter", "gather", "all-to-all")
+
+
+def _answer(kind):
+    solve, model = ANSWERS[kind]
+    sol = solve(gen.random_connected(6, seed=1))
+    sol.verify(*model)
+    assert sol.throughput > 0
+    return sol, model
+
+
+class TestVerifyCertifiesThroughput:
+    """``verify`` checks the throughput it certifies: each commodity leaves
+    its origin and reaches its sink at net rate ``throughput``, and a
+    master-slave answer computes ``throughput`` tasks per time-unit."""
+
+    @pytest.mark.parametrize("factor", [Fraction(2), Fraction(1, 2)])
+    @pytest.mark.parametrize("kind", sorted(ANSWERS))
+    def test_a_scaled_throughput_is_refused(self, kind, factor):
+        sol, model = _answer(kind)
+        sol.throughput *= factor
+        with pytest.raises(SteadyStateError):
+            sol.verify(*model)
+
+    @pytest.mark.parametrize("kind", COMMODITY_ANSWERS)
+    def test_a_deleted_commodity_is_refused(self, kind):
+        sol, model = _answer(kind)
+        gone = next(iter(sol.commodities()))
+        sol.send = {key: rate for key, rate in sol.send.items()
+                    if key[2] != gone}
+        # the busy times follow the flows that are left, so only the
+        # delivery check can notice
+        sol.s = {e: Fraction(0) for e in sol.s}
+        for (i, j, _k), rate in sol.send.items():
+            sol.s[(i, j)] += rate * sol.platform.c(i, j)
+        sol.check_edge_occupation()
+        with pytest.raises(SteadyStateError, match=f"commodity {gone} "):
+            sol.verify(*model)
+
+    def test_a_commodity_nobody_asked_for_is_refused(self):
+        sol, model = _answer("scatter")
+        (i, j, k), rate = next(iter(sol.send.items()))
+        del sol.send[(i, j, k)]
+        sol.send[(i, j, "R5")] = rate
+        with pytest.raises(SteadyStateError, match="unknown commodity"):
+            sol.verify(*model)
+
+
+class TestCommodityEndpoints:
+    def test_one_rule_per_problem(self):
+        assert commodity_endpoints("scatter", "S", ["A", "B"]) == {
+            "A": ("S", "A"), "B": ("S", "B")}
+        assert commodity_endpoints("gather", "S", ["A", "B"]) == {
+            "A": ("A", "S"), "B": ("B", "S")}
+        assert commodity_endpoints("all-to-all", None, ["A", "B", "C"]) == {
+            "A->B": ("A", "B"), "A->C": ("A", "C"), "B->A": ("B", "A"),
+            "B->C": ("B", "C"), "C->A": ("C", "A"), "C->B": ("C", "B")}
+
+    def test_solutions_read_their_endpoints_from_it(self):
+        for kind in COMMODITY_ANSWERS:
+            sol, _ = _answer(kind)
+            assert sol.commodities() == commodity_endpoints(
+                sol.problem, sol.source, sol.targets)
+            assert {k for (_, _, k) in sol.send} <= set(sol.commodities())
+
+    @pytest.mark.parametrize("problem,source,targets", [
+        ("scatter", "S", []),
+        ("scatter", "S", ["A", "A"]),
+        ("scatter", "S", ["A", "S"]),
+        ("gather", "S", ["S"]),
+        ("all-to-all", None, ["A"]),
+        ("all-to-all", None, ["A", "B", "A"]),
+    ])
+    def test_bad_target_lists_are_refused(self, problem, source, targets):
+        with pytest.raises(PlatformError):
+            commodity_endpoints(problem, source, targets)

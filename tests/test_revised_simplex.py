@@ -13,7 +13,8 @@ import repro.lp
 from repro._rational import is_infinite
 from repro.core.dag import TaskGraph, solve_dag_collection
 from repro.core.master_slave import build_ssms_lp, patch_ssms_coefficients
-from repro.core.scatter import build_a2a_lp, build_ssps_lp
+from repro.core.activities import commodity_endpoints
+from repro.core.scatter import build_commodity_lp
 from repro.lp import (
     BasisFactor,
     InfeasibleError,
@@ -389,7 +390,7 @@ PINNED_PATHS = {
     # name: (pivots, iterations, objective)
     'ssms/fig1': (10, 12, '2'),
     'scatter/fig2': (22, 24, '1/2'),
-    'a2a/random4': (42, 44, '1/23'),
+    'a2a/random4': (44, 46, '1/23'),
     'dag/fork_join2@fig1': (29, 31, '43/48'),
     'ssms/random5-s0/cold': (9, 11, '35/36'),
     'ssms/random5-s0/warm': (0, 1, '367/315'),
@@ -453,10 +454,13 @@ def test_pivot_paths_are_pinned(monkeypatch):
     paths = {}
     fig1 = generators.paper_figure1()
     paths["ssms/fig1"] = _path(solve_exact(build_ssms_lp(fig1, "P1")[0]))
-    paths["scatter/fig2"] = _path(solve_exact(build_ssps_lp(
-        generators.paper_figure2_multicast(), "P0", ["P5", "P6"])[0]))
-    paths["a2a/random4"] = _path(solve_exact(
-        build_a2a_lp(generators.random_connected(4, seed=11))[0]))
+    paths["scatter/fig2"] = _path(solve_exact(build_commodity_lp(
+        generators.paper_figure2_multicast(),
+        commodity_endpoints("scatter", "P0", ["P5", "P6"]))[0]))
+    random4 = generators.random_connected(4, seed=11)
+    paths["a2a/random4"] = _path(solve_exact(build_commodity_lp(
+        random4, commodity_endpoints("all-to-all", None,
+                                     random4.nodes()))[0]))
     # the DAG collection LP is assembled inside its solver
     seen = []
     solve = SimplexInstance.solve

@@ -1,14 +1,17 @@
 """SSPS(G) tests: scatter, gather and personalised all-to-all (§3.2, §4.2)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from repro.core.scatter import (
     solve_all_to_all,
+    solve_all_to_all_solution,
     solve_gather,
     solve_scatter,
 )
+from repro.lp import LinearProgram
 from repro.platform import generators as gen
 from repro.platform.graph import Platform, PlatformError
 
@@ -141,3 +144,55 @@ class TestAllToAll:
         p.add_node("A", 1)
         with pytest.raises(PlatformError):
             solve_all_to_all(p)
+
+
+def arc_flow_all_to_all(platform, participants):
+    """The all-to-all LP in its first, independent form: one arc flow per
+    (edge, ordered pair), one row per (pair, node) in which the origin
+    emits ``TP`` and the sink absorbs it, and no pin on a sink's
+    re-emission.  Returns its exact optimum."""
+    lp = LinearProgram("arc-flow-oracle")
+    tp = lp.variable("TP", lo=0)
+    pairs = [(a, b) for a in participants for b in participants if a != b]
+    s, f = {}, {}
+    for e in platform.edges():
+        s[e.src, e.dst] = lp.variable(f"s[{e.src}->{e.dst}]", lo=0, hi=1)
+        for a, b in pairs:
+            f[e.src, e.dst, a, b] = lp.variable(
+                f"f[{e.src}->{e.dst},{a}->{b}]", lo=0)
+        lp.add_row([(s[e.src, e.dst], 1)]
+                   + [(f[e.src, e.dst, a, b], -e.c) for a, b in pairs], "==")
+    for n in platform.nodes():
+        lp.add_row([(s[n, j], 1) for j in platform.successors(n)], "<=", 1)
+        lp.add_row([(s[j, n], 1) for j in platform.predecessors(n)], "<=", 1)
+        for a, b in pairs:
+            want = 1 if n == a else -1 if n == b else 0
+            lp.add_row([(f[n, j, a, b], 1) for j in platform.successors(n)]
+                       + [(f[j, n, a, b], -1)
+                          for j in platform.predecessors(n)]
+                       + [(tp, -want)], "==")
+    lp.maximize(tp)
+    return lp.solve().objective
+
+
+def oracle_case(seed):
+    """A seeded platform of 3-6 nodes and a participant list: every node
+    on every third seed, a shuffled subset of at least two otherwise."""
+    rng = random.Random(seed)
+    platform = gen.random_connected(3 + seed % 4, extra_edge_prob=0.3,
+                                    seed=seed)
+    nodes = platform.nodes()
+    if seed % 3 == 0:
+        return platform, nodes
+    return platform, rng.sample(nodes, rng.randint(2, len(nodes)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_all_to_all_matches_the_arc_flow_oracle(seed):
+    """Pinning each sink's re-emission at 0 and dropping the origin rows
+    keeps the all-to-all optimum: the shared builder's answer equals the
+    arc-flow form's on seeded platforms, participant subsets included."""
+    platform, participants = oracle_case(seed)
+    sol = solve_all_to_all_solution(platform, participants)
+    assert sol.throughput == arc_flow_all_to_all(platform, participants)
+    assert sol.throughput > 0

@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.broadcast import broadcast_lp_bound, solve_broadcast, solve_reduce
 from repro.core.multicast import solve_multicast
-from repro.core.scatter import build_ssps_lp, reversed_platform
+from repro.core.activities import commodity_endpoints
+from repro.core.scatter import build_commodity_lp, reversed_platform
 from repro.core.steiner import heuristic_multicast_packing
 from repro.core.trees import (
     enumerate_arborescences,
@@ -173,8 +174,9 @@ class TestFloatBackend:
 
     def test_duals_of_a_scatter_lp(self):
         pytest.importorskip("scipy")
-        lp, _ = build_ssps_lp(gen.paper_figure2_multicast(), "P0",
-                              ["P5", "P6"])
+        lp, _ = build_commodity_lp(
+            gen.paper_figure2_multicast(),
+            commodity_endpoints("scatter", "P0", ["P5", "P6"]))
         self._assert_duals_match(lp)
 
     @pytest.mark.parametrize("spec,orient", [
