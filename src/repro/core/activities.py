@@ -253,7 +253,10 @@ class SteadyStateSolution:
         """Every commodity of :meth:`commodities` is conserved at every
         node but its origin and sink, leaves its origin at net rate
         ``throughput`` and reaches its sink at the same net rate."""
-        commodities = self.commodities()
+        try:
+            commodities = self.commodities()
+        except PlatformError as exc:
+            raise SteadyStateError(str(exc)) from exc
         net: Dict[Tuple[NodeId, str], Fraction] = {}
         for (i, j, k), rate in self.send.items():
             if k not in commodities:

@@ -113,32 +113,36 @@ def patch_commodity_coefficients(
     lp: LinearProgram,
     handles: Dict[object, object],
     platform: Platform,
-    commodities: Commodities,
 ) -> None:
     """Rewrite every weight-derived coefficient of an assembled sum-rule
     model (the structure-vs-coefficient split behind ``warm_resolve``,
     :mod:`repro.problems.registry`): only the occupation rows
     ``s_ij - sum_k c_ij * send(i,j,k) == 0`` carry weights, so a
-    weight-only platform mutation moves exactly the ``c_ij`` here."""
-    for spec in platform.edges():
-        name = f"occupation[{spec.src}->{spec.dst}]"
-        for k in commodities:
+    weight-only platform mutation moves exactly the ``c_ij`` here.  The
+    model's own ``send`` handles name the commodities it was built for."""
+    cost = {(spec.src, spec.dst): spec.c for spec in platform.edges()}
+    for key, var in handles.items():
+        if isinstance(key, tuple) and key[0] == "send":
+            _, i, j, _k = key
             lp.set_constraint_coefficient(
-                name, handles[("send", spec.src, spec.dst, k)], -spec.c)
+                f"occupation[{i}->{j}]", var, -cost[(i, j)])
 
 
 def package_commodity_solution(
     platform: Platform,
+    commodities: Commodities,
+    sol,
+    handles: Dict[object, object],
     problem: str,
     source: Optional[NodeId],
     targets: Sequence[NodeId],
-    sol,
-    handles: Dict[object, object],
     backend: str = "exact",
     port_model: str = "one-port",
     ports: int = 1,
 ) -> SteadyStateSolution:
-    """Turn a sum-rule LP solution into verified per-commodity activities.
+    """Turn a sum-rule LP solution of ``commodities`` (the map the model
+    was built from) into verified per-commodity activities of
+    ``problem``; ``source`` and ``targets`` fill in the answer's fields.
 
     Shared by the solvers below and the warm re-solve path, whose
     ``handles`` may come from a request that listed the same commodities
@@ -149,7 +153,6 @@ def package_commodity_solution(
     under the sum rule.  An exact solution is verified against the port
     model it was built for.
     """
-    commodities = commodity_endpoints(problem, source, targets)
     flows: Dict[str, Dict[Tuple[NodeId, NodeId], Fraction]] = {}
     for spec in platform.edges():
         i, j = spec.src, spec.dst
@@ -183,12 +186,13 @@ def _solve(platform: Platform, problem: str, source: Optional[NodeId],
            port_model: str = "one-port", ports: int = 1,
            ) -> SteadyStateSolution:
     """Build, solve and package one sum-rule commodity problem."""
-    lp, handles = build_commodity_lp(
-        platform, commodity_endpoints(problem, source, targets), "sum",
-        port_model, ports)
+    commodities = commodity_endpoints(problem, source, targets)
+    lp, handles = build_commodity_lp(platform, commodities, "sum",
+                                     port_model, ports)
     return package_commodity_solution(
-        platform, problem, source, targets, lp.solve(backend=backend),
-        handles, backend=backend, port_model=port_model, ports=ports)
+        platform, commodities, lp.solve(backend=backend), handles,
+        problem, source, targets, backend=backend, port_model=port_model,
+        ports=ports)
 
 
 def solve_scatter(

@@ -113,23 +113,27 @@ def _commodity_warm(spec_key, lp_problem, finish=lambda spec, sol: sol):
     """The warm model of a sum-rule commodity problem: ``lp_problem(spec)``
     is ``(platform, problem, source, targets)`` of the LP as solved, and
     ``finish(spec, solution)`` turns its packaged answer into the
-    problem's (gather's LP is a scatter on the reversed platform)."""
-    def build(spec):
+    problem's (gather's LP is a scatter on the reversed platform).  The
+    patcher reads the commodities from the model's own handles; the
+    builder and the packager get the request's map from ``lp_of``."""
+    def lp_of(spec):
         platform, problem, source, targets = lp_problem(spec)
-        return build_commodity_lp(
-            platform, commodity_endpoints(problem, source, targets), "sum",
-            *spec.port_setting())
+        return (platform, commodity_endpoints(problem, source, targets),
+                (problem, source, targets))
+
+    def build(spec):
+        platform, commodities, _ = lp_of(spec)
+        return build_commodity_lp(platform, commodities, "sum",
+                                  *spec.port_setting())
 
     def patch(lp, handles, spec):
-        platform, problem, source, targets = lp_problem(spec)
-        patch_commodity_coefficients(
-            lp, handles, platform,
-            commodity_endpoints(problem, source, targets))
+        patch_commodity_coefficients(lp, handles, lp_problem(spec)[0])
 
     def package(spec, sol, handles):
+        platform, commodities, answer = lp_of(spec)
         port_model, ports = spec.port_setting()
         return finish(spec, package_commodity_solution(
-            *lp_problem(spec), sol, handles,
+            platform, commodities, sol, handles, *answer,
             port_model=port_model, ports=ports))
 
     return WarmModel(spec_key=spec_key, build=build, patch=patch,

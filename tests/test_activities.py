@@ -203,6 +203,12 @@ class TestVerifyCertifiesThroughput:
         with pytest.raises(SteadyStateError, match="unknown commodity"):
             sol.verify(*model)
 
+    def test_malformed_targets_are_an_invariant_failure(self):
+        sol, model = _answer("scatter")
+        sol.targets = ()
+        with pytest.raises(SteadyStateError, match="at least one target"):
+            sol.verify(*model)
+
 
 class TestCommodityEndpoints:
     def test_one_rule_per_problem(self):
