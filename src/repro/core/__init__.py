@@ -51,8 +51,6 @@ from .divisible import (
     steady_state_rate,
 )
 from .port_models import (
-    greedy_interval_coloring,
-    send_or_receive_schedule_length,
     solve_master_slave_multiport,
     solve_master_slave_send_or_receive,
 )
@@ -102,8 +100,6 @@ __all__ = [
     "multi_round_makespan",
     "one_round_schedule",
     "steady_state_rate",
-    "greedy_interval_coloring",
-    "send_or_receive_schedule_length",
     "solve_master_slave_multiport",
     "solve_master_slave_send_or_receive",
     "candidate_trees",

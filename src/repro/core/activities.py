@@ -141,6 +141,11 @@ class SteadyStateSolution:
         ``"sum"`` when distinct commodities on one edge pay separately
         (master-slave, scatter), ``"max"`` when identical payloads share a
         transfer (broadcast, optimistic multicast bound) — section 3.3.
+    port_model, ports:
+        The section 5.1 model the LP was built under (:data:`PORT_MODELS`,
+        ``ports`` cards per direction under multiport), set by the
+        packager: :meth:`verify` checks its budgets and schedule
+        reconstruction orchestrates under it.
     """
 
     platform: Platform
@@ -152,6 +157,8 @@ class SteadyStateSolution:
     source: Optional[NodeId] = None
     targets: Tuple[NodeId, ...] = ()
     edge_occupation_mode: str = "sum"
+    port_model: str = "one-port"
+    ports: int = 1
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -196,18 +203,17 @@ class SteadyStateSolution:
             if not self.platform.has_edge(i, j):
                 raise SteadyStateError(f"activity on missing edge {i}->{j}")
 
-    def check_ports(self, port_model: str = "one-port",
-                    ports: int = 1) -> None:
-        """Every port budget group of every node holds under ``port_model``
-        (:func:`port_groups`)."""
+    def check_ports(self) -> None:
+        """Every port budget group of every node holds under the model
+        the solution was solved for (:func:`port_groups`)."""
         s = self.s
         for node in self.platform.nodes():
-            for name, edges, budget in port_groups(self.platform, node,
-                                                   port_model, ports):
+            for name, edges, budget in port_groups(
+                    self.platform, node, self.port_model, self.ports):
                 busy = sum(s[e] for e in edges if s.get(e))
                 if busy > budget:
                     raise SteadyStateError(
-                        f"{port_model} {name} budget violated at {node}: "
+                        f"{self.port_model} {name} budget violated at {node}: "
                         f"{busy} > {budget}"
                     )
 
@@ -275,10 +281,10 @@ class SteadyStateSolution:
                     )
 
     def check_edge_occupation(self) -> None:
-        """``s_ij`` must match the commodity rates under the declared mode."""
-        if not self.send:
-            return
-        per_edge: Dict[Edge, List[Fraction]] = {}
+        """``s_ij`` must match the commodity rates under the declared mode;
+        a busy edge that no commodity crosses is expected idle."""
+        per_edge: Dict[Edge, List[Fraction]] = {
+            e: [] for e, v in self.s.items() if v}
         for (i, j, _k), rate in self.send.items():
             per_edge.setdefault((i, j), []).append(rate)
         for (i, j), rates in per_edge.items():
@@ -286,7 +292,7 @@ class SteadyStateSolution:
             if self.edge_occupation_mode == "sum":
                 expected = sum(rates, start=Fraction(0)) * c
             else:
-                expected = max(rates) * c
+                expected = max(rates, default=Fraction(0)) * c
             got = self.s.get((i, j), Fraction(0))
             if got != expected:
                 raise SteadyStateError(
@@ -294,12 +300,12 @@ class SteadyStateSolution:
                     f"of commodity rates gives {expected}"
                 )
 
-    def verify(self, port_model: str = "one-port", ports: int = 1) -> None:
+    def verify(self) -> None:
         """Run every applicable invariant check, the port budgets under
         the model the solution was solved for, and the throughput the
         solution claims; raise on the first failure."""
         self.check_bounds()
-        self.check_ports(port_model, ports)
+        self.check_ports()
         if self.problem == "master-slave":
             self.check_master_slave_conservation()
         else:

@@ -143,8 +143,8 @@ def package_ssms_solution(
     Shared by every SSMS solve and the warm re-solve path of
     :mod:`repro.service.incremental` (which re-solves a coefficient-patched
     copy of the same LP, so the handle dict is reused across platforms with
-    identical topology).  An exact solution is verified against the port
-    model it was built for.
+    identical topology).  The answer records the port model it was built
+    for, and an exact one is verified against it.
     """
     alpha: Dict[NodeId, Fraction] = {}
     s: Dict[Tuple[NodeId, NodeId], Fraction] = {}
@@ -160,10 +160,12 @@ def package_ssms_solution(
         alpha=alpha,
         s=s,
         source=master,
+        port_model=port_model,
+        ports=ports,
     )
     out.simplify()  # cancel degenerate flow circulations (see activities.py)
     if backend == "exact":
-        out.verify(port_model, ports)
+        out.verify()
     return out
 
 

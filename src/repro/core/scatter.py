@@ -150,8 +150,8 @@ def package_commodity_solution(
     within an edge in this request's commodity order, so ``send`` lists
     each commodity's flow in the order of its first busy edge.  Each
     commodity's degenerate circulations are cancelled and ``s`` rebuilt
-    under the sum rule.  An exact solution is verified against the port
-    model it was built for.
+    under the sum rule.  The answer records the port model it was built
+    for, and an exact one is verified against it.
     """
     flows: Dict[str, Dict[Tuple[NodeId, NodeId], Fraction]] = {}
     for spec in platform.edges():
@@ -175,9 +175,11 @@ def package_commodity_solution(
         source=source,
         targets=tuple(targets),
         edge_occupation_mode="sum",
+        port_model=port_model,
+        ports=ports,
     )
     if backend == "exact":
-        out.verify(port_model, ports)
+        out.verify()
     return out
 
 
@@ -244,6 +246,8 @@ def gather_from_scatter(
         source=sink,  # the distinguished node
         targets=tuple(sources),
         edge_occupation_mode="sum",
+        port_model=rsol.port_model,
+        ports=rsol.ports,
     )
 
 

@@ -1,28 +1,26 @@
 """Schedule reconstruction substrate (section 4.1 and the section 5
-extensions): matchings, weighted edge colouring, flow decomposition,
-periodic schedules, start-up grouping and fixed-period rounding."""
+extensions): matchings, edge colourings, flow decomposition, periodic
+schedules, the one orchestration of every port model, start-up grouping
+and fixed-period rounding."""
 
 from .matching import hopcroft_karp, perfect_matching
 from .edge_coloring import (
     EdgeColoringError,
     MatchingSlice,
+    greedy_interval_coloring,
     verify_coloring,
     vertex_loads,
     weighted_edge_coloring,
 )
 from .flows import FlowError, cancel_cycles, check_flow_conservation, decompose_flow
-from .periodic import CommSlice, PeriodicSchedule, ScheduleError
-from .reconstruction import reconstruct_schedule
+from .periodic import CommSlice, PeriodicSchedule, ScheduleError, schedule_to_trace
+from .reconstruction import orchestrate, reconstruct_schedule
 from .batch import BatchSchedule, batch_ratio_series, build_batch_schedule
 from .collective import packing_to_schedule, tree_routes
 from .fixed_period import (
     fixed_period_schedule,
     rounding_loss_bound,
     throughput_vs_period,
-)
-from .send_or_receive import (
-    reconstruct_send_or_receive_schedule,
-    schedule_to_trace,
 )
 from .startup import (
     StartupAnalysis,
@@ -36,6 +34,7 @@ __all__ = [
     "perfect_matching",
     "EdgeColoringError",
     "MatchingSlice",
+    "greedy_interval_coloring",
     "verify_coloring",
     "vertex_loads",
     "weighted_edge_coloring",
@@ -46,6 +45,8 @@ __all__ = [
     "CommSlice",
     "PeriodicSchedule",
     "ScheduleError",
+    "schedule_to_trace",
+    "orchestrate",
     "reconstruct_schedule",
     "packing_to_schedule",
     "tree_routes",
@@ -56,8 +57,6 @@ __all__ = [
     "asymptotic_ratio_bound",
     "default_group_count",
     "grouped_schedule_makespan",
-    "reconstruct_send_or_receive_schedule",
-    "schedule_to_trace",
     "BatchSchedule",
     "batch_ratio_series",
     "build_batch_schedule",

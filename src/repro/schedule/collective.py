@@ -10,20 +10,19 @@ forwards each instance exactly once.  The per-edge busy time is therefore
     ``busy(i, j) = sum_k n_k * c_ij  over trees containing (i, j)``
 
 and the packing's one-port feasibility makes every port load fit in ``T``;
-the weighted edge colouring then orchestrates the slices exactly as for
-master-slave (section 4.1).
+:func:`~repro.schedule.reconstruction.orchestrate` then colours the
+slices exactly as for master-slave (section 4.1).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from .._rational import lcm_denominators
 from ..platform.graph import Edge, NodeId, Platform
-from .edge_coloring import weighted_edge_coloring
-from .periodic import CommSlice, PeriodicSchedule, ScheduleError
-from .reconstruction import RECV, SEND
+from .periodic import PeriodicSchedule
+from .reconstruction import orchestrate
 
 
 def packing_to_schedule(
@@ -55,26 +54,12 @@ def packing_to_schedule(
             busy[(i, j)] = busy.get((i, j), Fraction(0)) + n_k * platform.c(i, j)
             messages[(i, j)] = messages.get((i, j), 0) + int(n_k)
 
-    bip_edges = [((SEND, i), (RECV, j), t) for (i, j), t in busy.items()]
-    matchings = weighted_edge_coloring(bip_edges)
-    slices: List[CommSlice] = []
-    clock = Fraction(0)
-    for m in matchings:
-        transfers = {u[1]: v[1] for u, v in m.pairs.items()}
-        slices.append(
-            CommSlice(start=clock, duration=m.duration, transfers=transfers)
-        )
-        clock += m.duration
-    throughput = sum(rates, start=Fraction(0))
-    if clock > T:
-        raise ScheduleError(
-            f"packing needs {clock} > period {T}: packing infeasible"
-        )
+    slices, _ = orchestrate(busy, T)
     schedule = PeriodicSchedule(
         platform=platform,
         problem=problem,
         period=Fraction(T),
-        throughput=throughput,
+        throughput=sum(rates, start=Fraction(0)),
         slices=slices,
         messages=messages,
         source=source,

@@ -23,6 +23,10 @@ We implement the classical Birkhoff–von-Neumann-style procedure:
    drives at least one edge to zero, so at most ``|E| + n_send + n_recv``
    matchings are produced — the paper's "compact description of the
    schedule" even when the period ``T`` is exponentially large.
+
+The send-or-receive model of section 5.1.1 loses the bipartite structure
+(a node's sends conflict with its receives); :func:`greedy_interval_coloring`
+is its polynomial fallback.
 """
 
 from __future__ import annotations
@@ -182,6 +186,42 @@ def weighted_edge_coloring(
         raise EdgeColoringError(
             "internal error: leftover weight after decomposition"
         )  # pragma: no cover
+    return slices
+
+
+def greedy_interval_coloring(
+    edges: Sequence[WeightedEdge],
+) -> List[MatchingSlice]:
+    """Decompose weighted communications so no node sends *or* receives
+    twice at once (edge colouring of the conflict multigraph, greedy).
+
+    Under send-or-receive the conflict graph is no longer bipartite (a
+    node's sends conflict with its receives), so exact minimum colouring
+    is NP-hard; this greedy decomposition is the polynomial fallback.
+    Guarantee: total length <= 2 * max node load (Shannon/Vizing-style
+    factor); the paper notes the loss of the exact bipartite algorithm is
+    the price of the weaker model.
+    """
+    remaining: Dict[Tuple[Vertex, Vertex], Fraction] = {}
+    for u, v, w in edges:
+        if w > 0:
+            remaining[(u, v)] = remaining.get((u, v), Fraction(0)) + w
+    slices: List[MatchingSlice] = []
+    while remaining:
+        used: set = set()
+        batch: Dict[Vertex, Vertex] = {}
+        for (u, v) in sorted(remaining, key=lambda e: -remaining[e]):
+            if u in used or v in used:
+                continue
+            batch[u] = v
+            used.add(u)
+            used.add(v)
+        duration = min(remaining[(u, v)] for u, v in batch.items())
+        for u, v in batch.items():
+            remaining[(u, v)] -= duration
+            if remaining[(u, v)] == 0:
+                del remaining[(u, v)]
+        slices.append(MatchingSlice(pairs=batch, duration=duration))
     return slices
 
 

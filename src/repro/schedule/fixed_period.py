@@ -20,10 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .._rational import RationalLike, as_fraction
 from ..core.activities import SteadyStateSolution
 from ..platform.graph import Edge, NodeId
-from .edge_coloring import weighted_edge_coloring
-from .flows import check_flow_conservation, decompose_flow
-from .periodic import CommSlice, PeriodicSchedule, ScheduleError
-from .reconstruction import RECV, SEND
+from .flows import master_slave_routes
+from .periodic import PeriodicSchedule, ScheduleError
+from .reconstruction import orchestrate
 
 
 def fixed_period_schedule(
@@ -38,23 +37,16 @@ def fixed_period_schedule(
     """
     if solution.problem != "master-slave" or solution.source is None:
         raise ScheduleError("fixed-period rounding implemented for master-slave")
+    if solution.port_model != "one-port":
+        raise ScheduleError(
+            f"fixed-period rounding implemented for one-port, not "
+            f"{solution.port_model}")
     tau_f = as_fraction(tau)
     if tau_f <= 0:
         raise ScheduleError("tau must be positive")
 
     master = solution.source
-    flow = {
-        (i, j): solution.edge_rate(i, j)
-        for (i, j) in solution.s
-        if solution.s[(i, j)] > 0
-    }
-    demands = {
-        n: solution.compute_rate(n)
-        for n in solution.alpha
-        if n != master and solution.compute_rate(n) > 0
-    }
-    check_flow_conservation(solution.platform, flow, master, demands)
-    routes = decompose_flow(solution.platform, flow, master, demands)
+    routes = master_slave_routes(solution)
 
     # floor the per-period units per route
     edge_units: Dict[Edge, int] = {}
@@ -79,23 +71,10 @@ def fixed_period_schedule(
     )
     compute[master] = compute.get(master, 0) + int(master_rate * tau_f)
 
-    bip_edges = [
-        ((SEND, i), (RECV, j), Fraction(units) * solution.platform.c(i, j))
-        for (i, j), units in edge_units.items()
-    ]
-    matchings = weighted_edge_coloring(bip_edges)
-    slices: List[CommSlice] = []
-    clock = Fraction(0)
-    for m in matchings:
-        transfers = {u[1]: v[1] for u, v in m.pairs.items()}
-        slices.append(
-            CommSlice(start=clock, duration=m.duration, transfers=transfers)
-        )
-        clock += m.duration
-    if clock > tau_f:
-        raise ScheduleError(
-            f"rounded communications ({clock}) exceed tau ({tau_f})"
-        )  # pragma: no cover — flooring guarantees feasibility
+    # flooring keeps every port load within tau
+    slices, _ = orchestrate(
+        {(i, j): units * solution.platform.c(i, j)
+         for (i, j), units in edge_units.items()}, tau_f)
 
     throughput = Fraction(sum(compute.values())) / tau_f
     schedule = PeriodicSchedule(
@@ -134,16 +113,5 @@ def rounding_loss_bound(
     Each of the ``r`` routes plus the master's own compute loses strictly
     less than one task per period: loss < (r + 1) / tau.
     """
-    master = solution.source
-    flow = {
-        (i, j): solution.edge_rate(i, j)
-        for (i, j) in solution.s
-        if solution.s[(i, j)] > 0
-    }
-    demands = {
-        n: solution.compute_rate(n)
-        for n in solution.alpha
-        if n != master and solution.compute_rate(n) > 0
-    }
-    routes = decompose_flow(solution.platform, flow, master, demands)
+    routes = master_slave_routes(solution)
     return Fraction(len(routes) + 1) / as_fraction(tau)

@@ -168,3 +168,22 @@ def check_flow_conservation(
                 f"conservation fails at {node}: in {inflow} != "
                 f"out {outflow} + demand {demand}"
             )
+
+
+def master_slave_routes(solution, scale=1) -> List[PathFlow]:
+    """A master-slave answer's task flow, times ``scale`` (one period,
+    say), checked for conservation and decomposed into routes from the
+    master to every node that computes remote tasks."""
+    master = solution.source
+    flow = {
+        (i, j): solution.edge_rate(i, j) * scale
+        for (i, j) in solution.s
+        if solution.s[(i, j)] > 0
+    }
+    demands = {
+        n: solution.compute_rate(n) * scale
+        for n in solution.alpha
+        if n != master and solution.compute_rate(n) > 0
+    }
+    check_flow_conservation(solution.platform, flow, master, demands)
+    return decompose_flow(solution.platform, flow, master, demands)

@@ -165,3 +165,27 @@ class PeriodicSchedule:
             )
             lines.append(f"  tasks per period: {done or '(none)'}")
         return "\n".join(lines)
+
+
+def schedule_to_trace(schedule: PeriodicSchedule, periods: int = 1):
+    """Expand a periodic schedule's slices into an activity
+    :class:`~repro.simulator.trace.Trace` over ``periods`` periods.
+
+    Lets the section 5.1 model validators certify the orchestration: the
+    trace of a send-or-receive reconstruction passes
+    ``validate("send-or-receive")``, which a one-port reconstruction's
+    trace generally does not.
+    """
+    from ..simulator.trace import Trace  # the simulator imports this module
+
+    trace = Trace()
+    for p in range(periods):
+        offset = schedule.period * p
+        for sl in schedule.slices:
+            for i, j in sl.transfers.items():
+                units = sl.duration / schedule.platform.c(i, j)
+                trace.record(i, "send", offset + sl.start, offset + sl.end,
+                             peer=j, units=units)
+                trace.record(j, "recv", offset + sl.start, offset + sl.end,
+                             peer=i, units=units)
+    return trace

@@ -106,9 +106,11 @@ class SolveRequest:
                 not entry.capabilities.reconstructs_schedule
                 or port_model != "one-port"):
             # fail loudly up front rather than returning a response whose
-            # missing "schedule" the client cannot tell from a server bug;
-            # reconstruction colours the one-port bipartite graph, so a
-            # scatter under another port model has no schedule either
+            # missing "schedule" the client cannot tell from a server bug.
+            # Another port model has no served schedule either: a
+            # send-or-receive schedule's period is stretched past the lcm
+            # of the LP's denominators, and multiport's per-card
+            # reconstruction (section 5.1.2) is not implemented
             under = "" if port_model == "one-port" \
                 else f" under the {port_model} model"
             raise BrokerError(

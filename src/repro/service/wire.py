@@ -146,11 +146,18 @@ def solution_to_wire(solution: Any) -> Dict[str, Any]:
     )
 
 
+def _steady_state_from_wire(data: Dict[str, Any], spec: ProblemSpec) -> Any:
+    solution = solution_from_dict(data, spec.platform)
+    solution.port_model, solution.ports = spec.port_setting()
+    return solution
+
+
 def solution_from_wire(data: Dict[str, Any], spec: ProblemSpec) -> Any:
-    """Decode :func:`solution_to_wire` output on the caller's ``spec``."""
+    """Decode :func:`solution_to_wire` output on the caller's ``spec``
+    (a steady-state answer takes its port model from the spec)."""
     kind = data.get("kind")
     if kind == "steady-state":
-        return solution_from_dict(data, spec.platform)
+        return _steady_state_from_wire(data, spec)
     if kind == "broadcast":
         return BroadcastSolution(
             platform=spec.platform,

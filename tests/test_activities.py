@@ -143,18 +143,21 @@ class TestSummary:
 
 
 # every steady-state answer kind on one platform, with the port model it
-# is verified under
+# records and is verified under
+ONE_PORT = ("one-port", 1)
 ANSWERS = {
-    "master-slave": (lambda g: solve_master_slave(g, "R0"), ()),
+    "master-slave": (lambda g: solve_master_slave(g, "R0"), ONE_PORT),
     "multiport": (lambda g: solve_master_slave_multiport(g, "R0", 2),
                   ("multiport", 2)),
     "send-or-receive": (
         lambda g: solve_master_slave_send_or_receive(g, "R0"),
-        ("send-or-receive",)),
-    "scatter": (lambda g: solve_scatter(g, "R0", ["R1", "R2", "R3"]), ()),
-    "gather": (lambda g: solve_gather(g, "R0", ["R1", "R2", "R3"]), ()),
+        ("send-or-receive", 1)),
+    "scatter": (lambda g: solve_scatter(g, "R0", ["R1", "R2", "R3"]),
+                ONE_PORT),
+    "gather": (lambda g: solve_gather(g, "R0", ["R1", "R2", "R3"]),
+               ONE_PORT),
     "all-to-all": (lambda g: solve_all_to_all_solution(
-        g, ["R0", "R1", "R2", "R3"]), ()),
+        g, ["R0", "R1", "R2", "R3"]), ONE_PORT),
 }
 COMMODITY_ANSWERS = ("scatter", "gather", "all-to-all")
 
@@ -162,7 +165,8 @@ COMMODITY_ANSWERS = ("scatter", "gather", "all-to-all")
 def _answer(kind):
     solve, model = ANSWERS[kind]
     sol = solve(gen.random_connected(6, seed=1))
-    sol.verify(*model)
+    assert (sol.port_model, sol.ports) == model
+    sol.verify()
     assert sol.throughput > 0
     return sol, model
 
@@ -178,7 +182,7 @@ class TestVerifyCertifiesThroughput:
         sol, model = _answer(kind)
         sol.throughput *= factor
         with pytest.raises(SteadyStateError):
-            sol.verify(*model)
+            sol.verify()
 
     @pytest.mark.parametrize("kind", COMMODITY_ANSWERS)
     def test_a_deleted_commodity_is_refused(self, kind):
@@ -193,7 +197,7 @@ class TestVerifyCertifiesThroughput:
             sol.s[(i, j)] += rate * sol.platform.c(i, j)
         sol.check_edge_occupation()
         with pytest.raises(SteadyStateError, match=f"commodity {gone} "):
-            sol.verify(*model)
+            sol.verify()
 
     def test_a_commodity_nobody_asked_for_is_refused(self):
         sol, model = _answer("scatter")
@@ -201,13 +205,34 @@ class TestVerifyCertifiesThroughput:
         del sol.send[(i, j, k)]
         sol.send[(i, j, "R5")] = rate
         with pytest.raises(SteadyStateError, match="unknown commodity"):
-            sol.verify(*model)
+            sol.verify()
+
+    def test_busy_time_no_commodity_explains_is_refused(self):
+        """An edge no commodity crosses is expected idle: busy time put
+        on it is refused, not just on edges that carry a flow."""
+        sol, _ = _answer("scatter")
+        assert not any((i, j) == ("R1", "R0") for (i, j, _k) in sol.send)
+        sol.s[("R1", "R0")] = Fraction(1, 100)
+        with pytest.raises(SteadyStateError,
+                           match=r"s\[R1->R0\] = 1/100 but sum"):
+            sol.verify()
+
+    @pytest.mark.parametrize("kind", COMMODITY_ANSWERS)
+    def test_every_idle_edge_is_checked(self, kind):
+        sol, _ = _answer(kind)
+        used = {(i, j) for (i, j, _k) in sol.send}
+        for e in [e for e in sol.s if e not in used]:
+            assert not sol.s[e]
+            sol.s[e] = Fraction(1, 100)
+            with pytest.raises(SteadyStateError, match="rates gives 0"):
+                sol.check_edge_occupation()
+            sol.s[e] = Fraction(0)
 
     def test_malformed_targets_are_an_invariant_failure(self):
         sol, model = _answer("scatter")
         sol.targets = ()
         with pytest.raises(SteadyStateError, match="at least one target"):
-            sol.verify(*model)
+            sol.verify()
 
 
 class TestCommodityEndpoints:

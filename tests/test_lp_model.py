@@ -74,26 +74,30 @@ class TestExpressions:
         assert isinstance(e, LinExpr)
         assert not e.terms
 
-    def test_lp_sum_is_linear_fresh_and_equal_to_plus(self):
-        import time
-
+    def test_lp_sum_is_linear_fresh_and_equal_to_plus(self, monkeypatch):
         lp = LinearProgram()
         xs = [lp.variable(f"x{i}") for i in range(2000)]
         items = [(i % 7 - 3) * x + i for i, x in enumerate(xs)]
         # a repeat, a cancelling pair, a bare variable and a number
         items += [items[5], -1 * items[6], xs[8], Fraction(1, 3)]
 
-        def best_of_5(count):
-            timings = []
-            for _ in range(5):
-                started = time.perf_counter()
-                lp_sum(items[:count])
-                timings.append(time.perf_counter() - started)
-            return min(timings)
+        built = []
+        init = LinExpr.__init__
 
-        # accumulating in place is linear in the item count (the
-        # copy-per-item version is quadratic: ratio ~4)
-        assert best_of_5(2000) / best_of_5(1000) < 3
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def constructions(count):
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(LinExpr, "__init__", counted)
+                lp_sum(items[:count])
+            return len(built)
+
+        # accumulating in place builds one expression whatever the item
+        # count (the quadratic copy-per-item version builds one per item)
+        assert constructions(2000) == constructions(1000)
         before = [(dict(e.terms), e.constant) for e in items[:-2]]
         total = lp_sum(items)
         by_plus = sum(items[1:], items[0])

@@ -25,8 +25,9 @@ from repro.service.wire import solution_from_wire, solution_to_wire
 DELEGATED_KINDS = {"steady-state"}
 
 #: Fields the decoder binds from the caller's spec: a reply never
-#: echoes the request's platform or a DAG's task graph.
-SPEC_BOUND = {"platform", "dag"}
+#: echoes the request's platform, a DAG's task graph or the port model
+#: a steady-state answer was solved under (``spec.port_setting()``).
+SPEC_BOUND = {"platform", "dag", "port_model", "ports"}
 
 ALL_PROBLEMS = registered_problems()
 
