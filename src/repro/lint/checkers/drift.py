@@ -16,9 +16,9 @@ and resurfaces as a wrong answer on another host.  This rule checks:
   the checked set): the per-kind key set plus the bound keywords must
   equal the solution dataclass's field set, every spec dataclass
   declaring a ``problem`` must be registered with an example factory,
-  role fields (``_SOURCE_FIELD``/``_TARGETS_FIELD``) must name real
-  fields, and every solver declaring ``warm_resolve`` must bind a
-  ``WarmModel``.
+  and role fields (``_SOURCE_FIELD``/``_TARGETS_FIELD``) must name real
+  fields.  (``register()`` derives ``warm_resolve`` from the bound
+  ``WarmModel``, so the two cannot disagree.)
 
 The dynamic twin — actually encoding/decoding every registered spec
 and solution — lives in ``tests/test_wire_roundtrip.py``.
@@ -185,8 +185,7 @@ class DriftChecker(Checker):
     description = (
         "solution wire codec branches must agree with each other and "
         "with the dataclass field sets; registry capabilities must be "
-        "coherent (warm_resolve binds a WarmModel, specs registered "
-        "with examples, role fields exist)"
+        "coherent (specs registered with examples, role fields exist)"
     )
 
     def __init__(self) -> None:
@@ -310,17 +309,6 @@ class DriftChecker(Checker):
         for problem in registered_problems():
             entry = resolve(problem)
             registered_specs.add(entry.spec_type)
-            if entry.capabilities.warm_resolve and entry.warm_model is None:
-                yield Finding(
-                    self.rule, self._real_path, 1, 0,
-                    f"problem {problem!r} declares warm_resolve but "
-                    f"binds no WarmModel")
-            if (entry.warm_model is not None
-                    and not entry.capabilities.warm_resolve):
-                yield Finding(
-                    self.rule, self._real_path, 1, 0,
-                    f"problem {problem!r} binds a WarmModel but does "
-                    f"not declare warm_resolve")
             if entry.example is None:
                 yield Finding(
                     self.rule, self._real_path, 1, 0,

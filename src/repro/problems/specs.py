@@ -316,6 +316,10 @@ class ScatterSpec(ProblemSpec):
             raise SpecError(f"unknown port model {self.port_model!r}")
         if self.ports < 1:
             raise SpecError("ports must be >= 1")
+        if self.port_model != "multiport":
+            # only multiport counts cards: any other model poses the
+            # same problem, and gets the same fingerprint, at every count
+            object.__setattr__(self, "ports", 1)
 
     def port_setting(self) -> Tuple[str, int]:
         return self.port_model, self.ports

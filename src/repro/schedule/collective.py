@@ -50,7 +50,7 @@ def packing_to_schedule(
             continue
         n_k = rate * T
         assert n_k.denominator == 1
-        for (i, j) in tree:
+        for (i, j) in sorted(tree):
             busy[(i, j)] = busy.get((i, j), Fraction(0)) + n_k * platform.c(i, j)
             messages[(i, j)] = messages.get((i, j), 0) + int(n_k)
 

@@ -1,16 +1,19 @@
-"""Event-driven simulation of the one-port full-overlap platform model
-(section 2) with trace validation for the section 5.1 model variants."""
+"""Simulation of the one-port full-overlap platform model (section 2),
+with trace validation for the section 5.1 model variants.
+
+Two executors: the fluid :class:`PeriodicRunner` runs every reconstructed
+schedule (master-slave, scatter, gather, all-to-all) commodity by
+commodity, and the message-level
+:class:`~repro.simulator.event_executor.EventExecutor` runs master-slave
+schedules one whole task file at a time.
+"""
 
 from .engine import SimulationError, Simulator
 from .periodic_runner import (
     PeriodicRunner,
     PeriodicRunResult,
-    steady_state_reached_after,
-)
-from .collective_runner import (
-    CollectiveRunner,
-    CollectiveRunResult,
     max_route_length,
+    steady_state_reached_after,
 )
 from .trace import Interval, ModelViolation, Trace
 
@@ -19,11 +22,9 @@ __all__ = [
     "Simulator",
     "PeriodicRunner",
     "PeriodicRunResult",
+    "max_route_length",
     "steady_state_reached_after",
     "Interval",
     "ModelViolation",
     "Trace",
-    "CollectiveRunner",
-    "CollectiveRunResult",
-    "max_route_length",
 ]

@@ -1,24 +1,34 @@
 """Execute a periodic schedule and measure its actual throughput.
 
 This is the library's replacement for the authors' testbed: a deterministic
-fluid execution of the reconstructed schedule under the one-port /
-full-overlap model, with explicit *data-availability* accounting.
+fluid execution of every schedule that
+:func:`~repro.schedule.reconstruction.reconstruct_schedule` returns —
+master-slave, scatter, gather and all-to-all — with explicit
+*data-availability* accounting.  (The message-level
+:class:`~repro.simulator.event_executor.EventExecutor` runs master-slave
+schedules only.)
 
-Buffer discipline (the standard steady-state argument, section 4.2): during
-period ``p`` a node may only consume — forward or compute — task units it
-had received **before** period ``p`` started.  Early periods therefore run
-partially (the initialisation phase, bounded by the platform depth); once
-buffers prime, every period processes exactly the LP-optimal amount.  The
-runner records per-period completions so tests and benchmarks can verify
-the paper's claim: the deficit with respect to ``K * T * ntask(G)`` is a
-constant independent of the horizon ``K``.
+Each ``schedule.routes`` key is one commodity (master-slave's is
+``"task"``): its per-edge plan is the sum of its routes, and its origin,
+the routes' first node, has an unlimited supply.  Buffer discipline (the
+standard steady-state argument, section 4.2): during period ``p`` a node
+may only forward — and, where the schedule computes, compute — units of a
+commodity it held **before** period ``p`` started.  A commodity completes
+where it is computed (a schedule that computes, master-slave, carries
+one commodity) or, in a schedule without computation, when it reaches its
+routes' last node.  Early periods therefore run partially (the
+initialisation phase, bounded by the longest route); once buffers prime,
+every period completes exactly ``T * TP`` of every commodity.  The runner
+records per-commodity per-period completions so tests and benchmarks can
+verify the paper's claim: the deficit with respect to ``K * T * TP`` per
+commodity is a constant independent of the horizon ``K``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..platform.graph import Edge, NodeId
 from ..schedule.periodic import PeriodicSchedule
@@ -31,20 +41,40 @@ class PeriodicRunResult:
 
     schedule: PeriodicSchedule
     periods: int
-    completed_per_period: List[Fraction]
-    total_completed: Fraction
-    #: upper bound K * T * throughput for the same horizon
-    steady_state_bound: Fraction
+    #: completions of each commodity in each period
+    per_commodity: Dict[str, List[Fraction]]
     trace: Optional[Trace] = None
+
+    @property
+    def completed_per_period(self) -> List[Fraction]:
+        return [sum(done, start=Fraction(0))
+                for done in zip(*self.per_commodity.values())]
+
+    @property
+    def total_completed(self) -> Fraction:
+        return sum(self.completed_per_period, start=Fraction(0))
+
+    @property
+    def commodity_bound(self) -> Fraction:
+        """Upper bound ``K * T * TP`` on one commodity's completions."""
+        return self.schedule.throughput * self.schedule.period * self.periods
+
+    @property
+    def steady_state_bound(self) -> Fraction:
+        return self.commodity_bound * len(self.per_commodity)
 
     @property
     def deficit(self) -> Fraction:
         """How far the run fell short of the steady-state bound."""
         return self.steady_state_bound - self.total_completed
 
+    def commodity_deficit(self, commodity: str) -> Fraction:
+        return self.commodity_bound - sum(self.per_commodity[commodity],
+                                          start=Fraction(0))
+
     @property
     def achieved_rate(self) -> Fraction:
-        """Average tasks per time-unit over the whole horizon."""
+        """Average completions per time-unit over the whole horizon."""
         horizon = self.schedule.period * self.periods
         if horizon == 0:
             return Fraction(0)
@@ -55,129 +85,118 @@ class PeriodicRunResult:
 
 
 class PeriodicRunner:
-    """Fluid executor for master-slave periodic schedules."""
+    """Fluid per-commodity executor for every reconstructed schedule
+    (master-slave, scatter, gather, all-to-all); master-slave schedules
+    also run message by message in the ``EventExecutor``."""
 
     def __init__(self, schedule: PeriodicSchedule, record_trace: bool = False):
-        if schedule.problem != "master-slave":
+        if not schedule.routes:
             raise ValueError(
-                "PeriodicRunner executes master-slave schedules; use "
-                "CollectiveRunner for scatter/broadcast"
-            )
-        if schedule.source is None:
-            raise ValueError("schedule lacks a source node")
+                "schedule routes no commodity: it is a tree packing, whose "
+                "messages replicate, or it moves nothing (zero throughput); "
+                "a fluid run of routed commodities cannot execute it")
         self.schedule = schedule
         self.platform = schedule.platform
-        self.source = schedule.source
         self.record_trace = record_trace
-        # per-period fluid plans
-        self.out_plan: Dict[Edge, Fraction] = {}
-        for (i, j), count in schedule.messages.items():
-            self.out_plan[(i, j)] = Fraction(count)
-        self.compute_plan: Dict[NodeId, Fraction] = {
-            n: Fraction(c) for n, c in schedule.compute.items()
-        }
+        self.compute: Dict[NodeId, Fraction] = {
+            n: Fraction(c) for n, c in schedule.compute.items() if c}
+        self.plans: Dict[str, Dict[Edge, Fraction]] = {}
+        #: per commodity, what each node computes and forwards per period
+        self.needs: Dict[str, Dict[NodeId, Fraction]] = {}
+        self.origins: Dict[str, NodeId] = {}
+        self.sinks: Dict[str, set] = {}
+        for k, paths in sorted(schedule.routes.items()):
+            plan = self.plans[k] = {}
+            need = self.needs[k] = dict.fromkeys(self.platform.nodes(),
+                                                 Fraction(0))
+            need.update(self.compute)
+            for path, units in paths:
+                for edge in zip(path, path[1:]):
+                    plan[edge] = plan.get(edge, Fraction(0)) + units
+                    need[edge[0]] += units
+            self.origins[k] = paths[0][0][0] if paths else schedule.source
+            self.sinks[k] = set() if self.compute else {p[-1] for p, _ in paths}
 
     def run(self, periods: int) -> PeriodicRunResult:
         if periods < 0:
             raise ValueError("periods must be non-negative")
-        T = self.schedule.period
-        ready: Dict[NodeId, Fraction] = {
-            n: Fraction(0) for n in self.platform.nodes()
-        }
+        nodes = list(self.platform.nodes())
+        stock = {k: dict.fromkeys(nodes, Fraction(0)) for k in self.plans}
+        per_commodity: Dict[str, List[Fraction]] = {k: [] for k in self.plans}
         trace = Trace() if self.record_trace else None
-        completed_per_period: List[Fraction] = []
-        total = Fraction(0)
 
         for p in range(periods):
-            t0 = T * p
-            # consumption fraction per node: the share of this period's plan
-            # that available data can cover.
-            factor: Dict[NodeId, Fraction] = {}
-            for node in self.platform.nodes():
-                plan = self.compute_plan.get(node, Fraction(0)) + sum(
-                    (self.out_plan.get((node, j), Fraction(0))
-                     for j in self.platform.successors(node)),
-                    start=Fraction(0),
-                )
-                if node == self.source:
-                    factor[node] = Fraction(1)  # infinite task supply
-                elif plan == 0:
-                    factor[node] = Fraction(1)
-                else:
-                    factor[node] = min(Fraction(1), ready[node] / plan)
-
-            received: Dict[NodeId, Fraction] = {
-                n: Fraction(0) for n in self.platform.nodes()
-            }
-            for (i, j), units in self.out_plan.items():
-                sent = units * factor[i]
-                received[j] += sent
-            # trace: record the slice intervals with the scaled units
+            factors: Dict[str, Dict[NodeId, Fraction]] = {}
+            for k, plan in self.plans.items():
+                # the share of each node's plan that the stock it held at
+                # the period's start covers
+                need = self.needs[k]
+                factor = factors[k] = {
+                    n: Fraction(1) if n == self.origins[k] or need[n] == 0
+                    else min(Fraction(1), stock[k][n] / need[n])
+                    for n in nodes
+                }
+                received = dict.fromkeys(nodes, Fraction(0))
+                for (i, j), units in plan.items():
+                    received[j] += units * factor[i]
+                per_commodity[k].append(
+                    sum((c * factor[n] for n, c in self.compute.items()),
+                        start=Fraction(0))
+                    + sum((received[n] for n in self.sinks[k]),
+                          start=Fraction(0)))
+                for n in nodes:
+                    if n != self.origins[k] and n not in self.sinks[k]:
+                        stock[k][n] += received[n] - factor[n] * need[n]
             if trace is not None:
-                for sl in self.schedule.slices:
-                    for i, j in sl.transfers.items():
-                        edge_units = (
-                            sl.duration / self.platform.c(i, j) * factor[i]
-                        )
-                        trace.record(
-                            i, "send", t0 + sl.start, t0 + sl.end,
-                            peer=j, units=edge_units, label="task",
-                        )
-                        trace.record(
-                            j, "recv", t0 + sl.start, t0 + sl.end,
-                            peer=i, units=edge_units, label="task",
-                        )
+                self._record(trace, self.schedule.period * p, factors)
 
-            done_this_period = Fraction(0)
-            for node, plan in self.compute_plan.items():
-                if plan == 0:
-                    continue
-                amount = plan * factor[node]
-                done_this_period += amount
-                if trace is not None and amount > 0:
-                    w = self.platform.node(node).w
-                    trace.record(
-                        node, "compute", t0, t0 + amount * w,
-                        units=amount, label="task",
-                    )
-
-            # book-keeping: consume from ready, add this period's receipts
-            for node in self.platform.nodes():
-                if node == self.source:
-                    continue
-                spent = factor[node] * (
-                    self.compute_plan.get(node, Fraction(0))
-                    + sum(
-                        (self.out_plan.get((node, j), Fraction(0))
-                         for j in self.platform.successors(node)),
-                        start=Fraction(0),
-                    )
-                )
-                ready[node] = ready[node] - spent + received[node]
-                if ready[node] < 0:
-                    raise AssertionError(
-                        f"negative buffer at {node}: {ready[node]}"
-                    )  # pragma: no cover
-
-            completed_per_period.append(done_this_period)
-            total += done_this_period
-
-        bound = self.schedule.throughput * T * periods
         return PeriodicRunResult(
             schedule=self.schedule,
             periods=periods,
-            completed_per_period=completed_per_period,
-            total_completed=total,
-            steady_state_bound=bound,
+            per_commodity=per_commodity,
             trace=trace,
         )
+
+    def _record(self, trace: Trace, t0: Fraction,
+                factors: Dict[str, Dict[NodeId, Fraction]]) -> None:
+        """One period's activities: each slice transfer is shared among
+        the commodities crossing its edge in proportion to their plans."""
+        for sl in self.schedule.slices:
+            for i, j in sl.transfers.items():
+                loads = [(k, plan.get((i, j), Fraction(0)))
+                         for k, plan in self.plans.items()]
+                total = sum((u for _, u in loads), start=Fraction(0))
+                start = t0 + sl.start
+                for k, units in loads:
+                    if units == 0:
+                        continue
+                    end = start + sl.duration * units / total
+                    sent = (end - start) / self.platform.c(i, j) * factors[k][i]
+                    trace.record(i, "send", start, end, peer=j, units=sent,
+                                 label=k)
+                    trace.record(j, "recv", start, end, peer=i, units=sent,
+                                 label=k)
+                    start = end
+        for k, factor in factors.items():
+            for node, plan in self.compute.items():
+                amount = plan * factor[node]
+                if amount > 0:
+                    trace.record(node, "compute", t0,
+                                 t0 + amount * self.platform.node(node).w,
+                                 units=amount, label=k)
 
 
 def steady_state_reached_after(result: PeriodicRunResult) -> int:
     """First period index from which the run achieves the full LP rate."""
-    T = result.schedule.period
-    target = result.schedule.throughput * T
+    target = result.schedule.throughput * result.schedule.period * len(
+        result.per_commodity)
     for p, done in enumerate(result.completed_per_period):
         if done == target:
             return p
     return result.periods
+
+
+def max_route_length(schedule: PeriodicSchedule) -> int:
+    """Longest route (in hops) of any commodity — bounds the priming time."""
+    return max((len(path) - 1 for routes in schedule.routes.values()
+                for path, _units in routes), default=0)

@@ -80,10 +80,11 @@ def fresh_python():
     """Run a script in a new interpreter and return the JSON it printed
     last.  What a process has imported can only be asserted where no
     other test has imported anything: this process holds numpy and scipy
-    from the first cross-check test on."""
+    from the first cross-check test on.  Keyword arguments are set in
+    the child's environment."""
 
-    def run(script: str):
-        env = dict(os.environ)
+    def run(script: str, **env_vars: str):
+        env = dict(os.environ, **env_vars)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [SRC, env.get("PYTHONPATH")]))
         proc = subprocess.run(

@@ -61,3 +61,26 @@ class TestPackingToSchedule:
         rates = [r for _, r in routes]
         assert rates == sorted(rates, reverse=True)
         assert all(r > 0 for r in rates)
+
+
+_RECORD_BROADCASTS = """
+import json
+from repro.core.broadcast import solve_broadcast
+from repro.platform import generators as gen
+from repro.platform.serialization import schedule_to_dict
+from repro.schedule.collective import packing_to_schedule
+schedules = []
+for seed in range(6):
+    g = gen.random_connected(6, seed=seed)
+    packing = solve_broadcast(g, "R0").packing
+    schedules.append(schedule_to_dict(packing_to_schedule(g, packing, "R0")))
+print(json.dumps(schedules))
+"""
+
+
+def test_schedule_does_not_depend_on_the_hash_seed(fresh_python):
+    """A tree is a frozenset of edges: walking it in set order made the
+    slices and the message order differ between interpreters."""
+    first, second = (fresh_python(_RECORD_BROADCASTS, PYTHONHASHSEED=seed)
+                     for seed in ("0", "1"))
+    assert first == second

@@ -11,6 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.master_slave import solve_master_slave, ntask
+from repro.core.scatter import (
+    solve_all_to_all_solution,
+    solve_gather,
+    solve_scatter,
+)
 from repro.platform import generators as gen
 from repro.schedule.reconstruction import reconstruct_schedule
 from repro.simulator.periodic_runner import PeriodicRunner
@@ -55,14 +60,27 @@ class TestPipelineProperties:
         )
 
     @settings(**SLOW)
-    @given(small_platform())
-    def test_constant_deficit_property(self, platform):
-        """§4.2 as a universally quantified statement."""
-        sol = solve_master_slave(platform, "R0")
+    @given(small_platform(), st.sampled_from(
+        ["master-slave", "scatter", "gather", "all-to-all"]))
+    def test_constant_deficit_property(self, platform, problem):
+        """§4.2 as a universally quantified statement, for every commodity
+        of every reconstructable problem: the deficit against
+        ``K * T * TP`` is the same at two horizons."""
+        others = sorted(platform.nodes())[1:]
+        sol = {
+            "master-slave": lambda: solve_master_slave(platform, "R0"),
+            "scatter": lambda: solve_scatter(platform, "R0", others),
+            "gather": lambda: solve_gather(platform, "R0", others),
+            "all-to-all": lambda: solve_all_to_all_solution(platform),
+        }[problem]()
+        assert sol.throughput > 0  # the platform is strongly connected
         sched = reconstruct_schedule(sol)
-        d1 = PeriodicRunner(sched).run(9).deficit
-        d2 = PeriodicRunner(sched).run(23).deficit
-        assert d1 == d2
+        short = PeriodicRunner(sched).run(9)
+        long = PeriodicRunner(sched).run(23)
+        assert list(short.per_commodity) == list(long.per_commodity)
+        for k in short.per_commodity:
+            assert short.commodity_deficit(k) == long.commodity_deficit(k)
+        assert short.deficit == long.deficit
 
     @settings(**SLOW)
     @given(small_platform())
@@ -109,8 +127,6 @@ class TestScatterProperties:
               suppress_health_check=[HealthCheck.too_slow])
     @given(small_platform())
     def test_scatter_bound_and_reconstruction(self, platform):
-        from repro.core.scatter import solve_scatter
-
         targets = [n for n in platform.nodes() if n != "R0"][:2]
         reachable = platform.reachable_from("R0")
         if not all(t in reachable for t in targets):

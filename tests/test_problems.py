@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.scatter import solve_gather, solve_scatter
 from repro.platform import generators
-from repro.platform.serialization import platform_to_dict
+from repro.platform.serialization import platform_to_dict, solution_to_dict
 from repro.problems import (
     DagSpec,
     GatherSpec,
@@ -254,6 +254,19 @@ class TestSpecEnvelope:
             "platform": platform_to_dict(_star2()),
         })
         assert built.fingerprint() == decoded.fingerprint()
+
+    @pytest.mark.parametrize("model", ["one-port", "send-or-receive"])
+    def test_scatter_ports_count_only_under_multiport(self, model):
+        # a card count poses no other problem outside multiport: the
+        # spec folds it to 1, so both share a fingerprint and an answer
+        plain, carded = (SolveRequest(ScatterSpec(
+            platform=_star2(), source="M", targets=("W1", "W2"),
+            port_model=model, ports=ports)) for ports in (1, 3))
+        assert carded.spec.ports == 1
+        assert carded.fingerprint() == plain.fingerprint()
+        answer = solve(carded.spec)
+        assert (answer.port_model, answer.ports) == (model, 1)
+        assert solution_to_dict(answer) == solution_to_dict(solve(plain.spec))
 
     def test_envelope_rejects_stray_legacy_fields_and_options(self):
         # nothing alongside a spec envelope may be silently ignored: a
