@@ -1,20 +1,26 @@
-"""A1 — ablation: why degenerate LP circulations must be cancelled.
+"""A1 — ablation: what cancelling a degenerate LP circulation still buys.
 
-Design choice documented in ``SteadyStateSolution.simplify``: LP optima may
-route tasks around directed cycles (degenerate optima).  The cycles carry
-no throughput, but they break the depth-bounded initialisation argument —
-nodes on a cycle wait on each other, so buffers converge only geometrically
-and the §4.2 deficit is *not* a constant.
+Design choice documented in ``SteadyStateSolution.simplify``: an LP
+optimum may route tasks around a directed cycle (a degenerate optimum).
+The circulation carries no throughput.  ``PeriodicRunner`` executes a
+schedule's routes, and ``decompose_flow`` has already cleared those of
+cycles, so a circulation no longer slows the start-up: the §4.2 deficit
+is a constant with it and without it.  What it still costs is port time,
+because the reconstructed slices carry its messages too.
 
-Shape: with cancellation the deficit is identical at every horizon; without
-it the deficit grows between horizons on platforms whose LP optimum
-contains circulation.
+Shape: on the exact SSMS optimum, add by hand a circulation around the
+first 2-cycle ``i <-> j`` (in sorted edge order) whose send and receive
+ports have slack at both ends.  ``simplify()`` removes exactly that
+circulation and keeps the throughput; ``verify()`` passes with it and
+without it; the slices are no shorter with it; and each run's deficit is
+the same at 10 and at 40 periods.
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 
-from repro.core.activities import SteadyStateSolution
-from repro.core.master_slave import build_ssms_lp
+from repro.core.master_slave import solve_master_slave
 from repro.platform import generators
 from repro.schedule.reconstruction import reconstruct_schedule
 from repro.simulator.periodic_runner import PeriodicRunner
@@ -23,69 +29,70 @@ from repro.analysis.reporting import render_table
 from conftest import report
 
 
-def solve_raw(platform, master):
-    """SSMS without the cycle-cancelling post-pass."""
-    lp, handles = build_ssms_lp(platform, master)
-    sol = lp.solve()
-    alpha = {}
-    s = {}
-    for key, var in handles.items():
-        if key[0] == "alpha":
-            alpha[key[1]] = sol[key] if False else sol.values[var]
-        else:
-            s[(key[1], key[2])] = sol.values[var]
-    return SteadyStateSolution(
-        platform=platform, problem="master-slave",
-        throughput=sol.objective, alpha=alpha, s=s, source=master,
-    )
+def with_circulation(sol):
+    """A copy of ``sol`` with a circulation around the first 2-cycle
+    ``i <-> j`` whose four port ends have slack, at a rate of at most
+    half that slack; returns the copy and the cycle."""
+    platform, s = sol.platform, sol.s
+    sending = {n: Fraction(0) for n in platform.nodes()}
+    receiving = dict(sending)
+    for (i, j), busy in s.items():
+        sending[i] += busy
+        receiving[j] += busy
+    for i, j in sorted((e.src, e.dst) for e in platform.edges()):
+        if sol.source in (i, j) or not platform.has_edge(j, i):
+            continue  # the master receives nothing
+        c_ij, c_ji = platform.c(i, j), platform.c(j, i)
+        room = min((1 - sending[i]) / c_ij, (1 - receiving[j]) / c_ij,
+                   (1 - sending[j]) / c_ji, (1 - receiving[i]) / c_ji)
+        if room > 0:
+            rate = Fraction(1, math.ceil(2 / room))
+            circ = dict(s)
+            circ[(i, j)] += rate * c_ij
+            circ[(j, i)] += rate * c_ji
+            return dataclasses.replace(sol, s=circ), (i, j)
+    raise AssertionError("no 2-cycle with port slack at both ends")
 
 
 def run_ablation():
-    # a platform whose raw LP optimum contains a circulation
     platform = generators.random_connected(10, seed=11, forwarder_prob=0.2)
-    master = "R0"
+    clean = solve_master_slave(platform, "R0")  # simplified and verified
+    circ, cycle = with_circulation(clean)
+    circ.verify()
+    cancelled = dataclasses.replace(circ, s=dict(circ.s)).simplify()
     rows = []
-
-    raw = solve_raw(platform, master)
-    has_cycle = False
-    from repro.schedule.flows import cancel_cycles
-
-    rates = {e: raw.edge_rate(*e) for e in raw.s if raw.s[e] > 0}
-    has_cycle = cancel_cycles(rates) != {
-        k: v for k, v in rates.items() if v > 0
-    }
-
-    for label, sol in (
-        ("raw LP optimum", raw),
-        ("after cycle cancellation",
-         solve_raw(platform, master).simplify()),
-    ):
+    for label, sol in (("with the circulation", circ),
+                       ("after cycle cancellation", clean)):
         sched = reconstruct_schedule(sol)
+        busy = sum(sl.duration for sl in sched.slices) / sched.period
         d_short = PeriodicRunner(sched).run(10).deficit
         d_long = PeriodicRunner(sched).run(40).deficit
-        rows.append([
-            label,
-            float(d_short),
-            float(d_long),
-            "yes" if d_short == d_long else "NO",
-        ])
-    return rows, has_cycle
+        rows.append([label, sched.period, float(busy), float(d_short),
+                     float(d_long), "yes" if d_short == d_long else "NO",
+                     busy, sol.throughput])
+    return rows, cycle, cancelled, clean
 
 
 def test_a1_cycle_cancellation(benchmark):
-    rows, has_cycle = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-    assert has_cycle, "pick a platform whose LP optimum has a circulation"
-    raw_row, clean_row = rows
-    # with cancellation: the constant-deficit theorem holds
-    assert clean_row[3] == "yes"
-    # without: the deficit keeps growing (geometric convergence only)
-    assert raw_row[3] == "NO"
-    assert raw_row[2] > raw_row[1]
+    rows, cycle, cancelled, clean = benchmark.pedantic(
+        run_ablation, rounds=1, iterations=1)
+    # simplify() removes exactly the circulation, throughput unchanged
+    assert cancelled.s == clean.s
+    assert cancelled.throughput == clean.throughput
+    cancelled.verify()
+    circ_row, clean_row = rows
+    assert circ_row[7] == clean_row[7]
+    # the circulation only costs port time: its slices are no shorter
+    assert circ_row[6] >= clean_row[6]
+    # the routes are cycle-free either way: the deficit is a constant
+    assert circ_row[5] == clean_row[5] == "yes"
+    i, j = cycle
     report(
-        "A1: cycle cancellation ablation (random10, seed 11)",
+        f"A1: a circulation {i} <-> {j} on the SSMS optimum "
+        f"(random10, seed 11)",
         render_table(
-            ["solution", "deficit @10 periods", "deficit @40 periods",
-             "constant?"],
-            rows,
+            ["solution", "period", "slices / period", "deficit @10",
+             "deficit @40", "constant?"],
+            [row[:6] for row in rows],
         ),
     )

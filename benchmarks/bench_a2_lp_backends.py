@@ -10,8 +10,8 @@ but stays laptop-trivial for the sizes the paper's algorithms target.
 import time
 from fractions import Fraction
 
-from repro.core.master_slave import solve_master_slave
 from repro.platform import generators
+from repro.problems import MasterSlaveSpec, solve
 from repro.analysis.reporting import render_table
 
 from conftest import report
@@ -23,11 +23,12 @@ def run_backend_comparison():
     rows = []
     for n in SIZES:
         platform = generators.random_connected(n, seed=n)
+        spec = MasterSlaveSpec(platform=platform, master="R0")
         t0 = time.perf_counter()
-        exact = solve_master_slave(platform, "R0", backend="exact")
+        exact = solve(spec)
         t_exact = time.perf_counter() - t0
         t0 = time.perf_counter()
-        approx = solve_master_slave(platform, "R0", backend="scipy")
+        approx = solve(spec, backend="scipy")
         t_scipy = time.perf_counter() - t0
         rows.append([
             n,

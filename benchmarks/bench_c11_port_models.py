@@ -12,8 +12,6 @@ from repro._rational import INF
 from repro import (
     generators,
     solve_master_slave,
-    solve_master_slave_multiport,
-    solve_master_slave_send_or_receive,
 )
 from repro.platform.graph import Platform
 from repro.analysis.reporting import render_table
@@ -43,10 +41,11 @@ PLATFORMS = [
 def run_port_model_suite():
     rows = []
     for name, platform, master in PLATFORMS:
-        sor = solve_master_slave_send_or_receive(platform, master).throughput
+        sor = solve_master_slave(platform, master,
+                                 "send-or-receive").throughput
         one = solve_master_slave(platform, master).throughput
-        mp2 = solve_master_slave_multiport(platform, master, 2).throughput
-        mp4 = solve_master_slave_multiport(platform, master, 4).throughput
+        mp2 = solve_master_slave(platform, master, "multiport", 2).throughput
+        mp4 = solve_master_slave(platform, master, "multiport", 4).throughput
         rows.append([name, sor, one, mp2, mp4])
     return rows
 

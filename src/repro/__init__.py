@@ -49,10 +49,6 @@ from .core.divisible import (
     multi_round_makespan,
     one_round_schedule,
 )
-from .core.port_models import (
-    solve_master_slave_multiport,
-    solve_master_slave_send_or_receive,
-)
 from .schedule.periodic import CommSlice, PeriodicSchedule, ScheduleError
 from .schedule.reconstruction import reconstruct_schedule
 from .schedule.collective import packing_to_schedule
@@ -131,8 +127,6 @@ __all__ = [
     "makespan_lower_bound",
     "multi_round_makespan",
     "one_round_schedule",
-    "solve_master_slave_multiport",
-    "solve_master_slave_send_or_receive",
     "CommSlice",
     "PeriodicSchedule",
     "ScheduleError",

@@ -157,19 +157,16 @@ def build_ssms_dual(
     return lp
 
 
-def ssms_certificate(
-    platform: Platform, master: NodeId, backend: str = "exact"
-) -> SSMSCertificate:
-    """Solve primal and dual; return the verified certificate.
+def ssms_certificate(platform: Platform, master: NodeId) -> SSMSCertificate:
+    """Solve primal and dual exactly; return the verified certificate.
 
-    With the exact backend the certificate satisfies strong duality
-    *exactly* and its feasibility is re-derived from first principles.
+    The certificate satisfies strong duality *exactly* and its
+    feasibility is re-derived from first principles.
     """
     from ..core.master_slave import solve_master_slave
 
-    primal = solve_master_slave(platform, master, backend=backend)
-    dual_lp = build_ssms_dual(platform, master)
-    dual = dual_lp.solve(backend=backend)
+    primal = solve_master_slave(platform, master)
+    dual = build_ssms_dual(platform, master).solve()
 
     def collect(prefix: str) -> Dict:
         out = {}
@@ -194,6 +191,5 @@ def ssms_certificate(
         link_price=collect("tau"),
         potential=collect("pi"),
     )
-    if backend == "exact":
-        cert.verify_dual_feasibility()
+    cert.verify_dual_feasibility()
     return cert

@@ -10,10 +10,10 @@ from .master_slave import (
     bandwidth_centric_rates,
     build_ssms_lp,
     ntask,
+    package_ssms_solution,
     solve_master_slave,
     star_throughput,
 )
-from .master_slave import package_ssms_solution
 from .scatter import (
     build_commodity_lp,
     solve_all_to_all,
@@ -49,10 +49,6 @@ from .divisible import (
     multi_round_makespan,
     one_round_schedule,
     steady_state_rate,
-)
-from .port_models import (
-    solve_master_slave_multiport,
-    solve_master_slave_send_or_receive,
 )
 from .steiner import (
     candidate_trees,
@@ -100,8 +96,6 @@ __all__ = [
     "multi_round_makespan",
     "one_round_schedule",
     "steady_state_rate",
-    "solve_master_slave_multiport",
-    "solve_master_slave_send_or_receive",
     "candidate_trees",
     "cheapest_insertion_tree",
     "heuristic_multicast_packing",

@@ -44,6 +44,35 @@ def port_groups(
     direction ``k`` cards, ``[(out, k), (in, k)]``.  Every steady-state LP
     takes its port rows from here (:func:`add_port_rows`) and
     :meth:`SteadyStateSolution.check_ports` checks the same groups.
+
+    The paper's favourite model lets a node send *and* receive
+    simultaneously (full overlap, one port each way).  Section 5.1
+    examines what changes when that hypothesis moves; the LP is "an easy
+    edit" each time, and this function is that edit:
+
+    * **send-OR-receive** (§5.1.1): the one-port constraints merge into
+      ``time sending + time receiving <= 1`` per node.  Reconstruction
+      then needs an edge colouring of an *arbitrary* (non-bipartite)
+      graph — NP-hard; :mod:`repro.schedule.edge_coloring` has the
+      standard greedy approximation (never worse than twice the optimal
+      number of colours, mirroring "efficient polynomial approximation
+      algorithms can be used").
+    * **multiport with dedicated cards** (§5.1.2): a node owns ``k`` send
+      cards and ``k`` receive cards; the constraints become
+      ``sum s_ij <= k`` per direction, while each link still carries at
+      most one message at a time (``s_ij <= 1``).  The paper says "the
+      schedule can be reconstructed, each node in the bipartite graph
+      corresponds to a network card"; per-card reconstruction is not
+      implemented here, so a multiport schedule uses one card per node
+      and is refused when that does not fit in the period.
+
+    Throughputs are always ordered
+    ``send-or-receive <= one-port <= multiport(k)``; benchmark C11
+    measures the gaps.  Every builder (``build_ssms_lp``,
+    ``build_commodity_lp``, ...) takes the model as an argument, every
+    exact answer is verified against the groups of the model it records,
+    and :func:`repro.schedule.reconstruction.orchestrate` orchestrates
+    every model.
     """
     if port_model not in PORT_MODELS:
         raise PlatformError(f"unknown port model {port_model!r}")

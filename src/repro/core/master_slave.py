@@ -134,17 +134,17 @@ def package_ssms_solution(
     master: NodeId,
     sol: LPSolution,
     handles: Dict[str, object],
-    backend: str = "exact",
     port_model: str = "one-port",
     ports: int = 1,
 ) -> SteadyStateSolution:
-    """Turn an SSMS LP solution back into verified steady-state activities.
+    """Turn an SSMS LP solution back into steady-state activities.
 
     Shared by every SSMS solve and the warm re-solve path of
     :mod:`repro.service.incremental` (which re-solves a coefficient-patched
     copy of the same LP, so the handle dict is reused across platforms with
     identical topology).  The answer records the port model it was built
-    for, and an exact one is verified against it.
+    for, and an exact one (:attr:`~repro.lp.LPSolution.exact`) is
+    verified against it.
     """
     alpha: Dict[NodeId, Fraction] = {}
     s: Dict[Tuple[NodeId, NodeId], Fraction] = {}
@@ -164,28 +164,34 @@ def package_ssms_solution(
         ports=ports,
     )
     out.simplify()  # cancel degenerate flow circulations (see activities.py)
-    if backend == "exact":
+    if sol.exact:
         out.verify()
     return out
 
 
 def solve_master_slave(
-    platform: Platform, master: NodeId, backend: str = "exact"
+    platform: Platform, master: NodeId, port_model: str = "one-port",
+    ports: int = 1,
 ) -> SteadyStateSolution:
-    """Solve SSMS(G) and return verified steady-state activities.
+    """Solve SSMS(G) exactly under a section 5.1 port model and return
+    verified steady-state activities.
 
-    The returned solution satisfies every invariant of
-    :class:`~repro.core.activities.SteadyStateSolution` exactly (with the
-    default exact backend).
+    ``port_model`` is ``"one-port"`` (the paper's default),
+    ``"send-or-receive"`` or ``"multiport"`` with ``ports`` cards per
+    direction (:func:`~repro.core.activities.port_groups`); under
+    multiport each link still carries at most one message at a time
+    (``s_ij <= 1``) while a direction's total may reach ``ports``.  The
+    returned solution satisfies every invariant of
+    :class:`~repro.core.activities.SteadyStateSolution` exactly.
     """
-    lp, handles = build_ssms_lp(platform, master)
-    sol = lp.solve(backend=backend)
-    return package_ssms_solution(platform, master, sol, handles, backend=backend)
+    lp, handles = build_ssms_lp(platform, master, port_model, ports)
+    return package_ssms_solution(platform, master, lp.solve(), handles,
+                                 port_model, ports)
 
 
-def ntask(platform: Platform, master: NodeId, backend: str = "exact") -> Fraction:
+def ntask(platform: Platform, master: NodeId) -> Fraction:
     """The paper's ``ntask(G)``: optimal tasks per time-unit."""
-    return solve_master_slave(platform, master, backend=backend).throughput
+    return solve_master_slave(platform, master).throughput
 
 
 # ----------------------------------------------------------------------

@@ -136,12 +136,11 @@ def package_commodity_solution(
     problem: str,
     source: Optional[NodeId],
     targets: Sequence[NodeId],
-    backend: str = "exact",
     port_model: str = "one-port",
     ports: int = 1,
 ) -> SteadyStateSolution:
     """Turn a sum-rule LP solution of ``commodities`` (the map the model
-    was built from) into verified per-commodity activities of
+    was built from) into per-commodity activities of
     ``problem``; ``source`` and ``targets`` fill in the answer's fields.
 
     Shared by the solvers below and the warm re-solve path, whose
@@ -151,7 +150,8 @@ def package_commodity_solution(
     each commodity's flow in the order of its first busy edge.  Each
     commodity's degenerate circulations are cancelled and ``s`` rebuilt
     under the sum rule.  The answer records the port model it was built
-    for, and an exact one is verified against it.
+    for, and an exact one (:attr:`~repro.lp.LPSolution.exact`) is
+    verified against it.
     """
     flows: Dict[str, Dict[Tuple[NodeId, NodeId], Fraction]] = {}
     for spec in platform.edges():
@@ -178,30 +178,27 @@ def package_commodity_solution(
         port_model=port_model,
         ports=ports,
     )
-    if backend == "exact":
+    if sol.exact:
         out.verify()
     return out
 
 
 def _solve(platform: Platform, problem: str, source: Optional[NodeId],
-           targets: Sequence[NodeId], backend: str,
-           port_model: str = "one-port", ports: int = 1,
-           ) -> SteadyStateSolution:
-    """Build, solve and package one sum-rule commodity problem."""
+           targets: Sequence[NodeId], port_model: str = "one-port",
+           ports: int = 1) -> SteadyStateSolution:
+    """Build, solve exactly and package one sum-rule commodity problem."""
     commodities = commodity_endpoints(problem, source, targets)
     lp, handles = build_commodity_lp(platform, commodities, "sum",
                                      port_model, ports)
     return package_commodity_solution(
-        platform, commodities, lp.solve(backend=backend), handles,
-        problem, source, targets, backend=backend, port_model=port_model,
-        ports=ports)
+        platform, commodities, lp.solve(), handles, problem, source,
+        targets, port_model, ports)
 
 
 def solve_scatter(
     platform: Platform,
     source: NodeId,
     targets: Sequence[NodeId],
-    backend: str = "exact",
     port_model: str = "one-port",
     ports: int = 1,
 ) -> SteadyStateSolution:
@@ -210,8 +207,7 @@ def solve_scatter(
     ``port_model``/``ports`` select the section 5.1 variant, and the
     returned solution is verified against it.
     """
-    return _solve(platform, "scatter", source, targets, backend,
-                  port_model, ports)
+    return _solve(platform, "scatter", source, targets, port_model, ports)
 
 
 def reversed_platform(platform: Platform) -> Platform:
@@ -255,40 +251,36 @@ def solve_gather(
     platform: Platform,
     sink: NodeId,
     sources: Sequence[NodeId],
-    backend: str = "exact",
 ) -> SteadyStateSolution:
     """Pipelined gather: every source sends distinct messages to ``sink``.
 
     Gather is scatter on the reversed platform; the returned solution is
     expressed on the *original* platform (edge directions restored).
     """
-    rsol = solve_scatter(reversed_platform(platform), sink, sources,
-                         backend=backend)
+    rsol = solve_scatter(reversed_platform(platform), sink, sources)
     return gather_from_scatter(platform, sink, sources, rsol)
 
 
 def solve_all_to_all_solution(
     platform: Platform,
     participants: Optional[Sequence[NodeId]] = None,
-    backend: str = "exact",
 ) -> SteadyStateSolution:
     """Personalised all-to-all (end of section 4.2): every participant
     (every node when ``participants`` is empty) sends a distinct message
     to every other participant, at common rate ``TP`` (maximised), as a
     reconstructable :class:`SteadyStateSolution`."""
     return _solve(platform, "all-to-all", None,
-                  tuple(participants or platform.nodes()), backend)
+                  tuple(participants or platform.nodes()))
 
 
 def solve_all_to_all(
     platform: Platform,
     participants: Optional[Sequence[NodeId]] = None,
-    backend: str = "exact",
 ) -> Tuple[Fraction, Dict[Tuple[NodeId, NodeId, NodeId, NodeId], Fraction]]:
     """:func:`solve_all_to_all_solution` as ``(TP, flows)``, with
     ``flows[(i, j, src, dst)]`` the rate of the ``src -> dst`` commodity
     on edge ``i -> j``."""
-    sol = solve_all_to_all_solution(platform, participants, backend)
+    sol = solve_all_to_all_solution(platform, participants)
     ends = sol.commodities()
     return sol.throughput, {
         (i, j) + ends[k]: rate for (i, j, k), rate in sol.send.items()}

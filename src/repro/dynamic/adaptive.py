@@ -192,14 +192,13 @@ def run_adaptive(
     epochs: int,
     strategy: Strategy = "adaptive",
     predictor: Optional[SlidingWindowPredictor] = None,
-    backend: str = "exact",
 ) -> AdaptiveRunResult:
     """Run one of the three strategies for ``epochs`` epochs."""
     if epochs < 1:
         raise ValueError("need at least one epoch")
     outcomes: List[EpochOutcome] = []
     initial = varying.snapshot()
-    static_plan = solve_master_slave(initial, master, backend=backend)
+    static_plan = solve_master_slave(initial, master)
     last_observed = initial
     if predictor is not None:
         predictor.observe(initial)
@@ -209,17 +208,15 @@ def run_adaptive(
             plan_platform, plan = initial, static_plan
         elif strategy == "oracle":
             plan_platform = true_platform
-            plan = solve_master_slave(true_platform, master, backend=backend)
+            plan = solve_master_slave(true_platform, master)
         else:
             if predictor is not None:
                 plan_platform = predictor.predict(initial)
             else:
                 plan_platform = last_observed
-            plan = solve_master_slave(plan_platform, master, backend=backend)
+            plan = solve_master_slave(plan_platform, master)
         achieved = realized_rate(plan_platform, true_platform, master, plan)
-        optimal = solve_master_slave(
-            true_platform, master, backend=backend
-        ).throughput
+        optimal = solve_master_slave(true_platform, master).throughput
         outcomes.append(
             EpochOutcome(
                 epoch=e,

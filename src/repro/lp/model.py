@@ -301,6 +301,12 @@ class LPSolution:
     def __getitem__(self, var: Variable) -> Fraction:
         return self.values.get(var, Fraction(0))
 
+    @property
+    def exact(self) -> bool:
+        """True when the exact simplex produced this solution: only then
+        is it the LP's rational optimum, which a packager verifies."""
+        return self.backend == "exact"
+
     def value_by_name(self) -> Dict[str, Fraction]:
         return {v.name: x for v, x in self.values.items()}
 

@@ -12,8 +12,10 @@ reconstruct into executable periodic schedules
 
 The CLI, the JSON API, the request broker and the incremental solver all
 dispatch through :func:`~repro.problems.registry.resolve`; making a new
-problem servable everywhere is one spec class plus one ``@register``-ed
-solver in :mod:`~repro.problems.catalog`.
+problem servable everywhere is one spec class plus one
+:func:`~repro.problems.registry.register` call in
+:mod:`~repro.problems.catalog`, which binds its LP model or, for a
+problem without one, its solve function.
 
 >>> from repro.platform import generators
 >>> from repro.problems import MasterSlaveSpec, solve

@@ -1,11 +1,14 @@
 """The built-in problem catalog: every paper problem, registered once.
 
 Each block below is the *whole* integration surface for a problem: a
-typed spec (:mod:`repro.problems.specs`), a decorated uniform solver, a
-capability declaration, and — where the LP admits the
-structure-vs-coefficient split — a :class:`~repro.problems.registry.WarmModel`.
-The CLI, JSON API, broker and incremental solver all pick these up through
-the registry; nothing else needs editing to make a new problem servable.
+typed spec (:mod:`repro.problems.specs`), a capability declaration, and
+how the problem is solved — its LP model, a
+:class:`~repro.problems.registry.WarmModel` (build / patch / package),
+where the LP admits the structure-vs-coefficient split, and a solve
+function otherwise.  A problem with a model has no other solver: the
+registry and the incremental solver both run its model.  The CLI, JSON
+API, broker and incremental solver all pick these up through the
+registry; nothing else needs editing to make a new problem servable.
 
 The ``example`` factories build a minimal spec on a caller-supplied star
 platform (root + workers with edges both ways); the registry consistency
@@ -22,13 +25,8 @@ from ..core.master_slave import (
     build_ssms_lp,
     package_ssms_solution,
     patch_ssms_coefficients,
-    solve_master_slave,
 )
 from ..core.multicast import solve_multicast
-from ..core.port_models import (
-    solve_master_slave_multiport,
-    solve_master_slave_send_or_receive,
-)
 from ..core.activities import commodity_endpoints
 from ..core.scatter import (
     build_commodity_lp,
@@ -36,9 +34,6 @@ from ..core.scatter import (
     package_commodity_solution,
     patch_commodity_coefficients,
     reversed_platform,
-    solve_all_to_all_solution,
-    solve_gather,
-    solve_scatter,
 )
 from .registry import Capabilities, WarmModel, register
 from .specs import (
@@ -68,12 +63,6 @@ def _ssms_key(spec):
     return key + (ports,) if port_model == "multiport" else key
 
 
-def _ssms_package(spec, sol, handles):
-    port_model, ports = spec.port_setting()
-    return package_ssms_solution(spec.platform, spec.master, sol, handles,
-                                 port_model=port_model, ports=ports)
-
-
 _SSMS_WARM = WarmModel(
     spec_key=_ssms_key,
     build=lambda spec: build_ssms_lp(spec.platform, spec.master,
@@ -81,22 +70,21 @@ _SSMS_WARM = WarmModel(
     patch=lambda lp, handles, spec: patch_ssms_coefficients(
         lp, handles, spec.platform, spec.master
     ),
-    package=_ssms_package,
+    package=lambda spec, sol, handles: package_ssms_solution(
+        spec.platform, spec.master, sol, handles, *spec.port_setting()
+    ),
 )
 
 
-@register(
+register(
     MasterSlaveSpec,
+    _SSMS_WARM,
     capabilities=Capabilities(reconstructs_schedule=True,
                               lp_structure="ssms"),
-    entry_point=solve_master_slave,
-    warm_model=_SSMS_WARM,
     example=lambda platform, root, others: MasterSlaveSpec(
         platform=platform, master=root
     ),
 )
-def _solve_master_slave(spec: MasterSlaveSpec, backend: str = "exact"):
-    return solve_master_slave(spec.platform, spec.master, backend=backend)
 
 
 # ----------------------------------------------------------------------
@@ -131,10 +119,9 @@ def _commodity_warm(spec_key, lp_problem, finish=lambda spec, sol: sol):
 
     def package(spec, sol, handles):
         platform, commodities, answer = lp_of(spec)
-        port_model, ports = spec.port_setting()
         return finish(spec, package_commodity_solution(
             platform, commodities, sol, handles, *answer,
-            port_model=port_model, ports=ports))
+            *spec.port_setting()))
 
     return WarmModel(spec_key=spec_key, build=build, patch=patch,
                      package=package)
@@ -147,21 +134,15 @@ _SSPS_WARM = _commodity_warm(
 )
 
 
-@register(
+register(
     ScatterSpec,
+    _SSPS_WARM,
     capabilities=Capabilities(reconstructs_schedule=True,
                               lp_structure="ssps"),
-    entry_point=solve_scatter,
-    warm_model=_SSPS_WARM,
     example=lambda platform, root, others: ScatterSpec(
         platform=platform, source=root, targets=tuple(others)
     ),
 )
-def _solve_scatter(spec: ScatterSpec, backend: str = "exact"):
-    return solve_scatter(
-        spec.platform, spec.source, list(spec.targets), backend=backend,
-        port_model=spec.port_model, ports=spec.ports,
-    )
 
 
 _GATHER_WARM = _commodity_warm(
@@ -173,19 +154,15 @@ _GATHER_WARM = _commodity_warm(
 )
 
 
-@register(
+register(
     GatherSpec,
+    _GATHER_WARM,
     capabilities=Capabilities(reconstructs_schedule=True,
                               lp_structure="ssps"),
-    entry_point=solve_gather,
-    warm_model=_GATHER_WARM,
     example=lambda platform, root, others: GatherSpec(
         platform=platform, sink=root, sources=tuple(others)
     ),
 )
-def _solve_gather(spec: GatherSpec, backend: str = "exact"):
-    return solve_gather(spec.platform, spec.sink, list(spec.sources),
-                        backend=backend)
 
 
 _A2A_WARM = _commodity_warm(
@@ -195,76 +172,80 @@ _A2A_WARM = _commodity_warm(
 )
 
 
-@register(
+register(
     AllToAllSpec,
+    _A2A_WARM,
     capabilities=Capabilities(reconstructs_schedule=True,
                               lp_structure="multicommodity"),
-    entry_point=solve_all_to_all_solution,
-    warm_model=_A2A_WARM,
     example=lambda platform, root, others: AllToAllSpec(platform=platform),
 )
-def _solve_all_to_all(spec: AllToAllSpec, backend: str = "exact"):
-    return solve_all_to_all_solution(spec.platform, spec.participants,
-                                     backend=backend)
 
 
 # ----------------------------------------------------------------------
-# broadcast / reduce (sections 3.3 and 4.2)
+# broadcast / reduce (sections 3.3 and 4.2): column generation, no model
 # ----------------------------------------------------------------------
-@register(
-    BroadcastSpec,
-    capabilities=Capabilities(lp_structure="tree-packing"),
-    entry_point=solve_broadcast,
-    example=lambda platform, root, others: BroadcastSpec(
-        platform=platform, source=root
-    ),
-)
 def _solve_broadcast(spec: BroadcastSpec, backend: str = "exact"):
     return solve_broadcast(spec.platform, spec.source, backend=backend)
 
 
-@register(
-    ReduceSpec,
+register(
+    BroadcastSpec,
+    _solve_broadcast,
     capabilities=Capabilities(lp_structure="tree-packing"),
-    entry_point=solve_reduce,
+    example=lambda platform, root, others: BroadcastSpec(
+        platform=platform, source=root
+    ),
+)
+
+
+def _solve_reduce(spec: ReduceSpec, backend: str = "exact"):
+    return solve_reduce(spec.platform, spec.root, backend=backend)
+
+
+register(
+    ReduceSpec,
+    _solve_reduce,
+    capabilities=Capabilities(lp_structure="tree-packing"),
     example=lambda platform, root, others: ReduceSpec(
         platform=platform, root=root
     ),
 )
-def _solve_reduce(spec: ReduceSpec, backend: str = "exact"):
-    return solve_reduce(spec.platform, spec.root, backend=backend)
 
 
 # ----------------------------------------------------------------------
 # multicast bracket (section 4.3)
 # ----------------------------------------------------------------------
-@register(
-    MulticastSpec,
-    capabilities=Capabilities(lp_structure="tree-packing"),
-    entry_point=solve_multicast,
-    example=lambda platform, root, others: MulticastSpec(
-        platform=platform, source=root, targets=tuple(others)
-    ),
-)
 def _solve_multicast(spec: MulticastSpec, backend: str = "exact"):
     return solve_multicast(spec.platform, spec.source, list(spec.targets),
                            backend=backend, tree_limit=spec.tree_limit)
 
 
+register(
+    MulticastSpec,
+    _solve_multicast,
+    capabilities=Capabilities(lp_structure="tree-packing"),
+    example=lambda platform, root, others: MulticastSpec(
+        platform=platform, source=root, targets=tuple(others)
+    ),
+)
+
+
 # ----------------------------------------------------------------------
 # DAG collections (section 4.4)
 # ----------------------------------------------------------------------
-@register(
+def _solve_dag(spec: DagSpec, backend: str = "exact"):
+    return solve_dag_collection(spec.platform, spec.dag, spec.master,
+                                backend=backend)
+
+
+register(
     DagSpec,
+    _solve_dag,
     capabilities=Capabilities(lp_structure="dag-collection"),
-    entry_point=solve_dag_collection,
     example=lambda platform, root, others: DagSpec(
         platform=platform, master=root, dag=TaskGraph.chain([1, 2], [1])
     ),
 )
-def _solve_dag(spec: DagSpec, backend: str = "exact"):
-    return solve_dag_collection(spec.platform, spec.dag, spec.master,
-                                backend=backend)
 
 
 # ----------------------------------------------------------------------
@@ -272,29 +253,20 @@ def _solve_dag(spec: DagSpec, backend: str = "exact"):
 # with the port rows of the spec's model (``port_setting``), on the
 # master-slave warm model above
 # ----------------------------------------------------------------------
-@register(
+register(
     MultiportSpec,
+    _SSMS_WARM,
     capabilities=Capabilities(lp_structure="ssms-multiport"),
-    entry_point=solve_master_slave_multiport,
-    warm_model=_SSMS_WARM,
     example=lambda platform, root, others: MultiportSpec(
         platform=platform, master=root, ports=2
     ),
 )
-def _solve_multiport(spec: MultiportSpec, backend: str = "exact"):
-    return solve_master_slave_multiport(spec.platform, spec.master,
-                                        ports=spec.ports, backend=backend)
 
-
-@register(
+register(
     SendOrReceiveSpec,
+    _SSMS_WARM,
     capabilities=Capabilities(lp_structure="ssms-send-or-receive"),
-    entry_point=solve_master_slave_send_or_receive,
-    warm_model=_SSMS_WARM,
     example=lambda platform, root, others: SendOrReceiveSpec(
         platform=platform, master=root
     ),
 )
-def _solve_send_or_receive(spec: SendOrReceiveSpec, backend: str = "exact"):
-    return solve_master_slave_send_or_receive(spec.platform, spec.master,
-                                              backend=backend)

@@ -4,27 +4,36 @@ Every problem the library can solve is registered here exactly once, as a
 :class:`SolverEntry` binding
 
 * a typed spec class (:mod:`repro.problems.specs`),
-* a uniform ``solve(spec, backend=...)`` callable,
+* how it is solved: either a :class:`WarmModel` — the problem's LP
+  model, split into structure and coefficients — or, for a problem
+  without one, a solve function ``fn(spec, backend=...)``; never both,
 * a :class:`Capabilities` declaration (can the solver's LP be warm
   re-solved on weight-only mutations?  can its solution be turned into a
   periodic schedule?  which LP structure family does it belong to?), and
-* optionally a :class:`WarmModel` — the structure-vs-coefficient split
-  that makes the ``warm_resolve`` capability executable — and an example
-  factory used by the end-to-end registry consistency check
+* an example factory used by the end-to-end registry consistency check
   (``python -m repro problems --check``).
+
+A problem with an LP model is solved by that model and nothing else:
+:meth:`SolverEntry.solve` runs ``build`` → ``lp.solve(backend)`` →
+``package``, the same three steps the incremental solver runs on a hot
+model, so the registry and the engine cannot drift apart.  The float
+backend is chosen here, by :meth:`SolverEntry.solve`'s ``backend``, and
+nowhere below it: a packager verifies exactly the answers an exact
+solve produced.
 
 The CLI, the JSON API, the request broker and the incremental solver all
 route through :func:`resolve` — there is no per-problem branch ladder
-anywhere downstream.  Registering a new problem (one spec + one decorated
-solver in :mod:`repro.problems.catalog`) makes it servable everywhere at
-once.
+anywhere downstream.  Registering a new problem (one spec + one
+:func:`register` call in :mod:`repro.problems.catalog`) makes it
+servable everywhere at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Type
+from typing import (Any, Callable, Dict, Optional, Sequence, Tuple, Type,
+                    Union)
 
 from ..platform.graph import NodeId, Platform
 from .specs import ProblemSpec, SpecError
@@ -69,8 +78,9 @@ class WarmModel:
         Rewrite every weight-derived coefficient of an assembled model in
         place (the :class:`~repro.lp.model.LinearProgram` rebuild hook).
     ``package(spec, lp_solution, handles)``
-        Turn a solved model — always an exact simplex solve — into the
-        problem's public solution object.
+        Turn a solved model into the problem's public solution object,
+        verified when the solve was exact (a hot model always is; only
+        :meth:`SolverEntry.solve` with a float ``backend`` is not).
     """
 
     spec_key: Callable[[ProblemSpec], Tuple]
@@ -86,24 +96,33 @@ ExampleFactory = Callable[[Platform, NodeId, Sequence[NodeId]], ProblemSpec]
 
 @dataclass(frozen=True)
 class SolverEntry:
-    """One registered problem: spec type + solver + declared capabilities."""
+    """One registered problem: spec type, how it is solved (its LP
+    model, or a solve function when it has none) and its declared
+    capabilities."""
 
     problem: str
     spec_type: Type[ProblemSpec]
-    solve_fn: Callable[..., Any]
     capabilities: Capabilities
-    entry_point: Callable[..., Any]
     warm_model: Optional[WarmModel] = None
+    solve_fn: Optional[Callable[..., Any]] = None
     example: Optional[ExampleFactory] = None
 
     def solve(self, spec: ProblemSpec, backend: str = "exact") -> Any:
-        """The uniform solve entry: typed spec in, solution object out."""
+        """The uniform solve entry: typed spec in, solution object out.
+
+        A problem with an LP model is built, solved under ``backend``
+        and packaged by that model; any other goes to its solve
+        function."""
         if not isinstance(spec, self.spec_type):
             raise SpecError(
                 f"{self.problem} expects a {self.spec_type.__name__}, got "
                 f"{type(spec).__name__}"
             )
-        return self.solve_fn(spec, backend=backend)
+        model = self.warm_model
+        if model is None:
+            return self.solve_fn(spec, backend=backend)
+        lp, handles = model.build(spec)
+        return model.package(spec, lp.solve(backend=backend), handles)
 
 
 _REGISTRY: Dict[str, SolverEntry] = {}
@@ -111,38 +130,34 @@ _REGISTRY: Dict[str, SolverEntry] = {}
 
 def register(
     spec_type: Type[ProblemSpec],
+    solver: Union[WarmModel, Callable[..., Any]],
     capabilities: Optional[Capabilities] = None,
-    entry_point: Optional[Callable[..., Any]] = None,
-    warm_model: Optional[WarmModel] = None,
     example: Optional[ExampleFactory] = None,
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Decorator registering ``fn(spec, backend=...)`` for a spec type.
+) -> None:
+    """Register how a spec type's problem is solved: its LP model (a
+    :class:`WarmModel`), or a solve function ``fn(spec, backend=...)``
+    for a problem without one.  ``warm_resolve`` is set exactly when
+    ``solver`` is a model.
 
-    >>> @register(MySpec, capabilities=Capabilities(lp_structure="ssms"))
-    ... def solve_my_problem(spec, backend="exact"):
-    ...     return my_core_solver(spec.platform, spec.master, backend=backend)
+    >>> register(MySpec, MY_WARM_MODEL,
+    ...          capabilities=Capabilities(lp_structure="ssms"))
     """
+    model = solver if isinstance(solver, WarmModel) else None
     caps = dataclasses.replace(capabilities or Capabilities(),
-                               warm_resolve=warm_model is not None)
+                               warm_resolve=model is not None)
     problem = spec_type.problem
     if not problem:
         raise ValueError(f"{spec_type.__name__} declares no problem name")
-
-    def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
-        if problem in _REGISTRY:
-            raise ValueError(f"problem {problem!r} is already registered")
-        _REGISTRY[problem] = SolverEntry(
-            problem=problem,
-            spec_type=spec_type,
-            solve_fn=fn,
-            capabilities=caps,
-            entry_point=entry_point if entry_point is not None else fn,
-            warm_model=warm_model,
-            example=example,
-        )
-        return fn
-
-    return decorator
+    if problem in _REGISTRY:
+        raise ValueError(f"problem {problem!r} is already registered")
+    _REGISTRY[problem] = SolverEntry(
+        problem=problem,
+        spec_type=spec_type,
+        capabilities=caps,
+        warm_model=model,
+        solve_fn=None if model is not None else solver,
+        example=example,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +222,8 @@ def describe() -> Dict[str, Any]:
             "spec": entry.spec_type.__name__,
             "fields": spec_fields,
             "capabilities": entry.capabilities.as_dict(),
-            "solver": getattr(entry.entry_point, "__qualname__",
-                              repr(entry.entry_point)),
+            # a problem with an LP model is solved by it
+            "solver": ("model" if entry.warm_model is not None
+                       else entry.solve_fn.__qualname__),
         }
     return out

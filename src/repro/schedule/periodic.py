@@ -5,7 +5,7 @@ A :class:`PeriodicSchedule` describes one period of steady-state operation:
 * an ordered list of **communication slices** — each a one-port-respecting
   matching of (sender → receiver) transfers with a rational duration;
 * per-node **compute allocations** (integer task counts per period);
-* per-edge integer **message counts** and per-commodity counts.
+* per-edge integer **message counts** and per-commodity routes.
 
 The description is *compact*: its size is polynomial in the platform size
 (number of slices ≤ |E| + 2p) even when the period ``T`` itself is
@@ -58,10 +58,6 @@ class PeriodicSchedule:
     compute: Dict[NodeId, int] = field(default_factory=dict)
     #: messages per edge per period, all commodities together
     messages: Dict[Edge, int] = field(default_factory=dict)
-    #: messages per edge per commodity per period
-    commodity_messages: Dict[Tuple[NodeId, NodeId, str], Fraction] = field(
-        default_factory=dict
-    )
     #: route annotation: (path, units per period), per commodity
     routes: Dict[str, List[Tuple[Tuple[NodeId, ...], Fraction]]] = field(
         default_factory=dict

@@ -116,11 +116,6 @@ def reconstruct_schedule(
     compute = solution.tasks_per_period(T) if solution.alpha else {}
     messages = solution.messages_per_period(T)
 
-    commodity_messages: Dict[Tuple[NodeId, NodeId, str], Fraction] = {}
-    for (i, j, k), rate in solution.send.items():
-        if rate > 0:
-            commodity_messages[(i, j, k)] = rate * T
-
     routes: Dict[str, List[Tuple[Tuple[NodeId, ...], Fraction]]] = {}
     if solution.problem == "master-slave" and solution.source is not None:
         routes["task"] = master_slave_routes(solution, T)
@@ -144,7 +139,6 @@ def reconstruct_schedule(
         slices=slices,
         compute=compute,
         messages=messages,
-        commodity_messages=commodity_messages,
         routes=routes,
         source=solution.source,
     )

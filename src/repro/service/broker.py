@@ -7,11 +7,11 @@ solvers.  For every :class:`SolveRequest` it:
    (:mod:`repro.service.fingerprint`);
 2. serves it from the :class:`~repro.service.cache.SolutionCache` when a
    structurally identical request was solved before;
-3. otherwise dispatches the request through the problem registry
-   (:mod:`repro.problems.registry`) on the calling thread, taking the
-   warm re-solve shortcut of :mod:`repro.service.incremental` whenever
-   the registered solver declares the ``warm_resolve`` capability and a
-   model with the same topology is already hot;
+3. otherwise solves it on the calling thread: a problem with an LP
+   model (the ``warm_resolve`` capability) through the engine's
+   :mod:`repro.service.incremental` solver, which patches and re-solves
+   a hot model of the same topology or builds one, and any other
+   through the problem registry (:mod:`repro.problems.registry`);
 4. leaves concurrency to the served broker: ``python -m repro serve`` is
    always a :class:`~repro.service.sharding.ShardedBroker` ring, whose
    shards run misses on their engine lane and coalesce identical
@@ -188,9 +188,12 @@ class SolveEngine:
     """The cache → warm → cold solve core of *one* shard.
 
     Owns exactly the state that must never be shared across shards — a
-    :class:`SolutionCache`, a :class:`MetricsRegistry` and (optionally) an
+    :class:`SolutionCache`, a :class:`MetricsRegistry` and an
     :class:`~repro.service.incremental.IncrementalSolver` with its hot LP
-    models — and nothing else: no pools, no futures, no coalescing.
+    models (each created when not passed) — and nothing else: no pools,
+    no futures, no coalescing.  A problem with an LP model is solved by
+    the incremental solver, warm when its structure is hot; any other
+    goes through :func:`execute_request`.
     :class:`Broker` calls one engine inline;
     :class:`~repro.service.sharding.ShardedBroker` runs N of them side
     by side, each behind a shard server that coalesces in-flight twins.
@@ -204,7 +207,8 @@ class SolveEngine:
     ) -> None:
         self.cache = cache if cache is not None else SolutionCache()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.incremental = incremental
+        self.incremental = (incremental if incremental is not None
+                            else IncrementalSolver())
 
     # ------------------------------------------------------------------
     def run(self, request: SolveRequest, fp: str) -> BrokerResult:
@@ -294,10 +298,7 @@ class SolveEngine:
         self, request: SolveRequest, fp: str
     ) -> BrokerResult:
         warm = False
-        if (
-            self.incremental is not None
-            and resolve(request.problem).capabilities.warm_resolve
-        ):
+        if resolve(request.problem).capabilities.warm_resolve:
             solution, warm = self.incremental.solve_spec_ex(request.spec)
         else:
             with span("solver.solve", path="registry"):
@@ -330,23 +331,20 @@ class SolveEngine:
     def invalidate_platform(self, platform: Platform) -> int:
         """Drop cached results and hot LP models for this platform shape."""
         removed = self.cache.invalidate_platform(platform)
-        if self.incremental is not None:
-            self.incremental.forget(platform)
+        self.incremental.forget(platform)
         return removed
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe operational state of this shard."""
-        out: Dict[str, Any] = {
+        return {
             "cache": self.cache.snapshot(),
             "metrics": self.metrics.snapshot(),
             "process": process_snapshot(),
-        }
-        if self.incremental is not None:
-            out["incremental"] = {
+            "incremental": {
                 "hot_models": len(self.incremental),
                 **self.incremental.stats.as_dict(),
-            }
-        return out
+            },
+        }
 
 
 # ----------------------------------------------------------------------
@@ -369,12 +367,10 @@ class Broker:
     executor:
         Selects nothing: a broker solves inline, and any value but
         ``"sync"`` raises :class:`ValueError`.
-    incremental:
-        Use the warm re-solve path for requests whose registered solver
-        has the ``warm_resolve`` capability (the six problems with a
-        warm model: master-slave, scatter, gather, all-to-all, multiport
-        and send-or-receive) and whose topology was seen before
-        (default on).
+
+    A request whose problem has an LP model (master-slave, scatter,
+    gather, all-to-all, multiport and send-or-receive) is solved by
+    the engine's incremental solver, warm when its topology is hot.
     """
 
     def __init__(
@@ -383,18 +379,13 @@ class Broker:
         metrics: Optional[MetricsRegistry] = None,
         # kept only for bench/layers.py's Broker(executor="sync")
         executor: str = "sync",
-        incremental: bool = True,
     ) -> None:
         if executor != "sync":
             raise ValueError(
                 f"a Broker solves inline; executor={executor!r} selects "
                 f"nothing (serve runs the ShardedBroker ring)"
             )
-        self.engine = SolveEngine(
-            cache=cache,
-            metrics=metrics,
-            incremental=IncrementalSolver() if incremental else None,
-        )
+        self.engine = SolveEngine(cache=cache, metrics=metrics)
 
     # the per-shard state lives on the engine; expose it under the
     # historical names so `broker.cache.stats` / `broker.metrics` keep

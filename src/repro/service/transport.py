@@ -90,7 +90,6 @@ from typing import Any, Dict, Optional, Tuple
 from ..platform.serialization import platform_from_dict
 from .broker import BrokerError, SolveEngine, schedule_flag
 from .cache import SolutionCache
-from .incremental import IncrementalSolver
 from .tracing import start_trace
 from .wire import compact_json, encode_result
 
@@ -599,9 +598,7 @@ class AsyncShardServer(LoopServer):
         op_deadline: Optional[float] = None,
     ) -> None:
         self.engine = engine if engine is not None else SolveEngine(
-            cache=SolutionCache(max_size=cache_size),
-            incremental=IncrementalSolver(),
-        )
+            cache=SolutionCache(max_size=cache_size))
         self.op_deadline = op_deadline
         super().__init__(address)
         self._executor = ThreadPoolExecutor(  # the engine lane

@@ -11,10 +11,6 @@ from repro.core.activities import (
     commodity_endpoints,
 )
 from repro.core.master_slave import solve_master_slave
-from repro.core.port_models import (
-    solve_master_slave_multiport,
-    solve_master_slave_send_or_receive,
-)
 from repro.core.scatter import (
     solve_all_to_all_solution,
     solve_gather,
@@ -147,10 +143,10 @@ class TestSummary:
 ONE_PORT = ("one-port", 1)
 ANSWERS = {
     "master-slave": (lambda g: solve_master_slave(g, "R0"), ONE_PORT),
-    "multiport": (lambda g: solve_master_slave_multiport(g, "R0", 2),
+    "multiport": (lambda g: solve_master_slave(g, "R0", "multiport", 2),
                   ("multiport", 2)),
     "send-or-receive": (
-        lambda g: solve_master_slave_send_or_receive(g, "R0"),
+        lambda g: solve_master_slave(g, "R0", "send-or-receive"),
         ("send-or-receive", 1)),
     "scatter": (lambda g: solve_scatter(g, "R0", ["R1", "R2", "R3"]),
                 ONE_PORT),

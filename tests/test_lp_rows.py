@@ -29,10 +29,6 @@ import pytest
 from repro.core.broadcast import broadcast_lp_bound
 from repro.core.dag import TaskGraph, solve_dag_collection
 from repro.core.master_slave import solve_master_slave
-from repro.core.port_models import (
-    solve_master_slave_multiport,
-    solve_master_slave_send_or_receive,
-)
 from repro.core.scatter import (
     solve_all_to_all_solution,
     solve_gather,
@@ -65,9 +61,9 @@ def _cases() -> Dict[str, Callable[[], object]]:
         cases.update({
             f"ssms/one-port/{seed}": lambda g=g: solve_master_slave(g(), "R0"),
             f"ssms/send-or-receive/{seed}":
-                lambda g=g: solve_master_slave_send_or_receive(g(), "R0"),
+                lambda g=g: solve_master_slave(g(), "R0", "send-or-receive"),
             f"ssms/multiport-2/{seed}":
-                lambda g=g: solve_master_slave_multiport(g(), "R0", ports=2),
+                lambda g=g: solve_master_slave(g(), "R0", "multiport", 2),
             f"ssps/one-port/{seed}":
                 lambda g=g: solve_scatter(g(), "R0", others),
             f"ssps/send-or-receive/{seed}": lambda g=g: solve_scatter(

@@ -15,6 +15,7 @@ from repro.core.master_slave import (
 )
 from repro.platform import generators as gen
 from repro.platform.graph import Platform
+from repro.problems import MasterSlaveSpec, solve
 
 
 class TestStarOracle:
@@ -100,7 +101,9 @@ class TestInvariants:
     def test_scipy_backend_agrees(self, any_platform):
         name, platform, master = any_platform
         exact = solve_master_slave(platform, master)
-        approx = solve_master_slave(platform, master, backend="scipy")
+        # the float backend is chosen at the registry, and nowhere below
+        approx = solve(MasterSlaveSpec(platform=platform, master=master),
+                       backend="scipy")
         assert abs(float(exact.throughput) - float(approx.throughput)) < 1e-7
 
 

@@ -7,10 +7,6 @@ import pytest
 
 from repro.core.activities import SteadyStateError, SteadyStateSolution
 from repro.core.master_slave import solve_master_slave
-from repro.core.port_models import (
-    solve_master_slave_multiport,
-    solve_master_slave_send_or_receive,
-)
 from repro.core.scatter import solve_scatter
 from repro.platform import generators as gen
 from repro.platform.graph import Platform
@@ -31,17 +27,18 @@ def _ssms(platform, master, port_model, ports):
     if port_model == "one-port":
         return solve_master_slave(platform, master)
     if port_model == "send-or-receive":
-        return solve_master_slave_send_or_receive(platform, master)
-    return solve_master_slave_multiport(platform, master, ports)
+        return solve_master_slave(platform, master, "send-or-receive")
+    return solve_master_slave(platform, master, "multiport", ports)
 
 
 class TestThroughputOrdering:
     def test_sor_le_oneport_le_multiport(self, any_platform):
         name, platform, master = any_platform
-        sor = solve_master_slave_send_or_receive(platform, master).throughput
+        sor = solve_master_slave(platform, master,
+                                 "send-or-receive").throughput
         one = solve_master_slave(platform, master).throughput
-        mp2 = solve_master_slave_multiport(platform, master, 2).throughput
-        mp4 = solve_master_slave_multiport(platform, master, 4).throughput
+        mp2 = solve_master_slave(platform, master, "multiport", 2).throughput
+        mp4 = solve_master_slave(platform, master, "multiport", 4).throughput
         assert sor <= one <= mp2 <= mp4
 
     def test_sor_strictly_hurts_relays(self):
@@ -57,30 +54,30 @@ class TestThroughputOrdering:
         g.add_edge("N0", "N1", 1)
         g.add_edge("N1", "N2", 1)
         one = solve_master_slave(g, "N0").throughput
-        sor = solve_master_slave_send_or_receive(g, "N0").throughput
+        sor = solve_master_slave(g, "N0", "send-or-receive").throughput
         assert one == 2
         assert sor == Fraction(3, 2)
 
     def test_multiport_unlocks_parallel_children(self):
         g = gen.star(3, master_w=1, worker_w=[1, 1, 1], link_c=[1, 1, 1])
         one = solve_master_slave(g, "M").throughput
-        mp3 = solve_master_slave_multiport(g, "M", 3).throughput
+        mp3 = solve_master_slave(g, "M", "multiport", 3).throughput
         assert mp3 > one
 
     def test_multiport_caps_at_link_capacity(self):
         """Extra cards cannot push a single link beyond s_ij <= 1."""
         g = gen.star(1, master_w=1, worker_w=[1], link_c=[1])
-        mp = solve_master_slave_multiport(g, "M", 8).throughput
+        mp = solve_master_slave(g, "M", "multiport", 8).throughput
         assert mp == 2  # master 1 + worker 1 (link saturated)
 
     def test_ports_validation(self, star4):
         with pytest.raises(ValueError):
-            solve_master_slave_multiport(star4, "M", 0)
+            solve_master_slave(star4, "M", "multiport", 0)
 
     def test_conservation_holds_in_variants(self, star4):
-        sol = solve_master_slave_send_or_receive(star4, "M")
+        sol = solve_master_slave(star4, "M", "send-or-receive")
         sol.check_master_slave_conservation()
-        sol2 = solve_master_slave_multiport(star4, "M", 2)
+        sol2 = solve_master_slave(star4, "M", "multiport", 2)
         sol2.check_master_slave_conservation()
 
 
@@ -119,7 +116,7 @@ class TestGreedyColoring:
 
     def test_schedule_length_measured(self):
         g = gen.chain(3, node_w=1, link_c=1)
-        sol = solve_master_slave_send_or_receive(g, "N0")
+        sol = solve_master_slave(g, "N0", "send-or-receive")
         T = sol.period()
         _, length = orchestrate(sol.edge_busy_time(T), T, "send-or-receive")
         # the greedy orchestration must fit within the Shannon-type factor
@@ -190,7 +187,7 @@ class TestEveryModelIsVerified:
                            match="send-or-receive port budget"):
             one.verify()
         star = gen.star(3, worker_w=[1, 1, 1], link_c=[1, 1, 1])
-        mp3 = solve_master_slave_multiport(star, "M", 3)
+        mp3 = solve_master_slave(star, "M", "multiport", 3)
         mp3.verify()
         mp3.port_model, mp3.ports = "one-port", 1
         with pytest.raises(SteadyStateError, match="one-port send-port"):
@@ -200,7 +197,7 @@ class TestEveryModelIsVerified:
         """A multiport(3) master feeding three links at full rate passes
         its own check; a fourth busy link is one card too many."""
         star = gen.star(4, worker_w=[1, 1, 1, 1], link_c=[1, 1, 1, 1])
-        mp3 = solve_master_slave_multiport(star, "M", 3)
+        mp3 = solve_master_slave(star, "M", "multiport", 3)
         assert (mp3.port_model, mp3.ports) == ("multiport", 3)
         assert sum(mp3.s[("M", j)] for j in star.successors("M")) == 3
         mp3.verify()

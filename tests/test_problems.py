@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.activities import SteadyStateSolution
 from repro.core.scatter import solve_gather, solve_scatter
 from repro.platform import generators
 from repro.platform.serialization import platform_to_dict, solution_to_dict
 from repro.problems import (
+    AllToAllSpec,
     DagSpec,
     GatherSpec,
     MasterSlaveSpec,
@@ -38,8 +41,11 @@ from repro.problems import (
 from repro.service import Broker, IncrementalSolver, SolveRequest, handle_request
 from repro.service.api import request_from_dict, request_to_dict
 from repro.service.broker import BrokerError, execute_request, solution_throughput
-from repro.service.wire import compact_json
+from repro.service.wire import compact_json, solution_to_wire
 
+#: the problems registered with an LP model (a WarmModel)
+MODEL_PROBLEMS = ("master-slave", "scatter", "gather", "all-to-all",
+                  "multiport", "send-or-receive")
 ALL_PROBLEMS = frozenset({
     "master-slave", "scatter", "gather", "all-to-all", "broadcast",
     "reduce", "multicast", "dag", "multiport", "send-or-receive",
@@ -67,16 +73,16 @@ class TestRegistry:
             resolve("nope")
 
     def test_declared_capabilities(self):
-        # every non-tree-packing LP problem is warm-capable (6 of 10)
-        for problem in ("master-slave", "scatter", "gather", "all-to-all",
-                        "multiport", "send-or-receive"):
+        # every non-tree-packing LP problem is warm-capable (6 of 10),
+        # and a problem with a model registers no solve function
+        for problem in MODEL_PROBLEMS:
             entry = resolve(problem)
             assert entry.capabilities.warm_resolve
-            assert entry.warm_model is not None
+            assert entry.warm_model is not None and entry.solve_fn is None
         for problem in ("broadcast", "reduce", "multicast", "dag"):
             entry = resolve(problem)
             assert not entry.capabilities.warm_resolve
-            assert entry.warm_model is None
+            assert entry.warm_model is None and entry.solve_fn is not None
         assert reconstructable_problems() == {
             "master-slave", "scatter", "gather", "all-to-all"
         }
@@ -319,18 +325,20 @@ class TestSpecEnvelope:
     def test_registry_listing_is_pinned(self):
         """``describe()`` and the ``problems`` op (``GET /problems``) are
         pinned byte for byte; ``warm_resolve`` in them is derived from
-        each entry's warm model."""
+        each entry's warm model, and a problem with a model names
+        ``"model"`` as its solver."""
         for problem in registered_problems():
             entry = resolve(problem)
             assert entry.capabilities.warm_resolve == (
-                entry.warm_model is not None)
+                entry.warm_model is not None) == (
+                describe()[problem]["solver"] == "model")
         listing = json.dumps(describe(), sort_keys=True).encode()
         assert hashlib.sha256(listing).hexdigest() == (
-            "af1850f0be0e55bc59175258fc2f1cb62df40553be79d0a1989b531cbd4b76a1")
+            "267a36ea1bcec19134daf19e1f974ee9d3624435248d48ebe80a86114cdb6409")
         with Broker() as broker:
             reply = compact_json(handle_request(broker, {"op": "problems"}))
         assert hashlib.sha256(reply).hexdigest() == (
-            "9ef0e06d93d413e7321ce0810330c2e12994e7f32682a7c91ca1b228540d173d")
+            "abeffe9c7f9ffdbe804513f0c18f44138a934ab228ae37a8f6d798dfc6c75389")
 
 
 # ----------------------------------------------------------------------
@@ -459,3 +467,59 @@ class TestGatherService:
             }})
             assert out["ok"], out
             assert "schedule" in out
+
+
+# ----------------------------------------------------------------------
+# a problem with an LP model is solved by that model
+# ----------------------------------------------------------------------
+def _random_model_spec(problem, seed):
+    """A spec of ``problem`` on ``random_connected(6, seed)``, its root
+    and targets drawn, and shuffled, by ``seed``."""
+    rng = random.Random(seed)
+    platform = generators.random_connected(6, seed=seed)
+    nodes = list(platform.nodes())
+    rng.shuffle(nodes)
+    root, others = nodes[0], nodes[1:rng.randint(2, len(nodes) - 1)]
+    if problem == "all-to-all":
+        return AllToAllSpec(platform=platform, participants=(root, *others))
+    if problem == "scatter":
+        return ScatterSpec(platform=platform, source=root,
+                           targets=tuple(others))
+    if problem == "gather":
+        return GatherSpec(platform=platform, sink=root,
+                          sources=tuple(others))
+    if problem == "multiport":
+        return MultiportSpec(platform=platform, master=root,
+                             ports=rng.randint(2, 3))
+    return resolve(problem).spec_type(platform=platform, master=root)
+
+
+class TestAModelIsTheOnlyRoad:
+    @pytest.mark.parametrize("problem", MODEL_PROBLEMS)
+    def test_registry_and_engine_give_the_same_bytes(self, problem):
+        """The registry's cold road (``execute_request``) and a fresh
+        engine's incremental solver run the same model: byte-identical
+        answers on 40 random platforms."""
+        for seed in range(40):
+            spec = _random_model_spec(problem, seed)
+            by_registry = execute_request(SolveRequest(spec))
+            by_engine = IncrementalSolver().solve_spec(spec)
+            assert compact_json(solution_to_wire(by_registry)) == \
+                compact_json(solution_to_wire(by_engine)), (problem, seed)
+
+    @pytest.mark.parametrize("problem", MODEL_PROBLEMS)
+    def test_the_float_road_runs_the_model_unverified(self, problem,
+                                                      monkeypatch):
+        """``solve(spec, backend="scipy")`` — the road a float
+        cross-check takes — builds, solves under HiGHS and packages
+        through the model; the packager verifies only exact answers."""
+        spec = _example(problem)
+        exact = solve(spec)
+        verified = []
+        monkeypatch.setattr(SteadyStateSolution, "verify",
+                            lambda sol: verified.append(sol))
+        approx = solve(spec, backend="scipy")
+        assert verified == []
+        assert abs(float(approx.throughput) - float(exact.throughput)) < 1e-7
+        solve(spec)
+        assert len(verified) == 1

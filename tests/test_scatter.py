@@ -14,6 +14,7 @@ from repro.core.scatter import (
 from repro.lp import LinearProgram
 from repro.platform import generators as gen
 from repro.platform.graph import Platform, PlatformError
+from repro.problems import ScatterSpec, solve
 
 
 class TestScatterBasics:
@@ -87,7 +88,8 @@ class TestScatterBasics:
 
     def test_scipy_backend(self, fig2):
         exact = solve_scatter(fig2, "P0", ["P5", "P6"])
-        approx = solve_scatter(fig2, "P0", ["P5", "P6"], backend="scipy")
+        approx = solve(ScatterSpec(platform=fig2, source="P0",
+                                   targets=("P5", "P6")), backend="scipy")
         assert abs(float(exact.throughput) - float(approx.throughput)) < 1e-7
 
 

@@ -7,10 +7,6 @@ import pytest
 
 from repro._rational import INF
 from repro.core.master_slave import solve_master_slave
-from repro.core.port_models import (
-    solve_master_slave_multiport,
-    solve_master_slave_send_or_receive,
-)
 from repro.core.scatter import solve_scatter
 from repro.platform import generators as gen
 from repro.platform.graph import Platform
@@ -35,7 +31,7 @@ def stretch(sched, sol):
 class TestSorReconstruction:
     def test_star_no_stretch(self, star4):
         """On a star nobody both sends and receives: stretch = 1."""
-        sol = solve_master_slave_send_or_receive(star4, "M")
+        sol = solve_master_slave(star4, "M", "send-or-receive")
         sched = reconstruct_schedule(sol)
         assert stretch(sched, sol) == 1
         assert sched.throughput == sol.throughput
@@ -43,7 +39,7 @@ class TestSorReconstruction:
     def test_relay_chain_schedules_serially(self):
         """The forwarder's receive and send are serialised in the slices."""
         g = relay_chain()
-        sol = solve_master_slave_send_or_receive(g, "N0")
+        sol = solve_master_slave(g, "N0", "send-or-receive")
         sched = reconstruct_schedule(sol)
         trace = schedule_to_trace(sched, periods=2)
         trace.validate("send-or-receive")
@@ -51,7 +47,7 @@ class TestSorReconstruction:
 
     def test_throughput_scales_with_stretch(self, any_platform):
         name, platform, master = any_platform
-        sol = solve_master_slave_send_or_receive(platform, master)
+        sol = solve_master_slave(platform, master, "send-or-receive")
         if sol.throughput == 0:
             return
         sched = reconstruct_schedule(sol)
@@ -60,7 +56,7 @@ class TestSorReconstruction:
 
     def test_traces_pass_sor_validation(self, any_platform):
         name, platform, master = any_platform
-        sol = solve_master_slave_send_or_receive(platform, master)
+        sol = solve_master_slave(platform, master, "send-or-receive")
         sched = reconstruct_schedule(sol)
         trace = schedule_to_trace(sched, periods=3)
         trace.validate("send-or-receive")
@@ -107,7 +103,7 @@ def _solve(problem, port_model, platform, master):
         return solve_scatter(platform, master, targets,
                              port_model=port_model)
     if port_model == "send-or-receive":
-        return solve_master_slave_send_or_receive(platform, master)
+        return solve_master_slave(platform, master, "send-or-receive")
     return solve_master_slave(platform, master)
 
 
@@ -132,8 +128,8 @@ class TestOneOrchestration:
     def test_multiport_that_does_not_fit_is_refused_by_name(self):
         """One card per node cannot carry this multiport(2) answer, and
         the refusal names the model instead of blaming the solver."""
-        sol = solve_master_slave_multiport(gen.random_connected(6, seed=1),
-                                           "R0", 2)
+        sol = solve_master_slave(gen.random_connected(6, seed=1),
+                                 "R0", "multiport", 2)
         sol.verify()
         with pytest.raises(ScheduleError, match=r"multiport\(2\)") as exc:
             reconstruct_schedule(sol)
@@ -142,7 +138,7 @@ class TestOneOrchestration:
 
     def test_multiport_that_fits_is_valid(self):
         g = gen.star(2, worker_w=[2, 2], link_c=[1, 1])
-        sol = solve_master_slave_multiport(g, "M", 2)
+        sol = solve_master_slave(g, "M", "multiport", 2)
         sched = reconstruct_schedule(sol)
         schedule_to_trace(sched, 2).validate("multiport", 2)
         assert sched.throughput == sol.throughput
@@ -150,6 +146,6 @@ class TestOneOrchestration:
     def test_fixed_period_refuses_other_models(self, star4):
         from repro.schedule.fixed_period import fixed_period_schedule
 
-        sol = solve_master_slave_send_or_receive(star4, "M")
+        sol = solve_master_slave(star4, "M", "send-or-receive")
         with pytest.raises(ScheduleError, match="one-port"):
             fixed_period_schedule(sol, Fraction(10))

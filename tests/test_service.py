@@ -415,11 +415,12 @@ class TestBroker:
             good = broker.submit(req)
             assert good.done() and good.result().throughput == Fraction(2)
 
-        def boom(request):
+        def boom(solver, spec):
             raise RuntimeError("solver exploded")
 
-        monkeypatch.setattr(broker_mod, "execute_request", boom)
-        with Broker(incremental=False) as broker:
+        # every engine solves fig1's model through its IncrementalSolver
+        monkeypatch.setattr(IncrementalSolver, "solve_spec_ex", boom)
+        with Broker() as broker:
             bad = broker.submit(req)
             assert bad.done()
             with pytest.raises(RuntimeError, match="solver exploded"):
@@ -908,11 +909,11 @@ class TestErrorStatusMapping:
     def test_solver_crash_is_500_with_type(self, monkeypatch):
         # regression: every failure used to surface as 422, so clients
         # could not tell "fix your request" from "server bug"
-        def boom(request):
+        def boom(solver, spec):
             raise RuntimeError("solver exploded")
 
-        monkeypatch.setattr(broker_mod, "execute_request", boom)
-        with Broker(incremental=False) as broker:
+        monkeypatch.setattr(IncrementalSolver, "solve_spec_ex", boom)
+        with Broker() as broker:
             out = handle_request(broker, _fig1_envelope())
             assert not out["ok"]
             assert out["status"] == 500
@@ -922,7 +923,7 @@ class TestErrorStatusMapping:
     def test_batch_isolates_statuses(self, monkeypatch):
         bad_spec = {"spec": {"problem": "nope", "master": "M"},
                     "platform": platform_to_dict(generators.star(2))}
-        with Broker(incremental=False) as broker:
+        with Broker() as broker:
             out = handle_request(broker, {"op": "batch", "requests": [
                 _fig1_envelope()["request"], bad_spec]})
             assert out["ok"]  # the envelope succeeded; members differ
@@ -930,11 +931,11 @@ class TestErrorStatusMapping:
             assert out["results"][1]["status"] == 422
 
     def test_http_transport_maps_statuses(self, monkeypatch):
-        def boom(request):
+        def boom(solver, spec):
             raise RuntimeError("solver exploded")
 
-        monkeypatch.setattr(broker_mod, "execute_request", boom)
-        broker = Broker(incremental=False)
+        monkeypatch.setattr(IncrementalSolver, "solve_spec_ex", boom)
+        broker = Broker()
         server = AsyncServiceServer(("127.0.0.1", 0),
                                     broker=broker).start_in_thread()
         url = f"http://127.0.0.1:{server.port}/api"
