@@ -5,13 +5,11 @@ monotonically to 1, the excess fits under C/sqrt(n) with a bounded
 constant, and the measured ratio respects the paper's closed-form bound.
 """
 
-import math
 from fractions import Fraction
 
 from repro import (
-    asymptotic_ratio_bound,
+    build_batch_schedule,
     generators,
-    grouped_schedule_makespan,
     reconstruct_schedule,
     solve_master_slave,
 )
@@ -30,26 +28,23 @@ def run_startup_sweep():
     rows = []
     ratios = []
     for n in (100, 1_000, 10_000, 100_000, 1_000_000):
-        analysis = grouped_schedule_makespan(sched, startups, n)
-        bound = asymptotic_ratio_bound(sched, startups, n)
-        rows.append([
-            n, analysis.m, float(analysis.ratio), float(bound),
-        ])
-        ratios.append((n, analysis.ratio))
-    return rows, fit_sqrt_constant(ratios)
+        batch = build_batch_schedule(sched, n, startups)
+        rows.append([n, batch.m, float(batch.ratio), float(batch.ratio_bound)])
+        ratios.append((n, batch.ratio))
+    return rows, fit_sqrt_constant(ratios), sched.throughput
 
 
 def test_c6_startup_amortisation(benchmark):
-    rows, sqrt_constant = benchmark.pedantic(
+    rows, sqrt_constant, ntask = benchmark.pedantic(
         run_startup_sweep, rounds=2, iterations=1
     )
     ratio_values = [r[2] for r in rows]
     assert ratio_values == sorted(ratio_values, reverse=True)
     assert ratio_values[-1] < 1.01
     for n, m, ratio, bound in rows:
-        assert ratio <= bound + 0.02
-        # m follows the paper's sqrt rule
-        assert abs(m - math.isqrt(math.ceil(n / float(rows[0][2])))) <= m
+        assert ratio <= bound
+        # m follows the paper's sqrt rule: the smallest m with m*m*ntask >= n
+        assert (m - 1) ** 2 * ntask < n <= m * m * ntask
     assert sqrt_constant < 100  # the 1 + C/sqrt(n) constant stays bounded
     report(
         "C6: start-up grouping — T(n)/Topt(n) with m = ceil(sqrt(n/ntask))"

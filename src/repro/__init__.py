@@ -53,11 +53,10 @@ from .schedule.periodic import CommSlice, PeriodicSchedule, ScheduleError
 from .schedule.reconstruction import reconstruct_schedule
 from .schedule.collective import packing_to_schedule
 from .schedule.fixed_period import fixed_period_schedule, throughput_vs_period
-from .schedule.startup import (
-    StartupAnalysis,
-    asymptotic_ratio_bound,
+from .schedule.batch import (
+    BatchSchedule,
+    build_batch_schedule,
     default_group_count,
-    grouped_schedule_makespan,
 )
 from .simulator.periodic_runner import PeriodicRunner, PeriodicRunResult
 from .simulator.trace import ModelViolation, Trace
@@ -67,7 +66,6 @@ from .dynamic.adaptive import run_adaptive
 from .dynamic.autonomous import autonomous_throughput
 from .platform.monitoring import SlidingWindowPredictor, TimeVaryingPlatform
 from .analysis.certificates import ssms_certificate
-from .schedule.batch import build_batch_schedule
 from .platform.topology import (
     alnem_graph_view,
     complete_graph_view,
@@ -134,10 +132,9 @@ __all__ = [
     "packing_to_schedule",
     "fixed_period_schedule",
     "throughput_vs_period",
-    "StartupAnalysis",
-    "asymptotic_ratio_bound",
+    "BatchSchedule",
+    "build_batch_schedule",
     "default_group_count",
-    "grouped_schedule_makespan",
     "PeriodicRunner",
     "PeriodicRunResult",
     "ModelViolation",
@@ -153,6 +150,5 @@ __all__ = [
     "env_tree_view",
     "view_quality",
     "ssms_certificate",
-    "build_batch_schedule",
     *sorted(_SERVICE_EXPORTS),
 ]

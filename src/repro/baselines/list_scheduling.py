@@ -12,15 +12,14 @@ Benchmark C5 plots both makespans against the bound ``n / ntask(G)``.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.master_slave import solve_master_slave
 from ..platform.graph import NodeId, Platform
+from ..schedule.batch import build_batch_schedule
 from ..schedule.reconstruction import reconstruct_schedule
-from ..simulator.periodic_runner import PeriodicRunner
 
 
 @dataclass
@@ -28,7 +27,8 @@ class BatchResult:
     strategy: str
     n_tasks: int
     makespan: Fraction
-    per_node: Dict[NodeId, int]
+    #: tasks per node: whole for EFT, the clean-up's share may split
+    per_node: Dict[NodeId, Fraction]
 
 
 def eft_star_makespan(
@@ -84,37 +84,17 @@ def eft_star_makespan(
 def steady_state_batch_makespan(
     platform: Platform, master: NodeId, n_tasks: int
 ) -> BatchResult:
-    """Time for the reconstructed periodic schedule to finish ``n_tasks``.
+    """Makespan of the reconstructed periodic schedule on ``n_tasks``.
 
-    Runs the periodic executor until the cumulative completions reach the
-    batch, then adds a drain bound for the final partial period.  This is
-    the "emulate steady state on a finite batch" strategy of section 4.2
-    (initialisation included; clean-up bounded by one period).
+    This is the "emulate steady state on a finite batch" strategy of
+    section 4.2: :func:`~repro.schedule.batch.build_batch_schedule`'s
+    initialisation, full periods and clean-up (the tail at the steady
+    rate plus the slowest node's drain).  ``per_node`` is the
+    construction's own split of the batch, so it sums to ``n_tasks``.
     """
-    sol = solve_master_slave(platform, master)
-    sched = reconstruct_schedule(sol)
-    runner = PeriodicRunner(sched)
-    per_period = sched.throughput * sched.period
-    if per_period <= 0:
-        raise ValueError("platform processes nothing")
-    # generous horizon: steady state + priming slack
-    est = int(Fraction(n_tasks) / per_period) + platform.num_nodes + 3
-    result = runner.run(est)
-    done = Fraction(0)
-    period_idx = None
-    for p, cnt in enumerate(result.completed_per_period):
-        done += cnt
-        if done >= n_tasks:
-            period_idx = p
-            break
-    if period_idx is None:  # pragma: no cover — horizon is generous
-        raise RuntimeError("horizon too short")
-    makespan = sched.period * (period_idx + 1)
-    per_node = {
-        n: int(cnt * (period_idx + 1))
-        for n, cnt in sched.compute.items()
-    }
-    return BatchResult("steady-state", n_tasks, makespan, per_node)
+    sched = reconstruct_schedule(solve_master_slave(platform, master))
+    batch = build_batch_schedule(sched, n_tasks)
+    return BatchResult("steady-state", n_tasks, batch.makespan, batch.per_node)
 
 
 def makespan_comparison(

@@ -1,7 +1,8 @@
 """Schedule reconstruction substrate (section 4.1 and the section 5
 extensions): matchings, edge colourings, flow decomposition, periodic
-schedules, the one orchestration of every port model, start-up grouping
-and fixed-period rounding."""
+schedules, the one orchestration of every port model, one finite-batch
+construction (section 4.2's init/steady/clean-up, with section 5.2's
+start-up grouping) and fixed-period rounding."""
 
 from .matching import hopcroft_karp, perfect_matching
 from .edge_coloring import (
@@ -15,18 +16,17 @@ from .edge_coloring import (
 from .flows import FlowError, cancel_cycles, check_flow_conservation, decompose_flow
 from .periodic import CommSlice, PeriodicSchedule, ScheduleError, schedule_to_trace
 from .reconstruction import orchestrate, reconstruct_schedule
-from .batch import BatchSchedule, batch_ratio_series, build_batch_schedule
+from .batch import (
+    BatchSchedule,
+    batch_ratio_series,
+    build_batch_schedule,
+    default_group_count,
+)
 from .collective import packing_to_schedule, tree_routes
 from .fixed_period import (
     fixed_period_schedule,
     rounding_loss_bound,
     throughput_vs_period,
-)
-from .startup import (
-    StartupAnalysis,
-    asymptotic_ratio_bound,
-    default_group_count,
-    grouped_schedule_makespan,
 )
 
 __all__ = [
@@ -53,11 +53,8 @@ __all__ = [
     "fixed_period_schedule",
     "rounding_loss_bound",
     "throughput_vs_period",
-    "StartupAnalysis",
-    "asymptotic_ratio_bound",
-    "default_group_count",
-    "grouped_schedule_makespan",
     "BatchSchedule",
     "batch_ratio_series",
     "build_batch_schedule",
+    "default_group_count",
 ]

@@ -111,6 +111,11 @@ class TestSteadyStateBatch:
         assert res.makespan >= bound
         assert float(res.makespan) <= 1.15 * float(bound)
 
+    def test_counts_add_up(self, star4):
+        for n in (10, 23, 300):
+            res = steady_state_batch_makespan(star4, "M", n)
+            assert sum(res.per_node.values()) == n
+
     def test_comparison_rows(self, star4):
         rows = makespan_comparison(star4, "M", [10, 80])
         assert len(rows) == 2

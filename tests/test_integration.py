@@ -16,9 +16,9 @@ from repro import (
     analyze_figure2,
     autonomous_throughput,
     broadcast_lp_bound,
+    build_batch_schedule,
     fixed_period_schedule,
     generators as gen,
-    grouped_schedule_makespan,
     ntask,
     packing_to_schedule,
     reconstruct_schedule,
@@ -65,9 +65,9 @@ class TestFullMasterSlavePipeline:
         sol = solve_master_slave(star4, "M")
         sched = reconstruct_schedule(sol)
         startups = {e: Fraction(1) for e in sched.messages}
-        analysis = grouped_schedule_makespan(sched, startups, 5000)
+        analysis = build_batch_schedule(sched, 5000, startups)
         assert analysis.lower_bound == Fraction(5000) / sol.throughput
-        assert analysis.total_time > analysis.lower_bound
+        assert analysis.makespan > analysis.lower_bound
 
 
 class TestCollectivesPipeline:
