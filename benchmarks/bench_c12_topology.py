@@ -28,7 +28,7 @@ def run_topology_suite():
         q = view_quality(platform, "R0")
         tree = env_tree_view(platform, "R0")
         plan = solve_master_slave(tree, "R0")
-        achieved = realized_rate(tree, platform, "R0", plan)
+        achieved = realized_rate(plan, platform)
         safe = achieved == plan.throughput
         if q["env-tree"] == q["truth"]:
             exact_tree_views += 1

@@ -38,7 +38,7 @@ def main() -> None:
     for name, view in views.items():
         plan = solve_master_slave(view, master)
         achieved = (
-            realized_rate(view, truth, master, plan)
+            realized_rate(plan, truth)
             if name != "complete"
             else None  # phantom edges cannot be executed literally
         )

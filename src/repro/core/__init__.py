@@ -7,7 +7,7 @@ from .activities import (
     commodity_endpoints,
 )
 from .master_slave import (
-    bandwidth_centric_rates,
+    bandwidth_centric,
     build_ssms_lp,
     ntask,
     package_ssms_solution,
@@ -61,7 +61,7 @@ __all__ = [
     "SteadyStateError",
     "SteadyStateSolution",
     "commodity_endpoints",
-    "bandwidth_centric_rates",
+    "bandwidth_centric",
     "build_ssms_lp",
     "ntask",
     "solve_master_slave",

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .._rational import RationalLike, as_fraction
-from .master_slave import bandwidth_centric_rates, star_throughput
+from .master_slave import bandwidth_centric
 
 
 @dataclass(frozen=True)
@@ -156,18 +156,19 @@ def one_round_schedule(
     return M, alphas
 
 
+def _bandwidth_centric(
+    wk: Sequence[StarWorker], master_w: Optional[RationalLike]
+) -> Tuple[Fraction, List[Fraction]]:
+    """The star's steady-state rate and per-worker rates (no start-ups)."""
+    own = Fraction(0) if master_w is None else 1 / as_fraction(master_w)
+    return bandwidth_centric(own, [(x.c, 1 / x.w) for x in wk])
+
+
 def steady_state_rate(
     workers: Sequence[StarWorker], master_w: Optional[RationalLike] = None
 ) -> Fraction:
     """Load units processed per time-unit in steady state (no start-ups)."""
-    wk = _coerce_workers(workers)
-    mw = as_fraction(master_w) if master_w is not None else None
-    if mw is None:
-        rates = bandwidth_centric_rates(
-            [x.w for x in wk], [x.c for x in wk]
-        )
-        return sum(rates, start=Fraction(0))
-    return star_throughput(mw, [x.w for x in wk], [x.c for x in wk])
+    return _bandwidth_centric(_coerce_workers(workers), master_w)[0]
 
 
 def multi_round_makespan(
@@ -193,13 +194,10 @@ def multi_round_makespan(
     """
     W = as_fraction(total_load)
     wk = _coerce_workers(workers)
-    rate = steady_state_rate(workers, master_w)
+    rate, rates = _bandwidth_centric(wk, master_w)
     if rate <= 0:
         raise ValueError("platform cannot process any load")
     T = Fraction(1)  # elementary period of the fluid steady state
-    rates = bandwidth_centric_rates([x.w for x in wk], [x.c for x in wk])
-    mw = as_fraction(master_w) if master_w is not None else None
-    master_rate = Fraction(0) if mw is None else Fraction(1) / mw
 
     if rounds_scale is None:
         # exact integer arithmetic; it only sizes the round count
@@ -207,7 +205,7 @@ def multi_round_makespan(
     else:
         m = max(1, rounds_scale)
 
-    startups = sum((x.startup for x in wk if True), start=Fraction(0))
+    startups = sum((x.startup for x in wk), start=Fraction(0))
     round_len = m * T + startups
     per_round = m * T * rate
     if per_round <= 0:

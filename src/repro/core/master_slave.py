@@ -195,8 +195,32 @@ def ntask(platform: Platform, master: NodeId) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# Closed-form oracle for single-level star platforms
+# The bandwidth-centric rule of section 5.5, and its star closed form
 # ----------------------------------------------------------------------
+def bandwidth_centric(
+    own_rate: Fraction, children: Sequence[Tuple[Fraction, Fraction]]
+) -> Tuple[Fraction, List[Fraction]]:
+    """One node's bandwidth-centric allocation (the principle of [2, 11]).
+
+    ``children`` holds one ``(link cost c, absorbable rate)`` pair per
+    child.  The node serves children by **increasing** ``c`` (ties by
+    position), each up to what it absorbs, until its send port saturates
+    (``sum_k rate_k c_k <= 1``) — regardless of the children's speeds.
+    Returns the node's capacity, ``own_rate`` plus the children's rates,
+    and the per-child rates in input order.  On a tree, fed with each
+    child subtree's own capacity, this local rule is the global optimum.
+    """
+    budget = Fraction(1)  # send-port time per time-unit
+    rates = [Fraction(0)] * len(children)
+    for k in sorted(range(len(children)), key=lambda k: (children[k][0], k)):
+        if budget <= 0:
+            break
+        c, absorbable = children[k]
+        rates[k] = min(absorbable, budget / c)
+        budget -= rates[k] * c
+    return sum(rates, start=own_rate), rates
+
+
 def star_throughput(
     master_w: Fraction,
     worker_w: Sequence[Fraction],
@@ -210,49 +234,13 @@ def star_throughput(
         maximise   1/w_m + sum_k x_k
         subject to sum_k x_k c_k <= 1,  0 <= x_k <= 1/w_k
 
-    whose greedy solution serves workers by **increasing communication
-    cost** (the bandwidth-centric principle of [2, 11]: give tasks to the
-    cheapest-to-feed children first, regardless of their speed).  Used as an
-    independent oracle for the LP in tests.
+    whose greedy solution is :func:`bandwidth_centric` at depth 1.  Used
+    as an independent oracle for the LP in tests.
     """
     if len(worker_w) != len(link_c):
         raise ValueError("worker_w and link_c must have the same length")
-    m_w = as_fraction(master_w)
-    budget = Fraction(1)
-    total = Fraction(1) / m_w
-    order = sorted(
-        range(len(worker_w)), key=lambda k: (as_fraction(link_c[k]), k)
-    )
-    for k in order:
-        if budget <= 0:
-            break
-        c = as_fraction(link_c[k])
-        w = as_fraction(worker_w[k])
-        cap = Fraction(1) / w          # worker's max task rate
-        affordable = budget / c        # rate the remaining port budget allows
-        x = min(cap, affordable)
-        total += x
-        budget -= x * c
-    return total
-
-
-def bandwidth_centric_rates(
-    worker_w: Sequence[Fraction], link_c: Sequence[Fraction]
-) -> List[Fraction]:
-    """Per-worker task rates of the greedy star solution (same order as input)."""
-    if len(worker_w) != len(link_c):
-        raise ValueError("worker_w and link_c must have the same length")
-    budget = Fraction(1)
-    rates = [Fraction(0)] * len(worker_w)
-    order = sorted(
-        range(len(worker_w)), key=lambda k: (as_fraction(link_c[k]), k)
-    )
-    for k in order:
-        if budget <= 0:
-            break
-        c = as_fraction(link_c[k])
-        w = as_fraction(worker_w[k])
-        x = min(Fraction(1) / w, budget / c)
-        rates[k] = x
-        budget -= x * c
-    return rates
+    return bandwidth_centric(
+        ONE / as_fraction(master_w),
+        [(as_fraction(c), ONE / as_fraction(w))
+         for w, c in zip(worker_w, link_c)],
+    )[0]

@@ -7,17 +7,19 @@ independent tasks on tree-shaped platforms.
 
 Every node uses **only local information**: its own speed ``w``, the link
 costs ``c`` to its children, and how much work each child's subtree can
-absorb.  It serves children in increasing-``c`` order (bandwidth-centric)
-until its send port saturates.  On trees this local fixed point equals the
-global LP optimum — the theorem of [2, 11] that the test-suite asserts.
+absorb.  It serves children in increasing-``c`` order until its send port
+saturates: :func:`~repro.core.master_slave.bandwidth_centric`, called at
+every node.  On trees this local fixed point equals the global LP
+optimum — the theorem of [2, 11] that the test-suite asserts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
+from ..core.master_slave import bandwidth_centric
 from ..platform.graph import NodeId, Platform, PlatformError
 
 
@@ -62,27 +64,17 @@ def subtree_capacity(
     def visit(node: NodeId) -> SubtreeReport:
         spec = platform.node(node)
         own = Fraction(0) if not spec.can_compute else Fraction(1) / spec.w
-        child_rates: Dict[NodeId, Fraction] = {}
-        budget = Fraction(1)  # send-port time per time-unit
-        # local decision: cheapest links first, never exceeding what the
-        # child's subtree can absorb (its own recursive capacity)
-        for ch in sorted(children[node], key=lambda c: (platform.c(node, c), c)):
-            sub = visit(ch)
-            if budget <= 0:
-                child_rates[ch] = Fraction(0)
-                continue
-            c = platform.c(node, ch)
-            rate = min(sub.capacity, budget / c)
-            child_rates[ch] = rate
-            budget -= rate * c
-        capacity = own + sum(child_rates.values(), start=Fraction(0))
-        report = SubtreeReport(
+        # local decision: the node knows its links and what each child's
+        # subtree can absorb (its own recursive capacity)
+        kids = sorted(children[node])
+        capacity, rates = bandwidth_centric(
+            own, [(platform.c(node, ch), visit(ch).capacity) for ch in kids])
+        report = reports[node] = SubtreeReport(
             node=node,
             capacity=capacity,
-            child_rates=child_rates,
+            child_rates=dict(zip(kids, rates)),
             own_rate=own,
         )
-        reports[node] = report
         return report
 
     visit(root)

@@ -13,6 +13,7 @@ from .periodic_runner import (
     PeriodicRunner,
     PeriodicRunResult,
     max_route_length,
+    primed_rate,
     steady_state_reached_after,
 )
 from .trace import Interval, ModelViolation, Trace
@@ -23,6 +24,7 @@ __all__ = [
     "PeriodicRunner",
     "PeriodicRunResult",
     "max_route_length",
+    "primed_rate",
     "steady_state_reached_after",
     "Interval",
     "ModelViolation",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from ..platform.graph import Edge, NodeId
+from ..platform.graph import Edge, NodeId, Platform
 from ..schedule.periodic import PeriodicSchedule
 from .trace import Trace
 
@@ -84,6 +84,47 @@ class PeriodicRunResult:
         return self.completed_per_period[p] / self.schedule.period
 
 
+def _needs(nodes, plan, compute) -> Dict[NodeId, Fraction]:
+    """Per node, the units it computes and forwards in one period."""
+    need = dict.fromkeys(nodes, Fraction(0))
+    need.update(compute)
+    for (i, _j), units in plan.items():
+        need[i] += units
+    return need
+
+
+def _period(plan, need, compute, origin, sinks, stock):
+    """One period of one commodity under the buffer rule: each node runs
+    the share of its plan that the stock it held at the period's start
+    covers.  Moves ``stock`` on; returns the shares and the completions."""
+    factor = {n: Fraction(1) if n == origin or need[n] == 0
+              else min(Fraction(1), stock[n] / need[n]) for n in stock}
+    received = dict.fromkeys(stock, Fraction(0))
+    for (i, j), units in plan.items():
+        received[j] += units * factor[i]
+    for n in stock:
+        if n != origin and n not in sinks:
+            stock[n] += received[n] - factor[n] * need[n]
+    return factor, (
+        sum((c * factor[n] for n, c in compute.items()), start=Fraction(0))
+        + sum((received[n] for n in sinks), start=Fraction(0)))
+
+
+def primed_rate(platform: Platform, origin: NodeId,
+                plan: Dict[Edge, Fraction],
+                compute: Dict[NodeId, Fraction]) -> Fraction:
+    """Steady-state rate of a one-commodity fluid plan that moves ``plan``
+    units per edge and computes ``compute`` units per node in a unit
+    period, from an unlimited supply at ``origin``.  Once an acyclic plan's
+    longest path has primed, each node runs ``min(1, inflow / need)`` of
+    its plan for good: the last of ``num_nodes + 1`` periods reads it."""
+    stock = dict.fromkeys(platform.nodes(), Fraction(0))
+    need = _needs(stock, plan, compute)
+    for _ in range(platform.num_nodes + 1):
+        _factor, done = _period(plan, need, compute, origin, set(), stock)
+    return done
+
+
 class PeriodicRunner:
     """Fluid per-commodity executor for every reconstructed schedule
     (master-slave, scatter, gather, all-to-all); master-slave schedules
@@ -107,46 +148,28 @@ class PeriodicRunner:
         self.sinks: Dict[str, set] = {}
         for k, paths in sorted(schedule.routes.items()):
             plan = self.plans[k] = {}
-            need = self.needs[k] = dict.fromkeys(self.platform.nodes(),
-                                                 Fraction(0))
-            need.update(self.compute)
             for path, units in paths:
                 for edge in zip(path, path[1:]):
                     plan[edge] = plan.get(edge, Fraction(0)) + units
-                    need[edge[0]] += units
+            self.needs[k] = _needs(self.platform.nodes(), plan, self.compute)
             self.origins[k] = paths[0][0][0] if paths else schedule.source
             self.sinks[k] = set() if self.compute else {p[-1] for p, _ in paths}
 
     def run(self, periods: int) -> PeriodicRunResult:
         if periods < 0:
             raise ValueError("periods must be non-negative")
-        nodes = list(self.platform.nodes())
-        stock = {k: dict.fromkeys(nodes, Fraction(0)) for k in self.plans}
+        stock = {k: dict.fromkeys(self.platform.nodes(), Fraction(0))
+                 for k in self.plans}
         per_commodity: Dict[str, List[Fraction]] = {k: [] for k in self.plans}
         trace = Trace() if self.record_trace else None
 
         for p in range(periods):
             factors: Dict[str, Dict[NodeId, Fraction]] = {}
             for k, plan in self.plans.items():
-                # the share of each node's plan that the stock it held at
-                # the period's start covers
-                need = self.needs[k]
-                factor = factors[k] = {
-                    n: Fraction(1) if n == self.origins[k] or need[n] == 0
-                    else min(Fraction(1), stock[k][n] / need[n])
-                    for n in nodes
-                }
-                received = dict.fromkeys(nodes, Fraction(0))
-                for (i, j), units in plan.items():
-                    received[j] += units * factor[i]
-                per_commodity[k].append(
-                    sum((c * factor[n] for n, c in self.compute.items()),
-                        start=Fraction(0))
-                    + sum((received[n] for n in self.sinks[k]),
-                          start=Fraction(0)))
-                for n in nodes:
-                    if n != self.origins[k] and n not in self.sinks[k]:
-                        stock[k][n] += received[n] - factor[n] * need[n]
+                factors[k], done = _period(plan, self.needs[k], self.compute,
+                                           self.origins[k], self.sinks[k],
+                                           stock[k])
+                per_commodity[k].append(done)
             if trace is not None:
                 self._record(trace, self.schedule.period * p, factors)
 

@@ -122,6 +122,25 @@ class TestSteadyStateBatch:
         for n, eft, ss, lb in rows:
             assert eft >= lb and ss >= lb
 
+    def test_comparison_solves_one_lp(self, star4, monkeypatch):
+        """One LP and one schedule serve every batch size, and each row
+        equals the batch built on its own."""
+        import repro.baselines.list_scheduling as ls
+
+        calls = []
+        solve = ls.solve_master_slave
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(ls, "solve_master_slave", counting)
+        rows = makespan_comparison(star4, "M", [20, 100, 500])
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for n, _eft, ss, _lb in rows:
+            assert ss == steady_state_batch_makespan(star4, "M", n).makespan
+
     def test_steady_state_competitive_for_large_batches(self, star4):
         """Asymptotically the periodic schedule matches EFT (both near the
         bound) — the paper's 'two hours three minutes' argument."""

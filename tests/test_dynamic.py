@@ -66,13 +66,13 @@ class TestAutonomous:
 class TestRealizedRate:
     def test_perfect_estimate_realizes_plan(self, star4):
         plan = solve_master_slave(star4, "M")
-        achieved = realized_rate(star4, star4, "M", plan)
+        achieved = realized_rate(plan, star4)
         assert achieved == plan.throughput
 
     def test_slower_truth_reduces_rate(self, star4):
         plan = solve_master_slave(star4, "M")
         slower = star4.scale(compute=2, comm=2)
-        achieved = realized_rate(star4, slower, "M", plan)
+        achieved = realized_rate(plan, slower)
         assert achieved < plan.throughput
 
     def test_faster_truth_never_exceeds_plan(self, star4):
@@ -80,8 +80,27 @@ class TestRealizedRate:
         for the adaptive protocol."""
         plan = solve_master_slave(star4, "M")
         faster = star4.scale(compute=Fraction(1, 2), comm=Fraction(1, 2))
-        achieved = realized_rate(star4, faster, "M", plan)
+        achieved = realized_rate(plan, faster)
         assert achieved <= solve_master_slave(faster, "M").throughput
+
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_plan_realizes_itself(self, seed):
+        g = gen.random_connected(4 + seed % 5, seed=seed)
+        plan = solve_master_slave(g, "R0")
+        assert realized_rate(plan, plan.platform) == plan.throughput
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_runner_reading_is_primed(self, seed):
+        """The rate read after ``n + 1`` periods is final: one more
+        period (an isolated node added to the truth) moves nothing."""
+        base = gen.random_connected(4 + seed % 5, seed=seed)
+        tv = TimeVaryingPlatform(base, drift=0.5, seed=seed)
+        plan = solve_master_slave(tv.snapshot(), "R0")
+        truth = tv.advance()
+        longer = truth.scale()
+        longer.add_node("idle", 1)
+        assert realized_rate(plan, longer) == realized_rate(plan, truth)
 
 
 class TestAdaptiveProtocol:
@@ -126,6 +145,27 @@ class TestAdaptiveProtocol:
             predictor=SlidingWindowPredictor(window=2),
         )
         assert 0 < res.mean_efficiency <= 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_warm_replan_is_exact(self, seed):
+        """Every epoch's optimum equals a cold solve of its snapshot; a
+        run builds at most two models (the first build is single-use),
+        and without a predictor it solves each epoch once."""
+        base = gen.star(4, master_w=2, worker_w=[1, 2, 3, 4],
+                        link_c=[1, 1, 2, 3])
+        runs = [(strategy, None) for strategy in
+                ("static", "adaptive", "oracle")]
+        runs.append(("adaptive", SlidingWindowPredictor(window=2)))
+        for strategy, predictor in runs:
+            tv = TimeVaryingPlatform(base, drift=0.35, seed=seed)
+            res = run_adaptive(tv, "M", epochs=5, strategy=strategy,
+                               predictor=predictor)
+            for outcome, snap in zip(res.epochs, tv.history()):
+                assert outcome.optimal_rate == (
+                    solve_master_slave(snap, "M").throughput)
+            assert res.stats.full_rebuilds <= 2
+            solves = res.stats.full_rebuilds + res.stats.warm_solves
+            assert solves == (5 if predictor is None else 10)
 
     def test_epoch_count_validated(self, star4):
         tv = TimeVaryingPlatform(star4, seed=1)

@@ -128,3 +128,26 @@ def test_the_certificate_checker_imports_nothing_from_the_solver():
             imported.add("." * node.level + (node.module or ""))
     assert imported <= {"__future__", "fractions", "typing", ".model"}
     assert ".model" in imported
+
+
+def test_the_library_loads_no_service_module(fresh_python):
+    """``run_adaptive`` re-plans on the service layer's warm engine but
+    imports it inside the function: the library itself loads none of
+    ``repro.service``, and a run loads it only when it starts."""
+    out = fresh_python("""
+        import json, sys
+        import repro, repro.dynamic
+        from repro.platform import generators
+        from repro.platform.monitoring import TimeVaryingPlatform
+
+        def service():
+            return sorted(name for name in sys.modules
+                          if name.startswith("repro.service"))
+
+        before = service()
+        repro.dynamic.run_adaptive(
+            TimeVaryingPlatform(generators.star(2), seed=1), "M", epochs=2)
+        print(json.dumps({"before": before, "after": service()}))
+    """)
+    assert out["before"] == []
+    assert "repro.service.incremental" in out["after"]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro._rational import INF
 from repro.core.activities import SteadyStateError
 from repro.core.master_slave import (
-    bandwidth_centric_rates,
+    bandwidth_centric,
     ntask,
     solve_master_slave,
     star_throughput,
@@ -36,12 +36,14 @@ class TestStarOracle:
     def test_bandwidth_beats_speed(self):
         """A fast worker behind a slow link loses to a slow, close one."""
         g = gen.star(2, master_w=1, worker_w=[1, 10], link_c=[10, 1])
-        rates = bandwidth_centric_rates(
-            [Fraction(1), Fraction(10)], [Fraction(10), Fraction(1)]
+        # (link cost, absorbable rate) per worker, the master's own rate 1
+        capacity, rates = bandwidth_centric(
+            Fraction(1), [(Fraction(10), Fraction(1)),
+                          (Fraction(1), Fraction(1, 10))]
         )
         # the slow-but-close worker is served first
         assert rates[1] == Fraction(1, 10)
-        assert ntask(g, "M") == 1 + sum(rates, start=Fraction(0))
+        assert ntask(g, "M") == capacity == 1 + sum(rates, start=Fraction(0))
 
     @settings(max_examples=40, deadline=None)
     @given(

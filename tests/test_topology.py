@@ -99,5 +99,5 @@ class TestViews:
 
         tree = env_tree_view(grid33, "G0_0")
         plan = solve_master_slave(tree, "G0_0")
-        achieved = realized_rate(tree, grid33, "G0_0", plan)
+        achieved = realized_rate(plan, grid33)
         assert achieved == plan.throughput
