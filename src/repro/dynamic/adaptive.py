@@ -156,6 +156,6 @@ def run_adaptive(
         ))
         if strategy == "adaptive" and predictor is None:
             plan = optimum  # the next epoch plans on what this one observed
-        if predictor is not None:
+        if predictor is not None and e >= 1:  # epoch 0 is ``initial``
             predictor.observe(true_platform)
     return AdaptiveRunResult(strategy, outcomes, solver.stats)

@@ -161,9 +161,9 @@ def request_to_dict(request: SolveRequest) -> Dict[str, Any]:
 def response_to_dict(result: BrokerResult) -> Dict[str, Any]:
     """Encode a broker result as the solve response payload: a view of
     its wire form (:func:`repro.service.wire.solution_payload`), which a
-    shard-served result still carries (``result.wire`` — no ``Fraction``
-    is built) and an in-process one gets from the same codec."""
-    wire = getattr(result, "wire", None) or result_to_wire(result)
+    cached or shard-served result still carries (``result.wire`` — no
+    ``Fraction`` is built) and any other gets from the same codec."""
+    wire = result_to_wire(result)
     solution = solution_payload(wire["solution"])
     out = {**_reply_head(result),
            "throughput": payload_throughput(solution), "solution": solution}
@@ -186,8 +186,10 @@ def _solve_json(result: BrokerResult, extra: Dict[str, Any]) -> bytes:
     entry = getattr(result, "entry", None)
     if entry is None:
         return compact_json({**response_to_dict(result), **extra})
-    head = compact_json({**_reply_head(result), **extra})
-    return head[:-1] + payload_json(entry, "schedule" in result.wire) + b"}"
+    head = compact_json({**_reply_head(result), **extra})[:-1]
+    schedule = result.schedule_json
+    return head + payload_json(entry) + (
+        b"" if schedule is None else b',"schedule":' + schedule) + b"}"
 
 
 def _error_response(

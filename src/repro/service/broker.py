@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Optional
 
 from ..core.activities import SteadyStateSolution
 from ..platform.graph import Platform
+from ..platform.serialization import schedule_to_dict
 from ..problems import (
     ProblemSpec,
     SpecError,
@@ -212,10 +213,12 @@ class SolveEngine:
 
     # ------------------------------------------------------------------
     def run(self, request: SolveRequest, fp: str) -> BrokerResult:
-        """Solve one request (cache -> warm -> cold), metered."""
+        """Solve one request (cache -> warm -> cold), metered: the cache
+        entry's bytes, bound to the request's spec when read."""
         start = time.perf_counter()
         served = self.run_hit(fp, request.include_schedule)
         if served is not None:
+            served.spec = request.spec
             return served
         with span("engine.run") as sp:
             try:
@@ -224,7 +227,7 @@ class SolveEngine:
                 if entry is not None:
                     # the entry lacks the schedule this request wants (or
                     # landed since run_hit looked): reconstruct on top
-                    result = self._from_cache(request, fp, entry)
+                    result = self._from_cache(request, entry)
                     self.metrics.observe("solve.hit",
                                          time.perf_counter() - start)
                 else:
@@ -256,7 +259,10 @@ class SolveEngine:
         cache hit, ``solve.hit`` + ``solve``, an
         ``engine.run`` span when tracing).  Returns ``None`` with
         **nothing** counted when the entry is absent or lacks a wanted
-        schedule: :meth:`run` then does the one counted lookup."""
+        schedule: :meth:`run` then does the one counted lookup.  The
+        result is the entry's bytes, bound to no spec."""
+        from .wire import entry_result  # deferred: wire imports broker
+
         start = time.perf_counter()
         entry = self.cache.hit(fp, with_schedule=include_schedule)
         if entry is None:
@@ -271,32 +277,28 @@ class SolveEngine:
         latency = time.perf_counter() - start
         self.metrics.observe("solve.hit", latency)
         self.metrics.observe("solve", latency)
-        return BrokerResult(
-            fingerprint=fp,
-            solution=entry.solution,
-            schedule=entry.schedule if include_schedule else None,
-            cached=True,
-            latency_seconds=latency,
-        )
+        return entry_result(entry, None, include_schedule,
+                            latency_seconds=latency)
 
-    def _from_cache(
-        self, request: SolveRequest, fp: str, entry: CacheEntry
-    ) -> BrokerResult:
-        schedule = entry.schedule
-        if request.include_schedule and schedule is None:
-            schedule = self._reconstruct(request, entry.solution)
+    def _from_cache(self, request: SolveRequest,
+                    entry: CacheEntry) -> BrokerResult:
+        from .wire import compact_json, entry_result
+
+        result = entry_result(entry, request.spec, request.include_schedule)
+        if request.include_schedule and result.schedule_json is None:
+            schedule = self._reconstruct(request, result.solution)
             if schedule is not None:
-                self.cache.attach_schedule(fp, schedule)
-        return BrokerResult(
-            fingerprint=fp,
-            solution=entry.solution,
-            schedule=schedule if request.include_schedule else None,
-            cached=True,
-        )
+                result.schedule = schedule
+                result.schedule_json = compact_json(schedule_to_dict(
+                    schedule))
+                self.cache.attach_schedule(entry.key, result.schedule_json)
+        return result
 
     def _solve_cold(
         self, request: SolveRequest, fp: str
     ) -> BrokerResult:
+        from .wire import compact_json, entry_result, solution_to_wire
+
         warm = False
         if resolve(request.problem).capabilities.warm_resolve:
             solution, warm = self.incremental.solve_spec_ex(request.spec)
@@ -306,14 +308,14 @@ class SolveEngine:
         schedule = None
         if request.include_schedule:
             schedule = self._reconstruct(request, solution)
-        self.cache.put(fp, solution, request.platform, schedule=schedule)
-        return BrokerResult(
-            fingerprint=fp,
-            solution=solution,
-            schedule=schedule,
-            cached=False,
-            warm=warm,
-        )
+        # encoded once, here: the entry keeps these bytes, never objects
+        entry = self.cache.put(fp, compact_json(solution_to_wire(solution)),
+                               request.platform, schedule and compact_json(
+                                   schedule_to_dict(schedule)))
+        result = entry_result(entry, request.spec, True, cached=False,
+                              warm=warm)
+        result.__dict__.update(solution=solution, schedule=schedule)
+        return result
 
     @staticmethod
     def _reconstruct(request: SolveRequest, solution: Any):
@@ -416,16 +418,7 @@ class Broker:
     def solve(self, request: SolveRequest) -> BrokerResult:
         """Synchronous solve (cache -> warm -> cold), metered; a hit is
         bound to this request's spec, whichever spelling was cached."""
-        result = self.engine.run(request, request.fingerprint())
-        spec = request.spec
-        if result.cached and result.solution.platform is not spec.platform:
-            result.solution = dataclasses.replace(
-                result.solution, platform=spec.platform,
-                **({"dag": spec.dag} if hasattr(spec, "dag") else {}))
-            if result.schedule is not None:
-                result.schedule = dataclasses.replace(
-                    result.schedule, platform=spec.platform)
-        return result
+        return self.engine.run(request, request.fingerprint())
 
     def submit(self, request: SolveRequest) -> "Future[BrokerResult]":
         """:meth:`solve` as a resolved future, the dispatcher's shape."""

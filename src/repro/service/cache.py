@@ -1,10 +1,12 @@
-"""LRU cache for steady-state solutions and reconstructed schedules.
+"""LRU cache for steady-state answers, kept as their wire bytes.
 
 One entry per request fingerprint (see :mod:`repro.service.fingerprint`),
-holding the solver's result and — lazily, once somebody asks for it — the
-reconstructed :class:`~repro.schedule.periodic.PeriodicSchedule`.  The
-cache is thread-safe: a shard's event loop (serving hits) and its engine
-lane (solving misses) hit it concurrently.
+holding the compact JSON the service replies with — the solution's and,
+once somebody asks for it, the reconstructed schedule's — and no object
+and no platform: a read binds the bytes to the caller's own spec
+(:mod:`repro.service.wire`).  The cache is thread-safe: a shard's event
+loop (serving hits) and its engine lane (solving misses) hit it
+concurrently.
 
 An entry is the answer to its key and never goes stale: the fingerprint
 hashes every node and edge weight exactly, so a re-weighted platform is
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..platform.graph import Platform
-from .fingerprint import Signature, topology_signature
+from .fingerprint import topology_signature
 
 
 @dataclass
@@ -171,27 +173,25 @@ class HeatSketch:
 
 @dataclass
 class CacheEntry:
-    """A cached solve: the solution, plus the schedule once reconstructed.
+    """A cached solve, as bytes: ``solution_json`` and, once
+    reconstructed, ``schedule_json`` are the compact JSON that
+    :func:`repro.service.wire.encode_result` splices into every reply.
 
-    ``topology_sig`` (weights erased) is what :meth:`SolutionCache.
-    invalidate_platform` matches on; the full weighted signature is already
-    folded into ``key`` by the fingerprint, so it is not stored again.
-
-    ``solution_json`` / ``schedule_json`` memoise the two objects' wire
-    bytes: :func:`repro.service.wire.encode_result` fills each on its
-    first serve and splices it into every later reply.  A broker
-    near-cache entry holds the shard's wire dicts instead, and there
-    the two memo its HTTP reply bytes (:func:`repro.service.wire.
-    payload_json`).
+    ``topology_sig`` (the weights-erased digest) is what
+    :meth:`SolutionCache.invalidate_platform` matches on; the full
+    weighted signature is already folded into ``key`` by the
+    fingerprint, so it is not stored again.  A broker near-cache entry
+    holds the shard's reply bytes in the same two fields, and memoises
+    the HTTP payload it splices in ``payload_json``
+    (:func:`repro.service.wire.payload_json`).
     """
 
     key: str
-    topology_sig: Signature
-    solution: Any
-    schedule: Any = None
-    hits: int = 0
-    solution_json: Optional[bytes] = None
+    topology_sig: bytes
+    solution_json: Optional[bytes]
     schedule_json: Optional[bytes] = None
+    hits: int = 0
+    payload_json: Optional[bytes] = None
 
 
 class SolutionCache:
@@ -223,7 +223,8 @@ class SolutionCache:
         recency."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or (with_schedule and entry.schedule is None):
+            if entry is None or (with_schedule
+                                 and entry.schedule_json is None):
                 self.stats.misses += 1
                 return None
             return self._touch(entry)
@@ -236,7 +237,8 @@ class SolutionCache:
         fallback's :meth:`get` keeps those books."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None or (with_schedule and entry.schedule is None):
+            if entry is None or (with_schedule
+                                 and entry.schedule_json is None):
                 return None
             return self._touch(entry)
 
@@ -249,17 +251,14 @@ class SolutionCache:
     def put(
         self,
         key: str,
-        solution: Any,
+        solution_json: Optional[bytes],
         platform: Platform,
-        schedule: Any = None,
+        schedule_json: Optional[bytes] = None,
     ) -> CacheEntry:
-        """Insert (or refresh) an entry, evicting LRU entries beyond budget."""
-        entry = CacheEntry(
-            key=key,
-            topology_sig=topology_signature(platform),
-            solution=solution,
-            schedule=schedule,
-        )
+        """Insert (or refresh) an entry, evicting LRU entries beyond
+        budget; ``platform`` is read for its topology digest only."""
+        entry = CacheEntry(key, topology_signature(platform), solution_json,
+                           schedule_json)
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -278,13 +277,13 @@ class SolutionCache:
         with self._lock:
             return self._entries.get(key)
 
-    def attach_schedule(self, key: str, schedule: Any) -> None:
-        """Record a lazily reconstructed schedule on an existing entry."""
+    def attach_schedule(self, key: str, schedule_json: bytes) -> None:
+        """Record a lazily reconstructed schedule's bytes on an existing
+        entry."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                entry.schedule = schedule
-                entry.schedule_json = None
+                entry.schedule_json = schedule_json
 
     # ------------------------------------------------------------------
     def invalidate_platform(self, platform: Platform) -> int:
@@ -316,11 +315,16 @@ class SolutionCache:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
-        """JSON-safe view of size, config and counters (for the API)."""
+        """JSON-safe view of size, config and counters (for the API);
+        ``bytes`` is what the kept blobs hold."""
         with self._lock:
             return {
                 "size": len(self._entries),
                 "max_size": self.max_size,
+                "bytes": sum(len(blob or b"") for entry in
+                             self._entries.values() for blob in
+                             (entry.solution_json, entry.schedule_json,
+                              entry.payload_json)),
                 **self.stats.as_dict(),
             }
 

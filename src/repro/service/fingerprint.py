@@ -19,8 +19,9 @@ Two signature levels are exposed:
 
 A request's fingerprint (:func:`request_fingerprint`) is the hex SHA-256
 of a canonical JSON encoding of its platform signature and its spec's
-canonical form; signatures are the underlying hashable tuples (useful
-as dict keys without paying for the hash).
+canonical form.  A platform signature is the underlying hashable tuple;
+a topology signature is a 16-byte digest of its tuple, because caches
+and hot models keep one per entry and only ever compare them.
 """
 
 from __future__ import annotations
@@ -53,11 +54,14 @@ def platform_signature(platform: Platform) -> Signature:
     return ("platform", nodes, edges)
 
 
-def topology_signature(platform: Platform) -> Signature:
+def topology_signature(platform: Platform) -> bytes:
     """Signature with weights erased — equal iff the LP *structure* matches.
 
     A node keeps only its can-compute flag (a forwarder has no ``alpha``
-    variable, so compute-ability is structural, not a coefficient).
+    variable, so compute-ability is structural, not a coefficient).  The
+    canonical tuple is kept as its 16-byte BLAKE2b digest: callers only
+    hash and compare it, and a collision could only free cache entries
+    or hot models of another topology, never change an answer.
     """
     nodes = tuple(
         (name, "compute" if platform.node(name).can_compute else "forward")
@@ -67,7 +71,8 @@ def topology_signature(platform: Platform) -> Signature:
         (spec.src, spec.dst)
         for spec in sorted(platform.edges(), key=lambda e: (e.src, e.dst))
     )
-    return ("topology", nodes, edges)
+    blob = json.dumps(("topology", nodes, edges), separators=(",", ":"))
+    return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).digest()
 
 
 def request_fingerprint(spec: ProblemSpec) -> str:

@@ -363,13 +363,14 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     cache = snapshot.get("cache", {})
     for key, help_text in (
         ("size", "Entries currently cached."),
+        ("bytes", "Bytes of reply JSON the cached entries keep."),
         ("hits", "Cache lookups served."),
         ("misses", "Cache lookups missed."),
         ("evictions", "Entries evicted by the size bound."),
         ("invalidations", "Entries dropped by platform invalidation."),
     ):
-        kind = "gauge" if key == "size" else "counter"
-        suffix = "" if key == "size" else "_total"
+        kind = "gauge" if key in ("size", "bytes") else "counter"
+        suffix = "" if kind == "gauge" else "_total"
         emit(f"repro_cache_{key}{suffix}", kind, help_text,
              [({}, cache.get(key))])
     emit("repro_cache_hit_rate", "gauge",
@@ -451,5 +452,7 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     emit("repro_traces_slow_total", "counter",
          "Captured traces over the slow threshold.",
          [({}, traces.get("slow_captured"))])
+    emit("repro_traces_bytes", "gauge",
+         "Bytes of JSON the stored traces keep.", [({}, traces.get("bytes"))])
 
     return "\n".join(lines) + "\n"

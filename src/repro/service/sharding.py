@@ -118,7 +118,7 @@ from .transport import (
     parse_shard_address,
     spawn_local_shard,
 )
-from .wire import near_result, result_from_wire
+from .wire import compact_json, near_result, result_from_wire
 
 
 class ShardError(RuntimeError):
@@ -736,7 +736,7 @@ class ShardedBroker:
         Counts a hit/miss on the near-cache's own stats either way.  An
         entry without the schedule a request wants is a near miss: the
         owning shard, which can reconstruct it, answers instead.  An
-        entry keeps the shard's wire form: a hit decodes nothing.
+        entry keeps the shard's reply bytes: a hit decodes nothing.
         """
         near = self._near_cache
         if near is None:
@@ -860,13 +860,15 @@ class ShardedBroker:
             msg["trace"] = True  # ask the shard for its span tree
         reply = await self._routed_call(fp, msg)
         result = result_from_wire(reply["result"], request.spec)
-        if hot:  # admit the wire form; an entry learns a schedule late
+        if hot:  # admit the reply's bytes; an entry learns a schedule late
             wire, entry = result.wire, self._near_cache.peek(fp)
+            schedule = wire.get("schedule")
+            schedule = None if schedule is None else compact_json(schedule)
             if entry is None:
-                self._near_cache.put(fp, wire["solution"], request.platform,
-                                     schedule=wire.get("schedule"))
-            elif entry.schedule is None and "schedule" in wire:
-                self._near_cache.attach_schedule(fp, wire["schedule"])
+                self._near_cache.put(fp, compact_json(wire["solution"]),
+                                     request.platform, schedule)
+            elif entry.schedule_json is None and schedule is not None:
+                self._near_cache.attach_schedule(fp, schedule)
         return result
 
     def solve_batch(self, requests: List[SolveRequest]) -> List[BrokerResult]:
@@ -1061,6 +1063,7 @@ class ShardedBroker:
             out["near_cache"] = {
                 "size": near["size"],
                 "max_size": near["max_size"],
+                "bytes": near["bytes"],
                 "hits": near["hits"],
                 "misses": near["misses"],
                 "hit_rate": near["hit_rate"],

@@ -371,6 +371,21 @@ def graft_remote(under: Span, wire_spans: List[Dict[str, Any]],
 # ----------------------------------------------------------------------
 # the bounded store with always-keep-slow capture
 # ----------------------------------------------------------------------
+class StoredTrace:
+    """A finished trace as the store keeps it: the compact JSON of its
+    :meth:`Trace.as_dict`, and its :meth:`Trace.summary`."""
+
+    __slots__ = ("trace_id", "started_at", "blob", "summary")
+
+    def __init__(self, trace: Trace) -> None:
+        self.trace_id, self.started_at = trace.trace_id, trace.started_at
+        self.blob = json.dumps(trace.as_dict(), separators=(",", ":")).encode()
+        self.summary = trace.summary()
+
+    def as_dict(self) -> Dict[str, Any]:
+        return json.loads(self.blob)
+
+
 class TraceStore:
     """Bounded in-memory trace retention with slow-trace protection.
 
@@ -378,7 +393,10 @@ class TraceStore:
     eviction) and ``slow_capacity`` slow ones (duration >=
     ``slow_threshold`` seconds), evicted only by *other slow traces* —
     a flood of fast requests cannot push out the trace that explains
-    the outlier.  Thread-safe; lookups check both rings.
+    the outlier.  A trace is added once finished — :func:`start_trace`
+    adds it at context exit, after the last remote graft — and kept as
+    its bytes (:class:`StoredTrace`).  Thread-safe; lookups check both
+    rings.
     """
 
     def __init__(self, capacity: int = 256, slow_capacity: int = 64,
@@ -389,38 +407,38 @@ class TraceStore:
         self.slow_capacity = slow_capacity
         self.slow_threshold = slow_threshold
         self._lock = threading.Lock()
-        self._recent: "OrderedDict[str, Trace]" = OrderedDict()  # guarded-by: _lock
-        self._slow: "OrderedDict[str, Trace]" = OrderedDict()  # guarded-by: _lock
+        self._recent: "OrderedDict[str, StoredTrace]" = OrderedDict()  # guarded-by: _lock
+        self._slow: "OrderedDict[str, StoredTrace]" = OrderedDict()  # guarded-by: _lock
         self.captured = 0  # guarded-by: _lock
         self.slow_captured = 0  # guarded-by: _lock
 
     def add(self, trace: Trace) -> None:
-        duration = trace.duration_seconds or 0.0
+        trace.slow = (trace.duration_seconds or 0.0) >= self.slow_threshold
+        stored = StoredTrace(trace)
         with self._lock:
             self.captured += 1
-            if duration >= self.slow_threshold:
-                trace.slow = True
+            if trace.slow:
                 self.slow_captured += 1
-                self._slow[trace.trace_id] = trace
+                self._slow[stored.trace_id] = stored
                 while len(self._slow) > self.slow_capacity:
                     self._slow.popitem(last=False)
-            self._recent[trace.trace_id] = trace
+            self._recent[stored.trace_id] = stored
             while len(self._recent) > self.capacity:
                 self._recent.popitem(last=False)
 
-    def get(self, trace_id: str) -> Optional[Trace]:
+    def get(self, trace_id: str) -> Optional[StoredTrace]:
         with self._lock:
             return self._recent.get(trace_id) or self._slow.get(trace_id)
+
+    def _stored(self) -> Dict[str, StoredTrace]:  # caller-holds: _lock
+        return {**self._slow, **self._recent}
 
     def index(self, limit: int = 100) -> List[Dict[str, Any]]:
         """Newest-first summaries across both rings (slow ones flagged)."""
         with self._lock:
-            merged: "OrderedDict[str, Trace]" = OrderedDict()
-            for tr in list(self._recent.values()) + list(self._slow.values()):
-                merged[tr.trace_id] = tr
-        ordered = sorted(merged.values(), key=lambda t: t.started_at,
-                         reverse=True)
-        return [tr.summary() for tr in ordered[:max(0, limit)]]
+            stored = list(self._stored().values())
+        ordered = sorted(stored, key=lambda t: t.started_at, reverse=True)
+        return [tr.summary for tr in ordered[:max(0, limit)]]
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
@@ -429,6 +447,8 @@ class TraceStore:
                 "slow_captured": self.slow_captured,
                 "stored": len(self._recent),
                 "stored_slow": len(self._slow),
+                "bytes": sum(len(tr.blob)
+                             for tr in self._stored().values()),
                 "capacity": self.capacity,
                 "slow_capacity": self.slow_capacity,
                 "slow_threshold_seconds": self.slow_threshold,

@@ -52,7 +52,7 @@ fingerprint so brokers sharing a hot shard coalesce onto one engine run.
 request is decoded only on a miss, or to reconstruct a schedule.  That
 weakens nothing: the shard has always trusted the peer's ``fp`` —
 ``engine.run(request, msg["fp"])`` never recomputed it.  The result
-travels as the bytes its cache entry memoises, spliced into the frame
+travels as the bytes its cache entry keeps, spliced into the frame
 (:func:`reply_json`) — still the JSON message any peer decodes.
 
 **Failure semantics.**  A dead peer raises :class:`TransportError` and
@@ -230,10 +230,8 @@ def _solved(engine: SolveEngine, trace: Any, run) -> Optional[Dict[str, Any]]:
         tr, result = None, run()
     if result is None:
         return None
-    # the entry the result came from (or was just stored under) holds
-    # the memoised bytes; once evicted or invalidated there is none
-    entry = engine.cache.peek(result.fingerprint)
-    reply = {"ok": True, "result": encode_result(result, entry)}
+    # the result is its cache entry's bytes: spliced, not re-encoded
+    reply = {"ok": True, "result": encode_result(result)}
     if tr is not None:
         reply["trace"] = {"trace_id": tr.trace_id, "spans": tr.span_wire()}
     return reply

@@ -33,10 +33,11 @@ it can be served remotely, and the failure says so instead of
 surfacing as a baffling decode error on the broker.
 
 This is the **one result encoder**, and an answer passes through it
-once: :func:`encode_result` memoises a cached solution's (and
-schedule's) bytes on its :class:`~repro.service.cache.CacheEntry` and
-splices them into every later reply; :func:`result_from_wire` keeps the
-wire dict (``result.wire``) and builds ``Fraction`` objects only when
+once: a fresh solve is encoded into the bytes its
+:class:`~repro.service.cache.CacheEntry` keeps, and :func:`encode_result`
+splices those bytes into every reply; a result read off an entry
+(:func:`entry_result`) or a transport (:func:`result_from_wire`) is
+bound to the caller's spec and builds ``Fraction`` objects only when
 ``.solution`` / ``.schedule`` are first read; and the HTTP payload is a
 view of the wire form (:func:`solution_payload` — for the six
 steady-state problems, the wire dict minus ``"kind"``).
@@ -268,11 +269,15 @@ def _result_head(result: BrokerResult) -> Dict[str, Any]:
 
 
 def result_to_wire(result: BrokerResult) -> Dict[str, Any]:
-    """Encode a :class:`BrokerResult` as a JSON-safe dict."""
+    """Encode a :class:`BrokerResult` as a JSON-safe dict (a result in
+    wire form lends its own dicts)."""
     out = _result_head(result)
-    out["solution"] = solution_to_wire(result.solution)
-    if result.schedule is not None:
-        out["schedule"] = schedule_to_dict(result.schedule)
+    wire = getattr(result, "wire", None) or {
+        "solution": solution_to_wire(result.solution),
+        "schedule": result.schedule and schedule_to_dict(result.schedule)}
+    out["solution"] = wire["solution"]
+    if wire.get("schedule") is not None:
+        out["schedule"] = wire["schedule"]
     return out
 
 
@@ -281,41 +286,33 @@ def compact_json(payload: Any) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("utf-8")
 
 
-def _spliced(entry: Optional[CacheEntry], field: str, obj: Any,
-             encode) -> bytes:
-    """``encode(obj)`` as compact JSON, memoised on ``entry`` while it
-    holds ``obj`` itself.  Racing first serves store equal bytes."""
-    if entry is None or getattr(entry, field) is not obj:
-        return compact_json(encode(obj))
-    blob = getattr(entry, field + "_json")
-    if blob is None:
-        blob = compact_json(encode(obj))
-        setattr(entry, field + "_json", blob)
-    return blob
-
-
-def encode_result(result: BrokerResult,
-                  entry: Optional[CacheEntry] = None) -> bytes:
-    """:func:`result_to_wire` as compact JSON bytes.  ``entry`` is the
-    cache entry the result was served from or stored under, if any: its
-    solution and schedule are encoded once and spliced in thereafter."""
+def encode_result(result: BrokerResult) -> bytes:
+    """:func:`result_to_wire` as compact JSON bytes.  A result served
+    from (or stored into) a cache entry splices the entry's bytes."""
+    solution = getattr(result, "solution_json", None)
+    if solution is None:
+        return compact_json(result_to_wire(result))
     parts = [compact_json(_result_head(result))[:-1], b',"solution":',
-             _spliced(entry, "solution", result.solution, solution_to_wire)]
-    if result.schedule is not None:
-        parts += [b',"schedule":', _spliced(entry, "schedule",
-                                            result.schedule,
-                                            schedule_to_dict)]
+             solution]
+    if result.schedule_json is not None:
+        parts += [b',"schedule":', result.schedule_json]
     return b"".join(parts) + b"}"
 
 
 class _WireResult(BrokerResult):
-    """A result as it came off the wire (``wire``: the reply's result
-    dict); the exact objects are built on ``spec`` when first read, into
-    the instance like the dataclass fields they stand in for.  ``entry``
-    is the near-cache entry that served it, if one did."""
+    """A result in wire form, bound to the caller's ``spec`` on read.
 
-    wire: Dict[str, Any]
-    spec: Optional[ProblemSpec]
+    Its answer is a cache entry's bytes (``solution_json`` /
+    ``schedule_json``: an engine's fresh solve or hit, a near hit) or
+    the reply dict it came off a transport as (``wire``, which the bytes
+    otherwise decode into when first read).  The exact objects are
+    built on ``spec`` when first read, into the instance like the
+    dataclass fields they stand in for.  ``entry`` is the near-cache
+    entry that served it, if one did."""
+
+    spec: Optional[ProblemSpec] = None
+    solution_json: Optional[bytes] = None
+    schedule_json: Optional[bytes] = None
     entry: Optional[CacheEntry] = None
 
     def _spec(self) -> ProblemSpec:
@@ -324,14 +321,29 @@ class _WireResult(BrokerResult):
         return self.spec
 
     @cached_property
+    def wire(self) -> Dict[str, Any]:
+        out = {"solution": json.loads(self.solution_json)}
+        if self.schedule_json is not None:
+            out["schedule"] = json.loads(self.schedule_json)
+        return out
+
+    @cached_property
     def solution(self) -> Any:  # type: ignore[override]
         return solution_from_wire(self.wire["solution"], self._spec())
 
     @cached_property
     def schedule(self) -> Any:  # type: ignore[override]
+        if self.solution_json is not None and self.schedule_json is None:
+            return None  # bytes without a schedule: decode nothing
         data = self.wire.get("schedule")
         return (schedule_from_dict(data, self._spec().platform)
                 if data is not None else None)
+
+
+def _wire_result(fields: Dict[str, Any]) -> _WireResult:
+    result = object.__new__(_WireResult)
+    result.__dict__.update(fields)
+    return result
 
 
 def result_from_wire(data: Dict[str, Any],
@@ -353,8 +365,7 @@ def result_from_wire(data: Dict[str, Any],
         data = {**data, "solution": _without(data["solution"], _V1_ECHO[kind])}
         if data.get("schedule") is not None:
             data["schedule"] = _without(data["schedule"], ("platform",))
-    result = object.__new__(_WireResult)
-    result.__dict__.update(
+    return _wire_result(dict(
         wire=data,
         spec=spec,
         fingerprint=data["fingerprint"],
@@ -363,36 +374,36 @@ def result_from_wire(data: Dict[str, Any],
         # operational metadata (measured seconds), not part of the
         # exact result; explicitly float on both sides of the wire
         latency_seconds=float(data.get("latency_seconds", 0.0)),  # repro-lint: allow(exactness)
-    )
-    return result
+    ))
+
+
+def entry_result(entry: CacheEntry, spec: Optional[ProblemSpec],
+                 include_schedule: bool, /, **fields: Any) -> BrokerResult:
+    """A result that is ``entry``'s bytes (its schedule's only when
+    ``include_schedule``), bound to ``spec`` on read; ``fields`` set
+    the scalars, a cached answer by default."""
+    return _wire_result({
+        "spec": spec, "fingerprint": entry.key, "cached": True,
+        "solution_json": entry.solution_json,
+        "schedule_json": entry.schedule_json if include_schedule else None,
+        **fields})
 
 
 def near_result(entry: CacheEntry, request: SolveRequest,
                 latency_seconds: float) -> BrokerResult:
-    """A near-cache hit for ``request``: ``entry`` keeps the shard's wire
-    form of its solution (and schedule), served as a lazy
-    :class:`_WireResult`."""
-    data = {"fingerprint": entry.key, "cached": True,
-            "latency_seconds": latency_seconds, "solution": entry.solution}
-    if request.include_schedule:
-        data["schedule"] = entry.schedule
-    result = result_from_wire(data, request.spec)
-    result.__dict__["entry"] = entry
-    return result
+    """A near-cache hit for ``request``: ``entry`` keeps the shard's
+    reply bytes of its solution (and schedule)."""
+    return entry_result(entry, request.spec, request.include_schedule,
+                        latency_seconds=latency_seconds, entry=entry)
 
 
-def payload_json(entry: CacheEntry, with_schedule: bool) -> bytes:
-    """``,"throughput":…,"solution":{…}`` (then ``,"schedule":{…}``)
-    of the HTTP reply to a near hit on ``entry``: encoded once per
-    entry, into its ``solution_json`` / ``schedule_json``, then spliced.
-    Racing first serves store equal bytes."""
-    if entry.solution_json is None:
-        payload = solution_payload(entry.solution)
-        entry.solution_json = b"," + compact_json(
+def payload_json(entry: CacheEntry) -> bytes:
+    """``,"throughput":…,"solution":{…}`` of the HTTP reply to a near
+    hit on ``entry``: encoded once per entry, into its ``payload_json``,
+    then spliced.  Racing first serves store equal bytes."""
+    if entry.payload_json is None:
+        payload = solution_payload(json.loads(entry.solution_json))
+        entry.payload_json = b"," + compact_json(
             {"throughput": payload_throughput(payload),
              "solution": payload})[1:-1]
-    if not with_schedule:
-        return entry.solution_json
-    if entry.schedule_json is None:
-        entry.schedule_json = b',"schedule":' + compact_json(entry.schedule)
-    return entry.solution_json + entry.schedule_json
+    return entry.payload_json

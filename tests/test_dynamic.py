@@ -146,6 +146,16 @@ class TestAdaptiveProtocol:
         )
         assert 0 < res.mean_efficiency <= 1
 
+    def test_predictor_sees_each_epoch_once(self):
+        """The window holds one observation per epoch: epoch 0's
+        snapshot is the initial platform, observed before the loop."""
+        tv = TimeVaryingPlatform(gen.star(2), seed=1)
+        predictor = SlidingWindowPredictor(window=3)
+        run_adaptive(tv, "M", epochs=2, predictor=predictor)
+        assert predictor._node_obs["W1"] == [1, Fraction(377, 331)]
+        assert predictor._node_obs["W1"] == \
+            [snap.w("W1") for snap in tv.history()]
+
     @pytest.mark.parametrize("seed", range(10))
     def test_warm_replan_is_exact(self, seed):
         """Every epoch's optimum equals a cold solve of its snapshot; a

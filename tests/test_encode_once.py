@@ -34,7 +34,12 @@ from repro.service.api import (
     route_post,
     serve_stdio,
 )
-from repro.service.broker import Broker, SolveEngine, SolveRequest
+from repro.service.broker import (
+    Broker,
+    BrokerResult,
+    SolveEngine,
+    SolveRequest,
+)
 from repro.service.cache import SolutionCache
 from repro.service.sharding import HOT_THRESHOLD, ShardedBroker
 from repro.service.transport import (
@@ -169,13 +174,12 @@ def test_spliced_reply_is_the_dict_the_parent_built(solved):
     problem, req, fp, engine, _result = solved
     request_wire = FIXTURE[problem]["request"]
     entry = engine.cache.peek(fp)
-    assert entry.solution_json is None  # nobody has served it yet
-    first = reply_json(hit_reply(engine, fp, request_wire, False))
-    memo = entry.solution_json
+    memo = entry.solution_json  # encoded once, by the solve
     assert memo is not None
     assert (entry.schedule_json is not None) == req.include_schedule
+    first = reply_json(hit_reply(engine, fp, request_wire, False))
     second = reply_json(hit_reply(engine, fp, request_wire, False))
-    assert entry.solution_json is memo  # filled once, then copied
+    assert entry.solution_json is memo  # then copied
     expected = _expected_shard_reply(problem)
     for blob in (first, second):
         assert _timeless(json.loads(blob)) == expected
@@ -237,32 +241,42 @@ def test_a_recorded_v1_reply_decodes_to_the_reference(solved):
 def test_encode_result_is_result_to_wire_with_or_without_an_entry(solved):
     _problem, _req, fp, engine, result = solved
     entry = engine.cache.peek(fp)
-    plain = json.loads(encode_result(result))
-    assert plain == result_to_wire(result)
-    assert entry.solution_json is None  # no entry given, no memo written
-    assert json.loads(encode_result(result, entry)) == plain
-    # an entry that holds other objects is never spliced from
-    other = SolveEngine(cache=SolutionCache())
-    stranger = other.run(request_from_dict(FIXTURE["master-slave"]
-                                           ["request"]),
-                         FIXTURE["master-slave"]["fingerprint"])
-    assert json.loads(encode_result(stranger, entry)) == \
-        result_to_wire(stranger)
+    spliced = encode_result(result)
+    assert entry.solution_json in spliced  # the entry's bytes, spliced
+    assert json.loads(spliced) == result_to_wire(result)
+    # the same answer held as objects only encodes to the same reply
+    objects = BrokerResult(result.fingerprint, result.solution,
+                           result.schedule, latency_seconds=
+                           result.latency_seconds)
+    assert encode_result(objects) == spliced
 
 
 def test_attach_schedule_resets_the_schedule_memo():
+    # an entry solved without a schedule is bytes without a schedule; a
+    # schedule-wanting hit decodes the solution from those bytes,
+    # reconstructs, and attaches the schedule's bytes, which every later
+    # hit splices
     record = FIXTURE["master-slave"]
     engine = SolveEngine(cache=SolutionCache())
     fp = record["fingerprint"]
+    bare = {**record["request"], "include_schedule": False}
     missed = handle_shard_message(
-        engine, {"op": "solve", "fp": fp, "request": record["request"]})
+        engine, {"op": "solve", "fp": fp, "request": bare})
     entry = engine.cache.peek(fp)
-    old = entry.schedule_json
-    assert old is not None and old in missed["result"]
-    engine.cache.attach_schedule(fp, entry.schedule)
-    assert entry.schedule_json is None and entry.solution_json is not None
+    assert entry.schedule_json is None
+    assert entry.solution_json in missed["result"]
+    assert hit_reply(engine, fp, record["request"], False) is None
+    wanted = handle_shard_message(
+        engine, {"op": "solve", "fp": fp, "request": record["request"]})
+    blob = entry.schedule_json
+    assert blob is not None and blob in wanted["result"]
+    assert _timeless(json.loads(reply_json(wanted))) == \
+        _expected_shard_reply("master-slave")
     again = hit_reply(engine, fp, record["request"], False)
-    assert entry.schedule_json == old and old in again["result"]
+    assert entry.schedule_json is blob and blob in again["result"]
+    engine.cache.attach_schedule(fp, b'{"period":"1"}')
+    assert b'{"period":"1"}' in hit_reply(engine, fp, record["request"],
+                                          False)["result"]
 
 
 def test_http_body_matches_for_every_problem():
@@ -279,17 +293,18 @@ def test_http_body_matches_for_every_problem():
 
 
 # ----------------------------------------------------------------------
-# the near-cache road: an entry keeps the shard's wire form, and the
-# HTTP reply splices bytes encoded once per entry
+# the near-cache road: an entry keeps the shard's reply bytes, and the
+# HTTP reply splices payload bytes encoded once per entry
 # ----------------------------------------------------------------------
 def _near_entry(problem, engine, fp, req):
-    """A near-cache entry as the ring admits one: the wire dicts of the
+    """A near-cache entry as the ring admits one: the bytes of the
     shard's reply."""
     reply = json.loads(reply_json(
         hit_reply(engine, fp, FIXTURE[problem]["request"], False)))
     wire = reply["result"]
-    return SolutionCache().put(fp, wire["solution"], req.platform,
-                               schedule=wire.get("schedule"))
+    return SolutionCache().put(
+        fp, compact_json(wire["solution"]), req.platform,
+        compact_json(wire["schedule"]) if "schedule" in wire else None)
 
 
 def test_a_near_hit_replies_spliced_bytes(solved):
@@ -304,9 +319,9 @@ def test_a_near_hit_replies_spliced_bytes(solved):
             entry, SolveRequest(req.spec, include_schedule=with_schedule),
             0.25)
         first = _solve_json(result, {"trace_id": "abc"})
-        memo = entry.solution_json
+        memo = entry.payload_json
         assert _solve_json(result, {"trace_id": "abc"}) == first
-        assert entry.solution_json is memo  # encoded once, then spliced
+        assert entry.payload_json is memo  # encoded once, then spliced
         assert _timeless(json.loads(first)) == {**expected,
                                                 "trace_id": "abc"}
         # a batch item, stdio and the executor road keep the dict view

@@ -309,10 +309,10 @@ class TestSolutionCache:
     def test_lru_eviction(self):
         g = generators.star(2)
         cache = SolutionCache(max_size=2)
-        cache.put("a", "A", g)
-        cache.put("b", "B", g)
-        assert cache.get("a").solution == "A"  # refresh a
-        cache.put("c", "C", g)                 # evicts b (LRU)
+        cache.put("a", b"A", g)
+        cache.put("b", b"B", g)
+        assert cache.get("a").solution_json == b"A"  # refresh a
+        cache.put("c", b"C", g)                       # evicts b (LRU)
         assert cache.get("b") is None
         assert cache.get("a") is not None
         assert cache.get("c") is not None
@@ -330,7 +330,7 @@ class TestSolutionCache:
         g = generators.star(2)
         cache = SolutionCache()
         assert cache.get("x") is None
-        cache.put("x", 1, g)
+        cache.put("x", b"1", g)
         assert cache.get("x") is not None
         st_ = cache.stats
         assert (st_.hits, st_.misses) == (1, 1)
@@ -362,7 +362,8 @@ class TestBroker:
             cold = broker.solve(req)
             hot = broker.solve(req)
             assert not cold.cached and hot.cached
-            assert hot.solution is cold.solution
+            # the cache keeps bytes: the hit decodes an equal object
+            assert hot.solution == cold.solution
             assert hot.solution.throughput == cold.solution.throughput
 
     def test_schedule_reconstructed_lazily_on_hit(self, fig1):

@@ -617,8 +617,9 @@ class TestHitsThroughTheRing:
             for _ in range(HOT_THRESHOLD):  # the last lookup is the hot one
                 sharded.solve(req)
             near = sharded._near_cache.peek(req.fingerprint())
-            assert near is not None  # admitted as the shard's wire form
-            assert near.solution == solution_to_wire(reference.solution)
+            assert near is not None  # admitted as the shard's reply bytes
+            assert json.loads(near.solution_json) == \
+                solution_to_wire(reference.solution)
             served = sharded.solve(req)
             assert served.cached and served.entry is near
             assert "solution" not in vars(served)  # nothing decoded yet
