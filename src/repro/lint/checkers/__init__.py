@@ -6,8 +6,9 @@ from . import (  # noqa: F401
     exactness,
     heavy_import,
     locks,
+    ownership,
     tracing,
 )
 
 __all__ = ["asyncio_rules", "drift", "exactness", "heavy_import", "locks",
-           "tracing"]
+           "ownership", "tracing"]

@@ -35,7 +35,7 @@ import json
 import os
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 #: Bumped when the JSON report schema changes shape.
@@ -71,13 +71,7 @@ class Finding:
         return f"{self.rule}::{self.path}::{self.message}"
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"

@@ -299,9 +299,13 @@ class SolveEngine:
     ) -> BrokerResult:
         from .wire import compact_json, entry_result, solution_to_wire
 
-        warm = False
+        warm, topology = False, request.platform
         if resolve(request.problem).capabilities.warm_resolve:
-            solution, warm = self.incremental.solve_spec_ex(request.spec)
+            # the hot-model key starts with the entry's topology digest:
+            # one digest per miss
+            key = self.incremental.key(request.spec)
+            solution, warm = self.incremental.solve_spec_ex(request.spec, key)
+            topology = key[0]
         else:
             with span("solver.solve", path="registry"):
                 solution = execute_request(request)
@@ -310,7 +314,7 @@ class SolveEngine:
             schedule = self._reconstruct(request, solution)
         # encoded once, here: the entry keeps these bytes, never objects
         entry = self.cache.put(fp, compact_json(solution_to_wire(solution)),
-                               request.platform, schedule and compact_json(
+                               topology, schedule and compact_json(
                                    schedule_to_dict(schedule)))
         result = entry_result(entry, request.spec, True, cached=False,
                               warm=warm)

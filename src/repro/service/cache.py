@@ -25,7 +25,7 @@ import heapq
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..platform.graph import Platform
 from .fingerprint import topology_signature
@@ -252,13 +252,15 @@ class SolutionCache:
         self,
         key: str,
         solution_json: Optional[bytes],
-        platform: Platform,
+        topology: Union[bytes, Platform],
         schedule_json: Optional[bytes] = None,
     ) -> CacheEntry:
         """Insert (or refresh) an entry, evicting LRU entries beyond
-        budget; ``platform`` is read for its topology digest only."""
-        entry = CacheEntry(key, topology_signature(platform), solution_json,
-                           schedule_json)
+        budget; ``topology`` is the entry's ``topology_signature``, or
+        a platform read for that digest only."""
+        if not isinstance(topology, bytes):
+            topology = topology_signature(topology)
+        entry = CacheEntry(key, topology, solution_json, schedule_json)
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)

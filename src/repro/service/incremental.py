@@ -164,7 +164,9 @@ class IncrementalSolver:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _key(spec: ProblemSpec) -> Tuple:
+    def key(spec: ProblemSpec) -> Tuple:
+        """The hot-model key of a warm-capable spec: its platform's
+        ``topology_signature`` first, then the model's own spec key."""
         entry = resolve(spec.problem)
         if entry.warm_model is None:
             raise SpecError(
@@ -179,13 +181,15 @@ class IncrementalSolver:
         """Solve a warm-capable spec, reusing a hot model when possible."""
         return self.solve_spec_ex(spec)[0]
 
-    def solve_spec_ex(self, spec: ProblemSpec) -> Tuple[Any, bool]:
+    def solve_spec_ex(self, spec: ProblemSpec,
+                      key: Optional[Tuple] = None) -> Tuple[Any, bool]:
         """Like :meth:`solve_spec`, also reporting whether the warm path
         was taken (decided at check-out, so it is exact — unlike an
         outside :meth:`has_model_for` check, which can race with a
-        concurrent solve or an eviction)."""
+        concurrent solve or an eviction).  ``key`` is :meth:`key` of
+        ``spec`` when the caller took it already."""
         model = resolve(spec.problem).warm_model
-        key = self._key(spec)
+        key = key or self.key(spec)
         with self._lock:
             cached = self._models.pop(key, None)  # checked out
         if cached is None:
@@ -270,7 +274,7 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     def has_model_for(self, spec: ProblemSpec) -> bool:
         """True when a warm solve of ``spec`` would reuse a built model."""
-        key = self._key(spec)
+        key = self.key(spec)
         with self._lock:
             return key in self._models
 

@@ -162,3 +162,23 @@ class TestRemovedNetworkFlags:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestOneLPRoad:
+    """A served answer is the exact LP optimum: ``submit`` names no
+    solver choice, in its help or in what it accepts."""
+
+    def test_submit_help_names_no_backend(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        assert "--generator" in out and "--backend" not in out
+
+    def test_submit_backend_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "--problem", "master-slave", "--generator",
+                  "star", "--args", "2", "--master", "M",
+                  "--backend", "scipy"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """The ``repro lint`` framework: registry, pragmas, baselines, reporters,
-the six rules against their fixture corpus, the repo-wide green gate,
-and regression tests for the real findings this gate surfaced and fixed.
+the six rules against their fixture corpus, the ownership table on
+planted trees, the repo-wide green gate, and regression tests for the
+real findings this gate surfaced and fixed.
 """
 
 from __future__ import annotations
@@ -505,12 +506,165 @@ class TestFixtureCorpus:
 
 
 # ----------------------------------------------------------------------
+# ownership: who owns which section, checked on tmp_path trees
+# ----------------------------------------------------------------------
+# row index -> (the row's owner, copied from this repo; a second file
+# that re-offends in the spelling the row guards; the line that fires).
+# Rows 8 and 13 cover tests/ too, so their names are split in two here.
+OWNERSHIP_PLANTS = {
+    0: ("src/repro/core/trees.py", "src/repro/core/broadcast.py",
+        '"""Fallback packing."""\n\n'
+        "def greedy_tree_packing(platform, source):\n    return []\n", 3),
+    1: ("src/repro/core/activities.py", "src/repro/core/trees.py",
+        "def tree_ports(out, inc):\n"
+        '    return [("send-port", out, 1), ("recv-port", inc, 1)]\n', 2),
+    2: ("src/repro/core/activities.py", "src/repro/core/master_slave.py",
+        "def solve(lp, handles):\n"
+        "    return package(lp.solve(), handles, verify=False)\n", 2),
+    3: ("src/repro/core/scatter.py", "src/repro/core/gather.py",
+        "def rows(lp, expr, k):\n"
+        '    lp.add_constraint(expr == 1, name=f"deliver[{k}]")\n', 2),
+    4: ("src/repro/core/scatter.py", "src/repro/schedule/collective.py",
+        "def endpoints(label):\n"
+        '    src, dst = label.split("->")\n    return src, dst\n', 2),
+    5: ("src/repro/schedule/reconstruction.py", "src/repro/schedule/batch.py",
+        "from .edge_coloring import weighted_edge_coloring\n\n\n"
+        "def rounds(edges, weights):\n"
+        "    return weighted_edge_coloring(edges, weights)\n", 5),
+    6: ("src/repro/schedule/reconstruction.py",
+        "src/repro/simulator/event_executor.py",
+        "def slots(edges):\n"
+        "    return [m for m in greedy_interval_coloring(edges)]\n", 2),
+    7: ("src/repro/schedule/reconstruction.py", "src/repro/schedule/batch.py",
+        "def check(sched, port_model):\n"
+        "    sched.solution.verify(port_model)\n", 2),
+    8: ("src/repro/simulator/periodic_runner.py", "examples/gather_demo.py",
+        "from repro.simulator import Collective" "Runner\n", 1),
+    9: ("src/repro/problems/registry.py", "src/repro/dynamic/adaptive.py",
+        'def run_adaptive(platform, epochs, backend="exact"):\n'
+        "    return None\n", 1),
+    10: ("src/repro/problems/registry.py", "src/repro/problems/catalog.py",
+         "register(MasterSlaveSpec, entry_point=solve_master_slave)\n", 1),
+    11: ("src/repro/core/master_slave.py", "src/repro/core/port_models.py",
+         '"""Per-model master-slave solvers."""\n', 1),
+    12: ("src/repro/schedule/batch.py", "src/repro/schedule/startup.py",
+         '"""Start-up grouping of a finite batch."""\n', 1),
+    13: ("src/repro/schedule/batch.py", "tests/test_batch.py",
+         "from repro.schedule import Startup" "Analysis\n", 1),
+    14: ("src/repro/schedule/batch.py",
+         "src/repro/baselines/list_scheduling.py",
+         "from ..simulator.periodic_runner import PeriodicRunner\n", 1),
+    15: ("src/repro/service/broker.py", "src/repro/service/api.py",
+         "def decode(options):\n"
+         '    return options.get("backend", "exact")\n', 2),
+    16: ("src/repro/service/broker.py", "src/repro/service/wire.py",
+         "def option_dict(request):\n    return {}\n", 1),
+    17: ("src/repro/service/cache.py", "src/repro/service/sharding.py",
+         "class Near:\n"
+         "    def __init__(self, size=64, ttl=None):\n"
+         "        self.size = size\n", 2),
+    18: ("src/repro/service/broker.py", "src/repro/service/api.py",
+         "from concurrent.futures import ThreadPoolExecutor\n", 1),
+    # the real asyncio rule names route_get, and src/repro/lint/ is out
+    19: ("src/repro/lint/checkers/asyncio_rules.py",
+         "src/repro/service/api.py",
+         "def route_get(broker, path):\n    return None\n", 1),
+    20: ("src/repro/service/broker.py", "src/repro/service/metrics.py",
+         "class Endpoint:\n    def __init__(self):\n"
+         "        self.reservoir = []\n", 3),
+    21: ("src/repro/service/broker.py", "src/repro/service/transport.py",
+         "def answer(op):\n"
+         '    if op == "sleep":\n        return None\n', 2),
+}
+
+
+def _ownership_tree(tmp_path, *files):
+    for rel, text in files:
+        target = tmp_path / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text)
+    return run_lint([str(tmp_path)], rules=["ownership"], root=str(tmp_path))
+
+
+class TestOwnership:
+    def test_every_row_has_a_plant(self):
+        from repro.lint.checkers import ownership
+
+        assert sorted(OWNERSHIP_PLANTS) == list(range(len(ownership.TABLE)))
+
+    @pytest.mark.parametrize("index", sorted(OWNERSHIP_PLANTS))
+    def test_a_plant_fires_its_row(self, index, tmp_path, monkeypatch):
+        from repro.lint.checkers import ownership
+
+        owner, plant, text, line = OWNERSHIP_PLANTS[index]
+        files = [(owner, (REPO / owner).read_text()), (plant, text)]
+        report = _ownership_tree(tmp_path, *files)
+        assert [(f.rule, f.path, f.line) for f in report.findings] == [
+            ("ownership", plant, line)], report.render_text()
+        # ... and it is this row that fires: without it the tree is clean
+        monkeypatch.setattr(ownership, "TABLE", tuple(
+            row for i, row in enumerate(ownership.TABLE) if i != index))
+        assert _ownership_tree(tmp_path).ok
+
+    def test_the_port_row_keeps_the_old_spellings(self, tmp_path):
+        owner = "src/repro/core/activities.py"
+        plant = ("def rows(lp, expr, node, ports):\n"
+                 '    lp.add_constraint(expr, "<=", ports, '
+                 'name=f"send-port[{node}]")\n')
+        report = _ownership_tree(tmp_path, (owner, (REPO / owner).read_text()),
+                                 ("src/repro/core/trees.py", plant))
+        assert [(f.path, f.line) for f in report.findings] == [
+            ("src/repro/core/trees.py", 2)]
+
+    def test_the_old_port_row_guards_nothing(self, monkeypatch):
+        # `send-port\[` alone matched no line of its owner, whose rows
+        # are spelled ("send-port", out, budget): a vacuous row is a
+        # finding once its owner is checked
+        from repro.lint.checkers import ownership
+
+        old = ownership.TABLE[1]._replace(pattern=r"send-port\[")
+        monkeypatch.setattr(ownership, "TABLE", (old,))
+        report = lint_file(REPO / "src/repro/core/activities.py",
+                           rules=["ownership"])
+        assert [(f.path, f.line) for f in report.findings] == [
+            ("src/repro/core/activities.py", 1)]
+        assert "matches 0 line(s)" in report.findings[0].message
+
+    def test_a_count_row_holds_its_count_in_its_owner(self, tmp_path):
+        owner = "src/repro/schedule/reconstruction.py"
+        text = (REPO / owner).read_text()
+        twice = text + "\n\ndef again(e, w):\n" \
+                       "    return weighted_edge_coloring(e, w)\n"
+        report = _ownership_tree(tmp_path, (owner, twice))
+        assert [(f.path, f.line) for f in report.findings] == [(owner, 1)]
+        assert "matches 2 line(s)" in report.findings[0].message
+        gone = text.replace("weighted_edge_coloring(", "colouring(")
+        report = _ownership_tree(tmp_path, (owner, gone))
+        assert "matches 0 line(s)" in report.findings[0].message
+
+    def test_a_file_without_its_owner_raises_nothing_spurious(self):
+        # only the checked owner is held to its count
+        for path in ("src/repro/schedule/edge_coloring.py",
+                     "src/repro/core/scatter.py"):
+            assert lint_file(REPO / path, rules=["ownership"]).ok
+
+
+# ----------------------------------------------------------------------
 # the repo-wide gate (the acceptance criterion, as a test)
 # ----------------------------------------------------------------------
 class TestRepoGate:
     def test_src_tree_is_green(self):
         report = run_lint([str(REPO / "src")], root=str(REPO))
         assert report.ok, report.render_text()
+
+    def test_the_linted_scope_is_green(self):
+        # what CI lints: every rule, ownership's table included, over
+        # the package, the tests, the benchmarks and the examples
+        report = run_lint([str(REPO / d) for d in
+                           ("src", "tests", "benchmarks", "examples")],
+                          root=str(REPO))
+        assert report.ok, report.render_text()
+        assert len(report.suppressed) <= 5
 
     def test_no_baselined_debt_for_exactness_and_drift(self):
         # acceptance: suppressions for these rules are justified pragmas

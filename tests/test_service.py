@@ -366,6 +366,32 @@ class TestBroker:
             assert hot.solution == cold.solution
             assert hot.solution.throughput == cold.solution.throughput
 
+    def test_a_cold_miss_takes_one_topology_digest(self, monkeypatch):
+        # the hot-model key and the cache entry share one digest; a
+        # problem without an LP model takes it in put
+        import repro.service.cache as cache_mod
+        import repro.service.incremental as incremental_mod
+
+        calls = []
+
+        def counted(platform):
+            calls.append(platform)
+            return topology_signature(platform)
+
+        monkeypatch.setattr(cache_mod, "topology_signature", counted)
+        monkeypatch.setattr(incremental_mod, "topology_signature", counted)
+        g = generators.star(3)
+        with Broker() as broker:
+            assert not broker.solve(SolveRequest(_ms(g, "M"))).cached
+            assert len(calls) == 1
+            assert not broker.solve(SolveRequest(
+                BroadcastSpec(platform=g, source="M"))).cached
+            assert len(calls) == 2
+            assert broker.solve(SolveRequest(_ms(g, "M"))).cached
+            assert len(calls) == 2
+            # both entries carry the platform's digest
+            assert broker.cache.invalidate_platform(g) == 2
+
     def test_schedule_reconstructed_lazily_on_hit(self, fig1):
         with Broker() as broker:
             bare = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
@@ -416,7 +442,7 @@ class TestBroker:
             good = broker.submit(req)
             assert good.done() and good.result().throughput == Fraction(2)
 
-        def boom(solver, spec):
+        def boom(solver, spec, key=None):
             raise RuntimeError("solver exploded")
 
         # every engine solves fig1's model through its IncrementalSolver
@@ -910,7 +936,7 @@ class TestErrorStatusMapping:
     def test_solver_crash_is_500_with_type(self, monkeypatch):
         # regression: every failure used to surface as 422, so clients
         # could not tell "fix your request" from "server bug"
-        def boom(solver, spec):
+        def boom(solver, spec, key=None):
             raise RuntimeError("solver exploded")
 
         monkeypatch.setattr(IncrementalSolver, "solve_spec_ex", boom)
@@ -932,7 +958,7 @@ class TestErrorStatusMapping:
             assert out["results"][1]["status"] == 422
 
     def test_http_transport_maps_statuses(self, monkeypatch):
-        def boom(solver, spec):
+        def boom(solver, spec, key=None):
             raise RuntimeError("solver exploded")
 
         monkeypatch.setattr(IncrementalSolver, "solve_spec_ex", boom)
