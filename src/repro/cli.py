@@ -240,8 +240,10 @@ def _run_registry_check() -> int:
             note = ""
             if entry.capabilities.warm_resolve:
                 inc = IncrementalSolver()
-                for _ in range(2):  # the second build keeps the hot model
-                    inc.solve_spec(spec)
+                inc.solve_spec(spec)
+                # a re-weighting keeps the hot model
+                inc.solve_spec(dataclasses.replace(
+                    spec, platform=spec.platform.scale(compute=2, comm=2)))
                 mutated = dataclasses.replace(
                     spec,
                     platform=spec.platform.scale(compute=Fraction(3, 2),

@@ -121,20 +121,29 @@ def run_adaptive(
     Every LP goes through one warm solver: each epoch solves its true
     platform once, and that optimum is the oracle's plan for the epoch
     and the adaptive plan for the next one; the static plan is epoch 0's.
-    A predictor's forecast costs one more solve per epoch.
+    A predictor's forecast costs one more solve per epoch, unless it
+    forecasts the platform solved just before, whose answer it reuses:
+    the solver keeps a hot model for a re-weighting, not for the same
+    LP again.
     """
     # the warm engine lives in the service layer, which ``import repro``
     # does not load
     from ..problems import MasterSlaveSpec
+    from ..service.fingerprint import request_fingerprint
     from ..service.incremental import IncrementalSolver
 
     if epochs < 1:
         raise ValueError("need at least one epoch")
     solver = IncrementalSolver()
+    last: Dict[str, SteadyStateSolution] = {}  # the last solve, by fingerprint
 
     def solve(platform: Platform) -> SteadyStateSolution:
-        return solver.solve_spec(MasterSlaveSpec(platform=platform,
-                                                 master=master))
+        spec = MasterSlaveSpec(platform=platform, master=master)
+        fp = request_fingerprint(spec)
+        if fp not in last:
+            last.clear()
+            last[fp] = solver.solve_spec_ex(spec, fingerprint=fp)[0]
+        return last[fp]
 
     outcomes: List[EpochOutcome] = []
     initial = varying.snapshot()

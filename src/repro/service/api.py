@@ -48,13 +48,12 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import copy
 import functools
 import json
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from ..platform.serialization import platform_from_dict, platform_to_dict
+from ..platform.serialization import platform_from_dict
 from ..problems import (
     SpecError,
     describe as registry_describe,
@@ -122,37 +121,17 @@ def request_from_dict(data: Dict[str, Any]) -> SolveRequest:
                         include_schedule=include_schedule)
 
 
-def _request_wire(request: SolveRequest) -> Dict[str, Any]:
-    """The memoized wire encoding of a request — INTERNAL and read-only.
-
-    Memoized on the (frozen) request so re-dispatching the same request
-    object never re-encodes the platform; this is what keeps the shard
-    dispatch of :mod:`repro.service.sharding` cheap (its only per-call
-    cost is framing this dict).  Callers must
-    never mutate the returned structure — hand external callers
-    :func:`request_to_dict` instead.
-    """
-    cached = request.__dict__.get("_wire_dict")
-    if cached is None:
-        cached = {
-            "spec": request.spec.to_wire(),
-            "platform": platform_to_dict(request.platform),
-            "include_schedule": request.include_schedule,
-        }
-        object.__setattr__(request, "_wire_dict", cached)
-    return cached
-
-
 def request_to_dict(request: SolveRequest) -> Dict[str, Any]:
     """Encode a :class:`SolveRequest` (inverse of :func:`request_from_dict`).
 
     Emits the canonical versioned spec envelope; the platform travels as
     a sibling key so platform-level ops (``invalidate``) and solve
-    requests share one platform encoding.  The returned dict is
+    requests share one platform encoding.  The dict is decoded from the
+    request's own wire bytes (:meth:`SolveRequest.wire_json`), so it is
     fully private to the caller — mutate anything, nested values
     included, without affecting later encodings of the same request.
     """
-    return copy.deepcopy(_request_wire(request))
+    return json.loads(request.wire_json())
 
 
 # ----------------------------------------------------------------------
@@ -535,8 +514,9 @@ class AsyncServiceServer(LoopServer):
     when the broker runs its ring on this loop (``serve``).  Only the
     parse and decode of a body over :data:`LOOP_BODY_BYTES` leave the
     loop.  A ``solve`` body whose answer came back cached is kept in
-    :attr:`memo` (a :class:`~repro.service.cache.BodyMemo`): its next
-    sighting skips the JSON parse, the decode and the fingerprint.
+    :attr:`memo` (a :class:`~repro.service.cache.BodyMemo`), as its
+    request's bytes: its next sighting skips the JSON parse, the decode
+    and the fingerprint, and reaches the ring without decoding.
     ``broker`` is required: ``serve`` hands it a
     :class:`~repro.service.sharding.ShardedBroker`; an in-process
     :class:`Broker` (a test's) answers inside each call, on the loop.
@@ -637,9 +617,11 @@ class AsyncServiceServer(LoopServer):
 
     async def _post(self, path: str, body: bytes) -> HttpResponse:
         small = len(body) <= LOOP_BODY_BYTES
-        data = (self.memo.get(body) if small and path in ("/api", "/")
+        kept = (self.memo.get(body) if small and path in ("/api", "/")
                 else None)
-        if data is None:
+        if kept is not None:
+            data = {"op": "solve", "request": SolveRequest.from_kept(kept)}
+        else:
             # a small batch decodes in _run_batch: decoded here, ahead of
             # its dispatch, it left the front 2 MB larger on churn_mixed
             data = (_decode_post(path, body) if small else
@@ -667,9 +649,11 @@ class AsyncServiceServer(LoopServer):
 
     def _respond(self, body: bytes, data: Dict[str, Any],
                  result: BrokerResult, extra: Dict[str, Any]) -> bytes:
-        # traffic that never repeats, or is too large, never enters
-        if result.cached and len(body) <= LOOP_BODY_BYTES:
-            self.memo.put(body, data)
+        # traffic that never repeats, or is too large, never enters; nor
+        # does an inline-traced body, whose envelope the memo drops
+        if (result.cached and len(body) <= LOOP_BODY_BYTES
+                and not data.get("trace")):
+            self.memo.put(body, data["request"])
         return _solve_json(result, extra)
 
     async def _read_request(self, reader: asyncio.StreamReader):

@@ -25,6 +25,7 @@ request: each steady-state LP is a small, independent job.
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass
@@ -32,14 +33,19 @@ from typing import Any, Dict, List, Optional
 
 from ..core.activities import SteadyStateSolution
 from ..platform.graph import Platform
-from ..platform.serialization import schedule_to_dict
+from ..platform.serialization import (
+    platform_from_dict,
+    platform_to_dict,
+    schedule_to_dict,
+)
 from ..problems import (
     ProblemSpec,
     SpecError,
     reconstructable_problems,
     resolve,
+    spec_from_wire,
 )
-from .cache import CacheEntry, SolutionCache
+from .cache import CacheEntry, KeptRequest, SolutionCache, topology_digest
 from .fingerprint import request_fingerprint
 from .incremental import IncrementalSolver
 from .metrics import MetricsRegistry, process_snapshot
@@ -134,22 +140,71 @@ class SolveRequest:
                   include_schedule: bool = False) -> "SolveRequest":
         return cls(spec, include_schedule)
 
+    @classmethod
+    def from_kept(cls, kept: KeptRequest) -> "SolveRequest":
+        """The request a :class:`~repro.service.cache.BodyMemo` entry
+        keeps, rebuilt from its bytes and scalars: its fingerprint,
+        topology digest and wire bytes are read off ``kept``, and its
+        ``spec`` is decoded from the bytes only when first read."""
+        request = object.__new__(cls)
+        request.__dict__.update(
+            include_schedule=kept.include_schedule, _problem=kept.problem,
+            _fingerprint=kept.fingerprint, _topology=kept.topology,
+            _wire_json=kept.request_json)
+        return request
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an absent attribute: the spec of a request
+        # rebuilt by from_kept, decoded on its first read
+        wire = self.__dict__.get("_wire_json")
+        if name != "spec" or wire is None:
+            raise AttributeError(name)
+        data = json.loads(wire)
+        spec = spec_from_wire(platform_from_dict(data["platform"]),
+                              data["spec"])
+        object.__setattr__(self, "spec", spec)
+        return spec
+
     @property
     def problem(self) -> str:
-        return self.spec.problem
+        return self.__dict__.get("_problem") or self.spec.problem
 
     @property
     def platform(self) -> Platform:
         return self.spec.platform
 
+    def _memo(self, name: str, compute) -> Any:
+        cached = self.__dict__.get(name)
+        if cached is None:
+            cached = compute()
+            object.__setattr__(self, name, cached)
+        return cached
+
     def fingerprint(self) -> str:
         """The cache key: :func:`request_fingerprint` of the spec,
         memoized (``include_schedule`` is not part of it)."""
-        cached = self.__dict__.get("_fingerprint")
-        if cached is None:
-            cached = request_fingerprint(self.spec)
-            object.__setattr__(self, "_fingerprint", cached)
-        return cached
+        return self._memo("_fingerprint",
+                          lambda: request_fingerprint(self.spec))
+
+    def topology(self) -> bytes:
+        """The platform's ``topology_signature``, memoized: what the
+        near-cache files an admitted answer under."""
+        return self._memo("_topology",
+                          lambda: topology_digest(self.platform))
+
+    def wire_json(self) -> bytes:
+        """The request's canonical compact wire bytes, memoized and
+        read-only: what a shard frame splices
+        (:func:`~repro.service.transport.message_json`), so re-sends and
+        failovers never re-encode the platform, and what
+        :func:`repro.service.api.request_to_dict` decodes."""
+        from .wire import compact_json  # deferred: wire imports broker
+
+        return self._memo("_wire_json", lambda: compact_json({
+            "spec": self.spec.to_wire(),
+            "platform": platform_to_dict(self.platform),
+            "include_schedule": self.include_schedule,
+        }))
 
 
 @dataclass
@@ -218,7 +273,7 @@ class SolveEngine:
         start = time.perf_counter()
         served = self.run_hit(fp, request.include_schedule)
         if served is not None:
-            served.spec = request.spec
+            served.request = request  # bound, and decoded, on read
             return served
         with span("engine.run") as sp:
             try:
@@ -302,9 +357,11 @@ class SolveEngine:
         warm, topology = False, request.platform
         if resolve(request.problem).capabilities.warm_resolve:
             # the hot-model key starts with the entry's topology digest:
-            # one digest per miss
+            # one digest per miss, and the fingerprint the solver keys
+            # its earned-model rule on is the cache's
             key = self.incremental.key(request.spec)
-            solution, warm = self.incremental.solve_spec_ex(request.spec, key)
+            solution, warm = self.incremental.solve_spec_ex(request.spec,
+                                                            key, fp)
             topology = key[0]
         else:
             with span("solver.solve", path="registry"):
@@ -335,9 +392,11 @@ class SolveEngine:
 
     # ------------------------------------------------------------------
     def invalidate_platform(self, platform: Platform) -> int:
-        """Drop cached results and hot LP models for this platform shape."""
-        removed = self.cache.invalidate_platform(platform)
-        self.incremental.forget(platform)
+        """Drop cached results and hot LP models for this platform
+        shape, taking its topology digest once for both."""
+        topology = topology_digest(platform)
+        removed = self.cache.invalidate_platform(topology)
+        self.incremental.forget(topology)
         return removed
 
     def snapshot(self) -> Dict[str, Any]:

@@ -31,6 +31,14 @@ from ..platform.graph import Platform
 from .fingerprint import topology_signature
 
 
+def topology_digest(topology: Union[bytes, Platform]) -> bytes:
+    """``topology`` itself when it is a ``topology_signature`` already,
+    else the platform's: a caller that holds the digest passes it on."""
+    if isinstance(topology, bytes):
+        return topology
+    return topology_signature(topology)
+
+
 @dataclass
 class CacheStats:
     """Monotonic counters; ``hit_rate`` is derived."""
@@ -258,9 +266,8 @@ class SolutionCache:
         """Insert (or refresh) an entry, evicting LRU entries beyond
         budget; ``topology`` is the entry's ``topology_signature``, or
         a platform read for that digest only."""
-        if not isinstance(topology, bytes):
-            topology = topology_signature(topology)
-        entry = CacheEntry(key, topology, solution_json, schedule_json)
+        entry = CacheEntry(key, topology_digest(topology), solution_json,
+                           schedule_json)
         with self._lock:
             self._entries[key] = entry
             self._entries.move_to_end(key)
@@ -288,8 +295,9 @@ class SolutionCache:
                 entry.schedule_json = schedule_json
 
     # ------------------------------------------------------------------
-    def invalidate_platform(self, platform: Platform) -> int:
-        """Drop every entry whose platform shares this platform's *topology*.
+    def invalidate_platform(self, topology: Union[bytes, Platform]) -> int:
+        """Drop every entry whose platform shares this *topology* (a
+        ``topology_signature``, or a platform read for that digest).
 
         The intended call site is a platform mutation: weights are frozen
         in :class:`~repro.platform.graph.Platform`, so "mutating" means
@@ -298,7 +306,7 @@ class SolutionCache:
         to their own keys; this frees them all in one call and returns
         the number of entries removed.
         """
-        topo = topology_signature(platform)
+        topo = topology_digest(topology)
         with self._lock:
             doomed: List[str] = [
                 key for key, entry in self._entries.items()
@@ -331,49 +339,79 @@ class SolutionCache:
             }
 
 
-#: the body memo's bound: this many ``solve`` bodies, or this many of
-#: their bytes, whichever binds first
+#: the body memo's bound: this many ``solve`` bodies, or this many
+#: bytes of what their entries keep, whichever binds first
 BODY_MEMO_ENTRIES = 256
 BODY_MEMO_BYTES = 1 << 20
 
 
+class KeptRequest:
+    """What a :class:`BodyMemo` entry keeps of a decoded request: its
+    fingerprint, its ``include_schedule`` flag, its topology digest
+    (which near-cache admission files an answer under), its canonical
+    compact wire bytes (which a shard frame splices) and its problem's
+    registered name.  No spec, platform or wire dict:
+    :meth:`~repro.service.broker.SolveRequest.from_kept` rebuilds the
+    request, and decodes its spec only when a solve reads it."""
+
+    __slots__ = ("fingerprint", "include_schedule", "topology",
+                 "request_json", "problem")
+
+    def __init__(self, request: Any) -> None:
+        self.fingerprint: str = request.fingerprint()
+        self.include_schedule: bool = request.include_schedule
+        self.topology: bytes = request.topology()
+        self.request_json: bytes = request.wire_json()
+        self.problem: str = request.problem
+
+    @property
+    def size(self) -> int:
+        """The bytes this entry keeps beside its body."""
+        return (len(self.fingerprint) + len(self.topology)
+                + len(self.request_json))
+
+
 class BodyMemo:
-    """Bounded LRU from the exact bytes of a ``solve`` body to the
-    envelope its full decode produced (the decoded request in place of
-    its dict), for the HTTP loop that alone touches it: no lock.
+    """Bounded LRU from the exact bytes of a ``solve`` body to what its
+    full decode produced, kept as a :class:`KeptRequest`, for the HTTP
+    loop that alone touches it: no lock.
 
     It holds no answers, so it needs a bound and never an invalidation:
-    a memo hit is exactly the decode it skips.  Beyond
-    :data:`BODY_MEMO_ENTRIES` bodies or :data:`BODY_MEMO_BYTES` of them,
-    the least recently used goes.  The byte bound counts body bytes
-    only: each entry also keeps its decoded request and that request's
-    memoised wire dict, about 18 KiB for a benchmark ``hit_zipf`` body
-    of 0.9 KiB, so a full memo of such bodies holds about 5 MiB.
+    a memo hit is exactly the decode it skips, and reaches the ring
+    without decoding anything (the request's spec is decoded from the
+    kept bytes only where a solve reads it).  Beyond
+    :data:`BODY_MEMO_ENTRIES` bodies or :data:`BODY_MEMO_BYTES` of what
+    the entries keep — each body and its :attr:`KeptRequest.size`, about
+    2 KiB for a benchmark ``hit_zipf`` body of 0.9 KiB — the least
+    recently used goes.
     """
 
     def __init__(self) -> None:
-        self._entries: "OrderedDict[bytes, Dict[str, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[bytes, KeptRequest]" = OrderedDict()
         self.bytes = 0
         self.hits = 0
         self.misses = 0
 
-    def get(self, body: bytes) -> Optional[Dict[str, Any]]:
-        data = self._entries.get(body)
-        if data is None:
+    def get(self, body: bytes) -> Optional[KeptRequest]:
+        kept = self._entries.get(body)
+        if kept is None:
             self.misses += 1
             return None
         self._entries.move_to_end(body)
         self.hits += 1
-        return data
+        return kept
 
-    def put(self, body: bytes, data: Dict[str, Any]) -> None:
+    def put(self, body: bytes, request: Any) -> None:
+        """Keep ``request`` (a decoded
+        :class:`~repro.service.broker.SolveRequest`) under ``body``."""
         if body in self._entries:
             return
-        self._entries[body] = data
-        self.bytes += len(body)
+        kept = self._entries[body] = KeptRequest(request)
+        self.bytes += len(body) + kept.size
         while (len(self._entries) > BODY_MEMO_ENTRIES
                or self.bytes > BODY_MEMO_BYTES):
-            self.bytes -= len(self._entries.popitem(last=False)[0])
+            old, dropped = self._entries.popitem(last=False)
+            self.bytes -= len(old) + dropped.size
 
     def snapshot(self) -> Dict[str, Any]:
         return {"entries": len(self._entries),

@@ -7,9 +7,11 @@ pure functions of the weights.  When a monitoring layer re-weights a
 platform (CPU load changed, a link slowed down) the LP therefore does not
 need to be re-assembled: the model is kept hot, the moved coefficients
 are patched through the :class:`~repro.lp.model.LinearProgram` rebuild
-hook, and the model is re-solved exactly.  A hot model is earned: a
-structure's first build is solved and dropped, and only the second keeps
-its model, so traffic of one-off topologies holds no model at all.
+hook, and the model is re-solved exactly.  A hot model is earned by a
+re-weighting: a build is solved and its model dropped unless its
+structure was last built under other weights (another request
+fingerprint), so one-off topologies, and identical re-solves the
+solution cache lost, hold no model at all.
 
 Since the basis-reusing refactor the warm path is first-class all the way
 down: each hot model carries a :class:`~repro.lp.simplex.SimplexInstance`
@@ -47,13 +49,14 @@ from __future__ import annotations
 import dataclasses
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..lp.model import LinearProgram
 from ..lp.simplex import SimplexInstance
 from ..platform.graph import NodeId, Platform
 from ..problems import ProblemSpec, SpecError, resolve
-from .fingerprint import topology_signature
+from .cache import topology_digest
+from .fingerprint import request_fingerprint, topology_signature
 from .tracing import span
 
 
@@ -64,7 +67,8 @@ class WarmSolveStats:
     ``warm_solves`` / ``full_rebuilds`` split re-solves by whether a hot
     model was reused; ``single_use_builds`` counts the builds whose model
     was dropped after the solve because their structure had not been
-    built before; ``evictions`` counts hot models dropped by the
+    built before under other weights (a first sighting, or the same
+    request again); ``evictions`` counts hot models dropped by the
     ``max_models`` cap (visibility into cache pressure — an evicted model
     costs a full rebuild *and* a cold pivot sequence on its next use).
     ``basis_restarts`` / ``phase1_skips`` / ``basis_fallbacks`` describe
@@ -118,12 +122,16 @@ class IncrementalSolver:
     weight-only re-solves.
 
     One instance may serve many platforms and problem kinds: models are
-    keyed by ``(topology signature, warm-model spec key)``.  A build
-    whose key's hash is not on record is solved, its model dropped and
-    the hash recorded (at most ``16 * max_models`` hashes, oldest out
-    first); a build whose hash is on record keeps its model, in a table
-    of at most ``max_models``, least recently used out first.  A hash
-    collision can only keep a model early, never serve a wrong one.
+    keyed by ``(topology signature, warm-model spec key)``.  Every build
+    records its request fingerprint under its key's hash (at most
+    ``16 * max_models`` records, least recently built out first).  A
+    build keeps its model only when its structure was last built under
+    another fingerprint — a re-weighting, which is what a hot model is
+    for — in a table of at most ``max_models``, least recently used out
+    first.  A first build, or an identical re-solve
+    (the :class:`~repro.service.cache.SolutionCache`'s job), is solved
+    and its model dropped.  A hash collision can only keep a model
+    early or drop one, never serve a wrong answer.
 
     A solve checks its model out of the table, patches and solves it
     privately, and checks it back in (a solve that raises drops it).  A
@@ -136,11 +144,13 @@ class IncrementalSolver:
     >>> inc = IncrementalSolver()
     >>> spec = MasterSlaveSpec(platform=generators.star(3), master="M")
     >>> once = inc.solve_spec(spec)                # solved, model dropped
-    >>> twice = inc.solve_spec(spec)               # seen before: kept
+    >>> again = inc.solve_spec(spec)               # the same request: dropped
     >>> g2 = spec.platform.scale(compute=2)        # weight-only mutation
-    >>> warm = inc.solve_spec(MasterSlaveSpec(platform=g2, master="M"))
+    >>> kept = inc.solve_spec(MasterSlaveSpec(platform=g2, master="M"))
+    >>> g3 = spec.platform.scale(comm=3)           # and another: warm
+    >>> warm = inc.solve_spec(MasterSlaveSpec(platform=g3, master="M"))
     >>> inc.stats.single_use_builds, inc.stats.warm_solves
-    (1, 1)
+    (2, 1)
     """
 
     def __init__(self, max_models: int = 64) -> None:
@@ -159,8 +169,10 @@ class IncrementalSolver:
             Tuple[LinearProgram, Dict[str, object], Optional[NodeId],
                   SimplexInstance],
         ] = {}
-        # hash(key) of the structures built lately, oldest first
-        self._built: Dict[int, None] = {}  # guarded-by: _lock
+        # hash(key) -> the request fingerprint of that structure's last
+        # build (the caller's string, often a cache key's), least
+        # recently built first
+        self._built: Dict[int, str] = {}  # guarded-by: _lock
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -181,13 +193,15 @@ class IncrementalSolver:
         """Solve a warm-capable spec, reusing a hot model when possible."""
         return self.solve_spec_ex(spec)[0]
 
-    def solve_spec_ex(self, spec: ProblemSpec,
-                      key: Optional[Tuple] = None) -> Tuple[Any, bool]:
+    def solve_spec_ex(self, spec: ProblemSpec, key: Optional[Tuple] = None,
+                      fingerprint: Optional[str] = None) -> Tuple[Any, bool]:
         """Like :meth:`solve_spec`, also reporting whether the warm path
         was taken (decided at check-out, so it is exact — unlike an
         outside :meth:`has_model_for` check, which can race with a
         concurrent solve or an eviction).  ``key`` is :meth:`key` of
-        ``spec`` when the caller took it already."""
+        ``spec`` and ``fingerprint`` its
+        :func:`~repro.service.fingerprint.request_fingerprint`, when the
+        caller took them already; a build takes the fingerprint once."""
         model = resolve(spec.problem).warm_model
         key = key or self.key(spec)
         with self._lock:
@@ -197,13 +211,15 @@ class IncrementalSolver:
                 lp, handles = model.build(spec)
             instance = SimplexInstance(lp)
             sighting = hash(key)
+            fingerprint = fingerprint or request_fingerprint(spec)
             with self._lock:
                 self.stats.full_rebuilds += 1
-                keep = sighting in self._built
-                if not keep:
-                    self._built[sighting] = None
-                    if len(self._built) > 16 * self.max_models:
-                        del self._built[next(iter(self._built))]
+                last = self._built.pop(sighting, fingerprint)
+                # kept when re-weighted since the structure's last build
+                keep = last != fingerprint
+                self._built[sighting] = fingerprint
+                if len(self._built) > 16 * self.max_models:
+                    del self._built[next(iter(self._built))]
         else:
             lp, handles, _root, instance = cached
             keep = True
@@ -278,9 +294,12 @@ class IncrementalSolver:
         with self._lock:
             return key in self._models
 
-    def forget(self, platform: Platform, master: Optional[NodeId] = None) -> int:
-        """Drop hot models for this topology (all roots unless given)."""
-        topo = topology_signature(platform)
+    def forget(self, topology: Union[bytes, Platform],
+               master: Optional[NodeId] = None) -> int:
+        """Drop hot models for this topology (all roots unless given);
+        ``topology`` is its ``topology_signature``, or a platform read
+        for that digest only."""
+        topo = topology_digest(topology)
         with self._lock:
             doomed = [
                 key

@@ -400,7 +400,7 @@ def render_prometheus(snapshot: Dict[str, Any]) -> str:
     emit("repro_body_memo_entries", "gauge",
          "Solve bodies held by the body memo.", [({}, memo.get("entries"))])
     emit("repro_body_memo_bytes", "gauge",
-         "Bytes of the solve bodies held by the body memo.",
+         "Bytes the body memo keeps: bodies and their kept requests.",
          [({}, memo.get("bytes"))])
 
     health = snapshot.get("shard_health", {})

@@ -847,26 +847,23 @@ class ShardedBroker:
     async def _transport_solve(
         self, request: SolveRequest, fp: str, hot: bool,
     ) -> BrokerResult:
-        from .api import _request_wire  # deferred: avoid import cycle
-
-        # the memoized read-only encoding: re-sends never re-encode the
-        # platform, whichever shard (or failover stand-in) receives it
-        msg = {
-            "op": "solve",
-            "fp": fp,
-            "request": _request_wire(request),
-        }
+        # the request's memoized wire bytes, spliced into the frame:
+        # re-sends never re-encode the platform, whichever shard (or
+        # failover stand-in) receives it, and a body-memo hit gets here
+        # without a decode
+        msg = {"op": "solve", "fp": fp, "request": request.wire_json()}
         if current_span() is not None:
             msg["trace"] = True  # ask the shard for its span tree
         reply = await self._routed_call(fp, msg)
-        result = result_from_wire(reply["result"], request.spec)
+        result = result_from_wire(reply["result"])
+        result.request = request  # its spec is read, if ever, on binding
         if hot:  # admit the reply's bytes; an entry learns a schedule late
             wire, entry = result.wire, self._near_cache.peek(fp)
             schedule = wire.get("schedule")
             schedule = None if schedule is None else compact_json(schedule)
             if entry is None:
                 self._near_cache.put(fp, compact_json(wire["solution"]),
-                                     request.platform, schedule)
+                                     request.topology(), schedule)
             elif entry.schedule_json is None and schedule is not None:
                 self._near_cache.attach_schedule(fp, schedule)
         return result

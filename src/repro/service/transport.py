@@ -53,7 +53,9 @@ request is decoded only on a miss, or to reconstruct a schedule.  That
 weakens nothing: the shard has always trusted the peer's ``fp`` —
 ``engine.run(request, msg["fp"])`` never recomputed it.  The result
 travels as the bytes its cache entry keeps, spliced into the frame
-(:func:`reply_json`) — still the JSON message any peer decodes.
+(:func:`message_json`) — still the JSON message any peer decodes.  So
+does a request: the front sends the canonical bytes the request keeps
+(:meth:`~repro.service.broker.SolveRequest.wire_json`).
 
 **Failure semantics.**  A dead peer raises :class:`TransportError` and
 an expired per-request timeout raises :class:`TransportTimeout`.  A
@@ -112,20 +114,26 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 _HEADER = struct.Struct(">I")
 
 
-def reply_json(reply: Dict[str, Any]) -> bytes:
-    """Compact JSON of a shard reply.  A solve reply's ``"result"`` is
-    bytes already: it is spliced in beside the rest (``"ok"``, ...),
+def message_json(message: Dict[str, Any]) -> bytes:
+    """Compact JSON of one protocol message.  A value that is bytes is
+    JSON already — a solve's ``"request"`` on its way to a shard, its
+    ``"result"`` on the way back — and is spliced in beside the rest,
     not encoded again."""
-    result = reply.get("result")
-    if not isinstance(result, bytes):
-        return compact_json(reply)
-    rest = compact_json({k: v for k, v in reply.items() if k != "result"})
-    return b'{"result":' + result + b"," + rest[1:]
+    spliced = [compact_json(key) + b":" + value
+               for key, value in message.items() if isinstance(value, bytes)]
+    if not spliced:
+        return compact_json(message)
+    rest = compact_json({key: value for key, value in message.items()
+                         if not isinstance(value, bytes)})
+    if rest != b"{}":
+        spliced.append(rest[1:-1])
+    return b"{" + b",".join(spliced) + b"}"
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:
-    """One message as its wire bytes (length prefix + UTF-8 JSON)."""
-    return _frame(compact_json(message))
+    """One message as its wire bytes (length prefix + UTF-8 JSON,
+    :func:`message_json`)."""
+    return _frame(message_json(message))
 
 
 def _frame(blob: bytes) -> bytes:
@@ -243,7 +251,7 @@ def handle_shard_message(engine: SolveEngine,
     an engine.
 
     Always returns a reply dict that is JSON-safe but for a solve's
-    ``"result"``, which is its JSON bytes already (:func:`reply_json`);
+    ``"result"``, which is its JSON bytes already (:func:`message_json`);
     failures are reported as
     ``{"ok": False, "error": ..., "type": ...}`` replies carrying the
     original exception class, never by raising (a shard must survive
@@ -680,7 +688,7 @@ class AsyncShardServer(LoopServer):
     async def _send(self, writer: asyncio.StreamWriter,
                     write_lock: asyncio.Lock,
                     reply: Dict[str, Any]) -> None:
-        frame = _frame(reply_json(reply))
+        frame = encode_frame(reply)
         try:
             async with write_lock:
                 writer.write(frame)

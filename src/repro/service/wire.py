@@ -307,15 +307,20 @@ class _WireResult(BrokerResult):
     the reply dict it came off a transport as (``wire``, which the bytes
     otherwise decode into when first read).  The exact objects are
     built on ``spec`` when first read, into the instance like the
-    dataclass fields they stand in for.  ``entry`` is the near-cache
-    entry that served it, if one did."""
+    dataclass fields they stand in for; a result bound to a ``request``
+    instead reads its spec then, so a request rebuilt from kept bytes
+    decodes only if somebody reads the answer as objects.  ``entry`` is
+    the near-cache entry that served it, if one did."""
 
     spec: Optional[ProblemSpec] = None
+    request: Optional[SolveRequest] = None
     solution_json: Optional[bytes] = None
     schedule_json: Optional[bytes] = None
     entry: Optional[CacheEntry] = None
 
     def _spec(self) -> ProblemSpec:
+        if self.spec is None and self.request is not None:
+            self.spec = self.request.spec
         if self.spec is None:
             raise WireCodecError("no spec to bind the reply's answer to")
         return self.spec
@@ -393,8 +398,9 @@ def near_result(entry: CacheEntry, request: SolveRequest,
                 latency_seconds: float) -> BrokerResult:
     """A near-cache hit for ``request``: ``entry`` keeps the shard's
     reply bytes of its solution (and schedule)."""
-    return entry_result(entry, request.spec, request.include_schedule,
-                        latency_seconds=latency_seconds, entry=entry)
+    return entry_result(entry, None, request.include_schedule,
+                        latency_seconds=latency_seconds, entry=entry,
+                        request=request)
 
 
 def payload_json(entry: CacheEntry) -> bytes:

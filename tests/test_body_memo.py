@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service import AsyncServiceServer, Broker
-from repro.service.api import route_post
+from repro.service.api import request_from_dict, route_post
 from repro.service.cache import BODY_MEMO_BYTES, BODY_MEMO_ENTRIES, BodyMemo
 
 FIXTURE = json.loads(
@@ -182,7 +182,7 @@ def test_a_flood_of_distinct_bodies_stays_within_the_bound():
     assert max(n for n, _ in sizes) == BODY_MEMO_ENTRIES  # it did fill
     assert all(n <= BODY_MEMO_ENTRIES and b <= BODY_MEMO_BYTES
                for n, b in sizes)
-    assert memo.snapshot()["bytes"] == sum(map(len, memo._entries))
+    assert memo.snapshot()["bytes"] == _kept_bytes(memo)
     assert memo.misses == len(bodies) and memo.hits == 0
 
 
@@ -211,30 +211,49 @@ def test_a_memo_hit_after_invalidate_re_solves():
             server.shutdown()
 
 
+def _request(problem="master-slave"):
+    return request_from_dict(FIXTURE[problem]["request"])
+
+
+def _kept_bytes(memo):
+    """What the memo's entries keep: each body, and its request's
+    fingerprint, topology digest and wire bytes."""
+    return sum(len(body) + len(kept.fingerprint) + len(kept.topology)
+               + len(kept.request_json)
+               for body, kept in memo._entries.items())
+
+
 def test_the_memo_evicts_the_least_recently_used_body():
     memo = BodyMemo()
+    request = _request()
     bodies = [b"%d" % i for i in range(BODY_MEMO_ENTRIES)]
     for body in bodies:
-        memo.put(body, {"op": "solve"})
-    assert memo.get(bodies[0]) == {"op": "solve"}  # now the most recent
-    memo.put(b"one more", {})  # one entry too many: bodies[1] goes
+        memo.put(body, request)
+    assert memo.get(bodies[0]).fingerprint == request.fingerprint()
+    memo.put(b"one more", request)  # one entry too many: bodies[1] goes
     assert list(memo._entries) == bodies[2:] + [bodies[0], b"one more"]
     assert memo.snapshot() == {
         "entries": BODY_MEMO_ENTRIES, "max_entries": BODY_MEMO_ENTRIES,
-        "bytes": sum(map(len, memo._entries)), "max_bytes": BODY_MEMO_BYTES,
+        "bytes": _kept_bytes(memo), "max_bytes": BODY_MEMO_BYTES,
         "hits": 1, "misses": 0}
 
 
-def test_the_memo_bound_counts_body_bytes():
-    """5 KiB bodies fill the byte bound before the entry bound."""
+def test_the_memo_bound_counts_what_an_entry_keeps():
+    """The byte bound counts each body and what its entry keeps of the
+    request: entries of 5 KiB bodies fill it before the entry bound,
+    and fewer of them fit than the bodies alone would allow."""
     memo = BodyMemo()
+    request = _request()
+    kept = len(request.fingerprint()) + len(request.topology()) \
+        + len(request.wire_json())
     bodies = [b"%05d" % i + b" " * 5115 for i in range(BODY_MEMO_ENTRIES)]
     for body in bodies:
-        memo.put(body, {})
-    fit = BODY_MEMO_BYTES // 5120
-    assert fit < BODY_MEMO_ENTRIES
+        memo.put(body, request)
+    fit = BODY_MEMO_BYTES // (5120 + kept)
+    assert fit < BODY_MEMO_BYTES // 5120 < BODY_MEMO_ENTRIES
     assert list(memo._entries) == bodies[-fit:]
-    assert memo.bytes == fit * 5120 <= BODY_MEMO_BYTES
+    assert memo.bytes == fit * (5120 + kept) == _kept_bytes(memo) \
+        <= BODY_MEMO_BYTES
 
 
 def test_get_metrics_reports_the_memo_json_and_prometheus():
@@ -254,8 +273,10 @@ def test_get_metrics_reports_the_memo_json_and_prometheus():
                 text = reply.read().decode()
         finally:
             server.shutdown()
+    kept = _kept_bytes(server.memo)
+    assert kept > len(body)
     assert memo == {"entries": 1, "max_entries": BODY_MEMO_ENTRIES,
-                    "bytes": len(body), "max_bytes": BODY_MEMO_BYTES,
+                    "bytes": kept, "max_bytes": BODY_MEMO_BYTES,
                     "hits": 1, "misses": 2}
     samples = dict(line.split() for line in text.splitlines()
                    if line.startswith("repro_body_memo_"))
@@ -263,4 +284,4 @@ def test_get_metrics_reports_the_memo_json_and_prometheus():
         "repro_body_memo_hits_total": 1.0,
         "repro_body_memo_misses_total": 2.0,
         "repro_body_memo_entries": 1.0,
-        "repro_body_memo_bytes": float(len(body))}
+        "repro_body_memo_bytes": float(kept)}

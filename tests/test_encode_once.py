@@ -45,7 +45,7 @@ from repro.service.sharding import HOT_THRESHOLD, ShardedBroker
 from repro.service.transport import (
     handle_shard_message,
     hit_reply,
-    reply_json,
+    message_json,
 )
 from repro.service.wire import (
     RESULT_WIRE_VERSION,
@@ -177,15 +177,15 @@ def test_spliced_reply_is_the_dict_the_parent_built(solved):
     memo = entry.solution_json  # encoded once, by the solve
     assert memo is not None
     assert (entry.schedule_json is not None) == req.include_schedule
-    first = reply_json(hit_reply(engine, fp, request_wire, False))
-    second = reply_json(hit_reply(engine, fp, request_wire, False))
+    first = message_json(hit_reply(engine, fp, request_wire, False))
+    second = message_json(hit_reply(engine, fp, request_wire, False))
     assert entry.solution_json is memo  # then copied
     expected = _expected_shard_reply(problem)
     for blob in (first, second):
         assert _timeless(json.loads(blob)) == expected
     # the miss road (decode + run + encode) frames the same message
     fresh = SolveEngine(cache=SolutionCache())
-    missed = _timeless(json.loads(reply_json(handle_shard_message(
+    missed = _timeless(json.loads(message_json(handle_shard_message(
         fresh, {"op": "solve", "fp": fp, "request": request_wire}))))
     assert not missed["result"]["cached"]
     missed["result"]["cached"] = True
@@ -199,7 +199,7 @@ def test_either_version_of_a_peer_decodes_to_the_same_answer(solved):
     # commit, the spliced one.  Both go through the one result_from_wire.
     problem, req, fp, engine, _result = solved
     parent_reply = FIXTURE[problem]["shard_reply"]
-    ours = json.loads(reply_json(
+    ours = json.loads(message_json(
         hit_reply(engine, fp, FIXTURE[problem]["request"], False)))
     from_parent = result_from_wire(parent_reply["result"], req.spec)
     from_ours = result_from_wire(ours["result"], req.spec)
@@ -270,7 +270,7 @@ def test_attach_schedule_resets_the_schedule_memo():
         engine, {"op": "solve", "fp": fp, "request": record["request"]})
     blob = entry.schedule_json
     assert blob is not None and blob in wanted["result"]
-    assert _timeless(json.loads(reply_json(wanted))) == \
+    assert _timeless(json.loads(message_json(wanted))) == \
         _expected_shard_reply("master-slave")
     again = hit_reply(engine, fp, record["request"], False)
     assert entry.schedule_json is blob and blob in again["result"]
@@ -299,7 +299,7 @@ def test_http_body_matches_for_every_problem():
 def _near_entry(problem, engine, fp, req):
     """A near-cache entry as the ring admits one: the bytes of the
     shard's reply."""
-    reply = json.loads(reply_json(
+    reply = json.loads(message_json(
         hit_reply(engine, fp, FIXTURE[problem]["request"], False)))
     wire = reply["result"]
     return SolutionCache().put(

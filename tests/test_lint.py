@@ -7,7 +7,6 @@ real findings this gate surfaced and fixed.
 from __future__ import annotations
 
 import json
-import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -673,14 +672,23 @@ class TestRepoGate:
         assert not report.baselined
 
     def test_walk_skips_fixture_corpus(self):
+        corpus = REPO / "tests" / "lint_fixtures"
+        # the corpus is there, and is Python ...
+        assert corpus.is_dir()
+        assert list(corpus.glob("*.py"))
+        # ... with deliberate violations, which linting it directly finds
+        direct = run_lint([str(corpus)], root=str(REPO))
+        assert direct.findings
+        # ... and the walk over tests/ reads every other file and reports
+        # none of them
         report = run_lint([str(REPO / "tests")], root=str(REPO))
         assert report.ok, report.render_text()
-        checked = {os.path.basename(p) for p in
-                   (str(REPO / "tests" / "lint_fixtures"),)}
-        assert checked  # fixtures directory exists ...
-        assert report.files_checked > 0
-        # ... but none of its deliberate violations leaked into the run
-        assert not any("lint_fixtures" in f.path for f in report.findings)
+        outside = [path for path in (REPO / "tests").rglob("*.py")
+                   if not path.is_relative_to(corpus)]
+        assert report.files_checked == len(outside) > 0
+        assert not [f for f in report.findings
+                    if (REPO / f.path).resolve().is_relative_to(
+                        corpus.resolve())]
 
 
 # ----------------------------------------------------------------------

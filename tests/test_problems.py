@@ -381,8 +381,11 @@ class TestWarmCollectives:
         inc = IncrementalSolver()
         fig2 = generators.paper_figure2_multicast()
         spec = ScatterSpec(platform=fig2, source="P0", targets=("P5", "P6"))
-        for builds in (1, 2):  # the second build keeps the hot model
-            sol, warm = inc.solve_spec_ex(spec)
+        reweighted = ScatterSpec(platform=fig2.scale(compute=2),
+                                 source="P0", targets=("P5", "P6"))
+        # a re-weighting keeps the hot model
+        for builds, prime in enumerate((spec, reweighted), 1):
+            sol, warm = inc.solve_spec_ex(prime)
             assert not warm and inc.stats.full_rebuilds == builds
             assert inc.has_model_for(spec) == (builds == 2)
         mutated = ScatterSpec(platform=fig2.scale(comm="5/7"),
@@ -398,12 +401,13 @@ class TestWarmCollectives:
         # hot models (the spec key is structural)
         inc = IncrementalSolver()
         g = generators.star(3, bidirectional=True)
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(ScatterSpec(platform=g, source="M",
+        # a re-weighting keeps the hot model
+        for weights in (g, g.scale(comm=2)):
+            inc.solve_spec(ScatterSpec(platform=weights, source="M",
                                        targets=("W1", "W2")))
-            inc.solve_spec(ScatterSpec(platform=g, source="M",
+            inc.solve_spec(ScatterSpec(platform=weights, source="M",
                                        targets=("W1", "W2", "W3")))
-            inc.solve_spec(GatherSpec(platform=g, sink="M",
+            inc.solve_spec(GatherSpec(platform=weights, sink="M",
                                       sources=("W1", "W2")))
         assert len(inc) == 3
         assert inc.stats.full_rebuilds == 6 and inc.stats.warm_solves == 0
@@ -430,9 +434,10 @@ class TestWarmCollectives:
     def test_forget_drops_all_roots_of_a_topology(self):
         inc = IncrementalSolver()
         g = generators.star(3, bidirectional=True)
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(MasterSlaveSpec(platform=g, master="M"))
-            inc.solve_spec(GatherSpec(platform=g, sink="M",
+        # a re-weighting keeps the hot model
+        for weights in (g, g.scale(comm=2)):
+            inc.solve_spec(MasterSlaveSpec(platform=weights, master="M"))
+            inc.solve_spec(GatherSpec(platform=weights, sink="M",
                                       sources=("W1", "W2")))
         assert inc.forget(g) == 2
         assert len(inc) == 0

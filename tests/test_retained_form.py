@@ -239,12 +239,14 @@ class TestBoundsThatAreNotRows:
 def test_hot_model_eviction_is_least_recently_used():
     inc = IncrementalSolver(max_models=2)
     a, b, c = (generators.star(n) for n in (2, 3, 4))
-    for g in (a, a, b, b):  # the second build keeps the hot model
+    # a re-weighting keeps the hot model
+    for g in (a, a.scale(comm=3), b, b.scale(comm=3)):
         inc.solve_spec(_ms(g, "M"))
     _, warm = inc.solve_spec_ex(_ms(a.scale(compute=2), "M"))
     assert warm
-    for _ in range(2):  # c's second build evicts b, least recently used
-        inc.solve_spec(_ms(c, "M"))
+    # c's re-weighting evicts b, least recently used
+    for g in (c, c.scale(comm=3)):
+        inc.solve_spec(_ms(g, "M"))
     assert inc.stats.evictions == 1
     assert inc.has_model_for(_ms(a, "M")) and inc.has_model_for(_ms(c, "M"))
     assert not inc.has_model_for(_ms(b, "M"))

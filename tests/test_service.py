@@ -392,6 +392,32 @@ class TestBroker:
             # both entries carry the platform's digest
             assert broker.cache.invalidate_platform(g) == 2
 
+    def test_an_invalidate_takes_one_topology_digest(self, monkeypatch):
+        # the cache entries and the hot models of one topology go on
+        # one digest
+        import repro.service.cache as cache_mod
+        import repro.service.incremental as incremental_mod
+
+        g = generators.star(3)
+        with Broker() as broker:
+            for weights in (g, g.scale(compute=2)):  # two entries, a model
+                broker.solve(SolveRequest(_ms(weights, "M")))
+            assert len(broker.engine.incremental) == 1
+            calls = []
+
+            def counted(platform):
+                calls.append(platform)
+                return topology_signature(platform)
+
+            monkeypatch.setattr(cache_mod, "topology_signature", counted)
+            monkeypatch.setattr(incremental_mod, "topology_signature",
+                                counted)
+            assert broker.invalidate_platform(g) == 2
+            assert len(calls) == 1
+            assert len(broker.engine.incremental) == 0
+            assert broker.invalidate_platform(g.scale(comm=5)) == 0
+            assert len(calls) == 2
+
     def test_schedule_reconstructed_lazily_on_hit(self, fig1):
         with Broker() as broker:
             bare = SolveRequest(MasterSlaveSpec(platform=fig1, master="P1"))
@@ -442,7 +468,7 @@ class TestBroker:
             good = broker.submit(req)
             assert good.done() and good.result().throughput == Fraction(2)
 
-        def boom(solver, spec, key=None):
+        def boom(solver, spec, key=None, fingerprint=None):
             raise RuntimeError("solver exploded")
 
         # every engine solves fig1's model through its IncrementalSolver
@@ -597,8 +623,9 @@ class TestIncrementalSolver:
         inc = IncrementalSolver()
         g = generators.star(4, master_w=2, worker_w=[1, 2, 3, 4],
                             link_c=[1, 1, 2, 3])
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(_ms(g, "M"))
+        inc.solve_spec(_ms(g, "M"))
+        # a re-weighting keeps the hot model
+        inc.solve_spec(_ms(g.scale(compute=2), "M"))
         for compute, comm in [("1/2", 1), (3, "1/3"), ("7/5", "5/7")]:
             mutated = g.scale(compute=compute, comm=comm)
             warm = inc.solve_spec(_ms(mutated, "M"))
@@ -610,8 +637,9 @@ class TestIncrementalSolver:
 
     def test_non_uniform_weight_mutation(self, fig1):
         inc = IncrementalSolver()
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(_ms(fig1, "P1"))
+        inc.solve_spec(_ms(fig1, "P1"))
+        # a re-weighting keeps the hot model
+        inc.solve_spec(_ms(fig1.scale(compute=2), "P1"))
         mutated = Platform("fig1-mutated")
         for name in fig1.nodes():
             spec = fig1.node(name)
@@ -638,8 +666,9 @@ class TestIncrementalSolver:
     def test_forget(self):
         inc = IncrementalSolver()
         g = generators.star(3)
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(_ms(g, "M"))
+        inc.solve_spec(_ms(g, "M"))
+        # a re-weighting keeps the hot model
+        inc.solve_spec(_ms(g.scale(compute=2), "M"))
         assert inc.has_model_for(_ms(g, "M"))
         assert inc.forget(g) == 1
         assert not inc.has_model_for(_ms(g, "M"))
@@ -936,7 +965,7 @@ class TestErrorStatusMapping:
     def test_solver_crash_is_500_with_type(self, monkeypatch):
         # regression: every failure used to surface as 422, so clients
         # could not tell "fix your request" from "server bug"
-        def boom(solver, spec, key=None):
+        def boom(solver, spec, key=None, fingerprint=None):
             raise RuntimeError("solver exploded")
 
         monkeypatch.setattr(IncrementalSolver, "solve_spec_ex", boom)
@@ -958,7 +987,7 @@ class TestErrorStatusMapping:
             assert out["results"][1]["status"] == 422
 
     def test_http_transport_maps_statuses(self, monkeypatch):
-        def boom(solver, spec, key=None):
+        def boom(solver, spec, key=None, fingerprint=None):
             raise RuntimeError("solver exploded")
 
         monkeypatch.setattr(IncrementalSolver, "solve_spec_ex", boom)

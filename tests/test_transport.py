@@ -40,7 +40,7 @@ from repro.service import (
     result_from_wire,
     result_to_wire,
 )
-from repro.service.api import _request_wire
+from repro.service.api import request_to_dict
 from repro.service.transport import spawn_local_shard
 from repro.service.wire import WireCodecError, solution_to_wire
 
@@ -202,7 +202,7 @@ class TestPipeTransport:
                 assert await transport.ping(timeout=10.0)
                 return await transport.request({
                     "op": "solve", "fp": req.fingerprint(),
-                    "request": _request_wire(req),
+                    "request": request_to_dict(req),
                 })
             finally:
                 await transport.close()
@@ -288,7 +288,7 @@ class TestTcpTransport:
             req = SolveRequest(MasterSlaveSpec(
                 platform=generators.paper_figure1(), master="P1"))
             msg = {"op": "solve", "fp": req.fingerprint(),
-                   "request": _request_wire(req)}
+                   "request": request_to_dict(req)}
             cold = result_from_wire((await transport.request(msg))["result"],
                                     req.spec)
             warm = result_from_wire((await transport.request(msg))["result"],
@@ -396,7 +396,7 @@ class TestTcpTransport:
             req = SolveRequest(MasterSlaveSpec(
                 platform=generators.star(3), master="M"))
             msg = {"op": "solve", "fp": req.fingerprint(),
-                   "request": _request_wire(req)}
+                   "request": request_to_dict(req)}
             cold = result_from_wire((await first.request(msg))["result"],
                                     req.spec)
             hit = result_from_wire((await second.request(msg))["result"],
@@ -423,7 +423,7 @@ class TestTcpTransport:
 # ----------------------------------------------------------------------
 def _solve_msg(req, **extra):
     return {"op": "solve", "fp": req.fingerprint(),
-            "request": _request_wire(req), **extra}
+            "request": request_to_dict(req), **extra}
 
 
 def _ms_request(workers=3, include_schedule=False):
@@ -501,7 +501,7 @@ class TestLoopServedHit:
         server, jobs = counted
         req = _ms_request()
         drop = {"op": "clear"} if op == "clear" else {
-            "op": "invalidate", "platform": _request_wire(req)["platform"]}
+            "op": "invalidate", "platform": request_to_dict(req)["platform"]}
 
         async def body(transport):
             for _ in range(3):

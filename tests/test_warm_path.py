@@ -73,6 +73,20 @@ def _drift(platform: Platform, rng: random.Random) -> Platform:
     return _with_weights(platform, moved, moved)
 
 
+def _prime(inc: IncrementalSolver, spec) -> None:
+    """Earn ``spec``'s structure a hot model: solve it, then a
+    re-weighting of it (a first build keeps no model, nor does the same
+    request built again)."""
+    inc.solve_spec(spec)
+    inc.solve_spec(_reweighted(spec))
+
+
+def _reweighted(spec, factor=2):
+    """``spec`` on its platform with every weight times ``factor``."""
+    return dataclasses.replace(
+        spec, platform=spec.platform.scale(compute=factor, comm=factor))
+
+
 def _spec_for(problem: str, platform: Platform, root, others):
     others = tuple(others)
     return {
@@ -110,8 +124,7 @@ class TestWarmEqualsColdProperty:
         for name, base, root, others in _platform_pool():
             inc = IncrementalSolver()
             base_spec = _spec_for(problem, base, root, others)
-            for _ in range(2):  # the second build keeps model + basis
-                inc.solve_spec(base_spec)
+            _prime(inc, base_spec)  # keeps model + basis
             for trial in range(3):
                 mutated = _reweight(base, rng)
                 spec = dataclasses.replace(base_spec, platform=mutated)
@@ -132,9 +145,7 @@ class TestWarmEqualsColdProperty:
         # ordering, identically to a cold solve of the same spec
         g = generators.star(2, bidirectional=True)
         inc = IncrementalSolver()
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(AllToAllSpec(platform=g,
-                                        participants=("M", "W1", "W2")))
+        _prime(inc, AllToAllSpec(platform=g, participants=("M", "W1", "W2")))
         spec = AllToAllSpec(platform=g, participants=("W2", "W1", "M"))
         warm_sol, warm = inc.solve_spec_ex(spec)
         assert warm
@@ -163,8 +174,7 @@ class TestWarmEqualsColdProperty:
             }[problem]()
 
         inc = IncrementalSolver()
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(spec(base, ("R0", "R1", "R2", "R3")))
+        _prime(inc, spec(base, ("R0", "R1", "R2", "R3")))
         scaled = _with_weights(base, lambda w: w * 2, lambda c: c * 3)
         asked = spec(scaled, ("R0", "R3", "R2", "R1"))
         warm_sol, warm = inc.solve_spec_ex(asked)
@@ -184,19 +194,16 @@ class TestWarmEqualsColdProperty:
 class TestWarmStatsAndEvictions:
     def test_model_cache_evictions_are_counted(self):
         inc = IncrementalSolver(max_models=1)
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(_ms(generators.star(2), "M"))
+        _prime(inc, _ms(generators.star(2), "M"))
         assert inc.stats.evictions == 0
-        for _ in range(2):  # a distinct topology, kept the same way
-            inc.solve_spec(_ms(generators.star(3), "M"))
+        _prime(inc, _ms(generators.star(3), "M"))  # a distinct topology
         assert inc.stats.evictions == 1
         assert len(inc) == 1
 
     def test_basis_restart_counters_move_on_warm_solves(self):
         g = generators.paper_figure1()
         inc = IncrementalSolver()
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(_ms(g, "P1"))
+        _prime(inc, _ms(g, "P1"))
         assert inc.stats.cold_pivots > 0
         inc.solve_spec(_ms(g.scale(compute=Fraction(5, 4)), "P1"))
         stats = inc.stats
@@ -204,7 +211,7 @@ class TestWarmStatsAndEvictions:
         assert stats.basis_restarts == 1
         assert stats.basis_fallbacks == 0
         # a basis restart re-solves with (far) fewer pivots than cold
-        # (cold_pivots counts both priming solves of the same LP)
+        # (cold_pivots counts both priming solves of the same structure)
         assert 2 * stats.warm_pivots < stats.cold_pivots
 
     @pytest.mark.parametrize("platform", [
@@ -222,8 +229,7 @@ class TestWarmStatsAndEvictions:
         rng = random.Random(20040427)
         master = sorted(platform.nodes())[0]
         inc = IncrementalSolver()
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(_ms(platform, master))
+        _prime(inc, _ms(platform, master))
         primed = inc.stats.refactorisations
         cold_pivots = 0
         for _ in range(rounds):
@@ -257,8 +263,9 @@ class TestWarmStatsAndEvictions:
 
 
 class TestEarnedHotModels:
-    """A hot model pays off only when its structure comes back: a first
-    build is solved and dropped, and only its key's hash is recorded."""
+    """A hot model pays off only when its structure comes back under
+    other weights: a first build, and an identical re-solve, are solved
+    and dropped, and only their hashes are recorded."""
 
     def test_structures_seen_once_hold_no_model(self):
         inc = IncrementalSolver(max_models=4)
@@ -278,11 +285,65 @@ class TestEarnedHotModels:
         for name, value in vars(inc).items():
             if isinstance(value, (dict, list)):
                 assert len(value) <= 16 * inc.max_models, name
-        # the oldest sightings aged out; the newest are still on record
-        inc.solve_spec(specs[0])
+        # the oldest sightings aged out; the newest are still on record,
+        # and a re-weighting of one earns it a model
+        inc.solve_spec(_reweighted(specs[0]))
         assert len(inc) == 0
-        inc.solve_spec(specs[-1])
+        inc.solve_spec(_reweighted(specs[-1]))
         assert len(inc) == 1
+
+    def test_an_identical_re_solve_keeps_no_model(self):
+        # the same request built again is what the solution cache is
+        # for: solved, and its model dropped, however often it comes
+        inc = IncrementalSolver()
+        spec = _ms(generators.paper_figure1(), "P1")
+        for _ in range(3):
+            _, warm = inc.solve_spec_ex(spec)
+            assert not warm
+        assert len(inc) == 0 and not inc.has_model_for(spec)
+        stats = inc.stats
+        assert stats.single_use_builds == stats.full_rebuilds == 3
+
+    def test_a_re_weighting_keeps_one(self):
+        inc = IncrementalSolver()
+        spec = _ms(generators.paper_figure1(), "P1")
+        inc.solve_spec(spec)
+        inc.solve_spec(spec)
+        assert len(inc) == 0
+        # the structure comes back under other weights: kept, and the
+        # next re-weighting is warm
+        inc.solve_spec(_reweighted(spec))
+        assert len(inc) == 1 and inc.has_model_for(spec)
+        _, warm = inc.solve_spec_ex(_reweighted(spec, 3))
+        assert warm
+        assert inc.stats.single_use_builds == 2
+
+    def test_a_miniature_churn_keeps_models_for_drift_only(self):
+        """Corpus re-reads (the same requests again, as after a cache
+        eviction) and drift (fresh weights on a few structures) over one
+        solver: only the drifting structures hold models, and nothing is
+        evicted."""
+        rng = random.Random(55)
+        inc = IncrementalSolver(max_models=8)
+        corpus = [_ms(generators.star(n, worker_w=list(range(1, n + 1)),
+                                      link_c=[1] * n), "M")
+                  for n in range(2, 14)]
+        drifting = [_ms(generators.binary_tree(depth, seed=seed), "T0")
+                    for depth, seed in ((2, 1), (2, 2), (3, 3))]
+        for _ in range(60):
+            if rng.random() < 0.7:
+                spec = rng.choice(corpus)
+            else:
+                base = rng.choice(drifting)
+                spec = dataclasses.replace(
+                    base, platform=_drift(base.platform, rng))
+            sol, _warm = inc.solve_spec_ex(spec)
+            cold = solve_exact(build_ssms_lp(spec.platform, spec.master)[0])
+            assert sol.throughput == cold.objective
+        assert len(corpus) + len(drifting) > inc.max_models
+        assert inc.stats.evictions == 0
+        assert set(inc._models) == {IncrementalSolver.key(spec)
+                                    for spec in drifting}
 
     def test_kept_on_the_second_build_warm_on_the_third(self):
         g = generators.paper_figure1()
@@ -300,8 +361,7 @@ class TestEarnedHotModels:
     def test_concurrent_twins_solve_apart_and_both_are_exact(self):
         g = generators.paper_figure1()
         inc = IncrementalSolver()
-        for _ in range(2):  # the second build keeps the hot model
-            inc.solve_spec(_ms(g, "P1"))
+        _prime(inc, _ms(g, "P1"))
         platforms = [g.scale(compute=2), g.scale(comm=Fraction(3, 2))]
         start = threading.Barrier(2, timeout=10)
         inside = threading.Barrier(2, timeout=10)
