@@ -8,8 +8,8 @@ links are not individually saturated.
 
 from fractions import Fraction
 
-from repro._rational import INF
 from repro import (
+    INF,
     generators,
     solve_master_slave,
 )

@@ -23,7 +23,7 @@ single node can do.
 
 from fractions import Fraction
 
-from repro._rational import INF
+from repro import INF
 from repro.core.dag import TaskGraph, solve_dag_collection
 from repro.core.master_slave import solve_master_slave
 from repro.platform import generators

@@ -1,9 +1,10 @@
 """Benchmark-suite configuration.
 
 Each benchmark regenerates one paper artefact (figure or claim — see
-DESIGN.md's experiment index) and *asserts the paper's qualitative shape*
-(who wins, by roughly what factor, where crossovers fall) while
-pytest-benchmark records the runtimes.  Run with::
+README's "Tests and benchmarks" section for what the ``bench_fig*``,
+``bench_c*`` and ``bench_a*`` prefixes mean) and *asserts the paper's
+qualitative shape* (who wins, by roughly what factor, where crossovers
+fall) while pytest-benchmark records the runtimes.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 

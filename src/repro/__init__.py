@@ -11,6 +11,18 @@ section-5 extensions (start-up costs, alternative port models, fixed
 periods, dynamic adaptation, topology discovery) and the baselines the
 approach is measured against.
 
+Public API
+----------
+``__all__`` below is the library's API, grouped as README's "Public API"
+section groups it by paper section; ``Broker`` and ``SolveRequest`` load
+the service layer on first use.  A subpackage re-exports only what a
+caller outside the tests imports through it: the plugin APIs of
+:mod:`repro.problems` and :mod:`repro.lint`, the LP modelling layer of
+:mod:`repro.lp`, and :mod:`repro.platform`'s ``generators`` and
+``serialization``.  Every other name is imported from the module that
+defines it, e.g. ``from repro.platform.graph import Platform`` or
+``from repro.service.sharding import ShardedBroker``.
+
 Quickstart
 ----------
 >>> import repro
@@ -22,26 +34,12 @@ Quickstart
 True
 """
 
-from ._rational import INF, as_fraction, lcm_denominators
-from .platform.graph import Platform, PlatformError
+from ._rational import INF
 from .platform import generators
-from .core.activities import SteadyStateSolution, SteadyStateError
-from .core.master_slave import ntask, solve_master_slave, star_throughput
-from .core.scatter import solve_all_to_all, solve_gather, solve_scatter
-from .core.broadcast import (
-    BroadcastSolution,
-    broadcast_lp_bound,
-    edmonds_cut_bound,
-    solve_broadcast,
-    solve_reduce,
-)
-from .core.multicast import (
-    MulticastAnalysis,
-    analyze_figure2,
-    best_single_tree,
-    multicast_bounds,
-    solve_multicast,
-)
+from .core.master_slave import ntask, solve_master_slave
+from .core.scatter import solve_gather, solve_scatter
+from .core.broadcast import broadcast_lp_bound, solve_broadcast, solve_reduce
+from .core.multicast import analyze_figure2, best_single_tree, solve_multicast
 from .core.dag import TaskGraph, solve_dag_collection
 from .core.divisible import (
     StarWorker,
@@ -49,75 +47,49 @@ from .core.divisible import (
     multi_round_makespan,
     one_round_schedule,
 )
-from .schedule.periodic import CommSlice, PeriodicSchedule, ScheduleError
 from .schedule.reconstruction import reconstruct_schedule
 from .schedule.collective import packing_to_schedule
-from .schedule.fixed_period import fixed_period_schedule, throughput_vs_period
-from .schedule.batch import (
-    BatchSchedule,
-    build_batch_schedule,
-    default_group_count,
-)
-from .simulator.periodic_runner import PeriodicRunner, PeriodicRunResult
-from .simulator.trace import ModelViolation, Trace
+from .schedule.fixed_period import throughput_vs_period
+from .schedule.batch import build_batch_schedule
+from .simulator.periodic_runner import PeriodicRunner
 from .baselines.greedy import run_demand_driven
 from .baselines.list_scheduling import makespan_comparison
 from .dynamic.adaptive import run_adaptive
 from .dynamic.autonomous import autonomous_throughput
 from .platform.monitoring import SlidingWindowPredictor, TimeVaryingPlatform
 from .analysis.certificates import ssms_certificate
-from .platform.topology import (
-    alnem_graph_view,
-    complete_graph_view,
-    env_tree_view,
-    view_quality,
-)
+from .platform.topology import view_quality
+
 # Service-layer exports are lazy (PEP 562): `import repro` must not pay
 # for asyncio / concurrent.futures unless the service is actually used.
-_SERVICE_EXPORTS = frozenset({
-    "Broker",
-    "BrokerResult",
-    "IncrementalSolver",
-    "MetricsRegistry",
-    "SolutionCache",
-    "SolveRequest",
-    "request_fingerprint",
-})
+# Each maps to the module that defines it.
+_LAZY_EXPORTS = {
+    "Broker": "repro.service.broker",
+    "SolveRequest": "repro.service.broker",
+}
 
 
 def __getattr__(name):
-    if name in _SERVICE_EXPORTS:
-        from . import service
+    if name in _LAZY_EXPORTS:
+        import importlib
 
-        return getattr(service, name)
+        return getattr(importlib.import_module(_LAZY_EXPORTS[name]), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __version__ = "1.0.0"
 
 __all__ = [
     "INF",
-    "as_fraction",
-    "lcm_denominators",
-    "Platform",
-    "PlatformError",
     "generators",
-    "SteadyStateSolution",
-    "SteadyStateError",
     "ntask",
     "solve_master_slave",
-    "star_throughput",
     "solve_scatter",
     "solve_gather",
-    "solve_all_to_all",
-    "BroadcastSolution",
     "broadcast_lp_bound",
-    "edmonds_cut_bound",
     "solve_broadcast",
     "solve_reduce",
-    "MulticastAnalysis",
     "analyze_figure2",
     "best_single_tree",
-    "multicast_bounds",
     "solve_multicast",
     "TaskGraph",
     "solve_dag_collection",
@@ -125,30 +97,18 @@ __all__ = [
     "makespan_lower_bound",
     "multi_round_makespan",
     "one_round_schedule",
-    "CommSlice",
-    "PeriodicSchedule",
-    "ScheduleError",
     "reconstruct_schedule",
     "packing_to_schedule",
-    "fixed_period_schedule",
     "throughput_vs_period",
-    "BatchSchedule",
     "build_batch_schedule",
-    "default_group_count",
     "PeriodicRunner",
-    "PeriodicRunResult",
-    "ModelViolation",
-    "Trace",
     "run_demand_driven",
     "makespan_comparison",
     "run_adaptive",
     "autonomous_throughput",
     "SlidingWindowPredictor",
     "TimeVaryingPlatform",
-    "alnem_graph_view",
-    "complete_graph_view",
-    "env_tree_view",
     "view_quality",
     "ssms_certificate",
-    *sorted(_SERVICE_EXPORTS),
+    *_LAZY_EXPORTS,
 ]

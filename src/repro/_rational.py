@@ -71,28 +71,6 @@ def lcm_denominators(values: Iterable[Fraction]) -> int:
     return lcm
 
 
-def frac_gcd(values: Iterable[Fraction]) -> Fraction:
-    """Greatest common divisor of a set of fractions.
-
-    ``gcd(a/b, c/d) = gcd(a, c) / lcm(b, d)``; useful to find the coarsest
-    time grid on which a set of rational durations aligns.
-    """
-    num_gcd = 0
-    den_lcm = 1
-    seen = False
-    for v in values:
-        if not isinstance(v, Fraction):
-            v = as_fraction(v)
-        if v == 0:
-            continue
-        seen = True
-        num_gcd = math.gcd(num_gcd, abs(v.numerator))
-        den_lcm = math.lcm(den_lcm, v.denominator)
-    if not seen:
-        return Fraction(0)
-    return Fraction(num_gcd, den_lcm)
-
-
 def format_fraction(value: Fraction, max_len: int = 12) -> str:
     """Human-friendly rendering: integers plain, else ``p/q`` or a float."""
     if not isinstance(value, Fraction):

@@ -1,29 +1,1 @@
 """Bounds, asymptotics and paper-style reporting helpers."""
-
-from .bounds import (
-    deficit_is_constant,
-    efficiency_series,
-    fit_sqrt_constant,
-    is_nonincreasing,
-    steady_state_upper_bound,
-)
-from .certificates import (
-    SSMSCertificate,
-    build_ssms_dual,
-    ssms_certificate,
-)
-from .reporting import render_edge_flows, render_series, render_table
-
-__all__ = [
-    "deficit_is_constant",
-    "efficiency_series",
-    "fit_sqrt_constant",
-    "is_nonincreasing",
-    "steady_state_upper_bound",
-    "render_edge_flows",
-    "render_series",
-    "render_table",
-    "SSMSCertificate",
-    "build_ssms_dual",
-    "ssms_certificate",
-]

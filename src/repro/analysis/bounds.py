@@ -9,20 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..simulator.periodic_runner import PeriodicRunResult
-
-
-def steady_state_upper_bound(throughput: Fraction, horizon: Fraction) -> Fraction:
-    """No schedule processes more than ``throughput * horizon`` tasks.
-
-    Valid because any schedule's long-run activity averages satisfy the
-    steady-state LP constraints (section 3.1: "any periodic schedule obeys
-    the equations of the linear program"; arbitrary schedules obey them on
-    average over the horizon, up to in-flight work).
-    """
-    return throughput * horizon
 
 
 def deficit_is_constant(results: Sequence[PeriodicRunResult]) -> bool:
@@ -60,13 +49,3 @@ def fit_sqrt_constant(
         if excess > 0:
             best = max(best, excess * math.sqrt(n))
     return best
-
-
-def is_nonincreasing(values: Iterable[Fraction], slack: Fraction = Fraction(0)) -> bool:
-    """Monotonicity check with optional additive slack."""
-    prev = None
-    for v in values:
-        if prev is not None and v > prev + slack:
-            return False
-        prev = v
-    return True

@@ -1,25 +1,1 @@
 """Baseline schedulers the steady-state approach is compared against."""
-
-from .greedy import (
-    POLICIES,
-    GreedyResult,
-    run_demand_driven,
-    spanning_tree_children,
-)
-from .list_scheduling import (
-    BatchResult,
-    eft_star_makespan,
-    makespan_comparison,
-    steady_state_batch_makespan,
-)
-
-__all__ = [
-    "POLICIES",
-    "GreedyResult",
-    "run_demand_driven",
-    "spanning_tree_children",
-    "BatchResult",
-    "eft_star_makespan",
-    "makespan_comparison",
-    "steady_state_batch_makespan",
-]

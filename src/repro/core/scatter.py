@@ -271,16 +271,3 @@ def solve_all_to_all_solution(
     reconstructable :class:`SteadyStateSolution`."""
     return _solve(platform, "all-to-all", None,
                   tuple(participants or platform.nodes()))
-
-
-def solve_all_to_all(
-    platform: Platform,
-    participants: Optional[Sequence[NodeId]] = None,
-) -> Tuple[Fraction, Dict[Tuple[NodeId, NodeId, NodeId, NodeId], Fraction]]:
-    """:func:`solve_all_to_all_solution` as ``(TP, flows)``, with
-    ``flows[(i, j, src, dst)]`` the rate of the ``src -> dst`` commodity
-    on edge ``i -> j``."""
-    sol = solve_all_to_all_solution(platform, participants)
-    ends = sol.commodities()
-    return sol.throughput, {
-        (i, j) + ends[k]: rate for (i, j, k), rate in sol.send.items()}

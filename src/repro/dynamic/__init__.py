@@ -1,20 +1,2 @@
 """Dynamic steady-state scheduling (section 5.5): phase-based LP re-solving
 and the autonomous bandwidth-centric protocol on trees."""
-
-from .adaptive import (
-    AdaptiveRunResult,
-    EpochOutcome,
-    realized_rate,
-    run_adaptive,
-)
-from .autonomous import SubtreeReport, autonomous_throughput, subtree_capacity
-
-__all__ = [
-    "AdaptiveRunResult",
-    "EpochOutcome",
-    "realized_rate",
-    "run_adaptive",
-    "SubtreeReport",
-    "autonomous_throughput",
-    "subtree_capacity",
-]

@@ -9,34 +9,6 @@ on use rather than by every serving process.  See
 for the rules; ``python -m repro lint`` is the CLI entry point.
 """
 
-from .engine import (
-    Checker,
-    Finding,
-    LintError,
-    LintReport,
-    ModuleInfo,
-    REPORT_VERSION,
-    checker_descriptions,
-    load_baseline,
-    register_checker,
-    registered_rules,
-    run_lint,
-    unregister_checker,
-    write_baseline,
-)
+from .engine import Checker, Finding, register_checker
 
-__all__ = [
-    "Checker",
-    "Finding",
-    "LintError",
-    "LintReport",
-    "ModuleInfo",
-    "REPORT_VERSION",
-    "checker_descriptions",
-    "load_baseline",
-    "register_checker",
-    "registered_rules",
-    "run_lint",
-    "unregister_checker",
-    "write_baseline",
-]
+__all__ = ["Checker", "Finding", "register_checker"]

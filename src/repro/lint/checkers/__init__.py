@@ -9,6 +9,3 @@ from . import (  # noqa: F401
     ownership,
     tracing,
 )
-
-__all__ = ["asyncio_rules", "drift", "exactness", "heavy_import", "locks",
-           "ownership", "tracing"]

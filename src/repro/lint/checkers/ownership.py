@@ -75,6 +75,11 @@ TABLE: Tuple[Row, ...] = (
     Row("a latency is a histogram",
         r"reservoir|_nearest_rank|_merge_endpoint_dicts|weighted\(", SRC),
     Row("a shard has no sleep op", r'MAX_SLEEP_SECONDS|"sleep"', SRC),
+    Row("a name only tests called is deleted",
+        r"\b(frac_gcd|rate_in_period|probes_interfere|tree_routes"
+        r"|batch_ratio_series|steady_state_upper_bound|is_nonincreasing"
+        r"|get_variable|value_by_name|busy_time|gantt|solve_all_to_all)\b"
+        r"|def (out|in)_edges\(", ALL),
 )
 
 

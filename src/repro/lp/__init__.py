@@ -11,43 +11,11 @@ answers never loads the float stack (``repro lint``'s ``heavy-import``
 rule keeps it that way).
 """
 
-from .certify import (
-    CertificateError,
-    certify,
-    certify_infeasible,
-    certify_unbounded,
-)
-from .factor import BasisFactor, SingularBasisError, SparseLU
-from .model import (
-    Constraint,
-    InfeasibleError,
-    LinearProgram,
-    LinExpr,
-    LPError,
-    LPSolution,
-    UnboundedError,
-    Variable,
-    lp_sum,
-)
-from .simplex import SimplexInstance, solve_exact
+from .model import LinearProgram, LinExpr, LPSolution, lp_sum
 
 __all__ = [
-    "BasisFactor",
-    "CertificateError",
-    "certify",
-    "certify_infeasible",
-    "certify_unbounded",
-    "SimplexInstance",
-    "SingularBasisError",
-    "SparseLU",
-    "Constraint",
-    "InfeasibleError",
     "LinearProgram",
     "LinExpr",
-    "LPError",
     "LPSolution",
-    "UnboundedError",
-    "Variable",
     "lp_sum",
-    "solve_exact",
 ]

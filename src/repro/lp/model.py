@@ -307,9 +307,6 @@ class LPSolution:
         is it the LP's rational optimum, which a packager verifies."""
         return self.backend == "exact"
 
-    def value_by_name(self) -> Dict[str, Fraction]:
-        return {v.name: x for v, x in self.values.items()}
-
 
 class LinearProgram:
     """Container for variables, constraints and one linear objective."""
@@ -343,12 +340,6 @@ class LinearProgram:
         self.variables.append(var)
         self._names[name] = var
         return var
-
-    def get_variable(self, name: str) -> Variable:
-        try:
-            return self._names[name]
-        except KeyError:
-            raise LPError(f"unknown variable {name!r}") from None
 
     def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
         if not isinstance(constraint, Constraint):

@@ -1,16 +1,6 @@
 """Platform substrate: the weighted digraph model of section 2 + generators,
 topology discovery (section 5.3) and monitoring (section 5.5) simulations."""
 
-from .graph import EdgeSpec, NodeSpec, Platform, PlatformError
-from . import generators, monitoring, serialization, topology
+from . import generators, serialization
 
-__all__ = [
-    "EdgeSpec",
-    "NodeSpec",
-    "Platform",
-    "PlatformError",
-    "generators",
-    "monitoring",
-    "serialization",
-    "topology",
-]
+__all__ = ["generators", "serialization"]

@@ -207,12 +207,6 @@ class Platform:
             raise PlatformError(f"unknown node {name!r}")
         return list(self._pred[name])
 
-    def out_edges(self, name: NodeId) -> List[EdgeSpec]:
-        return [self._edges[(name, j)] for j in self.successors(name)]
-
-    def in_edges(self, name: NodeId) -> List[EdgeSpec]:
-        return [self._edges[(j, name)] for j in self.predecessors(name)]
-
     def compute_nodes(self) -> List[NodeId]:
         """Nodes with finite ``w`` (the ones that can execute tasks)."""
         return [n for n, s in self._nodes.items() if s.can_compute]

@@ -23,7 +23,7 @@ measure on a real network, minus the noise.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .._rational import INF
 from .graph import Edge, NodeId, Platform, PlatformError
@@ -43,30 +43,6 @@ def probe_cost(platform: Platform, a: NodeId, b: NodeId) -> Optional[Fraction]:
     for u, v in zip(path, path[1:]):
         total += platform.c(u, v)
     return total
-
-
-def probes_interfere(
-    platform: Platform, pair1: Tuple[NodeId, NodeId], pair2: Tuple[NodeId, NodeId]
-) -> bool:
-    """Do simultaneous transfers on the two routes share a link (or port)?
-
-    This is the measurable signal ENV/AlNeM exploit: bandwidth drops when
-    two flows contend for a shared resource.
-    """
-    p1 = probe_path(platform, *pair1)
-    p2 = probe_path(platform, *pair2)
-    if p1 is None or p2 is None:
-        return False
-    edges1 = set(zip(p1, p1[1:]))
-    edges2 = set(zip(p2, p2[1:]))
-    if edges1 & edges2:
-        return True
-    # one-port interference: same sender or same receiver on any hop
-    senders1 = {u for u, _ in edges1}
-    senders2 = {u for u, _ in edges2}
-    receivers1 = {v for _, v in edges1}
-    receivers2 = {v for _, v in edges2}
-    return bool(senders1 & senders2) or bool(receivers1 & receivers2)
 
 
 def complete_graph_view(

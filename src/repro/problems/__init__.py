@@ -25,23 +25,19 @@ True
 """
 
 from .specs import (
-    SPEC_VERSION,
     AllToAllSpec,
     BroadcastSpec,
-    DagSpec,
     GatherSpec,
     MasterSlaveSpec,
     MulticastSpec,
     MultiportSpec,
     ProblemSpec,
-    ReduceSpec,
     ScatterSpec,
     SendOrReceiveSpec,
     SpecError,
 )
 from .registry import (
     Capabilities,
-    SolverEntry,
     WarmModel,
     describe,
     reconstructable_problems,
@@ -54,20 +50,16 @@ from .registry import (
 from . import catalog  # noqa: F401  — registers the built-in problems
 
 __all__ = [
-    "SPEC_VERSION",
     "AllToAllSpec",
     "BroadcastSpec",
     "Capabilities",
-    "DagSpec",
     "GatherSpec",
     "MasterSlaveSpec",
     "MulticastSpec",
     "MultiportSpec",
     "ProblemSpec",
-    "ReduceSpec",
     "ScatterSpec",
     "SendOrReceiveSpec",
-    "SolverEntry",
     "SpecError",
     "WarmModel",
     "describe",

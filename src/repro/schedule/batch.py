@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from .._rational import RationalLike, as_fraction
 from ..platform.graph import Edge, NodeId
@@ -245,12 +245,3 @@ def build_batch_schedule(
         ratio_bound=ratio_bound,
         trace=trace,
     )
-
-
-def batch_ratio_series(
-    schedule: PeriodicSchedule, batch_sizes: List[int]
-) -> List[Tuple[int, Fraction]]:
-    """``(n, makespan / lower bound)`` — must tend to 1."""
-    return [
-        (n, build_batch_schedule(schedule, n).ratio) for n in batch_sizes
-    ]

@@ -17,7 +17,7 @@ slices exactly as for master-slave (section 4.1).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping
 
 from .._rational import lcm_denominators
 from ..platform.graph import Edge, NodeId, Platform
@@ -67,13 +67,3 @@ def packing_to_schedule(
     schedule.validate()
     schedule.check_message_counts()
     return schedule
-
-
-def tree_routes(
-    packing: Mapping[frozenset, Fraction], source: NodeId
-) -> List[Tuple[frozenset, Fraction]]:
-    """The packing as (tree, rate) pairs sorted by decreasing rate."""
-    return sorted(
-        ((t, r) for t, r in packing.items() if r > 0),
-        key=lambda tr: (-tr[1], sorted(tr[0])),
-    )

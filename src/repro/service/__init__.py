@@ -24,13 +24,13 @@ long-running scheduling service that amortises solves across requests:
   counters exposed through the API;
 * :mod:`~repro.service.transport` + :mod:`~repro.service.wire` — the
   shard wire protocol, one client and one server for every shard:
-  :class:`AsyncTcpTransport` multiplexes many in-flight id-tagged
+  :class:`~repro.service.transport.AsyncTcpTransport` multiplexes many in-flight id-tagged
   requests over one connection (a TCP dial to ``python -m repro
   shard-serve``, or a local worker's socketpair),
-  :class:`AsyncShardServer` answers pings on the loop, enforces
+  :class:`~repro.service.transport.AsyncShardServer` answers pings on the loop, enforces
   server-side op deadlines and coalesces cross-broker solves by
   fingerprint — and the exact JSON result codec they reply with;
-* :mod:`~repro.service.sharding` — :class:`ShardedBroker`: consistent-
+* :mod:`~repro.service.sharding` — :class:`~repro.service.sharding.ShardedBroker`: consistent-
   hash routing over local worker processes and remote TCP shards with
   health supervision (auto-restart, ring ejection/rejoin, failover) —
   coroutines on one private event loop behind a synchronous API;
@@ -40,11 +40,15 @@ long-running scheduling service that amortises solves across requests:
   structured JSON supervision events, and the Prometheus text view of
   the metrics snapshot (``GET /metrics?format=prometheus``).
 
+The package re-exports nothing: each name is imported from the module
+that defines it (``repro`` itself offers ``Broker`` and ``SolveRequest``),
+so a shard process that imports :mod:`~repro.service.transport` loads
+neither the API layer nor the ring.
+
 Quickstart
 ----------
->>> from repro import generators
+>>> from repro import Broker, SolveRequest, generators
 >>> from repro.problems import MasterSlaveSpec
->>> from repro.service import Broker, SolveRequest
 >>> broker = Broker()
 >>> req = SolveRequest(MasterSlaveSpec(platform=generators.paper_figure1(),
 ...                                    master="P1"))
@@ -52,114 +56,3 @@ Quickstart
 >>> warm = broker.solve(req)          # served from cache
 >>> assert warm.cached and warm.solution.throughput == cold.solution.throughput
 """
-
-from .fingerprint import (
-    platform_signature,
-    request_fingerprint,
-    topology_signature,
-)
-from .cache import CacheEntry, CacheStats, HeatSketch, SolutionCache
-from .metrics import (
-    EndpointMetrics,
-    MetricsRegistry,
-    merge_snapshots,
-    render_prometheus,
-)
-from .tracing import (
-    EventLog,
-    Span,
-    Trace,
-    TraceStore,
-    annotate,
-    current_span,
-    log_event,
-    render_waterfall,
-    span,
-    start_trace,
-)
-from .broker import Broker, BrokerResult, SolveEngine, SolveRequest
-from .incremental import IncrementalSolver, WarmSolveStats
-from .api import (
-    AsyncServiceServer,
-    handle_request,
-    request_from_dict,
-    request_to_dict,
-    response_to_dict,
-    route_post,
-)
-from .wire import (
-    WireCodecError,
-    result_from_wire,
-    result_to_wire,
-    solution_from_wire,
-    solution_to_wire,
-)
-from .transport import (
-    AsyncShardServer,
-    AsyncTcpTransport,
-    TransportError,
-    TransportTimeout,
-    encode_frame,
-    parse_shard_address,
-    read_frame_async,
-)
-from .sharding import (
-    HashRing,
-    ShardedBroker,
-    ShardError,
-    ShardTimeoutError,
-    ShardUnavailableError,
-)
-
-__all__ = [
-    "platform_signature",
-    "topology_signature",
-    "request_fingerprint",
-    "CacheEntry",
-    "CacheStats",
-    "HeatSketch",
-    "SolutionCache",
-    "EndpointMetrics",
-    "MetricsRegistry",
-    "merge_snapshots",
-    "render_prometheus",
-    "EventLog",
-    "Span",
-    "Trace",
-    "TraceStore",
-    "annotate",
-    "current_span",
-    "log_event",
-    "render_waterfall",
-    "span",
-    "start_trace",
-    "Broker",
-    "BrokerResult",
-    "SolveEngine",
-    "SolveRequest",
-    "HashRing",
-    "ShardedBroker",
-    "ShardError",
-    "ShardTimeoutError",
-    "ShardUnavailableError",
-    "TransportError",
-    "TransportTimeout",
-    "AsyncTcpTransport",
-    "AsyncShardServer",
-    "encode_frame",
-    "read_frame_async",
-    "parse_shard_address",
-    "WireCodecError",
-    "result_to_wire",
-    "result_from_wire",
-    "solution_to_wire",
-    "solution_from_wire",
-    "IncrementalSolver",
-    "WarmSolveStats",
-    "AsyncServiceServer",
-    "handle_request",
-    "request_from_dict",
-    "request_to_dict",
-    "response_to_dict",
-    "route_post",
-]

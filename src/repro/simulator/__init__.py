@@ -7,26 +7,3 @@ commodity, and the message-level
 :class:`~repro.simulator.event_executor.EventExecutor` runs master-slave
 schedules one whole task file at a time.
 """
-
-from .engine import SimulationError, Simulator
-from .periodic_runner import (
-    PeriodicRunner,
-    PeriodicRunResult,
-    max_route_length,
-    primed_rate,
-    steady_state_reached_after,
-)
-from .trace import Interval, ModelViolation, Trace
-
-__all__ = [
-    "SimulationError",
-    "Simulator",
-    "PeriodicRunner",
-    "PeriodicRunResult",
-    "max_route_length",
-    "primed_rate",
-    "steady_state_reached_after",
-    "Interval",
-    "ModelViolation",
-    "Trace",
-]

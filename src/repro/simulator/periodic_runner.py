@@ -80,9 +80,6 @@ class PeriodicRunResult:
             return Fraction(0)
         return self.total_completed / horizon
 
-    def rate_in_period(self, p: int) -> Fraction:
-        return self.completed_per_period[p] / self.schedule.period
-
 
 def _needs(nodes, plan, compute) -> Dict[NodeId, Fraction]:
     """Per node, the units it computes and forwards in one period."""

@@ -86,12 +86,6 @@ class Trace:
     def nodes(self) -> List[NodeId]:
         return sorted({iv.node for iv in self.intervals})
 
-    def busy_time(self, node: NodeId, kind: Kind) -> Fraction:
-        return sum(
-            (iv.end - iv.start for iv in self.by_node(node, kind)),
-            start=Fraction(0),
-        )
-
     def units(self, node: NodeId, kind: Kind) -> Fraction:
         return sum(
             (iv.units for iv in self.by_node(node, kind)), start=Fraction(0)
@@ -176,25 +170,3 @@ class Trace:
                 or s.units != r.units
             ):
                 raise ModelViolation(f"unmatched transfer: {s} vs {r}")
-
-    def gantt(self, width: int = 72) -> str:
-        """ASCII Gantt chart (coarse), for examples and debugging."""
-        if not self.intervals:
-            return "(empty trace)"
-        t_end = max(iv.end for iv in self.intervals)
-        if t_end == 0:
-            return "(zero-length trace)"
-        lines = []
-        for node in self.nodes():
-            for kind, char in (("send", "S"), ("recv", "r"), ("compute", "#")):
-                ivs = self.by_node(node, kind)
-                if not ivs:
-                    continue
-                row = ["."] * width
-                for iv in ivs:
-                    a = int(iv.start / t_end * width)
-                    b = max(a + 1, int(iv.end / t_end * width))
-                    for k in range(a, min(b, width)):
-                        row[k] = char
-                lines.append(f"{node:>8} {kind:>7} |{''.join(row)}|")
-        return "\n".join(lines)

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lp import InfeasibleError, SimplexInstance, UnboundedError
+from repro.lp.model import InfeasibleError, UnboundedError
+from repro.lp.simplex import SimplexInstance
 from repro.lp.certify import (
     CertificateError,
     certify,

@@ -25,7 +25,7 @@ import functools
 import multiprocessing
 import time
 
-from repro.service import AsyncShardServer
+from repro.service.transport import AsyncShardServer
 
 
 class LaneLatch:

@@ -8,8 +8,6 @@ from repro.analysis.bounds import (
     deficit_is_constant,
     efficiency_series,
     fit_sqrt_constant,
-    is_nonincreasing,
-    steady_state_upper_bound,
 )
 from repro.analysis.reporting import (
     render_edge_flows,
@@ -22,9 +20,6 @@ from repro.simulator.periodic_runner import PeriodicRunner
 
 
 class TestBounds:
-    def test_upper_bound(self):
-        assert steady_state_upper_bound(Fraction(3, 2), Fraction(10)) == 15
-
     def test_deficit_constant_detection(self, star4):
         sol = solve_master_slave(star4, "M")
         sched = reconstruct_schedule(sol)
@@ -47,13 +42,6 @@ class TestBounds:
 
     def test_fit_ignores_sub_one_ratios(self):
         assert fit_sqrt_constant([(100, Fraction(9, 10))]) == 0
-
-    def test_is_nonincreasing(self):
-        assert is_nonincreasing([Fraction(3), Fraction(2), Fraction(2)])
-        assert not is_nonincreasing([Fraction(1), Fraction(2)])
-        assert is_nonincreasing(
-            [Fraction(1), Fraction(11, 10)], slack=Fraction(1, 5)
-        )
 
 
 class TestReporting:

@@ -20,27 +20,20 @@ from hypothesis import strategies as st
 from lane_latch import LatchedShardServer, until, until_async
 
 from repro.platform import generators
-from repro.problems import (
-    BroadcastSpec,
-    DagSpec,
-    MasterSlaveSpec,
-    ScatterSpec,
-)
-from repro.service import (
-    AsyncServiceServer,
+from repro.problems import BroadcastSpec, MasterSlaveSpec, ScatterSpec
+from repro.problems.specs import DagSpec
+from repro.service.api import AsyncServiceServer, request_to_dict
+from repro.service.broker import Broker, SolveRequest
+from repro.service.sharding import ShardTimeoutError, ShardedBroker
+from repro.service.transport import (
     AsyncShardServer,
     AsyncTcpTransport,
-    Broker,
-    ShardedBroker,
-    ShardTimeoutError,
-    SolveRequest,
+    MAX_FRAME_BYTES,
     TransportError,
     TransportTimeout,
     encode_frame,
     read_frame_async,
-    request_to_dict,
 )
-from repro.service.transport import MAX_FRAME_BYTES
 from repro.service.wire import result_from_wire
 
 

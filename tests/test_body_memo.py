@@ -27,8 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service import AsyncServiceServer, Broker
-from repro.service.api import request_from_dict, route_post
+from repro.service.broker import Broker
+from repro.service.api import AsyncServiceServer, request_from_dict, route_post
 from repro.service.cache import BODY_MEMO_BYTES, BODY_MEMO_ENTRIES, BodyMemo
 
 FIXTURE = json.loads(

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.certificates import build_ssms_dual, ssms_certificate
 from repro.core.master_slave import build_ssms_lp
-from repro.lp import certify, solve_exact
+from repro.lp.certify import certify
+from repro.lp.simplex import solve_exact
 from repro.platform import generators as gen
 
 

@@ -6,16 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from repro.lp import (
+from repro.lp import LPSolution, LinearProgram
+from repro.lp.certify import (
     CertificateError,
-    InfeasibleError,
-    LinearProgram,
-    LPSolution,
-    UnboundedError,
     certify,
     certify_infeasible,
     certify_unbounded,
 )
+from repro.lp.model import InfeasibleError, UnboundedError
 
 F = Fraction
 ULP = F(1, 10**9)

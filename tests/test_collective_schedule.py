@@ -7,7 +7,7 @@ import pytest
 from repro.core.broadcast import solve_broadcast
 from repro.core.multicast import solve_multicast
 from repro.platform import generators as gen
-from repro.schedule.collective import packing_to_schedule, tree_routes
+from repro.schedule.collective import packing_to_schedule
 
 
 class TestPackingToSchedule:
@@ -54,13 +54,6 @@ class TestPackingToSchedule:
         # the chain pipeline: every link busy the whole period
         for spec in g.edges():
             assert sched.comm_time(spec.src, spec.dst) == sched.period
-
-    def test_tree_routes_sorted(self, fig2):
-        analysis = solve_multicast(fig2, "P0", ["P5", "P6"])
-        routes = tree_routes(analysis.packing, "P0")
-        rates = [r for _, r in routes]
-        assert rates == sorted(rates, reverse=True)
-        assert all(r > 0 for r in rates)
 
 
 _RECORD_BROADCASTS = """

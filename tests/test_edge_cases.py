@@ -7,7 +7,8 @@ import pytest
 from repro._rational import INF
 from repro.core.master_slave import solve_master_slave
 from repro.core.scatter import solve_scatter
-from repro.lp import InfeasibleError, LinearProgram, lp_sum
+from repro.lp import LinearProgram, lp_sum
+from repro.lp.model import InfeasibleError
 from repro.platform import generators as gen
 from repro.platform.graph import Platform, PlatformError
 from repro.schedule.reconstruction import reconstruct_schedule

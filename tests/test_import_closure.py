@@ -21,7 +21,9 @@ from fractions import Fraction
 import repro, repro.cli, repro.problems
 import repro.service.api, repro.service.sharding, repro.service.transport
 from repro.platform import generators
-from repro.service import Broker, ShardedBroker, SolveRequest, request_to_dict
+from repro import Broker, SolveRequest
+from repro.service.api import request_to_dict
+from repro.service.sharding import ShardedBroker
 
 repro.cli.build_parser()
 request = SolveRequest(repro.problems.MasterSlaveSpec(
@@ -56,11 +58,12 @@ for name in %r:
     sys.modules[name] = None  # any import of it now raises ImportError
 
 from repro.cli import main
-from repro.lp import LinearProgram, LPError
+from repro.lp import LinearProgram
+from repro.lp.model import LPError
 from repro.platform import generators
 from repro.platform.serialization import platform_to_dict
-from repro.service import Broker
 from repro.service.api import handle_request
+from repro.service.broker import Broker
 
 log = io.StringIO()
 with contextlib.redirect_stdout(log):
@@ -117,7 +120,7 @@ def test_the_certificate_checker_imports_nothing_from_the_solver():
     """``lp/certify.py`` is the proof checker: what it shares with the
     solver it cannot check.  It may import the model it checks against
     and the standard library's numbers — not ``simplex``, not
-    ``factor``, not the package (whose ``__init__`` imports both)."""
+    ``factor``."""
     source = (Path(__file__).resolve().parents[1]
               / "src/repro/lp/certify.py").read_text()
     imported = set()
@@ -136,7 +139,7 @@ def test_the_library_loads_no_service_module(fresh_python):
     ``repro.service``, and a run loads it only when it starts."""
     out = fresh_python("""
         import json, sys
-        import repro, repro.dynamic
+        import repro
         from repro.platform import generators
         from repro.platform.monitoring import TimeVaryingPlatform
 
@@ -145,9 +148,27 @@ def test_the_library_loads_no_service_module(fresh_python):
                           if name.startswith("repro.service"))
 
         before = service()
-        repro.dynamic.run_adaptive(
+        repro.run_adaptive(
             TimeVaryingPlatform(generators.star(2), seed=1), "M", epochs=2)
         print(json.dumps({"before": before, "after": service()}))
     """)
     assert out["before"] == []
     assert "repro.service.incremental" in out["after"]
+
+
+def test_a_shard_loads_only_the_shard(fresh_python):
+    """``shard-serve`` and a local worker import the transport: that
+    loads the shard's own stack (broker, caches, wire codec), not the
+    HTTP API or the ring that route requests to a shard.  The service
+    package re-exports nothing, so importing one of its modules runs no
+    other."""
+    out = fresh_python("""
+        import json, sys
+        import repro.service.transport
+
+        print(json.dumps(sorted(name for name in sys.modules
+                                if name.startswith("repro.service"))))
+    """)
+    assert "repro.service.transport" in out
+    assert "repro.service.api" not in out
+    assert "repro.service.sharding" not in out

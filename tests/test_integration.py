@@ -17,7 +17,6 @@ from repro import (
     autonomous_throughput,
     broadcast_lp_bound,
     build_batch_schedule,
-    fixed_period_schedule,
     generators as gen,
     ntask,
     packing_to_schedule,
@@ -29,6 +28,7 @@ from repro import (
     solve_multicast,
     solve_scatter,
 )
+from repro.schedule.fixed_period import fixed_period_schedule
 
 
 class TestFullMasterSlavePipeline:

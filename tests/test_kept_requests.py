@@ -26,9 +26,12 @@ import repro.service.broker as broker_mod
 from repro.platform.graph import Platform
 from repro.platform.serialization import platform_to_dict
 from repro.problems import ProblemSpec
-from repro.service import AsyncServiceServer, Broker
-from repro.service.api import request_from_dict, request_to_dict
-from repro.service.broker import SolveRequest
+from repro.service.api import (
+    AsyncServiceServer,
+    request_from_dict,
+    request_to_dict,
+)
+from repro.service.broker import Broker, SolveRequest
 from repro.service.cache import KeptRequest
 from repro.service.fingerprint import request_fingerprint
 from repro.service.sharding import ShardedBroker

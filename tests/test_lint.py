@@ -12,14 +12,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    Checker,
-    Finding,
+from repro.lint import Checker, Finding, register_checker
+from repro.lint.engine import (
     LintError,
     REPORT_VERSION,
     checker_descriptions,
     load_baseline,
-    register_checker,
     registered_rules,
     run_lint,
     unregister_checker,
@@ -574,6 +572,9 @@ OWNERSHIP_PLANTS = {
     21: ("src/repro/service/broker.py", "src/repro/service/transport.py",
          "def answer(op):\n"
          '    if op == "sleep":\n        return None\n', 2),
+    22: ("src/repro/_rational.py", "src/repro/analysis/bounds.py",
+         '"""Bounds."""\n\n\ndef is_non' 'increasing(values):\n'
+         "    return True\n", 4),
 }
 
 

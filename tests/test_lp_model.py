@@ -4,13 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.lp import (
-    Constraint,
-    LinearProgram,
-    LinExpr,
-    LPError,
-    lp_sum,
-)
+from repro.lp import LinExpr, LinearProgram, lp_sum
+from repro.lp.model import Constraint, LPError
 
 
 class TestExpressions:
@@ -159,13 +154,6 @@ class TestProgram:
         with pytest.raises(LPError):
             lp.variable("x", lo=2, hi=1)
 
-    def test_get_variable(self):
-        lp = LinearProgram()
-        x = lp.variable("x")
-        assert lp.get_variable("x") is x
-        with pytest.raises(LPError):
-            lp.get_variable("nope")
-
     def test_add_non_constraint(self):
         lp = LinearProgram()
         with pytest.raises(LPError):
@@ -200,10 +188,3 @@ class TestProgram:
         x = lp.variable("x", lo=0)
         lp.add_constraint(x <= 1)
         assert lp.stats() == {"variables": 1, "constraints": 1}
-
-    def test_solution_by_name(self):
-        lp = LinearProgram()
-        x = lp.variable("x", lo=0, hi=2)
-        lp.maximize(x)
-        sol = lp.solve()
-        assert sol.value_by_name() == {"x": Fraction(2)}

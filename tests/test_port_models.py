@@ -214,7 +214,7 @@ class TestEveryModelIsVerified:
         from repro.problems import (
             MultiportSpec, ScatterSpec, SendOrReceiveSpec,
         )
-        from repro.service import IncrementalSolver
+        from repro.service.incremental import IncrementalSolver
 
         seen = []
         verify = SteadyStateSolution.verify
@@ -280,7 +280,7 @@ class TestTheAnswerKnowsItsModel:
             sol.verify()
 
     def test_warm_hits(self):
-        from repro.service import IncrementalSolver
+        from repro.service.incremental import IncrementalSolver
 
         g = gen.star(3, worker_w=[1, 2, 3], link_c=[1, 2, 3])
         inc = IncrementalSolver()

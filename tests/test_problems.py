@@ -25,7 +25,6 @@ from repro.platform import generators
 from repro.platform.serialization import platform_to_dict, solution_to_dict
 from repro.problems import (
     AllToAllSpec,
-    DagSpec,
     GatherSpec,
     MasterSlaveSpec,
     MultiportSpec,
@@ -38,9 +37,20 @@ from repro.problems import (
     solve,
     spec_from_wire,
 )
-from repro.service import Broker, IncrementalSolver, SolveRequest, handle_request
-from repro.service.api import request_from_dict, request_to_dict
-from repro.service.broker import BrokerError, execute_request, solution_throughput
+from repro.problems.specs import DagSpec
+from repro.service.incremental import IncrementalSolver
+from repro.service.api import (
+    handle_request,
+    request_from_dict,
+    request_to_dict,
+)
+from repro.service.broker import (
+    Broker,
+    BrokerError,
+    SolveRequest,
+    execute_request,
+    solution_throughput,
+)
 from repro.service.wire import compact_json, solution_to_wire
 
 #: the problems registered with an LP model (a WarmModel)

@@ -9,7 +9,6 @@ from repro._rational import (
     INF,
     as_fraction,
     format_fraction,
-    frac_gcd,
     is_infinite,
     lcm_denominators,
 )
@@ -90,28 +89,6 @@ class TestLcmDenominators:
                     assert any(
                         (v * smaller).denominator != 1 for v in values
                     )
-
-
-class TestFracGcd:
-    def test_empty(self):
-        assert frac_gcd([]) == 0
-
-    def test_zero_only(self):
-        assert frac_gcd([Fraction(0)]) == 0
-
-    def test_halves(self):
-        assert frac_gcd([Fraction(1, 2), Fraction(3, 2)]) == Fraction(1, 2)
-
-    def test_mixed(self):
-        assert frac_gcd([Fraction(1, 4), Fraction(1, 6)]) == Fraction(1, 12)
-
-    @given(st.lists(fractions_st.filter(lambda f: f != 0),
-                    min_size=1, max_size=8))
-    def test_divides_all(self, values):
-        g = frac_gcd(values)
-        assert g > 0
-        for v in values:
-            assert (abs(v) / g).denominator == 1
 
 
 class TestFormat:

@@ -17,11 +17,15 @@ import pytest
 
 from repro.platform import generators
 from repro.problems import BroadcastSpec, MasterSlaveSpec, solve
-from repro.service import HeatSketch, ShardedBroker, SolveRequest
+from repro.service.cache import HeatSketch
 from repro.service import broker as broker_mod
-from repro.service.broker import solution_throughput
+from repro.service.broker import SolveRequest, solution_throughput
 from repro.service.metrics import render_prometheus
-from repro.service.sharding import HOT_THRESHOLD, _merge_cache_snapshots
+from repro.service.sharding import (
+    HOT_THRESHOLD,
+    ShardedBroker,
+    _merge_cache_snapshots,
+)
 
 from test_sharding import _mixed_requests, _reference_results
 

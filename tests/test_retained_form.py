@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.master_slave import build_ssms_lp, patch_ssms_coefficients
-from repro.lp import (CertificateError, LinearProgram, SimplexInstance,
-                      certify, simplex, solve_exact)
+from repro.lp import LinearProgram, simplex
+from repro.lp.certify import CertificateError, certify
+from repro.lp.simplex import SimplexInstance, solve_exact
 from repro.platform import generators
 from repro.platform.graph import Platform
 from repro.problems import MasterSlaveSpec

@@ -15,21 +15,11 @@ from repro.core.dag import TaskGraph, solve_dag_collection
 from repro.core.master_slave import build_ssms_lp, patch_ssms_coefficients
 from repro.core.activities import commodity_endpoints
 from repro.core.scatter import build_commodity_lp
-from repro.lp import (
-    BasisFactor,
-    InfeasibleError,
-    LinearProgram,
-    LPError,
-    SimplexInstance,
-    SingularBasisError,
-    SparseLU,
-    UnboundedError,
-    certify,
-    certify_infeasible,
-    certify_unbounded,
-    lp_sum,
-    solve_exact,
-)
+from repro.lp import LinearProgram, lp_sum
+from repro.lp.certify import certify, certify_infeasible, certify_unbounded
+from repro.lp.factor import BasisFactor, SingularBasisError, SparseLU
+from repro.lp.model import InfeasibleError, LPError, UnboundedError
+from repro.lp.simplex import SimplexInstance, solve_exact
 from repro.platform import generators
 from repro.platform.graph import Platform
 from repro.problems import MasterSlaveSpec
@@ -710,7 +700,8 @@ class TestServiceCounters:
         """``int_bits_max`` is a high-water mark: two shards that each
         saw some width merge to the wider one, not to the sum."""
         from repro.platform import generators
-        from repro.service import ShardedBroker, SolveRequest
+        from repro.service.broker import SolveRequest
+        from repro.service.sharding import ShardedBroker
 
         with ShardedBroker(shards=2) as sharded:
             for workers in range(3, 15):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from repro.core.scatter import (
-    solve_all_to_all,
     solve_all_to_all_solution,
     solve_gather,
     solve_scatter,
@@ -124,28 +123,30 @@ class TestAllToAll:
         for a, b in [("A", "B"), ("B", "C"), ("C", "A"),
                      ("B", "A"), ("C", "B"), ("A", "C")]:
             p.add_edge(a, b, 1)
-        tp, flows = solve_all_to_all(p)
-        assert tp == Fraction(1, 2)
+        assert solve_all_to_all_solution(p).throughput == Fraction(1, 2)
 
     def test_two_nodes(self):
         p = Platform("pair")
         p.add_node("A", 1)
         p.add_node("B", 1)
         p.add_bidirectional_edge("A", "B", 2)
-        tp, flows = solve_all_to_all(p)
-        assert tp == Fraction(1, 2)
+        sol = solve_all_to_all_solution(p)
+        assert sol.throughput == Fraction(1, 2)
+        ends = sol.commodities()
+        flows = {(i, j) + ends[k]: rate
+                 for (i, j, k), rate in sol.send.items()}
         assert flows[("A", "B", "A", "B")] == Fraction(1, 2)
 
     def test_subset_participants(self):
         g = gen.grid2d(2, 2, seed=4)
-        tp, _ = solve_all_to_all(g, participants=["G0_0", "G1_1"])
-        assert tp > 0
+        sol = solve_all_to_all_solution(g, participants=["G0_0", "G1_1"])
+        assert sol.throughput > 0
 
     def test_validation(self):
         p = Platform("solo")
         p.add_node("A", 1)
         with pytest.raises(PlatformError):
-            solve_all_to_all(p)
+            solve_all_to_all_solution(p)
 
 
 def arc_flow_all_to_all(platform, participants):

@@ -12,7 +12,8 @@ from repro.platform import generators as gen
 from repro.platform.graph import Platform, PlatformError
 from repro.platform.serialization import platform_to_dict
 from repro.schedule.reconstruction import reconstruct_schedule
-from repro.service import Broker, handle_request
+from repro.service.api import handle_request
+from repro.service.broker import Broker
 
 
 class TestScatterPortModels:

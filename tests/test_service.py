@@ -21,7 +21,6 @@ from repro.platform.serialization import platform_to_dict
 from repro.problems import (
     AllToAllSpec,
     BroadcastSpec,
-    DagSpec,
     GatherSpec,
     MasterSlaveSpec,
     MulticastSpec,
@@ -33,22 +32,22 @@ from repro.problems import (
     solve,
     spec_from_wire,
 )
-from repro.service import (
-    Broker,
-    IncrementalSolver,
+from repro.problems.specs import DagSpec
+from repro.service.api import (
     AsyncServiceServer,
-    MetricsRegistry,
-    SolutionCache,
-    ShardedBroker,
-    SolveRequest,
     handle_request,
+    request_to_dict,
+)
+from repro.service.cache import SolutionCache
+from repro.service.fingerprint import (
     platform_signature,
     request_fingerprint,
-    request_to_dict,
     topology_signature,
 )
-from repro.service.broker import BrokerError
-from repro.service.metrics import LATENCY_BUCKETS
+from repro.service.incremental import IncrementalSolver
+from repro.service.sharding import ShardedBroker
+from repro.service.broker import Broker, BrokerError, SolveRequest
+from repro.service.metrics import LATENCY_BUCKETS, MetricsRegistry
 import repro.service.broker as broker_mod
 
 
@@ -901,7 +900,7 @@ class TestProcessFootprint:
     holds resident."""
 
     def test_every_snapshot_carries_pid_and_rss_high_water(self):
-        from repro.service import render_prometheus
+        from repro.service.metrics import render_prometheus
 
         def metrics(broker):
             response = handle_request(broker, {"op": "metrics"})

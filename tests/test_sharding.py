@@ -29,7 +29,6 @@ from repro.platform import generators
 from repro.platform.serialization import platform_to_dict
 from repro.problems import (
     BroadcastSpec,
-    DagSpec,
     GatherSpec,
     MasterSlaveSpec,
     MulticastSpec,
@@ -37,20 +36,26 @@ from repro.problems import (
     ScatterSpec,
     SendOrReceiveSpec,
 )
-from repro.service import (
+from repro.problems.specs import DagSpec
+from repro.service.api import handle_request
+from repro.service.broker import (
     Broker,
+    BrokerError,
     BrokerResult,
+    SolveRequest,
+)
+from repro.service.metrics import (
+    LATENCY_BUCKETS,
+    merge_snapshots,
+    render_prometheus,
+)
+from repro.service.sharding import (
+    HOT_THRESHOLD,
     HashRing,
-    ShardedBroker,
     ShardError,
     ShardTimeoutError,
-    SolveRequest,
-    handle_request,
-    merge_snapshots,
+    ShardedBroker,
 )
-from repro.service.broker import BrokerError
-from repro.service.metrics import LATENCY_BUCKETS, render_prometheus
-from repro.service.sharding import HOT_THRESHOLD
 from repro.service.wire import solution_to_wire
 
 
@@ -355,7 +360,7 @@ class TestShardedBrokerProcess:
                      "request": payload}))
 
     def test_worker_error_preserves_original_type(self):
-        from repro.service import ShardError
+        from repro.service.sharding import ShardError
 
         with ShardedBroker(shards=2) as sharded:
             with pytest.raises(ShardError) as err:
@@ -497,7 +502,7 @@ class TestShardCoalescing:
 
     def test_a_failed_shared_solve_fails_both_requests(self, monkeypatch,
                                                        lane_latch):
-        from repro.service import ShardError
+        from repro.service.sharding import ShardError
         import repro.service.broker as broker_mod
 
         def boom(request):
@@ -851,7 +856,7 @@ class TestServeCli:
 # ----------------------------------------------------------------------
 class TestMergeSnapshots:
     def test_counts_sum_and_rates_rederive(self):
-        from repro.service import MetricsRegistry
+        from repro.service.metrics import MetricsRegistry
 
         a, b = MetricsRegistry(), MetricsRegistry()
         for ms in (1, 2, 3):
@@ -874,7 +879,7 @@ class TestMergeSnapshots:
         assert merged["endpoints"] == {}
 
     def test_dotted_subtimers_not_double_counted(self):
-        from repro.service import MetricsRegistry
+        from repro.service.metrics import MetricsRegistry
 
         reg = MetricsRegistry()
         reg.observe("solve", 0.001)
@@ -886,7 +891,7 @@ class TestMergeSnapshots:
     def test_all_none_percentiles_stay_none(self):
         """Merging endpoints with empty histograms keeps p50/p99 None
         instead of raising or inventing zeros."""
-        from repro.service import MetricsRegistry
+        from repro.service.metrics import MetricsRegistry
 
         a, b = MetricsRegistry(), MetricsRegistry()
         snap_a, snap_b = a.snapshot(), b.snapshot()
@@ -911,7 +916,7 @@ class TestMergeSnapshots:
         """A merged endpoint is what one registry that saw every
         observation reports; its percentiles sit in the exact nearest-rank
         value's bucket, never below it and never above the max."""
-        from repro.service import MetricsRegistry
+        from repro.service.metrics import MetricsRegistry
 
         # log-uniform 0.1 µs .. 500 s, duplicates kept: the first bucket
         # and the overflow bucket are both reachable
@@ -940,7 +945,7 @@ class TestMergeSnapshots:
     def test_front_and_shard_merge_to_the_true_p99(self):
         """310 front hits at 10 µs and a shard's 676 hits at 13 µs plus 14
         misses at 5 ms: the p99 is 5 ms, not an average of the two p99s."""
-        from repro.service import MetricsRegistry
+        from repro.service.metrics import MetricsRegistry
 
         front, shard = MetricsRegistry(), MetricsRegistry()
         for _ in range(310):
@@ -953,7 +958,7 @@ class TestMergeSnapshots:
         assert merged["endpoints"]["solve"]["p99_seconds"] == 0.005
 
     def test_endpoint_state_is_bounded(self):
-        from repro.service import MetricsRegistry
+        from repro.service.metrics import MetricsRegistry
 
         reg = MetricsRegistry()
         for i in range(100_000):
@@ -966,7 +971,7 @@ class TestMergeSnapshots:
         """requests_per_second derives from the caller's uptime, not the
         max of shard uptimes (shards may have started long before the
         router)."""
-        from repro.service import MetricsRegistry
+        from repro.service.metrics import MetricsRegistry
 
         fake_now = [100.0]
         reg = MetricsRegistry(clock=lambda: fake_now[0])
@@ -1122,7 +1127,7 @@ def _run_shard_server(port: int,
                       latch=None) -> None:  # pragma: no cover — child
     import asyncio
 
-    from repro.service import AsyncShardServer
+    from repro.service.transport import AsyncShardServer
 
     async def serve() -> None:
         address = ("127.0.0.1", port)
@@ -1529,7 +1534,7 @@ class TestTheRingIsOneThread:
         """The parent's bug: a request after ``close()`` found the dead
         channel, "recovered" the shard by spawning a worker nobody would
         ever stop, and returned a result."""
-        from repro.service import ShardError
+        from repro.service.sharding import ShardError
 
         req = SolveRequest(MasterSlaveSpec(
             platform=generators.star(3), master="M"))
@@ -1727,7 +1732,7 @@ class TestSharedShardServerHealth:
             self, lane_latch):
         """A shared TCP shard busy with another broker's long op must
         still answer health pings — busy is not dead."""
-        from repro.service import AsyncTcpTransport
+        from repro.service.transport import AsyncTcpTransport
 
         server = LatchedShardServer(
             lane_latch, ("127.0.0.1", 0)).start_in_thread()

@@ -6,12 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lp import (
-    InfeasibleError,
-    LinearProgram,
-    lp_sum,
-    UnboundedError,
-)
+from repro.lp import LinearProgram, lp_sum
+from repro.lp.model import InfeasibleError, UnboundedError
 
 coef = st.integers(min_value=-5, max_value=5)
 
@@ -222,12 +218,12 @@ class TestSimplexInstance:
 
     @staticmethod
     def _fresh_objective(lp):
-        from repro.lp import SimplexInstance
+        from repro.lp.simplex import SimplexInstance
 
         return SimplexInstance(lp).solve().objective
 
     def test_cold_matches_solve_exact(self):
-        from repro.lp import SimplexInstance, solve_exact
+        from repro.lp.simplex import SimplexInstance, solve_exact
 
         lp, _ = self._model()
         inst = SimplexInstance(lp)
@@ -235,7 +231,7 @@ class TestSimplexInstance:
         assert inst.solves == 1 and inst.basis_restarts == 0
 
     def test_warm_after_coefficient_patch_is_exact(self):
-        from repro.lp import SimplexInstance
+        from repro.lp.simplex import SimplexInstance
 
         lp, (x, y, z) = self._model()
         inst = SimplexInstance(lp)
@@ -249,7 +245,7 @@ class TestSimplexInstance:
         assert inst.basis_restarts + inst.fallbacks == 3
 
     def test_phase1_skipped_when_basis_stays_feasible(self):
-        from repro.lp import SimplexInstance
+        from repro.lp.simplex import SimplexInstance
 
         lp, (x, y, z) = self._model()
         inst = SimplexInstance(lp)
@@ -262,7 +258,7 @@ class TestSimplexInstance:
         assert warm.objective == self._fresh_objective(lp)
 
     def test_rhs_mutation_repairs_feasibility(self):
-        from repro.lp import SimplexInstance
+        from repro.lp.simplex import SimplexInstance
 
         lp, (x, y, z) = self._model()
         inst = SimplexInstance(lp)
@@ -280,7 +276,7 @@ class TestSimplexInstance:
         assert inst.dual_repairs + inst.primal_repairs == 1
 
     def test_structure_change_falls_back_to_cold(self):
-        from repro.lp import SimplexInstance
+        from repro.lp.simplex import SimplexInstance
 
         lp, (x, y, z) = self._model()
         inst = SimplexInstance(lp)
@@ -291,7 +287,7 @@ class TestSimplexInstance:
         assert warm.objective == self._fresh_objective(lp)
 
     def test_warm_flag_off_never_restarts(self):
-        from repro.lp import SimplexInstance
+        from repro.lp.simplex import SimplexInstance
 
         lp, (x, y, z) = self._model()
         inst = SimplexInstance(lp)
@@ -304,7 +300,7 @@ class TestSimplexInstance:
             build_ssms_lp,
             patch_ssms_coefficients,
         )
-        from repro.lp import SimplexInstance
+        from repro.lp.simplex import SimplexInstance
         from repro.platform import generators
 
         g = generators.paper_figure1()
@@ -323,7 +319,7 @@ class TestSimplexInstance:
 
 class TestPivotSafetyCap:
     def test_cap_raises_a_clear_error_naming_the_lp_size(self):
-        from repro.lp import LPError
+        from repro.lp.model import LPError
 
         lp = LinearProgram("capped-lp")
         xs = [lp.variable(f"x{i}", lo=0) for i in range(6)]
@@ -359,7 +355,8 @@ class TestPivotSafetyCap:
         assert sol.pivots <= 100  # terminated without spinning to the cap
 
     def test_warm_solves_share_the_cap(self):
-        from repro.lp import LPError, SimplexInstance
+        from repro.lp.model import LPError
+        from repro.lp.simplex import SimplexInstance
 
         lp = LinearProgram("warm-capped")
         x = lp.variable("x", lo=0)

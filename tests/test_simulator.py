@@ -97,11 +97,10 @@ class TestTrace:
         with pytest.raises(ValueError):
             Interval("A", "send", Fraction(2), Fraction(1))
 
-    def test_busy_time_and_units(self):
+    def test_units(self):
         t = Trace()
         t.record("A", "send", 0, 2, peer="B", units=2)
         t.record("A", "send", 3, 4, peer="B", units=1)
-        assert t.busy_time("A", "send") == 3
         assert t.units("A", "send") == 3
 
     def test_one_port_ok(self):
@@ -172,14 +171,3 @@ class TestTrace:
         t.record("A", "send", 0, 1, peer="B", units=1)
         with pytest.raises(ModelViolation):
             t.check_matched_transfers()
-
-    def test_gantt_renders(self):
-        t = Trace()
-        t.record("A", "send", 0, 1, peer="B")
-        t.record("B", "recv", 0, 1, peer="A")
-        t.record("B", "compute", 1, 3)
-        art = t.gantt(width=20)
-        assert "A" in art and "#" in art
-
-    def test_gantt_empty(self):
-        assert "empty" in Trace().gantt()

@@ -13,7 +13,6 @@ from repro.platform.topology import (
     env_tree_view,
     probe_cost,
     probe_path,
-    probes_interfere,
     view_quality,
 )
 
@@ -25,18 +24,6 @@ class TestProbes:
 
     def test_probe_unreachable(self, fig2):
         assert probe_cost(fig2, "P5", "P0") is None
-
-    def test_interference_shared_edge(self, fig2):
-        # both routes to P3 start at P0; the shared sender interferes
-        assert probes_interfere(fig2, ("P0", "P5"), ("P0", "P6"))
-
-    def test_no_interference_disjoint(self):
-        g = Platform("disj")
-        for n in ("A", "B", "C", "D"):
-            g.add_node(n, 1)
-        g.add_edge("A", "B", 1)
-        g.add_edge("C", "D", 1)
-        assert not probes_interfere(g, ("A", "B"), ("C", "D"))
 
 
 class TestViews:

@@ -11,24 +11,22 @@ import pytest
 
 from repro.platform import generators
 from repro.problems import MasterSlaveSpec
-from repro.service import (
-    AsyncServiceServer,
-    AsyncShardServer,
-    Broker,
+from repro.service.api import AsyncServiceServer, handle_request
+from repro.service.broker import Broker, SolveRequest
+from repro.service.metrics import render_prometheus
+from repro.service.sharding import ShardedBroker
+from repro.service.transport import AsyncShardServer
+from repro.service.tracing import (
     EventLog,
-    ShardedBroker,
-    SolveRequest,
     Trace,
     TraceStore,
     annotate,
     current_span,
-    handle_request,
-    render_prometheus,
+    graft_remote,
     render_waterfall,
     span,
     start_trace,
 )
-from repro.service.tracing import graft_remote
 
 
 def _request() -> SolveRequest:
@@ -238,7 +236,7 @@ class TestRendering:
 
 
 def _solve_wire() -> dict:
-    from repro.service import request_to_dict
+    from repro.service.api import request_to_dict
 
     return request_to_dict(_request())
 
@@ -285,7 +283,7 @@ class TestTraceApi:
         assert "request.solve" in names and "simplex.solve" in names
 
     def test_events_op(self):
-        from repro.service import log_event
+        from repro.service.tracing import log_event
 
         log_event("shard.eject", shard=9)
         with Broker() as broker:
@@ -294,7 +292,7 @@ class TestTraceApi:
         assert any(e["event"] == "shard.eject" for e in out["events"])
 
     def test_events_limit_zero_is_no_events(self):
-        from repro.service import log_event
+        from repro.service.tracing import log_event
 
         for i in range(3):
             log_event("shard.eject", shard=i)

@@ -18,31 +18,32 @@ from repro.platform import generators
 from repro.problems import (
     AllToAllSpec,
     BroadcastSpec,
-    DagSpec,
     GatherSpec,
     MasterSlaveSpec,
     MulticastSpec,
     MultiportSpec,
-    ReduceSpec,
     ScatterSpec,
     SendOrReceiveSpec,
 )
-from repro.service import (
+from repro.problems.specs import DagSpec, ReduceSpec
+from repro.service.broker import Broker, SolveRequest
+from repro.service.api import request_to_dict
+from repro.service.transport import (
     AsyncShardServer,
     AsyncTcpTransport,
-    Broker,
-    SolveRequest,
     TransportError,
     TransportTimeout,
     encode_frame,
     parse_shard_address,
     read_frame_async,
+    spawn_local_shard,
+)
+from repro.service.wire import (
+    WireCodecError,
     result_from_wire,
     result_to_wire,
+    solution_to_wire,
 )
-from repro.service.api import request_to_dict
-from repro.service.transport import spawn_local_shard
-from repro.service.wire import WireCodecError, solution_to_wire
 
 
 def _mixed_requests():

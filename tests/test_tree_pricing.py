@@ -21,7 +21,8 @@ from repro.core.trees import (
 from repro.lp import LinearProgram, lp_sum
 from repro.platform import generators as gen
 from repro.platform.graph import Platform
-from repro.problems import BroadcastSpec, ReduceSpec, solve
+from repro.problems import BroadcastSpec, solve
+from repro.problems.specs import ReduceSpec
 
 
 def cost_of(tree, cost):

@@ -17,7 +17,7 @@ import pytest
 
 from repro._rational import INF, is_infinite
 from repro.core.master_slave import build_ssms_lp
-from repro.lp import solve_exact
+from repro.lp.simplex import solve_exact
 from repro.platform import generators
 from repro.platform.graph import Platform
 from repro.problems import (
@@ -30,8 +30,13 @@ from repro.problems import (
     registered_problems,
     resolve,
 )
-from repro.service import Broker, IncrementalSolver, SolveRequest
-from repro.service.broker import execute_request, solution_throughput
+from repro.service.incremental import IncrementalSolver
+from repro.service.broker import (
+    Broker,
+    SolveRequest,
+    execute_request,
+    solution_throughput,
+)
 from repro.service.wire import solution_to_wire
 
 WARM_PROBLEMS = (
