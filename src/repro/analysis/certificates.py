@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict
 
 from ..lp import LinearProgram, lp_sum
 from ..platform.graph import Edge, NodeId, Platform

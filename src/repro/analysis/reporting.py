@@ -7,7 +7,7 @@ rendering in one place so outputs stay uniform and diff-able.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from .._rational import format_fraction
 

@@ -21,12 +21,12 @@ against ``ntask(G)`` from the LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .._rational import RationalLike, as_fraction
-from ..platform.graph import NodeId, Platform, PlatformError
+from ..platform.graph import NodeId, Platform
 from ..simulator.engine import Simulator
 from ..simulator.trace import Trace
 

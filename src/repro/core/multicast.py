@@ -21,9 +21,9 @@ edge ``P3 -> P4`` with *distinct* messages, overloading it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..platform.graph import Edge, NodeId, Platform
 from ..platform.generators import (

@@ -25,12 +25,11 @@ import heapq
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..platform.graph import Edge, NodeId, Platform, PlatformError
+from ..platform.graph import Edge, NodeId, Platform
 from .trees import (
     Arborescence,
     _prune_non_terminal_leaves,
     pack_trees,
-    tree_throughput,
 )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Iterable, Optional
 
 from ..platform.graph import NodeId, Platform, PlatformError
 

@@ -2,7 +2,6 @@
 
 from . import (  # noqa: F401
     asyncio_rules,
-    drift,
     exactness,
     heavy_import,
     locks,

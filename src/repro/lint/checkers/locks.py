@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..engine import Checker, Finding, ModuleInfo, register_checker
 

@@ -80,6 +80,12 @@ TABLE: Tuple[Row, ...] = (
         r"|batch_ratio_series|steady_state_upper_bound|is_nonincreasing"
         r"|get_variable|value_by_name|busy_time|gantt|solve_all_to_all)\b"
         r"|def (out|in)_edges\(", ALL),
+    # the round-trip tests and register() guard the wire codec and specs
+    Row("one guard per invariant: no drift rule, no lint baseline", None,
+        ("src/repro/lint/checkers/drift.py",)),
+    Row("one guard per invariant: no drift rule, no lint baseline",
+        r"\b(load_baseline|write_baseline|baseline_key|baselined)\b"
+        r"|--(write-)?baseline\b", ALL),
 )
 
 

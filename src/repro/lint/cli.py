@@ -13,13 +13,7 @@ import json
 import sys
 from typing import List, Optional
 
-from .engine import (
-    LintError,
-    checker_descriptions,
-    load_baseline,
-    run_lint,
-    write_baseline,
-)
+from .engine import LintError, checker_descriptions, run_lint
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -29,14 +23,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="emit the JSON report instead of text")
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="suppress findings recorded in this baseline file "
-             "(reported as baselined, not failures)")
-    parser.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="write the current findings to FILE as a new baseline "
-             "and exit 0")
     parser.add_argument(
         "--rules", metavar="RULE[,RULE...]",
         help="run only these rules (default: all registered)")
@@ -51,18 +37,12 @@ def run(args: argparse.Namespace) -> int:
             print(f"{rule:12s} {description}")
         return 0
     try:
-        baseline = load_baseline(args.baseline) if args.baseline else None
         rules = ([r.strip() for r in args.rules.split(",") if r.strip()]
                  if args.rules else None)
-        report = run_lint(args.paths, rules=rules, baseline=baseline)
+        report = run_lint(args.paths, rules=rules)
     except LintError as exc:
         print(f"repro lint: error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        write_baseline(args.write_baseline, report.findings)
-        print(f"wrote {len(report.findings)} finding(s) to baseline "
-              f"{args.write_baseline}")
-        return 0
     if args.as_json:
         print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
     else:

@@ -5,8 +5,8 @@ restarts, shards and hosts — and the service layer's lock/tracing
 discipline rest on conventions a reviewer has to hold in their head.
 This module turns them into machine-checked invariants: an ``ast``-based
 checker registry (stdlib only, mirroring :mod:`repro.problems.registry`),
-per-file suppression pragmas, a JSON/text reporter and a baseline file
-so the gate can be adopted incrementally on a dirty tree.
+per-file suppression pragmas and a JSON/text reporter.  The gate has
+no baseline: a finding is fixed, or suppressed by a justified pragma.
 
 Pragmas (comments, parsed with :mod:`tokenize` so strings never match):
 
@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import os
 import re
 import tokenize
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 #: Bumped when the JSON report schema changes shape.
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 #: Directory names never descended into during a path walk.
 SKIP_DIRS = frozenset({"__pycache__", "lint_fixtures", ".git", ".hg"})
@@ -48,7 +47,7 @@ _PRAGMA_RE = re.compile(r"repro-lint:\s*(allow|scope)\(([^)]*)\)")
 
 
 class LintError(ValueError):
-    """Framework misuse: bad registration, unreadable baseline, ..."""
+    """Framework misuse: bad registration, unknown rule or path."""
 
 
 # ----------------------------------------------------------------------
@@ -63,12 +62,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    @property
-    def baseline_key(self) -> str:
-        # line numbers drift with unrelated edits; a baseline entry is
-        # keyed on what the finding *says*, not where it currently sits
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -183,7 +176,7 @@ class Checker:
     :meth:`check` (per-file findings) and may override
     :meth:`applies_to` (path/scope gating, default: every file) and
     :meth:`finalize` (project-level findings emitted after all files,
-    e.g. the registry cross-checks of the drift rule).  A fresh checker
+    e.g. the ownership table's home counts).  A fresh checker
     instance is built per :func:`run_lint` call, so instance state may
     accumulate across files.
     """
@@ -234,31 +227,6 @@ def _load_builtin_checkers() -> None:
 
 
 # ----------------------------------------------------------------------
-# baseline files
-# ----------------------------------------------------------------------
-def load_baseline(path: str) -> Set[str]:
-    """Read a baseline file written by :func:`write_baseline`."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise LintError(f"cannot read baseline {path}: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("findings"), list):
-        raise LintError(f"baseline {path} is not a repro-lint baseline")
-    return {str(key) for key in data["findings"]}
-
-
-def write_baseline(path: str, findings: Iterable[Finding]) -> None:
-    data = {
-        "version": REPORT_VERSION,
-        "findings": sorted({f.baseline_key for f in findings}),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-# ----------------------------------------------------------------------
 # the run
 # ----------------------------------------------------------------------
 @dataclass
@@ -267,7 +235,6 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     files_checked: int = 0
     rules: Tuple[str, ...] = ()
 
@@ -283,8 +250,6 @@ class LintReport:
             "rules": list(self.rules),
             "findings": [f.as_dict() for f in self.findings],
             "suppressed_count": len(self.suppressed),
-            "baselined_count": len(self.baselined),
-            "baselined": sorted(f.baseline_key for f in self.baselined),
         }
 
     def render_text(self) -> str:
@@ -292,8 +257,7 @@ class LintReport:
             self.findings, key=lambda f: (f.path, f.line, f.col, f.rule))]
         counts = (f"{self.files_checked} files, "
                   f"{len(self.findings)} finding(s), "
-                  f"{len(self.suppressed)} suppressed, "
-                  f"{len(self.baselined)} baselined")
+                  f"{len(self.suppressed)} suppressed")
         if lines:
             return "\n".join(lines) + f"\n\nrepro lint FAILED: {counts}"
         return f"repro lint OK: {counts}"
@@ -333,15 +297,13 @@ def _display_path(path: str, root: Optional[str]) -> str:
 def run_lint(
     paths: Sequence[str],
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Set[str]] = None,
     root: Optional[str] = None,
 ) -> LintReport:
     """Run the registered checkers over ``paths`` and classify findings.
 
-    ``rules`` restricts to a subset of registered rules; ``baseline``
-    is a set of :attr:`Finding.baseline_key` strings treated as known
-    debt (reported separately, not failures); ``root`` anchors the
-    repo-relative display paths (default: the current directory).
+    ``rules`` restricts to a subset of registered rules; ``root``
+    anchors the repo-relative display paths (default: the current
+    directory).
     """
     _load_builtin_checkers()
     root = os.path.abspath(root or os.getcwd())
@@ -380,13 +342,10 @@ def run_lint(
     for checker in selected:
         raw.extend(checker.finalize())
 
-    baseline = baseline or set()
     for finding in raw:
         module = modules.get(finding.path)
         if module is not None and module.allowed(finding.rule, finding.line):
             report.suppressed.append(finding)
-        elif finding.baseline_key in baseline:
-            report.baselined.append(finding)
         else:
             report.findings.append(finding)
     return report

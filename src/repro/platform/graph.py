@@ -19,9 +19,9 @@ default) is a property of the *simulator*, not of the graph; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .._rational import INF, RationalLike, as_fraction, is_infinite
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .._rational import INF, as_fraction, is_infinite
+from .._rational import INF, as_fraction
 from .graph import Edge, NodeId, Platform
 
 

@@ -25,8 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set
 
-from .._rational import INF
-from .graph import Edge, NodeId, Platform, PlatformError
+from .graph import Edge, NodeId, Platform
 
 
 def probe_path(platform: Platform, a: NodeId, b: NodeId) -> Optional[List[NodeId]]:

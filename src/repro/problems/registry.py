@@ -103,9 +103,9 @@ class SolverEntry:
     problem: str
     spec_type: Type[ProblemSpec]
     capabilities: Capabilities
+    example: ExampleFactory
     warm_model: Optional[WarmModel] = None
     solve_fn: Optional[Callable[..., Any]] = None
-    example: Optional[ExampleFactory] = None
 
     def solve(self, spec: ProblemSpec, backend: str = "exact") -> Any:
         """The uniform solve entry: typed spec in, solution object out.
@@ -137,26 +137,38 @@ def register(
     """Register how a spec type's problem is solved: its LP model (a
     :class:`WarmModel`), or a solve function ``fn(spec, backend=...)``
     for a problem without one.  ``warm_resolve`` is set exactly when
-    ``solver`` is a model.
+    ``solver`` is a model.  ``example`` is required: it is how
+    ``problems --check`` and the wire round-trip tests reach the problem.
+    The spec's role fields (``_SOURCE_FIELD`` / ``_TARGETS_FIELD``) must
+    name dataclass fields of it.
 
     >>> register(MySpec, MY_WARM_MODEL,
-    ...          capabilities=Capabilities(lp_structure="ssms"))
+    ...          capabilities=Capabilities(lp_structure="ssms"),
+    ...          example=lambda platform, root, others: MySpec(
+    ...              platform=platform, master=root))
     """
     model = solver if isinstance(solver, WarmModel) else None
     caps = dataclasses.replace(capabilities or Capabilities(),
                                warm_resolve=model is not None)
-    problem = spec_type.problem
+    name, problem = spec_type.__name__, spec_type.problem
     if not problem:
-        raise ValueError(f"{spec_type.__name__} declares no problem name")
+        raise ValueError(f"{name} declares no problem name")
     if problem in _REGISTRY:
         raise ValueError(f"problem {problem!r} is already registered")
+    if example is None:
+        raise ValueError(f"{name} registers no example factory")
+    fields = {f.name for f in dataclasses.fields(spec_type)}
+    for role in ("_SOURCE_FIELD", "_TARGETS_FIELD"):
+        value = getattr(spec_type, role)
+        if value is not None and value not in fields:
+            raise ValueError(f"{name}.{role} = {value!r} names no field")
     _REGISTRY[problem] = SolverEntry(
         problem=problem,
         spec_type=spec_type,
         capabilities=caps,
+        example=example,
         warm_model=model,
         solve_fn=None if model is not None else solver,
-        example=example,
     )
 
 

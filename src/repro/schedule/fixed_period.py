@@ -15,7 +15,7 @@ construction (flooring edges independently would not).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .._rational import RationalLike, as_fraction
 from ..core.activities import SteadyStateSolution

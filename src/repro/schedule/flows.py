@@ -11,7 +11,7 @@ cancelled cycles.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..platform.graph import Edge, NodeId, Platform
 

@@ -8,7 +8,7 @@ the test-suite.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional
 
 Vertex = Hashable
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .._rational import format_fraction
 from ..platform.graph import Edge, NodeId, Platform
-from .edge_coloring import MatchingSlice
 
 
 class ScheduleError(ValueError):

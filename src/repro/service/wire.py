@@ -54,7 +54,6 @@ from ..core.activities import SteadyStateSolution
 from ..core.broadcast import BroadcastSolution
 from ..core.dag import DagSolution
 from ..core.multicast import MulticastAnalysis
-from .._rational import is_infinite
 from ..platform.serialization import (
     decode_weight as _decode_weight,
     encode_weight,
@@ -118,7 +117,11 @@ def solution_to_wire(solution: Any) -> Dict[str, Any]:
             "exhaustive": solution.exhaustive,
         }
     if isinstance(solution, DagSolution):
-        out: Dict[str, Any] = {
+        if solution.affinity is not None:
+            # DagSpec has no affinity field: no served DAG answer has one
+            raise WireCodecError(
+                "no wire encoding for a DAG solution with an affinity")
+        return {
             "kind": "dag",
             "master": solution.master,
             "throughput": encode_weight(solution.throughput),
@@ -132,14 +135,6 @@ def solution_to_wire(solution: Any) -> Dict[str, Any]:
                 for (i, j, (k, l)), r in sorted(solution.flow.items())
             ],
         }
-        if solution.affinity is not None:
-            out["affinity"] = [
-                {"node": n, "type": t,
-                 "mult": encode_weight(m) if not is_infinite(m)
-                 else "inf"}
-                for (n, t), m in sorted(solution.affinity.items())
-            ]
-        return out
     raise WireCodecError(
         f"no wire encoding for solution type {type(solution).__name__}; "
         f"extend repro.service.wire before serving this problem over a "
@@ -179,9 +174,6 @@ def solution_from_wire(data: Dict[str, Any], spec: ProblemSpec) -> Any:
             exhaustive=bool(data["exhaustive"]),
         )
     if kind == "dag":
-        affinity = None if "affinity" not in data else {
-            (rec["node"], rec["type"]): _decode_weight(rec["mult"])
-            for rec in data["affinity"]}
         return DagSolution(
             platform=spec.platform,
             dag=spec.dag,
@@ -195,7 +187,6 @@ def solution_from_wire(data: Dict[str, Any], spec: ProblemSpec) -> Any:
                     _decode_weight(rec["rate"])
                 for rec in data["flow"]
             },
-            affinity=affinity,
         )
     raise WireCodecError(f"unknown solution wire kind {kind!r}")
 

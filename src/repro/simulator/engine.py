@@ -11,7 +11,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from .._rational import as_fraction
 

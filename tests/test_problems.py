@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -28,10 +29,12 @@ from repro.problems import (
     GatherSpec,
     MasterSlaveSpec,
     MultiportSpec,
+    ProblemSpec,
     ScatterSpec,
     SpecError,
     describe,
     reconstructable_problems,
+    register,
     registered_problems,
     resolve,
     solve,
@@ -77,6 +80,38 @@ def _example(problem, platform=None):
 class TestRegistry:
     def test_all_ten_problems_registered(self):
         assert set(registered_problems()) == ALL_PROBLEMS
+        # ... and every spec class of the package that declares a
+        # problem is registered: none is declared and left unservable
+        declared, stack = set(), [ProblemSpec]
+        while stack:
+            for sub in stack.pop().__subclasses__():
+                stack.append(sub)
+                if sub.__module__.startswith("repro.") and sub.problem:
+                    declared.add(sub)
+        assert declared == {resolve(p).spec_type for p in ALL_PROBLEMS}
+
+    def test_register_refuses_a_spec_it_cannot_check(self):
+        # a role field must name a field, and --check and the wire
+        # round-trip tests reach a problem through its example
+        @dataclass(frozen=True)
+        class StraySpec(ProblemSpec):
+            master: str
+
+            problem = "stray"
+            _TARGETS_FIELD = "nosuch"
+
+        def solve_fn(spec, backend="exact"):
+            return None
+
+        with pytest.raises(ValueError, match=r"^StraySpec\._TARGETS_FIELD"
+                                             r" = 'nosuch' names no field$"):
+            register(StraySpec, solve_fn,
+                     example=lambda platform, root, others: None)
+        StraySpec._TARGETS_FIELD = None
+        with pytest.raises(ValueError, match="^StraySpec registers no "
+                                             "example factory$"):
+            register(StraySpec, solve_fn)
+        assert "stray" not in registered_problems()
 
     def test_unknown_problem_is_a_typed_error(self):
         with pytest.raises(SpecError, match="unknown problem"):

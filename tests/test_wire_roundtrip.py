@@ -1,12 +1,15 @@
 """Auto-generated wire round-trips for every registered problem.
 
-The dynamic twin of the ``drift`` lint rule: for each entry in the
-solver registry, the example spec is encoded/decoded through the spec
-codec and its solved solution through ``repro.service.wire``, asserting
-(a) exact (``Fraction``-identical) round-trips and (b) field-set
-equality between each dataclass and its wire keys.  A field added to a
-spec or solution dataclass without its codec counterpart fails here by
-construction — no per-problem test needs writing.
+The guard of the shard wire codec: for each entry in the solver
+registry, the example spec is encoded/decoded through the spec codec
+and its solved solution through ``repro.service.wire``, asserting (a)
+exact (``Fraction``-identical) round-trips and (b) field-set equality
+between each dataclass and its wire keys.  A renamed wire key, a kind
+without its decoder branch or a field added to a spec or solution
+dataclass without its codec counterpart fails here by construction —
+no per-problem test needs writing.  What the registry itself must hold
+(an example per problem, role fields that name fields) is checked by
+``register()`` as each spec is declared.
 """
 
 from __future__ import annotations
@@ -20,10 +23,6 @@ from repro.problems import registered_problems, resolve
 from repro.service import wire
 from repro.service.wire import solution_from_wire, solution_to_wire
 
-#: Solution kinds encoded by delegation to the platform serialization
-#: module (field-set equality is asserted against the dataclass there).
-DELEGATED_KINDS = {"steady-state"}
-
 #: Fields the decoder binds from the caller's spec: a reply never
 #: echoes the request's platform, a DAG's task graph or the port model
 #: a steady-state answer was solved under (``spec.port_setting()``).
@@ -34,8 +33,6 @@ ALL_PROBLEMS = registered_problems()
 
 def example_spec(problem):
     entry = resolve(problem)
-    assert entry.example is not None, (
-        f"{problem} registers no example factory")
     platform = generators.star(2, bidirectional=True)
     return entry, entry.example(platform, "M", ("W1", "W2"))
 
@@ -79,13 +76,10 @@ def test_solution_wire_keys_match_dataclass(problem):
     entry, spec = example_spec(problem)
     solution = entry.solve(spec)
     payload = solution_to_wire(solution)
-    kind = payload["kind"]
-    if kind in DELEGATED_KINDS:
-        pytest.skip(f"kind {kind} delegates to solution_to_dict")
     field_names = {f.name for f in dataclasses.fields(solution)} - SPEC_BOUND
     wire_keys = set(payload) - {"kind"}
-    # optional fields (e.g. dag affinity=None) may be omitted from the
-    # wire, but a wire key with no dataclass field is always drift
+    # a field that is None on every served answer (dag affinity) is
+    # not encoded, but a wire key with no dataclass field is always drift
     assert wire_keys <= field_names, (
         f"{problem}: wire keys with no dataclass field: "
         f"{sorted(wire_keys - field_names)}")
@@ -121,3 +115,13 @@ def test_every_wire_branch_has_a_registered_producer():
         assert cls in produced, (
             f"wire codec branch for {cls.__name__} has no registered "
             f"producer — dead codec branch or missing registration")
+
+
+def test_a_dag_answer_with_an_affinity_is_refused_on_encode():
+    # DagSpec has no affinity field, so no served answer carries one; an
+    # answer that does is refused on the shard, not stripped on the wire
+    entry, spec = example_spec("dag")
+    solution = dataclasses.replace(entry.solve(spec),
+                                   affinity={("W1", "T0"): 2})
+    with pytest.raises(wire.WireCodecError, match="affinity"):
+        solution_to_wire(solution)
