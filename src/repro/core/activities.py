@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 from .._rational import format_fraction, lcm_denominators
 from ..platform.graph import Edge, NodeId, Platform, PlatformError
@@ -42,8 +43,8 @@ def port_groups(
     One-port (full overlap) gives ``[(out, 1), (in, 1)]``, send-or-receive
     merges them into ``[(out + in, 1)]`` and multiport(k) gives each
     direction ``k`` cards, ``[(out, k), (in, k)]``.  Every steady-state LP
-    takes its port rows from here (:func:`add_port_rows`) and
-    :meth:`SteadyStateSolution.check_ports` checks the same groups.
+    takes its port rows from here (:func:`add_port_rows`), and every
+    port-load check reads the same groups (:func:`port_loads`).
 
     The paper's favourite model lets a node send *and* receive
     simultaneously (full overlap, one port each way).  Section 5.1
@@ -92,16 +93,31 @@ def add_port_rows(
     port_model: str = "one-port", ports: int = 1,
 ) -> None:
     """Add to the :class:`~repro.lp.LinearProgram` ``lp`` one ``<=`` row
-    per non-empty :func:`port_groups` group of every node, named
-    ``<group>[<node>]``; ``occupation(i, j)`` gives the
+    per :func:`port_groups` group of every node whose edges carry a term,
+    named ``<group>[<node>]``; ``occupation(i, j)`` gives the
     ``(variable, coefficient)`` terms of edge ``i -> j``'s busy time."""
     for node in platform.nodes():
         for name, edges, budget in port_groups(platform, node, port_model,
                                                ports):
+            terms = [term for (i, j) in edges for term in occupation(i, j)]
+            if terms:
+                lp.add_row(terms, "<=", budget, name=f"{name}[{node}]")
+
+
+def port_loads(
+    platform: Platform, busy: Mapping[Edge, Fraction],
+    port_model: str = "one-port", ports: int = 1,
+) -> Iterator[Tuple[NodeId, str, Fraction, int]]:
+    """Yield ``(node, group, load, budget)`` for every non-empty
+    :func:`port_groups` group of every node: ``load`` sums the busy time
+    ``busy[e]`` of the group's edges (an edge missing from ``busy`` is
+    idle), and the group holds when ``load <= budget``."""
+    for node in platform.nodes():
+        for name, edges, budget in port_groups(platform, node, port_model,
+                                               ports):
             if edges:
-                lp.add_row([term for (i, j) in edges
-                            for term in occupation(i, j)],
-                           "<=", budget, name=f"{name}[{node}]")
+                load = sum(busy[e] for e in edges if e in busy)
+                yield node, name, load, budget
 
 
 def commodity_endpoints(
@@ -235,16 +251,13 @@ class SteadyStateSolution:
     def check_ports(self) -> None:
         """Every port budget group of every node holds under the model
         the solution was solved for (:func:`port_groups`)."""
-        s = self.s
-        for node in self.platform.nodes():
-            for name, edges, budget in port_groups(
-                    self.platform, node, self.port_model, self.ports):
-                busy = sum(s[e] for e in edges if s.get(e))
-                if busy > budget:
-                    raise SteadyStateError(
-                        f"{self.port_model} {name} budget violated at {node}: "
-                        f"{busy} > {budget}"
-                    )
+        for node, name, busy, budget in port_loads(
+                self.platform, self.s, self.port_model, self.ports):
+            if busy > budget:
+                raise SteadyStateError(
+                    f"{self.port_model} {name} budget violated at {node}: "
+                    f"{busy} > {budget}"
+                )
 
     def check_master_slave_conservation(self) -> None:
         """Tasks in = tasks computed + tasks out, for every non-master

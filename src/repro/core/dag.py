@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .._rational import RationalLike, as_fraction
+from .._rational import RationalLike, as_fraction, is_infinite
 from ..lp import LinearProgram, lp_sum
 from ..platform.graph import NodeId, Platform
-from .activities import add_port_rows
+from .activities import add_port_rows, port_loads
 
 BEGIN = "__begin__"
 END = "__end__"
@@ -232,92 +232,69 @@ class DagSolution:
     #: optional per-(node, type) execution-time multipliers
     affinity: Optional[Mapping[Tuple[NodeId, str], object]] = None
 
-    def _multiplier(self, node: NodeId, t: str) -> Fraction:
-        from .._rational import is_infinite
-
-        mult = self.affinity.get((node, t), 1) if self.affinity else 1
-        if is_infinite(mult):
-            raise TaskGraphError(f"{node} executes forbidden type {t}")
-        return as_fraction(mult)
-
-    def node_compute_fraction(self, node: NodeId) -> Fraction:
-        spec = self.platform.node(node)
-        if not spec.can_compute:
-            return Fraction(0)
-        total = Fraction(0)
-        for (n, t), rate in self.cons.items():
-            if n == node:
-                total += rate * self.dag.types[t] * spec.w * self._multiplier(
-                    node, t
-                )
-        return total
-
     def verify(self) -> None:
-        """Re-check every LP constraint on the returned rates."""
+        """Re-check every LP constraint on the returned rates: the pins
+        (no negative rate, ``__begin__`` only on the master, no execution
+        on a forwarder or a forbidden pairing), the compute budgets, each
+        edge's occupation and the one-port budgets (:func:`port_loads`),
+        file conservation and the per-type totals."""
         p, dag = self.platform, self.dag
-        for node in p.nodes():
-            frac = self.node_compute_fraction(node)
+        compute: Dict[NodeId, Fraction] = {}
+        for (node, t), rate in self.cons.items():
+            if rate < 0:
+                raise TaskGraphError(f"{node} executes {t} at rate {rate}")
+            if t == BEGIN:
+                if node != self.master:
+                    raise TaskGraphError(
+                        f"{BEGIN} executed on {node}, not the master")
+                continue
+            spec, mult = p.node(node), _slowdown(self.affinity, node, t)
+            if not spec.can_compute:
+                raise TaskGraphError(f"forwarder {node} executes {t}")
+            if mult is None:
+                raise TaskGraphError(f"{node} executes forbidden type {t}")
+            compute[node] = (compute.get(node, 0)
+                             + rate * dag.types[t] * spec.w * mult)
+        for node, frac in compute.items():
             if frac > 1:
                 raise TaskGraphError(f"{node} computes {frac} > 1")
-        # one-port + occupation
-        for node in p.nodes():
-            out = Fraction(0)
-            for j in p.successors(node):
-                busy = sum(
-                    (self.flow.get((node, j, f), Fraction(0)) * dag.files[f]
-                     for f in dag.files),
-                    start=Fraction(0),
-                ) * p.c(node, j)
-                if busy > 1:
-                    raise TaskGraphError(f"edge {node}->{j} busy {busy} > 1")
-                out += busy
-            if out > 1:
-                raise TaskGraphError(f"{node} send port {out} > 1")
-            inc = sum(
-                (
-                    sum(
-                        (self.flow.get((j, node, f), Fraction(0)) * dag.files[f]
-                         for f in dag.files),
-                        start=Fraction(0),
-                    ) * p.c(j, node)
-                    for j in p.predecessors(node)
-                ),
-                start=Fraction(0),
-            )
-            if inc > 1:
-                raise TaskGraphError(f"{node} recv port {inc} > 1")
-        # file conservation
-        for f in dag.files:
-            k, l = f
+        busy: Dict[Tuple[NodeId, NodeId], Fraction] = {}
+        net: Dict[Tuple[NodeId, Tuple[str, str]], Fraction] = {}  # out - in
+        for (i, j, f), rate in self.flow.items():
+            if rate < 0:
+                raise TaskGraphError(f"file {f} crosses {i}->{j} at {rate}")
+            busy[i, j] = busy.get((i, j), 0) + rate * dag.files[f] * p.c(i, j)
+            net[i, f] = net.get((i, f), 0) + rate
+            net[j, f] = net.get((j, f), 0) - rate
+        for (i, j), load in busy.items():
+            if load > 1:
+                raise TaskGraphError(f"edge {i}->{j} busy {load} > 1")
+        for node, group, load, budget in port_loads(p, busy):
+            if load > budget:
+                raise TaskGraphError(f"{node} {group} {load} > {budget}")
+        for k, l in dag.files:
             for node in p.nodes():
-                produced = self.cons.get((node, k), Fraction(0))
-                consumed = self.cons.get((node, l), Fraction(0))
-                inflow = sum(
-                    (self.flow.get((j, node, f), Fraction(0))
-                     for j in p.predecessors(node)),
-                    start=Fraction(0),
-                )
-                outflow = sum(
-                    (self.flow.get((node, j, f), Fraction(0))
-                     for j in p.successors(node)),
-                    start=Fraction(0),
-                )
-                if produced + inflow != consumed + outflow:
+                made = self.cons.get((node, k), 0) - self.cons.get((node, l), 0)
+                sent = net.get((node, (k, l)), 0)
+                if made != sent:
                     raise TaskGraphError(
-                        f"file {f} unbalanced at {node}: "
-                        f"{produced}+{inflow} != {consumed}+{outflow}"
-                    )
-        # per-type totals
+                        f"file {(k, l)} unbalanced at {node}: produced - "
+                        f"consumed {made} != net outflow {sent}")
         for t in dag.real_types():
-            total = sum(
-                (self.cons.get((n, t), Fraction(0)) for n in p.nodes()),
-                start=Fraction(0),
-            )
+            total = sum(self.cons.get((n, t), 0) for n in p.nodes())
             if total != self.throughput:
                 raise TaskGraphError(
                     f"type {t} total rate {total} != throughput "
                     f"{self.throughput}"
                 )
+
+
+def _slowdown(affinity: Optional[Mapping[Tuple[NodeId, str], object]],
+              node: NodeId, t: str) -> Optional[Fraction]:
+    """Type ``t``'s execution-time multiplier on ``node``, or ``None``
+    when the affinity forbids the pairing."""
+    mult = affinity.get((node, t), 1) if affinity else 1
+    return None if is_infinite(mult) else as_fraction(mult)
 
 
 def solve_dag_collection(
@@ -342,15 +319,6 @@ def solve_dag_collection(
             "anchor the DAG first (TaskGraph.anchor_at_master)"
         )
 
-    from .._rational import is_infinite
-
-    def type_cost(node: NodeId, t: str) -> Optional[Fraction]:
-        """Execution time multiplier, or None when forbidden."""
-        mult = affinity.get((node, t), 1) if affinity is not None else 1
-        if is_infinite(mult):
-            return None
-        return as_fraction(mult)
-
     lp = LinearProgram(f"DAG({platform.name})")
     tp = lp.variable("TP", lo=0)
 
@@ -360,7 +328,7 @@ def solve_dag_collection(
         for t in dag.types:
             if t == BEGIN:
                 hi = None if node == master else 0
-            elif not spec.can_compute or type_cost(node, t) is None:
+            elif not spec.can_compute or _slowdown(affinity, node, t) is None:
                 hi = 0
             else:
                 hi = None
@@ -382,7 +350,7 @@ def solve_dag_collection(
         for t in dag.types:
             if dag.types[t] <= 0:
                 continue
-            mult = type_cost(node, t)
+            mult = _slowdown(affinity, node, t)
             if mult is None:
                 continue  # forbidden pairing; variable already pinned to 0
             terms.append(cons_vars[(node, t)] * (dag.types[t] * spec.w * mult))

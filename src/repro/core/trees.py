@@ -5,7 +5,9 @@ along a directed tree (arborescence) rooted at the source: every node in
 the tree receives the message exactly once and forwards it along its tree
 out-edges.  A *fractional packing* of arborescences — tree ``T`` used at
 rate ``x_T`` — is feasible under the one-port model iff every node's total
-send time and receive time per time-unit stay below 1:
+send time and receive time per time-unit stay below 1.  Edge ``(i, j)`` is
+busy ``sum_T x_T c_ij`` over the trees that hold it, and the port rows
+:func:`~repro.core.activities.add_port_rows` writes from that are:
 
 * send port of ``i``:  ``sum_T x_T * sum_{(i,j) in T} c_ij <= 1``
 * recv port of ``j``:  ``sum_T x_T * c_(parent_T(j), j) <= 1``
@@ -18,7 +20,8 @@ yields a periodic schedule.
 * Broadcast (spanning arborescences): :func:`pack_arborescences` finds the
   optimal packing in polynomial time by column generation.  The master is
   :func:`pack_trees`'s LP over a growing pool; its duals ``y`` price an
-  edge ``c_uv * (y_send(u) + y_recv(v))``, and a minimum-cost arborescence
+  edge ``c_uv`` times the duals of the port rows that hold it
+  (``y_send(u) + y_recv(v)``), and a minimum-cost arborescence
   (:func:`min_cost_arborescence`, Chu-Liu/Edmonds) is the column to add
   while it costs less than 1.  When none does, ``y`` is feasible for the
   packing LP over every arborescence, so ``sum(y)`` bounds the throughput
@@ -36,6 +39,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..lp import LinearProgram, LPSolution, lp_sum
 from ..platform.graph import Edge, NodeId, Platform, PlatformError
+from .activities import add_port_rows, port_groups, port_loads
 
 Arborescence = FrozenSet[Edge]
 
@@ -142,59 +146,41 @@ def enumerate_arborescences(
     return sorted(found, key=lambda t: (len(t), sorted(t)))
 
 
-def tree_send_time(
-    platform: Platform, tree: Arborescence
-) -> Dict[NodeId, Fraction]:
-    """Per-node send-port time to push one instance down ``tree``."""
-    out: Dict[NodeId, Fraction] = {}
+def _tree_busy(platform: Platform, tree: Arborescence) -> Dict[Edge, Fraction]:
+    """Each edge's busy time ``c_ij`` for one instance of ``tree``; a tree
+    in which a node has two parents is refused."""
+    parents: Dict[NodeId, NodeId] = {}
     for (u, v) in tree:
-        out[u] = out.get(u, Fraction(0)) + platform.c(u, v)
-    return out
-
-
-def tree_recv_time(
-    platform: Platform, tree: Arborescence
-) -> Dict[NodeId, Fraction]:
-    """Per-node receive-port time for one instance of ``tree``."""
-    out: Dict[NodeId, Fraction] = {}
-    for (u, v) in tree:
-        if v in out:
+        if parents.setdefault(v, u) != u:
             raise PlatformError(f"not an arborescence: {v} has two parents")
-        out[v] = platform.c(u, v)
-    return out
+    return {(u, v): platform.c(u, v) for (u, v) in tree}
 
 
 def tree_throughput(platform: Platform, tree: Arborescence) -> Fraction:
-    """Max rate of a *single* tree: ``1 / max port time`` over all nodes."""
+    """Max rate of a *single* tree: ``1 / max port load`` over all nodes."""
     if not tree:
         return Fraction(0)
-    loads = list(tree_send_time(platform, tree).values())
-    loads.extend(tree_recv_time(platform, tree).values())
-    return Fraction(1) / max(loads)
+    loads = port_loads(platform, _tree_busy(platform, tree))
+    return Fraction(1) / max(load for _node, _group, load, _budget in loads)
 
 
 def _solve_packing(
     platform: Platform, trees: Sequence[Arborescence], backend: str
-) -> Tuple[LPSolution, Dict[Arborescence, Fraction],
-           List[Tuple[str, NodeId]]]:
-    """The packing LP over ``trees`` solved: its solution, the non-zero
-    rates and the ``(kind, node)`` port of each row, in sorted order."""
+) -> Tuple[LinearProgram, LPSolution, Dict[Arborescence, Fraction]]:
+    """The packing LP over ``trees``, its solution and the non-zero
+    rates; its rows are :func:`add_port_rows`'s, edge ``(i, j)`` busy
+    ``(x_T, c_ij)`` for each tree ``T`` that holds it."""
     lp = LinearProgram("tree-packing")
     xs = [lp.variable(f"x[{k}]", lo=0) for k in range(len(trees))]
-    terms: Dict[Tuple[str, NodeId], List] = {}
+    holders: Dict[Edge, List[Tuple[object, Fraction]]] = {}
     for x, tree in zip(xs, trees):
-        for node, t in tree_send_time(platform, tree).items():
-            terms.setdefault(("send", node), []).append(x * t)
-        for node, t in tree_recv_time(platform, tree).items():
-            terms.setdefault(("recv", node), []).append(x * t)
-    ports = sorted(terms)
-    for kind, node in ports:
-        lp.add_constraint(lp_sum(terms[kind, node]) <= 1,
-                          name=f"{kind}[{node}]")
+        for edge, c in _tree_busy(platform, tree).items():
+            holders.setdefault(edge, []).append((x, c))
+    add_port_rows(lp, platform, lambda i, j: holders.get((i, j), ()))
     lp.maximize(lp_sum(xs))
     sol = lp.solve(backend=backend)
     rates = {tree: sol[x] for x, tree in zip(xs, trees) if sol[x] != 0}
-    return sol, rates, ports
+    return lp, sol, rates
 
 
 def pack_trees(
@@ -210,7 +196,7 @@ def pack_trees(
     """
     if not trees:
         return Fraction(0), {}
-    sol, rates, _ports = _solve_packing(platform, trees, backend)
+    _lp, sol, rates = _solve_packing(platform, trees, backend)
     return sol.objective, rates
 
 
@@ -299,14 +285,15 @@ def pack_arborescences(
         return Fraction(0), {}, Fraction(0)
     pool = [seed]
     while True:
-        sol, rates, ports = _solve_packing(platform, pool, backend)
-        y = {port: sol.duals.get(k, Fraction(0))
-             for k, port in enumerate(ports)}
-        cost = {
-            (e.src, e.dst): e.c * (y.get(("send", e.src), Fraction(0))
-                                   + y.get(("recv", e.dst), Fraction(0)))
-            for e in platform.edges()
-        }
+        lp, sol, rates = _solve_packing(platform, pool, backend)
+        y = {lp.constraints[k].name: dual for k, dual in sol.duals.items()}
+        cost = {(e.src, e.dst): Fraction(0) for e in platform.edges()}
+        for node in platform.nodes():
+            for name, edges, _budget in port_groups(platform, node):
+                price = y.get(f"{name}[{node}]")
+                if price:
+                    for (i, j) in edges:
+                        cost[i, j] += price * platform.c(i, j)
         tree = min_cost_arborescence(platform, root, cost)
         if sum(cost[e] for e in tree) >= 1 or tree in pool:
             break

@@ -25,10 +25,10 @@ CORE, RECON = ("src/repro/core/",), "src/repro/schedule/reconstruction.py"
 TABLE: Tuple[Row, ...] = (
     Row("broadcast and reduce are packed by column generation",
         r"greedy_tree_packing|_residual_shortest_path_tree", SRC),
-    # core/trees._solve_packing writes its own one-port send[node] / recv[node]
-    # rows for the tree-packing master, unseen here (ROADMAP item 22)
-    Row("§5.1's port rows are written by activities.port_groups",
-        r'send-port\[|recv-port\[|"<=", ports|"send-port"|"recv-port"',
+    Row("§5.1's port rows and port loads come from activities.port_groups",
+        r'send-port\[|recv-port\[|"<=", ports|"send-port"|"recv-port"'
+        r'|\("(send|recv)", [\w.]+\)|\b(send|recv) port \{'
+        r'|tree_(send|recv)_time',
         CORE, "src/repro/core/activities.py"),
     Row("§5.1: every exact answer is verified, by one packager",
         r"verify=False|build_multiport_lp|build_send_or_receive_lp"

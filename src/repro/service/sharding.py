@@ -192,6 +192,10 @@ def _raise_worker_error(reply: Dict[str, Any],
 # ----------------------------------------------------------------------
 # consistent-hash ring
 # ----------------------------------------------------------------------
+#: virtual ring points per shard (routing smoothness)
+RING_POINTS = 64
+
+
 def _hash_point(label: str) -> int:
     """A stable 64-bit point on the ring for a text label."""
     return int(hashlib.sha256(label.encode("utf-8")).hexdigest()[:16], 16)
@@ -200,9 +204,9 @@ def _hash_point(label: str) -> int:
 class HashRing:
     """Consistent-hash ring mapping request fingerprints to shard ids.
 
-    ``replicas`` virtual points per shard smooth the key distribution;
-    routing is a binary search, and the map depends only on (shard count,
-    replicas) — every :class:`ShardedBroker` with the same configuration
+    :data:`RING_POINTS` virtual points per shard smooth the key
+    distribution; routing is a binary search, and the map depends only on
+    the shard count — every :class:`ShardedBroker` with the same shards
     routes identically, across processes and across restarts.
 
     :meth:`route` accepts a ``skip`` set of ejected shard ids: a skipped
@@ -212,17 +216,14 @@ class HashRing:
     keys).
     """
 
-    def __init__(self, shards: int, replicas: int = 64) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
         self.shards = shards
-        self.replicas = replicas
         points = sorted(
             (_hash_point(f"shard:{shard}:replica:{rep}"), shard)
             for shard in range(shards)
-            for rep in range(replicas)
+            for rep in range(RING_POINTS)
         )
         self._keys = [p for p, _ in points]
         self._owners = [s for _, s in points]
@@ -410,8 +411,6 @@ class ShardedBroker:
         Per-shard :class:`SolutionCache` budget for local shards; the
         aggregate capacity is ``shards * cache_size`` plus whatever the
         remote servers were started with.
-    replicas:
-        Virtual ring points per shard (routing smoothness).
     mp_start_method:
         Override the multiprocessing start method for local shards
         (``"fork"``/``"spawn"``/``"forkserver"``; default: platform
@@ -450,7 +449,6 @@ class ShardedBroker:
         self,
         shards: int = 2,
         cache_size: int = 256,
-        replicas: int = 64,
         mp_start_method: Optional[str] = None,
         shard_addresses: Optional[List[str]] = None,
         request_timeout: Optional[float] = None,
@@ -472,8 +470,7 @@ class ShardedBroker:
         local_count = int(shards)
         if local_count < 0:
             raise ValueError("shards must be >= 0")
-        self.ring = HashRing(local_count + len(addresses),
-                             replicas=replicas)
+        self.ring = HashRing(local_count + len(addresses))
         self.metrics = MetricsRegistry()  # front-door ops + transport RTT
         self.request_timeout = (request_timeout
                                 if request_timeout and request_timeout > 0

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.dag import BEGIN, TaskGraph, TaskGraphError, solve_dag_collection
+from repro._rational import INF
+from repro.core.dag import (
+    BEGIN,
+    DagSolution,
+    TaskGraph,
+    TaskGraphError,
+    solve_dag_collection,
+)
 from repro.core.master_slave import solve_master_slave
 from repro.platform import generators as gen
 from repro.platform.graph import Platform
@@ -151,3 +158,110 @@ class TestPipelines:
         sol.cons[key] = sol.cons[key] * 2
         with pytest.raises(TaskGraphError):
             sol.verify()
+
+
+class TestVerifyPins:
+    """``verify`` refuses an answer that breaks one pin or one port row of
+    its own LP, even when everything else holds."""
+
+    FILE = (BEGIN, "task")
+
+    @staticmethod
+    def pair():
+        g = Platform("pair")
+        g.add_node("M", Fraction(1, 2))
+        g.add_node("W", 1)
+        g.add_edge("M", "W", 1)
+        g.add_edge("W", "M", 1)
+        return g
+
+    def forged(self, cons, flow=(), affinity=None):
+        return DagSolution(
+            platform=self.pair(), dag=TaskGraph.single_task(), master="M",
+            throughput=Fraction(1), cons=dict(cons), flow=dict(flow),
+            affinity=affinity)
+
+    def test_a_forwarder_executes_nothing(self):
+        g = Platform("M-F-X")
+        g.add_node("M", 1)
+        g.add_node("F", INF)
+        g.add_node("X", 1)
+        for a, b in (("M", "F"), ("F", "X")):
+            g.add_edge(a, b, 1)
+            g.add_edge(b, a, 1)
+        sol = solve_dag_collection(g, TaskGraph.single_task(1, 1), "M")
+        sol.verify()
+        moved = sol.cons.pop(("X", "task"))
+        sol.cons[("F", "task")] = moved
+        sol.flow = {key: rate for key, rate in sol.flow.items()
+                    if key[:2] != ("F", "X")}
+        with pytest.raises(TaskGraphError, match="forwarder F executes"):
+            sol.verify()
+
+    def test_begin_runs_on_the_master_only(self):
+        honest = self.forged({("M", BEGIN): 1, ("W", "task"): 1},
+                             {("M", "W", self.FILE): 1})
+        honest.verify()
+        forged = self.forged({("W", BEGIN): 1, ("W", "task"): 1})
+        with pytest.raises(TaskGraphError, match="not the master"):
+            forged.verify()
+
+    def test_a_forbidden_pairing_is_refused(self):
+        forged = self.forged({("M", BEGIN): 1, ("W", "task"): 1},
+                             {("M", "W", self.FILE): 1},
+                             affinity={("W", "task"): INF})
+        with pytest.raises(TaskGraphError, match="forbidden"):
+            forged.verify()
+
+    def test_a_negative_execution_rate_is_refused(self):
+        # M computes 2 tasks per time-unit at w = 1/2 and "receives" one
+        # back from W, which "computes" -1: every balance holds
+        forged = self.forged(
+            {("M", BEGIN): 1, ("M", "task"): 2, ("W", "task"): -1},
+            {("M", "W", self.FILE): -1})
+        with pytest.raises(TaskGraphError, match="at rate -1"):
+            forged.verify()
+
+    def test_a_negative_transfer_rate_is_refused(self):
+        # a negative circulation M -> W -> M balances at both ends
+        forged = self.forged(
+            {("M", BEGIN): 1, ("M", "task"): 1},
+            {("M", "W", self.FILE): -1, ("W", "M", self.FILE): -1})
+        with pytest.raises(TaskGraphError, match="at -1"):
+            forged.verify()
+
+    @staticmethod
+    def fan_out():
+        """M feeds W1 and W2 over links of cost 1: each link busy 3/4
+        leaves M's send port at 3/2."""
+        g = gen.star(2, master_w=INF, worker_w=[1, 1], link_c=[1, 1])
+        rate = Fraction(3, 4)
+        return g, {("M", w): rate for w in ("W1", "W2")}, {
+            ("W1", "task"): rate, ("W2", "task"): rate}
+
+    @staticmethod
+    def fan_in():
+        """M reaches W through forwarders A and B: M's send port is full
+        (1/2 + 1/2) and W's receive port is at 3/4 + 3/4 = 3/2."""
+        g = Platform("fan-in")
+        for node, w in (("M", INF), ("A", INF), ("B", INF),
+                        ("W", Fraction(1, 2))):
+            g.add_node(node, w)
+        for a, b, c in (("M", "A", Fraction(1, 2)), ("M", "B", Fraction(1, 2)),
+                        ("A", "W", Fraction(3, 4)), ("B", "W", Fraction(3, 4))):
+            g.add_edge(a, b, c)
+        return g, {(e.src, e.dst): 1 for e in g.edges()}, {("W", "task"): 2}
+
+    @pytest.mark.parametrize("case,refusal", [
+        ("fan_out", "M send-port 3/2 > 1"),
+        ("fan_in", "W recv-port 3/2 > 1"),
+    ])
+    def test_a_port_over_budget_is_refused(self, case, refusal):
+        g, links, cons = getattr(self, case)()
+        throughput = sum(cons.values())
+        forged = DagSolution(
+            platform=g, dag=TaskGraph.single_task(), master="M",
+            throughput=throughput, cons={("M", BEGIN): throughput, **cons},
+            flow={(i, j, self.FILE): rate for (i, j), rate in links.items()})
+        with pytest.raises(TaskGraphError, match=refusal):
+            forged.verify()

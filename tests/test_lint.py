@@ -451,84 +451,126 @@ class TestFixtureCorpus:
 # ----------------------------------------------------------------------
 # ownership: who owns which section, checked on tmp_path trees
 # ----------------------------------------------------------------------
-# row index -> (the row's owner, copied from this repo; a second file
-# that re-offends in the spelling the row guards; the line that fires).
+# (row index, the row's owner, copied from this repo; a second file that
+# re-offends in the spelling the row guards; the line, or the lines, that
+# fire), every row's first plant at its own index.
 # Rows 8, 13, 22 and 24 cover tests/ too, so their names are split in
 # two here.
-OWNERSHIP_PLANTS = {
-    0: ("src/repro/core/trees.py", "src/repro/core/broadcast.py",
+OWNERSHIP_PLANTS = [
+    (0, "src/repro/core/trees.py", "src/repro/core/broadcast.py",
         '"""Fallback packing."""\n\n'
         "def greedy_tree_packing(platform, source):\n    return []\n", 3),
-    1: ("src/repro/core/activities.py", "src/repro/core/trees.py",
+    (1, "src/repro/core/activities.py", "src/repro/core/trees.py",
         "def tree_ports(out, inc):\n"
         '    return [("send-port", out, 1), ("recv-port", inc, 1)]\n', 2),
-    2: ("src/repro/core/activities.py", "src/repro/core/master_slave.py",
+    (2, "src/repro/core/activities.py", "src/repro/core/master_slave.py",
         "def solve(lp, handles):\n"
         "    return package(lp.solve(), handles, verify=False)\n", 2),
-    3: ("src/repro/core/scatter.py", "src/repro/core/gather.py",
+    (3, "src/repro/core/scatter.py", "src/repro/core/gather.py",
         "def rows(lp, expr, k):\n"
         '    lp.add_constraint(expr == 1, name=f"deliver[{k}]")\n', 2),
-    4: ("src/repro/core/scatter.py", "src/repro/schedule/collective.py",
+    (4, "src/repro/core/scatter.py", "src/repro/schedule/collective.py",
         "def endpoints(label):\n"
         '    src, dst = label.split("->")\n    return src, dst\n', 2),
-    5: ("src/repro/schedule/reconstruction.py", "src/repro/schedule/batch.py",
+    (5, "src/repro/schedule/reconstruction.py", "src/repro/schedule/batch.py",
         "from .edge_coloring import weighted_edge_coloring\n\n\n"
         "def rounds(edges, weights):\n"
         "    return weighted_edge_coloring(edges, weights)\n", 5),
-    6: ("src/repro/schedule/reconstruction.py",
+    (6, "src/repro/schedule/reconstruction.py",
         "src/repro/simulator/event_executor.py",
         "def slots(edges):\n"
         "    return [m for m in greedy_interval_coloring(edges)]\n", 2),
-    7: ("src/repro/schedule/reconstruction.py", "src/repro/schedule/batch.py",
+    (7, "src/repro/schedule/reconstruction.py", "src/repro/schedule/batch.py",
         "def check(sched, port_model):\n"
         "    sched.solution.verify(port_model)\n", 2),
-    8: ("src/repro/simulator/periodic_runner.py", "examples/gather_demo.py",
+    (8, "src/repro/simulator/periodic_runner.py", "examples/gather_demo.py",
         "from repro.simulator import Collective" "Runner\n", 1),
-    9: ("src/repro/problems/registry.py", "src/repro/dynamic/adaptive.py",
+    (9, "src/repro/problems/registry.py", "src/repro/dynamic/adaptive.py",
         'def run_adaptive(platform, epochs, backend="exact"):\n'
         "    return None\n", 1),
-    10: ("src/repro/problems/registry.py", "src/repro/problems/catalog.py",
+    (10, "src/repro/problems/registry.py", "src/repro/problems/catalog.py",
          "register(MasterSlaveSpec, entry_point=solve_master_slave)\n", 1),
-    11: ("src/repro/core/master_slave.py", "src/repro/core/port_models.py",
+    (11, "src/repro/core/master_slave.py", "src/repro/core/port_models.py",
          '"""Per-model master-slave solvers."""\n', 1),
-    12: ("src/repro/schedule/batch.py", "src/repro/schedule/startup.py",
+    (12, "src/repro/schedule/batch.py", "src/repro/schedule/startup.py",
          '"""Start-up grouping of a finite batch."""\n', 1),
-    13: ("src/repro/schedule/batch.py", "tests/test_batch.py",
+    (13, "src/repro/schedule/batch.py", "tests/test_batch.py",
          "from repro.schedule import Startup" "Analysis\n", 1),
-    14: ("src/repro/schedule/batch.py",
+    (14, "src/repro/schedule/batch.py",
          "src/repro/baselines/list_scheduling.py",
          "from ..simulator.periodic_runner import PeriodicRunner\n", 1),
-    15: ("src/repro/service/broker.py", "src/repro/service/api.py",
+    (15, "src/repro/service/broker.py", "src/repro/service/api.py",
          "def decode(options):\n"
          '    return options.get("backend", "exact")\n', 2),
-    16: ("src/repro/service/broker.py", "src/repro/service/wire.py",
+    (16, "src/repro/service/broker.py", "src/repro/service/wire.py",
          "def option_dict(request):\n    return {}\n", 1),
-    17: ("src/repro/service/cache.py", "src/repro/service/sharding.py",
+    (17, "src/repro/service/cache.py", "src/repro/service/sharding.py",
          "class Near:\n"
          "    def __init__(self, size=64, ttl=None):\n"
          "        self.size = size\n", 2),
-    18: ("src/repro/service/broker.py", "src/repro/service/api.py",
+    (18, "src/repro/service/broker.py", "src/repro/service/api.py",
          "from concurrent.futures import ThreadPoolExecutor\n", 1),
     # the real asyncio rule names route_get, and src/repro/lint/ is out
-    19: ("src/repro/lint/checkers/asyncio_rules.py",
+    (19, "src/repro/lint/checkers/asyncio_rules.py",
          "src/repro/service/api.py",
          "def route_get(broker, path):\n    return None\n", 1),
-    20: ("src/repro/service/broker.py", "src/repro/service/metrics.py",
+    (20, "src/repro/service/broker.py", "src/repro/service/metrics.py",
          "class Endpoint:\n    def __init__(self):\n"
          "        self.reservoir = []\n", 3),
-    21: ("src/repro/service/broker.py", "src/repro/service/transport.py",
+    (21, "src/repro/service/broker.py", "src/repro/service/transport.py",
          "def answer(op):\n"
          '    if op == "sleep":\n        return None\n', 2),
-    22: ("src/repro/_rational.py", "src/repro/analysis/bounds.py",
+    (22, "src/repro/_rational.py", "src/repro/analysis/bounds.py",
          '"""Bounds."""\n\n\ndef is_non' 'increasing(values):\n'
          "    return True\n", 4),
-    23: ("src/repro/lint/engine.py", "src/repro/lint/checkers/drift.py",
+    (23, "src/repro/lint/engine.py", "src/repro/lint/checkers/drift.py",
          '"""Rule ``drift``: the wire codec, parsed."""\n', 1),
-    24: ("src/repro/lint/engine.py", "src/repro/lint/cli.py",
+    (24, "src/repro/lint/engine.py", "src/repro/lint/cli.py",
          "def add_arguments(parser):\n"
          '    parser.add_argument("--write-base' 'line", metavar="FILE")\n',
          2),
-}
+    # the tree-packing master's own rows and the DAG's own port sums, as
+    # they stood before both read activities.port_groups
+    (1, "src/repro/core/activities.py", "src/repro/core/trees.py",
+     "def _solve_packing(platform, trees, lp, xs):\n"
+     "    terms = {}\n"
+     "    for x, tree in zip(xs, trees):\n"
+     "        for node, t in tree_send_time(platform, tree).items():\n"
+     '            terms.setdefault(("send", node), []).append(x * t)\n'
+     "        for node, t in tree_recv_time(platform, tree).items():\n"
+     '            terms.setdefault(("recv", node), []).append(x * t)\n'
+     "    for kind, node in sorted(terms):\n"
+     "        lp.add_constraint(lp_sum(terms[kind, node]) <= 1,\n"
+     '                          name=f"{kind}[{node}]")\n', (4, 5, 6, 7)),
+    (1, "src/repro/core/activities.py", "src/repro/core/dag.py",
+     "def verify(self):\n"
+     "    p, dag = self.platform, self.dag\n"
+     "    for node in p.nodes():\n"
+     "        out = Fraction(0)\n"
+     "        for j in p.successors(node):\n"
+     "            busy = sum(\n"
+     "                (self.flow.get((node, j, f), Fraction(0)) * dag.files[f]\n"
+     "                 for f in dag.files),\n"
+     "                start=Fraction(0),\n"
+     "            ) * p.c(node, j)\n"
+     "            out += busy\n"
+     "        if out > 1:\n"
+     '            raise TaskGraphError(f"{node} send port {out} > 1")\n'
+     "        inc = sum(\n"
+     "            (\n"
+     "                sum(\n"
+     "                    (self.flow.get((j, node, f), Fraction(0)) * dag.files[f]\n"
+     "                     for f in dag.files),\n"
+     "                    start=Fraction(0),\n"
+     "                ) * p.c(j, node)\n"
+     "                for j in p.predecessors(node)\n"
+     "            ),\n"
+     "            start=Fraction(0),\n"
+     "        )\n"
+     "        if inc > 1:\n"
+     '            raise TaskGraphError(f"{node} recv port {inc} > 1")\n',
+     (13, 26)),
+]
 
 
 def _ownership_tree(tmp_path, *files):
@@ -543,17 +585,20 @@ class TestOwnership:
     def test_every_row_has_a_plant(self):
         from repro.lint.checkers import ownership
 
-        assert sorted(OWNERSHIP_PLANTS) == list(range(len(ownership.TABLE)))
+        rows = [plant[0] for plant in OWNERSHIP_PLANTS]
+        assert rows[:len(ownership.TABLE)] == list(range(len(ownership.TABLE)))
 
-    @pytest.mark.parametrize("index", sorted(OWNERSHIP_PLANTS))
-    def test_a_plant_fires_its_row(self, index, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("number", range(len(OWNERSHIP_PLANTS)))
+    def test_a_plant_fires_its_row(self, number, tmp_path, monkeypatch):
         from repro.lint.checkers import ownership
 
-        owner, plant, text, line = OWNERSHIP_PLANTS[index]
+        index, owner, plant, text, lines = OWNERSHIP_PLANTS[number]
         files = [(owner, (REPO / owner).read_text()), (plant, text)]
         report = _ownership_tree(tmp_path, *files)
+        lines = lines if isinstance(lines, tuple) else (lines,)
         assert [(f.rule, f.path, f.line) for f in report.findings] == [
-            ("ownership", plant, line)], report.render_text()
+            ("ownership", plant, line) for line in lines], \
+            report.render_text()
         # ... and it is this row that fires: without it the tree is clean
         monkeypatch.setattr(ownership, "TABLE", tuple(
             row for i, row in enumerate(ownership.TABLE) if i != index))

@@ -200,3 +200,16 @@ class TestConservationDetection:
             sol.s[("M", j)] = Fraction(1)
         with pytest.raises(SteadyStateError):
             sol.check_ports()
+
+    def test_receive_port_violation_caught(self):
+        g = Platform("fan-in")
+        for node in ("M", "A", "B", "W"):
+            g.add_node(node, 1)
+        for a, b in (("M", "A"), ("M", "B"), ("A", "W"), ("B", "W")):
+            g.add_edge(a, b, 1)
+        sol = solve_master_slave(g, "M")
+        sol.check_ports()
+        sol.s[("A", "W")] = sol.s[("B", "W")] = Fraction(1)  # no send over 1
+        with pytest.raises(SteadyStateError,
+                           match="recv-port budget violated at W: 2 > 1"):
+            sol.check_ports()

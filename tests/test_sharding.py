@@ -119,7 +119,8 @@ class TestHashRing:
         owners = {ring.route(fp) for fp in fps}
         assert owners == {0, 1, 2, 3}
         # and no shard is grossly overloaded (consistent hashing with
-        # replicas keeps the spread within a small factor of fair share)
+        # virtual points keeps the spread within a small factor of fair
+        # share)
         counts = [sum(1 for fp in fps if ring.route(fp) == s)
                   for s in range(4)]
         assert min(counts) >= 512 / 4 / 4
@@ -134,11 +135,29 @@ class TestHashRing:
         # ideal is 1/5 of the keyspace; modulo hashing would move ~4/5
         assert moved / len(fps) < 0.5
 
+    def test_every_fingerprint_keeps_its_shard(self):
+        """The ring is 64 points per shard: these digests of the owners
+        of 512 fingerprints were recorded when the point count was a
+        ``replicas`` keyword defaulting to 64."""
+        import hashlib
+
+        fps = [hashlib.sha256(str(i).encode()).hexdigest()
+               for i in range(512)]
+        for shards, digest in ((2, "3fb0b03dd5391199"),
+                               (4, "2d7bb92f5aad1edc")):
+            owners = bytes(HashRing(shards).route(fp) for fp in fps)
+            assert hashlib.sha256(owners).hexdigest()[:16] == digest
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HashRing(0)
         with pytest.raises(ValueError):
             ShardedBroker(shards=-1)
+        # the point count is a constant, not a knob
+        with pytest.raises(TypeError):
+            HashRing(4, replicas=64)
+        with pytest.raises(TypeError):
+            ShardedBroker(shards=1, replicas=64)
 
 
 # ----------------------------------------------------------------------
@@ -1034,8 +1053,8 @@ class TestHashRingProperties:
     @settings(max_examples=10, deadline=None)
     @given(shards=st.integers(min_value=2, max_value=8))
     def test_skipped_keys_spread_over_survivors(self, shards):
-        """An ejected shard's keys fan out across the survivors (ring
-        replicas), they do not all pile onto one neighbour."""
+        """An ejected shard's keys fan out across the survivors (virtual ring
+        points), they do not all pile onto one neighbour."""
         if shards < 3:
             return
         fps = _fingerprints(512)

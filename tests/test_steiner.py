@@ -11,7 +11,7 @@ from repro.core.steiner import (
     heuristic_multicast_packing,
     shortest_path_tree,
 )
-from repro.core.trees import tree_recv_time, tree_throughput
+from repro.core.trees import tree_throughput
 from repro.platform import generators as gen
 from repro.platform.graph import Platform
 
@@ -27,7 +27,7 @@ class TestShortestPathTree:
         assert tree is not None
         heads = {v for _, v in tree}
         assert {"P5", "P6"} <= heads
-        tree_recv_time(fig2, tree)  # is an arborescence
+        assert len(heads) == len(tree)  # one parent each: an arborescence
 
     def test_unreachable_target(self):
         g = Platform("gap")
@@ -87,7 +87,7 @@ class TestHeuristicPacking:
         for tree in pool:
             heads = {v for _, v in tree}
             assert {"P5", "P6"} <= heads
-            tree_recv_time(fig2, tree)
+            assert len(heads) == len(tree)
 
     def test_sandwiched_between_single_tree_and_optimum(self, fig2):
         analysis = solve_multicast(fig2, "P0", ["P5", "P6"])

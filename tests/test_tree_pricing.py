@@ -12,17 +12,13 @@ from repro.core.multicast import solve_multicast
 from repro.core.activities import commodity_endpoints
 from repro.core.scatter import build_commodity_lp, reversed_platform
 from repro.core.steiner import heuristic_multicast_packing
-from repro.core.trees import (
-    enumerate_arborescences,
-    min_cost_arborescence,
-    tree_recv_time,
-    tree_send_time,
-)
+from repro.core.trees import enumerate_arborescences, min_cost_arborescence
 from repro.lp import LinearProgram, lp_sum
 from repro.platform import generators as gen
 from repro.platform.graph import Platform
 from repro.problems import BroadcastSpec, solve
 from repro.problems.specs import ReduceSpec
+from tree_ports import packing_loads, port_times
 
 
 def cost_of(tree, cost):
@@ -84,17 +80,12 @@ def assert_optimal_packing(sol, platform, root, bound):
     assert sol.achieved == sol.lp_bound == bound
     assert sum(sol.packing.values(), Fraction(0)) == sol.achieved
     others = set(platform.nodes()) - {root}
-    send = {}
-    recv = {}
     for tree, rate in sol.packing.items():
         assert rate > 0
         heads = [v for (_u, v) in tree]
         assert sorted(heads) == sorted(others)
         assert all(platform.has_edge(u, v) for (u, v) in tree)
-        for node, t in tree_send_time(platform, tree).items():
-            send[node] = send.get(node, Fraction(0)) + rate * t
-        for node, t in tree_recv_time(platform, tree).items():
-            recv[node] = recv.get(node, Fraction(0)) + rate * t
+    send, recv = packing_loads(platform, sol.packing)
     assert all(load <= 1 for load in send.values())
     assert all(load <= 1 for load in recv.values())
 
@@ -141,15 +132,15 @@ class TestColumnGeneration:
 
 
 def packing_lp(platform, trees):
-    """The tree-packing master over ``trees``, as the packer builds it."""
+    """The tree-packing master over ``trees``: the packer's rows, one per
+    loaded port, in sorted ``(kind, node)`` order."""
     lp = LinearProgram("tree-packing")
     xs = [lp.variable(f"x[{k}]", lo=0) for k in range(len(trees))]
     terms = {}
     for x, tree in zip(xs, trees):
-        for node, t in tree_send_time(platform, tree).items():
-            terms.setdefault(("send", node), []).append(x * t)
-        for node, t in tree_recv_time(platform, tree).items():
-            terms.setdefault(("recv", node), []).append(x * t)
+        for kind, times in zip(("send", "recv"), port_times(platform, tree)):
+            for node, t in times.items():
+                terms.setdefault((kind, node), []).append(x * t)
     for port in sorted(terms):
         lp.add_constraint(lp_sum(terms[port]) <= 1)
     lp.maximize(lp_sum(xs))

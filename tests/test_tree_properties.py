@@ -1,18 +1,11 @@
 """Hypothesis property tests for arborescence packing and broadcast."""
 
-from fractions import Fraction
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.broadcast import broadcast_lp_bound, solve_broadcast
-from repro.core.trees import (
-    enumerate_arborescences,
-    pack_trees,
-    tree_recv_time,
-    tree_send_time,
-    tree_throughput,
-)
+from repro.core.trees import enumerate_arborescences, pack_trees, tree_throughput
 from repro.platform import generators as gen
+from tree_ports import packing_loads
 
 SLOW = dict(
     max_examples=12,
@@ -62,12 +55,6 @@ class TestPackingProperties:
     @given(small_broadcast_platform())
     def test_packing_port_feasibility(self, platform):
         sol = solve_broadcast(platform, "R0")
-        send_busy = {}
-        recv_busy = {}
-        for tree, rate in sol.packing.items():
-            for node, t in tree_send_time(platform, tree).items():
-                send_busy[node] = send_busy.get(node, Fraction(0)) + rate * t
-            for node, t in tree_recv_time(platform, tree).items():
-                recv_busy[node] = recv_busy.get(node, Fraction(0)) + rate * t
+        send_busy, recv_busy = packing_loads(platform, sol.packing)
         assert all(v <= 1 for v in send_busy.values())
         assert all(v <= 1 for v in recv_busy.values())

@@ -4,16 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from repro.core.activities import port_groups
 from repro.core.trees import (
     TreeEnumerationLimit,
+    _solve_packing,
     enumerate_arborescences,
     pack_trees,
-    tree_recv_time,
-    tree_send_time,
     tree_throughput,
 )
 from repro.platform import generators as gen
 from repro.platform.graph import Platform, PlatformError
+from tree_ports import packing_loads, port_times
 
 
 def diamond():
@@ -78,24 +79,23 @@ class TestEnumeration:
 
 
 class TestTreeMetrics:
-    def test_send_time_counts_out_edges(self):
-        g = diamond()
-        tree = frozenset({("S", "A"), ("S", "B"), ("A", "T")})
-        st = tree_send_time(g, tree)
-        assert st["S"] == 2  # sends twice at c=1
-        assert st["A"] == 1
+    def test_throughput_is_one_over_the_busiest_port(self, fig2):
+        for g, root, terminals in ((diamond(), "S", None),
+                                   (fig2, "P0", ["P5", "P6"]),
+                                   (gen.grid2d(2, 3, seed=1), "G0_0", None)):
+            for tree in enumerate_arborescences(g, root, terminals):
+                send, recv = port_times(g, tree)
+                busiest = max(list(send.values()) + list(recv.values()))
+                assert tree_throughput(g, tree) == 1 / busiest
 
-    def test_recv_time_single_parent(self):
-        g = diamond()
-        tree = frozenset({("S", "A"), ("A", "T")})
-        rt = tree_recv_time(g, tree)
-        assert rt == {"A": Fraction(1), "T": Fraction(1)}
-
-    def test_recv_time_rejects_double_parent(self):
+    def test_a_node_with_two_parents_is_refused(self):
         g = diamond()
         bad = frozenset({("S", "A"), ("S", "B"), ("A", "T"), ("B", "T")})
-        with pytest.raises(PlatformError):
-            tree_recv_time(g, bad)
+        with pytest.raises(PlatformError, match="T has two parents"):
+            tree_throughput(g, bad)
+        good = frozenset({("S", "A"), ("S", "B"), ("A", "T")})
+        with pytest.raises(PlatformError, match="T has two parents"):
+            pack_trees(g, [good, bad])
 
     def test_tree_throughput(self):
         g = diamond()
@@ -156,12 +156,32 @@ class TestPacking:
         g = diamond()
         trees = enumerate_arborescences(g, "S")
         tp, rates = pack_trees(g, trees)
-        send_busy = {}
-        recv_busy = {}
-        for tree, rate in rates.items():
-            for node, t in tree_send_time(g, tree).items():
-                send_busy[node] = send_busy.get(node, Fraction(0)) + rate * t
-            for node, t in tree_recv_time(g, tree).items():
-                recv_busy[node] = recv_busy.get(node, Fraction(0)) + rate * t
+        send_busy, recv_busy = packing_loads(g, rates)
         assert all(v <= 1 for v in send_busy.values())
         assert all(v <= 1 for v in recv_busy.values())
+
+    def test_one_row_per_loaded_port_group(self, fig2):
+        """The master has one ``<=`` row per port group that a pooled tree
+        loads and none for an idle group; each row sums the pooled
+        trees' port times."""
+        for g, root, terminals in ((diamond(), "S", ["A"]),
+                                   (fig2, "P0", ["P5", "P6"]),
+                                   (fig2, "P0", None)):
+            trees = enumerate_arborescences(g, root, terminals)
+            lp, _sol, _rates = _solve_packing(g, trees, "exact")
+            rows = {c.name: c.normalized() for c in lp.constraints}
+            held = set().union(*trees)
+            assert len(rows) == len(lp.constraints)
+            assert {name: (sense, rhs)
+                    for name, (_terms, sense, rhs) in rows.items()} == {
+                f"{name}[{node}]": ("<=", budget)
+                for node in g.nodes()
+                for name, edges, budget in port_groups(g, node)
+                if held.intersection(edges)}
+            times = [port_times(g, tree) for tree in trees]
+            for row, (terms, _sense, _rhs) in rows.items():
+                group, node = row[:-1].split("[")
+                side = ("send-port", "recv-port").index(group)
+                assert {x.name: coef for x, coef in terms.items()} == {
+                    f"x[{k}]": t[side][node]
+                    for k, t in enumerate(times) if node in t[side]}
