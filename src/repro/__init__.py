@@ -13,14 +13,17 @@ approach is measured against.
 
 Public API
 ----------
-``__all__`` below is the library's API, grouped as README's "Public API"
-section groups it by paper section; ``Broker`` and ``SolveRequest`` load
-the service layer on first use.  A subpackage re-exports only what a
-caller outside the tests imports through it: the plugin APIs of
-:mod:`repro.problems` and :mod:`repro.lint`, the LP modelling layer of
-:mod:`repro.lp`, and :mod:`repro.platform`'s ``generators`` and
-``serialization``.  Every other name is imported from the module that
-defines it, e.g. ``from repro.platform.graph import Platform`` or
+``_LAZY_EXPORTS`` below is the library's API, one row per name, grouped
+as README's "Public API" section groups it by paper section; ``__all__``
+is its keys.  Every name maps to the module that defines it and is
+imported on first read (PEP 562), so ``import repro`` loads no
+submodule and a serving process loads only the modules it serves.  A
+subpackage re-exports only what a caller outside the tests imports
+through it: the plugin APIs of :mod:`repro.problems` and
+:mod:`repro.lint`, the LP modelling layer of :mod:`repro.lp`, and
+:mod:`repro.platform`'s ``generators`` and ``serialization``.  Every
+other name is imported from the module that defines it, e.g.
+``from repro.platform.graph import Platform`` or
 ``from repro.service.sharding import ShardedBroker``.
 
 Quickstart
@@ -34,81 +37,64 @@ Quickstart
 True
 """
 
-from ._rational import INF
-from .platform import generators
-from .core.master_slave import ntask, solve_master_slave
-from .core.scatter import solve_gather, solve_scatter
-from .core.broadcast import broadcast_lp_bound, solve_broadcast, solve_reduce
-from .core.multicast import analyze_figure2, best_single_tree, solve_multicast
-from .core.dag import TaskGraph, solve_dag_collection
-from .core.divisible import (
-    StarWorker,
-    makespan_lower_bound,
-    multi_round_makespan,
-    one_round_schedule,
-)
-from .schedule.reconstruction import reconstruct_schedule
-from .schedule.collective import packing_to_schedule
-from .schedule.fixed_period import throughput_vs_period
-from .schedule.batch import build_batch_schedule
-from .simulator.periodic_runner import PeriodicRunner
-from .baselines.greedy import run_demand_driven
-from .baselines.list_scheduling import makespan_comparison
-from .dynamic.adaptive import run_adaptive
-from .dynamic.autonomous import autonomous_throughput
-from .platform.monitoring import SlidingWindowPredictor, TimeVaryingPlatform
-from .analysis.certificates import ssms_certificate
-from .platform.topology import view_quality
+__version__ = "1.0.0"
 
-# Service-layer exports are lazy (PEP 562): `import repro` must not pay
-# for asyncio / concurrent.futures unless the service is actually used.
-# Each maps to the module that defines it.
 _LAZY_EXPORTS = {
+    # §2 platform model
+    "generators": "repro.platform",
+    "INF": "repro._rational",
+    # §3.1 master–slave tasking
+    "solve_master_slave": "repro.core.master_slave",
+    "ntask": "repro.core.master_slave",
+    "ssms_certificate": "repro.analysis.certificates",
+    # §3.2 scatter and gather
+    "solve_scatter": "repro.core.scatter",
+    "solve_gather": "repro.core.scatter",
+    # §4.1 schedule reconstruction
+    "reconstruct_schedule": "repro.schedule.reconstruction",
+    "packing_to_schedule": "repro.schedule.collective",
+    "PeriodicRunner": "repro.simulator.periodic_runner",
+    # §4.2 finite batches and their baselines
+    "build_batch_schedule": "repro.schedule.batch",
+    "makespan_comparison": "repro.baselines.list_scheduling",
+    "run_demand_driven": "repro.baselines.greedy",
+    # §4.2 collections of DAGs
+    "TaskGraph": "repro.core.dag",
+    "solve_dag_collection": "repro.core.dag",
+    # §4.3 broadcast, reduce, multicast
+    "solve_broadcast": "repro.core.broadcast",
+    "solve_reduce": "repro.core.broadcast",
+    "broadcast_lp_bound": "repro.core.broadcast",
+    "solve_multicast": "repro.core.multicast",
+    "analyze_figure2": "repro.core.multicast",
+    "best_single_tree": "repro.core.multicast",
+    # §5.2 divisible load
+    "StarWorker": "repro.core.divisible",
+    "one_round_schedule": "repro.core.divisible",
+    "multi_round_makespan": "repro.core.divisible",
+    "makespan_lower_bound": "repro.core.divisible",
+    # §5.3 topology discovery
+    "view_quality": "repro.platform.topology",
+    # §5.4 fixed periods
+    "throughput_vs_period": "repro.schedule.fixed_period",
+    # §5.5 dynamic platforms
+    "run_adaptive": "repro.dynamic.adaptive",
+    "autonomous_throughput": "repro.dynamic.autonomous",
+    "SlidingWindowPredictor": "repro.platform.monitoring",
+    "TimeVaryingPlatform": "repro.platform.monitoring",
+    # the service
     "Broker": "repro.service.broker",
     "SolveRequest": "repro.service.broker",
 }
 
+__all__ = [*_LAZY_EXPORTS]
+
 
 def __getattr__(name):
-    if name in _LAZY_EXPORTS:
-        import importlib
+    if name not in _LAZY_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
 
-        return getattr(importlib.import_module(_LAZY_EXPORTS[name]), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "INF",
-    "generators",
-    "ntask",
-    "solve_master_slave",
-    "solve_scatter",
-    "solve_gather",
-    "broadcast_lp_bound",
-    "solve_broadcast",
-    "solve_reduce",
-    "analyze_figure2",
-    "best_single_tree",
-    "solve_multicast",
-    "TaskGraph",
-    "solve_dag_collection",
-    "StarWorker",
-    "makespan_lower_bound",
-    "multi_round_makespan",
-    "one_round_schedule",
-    "reconstruct_schedule",
-    "packing_to_schedule",
-    "throughput_vs_period",
-    "build_batch_schedule",
-    "PeriodicRunner",
-    "run_demand_driven",
-    "makespan_comparison",
-    "run_adaptive",
-    "autonomous_throughput",
-    "SlidingWindowPredictor",
-    "TimeVaryingPlatform",
-    "view_quality",
-    "ssms_certificate",
-    *_LAZY_EXPORTS,
-]
+    value = getattr(importlib.import_module(_LAZY_EXPORTS[name]), name)
+    globals()[name] = value  # the next read is a plain attribute
+    return value

@@ -123,9 +123,6 @@ def build_ssms_dual(
             f"tau[{spec.src}->{spec.dst}]", lo=0
         )
 
-    def pot(node: NodeId):
-        return pi[node] if node != master else None
-
     for node in platform.nodes():
         spec = platform.node(node)
         if not spec.can_compute:

@@ -37,7 +37,6 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-from .analysis.reporting import render_edge_flows, render_table
 from .platform import generators
 from .platform.graph import Platform
 from .platform.serialization import platform_from_json, platform_to_json
@@ -127,6 +126,7 @@ def cmd_broadcast(args) -> int:
 
 
 def cmd_multicast(args) -> int:
+    from .analysis.reporting import render_table
     from .problems import MulticastSpec, solve as solve_problem
 
     platform = _load_platform(args)
@@ -148,6 +148,7 @@ def cmd_multicast(args) -> int:
 
 
 def cmd_figures(_args) -> int:
+    from .analysis.reporting import render_edge_flows
     from .core.master_slave import solve_master_slave
     from .core.multicast import analyze_figure2
     from .schedule.reconstruction import reconstruct_schedule
@@ -178,6 +179,7 @@ def cmd_problems(args) -> int:
     """List registered problems; ``--check`` proves each servable."""
     import json as _json
 
+    from .analysis.reporting import render_table
     from .problems import describe
 
     if args.check:

@@ -3,7 +3,6 @@
 from . import (  # noqa: F401
     asyncio_rules,
     exactness,
-    heavy_import,
     locks,
     ownership,
     tracing,

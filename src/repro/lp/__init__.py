@@ -7,8 +7,8 @@ checks on the model alone.
 The float backend (:mod:`repro.lp.scipy_backend`, HiGHS cross-checks) is
 opt-in: ``LinearProgram.solve(backend="scipy")`` imports it, and with it
 numpy and scipy, on first use, so a process that serves only exact
-answers never loads the float stack (``repro lint``'s ``heavy-import``
-rule keeps it that way).
+answers never loads the float stack (``tests/test_import_closure.py``
+imports every other module and checks that it stays so).
 """
 
 from .model import LinearProgram, LinExpr, LPSolution, lp_sum

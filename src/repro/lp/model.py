@@ -447,21 +447,19 @@ class LinearProgram:
             return solve_scipy(self, **kwargs)
         raise LPError(f"unknown backend {backend!r}")
 
-    def check(self, solution: LPSolution, tol: Fraction = Fraction(0)) -> None:
-        """Assert that ``solution`` satisfies all constraints and bounds.
-
-        With the exact backend ``tol`` should stay 0; for float backends a
-        small tolerance is appropriate.  Raises :class:`LPError` on failure.
+    def check(self, solution: LPSolution) -> None:
+        """Assert that ``solution`` satisfies all constraints and bounds
+        exactly.  Raises :class:`LPError` on failure.
         """
         for var in self.variables:
             x = solution[var]
-            if var.lo is not None and x < var.lo - tol:
+            if var.lo is not None and x < var.lo:
                 raise LPError(f"{var.name} = {x} below lower bound {var.lo}")
-            if var.hi is not None and x > var.hi + tol:
+            if var.hi is not None and x > var.hi:
                 raise LPError(f"{var.name} = {x} above upper bound {var.hi}")
         for i, cons in enumerate(self.constraints):
             v = cons.violation(solution.values)
-            if v > tol:
+            if v > 0:
                 label = cons.name or f"#{i}"
                 raise LPError(f"constraint {label} violated by {v}")
 

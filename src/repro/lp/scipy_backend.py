@@ -28,10 +28,11 @@ from .model import (
 )
 
 
-def solve_scipy(
-    lp: LinearProgram,
-    rationalize: int = 10**9,
-) -> LPSolution:
+#: the largest denominator HiGHS's floats are rationalised to
+MAX_DENOMINATOR = 10**9
+
+
+def solve_scipy(lp: LinearProgram) -> LPSolution:
     """Solve with HiGHS; rationalise outputs with ``limit_denominator``."""
     assert lp.objective is not None
     nvars = len(lp.variables)
@@ -86,7 +87,7 @@ def solve_scipy(
     values: Dict[Variable, Fraction] = {}
     for var in lp.variables:
         x = float(res.x[col_of[var]])
-        frac = Fraction(x).limit_denominator(rationalize)
+        frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
         # Clamp tiny negatives produced by float noise to the bound.
         if var.lo is not None and frac < var.lo:
             frac = var.lo
@@ -95,7 +96,7 @@ def solve_scipy(
         values[var] = frac
 
     objective_float = sign * float(res.fun)
-    objective = Fraction(objective_float).limit_denominator(rationalize)
+    objective = Fraction(objective_float).limit_denominator(MAX_DENOMINATOR)
     # HiGHS's marginals are d(min c.x)/d(b); the model's shadow price is
     # d(objective)/d(rhs), so undo the max->min and the >= -> <= flips
     ub, eq = iter(res.ineqlin.marginals), iter(res.eqlin.marginals)
@@ -103,7 +104,7 @@ def solve_scipy(
     for k, cons in enumerate(lp.constraints):
         flip = -1 if cons.sense == ">=" else 1
         marginal = float(next(eq if cons.sense == "==" else ub))
-        y = Fraction(sign * flip * marginal).limit_denominator(rationalize)
+        y = Fraction(sign * flip * marginal).limit_denominator(MAX_DENOMINATOR)
         if y:
             duals[k] = y
     return LPSolution(

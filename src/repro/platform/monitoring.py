@@ -59,10 +59,6 @@ class TimeVaryingPlatform:
         self._epoch = 0
         self._history: List[Platform] = [self.snapshot()]
 
-    @property
-    def epoch(self) -> int:
-        return self._epoch
-
     def _step_multiplier(self, current: Fraction) -> Fraction:
         lo, hi = self.bounds
         factor = Fraction(

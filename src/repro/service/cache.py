@@ -215,15 +215,6 @@ class SolutionCache:
         self.stats = CacheStats()  # guarded-by: _lock
 
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    # ------------------------------------------------------------------
     def get(self, key: str, with_schedule: bool = False
             ) -> Optional[CacheEntry]:
         """Look up a fingerprint; counts a hit or a miss either way.  An

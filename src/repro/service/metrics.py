@@ -150,10 +150,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = value
 
-    def gauge(self, name: str) -> Optional[float]:
-        with self._lock:
-            return self._gauges.get(name)
-
     def endpoint(self, name: str) -> Optional[EndpointMetrics]:
         with self._lock:
             return self._endpoints.get(name)

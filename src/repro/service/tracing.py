@@ -162,9 +162,6 @@ class Trace:
         self.root = Span(self, 0, None, name, 0.0)  # starts at t0
         self.spans: List[Span] = [self.root]
 
-    def elapsed(self) -> float:
-        return time.perf_counter() - self._t0
-
     def new_span(self, name: str, parent_id: Optional[int],
                  start: Optional[float] = None) -> Span:
         if start is None:
@@ -511,7 +508,7 @@ def log_event(event: str, **fields: Any) -> Dict[str, Any]:
 # ----------------------------------------------------------------------
 # waterfall rendering (the `submit --trace` printer)
 # ----------------------------------------------------------------------
-def render_waterfall(trace_dict: Dict[str, Any], width: int = 28) -> str:
+def render_waterfall(trace_dict: Dict[str, Any]) -> str:
     """ASCII waterfall of a trace *dict* (API response / store export).
 
     One line per span, indented by tree depth, with the start offset,
@@ -519,6 +516,7 @@ def render_waterfall(trace_dict: Dict[str, Any], width: int = 28) -> str:
     annotations.  Orphaned spans (parent evicted or foreign) are shown
     at the root level rather than dropped.
     """
+    width = 28  # columns of the shared timeline
     spans = trace_dict.get("spans", [])
     header = (
         f"trace {trace_dict.get('trace_id', '?')} "

@@ -189,12 +189,21 @@ async def read_frame_async(reader: "asyncio.StreamReader") -> Dict[str, Any]:
 
 
 def parse_shard_address(address: str) -> Tuple[str, int]:
-    """``"host:port"`` or ``"tcp://host:port"`` → ``(host, port)``."""
+    """``"host:port"`` or ``"tcp://host:port"`` → ``(host, port)``; an
+    IPv6 host is written in brackets (``"[::1]:8590"``) and returned
+    without them."""
     text = address.strip()
     if text.startswith("tcp://"):
         text = text[len("tcp://"):]
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
+    if text.startswith("["):
+        host, bracket, rest = text[1:].partition("]")
+        if not bracket:
+            raise ValueError(f"shard address {address!r} has an unclosed "
+                             f"'['")
+        sep, port_text = rest[:1], rest[1:]
+    else:
+        host, sep, port_text = text.rpartition(":")
+    if sep != ":" or not host:
         raise ValueError(
             f"shard address {address!r} must look like host:port"
         )
@@ -206,6 +215,11 @@ def parse_shard_address(address: str) -> Tuple[str, int]:
     if not 0 < port < 65536:
         raise ValueError(f"shard address {address!r} port out of range")
     return host, port
+
+
+def shard_address(host: str, port: int) -> str:
+    """The ``tcp://`` address :func:`parse_shard_address` reads back."""
+    return f"tcp://[{host}]:{port}" if ":" in host else f"tcp://{host}:{port}"
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +351,7 @@ class AsyncTcpTransport:
     def address(self) -> str:
         if self._local:
             return "local://socketpair"
-        return f"tcp://{self.host}:{self.port}"
+        return shard_address(self.host, self.port)
 
     @property
     def closed(self) -> bool:
@@ -619,7 +633,7 @@ class AsyncShardServer(LoopServer):
 
     @property
     def address(self) -> str:
-        return f"tcp://{self.host}:{self.port}"
+        return shard_address(self.host, self.port)
 
     def shutdown(self) -> None:
         super().shutdown()

@@ -85,7 +85,3 @@ class Simulator:
         if horizon is not None:
             self.now = horizon
         return self.now
-
-    @property
-    def pending(self) -> int:
-        return sum(1 for e in self._heap if not e.cancelled)

@@ -368,6 +368,46 @@ class TestCrossBrokerCoalescing:
             b2.close()
             server.shutdown()
 
+    def test_a_traced_follower_shows_the_leader_it_waited_on(
+            self, lane_latch):
+        """Two traced solves of one fingerprint meet in flight: the
+        follower's trace is a single ``coalesce.remote`` span naming the
+        leader's trace, and both replies carry the one result."""
+        message = {**_solve_msg(_ms_request()), "trace": True}
+        server = LatchedShardServer(lane_latch).start_in_thread()
+
+        async def body():
+            transport = AsyncTcpTransport(server.host, server.port)
+            try:
+                leader = asyncio.ensure_future(transport.request(message))
+                follower = asyncio.ensure_future(transport.request(message))
+
+                async def coalesced():
+                    snap = (await transport.request({"op": "snapshot"}))
+                    return snap["snapshot"]["async"]["shard_coalesced"]
+
+                await until_async(coalesced)
+                lane_latch.release()
+                return (await leader, await follower,
+                        await coalesced())
+            finally:
+                await transport.close()
+
+        try:
+            assert lane_latch.held.wait(10)
+            leader, follower, coalesced = asyncio.run(body())
+        finally:
+            server.shutdown()
+        assert coalesced == 1
+        assert leader["ok"] and follower["ok"]
+        assert follower["result"] == leader["result"]
+        spans = follower["trace"]["spans"]
+        assert [span["name"] for span in spans] == [
+            "shard.solve", "coalesce.remote"]
+        assert spans[1]["annotations"]["leader_trace"] == (
+            leader["trace"]["trace_id"])
+        assert follower["trace"]["trace_id"] != leader["trace"]["trace_id"]
+
 
 # ----------------------------------------------------------------------
 # the ring end to end: ShardedBroker awaits the multiplexed wire

@@ -5,6 +5,9 @@ The service answers ``Fraction``s from the standard library; numpy,
 scipy and networkx belong to the library's opt-in float backend, the
 cross-check tests and ``Platform.to_networkx``.  Each test runs in a fresh
 interpreter (``fresh_python``) and asserts module *names*, never times.
+This file is the one guard of that boundary: importing every module of
+the package runs each import a module makes at import time (module
+scope, class bodies, ``try`` / ``if`` blocks), wherever it is written.
 """
 
 from __future__ import annotations
@@ -13,6 +16,18 @@ import ast
 from pathlib import Path
 
 HEAVY = ("networkx", "numpy", "scipy")
+SRC = Path(__file__).resolve().parents[1] / "src"
+#: ``repro.__main__`` runs the CLI; ``lp/scipy_backend.py`` is the
+#: declared float file, imported by ``LinearProgram.solve`` on use
+NOT_IMPORTED = ("repro.__main__", "repro.lp.scipy_backend")
+#: library modules no serving role needs: the top-level names that live
+#: in them load on first read, and the CLI's table printer on its command
+NOT_SERVED = (
+    "repro.analysis", "repro.baselines", "repro.dynamic",
+    "repro.simulator", "repro.core.divisible", "repro.platform.monitoring",
+    "repro.platform.topology", "repro.schedule.batch",
+    "repro.schedule.fixed_period",
+)
 
 _ROLES = """
 import json, os, sys
@@ -44,8 +59,8 @@ print(json.dumps({
     "heavy": sorted({name.split(".")[0] for name, module
                      in sys.modules.items() if module is not None}
                     & set(%r)),
-    "first_party": sum(name.split(".")[0] == "repro"
-                       for name in sys.modules),
+    "first_party": sorted(name for name in sys.modules
+                          if name.split(".")[0] == "repro"),
     "pid": os.getpid(),
     "worker": worker,
 }))
@@ -93,10 +108,37 @@ def test_every_process_role_loads_the_exact_stack_only(fresh_python):
     assert out["exact"]
     assert out["floated"] == 422
     assert out["heavy"] == []
-    assert out["first_party"] > 50  # the closure really was imported
+    # the closure really was imported, and none of the library beyond it
+    loaded = out["first_party"]
+    assert "repro.service.transport" in loaded
+    assert [name for name in loaded
+            if any(name == top or name.startswith(top + ".")
+                   for top in NOT_SERVED)] == []
     # the shard worker is another process and says so itself; its
     # import closure is a subset of this one's, so scipy stands for all
     assert out["worker"]["pid"] != out["pid"]
+
+
+def test_no_module_of_the_package_imports_the_float_stack(fresh_python):
+    """Import every module under ``src/repro/`` but the two that
+    :data:`NOT_IMPORTED` names: none may load numpy, scipy or networkx.
+    Where they are not installed (CI's ``no-float`` leg), such an import
+    fails this test as an ``ImportError`` instead."""
+    modules = sorted(
+        ".".join(path.relative_to(SRC).with_suffix("").parts).removesuffix(
+            ".__init__")
+        for path in (SRC / "repro").rglob("*.py"))
+    modules = [name for name in modules if name not in NOT_IMPORTED]
+    out = fresh_python("""
+        import importlib, json, sys
+
+        for name in %r:
+            importlib.import_module(name)
+        print(json.dumps(sorted({name.split(".")[0] for name in sys.modules}
+                                & set(%r))))
+    """ % (modules, HEAVY))
+    assert "repro.service.transport" in modules  # the walk found them
+    assert out == []
 
 
 def test_the_exact_service_works_without_the_float_stack(fresh_python):

@@ -1,4 +1,4 @@
-"""The ``repro lint`` framework: registry, pragmas, reporters, five
+"""The ``repro lint`` framework: registry, pragmas, reporters, four
 rules against their fixture corpus, the ownership table on planted
 trees, the repo-wide green gate, and regression tests for the real
 findings this gate surfaced and fixed.
@@ -25,7 +25,7 @@ from repro.lint.cli import main as lint_main
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).resolve().parent / "lint_fixtures"
-RULES = ("asyncio", "exactness", "heavy-import", "locks", "tracing")
+RULES = ("asyncio", "exactness", "locks", "tracing")
 
 
 def lint_file(path, **kwargs):
@@ -220,7 +220,7 @@ class TestReporters:
 
 
 # ----------------------------------------------------------------------
-# five rules against their fixture corpus (ownership: planted trees below)
+# four rules against their fixture corpus (ownership: planted trees below)
 # ----------------------------------------------------------------------
 class TestFixtureCorpus:
     @pytest.mark.parametrize("rule", RULES)
@@ -417,35 +417,6 @@ class TestFixtureCorpus:
         # from a plain def, or replaced by an awaited wrap_future: clean
         report = lint_file(FIXTURES / "asyncio_dispatch_ok.py")
         assert report.ok and not report.suppressed
-
-    def test_heavy_import_catches_every_import_time_shape(self):
-        report = lint_file(FIXTURES / "heavy_import_bad.py")
-        found = {(f.line, f.message.split(" at module scope")[0])
-                 for f in report.findings}
-        assert found == {
-            (6, "import of numpy"),
-            (7, "import of scipy.optimize"),
-            (9, "import of scipy_backend"),  # the float file, relatively
-            (12, "import of networkx"),  # inside try: still import time
-            (18, "import of scipy.sparse"),  # class body
-        }
-
-    def test_heavy_import_scope_is_the_package_minus_the_float_files(
-            self, tmp_path):
-        # no pragma needed under src/repro/; the declared float backend
-        # (exactness.EXEMPT_FILES) is the one file allowed to import
-        # numpy at the top, and tests/ may import what they like
-        package = tmp_path / "src" / "repro" / "lp"
-        package.mkdir(parents=True)
-        (tmp_path / "tests").mkdir()
-        for path in (package / "__init__.py", package / "scipy_backend.py",
-                     tmp_path / "tests" / "test_x.py"):
-            path.write_text("import numpy as np\n")
-        (package / "model.py").write_text(
-            "def solve():\n    from .scipy_backend import solve_scipy\n")
-        report = run_lint([str(tmp_path)], root=str(tmp_path))
-        assert [(f.rule, f.path) for f in report.findings] == [
-            ("heavy-import", "src/repro/lp/__init__.py")]
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import asyncio
 import json
 import multiprocessing
 import os
+import re
 import socket
 import struct
 from fractions import Fraction
@@ -36,6 +37,7 @@ from repro.service.transport import (
     encode_frame,
     parse_shard_address,
     read_frame_async,
+    shard_address,
     spawn_local_shard,
 )
 from repro.service.wire import (
@@ -178,11 +180,22 @@ class TestAddressParsing:
                                                            8590)
         assert parse_shard_address("tcp://10.0.0.7:1234") == ("10.0.0.7",
                                                               1234)
+        # an IPv6 host is dialled without the brackets that delimit it
+        assert parse_shard_address("[::1]:8590") == ("::1", 8590)
+        assert parse_shard_address("tcp://[::1]:8590") == ("::1", 8590)
+
+    @pytest.mark.parametrize("host", ["10.0.0.7", "example.org", "::1",
+                                      "fe80::1"])
+    def test_a_printed_address_parses_back(self, host):
+        assert parse_shard_address(shard_address(host, 8590)) == (host,
+                                                                  8590)
 
     @pytest.mark.parametrize("bad", ["nope", ":8590", "host:", "host:0",
-                                     "host:notaport", "host:70000"])
+                                     "host:notaport", "host:70000",
+                                     "[]:8590", "[::1]", "[::1]8590",
+                                     "[::1]:x", "[::1:8590", "tcp://[::1"])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse_shard_address(bad)
 
 
@@ -417,6 +430,35 @@ class TestTcpTransport:
             assert await probe.ping(timeout=5.0)
 
         _with_transports(body, shard_server.port, shard_server.port)
+
+
+def _ipv6_loopback():
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError as exc:
+        pytest.skip(f"cannot bind IPv6 loopback here: {exc}")
+
+
+def test_a_shard_on_ipv6_loopback_answers_at_its_printed_address():
+    """``serve --shard [::1]:PORT`` dials ``::1``, not ``[::1]``: the
+    shard's own printed address places it on a ring that solves."""
+    from repro.service.sharding import ShardedBroker
+
+    _ipv6_loopback()
+    server = AsyncShardServer(("::1", 0)).start_in_thread()
+    try:
+        assert server.address == f"tcp://[::1]:{server.port}"
+        request = SolveRequest(MasterSlaveSpec(
+            platform=generators.paper_figure1(), master="P1"))
+        with ShardedBroker(shards=0,
+                           shard_addresses=[server.address]) as broker:
+            assert broker.solve(request).throughput == Fraction(2)
+            health = broker.snapshot()["shard_health"]
+        assert health["shards"][0]["address"] == server.address
+        assert health["shards"][0]["active"]
+    finally:
+        server.shutdown()
 
 
 # ----------------------------------------------------------------------
