@@ -383,7 +383,7 @@ class TestCrossBrokerCoalescing:
                 follower = asyncio.ensure_future(transport.request(message))
 
                 async def coalesced():
-                    snap = (await transport.request({"op": "snapshot"}))
+                    snap = await transport.request({"op": "snapshot"})
                     return snap["snapshot"]["async"]["shard_coalesced"]
 
                 await until_async(coalesced)

@@ -432,20 +432,16 @@ class TestTcpTransport:
         _with_transports(body, shard_server.port, shard_server.port)
 
 
-def _ipv6_loopback():
-    try:
-        with socket.socket(socket.AF_INET6) as probe:
-            probe.bind(("::1", 0))
-    except OSError as exc:
-        pytest.skip(f"cannot bind IPv6 loopback here: {exc}")
-
-
 def test_a_shard_on_ipv6_loopback_answers_at_its_printed_address():
     """``serve --shard [::1]:PORT`` dials ``::1``, not ``[::1]``: the
     shard's own printed address places it on a ring that solves."""
     from repro.service.sharding import ShardedBroker
 
-    _ipv6_loopback()
+    try:
+        with socket.socket(socket.AF_INET6) as probe:
+            probe.bind(("::1", 0))
+    except OSError as exc:
+        pytest.skip(f"cannot bind IPv6 loopback here: {exc}")
     server = AsyncShardServer(("::1", 0)).start_in_thread()
     try:
         assert server.address == f"tcp://[::1]:{server.port}"
